@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-smoke bench-campaign bench-json bench-reuse bench-sharded bench-checkpoint bench-tree bench-adaptive bench-daemon bench-obs bench-fabric fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race tier1 bench bench-smoke bench-campaign bench-reuse bench-sharded bench-daemon bench-obs fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -22,9 +22,12 @@ race:
 
 tier1: build vet race
 
-# Full benchmark sweep (regenerates every experiment).
+# The canonical campaign benchmark (BENCHMARK.json, bench/README.md):
+# six workloads, end-to-end and per-layer metrics. Add `-out SET.json`
+# to record the run; `go run ./bench -compare A.json B.json` diffs two
+# sets.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./bench
 
 # One iteration of every benchmark in the module: catches benchmarks
 # that rot (compile but crash) without paying for real measurement.
@@ -46,26 +49,6 @@ bench-reuse:
 # partition + merge machinery.
 bench-sharded:
 	$(GO) test -run xxx -bench BenchmarkCampaignSharded -benchtime 20x .
-
-# Golden-run checkpointing vs the reuse path at a late injection time
-# (the PR 5 tentpole); compare reuse/* with checkpointed/* using
-# benchstat, or regenerate the committed BENCH_PR5.json snapshot.
-bench-checkpoint:
-	$(GO) run ./cmd/benchjson -bench BenchmarkCampaignCheckpointed -benchtime 10x -o BENCH_PR5.json .
-
-# Checkpoint tree + convergence early-exit vs the single-checkpoint
-# and reuse paths on the E8 transient sweep (the PR 8 tentpole);
-# compare checkpointed/* with tree*/* using benchstat, or regenerate
-# the committed BENCH_PR8.json snapshot.
-bench-tree:
-	$(GO) run ./cmd/benchjson -bench BenchmarkCampaignTree -benchtime 10x -o BENCH_PR8.json .
-
-# Adaptive (signature-novelty) campaign vs blind Monte-Carlo at an
-# equal simulated-run budget on the E8-derived CAPS universe (the
-# PR 10 tentpole). The bench itself asserts the >=2x unique-outcome
-# yield; this target regenerates the committed BENCH_PR10.json.
-bench-adaptive:
-	$(GO) run ./cmd/benchjson -bench BenchmarkCampaignAdaptive -benchtime 10x -o BENCH_PR10.json .
 
 # Native fuzzing smoke: run each fuzz target for FUZZTIME (~30s total
 # at the default). The seed corpora alone run under `go test`; this
@@ -93,15 +76,8 @@ fabric-e2e:
 	$(GO) test -race -count=1 ./internal/fabric ./internal/clitest
 	$(GO) test -race -count=1 -run 'Matrix' ./internal/caps ./internal/ecu
 
-# Binary-vs-JSONL journal codec throughput and 1-vs-2-worker fabric
-# campaign throughput (the PR 9 tentpole); regenerates the committed
-# BENCH_PR9.json snapshot.
-bench-fabric:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkJournalCodec|BenchmarkCampaignDistributed' -benchtime 5x -o BENCH_PR9.json ./internal/journal ./internal/fabric
-
-# Daemon submit-to-done turnaround: warm (cached runner + parked
-# checkpoint sessions) vs cold (rebuild per run); compare with
-# benchstat.
+# Daemon submit-to-done turnaround: warm (cached runner) vs cold
+# (rebuild per run); compare with benchstat.
 bench-daemon:
 	$(GO) test -run xxx -bench BenchmarkDaemonRunTurnaround -benchtime 10x ./internal/campaignd
 
@@ -111,10 +87,3 @@ bench-daemon:
 # TestFlightRecorderRecordZeroAlloc gate the same property in tier1.
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkObsExposition|BenchmarkFlightRecorder' -benchmem ./internal/obs
-
-# Machine-readable benchmark snapshot: the perf trajectory artifact
-# committed per perf PR (BENCH_PR<n>.json). Override OUT to target a
-# different file, e.g. `make bench-json OUT=BENCH_PR4.json`.
-OUT ?= BENCH_PR4.json
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 1x -o $(OUT) ./...

@@ -338,9 +338,10 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 // transient sweep (every injection site x four sub-frame injection
 // offsets at inject=10ms, 400us pulses, h=80ms full horizon) across
 // four engine modes. reuse and checkpointed are the PR 3/PR 5
-// baselines; tree replaces the single rolling checkpoint with the
-// retained-node tree; tree+ee adds convergence early-exit against the
-// golden trajectory. Transient pulses this short leave most runs
+// baselines (checkpointed is the tree session with a one-node budget,
+// the single rolling checkpoint); tree raises the budget to the
+// retained-node default; tree+ee adds convergence early-exit against
+// the golden trajectory. Transient pulses this short leave most runs
 // dynamically identical to the golden run within a stride or two of
 // the revert, so early-exit truncates ~3/4 of the universe (62/84
 // scenarios converge; the rest latch a detection or corrupt persistent

@@ -89,6 +89,76 @@ func (f *failingJournal) Append(e journal.Entry) error {
 	return f.w.Append(e)
 }
 
+// openJournal opens the -journal file for a campaign, exiting on any
+// error. With -resume an existing journal is picked up (sniffing and
+// adopting its own encoding; -journal-codec only shapes fresh
+// journals) and a missing one is started, so the same command line
+// works for the first run and re-runs; without -resume an existing
+// file is refused. The returned sink is the writer itself, or the
+// CAPSIM_FAIL_JOURNAL_AFTER fault-injecting wrapper around it.
+func openJournal(path, codecName string, resume bool, h journal.Header) (*journal.Journal, *journal.Writer, stressor.JournalSink) {
+	codec, err := journal.ParseCodec(codecName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	var j *journal.Journal
+	var w *journal.Writer
+	if resume {
+		if j, w, err = journal.Open(path, h, codec); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	} else if w, err = journal.CreateCodec(path, h, codec); err != nil {
+		fmt.Fprintf(os.Stderr, "%v (use -resume to continue an interrupted journal)\n", err)
+		os.Exit(1)
+	}
+	if n, err := strconv.Atoi(os.Getenv("CAPSIM_FAIL_JOURNAL_AFTER")); err == nil && n >= 0 {
+		return j, w, &failingJournal{w: w, left: n}
+	}
+	return j, w, w
+}
+
+// interruptHalt builds the clean-stop Halt hook of a journaled (or
+// -interrupt-after limited) campaign — nil for any other: Ctrl-C and
+// the -interrupt-after testing aid stop the campaign between
+// scenarios, and with -journal the run is resumable afterwards. halted
+// reports whether the hook fired. The caller invokes stop as soon as
+// Execute returns — not at process exit — so a second interrupt while
+// reports are being written kills the process instead of being
+// swallowed by a stale handler. The hook runs before any dispatch,
+// including the first one after journal replay: an interrupt that
+// lands during replay stops the campaign with zero new runs and the
+// journal stays valid and re-resumable.
+func interruptHalt(journaled bool, limit int) (halt func(completed int) bool, halted *atomic.Bool, stop func()) {
+	halted = new(atomic.Bool)
+	if !journaled && limit <= 0 {
+		return nil, halted, func() {}
+	}
+	var interrupted atomic.Bool
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range ch {
+			interrupted.Store(true)
+		}
+	}()
+	halt = func(completed int) bool {
+		stop := interrupted.Load() || (limit > 0 && completed >= limit)
+		if stop {
+			halted.Store(true)
+		}
+		return stop
+	}
+	return halt, halted, func() {
+		signal.Stop(ch)
+		close(ch)
+		<-done
+	}
+}
+
 func main() {
 	world := flag.String("world", "normal", "environment: normal or crash")
 	unprotected := flag.Bool("unprotected", false, "disable the safety mechanisms")
@@ -261,84 +331,20 @@ func main() {
 		}
 		var jw *journal.Writer
 		if *journalPath != "" {
-			codec, err := journal.ParseCodec(*journalCodec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
 			shards := shard.Count
 			if shards < 1 {
 				shards = 1
 			}
-			h := journal.Header{
+			c.Resume, jw, c.Journal = openJournal(*journalPath, *journalCodec, *resume, journal.Header{
 				Campaign: campaignName, Shard: shard.Index, Shards: shards,
 				Total: len(scenarios), Universe: stressor.UniverseHash(scenarios),
-			}
-			if *resume {
-				if _, statErr := os.Stat(*journalPath); statErr == nil {
-					// Resume sniffs and adopts the journal's own encoding;
-					// -journal-codec only shapes fresh journals.
-					j, w, err := journal.AppendTo(*journalPath, h)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					c.Resume, jw = j, w
-				} else {
-					// Nothing to resume yet: start a fresh journal so the
-					// same command line works for first run and re-runs.
-					if jw, err = journal.CreateCodec(*journalPath, h, codec); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-				}
-			} else if jw, err = journal.CreateCodec(*journalPath, h, codec); err != nil {
-				fmt.Fprintf(os.Stderr, "%v (use -resume to continue an interrupted journal)\n", err)
-				os.Exit(1)
-			}
-			c.Journal = jw
-			if n, err := strconv.Atoi(os.Getenv("CAPSIM_FAIL_JOURNAL_AFTER")); err == nil && n >= 0 {
-				c.Journal = &failingJournal{w: jw, left: n}
-			}
+			})
 		} else if *resume {
 			fmt.Fprintln(os.Stderr, "-resume requires -journal")
 			os.Exit(2)
 		}
-		// Ctrl-C (and the -interrupt-after testing aid) stop the
-		// campaign cleanly between scenarios; with -journal the run is
-		// resumable afterwards. The handler is deregistered as soon as
-		// Execute returns — not at process exit — so a second interrupt
-		// while reports are being written kills the process instead of
-		// being swallowed by a stale handler. The Halt hook runs before
-		// any dispatch, including the first one after journal replay: an
-		// interrupt that lands during replay stops the campaign with
-		// zero new runs and the journal stays valid and re-resumable.
-		var interrupted, halted atomic.Bool
-		stopSignals := func() {}
-		if *journalPath != "" || *interruptAfter > 0 {
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range ch {
-					interrupted.Store(true)
-				}
-			}()
-			stopSignals = func() {
-				signal.Stop(ch)
-				close(ch)
-				<-done
-			}
-			limit := *interruptAfter
-			c.Halt = func(completed int) bool {
-				stop := interrupted.Load() || (limit > 0 && completed >= limit)
-				if stop {
-					halted.Store(true)
-				}
-				return stop
-			}
-		}
+		halt, halted, stopSignals := interruptHalt(*journalPath != "", *interruptAfter)
+		c.Halt = halt
 		res, err := c.Execute(scenarios)
 		stopSignals()
 		if jw != nil {
@@ -481,69 +487,16 @@ func runAdaptive(runner *caps.Runner, name string, o adaptiveOpts) {
 
 	var jw *journal.Writer
 	if o.journalPath != "" {
-		codec, err := journal.ParseCodec(o.journalCodec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		h := journal.Header{
+		c.Resume, jw, c.Journal = openJournal(o.journalPath, o.journalCodec, o.resume, journal.Header{
 			Campaign: name, Shards: 1,
 			Total: o.budget, Universe: fingerprint, Adaptive: true,
-		}
-		if o.resume {
-			if _, statErr := os.Stat(o.journalPath); statErr == nil {
-				j, w, err := journal.AppendTo(o.journalPath, h)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				c.Resume, jw = j, w
-			} else if jw, err = journal.CreateCodec(o.journalPath, h, codec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else if jw, err = journal.CreateCodec(o.journalPath, h, codec); err != nil {
-			fmt.Fprintf(os.Stderr, "%v (use -resume to continue an interrupted journal)\n", err)
-			os.Exit(1)
-		}
-		c.Journal = jw
-		if n, err := strconv.Atoi(os.Getenv("CAPSIM_FAIL_JOURNAL_AFTER")); err == nil && n >= 0 {
-			c.Journal = &failingJournal{w: jw, left: n}
-		}
+		})
 	} else if o.resume {
 		fmt.Fprintln(os.Stderr, "-resume requires -journal")
 		os.Exit(2)
 	}
-
-	// Same clean-interrupt contract as the fixed-universe path: Ctrl-C
-	// (or -interrupt-after) stops the loop between proposals and the
-	// journal stays resumable.
-	var interrupted, halted atomic.Bool
-	stopSignals := func() {}
-	if o.journalPath != "" || o.interruptAfter > 0 {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range ch {
-				interrupted.Store(true)
-			}
-		}()
-		stopSignals = func() {
-			signal.Stop(ch)
-			close(ch)
-			<-done
-		}
-		limit := o.interruptAfter
-		c.Halt = func(completed int) bool {
-			stop := interrupted.Load() || (limit > 0 && completed >= limit)
-			if stop {
-				halted.Store(true)
-			}
-			return stop
-		}
-	}
+	halt, halted, stopSignals := interruptHalt(o.journalPath != "", o.interruptAfter)
+	c.Halt = halt
 	res, err := c.Execute()
 	stopSignals()
 	if jw != nil {

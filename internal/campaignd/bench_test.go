@@ -7,8 +7,9 @@ import (
 
 // BenchmarkDaemonRunTurnaround measures the submit-to-done latency of
 // one campaign through the scheduler, allocation-pinned. The warm
-// case rides one cached runner (and its parked checkpoint sessions)
-// for every iteration; the cold case alternates two prototype
+// case rides one cached runner (slot pools, checkpoint node buffers;
+// the one-node checkpoint sessions themselves are built per run) for
+// every iteration; the cold case alternates two prototype
 // configurations through a cache of one, forcing a rebuild — golden
 // run included — on every submission. The gap is the cross-run
 // amortization the daemon exists to provide.

@@ -29,6 +29,9 @@ func ValidateFabricSpec(s *Spec) error {
 	if s.Trace {
 		return fmt.Errorf("campaignd: trace is not supported for distributed runs")
 	}
+	if s.Adaptive {
+		return fmt.Errorf("campaignd: adaptive is not supported for distributed runs (the fabric partitions a fixed universe)")
+	}
 	return nil
 }
 
@@ -110,18 +113,8 @@ func FabricResolver(log *slog.Logger) fabric.Resolver {
 		if err != nil {
 			return nil, err
 		}
-		c := &stressor.Campaign{
-			Run:             runner.RunFunc(),
-			Workers:         spec.Workers,
-			ScenarioTimeout: spec.Timeout(),
-		}
-		if spec.Checkpoints {
-			c.Checkpoints = true
-			c.Checkpointer = runner
-			c.CheckpointTree = spec.CheckpointTree
-			c.EarlyExit = spec.EarlyExit
-			c.HashStride = spec.Stride()
-		}
+		c := &stressor.Campaign{Run: runner.RunFunc()}
+		spec.applyEngine(c, runner)
 		return &fabric.Resolved{Scenarios: scenarios, Campaign: c}, nil
 	}
 }

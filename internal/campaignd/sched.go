@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,8 +51,8 @@ type Config struct {
 // Submit (multi-tenant — any number of clients, strictly ordered), a
 // single executor goroutine that runs one campaign at a time so
 // concurrent submissions never interleave worker slots, and the warm
-// runner cache that carries kernel/prototype slot pools and
-// checkpoint sessions across runs. Durability is delegated to the
+// runner cache that carries kernel/prototype slot pools, checkpoint
+// node buffers and golden trajectories across runs. Durability is delegated to the
 // Store: every campaign is journaled, so stopping the daemon (or
 // crashing it) mid-run leaves a resumable run that the next
 // Scheduler picks up on construction.
@@ -378,15 +377,8 @@ func (s *Scheduler) execute(id string) {
 		Campaign: spec.Campaign, Shard: shard.Index, Shards: shards,
 		Total: len(scenarios), Universe: stressor.UniverseHash(scenarios),
 	}
-	var resume *journal.Journal
-	var jw *journal.Writer
-	jpath := s.store.JournalPath(id)
-	if _, statErr := os.Stat(jpath); statErr == nil {
-		if resume, jw, err = journal.AppendTo(jpath, header); err != nil {
-			fail(err)
-			return
-		}
-	} else if jw, err = journal.Create(jpath, header); err != nil {
+	resume, jw, err := journal.Open(s.store.JournalPath(id), header, journal.JSONL)
+	if err != nil {
 		fail(err)
 		return
 	}
@@ -407,8 +399,7 @@ func (s *Scheduler) execute(id string) {
 	var halted atomic.Bool
 	c := &stressor.Campaign{
 		Name: spec.Campaign, Run: ent.runner.RunFunc(),
-		Workers: spec.Workers, Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst,
-		Shard: shard, ScenarioTimeout: spec.Timeout(),
+		Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst, Shard: shard,
 		Journal: jw, Resume: resume,
 		Metrics: reg,
 		Trace:   tr,
@@ -430,13 +421,7 @@ func (s *Scheduler) execute(id string) {
 		},
 		ProgressInterval: s.cfg.ProgressInterval,
 	}
-	if spec.Checkpoints {
-		c.Checkpoints = true
-		c.Checkpointer = ent.pool
-		c.CheckpointTree = spec.CheckpointTree
-		c.EarlyExit = spec.EarlyExit
-		c.HashStride = spec.Stride()
-	}
+	spec.applyEngine(c, ent.runner)
 	res, err := c.Execute(scenarios)
 	if cerr := jw.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -501,16 +486,8 @@ func (s *Scheduler) executeAdaptive(id string, spec *Spec, ent *cacheEntry, fail
 		Campaign: spec.Campaign, Shards: 1,
 		Total: spec.NoveltyBudget, Universe: fingerprint, Adaptive: true,
 	}
-	var resume *journal.Journal
-	var jw *journal.Writer
-	var err error
-	jpath := s.store.JournalPath(id)
-	if _, statErr := os.Stat(jpath); statErr == nil {
-		if resume, jw, err = journal.AppendTo(jpath, header); err != nil {
-			fail(err)
-			return
-		}
-	} else if jw, err = journal.Create(jpath, header); err != nil {
+	resume, jw, err := journal.Open(s.store.JournalPath(id), header, journal.JSONL)
+	if err != nil {
 		fail(err)
 		return
 	}
@@ -586,6 +563,9 @@ func (s *Scheduler) MergeRuns(spec *Spec, runIDs []string) (*ResultDoc, error) {
 	if len(runIDs) == 0 {
 		return nil, fmt.Errorf("campaignd: merge of zero runs")
 	}
+	if spec.Adaptive {
+		return nil, fmt.Errorf("campaignd: adaptive runs do not shard — there is nothing to merge")
+	}
 	js := make([]*journal.Journal, len(runIDs))
 	for i, id := range runIDs {
 		state, err := s.store.State(id)
@@ -622,9 +602,10 @@ func (s *Scheduler) MergeRuns(spec *Spec, runIDs []string) (*ResultDoc, error) {
 
 // runnerCache keeps warm prototype runners keyed by Spec.RunnerKey.
 // A hit hands back the same *caps.Runner — slot pools, golden
-// observation and checkpoint session pool intact — so back-to-back
-// runs pay zero re-elaboration. Bounded, LRU-evicted; eviction closes
-// the runner and drains its session pool.
+// observation, checkpoint node pool and golden trajectories intact —
+// so back-to-back runs pay zero re-elaboration. Checkpoint sessions
+// themselves are per run: their metrics sink is the run's registry.
+// Bounded, LRU-evicted; eviction closes the runner.
 type runnerCache struct {
 	cap int
 
@@ -642,7 +623,6 @@ type runnerCache struct {
 
 type cacheEntry struct {
 	runner  *caps.Runner
-	pool    *sessionPool
 	lastUse int64
 }
 
@@ -669,7 +649,6 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 				lruKey, lru = k, e
 			}
 		}
-		lru.pool.drain()
 		lru.runner.Close()
 		delete(c.entries, lruKey)
 	}
@@ -677,7 +656,7 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ent := &cacheEntry{runner: r, pool: &sessionPool{inner: r}, lastUse: c.tick}
+	ent := &cacheEntry{runner: r, lastUse: c.tick}
 	c.entries[key] = ent
 	c.builds.Add(1)
 	if c.builds2 != nil {
@@ -691,94 +670,7 @@ func (c *runnerCache) drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
-		e.pool.drain()
 		e.runner.Close()
 		delete(c.entries, k)
-	}
-}
-
-// sessionPool keeps golden-run checkpoint sessions alive across
-// campaign runs. The campaign engine creates one session per worker
-// and Closes it when the worker's stream ends; pooling intercepts
-// that Close and parks the session — snapshot, simulated prefix and
-// all — for the next run's workers, which amortizes prefix
-// re-simulation across runs the way PR 5 amortized it across
-// scenarios. Sessions the engine abandons (timeout, panic) are never
-// Closed and therefore never re-enter the pool, preserving the
-// engine's abandonment contract.
-type sessionPool struct {
-	inner stressor.Checkpointer
-
-	mu   sync.Mutex
-	free []stressor.CheckpointSession
-
-	created atomic.Int64
-	reused  atomic.Int64
-}
-
-// ForkTime delegates to the wrapped Checkpointer.
-func (p *sessionPool) ForkTime(sc fault.Scenario) (sim.Time, bool) {
-	return p.inner.ForkTime(sc)
-}
-
-// NewTreeSession implements stressor.TreeCheckpointer by delegating to
-// the wrapped runner. Unlike plain sessions, tree sessions are not
-// parked across runs: their metrics sink and trajectory are run-scoped
-// (a parked session would keep publishing to a finished run's
-// registry), and the expensive state — retained node buffers, golden
-// trajectories — already lives in runner-level pools that survive the
-// session. Close therefore really closes them, and abandonment
-// recycling reaches the session directly.
-func (p *sessionPool) NewTreeSession(cfg stressor.TreeConfig) stressor.CheckpointSession {
-	tc, ok := p.inner.(stressor.TreeCheckpointer)
-	if !ok {
-		// Campaign validation type-checks the Checkpointer before any
-		// run; the CAPS runner always implements TreeCheckpointer.
-		panic(fmt.Sprintf("campaignd: %T does not implement TreeCheckpointer", p.inner))
-	}
-	p.created.Add(1)
-	return tc.NewTreeSession(cfg)
-}
-
-// NewSession pops a parked session or creates a fresh one.
-func (p *sessionPool) NewSession() stressor.CheckpointSession {
-	p.mu.Lock()
-	var sess stressor.CheckpointSession
-	if n := len(p.free); n > 0 {
-		sess = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if sess == nil {
-		sess = p.inner.NewSession()
-		p.created.Add(1)
-	} else {
-		p.reused.Add(1)
-	}
-	return &pooledSession{pool: p, CheckpointSession: sess}
-}
-
-// pooledSession parks the real session on Close instead of shutting
-// it down.
-type pooledSession struct {
-	pool *sessionPool
-	stressor.CheckpointSession
-}
-
-func (ps *pooledSession) Close() {
-	p := ps.pool
-	p.mu.Lock()
-	p.free = append(p.free, ps.CheckpointSession)
-	p.mu.Unlock()
-}
-
-// drain closes every parked session.
-func (p *sessionPool) drain() {
-	p.mu.Lock()
-	free := p.free
-	p.free = nil
-	p.mu.Unlock()
-	for _, s := range free {
-		s.Close()
 	}
 }

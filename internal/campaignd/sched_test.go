@@ -232,9 +232,9 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 
 // TestSchedulerWarmRunnerAndSessionReuse pins the cross-run
 // amortization: back-to-back runs of the same prototype configuration
-// share one warm runner (one build, then cache hits), and with
-// checkpoints enabled the golden-run sessions park between campaigns
-// and are reused instead of re-snapshotted.
+// share one warm runner (one build, then cache hits) — checkpoint
+// sessions are per run and draw their node buffers from it — and the
+// rerun's result is byte-identical.
 func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 	sched, err := NewScheduler(Config{DataDir: t.TempDir()})
 	if err != nil {
@@ -250,21 +250,6 @@ func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 	builds, hits := sched.RunnerCacheStats()
 	if builds != 1 || hits != 1 {
 		t.Errorf("runner cache builds=%d hits=%d, want 1 build and 1 hit", builds, hits)
-	}
-
-	spec := mustSpec(t, raw)
-	sched.cache.mu.Lock()
-	ent := sched.cache.entries[spec.RunnerKey()]
-	sched.cache.mu.Unlock()
-	if ent == nil {
-		t.Fatal("no cached runner entry after two runs")
-	}
-	created, reused := ent.pool.created.Load(), ent.pool.reused.Load()
-	if created > 2 {
-		t.Errorf("checkpoint sessions created = %d, want at most the worker count (2)", created)
-	}
-	if reused < 1 {
-		t.Errorf("checkpoint sessions reused = %d, want >= 1 (second run must ride parked sessions)", reused)
 	}
 
 	// Warm reuse must not perturb results: both runs byte-identical

@@ -338,6 +338,13 @@ func TestServerMergeShards(t *testing.T) {
 		t.Fatalf("merge with unknown run = %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// An adaptive spec describes no shardable universe: MergeRuns must
+	// refuse it instead of merging the shards of the fixed one.
+	adaptive := mustSpec(t, `{"campaign":"m","universe":{"kind":"caps-single-fault","horizon":"30ms"},"adaptive":true}`)
+	if _, err := sched.MergeRuns(adaptive, []string{s0, s1}); err == nil || !strings.Contains(err.Error(), "adaptive") {
+		t.Errorf("MergeRuns with an adaptive spec: want an adaptive error, got %v", err)
+	}
 }
 
 // TestServerRejectsGarbage hammers the submission surface with

@@ -3,12 +3,12 @@
 // queued, durable, streamable workflow. A client POSTs a campaign
 // spec and gets a run ID; a FIFO scheduler feeds a persistent
 // executor whose virtual-prototype runners — kernel/prototype slot
-// pools and golden-run checkpoint sessions included — stay warm
-// *across* runs, amortizing elaboration the way the in-process reuse
-// engine amortizes it across scenarios. Every run's journal lives
-// under the daemon's data directory, so an in-flight campaign
-// survives a daemon crash and resumes on restart, and completed
-// results are served and merged from the same store.
+// pools, checkpoint node buffers and golden trajectories included —
+// stay warm *across* runs, amortizing elaboration the way the
+// in-process reuse engine amortizes it across scenarios. Every run's
+// journal lives under the daemon's data directory, so an in-flight
+// campaign survives a daemon crash and resumes on restart, and
+// completed results are served and merged from the same store.
 package campaignd
 
 import (
@@ -72,12 +72,14 @@ type Spec struct {
 	// (capsim -dedup).
 	Dedup bool `json:"dedup,omitempty"`
 	// Checkpoints forks scenarios off golden-run snapshots
-	// (capsim -checkpoints). The daemon keeps the checkpoint sessions
-	// alive across runs.
+	// (capsim -checkpoints): each worker session keeps one rolling
+	// snapshot. Sessions live for one run; what the daemon keeps warm
+	// across runs is the runner — slot pools, snapshot buffers, golden
+	// trajectories.
 	Checkpoints bool `json:"checkpoints,omitempty"`
-	// CheckpointTree retains a tree of golden-prefix snapshots and
-	// forks each scenario from the deepest shared one
-	// (capsim -checkpoint-tree). Implies checkpoints.
+	// CheckpointTree raises the session's snapshot budget from one to a
+	// tree of golden-prefix snapshots and forks each scenario from the
+	// deepest shared one (capsim -checkpoint-tree). Implies checkpoints.
 	CheckpointTree bool `json:"checkpoint_tree,omitempty"`
 	// EarlyExit terminates a run the moment its state hash re-converges
 	// with the golden trajectory (capsim -early-exit). Implies
@@ -330,7 +332,7 @@ func (s *Spec) Validate() error {
 
 // RunnerKey identifies the virtual-prototype configuration a spec
 // needs. Specs with equal keys share one warm runner (and its slot
-// pool and checkpoint sessions) across daemon runs; the key
+// and checkpoint node pools) across daemon runs; the key
 // deliberately excludes everything that does not shape the prototype
 // itself (inject time, workers, shard, ...).
 func (s *Spec) RunnerKey() string {
@@ -350,6 +352,23 @@ func (s *Spec) BuildRunner() (*caps.Runner, error) {
 		w = caps.CrashAt(sim.MS(20))
 	}
 	return caps.NewRunner(cfg, w, s.horizon)
+}
+
+// applyEngine copies the spec's engine knobs — worker pool,
+// per-scenario budget, checkpoint mode — onto c, with cp supplying the
+// golden-run sessions. The daemon scheduler and the fabric resolver
+// both configure their campaigns through it, so a knob reaches every
+// front-end or none.
+func (s *Spec) applyEngine(c *stressor.Campaign, cp stressor.Checkpointer) {
+	c.Workers = s.Workers
+	c.ScenarioTimeout = s.timeout
+	if s.Checkpoints {
+		c.Checkpoints = true
+		c.Checkpointer = cp
+		c.CheckpointTree = s.CheckpointTree
+		c.EarlyExit = s.EarlyExit
+		c.HashStride = s.stride
+	}
 }
 
 // Scenarios materializes the spec's scenario universe on the given

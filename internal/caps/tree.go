@@ -10,16 +10,36 @@ import (
 	"repro/internal/stressor"
 )
 
-// Checkpoint-tree session for the CAPS prototype: the plain session of
-// session.go generalized over stressor.TreeCore (a budget of retained
-// golden-prefix nodes instead of one checkpoint) with optional
+// Golden-run checkpointing for the CAPS prototype: the Runner
+// implements stressor.Checkpointer, so a Campaign with Checkpoints set
+// simulates the fault-free prefix once per worker session, snapshots
+// kernel + model state just before each injection instant, and
+// restores instead of re-simulating for every scenario forked there.
+// Sessions run over stressor.TreeCore (a budget of retained
+// golden-prefix nodes, one for the rolling checkpoint) with optional
 // convergence early-exit against the runner's golden trajectory.
 
-// NewTreeSession implements stressor.TreeCheckpointer. Like
-// NewSession, the returned session owns a private kernel+prototype —
-// never a pooled slot — so abandoning it without Close is safe; its
-// retained tree nodes come from the runner-wide pool and are reclaimed
-// through Recycle.
+// ForkTime implements stressor.Checkpointer. A scenario forks at its
+// earliest injection instant; scenarios with no faults (nothing to
+// fork), an instant of zero (no prefix to amortize) or an instant past
+// the horizon (never injects) fall back to the plain path, as does the
+// whole runner when ReuseOff disables the reuse machinery.
+func (r *Runner) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+	if r.ReuseOff || len(sc.Faults) == 0 {
+		return 0, false
+	}
+	fork := stressor.ForkTime(sc)
+	if fork == 0 || fork > r.horizon {
+		return 0, false
+	}
+	return fork, true
+}
+
+// NewTreeSession implements stressor.Checkpointer. The returned
+// session owns a private kernel+prototype — never a pooled slot — so
+// abandoning it without Close is safe and golden state never leaks
+// into the pool; its retained tree nodes come from the runner-wide
+// pool and are reclaimed through Recycle.
 func (r *Runner) NewTreeSession(cfg stressor.TreeConfig) stressor.CheckpointSession {
 	return &capsTreeSession{r: r, cfg: cfg}
 }
@@ -84,7 +104,12 @@ func (r *Runner) trajectory(stride sim.Time) (*capsTrajectory, error) {
 }
 
 // capsTreeSession is one worker's tree session: a private
-// kernel+prototype plus the shared TreeCore machinery.
+// kernel+prototype plus the shared TreeCore machinery. Nodes are taken
+// at fork-1: restoring there and elaborating the stressor gives the
+// stressor's initial activation one instant before the injection,
+// which reproduces a full run's scheduling at the injection instant
+// exactly (the stressor process id is the highest in both cases, so it
+// evaluates last within a shared instant).
 type capsTreeSession struct {
 	r    *Runner
 	cfg  stressor.TreeConfig
@@ -96,8 +121,7 @@ type capsTreeSession struct {
 }
 
 // init lazily builds the session's kernel, prototype and (with
-// early-exit on) trajectory, mirroring capsSession.establish's lazy
-// construction.
+// early-exit on) trajectory.
 func (s *capsTreeSession) init() error {
 	if s.core.K != nil {
 		return nil
@@ -138,6 +162,9 @@ func (s *capsTreeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 
 // Close implements stressor.CheckpointSession, returning the retained
 // nodes to the runner pool before shutting the kernel down.
+// Method-only kernels hold no goroutines, so Shutdown is bookkeeping,
+// not cleanup — which is what lets the campaign abandon a session
+// without closing it.
 func (s *capsTreeSession) Close() {
 	s.core.Recycle()
 	if s.core.K != nil {

@@ -9,14 +9,32 @@ import (
 	"repro/internal/stressor"
 )
 
-// Checkpoint-tree session for the ECU runner, mirroring caps/tree.go:
-// the plain session generalized over stressor.TreeCore with optional
-// convergence early-exit. ECU faults are permanent register/memory
-// upsets, so most runs retain latent residue and never converge — the
-// tree's value here is prefix sharing; early-exit mostly exercises the
-// soundness contract (a run that does not converge must run out).
+// Golden-run checkpointing for the ECU runner, mirroring caps/tree.go:
+// tree sessions over stressor.TreeCore with optional convergence
+// early-exit. The golden prefix here includes the dual cores executing
+// the workload fault-free, parked mid-run on their quantum-sync
+// notifications at the snapshot instant. ECU faults are permanent
+// register/memory upsets, so most runs retain latent residue and never
+// converge — the tree's value here is prefix sharing; early-exit
+// mostly exercises the soundness contract (a run that does not
+// converge must run out).
 
-// NewTreeSession implements stressor.TreeCheckpointer.
+// ForkTime implements stressor.Checkpointer.
+func (r *Runner) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+	if r.ReuseOff || len(sc.Faults) == 0 {
+		return 0, false
+	}
+	fork := stressor.ForkTime(sc)
+	if fork == 0 || fork > r.cfg.Horizon {
+		return 0, false
+	}
+	return fork, true
+}
+
+// NewTreeSession implements stressor.Checkpointer. The session owns a
+// private slot, never the pool's: abandoned sessions are dropped
+// without Close, and golden-prefix state must not leak into pooled
+// slots.
 func (r *Runner) NewTreeSession(cfg stressor.TreeConfig) stressor.CheckpointSession {
 	return &ecuTreeSession{r: r, cfg: cfg}
 }

@@ -312,6 +312,19 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 	return j, &Writer{f: f, codec: j.Codec}, nil
 }
 
+// Open resumes the journal at path when the file exists — AppendTo,
+// returning the recorded entries for replay and keeping the file's own
+// codec — and starts a fresh one in codec otherwise, so the same call
+// serves a campaign's first run and every re-run. The returned Journal
+// is nil for a fresh file.
+func Open(path string, h Header, codec Codec) (*Journal, *Writer, error) {
+	if _, err := os.Stat(path); err == nil {
+		return AppendTo(path, h)
+	}
+	w, err := CreateCodec(path, h, codec)
+	return nil, w, err
+}
+
 // Append writes one entry as a single line (JSONL) or frame (binary).
 func (w *Writer) Append(e Entry) error {
 	var rec []byte

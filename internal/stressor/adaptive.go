@@ -223,19 +223,9 @@ func (c *AdaptiveCampaign) resumeMap() (map[int]journal.Entry, error) {
 	return m, nil
 }
 
-// safeRun mirrors Campaign.safeRun bit for bit (same detail format)
-// so a panicking scenario classifies identically on either engine.
+// safeRun is Campaign.safeRun for the adaptive engine.
 func (c *AdaptiveCampaign) safeRun(sc fault.Scenario) (o fault.Outcome, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			o = fault.Outcome{
-				Scenario: sc,
-				Class:    fault.DetectedSafe,
-				Detail:   fmt.Sprintf("campaign panic recovered: %v", r),
-			}
-		}
-	}()
+	defer recoverRun(sc, &o, &panicked)
 	return c.Run(sc), false
 }
 

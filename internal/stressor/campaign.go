@@ -66,32 +66,32 @@ type Campaign struct {
 	// Checkpoints enables golden-run checkpointing: each worker's
 	// scenario stream is sorted by injection time (unless StopOnFirst
 	// demands index order), the golden prefix is simulated once per
-	// worker session, snapshotted at each distinct injection instant,
-	// and restored instead of rebuilt for every scenario at that
-	// instant. Scenarios the Checkpointer declines (ForkTime ok=false)
-	// transparently fall back to the plain RunFunc. Results are
-	// byte-identical to a non-checkpointed Execute.
+	// worker tree session, snapshotted at each distinct injection
+	// instant, and restored instead of rebuilt for every scenario at
+	// that instant. On its own the session retains one node — a rolling
+	// checkpoint that extends with the sorted stream. Scenarios the
+	// Checkpointer declines (ForkTime ok=false) transparently fall back
+	// to the plain RunFunc. Results are byte-identical to a
+	// non-checkpointed Execute.
 	Checkpoints bool
 	// Checkpointer supplies golden-run sessions; required when
 	// Checkpoints is set. The CAPS and ECU runners implement it.
 	Checkpointer Checkpointer
-	// CheckpointTree generalizes Checkpoints into a checkpoint tree:
-	// each worker session retains an LRU-budgeted set of golden-prefix
-	// snapshots and establishes every scenario from the deepest
-	// retained node at or before its fork instead of extending a
-	// single checkpoint, and the dispatch stream is further grouped by
-	// (injection target, fault class) so scenario families share
-	// prefixes. Requires Checkpoints and a Checkpointer implementing
-	// TreeCheckpointer. Results are byte-identical to a plain
-	// checkpointed Execute.
+	// CheckpointTree raises the session's node budget from one to the
+	// TreeConfig default: each worker session retains an LRU-budgeted
+	// set of golden-prefix snapshots and establishes every scenario
+	// from the deepest retained node at or before its fork, and the
+	// dispatch stream is further grouped by (injection target, fault
+	// class) so scenario families share prefixes. Requires Checkpoints.
+	// Results are byte-identical to a one-node Execute.
 	CheckpointTree bool
-	// EarlyExit enables convergence early-exit inside tree sessions:
+	// EarlyExit enables convergence early-exit inside the sessions:
 	// the golden trajectory is hashed at HashStride intervals, and an
 	// injected run whose state digest returns to the golden trajectory
 	// (after its last scheduled fault action) terminates immediately
 	// with the golden-equal classification instead of simulating to
-	// the horizon. Requires Checkpoints and a TreeCheckpointer;
-	// classifications are byte-identical to full-horizon runs.
+	// the horizon. Requires Checkpoints; classifications are
+	// byte-identical to full-horizon runs.
 	EarlyExit bool
 	// HashStride is the EarlyExit trajectory hashing interval; zero
 	// lets the runner derive one from its horizon (typically
@@ -340,11 +340,6 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	if (c.CheckpointTree || c.EarlyExit) && !c.Checkpoints {
 		return nil, fmt.Errorf("campaign %s: CheckpointTree/EarlyExit require Checkpoints", c.Name)
 	}
-	if c.CheckpointTree || c.EarlyExit {
-		if _, ok := c.Checkpointer.(TreeCheckpointer); !ok {
-			return nil, fmt.Errorf("campaign %s: Checkpointer %T does not implement TreeCheckpointer", c.Name, c.Checkpointer)
-		}
-	}
 	if c.HashStride > 0 && !c.EarlyExit {
 		return nil, fmt.Errorf("campaign %s: HashStride set without EarlyExit", c.Name)
 	}
@@ -512,6 +507,8 @@ func (c *Campaign) resumeEntries(scenarios []fault.Scenario, rep []int) (map[int
 		shards = 1
 	}
 	switch {
+	case h.Adaptive:
+		return nil, fmt.Errorf("campaign %s: resume journal was written by an adaptive campaign", c.Name)
 	case h.Campaign != c.Name:
 		return nil, fmt.Errorf("campaign %s: resume journal belongs to campaign %q", c.Name, h.Campaign)
 	case h.Shards != shards || h.Shard != c.Shard.Index:
@@ -772,38 +769,33 @@ func (c *Campaign) publish(e *campaignExec, res *Result, elapsed time.Duration) 
 	}
 }
 
-// safeRun invokes the RunFunc, converting a panic into a
-// detected-safe outcome so one crashing scenario cannot take down the
-// whole campaign. The second return reports whether a panic was
-// recovered, feeding Result.PanicRecoveries.
-func (c *Campaign) safeRun(sc fault.Scenario) (o fault.Outcome, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			o = fault.Outcome{
-				Scenario: sc,
-				Class:    fault.DetectedSafe,
-				Detail:   fmt.Sprintf("campaign panic recovered: %v", r),
-			}
+// recoverRun is the deferred half of every safeRun: it converts a
+// panicking run into a detected-safe outcome so one crashing scenario
+// cannot take down the whole campaign. The Detail format is shared by
+// both engines and the session path, so a panicking scenario
+// classifies identically wherever it ran.
+func recoverRun(sc fault.Scenario, o *fault.Outcome, panicked *bool) {
+	if r := recover(); r != nil {
+		*panicked = true
+		*o = fault.Outcome{
+			Scenario: sc,
+			Class:    fault.DetectedSafe,
+			Detail:   fmt.Sprintf("campaign panic recovered: %v", r),
 		}
-	}()
+	}
+}
+
+// safeRun invokes the RunFunc under recoverRun. The second return
+// reports whether a panic was recovered, feeding
+// Result.PanicRecoveries.
+func (c *Campaign) safeRun(sc fault.Scenario) (o fault.Outcome, panicked bool) {
+	defer recoverRun(sc, &o, &panicked)
 	return c.Run(sc), false
 }
 
-// safeSessionRun is safeRun for a checkpoint-session run, with the
-// identical panic-to-detected-safe conversion (and Detail format) so
-// a panicking scenario yields the same outcome on either path.
+// safeSessionRun is safeRun for a checkpoint-session run.
 func (c *Campaign) safeSessionRun(sess CheckpointSession, sc fault.Scenario, fork sim.Time) (o fault.Outcome, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			o = fault.Outcome{
-				Scenario: sc,
-				Class:    fault.DetectedSafe,
-				Detail:   fmt.Sprintf("campaign panic recovered: %v", r),
-			}
-		}
-	}()
+	defer recoverRun(sc, &o, &panicked)
 	return sess.Run(sc, fork), false
 }
 

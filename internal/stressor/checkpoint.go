@@ -22,15 +22,22 @@ type Checkpointer interface {
 	// disabled); the campaign transparently falls back to the plain
 	// RunFunc for those.
 	ForkTime(sc fault.Scenario) (sim.Time, bool)
-	// NewSession creates a private golden-run session. Each campaign
-	// worker owns at most one live session; sessions are never shared
-	// across goroutines.
-	NewSession() CheckpointSession
+	// NewTreeSession creates a private golden-run session retaining up
+	// to cfg.MaxNodes golden-prefix snapshots. Each campaign worker owns
+	// at most one live session; sessions are never shared across
+	// goroutines. The returned session should also implement
+	// RecyclableSession so the campaign can reclaim its node buffers
+	// after abandonment.
+	NewTreeSession(cfg TreeConfig) CheckpointSession
 }
+
+// TreeCheckpointer is Checkpointer: every checkpoint session is a tree
+// session, the rolling single checkpoint being the one-node tree.
+type TreeCheckpointer = Checkpointer
 
 // CheckpointSession is one worker's reusable golden-run prototype: it
 // lazily simulates the golden prefix up to fork, snapshots there, and
-// serves scenario runs by restoring the snapshot instead of
+// serves scenario runs by restoring a retained snapshot instead of
 // rebuilding. Run must produce the exact Outcome the campaign's
 // RunFunc would for the same scenario. Close releases the session's
 // resources; a session the campaign abandoned (timeout, panic) is
@@ -69,15 +76,11 @@ func (h *sessionHolder) close() {
 // result or journal because the campaign already recorded the run.
 func (h *sessionHolder) abandon() { h.sess = nil }
 
-// newSession builds the worker's session: a tree session when the
-// campaign runs in tree or early-exit mode (Execute validated that the
-// Checkpointer supports it), the plain single-checkpoint session
-// otherwise. Early-exit without CheckpointTree degenerates to a
-// one-node tree — plain-checkpoint forking plus convergence checks.
+// newSession builds the worker's tree session. CheckpointTree selects
+// the node budget: without it the session retains a single node — the
+// rolling checkpoint that only ever extends under fork-sorted dispatch
+// — with it the TreeConfig default applies.
 func (c *Campaign) newSession() CheckpointSession {
-	if !c.CheckpointTree && !c.EarlyExit {
-		return c.Checkpointer.NewSession()
-	}
 	cfg := TreeConfig{
 		EarlyExit:  c.EarlyExit,
 		HashStride: c.HashStride,
@@ -87,7 +90,7 @@ func (c *Campaign) newSession() CheckpointSession {
 	if !c.CheckpointTree {
 		cfg.MaxNodes = 1
 	}
-	return c.Checkpointer.(TreeCheckpointer).NewTreeSession(cfg)
+	return c.Checkpointer.NewTreeSession(cfg)
 }
 
 // recycleGuard reclaims an abandoned session's retained tree nodes

@@ -16,24 +16,77 @@ import (
 
 // fakeCheckpointer is a minimal Checkpointer for engine-level tests:
 // every scenario forks at 1ps, sessions run via the supplied function,
-// and the session/close counters expose the engine's lifecycle calls.
+// and the counters expose the engine's lifecycle calls. Sessions
+// account retained nodes — the first Run of a session retains one,
+// Recycle and Close release it — so the lifecycle tests can assert the
+// live-node count returns to baseline after every abandonment path:
+// the engine must recycle, not leak, a session it can no longer use.
 type fakeCheckpointer struct {
-	run      RunFunc
-	sessions atomic.Int32
-	closes   atomic.Int32
+	run       RunFunc
+	sessions  atomic.Int32
+	closes    atomic.Int32
+	liveNodes atomic.Int32
+	recycles  atomic.Int32
+	// maxNodes records the node budget of the last session requested.
+	maxNodes atomic.Int32
 }
 
 func (f *fakeCheckpointer) ForkTime(fault.Scenario) (sim.Time, bool) { return 1, true }
 
-func (f *fakeCheckpointer) NewSession() CheckpointSession {
+func (f *fakeCheckpointer) NewTreeSession(cfg TreeConfig) CheckpointSession {
 	f.sessions.Add(1)
+	f.maxNodes.Store(int32(cfg.MaxNodes))
 	return &fakeSession{f: f}
 }
 
-type fakeSession struct{ f *fakeCheckpointer }
+type fakeSession struct {
+	f        *fakeCheckpointer
+	retained atomic.Bool
+}
 
-func (s *fakeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome { return s.f.run(sc) }
-func (s *fakeSession) Close()                                             { s.f.closes.Add(1) }
+func (s *fakeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if s.retained.CompareAndSwap(false, true) {
+		s.f.liveNodes.Add(1)
+	}
+	return s.f.run(sc)
+}
+
+func (s *fakeSession) Recycle() {
+	s.f.recycles.Add(1)
+	if s.retained.CompareAndSwap(true, false) {
+		s.f.liveNodes.Add(-1)
+	}
+}
+
+func (s *fakeSession) Close() {
+	s.f.closes.Add(1)
+	s.Recycle()
+}
+
+// checkpointModes are the two node budgets a checkpointed campaign
+// selects: the one-node rolling checkpoint and the default tree.
+var checkpointModes = []struct {
+	name     string
+	tree     bool
+	maxNodes int32
+}{
+	{"checkpoints", false, 1},
+	{"tree", true, 0},
+}
+
+// waitNodesDrained polls until the fake's live-node count reaches
+// zero: the timeout path recycles from the runaway goroutine after the
+// campaign has already returned.
+func waitNodesDrained(t *testing.T, cp *fakeCheckpointer) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for cp.liveNodes.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := cp.liveNodes.Load(); got != 0 {
+		t.Errorf("live tree nodes = %d after campaign drained, want 0 (leaked by abandonment)", got)
+	}
+}
 
 // TestCampaignCheckpointValidation: Checkpoints without a Checkpointer
 // is a configuration error caught before any run.
@@ -123,205 +176,105 @@ func TestCampaignTimeoutLateRunDiscarded(t *testing.T) {
 }
 
 // TestCampaignCheckpointSessionAbandonedOnTimeout: a timed-out run
-// abandons the worker's checkpoint session (the runaway goroutine
-// still owns it), the next eligible run builds a fresh one, and the
-// abandoned session is never Closed.
+// abandons the worker's session (the runaway goroutine still owns it),
+// the next eligible run builds a fresh one, the abandoned session is
+// never Closed, and its retained nodes return to the pool once the
+// runaway goroutine finishes — abandonment may not leak the node
+// budget. Same lifecycle at either node budget.
 func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 	const n = 5
-	block := make(chan struct{})
-	defer close(block)
-	cp := &fakeCheckpointer{}
-	cp.run = func(sc fault.Scenario) fault.Outcome {
-		if sc.ID == "s2" {
-			<-block
-		}
-		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-	}
-	c := &Campaign{
-		Name: "ab", Run: cp.run, Checkpoints: true, Checkpointer: cp,
-		ScenarioTimeout: 20 * time.Millisecond,
-	}
-	res, err := c.Execute(makeScenarios(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcomes[2].Class != fault.Timeout {
-		t.Fatalf("timed-out outcome = %+v", res.Outcomes[2])
-	}
-	if res.Tally[fault.Masked] != n-1 {
-		t.Errorf("tally = %v", res.Tally)
-	}
-	// Session 1 served s0, s1 and was abandoned at s2's timeout;
-	// session 2 served s3, s4 and was closed at worker-loop end.
-	if got := cp.sessions.Load(); got != 2 {
-		t.Errorf("NewSession called %d times, want 2 (fresh session after abandonment)", got)
-	}
-	if got := cp.closes.Load(); got != 1 {
-		t.Errorf("Close called %d times, want 1 (abandoned session must not be closed)", got)
+	for _, mode := range checkpointModes {
+		t.Run(mode.name, func(t *testing.T) {
+			block := make(chan struct{})
+			lateDone := make(chan struct{})
+			cp := &fakeCheckpointer{}
+			cp.run = func(sc fault.Scenario) fault.Outcome {
+				if sc.ID == "s2" {
+					defer close(lateDone)
+					<-block
+				}
+				return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
+			}
+			c := &Campaign{
+				Name: "ab", Run: cp.run, Checkpoints: true, Checkpointer: cp,
+				CheckpointTree: mode.tree, ScenarioTimeout: 20 * time.Millisecond,
+			}
+			res, err := c.Execute(makeScenarios(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcomes[2].Class != fault.Timeout {
+				t.Fatalf("timed-out outcome = %+v", res.Outcomes[2])
+			}
+			if res.Tally[fault.Masked] != n-1 {
+				t.Errorf("tally = %v", res.Tally)
+			}
+			// Unblock the runaway goroutine; it recycles the abandoned
+			// session's nodes on its way out.
+			close(block)
+			<-lateDone
+			waitNodesDrained(t, cp)
+			// Session 1 served s0, s1 and was abandoned at s2's timeout;
+			// session 2 served s3, s4 and was closed at worker-loop end.
+			if got := cp.sessions.Load(); got != 2 {
+				t.Errorf("NewTreeSession called %d times, want 2 (fresh session after abandonment)", got)
+			}
+			if got := cp.closes.Load(); got != 1 {
+				t.Errorf("Close called %d times, want 1 (abandoned session recycled, not closed)", got)
+			}
+			if got := cp.maxNodes.Load(); got != mode.maxNodes {
+				t.Errorf("session MaxNodes = %d, want %d", got, mode.maxNodes)
+			}
+		})
 	}
 }
 
 // TestCampaignCheckpointSessionAbandonedOnPanic: same lifecycle for a
 // panicking session run — recovered, recorded detected-safe, session
-// abandoned.
+// abandoned — and, because the panic is recovered before abandonment,
+// the engine reclaims its nodes synchronously, before Execute returns.
 func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	const n = 4
-	cp := &fakeCheckpointer{}
-	cp.run = func(sc fault.Scenario) fault.Outcome {
-		if sc.ID == "s1" {
-			panic("kernel torn mid-run")
-		}
-		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-	}
-	res, err := (&Campaign{Name: "abp", Run: cp.run, Checkpoints: true, Checkpointer: cp}).Execute(makeScenarios(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
-		t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
-	}
-	if got := cp.sessions.Load(); got != 2 {
-		t.Errorf("NewSession called %d times, want 2", got)
-	}
-	if got := cp.closes.Load(); got != 1 {
-		t.Errorf("Close called %d times, want 1", got)
-	}
-}
-
-// fakeTreeCheckpointer extends fakeCheckpointer with tree sessions
-// that account retained nodes: the first Run of a session retains one
-// node, Recycle and Close release it. The lifecycle tests assert the
-// live-node count returns to baseline after every abandonment path —
-// the engine must recycle, not leak, a session it can no longer use.
-type fakeTreeCheckpointer struct {
-	fakeCheckpointer
-	treeSessions atomic.Int32
-	liveNodes    atomic.Int32
-	recycles     atomic.Int32
-}
-
-func (f *fakeTreeCheckpointer) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	f.treeSessions.Add(1)
-	return &fakeTreeSession{f: f}
-}
-
-type fakeTreeSession struct {
-	f        *fakeTreeCheckpointer
-	retained atomic.Bool
-}
-
-func (s *fakeTreeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
-	if s.retained.CompareAndSwap(false, true) {
-		s.f.liveNodes.Add(1)
-	}
-	return s.f.run(sc)
-}
-
-func (s *fakeTreeSession) Recycle() {
-	s.f.recycles.Add(1)
-	if s.retained.CompareAndSwap(true, false) {
-		s.f.liveNodes.Add(-1)
-	}
-}
-
-func (s *fakeTreeSession) Close() {
-	s.f.closes.Add(1)
-	s.Recycle()
-}
-
-// waitNodesDrained polls until the fake's live-node count reaches
-// zero: the timeout path recycles from the runaway goroutine after the
-// campaign has already returned.
-func waitNodesDrained(t *testing.T, cp *fakeTreeCheckpointer) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for cp.liveNodes.Load() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := cp.liveNodes.Load(); got != 0 {
-		t.Errorf("live tree nodes = %d after campaign drained, want 0 (leaked by abandonment)", got)
-	}
-}
-
-// TestCampaignTreeSessionRecycledOnTimeout: a timed-out run abandons
-// the worker's tree session, but its retained nodes must return to the
-// pool once the runaway goroutine finishes — abandonment may not leak
-// the node budget.
-func TestCampaignTreeSessionRecycledOnTimeout(t *testing.T) {
-	const n = 5
-	block := make(chan struct{})
-	lateDone := make(chan struct{})
-	cp := &fakeTreeCheckpointer{}
-	cp.run = func(sc fault.Scenario) fault.Outcome {
-		if sc.ID == "s2" {
-			defer close(lateDone)
-			<-block
-		}
-		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-	}
-	c := &Campaign{
-		Name: "tr", Run: cp.run, Checkpoints: true, Checkpointer: cp,
-		CheckpointTree: true, ScenarioTimeout: 20 * time.Millisecond,
-	}
-	res, err := c.Execute(makeScenarios(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcomes[2].Class != fault.Timeout {
-		t.Fatalf("timed-out outcome = %+v", res.Outcomes[2])
-	}
-	// Unblock the runaway goroutine; it recycles the abandoned
-	// session's nodes on its way out.
-	close(block)
-	<-lateDone
-	waitNodesDrained(t, cp)
-	if got := cp.treeSessions.Load(); got != 2 {
-		t.Errorf("NewTreeSession called %d times, want 2 (fresh session after abandonment)", got)
-	}
-	if got := cp.closes.Load(); got != 1 {
-		t.Errorf("Close called %d times, want 1 (abandoned session recycled, not closed)", got)
-	}
-}
-
-// TestCampaignTreeSessionRecycledOnPanic: a panicking run abandons the
-// session, and — because the panic is recovered before abandonment —
-// the engine reclaims its nodes synchronously, before Execute returns.
-func TestCampaignTreeSessionRecycledOnPanic(t *testing.T) {
-	const n = 4
-	cp := &fakeTreeCheckpointer{}
-	cp.run = func(sc fault.Scenario) fault.Outcome {
-		if sc.ID == "s1" {
-			panic("kernel torn mid-run")
-		}
-		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-	}
-	c := &Campaign{Name: "trp", Run: cp.run, Checkpoints: true, Checkpointer: cp, CheckpointTree: true}
-	res, err := c.Execute(makeScenarios(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
-		t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
-	}
-	if got := cp.liveNodes.Load(); got != 0 {
-		t.Errorf("live tree nodes = %d immediately after Execute, want 0 (panic path recycles synchronously)", got)
-	}
-	if got := cp.treeSessions.Load(); got != 2 {
-		t.Errorf("NewTreeSession called %d times, want 2", got)
-	}
-	if got := cp.recycles.Load(); got < 2 {
-		t.Errorf("Recycle called %d times, want >= 2 (abandoned session + closed session)", got)
+	for _, mode := range checkpointModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cp := &fakeCheckpointer{}
+			cp.run = func(sc fault.Scenario) fault.Outcome {
+				if sc.ID == "s1" {
+					panic("kernel torn mid-run")
+				}
+				return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
+			}
+			c := &Campaign{Name: "abp", Run: cp.run, Checkpoints: true, Checkpointer: cp, CheckpointTree: mode.tree}
+			res, err := c.Execute(makeScenarios(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
+				t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
+			}
+			if got := cp.liveNodes.Load(); got != 0 {
+				t.Errorf("live tree nodes = %d immediately after Execute, want 0 (panic path recycles synchronously)", got)
+			}
+			if got := cp.sessions.Load(); got != 2 {
+				t.Errorf("NewTreeSession called %d times, want 2", got)
+			}
+			if got := cp.closes.Load(); got != 1 {
+				t.Errorf("Close called %d times, want 1", got)
+			}
+			if got := cp.recycles.Load(); got < 2 {
+				t.Errorf("Recycle called %d times, want >= 2 (abandoned session + closed session)", got)
+			}
+		})
 	}
 }
 
 // TestCampaignTreeValidation: tree and early-exit modes are rejected
-// up front when misconfigured — without Checkpoints, on a Checkpointer
-// lacking tree support, or with a nonsensical hash stride.
+// up front when misconfigured — without Checkpoints, or with a
+// nonsensical hash stride.
 func TestCampaignTreeValidation(t *testing.T) {
 	run := classRunFunc(pattern(1, nil))
 	scs := makeScenarios(1)
-	plain := &fakeCheckpointer{run: run}
-	tree := &fakeTreeCheckpointer{fakeCheckpointer: fakeCheckpointer{run: run}}
+	tree := &fakeCheckpointer{run: run}
 	cases := []struct {
 		name string
 		c    *Campaign
@@ -329,7 +282,6 @@ func TestCampaignTreeValidation(t *testing.T) {
 	}{
 		{"tree without checkpoints", &Campaign{Name: "v", Run: run, CheckpointTree: true, Checkpointer: tree}, "Checkpoints"},
 		{"early-exit without checkpoints", &Campaign{Name: "v", Run: run, EarlyExit: true, Checkpointer: tree}, "Checkpoints"},
-		{"tree on plain checkpointer", &Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true, Checkpointer: plain}, "TreeCheckpointer"},
 		{"stride without early-exit", &Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true, HashStride: 5, Checkpointer: tree}, "EarlyExit"},
 	}
 	for _, tc := range cases {

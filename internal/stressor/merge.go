@@ -20,9 +20,10 @@ type MergeSpec struct {
 // the unsharded run would have produced, byte for byte. It validates
 // everything first — format, matching headers, the exact shard set
 // {0..N-1}, the universe fingerprint, per-entry scenario IDs — and
-// refuses truncated journals (resume them to completion first) and
-// incomplete coverage, so a partial or mismatched set can never be
-// silently merged.
+// refuses adaptive journals (their entry indices are proposal sequence
+// numbers, not universe positions), truncated journals (resume them to
+// completion first) and incomplete coverage, so a partial or
+// mismatched set can never be silently merged.
 //
 // StopOnFirst composes across shards: each shard stops at its own
 // first failure, which sits at or after the global first failure f,
@@ -43,6 +44,9 @@ func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*
 	seen := make([]bool, h0.Shards)
 	for _, j := range js {
 		h := j.Header
+		if h.Adaptive {
+			return nil, fmt.Errorf("stressor: journal for campaign %q was written by an adaptive campaign — adaptive journals do not merge", h.Campaign)
+		}
 		if j.Truncated {
 			return nil, fmt.Errorf("stressor: journal for shard %d/%d is truncated — resume it to completion before merging", h.Shard, h.Shards)
 		}

@@ -462,8 +462,8 @@ func TestCampaignScenarioTimeout(t *testing.T) {
 }
 
 // TestCampaignResumeRejects: a journal from the wrong campaign, wrong
-// shard, wrong universe, or with entries that contradict the universe
-// must fail before any run executes.
+// shard, wrong universe, the adaptive engine, or with entries that
+// contradict the universe must fail before any run executes.
 func TestCampaignResumeRejects(t *testing.T) {
 	scenarios := makeScenarios(6)
 	run := classRunFunc(pattern(6, nil))
@@ -502,6 +502,12 @@ func TestCampaignResumeRejects(t *testing.T) {
 			journal.Entry{Index: 0, ID: "not-s0", Class: "masked"})},
 		{"unknown class", Campaign{Name: "rr"}, mkJournal(good,
 			journal.Entry{Index: 0, ID: "s0", Class: "exploded"})},
+		// An adaptive journal whose budget equals the universe size
+		// passes every other header check, and its proposal sequence
+		// numbers may exceed Total — an unchecked universe index.
+		{"adaptive journal", Campaign{Name: "rr"}, mkJournal(journal.Header{
+			Campaign: "rr", Shards: 1, Total: 6, Universe: good.Universe, Adaptive: true},
+			journal.Entry{Index: 9, ID: "s9", Class: "masked"})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -532,8 +538,8 @@ func TestCampaignResumeRejects(t *testing.T) {
 }
 
 // TestMergeRejects: merging must refuse truncated journals, missing
-// shards, duplicate shards, foreign universes, incomplete coverage and
-// conflicting outcomes.
+// shards, duplicate shards, foreign universes, adaptive journals,
+// incomplete coverage and conflicting outcomes.
 func TestMergeRejects(t *testing.T) {
 	const n, shards = 8, 2
 	scenarios := makeScenarios(n)
@@ -556,6 +562,20 @@ func TestMergeRejects(t *testing.T) {
 	}
 	if _, err := Merge(MergeSpec{}, makeScenarios(n+1), js); err == nil {
 		t.Error("foreign universe accepted")
+	}
+	// An adaptive journal budgeted to the universe size matches every
+	// header field Merge compares, yet indexes proposals, not scenarios:
+	// entry 5 of a 2-scenario universe must be an error, not a panic.
+	two := makeScenarios(2)
+	adaptive := &journal.Journal{
+		Header: journal.Header{
+			FormatMarker: journal.Format, Campaign: "mr", Shards: 1,
+			Total: 2, Universe: UniverseHash(two), Adaptive: true,
+		},
+		Entries: []journal.Entry{{Index: 5, ID: "s5", Class: "masked"}},
+	}
+	if _, err := Merge(MergeSpec{}, two, []*journal.Journal{adaptive}); err == nil || !strings.Contains(err.Error(), "adaptive") {
+		t.Errorf("adaptive journal: want an adaptive-journal error, got %v", err)
 	}
 	// Incomplete coverage: drop one entry from shard 1.
 	short := *js[1]

@@ -93,11 +93,6 @@ func Run(t *testing.T, cfg Config) {
 							if mode.checkpoints && cp == nil {
 								t.Skip("engine has no Checkpointer")
 							}
-							if mode.tree || mode.earlyExit {
-								if _, ok := cp.(stressor.TreeCheckpointer); !ok {
-									t.Skip("Checkpointer does not implement TreeCheckpointer")
-								}
-							}
 							if !mode.checkpoints {
 								cp = nil
 							}
@@ -115,8 +110,9 @@ func Run(t *testing.T, cfg Config) {
 
 // cellMode is the checkpointing axis of the matrix: classifications
 // must be byte-identical whether runs rebuild from scratch, fork from
-// one checkpoint, fork from a retained tree node, or early-exit the
-// moment they provably re-converge with the golden trajectory.
+// a one-node tree session (the rolling checkpoint), fork from a
+// retained node of a full tree, or early-exit the moment they provably
+// re-converge with the golden trajectory.
 type cellMode struct {
 	name        string
 	checkpoints bool

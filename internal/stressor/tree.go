@@ -7,14 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Checkpoint trees + convergence early-exit: the generalization of the
-// single-checkpoint session of checkpoint.go. A tree session retains a
-// budgeted set of golden-prefix snapshots ("nodes"), one per injection
-// instant it has visited, and establishes each scenario from the
-// deepest retained node at or before its fork time — so a campaign
-// whose fork times regress (StopOnFirst index order, daemon sessions
-// parked across campaigns, resumed tails) forks from the deepest
-// shared prefix instead of re-simulating from time zero. Convergence
+// Checkpoint trees + convergence early-exit: the one checkpoint path
+// behind Campaign.Checkpoints. A tree session retains a budgeted set
+// of golden-prefix snapshots ("nodes"), one per injection instant it
+// has visited, and establishes each scenario from the deepest retained
+// node at or before its fork time — so a campaign whose fork times
+// regress (StopOnFirst index order, resumed tails) forks from the
+// deepest shared prefix instead of re-simulating from time zero. With
+// a budget of one node it is the rolling single checkpoint: the same
+// fork restores, a later fork extends, an earlier fork rebuilds. Convergence
 // early-exit layers on top: the golden trajectory is hashed at a fixed
 // stride, and a faulty run whose post-injection state hash returns to
 // the golden trajectory stops simulating immediately and inherits the
@@ -33,8 +34,9 @@ const (
 // TreeConfig parameterizes a checkpoint-tree session.
 type TreeConfig struct {
 	// MaxNodes is the LRU depth budget on retained tree nodes
-	// (0 selects DefaultTreeMaxNodes). A single-node tree degenerates
-	// to the plain CheckpointSession behavior.
+	// (0 selects DefaultTreeMaxNodes). A single-node tree is the
+	// rolling checkpoint Campaign.Checkpoints runs without
+	// CheckpointTree.
 	MaxNodes int
 	// MaxBytes is the byte budget on retained kernel snapshots
 	// (0 selects DefaultTreeMaxBytes).
@@ -63,16 +65,6 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// TreeCheckpointer is implemented by runners that support checkpoint
-// trees (and convergence early-exit) on top of the plain Checkpointer
-// contract. NewTreeSession is NewSession with a tree configuration;
-// the returned session should also implement RecyclableSession so the
-// campaign can reclaim its node buffers after abandonment.
-type TreeCheckpointer interface {
-	Checkpointer
-	NewTreeSession(cfg TreeConfig) CheckpointSession
-}
-
 // RecyclableSession is a CheckpointSession whose retained node buffers
 // can be returned to the runner's shared pool without closing the
 // session. The campaign calls Recycle exactly once for a session it
@@ -94,7 +86,7 @@ type TreeNode struct {
 
 // NodePool is a runner-level free list of tree nodes, shared by every
 // session of that runner so node buffers survive session abandonment,
-// Close and cross-campaign daemon reuse. SnapshotInto and
+// Close and — on a warm daemon runner — the campaign itself. SnapshotInto and
 // SnapshotStateInto fully overwrite a node's buffers, so recycling
 // them across kernels is safe.
 type NodePool struct {
