@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-smoke bench-campaign bench-reuse bench-sharded bench-daemon bench-obs fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race shuffle tier1 bench bench-smoke bench-campaign bench-reuse bench-sharded bench-daemon bench-obs fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -20,7 +20,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-tier1: build vet race
+# The state and engine packages again in shuffled test order (ROADMAP
+# 4f): a test that only passes after another one has warmed a runner,
+# a node pool or a digest cache is hiding an order dependence.
+shuffle:
+	$(GO) test -shuffle=on ./internal/sim/... ./internal/ecu ./internal/stressor/...
+
+tier1: build vet race shuffle
 
 # The canonical campaign benchmark (BENCHMARK.json, bench/README.md):
 # six workloads, end-to-end and per-layer metrics. Add `-out SET.json`
@@ -50,10 +56,13 @@ bench-reuse:
 bench-sharded:
 	$(GO) test -run xxx -bench BenchmarkCampaignSharded -benchtime 20x .
 
-# Native fuzzing smoke: run each fuzz target for FUZZTIME (~30s total
+# Native fuzzing smoke: run each fuzz target for FUZZTIME (~70s total
 # at the default). The seed corpora alone run under `go test`; this
 # target actually mutates, catching parser/interpreter/journal
-# regressions the fixed seeds would miss.
+# regressions the fixed seeds would miss — and, with the two
+# FuzzScenarioEquivalence targets, an engine shortcut (reuse, tree,
+# early-exit, shard, resume, paged state) that classifies a generated
+# scenario differently from the naive rebuild path.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzInterp -fuzztime=$(FUZZTIME) ./internal/mdl
@@ -61,6 +70,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzJournalBinary -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpec -fuzztime=$(FUZZTIME) ./internal/campaignd
+	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/ecu
+	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/caps
 
 # Campaign-service end-to-end: the goldenfile CLI harness plus the
 # capsimd daemon lifecycle matrix (kill/restart resume, concurrent

@@ -307,17 +307,28 @@ func (d *Daemon) DebugURL() string {
 // Stderr returns everything the daemon has written to stderr so far.
 func (d *Daemon) Stderr() string { return d.stderr.String() }
 
-// WaitStderr polls the daemon's stderr until it contains substr.
-func (d *Daemon) WaitStderr(substr string, timeout time.Duration) string {
-	d.t.Helper()
+// WaitStderr polls the daemon's stderr for up to timeout until it
+// contains every one of marks in that order (each is searched for
+// after the match of the one before). It returns the stderr read so far
+// and the first mark still missing, "" when all were found. The daemon
+// writes a multi-line report one line at a time, so wait for the last
+// line a test asserts on, never for a header above it.
+func (d *Daemon) WaitStderr(timeout time.Duration, marks ...string) (out, missing string) {
 	deadline := time.Now().Add(timeout)
 	for {
-		out := d.stderr.String()
-		if strings.Contains(out, substr) {
-			return out
+		out = d.stderr.String()
+		rest := out
+		missing = ""
+		for _, mark := range marks {
+			i := strings.Index(rest, mark)
+			if i < 0 {
+				missing = mark
+				break
+			}
+			rest = rest[i+len(mark):]
 		}
-		if time.Now().After(deadline) {
-			d.t.Fatalf("daemon stderr never contained %q; stderr:\n%s", substr, out)
+		if missing == "" || time.Now().After(deadline) {
+			return out, missing
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

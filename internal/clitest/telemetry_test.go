@@ -85,11 +85,20 @@ func TestDaemonSigquitFlightDump(t *testing.T) {
 	}
 	WaitRunState(t, d.URL, "r000001", "done", 60*time.Second)
 
-	d.Signal(syscall.SIGQUIT)
-	out := d.WaitStderr("campaignd flight dump (SIGQUIT):", 10*time.Second)
-	for _, mark := range []string{"run.submit", "run.start", "run.done"} {
-		if !strings.Contains(out, mark) {
-			t.Fatalf("flight dump missing %q:\n%s", mark, out)
+	// A run's state reads "done" a moment before the scheduler records
+	// run.done in the flight ring, and a dump reaches stderr one line at
+	// a time: a single dump can be taken too early or read half-written.
+	// Dumps are repeatable — that is the point of the test — so ask again
+	// until one holds every mark after its header.
+	marks := []string{"campaignd flight dump (SIGQUIT):", "run.submit", "run.start", "run.done"}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		d.Signal(syscall.SIGQUIT)
+		out, missing := d.WaitStderr(time.Second, marks...)
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no flight dump with %q after 10 s of asking; stderr:\n%s", missing, out)
 		}
 	}
 	// The daemon survived the dump.

@@ -140,11 +140,16 @@ func eccDecode(data uint32, check uint8) (corrected uint32, status ECCStatus) {
 // reads transparently correct single-bit upsets and fail (bus error)
 // on uncorrectable double errors. Accesses must be 4-byte aligned
 // whole words, matching the AE32 bus.
+//
+// The stored codewords live in a sim.PagedState, one per cell — data
+// word in bits 0..31, check bits in 32..38 — so every write (bus,
+// scrub, debug port, injected upset) passes its dirty barrier, and
+// digests and checkpoint restores cost what a run wrote rather than
+// what the memory holds.
 type ECCMemory struct {
-	name  string
-	base  uint64
-	words []uint32
-	check []uint8
+	name string
+	base uint64
+	mem  *sim.PagedState
 
 	ReadLatency  sim.Time
 	WriteLatency sim.Time
@@ -157,30 +162,29 @@ type ECCMemory struct {
 	CorrectionDelay sim.Time
 }
 
-// zeroCheck is the codeword check byte of a zeroed data word,
+// codewordBytes is the cell width that holds a 39-bit codeword.
+const codewordBytes = 5
+
+// encoded is the clean codeword of a data word: the word in bits
+// 0..31, its check bits above.
+func encoded(data uint32) uint64 { return uint64(data) | uint64(eccEncode(data))<<32 }
+
+// zeroCodeword is the clean codeword of a zeroed data word,
 // precomputed so bulk initialization does not re-derive it per cell.
-var zeroCheck = eccEncode(0)
+var zeroCodeword = encoded(0)
 
 // NewECCMemory creates size bytes (rounded down to whole words) at
 // base.
 func NewECCMemory(name string, base uint64, size int) *ECCMemory {
-	n := size / 4
-	m := &ECCMemory{name: name, base: base, words: make([]uint32, n), check: make([]uint8, n)}
-	for i := range m.check {
-		m.check[i] = zeroCheck
-	}
-	return m
+	return &ECCMemory{name: name, base: base, mem: sim.NewPagedState(size/4, codewordBytes, zeroCodeword)}
 }
 
 // Clear returns the memory to its freshly constructed all-zero state
 // and zeroes the error counters, without reallocating the backing
-// arrays. Campaign runners use it to re-seed a reused core's memory
+// array. Campaign runners use it to re-seed a reused core's memory
 // image between runs.
 func (m *ECCMemory) Clear() {
-	clear(m.words)
-	for i := range m.check {
-		m.check[i] = zeroCheck
-	}
+	m.mem.Reset(zeroCodeword)
 	m.corrected = 0
 	m.uncorrectable = 0
 }
@@ -202,7 +206,7 @@ func (m *ECCMemory) index(addr uint64, n int) (int, bool) {
 		return 0, false
 	}
 	i := int((addr - m.base) / 4)
-	if i >= len(m.words) {
+	if i >= m.mem.Len() {
 		return 0, false
 	}
 	return i, true
@@ -221,15 +225,15 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 	}
 	switch p.Command {
 	case tlm.CmdRead:
-		data, status := eccDecode(m.words[i], m.check[i])
+		cw := m.mem.Load(i)
+		data, status := eccDecode(uint32(cw), uint8(cw>>32))
 		*delay += m.ReadLatency
 		switch status {
 		case ECCCorrected:
 			m.corrected++
 			*delay += m.CorrectionDelay
 			// Scrub: write back the corrected word.
-			m.words[i] = data
-			m.check[i] = eccEncode(data)
+			m.mem.Store(i, encoded(data))
 		case ECCUncorrectable:
 			m.uncorrectable++
 			p.Response = tlm.RespGenericError
@@ -241,8 +245,7 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 		p.Data[3] = byte(data >> 24)
 	case tlm.CmdWrite:
 		v := uint32(p.Data[0]) | uint32(p.Data[1])<<8 | uint32(p.Data[2])<<16 | uint32(p.Data[3])<<24
-		m.words[i] = v
-		m.check[i] = eccEncode(v)
+		m.mem.Store(i, encoded(v))
 		*delay += m.WriteLatency
 	default:
 		p.Response = tlm.RespCommandError
@@ -267,15 +270,14 @@ func (m *ECCMemory) TransportDbg(p *tlm.Payload) int {
 		}
 		switch p.Command {
 		case tlm.CmdRead:
-			v := m.words[i]
+			v := uint32(m.mem.Load(i))
 			p.Data[4*w] = byte(v)
 			p.Data[4*w+1] = byte(v >> 8)
 			p.Data[4*w+2] = byte(v >> 16)
 			p.Data[4*w+3] = byte(v >> 24)
 		case tlm.CmdWrite:
 			v := uint32(p.Data[4*w]) | uint32(p.Data[4*w+1])<<8 | uint32(p.Data[4*w+2])<<16 | uint32(p.Data[4*w+3])<<24
-			m.words[i] = v
-			m.check[i] = eccEncode(v)
+			m.mem.Store(i, encoded(v))
 		}
 	}
 	p.Response = tlm.RespOK
@@ -290,13 +292,9 @@ func (m *ECCMemory) FlipStoredBit(addr uint64, bit uint) error {
 	if !ok {
 		return fmt.Errorf("ecu: FlipStoredBit(%#x): unmapped or unaligned", addr)
 	}
-	switch {
-	case bit < 32:
-		m.words[i] ^= 1 << bit
-	case bit < 39:
-		m.check[i] ^= 1 << (bit - 32)
-	default:
+	if bit >= 39 {
 		return fmt.Errorf("ecu: FlipStoredBit: bit %d out of codeword", bit)
 	}
+	m.mem.Store(i, m.mem.Load(i)^1<<bit)
 	return nil
 }

@@ -17,14 +17,35 @@ import (
 type Lockstep struct {
 	Primary  *CPU
 	Shadow   *CPU
-	pLog     []storeRec
-	sLog     []storeRec
+	pLog     storeLog
+	sLog     storeLog
 	diverged bool
 	detail   string
 }
 
 type storeRec struct {
 	addr, val uint32
+}
+
+// storeLog is one core's append-only store stream plus a rolling
+// digest of it, folded at append: a faulted program that runs away
+// logs thousands of stores, and the state hash must not walk them
+// again at every stride. The digest is a pure function of recs.
+type storeLog struct {
+	recs []storeRec
+	sum  uint64
+}
+
+func (l *storeLog) append(r storeRec) {
+	l.recs = append(l.recs, r)
+	l.sum = sim.Mix64(l.sum, uint64(r.addr)<<32|uint64(r.val))
+}
+
+func (l *storeLog) reset() { l.recs, l.sum = l.recs[:0], 0 }
+
+// copyFrom makes l a deep copy of o, reusing l's buffer.
+func (l *storeLog) copyFrom(o *storeLog) {
+	l.recs, l.sum = append(l.recs[:0], o.recs...), o.sum
 }
 
 // NewLockstep wires the comparator onto two cores.
@@ -37,11 +58,11 @@ func NewLockstep(primary, shadow *CPU) *Lockstep {
 
 // record appends to own log and compares against the counterpart at
 // the same index if already present.
-func (ls *Lockstep) record(own, other *[]storeRec, addr, val uint32, who string) {
-	idx := len(*own)
-	*own = append(*own, storeRec{addr, val})
-	if idx < len(*other) {
-		o := (*other)[idx]
+func (ls *Lockstep) record(own, other *storeLog, addr, val uint32, who string) {
+	idx := len(own.recs)
+	own.append(storeRec{addr, val})
+	if idx < len(other.recs) {
+		o := other.recs[idx]
 		if o.addr != addr || o.val != val {
 			ls.flag(idx, who, addr, val, o)
 		}
@@ -60,8 +81,8 @@ func (ls *Lockstep) flag(idx int, who string, addr, val uint32, o storeRec) {
 // Reset clears the comparator for another run, keeping the store-log
 // capacity. The store hooks installed by NewLockstep stay attached.
 func (ls *Lockstep) Reset() {
-	ls.pLog = ls.pLog[:0]
-	ls.sLog = ls.sLog[:0]
+	ls.pLog.reset()
+	ls.sLog.reset()
 	ls.diverged = false
 	ls.detail = ""
 }
@@ -73,9 +94,9 @@ func (ls *Lockstep) FinalCheck() {
 	if ls.diverged {
 		return
 	}
-	if len(ls.pLog) != len(ls.sLog) {
+	if p, s := ls.Stores(); p != s {
 		ls.diverged = true
-		ls.detail = fmt.Sprintf("store count mismatch: primary %d, shadow %d", len(ls.pLog), len(ls.sLog))
+		ls.detail = fmt.Sprintf("store count mismatch: primary %d, shadow %d", p, s)
 	}
 }
 
@@ -86,7 +107,7 @@ func (ls *Lockstep) Diverged() bool { return ls.diverged }
 func (ls *Lockstep) Detail() string { return ls.detail }
 
 // Stores reports the store counts seen so far.
-func (ls *Lockstep) Stores() (primary, shadow int) { return len(ls.pLog), len(ls.sLog) }
+func (ls *Lockstep) Stores() (primary, shadow int) { return len(ls.pLog.recs), len(ls.sLog.recs) }
 
 // RunLockstep executes both cores to completion on a fresh kernel
 // thread pair and returns whether the comparator detected divergence.

@@ -1,0 +1,257 @@
+package ecu
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/stressor"
+	"repro/internal/tlm"
+)
+
+func eccDigest(m *ECCMemory) uint64 {
+	h := sim.NewStateHash()
+	hashECC(&h, m)
+	return h.Sum()
+}
+
+// TestECCCorrectedReadDirtiesPage: the scrub write-back happens on a
+// *read*, the one write to the codeword array that does not look like
+// one. It must pass the dirty barrier like any other: the next digest
+// re-hashes exactly that page and lands on the clean image again, and a
+// restore of the capture taken before the upset copies exactly that
+// page back.
+func TestECCCorrectedReadDirtiesPage(t *testing.T) {
+	m := NewECCMemory("eccram", 0, 16*1024)
+	var d sim.Time
+	const addr = 0x1230
+	m.BTransport(tlm.NewWrite(addr, []byte{0x78, 0x56, 0x34, 0x12}), &d)
+	var before eccState
+	m.captureInto(&before)
+	clean := eccDigest(m)
+
+	if err := m.FlipStoredBit(addr, 5); err != nil {
+		t.Fatal(err)
+	}
+	if eccDigest(m) == clean {
+		t.Fatal("stored-bit flip did not change the digest")
+	}
+	base := m.mem.Stats()
+	q := tlm.NewRead(addr, 4)
+	m.BTransport(q, &d)
+	if corr, _ := m.Stats(); !q.Response.OK() || corr != 1 {
+		t.Fatalf("read not corrected: %v, corrected=%d", q.Response, corr)
+	}
+	m.corrected = 0 // compare the codeword image alone
+	if got := eccDigest(m); got != clean {
+		t.Errorf("digest after the scrub %#x, want the clean image's %#x", got, clean)
+	}
+	if n := m.mem.Stats().PagesRehashed - base.PagesRehashed; n != 1 {
+		t.Errorf("the corrected read dirtied %d pages for the digest, want 1", n)
+	}
+	m.restoreFrom(&before)
+	if n := m.mem.Stats().PagesRestored - base.PagesRestored; n != 1 {
+		t.Errorf("restore copied %d pages back, want the 1 the flip and the scrub wrote", n)
+	}
+	if got := eccDigest(m); got != clean {
+		t.Errorf("digest after restore %#x, want %#x", got, clean)
+	}
+}
+
+// TestSlotStateSteadyStateAllocs pins the slot-level hot paths of a
+// checkpoint-tree session at zero allocations once warm: the state
+// digest, the pooled capture and the restore.
+func TestSlotStateSteadyStateAllocs(t *testing.T) {
+	s := midRunSlot(t)
+	h := sim.NewStateHash()
+	s.HashState(&h)
+	st := s.SnapshotStateInto(nil)
+	st = s.SnapshotStateInto(st)
+	for name, fn := range map[string]func(){
+		"hash": func() {
+			s.pram.mem.Store(int(runnerAccAddr/4), 1)
+			s.HashState(&h)
+		},
+		"capture": func() { st = s.SnapshotStateInto(st) },
+		"restore": func() {
+			s.pram.mem.Store(int(runnerAccAddr/4), 2)
+			s.RestoreState(st)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op in steady state, want 0", name, allocs)
+		}
+	}
+}
+
+// seuSweep is a small universe at several instants, before and after
+// the workload halts, in an order whose fork times rise and fall.
+func seuSweep(r *Runner) []fault.Scenario {
+	var ds []fault.Descriptor
+	for _, at := range []sim.Time{sim.US(2), sim.NS(700), sim.US(30), sim.US(1), sim.US(3), sim.NS(700), sim.US(90)} {
+		ds = append(ds, r.Universe(at)...)
+	}
+	scs := fault.Singles(ds)
+	for i := range scs {
+		scs[i].ID = fmt.Sprintf("%d:%s", i, scs[i].ID) // one instant appears twice
+	}
+	return scs
+}
+
+// TestTreeSessionsShareNodePool runs two tree sessions of one runner on
+// two goroutines, each walking the sweep in index order against a
+// two-node budget, so evicted node states — pooled PagedCaptures among
+// them — keep crossing from one session's slot to the other's. Every
+// outcome must equal the naive rebuild path's. Run under -race this is
+// also the concurrency audit of the shared pool and the stamp source.
+func TestTreeSessionsShareNodePool(t *testing.T) {
+	naive, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.ReuseOff = true
+	defer naive.Close()
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	scs := seuSweep(r)
+	want := make([]fault.Outcome, len(scs))
+	for i, sc := range scs {
+		want[i] = naive.RunScenario(sc)
+	}
+	for round := 0; round < 2; round++ { // the second round starts on recycled nodes
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sess := r.NewTreeSession(stressor.TreeConfig{MaxNodes: 2, EarlyExit: true})
+				defer sess.Close()
+				for k := range scs {
+					i := k
+					if w == 1 {
+						i = len(scs) - 1 - k
+					}
+					fork, ok := r.ForkTime(scs[i])
+					if !ok {
+						t.Errorf("scenario %s not fork-eligible", scs[i].ID)
+						return
+					}
+					if got := sess.Run(scs[i], fork); got.Class != want[i].Class || got.Detail != want[i].Detail {
+						t.Errorf("session %d, %s: got %s %q, rebuild says %s %q",
+							w, scs[i].ID, got.Class, got.Detail, want[i].Class, want[i].Detail)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := r.nodePool.Live(); n != 0 {
+		t.Errorf("%d tree nodes still checked out after Close", n)
+	}
+}
+
+// TestTreeSessionPublishesPageCounters: with TreeConfig.Metrics set the
+// session publishes how many pages its memories re-digested and copied
+// back — exact, repeatable counts, and small ones: cost follows the
+// write set, not the 512 pages the two memories hold. Without Metrics
+// nothing is registered.
+func TestTreeSessionPublishesPageCounters(t *testing.T) {
+	counts := func() (rehashed, restored uint64, runs int) {
+		r, err := NewRunner(DefaultRunnerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		reg := obs.NewRegistry()
+		scs := seuSweep(r)
+		c := r.NewCampaign("pages", stressor.Shard{})
+		c.Checkpoints, c.CheckpointTree, c.EarlyExit, c.Metrics = true, true, true, reg
+		if _, err := c.Execute(scs); err != nil {
+			t.Fatal(err)
+		}
+		l := obs.L("campaign", "pages")
+		return reg.Counter("campaign.state_pages_rehashed", l).Value(),
+			reg.Counter("campaign.state_pages_restored", l).Value(), len(scs)
+	}
+	rehashed, restored, runs := counts()
+	again, againRestored, _ := counts()
+	if rehashed != again || restored != againRestored {
+		t.Errorf("page counters do not repeat: rehashed %d then %d, restored %d then %d", rehashed, again, restored, againRestored)
+	}
+	pages := uint64(2 * 64 * 1024 / 4 / sim.PageCells)
+	// One full digest initialises the cache; after that a run re-digests
+	// and restores a handful of pages, never the whole memory.
+	if rehashed < pages || rehashed > pages+uint64(8*runs) {
+		t.Errorf("campaign.state_pages_rehashed = %d over %d runs, want %d for the first digest plus a few per run", rehashed, runs, pages)
+	}
+	if restored == 0 || restored > uint64(8*runs) {
+		t.Errorf("campaign.state_pages_restored = %d over %d runs, want a few per run", restored, runs)
+	}
+	t.Logf("%d runs: %d pages re-digested (%d of them the first digest), %d pages restored", runs, rehashed, pages, restored)
+
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true}).(*ecuTreeSession)
+	defer sess.Close()
+	sc := fault.Single(r.Universe(sim.US(1))[0])
+	sess.Run(sc, sim.US(1))
+	if sess.pagesRehashed != nil || sess.pagesRestored != nil {
+		t.Error("page counters registered without TreeConfig.Metrics")
+	}
+}
+
+// benchSlot is a slot parked mid-run with a warm digest cache and a
+// capture to restore.
+func benchSlot(b *testing.B) (*ecuSlot, any) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	s := r.buildSlot()
+	b.Cleanup(s.k.Shutdown)
+	s.beginRun()
+	if err := s.k.RunUntil(sim.US(2)); err != nil {
+		b.Fatal(err)
+	}
+	h := sim.NewStateHash()
+	s.HashState(&h)
+	return s, s.SnapshotStateInto(nil)
+}
+
+// BenchmarkSlotHashState is one early-exit stride's model digest after
+// a run wrote one page: the cost is the CPUs, the watchdog shadow and
+// one page, not the two 64 KiB memories.
+func BenchmarkSlotHashState(b *testing.B) {
+	s, _ := benchSlot(b)
+	h := sim.NewStateHash()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.pram.mem.Store(int(runnerAccAddr/4), uint64(i))
+		h.Reset()
+		s.HashState(&h)
+	}
+}
+
+// BenchmarkSlotRestoreState is a tree-node restore after a run wrote
+// one page of the capture it was forked from.
+func BenchmarkSlotRestoreState(b *testing.B) {
+	s, st := benchSlot(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.pram.mem.Store(int(runnerAccAddr/4), uint64(i))
+		s.RestoreState(st)
+	}
+}

@@ -9,7 +9,9 @@ import (
 // mutates — core register files, ECC codeword arrays, the watchdog
 // shadow memory, lockstep store logs, watchdog counters and the
 // run-phase process machines — so restoring it plus the paired kernel
-// checkpoint rewinds a slot to the golden-prefix instant exactly.
+// checkpoint rewinds a slot to the golden-prefix instant exactly. The
+// codeword arrays are sim.PagedState captures: restoring the capture a
+// slot was last forked from copies back only the pages the run wrote.
 
 type cpuState struct {
 	regs    [16]uint32
@@ -42,24 +44,30 @@ func (c *CPU) restoreFrom(st *cpuState) {
 }
 
 type eccState struct {
-	words         []uint32
-	check         []uint8
+	mem           sim.PagedCapture
 	corrected     uint64
 	uncorrectable uint64
 }
 
 func (m *ECCMemory) captureInto(st *eccState) {
-	st.words = append(st.words[:0], m.words...)
-	st.check = append(st.check[:0], m.check...)
+	m.mem.CaptureInto(&st.mem)
 	st.corrected = m.corrected
 	st.uncorrectable = m.uncorrectable
 }
 
 func (m *ECCMemory) restoreFrom(st *eccState) {
-	copy(m.words, st.words)
-	copy(m.check, st.check)
+	m.mem.RestoreFrom(&st.mem)
 	m.corrected = st.corrected
 	m.uncorrectable = st.uncorrectable
+}
+
+// pagedStats sums the paged-state work counters of both memories.
+func (s *ecuSlot) pagedStats() sim.PagedStats {
+	p, q := s.pram.mem.Stats(), s.sram.mem.Stats()
+	return sim.PagedStats{
+		PagesRehashed: p.PagesRehashed + q.PagesRehashed,
+		PagesRestored: p.PagesRestored + q.PagesRestored,
+	}
 }
 
 type wdState struct {
@@ -69,9 +77,23 @@ type wdState struct {
 }
 
 type lsState struct {
-	pLog, sLog []storeRec
+	pLog, sLog storeLog
 	diverged   bool
 	detail     string
+}
+
+func (ls *Lockstep) captureInto(st *lsState) {
+	st.pLog.copyFrom(&ls.pLog)
+	st.sLog.copyFrom(&ls.sLog)
+	st.diverged = ls.diverged
+	st.detail = ls.detail
+}
+
+func (ls *Lockstep) restoreFrom(st *lsState) {
+	ls.pLog.copyFrom(&st.pLog)
+	ls.sLog.copyFrom(&st.sLog)
+	ls.diverged = st.diverged
+	ls.detail = st.detail
 }
 
 type crState struct {
@@ -108,10 +130,7 @@ func (s *ecuSlot) SnapshotState() any {
 	s.shadow.captureInto(&st.shadow)
 	s.pram.captureInto(&st.pram)
 	s.sram.captureInto(&st.sram)
-	st.ls.pLog = append([]storeRec(nil), s.ls.pLog...)
-	st.ls.sLog = append([]storeRec(nil), s.ls.sLog...)
-	st.ls.diverged = s.ls.diverged
-	st.ls.detail = s.ls.detail
+	s.ls.captureInto(&st.ls)
 	return st
 }
 
@@ -130,10 +149,7 @@ func (s *ecuSlot) SnapshotStateInto(prev any) any {
 	s.sram.captureInto(&st.sram)
 	st.wdshadow = s.wdshadow.SnapshotStateInto(st.wdshadow)
 	st.wd = wdState{enabled: s.wd.enabled, timeouts: s.wd.timeouts, kicks: s.wd.kicks}
-	st.ls.pLog = append(st.ls.pLog[:0], s.ls.pLog...)
-	st.ls.sLog = append(st.ls.sLog[:0], s.ls.sLog...)
-	st.ls.diverged = s.ls.diverged
-	st.ls.detail = s.ls.detail
+	s.ls.captureInto(&st.ls)
 	st.pRun = crState{local: s.pRun.local, phase: s.pRun.phase, err: s.pRun.err}
 	st.sRun = crState{local: s.sRun.local, phase: s.sRun.phase, err: s.sRun.err}
 	st.pDone, st.sDone = s.pDone, s.sDone
@@ -158,8 +174,8 @@ func (s *ecuSlot) HashState(h *sim.StateHash) {
 	h.Bool(s.wd.enabled)
 	h.U64(s.wd.timeouts)
 	h.U64(s.wd.kicks)
-	hashStores(h, s.ls.pLog)
-	hashStores(h, s.ls.sLog)
+	hashStores(h, &s.ls.pLog)
+	hashStores(h, &s.ls.sLog)
 	h.Bool(s.ls.diverged)
 	h.Str(s.ls.detail)
 	hashCoreRun(h, s.pRun.local, s.pRun.phase, s.pRun.err)
@@ -184,21 +200,15 @@ func hashCPU(h *sim.StateHash, c *CPU) {
 }
 
 func hashECC(h *sim.StateHash, m *ECCMemory) {
-	h.Int(len(m.words))
-	for _, w := range m.words {
-		h.U32(w)
-	}
-	h.Bytes(m.check)
+	m.mem.HashInto(h)
 	h.U64(m.corrected)
 	h.U64(m.uncorrectable)
 }
 
-func hashStores(h *sim.StateHash, log []storeRec) {
-	h.Int(len(log))
-	for _, r := range log {
-		h.U32(r.addr)
-		h.U32(r.val)
-	}
+// hashStores folds a store log as its length plus its rolling digest.
+func hashStores(h *sim.StateHash, log *storeLog) {
+	h.Int(len(log.recs))
+	h.U64(log.sum)
 }
 
 func hashCoreRun(h *sim.StateHash, local sim.Time, phase uint8, err error) {
@@ -231,10 +241,7 @@ func (s *ecuSlot) RestoreState(state any) {
 	s.wd.enabled = st.wd.enabled
 	s.wd.timeouts = st.wd.timeouts
 	s.wd.kicks = st.wd.kicks
-	s.ls.pLog = append(s.ls.pLog[:0], st.ls.pLog...)
-	s.ls.sLog = append(s.ls.sLog[:0], st.ls.sLog...)
-	s.ls.diverged = st.ls.diverged
-	s.ls.detail = st.ls.detail
+	s.ls.restoreFrom(&st.ls)
 	s.pRun.local, s.pRun.phase, s.pRun.err = st.pRun.local, st.pRun.phase, st.pRun.err
 	s.sRun.local, s.sRun.phase, s.sRun.err = st.sRun.local, st.sRun.phase, st.sRun.err
 	s.pDone, s.sDone = st.pDone, st.sDone

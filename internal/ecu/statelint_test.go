@@ -1,0 +1,133 @@
+package ecu
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
+	"repro/internal/tlm"
+)
+
+// The state-coverage lint on the ECU prototype: every field of the
+// slot and of each component it folds is either perturbed (digest must
+// change, snapshot → perturb → restore must put it back) or listed
+// below with the reason it is not. A new field on any of these structs
+// fails here until it is hashed and snapshotted or given a row.
+
+const (
+	wiring = "wiring fixed by buildSlot; the component's own state is linted as its own row"
+	config = "configuration, constant after buildSlot"
+)
+
+// midRunSlot returns a slot parked mid-workload: both cores inside the
+// loop with stores logged, the watchdog armed and kicked.
+func midRunSlot(t *testing.T) *ecuSlot {
+	t.Helper()
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	s := r.buildSlot()
+	t.Cleanup(s.k.Shutdown)
+	s.beginRun()
+	if err := s.k.RunUntil(sim.US(2)); err != nil {
+		t.Fatal(err)
+	}
+	if p, sh := s.ls.Stores(); p == 0 || sh == 0 || s.primary.Halted() {
+		t.Fatalf("slot not mid-run: stores %d/%d, halted %v", p, sh, s.primary.Halted())
+	}
+	return s
+}
+
+func TestStateCoverageSlot(t *testing.T) {
+	s := midRunSlot(t)
+	simtest.StateCoverage(t, s, s, map[string]simtest.Rule{
+		"k":        simtest.NotState("scheduler state belongs to the kernel checkpoint and Kernel.HashScheduler"),
+		"wd":       simtest.NotState(wiring),
+		"primary":  simtest.NotState(wiring),
+		"shadow":   simtest.NotState(wiring),
+		"pram":     simtest.NotState(wiring),
+		"sram":     simtest.NotState(wiring),
+		"ls":       simtest.NotState(wiring),
+		"pRun":     simtest.NotState(wiring),
+		"sRun":     simtest.NotState(wiring),
+		"stop":     simtest.NotState("wiring; the stopper keeps no state of its own"),
+		"reg":      simtest.NotState("injection-site registry, fixed by buildSlot"),
+		"tableBuf": simtest.NotState("scratch: finishRun overwrites it through the debug port before reading it"),
+		"wdshadow": simtest.Via("tlm.Memory is linted in its own package; here: the slot folds and restores it",
+			func() { s.wdshadow.TransportDbg(tlm.NewWrite(runnerWdBase+4, []byte{0xa5})) }),
+	})
+}
+
+func TestStateCoverageCPU(t *testing.T) {
+	s := midRunSlot(t)
+	for _, c := range []*CPU{s.primary, s.shadow} {
+		simtest.StateCoverage(t, s, c, map[string]simtest.Rule{
+			"name":        simtest.NotState(config),
+			"Bus":         simtest.NotState(wiring),
+			"CyclePeriod": simtest.NotState(config),
+			"CPI":         simtest.NotState(config),
+			"IRQVector":   simtest.NotState(config),
+			"StoreHook":   simtest.NotState("wiring: the lockstep comparator's hook"),
+		})
+	}
+}
+
+func TestStateCoverageECCMemory(t *testing.T) {
+	s := midRunSlot(t)
+	for _, m := range []*ECCMemory{s.pram, s.sram} {
+		// One cell in the first page, one in the table, the last cell of
+		// the last page; a data bit and a check bit.
+		for _, cell := range []int{0, int(runnerTableBase / 4), m.mem.Len() - 1} {
+			for _, bit := range []uint{3, 35} {
+				simtest.StateCoverage(t, s, m, map[string]simtest.Rule{
+					"name": simtest.NotState(config),
+					"base": simtest.NotState(config),
+					"mem": simtest.Via("codewords live behind the PagedState write barrier",
+						func() { m.mem.Store(cell, m.mem.Load(cell)^1<<bit) }),
+					"ReadLatency":     simtest.NotState(config),
+					"WriteLatency":    simtest.NotState(config),
+					"CorrectionDelay": simtest.NotState(config),
+				})
+			}
+		}
+	}
+}
+
+func TestStateCoverageLockstep(t *testing.T) {
+	s := midRunSlot(t)
+	appendOnly := "append-only log folded through its rolling digest: perturbed the way the comparator writes it"
+	simtest.StateCoverage(t, s, s.ls, map[string]simtest.Rule{
+		"Primary":   simtest.NotState(wiring),
+		"Shadow":    simtest.NotState(wiring),
+		"pLog.recs": simtest.Via(appendOnly, func() { s.ls.pLog.append(storeRec{0x800, 1}) }),
+		"sLog.recs": simtest.Via(appendOnly, func() { s.ls.sLog.append(storeRec{0x800, 1}) }),
+	})
+}
+
+func TestStateCoverageWatchdog(t *testing.T) {
+	s := midRunSlot(t)
+	simtest.StateCoverage(t, s, s.wd, map[string]simtest.Rule{
+		"name":      simtest.NotState(config),
+		"k":         simtest.NotState(wiring),
+		"Timeout":   simtest.NotState(config),
+		"OnTimeout": simtest.NotState(wiring),
+		"timer":     simtest.NotState("kernel event: its pending notification is scheduler state"),
+	})
+}
+
+func TestStateCoverageCoreRunner(t *testing.T) {
+	s := midRunSlot(t)
+	for _, c := range []*coreRunner{s.pRun, s.sRun} {
+		simtest.StateCoverage(t, s, c, map[string]simtest.Rule{
+			"cpu":       simtest.NotState(wiring),
+			"quantum":   simtest.NotState(config),
+			"maxInstrs": simtest.NotState(config),
+			"name":      simtest.NotState(config),
+			"onDone":    simtest.NotState(wiring),
+			"stepFn":    simtest.NotState(wiring),
+			"ev":        simtest.NotState("kernel event: its pending notification is scheduler state"),
+		})
+	}
+}

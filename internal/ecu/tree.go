@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stressor"
 )
@@ -84,6 +85,13 @@ type ecuTreeSession struct {
 	st   stressor.Stressor
 	slot *ecuSlot
 	traj *stressor.GoldenTrajectory
+
+	// pagesRehashed/pagesRestored publish the slot's paged-state work —
+	// the evidence that digest and restore cost followed the write set.
+	// Both are nil without TreeConfig.Metrics; published is the tally
+	// already added to them.
+	pagesRehashed, pagesRestored *obs.Counter
+	published                    sim.PagedStats
 }
 
 func (s *ecuTreeSession) init() error {
@@ -101,6 +109,11 @@ func (s *ecuTreeSession) init() error {
 		},
 	}
 	s.core.Init()
+	if m := s.cfg.Metrics; m != nil {
+		l := obs.L("campaign", s.cfg.Campaign)
+		s.pagesRehashed = m.Counter("campaign.state_pages_rehashed", l)
+		s.pagesRestored = m.Counter("campaign.state_pages_restored", l)
+	}
 	if s.cfg.EarlyExit {
 		tr, err := s.r.trajectory(s.cfg.HashStride)
 		if err != nil {
@@ -115,6 +128,7 @@ func (s *ecuTreeSession) init() error {
 // outcome Runner.RunScenario yields for the same scenario.
 func (s *ecuTreeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	ob, converged, err := s.execute(sc, fork)
+	s.publishPages()
 	if err != nil {
 		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
 	}
@@ -125,6 +139,18 @@ func (s *ecuTreeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	ob.Activated = len(sc.Faults) > 0
 	class := analysis.Classify(s.r.golden, ob)
 	return fault.Outcome{Scenario: sc, Class: class, Detail: analysis.Describe(ob)}
+}
+
+// publishPages adds the pages the slot's memories re-digested and
+// copied back since the last call to the campaign counters.
+func (s *ecuTreeSession) publishPages() {
+	if s.pagesRehashed == nil || s.slot == nil {
+		return
+	}
+	now := s.slot.pagedStats()
+	s.pagesRehashed.Add(now.PagesRehashed - s.published.PagesRehashed)
+	s.pagesRestored.Add(now.PagesRestored - s.published.PagesRestored)
+	s.published = now
 }
 
 // Close implements stressor.CheckpointSession.
