@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race shuffle tier1 bench bench-smoke bench-campaign bench-reuse bench-sharded bench-daemon bench-obs fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race shuffle tier1 bench bench-smoke bench-obs fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -20,11 +20,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The state and engine packages again in shuffled test order (ROADMAP
-# 4f): a test that only passes after another one has warmed a runner,
-# a node pool or a digest cache is hiding an order dependence.
+# The state, engine and front-end packages again in shuffled test order
+# (ROADMAP 4f): a test that only passes after another one has warmed a
+# runner, a node pool or a digest cache is hiding an order dependence.
 shuffle:
-	$(GO) test -shuffle=on ./internal/sim/... ./internal/ecu ./internal/stressor/...
+	$(GO) test -shuffle=on ./internal/sim/... ./internal/ecu ./internal/stressor/... \
+		./internal/campaignd ./internal/scenario ./internal/journal ./internal/fabric ./internal/caps
 
 tier1: build vet race shuffle
 
@@ -37,24 +38,9 @@ bench:
 
 # One iteration of every benchmark in the module: catches benchmarks
 # that rot (compile but crash) without paying for real measurement.
+# Measurement is `make bench`.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Sequential vs parallel campaign engine on the E8 single-fault
-# universe; compare the two sub-benchmarks with benchstat.
-bench-campaign:
-	$(GO) test -run xxx -bench BenchmarkCampaignParallel -benchtime 20x .
-
-# Rebuild-per-run vs kernel-reuse campaign paths (the PR 3 tentpole);
-# compare rebuild/* with reuse/* using benchstat.
-bench-reuse:
-	$(GO) test -run xxx -bench BenchmarkCampaignReuse -benchtime 10x .
-
-# Shard/journal/merge overhead on the E8 universe (the PR 4
-# tentpole): shards=1 is the journaled baseline, shards=2/4 add the
-# partition + merge machinery.
-bench-sharded:
-	$(GO) test -run xxx -bench BenchmarkCampaignSharded -benchtime 20x .
 
 # Native fuzzing smoke: run each fuzz target for FUZZTIME (~70s total
 # at the default). The seed corpora alone run under `go test`; this
@@ -86,11 +72,6 @@ daemon-e2e:
 fabric-e2e:
 	$(GO) test -race -count=1 ./internal/fabric ./internal/clitest
 	$(GO) test -race -count=1 -run 'Matrix' ./internal/caps ./internal/ecu
-
-# Daemon submit-to-done turnaround: warm (cached runner) vs cold
-# (rebuild per run); compare with benchstat.
-bench-daemon:
-	$(GO) test -run xxx -bench BenchmarkDaemonRunTurnaround -benchtime 10x ./internal/campaignd
 
 # Telemetry-plane overhead: Prometheus exposition encode and flight-
 # recorder writes, with -benchmem so the zero-allocs/op steady state

@@ -15,41 +15,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/campaignd"
 	"repro/internal/caps"
 	"repro/internal/fault"
-	"repro/internal/mdl"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stressor"
-	"repro/internal/symex"
 )
-
-// adaptiveBenchStarts derives mutation start times from a concolic
-// exploration of a small MDL guard model — the same ATPG link capsim
-// -adaptive wires up.
-func adaptiveBenchStarts(horizon sim.Time) []sim.Time {
-	guard := mdl.MustParse(`
-func clamp(v) {
-  if v > 12 {
-    return 12
-  }
-  return v
-}
-func guard(a, t) {
-  if clamp(a) * 3 - t == 17 {
-    return 1
-  }
-  if a - t > 9 {
-    return 2
-  }
-  return 0
-}`)
-	ex, err := symex.Explore(guard, "guard", []int64{0, 0}, 32)
-	if err != nil {
-		return nil
-	}
-	return scenario.StartsFromCorpus(ex.Corpus, horizon)
-}
 
 func BenchmarkCampaignAdaptive(b *testing.B) {
 	const budget = 100
@@ -62,23 +34,19 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 		return r
 	}
 	universe := func(r *caps.Runner) []fault.Descriptor { return r.Universe(sim.MS(10)) }
-	starts := adaptiveBenchStarts(horizon)
-	if len(starts) == 0 {
-		b.Fatal("concolic exploration produced no start-time corpus")
-	}
 
 	// uniqueSigs runs one budgeted campaign with the given source and
 	// counts distinct outcome signatures.
 	uniqueSigs := func(r *caps.Runner, src stressor.ScenarioSource, prune bool) int {
-		c := &stressor.AdaptiveCampaign{
+		c := &stressor.Campaign{
 			Name: "bench-adaptive", Run: r.SignedRunFunc(), Source: src,
-			Workers: stressor.WorkersAuto, MaxRuns: budget, Prune: prune,
+			Workers: stressor.WorkersAuto, MaxRuns: budget, Dedup: prune,
 		}
-		res, err := c.Execute()
+		res, err := c.Execute(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.UniqueSignatures
+		return res.Adaptive.UniqueSignatures
 	}
 
 	modes := []struct {
@@ -91,10 +59,7 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 			return uniqueSigs(r, mc, false)
 		}},
 		{"adaptive", func(r *caps.Runner, seed int64) int {
-			nv := scenario.NewNovelty(universe(r), 4*budget, rand.New(rand.NewSource(seed)))
-			nv.Mutator().Window = horizon
-			nv.Mutator().Starts = starts
-			return uniqueSigs(r, nv, true)
+			return uniqueSigs(r, campaignd.NewNovelty(universe(r), budget, seed, horizon), true)
 		}},
 	}
 	yield := map[string]int{}

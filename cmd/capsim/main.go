@@ -36,35 +36,32 @@
 // signature-novelty feedback loop (DESIGN §16): -novelty-budget
 // simulated runs are spent sweeping the universe and then mutating
 // whatever produced a never-seen outcome signature, with
-// equivalence-duplicate proposals pruned for free. It composes with
-// -journal/-resume and -workers (the outcome stream is deterministic
-// at any worker count) but rejects the fixed-list knobs (-shard,
-// -checkpoints, -dedup, ...).
+// equivalence-duplicate proposals pruned for free. It is the same
+// campaign engine with a scenario source in place of the list, so it
+// composes with -journal/-resume, -workers (the outcome stream is
+// deterministic at any worker count), -progress, -metrics,
+// -trace-events and -scenario-timeout; -shard, -checkpoints,
+// -checkpoint-tree, -early-exit, -hash-stride and an explicit -dedup
+// are usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/campaignd"
 	"repro/internal/caps"
 	"repro/internal/fault"
 	"repro/internal/journal"
-	"repro/internal/mdl"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stressor"
-	"repro/internal/symex"
 )
 
 // failingJournal is a testing aid: it fails every Append past a
@@ -75,13 +72,10 @@ import (
 // success over runs that can't be resumed or merged.
 type failingJournal struct {
 	w    *journal.Writer
-	mu   sync.Mutex
-	left int
+	left int // the engine appends from one goroutine
 }
 
 func (f *failingJournal) Append(e journal.Entry) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.left <= 0 {
 		return fmt.Errorf("journal: append: injected write failure (CAPSIM_FAIL_JOURNAL_AFTER)")
 	}
@@ -122,18 +116,16 @@ func openJournal(path, codecName string, resume bool, h journal.Header) (*journa
 // interruptHalt builds the clean-stop Halt hook of a journaled (or
 // -interrupt-after limited) campaign — nil for any other: Ctrl-C and
 // the -interrupt-after testing aid stop the campaign between
-// scenarios, and with -journal the run is resumable afterwards. halted
-// reports whether the hook fired. The caller invokes stop as soon as
-// Execute returns — not at process exit — so a second interrupt while
-// reports are being written kills the process instead of being
-// swallowed by a stale handler. The hook runs before any dispatch,
-// including the first one after journal replay: an interrupt that
-// lands during replay stops the campaign with zero new runs and the
-// journal stays valid and re-resumable.
-func interruptHalt(journaled bool, limit int) (halt func(completed int) bool, halted *atomic.Bool, stop func()) {
-	halted = new(atomic.Bool)
+// scenarios, and with -journal the run is resumable afterwards. The
+// caller invokes stop as soon as Execute returns — not at process exit
+// — so a second interrupt while reports are being written kills the
+// process instead of being swallowed by a stale handler. The hook runs
+// before any dispatch, including the first one after journal replay: an
+// interrupt that lands during replay stops the campaign with zero new
+// runs and the journal stays valid and re-resumable.
+func interruptHalt(journaled bool, limit int) (halt func(completed int) bool, stop func()) {
 	if !journaled && limit <= 0 {
-		return nil, halted, func() {}
+		return nil, func() {}
 	}
 	var interrupted atomic.Bool
 	ch := make(chan os.Signal, 1)
@@ -146,13 +138,9 @@ func interruptHalt(journaled bool, limit int) (halt func(completed int) bool, ha
 		}
 	}()
 	halt = func(completed int) bool {
-		stop := interrupted.Load() || (limit > 0 && completed >= limit)
-		if stop {
-			halted.Store(true)
-		}
-		return stop
+		return interrupted.Load() || (limit > 0 && completed >= limit)
 	}
-	return halt, halted, func() {
+	return halt, func() {
 		signal.Stop(ch)
 		close(ch)
 		<-done
@@ -265,10 +253,7 @@ func main() {
 		return
 	}
 	if *campaign {
-		var scenarios []fault.Scenario
-		for _, d := range runner.Universe(sim.MS(10)) {
-			scenarios = append(scenarios, fault.Single(d))
-		}
+		scenarios := fault.Singles(runner.Universe(sim.MS(10)))
 		var shard stressor.Shard
 		if *shardFlag != "" {
 			if shard, err = stressor.ParseShard(*shardFlag); err != nil {
@@ -276,29 +261,44 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if *adaptive {
-			runAdaptive(runner, campaignName, adaptiveOpts{
-				world: *world, protected: !*unprotected, horizon: horizon,
-				workers: *workers, budget: *noveltyBudget, seed: *noveltySeed,
-				journalPath: *journalPath, journalCodec: *journalCodec,
-				resume: *resume, interruptAfter: *interruptAfter,
-				progress: *progress, metrics: reg, log: campaignLog,
-				writeObs: writeObs,
-				incompatible: map[string]bool{
-					"-checkpoints": *checkpoints, "-checkpoint-tree": *checkpointTree,
-					"-early-exit": *earlyExit, "-hash-stride": *hashStride != "",
-					"-dedup": *dedup, "-shard": *shardFlag != "",
-					"-scenario-timeout": *scenarioTimeout != 0,
-					"-trace-events":     *tracePath != "",
-				},
-			})
-			return
-		}
 		c := &stressor.Campaign{
 			Name: campaignName, Run: runner.RunFunc(), Workers: *workers,
 			Dedup: *dedup, Metrics: reg, Trace: tr,
 			Shard: shard, ScenarioTimeout: *scenarioTimeout,
 			Log: campaignLog,
+		}
+		if *adaptive {
+			// What stressor.Campaign refuses next to a Source, plus an
+			// explicit -dedup (adaptive already implies it): a usage error
+			// here rather than a silent no-op or a late engine error.
+			var set []string
+			for _, f := range []struct {
+				name string
+				on   bool
+			}{
+				{"-checkpoint-tree", *checkpointTree}, {"-checkpoints", *checkpoints},
+				{"-dedup", *dedup}, {"-early-exit", *earlyExit},
+				{"-hash-stride", *hashStride != ""}, {"-shard", *shardFlag != ""},
+			} {
+				if f.on {
+					set = append(set, f.name)
+				}
+			}
+			if len(set) > 0 {
+				fmt.Fprintf(os.Stderr, "%s cannot be combined with -adaptive\n", strings.Join(set, ", "))
+				os.Exit(2)
+			}
+			if *noveltyBudget < 1 {
+				fmt.Fprintln(os.Stderr, "-novelty-budget must be >= 1")
+				os.Exit(2)
+			}
+			// The Novelty strategy over the runner's fault universe replaces
+			// the list, on the signed RunFunc so outcome signatures reflect
+			// real prototype state.
+			c.Run, c.Dedup = runner.SignedRunFunc(), true
+			c.Source = campaignd.NewNovelty(runner.Universe(sim.MS(10)), *noveltyBudget, *noveltySeed, horizon)
+			c.MaxRuns, c.Fingerprint = *noveltyBudget, stressor.UniverseHash(scenarios)
+			scenarios = nil
 		}
 		if *checkpointTree || *earlyExit || *hashStride != "" {
 			// Tree and early-exit modes build on checkpoint sessions.
@@ -331,20 +331,13 @@ func main() {
 		}
 		var jw *journal.Writer
 		if *journalPath != "" {
-			shards := shard.Count
-			if shards < 1 {
-				shards = 1
-			}
-			c.Resume, jw, c.Journal = openJournal(*journalPath, *journalCodec, *resume, journal.Header{
-				Campaign: campaignName, Shard: shard.Index, Shards: shards,
-				Total: len(scenarios), Universe: stressor.UniverseHash(scenarios),
-			})
+			c.Resume, jw, c.Journal = openJournal(*journalPath, *journalCodec, *resume, c.JournalHeader(scenarios))
 		} else if *resume {
 			fmt.Fprintln(os.Stderr, "-resume requires -journal")
 			os.Exit(2)
 		}
-		halt, halted, stopSignals := interruptHalt(*journalPath != "", *interruptAfter)
-		c.Halt = halt
+		var stopSignals func()
+		c.Halt, stopSignals = interruptHalt(*journalPath != "", *interruptAfter)
 		res, err := c.Execute(scenarios)
 		stopSignals()
 		if jw != nil {
@@ -360,10 +353,11 @@ func main() {
 		// The summary block is rendered by the shared campaignd.Summary
 		// so the daemon's text result and this CLI stay byte-identical
 		// for the same campaign — the goldenfile harness pins that.
+		// An adaptive campaign has no list; its size is what it delivered.
 		campaignd.Summary{
 			World: *world, Protected: !*unprotected,
-			Scenarios: len(scenarios), Workers: *workers,
-			Shard: shard, Halted: halted.Load(), Result: res,
+			Scenarios: max(len(scenarios), len(res.Outcomes)), Workers: *workers,
+			Shard: shard, Result: res,
 		}.WriteText(os.Stdout)
 		if res.Tally[fault.SafetyCritical] > 0 {
 			os.Exit(1)
@@ -391,133 +385,6 @@ func main() {
 		fmt.Printf("detail:    %s\n", o.Detail)
 	}
 	if o.Class == fault.SafetyCritical {
-		os.Exit(1)
-	}
-}
-
-// adaptiveOpts carries the flag surface of the -adaptive campaign
-// path into runAdaptive.
-type adaptiveOpts struct {
-	world          string
-	protected      bool
-	horizon        sim.Time
-	workers        int
-	budget         int
-	seed           int64
-	journalPath    string
-	journalCodec   string
-	resume         bool
-	interruptAfter int
-	progress       bool
-	metrics        *obs.Registry
-	log            *slog.Logger
-	writeObs       func()
-	// incompatible maps flag names to "the user set it": the adaptive
-	// engine deliberately does not compose with the fixed-universe
-	// optimizations (dedup, sharding, checkpoints, early exit), so
-	// setting any of them alongside -adaptive is a usage error rather
-	// than a silent no-op.
-	incompatible map[string]bool
-}
-
-// concolicStarts derives extra mutation start times for the adaptive
-// strategy from a concolic exploration of a small MDL guard model:
-// symex negates the model's branches to produce a corpus of input
-// vectors, and StartsFromCorpus folds those vectors into injection
-// times inside the horizon. This is the paper's ATPG link — test
-// vectors from symbolic execution seeding the fault campaign.
-func concolicStarts(horizon sim.Time) []sim.Time {
-	guard := mdl.MustParse(`
-func clamp(v) {
-  if v > 12 {
-    return 12
-  }
-  return v
-}
-func guard(a, t) {
-  if clamp(a) * 3 - t == 17 {
-    return 1
-  }
-  if a - t > 9 {
-    return 2
-  }
-  return 0
-}`)
-	ex, err := symex.Explore(guard, "guard", []int64{0, 0}, 32)
-	if err != nil {
-		return nil
-	}
-	return scenario.StartsFromCorpus(ex.Corpus, horizon)
-}
-
-// runAdaptive is the -adaptive campaign path: a Novelty strategy over
-// the runner's fault universe, driven through stressor.AdaptiveCampaign
-// with the signed RunFunc so outcome signatures reflect real prototype
-// state.
-func runAdaptive(runner *caps.Runner, name string, o adaptiveOpts) {
-	var set []string
-	for f, on := range o.incompatible {
-		if on {
-			set = append(set, f)
-		}
-	}
-	if len(set) > 0 {
-		sort.Strings(set)
-		fmt.Fprintf(os.Stderr, "%s cannot be combined with -adaptive\n", strings.Join(set, ", "))
-		os.Exit(2)
-	}
-	if o.budget < 1 {
-		fmt.Fprintln(os.Stderr, "-novelty-budget must be >= 1")
-		os.Exit(2)
-	}
-
-	universe := runner.Universe(sim.MS(10))
-	fingerprint := stressor.UniverseHash(fault.Singles(universe))
-	src := scenario.NewNovelty(universe, 4*o.budget, rand.New(rand.NewSource(o.seed)))
-	src.Mutator().Window = o.horizon
-	if starts := concolicStarts(o.horizon); len(starts) > 0 {
-		src.Mutator().Starts = starts
-	}
-
-	c := &stressor.AdaptiveCampaign{
-		Name: name, Run: runner.SignedRunFunc(), Source: src,
-		Workers: o.workers, MaxRuns: o.budget, Prune: true,
-		Fingerprint: fingerprint, Metrics: o.metrics, Log: o.log,
-	}
-
-	var jw *journal.Writer
-	if o.journalPath != "" {
-		c.Resume, jw, c.Journal = openJournal(o.journalPath, o.journalCodec, o.resume, journal.Header{
-			Campaign: name, Shards: 1,
-			Total: o.budget, Universe: fingerprint, Adaptive: true,
-		})
-	} else if o.resume {
-		fmt.Fprintln(os.Stderr, "-resume requires -journal")
-		os.Exit(2)
-	}
-	halt, halted, stopSignals := interruptHalt(o.journalPath != "", o.interruptAfter)
-	c.Halt = halt
-	res, err := c.Execute()
-	stopSignals()
-	if jw != nil {
-		if cerr := jw.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	o.writeObs()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	campaignd.Summary{
-		World: o.world, Protected: o.protected,
-		Scenarios: res.Proposed, Workers: o.workers,
-		Halted: halted.Load(), Result: res.Result(),
-	}.WriteText(os.Stdout)
-	fmt.Printf("proposed:  %d (%d simulated, %d pruned, %d resumed)\n",
-		res.Proposed, res.Simulated, res.PrunedEquiv, res.ResumedSkips)
-	fmt.Printf("unique:    %d outcome signatures\n", res.UniqueSignatures)
-	if res.Tally[fault.SafetyCritical] > 0 {
 		os.Exit(1)
 	}
 }

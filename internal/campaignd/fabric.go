@@ -63,13 +63,7 @@ func MaterializeSpec(raw []byte) (*Spec, *caps.Runner, []fault.Scenario, error) 
 // campaign summary — the byte-identical block the goldenfile harness
 // pins across capsim, capsimd and the fabric.
 func FabricText(spec *Spec, scenarios int) func(*stressor.Result) string {
-	return func(res *stressor.Result) string {
-		return Summary{
-			World: spec.Universe.World, Protected: !spec.Universe.Unprotected,
-			Scenarios: scenarios, Workers: spec.Workers,
-			Inline: spec.Inline(), Result: res,
-		}.Text()
-	}
+	return func(res *stressor.Result) string { return spec.summary(scenarios, res).Text() }
 }
 
 // FabricResolver materializes lease specs for a fabric worker. Warm

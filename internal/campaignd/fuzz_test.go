@@ -25,6 +25,7 @@ func FuzzCampaignSpec(f *testing.F) {
 	f.Add([]byte(`{"universe":{},"adaptive":true,"novelty_budget":128,"novelty_seed":7}`))
 	f.Add([]byte(`{"universe":{},"adaptive":true,"dedup":true}`))
 	f.Add([]byte(`{"universe":{},"adaptive":true,"shard":"0/2"}`))
+	f.Add([]byte(`{"universe":{},"adaptive":true,"scenario_timeout":"2s","trace":true}`))
 	f.Add([]byte(`{"universe":{},"novelty_budget":9}`))
 	f.Add([]byte(`{"universe":{},"adaptive":true,"novelty_budget":99999999}`))
 	f.Add([]byte(`{"universe":{"kind":"inline","scenarios":[{"id":"a","faults":"open @caps.accel0.harness from 1ms"}]},"adaptive":true}`))
@@ -69,9 +70,8 @@ func FuzzCampaignSpec(f *testing.F) {
 			if spec.NoveltyBudget < 1 || spec.NoveltyBudget > MaxNoveltyBudget {
 				t.Fatalf("accepted novelty budget %d outside bounds", spec.NoveltyBudget)
 			}
-			if spec.Dedup || spec.Checkpoints || spec.StopOnFirst || spec.Trace ||
-				spec.Shard != "" || spec.ScenarioTimeout != "" {
-				t.Fatal("accepted adaptive spec combined with fixed-universe knobs")
+			if spec.Dedup || spec.Checkpoints || spec.StopOnFirst || spec.Shard != "" {
+				t.Fatal("accepted adaptive spec combined with knobs the engine refuses next to a Source")
 			}
 			if spec.Inline() {
 				t.Fatal("accepted adaptive spec over an inline universe")

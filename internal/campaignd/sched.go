@@ -5,17 +5,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/caps"
-	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stressor"
 )
 
@@ -105,7 +101,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:       cfg,
 		store:     store,
-		cache:     &runnerCache{cap: cfg.RunnerCacheCap, entries: map[string]*cacheEntry{}},
+		cache:     newRunnerCache(cfg.RunnerCacheCap, agg),
 		queue:     make(chan string, cfg.QueueCap),
 		stopCh:    make(chan struct{}),
 		done:      make(chan struct{}),
@@ -123,8 +119,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	s.queueDepth = agg.Gauge("campaignd.queue_depth")
 	s.queueWait = agg.Histogram("campaignd.queue_wait_ns")
 	s.eventsDropped = agg.Counter("campaignd.events_dropped")
-	s.cache.builds2 = agg.Counter("campaignd.runner_cache_builds")
-	s.cache.hits2 = agg.Counter("campaignd.runner_cache_hits")
 	for _, st := range []string{StateDone, StateFailed, "interrupted"} {
 		agg.Counter("campaignd.runs", obs.L("state", st))
 	}
@@ -207,7 +201,7 @@ func (s *Scheduler) Hub(id string) *hub {
 
 // RunnerCacheStats reports warm-runner reuse across runs.
 func (s *Scheduler) RunnerCacheStats() (builds, hits int64) {
-	return s.cache.builds.Load(), s.cache.hits.Load()
+	return int64(s.cache.builds.Value()), int64(s.cache.hits.Value())
 }
 
 // Flight exposes the daemon's flight recorder (the /debug/flight and
@@ -363,55 +357,11 @@ func (s *Scheduler) execute(id string) {
 		fail(err)
 		return
 	}
-	if spec.Adaptive {
-		s.executeAdaptive(id, spec, ent, fail)
-		return
-	}
-
-	shard := spec.ShardSpec()
-	shards := shard.Count
-	if shards < 1 {
-		shards = 1
-	}
-	header := journal.Header{
-		Campaign: spec.Campaign, Shard: shard.Index, Shards: shards,
-		Total: len(scenarios), Universe: stressor.UniverseHash(scenarios),
-	}
-	resume, jw, err := journal.Open(s.store.JournalPath(id), header, journal.JSONL)
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	reg := obs.NewRegistry()
-	var tr *obs.TraceRecorder
-	if spec.Trace {
-		tr = obs.NewTraceRecorder()
-	}
-	// Expose the run's registry (and trace) while it executes: a
-	// mid-flight GET /metrics or ?live=1 sees counters moving before
-	// the run completes.
-	s.setLive(id, reg, tr)
-	var logger *slog.Logger
-	if s.cfg.Logger != nil {
-		logger = s.cfg.Logger.With("run", id)
-	}
-	var halted atomic.Bool
 	c := &stressor.Campaign{
 		Name: spec.Campaign, Run: ent.runner.RunFunc(),
-		Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst, Shard: shard,
-		Journal: jw, Resume: resume,
-		Metrics: reg,
-		Trace:   tr,
-		Flight:  s.flight, SlowScenario: s.cfg.SlowScenario,
-		Log: logger,
-		Halt: func(int) bool {
-			stop := s.halt.Load()
-			if stop {
-				halted.Store(true)
-			}
-			return stop
-		},
+		Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst, Shard: spec.ShardSpec(),
+		Flight: s.flight, SlowScenario: s.cfg.SlowScenario,
+		Halt: func(int) bool { return s.halt.Load() },
 		Progress: func(u obs.ProgressUpdate) {
 			s.publish(Event{
 				Type: "progress", Run: id,
@@ -422,6 +372,33 @@ func (s *Scheduler) execute(id string) {
 		ProgressInterval: s.cfg.ProgressInterval,
 	}
 	spec.applyEngine(c, ent.runner)
+	if spec.Adaptive {
+		// The Novelty strategy over the spec's fault universe replaces the
+		// list, on the signed RunFunc so signatures reflect prototype state;
+		// a restarted daemon replays the journal into the same seeded strategy.
+		c.Run, c.Dedup = ent.runner.SignedRunFunc(), true
+		c.Source = NewNovelty(ent.runner.Universe(spec.inject), spec.NoveltyBudget, spec.NoveltySeed, spec.Horizon())
+		c.MaxRuns, c.Fingerprint = spec.NoveltyBudget, stressor.UniverseHash(scenarios)
+		scenarios = nil
+	}
+	resume, jw, err := journal.Open(s.store.JournalPath(id), c.JournalHeader(scenarios), journal.JSONL)
+	if err != nil {
+		fail(err)
+		return
+	}
+	c.Journal, c.Resume = jw, resume
+
+	c.Metrics = obs.NewRegistry()
+	if spec.Trace {
+		c.Trace = obs.NewTraceRecorder()
+	}
+	// Expose the run's registry (and trace) while it executes: a
+	// mid-flight GET /metrics or ?live=1 sees counters moving before
+	// the run completes.
+	s.setLive(id, c.Metrics, c.Trace)
+	if s.cfg.Logger != nil {
+		c.Log = s.cfg.Logger.With("run", id)
+	}
 	res, err := c.Execute(scenarios)
 	if cerr := jw.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -430,7 +407,7 @@ func (s *Scheduler) execute(id string) {
 		fail(err)
 		return
 	}
-	if halted.Load() {
+	if res.Halted {
 		// Shutdown landed mid-campaign: the journal holds everything
 		// completed so far, the run stays pending, and the next daemon
 		// resumes it to the byte-identical result.
@@ -441,24 +418,22 @@ func (s *Scheduler) execute(id string) {
 		return
 	}
 
-	doc := BuildResultDoc(id, len(scenarios), res, Summary{
-		World: spec.Universe.World, Protected: !spec.Universe.Unprotected,
-		Scenarios: len(scenarios), Workers: spec.Workers,
-		Inline: spec.Inline(), Shard: shard, Result: res,
-	})
+	// An adaptive run has no list; its size is what it delivered.
+	total := max(len(scenarios), len(res.Outcomes))
+	doc := BuildResultDoc(id, total, res, spec.summary(total, res))
 	if err := s.store.WriteResult(id, doc); err != nil {
 		fail(err)
 		return
 	}
 	var mbuf bytes.Buffer
-	if err := reg.WriteJSON(&mbuf); err == nil {
+	if err := c.Metrics.WriteJSON(&mbuf); err == nil {
 		if werr := s.store.WriteMetrics(id, mbuf.Bytes()); werr != nil {
 			s.logError("writing metrics", "run", id, "err", werr)
 		}
 	}
-	if tr != nil {
+	if c.Trace != nil {
 		var tbuf bytes.Buffer
-		if err := tr.WriteJSON(&tbuf); err == nil {
+		if err := c.Trace.WriteJSON(&tbuf); err == nil {
 			if werr := s.store.WriteTrace(id, tbuf.Bytes()); werr != nil {
 				s.logError("writing trace", "run", id, "err", werr)
 			}
@@ -469,90 +444,6 @@ func (s *Scheduler) execute(id string) {
 	s.flight.Recordf("run.done", id, "%s", res.Tally)
 	s.logInfo("run done", "run", id, "tally", res.Tally.String())
 }
-
-// executeAdaptive is the adaptive leg of execute: the Novelty
-// strategy over the spec's fault universe, driven through
-// stressor.AdaptiveCampaign on the warm runner's signed RunFunc. The
-// same durability contract holds — a daemon shutdown mid-loop leaves
-// the adaptive journal resumable, and the restarted daemon replays it
-// into an identically-seeded strategy for the byte-identical result.
-func (s *Scheduler) executeAdaptive(id string, spec *Spec, ent *cacheEntry, fail func(error)) {
-	universe := ent.runner.Universe(s.injectTime(spec))
-	fingerprint := stressor.UniverseHash(fault.Singles(universe))
-	src := scenario.NewNovelty(universe, 4*spec.NoveltyBudget, rand.New(rand.NewSource(spec.NoveltySeed)))
-	src.Mutator().Window = spec.Horizon()
-
-	header := journal.Header{
-		Campaign: spec.Campaign, Shards: 1,
-		Total: spec.NoveltyBudget, Universe: fingerprint, Adaptive: true,
-	}
-	resume, jw, err := journal.Open(s.store.JournalPath(id), header, journal.JSONL)
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	reg := obs.NewRegistry()
-	s.setLive(id, reg, nil)
-	var logger *slog.Logger
-	if s.cfg.Logger != nil {
-		logger = s.cfg.Logger.With("run", id)
-	}
-	var halted atomic.Bool
-	c := &stressor.AdaptiveCampaign{
-		Name: spec.Campaign, Run: ent.runner.SignedRunFunc(), Source: src,
-		Workers: spec.Workers, MaxRuns: spec.NoveltyBudget, Prune: true,
-		Journal: jw, Resume: resume, Fingerprint: fingerprint,
-		Metrics: reg, Log: logger,
-		Halt: func(int) bool {
-			stop := s.halt.Load()
-			if stop {
-				halted.Store(true)
-			}
-			return stop
-		},
-	}
-	ares, err := c.Execute()
-	if cerr := jw.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fail(err)
-		return
-	}
-	if halted.Load() {
-		s.publish(Event{Type: "state", Run: id, State: "interrupted", Final: true})
-		s.agg.Counter("campaignd.runs", obs.L("state", "interrupted")).Inc()
-		s.flight.Recordf("run.interrupted", id, "%d outcomes journaled", len(ares.Outcomes))
-		s.logInfo("run interrupted by shutdown", "run", id, "journaled", len(ares.Outcomes))
-		return
-	}
-
-	res := ares.Result()
-	doc := BuildResultDoc(id, ares.Proposed, res, Summary{
-		World: spec.Universe.World, Protected: !spec.Universe.Unprotected,
-		Scenarios: ares.Proposed, Workers: spec.Workers,
-		Result: res,
-	})
-	if err := s.store.WriteResult(id, doc); err != nil {
-		fail(err)
-		return
-	}
-	var mbuf bytes.Buffer
-	if err := reg.WriteJSON(&mbuf); err == nil {
-		if werr := s.store.WriteMetrics(id, mbuf.Bytes()); werr != nil {
-			s.logError("writing metrics", "run", id, "err", werr)
-		}
-	}
-	s.publish(Event{Type: "state", Run: id, State: StateDone, Final: true})
-	s.agg.Counter("campaignd.runs", obs.L("state", StateDone)).Inc()
-	s.flight.Recordf("run.done", id, "%s", ares.Tally)
-	s.logInfo("run done", "run", id, "tally", ares.Tally.String(),
-		"unique_signatures", ares.UniqueSignatures, "pruned", ares.PrunedEquiv)
-}
-
-// injectTime exposes the parsed inject time to the adaptive path.
-func (s *Scheduler) injectTime(spec *Spec) sim.Time { return spec.inject }
 
 // MergeRuns reassembles the shard journals of the given completed
 // runs into the result the unsharded campaign would have produced
@@ -593,11 +484,7 @@ func (s *Scheduler) MergeRuns(spec *Spec, runIDs []string) (*ResultDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildResultDoc("merge", len(scenarios), res, Summary{
-		World: spec.Universe.World, Protected: !spec.Universe.Unprotected,
-		Scenarios: len(scenarios), Workers: spec.Workers,
-		Inline: spec.Inline(), Result: res,
-	}), nil
+	return BuildResultDoc("merge", len(scenarios), res, spec.summary(len(scenarios), res)), nil
 }
 
 // runnerCache keeps warm prototype runners keyed by Spec.RunnerKey.
@@ -613,12 +500,17 @@ type runnerCache struct {
 	entries map[string]*cacheEntry
 	tick    int64
 
-	builds atomic.Int64
-	hits   atomic.Int64
-	// builds2/hits2 mirror the counters into the daemon's aggregate
-	// registry (GET /metrics); nil outside a scheduler.
-	builds2 *obs.Counter
-	hits2   *obs.Counter
+	// builds and hits live in the daemon's aggregate registry
+	// (GET /metrics); RunnerCacheStats reads the same pair.
+	builds, hits *obs.Counter
+}
+
+func newRunnerCache(cap int, reg *obs.Registry) *runnerCache {
+	return &runnerCache{
+		cap: cap, entries: map[string]*cacheEntry{},
+		builds: reg.Counter("campaignd.runner_cache_builds"),
+		hits:   reg.Counter("campaignd.runner_cache_hits"),
+	}
 }
 
 type cacheEntry struct {
@@ -635,10 +527,7 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 	c.tick++
 	if ent, ok := c.entries[key]; ok {
 		ent.lastUse = c.tick
-		c.hits.Add(1)
-		if c.hits2 != nil {
-			c.hits2.Inc()
-		}
+		c.hits.Inc()
 		return ent, nil
 	}
 	if len(c.entries) >= c.cap {
@@ -658,10 +547,7 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 	}
 	ent := &cacheEntry{runner: r, lastUse: c.tick}
 	c.entries[key] = ent
-	c.builds.Add(1)
-	if c.builds2 != nil {
-		c.builds2.Inc()
-	}
+	c.builds.Inc()
 	return ent, nil
 }
 

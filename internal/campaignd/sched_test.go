@@ -2,12 +2,16 @@ package campaignd
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // mustSpec parses a spec literal.
@@ -305,7 +309,7 @@ func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 // not a rebuild.
 func TestRunnerCacheHitAllocs(t *testing.T) {
 	spec := mustSpec(t, tinySpec)
-	cache := &runnerCache{cap: 2, entries: map[string]*cacheEntry{}}
+	cache := newRunnerCache(2, obs.NewRegistry())
 	if _, err := cache.get(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -324,16 +328,40 @@ func TestRunnerCacheHitAllocs(t *testing.T) {
 // the run completes, its result doc carries every delivered proposal,
 // and resubmitting the identical spec (same seed) on a warm runner
 // reproduces the identical outcome stream — the daemon-level face of
-// the adaptive determinism contract.
+// the adaptive determinism contract. It runs through the one engine, so
+// it also has a fixed-universe run's telemetry: progress events on the
+// hub, flight marks, the live completed counter, per-worker busy time
+// and the utilization gauge, a trace, and the per-scenario budget.
 func TestSchedulerAdaptiveRun(t *testing.T) {
-	raw := `{"campaign":"ad","universe":{"horizon":"30ms","inject":"5ms"},"adaptive":true,"novelty_budget":16,"novelty_seed":3,"workers":-1}`
-	sched, err := NewScheduler(Config{DataDir: t.TempDir(), ProgressInterval: -1})
+	raw := `{"campaign":"ad","universe":{"horizon":"30ms","inject":"5ms"},"adaptive":true,"novelty_budget":16,"novelty_seed":3,"workers":-1,"scenario_timeout":"1m","trace":true}`
+	sched, err := NewScheduler(Config{DataDir: t.TempDir(), ProgressInterval: -1, SlowScenario: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Subscribe before the executor starts, so no event can be missed.
+	id1, err := sched.Submit(mustSpec(t, raw), []byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := sched.Hub(id1).subscribe()
+	defer cancel()
 	sched.Start()
 	defer sched.Stop()
-	id1 := runToCompletion(t, sched, raw)
+	progress := 0
+	for e := range events {
+		if e.Type == "progress" {
+			progress++
+			if e.Total != 16 || e.Completed > e.Total {
+				t.Fatalf("progress event %+v, want a share of the 16-run budget", e)
+			}
+		}
+		if e.Final && e.State != StateDone {
+			t.Fatalf("adaptive run finished %q: %s", e.State, e.Error)
+		}
+	}
+	if progress < 16 {
+		t.Errorf("adaptive run published %d progress events on an unthrottled hub, want one per simulated run", progress)
+	}
 	id2 := runToCompletion(t, sched, raw)
 
 	var docs [2]ResultDoc
@@ -346,12 +374,80 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if docs[0].Scenarios != 16 || len(docs[0].Outcomes) != 16 {
-		t.Fatalf("adaptive run delivered %d/%d proposals, want 16", docs[0].Scenarios, len(docs[0].Outcomes))
+	if docs[0].Scenarios < 16 || len(docs[0].Outcomes) != docs[0].Scenarios {
+		t.Fatalf("adaptive run delivered %d/%d proposals, want at least the 16 simulated", docs[0].Scenarios, len(docs[0].Outcomes))
+	}
+	if !strings.Contains(docs[0].Text, "(16 simulated, ") || !strings.Contains(docs[0].Text, "outcome signatures") {
+		t.Errorf("text result lacks the adaptive census:\n%s", docs[0].Text)
 	}
 	docs[1].ID = docs[0].ID
 	docs[1].Text = strings.Replace(docs[1].Text, id2, id1, 1)
 	if !reflect.DeepEqual(docs[0], docs[1]) {
 		t.Fatalf("identical adaptive specs diverged:\n%+v\n%+v", docs[0], docs[1])
+	}
+
+	metrics, err := sched.Store().ReadMetrics(id1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"campaign.completed{campaign=ad}", "campaign.worker_busy_ns{campaign=ad,worker=0}",
+		"campaign.worker_utilization{campaign=ad}", "campaign.timeouts{campaign=ad}",
+		"campaign.signatures_unique{campaign=ad}", "campaign.pruned_equiv{campaign=ad}",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("adaptive run's metrics lack %s", want)
+		}
+	}
+	if tr, err := sched.Store().ReadTrace(id1); err != nil || !strings.Contains(string(tr), `"cat":"campaign"`) {
+		t.Errorf("adaptive run with \"trace\": true stored no campaign spans (err %v)", err)
+	}
+	slow := 0
+	for _, ev := range sched.Flight().Snapshot() {
+		if ev.Kind == "scenario.slow" && ev.Run == "ad" {
+			slow++
+		}
+	}
+	if slow < 16 {
+		t.Errorf("flight recorder holds %d scenario.slow marks for the adaptive run, want one per simulated run", slow)
+	}
+}
+
+// TestSpecAdaptiveRefusals: what an adaptive run cannot compose with is
+// an HTTP 400 naming the knob at submit time — before a run is queued,
+// never a silent no-op — and it is the set stressor.Campaign refuses
+// next to a Source, plus an explicit dedup. What the shared run shell
+// serves (scenario_timeout, trace, workers) is accepted.
+func TestSpecAdaptiveRefusals(t *testing.T) {
+	sched, srv := newTestDaemon(t)
+	post := func(knobs string) (int, string) {
+		resp, err := http.Post(srv.URL+"/runs", "application/json",
+			strings.NewReader(`{"universe":{"horizon":"30ms"},"adaptive":true,"novelty_budget":4,`+knobs+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for knob, knobs := range map[string]string{
+		"shard":           `"shard":"0/2"`,
+		"checkpoints":     `"checkpoints":true`,
+		"checkpoint_tree": `"checkpoint_tree":true`,
+		"early_exit":      `"early_exit":true`,
+		"hash_stride":     `"early_exit":true,"hash_stride":"5ms"`,
+		"stop_on_first":   `"stop_on_first":true`,
+		"dedup":           `"dedup":true`,
+	} {
+		code, body := post(knobs)
+		if code != http.StatusBadRequest || !strings.Contains(body, knob+" cannot be combined with adaptive") {
+			t.Errorf("%s: POST = %d %s, want a 400 naming the knob", knob, code, body)
+		}
+	}
+	if ids, err := sched.Store().List(); err != nil || len(ids) != 0 {
+		t.Fatalf("refused submissions left runs behind: %v (err %v)", ids, err)
+	}
+	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2`); code != http.StatusAccepted {
+		t.Errorf("scenario_timeout+trace+workers: POST = %d %s, want 202", code, body)
 	}
 }

@@ -58,7 +58,8 @@ const (
 
 // Spec is the campaign description POSTed to /runs. The JSON knobs
 // mirror capsim's campaign flags one for one, so a spec and a capsim
-// command line describe — and produce — the identical campaign.
+// command line describe — and produce — the identical campaign; the
+// clitest goldens pin that for a fixed universe and for adaptive.
 type Spec struct {
 	// Campaign labels the run (journals, metrics, trace spans).
 	// Defaults to "capsimd".
@@ -102,10 +103,12 @@ type Spec struct {
 	Trace bool `json:"trace,omitempty"`
 	// Adaptive drives the run with the novelty-adaptive strategy
 	// instead of the fixed universe (capsim -adaptive). The universe
-	// kind must generate fault descriptors (KindCAPSSingleFault), and
-	// the fixed-universe optimizations — dedup, sharding, checkpoints,
-	// early exit, stop-on-first, per-scenario timeouts, tracing — do
-	// not compose with the feedback loop and are rejected.
+	// kind must generate fault descriptors (KindCAPSSingleFault). It
+	// runs through the same engine as a fixed universe, so workers,
+	// scenario_timeout and trace apply; shard, checkpoints,
+	// checkpoint_tree, early_exit, hash_stride and stop_on_first do not
+	// compose with the feedback loop and are rejected, as is an explicit
+	// dedup (adaptive always prunes equivalent proposals).
 	Adaptive bool `json:"adaptive,omitempty"`
 	// NoveltyBudget is the adaptive simulated-run budget
 	// (capsim -novelty-budget; default 64).
@@ -285,17 +288,20 @@ func (s *Spec) Validate() error {
 		s.stride = 0
 	}
 	if s.Adaptive {
-		incompatible := []struct {
+		// The submit-time mirror of what stressor.Campaign refuses next to
+		// a Source — client input is rejected before a run is queued, not
+		// when the executor reaches it — plus an explicit dedup, which
+		// adaptive already implies.
+		refused := []struct {
 			name string
 			on   bool
 		}{
-			{"dedup", s.Dedup}, {"checkpoints", s.Checkpoints},
-			{"checkpoint_tree", s.CheckpointTree}, {"early_exit", s.EarlyExit},
-			{"hash_stride", s.HashStride != ""}, {"stop_on_first", s.StopOnFirst},
-			{"shard", s.Shard != ""}, {"scenario_timeout", s.ScenarioTimeout != ""},
-			{"trace", s.Trace},
+			{"shard", s.Shard != ""}, {"hash_stride", s.HashStride != ""},
+			{"early_exit", s.EarlyExit}, {"checkpoint_tree", s.CheckpointTree},
+			{"checkpoints", s.Checkpoints}, {"stop_on_first", s.StopOnFirst},
+			{"dedup", s.Dedup},
 		}
-		for _, f := range incompatible {
+		for _, f := range refused {
 			if f.on {
 				return fmt.Errorf("campaignd: %s cannot be combined with adaptive", f.name)
 			}
@@ -368,6 +374,16 @@ func (s *Spec) applyEngine(c *stressor.Campaign, cp stressor.Checkpointer) {
 		c.CheckpointTree = s.CheckpointTree
 		c.EarlyExit = s.EarlyExit
 		c.HashStride = s.stride
+	}
+}
+
+// summary is the capsim-identical summary of res, a result of this
+// spec's campaign over a universe of the given size.
+func (s *Spec) summary(scenarios int, res *stressor.Result) Summary {
+	return Summary{
+		World: s.Universe.World, Protected: !s.Universe.Unprotected,
+		Scenarios: scenarios, Workers: s.Workers,
+		Inline: s.Inline(), Shard: s.shard, Result: res,
 	}
 }
 

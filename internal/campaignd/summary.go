@@ -17,8 +17,9 @@ type Summary struct {
 	// World and Protected echo the prototype configuration.
 	World     string
 	Protected bool
-	// Scenarios is the universe size, Workers the requested pool size
-	// (as given: -1 means one per CPU).
+	// Scenarios is the universe size (for an adaptive campaign, the
+	// proposals delivered), Workers the requested pool size (as given:
+	// -1 means one per CPU).
 	Scenarios int
 	Workers   int
 	// Inline marks a client-supplied universe (daemon only; capsim
@@ -26,9 +27,8 @@ type Summary struct {
 	Inline bool
 	// Shard is printed when it actually partitions.
 	Shard stressor.Shard
-	// Halted marks an interrupted campaign (resumable via journal).
-	Halted bool
-	// Result is the finished (possibly partial) campaign.
+	// Result is the finished campaign, or what an interrupted one
+	// (Result.Halted) recorded.
 	Result *stressor.Result
 }
 
@@ -44,7 +44,7 @@ func (s Summary) WriteText(w io.Writer) {
 	if s.Shard.Enabled() {
 		fmt.Fprintf(w, "shard:     %s\n", s.Shard)
 	}
-	if s.Halted {
+	if s.Result.Halted {
 		fmt.Fprintf(w, "halted:    %d outcomes recorded; rerun with -resume to continue\n", len(s.Result.Outcomes))
 	}
 	fmt.Fprintf(w, "tally:     %s\n", s.Result.Tally)
@@ -53,6 +53,11 @@ func (s Summary) WriteText(w io.Writer) {
 	}
 	if o, ok := s.Result.FirstFailure(); ok {
 		fmt.Fprintf(w, "first failure at run %d: %s\n", s.Result.RunsToFirstFailure, o.Scenario.ID)
+	}
+	if a := s.Result.Adaptive; a != nil {
+		fmt.Fprintf(w, "proposed:  %d (%d simulated, %d pruned, %d resumed)\n",
+			len(s.Result.Outcomes), a.Simulated, s.Result.DedupSavedRuns, a.Resumed)
+		fmt.Fprintf(w, "unique:    %d outcome signatures\n", a.UniqueSignatures)
 	}
 }
 

@@ -129,3 +129,68 @@ func TestCapsimJournalFailureExitsNonZero(t *testing.T) {
 		t.Errorf("journal has %d lines, want 4 (header + 3 outcomes)", n)
 	}
 }
+
+// The adaptive campaign both front-ends must turn into the same bytes:
+// adaptiveSpec mirrors capsimAdaptiveArgs knob for knob. The goldenfile
+// was recorded from capsim at the commit before the two campaign
+// engines were merged, so it also pins the merged engine to the
+// adaptive stream its predecessor produced.
+var capsimAdaptiveArgs = []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "64", "-novelty-seed", "1", "-workers", "2"}
+
+const (
+	adaptiveSpec   = `{"campaign":"ad","adaptive":true,"novelty_budget":64,"novelty_seed":1,"workers":2}`
+	goldenAdaptive = "capsim_adaptive"
+)
+
+func TestCapsimAdaptiveGolden(t *testing.T) {
+	r := Run(t, nil, Binary(t, "capsim"), capsimAdaptiveArgs...)
+	if r.Code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", r.Code, r.Stderr)
+	}
+	Golden(t, goldenAdaptive, r.Stdout)
+	if r.Stderr != "" {
+		t.Errorf("stderr without -progress:\n%s", r.Stderr)
+	}
+
+	// -progress reaches the adaptive path: a live line per update on
+	// stderr, the final one at the full simulated-run budget, stdout
+	// untouched.
+	p := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, capsimAdaptiveArgs...), "-progress")...)
+	if p.Code != 0 || p.Stdout != r.Stdout {
+		t.Fatalf("-progress changed the run: exit %d, stdout:\n%s", p.Code, p.Stdout)
+	}
+	if !strings.Contains(p.Stderr, "ad: 64/64 (100.0%)") {
+		t.Errorf("-adaptive -progress streamed no progress to stderr:\n%q", p.Stderr)
+	}
+}
+
+// TestCapsimAdaptiveRefusals: every flag an adaptive campaign cannot
+// compose with is a usage error naming it — exit 2, nothing simulated,
+// nothing on stdout — never a silent no-op. The set is the one
+// stressor.Campaign refuses next to a Source (capsim has no
+// stop-on-first flag) plus an explicit -dedup; what the shared run
+// shell serves (-scenario-timeout, -trace-events) is accepted.
+func TestCapsimAdaptiveRefusals(t *testing.T) {
+	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
+	for flag, args := range map[string][]string{
+		"-shard":           {"-shard", "0/2"},
+		"-checkpoints":     {"-checkpoints"},
+		"-checkpoint-tree": {"-checkpoint-tree"},
+		"-early-exit":      {"-early-exit"},
+		"-hash-stride":     {"-early-exit", "-hash-stride", "5ms"},
+		"-dedup":           {"-dedup"},
+	} {
+		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), args...)...)
+		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, flag) || !strings.Contains(r.Stderr, "cannot be combined with -adaptive") {
+			t.Errorf("capsim -adaptive %v: exit %d, stdout %q, stderr %q; want usage error 2 naming %s", args, r.Code, r.Stdout, r.Stderr, flag)
+		}
+	}
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), "-scenario-timeout", "1m", "-trace-events", trace)...)
+	if r.Code != 0 {
+		t.Fatalf("-scenario-timeout -trace-events: exit %d, stderr:\n%s", r.Code, r.Stderr)
+	}
+	if data, err := os.ReadFile(trace); err != nil || !strings.Contains(string(data), `"cat":"campaign"`) {
+		t.Errorf("-adaptive -trace-events wrote no campaign spans (err %v)", err)
+	}
+}

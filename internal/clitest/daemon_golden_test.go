@@ -97,3 +97,21 @@ func TestDaemonRejectsMalformedSpecs(t *testing.T) {
 		t.Fatalf("healthz = %d after malformed submissions", status)
 	}
 }
+
+// TestDaemonAdaptiveMatchesCapsimGolden: an "adaptive": true spec and
+// the equivalent capsim -adaptive command line are the same campaign —
+// same strategy recipe, same proposal stream, same census lines — so
+// the daemon's text result is asserted against the CLI's goldenfile.
+func TestDaemonAdaptiveMatchesCapsimGolden(t *testing.T) {
+	d := StartDaemon(t, t.TempDir())
+	status, body := Post(t, d.URL+"/runs", adaptiveSpec)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /runs = %d, want 202; body: %s", status, body)
+	}
+	WaitRunState(t, d.URL, "r000001", "done", 60*time.Second)
+	status, text := Get(t, d.URL+"/runs/r000001/result?format=text")
+	if status != http.StatusOK {
+		t.Fatalf("GET result?format=text = %d; body: %s", status, text)
+	}
+	Golden(t, goldenAdaptive, text)
+}

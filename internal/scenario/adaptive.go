@@ -1,5 +1,5 @@
-// Adaptive exploration: the outcome-signature novelty strategy the
-// adaptive campaign engine (stressor.AdaptiveCampaign) drives. Every
+// Adaptive exploration: the outcome-signature novelty strategy a
+// campaign drives as its stressor.Campaign.Source. Every
 // simulated run carries a 64-bit equivalence-class signature (final
 // model state folded with the classification — sim.StateSignature /
 // sim.MixSignature); a signature never seen before means the run ended

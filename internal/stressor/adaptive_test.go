@@ -68,30 +68,30 @@ func newNoveltySource(u []fault.Descriptor, budget int, seed int64) *scenario.No
 	return n
 }
 
-// TestAdaptiveDeterminismAcrossWorkers is the adaptive engine's core
-// contract: with a fixed strategy seed, the AdaptiveResult is
+// TestAdaptiveDeterminismAcrossWorkers is the core contract of a
+// Source-driven campaign: with a fixed strategy seed, the Result is
 // byte-identical at every worker count, because Observe delivery is
 // forced into proposal order.
 func TestAdaptiveDeterminismAcrossWorkers(t *testing.T) {
 	u := adaptiveUniverse(4)
-	ref := func(workers int) *AdaptiveResult {
-		c := &AdaptiveCampaign{
+	ref := func(workers int) *Result {
+		c := &Campaign{
 			Name:    "ad-det",
 			Run:     sigRunFunc(nil, workers > 0),
 			Source:  newNoveltySource(u, 60, 42),
 			Workers: workers,
 			MaxRuns: 40,
-			Prune:   true,
+			Dedup:   true,
 		}
-		res, err := c.Execute()
+		res, err := c.Execute(nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return res
 	}
 	want := ref(0)
-	if want.Simulated != 40 {
-		t.Fatalf("Simulated = %d, want the full MaxRuns budget 40", want.Simulated)
+	if want.Adaptive.Simulated != 40 {
+		t.Fatalf("Simulated = %d, want the full MaxRuns budget 40", want.Adaptive.Simulated)
 	}
 	for _, workers := range []int{1, 4} {
 		got := ref(workers)
@@ -131,11 +131,11 @@ func TestAdaptiveObserveOrder(t *testing.T) {
 		}))
 	}
 	src := &listSource{scs: scs}
-	c := &AdaptiveCampaign{
+	c := &Campaign{
 		Name: "ad-order", Run: sigRunFunc(nil, true), Source: src,
-		Workers: 4, Lookahead: 6,
+		Workers: 4,
 	}
-	if _, err := c.Execute(); err != nil {
+	if _, err := c.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(src.observed) != len(scs) {
@@ -158,36 +158,56 @@ func TestAdaptivePruneEquivalence(t *testing.T) {
 	base := fault.Descriptor{Name: "orig", Model: fault.BitFlip, Target: "t", Bit: 3}
 	dup1, dup2 := base, base
 	dup1.Name, dup2.Name = "dup-a", "dup-b" // same content, new names
-	other := fault.Descriptor{Name: "other", Model: fault.StuckAt0, Target: "t"}
-	src := &listSource{scs: []fault.Scenario{
-		fault.Single(base), fault.Single(dup1), fault.Single(other), fault.Single(dup2),
-	}}
-	var calls int32
-	c := &AdaptiveCampaign{
-		Name: "ad-prune", Run: sigRunFunc(&calls, false), Source: src,
-		Prune: true, // MaxRuns 0: the 4-proposal source self-budgets
-		// The prune memo holds *delivered* outcomes (that is what keeps
-		// it deterministic), so duplicates must trail their
-		// representative by at least the lookahead window to be caught.
-		Lookahead: 1,
+	// The prune memo holds *delivered* outcomes (that is what keeps it
+	// deterministic), so a duplicate is only caught once it trails its
+	// representative by at least the lookahead window: space them with a
+	// window's worth of distinct fillers.
+	scs := []fault.Scenario{fault.Single(base)}
+	for i := 0; i < lookahead; i++ {
+		scs = append(scs, fault.Single(fault.Descriptor{
+			Name: fmt.Sprintf("filler%d", i), Model: fault.StuckAt0, Target: "t", Bit: uint(i),
+		}))
 	}
-	res, err := c.Execute()
+	first := len(scs)
+	scs = append(scs, fault.Single(dup1), fault.Single(dup2))
+	src := &listSource{scs: scs}
+	var calls int32
+	c := &Campaign{
+		Name: "ad-prune", Run: sigRunFunc(&calls, false), Source: src,
+		Dedup: true, // MaxRuns 0: the source self-budgets
+	}
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Errorf("RunFunc called %d times, want 2 (duplicates pruned)", calls)
+	if int(calls) != first {
+		t.Errorf("RunFunc called %d times, want %d (duplicates pruned)", calls, first)
 	}
-	if res.PrunedEquiv != 2 || res.Simulated != 2 || len(res.Outcomes) != 4 {
-		t.Errorf("pruned=%d simulated=%d outcomes=%d, want 2/2/4", res.PrunedEquiv, res.Simulated, len(res.Outcomes))
+	if res.DedupSavedRuns != 2 || res.Adaptive.Simulated != first || len(res.Outcomes) != len(scs) {
+		t.Errorf("pruned=%d simulated=%d outcomes=%d, want 2/%d/%d",
+			res.DedupSavedRuns, res.Adaptive.Simulated, len(res.Outcomes), first, len(scs))
 	}
 	// Pruned outcomes carry their own scenario identity but the
 	// representative's class and signature.
-	if res.Outcomes[1].Scenario.ID != "dup-a" || res.Outcomes[1].Signature != res.Outcomes[0].Signature {
-		t.Errorf("pruned outcome = %+v, want dup-a with %#x", res.Outcomes[1], res.Outcomes[0].Signature)
+	if got := res.Outcomes[first]; got.Scenario.ID != "dup-a" || got.Signature != res.Outcomes[0].Signature {
+		t.Errorf("pruned outcome = %+v, want dup-a with %#x", got, res.Outcomes[0].Signature)
 	}
-	if res.Outcomes[1].Class != res.Outcomes[0].Class {
+	if res.Outcomes[first].Class != res.Outcomes[0].Class {
 		t.Error("pruned outcome class differs from representative")
+	}
+
+	// Inside the window the representative is still undelivered when its
+	// duplicate is proposed: both simulate, at every worker count alike.
+	calls = 0
+	near := &Campaign{
+		Name: "ad-prune", Run: sigRunFunc(&calls, false), Dedup: true,
+		Source: &listSource{scs: []fault.Scenario{fault.Single(base), fault.Single(dup1)}},
+	}
+	if res, err = near.Execute(nil); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 || res.DedupSavedRuns != 0 {
+		t.Errorf("duplicate inside the window: %d runs, %d pruned; want 2, 0", calls, res.DedupSavedRuns)
 	}
 }
 
@@ -195,24 +215,24 @@ func TestAdaptivePruneEquivalence(t *testing.T) {
 // proposing but in-flight runs still deliver.
 func TestAdaptiveBudgetAndHalt(t *testing.T) {
 	u := adaptiveUniverse(6)
-	c := &AdaptiveCampaign{
+	c := &Campaign{
 		Name: "ad-budget", Run: sigRunFunc(nil, false),
 		Source: newNoveltySource(u, 1000, 7), MaxRuns: 9,
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Simulated != 9 || res.Halted {
-		t.Errorf("simulated=%d halted=%v, want 9/false", res.Simulated, res.Halted)
+	if res.Adaptive.Simulated != 9 || res.Halted {
+		t.Errorf("simulated=%d halted=%v, want 9/false", res.Adaptive.Simulated, res.Halted)
 	}
 
-	h := &AdaptiveCampaign{
+	h := &Campaign{
 		Name: "ad-halt", Run: sigRunFunc(nil, false),
 		Source: newNoveltySource(u, 1000, 7), MaxRuns: 100,
 		Halt: func(completed int) bool { return completed >= 4 },
 	}
-	hres, err := h.Execute()
+	hres, err := h.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +254,7 @@ func TestAdaptivePanicRecovery(t *testing.T) {
 		fault.Single(fault.Descriptor{Name: "ok2", Model: fault.BitFlip, Target: "t", Bit: 2}),
 	}
 	src := &listSource{scs: scs}
-	c := &AdaptiveCampaign{
+	c := &Campaign{
 		Name: "ad-panic",
 		Run: func(sc fault.Scenario) fault.Outcome {
 			if sc.ID == "boom" {
@@ -244,7 +264,7 @@ func TestAdaptivePanicRecovery(t *testing.T) {
 		},
 		Source: src,
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +291,19 @@ func TestAdaptiveJournalResume(t *testing.T) {
 		Campaign: "ad-resume", Shard: 0, Shards: 1,
 		Total: budget, Universe: "strategyfp", Adaptive: true,
 	}
-	build := func(workers int) *AdaptiveCampaign {
-		return &AdaptiveCampaign{
+	build := func(workers int) *Campaign {
+		return &Campaign{
 			Name: "ad-resume", Run: sigRunFunc(nil, false),
-			Source: newNoveltySource(u, 1000, seed),
-			MaxRuns: budget, Prune: true, Workers: workers,
+			Source:  newNoveltySource(u, 1000, seed),
+			MaxRuns: budget, Dedup: true, Workers: workers,
 			Fingerprint: "strategyfp",
 		}
 	}
+	if got := build(0).JournalHeader(nil); got != header {
+		t.Fatalf("JournalHeader = %+v, want %+v", got, header)
+	}
 	// Reference: uninterrupted.
-	want, err := build(0).Execute()
+	want, err := build(0).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +316,7 @@ func TestAdaptiveJournalResume(t *testing.T) {
 	first := build(0)
 	first.Journal = jw
 	first.Halt = func(completed int) bool { return completed >= 7 }
-	fres, err := first.Execute()
+	fres, err := first.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,26 +336,27 @@ func TestAdaptiveJournalResume(t *testing.T) {
 	second.Run = sigRunFunc(&calls, false)
 	second.Journal = jw2
 	second.Resume = j
-	got, err := second.Execute()
+	got, err := second.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jw2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got.ResumedSkips == 0 {
+	gc, wc := got.Adaptive, want.Adaptive
+	if gc.Resumed == 0 {
 		t.Fatal("resume replayed nothing")
 	}
-	if int(calls) != want.Simulated-got.ResumedSkips {
+	if int(calls) != wc.Simulated-gc.Resumed {
 		t.Errorf("second leg simulated %d, want %d (total %d minus %d resumed)",
-			calls, want.Simulated-got.ResumedSkips, want.Simulated, got.ResumedSkips)
+			calls, wc.Simulated-gc.Resumed, wc.Simulated, gc.Resumed)
 	}
 	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) || !reflect.DeepEqual(got.Tally, want.Tally) {
 		t.Error("resumed result diverged from the uninterrupted run")
 	}
-	if got.UniqueSignatures != want.UniqueSignatures || got.PrunedEquiv != want.PrunedEquiv {
+	if gc.UniqueSignatures != wc.UniqueSignatures || got.DedupSavedRuns != want.DedupSavedRuns {
 		t.Errorf("resumed stats %d/%d, want %d/%d",
-			got.UniqueSignatures, got.PrunedEquiv, want.UniqueSignatures, want.PrunedEquiv)
+			gc.UniqueSignatures, got.DedupSavedRuns, wc.UniqueSignatures, want.DedupSavedRuns)
 	}
 	// The completed journal replays into the full result a third time.
 	j2, err := journal.Read(path)
@@ -341,12 +365,12 @@ func TestAdaptiveJournalResume(t *testing.T) {
 	}
 	third := build(0)
 	third.Resume = j2
-	tres, err := third.Execute()
+	tres, err := third.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tres.Simulated != 0 {
-		t.Errorf("fully journaled campaign re-simulated %d runs", tres.Simulated)
+	if tres.Adaptive.Simulated != 0 {
+		t.Errorf("fully journaled campaign re-simulated %d runs", tres.Adaptive.Simulated)
 	}
 	if !reflect.DeepEqual(tres.Outcomes, want.Outcomes) {
 		t.Error("journal-only replay diverged")
@@ -383,33 +407,42 @@ func TestAdaptiveResumeValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			j := &journal.Journal{Header: good}
 			tc.mutate(j)
-			c := &AdaptiveCampaign{
+			c := &Campaign{
 				Name: "ad-v", Run: sigRunFunc(nil, false),
 				Source: newNoveltySource(u, 10, 1), MaxRuns: 10,
 				Fingerprint: "fp", Resume: j,
 			}
-			if _, err := c.Execute(); err == nil {
+			if _, err := c.Execute(nil); err == nil {
 				t.Fatal("invalid resume journal accepted")
 			}
 		})
 	}
 }
 
-// TestAdaptiveResultConversion checks the Result() bridge used by the
-// CLI summary and daemon result documents.
-func TestAdaptiveResultConversion(t *testing.T) {
-	ar := &AdaptiveResult{
-		Name: "conv",
-		Outcomes: []fault.Outcome{
-			{Class: fault.Masked}, {Class: fault.SDC}, {Class: fault.Masked},
-		},
-		Tally:           fault.Tally{fault.Masked: 2, fault.SDC: 1},
-		PrunedEquiv:     5,
-		PanicRecoveries: 1,
+// TestAdaptiveCampaignShim: the spelling bench/ compiles against is
+// Campaign{Source: ...} and nothing else — same outcomes, same census.
+func TestAdaptiveCampaignShim(t *testing.T) {
+	u := adaptiveUniverse(4)
+	want, err := (&Campaign{
+		Name: "shim", Run: sigRunFunc(nil, false), Source: newNoveltySource(u, 60, 5),
+		Workers: 2, MaxRuns: 30, Dedup: true,
+	}).Execute(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := ar.Result()
-	if r.RunsToFirstFailure != 2 || r.DedupSavedRuns != 5 || r.PanicRecoveries != 1 {
-		t.Errorf("converted result = %+v", r)
+	got, err := (&AdaptiveCampaign{
+		Name: "shim", Run: sigRunFunc(nil, false), Source: newNoveltySource(u, 60, 5),
+		Workers: 2, MaxRuns: 30, Prune: true,
+	}).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Result(), want) || !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+		t.Error("shim result diverged from Campaign{Source}")
+	}
+	if got.Proposed != len(want.Outcomes) || got.Simulated != 30 || got.PrunedEquiv != want.DedupSavedRuns ||
+		got.UniqueSignatures != want.Adaptive.UniqueSignatures {
+		t.Errorf("shim census = %+v, want the campaign's %+v", got, want.Adaptive)
 	}
 }
 
@@ -417,13 +450,13 @@ func TestAdaptiveResultConversion(t *testing.T) {
 // campaign with an error, like the fixed-universe engine.
 func TestAdaptiveJournalFailureAborts(t *testing.T) {
 	u := adaptiveUniverse(2)
-	c := &AdaptiveCampaign{
+	c := &Campaign{
 		Name: "ad-jfail", Run: sigRunFunc(nil, false),
 		Source:  newNoveltySource(u, 100, 3),
 		MaxRuns: 50,
 		Journal: failAfterSink{},
 	}
-	if _, err := c.Execute(); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := c.Execute(nil); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("err = %v, want the journal failure", err)
 	}
 }
@@ -431,3 +464,91 @@ func TestAdaptiveJournalFailureAborts(t *testing.T) {
 type failAfterSink struct{}
 
 func (failAfterSink) Append(journal.Entry) error { return fmt.Errorf("disk full") }
+
+// serialProbe is a Source and a JournalSink in one. Its counter is a
+// plain int on purpose: Next, Observe and Append entered from anywhere
+// but one goroutine at a time is a data race the detector reports, and
+// the busy flag catches an overlap even without it.
+type serialProbe struct {
+	listSource
+	t     *testing.T
+	busy  atomic.Bool
+	calls int
+}
+
+func (p *serialProbe) enter() {
+	if !p.busy.CompareAndSwap(false, true) {
+		p.t.Error("Next, Observe or Append entered concurrently")
+	}
+	p.calls++
+	time.Sleep(50 * time.Microsecond) // widen the window an overlap needs
+	p.busy.Store(false)
+}
+
+func (p *serialProbe) Next() (fault.Scenario, bool) { p.enter(); return p.listSource.Next() }
+func (p *serialProbe) Observe(o fault.Outcome)      { p.enter(); p.listSource.Observe(o) }
+func (p *serialProbe) Append(journal.Entry) error   { p.enter(); return nil }
+
+// TestCampaignCallbacksAreSerial: with four workers finishing in skewed
+// order, the engine still makes every Source and JournalSink call from
+// the coordinator, one at a time — what scenario.Novelty (no locks) and
+// any JournalSink wrapper rely on. Run it under -race.
+func TestCampaignCallbacksAreSerial(t *testing.T) {
+	const n = 40
+	var scs []fault.Scenario
+	for i := 0; i < n; i++ {
+		scs = append(scs, fault.Single(fault.Descriptor{
+			Name: fmt.Sprintf("p%d", i), Model: fault.BitFlip, Target: "t", Bit: uint(i),
+		}))
+	}
+	sourced := &serialProbe{t: t, listSource: listSource{scs: scs}}
+	c := &Campaign{Name: "serial", Run: sigRunFunc(nil, true), Workers: 4, Source: sourced, Journal: sourced}
+	if _, err := c.Execute(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := (n + 1) + n + n; sourced.calls != want { // Next (one past the end), Observe, Append
+		t.Errorf("source campaign made %d callbacks, want %d", sourced.calls, want)
+	}
+	listed := &serialProbe{t: t}
+	c = &Campaign{Name: "serial", Run: sigRunFunc(nil, true), Workers: 4, Journal: listed}
+	if _, err := c.Execute(scs); err != nil {
+		t.Fatal(err)
+	}
+	if listed.calls != n {
+		t.Errorf("list campaign appended %d entries, want %d", listed.calls, n)
+	}
+}
+
+// TestCampaignSourceRefusals: every knob a Source cannot compose with
+// is an error before the source is asked for anything — never a silent
+// no-op. The front-ends mirror this set (campaignd.Spec.Validate,
+// capsim's flag check).
+func TestCampaignSourceRefusals(t *testing.T) {
+	cp := forkSorter{}
+	for name, set := range map[string]func(*Campaign){
+		"Shard":          func(c *Campaign) { c.Shard = Shard{Index: 0, Count: 2} },
+		"Checkpoints":    func(c *Campaign) { c.Checkpoints, c.Checkpointer = true, cp },
+		"CheckpointTree": func(c *Campaign) { c.Checkpoints, c.Checkpointer, c.CheckpointTree = true, cp, true },
+		"EarlyExit":      func(c *Campaign) { c.Checkpoints, c.Checkpointer, c.EarlyExit = true, cp, true },
+		"HashStride": func(c *Campaign) {
+			c.Checkpoints, c.Checkpointer, c.EarlyExit, c.HashStride = true, cp, true, sim.MS(1)
+		},
+		"StopOnFirst":   func(c *Campaign) { c.StopOnFirst = true },
+		"scenario list": nil,
+	} {
+		src := &listSource{scs: makeScenarios(3)}
+		c := &Campaign{Name: "refuse", Run: sigRunFunc(nil, false), Source: src}
+		var list []fault.Scenario
+		if set != nil {
+			set(c)
+		} else {
+			list = makeScenarios(1)
+		}
+		if _, err := c.Execute(list); err == nil {
+			t.Errorf("%s: accepted next to a Source", name)
+		}
+		if src.next != 0 {
+			t.Errorf("%s: the source was asked for %d scenarios before the refusal", name, src.next)
+		}
+	}
+}

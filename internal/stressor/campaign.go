@@ -1,12 +1,13 @@
 package stressor
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -35,13 +36,41 @@ type JournalSink interface {
 	Append(journal.Entry) error
 }
 
-// Campaign repeats stress tests over a scenario list: the quantitative
-// evaluation loop of Sec. 3.4.
+// Campaign repeats stress tests under an interchangeable strategy: the
+// quantitative evaluation loop of Sec. 3.4 and the one stressor of
+// Fig. 3. The scenarios come either from the list handed to Execute or,
+// one at a time, from Source; both run through the same worker pool,
+// run shell, journal and telemetry.
 type Campaign struct {
-	// Name labels the campaign in reports and metrics.
+	// Name labels the campaign in reports, metrics and journals.
 	Name string
-	// Run executes one scenario.
+	// Run executes one scenario. With a Source, RunFuncs that populate
+	// Outcome.Signature (the runners' signed variants) give the campaign
+	// real behavioral equivalence classes; plain RunFuncs get a
+	// class+detail fallback signature.
 	Run RunFunc
+	// Source, when non-nil, replaces the scenario list (Execute takes
+	// nil): scenarios are pulled from it while at most lookahead of them
+	// are outstanding, and every outcome is handed back through Observe
+	// in strict proposal order. That ordering is the whole determinism
+	// story under feedback — the source sees the same observation
+	// sequence inline and on N workers, so a fixed strategy seed yields a
+	// byte-identical Result at every worker count. Every delivered
+	// outcome carries a non-zero signature, Result.Adaptive holds the
+	// proposal census, and journals are keyed by proposal sequence number
+	// (create them from JournalHeader). A Source does not compose with
+	// Shard (its universe only exists as the campaign unfolds), with
+	// Checkpoints/CheckpointTree/EarlyExit/HashStride (sessions return
+	// unsigned outcomes) or with StopOnFirst; Execute refuses those.
+	Source ScenarioSource
+	// MaxRuns budgets a Source's simulated runs (proposals Dedup answers
+	// are free); 0 runs until the source exhausts — only safe with a
+	// self-budgeting source.
+	MaxRuns int
+	// Fingerprint identifies the Source's configuration (e.g. the seed
+	// universe's UniverseHash). JournalHeader stamps it into created
+	// journals and, when non-empty, Resume's header must carry it.
+	Fingerprint string
 	// StopOnFirst aborts the campaign at the first unhandled failure —
 	// the "how many runs until the critical effect is found" metric of
 	// experiment E4. Under parallel execution the campaign still stops
@@ -62,6 +91,9 @@ type Campaign struct {
 	// to be deterministic in the fault content (true for the CAPS and
 	// ECU runners); an outcome that embeds the scenario ID in an error
 	// detail would leak the representative's ID to its duplicates.
+	// On a Source it is equivalence pruning: a proposal whose content
+	// matches an already-delivered run is answered from a memo of
+	// delivered outcomes — no simulation, no budget, no journal entry.
 	Dedup bool
 	// Checkpoints enables golden-run checkpointing: each worker's
 	// scenario stream is sorted by injection time (unless StopOnFirst
@@ -119,7 +151,10 @@ type Campaign struct {
 	// byte-identical to an uninterrupted run. The replay stamps each
 	// outcome's Scenario from the universe, so RunFuncs must do the
 	// same (the CAPS/ECU runners do) — the constraint Dedup already
-	// imposes.
+	// imposes. With a Source the canonical proposal loop re-runs (the
+	// source must be configured identically — same seed, same budget)
+	// and proposals the journal covers feed their recorded outcome and
+	// signature to Observe instead of simulating.
 	Resume *journal.Journal
 	// ScenarioTimeout, when positive, bounds each run's wall-clock
 	// time. A run exceeding it is recorded as fault.Timeout and the
@@ -128,10 +163,10 @@ type Campaign struct {
 	// slot, and its eventual outcome is discarded. Timeout is not a
 	// failure: StopOnFirst does not trigger on it.
 	ScenarioTimeout time.Duration
-	// Halt, when non-nil, is polled with the number of runs completed
-	// so far before each dispatch; returning true stops the campaign
-	// gracefully (in-flight runs finish and are journaled, the rest
-	// stay unexecuted). This is the SIGINT/deadline hook: a halted,
+	// Halt, when non-nil, is polled with the number of outcomes
+	// delivered so far before each dispatch; returning true stops the
+	// campaign gracefully (in-flight runs finish and are journaled, the
+	// rest stay unexecuted). This is the SIGINT/deadline hook: a halted,
 	// journaled campaign resumes exactly where it stopped.
 	Halt func(completed int) bool
 
@@ -139,7 +174,9 @@ type Campaign struct {
 	// campaign.scenario_duration_ns histogram, campaign.outcomes
 	// counters per classification, campaign.runs / elapsed_ns /
 	// panic_recoveries counters, per-worker campaign.worker_busy_ns
-	// and a campaign.worker_utilization gauge — all labeled with the
+	// and a campaign.worker_utilization gauge, plus — with a Source —
+	// the campaign.signatures_unique and campaign.scenarios_per_sec
+	// gauges and the campaign.pruned_equiv counter, all labeled with the
 	// campaign name. The Result itself is byte-identical with or
 	// without Metrics attached.
 	Metrics *obs.Registry
@@ -184,24 +221,38 @@ type Result struct {
 	PanicRecoveries int
 	// DedupSavedRuns counts scenarios that were not simulated because
 	// Dedup folded them into an earlier identical run (0 when Dedup is
-	// off or every scenario was unique).
+	// off or every scenario was unique). With a Source it counts the
+	// proposals answered from the memo of delivered outcomes.
 	DedupSavedRuns int
+	// Halted reports that Halt stopped the campaign before its plan
+	// ran out: the Result is partial, and resumable from the journal.
+	Halted bool
+	// Adaptive is the proposal census of a Source-driven campaign, whose
+	// Outcomes hold every delivered proposal — simulated, pruned and
+	// resumed — in proposal order. Nil for a scenario list.
+	Adaptive *Census
+}
+
+// Census counts what became of a Source's proposals.
+type Census struct {
+	// Simulated counts runs this Execute actually executed.
+	Simulated int
+	// Resumed counts proposals answered from the resume journal.
+	Resumed int
+	// UniqueSignatures counts distinct outcome signatures delivered.
+	UniqueSignatures int
 }
 
 // campaignObs carries the per-Execute instrumentation state. A nil
 // *campaignObs is valid and free: uninstrumented campaigns skip all
 // timing calls.
 type campaignObs struct {
-	meter  *obs.ProgressMeter
-	trace  *obs.TraceRecorder
-	flight *obs.FlightRecorder
-	log    *slog.Logger
-	dur    *obs.Histogram
+	meter *obs.ProgressMeter
+	dur   *obs.Histogram
 	// completed counts runs live (incremented as each run finishes) so
 	// a mid-flight /metrics scrape sees the campaign moving — unlike
 	// the end-of-run counters publish folds in after Execute returns.
 	completed *obs.Counter
-	slow      time.Duration
 	// busy accumulates per-worker run time; each worker touches only
 	// its own slot and the slice is read after the pool joins.
 	busy []time.Duration
@@ -214,20 +265,11 @@ func (c *Campaign) newObs(total, workers int) *campaignObs {
 		c.Flight == nil && c.Log == nil {
 		return nil
 	}
-	o := &campaignObs{
-		meter:  obs.NewProgressMeter(c.Name, total, c.ProgressInterval, c.Progress),
-		trace:  c.Trace,
-		flight: c.Flight,
-		log:    c.Log,
-		slow:   c.SlowScenario,
-	}
+	o := &campaignObs{meter: obs.NewProgressMeter(c.Name, total, c.ProgressInterval, c.Progress)}
 	if c.Metrics != nil {
 		o.dur = c.Metrics.Histogram("campaign.scenario_duration_ns", obs.L("campaign", c.Name))
 		o.completed = c.Metrics.Counter("campaign.completed", obs.L("campaign", c.Name))
-		if workers == 0 {
-			workers = 1
-		}
-		o.busy = make([]time.Duration, workers)
+		o.busy = make([]time.Duration, max(workers, 1))
 	}
 	return o
 }
@@ -240,9 +282,9 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, do func
 	if o == nil {
 		return c.execRun(sc, do)
 	}
-	sp := o.trace.Begin("campaign", sc.ID, worker)
+	sp := c.Trace.Begin("campaign", sc.ID, worker)
 	var t0 time.Time
-	timed := o.dur != nil || o.busy != nil || o.slow > 0
+	timed := o.dur != nil || o.busy != nil || c.SlowScenario > 0
 	if timed {
 		t0 = time.Now()
 	}
@@ -255,23 +297,23 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, do func
 		if o.busy != nil {
 			o.busy[worker] += d
 		}
-		if o.slow > 0 && d >= o.slow && !timedOut {
-			o.flight.Recordf("scenario.slow", c.Name, "%s took %v (budget %v)", sc.ID, d.Round(time.Millisecond), o.slow)
-			if o.log != nil {
-				o.log.Warn("slow scenario", "campaign", c.Name, "scenario", sc.ID, "took", d, "budget", o.slow)
+		if c.SlowScenario > 0 && d >= c.SlowScenario && !timedOut {
+			c.Flight.Recordf("scenario.slow", c.Name, "%s took %v (budget %v)", sc.ID, d.Round(time.Millisecond), c.SlowScenario)
+			if c.Log != nil {
+				c.Log.Warn("slow scenario", "campaign", c.Name, "scenario", sc.ID, "took", d, "budget", c.SlowScenario)
 			}
 		}
 	}
 	switch {
 	case timedOut:
-		o.flight.Recordf("scenario.timeout", c.Name, "%s exceeded %v", sc.ID, c.ScenarioTimeout)
-		if o.log != nil {
-			o.log.Warn("scenario timeout", "campaign", c.Name, "scenario", sc.ID, "budget", c.ScenarioTimeout)
+		c.Flight.Recordf("scenario.timeout", c.Name, "%s exceeded %v", sc.ID, c.ScenarioTimeout)
+		if c.Log != nil {
+			c.Log.Warn("scenario timeout", "campaign", c.Name, "scenario", sc.ID, "budget", c.ScenarioTimeout)
 		}
 	case panicked:
-		o.flight.Recordf("panic.recovered", c.Name, "scenario %s: %s", sc.ID, out.Detail)
-		if o.log != nil {
-			o.log.Warn("panic recovered", "campaign", c.Name, "scenario", sc.ID, "detail", out.Detail)
+		c.Flight.Recordf("panic.recovered", c.Name, "scenario %s: %s", sc.ID, out.Detail)
+		if c.Log != nil {
+			c.Log.Warn("panic recovered", "campaign", c.Name, "scenario", sc.ID, "detail", out.Detail)
 		}
 	}
 	if o.completed != nil {
@@ -317,171 +359,68 @@ func (c *Campaign) execRun(sc fault.Scenario, do func() (fault.Outcome, bool)) (
 	}
 }
 
-// Execute runs every scenario and tallies classifications. The whole
-// list is validated up front, before any (expensive) run starts, so a
-// malformed scenario can never discard completed work. Outcomes keep
-// scenario order regardless of Workers, and attaching Metrics, Trace
-// or Progress never changes the Result. Sharding, journaling, resume
-// and Halt compose with all of it: a complete shard set Merges — and
-// an interrupted campaign resumes — into the exact bytes one
-// uninterrupted unsharded Execute would have produced.
+// Execute runs the campaign — every scenario of the list, or what
+// Source proposes until it exhausts, MaxRuns is spent or Halt fires —
+// and tallies classifications. A list is validated whole up front,
+// before any (expensive) run starts, so a malformed scenario can never
+// discard completed work. Outcomes keep scenario (or proposal) order
+// regardless of Workers, and attaching Metrics, Trace or Progress never
+// changes the Result. Sharding, journaling, resume and Halt compose
+// with all of it: a complete shard set Merges — and an interrupted
+// campaign resumes — into the exact bytes one uninterrupted unsharded
+// Execute would have produced.
 func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
-	for _, sc := range scenarios {
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
-		}
-	}
-	if err := c.Shard.validate(); err != nil {
+	if err := c.validate(scenarios); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
-	}
-	if c.Checkpoints && c.Checkpointer == nil {
-		return nil, fmt.Errorf("campaign %s: Checkpoints set without a Checkpointer", c.Name)
-	}
-	if (c.CheckpointTree || c.EarlyExit) && !c.Checkpoints {
-		return nil, fmt.Errorf("campaign %s: CheckpointTree/EarlyExit require Checkpoints", c.Name)
-	}
-	if c.HashStride > 0 && !c.EarlyExit {
-		return nil, fmt.Errorf("campaign %s: HashStride set without EarlyExit", c.Name)
 	}
 	workers := par.Resolve(c.Workers)
 
-	// Dedup plan: run only the first occurrence of each distinct fault
-	// content, then fan outcomes back out to the duplicate indices.
-	// This happens BEFORE shard partition and resume replay, so every
-	// shard computes the identical unique-run list and journals refer
-	// to stable representative indices.
-	run := scenarios
-	var uniq, rep []int
-	if c.Dedup {
-		uniq, rep = dedupPlan(scenarios)
-		if len(uniq) < len(scenarios) {
-			run = make([]fault.Scenario, len(uniq))
-			for u, idx := range uniq {
-				run[u] = scenarios[idx]
-			}
-		} else {
-			uniq, rep = nil, nil
-		}
-	}
-	// origIdx maps a unique-run position back to its scenario index in
-	// the full universe — the index space journals are keyed by.
-	origIdx := func(u int) int {
-		if uniq != nil {
-			return uniq[u]
-		}
-		return u
-	}
-
-	resumed, err := c.resumeEntries(scenarios, rep)
+	// The dedup plan comes BEFORE shard partition and resume replay, so
+	// every shard computes the identical unique-run list and journals
+	// refer to stable representative indices.
+	e := &campaignExec{c: c, dedup: newDedupPlan(scenarios, c.Dedup)}
+	e.cutoff.Store(math.MaxInt64)
+	resumed, err := c.resumeEntries(e.dedup)
 	if err != nil {
 		return nil, err
 	}
-
-	e := &campaignExec{
-		c: c, run: run, origIdx: origIdx,
-		outs:      make([]fault.Outcome, len(run)),
-		ran:       make([]bool, len(run)),
-		panicked:  make([]bool, len(run)),
-		firstFail: len(run),
-	}
-	// Partition and replay: walk the unique-run positions once,
-	// keeping only this shard's share and skipping what the journal
-	// already recorded. What remains is the todo list.
-	var todo []int
-	for u := range run {
-		if !c.Shard.owns(u) {
-			continue
-		}
-		if ent, ok := resumed[origIdx(u)]; ok {
-			cls, _ := fault.ParseClassification(ent.Class)
-			e.outs[u] = fault.Outcome{Scenario: run[u], Class: cls, Detail: ent.Detail}
-			e.ran[u] = true
-			e.panicked[u] = ent.Panicked
-			e.resumedSkips++
-			if c.StopOnFirst && cls.IsFailure() && u < e.firstFail {
-				e.firstFail = u
-			}
-			continue
-		}
-		todo = append(todo, u)
+	// The window bounds the positions outstanding — taken from the plan,
+	// not yet delivered: one inline, two per worker for a list (one
+	// running, one queued behind it), lookahead for a source.
+	var p plan
+	var planned, window int
+	if c.Source == nil {
+		l := newListPlan(e, resumed)
+		p, planned, window = l, len(l.todo), max(2*workers, 1)
+	} else {
+		e.slots = make([]slot, 0, c.MaxRuns)
+		p = &sourcePlan{campaignExec: e, resumed: resumed, memo: map[string]fault.Outcome{}, sigs: map[uint64]struct{}{}}
+		planned, window = max(c.MaxRuns-len(resumed), 0), lookahead // what is left of the budget
 	}
 
-	if c.Checkpoints {
-		e.forks = make([]sim.Time, len(run))
-		e.forkOK = make([]bool, len(run))
-		for _, u := range todo {
-			e.forks[u], e.forkOK[u] = c.Checkpointer.ForkTime(run[u])
-		}
-		// Sort the todo stream by injection time so each worker session
-		// establishes a golden prefix once per distinct instant and
-		// extends it monotonically. Results stay byte-identical because
-		// outcomes, journal entries and Merge are all keyed by scenario
-		// index, not dispatch order. StopOnFirst keeps index order: it
-		// must execute exactly the prefix the sequential loop would.
-		if !c.StopOnFirst {
-			// Under CheckpointTree the stream is further grouped by the
-			// first fault's (target, class) so scenario families — same
-			// instant, same site — dispatch back to back and fork from
-			// the same retained node while it is hottest in the LRU.
-			key := func(u int) (string, fault.Class) {
-				if len(run[u].Faults) == 0 {
-					return "", 0
-				}
-				d := run[u].Faults[0]
-				return d.Target, d.Class
-			}
-			sort.SliceStable(todo, func(i, j int) bool {
-				ui, uj := todo[i], todo[j]
-				if e.forks[ui] != e.forks[uj] {
-					return e.forks[ui] < e.forks[uj]
-				}
-				if c.CheckpointTree {
-					ti, ci := key(ui)
-					tj, cj := key(uj)
-					if ti != tj {
-						return ti < tj
-					}
-					if ci != cj {
-						return ci < cj
-					}
-				}
-				return ui < uj
-			})
-		}
-	}
-
-	e.obs = c.newObs(len(todo), workers)
+	e.obs = c.newObs(planned, workers)
 	if c.Log != nil {
 		c.Log.Info("campaign start", "campaign", c.Name,
-			"scenarios", len(scenarios), "todo", len(todo),
-			"workers", workers, "resumed", e.resumedSkips)
+			"scenarios", len(scenarios), "todo", planned,
+			"workers", workers, "resumed", len(resumed))
 	}
 	start := time.Now()
-	if workers == 0 {
-		e.seq(todo)
-	} else {
-		e.par(todo, workers)
-	}
-	if e.journalErr != nil {
-		c.Flight.Recordf("journal.error", c.Name, "%v", e.journalErr)
+	e.loop(p, workers, window)
+	if e.err != nil {
+		c.Flight.Recordf("campaign.abort", c.Name, "%v", e.err)
 		if c.Log != nil {
-			c.Log.Error("journal append failed", "campaign", c.Name, "err", e.journalErr)
+			c.Log.Error("campaign aborted", "campaign", c.Name, "err", e.err)
 		}
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, e.journalErr)
+		return nil, fmt.Errorf("campaign %s: %w", c.Name, e.err)
 	}
-	outs, ran, panicked := e.outs, e.ran, e.panicked
-	if uniq != nil {
-		outs, ran, panicked = fanOut(scenarios, uniq, rep, outs, ran, panicked)
-	}
-	res := c.assemble(scenarios, outs, ran, panicked)
-	if uniq != nil {
-		res.DedupSavedRuns = len(scenarios) - len(uniq)
-	}
+	res := c.assemble(e.dedup.fanOut(e.slots))
+	res.DedupSavedRuns, res.Halted = len(scenarios)-e.dedup.len()+e.answered[byMemo], e.halted
+	res.Adaptive = p.census()
 	elapsed := time.Since(start)
 	if e.halted {
-		c.Flight.Recordf("campaign.halt", c.Name, "halted after %d runs", e.completed)
+		c.Flight.Recordf("campaign.halt", c.Name, "halted after %d runs", e.delivered)
 		if c.Log != nil {
-			c.Log.Info("campaign halted", "campaign", c.Name, "completed", e.completed)
+			c.Log.Info("campaign halted", "campaign", c.Name, "completed", e.delivered)
 		}
 	} else if c.Log != nil {
 		c.Log.Info("campaign done", "campaign", c.Name,
@@ -492,236 +431,488 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	return res, nil
 }
 
-// resumeEntries validates c.Resume against this exact campaign —
-// name, shard layout, universe fingerprint, per-entry scenario IDs —
-// and indexes its entries by scenario index. Any mismatch is a hard
-// error before the first run: a stale or foreign journal must never
-// silently poison a campaign.
-func (c *Campaign) resumeEntries(scenarios []fault.Scenario, rep []int) (map[int]journal.Entry, error) {
+// validate refuses, before anything runs, a malformed scenario and
+// every knob combination the engine cannot honor — among them what a
+// Source does not compose with (see Campaign.Source).
+func (c *Campaign) validate(scenarios []fault.Scenario) error {
+	for _, sc := range scenarios {
+		if err := sc.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := c.Shard.validate(); err != nil {
+		return err
+	}
+	switch {
+	case c.Run == nil:
+		return fmt.Errorf("no RunFunc")
+	case c.Checkpoints && c.Checkpointer == nil:
+		return fmt.Errorf("Checkpoints set without a Checkpointer")
+	case (c.CheckpointTree || c.EarlyExit) && !c.Checkpoints:
+		return fmt.Errorf("CheckpointTree/EarlyExit require Checkpoints")
+	case c.HashStride > 0 && !c.EarlyExit:
+		return fmt.Errorf("HashStride set without EarlyExit")
+	case c.Source == nil:
+		return nil
+	case len(scenarios) > 0:
+		return fmt.Errorf("both a Source and a scenario list")
+	case c.MaxRuns < 0:
+		return fmt.Errorf("negative MaxRuns %d", c.MaxRuns)
+	case c.Shard.Enabled():
+		return fmt.Errorf("a Source does not shard: its universe only exists as the campaign unfolds")
+	case c.Checkpoints: // which CheckpointTree, EarlyExit and HashStride all need
+		return fmt.Errorf("a Source does not compose with Checkpoints: sessions return unsigned outcomes")
+	case c.StopOnFirst:
+		return fmt.Errorf("a Source does not compose with StopOnFirst")
+	}
+	return nil
+}
+
+// JournalHeader is the header a journal for this campaign over
+// scenarios (nil with a Source) must carry — the one Resume is checked
+// against. A list is identified by its shard layout, size and universe
+// hash; a Source by its MaxRuns budget and Fingerprint, with entries
+// keyed by proposal sequence number.
+func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
+	h := journal.Header{Campaign: c.Name, Shard: c.Shard.Index, Shards: max(c.Shard.Count, 1)}
+	if c.Source != nil {
+		h.Total, h.Universe, h.Adaptive = c.MaxRuns, c.Fingerprint, true
+	} else {
+		h.Total, h.Universe = len(scenarios), UniverseHash(scenarios)
+	}
+	return h
+}
+
+// resumeEntries validates c.Resume against this exact campaign — kind,
+// name, shard layout, size or budget, universe fingerprint, per-entry
+// scenario IDs — and indexes its entries by scenario index (proposal
+// sequence number with a Source). Any mismatch is a hard error before
+// the first run: a stale or foreign journal must never silently poison
+// a campaign.
+func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil
 	}
-	h := c.Resume.Header
-	shards := c.Shard.Count
-	if shards < 1 {
-		shards = 1
-	}
+	h, want := c.Resume.Header, c.JournalHeader(d.scenarios)
 	switch {
-	case h.Adaptive:
+	case h.Adaptive && !want.Adaptive:
 		return nil, fmt.Errorf("campaign %s: resume journal was written by an adaptive campaign", c.Name)
-	case h.Campaign != c.Name:
+	case want.Adaptive && !h.Adaptive:
+		return nil, fmt.Errorf("campaign %s: resume journal was written by a fixed-universe campaign", c.Name)
+	case h.Campaign != want.Campaign:
 		return nil, fmt.Errorf("campaign %s: resume journal belongs to campaign %q", c.Name, h.Campaign)
-	case h.Shards != shards || h.Shard != c.Shard.Index:
+	case h.Shards != want.Shards || h.Shard != want.Shard:
 		return nil, fmt.Errorf("campaign %s: resume journal is shard %d/%d, campaign is %s", c.Name, h.Shard, h.Shards, c.Shard)
-	case h.Total != len(scenarios):
-		return nil, fmt.Errorf("campaign %s: resume journal covers %d scenarios, universe has %d", c.Name, h.Total, len(scenarios))
-	case h.Universe != UniverseHash(scenarios):
-		return nil, fmt.Errorf("campaign %s: resume journal universe %s does not match %s", c.Name, h.Universe, UniverseHash(scenarios))
+	case h.Total != want.Total:
+		return nil, fmt.Errorf("campaign %s: resume journal covers %d runs, campaign has %d", c.Name, h.Total, want.Total)
+	case want.Universe != "" && h.Universe != want.Universe:
+		return nil, fmt.Errorf("campaign %s: resume journal universe %s does not match %s", c.Name, h.Universe, want.Universe)
 	}
 	m := make(map[int]journal.Entry, len(c.Resume.Entries))
 	for _, ent := range c.Resume.Entries {
-		if scenarios[ent.Index].ID != ent.ID {
-			return nil, fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", c.Name, ent.Index, ent.ID, scenarios[ent.Index].ID)
+		if c.Source == nil {
+			// A proposal's ID is only known once the replay proposes it;
+			// next checks it then.
+			if id := d.scenarios[ent.Index].ID; id != ent.ID {
+				return nil, fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", c.Name, ent.Index, ent.ID, id)
+			}
+			if _, ok := d.position(ent.Index); !ok {
+				return nil, fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without -dedup?)", c.Name, ent.Index)
+			}
 		}
 		if _, ok := fault.ParseClassification(ent.Class); !ok {
 			return nil, fmt.Errorf("campaign %s: journal entry %d has unknown class %q", c.Name, ent.Index, ent.Class)
 		}
-		if rep != nil && rep[ent.Index] != ent.Index {
-			return nil, fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without -dedup?)", c.Name, ent.Index)
-		}
 		if prev, ok := m[ent.Index]; ok && prev != ent {
-			return nil, fmt.Errorf("campaign %s: journal records scenario %d twice with different outcomes", c.Name, ent.Index)
+			return nil, fmt.Errorf("campaign %s: journal records run %d twice with different outcomes", c.Name, ent.Index)
 		}
 		m[ent.Index] = ent
 	}
 	return m, nil
 }
 
-// campaignExec is the mutable state of one Execute: the shared
-// outcome slots, the StopOnFirst cutoff, and the journaling/halt/
-// timeout bookkeeping. Workers serialize on mu.
-type campaignExec struct {
-	c       *Campaign
-	run     []fault.Scenario
-	origIdx func(int) int
-	obs     *campaignObs
+// lookahead bounds a Source's outstanding proposals: the source
+// observes outcome i before it proposes scenario i+lookahead. It is
+// part of a campaign's deterministic identity — changing it changes
+// what an adaptive source proposes — and deliberately not a function of
+// Workers.
+const lookahead = 8
 
-	outs     []fault.Outcome
-	ran      []bool
-	panicked []bool
-
-	// forks/forkOK (set only when Checkpoints) hold each unique-run
-	// position's injection fork time and eligibility.
-	forks  []sim.Time
-	forkOK []bool
-
-	mu           sync.Mutex
-	firstFail    int // lowest failure position seen (len(run) = none)
-	completed    int // runs executed this Execute (excludes resumed)
-	timeouts     int
-	resumedSkips int
-	appends      int
-	halted       bool
-	journalErr   error
+// run is one position's trip round the loop: the coordinator fills pos
+// and sc when it takes the position from the plan, whoever answers it
+// fills the rest, and the coordinator delivers it.
+type run struct {
+	// pos is the unique-run position of a list, the proposal sequence
+	// number of a source.
+	pos int
+	sc  fault.Scenario
+	// key is sc's fault-content key, set for a Dedup source only.
+	key      string
+	out      fault.Outcome
+	panicked bool
+	timedOut bool
+	by       answer
 }
 
-// record stores one finished run and journals it. The returned flag
-// asks the parallel dispatcher to cancel (new StopOnFirst cutoff or a
-// journal failure).
-func (e *campaignExec) record(u int, out fault.Outcome, panicked, timedOut bool) (stop bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.outs[u], e.ran[u], e.panicked[u] = out, true, panicked
-	e.completed++
-	if timedOut {
+// answer says what answered a run.
+type answer uint8
+
+const (
+	unanswered answer = iota
+	bySimulation
+	// bySkip: a worker dropped it unrun, past the StopOnFirst cutoff.
+	bySkip
+	// byMemo: a Dedup source's memo of delivered outcomes.
+	byMemo
+	byJournal
+	numAnswers
+)
+
+// slot is one position's delivered result.
+type slot struct {
+	out      fault.Outcome
+	ran      bool
+	panicked bool
+}
+
+// plan is the half of a campaign that differs between a scenario list
+// and a Source: where positions come from, in what order their answers
+// are delivered, and what a delivery writes and feeds back. The loop
+// drives one without knowing which it has.
+type plan interface {
+	// next takes the next position; ok is false once the plan hands out
+	// nothing further — exhausted, out of budget, halted or failed (err).
+	next() (r run, ok bool)
+	// deliver takes the next answered run, in the plan's delivery order,
+	// off results and retires it: journal entry (commit), result slot, and
+	// whatever the plan keeps of the outcome.
+	deliver(results <-chan run)
+	// census is the finished campaign's Result.Adaptive.
+	census() *Census
+}
+
+// campaignExec is the state of one Execute that every campaign has;
+// what only a list or only a source needs lives in its plan. Everything
+// but cutoff belongs to the coordinator — the goroutine that called
+// Execute — which alone takes positions from the plan, writes slots,
+// appends to the journal and talks to the Source; workers only turn a
+// run into an answered run.
+type campaignExec struct {
+	c     *Campaign
+	dedup dedupPlan
+	obs   *campaignObs
+
+	// slots holds the delivered results by position: preallocated for a
+	// list, grown in proposal order for a source.
+	slots []slot
+	// cutoff is the lowest failing position delivered under StopOnFirst
+	// (MaxInt64: none). The coordinator moves it; workers read it to
+	// drop positions queued past it.
+	cutoff atomic.Int64
+
+	delivered int // outcomes delivered by this Execute (Halt's argument)
+	// answered counts the outcomes in the result by what answered them;
+	// byJournal includes the list entries newListPlan replayed.
+	answered [numAnswers]int
+	timeouts int
+	halted   bool
+	err      error
+}
+
+// halt polls Campaign.Halt; the plans ask before every dispatch.
+func (e *campaignExec) halt() bool {
+	e.halted = e.c.Halt != nil && e.c.Halt(e.delivered)
+	return e.halted
+}
+
+// commit is the part of a delivery the plans share: journal a fresh
+// simulation — sig is what its entry carries — and count the answer. It
+// reports false when there is nothing to deliver: the run was skipped,
+// or the campaign has failed — this append did, or something did earlier
+// and the loop only drains. Better to stop than to run scenarios that
+// can never be resumed or merged.
+func (e *campaignExec) commit(r run, sig uint64) bool {
+	if r.by == bySimulation && e.err == nil && e.c.Journal != nil {
+		e.err = e.c.Journal.Append(journal.Entry{
+			Index: e.dedup.index(r.pos), ID: r.sc.ID, Sig: sig,
+			Class: r.out.Class.String(), Detail: r.out.Detail, Panicked: r.panicked,
+		})
+	}
+	if r.by == bySkip || e.err != nil {
+		return false
+	}
+	e.answered[r.by]++
+	e.delivered++
+	if r.timedOut {
 		e.timeouts++
 	}
-	if e.c.Journal != nil && e.journalErr == nil {
-		err := e.c.Journal.Append(journal.Entry{
-			Index: e.origIdx(u), ID: e.run[u].ID,
-			Class: out.Class.String(), Detail: out.Detail, Panicked: panicked,
-		})
-		if err != nil {
-			e.journalErr = err
-			stop = true
-		} else {
-			e.appends++
-		}
-	}
-	if e.c.StopOnFirst && out.Class.IsFailure() && u < e.firstFail {
-		e.firstFail = u
-		stop = true
-	}
-	return stop
+	return true
 }
 
-// seq is the classic single-goroutine loop over the todo positions
-// (ascending), honoring Halt, the StopOnFirst cutoff (possibly seeded
-// by a resumed failure) and journal failures.
-func (e *campaignExec) seq(todo []int) {
-	h := e.newHolder()
-	defer h.close()
-	for _, u := range todo {
-		e.mu.Lock()
-		stop := e.journalErr != nil || (e.c.StopOnFirst && u > e.firstFail)
-		done := e.completed
-		e.mu.Unlock()
-		if stop {
-			break
-		}
-		if e.c.Halt != nil && e.c.Halt(done) {
-			e.halted = true
-			break
-		}
-		out, p, to := e.dispatchRun(u, 0, h)
-		e.record(u, out, p, to)
-	}
+// listPlan hands out a scenario list's unique-run positions and
+// delivers (and journals) each run as it completes, never behind a
+// slower predecessor: outcomes are keyed by position, so order is free.
+type listPlan struct {
+	*campaignExec
+	// todo holds the positions still to run, in dispatch order.
+	todo []int
 }
 
-// par fans the todo positions out to a worker pool. Dispatch is in
-// order; under StopOnFirst the first failure cancels dispatch and
-// workers discard queued positions past the earliest failure seen, so
-// every run the sequential loop would have executed still executes
-// and nothing beyond the cutoff survives into the result.
-func (e *campaignExec) par(todo []int, workers int) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := e.newHolder()
-			defer h.close()
-			for u := range indices {
-				if e.c.StopOnFirst {
-					e.mu.Lock()
-					skip := u > e.firstFail
-					e.mu.Unlock()
-					if skip {
-						continue
-					}
-				}
-				out, p, to := e.dispatchRun(u, w, h)
-				if e.record(u, out, p, to) {
-					cancel()
-				}
-			}
-		}(w)
-	}
-dispatch:
-	for _, u := range todo {
-		if e.c.Halt != nil {
-			e.mu.Lock()
-			done := e.completed
-			e.mu.Unlock()
-			if e.c.Halt(done) {
-				e.halted = true
-				break dispatch
-			}
-		}
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case indices <- u:
-		}
-	}
-	close(indices)
-	wg.Wait()
-}
-
-// descKey serializes every descriptor field except the name — the
-// fault content that determines a deterministic run's outcome.
-func descKey(d fault.Descriptor) string {
-	return fmt.Sprintf("%v|%v|%v|%s|%d|%d|%g|%d|%d|%d|%g",
-		d.Model, d.Class, d.Domain, d.Target, d.Bit, d.Address, d.Param,
-		d.Start, d.Duration, d.Period, d.Rate)
-}
-
-// dedupPlan partitions scenarios by fault content: uniq lists the
-// first-occurrence indices in original order, rep maps every index to
-// its representative (itself for uniques).
-func dedupPlan(scenarios []fault.Scenario) (uniq, rep []int) {
-	rep = make([]int, len(scenarios))
-	seen := make(map[string]int, len(scenarios))
-	for i, sc := range scenarios {
-		key := scenarioContentKey(sc)
-		if first, ok := seen[key]; ok {
-			rep[i] = first
+// newListPlan partitions and replays a scenario list: it walks the
+// unique-run positions once, keeps this shard's share, fills the slots
+// the journal already recorded and leaves the rest in todo, sorted for
+// the checkpoint sessions.
+func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
+	c, d, l := e.c, e.dedup, &listPlan{campaignExec: e}
+	e.slots = make([]slot, d.len())
+	for u := range e.slots {
+		if !c.Shard.owns(u) {
 			continue
 		}
-		seen[key] = i
-		rep[i] = i
-		uniq = append(uniq, i)
-	}
-	return uniq, rep
-}
-
-// fanOut expands per-unique run results back to the full scenario
-// list. Each duplicate inherits its representative's outcome with its
-// own Scenario stamped in; representatives ordered after a StopOnFirst
-// cutoff never ran, so their duplicates stay un-ran too.
-func fanOut(scenarios []fault.Scenario, uniq, rep []int, outs []fault.Outcome, ran, panicked []bool) ([]fault.Outcome, []bool, []bool) {
-	pos := make(map[int]int, len(uniq)) // original index of a rep -> slot in outs
-	for u, idx := range uniq {
-		pos[idx] = u
-	}
-	fullOuts := make([]fault.Outcome, len(scenarios))
-	fullRan := make([]bool, len(scenarios))
-	fullPanicked := make([]bool, len(scenarios))
-	for i := range scenarios {
-		u := pos[rep[i]]
-		if !ran[u] {
+		ent, ok := resumed[d.index(u)]
+		if !ok {
+			l.todo = append(l.todo, u)
 			continue
 		}
-		out := outs[u]
-		out.Scenario = scenarios[i]
-		fullOuts[i] = out
-		fullRan[i] = true
-		fullPanicked[i] = panicked[u]
+		cls, _ := fault.ParseClassification(ent.Class)
+		l.fill(u, fault.Outcome{Scenario: d.scenario(u), Class: cls, Detail: ent.Detail}, ent.Panicked)
+		e.answered[byJournal]++
 	}
-	return fullOuts, fullRan, fullPanicked
+	if !c.Checkpoints || c.StopOnFirst {
+		// Index order: under StopOnFirst the campaign must execute exactly
+		// the prefix the sequential loop would.
+		return l
+	}
+	forks := make([]sim.Time, d.len())
+	for _, u := range l.todo {
+		forks[u], _ = c.Checkpointer.ForkTime(d.scenario(u))
+	}
+	// Sort the todo stream by injection time so each worker session
+	// establishes a golden prefix once per distinct instant and extends
+	// it monotonically. Results stay byte-identical because outcomes,
+	// journal entries and Merge are all keyed by scenario index, not
+	// dispatch order. Under CheckpointTree the stream is further grouped
+	// by the first fault's (target, class) so scenario families — same
+	// instant, same site — dispatch back to back and fork from the same
+	// retained node while it is hottest in the LRU.
+	key := func(u int) (string, fault.Class) {
+		sc := d.scenario(u)
+		if len(sc.Faults) == 0 {
+			return "", 0
+		}
+		return sc.Faults[0].Target, sc.Faults[0].Class
+	}
+	sort.SliceStable(l.todo, func(i, j int) bool {
+		ui, uj := l.todo[i], l.todo[j]
+		if forks[ui] != forks[uj] {
+			return forks[ui] < forks[uj]
+		}
+		if c.CheckpointTree {
+			ti, ci := key(ui)
+			tj, cj := key(uj)
+			if ti != tj {
+				return ti < tj
+			}
+			if ci != cj {
+				return ci < cj
+			}
+		}
+		return ui < uj
+	})
+	return l
+}
+
+func (l *listPlan) next() (r run, ok bool) {
+	// Under StopOnFirst todo is in index order: past the cutoff nothing
+	// can reach the result.
+	if len(l.todo) == 0 || int64(l.todo[0]) > l.cutoff.Load() || l.halt() {
+		return r, false
+	}
+	r.pos, l.todo = l.todo[0], l.todo[1:]
+	r.sc = l.dedup.scenario(r.pos)
+	return r, true
+}
+
+func (l *listPlan) deliver(results <-chan run) {
+	if r := <-results; l.commit(r, 0) {
+		l.fill(r.pos, r.out, r.panicked)
+	}
+}
+
+// fill writes position u's result and, under StopOnFirst, lowers the
+// cutoff to a failure.
+func (l *listPlan) fill(u int, out fault.Outcome, panicked bool) {
+	l.slots[u] = slot{out: out, ran: true, panicked: panicked}
+	if l.c.StopOnFirst && out.Class.IsFailure() && int64(u) < l.cutoff.Load() {
+		l.cutoff.Store(int64(u))
+	}
+}
+
+func (l *listPlan) census() *Census { return nil }
+
+// sourcePlan pulls proposals from Campaign.Source and delivers them in
+// proposal order: what the source proposes next depends on what it has
+// observed, so early finishers are parked until every proposal before
+// them has been delivered.
+type sourcePlan struct {
+	*campaignExec
+	// resumed is the resume journal by sequence number, memo (Dedup only)
+	// the delivered outcomes by content key, sigs the signatures seen and
+	// parked the early finishers.
+	resumed map[int]journal.Entry
+	memo    map[string]fault.Outcome
+	sigs    map[uint64]struct{}
+	parked  [lookahead]run
+
+	proposed int // proposals taken from the source: the next sequence number
+	head     int // sequence number of the next proposal to deliver
+	budgeted int // proposals counted against MaxRuns
+}
+
+// next pulls one scenario from the source. The proposal comes back
+// already answered when the resume journal or the memo covers it. The
+// memo holds delivered outcomes only, so the prune decision at proposal
+// n depends on exactly the outcomes delivered before n was proposed — a
+// pure function of the canonical schedule next(0..W-1), [deliver(i),
+// next(W+i)]... at every worker count.
+func (s *sourcePlan) next() (r run, ok bool) {
+	if s.c.MaxRuns > 0 && s.budgeted >= s.c.MaxRuns || s.halt() {
+		return r, false
+	}
+	if r.sc, ok = s.c.Source.Next(); !ok {
+		return r, false
+	}
+	if s.err = r.sc.Validate(); s.err != nil {
+		return r, false
+	}
+	r.pos = s.proposed
+	s.proposed++
+	if s.c.Dedup {
+		r.key = scenarioContentKey(r.sc)
+	}
+	if ent, ok := s.resumed[r.pos]; ok {
+		if ent.ID != r.sc.ID {
+			s.err = fmt.Errorf("journal proposal %d is scenario %q, replay proposed %q (strategy configuration changed?)", r.pos, ent.ID, r.sc.ID)
+			return r, false
+		}
+		cls, _ := fault.ParseClassification(ent.Class)
+		r.out = fault.Outcome{Scenario: r.sc, Class: cls, Detail: ent.Detail, Signature: ent.Sig}
+		r.panicked, r.by = ent.Panicked, byJournal
+	} else if out, ok := s.memo[r.key]; ok {
+		// Free: a pruned proposal does not count against MaxRuns.
+		out.Scenario = r.sc
+		r.out, r.by = out, byMemo
+		return r, true
+	}
+	s.budgeted++
+	return r, true
+}
+
+func (s *sourcePlan) deliver(results <-chan run) {
+	head := &s.parked[s.head%lookahead]
+	for head.by == unanswered {
+		r := <-results
+		s.parked[r.pos%lookahead] = r
+	}
+	r := *head
+	*head = run{}
+	s.head++
+	if r.out.Signature == 0 {
+		r.out.Signature = fallbackSignature(r.out)
+	}
+	if !s.commit(r, r.out.Signature) {
+		return
+	}
+	s.slots = append(s.slots, slot{out: r.out, ran: true, panicked: r.panicked})
+	if s.c.Dedup && r.by != byMemo {
+		s.memo[r.key] = r.out
+	}
+	s.sigs[r.out.Signature] = struct{}{}
+	s.c.Source.Observe(r.out)
+}
+
+func (s *sourcePlan) census() *Census {
+	return &Census{Simulated: s.answered[bySimulation], Resumed: s.answered[byJournal], UniqueSignatures: len(s.sigs)}
+}
+
+// simulate runs r on worker w, unless a StopOnFirst failure below it
+// has been delivered since it was queued.
+func (e *campaignExec) simulate(r run, w int, h *sessionHolder) run {
+	if int64(r.pos) > e.cutoff.Load() {
+		r.by = bySkip
+		return r
+	}
+	r.out, r.panicked, r.timedOut = e.dispatchRun(r.sc, w, h)
+	r.by = bySimulation
+	return r
+}
+
+// loop is the campaign's one dispatch/deliver loop (DESIGN §7). The
+// coordinator keeps up to window positions outstanding — taken from the
+// plan, not yet delivered. Unanswered runs go to the worker pool, or run
+// right here when there is none; every answer comes back through
+// results. Both channels are buffered to the window, so neither side
+// ever blocks on the other, and the window bounds Halt's latency and the
+// StopOnFirst overshoot. After a failure the loop only drains: the runs
+// still outstanding finish, nothing further is delivered.
+func (e *campaignExec) loop(p plan, workers, window int) {
+	results := make(chan run, window)
+	var jobs chan run
+	var inline *sessionHolder
+	if workers == 0 {
+		inline = e.newHolder()
+		defer inline.close()
+	} else {
+		jobs = make(chan run, window)
+		var wg sync.WaitGroup
+		defer wg.Wait() // after the close below has let the workers go
+		defer close(jobs)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := e.newHolder()
+				defer h.close()
+				for r := range jobs {
+					results <- e.simulate(r, w, h)
+				}
+			}(w)
+		}
+	}
+	for outstanding, open := 0, true; ; {
+		for open && outstanding < window && e.err == nil {
+			r, ok := p.next()
+			if !ok {
+				open = false
+				break
+			}
+			outstanding++
+			switch {
+			case r.by != unanswered:
+				results <- r
+			case jobs == nil:
+				results <- e.simulate(r, 0, inline)
+			default:
+				jobs <- r
+			}
+		}
+		if outstanding == 0 {
+			return
+		}
+		p.deliver(results)
+		outstanding--
+	}
+}
+
+// fallbackSignature derives an outcome signature for RunFuncs that do
+// not compute one: classification folded with the detail text. Coarser
+// than a model-state digest — outcomes that differ only in final state
+// collapse — but still non-zero and deterministic.
+func fallbackSignature(o fault.Outcome) uint64 {
+	h := sim.NewStateHash()
+	h.Int(int(o.Class))
+	h.Str(o.Detail)
+	return sim.MixSignature(h.Sum())
 }
 
 // publish folds the finished result into the registry. Counters are
@@ -739,10 +930,10 @@ func (c *Campaign) publish(e *campaignExec, res *Result, elapsed time.Duration) 
 	reg := c.Metrics
 	name := obs.L("campaign", c.Name)
 	if c.Journal != nil {
-		reg.Counter("campaign.journal_appends", name).Add(uint64(e.appends))
+		reg.Counter("campaign.journal_appends", name).Add(uint64(e.answered[bySimulation]))
 	}
 	if c.Resume != nil {
-		reg.Counter("campaign.resumed_skips", name).Add(uint64(e.resumedSkips))
+		reg.Counter("campaign.resumed_skips", name).Add(uint64(e.answered[byJournal]))
 	}
 	if c.ScenarioTimeout > 0 {
 		reg.Counter("campaign.timeouts", name).Add(uint64(e.timeouts))
@@ -755,7 +946,13 @@ func (c *Campaign) publish(e *campaignExec, res *Result, elapsed time.Duration) 
 	if res.PanicRecoveries > 0 {
 		reg.Counter("campaign.panic_recoveries", name).Add(uint64(res.PanicRecoveries))
 	}
-	if res.DedupSavedRuns > 0 {
+	if a := res.Adaptive; a != nil {
+		reg.Gauge("campaign.signatures_unique", name).Set(float64(a.UniqueSignatures))
+		reg.Counter("campaign.pruned_equiv", name).Add(uint64(res.DedupSavedRuns))
+		if elapsed > 0 && a.Simulated > 0 {
+			reg.Gauge("campaign.scenarios_per_sec", name).Set(float64(a.Simulated) / elapsed.Seconds())
+		}
+	} else if res.DedupSavedRuns > 0 {
 		reg.Counter("campaign.dedup_saved_runs", name).Add(uint64(res.DedupSavedRuns))
 	}
 	var total time.Duration
@@ -799,7 +996,7 @@ func (c *Campaign) safeSessionRun(sess CheckpointSession, sc fault.Scenario, for
 	return sess.Run(sc, fork), false
 }
 
-// assemble folds per-index outcomes into a Result in scenario order,
+// assemble folds per-index slots into a Result in scenario order,
 // reproducing the sequential semantics bit for bit: the tally and
 // outcome list stop at the first failure when StopOnFirst is set,
 // and extra outcomes a parallel run completed past that point are
@@ -808,16 +1005,16 @@ func (c *Campaign) safeSessionRun(sess CheckpointSession, sc fault.Scenario, for
 // ran — scenarios owned by other shards, or left behind by a Halt —
 // are simply skipped: a sharded or interrupted Result is the ordered
 // subsequence of completed outcomes.
-func (c *Campaign) assemble(scenarios []fault.Scenario, outs []fault.Outcome, ran, panicked []bool) *Result {
+func (c *Campaign) assemble(slots []slot) *Result {
 	res := &Result{Name: c.Name, Tally: make(fault.Tally)}
-	for i := range scenarios {
-		if !ran[i] {
+	for i, s := range slots {
+		if !s.ran {
 			continue
 		}
-		o := outs[i]
+		o := s.out
 		res.Outcomes = append(res.Outcomes, o)
 		res.Tally.Add(o)
-		if panicked[i] {
+		if s.panicked {
 			res.PanicRecoveries++
 		}
 		if o.Class.IsFailure() && res.RunsToFirstFailure == 0 {

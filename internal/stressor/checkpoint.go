@@ -20,7 +20,7 @@ type Checkpointer interface {
 	// all. Runners return ok=false for scenario classes that mutate
 	// pre-injection state (or when their own reuse machinery is
 	// disabled); the campaign transparently falls back to the plain
-	// RunFunc for those.
+	// RunFunc for those. Campaign workers call it concurrently.
 	ForkTime(sc fault.Scenario) (sim.Time, bool)
 	// NewTreeSession creates a private golden-run session retaining up
 	// to cfg.MaxNodes golden-prefix snapshots. Each campaign worker owns
@@ -49,16 +49,13 @@ type CheckpointSession interface {
 
 // sessionHolder carries one worker's lazily created checkpoint
 // session. nil holders (checkpointing off) are valid and inert.
-type sessionHolder struct {
-	c    *Campaign
-	sess CheckpointSession
-}
+type sessionHolder struct{ sess CheckpointSession }
 
 func (e *campaignExec) newHolder() *sessionHolder {
 	if !e.c.Checkpoints {
 		return nil
 	}
-	return &sessionHolder{c: e.c}
+	return &sessionHolder{}
 }
 
 // close shuts the worker's session down at the end of its run loop.
@@ -136,31 +133,34 @@ func (g *recycleGuard) abandon() {
 	}
 }
 
-// dispatchRun executes position u on worker w, routing fork-eligible
+// dispatchRun executes sc on worker w, routing fork-eligible
 // scenarios through the worker's checkpoint session and everything
 // else through the plain RunFunc. The session is resolved here, on the
 // worker goroutine, before the (possibly timeout-supervised) run
 // goroutine starts — so an abandoned holder can never race with a
 // late run still using the old session.
-func (e *campaignExec) dispatchRun(u, w int, h *sessionHolder) (fault.Outcome, bool, bool) {
-	sc := e.run[u]
+func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, h *sessionHolder) (fault.Outcome, bool, bool) {
 	do := func() (fault.Outcome, bool) { return e.c.safeRun(sc) }
 	viaSession := false
 	var guard *recycleGuard
-	if h != nil && e.forkOK[u] {
-		if h.sess == nil {
-			h.sess = e.c.newSession()
+	if h != nil {
+		// The plan needed fork times only to sort its list; asking again
+		// costs less than carrying them round the loop.
+		if fork, ok := e.c.Checkpointer.ForkTime(sc); ok {
+			if h.sess == nil {
+				h.sess = e.c.newSession()
+			}
+			sess := h.sess
+			if rs, ok := sess.(RecyclableSession); ok {
+				guard = &recycleGuard{sess: rs}
+			}
+			do = func() (fault.Outcome, bool) {
+				out, panicked := e.c.safeSessionRun(sess, sc, fork)
+				guard.finished()
+				return out, panicked
+			}
+			viaSession = true
 		}
-		sess, fork := h.sess, e.forks[u]
-		if rs, ok := sess.(RecyclableSession); ok {
-			guard = &recycleGuard{sess: rs}
-		}
-		do = func() (fault.Outcome, bool) {
-			out, panicked := e.c.safeSessionRun(sess, sc, fork)
-			guard.finished()
-			return out, panicked
-		}
-		viaSession = true
 	}
 	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, do)
 	if viaSession && (timedOut || panicked) {

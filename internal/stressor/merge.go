@@ -66,39 +66,14 @@ func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*
 
 	// Rebuild the exact dedup plan the shards computed, then place
 	// every journaled outcome at its unique-run position.
-	run := scenarios
-	var uniq, rep []int
-	if spec.Dedup {
-		uniq, rep = dedupPlan(scenarios)
-		if len(uniq) < len(scenarios) {
-			run = make([]fault.Scenario, len(uniq))
-			for u, idx := range uniq {
-				run[u] = scenarios[idx]
-			}
-		} else {
-			uniq, rep = nil, nil
-		}
-	}
-	pos := make(map[int]int, len(run)) // scenario index of a representative -> run position
-	if uniq != nil {
-		for u, idx := range uniq {
-			pos[idx] = u
-		}
-	} else {
-		for u := range run {
-			pos[u] = u
-		}
-	}
-
-	outs := make([]fault.Outcome, len(run))
-	ran := make([]bool, len(run))
-	panicked := make([]bool, len(run))
+	plan := newDedupPlan(scenarios, spec.Dedup)
+	slots := make([]slot, plan.len())
 	for _, j := range js {
 		for _, ent := range j.Entries {
 			if scenarios[ent.Index].ID != ent.ID {
 				return nil, fmt.Errorf("stressor: shard %d journal entry %d is scenario %q, universe has %q", j.Header.Shard, ent.Index, ent.ID, scenarios[ent.Index].ID)
 			}
-			u, ok := pos[ent.Index]
+			u, ok := plan.position(ent.Index)
 			if !ok {
 				return nil, fmt.Errorf("stressor: shard %d journal entry %d is not a dedup representative (journals written without dedup?)", j.Header.Shard, ent.Index)
 			}
@@ -106,47 +81,36 @@ func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*
 			if !ok {
 				return nil, fmt.Errorf("stressor: shard %d journal entry %d has unknown class %q", j.Header.Shard, ent.Index, ent.Class)
 			}
-			if ran[u] && (outs[u].Class != cls || outs[u].Detail != ent.Detail || panicked[u] != ent.Panicked) {
+			if s := slots[u]; s.ran && (s.out.Class != cls || s.out.Detail != ent.Detail || s.panicked != ent.Panicked) {
 				return nil, fmt.Errorf("stressor: scenario %s (index %d) recorded twice with different outcomes", ent.ID, ent.Index)
 			}
-			outs[u] = fault.Outcome{Scenario: run[u], Class: cls, Detail: ent.Detail}
-			ran[u], panicked[u] = true, ent.Panicked
+			slots[u] = slot{
+				out: fault.Outcome{Scenario: plan.scenario(u), Class: cls, Detail: ent.Detail},
+				ran: true, panicked: ent.Panicked,
+			}
 		}
 	}
 
 	// Completeness: without StopOnFirst every unique position must be
 	// covered; with it, every position up to the global first failure
 	// must be — a gap below the cutoff means some shard is incomplete.
-	stop := len(run)
+	stop := len(slots)
 	if spec.StopOnFirst {
-		for u := range run {
-			if ran[u] && outs[u].Class.IsFailure() {
+		for u, s := range slots {
+			if s.ran && s.out.Class.IsFailure() {
 				stop = u
 				break
 			}
 		}
 	}
-	for u := 0; u < len(run) && u <= stop; u++ {
-		if !ran[u] {
-			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d is incomplete (interrupted? resume it first)", run[u].ID, origOf(uniq, u), u%h0.Shards)
+	for u := 0; u < len(slots) && u <= stop; u++ {
+		if !slots[u].ran {
+			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d is incomplete (interrupted? resume it first)", plan.scenario(u).ID, plan.index(u), u%h0.Shards)
 		}
 	}
 
-	if uniq != nil {
-		outs, ran, panicked = fanOut(scenarios, uniq, rep, outs, ran, panicked)
-	}
 	c := &Campaign{Name: h0.Campaign, StopOnFirst: spec.StopOnFirst}
-	res := c.assemble(scenarios, outs, ran, panicked)
-	if uniq != nil {
-		res.DedupSavedRuns = len(scenarios) - len(uniq)
-	}
+	res := c.assemble(plan.fanOut(slots))
+	res.DedupSavedRuns = len(scenarios) - plan.len()
 	return res, nil
-}
-
-// origOf maps a unique-run position to its scenario index.
-func origOf(uniq []int, u int) int {
-	if uniq != nil {
-		return uniq[u]
-	}
-	return u
 }

@@ -86,27 +86,11 @@ func ParseShard(s string) (Shard, error) {
 // progress totals and validate streamed journal entries without
 // re-deriving the engine's partition rules.
 func OwnedIndices(scenarios []fault.Scenario, dedup bool, sh Shard) []int {
-	var uniq []int
-	if dedup {
-		// Mirror Execute/Merge: a plan that saves nothing is discarded,
-		// so positions stay the plain scenario indices.
-		if u, _ := dedupPlan(scenarios); len(u) < len(scenarios) {
-			uniq = u
-		}
-	}
-	total := len(scenarios)
-	if uniq != nil {
-		total = len(uniq)
-	}
+	plan := newDedupPlan(scenarios, dedup)
 	var out []int
-	for u := 0; u < total; u++ {
-		if !sh.owns(u) {
-			continue
-		}
-		if uniq != nil {
-			out = append(out, uniq[u])
-		} else {
-			out = append(out, u)
+	for u := 0; u < plan.len(); u++ {
+		if sh.owns(u) {
+			out = append(out, plan.index(u))
 		}
 	}
 	return out

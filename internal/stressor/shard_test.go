@@ -81,6 +81,27 @@ func shardHeader(name string, s Shard, scenarios []fault.Scenario) journal.Heade
 	}
 }
 
+// TestJournalHeaderOfAList pins Campaign.JournalHeader for a scenario
+// list against literals: capsim, the daemon, the stressortest matrix
+// and resumeEntries all take the header from it, so a wrong field there
+// would be self-consistent everywhere else.
+func TestJournalHeaderOfAList(t *testing.T) {
+	scenarios := dedupScenarios(12, 5) // duplicates: Total is the list's size, not the unique runs'
+	want := journal.Header{
+		Campaign: "hdr", Shard: 1, Shards: 3,
+		Total: 12, Universe: UniverseHash(scenarios), Adaptive: false,
+	}
+	c := Campaign{Name: "hdr", Shard: Shard{Index: 1, Count: 3}, Dedup: true, MaxRuns: 99, Fingerprint: "ignored"}
+	if got := c.JournalHeader(scenarios); got != want {
+		t.Errorf("sharded list: JournalHeader = %+v, want %+v", got, want)
+	}
+	want.Shard, want.Shards = 0, 1
+	c.Shard = Shard{}
+	if got := c.JournalHeader(scenarios); got != want {
+		t.Errorf("unsharded list: JournalHeader = %+v, want %+v", got, want)
+	}
+}
+
 // executeShards runs tmpl once per shard, each with its own journal,
 // then reads the journals back and merges them.
 func executeShards(t *testing.T, tmpl Campaign, scenarios []fault.Scenario, shards int) (*Result, []*journal.Journal) {

@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stressor"
@@ -16,7 +19,7 @@ import (
 
 // AdaptiveConfig describes one adaptive determinism matrix: the same
 // Novelty strategy, seeded identically per cell, driven through
-// stressor.AdaptiveCampaign across worker counts and an
+// stressor.Campaign{Source: ...} across worker counts and an
 // interrupt/resume leg. Every cell must reproduce the reference
 // (sequential, fresh) byte-for-byte — the closed feedback loop makes
 // this a much stronger claim than the fixed-universe matrix, because
@@ -47,6 +50,11 @@ type AdaptiveConfig struct {
 // RunAdaptive executes the adaptive matrix: reference = rebuild/
 // sequential/fresh; cells cross {workers} × {rebuild, reuse} ×
 // {fresh, interrupted+resumed} and must all DeepEqual the reference.
+// On top of that, per worker count: a cell with everything the shared
+// run shell offers attached (a generous ScenarioTimeout, Trace,
+// Progress, Metrics) must still DeepEqual the bare reference, and a
+// cell where one proposal's run hangs must classify it fault.Timeout
+// and finish the budget.
 func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	if cfg.Budget == 0 {
 		cfg.Budget = 24
@@ -63,54 +71,47 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	if cfg.InterruptAfter == 0 {
 		cfg.InterruptAfter = 5
 	}
-	fingerprint := stressor.UniverseHash(fault.Singles(cfg.Universe))
 
-	// newSource rebuilds the identically-configured strategy for one
-	// cell. The Novelty proposal budget is deliberately larger than
-	// the engine budget so MaxRuns is always the terminating bound and
-	// pruned (budget-free) proposals cannot starve the stream.
-	newSource := func() *scenario.Novelty {
-		n := scenario.NewNovelty(cfg.Universe, 4*cfg.Budget, rand.New(rand.NewSource(cfg.Seed)))
-		n.Mutator().Window = cfg.Window
-		return n
+	// campaign builds one cell's campaign around a fresh, identically
+	// configured strategy. The Novelty proposal budget is deliberately
+	// larger than the engine budget so MaxRuns is always the terminating
+	// bound and pruned (budget-free) proposals cannot starve the stream.
+	campaign := func(run stressor.RunFunc, workers int) *stressor.Campaign {
+		src := scenario.NewNovelty(cfg.Universe, 4*cfg.Budget, rand.New(rand.NewSource(cfg.Seed)))
+		src.Mutator().Window = cfg.Window
+		return &stressor.Campaign{
+			Name: cfg.Name, Run: run, Source: src, Workers: workers,
+			MaxRuns: cfg.Budget, Dedup: true,
+			Fingerprint: stressor.UniverseHash(fault.Singles(cfg.Universe)),
+		}
 	}
-
-	header := journal.Header{
-		Campaign: cfg.Name,
-		Total:    cfg.Budget,
-		Shards:   1,
-		Universe: fingerprint,
-		Adaptive: true,
+	execute := func(t *testing.T, c *stressor.Campaign) *stressor.Result {
+		t.Helper()
+		res, err := c.Execute(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
 	// runCell executes one cell, journaled; when interrupt is set it
 	// halts after InterruptAfter delivered outcomes, reopens the
 	// journal and resumes with a fresh, identically-seeded source.
-	runCell := func(t *testing.T, workers int, reuseOff, interrupt bool) *stressor.AdaptiveResult {
+	runCell := func(t *testing.T, workers int, reuseOff, interrupt bool) *stressor.Result {
 		run, cleanup := cfg.NewRun(t, reuseOff)
 		defer cleanup()
+		c := campaign(run, workers)
+		header := c.JournalHeader(nil)
 		path := filepath.Join(t.TempDir(), "adaptive.journal")
 		w, err := journal.Create(path, header)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &stressor.AdaptiveCampaign{
-			Name:        cfg.Name,
-			Run:         run,
-			Source:      newSource(),
-			Workers:     workers,
-			MaxRuns:     cfg.Budget,
-			Prune:       true,
-			Journal:     w,
-			Fingerprint: fingerprint,
-		}
+		c.Journal = w
 		if interrupt {
 			c.Halt = func(done int) bool { return done >= cfg.InterruptAfter }
 		}
-		res, err := c.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := execute(t, c)
 		if cerr := w.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -118,39 +119,26 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 			return res
 		}
 		if !res.Halted {
-			t.Fatalf("interrupt leg: campaign was not halted (delivered %d)", res.Proposed)
+			t.Fatalf("interrupt leg: campaign was not halted (delivered %d)", len(res.Outcomes))
 		}
 		j, w2, err := journal.AppendTo(path, header)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w2.Close()
-		c2 := &stressor.AdaptiveCampaign{
-			Name:        cfg.Name,
-			Run:         run,
-			Source:      newSource(),
-			Workers:     workers,
-			MaxRuns:     cfg.Budget,
-			Prune:       true,
-			Journal:     w2,
-			Resume:      j,
-			Fingerprint: fingerprint,
-		}
-		res2, err := c2.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res2
+		c2 := campaign(run, workers)
+		c2.Journal, c2.Resume = w2, j
+		return execute(t, c2)
 	}
 
-	var ref *stressor.AdaptiveResult
+	var ref *stressor.Result
 	t.Run("reference", func(t *testing.T) {
 		ref = runCell(t, 0, true, false)
-		if ref.Simulated != cfg.Budget {
-			t.Fatalf("reference simulated %d runs, want the full budget %d", ref.Simulated, cfg.Budget)
+		if ref.Adaptive.Simulated != cfg.Budget {
+			t.Fatalf("reference simulated %d runs, want the full budget %d", ref.Adaptive.Simulated, cfg.Budget)
 		}
-		if ref.UniqueSignatures < 2 {
-			t.Fatalf("reference found %d unique signatures; the universe is degenerate", ref.UniqueSignatures)
+		if ref.Adaptive.UniqueSignatures < 2 {
+			t.Fatalf("reference found %d unique signatures; the universe is degenerate", ref.Adaptive.UniqueSignatures)
 		}
 	})
 	if ref == nil {
@@ -159,12 +147,13 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 
 	// normalize strips the fields that legitimately differ on the
 	// resumed leg: the second Execute simulates only the tail
-	// (Simulated shrinks, ResumedSkips grows by the same amount) and
-	// is never itself halted. Everything behavioral — the outcome
-	// stream, tally, signature census, prune census — must match.
-	normalize := func(r *stressor.AdaptiveResult) stressor.AdaptiveResult {
-		c := *r
-		c.Simulated, c.ResumedSkips, c.Halted = 0, 0, false
+	// (Simulated shrinks, Resumed grows by the same amount). Everything
+	// behavioral — the outcome stream, tally, signature census, prune
+	// census — must match.
+	normalize := func(r *stressor.Result) stressor.Result {
+		c, census := *r, *r.Adaptive
+		census.Simulated, census.Resumed = 0, 0
+		c.Adaptive = &census
 		return c
 	}
 
@@ -185,12 +174,12 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 				t.Run(name, func(t *testing.T) {
 					got := runCell(t, workers, reuseOff, interrupt)
 					if interrupt {
-						if got.Simulated+got.ResumedSkips != ref.Simulated {
+						if got.Adaptive.Simulated+got.Adaptive.Resumed != ref.Adaptive.Simulated {
 							t.Errorf("resumed cell simulated %d + resumed %d != reference %d",
-								got.Simulated, got.ResumedSkips, ref.Simulated)
+								got.Adaptive.Simulated, got.Adaptive.Resumed, ref.Adaptive.Simulated)
 						}
-					} else if got.Simulated != ref.Simulated {
-						t.Errorf("simulated %d runs, reference %d", got.Simulated, ref.Simulated)
+					} else if got.Adaptive.Simulated != ref.Adaptive.Simulated {
+						t.Errorf("simulated %d runs, reference %d", got.Adaptive.Simulated, ref.Adaptive.Simulated)
 					}
 					gn, rn := normalize(got), normalize(ref)
 					if !reflect.DeepEqual(gn, rn) {
@@ -199,5 +188,65 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 				})
 			}
 		}
+	}
+
+	// hangAt is the proposal whose run hangs in the timeout cells; the
+	// stream before it is the reference's, so its ID is known.
+	const hangAt = 3
+	var hung *stressor.Result
+	for _, workers := range cfg.Workers {
+		t.Run(fmt.Sprintf("w%d-instrumented", workers), func(t *testing.T) {
+			run, cleanup := cfg.NewRun(t, false)
+			defer cleanup()
+			c := campaign(run, workers)
+			reg, updates := obs.NewRegistry(), 0
+			c.ScenarioTimeout = time.Minute
+			c.Metrics, c.Trace = reg, obs.NewTraceRecorder()
+			c.Progress, c.ProgressInterval = func(obs.ProgressUpdate) { updates++ }, -1
+			if got := execute(t, c); !reflect.DeepEqual(got, ref) {
+				t.Errorf("instrumented cell diverged from the bare reference:\n got: %+v\nwant: %+v", got, ref)
+			}
+			if updates < cfg.Budget {
+				t.Errorf("%d progress updates for %d simulated runs", updates, cfg.Budget)
+			}
+			name := obs.L("campaign", cfg.Name)
+			if reg.Gauge("campaign.worker_utilization", name).Value() <= 0 || reg.Counter("campaign.completed", name).Value() == 0 {
+				t.Error("instrumented cell published no worker utilization or no completed count")
+			}
+		})
+		t.Run(fmt.Sprintf("w%d-hung-run", workers), func(t *testing.T) {
+			run, cleanup := cfg.NewRun(t, false)
+			defer cleanup()
+			// The hung run never reaches the runner and is released when
+			// the cell ends, so its goroutine is bounded by the cell.
+			release := make(chan struct{})
+			defer close(release)
+			victim := ref.Outcomes[hangAt].Scenario.ID
+			c := campaign(func(sc fault.Scenario) fault.Outcome {
+				if sc.ID == victim {
+					<-release
+					return fault.Outcome{Scenario: sc}
+				}
+				return run(sc)
+			}, workers)
+			c.ScenarioTimeout = 500 * time.Millisecond
+			got := execute(t, c)
+			if o := got.Outcomes[hangAt]; o.Class != fault.Timeout || !strings.Contains(o.Detail, "wall-clock budget") || o.Signature == 0 {
+				t.Fatalf("hung proposal delivered as %+v, want a signed timeout", o)
+			}
+			if !reflect.DeepEqual(got.Outcomes[:hangAt], ref.Outcomes[:hangAt]) {
+				t.Error("the stream before the hung proposal diverged from the reference")
+			}
+			if got.Adaptive.Simulated != cfg.Budget {
+				t.Errorf("campaign simulated %d runs after the timeout, want the full budget %d", got.Adaptive.Simulated, cfg.Budget)
+			}
+			// The timeout is an observation like any other: the strategy
+			// sees it at the same point at every worker count.
+			if hung == nil {
+				hung = got
+			} else if !reflect.DeepEqual(got, hung) {
+				t.Error("hung-run cell differs across worker counts")
+			}
+		})
 	}
 }

@@ -202,8 +202,9 @@ func modeNamed(name string) cellMode {
 // interrupted-and-resumed, then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
 // two nodes each, one shared node pool — and the signed plain path on
-// both runners. Inputs that generate nothing runnable, or a fault the
-// prototype's registry rejects, are skipped, not failed.
+// both runners, the reuse one also as a campaign over a Source. Inputs
+// that generate nothing runnable, or a fault the prototype's registry
+// rejects, are skipped, not failed.
 func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes []byte) {
 	t.Helper()
 	sc, ok := eq.generate(sim.Time(at%uint64(eq.Horizon)), seed, decodeGenes(genes))
@@ -271,13 +272,24 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	}
 
 	// The signed plain path digests final state; rebuild hashes a fresh
-	// slot from scratch, reuse a pooled one incrementally.
+	// slot from scratch, reuse a pooled one incrementally — called
+	// directly, and as the campaign engine runs it when the same list
+	// arrives through a Source.
+	src := listSource(scenarios)
+	sourced, err := (&stressor.Campaign{
+		Name: eq.Name, Run: eq.Reuse.SignedRunFunc(), Source: &src, Workers: 2,
+	}).Execute(nil)
+	if err != nil {
+		t.Fatalf("campaign over a source: %v", err)
+	}
 	rebuild, reuse := eq.Rebuild.SignedRunFunc(), eq.Reuse.SignedRunFunc()
 	for i, s := range scenarios {
-		want, got := rebuild(s), reuse(s)
-		if got.Class != want.Class || got.Detail != want.Detail || got.Signature != want.Signature {
-			t.Errorf("signed run of %s: reuse says %s %q sig %#x, rebuild says %s %q sig %#x",
-				s.ID, got.Class, got.Detail, got.Signature, want.Class, want.Detail, want.Signature)
+		want := rebuild(s)
+		for path, got := range map[string]fault.Outcome{"reuse": reuse(s), "reuse through a Source": sourced.Outcomes[i]} {
+			if got.Scenario.ID != s.ID || got.Class != want.Class || got.Detail != want.Detail || got.Signature != want.Signature {
+				t.Errorf("signed run of %s: %s says %s %s %q sig %#x, rebuild says %s %q sig %#x",
+					s.ID, path, got.Scenario.ID, got.Class, got.Detail, got.Signature, want.Class, want.Detail, want.Signature)
+			}
 		}
 		if want.Class != ref.Outcomes[i].Class || want.Detail != ref.Outcomes[i].Detail {
 			t.Errorf("signed run of %s classifies %s %q, unsigned %s %q",
@@ -285,3 +297,15 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		}
 	}
 }
+
+// listSource proposes a fixed list and learns nothing from it.
+type listSource []fault.Scenario
+
+func (l *listSource) Next() (sc fault.Scenario, ok bool) {
+	if ok = len(*l) > 0; ok {
+		sc, *l = (*l)[0], (*l)[1:]
+	}
+	return sc, ok
+}
+
+func (*listSource) Observe(fault.Outcome) {}

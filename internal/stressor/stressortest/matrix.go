@@ -144,23 +144,13 @@ func executeCell(t *testing.T, cfg Config, run stressor.RunFunc, cp stressor.Che
 			Shard:          sh, Journal: w, Resume: j, Halt: halt,
 		}
 	}
-	header := func(sh stressor.Shard) journal.Header {
-		n := sh.Count
-		if n < 1 {
-			n = 1
-		}
-		return journal.Header{
-			Campaign: cfg.Name, Shard: sh.Index, Shards: n,
-			Total: len(cfg.Scenarios), Universe: stressor.UniverseHash(cfg.Scenarios),
-		}
-	}
 	// runShard executes one shard (journaled, so every cell also
 	// proves journaling never perturbs the result), optionally
 	// interrupting after cfg.InterruptAfter runs and resuming from the
 	// journal. It returns the final Execute's Result and the journal.
 	runShard := func(sh stressor.Shard, interrupt bool) (*stressor.Result, *journal.Journal) {
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", sh.Index))
-		h := header(sh)
+		h := campaign(sh, nil, nil, nil).JournalHeader(cfg.Scenarios)
 		w, err := journal.Create(path, h)
 		if err != nil {
 			t.Fatal(err)
