@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race shuffle tier1 bench bench-smoke bench-obs fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race shuffle tier1 bench bench-pairs bench-smoke bench-obs fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -35,6 +35,17 @@ tier1: build vet race shuffle
 # sets.
 bench:
 	$(GO) run ./bench
+
+# How a performance claim is measured (bench/README.md): PAIRS
+# interleaved runs of one workload's driver form on PARENT's bench and
+# on this tree's, alternating which side goes first; prints both medians
+# and quartiles, the ratio with its base, pairs won and whether every
+# change run beats every parent run, per metric.
+PARENT ?= HEAD
+WORKLOAD ?= caps-perm-sweep
+PAIRS ?= 10
+bench-pairs:
+	GO=$(GO) sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # One iteration of every benchmark in the module: catches benchmarks
 # that rot (compile but crash) without paying for real measurement.

@@ -17,13 +17,16 @@
 //	curl -s 'localhost:8859/result?format=text'     # capsim summary block
 //
 // -oneshot prints the capsim-identical summary block to stdout when
-// the campaign completes and exits; without it the coordinator keeps
+// the campaign completes and exits — once every worker that registered
+// has been told the campaign is done, or has been silent for a lease
+// TTL; without it the coordinator keeps
 // serving results until SIGINT/SIGTERM. Shard journals live under
 // -data, so a restarted coordinator (same -data, same spec) adopts
 // them and resumes the campaign instead of rerunning it.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -145,7 +148,21 @@ func main() {
 			return
 		}
 	}
-	srv.Close()
+	// A one-shot coordinator does not leave before its workers know: a
+	// registered worker that finds the port closed cannot tell a finished
+	// campaign from a dead coordinator. One that has not asked within a
+	// lease TTL is dead itself. Shutdown, not Close, so the answer that
+	// dismissed the last worker still reaches it.
+	select {
+	case <-coord.Dismissed():
+	case <-time.After(*leaseTTL):
+		logger.Info("leaving with workers not told the campaign is done", "waited", *leaseTTL)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *leaseTTL)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		srv.Close()
+	}
 	res, _, err := coord.Result()
 	if err != nil {
 		fail(err)

@@ -296,8 +296,13 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// publish fans an event out through the run's hub.
+// publish fans an event out through the run's hub. A final event takes
+// the run's live telemetry down first: whoever waited for it may scrape
+// next, and a terminal run is not on /metrics.
 func (s *Scheduler) publish(e Event) {
+	if e.Final {
+		s.setLive(e.Run, nil, nil)
+	}
 	if h := s.Hub(e.Run); h != nil {
 		h.publish(e)
 	}

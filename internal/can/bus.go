@@ -37,12 +37,19 @@ type Node struct {
 	name string
 	bus  *Bus
 	// OnReceive delivers accepted frames (all IDs; filtering is the
-	// application's concern).
+	// application's concern). f.Data aliases the bus's delivery buffer and
+	// is valid until the callback returns: copy what must outlive it (see
+	// the package doc).
 	OnReceive func(f Frame, at sim.Time)
 
 	tec, rec int
 	state    NodeState
-	queue    []Frame
+	// queue holds the frames waiting to be sent, oldest first. It is a
+	// window sliding along qbuf's array: pop moves its start, push slides
+	// it back over the sent frames when it reaches the end, so both are
+	// O(1) at any depth and the array is kept from run to run.
+	queue []frame
+	qbuf  []frame
 
 	sent, received, errorsSeen uint64
 	// Babbling makes the node continuously transmit highest-priority
@@ -64,7 +71,9 @@ func (n *Node) Stats() (sent, received, errors uint64) {
 	return n.sent, n.received, n.errorsSeen
 }
 
-// Send queues a frame for transmission. Bus-off nodes drop it.
+// Send queues a frame for transmission, copying its payload: the
+// caller's buffer is its own again when Send returns. Bus-off nodes
+// drop it.
 func (n *Node) Send(f Frame) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -72,13 +81,43 @@ func (n *Node) Send(f Frame) error {
 	if n.state == BusOff {
 		return fmt.Errorf("can: node %s is bus-off", n.name)
 	}
-	n.queue = append(n.queue, f.clone())
+	n.push(stored(f))
 	n.bus.kick()
 	return nil
 }
 
 // Pending reports queued frames.
 func (n *Node) Pending() int { return len(n.queue) }
+
+// push queues f behind the frames waiting.
+func (n *Node) push(f frame) {
+	if len(n.queue) == cap(n.queue) {
+		// The window stands at the end of its array (or has none yet).
+		// With at least as many sent frames before it as live ones in it,
+		// slide it back to the start — at most one copy per frame pushed —
+		// and otherwise move to an array twice the size.
+		if sent := cap(n.qbuf) - cap(n.queue); sent > 0 && sent >= len(n.queue) {
+			n.queue = append(n.qbuf[:0], n.queue...)
+		} else {
+			n.qbuf = make([]frame, 0, 2*cap(n.qbuf)+4)
+			n.queue = append(n.qbuf, n.queue...)
+		}
+	}
+	n.queue = append(n.queue, f)
+}
+
+// pop drops the oldest queued frame.
+func (n *Node) pop() {
+	if n.queue = n.queue[1:]; len(n.queue) == 0 {
+		n.queue = n.qbuf[:0]
+	}
+}
+
+// setQueue replaces the queued frames with a copy of frames.
+func (n *Node) setQueue(frames []frame) {
+	n.queue = append(n.qbuf[:0], frames...)
+	n.qbuf = n.queue[:0]
+}
 
 // bumpTxError applies the transmit-error penalty (+8 per the spec)
 // and updates the state machine.
@@ -114,7 +153,7 @@ func (n *Node) updateState() {
 	case n.tec > 255:
 		if n.state != BusOff {
 			n.state = BusOff
-			n.queue = nil
+			n.queue = n.qbuf[:0]
 		}
 	case n.tec > 127 || n.rec > 127:
 		if n.state != BusOff {
@@ -131,9 +170,15 @@ func (n *Node) updateState() {
 type TxRecord struct {
 	At        sim.Time
 	Node      string
-	Frame     Frame
 	Corrupted bool
 	Dropped   bool
+	frame     frame
+}
+
+// Frame returns a copy of the frame as it went over the wire (with the
+// flipped bit, for a corrupted one).
+func (r TxRecord) Frame() Frame {
+	return Frame{ID: r.frame.id, Data: append([]byte(nil), r.frame.view().Data...)}
 }
 
 // Bus is the shared medium.
@@ -156,7 +201,10 @@ type Bus struct {
 	// kernel's process table per frame).
 	txdone   *sim.Event
 	txWinner *Node
-	txFrame  Frame
+	txFrame  frame
+	// rx is the delivery buffer: the frame every OnReceive of one
+	// completed transmission sees, through a Frame that aliases it.
+	rx frame
 	// cont is the contenders scratch buffer, reused per round.
 	cont []*Node
 
@@ -170,7 +218,7 @@ type Bus struct {
 	corruptNext  int // corrupt the next n frames in transit
 	dropNext     int // silently drop the next n frames
 	retriesLeft  map[*Node]int
-	babbleFrame  Frame
+	babbleFrame  frame
 	arbitrations uint64
 }
 
@@ -182,7 +230,7 @@ func NewBus(k *sim.Kernel, name string) *Bus {
 		BitTime:     sim.US(2),
 		MaxRetries:  8,
 		retriesLeft: make(map[*Node]int),
-		babbleFrame: Frame{ID: 0, Data: []byte{0}},
+		babbleFrame: frame{id: 0, n: 1},
 		wakeName:    name + ".wake",
 		arbName:     name + ".arbitrate",
 		doneName:    name + ".txdone",
@@ -212,7 +260,7 @@ func (b *Bus) Rearm(k *sim.Kernel) {
 	b.k = k
 	b.elaborate(k)
 	b.txWinner = nil
-	b.txFrame = Frame{}
+	b.txFrame = frame{}
 	b.busy = false
 	b.log = b.log[:0]
 	b.corruptNext = 0
@@ -222,7 +270,7 @@ func (b *Bus) Rearm(k *sim.Kernel) {
 	for _, n := range b.nodes {
 		n.tec, n.rec = 0, 0
 		n.state = ErrorActive
-		n.queue = n.queue[:0]
+		n.queue = n.qbuf[:0]
 		n.sent, n.received, n.errorsSeen = 0, 0, 0
 		n.Babbling = false
 	}
@@ -266,7 +314,7 @@ func (b *Bus) contenders() []*Node {
 			continue
 		}
 		if n.Babbling && len(n.queue) == 0 {
-			n.queue = append(n.queue, b.babbleFrame.clone())
+			n.push(b.babbleFrame)
 		}
 		if len(n.queue) > 0 {
 			out = append(out, n)
@@ -294,18 +342,18 @@ func (b *Bus) arbitrate() {
 	for i := 1; i < len(cont); i++ {
 		n := cont[i]
 		j := i - 1
-		for j >= 0 && cont[j].queue[0].ID > n.queue[0].ID {
+		for j >= 0 && cont[j].queue[0].id > n.queue[0].id {
 			cont[j+1] = cont[j]
 			j--
 		}
 		cont[j+1] = n
 	}
 	winner := cont[0]
-	frame := winner.queue[0]
+	f := winner.queue[0]
 	b.busy = true
-	dur := sim.Time(frame.Bits()) * b.BitTime
+	dur := sim.Time(f.view().Bits()) * b.BitTime
 	b.txWinner = winner
-	b.txFrame = frame
+	b.txFrame = f
 	b.txdone.Notify(dur)
 }
 
@@ -317,13 +365,13 @@ func (b *Bus) completePending() {
 		return
 	}
 	b.txWinner = nil
-	b.txFrame = Frame{}
+	b.txFrame = frame{}
 	b.complete(w, f)
 }
 
 // complete finishes a transmission: apply channel faults, deliver or
 // signal errors, then re-arm arbitration.
-func (b *Bus) complete(sender *Node, frame Frame) {
+func (b *Bus) complete(sender *Node, f frame) {
 	b.busy = false
 	now := b.k.Now()
 
@@ -332,16 +380,16 @@ func (b *Bus) complete(sender *Node, frame Frame) {
 		b.dropNext--
 		// Omission: the frame is gone. The sender still dequeues (a
 		// transceiver-level fault invisible to the controller).
-		sender.queue = sender.queue[1:]
+		sender.pop()
 		sender.sent++
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Frame: frame, Dropped: true})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: f, Dropped: true})
 	case b.corruptNext > 0:
 		b.corruptNext--
-		corrupted := frame.clone()
-		if len(corrupted.Data) > 0 {
-			corrupted.Data[0] ^= 0x01
+		corrupted := f
+		if corrupted.n > 0 {
+			corrupted.data[0] ^= 0x01
 		} else {
-			corrupted.ID ^= 0x1
+			corrupted.id ^= 0x1
 		}
 		// Receivers detect the CRC mismatch and signal an error frame:
 		// the sender's TEC jumps, receivers' REC tick up, and the
@@ -352,7 +400,7 @@ func (b *Bus) complete(sender *Node, frame Frame) {
 			}
 		}
 		sender.bumpTxError()
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Frame: corrupted, Corrupted: true})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: corrupted, Corrupted: true})
 		if _, ok := b.retriesLeft[sender]; !ok {
 			b.retriesLeft[sender] = b.MaxRetries
 		}
@@ -360,16 +408,17 @@ func (b *Bus) complete(sender *Node, frame Frame) {
 		if b.retriesLeft[sender] <= 0 || sender.state == BusOff {
 			// Give up on this frame.
 			if len(sender.queue) > 0 {
-				sender.queue = sender.queue[1:]
+				sender.pop()
 			}
 			delete(b.retriesLeft, sender)
 		}
 	default:
 		// Clean delivery.
-		sender.queue = sender.queue[1:]
+		sender.pop()
 		sender.sent++
 		sender.decayTx()
 		delete(b.retriesLeft, sender)
+		b.rx = f
 		for _, n := range b.nodes {
 			if n == sender || n.state == BusOff {
 				continue
@@ -377,10 +426,10 @@ func (b *Bus) complete(sender *Node, frame Frame) {
 			n.received++
 			n.decayRx()
 			if n.OnReceive != nil {
-				n.OnReceive(frame.clone(), now)
+				n.OnReceive(b.rx.view(), now)
 			}
 		}
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Frame: frame})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: f})
 	}
 	b.kick()
 }
@@ -389,7 +438,7 @@ func (b *Bus) complete(sender *Node, frame Frame) {
 type nodeState struct {
 	tec, rec int
 	state    NodeState
-	queue    []Frame
+	queue    []frame
 	sent     uint64
 	received uint64
 	errors   uint64
@@ -399,13 +448,12 @@ type nodeState struct {
 // BusState is an opaque deep copy of the bus's mutable state — traffic
 // queues, error counters, the in-flight transmission, the transaction
 // log and the channel-fault budgets — captured by SnapshotState for
-// golden-run checkpointing. Queued frames are copied by value; their
-// payload slices are never mutated after Send clones them, so sharing
-// the byte arrays between the capture and the live bus is safe.
+// golden-run checkpointing. Frames carry their payload inline, so the
+// capture shares no bytes with the live bus.
 type BusState struct {
 	busy        bool
 	txWinner    int // index into nodes, -1 when no frame is in flight
-	txFrame     Frame
+	txFrame     frame
 	log         []TxRecord
 	corruptNext int
 	dropNext    int
@@ -438,7 +486,7 @@ func (b *Bus) SnapshotState() any {
 		}
 		st.nodes[i] = nodeState{
 			tec: n.tec, rec: n.rec, state: n.state,
-			queue: append([]Frame(nil), n.queue...),
+			queue: append([]frame(nil), n.queue...),
 			sent:  n.sent, received: n.received, errors: n.errorsSeen,
 			babbling: n.Babbling,
 		}
@@ -498,7 +546,7 @@ func (b *Bus) HashState(h *sim.StateHash) {
 		}
 	}
 	h.Int(wi)
-	hashFrame(h, b.txFrame)
+	hashFrame(h, &b.txFrame)
 	h.Int(b.corruptNext)
 	h.Int(b.dropNext)
 	for _, n := range b.nodes {
@@ -511,17 +559,18 @@ func (b *Bus) HashState(h *sim.StateHash) {
 		h.Int(n.rec)
 		h.Byte(byte(n.state))
 		h.Int(len(n.queue))
-		for _, f := range n.queue {
-			hashFrame(h, f)
+		for i := range n.queue {
+			hashFrame(h, &n.queue[i])
 		}
 		h.Bool(n.Babbling)
 	}
 }
 
-// hashFrame folds one frame.
-func hashFrame(h *sim.StateHash, f Frame) {
-	h.U32(uint32(f.ID))
-	h.Bytes(f.Data)
+// hashFrame folds one frame: identifier and payload, as a Frame's ID
+// and Data.
+func hashFrame(h *sim.StateHash, f *frame) {
+	h.U32(uint32(f.id))
+	h.Bytes(f.data[:f.n])
 }
 
 // RestoreState implements sim.Snapshottable, writing a SnapshotState
@@ -545,7 +594,7 @@ func (b *Bus) RestoreState(state any) {
 	for i, n := range b.nodes {
 		ns := st.nodes[i]
 		n.tec, n.rec, n.state = ns.tec, ns.rec, ns.state
-		n.queue = append(n.queue[:0], ns.queue...)
+		n.setQueue(ns.queue)
 		n.sent, n.received, n.errorsSeen = ns.sent, ns.received, ns.errors
 		n.Babbling = ns.babbling
 	}

@@ -26,13 +26,12 @@ func TestCRCProperties(t *testing.T) {
 		t.Errorf("CRC %#x exceeds 15 bits", c1)
 	}
 	// Any single payload bit flip changes the CRC.
-	g := f.clone()
-	g.Data[0] ^= 0x01
+	g := Frame{ID: f.ID, Data: []byte{0xde ^ 0x01, 0xad}}
 	if g.CRC() == c1 {
 		t.Error("payload flip not reflected in CRC")
 	}
 	// ID flip too.
-	h := f.clone()
+	h := f
 	h.ID ^= 0x100
 	if h.CRC() == c1 {
 		t.Error("ID flip not reflected in CRC")
@@ -56,6 +55,12 @@ func busFixture(t *testing.T) (*sim.Kernel, *Bus) {
 	return k, NewBus(k, "can0")
 }
 
+// keep copies a delivered frame out of the bus's delivery buffer, as a
+// receiver that holds on to one must.
+func keep(f Frame) Frame {
+	return Frame{ID: f.ID, Data: append([]byte(nil), f.Data...)}
+}
+
 func TestCleanDelivery(t *testing.T) {
 	k, b := busFixture(t)
 	tx := b.Attach("sensor")
@@ -63,7 +68,7 @@ func TestCleanDelivery(t *testing.T) {
 	var got []Frame
 	var at []sim.Time
 	rx.OnReceive = func(f Frame, now sim.Time) {
-		got = append(got, f)
+		got = append(got, keep(f))
 		at = append(at, now)
 	}
 	if err := tx.Send(Frame{ID: 0x100, Data: []byte{42}}); err != nil {
@@ -114,7 +119,7 @@ func TestCorruptionTriggersRetransmit(t *testing.T) {
 	tx := b.Attach("tx")
 	rx := b.Attach("rx")
 	var got []Frame
-	rx.OnReceive = func(f Frame, _ sim.Time) { got = append(got, f) }
+	rx.OnReceive = func(f Frame, _ sim.Time) { got = append(got, keep(f)) }
 	b.CorruptNextFrames(1)
 	if err := tx.Send(Frame{ID: 0x50, Data: []byte{7}}); err != nil {
 		t.Fatal(err)
@@ -138,7 +143,10 @@ func TestCorruptionTriggersRetransmit(t *testing.T) {
 	// The log shows both attempts.
 	log := b.Log()
 	if len(log) != 2 || !log[0].Corrupted || log[1].Corrupted {
-		t.Errorf("log = %+v", log)
+		t.Fatalf("log = %+v", log)
+	}
+	if bad, good := log[0].Frame(), log[1].Frame(); bad.ID != 0x50 || bad.Data[0] != 7^1 || good.Data[0] != 7 {
+		t.Errorf("logged frames = %v, %v; want the flipped payload bit, then the clean frame", bad, good)
 	}
 }
 
@@ -310,5 +318,167 @@ func BenchmarkBusThroughput(b *testing.B) {
 		if err := k.Run(sim.TimeMax); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRetainedFrameAliasesDeliveryBuffer pins the OnReceive lifetime
+// rule to what the package doc says of a frame kept without copying:
+// ID and length stay, Data reads the latest delivered payload,
+// zero-padded.
+func TestRetainedFrameAliasesDeliveryBuffer(t *testing.T) {
+	k, b := busFixture(t)
+	tx := b.Attach("tx")
+	rx := b.Attach("rx")
+	var kept []Frame
+	rx.OnReceive = func(f Frame, _ sim.Time) {
+		if want := byte(len(kept) + 1); f.Data[0] != want {
+			t.Errorf("inside the callback Data[0] = %d, want %d", f.Data[0], want)
+		}
+		kept = append(kept, f) // no copy
+	}
+	for _, f := range []Frame{
+		{ID: 0x10, Data: []byte{1, 0xaa, 0xbb}},
+		{ID: 0x20, Data: []byte{2, 0xcc}},
+		{ID: 0x30, Data: []byte{3}},
+	} {
+		if err := tx.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(sim.TimeMax); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 3 {
+		t.Fatalf("delivered %d frames, want 3", len(kept))
+	}
+	// The last delivery was {3}: every kept frame now reads its bytes.
+	for i, want := range []Frame{
+		{ID: 0x10, Data: []byte{3, 0, 0}},
+		{ID: 0x20, Data: []byte{3, 0}},
+		{ID: 0x30, Data: []byte{3}},
+	} {
+		if got := kept[i]; got.ID != want.ID || string(got.Data) != string(want.Data) {
+			t.Errorf("kept[%d] = %v, want %v", i, got, want)
+		}
+	}
+	// The sender's side is the other half of the contract: its buffer is
+	// its own again once Send returns.
+	buf := []byte{9}
+	if err := tx.Send(Frame{ID: 0x40, Data: buf}); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 0
+	rx.OnReceive = func(f Frame, _ sim.Time) { kept = append(kept, keep(f)) }
+	if err := k.Run(sim.TimeMax); err != nil {
+		t.Fatal(err)
+	}
+	if got := kept[3].Data[0]; got != 9 {
+		t.Errorf("frame sent from a reused buffer delivered %d, want 9", got)
+	}
+}
+
+// TestQueueSlidesInPlace: the queue dequeues in O(1) at any depth and
+// keeps its array — a deep queue drains in order, and a node that
+// sends and completes at a steady depth never moves to a larger one.
+func TestQueueSlidesInPlace(t *testing.T) {
+	k, b := busFixture(t)
+	tx := b.Attach("tx")
+	rx := b.Attach("rx")
+	var got []byte
+	rx.OnReceive = func(f Frame, _ sim.Time) { got = append(got, f.Data[0]) }
+	const deep = 667
+	for i := 0; i < deep; i++ {
+		if err := tx.Send(Frame{ID: 0x100, Data: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(sim.TimeMax); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != deep {
+		t.Fatalf("delivered %d of %d", len(got), deep)
+	}
+	for i, v := range got {
+		if v != byte(i) {
+			t.Fatalf("frame %d delivered out of order (payload %d)", i, v)
+		}
+	}
+	// Steady depth 3: one frame completes, one is sent, 10 000 times over.
+	got = got[:0]
+	for i := 0; i < 3; i++ {
+		_ = tx.Send(Frame{ID: 0x100, Data: []byte{byte(i)}})
+	}
+	size := cap(tx.qbuf)
+	frameTime := sim.Time(Frame{ID: 0x100, Data: []byte{0}}.Bits()) * b.BitTime
+	for i := 3; i < 10_000; i++ {
+		if err := k.RunUntil(k.Now() + frameTime); err != nil {
+			t.Fatal(err)
+		}
+		if tx.Pending() != 2 {
+			t.Fatalf("round %d: %d pending, want 2", i, tx.Pending())
+		}
+		_ = tx.Send(Frame{ID: 0x100, Data: []byte{byte(i)}})
+	}
+	if cap(tx.qbuf) != size {
+		t.Errorf("queue array grew from %d to %d frames at a steady depth of 3", size, cap(tx.qbuf))
+	}
+	for i, v := range got {
+		if v != byte(i) {
+			t.Fatalf("steady-depth frame %d delivered out of order (payload %d)", i, v)
+		}
+	}
+}
+
+// TestSteadyStateRoundAllocatesNothing: once the queues, the log and the
+// kernel's own buffers have their capacity, a Send → arbitrate → deliver
+// round costs no heap object — on a clean bus, with every fourth frame
+// corrupted and retransmitted, and with a babbling node holding the bus
+// (whose junk frames are all that gets through).
+func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		corrupt, babbler bool
+	}{
+		{name: "clean"},
+		{name: "corrupted", corrupt: true},
+		{name: "babbling", babbler: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, b := busFixture(t)
+			defer k.Shutdown()
+			tx := b.Attach("tx")
+			rx := b.Attach("rx")
+			b.Attach("babbler").Babbling = tc.babbler
+			delivered := 0
+			rx.OnReceive = func(f Frame, _ sim.Time) { delivered += len(f.Data) }
+			payload := [2]byte{7, 1}
+			rounds := 0
+			round := func() {
+				rounds++
+				if tc.corrupt && rounds%4 == 0 {
+					b.CorruptNextFrames(1)
+				}
+				if !tc.babbler || rounds == 1 { // behind a babbler frames only queue up: one is enough
+					if err := tx.Send(Frame{ID: 0x120, Data: payload[:]}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := k.RunUntil(k.Now() + sim.MS(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm up past every buffer's growth, then give the log its room
+			// back, as Rearm does between runs.
+			for i := 0; i < 64; i++ {
+				round()
+			}
+			b.log = b.log[:0]
+			if avg := testing.AllocsPerRun(32, round); avg != 0 {
+				t.Errorf("%v allocations per round, want 0", avg)
+			}
+			if delivered == 0 {
+				t.Error("nothing was delivered")
+			}
+		})
 	}
 }

@@ -12,6 +12,24 @@
 // frame, not per bit) is the documented abstraction: it preserves
 // arbitration order, bandwidth occupancy and error confinement while
 // staying fast enough for campaigns.
+//
+// # Frames are held by value
+//
+// Frame is the package's surface: an identifier and a payload slice.
+// The bus itself never keeps that slice. Send copies the payload into
+// the node's queue, and a queued, in-flight, logged or snapshotted
+// frame is a small value with its (at most 8) payload bytes inline, so
+// a frame costs no heap object anywhere on its way and the caller may
+// reuse its buffer as soon as Send returns.
+//
+// Delivery runs the other way. The Frame handed to OnReceive has a Data
+// slice that aliases one delivery buffer owned by the bus; it is valid
+// until the callback returns. A receiver that wants the payload later
+// copies it out. A Frame kept without copying is not an error but it is
+// not that frame any more either: its ID and len(Data) stay what they
+// were, and Data reads the first len(Data) bytes of the bus's delivery
+// buffer — the payload of whichever frame the bus delivered last,
+// zero-padded to 8 bytes (TestRetainedFrameAliasesDeliveryBuffer).
 package can
 
 import "fmt"
@@ -80,10 +98,21 @@ func (f Frame) Bits() int {
 	return base + stuffable/5
 }
 
-// clone deep-copies the frame so in-flight corruption cannot alias the
-// sender's buffer.
-func (f Frame) clone() Frame {
-	d := make([]byte, len(f.Data))
-	copy(d, f.Data)
-	return Frame{ID: f.ID, Data: d}
+// frame is a Frame as the bus holds it — queued, in flight, logged,
+// snapshotted: by value, the payload inline. Bytes of data past n are
+// zero.
+type frame struct {
+	id   uint16
+	n    uint8
+	data [MaxData]byte
 }
+
+// stored copies a validated Frame in.
+func stored(f Frame) frame {
+	s := frame{id: f.ID, n: uint8(len(f.Data))}
+	copy(s.data[:], f.Data)
+	return s
+}
+
+// view is the frame as a Frame whose Data aliases f's own bytes.
+func (f *frame) view() Frame { return Frame{ID: f.id, Data: f.data[:f.n]} }

@@ -9,14 +9,14 @@ import (
 
 // TestStateCoverageBus is the state-coverage lint on the bus and its
 // nodes, caught mid-traffic: a frame in flight, frames queued behind
-// it, a retry budget open and a non-empty transaction log. Every field
+// it in a queue window that has already slid off the start of its
+// array, a retry budget open and a non-empty transaction log. Every field
 // is perturbed and must move the digest and survive snapshot → perturb
 // → restore, or is listed with the reason it need not.
 func TestStateCoverageBus(t *testing.T) {
 	k, b := busFixture(t)
 	defer k.Shutdown()
 	a, c := b.Attach("a"), b.Attach("c")
-	b.CorruptNextFrames(2)
 	for i := 0; i < 3; i++ {
 		if err := a.Send(Frame{ID: 0x10, Data: []byte{byte(i), 2}}); err != nil {
 			t.Fatal(err)
@@ -25,29 +25,33 @@ func TestStateCoverageBus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One corrupted frame has completed (log entry, error counters, a
-	// retry budget) and its retransmission is on the wire.
+	// One frame has been delivered and popped; the next has completed
+	// corrupted (log entry, error counters, a retry budget) and its
+	// retransmission is on the wire.
 	if err := k.RunUntil(sim.US(150)); err != nil {
 		t.Fatal(err)
 	}
-	if !b.busy || b.txWinner == nil || len(b.log) == 0 || len(b.retriesLeft) == 0 || len(a.queue) == 0 {
-		t.Fatalf("bus not mid-traffic: busy=%v winner=%v log=%d retries=%d queue=%d",
-			b.busy, b.txWinner, len(b.log), len(b.retriesLeft), len(a.queue))
+	b.CorruptNextFrames(2)
+	if err := k.RunUntil(sim.US(300)); err != nil {
+		t.Fatal(err)
+	}
+	if !b.busy || b.txWinner == nil || len(b.log) != 2 || len(b.retriesLeft) == 0 || len(a.queue) != 2 || cap(a.queue) == cap(a.qbuf) {
+		t.Fatalf("bus not mid-traffic: busy=%v winner=%v log=%d retries=%d queue=%d (cap %d of %d)",
+			b.busy, b.txWinner, len(b.log), len(b.retriesLeft), len(a.queue), cap(a.queue), cap(a.qbuf))
 	}
 
 	const (
-		config    = "configuration, constant after NewBus"
-		wiring    = "kernel objects and bound methods, re-created by Rearm; pending notifications are scheduler state"
-		diag      = "diagnostics nothing behavioral reads back (see Bus.HashState)"
-		immutable = "payload bytes are never written after Send clones them: captures share them, so the slice is replaced, not edited"
+		config  = "configuration, constant after NewBus"
+		wiring  = "kernel objects and bound methods, re-created by Rearm; pending notifications are scheduler state"
+		diag    = "diagnostics nothing behavioral reads back (see Bus.HashState)"
+		padding = "inline payload: HashState folds data[:n]; the bytes past n are zero padding nothing reads, so the byte perturbed is a live one"
 	)
 	simtest.StateCoverage(t, b, b, map[string]simtest.Rule{
 		"k": simtest.NotState(wiring), "name": simtest.NotState(config),
 		"BitTime": simtest.NotState(config), "MaxRetries": simtest.NotState(config),
 		"nodes": simtest.NotState("attachment list, fixed after elaboration; node state is linted below"),
 		"wake":  simtest.NotState(wiring), "txdone": simtest.NotState(wiring),
-		"log":            simtest.Unhashed(diag),
-		"log.Frame.Data": simtest.NotState(immutable),
+		"log": simtest.Unhashed(diag),
 		"txWinner": simtest.Via("a node pointer, captured as an index", func() {
 			if b.txWinner == a {
 				b.txWinner = c
@@ -55,7 +59,8 @@ func TestStateCoverageBus(t *testing.T) {
 				b.txWinner = a
 			}
 		}),
-		"txFrame.Data": simtest.Via(immutable, func() { b.txFrame.Data = []byte{0xee} }),
+		"txFrame.data": simtest.Via(padding, func() { b.txFrame.data[b.txFrame.n-1] ^= 0xee }),
+		"rx":           simtest.NotState("scratch: the delivery buffer, rewritten before every OnReceive and read only during it"),
 		"cont":         simtest.NotState("scratch: contenders refills it every arbitration round"),
 		"wakeName":     simtest.NotState(config), "arbName": simtest.NotState(config),
 		"doneName": simtest.NotState(config), "compName": simtest.NotState(config),
@@ -69,7 +74,8 @@ func TestStateCoverageBus(t *testing.T) {
 		simtest.StateCoverage(t, b, n, map[string]simtest.Rule{
 			"name": simtest.NotState(config), "bus": simtest.NotState(wiring),
 			"OnReceive":  simtest.NotState("wiring: the application's receive callback"),
-			"queue.Data": simtest.Via(immutable, func() { n.queue[0].Data = []byte{0xee} }),
+			"queue.data": simtest.Via(padding, func() { f := &n.queue[len(n.queue)-1]; f.data[f.n-1] ^= 0xee }),
+			"qbuf":       simtest.NotState("storage: the array queue slides along; every waiting frame is in queue"),
 			"sent":       simtest.Unhashed(diag), "received": simtest.Unhashed(diag), "errorsSeen": simtest.Unhashed(diag),
 		})
 	}

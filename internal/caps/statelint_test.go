@@ -39,7 +39,8 @@ func TestStateCoverageSystem(t *testing.T) {
 		"cfg": simtest.NotState(config), "world": simtest.NotState(config), "k": simtest.NotState(wiring),
 		"fusionFn": simtest.NotState(wiring), "framewdFn": simtest.NotState(wiring),
 		"cycleEv": simtest.NotState(wiring), "wdEv": simtest.NotState(wiring),
-		"sensors": simtest.NotState("sensor list fixed by Build; Sensor state is linted below"),
+		"sensors":     simtest.NotState("sensor list fixed by Build; Sensor state is linted below"),
+		"sensorSites": simtest.NotState("the sensors' trace site names, built once by Build and only read"),
 		"calib": simtest.Via("tlm.Memory is linted in its own package; here: System folds and restores it",
 			func() { sys.calib.Poke(1, []byte{0x5a}) }),
 		"bus": simtest.Via("can.Bus is linted in its own package; here: System folds and restores it",

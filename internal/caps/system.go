@@ -98,7 +98,12 @@ type System struct {
 	cycleEv *sim.Event
 	wdEv    *sim.Event
 
-	sensors  []*Sensor
+	sensors []*Sensor
+	// sensorSites names each sensor's hop in the propagation trace
+	// ("caps.accel0"), built once: fusionCycle records one per disturbed
+	// sensor per cycle.
+	sensorSites []string
+
 	calib    *tlm.Memory
 	bus      *can.Bus
 	fusionTx *can.Node
@@ -135,6 +140,9 @@ func Build(k *sim.Kernel, cfg Config, world *World) (*System, *fault.Registry) {
 	s.sensors = append(s.sensors, NewSensor("accel0", world))
 	if cfg.Redundant {
 		s.sensors = append(s.sensors, NewSensor("accel1", world))
+	}
+	for _, sen := range s.sensors {
+		s.sensorSites = append(s.sensorSites, "caps."+sen.Name)
 	}
 
 	// Calibration memory: gain x1000 (= 50 for 0.05 V/g) plus CRC-8.
@@ -286,7 +294,7 @@ func (s *System) fusionCycle() {
 	scale := s.readCalib()
 	for i, sen := range s.sensors {
 		if sen.Faulted() {
-			s.Trace.Record(now, fmt.Sprintf("caps.accel%d", i), "disturbed sample")
+			s.Trace.Record(now, s.sensorSites[i], "disturbed sample")
 		}
 	}
 	g0 := s.sensors[0].Sample(now) / scale
@@ -308,6 +316,7 @@ func (s *System) fusionCycle() {
 	if sev > 255 {
 		sev = 255
 	}
+	// Send copies the payload, so the literal stays on this stack frame.
 	_ = s.fusionTx.Send(can.Frame{ID: frameID, Data: []byte{byte(sev), status}})
 	s.cycleEv.Notify(s.cfg.SamplePeriod)
 }

@@ -2,6 +2,7 @@ package clitest
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -105,6 +106,20 @@ func (c *coordProc) waitExit(timeout time.Duration) (ready, rest string) {
 func TestFabricPairGolden(t *testing.T) {
 	coord := startCoord(t, fabricSpec, "-oneshot", "-shards", "4", "-data", t.TempDir())
 	worker := Binary(t, "capsim-worker")
+
+	// Announce both workers before either process exists. The campaign is
+	// 21 scenarios: one worker can finish it while the other is still
+	// starting up, and a one-shot coordinator stays only for the workers
+	// it knows of — each is owed a "campaign done" before it leaves. A
+	// worker that came up to a closed port would (rightly) exit 1.
+	for _, name := range []string{"w1", "w2"} {
+		if code, body := Post(t, coord.URL+"/workers", fmt.Sprintf(`{"worker":%q}`, name)); code != http.StatusOK {
+			t.Fatalf("registering %s: HTTP %d: %s", name, code, body)
+		}
+	}
+	if _, status := Get(t, coord.URL+"/status"); !strings.Contains(status, `"workers":["w1","w2"]`) {
+		t.Fatalf("coordinator does not list both workers: %s", status)
+	}
 
 	var wg sync.WaitGroup
 	results := make([]Result, 2)

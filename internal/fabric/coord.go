@@ -77,10 +77,13 @@ type Coordinator struct {
 	cfg      CoordConfig
 	universe string
 
-	done chan struct{} // closed at finalization
+	done      chan struct{} // closed at finalization
+	dismissed chan struct{} // closed once every worker has also heard of it
 
-	mu        sync.Mutex
-	shards    []*shardState
+	mu     sync.Mutex
+	shards []*shardState
+	// workers holds every worker that registered or asked for a lease;
+	// the value says it has not been told the campaign is done yet.
 	workers   map[string]bool
 	closed    bool
 	finalized bool
@@ -123,10 +126,11 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		universe: stressor.UniverseHash(cfg.Scenarios),
-		workers:  map[string]bool{},
-		done:     make(chan struct{}),
+		cfg:       cfg,
+		universe:  stressor.UniverseHash(cfg.Scenarios),
+		workers:   map[string]bool{},
+		done:      make(chan struct{}),
+		dismissed: make(chan struct{}),
 	}
 	c.total = len(stressor.OwnedIndices(cfg.Scenarios, cfg.Dedup, stressor.Shard{}))
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
@@ -247,6 +251,37 @@ func (c *Coordinator) broadcastLocked() {
 // outcome). It closes even when the merge fails.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
+// Dismissed returns a channel closed once the campaign has finalized
+// and every worker the coordinator knows of has been answered with
+// campaign-done — on a lease request or on the flush that completed the
+// campaign. A coordinator that stops serving before then leaves a
+// registered worker to find the port closed, which it cannot tell from
+// a coordinator that died. A worker that crashed never asks again:
+// callers bound the wait by the lease TTL, after which a silent worker
+// counts as dead anyway.
+func (c *Coordinator) Dismissed() <-chan struct{} { return c.dismissed }
+
+// dismissLocked records that worker is being told the campaign is done
+// (empty: nobody new) and closes dismissed once nobody is left to tell.
+func (c *Coordinator) dismissLocked(worker string) {
+	if !c.finalized {
+		return
+	}
+	if worker != "" {
+		c.workers[worker] = false
+	}
+	for _, waiting := range c.workers {
+		if waiting {
+			return
+		}
+	}
+	select {
+	case <-c.dismissed:
+	default:
+		close(c.dismissed)
+	}
+}
+
 // sweepLocked expires dead leases: a shard whose deadline has passed
 // without a flush returns to the pool, entries intact — the next lease
 // resumes it from the last flushed entry.
@@ -278,6 +313,7 @@ func (c *Coordinator) finalizeLocked() {
 	}
 	c.finalized = true
 	defer close(c.done)
+	defer c.dismissLocked("")
 	js := make([]*journal.Journal, 0, len(c.shards))
 	for i, s := range c.shards {
 		if err := s.w.Close(); err != nil {
@@ -370,6 +406,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if c.allDoneLocked() {
+		c.dismissLocked(req.Worker)
 		writeJSON(w, http.StatusOK, Lease{Status: StatusDone})
 		return
 	}
@@ -441,6 +478,7 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if grew || req.Done {
 		c.broadcastLocked()
 	}
+	c.dismissLocked(req.Worker)
 	writeJSON(w, http.StatusOK, FlushResponse{OK: true, Recorded: len(s.entries), CampaignDone: c.finalized})
 }
 

@@ -261,3 +261,57 @@ func TestStatusDoc(t *testing.T) {
 		t.Fatalf("/result mid-campaign: HTTP %d", resp.StatusCode)
 	}
 }
+
+// TestDismissedWaitsForEveryWorker: Done closes when the campaign has
+// merged, Dismissed only once every worker the coordinator knows of —
+// registered, or seen asking for a lease — has been answered with
+// campaign-done: on the flush that completed the campaign, or on its
+// next lease request. A one-shot coordinator leaves on Dismissed, so a
+// worker that registered never comes back to a closed port.
+func TestDismissedWaitsForEveryWorker(t *testing.T) {
+	scenarios := testScenarios(2)
+	c, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1})
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, w := range []string{"fast", "late"} {
+		if code, body := postJSON(t, srv.URL+"/workers", RegisterRequest{Worker: w}); code != http.StatusOK {
+			t.Fatalf("register %s: HTTP %d: %s", w, code, body)
+		}
+	}
+	l := lease(t, srv.URL, "fast")
+	if l.Status != StatusGranted {
+		t.Fatalf("lease = %+v", l)
+	}
+	done := FlushRequest{Worker: "fast", Attempt: l.Attempt, Done: true, Entries: []journal.Entry{
+		entryFor(scenarios, 0, fault.Masked), entryFor(scenarios, 1, fault.Masked),
+	}}
+	if code := flush(t, srv.URL, l.Shard, done); code != http.StatusOK {
+		t.Fatalf("final flush: HTTP %d", code)
+	}
+	if !closed(c.Done()) {
+		t.Fatal("campaign not done after its only shard's final flush")
+	}
+	if closed(c.Dismissed()) {
+		t.Fatal("dismissed while a registered worker has not heard the campaign is done")
+	}
+	// A worker nobody announced counts from its first lease request on,
+	// and is told in the same breath.
+	if l := lease(t, srv.URL, "stranger"); l.Status != StatusDone {
+		t.Fatalf("stranger's lease = %+v", l)
+	}
+	if closed(c.Dismissed()) {
+		t.Fatal("dismissed by a stranger's lease request")
+	}
+	if l := lease(t, srv.URL, "late"); l.Status != StatusDone {
+		t.Fatalf("late worker's lease = %+v", l)
+	}
+	if !closed(c.Dismissed()) {
+		t.Fatal("not dismissed after every worker was answered done")
+	}
+}

@@ -84,6 +84,17 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, n[:]...)
 }
 
+// appendEntryFrame appends e's whole frame to dst — the bytes of
+// appendFrame(dst, appendEntryPayload(nil, e)) — encoding the payload in
+// place, so a caller that reuses dst appends without allocating.
+func appendEntryFrame(dst []byte, e Entry) []byte {
+	at := len(dst)
+	dst = appendEntryPayload(append(dst, 0, 0, 0, 0), e)
+	payload := dst[at+4:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcIEEE))
+}
+
 // appendUvarint / appendString are the entry payload primitives.
 func appendUvarint(dst []byte, v uint64) []byte {
 	var b [binary.MaxVarintLen64]byte

@@ -265,3 +265,26 @@ func TestBinaryEntryFrameValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryAppendAllocatesNothing: a warm binary Writer encodes every
+// entry into its own buffer — a campaign's journal costs no heap object
+// per run. (TestBinaryRoundTrip holds the bytes to the reference
+// encoding.)
+func TestBinaryAppendAllocatesNothing(t *testing.T) {
+	w, err := CreateCodec(filepath.Join(t.TempDir(), "j.bin"), testHeader(), Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	e := Entry{Index: 3, ID: "open@caps.accel0.harness@17ms", Class: "detected-safe", Detail: strings.Repeat("d", 200), Sig: 1 << 40}
+	if err := w.Append(e); err != nil { // sizes the buffer
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := w.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("%v allocations per binary Append, want 0", avg)
+	}
+}

@@ -117,8 +117,13 @@ func FuzzJournalBinary(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		inPlace := append([]byte(nil), re...)
 		for _, e := range j.Entries {
 			re = appendFrame(re, appendEntryPayload(nil, e))
+			inPlace = appendEntryFrame(inPlace, e) // what Writer.Append writes
+		}
+		if !bytes.Equal(inPlace, re) {
+			t.Fatalf("the writer's in-place frame encoding differs from the reference:\n%x\n%x", inPlace, re)
 		}
 		j2, err := DecodeBytes(re)
 		if err != nil {

@@ -225,6 +225,8 @@ type Writer struct {
 	f       *os.File
 	codec   Codec
 	appends int
+	// frame is the binary codec's encode buffer, reused under mu.
+	frame []byte
 }
 
 // Create starts a new JSONL journal at path, writing the header. It
@@ -328,9 +330,7 @@ func Open(path string, h Header, codec Codec) (*Journal, *Writer, error) {
 // Append writes one entry as a single line (JSONL) or frame (binary).
 func (w *Writer) Append(e Entry) error {
 	var rec []byte
-	if w.codec == Binary {
-		rec = appendFrame(nil, appendEntryPayload(nil, e))
-	} else {
+	if w.codec != Binary {
 		line, err := json.Marshal(e)
 		if err != nil {
 			return err
@@ -339,6 +339,10 @@ func (w *Writer) Append(e Entry) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.codec == Binary {
+		w.frame = appendEntryFrame(w.frame[:0], e)
+		rec = w.frame
+	}
 	if _, err := w.f.Write(rec); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}

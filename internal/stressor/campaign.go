@@ -164,10 +164,14 @@ type Campaign struct {
 	// failure: StopOnFirst does not trigger on it.
 	ScenarioTimeout time.Duration
 	// Halt, when non-nil, is polled with the number of outcomes
-	// delivered so far before each dispatch; returning true stops the
-	// campaign gracefully (in-flight runs finish and are journaled, the
-	// rest stay unexecuted). This is the SIGINT/deadline hook: a halted,
-	// journaled campaign resumes exactly where it stopped.
+	// delivered so far — before anything runs, then after every delivery
+	// while a position is still to be handed out (a list) or before every
+	// proposal (a Source); returning true stops the campaign gracefully:
+	// every worker finishes the run it is in and starts nothing more, what
+	// ran is delivered and journaled, the rest stay unexecuted. This is
+	// the SIGINT/deadline hook: a halted, journaled campaign resumes
+	// exactly where it stopped. Always called from the goroutine that
+	// called Execute, like Journal and Source.
 	Halt func(completed int) bool
 
 	// Metrics, when non-nil, receives campaign telemetry: a
@@ -276,11 +280,11 @@ func (c *Campaign) newObs(total, workers int) *campaignObs {
 
 // runOne executes one scenario through the instrumentation shell:
 // span, duration histogram, per-worker busy time, progress step. The
-// do closure performs the actual run (plain safeRun or a checkpoint
-// session's safeSessionRun) and reports (outcome, panicked).
-func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, do func() (fault.Outcome, bool)) (fault.Outcome, bool, bool) {
+// run itself goes to sess at fork when dispatchRun resolved one, to the
+// plain RunFunc otherwise.
+func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess CheckpointSession, fork sim.Time, guard *recycleGuard) (fault.Outcome, bool, bool) {
 	if o == nil {
-		return c.execRun(sc, do)
+		return c.execRun(sc, sess, fork, guard)
 	}
 	sp := c.Trace.Begin("campaign", sc.ID, worker)
 	var t0 time.Time
@@ -288,7 +292,7 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, do func
 	if timed {
 		t0 = time.Now()
 	}
-	out, panicked, timedOut := c.execRun(sc, do)
+	out, panicked, timedOut := c.execRun(sc, sess, fork, guard)
 	if timed {
 		d := time.Since(t0)
 		if o.dur != nil {
@@ -330,10 +334,11 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, do func
 // campaign moves on. The abandoned goroutine finishes (or hangs) in
 // the background; its late outcome is discarded, and any pooled slot
 // it holds stays with it — the pool builds a fresh slot for the next
-// run, so a hung simulation can never wedge a worker.
-func (c *Campaign) execRun(sc fault.Scenario, do func() (fault.Outcome, bool)) (fault.Outcome, bool, bool) {
+// run, so a hung simulation can never wedge a worker. guard, when the
+// session's nodes can be reclaimed, hears that the run has finished.
+func (c *Campaign) execRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time, guard *recycleGuard) (fault.Outcome, bool, bool) {
 	if c.ScenarioTimeout <= 0 {
-		out, panicked := do()
+		out, panicked := c.safeRun(sc, sess, fork)
 		return out, panicked, false
 	}
 	type runResult struct {
@@ -342,7 +347,8 @@ func (c *Campaign) execRun(sc fault.Scenario, do func() (fault.Outcome, bool)) (
 	}
 	ch := make(chan runResult, 1)
 	go func() {
-		out, panicked := do()
+		out, panicked := c.safeRun(sc, sess, fork)
+		guard.finished()
 		ch <- runResult{out, panicked}
 	}()
 	t := time.NewTimer(c.ScenarioTimeout)
@@ -379,23 +385,21 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	// every shard computes the identical unique-run list and journals
 	// refer to stable representative indices.
 	e := &campaignExec{c: c, dedup: newDedupPlan(scenarios, c.Dedup)}
+	e.more.L = &e.mu
 	e.cutoff.Store(math.MaxInt64)
 	resumed, err := c.resumeEntries(e.dedup)
 	if err != nil {
 		return nil, err
 	}
-	// The window bounds the positions outstanding — taken from the plan,
-	// not yet delivered: one inline, two per worker for a list (one
-	// running, one queued behind it), lookahead for a source.
 	var p plan
-	var planned, window int
+	var planned int
 	if c.Source == nil {
 		l := newListPlan(e, resumed)
-		p, planned, window = l, len(l.todo), max(2*workers, 1)
+		p, planned = l, len(l.todo)
 	} else {
 		e.slots = make([]slot, 0, c.MaxRuns)
 		p = &sourcePlan{campaignExec: e, resumed: resumed, memo: map[string]fault.Outcome{}, sigs: map[uint64]struct{}{}}
-		planned, window = max(c.MaxRuns-len(resumed), 0), lookahead // what is left of the budget
+		planned = max(c.MaxRuns-len(resumed), 0) // what is left of the budget
 	}
 
 	e.obs = c.newObs(planned, workers)
@@ -405,7 +409,7 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 			"workers", workers, "resumed", len(resumed))
 	}
 	start := time.Now()
-	e.loop(p, workers, window)
+	e.loop(p, workers)
 	if e.err != nil {
 		c.Flight.Recordf("campaign.abort", c.Name, "%v", e.err)
 		if c.Log != nil {
@@ -538,76 +542,89 @@ func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 // Workers.
 const lookahead = 8
 
-// run is one position's trip round the loop: the coordinator fills pos
-// and sc when it takes the position from the plan, whoever answers it
-// fills the rest, and the coordinator delivers it.
-type run struct {
-	// pos is the unique-run position of a list, the proposal sequence
-	// number of a source.
-	pos int
-	sc  fault.Scenario
-	// key is sc's fault-content key, set for a Dedup source only.
-	key      string
+// maxChunk caps how many positions of a list one claim takes. A chunk
+// is what a worker runs between two trips to the shared state, and what
+// the coordinator gets back — and journals, and polls Halt after — in
+// one piece, so it also scales the Halt and StopOnFirst overshoot.
+const maxChunk = 16
+
+// slot is one position's result. The worker that ran the position
+// writes it; the coordinator reads it once the span holding the position
+// has come back.
+type slot struct {
 	out      fault.Outcome
+	ran      bool
 	panicked bool
 	timedOut bool
-	by       answer
 }
 
-// answer says what answered a run.
+// answer says what answered a delivered outcome.
 type answer uint8
 
 const (
-	unanswered answer = iota
-	bySimulation
-	// bySkip: a worker dropped it unrun, past the StopOnFirst cutoff.
-	bySkip
+	bySimulation answer = iota
 	// byMemo: a Dedup source's memo of delivered outcomes.
 	byMemo
 	byJournal
 	numAnswers
 )
 
-// slot is one position's delivered result.
-type slot struct {
-	out      fault.Outcome
-	ran      bool
-	panicked bool
-}
+// span is the claimed indices [lo, hi) on their way back to the
+// coordinator.
+type span struct{ lo, hi int }
 
 // plan is the half of a campaign that differs between a scenario list
-// and a Source: where positions come from, in what order their answers
-// are delivered, and what a delivery writes and feeds back. The loop
-// drives one without knowing which it has.
+// and a Source: which positions are published when, where a position's
+// scenario and result live, and in what order results are delivered and
+// what a delivery feeds back. The loop drives one without knowing which
+// it has.
 type plan interface {
-	// next takes the next position; ok is false once the plan hands out
-	// nothing further — exhausted, out of budget, halted or failed (err).
-	next() (r run, ok bool)
-	// deliver takes the next answered run, in the plan's delivery order,
-	// off results and retires it: journal entry (commit), result slot, and
-	// whatever the plan keeps of the outcome.
-	deliver(results <-chan run)
+	// open publishes the plan's first positions: all of a list, a
+	// source's first lookahead proposals.
+	open()
+	// job is what the worker that claimed index i runs: the scenario, its
+	// position (what a StopOnFirst cutoff compares) and where the result
+	// goes. Workers call it concurrently, each for indices it claimed.
+	job(i int) (pos int, sc fault.Scenario, res *slot)
+	// retire takes back a span its worker is done with — run, skipped or
+	// left unstarted by a closed range — and delivers, in the plan's
+	// delivery order, what that lets it deliver: journal entry (commit),
+	// result, whatever the plan keeps of the outcome, the next positions.
+	retire(sp span)
 	// census is the finished campaign's Result.Adaptive.
 	census() *Census
 }
 
 // campaignExec is the state of one Execute that every campaign has;
-// what only a list or only a source needs lives in its plan. Everything
-// but cutoff belongs to the coordinator — the goroutine that called
-// Execute — which alone takes positions from the plan, writes slots,
-// appends to the journal and talks to the Source; workers only turn a
-// run into an answered run.
+// what only a list or only a source needs lives in its plan. It is
+// shared between the coordinator — the goroutine that called Execute —
+// and the workers through the hand-out fields alone (DESIGN §7): the
+// coordinator publishes indices and retires spans, a worker claims a
+// span, runs it and hands it back. Everything else belongs to the
+// coordinator, which alone appends to the journal, polls Halt, talks to
+// the Source and counts.
 type campaignExec struct {
 	c     *Campaign
 	dedup dedupPlan
 	obs   *campaignObs
 
-	// slots holds the delivered results by position: preallocated for a
-	// list, grown in proposal order for a source.
+	// slots holds the results by position: preallocated for a list, whose
+	// workers write their own positions' slots; grown in proposal order by
+	// the coordinator for a source.
 	slots []slot
-	// cutoff is the lowest failing position delivered under StopOnFirst
-	// (MaxInt64: none). The coordinator moves it; workers read it to
-	// drop positions queued past it.
+
+	// The hand-out. Indices below published may be claimed; claimed is the
+	// next one a worker takes, with one atomic add per span. final says
+	// published will not grow again, closed that nothing further is to
+	// start; mu and more are where a worker whose index is not published
+	// yet waits for either.
+	published, claimed atomic.Int64
+	final, closed      atomic.Bool
+	mu                 sync.Mutex
+	more               sync.Cond
+	// cutoff is the lowest failing position under StopOnFirst (MaxInt64:
+	// none). The worker that classifies a failure lowers it; every worker
+	// reads it to skip the positions past it.
 	cutoff atomic.Int64
 
 	delivered int // outcomes delivered by this Execute (Halt's argument)
@@ -619,7 +636,69 @@ type campaignExec struct {
 	err      error
 }
 
-// halt polls Campaign.Halt; the plans ask before every dispatch.
+// publish makes the next n indices claimable.
+func (e *campaignExec) publish(n int) {
+	e.mu.Lock()
+	e.published.Add(int64(n))
+	e.mu.Unlock()
+	e.more.Broadcast()
+}
+
+// finish says nothing further will be published: a worker that finds no
+// index left goes home.
+func (e *campaignExec) finish() {
+	e.mu.Lock()
+	e.final.Store(true)
+	e.mu.Unlock()
+	e.more.Broadcast()
+}
+
+// close stops the pool: no position starts after a worker has seen it,
+// claimed or not. What is running finishes and is retired.
+func (e *campaignExec) close() {
+	e.closed.Store(true)
+	e.finish()
+}
+
+// claim takes the next span for one of workers workers (0: the
+// coordinator itself), waiting for its first index to be published; ok is
+// false once there is nothing left to take. The size comes from what is
+// left. While the range still grows — a source proposing — it is 1: its
+// outcomes are delivered in proposal order and every one of them may be
+// the one the next proposal waits for. Once the range is final — a list,
+// published whole — it is a guided share of the rest, a quarter of an
+// even split, so the spans shrink towards the end and the workers finish
+// together; the coordinator running inline takes 1 to retire (and poll
+// Halt after) every run.
+func (e *campaignExec) claim(workers int) (sp span, ok bool) {
+	n := 1
+	if workers > 0 && e.final.Load() {
+		left := int(e.published.Load() - e.claimed.Load())
+		n = min(max(left/(4*workers), 1), maxChunk)
+	}
+	sp.lo = int(e.claimed.Add(int64(n))) - n
+	if int(e.published.Load()) <= sp.lo {
+		e.mu.Lock()
+		for int(e.published.Load()) <= sp.lo && !e.final.Load() {
+			e.more.Wait()
+		}
+		e.mu.Unlock()
+	}
+	sp.hi = min(sp.lo+n, int(e.published.Load()))
+	return sp, sp.lo < sp.hi && !e.closed.Load()
+}
+
+// lowerCutoff moves the StopOnFirst cutoff down to a failing position.
+func (e *campaignExec) lowerCutoff(pos int) {
+	for {
+		cur := e.cutoff.Load()
+		if int64(pos) >= cur || e.cutoff.CompareAndSwap(cur, int64(pos)) {
+			return
+		}
+	}
+}
+
+// halt polls Campaign.Halt; the plans ask before handing out more.
 func (e *campaignExec) halt() bool {
 	e.halted = e.c.Halt != nil && e.c.Halt(e.delivered)
 	return e.halted
@@ -627,34 +706,37 @@ func (e *campaignExec) halt() bool {
 
 // commit is the part of a delivery the plans share: journal a fresh
 // simulation — sig is what its entry carries — and count the answer. It
-// reports false when there is nothing to deliver: the run was skipped,
-// or the campaign has failed — this append did, or something did earlier
-// and the loop only drains. Better to stop than to run scenarios that
-// can never be resumed or merged.
-func (e *campaignExec) commit(r run, sig uint64) bool {
-	if r.by == bySimulation && e.err == nil && e.c.Journal != nil {
+// reports false, having closed the range, when the campaign has failed:
+// this append did, or something did earlier and the loop only drains.
+// Better to stop than to run scenarios that can never be resumed or
+// merged.
+func (e *campaignExec) commit(pos int, id string, s *slot, by answer, sig uint64) bool {
+	if by == bySimulation && e.err == nil && e.c.Journal != nil {
 		e.err = e.c.Journal.Append(journal.Entry{
-			Index: e.dedup.index(r.pos), ID: r.sc.ID, Sig: sig,
-			Class: r.out.Class.String(), Detail: r.out.Detail, Panicked: r.panicked,
+			Index: e.dedup.index(pos), ID: id, Sig: sig,
+			Class: s.out.Class.String(), Detail: s.out.Detail, Panicked: s.panicked,
 		})
 	}
-	if r.by == bySkip || e.err != nil {
+	if e.err != nil {
+		e.close()
 		return false
 	}
-	e.answered[r.by]++
+	e.answered[by]++
 	e.delivered++
-	if r.timedOut {
+	if s.timedOut {
 		e.timeouts++
 	}
 	return true
 }
 
-// listPlan hands out a scenario list's unique-run positions and
-// delivers (and journals) each run as it completes, never behind a
-// slower predecessor: outcomes are keyed by position, so order is free.
+// listPlan publishes a scenario list's unique-run positions whole, in
+// dispatch order, and delivers (and journals) each span as it comes
+// back, never behind a slower one: outcomes are keyed by position, so
+// order is free.
 type listPlan struct {
 	*campaignExec
-	// todo holds the positions still to run, in dispatch order.
+	// todo holds the positions to run, in dispatch order; index i of the
+	// hand-out is position todo[i].
 	todo []int
 }
 
@@ -675,7 +757,10 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 			continue
 		}
 		cls, _ := fault.ParseClassification(ent.Class)
-		l.fill(u, fault.Outcome{Scenario: d.scenario(u), Class: cls, Detail: ent.Detail}, ent.Panicked)
+		e.slots[u] = slot{out: fault.Outcome{Scenario: d.scenario(u), Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
+		if c.StopOnFirst && cls.IsFailure() {
+			e.lowerCutoff(u)
+		}
 		e.answered[byJournal]++
 	}
 	if !c.Checkpoints || c.StopOnFirst {
@@ -689,12 +774,13 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	}
 	// Sort the todo stream by injection time so each worker session
 	// establishes a golden prefix once per distinct instant and extends
-	// it monotonically. Results stay byte-identical because outcomes,
-	// journal entries and Merge are all keyed by scenario index, not
-	// dispatch order. Under CheckpointTree the stream is further grouped
-	// by the first fault's (target, class) so scenario families — same
-	// instant, same site — dispatch back to back and fork from the same
-	// retained node while it is hottest in the LRU.
+	// it monotonically — a claimed span is a run of neighbouring forks.
+	// Results stay byte-identical because outcomes, journal entries and
+	// Merge are all keyed by scenario index, not dispatch order. Under
+	// CheckpointTree the stream is further grouped by the first fault's
+	// (target, class) so scenario families — same instant, same site —
+	// dispatch back to back and fork from the same retained node while it
+	// is hottest in the LRU.
 	key := func(u int) (string, fault.Class) {
 		sc := d.scenario(u)
 		if len(sc.Faults) == 0 {
@@ -722,33 +808,58 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	return l
 }
 
-func (l *listPlan) next() (r run, ok bool) {
-	// Under StopOnFirst todo is in index order: past the cutoff nothing
-	// can reach the result.
-	if len(l.todo) == 0 || int64(l.todo[0]) > l.cutoff.Load() || l.halt() {
-		return r, false
-	}
-	r.pos, l.todo = l.todo[0], l.todo[1:]
-	r.sc = l.dedup.scenario(r.pos)
-	return r, true
+// unclaimed reports whether a position worth running has yet to be
+// claimed. Under StopOnFirst todo is in index order: past the cutoff
+// nothing can reach the result.
+func (l *listPlan) unclaimed() bool {
+	i := int(l.claimed.Load())
+	return i < len(l.todo) && int64(l.todo[i]) <= l.cutoff.Load()
 }
 
-func (l *listPlan) deliver(results <-chan run) {
-	if r := <-results; l.commit(r, 0) {
-		l.fill(r.pos, r.out, r.panicked)
+func (l *listPlan) open() {
+	if l.unclaimed() && !l.halt() {
+		l.publish(len(l.todo))
 	}
+	l.finish()
 }
 
-// fill writes position u's result and, under StopOnFirst, lowers the
-// cutoff to a failure.
-func (l *listPlan) fill(u int, out fault.Outcome, panicked bool) {
-	l.slots[u] = slot{out: out, ran: true, panicked: panicked}
-	if l.c.StopOnFirst && out.Class.IsFailure() && int64(u) < l.cutoff.Load() {
-		l.cutoff.Store(int64(u))
+func (l *listPlan) job(i int) (int, fault.Scenario, *slot) {
+	pos := l.todo[i]
+	return pos, l.dedup.scenario(pos), &l.slots[pos]
+}
+
+// retire delivers the positions of the span that ran. Halt is polled
+// after each, as long as the answer can still keep a position from being
+// claimed; what a worker had already claimed when it fires is stopped by
+// the closed range, one position later.
+func (l *listPlan) retire(sp span) {
+	for _, pos := range l.todo[sp.lo:sp.hi] {
+		s := &l.slots[pos]
+		if !s.ran || !l.commit(pos, l.dedup.scenario(pos).ID, s, bySimulation, 0) {
+			continue
+		}
+		if !l.closed.Load() && l.unclaimed() && l.halt() {
+			l.close()
+		}
 	}
 }
 
 func (l *listPlan) census() *Census { return nil }
+
+// run is one proposal of a source on its trip round the loop.
+type run struct {
+	// seq is the proposal's sequence number.
+	seq int
+	sc  fault.Scenario
+	// key is sc's fault-content key, set for a Dedup source only.
+	key string
+	// by says what answers the proposal. What the journal or the memo
+	// answers comes with res filled and done set; a simulation gets res
+	// from the worker that claimed it and done when its span is retired.
+	by   answer
+	res  slot
+	done bool
+}
 
 // sourcePlan pulls proposals from Campaign.Source and delivers them in
 // proposal order: what the source proposes next depends on what it has
@@ -757,12 +868,16 @@ func (l *listPlan) census() *Census { return nil }
 type sourcePlan struct {
 	*campaignExec
 	// resumed is the resume journal by sequence number, memo (Dedup only)
-	// the delivered outcomes by content key, sigs the signatures seen and
-	// parked the early finishers.
+	// the delivered outcomes by content key, sigs the signatures seen.
 	resumed map[int]journal.Entry
 	memo    map[string]fault.Outcome
 	sigs    map[uint64]struct{}
+	// parked holds the proposals not yet delivered, by sequence number;
+	// tickets points index i of the hand-out at the proposal it runs —
+	// only proposals that need a simulation are published. Fewer than
+	// lookahead proposals are ever undelivered, so both wrap at it.
 	parked  [lookahead]run
+	tickets [lookahead]*run
 
 	proposed int // proposals taken from the source: the next sequence number
 	head     int // sequence number of the next proposal to deliver
@@ -785,122 +900,159 @@ func (s *sourcePlan) next() (r run, ok bool) {
 	if s.err = r.sc.Validate(); s.err != nil {
 		return r, false
 	}
-	r.pos = s.proposed
+	r.seq = s.proposed
 	s.proposed++
 	if s.c.Dedup {
 		r.key = scenarioContentKey(r.sc)
 	}
-	if ent, ok := s.resumed[r.pos]; ok {
+	if ent, ok := s.resumed[r.seq]; ok {
 		if ent.ID != r.sc.ID {
-			s.err = fmt.Errorf("journal proposal %d is scenario %q, replay proposed %q (strategy configuration changed?)", r.pos, ent.ID, r.sc.ID)
+			s.err = fmt.Errorf("journal proposal %d is scenario %q, replay proposed %q (strategy configuration changed?)", r.seq, ent.ID, r.sc.ID)
 			return r, false
 		}
 		cls, _ := fault.ParseClassification(ent.Class)
-		r.out = fault.Outcome{Scenario: r.sc, Class: cls, Detail: ent.Detail, Signature: ent.Sig}
-		r.panicked, r.by = ent.Panicked, byJournal
+		r.res = slot{out: fault.Outcome{Scenario: r.sc, Class: cls, Detail: ent.Detail, Signature: ent.Sig}, ran: true, panicked: ent.Panicked}
+		r.by, r.done = byJournal, true
 	} else if out, ok := s.memo[r.key]; ok {
 		// Free: a pruned proposal does not count against MaxRuns.
 		out.Scenario = r.sc
-		r.out, r.by = out, byMemo
+		r.res, r.by, r.done = slot{out: out, ran: true}, byMemo, true
 		return r, true
 	}
 	s.budgeted++
 	return r, true
 }
 
-func (s *sourcePlan) deliver(results <-chan run) {
-	head := &s.parked[s.head%lookahead]
-	for head.by == unanswered {
-		r := <-results
-		s.parked[r.pos%lookahead] = r
+// advance keeps the canonical schedule going as far as the answers at
+// hand allow: top the undelivered proposals up to lookahead, deliver the
+// head if it is answered, repeat — so every delivery is followed by
+// exactly one proposal. It returns with the head out for simulation, or
+// the source spent and everything delivered.
+func (s *sourcePlan) advance() {
+	for {
+		for !s.final.Load() && s.proposed-s.head < lookahead {
+			r, ok := s.next()
+			if !ok {
+				s.finish()
+				break
+			}
+			at := &s.parked[r.seq%lookahead]
+			*at = r
+			if !r.done {
+				s.tickets[s.published.Load()%lookahead] = at
+				s.publish(1)
+			}
+		}
+		r := &s.parked[s.head%lookahead]
+		if s.head == s.proposed || !r.done {
+			return
+		}
+		s.deliver(r)
+		s.head++
 	}
-	r := *head
-	*head = run{}
-	s.head++
-	if r.out.Signature == 0 {
-		r.out.Signature = fallbackSignature(r.out)
+}
+
+func (s *sourcePlan) open() { s.advance() }
+
+func (s *sourcePlan) job(i int) (int, fault.Scenario, *slot) {
+	r := s.tickets[i%lookahead]
+	return r.seq, r.sc, &r.res
+}
+
+func (s *sourcePlan) retire(sp span) {
+	for i := sp.lo; i < sp.hi; i++ {
+		s.tickets[i%lookahead].done = true
 	}
-	if !s.commit(r, r.out.Signature) {
+	s.advance()
+}
+
+// deliver retires the head proposal: signature, journal entry, result,
+// memo, and the observation the source's next proposal may rest on.
+func (s *sourcePlan) deliver(r *run) {
+	if !r.res.ran {
+		return // the range closed on a failure before a worker got to it
+	}
+	out := r.res.out
+	if out.Signature == 0 {
+		out.Signature = fallbackSignature(out)
+	}
+	if !s.commit(r.seq, r.sc.ID, &r.res, r.by, out.Signature) {
 		return
 	}
-	s.slots = append(s.slots, slot{out: r.out, ran: true, panicked: r.panicked})
+	s.slots = append(s.slots, slot{out: out, ran: true, panicked: r.res.panicked})
 	if s.c.Dedup && r.by != byMemo {
-		s.memo[r.key] = r.out
+		s.memo[r.key] = out
 	}
-	s.sigs[r.out.Signature] = struct{}{}
-	s.c.Source.Observe(r.out)
+	s.sigs[out.Signature] = struct{}{}
+	s.c.Source.Observe(out)
 }
 
 func (s *sourcePlan) census() *Census {
 	return &Census{Simulated: s.answered[bySimulation], Resumed: s.answered[byJournal], UniqueSignatures: len(s.sigs)}
 }
 
-// simulate runs r on worker w, unless a StopOnFirst failure below it
-// has been delivered since it was queued.
-func (e *campaignExec) simulate(r run, w int, h *sessionHolder) run {
-	if int64(r.pos) > e.cutoff.Load() {
-		r.by = bySkip
-		return r
-	}
-	r.out, r.panicked, r.timedOut = e.dispatchRun(r.sc, w, h)
-	r.by = bySimulation
-	return r
-}
-
-// loop is the campaign's one dispatch/deliver loop (DESIGN §7). The
-// coordinator keeps up to window positions outstanding — taken from the
-// plan, not yet delivered. Unanswered runs go to the worker pool, or run
-// right here when there is none; every answer comes back through
-// results. Both channels are buffered to the window, so neither side
-// ever blocks on the other, and the window bounds Halt's latency and the
-// StopOnFirst overshoot. After a failure the loop only drains: the runs
-// still outstanding finish, nothing further is delivered.
-func (e *campaignExec) loop(p plan, workers, window int) {
-	results := make(chan run, window)
-	var jobs chan run
-	var inline *sessionHolder
-	if workers == 0 {
-		inline = e.newHolder()
-		defer inline.close()
-	} else {
-		jobs = make(chan run, window)
-		var wg sync.WaitGroup
-		defer wg.Wait() // after the close below has let the workers go
-		defer close(jobs)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				h := e.newHolder()
-				defer h.close()
-				for r := range jobs {
-					results <- e.simulate(r, w, h)
-				}
-			}(w)
-		}
-	}
-	for outstanding, open := 0, true; ; {
-		for open && outstanding < window && e.err == nil {
-			r, ok := p.next()
-			if !ok {
-				open = false
-				break
-			}
-			outstanding++
-			switch {
-			case r.by != unanswered:
-				results <- r
-			case jobs == nil:
-				results <- e.simulate(r, 0, inline)
-			default:
-				jobs <- r
-			}
-		}
-		if outstanding == 0 {
+// drain is a worker's whole life, and the coordinator's when there is no
+// pool: claim a span, run its positions on worker w, hand it back —
+// over back, or straight to the plan — until nothing is left to claim.
+// The closed range is checked before every position, not every span.
+func (e *campaignExec) drain(p plan, w, workers int, back chan<- span) {
+	h := e.newHolder()
+	defer h.close()
+	for {
+		sp, ok := e.claim(workers)
+		if !ok {
 			return
 		}
-		p.deliver(results)
-		outstanding--
+		for i := sp.lo; i < sp.hi && !e.closed.Load(); i++ {
+			pos, sc, res := p.job(i)
+			if int64(pos) > e.cutoff.Load() {
+				continue // a StopOnFirst failure below it: moot
+			}
+			out, panicked, timedOut := e.dispatchRun(sc, w, h)
+			*res = slot{out: out, ran: true, panicked: panicked, timedOut: timedOut}
+			if e.c.StopOnFirst && out.Class.IsFailure() {
+				e.lowerCutoff(pos)
+			}
+		}
+		if back == nil {
+			p.retire(sp)
+		} else {
+			back <- sp
+		}
+	}
+}
+
+// loop is the campaign's one dispatch/deliver loop (DESIGN §7): publish,
+// claim, retire. The plan publishes positions; the workers — or, without
+// a pool, the coordinator right here — claim spans of them, run them and
+// write each result where the plan keeps it; the coordinator retires the
+// spans as they come back. Nothing is handed to a worker and no worker
+// is ever woken per position: the pool and the coordinator meet only at
+// the claim counter and on back.
+func (e *campaignExec) loop(p plan, workers int) {
+	p.open()
+	if workers == 0 {
+		e.drain(p, 0, 0, nil)
+		return
+	}
+	// Room for one finished span per worker: a worker claims its next span
+	// without waiting for the coordinator to get round to its last one,
+	// and no further ahead, which bounds what Halt has to let finish.
+	back := make(chan span, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e.drain(p, w, workers, back)
+		}(w)
+	}
+	go func() {
+		wg.Wait()
+		close(back)
+	}()
+	for sp := range back {
+		p.retire(sp)
 	}
 }
 
@@ -982,18 +1134,15 @@ func recoverRun(sc fault.Scenario, o *fault.Outcome, panicked *bool) {
 	}
 }
 
-// safeRun invokes the RunFunc under recoverRun. The second return
-// reports whether a panic was recovered, feeding
-// Result.PanicRecoveries.
-func (c *Campaign) safeRun(sc fault.Scenario) (o fault.Outcome, panicked bool) {
+// safeRun runs sc under recoverRun — on sess from fork when there is a
+// session, through the RunFunc otherwise. The second return reports
+// whether a panic was recovered, feeding Result.PanicRecoveries.
+func (c *Campaign) safeRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time) (o fault.Outcome, panicked bool) {
 	defer recoverRun(sc, &o, &panicked)
+	if sess != nil {
+		return sess.Run(sc, fork), false
+	}
 	return c.Run(sc), false
-}
-
-// safeSessionRun is safeRun for a checkpoint-session run.
-func (c *Campaign) safeSessionRun(sess CheckpointSession, sc fault.Scenario, fork sim.Time) (o fault.Outcome, panicked bool) {
-	defer recoverRun(sc, &o, &panicked)
-	return sess.Run(sc, fork), false
 }
 
 // assemble folds per-index slots into a Result in scenario order,

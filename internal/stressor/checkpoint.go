@@ -91,14 +91,14 @@ func (c *Campaign) newSession() CheckpointSession {
 }
 
 // recycleGuard reclaims an abandoned session's retained tree nodes
-// once it is safe to do so. Abandonment races with the runaway run —
-// on a timeout the run goroutine may still be mutating the session —
-// so whichever of {abandon, run completion} happens second performs
-// the Recycle: for a recovered panic the run has already completed
-// when the worker abandons (recycle fires immediately); for a timeout
-// the late goroutine recycles when it finally returns. Node buffers
-// are fully overwritten on reuse, so reclaiming from a torn kernel is
-// safe.
+// once it is safe to do so, for a run under a wall-clock budget — the
+// only kind that can still be going when its worker gives up on it.
+// Abandonment then races with the runaway run, which may still be
+// mutating the session, so whichever of {abandon, run completion}
+// happens second performs the Recycle: the late goroutine when it
+// finally returns from a timeout, the worker for a panic recovered
+// within the budget. Node buffers are fully overwritten on reuse, so
+// reclaiming from a torn kernel is safe.
 type recycleGuard struct {
 	mu        sync.Mutex
 	sess      RecyclableSession
@@ -122,9 +122,6 @@ func (g *recycleGuard) finished() {
 
 // abandon marks the session dropped (called on the worker goroutine).
 func (g *recycleGuard) abandon() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.abandoned = true
@@ -138,34 +135,36 @@ func (g *recycleGuard) abandon() {
 // else through the plain RunFunc. The session is resolved here, on the
 // worker goroutine, before the (possibly timeout-supervised) run
 // goroutine starts — so an abandoned holder can never race with a
-// late run still using the old session.
+// late run still using the old session. Without a budget nothing is
+// built per run: the session is called on this goroutine and has
+// returned by the time a recovered panic abandons it.
 func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, h *sessionHolder) (fault.Outcome, bool, bool) {
-	do := func() (fault.Outcome, bool) { return e.c.safeRun(sc) }
-	viaSession := false
-	var guard *recycleGuard
+	var sess CheckpointSession
+	var fork sim.Time
 	if h != nil {
 		// The plan needed fork times only to sort its list; asking again
 		// costs less than carrying them round the loop.
-		if fork, ok := e.c.Checkpointer.ForkTime(sc); ok {
+		if f, ok := e.c.Checkpointer.ForkTime(sc); ok {
 			if h.sess == nil {
 				h.sess = e.c.newSession()
 			}
-			sess := h.sess
-			if rs, ok := sess.(RecyclableSession); ok {
-				guard = &recycleGuard{sess: rs}
-			}
-			do = func() (fault.Outcome, bool) {
-				out, panicked := e.c.safeSessionRun(sess, sc, fork)
-				guard.finished()
-				return out, panicked
-			}
-			viaSession = true
+			sess, fork = h.sess, f
 		}
 	}
-	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, do)
-	if viaSession && (timedOut || panicked) {
+	rs, recyclable := sess.(RecyclableSession)
+	var guard *recycleGuard
+	if recyclable && e.c.ScenarioTimeout > 0 {
+		guard = &recycleGuard{sess: rs}
+	}
+	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, sess, fork, guard)
+	if sess != nil && (timedOut || panicked) {
 		h.abandon()
-		guard.abandon()
+		switch {
+		case guard != nil:
+			guard.abandon()
+		case recyclable:
+			rs.Recycle()
+		}
 	}
 	return out, panicked, timedOut
 }
