@@ -62,9 +62,14 @@ type Scheduler struct {
 	done   chan struct{}
 	halt   atomic.Bool
 
-	mu   sync.Mutex // guards hubs, enq, and Submit's id-allocate+enqueue pairing
+	mu   sync.Mutex // guards hubs, enq, specs, names, and Submit's id-allocate+enqueue pairing
 	hubs map[string]*hub
 	enq  map[string]time.Time // run id -> enqueue instant (queue-wait metric)
+	// specs holds what Submit parsed until the executor takes it (a run
+	// requeued from an earlier daemon's store is parsed from there), names
+	// the campaign names status answers with.
+	specs map[string]*Spec
+	names map[string]string
 
 	// Telemetry plane. agg is the daemon-wide aggregate registry served
 	// at GET /metrics; live holds the in-flight run's registry (and
@@ -107,6 +112,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		done:      make(chan struct{}),
 		hubs:      map[string]*hub{},
 		enq:       map[string]time.Time{},
+		specs:     map[string]*Spec{},
+		names:     map[string]string{},
 		agg:       agg,
 		prom:      obs.NewPromEncoder(),
 		flight:    obs.NewFlightRecorder(cfg.FlightCap),
@@ -155,7 +162,8 @@ func (s *Scheduler) Store() *Store { return s.store }
 
 // Submit persists a new run and enqueues it. rawSpec must be the
 // bytes spec was parsed from; they are stored verbatim so a restart
-// re-parses exactly what the client sent.
+// re-parses exactly what the client sent. This process's executor runs
+// spec itself, which must not be modified afterwards.
 func (s *Scheduler) Submit(spec *Spec, rawSpec []byte) (string, error) {
 	if s.halt.Load() {
 		return "", fmt.Errorf("campaignd: daemon is shutting down")
@@ -171,6 +179,7 @@ func (s *Scheduler) Submit(spec *Spec, rawSpec []byte) (string, error) {
 	}
 	s.hubs[id] = newHub(id, StateQueued, s.eventsDropped)
 	s.enq[id] = time.Now()
+	s.specs[id], s.names[id] = spec, spec.Campaign
 	s.queue <- id
 	s.queueDepth.Set(float64(len(s.queue)))
 	s.flight.Record("run.submit", id, spec.Campaign)
@@ -189,6 +198,22 @@ func (s *Scheduler) Stop() {
 	close(s.stopCh)
 	<-s.done
 	s.cache.drain()
+}
+
+// CampaignName returns the campaign name of run id ("" when its stored
+// spec does not parse), reading the store only the first time it is
+// asked about a run this process did not accept.
+func (s *Scheduler) CampaignName(id string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	name, ok := s.names[id]
+	if !ok {
+		if spec, err := s.store.ReadSpec(id); err == nil {
+			name = spec.Campaign
+			s.names[id] = name
+		}
+	}
+	return name
 }
 
 // Hub returns the live event hub for a run, or nil when the daemon
@@ -319,6 +344,8 @@ func (s *Scheduler) execute(id string) {
 		delete(s.enq, id)
 		s.queueWait.Observe(uint64(time.Since(t0)))
 	}
+	spec := s.specs[id]
+	delete(s.specs, id)
 	s.mu.Unlock()
 	s.queueDepth.Set(float64(len(s.queue)))
 
@@ -345,10 +372,12 @@ func (s *Scheduler) execute(id string) {
 		s.logError("run failed", "run", id, "err", msg)
 	}
 
-	spec, err := s.store.ReadSpec(id)
-	if err != nil {
-		fail(err)
-		return
+	if spec == nil {
+		var err error
+		if spec, err = s.store.ReadSpec(id); err != nil {
+			fail(err)
+			return
+		}
 	}
 	s.publish(Event{Type: "state", Run: id, State: StateRunning})
 	s.flight.Record("run.start", id, spec.Campaign)

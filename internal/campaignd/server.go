@@ -117,10 +117,7 @@ func (s *Server) status(id string) (runStatus, error) {
 	if err != nil {
 		return runStatus{}, err
 	}
-	st := runStatus{ID: id, State: state}
-	if spec, err := s.sched.Store().ReadSpec(id); err == nil {
-		st.Campaign = spec.Campaign
-	}
+	st := runStatus{ID: id, State: state, Campaign: s.sched.CampaignName(id)}
 	if state == StateFailed {
 		st.Error = s.sched.Store().ReadRunError(id)
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +151,51 @@ func TestServerRunLifecycle(t *testing.T) {
 	getJSON(t, srv.URL+"/runs", &list)
 	if len(list.Runs) != 1 || list.Runs[0].ID != id || list.Runs[0].State != StateDone {
 		t.Fatalf("run list = %+v", list.Runs)
+	}
+}
+
+// TestSubmittedSpecIsParsedOnce: the executor runs the spec Submit
+// parsed and status names the run from what Submit saw — neither goes
+// back to spec.json, which this test makes unreadable after the submit.
+// A daemon that did not accept the run itself still reads the store,
+// once per run.
+func TestSubmittedSpecIsParsedOnce(t *testing.T) {
+	dir := t.TempDir()
+	sched, err := NewScheduler(Config{DataDir: dir, ProgressInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(sched))
+	defer srv.Close()
+	id := submit(t, srv.URL, tinySpec)
+	specPath := filepath.Join(sched.Store().RunDir(id), "spec.json")
+	if err := os.WriteFile(specPath, []byte(`{"campaign":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sched.Start()
+	waitFinal(t, sched, id, StateDone)
+	var st struct{ State, Campaign string }
+	getJSON(t, srv.URL+"/runs/"+id, &st)
+	if st.State != StateDone || st.Campaign != "tiny" {
+		t.Fatalf("run status = %+v", st)
+	}
+	sched.Stop()
+
+	if err := os.WriteFile(specPath, []byte(tinySpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	next, err := NewScheduler(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := next.CampaignName(id); name != "tiny" {
+		t.Fatalf("a later daemon names the run %q", name)
+	}
+	if err := os.Remove(specPath); err != nil {
+		t.Fatal(err)
+	}
+	if name := next.CampaignName(id); name != "tiny" {
+		t.Fatalf("asked again, the later daemon names the run %q", name)
 	}
 }
 

@@ -172,13 +172,6 @@ type TxRecord struct {
 	Node      string
 	Corrupted bool
 	Dropped   bool
-	frame     frame
-}
-
-// Frame returns a copy of the frame as it went over the wire (with the
-// flipped bit, for a corrupted one).
-func (r TxRecord) Frame() Frame {
-	return Frame{ID: r.frame.id, Data: append([]byte(nil), r.frame.view().Data...)}
 }
 
 // Bus is the shared medium.
@@ -382,15 +375,9 @@ func (b *Bus) complete(sender *Node, f frame) {
 		// transceiver-level fault invisible to the controller).
 		sender.pop()
 		sender.sent++
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: f, Dropped: true})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Dropped: true})
 	case b.corruptNext > 0:
 		b.corruptNext--
-		corrupted := f
-		if corrupted.n > 0 {
-			corrupted.data[0] ^= 0x01
-		} else {
-			corrupted.id ^= 0x1
-		}
 		// Receivers detect the CRC mismatch and signal an error frame:
 		// the sender's TEC jumps, receivers' REC tick up, and the
 		// frame is retransmitted unless the retry budget is exhausted.
@@ -400,7 +387,7 @@ func (b *Bus) complete(sender *Node, f frame) {
 			}
 		}
 		sender.bumpTxError()
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: corrupted, Corrupted: true})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Corrupted: true})
 		if _, ok := b.retriesLeft[sender]; !ok {
 			b.retriesLeft[sender] = b.MaxRetries
 		}
@@ -429,7 +416,7 @@ func (b *Bus) complete(sender *Node, f frame) {
 				n.OnReceive(b.rx.view(), now)
 			}
 		}
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, frame: f})
+		b.log = append(b.log, TxRecord{At: now, Node: sender.name})
 	}
 	b.kick()
 }

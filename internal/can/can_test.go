@@ -145,9 +145,6 @@ func TestCorruptionTriggersRetransmit(t *testing.T) {
 	if len(log) != 2 || !log[0].Corrupted || log[1].Corrupted {
 		t.Fatalf("log = %+v", log)
 	}
-	if bad, good := log[0].Frame(), log[1].Frame(); bad.ID != 0x50 || bad.Data[0] != 7^1 || good.Data[0] != 7 {
-		t.Errorf("logged frames = %v, %v; want the flipped payload bit, then the clean frame", bad, good)
-	}
 }
 
 func TestOmissionFault(t *testing.T) {

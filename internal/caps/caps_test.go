@@ -256,6 +256,21 @@ func TestSitesEnumerated(t *testing.T) {
 	}
 }
 
+// TestShippedUniverseHash pins the fingerprint of the shipped fault
+// universe to the literal every journal of it carries: a change to the
+// enumeration, the fault names or the way the hash spells fault content
+// would orphan those journals.
+func TestShippedUniverseHash(t *testing.T) {
+	r, err := NewRunner(Protected(), NormalDriving(), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := stressor.UniverseHash(fault.Singles(r.Universe(sim.MS(10)))); got != "4dffca0d4f099be9" {
+		t.Fatalf("universe hash %s, journals carry 4dffca0d4f099be9", got)
+	}
+}
+
 func TestPropagationTrace(t *testing.T) {
 	// Unprotected: the disturbed sensor value propagates all the way
 	// to deployment, and the trace shows the path.

@@ -90,6 +90,21 @@ func TestRunnerECCCorrectsTableUpset(t *testing.T) {
 	}
 }
 
+// TestShippedUniverseHash pins the fingerprints of the shipped SEU
+// universe to the literals every journal of it carries.
+func TestShippedUniverseHash(t *testing.T) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for at, want := range map[sim.Time]string{0: "9e1cb3bcf9c61a7c", sim.US(2): "ea62c7755fb909e8"} {
+		if got := stressor.UniverseHash(fault.Singles(r.Universe(at))); got != want {
+			t.Errorf("universe at %v hashes to %s, journals carry %s", at, got, want)
+		}
+	}
+}
+
 // TestRunnerDeterminismMatrix asserts byte-identical campaign results
 // across {rebuild, reuse} × {sequential, parallel} × {unsharded,
 // 2-shard merged} × {fresh, resumed} — the shared cross-mode matrix on

@@ -68,8 +68,10 @@ type shardState struct {
 	progress time.Time // last time recorded grew (steal decisions)
 	entries  map[int]journal.Entry
 	order    []int // recorded indices in arrival order (lease replay)
-	w        *journal.Writer
-	owned    int
+	// w appends to the shard's journal until the shard is done; the flush
+	// that completes it closes w — the fsync — outside mu, then clears it.
+	w     *journal.Writer
+	owned int
 }
 
 // Coordinator runs the lease/flush/merge protocol for one campaign.
@@ -132,7 +134,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		done:      make(chan struct{}),
 		dismissed: make(chan struct{}),
 	}
-	c.total = len(stressor.OwnedIndices(cfg.Scenarios, cfg.Dedup, stressor.Shard{}))
+	sizes := stressor.ShardSizes(cfg.Scenarios, cfg.Dedup, cfg.Shards)
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
@@ -140,8 +142,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		s := &shardState{
 			state:   "pending",
 			entries: map[int]journal.Entry{},
-			owned:   len(stressor.OwnedIndices(cfg.Scenarios, cfg.Dedup, c.shard(i))),
+			owned:   sizes[i],
 		}
+		c.total += s.owned
 		path := c.journalPath(i)
 		header := c.header(i)
 		if _, statErr := os.Stat(path); statErr == nil {
@@ -151,15 +154,19 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fabric: adopting shard %d journal: %w", i, err)
 			}
-			s.w = w
 			for _, e := range j.Entries {
 				if _, ok := s.entries[e.Index]; !ok {
 					s.entries[e.Index] = e
 					s.order = append(s.order, e.Index)
 				}
 			}
-			if len(s.entries) >= s.owned {
+			if len(s.entries) < s.owned {
+				s.w = w
+			} else {
 				s.state = "done"
+				if err := w.Close(); err != nil {
+					return nil, fmt.Errorf("fabric: closing shard %d journal: %w", i, err)
+				}
 			}
 		} else {
 			w, err := journal.CreateCodec(path, header, cfg.Codec)
@@ -176,13 +183,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.finalizeLocked()
 	}
 	return c, nil
-}
-
-func (c *Coordinator) shard(i int) stressor.Shard {
-	if c.cfg.Shards <= 1 {
-		return stressor.Shard{}
-	}
-	return stressor.Shard{Index: i, Count: c.cfg.Shards}
 }
 
 func (c *Coordinator) journalPath(i int) string {
@@ -218,11 +218,23 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
-// readBody decodes a small JSON request body strictly.
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<22))
+// maxBody bounds a request body; a worker keeps its flushes well below
+// it (flushBytes).
+const maxBody = 1 << 22
+
+// readBytes reads a request body of at most maxBody bytes.
+func readBytes(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	}
+	return data, err == nil
+}
+
+// readBody decodes a small JSON request body strictly.
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	data, ok := readBytes(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(data, v); err != nil {
@@ -295,18 +307,19 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
+// allDoneLocked reports that every shard is done and its journal synced.
 func (c *Coordinator) allDoneLocked() bool {
 	for _, s := range c.shards {
-		if s.state != "done" {
+		if s.w != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// finalizeLocked closes the shard journals, re-reads them from disk
-// and merges — the merged Result is what the unsharded sequential run
-// would have produced, byte for byte.
+// finalizeLocked re-reads the shard journals — each closed and synced
+// when its shard completed — from disk and merges: the merged Result is
+// what the unsharded sequential run would have produced, byte for byte.
 func (c *Coordinator) finalizeLocked() {
 	if c.finalized {
 		return
@@ -314,27 +327,24 @@ func (c *Coordinator) finalizeLocked() {
 	c.finalized = true
 	defer close(c.done)
 	defer c.dismissLocked("")
+	defer c.broadcastLocked()
+	if c.mergeErr != nil { // a shard journal failed to sync
+		return
+	}
 	js := make([]*journal.Journal, 0, len(c.shards))
-	for i, s := range c.shards {
-		if err := s.w.Close(); err != nil {
-			c.mergeErr = fmt.Errorf("fabric: closing shard %d journal: %w", i, err)
-			c.broadcastLocked()
-			return
-		}
+	for i := range c.shards {
 		j, err := journal.Read(c.journalPath(i))
 		if err != nil {
 			c.mergeErr = err
-			c.broadcastLocked()
 			return
 		}
 		js = append(js, j)
 	}
 	spec := stressor.MergeSpec{Dedup: c.cfg.Dedup, StopOnFirst: c.cfg.StopOnFirst}
-	c.result, c.mergeErr = stressor.Merge(spec, c.cfg.Scenarios, js)
+	c.result, c.mergeErr = stressor.MergeHashed(spec, c.cfg.Scenarios, c.universe, js)
 	if c.mergeErr == nil {
 		c.logInfo("campaign merged", "campaign", c.cfg.Campaign, "outcomes", len(c.result.Outcomes))
 	}
-	c.broadcastLocked()
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -413,21 +423,37 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, Lease{Status: StatusWait})
 }
 
+// handleFlush serves POST /leases/{shard}/flush?worker=W&attempt=N[&done=1]:
+// a heartbeat whose body is zero or more newly completed entries as
+// journal entry frames (journal.AppendEntryFrame); done marks the shard
+// finished. Nothing is recorded from a body that does not decode whole.
 func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	shard, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil || shard < 0 || shard >= c.cfg.Shards {
 		writeErr(w, http.StatusBadRequest, "bad shard %q", r.PathValue("shard"))
 		return
 	}
-	var req FlushRequest
-	if !readBody(w, r, &req) {
+	q := r.URL.Query()
+	worker, done := q.Get("worker"), q.Get("done") == "1"
+	attempt, err := strconv.Atoi(q.Get("attempt"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad attempt %q", q.Get("attempt"))
+		return
+	}
+	body, ok := readBytes(w, r)
+	if !ok {
+		return
+	}
+	entries, err := journal.DecodeEntryFrames(nil, body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad flush body: %v", err)
 		return
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.shards[shard]
-	if s.worker != req.Worker || s.attempt != req.Attempt || s.state == "pending" {
+	if s.worker != worker || s.attempt != attempt || s.state == "pending" {
 		// An expired or superseded lease: the holder must stop. Its
 		// already-flushed entries stay — they are the resume prefix of
 		// whoever holds the lease now.
@@ -438,7 +464,7 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		s.deadline = now.Add(c.cfg.LeaseTTL)
 	}
 	grew := false
-	for _, e := range req.Entries {
+	for _, e := range entries {
 		if e.Index < 0 || e.Index >= len(c.cfg.Scenarios) {
 			writeErr(w, http.StatusBadRequest, "entry index %d out of range", e.Index)
 			return
@@ -457,6 +483,12 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
+		if s.state == "done" {
+			// The shard's journal is sealed; only repeats of what it holds
+			// (a final flush delivered twice) are answered.
+			writeErr(w, http.StatusConflict, "entry %d arrived after shard %d completed", e.Index, shard)
+			return
+		}
 		if err := s.w.Append(e); err != nil {
 			writeErr(w, http.StatusInternalServerError, "journal append: %v", err)
 			return
@@ -468,17 +500,28 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if grew {
 		s.progress = now
 	}
-	if req.Done && s.state != "done" {
+	if done && s.state != "done" {
 		s.state = "done"
-		c.logInfo("shard done", "shard", shard, "worker", req.Worker, "recorded", len(s.entries))
+		c.logInfo("shard done", "shard", shard, "worker", worker, "recorded", len(s.entries))
+		// Close and sync this shard's journal now, with mu released: the
+		// fsync is paid per shard as shards finish, not for all of them
+		// under the lock inside the campaign's last flush.
+		jw := s.w
+		c.mu.Unlock()
+		err := jw.Close()
+		c.mu.Lock()
+		s.w = nil
+		if err != nil && c.mergeErr == nil {
+			c.mergeErr = fmt.Errorf("fabric: closing shard %d journal: %w", shard, err)
+		}
 		if c.allDoneLocked() {
 			c.finalizeLocked()
 		}
 	}
-	if grew || req.Done {
+	if grew || done {
 		c.broadcastLocked()
 	}
-	c.dismissLocked(req.Worker)
+	c.dismissLocked(worker)
 	writeJSON(w, http.StatusOK, FlushResponse{OK: true, Recorded: len(s.entries), CampaignDone: c.finalized})
 }
 
@@ -601,6 +644,9 @@ func (c *Coordinator) Close() error {
 	c.closed = true
 	var first error
 	for _, s := range c.shards {
+		if s.state == "done" {
+			continue // closed, or being closed, by the flush that completed it
+		}
 		if err := s.w.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -1,9 +1,14 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +44,7 @@ func TestLeaseExpiryHandsShardOn(t *testing.T) {
 		entryFor(scenarios, l1.Shard, fault.Masked),
 		entryFor(scenarios, l1.Shard+2, fault.Masked),
 	}
-	if code := flush(t, srv.URL, l1.Shard, FlushRequest{Worker: "w1", Attempt: l1.Attempt, Entries: recorded}); code != http.StatusOK {
+	if code := flush(t, srv.URL, l1.Shard, flushReq{Worker: "w1", Attempt: l1.Attempt, Entries: recorded}); code != http.StatusOK {
 		t.Fatalf("flush: HTTP %d", code)
 	}
 
@@ -61,7 +66,7 @@ func TestLeaseExpiryHandsShardOn(t *testing.T) {
 		t.Fatalf("resume entries = %+v, want %+v", l3.Entries, recorded)
 	}
 	// The dead worker's flush is answered 409: its lease is gone.
-	if code := flush(t, srv.URL, l1.Shard, FlushRequest{Worker: "w1", Attempt: l1.Attempt}); code != http.StatusConflict {
+	if code := flush(t, srv.URL, l1.Shard, flushReq{Worker: "w1", Attempt: l1.Attempt}); code != http.StatusConflict {
 		t.Fatalf("stale flush: HTTP %d, want 409", code)
 	}
 }
@@ -85,7 +90,7 @@ func TestLeaseStealFromStalledHolder(t *testing.T) {
 	// idle worker waits... until StealAfter elapses.
 	for i := 0; i < 4; i++ {
 		clock.Advance(5 * time.Second)
-		if code := flush(t, srv.URL, 0, FlushRequest{Worker: "w1", Attempt: 1}); code != http.StatusOK {
+		if code := flush(t, srv.URL, 0, flushReq{Worker: "w1", Attempt: 1}); code != http.StatusOK {
 			t.Fatalf("heartbeat %d: HTTP %d", i, code)
 		}
 		if i < 1 {
@@ -106,10 +111,10 @@ func TestLeaseStealFromStalledHolder(t *testing.T) {
 	// The stalled holder's next flush — even one finally carrying an
 	// entry — is refused; the identical entry from the thief lands.
 	e := entryFor(scenarios, 1, fault.Masked)
-	if code := flush(t, srv.URL, 0, FlushRequest{Worker: "w1", Attempt: 1, Entries: []journal.Entry{e}}); code != http.StatusConflict {
+	if code := flush(t, srv.URL, 0, flushReq{Worker: "w1", Attempt: 1, Entries: []journal.Entry{e}}); code != http.StatusConflict {
 		t.Fatalf("superseded flush: HTTP %d, want 409", code)
 	}
-	if code := flush(t, srv.URL, 0, FlushRequest{Worker: "w2", Attempt: 2, Entries: []journal.Entry{e}}); code != http.StatusOK {
+	if code := flush(t, srv.URL, 0, flushReq{Worker: "w2", Attempt: 2, Entries: []journal.Entry{e}}); code != http.StatusOK {
 		t.Fatalf("thief flush: HTTP %d", code)
 	}
 	// A worker's OWN slow lease is not stolen back from it on its next
@@ -128,8 +133,8 @@ func TestFlushValidation(t *testing.T) {
 	clock := newFakeClock()
 	_, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1, Now: clock.Now})
 	l := lease(t, srv.URL, "w1")
-	req := func(entries ...journal.Entry) FlushRequest {
-		return FlushRequest{Worker: "w1", Attempt: l.Attempt, Entries: entries}
+	req := func(entries ...journal.Entry) flushReq {
+		return flushReq{Worker: "w1", Attempt: l.Attempt, Entries: entries}
 	}
 	good := entryFor(scenarios, 1, fault.Masked)
 	if code := flush(t, srv.URL, 0, req(good)); code != http.StatusOK {
@@ -154,6 +159,117 @@ func TestFlushValidation(t *testing.T) {
 	}
 }
 
+// TestFlushBodyMustDecodeWhole: a flush body is journal entry frames and
+// nothing else. A frame cut short, one whose CRC fails, a frame that is
+// not an entry or an unreadable attempt is a 400, and nothing of that
+// body — the good frames before the damage included — is recorded.
+func TestFlushBodyMustDecodeWhole(t *testing.T) {
+	scenarios := testScenarios(4)
+	c, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1})
+	l := lease(t, srv.URL, "w1")
+	post := func(url string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	url := flushURL(srv.URL, 0, flushReq{Worker: "w1", Attempt: l.Attempt})
+	good := journal.AppendEntryFrame(nil, entryFor(scenarios, 0, fault.Masked))
+	second := journal.AppendEntryFrame(nil, entryFor(scenarios, 1, fault.Masked))
+	badCRC := append([]byte(nil), second...)
+	badCRC[len(badCRC)-1] ^= 0xff
+	flipped := append([]byte(nil), second...)
+	flipped[6] ^= 0x01 // a payload byte: the CRC no longer matches
+	header, err := os.ReadFile(filepath.Join(c.cfg.DataDir, "shard-0.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"torn":         append(append([]byte(nil), good...), second[:len(second)-3]...),
+		"bad CRC":      append(append([]byte(nil), good...), badCRC...),
+		"flipped bit":  append(append([]byte(nil), flipped...), good...),
+		"header frame": append(append([]byte(nil), good...), header[8:]...), // a journal's 'H' frame
+		"json":         []byte(`{"worker":"w1","attempt":1,"entries":[]}`),
+	} {
+		if code := post(url, body); code != http.StatusBadRequest {
+			t.Fatalf("%s body: HTTP %d, want 400", name, code)
+		}
+	}
+	if code := post(strings.Replace(url, "attempt=1", "attempt=one", 1), good); code != http.StatusBadRequest {
+		t.Fatalf("unreadable attempt: HTTP %d, want 400", code)
+	}
+	c.mu.Lock()
+	recorded, appended := len(c.shards[0].entries), c.shards[0].w.Appends()
+	c.mu.Unlock()
+	if recorded != 0 || appended != 0 {
+		t.Fatalf("%d entries recorded, %d appended from refused bodies", recorded, appended)
+	}
+	if code := post(url+"&done=1", append(append([]byte(nil), good...), second...)); code != http.StatusOK {
+		t.Fatalf("whole body: HTTP %d", code)
+	}
+}
+
+// TestSealedShardAnswersRepeatsOnly: the flush that completes a shard
+// closes and syncs its journal there and then. The same flush delivered
+// again is acknowledged from memory; an entry the shard does not hold is
+// refused; neither touches the closed writer, and the journal on disk is
+// complete before the campaign is.
+func TestSealedShardAnswersRepeatsOnly(t *testing.T) {
+	scenarios := testScenarios(6)
+	c, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 2})
+	l := lease(t, srv.URL, "w1")
+	final := flushReq{Worker: "w1", Attempt: l.Attempt, Done: true}
+	for i := l.Shard; i < len(scenarios); i += 2 {
+		final.Entries = append(final.Entries, entryFor(scenarios, i, fault.Masked))
+	}
+	if code := flush(t, srv.URL, l.Shard, final); code != http.StatusOK {
+		t.Fatalf("final flush: HTTP %d", code)
+	}
+	sealed := func() []journal.Entry {
+		t.Helper()
+		j, err := journal.Read(filepath.Join(c.cfg.DataDir, fmt.Sprintf("shard-%d.journal", l.Shard)))
+		if err != nil || j.Truncated {
+			t.Fatalf("sealed journal: %v (truncated %v)", err, j != nil && j.Truncated)
+		}
+		return j.Entries
+	}
+	if got := sealed(); !reflect.DeepEqual(got, final.Entries) {
+		t.Fatalf("journal of the completed shard holds %v, want %v", got, final.Entries)
+	}
+	if code := flush(t, srv.URL, l.Shard, final); code != http.StatusOK {
+		t.Fatalf("final flush delivered twice: HTTP %d", code)
+	}
+	late := flushReq{Worker: "w1", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, 1-l.Shard, fault.Masked)}}
+	if code := flush(t, srv.URL, l.Shard, late); code != http.StatusConflict {
+		t.Fatalf("new entry for a completed shard: HTTP %d, want 409", code)
+	}
+	if got := sealed(); !reflect.DeepEqual(got, final.Entries) {
+		t.Fatalf("journal changed after the shard completed: %v", got)
+	}
+	if _, done, _ := c.Result(); done {
+		t.Fatal("campaign finalized with a shard outstanding")
+	}
+	// The other shard completes the campaign; the merge reads both.
+	l2 := lease(t, srv.URL, "w2")
+	rest := flushReq{Worker: "w2", Attempt: l2.Attempt, Done: true}
+	for i := l2.Shard; i < len(scenarios); i += 2 {
+		rest.Entries = append(rest.Entries, entryFor(scenarios, i, fault.Masked))
+	}
+	if code := flush(t, srv.URL, l2.Shard, rest); code != http.StatusOK {
+		t.Fatalf("second shard's final flush: HTTP %d", code)
+	}
+	res, done, err := c.Result()
+	if err != nil || !done {
+		t.Fatalf("done=%v err=%v", done, err)
+	}
+	if want := sequentialBaseline(t, "fab", scenarios, testRun(nil), false, false); !reflect.DeepEqual(res, want) {
+		t.Fatalf("merged result differs from sequential:\n%+v\n%+v", res, want)
+	}
+}
+
 // TestCoordinatorRestartResume kills the coordinator (not the workers)
 // mid-campaign: a new coordinator over the same data directory adopts
 // the shard journals and the campaign finishes from where it stood,
@@ -171,18 +287,18 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	// untouched. Then "crash" the coordinator.
 	l0 := lease(t, srv1.URL, "w1")
 	for _, i := range []int{0, 3, 6} {
-		if code := flush(t, srv1.URL, l0.Shard, FlushRequest{Worker: "w1", Attempt: l0.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}}); code != http.StatusOK {
+		if code := flush(t, srv1.URL, l0.Shard, flushReq{Worker: "w1", Attempt: l0.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}}); code != http.StatusOK {
 			t.Fatalf("flush %d: HTTP %d", i, code)
 		}
 	}
-	if code := flush(t, srv1.URL, l0.Shard, FlushRequest{Worker: "w1", Attempt: l0.Attempt, Done: true}); code != http.StatusOK {
+	if code := flush(t, srv1.URL, l0.Shard, flushReq{Worker: "w1", Attempt: l0.Attempt, Done: true}); code != http.StatusOK {
 		t.Fatal("done flush failed")
 	}
 	l1 := lease(t, srv1.URL, "w1")
 	if l1.Shard != 1 {
 		t.Fatalf("second lease shard = %d", l1.Shard)
 	}
-	if code := flush(t, srv1.URL, 1, FlushRequest{Worker: "w1", Attempt: l1.Attempt, Entries: []journal.Entry{entryFor(scenarios, 4, fault.SDC)}}); code != http.StatusOK {
+	if code := flush(t, srv1.URL, 1, flushReq{Worker: "w1", Attempt: l1.Attempt, Entries: []journal.Entry{entryFor(scenarios, 4, fault.SDC)}}); code != http.StatusOK {
 		t.Fatal("partial flush failed")
 	}
 	srv1.Close()
@@ -203,17 +319,17 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	// Finish shards 1 and 2 and compare against the sequential run.
 	for _, i := range []int{1, 7} {
-		flush(t, srv2.URL, 1, FlushRequest{Worker: "w2", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}})
+		flush(t, srv2.URL, 1, flushReq{Worker: "w2", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}})
 	}
-	flush(t, srv2.URL, 1, FlushRequest{Worker: "w2", Attempt: l.Attempt, Done: true})
+	flush(t, srv2.URL, 1, flushReq{Worker: "w2", Attempt: l.Attempt, Done: true})
 	l = lease(t, srv2.URL, "w2")
 	if l.Shard != 2 {
 		t.Fatalf("final lease = %+v", l)
 	}
 	for _, i := range []int{2, 5, 8} {
-		flush(t, srv2.URL, 2, FlushRequest{Worker: "w2", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}})
+		flush(t, srv2.URL, 2, flushReq{Worker: "w2", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, i, fault.Masked)}})
 	}
-	flush(t, srv2.URL, 2, FlushRequest{Worker: "w2", Attempt: l.Attempt, Done: true})
+	flush(t, srv2.URL, 2, flushReq{Worker: "w2", Attempt: l.Attempt, Done: true})
 
 	res, done, err := c2.Result()
 	if err != nil || !done {
@@ -237,7 +353,7 @@ func TestStatusDoc(t *testing.T) {
 	clock := newFakeClock()
 	_, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 2, Now: clock.Now})
 	l := lease(t, srv.URL, "w1")
-	flush(t, srv.URL, l.Shard, FlushRequest{Worker: "w1", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, l.Shard, fault.Masked)}})
+	flush(t, srv.URL, l.Shard, flushReq{Worker: "w1", Attempt: l.Attempt, Entries: []journal.Entry{entryFor(scenarios, l.Shard, fault.Masked)}})
 	resp, err := http.Get(srv.URL + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +404,7 @@ func TestDismissedWaitsForEveryWorker(t *testing.T) {
 	if l.Status != StatusGranted {
 		t.Fatalf("lease = %+v", l)
 	}
-	done := FlushRequest{Worker: "fast", Attempt: l.Attempt, Done: true, Entries: []journal.Entry{
+	done := flushReq{Worker: "fast", Attempt: l.Attempt, Done: true, Entries: []journal.Entry{
 		entryFor(scenarios, 0, fault.Masked), entryFor(scenarios, 1, fault.Masked),
 	}}
 	if code := flush(t, srv.URL, l.Shard, done); code != http.StatusOK {

@@ -9,8 +9,11 @@
 //     flushed entry, never from scratch.
 //   - The worker runs the shard through the ordinary stressor.Campaign
 //     engine and flushes completed entries to
-//     POST /leases/{shard}/flush on a heartbeat cadence. Each flush
-//     extends the lease deadline.
+//     POST /leases/{shard}/flush?worker=W&attempt=N[&done=1] on a
+//     heartbeat cadence, as the CRC-framed records a binary journal
+//     holds (journal.AppendEntryFrame), at most about a megabyte a
+//     request. Each flush extends the lease deadline; the one that
+//     completes a shard closes and syncs that shard's journal.
 //   - A lease whose deadline passes (the worker died) returns to the
 //     pool; a lease whose holder keeps heartbeating but records no new
 //     entries for StealAfter (the worker is stuck or pathologically
@@ -28,7 +31,7 @@
 // duplicates — a nondeterministic prototype fails loudly instead of
 // merging silently.
 //
-// Everything is stdlib HTTP/JSON. The coordinator keeps no background
+// Everything is stdlib HTTP, JSON but for flush bodies. The coordinator keeps no background
 // timers: lease expiry is swept inside request handlers against an
 // injectable clock, which is what makes the chaos tests deterministic.
 package fabric
@@ -67,30 +70,20 @@ type LeaseRequest struct {
 // already recorded for the shard, which the worker replays as a resume
 // journal.
 type Lease struct {
-	Status      string          `json:"status"`
-	Campaign    string          `json:"campaign,omitempty"`
-	Shard       int             `json:"shard"`
-	Shards      int             `json:"shards,omitempty"`
-	Attempt     int             `json:"attempt,omitempty"`
-	Total       int             `json:"total,omitempty"`
-	Universe    string          `json:"universe,omitempty"`
-	Dedup       bool            `json:"dedup,omitempty"`
-	StopOnFirst bool            `json:"stop_on_first,omitempty"`
+	Status      string `json:"status"`
+	Campaign    string `json:"campaign,omitempty"`
+	Shard       int    `json:"shard"`
+	Shards      int    `json:"shards,omitempty"`
+	Attempt     int    `json:"attempt,omitempty"`
+	Total       int    `json:"total,omitempty"`
+	Universe    string `json:"universe,omitempty"`
+	Dedup       bool   `json:"dedup,omitempty"`
+	StopOnFirst bool   `json:"stop_on_first,omitempty"`
 	// TTLMillis tells the worker how often it must flush to keep the
 	// lease (it flushes at a fraction of this).
 	TTLMillis int64           `json:"ttl_ms,omitempty"`
 	Spec      json.RawMessage `json:"spec,omitempty"`
 	Entries   []journal.Entry `json:"entries,omitempty"`
-}
-
-// FlushRequest is the body of POST /leases/{shard}/flush: a heartbeat
-// carrying zero or more newly completed entries. Done marks the shard
-// finished.
-type FlushRequest struct {
-	Worker  string          `json:"worker"`
-	Attempt int             `json:"attempt"`
-	Entries []journal.Entry `json:"entries,omitempty"`
-	Done    bool            `json:"done,omitempty"`
 }
 
 // FlushResponse acknowledges a flush.

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/journal"
 	"repro/internal/stressor"
 )
 
@@ -116,11 +118,37 @@ func lease(t *testing.T, base, worker string) Lease {
 	return l
 }
 
-// flush posts a flush request and returns the status code.
-func flush(t *testing.T, base string, shard int, req FlushRequest) int {
+// flushReq is one flush as a worker would send it.
+type flushReq struct {
+	Worker  string
+	Attempt int
+	Entries []journal.Entry
+	Done    bool
+}
+
+// flushURL spells the flush endpoint for req.
+func flushURL(base string, shard int, req flushReq) string {
+	u := fmt.Sprintf("%s/leases/%d/flush?worker=%s&attempt=%d", base, shard, url.QueryEscape(req.Worker), req.Attempt)
+	if req.Done {
+		u += "&done=1"
+	}
+	return u
+}
+
+// flush posts a flush request — the entries as journal frames — and
+// returns the status code.
+func flush(t *testing.T, base string, shard int, req flushReq) int {
 	t.Helper()
-	code, _ := postJSON(t, fmt.Sprintf("%s/leases/%d/flush", base, shard), req)
-	return code
+	var body []byte
+	for _, e := range req.Entries {
+		body = journal.AppendEntryFrame(body, e)
+	}
+	resp, err := http.Post(flushURL(base, shard, req), "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // resolver builds a Resolver returning fresh campaign templates over

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +28,11 @@ type Resolved struct {
 	Campaign  *stressor.Campaign
 }
 
-// Resolver turns a coordinator's opaque spec into runnable form. It is
-// called once per granted lease; implementations should cache the
-// expensive parts (kernels, slot pools) across calls.
+// Resolver turns a coordinator's opaque spec into runnable form. A
+// worker calls it once per distinct spec — successive leases carrying
+// the same spec bytes share one Resolved, whose Campaign is copied per
+// lease and whose Scenarios are only read — so implementations need
+// cache only what should outlive a change of spec (kernels, slot pools).
 type Resolver func(spec json.RawMessage) (*Resolved, error)
 
 // WorkerConfig configures a Worker.
@@ -56,6 +59,15 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	killed atomic.Bool
+
+	// The last resolved spec, its universe and that universe's hash, so
+	// resolving and hashing cost once per distinct spec; every lease is
+	// still checked against them. Touched only by Run's goroutine.
+	spec     []byte
+	resolved *Resolved
+	universe string
+
+	frames []byte // flush encode buffer; flushes never overlap
 
 	mu  sync.Mutex
 	buf []journal.Entry // completed entries awaiting flush
@@ -96,27 +108,43 @@ func (w *Worker) logInfo(msg string, args ...any) {
 	}
 }
 
-// post sends one JSON request and decodes the response into out (when
-// non-nil). It returns the HTTP status and the response error body, if
-// any.
-func (w *Worker) post(ctx context.Context, path string, in, out any) (int, error) {
+// maxReply bounds a coordinator response; a lease reply grows with the
+// spec and with the entries already recorded for the shard.
+const maxReply = 1 << 28
+
+// flushBytes is where a flush request stops taking entries, well under
+// the coordinator's maxBody however many are buffered.
+const flushBytes = 1 << 20
+
+// postJSON is post with a JSON-encoded request body.
+func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return 0, err
 	}
+	return w.post(ctx, path, "application/json", body, out)
+}
+
+// post sends one request and decodes the JSON response into out (when
+// non-nil). It returns the HTTP status and the response error body, if
+// any.
+func (w *Worker) post(ctx context.Context, path, contentType string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := w.cfg.Client.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
 	if err != nil {
 		return resp.StatusCode, err
+	}
+	if len(data) > maxReply {
+		return resp.StatusCode, fmt.Errorf("fabric: %s: response exceeds %d bytes", path, maxReply)
 	}
 	if resp.StatusCode/100 != 2 {
 		var ed errorDoc
@@ -136,7 +164,7 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) (int, error
 // Run registers the worker and processes leases until the campaign
 // completes, the context is cancelled, or the worker is killed.
 func (w *Worker) Run(ctx context.Context) error {
-	if _, err := w.post(ctx, "/workers", RegisterRequest{Worker: w.cfg.Name}, nil); err != nil {
+	if _, err := w.postJSON(ctx, "/workers", RegisterRequest{Worker: w.cfg.Name}, nil); err != nil {
 		return err
 	}
 	for {
@@ -144,7 +172,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		var lease Lease
-		if code, err := w.post(ctx, "/leases", LeaseRequest{Worker: w.cfg.Name}, &lease); err != nil {
+		if code, err := w.postJSON(ctx, "/leases", LeaseRequest{Worker: w.cfg.Name}, &lease); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -189,18 +217,23 @@ func (w *Worker) Run(ctx context.Context) error {
 // streaming completed entries back on the heartbeat cadence. It
 // reports whether its final flush completed the whole campaign.
 func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
-	resolved, err := w.cfg.Resolve(lease.Spec)
-	if err != nil {
-		return false, fmt.Errorf("fabric: resolving lease spec: %w", err)
+	if w.resolved == nil || !bytes.Equal(lease.Spec, w.spec) {
+		resolved, err := w.cfg.Resolve(lease.Spec)
+		if err != nil {
+			return false, fmt.Errorf("fabric: resolving lease spec: %w", err)
+		}
+		w.spec = append(w.spec[:0], lease.Spec...)
+		w.resolved, w.universe = resolved, stressor.UniverseHash(resolved.Scenarios)
 	}
+	resolved := w.resolved
 	if len(resolved.Scenarios) != lease.Total {
 		return false, fmt.Errorf("fabric: resolved %d scenarios, lease says %d", len(resolved.Scenarios), lease.Total)
 	}
-	if uh := stressor.UniverseHash(resolved.Scenarios); uh != lease.Universe {
+	if w.universe != lease.Universe {
 		// The worker would run a different universe than the coordinator
 		// merges: a version or configuration skew that must stop the
 		// worker, not poison the campaign.
-		return false, fmt.Errorf("fabric: resolved universe %s does not match lease universe %s", uh, lease.Universe)
+		return false, fmt.Errorf("fabric: resolved universe %s does not match lease universe %s", w.universe, lease.Universe)
 	}
 	w.logInfo("lease granted", "shard", lease.Shard, "attempt", lease.Attempt, "resume", len(lease.Entries))
 
@@ -226,37 +259,64 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 		}
 	}
 
+	// revoked stops the lease: superseded (409) or, with rejected set, a
+	// flush the coordinator refused outright.
 	var revoked, campaignDone atomic.Bool
-	flushPath := fmt.Sprintf("/leases/%d/flush", lease.Shard)
+	var rejected error
+	flushPath := fmt.Sprintf("/leases/%d/flush?worker=%s&attempt=%d", lease.Shard, url.QueryEscape(w.cfg.Name), lease.Attempt)
+	// flush sends what is buffered as entry frames, in as many requests
+	// as flushBytes makes of it; done rides on the last.
 	flush := func(done bool) {
 		w.mu.Lock()
 		entries := w.buf
 		w.buf = nil
 		w.mu.Unlock()
-		if w.killed.Load() || revoked.Load() {
+		for {
+			if w.killed.Load() || revoked.Load() {
+				return
+			}
+			n := 0
+			for w.frames = w.frames[:0]; n < len(entries) && len(w.frames) < flushBytes; n++ {
+				w.frames = journal.AppendEntryFrame(w.frames, entries[n])
+			}
+			path := flushPath
+			if done && n == len(entries) {
+				path += "&done=1"
+			}
+			var fr FlushResponse
+			code, err := w.post(ctx, path, "application/octet-stream", w.frames, &fr)
+			if err != nil {
+				// The transport may still be reading a body it failed to deliver.
+				w.frames = nil
+			}
+			switch {
+			case err == nil:
+				if fr.CampaignDone {
+					campaignDone.Store(true)
+				}
+				if entries = entries[n:]; len(entries) > 0 {
+					continue
+				}
+			case code == http.StatusConflict:
+				// Superseded: someone stole the lease (or it expired and was
+				// regranted). Halt; the thief re-runs whatever we did not get
+				// flushed in time.
+				w.logInfo("lease revoked", "shard", lease.Shard, "attempt", lease.Attempt)
+				revoked.Store(true)
+			case code/100 == 4:
+				// The coordinator refuses these bytes and would refuse them
+				// again: sending them once more only wedges the lease.
+				rejected = err
+				revoked.Store(true)
+			default:
+				// Transient failure: requeue and retry next heartbeat. The
+				// lease survives as long as one flush lands within the TTL.
+				w.mu.Lock()
+				w.buf = append(entries, w.buf...)
+				w.mu.Unlock()
+				w.logInfo("flush failed", "shard", lease.Shard, "err", err.Error())
+			}
 			return
-		}
-		var fr FlushResponse
-		code, err := w.post(ctx, flushPath, FlushRequest{
-			Worker: w.cfg.Name, Attempt: lease.Attempt, Entries: entries, Done: done,
-		}, &fr)
-		if err == nil && fr.CampaignDone {
-			campaignDone.Store(true)
-		}
-		switch {
-		case code == http.StatusConflict:
-			// Superseded: someone stole the lease (or it expired and was
-			// regranted). Halt; the thief re-runs whatever we did not get
-			// flushed in time.
-			w.logInfo("lease revoked", "shard", lease.Shard, "attempt", lease.Attempt)
-			revoked.Store(true)
-		case err != nil:
-			// Transient failure: requeue and retry next heartbeat. The
-			// lease survives as long as one flush lands within the TTL.
-			w.mu.Lock()
-			w.buf = append(entries, w.buf...)
-			w.mu.Unlock()
-			w.logInfo("flush failed", "shard", lease.Shard, "err", err.Error())
 		}
 	}
 
@@ -294,17 +354,21 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 		}
 	}()
 
-	_, err = c.Execute(resolved.Scenarios)
+	_, err := c.Execute(resolved.Scenarios)
 	close(stop)
 	hbDone.Wait()
-	if err != nil {
-		return false, fmt.Errorf("fabric: shard %d: %w", lease.Shard, err)
+	if err == nil && !w.killed.Load() && !revoked.Load() {
+		flush(true)
 	}
-	if w.killed.Load() || revoked.Load() {
+	switch {
+	case err != nil:
+		return false, fmt.Errorf("fabric: shard %d: %w", lease.Shard, err)
+	case rejected != nil:
+		return false, fmt.Errorf("fabric: shard %d: flush rejected: %w", lease.Shard, rejected)
+	case w.killed.Load() || revoked.Load():
 		// Killed: go silent. Revoked: the thief owns the shard now.
 		return false, nil
 	}
-	flush(true)
 	w.logInfo("lease done", "shard", lease.Shard, "attempt", lease.Attempt)
 	return campaignDone.Load(), nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -175,10 +176,33 @@ func TestUniverse(t *testing.T) {
 			t.Errorf("start = %v", d.Start)
 		}
 	}
-	for _, want := range []string{"mem/bit-flip", "net1/stuck-at-0", "net1/stuck-at-1"} {
-		if !names[want] {
-			t.Errorf("universe missing %s (have %v)", want, names)
+	// Sites enumerate sorted however they were registered.
+	for i, want := range []string{"mem/bit-flip", "net1/stuck-at-0", "net1/stuck-at-1"} {
+		if !names[want] || u[i].Name != want {
+			t.Errorf("universe[%d] = %s, want %s (have %v)", i, u[i].Name, want, names)
 		}
+	}
+	if sites := r.Sites(); len(sites) != 2 || sites[0] != "mem" || sites[1] != "net1" {
+		t.Errorf("sites = %v", sites)
+	}
+}
+
+var universeSink []Descriptor
+
+// BenchmarkRegistryUniverse enumerates a CAPS-sized fault space (ten
+// sites, ten models, a fifth of the pairs supported) — what a resolver
+// pays per injection instant.
+func BenchmarkRegistryUniverse(b *testing.B) {
+	r := NewRegistry()
+	models := []Model{StuckAt0, StuckAt1, BitFlip, Open, ShortToGround, ShortToSupply, ValueOffset, Corruption, Omission, Babbling}
+	for i := 9; i >= 0; i-- {
+		r.MustRegister(&FuncInjector{SiteName: fmt.Sprintf("caps.site%d.harness", i),
+			Models: []Model{models[i], models[(i+3)%len(models)]}, InjectFn: func(Descriptor) error { return nil }})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		universeSink = r.Universe(models, Permanent, sim.Time(i), 0, 0)
 	}
 }
 

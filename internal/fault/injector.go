@@ -2,7 +2,7 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -68,6 +68,10 @@ func (f *FuncInjector) Revert(d Descriptor) error {
 // elaboration bug.
 type Registry struct {
 	sites map[string]Injector
+	// sorted holds the site names in order, maintained by Register, so
+	// enumerating the fault space never sorts (and concurrent Universe
+	// calls on an elaborated registry only read).
+	sorted []string
 }
 
 // NewRegistry creates an empty registry.
@@ -82,6 +86,8 @@ func (r *Registry) Register(inj Injector) error {
 		return fmt.Errorf("fault: duplicate injection site %q", site)
 	}
 	r.sites[site] = inj
+	at, _ := slices.BinarySearch(r.sorted, site)
+	r.sorted = slices.Insert(r.sorted, at, site)
 	return nil
 }
 
@@ -101,12 +107,7 @@ func (r *Registry) Lookup(site string) (Injector, bool) {
 // Sites lists registered site names, sorted (deterministic fault-space
 // enumeration).
 func (r *Registry) Sites() []string {
-	out := make([]string, 0, len(r.sites))
-	for s := range r.sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), r.sorted...)
 }
 
 // Inject resolves and executes a descriptor.
@@ -132,14 +133,14 @@ func (r *Registry) Revert(d Descriptor) error {
 // descriptor. It is the exhaustive fault list of experiment E8.
 func (r *Registry) Universe(models []Model, class Class, start, duration, period sim.Time) []Descriptor {
 	var out []Descriptor
-	for _, site := range r.Sites() {
+	for _, site := range r.sorted {
 		inj := r.sites[site]
 		for _, m := range models {
 			if !inj.Supports(m) {
 				continue
 			}
 			out = append(out, Descriptor{
-				Name:     fmt.Sprintf("%s/%s", site, m),
+				Name:     site + "/" + m.String(),
 				Model:    m,
 				Class:    class,
 				Target:   site,

@@ -84,10 +84,12 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, n[:]...)
 }
 
-// appendEntryFrame appends e's whole frame to dst — the bytes of
+// AppendEntryFrame appends e's whole frame to dst — the bytes of
 // appendFrame(dst, appendEntryPayload(nil, e)) — encoding the payload in
-// place, so a caller that reuses dst appends without allocating.
-func appendEntryFrame(dst []byte, e Entry) []byte {
+// place, so a caller that reuses dst appends without allocating. It is
+// what a binary journal holds per entry, and what a fabric worker puts
+// on the wire.
+func AppendEntryFrame(dst []byte, e Entry) []byte {
 	at := len(dst)
 	dst = appendEntryPayload(append(dst, 0, 0, 0, 0), e)
 	payload := dst[at+4:]
@@ -208,6 +210,29 @@ func decodeEntryPayload(p []byte) (Entry, error) {
 		return e, fmt.Errorf("journal: entry frame has %d trailing bytes", len(r.p))
 	}
 	return e, nil
+}
+
+// DecodeEntryFrames appends to dst the entries of data, a run of
+// AppendEntryFrame frames and nothing else. Unlike a journal file there
+// is no tail to recover: a frame that is cut short, fails its CRC, is
+// not an entry or does not parse is an error.
+func DecodeEntryFrames(dst []Entry, data []byte) ([]Entry, error) {
+	for len(data) > 0 {
+		payload, frameLen, complete, err := nextFrame(data)
+		if err != nil {
+			return dst, err
+		}
+		if !complete || len(payload) == 0 || payload[0] != frameEntry {
+			return dst, fmt.Errorf("journal: torn, CRC-failing or non-entry frame after %d entries", len(dst))
+		}
+		e, err := decodeEntryPayload(payload[1:])
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, e)
+		data = data[frameLen:]
+	}
+	return dst, nil
 }
 
 // encodeBinaryHeader renders the magic plus the header frame.

@@ -117,13 +117,39 @@ func FuzzJournalBinary(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inPlace := append([]byte(nil), re...)
+		inPlace, headerLen := append([]byte(nil), re...), len(re)
 		for _, e := range j.Entries {
 			re = appendFrame(re, appendEntryPayload(nil, e))
-			inPlace = appendEntryFrame(inPlace, e) // what Writer.Append writes
+			inPlace = AppendEntryFrame(inPlace, e) // what Writer.Append writes
 		}
 		if !bytes.Equal(inPlace, re) {
 			t.Fatalf("the writer's in-place frame encoding differs from the reference:\n%x\n%x", inPlace, re)
+		}
+		// The entry frames alone are a fabric flush body: they decode to
+		// the same entries, and — the wire has no tail to recover — not at
+		// all once cut short or damaged.
+		wire := inPlace[headerLen:]
+		flushed, err := DecodeEntryFrames(nil, wire)
+		if err != nil || len(flushed) != len(j.Entries) {
+			t.Fatalf("flush body decodes to %d entries (%v), journal has %d", len(flushed), err, len(j.Entries))
+		}
+		for i := range flushed {
+			if flushed[i] != j.Entries[i] {
+				t.Fatalf("entry %d differs on the wire: %+v vs %+v", i, flushed[i], j.Entries[i])
+			}
+		}
+		if len(wire) > 0 {
+			if _, err := DecodeEntryFrames(nil, wire[:len(wire)-1]); err == nil {
+				t.Fatal("torn flush body accepted")
+			}
+			damaged := append([]byte(nil), wire...)
+			damaged[len(damaged)-1] ^= 0x80
+			if _, err := DecodeEntryFrames(nil, damaged); err == nil {
+				t.Fatal("flush body with a failing CRC accepted")
+			}
+			if _, err := DecodeEntryFrames(nil, re[len(binaryMagic):]); err == nil {
+				t.Fatal("flush body starting with a header frame accepted")
+			}
 		}
 		j2, err := DecodeBytes(re)
 		if err != nil {

@@ -340,7 +340,7 @@ func (w *Writer) Append(e Entry) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.codec == Binary {
-		w.frame = appendEntryFrame(w.frame[:0], e)
+		w.frame = AppendEntryFrame(w.frame[:0], e)
 		rec = w.frame
 	}
 	if _, err := w.f.Write(rec); err != nil {

@@ -22,19 +22,12 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// Map runs fn(i) for every i in [0, n) and returns the results in
-// index order. With workers <= 1 it runs sequentially on the calling
-// goroutine; otherwise a pool of the given size consumes indices from
-// a channel. fn must be safe for concurrent invocation when workers
-// exceeds 1.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	return MapIndexed(workers, n, func(_, i int) T { return fn(i) })
-}
-
-// MapIndexed is Map with the executing worker's id (0..workers-1)
-// passed to fn — observability instrumentation uses it to attribute
-// work to pool slots (trace rows, per-worker utilization). Sequential
-// execution passes worker 0.
+// MapIndexed runs fn(worker, i) for every i in [0, n) and returns the
+// results in index order. With workers <= 1 it runs sequentially on the
+// calling goroutine, as worker 0; otherwise a pool of the given size
+// consumes indices from a channel and fn, which must then be safe for
+// concurrent invocation, is told which pool slot (0..workers-1) runs it —
+// the caller's key to per-worker state.
 func MapIndexed[T any](workers, n int, fn func(worker, i int) T) []T {
 	out := make([]T, n)
 	workers = Resolve(workers)

@@ -29,7 +29,7 @@ func TestMapPreservesOrder(t *testing.T) {
 		want[i] = i * i
 	}
 	for _, workers := range []int{0, 1, 3, 8, Auto} {
-		got := Map(workers, len(want), func(i int) int { return i * i })
+		got := MapIndexed(workers, len(want), func(_, i int) int { return i * i })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: Map out of order: %v", workers, got)
 		}
@@ -39,7 +39,7 @@ func TestMapPreservesOrder(t *testing.T) {
 func TestMapRunsEveryIndexOnce(t *testing.T) {
 	const n = 257
 	var counts [n]int32
-	Map(4, n, func(i int) struct{} {
+	MapIndexed(4, n, func(_, i int) struct{} {
 		atomic.AddInt32(&counts[i], 1)
 		return struct{}{}
 	})
@@ -51,7 +51,7 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(4, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := MapIndexed(4, 0, func(_, i int) int { return i }); len(got) != 0 {
 		t.Errorf("Map over empty input = %v", got)
 	}
 }

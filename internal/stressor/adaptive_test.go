@@ -46,7 +46,7 @@ func sigRunFunc(calls *int32, jitter bool) RunFunc {
 		}
 		h := sim.NewStateHash()
 		for _, d := range sc.Faults {
-			h.Str(descKey(d))
+			h.Str(string(appendDescKey(nil, d)))
 		}
 		sig := h.Sum()
 		if jitter {

@@ -31,6 +31,12 @@ type MergeSpec struct {
 // merged assemble truncates at f exactly as the unsharded run would,
 // and surplus runs past f are discarded.
 func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*Result, error) {
+	return MergeHashed(spec, scenarios, UniverseHash(scenarios), js)
+}
+
+// MergeHashed is Merge for a caller that already holds
+// UniverseHash(scenarios) as universe, and so need not pay for it again.
+func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js []*journal.Journal) (*Result, error) {
 	if len(js) == 0 {
 		return nil, fmt.Errorf("stressor: merge of zero journals")
 	}
@@ -38,8 +44,8 @@ func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*
 	if h0.Total != len(scenarios) {
 		return nil, fmt.Errorf("stressor: journals cover %d scenarios, universe has %d", h0.Total, len(scenarios))
 	}
-	if uh := UniverseHash(scenarios); h0.Universe != uh {
-		return nil, fmt.Errorf("stressor: journal universe %s does not match scenario universe %s", h0.Universe, uh)
+	if h0.Universe != universe {
+		return nil, fmt.Errorf("stressor: journal universe %s does not match scenario universe %s", h0.Universe, universe)
 	}
 	seen := make([]bool, h0.Shards)
 	for _, j := range js {

@@ -22,22 +22,25 @@ func distinctScenarios(n int) []fault.Scenario {
 	return out
 }
 
-// TestOwnedIndices pins the exported shard-ownership helper against
-// the engine's own partition: the indices it reports are exactly the
-// entries each shard journals.
-func TestOwnedIndices(t *testing.T) {
+// TestShardSizes pins the exported shard-sizing helper against the
+// engine's own partition: the size it reports for a shard is the number
+// of entries that shard journals.
+func TestShardSizes(t *testing.T) {
 	scenarios := distinctScenarios(11)
 	// Make s3/s7 duplicates of s1 so dedup collapses them.
 	scenarios[3].Faults = scenarios[1].Faults
 	scenarios[7].Faults = scenarios[1].Faults
 	for _, dedup := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 3} {
-			var all []int
-			for i := 0; i < shards; i++ {
-				sh := Shard{Index: i, Count: shards}
-				owned := OwnedIndices(scenarios, dedup, sh)
-				all = append(all, owned...)
+			sizes := ShardSizes(scenarios, dedup, shards)
+			if len(sizes) != shards {
+				t.Fatalf("dedup=%v shards=%d: %d sizes", dedup, shards, len(sizes))
+			}
+			total := 0
+			for i, size := range sizes {
+				total += size
 				// Cross-check against the journal the engine writes.
+				sh := Shard{Index: i, Count: shards}
 				path := filepath.Join(t.TempDir(), "j.jsonl")
 				w, err := journal.Create(path, shardHeader("own", sh, scenarios))
 				if err != nil {
@@ -52,26 +55,22 @@ func TestOwnedIndices(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var journaled []int
-				for _, e := range j.Entries {
-					journaled = append(journaled, e.Index)
-				}
-				if !reflect.DeepEqual(owned, journaled) {
-					t.Fatalf("dedup=%v shard %d/%d: OwnedIndices %v, journal has %v", dedup, i, shards, owned, journaled)
+				if size != len(j.Entries) {
+					t.Fatalf("dedup=%v shard %d/%d: ShardSizes %d, journal has %d entries", dedup, i, shards, size, len(j.Entries))
 				}
 			}
 			wantTotal := len(scenarios)
 			if dedup {
 				wantTotal -= 2
 			}
-			if len(all) != wantTotal {
-				t.Fatalf("dedup=%v shards=%d: %d indices across shards, want %d", dedup, shards, len(all), wantTotal)
+			if total != wantTotal {
+				t.Fatalf("dedup=%v shards=%d: %d runs across shards, want %d", dedup, shards, total, wantTotal)
 			}
 		}
 	}
-	// The zero shard lists every representative.
-	if got := OwnedIndices(scenarios, false, Shard{}); len(got) != len(scenarios) {
-		t.Fatalf("zero shard owns %d of %d", len(got), len(scenarios))
+	// A non-positive count is one unsharded campaign.
+	if got := ShardSizes(scenarios, false, 0); len(got) != 1 || got[0] != len(scenarios) {
+		t.Fatalf("zero count sizes %v, want [%d]", got, len(scenarios))
 	}
 }
 

@@ -1,34 +1,50 @@
 package stressor
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 )
 
-// descKey serializes every descriptor field except the name — the
-// fault content that determines a deterministic run's outcome.
-func descKey(d fault.Descriptor) string {
-	return fmt.Sprintf("%v|%v|%v|%s|%d|%d|%g|%d|%d|%d|%g",
-		d.Model, d.Class, d.Domain, d.Target, d.Bit, d.Address, d.Param,
-		d.Start, d.Duration, d.Period, d.Rate)
+// appendDescKey appends every descriptor field except the name — the
+// fault content that determines a deterministic run's outcome — as
+// "%v|%v|%v|%s|%d|%d|%g|%d|%d|%d|%g" would print it (journals and dedup
+// keys written before this stopped going through fmt hold those bytes;
+// TestDescKeyMatchesFmt keeps the two spellings equal).
+func appendDescKey(b []byte, d fault.Descriptor) []byte {
+	b = append(append(b, d.Model.String()...), '|')
+	b = append(append(b, d.Class.String()...), '|')
+	b = append(append(b, d.Domain.String()...), '|')
+	b = append(append(b, d.Target...), '|')
+	b = append(strconv.AppendUint(b, uint64(d.Bit), 10), '|')
+	b = append(strconv.AppendUint(b, d.Address, 10), '|')
+	b = append(strconv.AppendFloat(b, d.Param, 'g', -1, 64), '|')
+	b = append(strconv.AppendUint(b, uint64(d.Start), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(d.Duration), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(d.Period), 10), '|')
+	return strconv.AppendFloat(b, d.Rate, 'g', -1, 64)
 }
+
+// keyScratch holds a single-fault key on the stack, so building one
+// allocates only the string it returns.
+type keyScratch [160]byte
 
 // scenarioContentKey serializes a scenario's fault content (descriptor
 // fields except names) — the key Dedup folds a list by and memoizes a
 // source's delivered outcomes under.
 func scenarioContentKey(sc fault.Scenario) string {
-	key := ""
+	var scratch keyScratch
+	b := scratch[:0]
 	for _, d := range sc.Faults {
-		key += descKey(d) + ";"
+		b = append(appendDescKey(b, d), ';')
 	}
-	return key
+	return string(b)
 }
 
 // dedupPlan maps between a scenario universe and its unique-run
 // positions: the first occurrence of each distinct fault content is
 // the representative that runs, every later one is folded into it.
-// Execute, Merge and OwnedIndices all build it from the same inputs, so
+// Execute, Merge and ShardSizes all build it from the same inputs, so
 // every shard and every merge agrees on the positions journals and the
 // shard partition are keyed by. Without Dedup — or when nothing folds —
 // positions are the scenario indices themselves.

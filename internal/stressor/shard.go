@@ -3,7 +3,6 @@ package stressor
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"strconv"
 	"strings"
 
@@ -78,22 +77,17 @@ func ParseShard(s string) (Shard, error) {
 	return sh, nil
 }
 
-// OwnedIndices returns the scenario indices (into the full, pre-dedup
-// universe) of the unique-run positions shard sh owns under the given
-// dedup setting — the exact set of runs that shard executes and
-// journals. With the zero Shard it lists every unique-run
-// representative. Distributed coordinators use it to size shard
-// progress totals and validate streamed journal entries without
-// re-deriving the engine's partition rules.
-func OwnedIndices(scenarios []fault.Scenario, dedup bool, sh Shard) []int {
-	plan := newDedupPlan(scenarios, dedup)
-	var out []int
-	for u := 0; u < plan.len(); u++ {
-		if sh.owns(u) {
-			out = append(out, plan.index(u))
-		}
+// ShardSizes returns how many unique-run positions each of count shards
+// owns under the given dedup setting — the number of runs that shard
+// executes and journals; their sum is the whole campaign's. Distributed
+// coordinators size shard progress with it, from one dedup plan and
+// without re-deriving the engine's partition rules.
+func ShardSizes(scenarios []fault.Scenario, dedup bool, count int) []int {
+	sizes := make([]int, max(count, 1))
+	for u, n := 0, newDedupPlan(scenarios, dedup).len(); u < n; u++ {
+		sizes[u%len(sizes)]++ // Shard.owns
 	}
-	return out
+	return sizes
 }
 
 // UniverseHash fingerprints a scenario universe: IDs, fault names and
@@ -102,16 +96,15 @@ func OwnedIndices(scenarios []fault.Scenario, dedup bool, sh Shard) []int {
 // universe (changed fault list, reordered scenarios, different world).
 func UniverseHash(scenarios []fault.Scenario) string {
 	h := fnv.New64a()
+	var b []byte // one scenario's bytes, reused
 	for _, sc := range scenarios {
-		io.WriteString(h, sc.ID)
-		h.Write([]byte{0x00})
+		b = append(append(b[:0], sc.ID...), 0x00)
 		for _, d := range sc.Faults {
-			io.WriteString(h, d.Name)
-			h.Write([]byte{0x01})
-			io.WriteString(h, descKey(d))
-			h.Write([]byte{0x02})
+			b = append(append(b, d.Name...), 0x01)
+			b = append(appendDescKey(b, d), 0x02)
 		}
-		h.Write([]byte{'\n'})
+		b = append(b, '\n')
+		h.Write(b)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
