@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race shuffle tier1 bench bench-pairs bench-smoke bench-obs fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race shuffle tier1 loc bench bench-pairs bench-smoke bench-obs fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -28,6 +28,14 @@ shuffle:
 		./internal/campaignd ./internal/scenario ./internal/journal ./internal/fabric ./internal/caps
 
 tier1: build vet race shuffle
+
+# Non-test, non-blank Go lines per top-level package, and the delta
+# against REF (default: where this branch left main; on main, HEAD) —
+# how ROADMAP's "net LoC goes down" is counted. Informational, never a
+# gate.
+REF ?=
+loc:
+	sh scripts/loc.sh $(REF)
 
 # The canonical campaign benchmark (BENCHMARK.json, bench/README.md):
 # six workloads, end-to-end and per-layer metrics. Add `-out SET.json`

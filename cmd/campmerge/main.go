@@ -23,80 +23,54 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/caps"
+	"repro/internal/campaignd"
 	"repro/internal/fault"
 	"repro/internal/journal"
-	"repro/internal/sim"
-	"repro/internal/stressor"
 )
 
 func main() {
-	world := flag.String("world", "normal", "environment: normal or crash")
-	unprotected := flag.Bool("unprotected", false, "disable the safety mechanisms")
-	horizonFlag := flag.String("horizon", "80ms", "simulated duration")
-	injectFlag := flag.String("inject", "10ms", "fault activation time of the campaign universe")
-	dedup := flag.Bool("dedup", false, "the shards ran with -dedup")
-	stopOnFirst := flag.Bool("stop-on-first", false, "the shards ran with stop-on-first semantics")
+	// The flags bind to the fields of the spec the shards ran under, so
+	// the universe is rebuilt — and refused — exactly as capsim and the
+	// daemon's POST /merge would.
+	spec := &campaignd.Spec{}
+	u := &spec.Universe
+	flag.StringVar(&u.World, "world", "normal", "environment: normal or crash")
+	flag.BoolVar(&u.Unprotected, "unprotected", false, "disable the safety mechanisms")
+	flag.StringVar(&u.Horizon, "horizon", "80ms", "simulated duration")
+	flag.StringVar(&u.Inject, "inject", "10ms", "fault activation time of the campaign universe")
+	flag.BoolVar(&spec.Dedup, "dedup", false, "the shards ran with -dedup")
+	flag.BoolVar(&spec.StopOnFirst, "stop-on-first", false, "the shards ran with stop-on-first semantics")
 	flag.Parse()
+	die := func(code int, err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: campmerge [flags] shard0.jsonl [shard1.jsonl ...]")
-		os.Exit(2)
+		die(2, fmt.Errorf("usage: campmerge [flags] shard0.jsonl [shard1.jsonl ...]"))
+	}
+	if err := spec.Validate(); err != nil {
+		die(2, err)
 	}
 
-	cfg := caps.Protected()
-	if *unprotected {
-		cfg = caps.Unprotected()
-	}
-	var w *caps.World
-	switch *world {
-	case "normal":
-		w = caps.NormalDriving()
-	case "crash":
-		w = caps.CrashAt(sim.MS(20))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown world %q\n", *world)
-		os.Exit(2)
-	}
-	horizon, err := fault.ParseDuration(*horizonFlag)
+	runner, err := spec.BuildRunner()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	inject, err := fault.ParseDuration(*injectFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	runner, err := caps.NewRunner(cfg, w, horizon)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
 	defer runner.Close()
-	var scenarios []fault.Scenario
-	for _, d := range runner.Universe(inject) {
-		scenarios = append(scenarios, fault.Single(d))
-	}
-
 	js := make([]*journal.Journal, flag.NArg())
 	for i, path := range flag.Args() {
 		if js[i], err = journal.Read(path); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 	}
-	res, err := stressor.Merge(stressor.MergeSpec{
-		StopOnFirst: *stopOnFirst, Dedup: *dedup,
-	}, scenarios, js)
+	res, total, err := spec.Merge(runner, js)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
 
-	fmt.Printf("world:     %s\n", *world)
-	fmt.Printf("config:    protected=%v\n", !*unprotected)
-	fmt.Printf("campaign:  %d single-fault scenarios, %d shards merged\n", len(scenarios), flag.NArg())
+	fmt.Printf("world:     %s\n", u.World)
+	fmt.Printf("config:    protected=%v\n", !u.Unprotected)
+	fmt.Printf("campaign:  %d single-fault scenarios, %d shards merged\n", total, flag.NArg())
 	fmt.Printf("tally:     %s\n", res.Tally)
 	if res.DedupSavedRuns > 0 {
 		fmt.Printf("dedup:     %d duplicate runs skipped\n", res.DedupSavedRuns)

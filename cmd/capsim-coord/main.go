@@ -42,6 +42,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/stressor"
 )
 
 func main() {
@@ -88,21 +89,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	spec, runner, scenarios, err := campaignd.MaterializeSpec(raw)
+	spec, scenarios, err := campaignd.MaterializeSpec(raw)
 	if err != nil {
 		fail(err)
 	}
-	// The runner exists only to enumerate the universe; workers build
-	// their own from the spec.
-	runner.Close()
 
+	// The merged result renders as the block capsim prints for the same
+	// spec — what the goldenfile harness pins across all three front-ends.
+	text := func(res *stressor.Result) string { return spec.Summary(len(scenarios), res).Text() }
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
 		Campaign: spec.Campaign, Spec: raw, Scenarios: scenarios,
 		Shards: *shards, Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst,
 		DataDir: *dataDir, Codec: cdc,
 		LeaseTTL: *leaseTTL, StealAfter: *stealAfter,
-		Text: campaignd.FabricText(spec, len(scenarios)),
-		Log:  logger,
+		Text: text, Log: logger,
 	})
 	if err != nil {
 		fail(err)
@@ -167,5 +167,5 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Print(campaignd.FabricText(spec, len(scenarios))(res))
+	fmt.Print(text(res))
 }

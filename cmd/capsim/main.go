@@ -46,21 +46,21 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/campaignd"
-	"repro/internal/caps"
 	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stressor"
 )
 
@@ -90,22 +90,16 @@ func (f *failingJournal) Append(e journal.Entry) error {
 // works for the first run and re-runs; without -resume an existing
 // file is refused. The returned sink is the writer itself, or the
 // CAPSIM_FAIL_JOURNAL_AFTER fault-injecting wrapper around it.
-func openJournal(path, codecName string, resume bool, h journal.Header) (*journal.Journal, *journal.Writer, stressor.JournalSink) {
-	codec, err := journal.ParseCodec(codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+func openJournal(path string, codec journal.Codec, resume bool, h journal.Header) (*journal.Journal, *journal.Writer, stressor.JournalSink) {
 	var j *journal.Journal
 	var w *journal.Writer
+	var err error
 	if resume {
 		if j, w, err = journal.Open(path, h, codec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 	} else if w, err = journal.CreateCodec(path, h, codec); err != nil {
-		fmt.Fprintf(os.Stderr, "%v (use -resume to continue an interrupted journal)\n", err)
-		os.Exit(1)
+		die(1, fmt.Errorf("%v (use -resume to continue an interrupted journal)", err))
 	}
 	if n, err := strconv.Atoi(os.Getenv("CAPSIM_FAIL_JOURNAL_AFTER")); err == nil && n >= 0 {
 		return j, w, &failingJournal{w: w, left: n}
@@ -127,217 +121,178 @@ func interruptHalt(journaled bool, limit int) (halt func(completed int) bool, st
 	if !journaled && limit <= 0 {
 		return nil, func() {}
 	}
-	var interrupted atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range ch {
-			interrupted.Store(true)
-		}
-	}()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	halt = func(completed int) bool {
-		return interrupted.Load() || (limit > 0 && completed >= limit)
+		return ctx.Err() != nil || (limit > 0 && completed >= limit)
 	}
-	return halt, func() {
-		signal.Stop(ch)
-		close(ch)
-		<-done
-	}
+	return halt, stop
 }
 
-func main() {
-	world := flag.String("world", "normal", "environment: normal or crash")
-	unprotected := flag.Bool("unprotected", false, "disable the safety mechanisms")
-	faults := flag.String("faults", "", "semicolon-separated fault descriptions")
-	horizonFlag := flag.String("horizon", "80ms", "simulated duration")
-	listSites := flag.Bool("sites", false, "list injection sites and exit")
-	campaign := flag.Bool("campaign", false, "run the exhaustive single-fault campaign instead of one scenario")
-	workers := flag.Int("workers", 0, "campaign worker-pool size: 0 = sequential, -1 = one per CPU")
-	reuseOff := flag.Bool("reuse-off", false, "rebuild the prototype for every scenario instead of reusing pooled kernels")
-	checkpoints := flag.Bool("checkpoints", false, "snapshot the golden prefix per worker and restore it instead of re-simulating (implies kernel reuse)")
-	checkpointTree := flag.Bool("checkpoint-tree", false, "retain a tree of golden-prefix snapshots and fork each scenario from the deepest shared one (implies -checkpoints)")
-	earlyExit := flag.Bool("early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory (implies -checkpoints)")
-	hashStride := flag.String("hash-stride", "", "golden-trajectory hashing interval for -early-exit (e.g. 5ms; default horizon/16)")
-	dedup := flag.Bool("dedup", false, "collapse campaign scenarios with identical fault content into one run")
-	adaptive := flag.Bool("adaptive", false, "drive the campaign with the novelty-adaptive strategy (outcome signatures steer scenario generation) instead of the fixed universe")
-	noveltyBudget := flag.Int("novelty-budget", 64, "simulated-run budget for -adaptive")
-	noveltySeed := flag.Int64("novelty-seed", 1, "RNG seed for the -adaptive strategy")
-	metricsPath := flag.String("metrics", "", "write the metrics snapshot (JSON) to this file")
-	tracePath := flag.String("trace-events", "", "write Chrome trace-event JSON to this file")
-	progress := flag.Bool("progress", false, "stream live campaign progress to stderr")
-	shardFlag := flag.String("shard", "", "run one shard i/N of the campaign universe (e.g. 0/4)")
-	journalPath := flag.String("journal", "", "append per-scenario outcomes to this run journal")
-	journalCodec := flag.String("journal-codec", "jsonl", "encoding for a fresh -journal: jsonl or binary (resume adopts the existing encoding)")
-	resume := flag.Bool("resume", false, "resume an interrupted -journal, skipping recorded scenarios")
-	scenarioTimeout := flag.Duration("scenario-timeout", 0, "wall-clock budget per scenario (0 = none)")
-	interruptAfter := flag.Int("interrupt-after", 0, "stop cleanly after N completed runs (testing aid; journal stays resumable)")
-	logFormat := flag.String("log-format", "", "stream structured campaign logs to stderr: text or json (default off)")
-	flag.Parse()
+// options is a parsed capsim command line: the campaign description,
+// bound flag by flag to the fields of the spec every front-end
+// validates and builds from, and the switches that describe no campaign
+// — the mode, and the sinks this caller attaches to it.
+type options struct {
+	spec campaignd.Spec
 
+	campaign, listSites bool
+	faults              string
+
+	reuseOff                  bool
+	metricsPath, tracePath    string
+	progress                  bool
+	journalPath, journalCodec string
+	resume                    bool
+	interruptAfter            int
+	logFormat                 string
+}
+
+// parseArgs binds the command line to an options value. It checks
+// nothing beyond flag syntax: what a campaign may and may not combine is
+// Spec.Validate's to say, once, for every front-end.
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	s, u := &o.spec, &o.spec.Universe
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&u.World, "world", "normal", "environment: normal or crash")
+	fs.BoolVar(&u.Unprotected, "unprotected", false, "disable the safety mechanisms")
+	fs.StringVar(&o.faults, "faults", "", "semicolon-separated fault descriptions")
+	fs.StringVar(&u.Horizon, "horizon", "80ms", "simulated duration")
+	fs.BoolVar(&o.listSites, "sites", false, "list injection sites and exit")
+	fs.BoolVar(&o.campaign, "campaign", false, "run the exhaustive single-fault campaign instead of one scenario")
+	fs.IntVar(&s.Workers, "workers", 0, "campaign worker-pool size: 0 = sequential, -1 = one per CPU")
+	fs.BoolVar(&o.reuseOff, "reuse-off", false, "rebuild the prototype for every scenario instead of reusing pooled kernels")
+	fs.BoolVar(&s.Checkpoints, "checkpoints", false, "snapshot the golden prefix per worker and restore it instead of re-simulating (implies kernel reuse)")
+	fs.BoolVar(&s.CheckpointTree, "checkpoint-tree", false, "retain a tree of golden-prefix snapshots and fork each scenario from the deepest shared one (implies -checkpoints)")
+	fs.BoolVar(&s.EarlyExit, "early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory (implies -checkpoints)")
+	fs.StringVar(&s.HashStride, "hash-stride", "", "golden-trajectory hashing interval for -early-exit (e.g. 5ms; default horizon/16)")
+	fs.BoolVar(&s.Dedup, "dedup", false, "collapse campaign scenarios with identical fault content into one run")
+	fs.BoolVar(&s.Adaptive, "adaptive", false, "drive the campaign with the novelty-adaptive strategy (outcome signatures steer scenario generation) instead of the fixed universe")
+	fs.IntVar(&s.NoveltyBudget, "novelty-budget", 0, "simulated-run budget for -adaptive (default 64)")
+	fs.Int64Var(&s.NoveltySeed, "novelty-seed", 0, "RNG seed for the -adaptive strategy (default 1)")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write the metrics snapshot (JSON) to this file")
+	fs.StringVar(&o.tracePath, "trace-events", "", "write Chrome trace-event JSON to this file")
+	fs.BoolVar(&o.progress, "progress", false, "stream live campaign progress to stderr")
+	fs.StringVar(&s.Shard, "shard", "", "run one shard i/N of the campaign universe (e.g. 0/4)")
+	fs.StringVar(&o.journalPath, "journal", "", "append per-scenario outcomes to this run journal")
+	fs.StringVar(&o.journalCodec, "journal-codec", "jsonl", "encoding for a fresh -journal: jsonl or binary (resume adopts the existing encoding)")
+	fs.BoolVar(&o.resume, "resume", false, "resume an interrupted -journal, skipping recorded scenarios")
+	fs.StringVar(&s.ScenarioTimeout, "scenario-timeout", "", "wall-clock budget per scenario, e.g. 2s (default none)")
+	fs.IntVar(&o.interruptAfter, "interrupt-after", 0, "stop cleanly after N completed runs (testing aid; journal stays resumable)")
+	fs.StringVar(&o.logFormat, "log-format", "", "stream structured campaign logs to stderr: text or json (default off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	// "-campaign e8" names the campaign. The boolean flag consumes no
 	// operand, so the positional name stops flag parsing; pick it up
 	// and re-parse the remainder (already-set flags keep their values).
-	campaignName := "capsim"
-	if *campaign && flag.NArg() > 0 && !strings.HasPrefix(flag.Arg(0), "-") {
-		campaignName = flag.Arg(0)
-		if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-			os.Exit(2)
+	s.Campaign = "capsim"
+	if o.campaign && fs.NArg() > 0 && !strings.HasPrefix(fs.Arg(0), "-") {
+		s.Campaign = fs.Arg(0)
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return nil, err
 		}
 	}
+	return o, nil
+}
 
+// die reports err and exits: with 2 for a refused command line — before
+// any simulation work — and with 1 for a failure while running it.
+func die(code int, err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(code)
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2) // the flag set has already said why
+	}
+	// Everything that can refuse the command line does so here: the spec
+	// (all of it for a campaign, its prototype half for -sites and
+	// -faults), then the switches only this front-end has.
+	spec := &o.spec
+	if o.campaign {
+		err = spec.Validate()
+	} else {
+		err = spec.ValidatePrototype()
+	}
+	if err != nil {
+		die(2, err)
+	}
+	if spec.Checkpoints && o.reuseOff {
+		die(2, fmt.Errorf("-checkpoints requires kernel reuse; drop -reuse-off"))
+	}
+	if o.resume && o.journalPath == "" {
+		die(2, fmt.Errorf("-resume requires -journal"))
+	}
+	codec, err := journal.ParseCodec(o.journalCodec)
+	if err != nil {
+		die(2, err)
+	}
+	if !o.campaign && !o.listSites && o.faults == "" {
+		die(2, fmt.Errorf("need -faults (or -sites); see fault.ParseDescriptor syntax"))
+	}
 	// Structured logging is opt-in: the default stdout/stderr surface
-	// stays byte-stable for the goldenfile harness. Validated up front
-	// so a bogus format is a usage error before any simulation work.
+	// stays byte-stable for the goldenfile harness.
 	var campaignLog *slog.Logger
-	if *logFormat != "" {
-		l, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	if o.logFormat != "" {
+		if campaignLog, err = obs.NewLogger(os.Stderr, o.logFormat, slog.LevelInfo); err != nil {
+			die(2, err)
 		}
-		campaignLog = l
 	}
 
 	var reg *obs.Registry
 	var tr *obs.TraceRecorder
-	if *metricsPath != "" {
+	if o.metricsPath != "" {
 		reg = obs.NewRegistry()
 	}
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		tr = obs.NewTraceRecorder()
 	}
 	writeObs := func() {
-		if err := obs.WriteMetricsFile(reg, *metricsPath); err != nil {
+		if err := obs.WriteMetricsFile(reg, o.metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
-		if err := obs.WriteTraceFile(tr, *tracePath); err != nil {
+		if err := obs.WriteTraceFile(tr, o.tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 
-	cfg := caps.Protected()
-	if *unprotected {
-		cfg = caps.Unprotected()
-	}
-	var w *caps.World
-	switch *world {
-	case "normal":
-		w = caps.NormalDriving()
-	case "crash":
-		w = caps.CrashAt(sim.MS(20))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown world %q\n", *world)
-		os.Exit(2)
-	}
-	horizon, err := fault.ParseDuration(*horizonFlag)
+	runner, err := spec.BuildRunner()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	runner, err := caps.NewRunner(cfg, w, horizon)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
 	defer runner.Close()
-	runner.ReuseOff = *reuseOff
-	// Attach after NewRunner so the golden run stays out of the data.
+	runner.ReuseOff = o.reuseOff
+	// Attach after BuildRunner so the golden run stays out of the data.
 	runner.Instrument(reg, tr)
-	if *listSites {
+	if o.listSites {
 		for _, s := range runner.Sites() {
 			fmt.Println(s)
 		}
 		return
 	}
-	if *campaign {
-		scenarios := fault.Singles(runner.Universe(sim.MS(10)))
-		var shard stressor.Shard
-		if *shardFlag != "" {
-			if shard, err = stressor.ParseShard(*shardFlag); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+	if o.campaign {
+		// The campaign is the one the daemon and the fabric would build
+		// from this spec; the sinks are this caller's.
+		c, scenarios, err := spec.Build(runner)
+		if err != nil {
+			die(1, err)
 		}
-		c := &stressor.Campaign{
-			Name: campaignName, Run: runner.RunFunc(), Workers: *workers,
-			Dedup: *dedup, Metrics: reg, Trace: tr,
-			Shard: shard, ScenarioTimeout: *scenarioTimeout,
-			Log: campaignLog,
-		}
-		if *adaptive {
-			// What stressor.Campaign refuses next to a Source, plus an
-			// explicit -dedup (adaptive already implies it): a usage error
-			// here rather than a silent no-op or a late engine error.
-			var set []string
-			for _, f := range []struct {
-				name string
-				on   bool
-			}{
-				{"-checkpoint-tree", *checkpointTree}, {"-checkpoints", *checkpoints},
-				{"-dedup", *dedup}, {"-early-exit", *earlyExit},
-				{"-hash-stride", *hashStride != ""}, {"-shard", *shardFlag != ""},
-			} {
-				if f.on {
-					set = append(set, f.name)
-				}
-			}
-			if len(set) > 0 {
-				fmt.Fprintf(os.Stderr, "%s cannot be combined with -adaptive\n", strings.Join(set, ", "))
-				os.Exit(2)
-			}
-			if *noveltyBudget < 1 {
-				fmt.Fprintln(os.Stderr, "-novelty-budget must be >= 1")
-				os.Exit(2)
-			}
-			// The Novelty strategy over the runner's fault universe replaces
-			// the list, on the signed RunFunc so outcome signatures reflect
-			// real prototype state.
-			c.Run, c.Dedup = runner.SignedRunFunc(), true
-			c.Source = campaignd.NewNovelty(runner.Universe(sim.MS(10)), *noveltyBudget, *noveltySeed, horizon)
-			c.MaxRuns, c.Fingerprint = *noveltyBudget, stressor.UniverseHash(scenarios)
-			scenarios = nil
-		}
-		if *checkpointTree || *earlyExit || *hashStride != "" {
-			// Tree and early-exit modes build on checkpoint sessions.
-			*checkpoints = true
-		}
-		if *checkpoints {
-			if *reuseOff {
-				fmt.Fprintln(os.Stderr, "-checkpoints requires kernel reuse; drop -reuse-off")
-				os.Exit(2)
-			}
-			c.Checkpoints = true
-			c.Checkpointer = runner
-			c.CheckpointTree = *checkpointTree
-			c.EarlyExit = *earlyExit
-			if *hashStride != "" {
-				if !*earlyExit {
-					fmt.Fprintln(os.Stderr, "-hash-stride only applies with -early-exit")
-					os.Exit(2)
-				}
-				stride, err := fault.ParseDuration(*hashStride)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
-				}
-				c.HashStride = stride
-			}
-		}
-		if *progress {
+		c.Metrics, c.Trace, c.Log = reg, tr, campaignLog
+		if o.progress {
 			c.Progress = obs.ProgressLine(os.Stderr)
 		}
 		var jw *journal.Writer
-		if *journalPath != "" {
-			c.Resume, jw, c.Journal = openJournal(*journalPath, *journalCodec, *resume, c.JournalHeader(scenarios))
-		} else if *resume {
-			fmt.Fprintln(os.Stderr, "-resume requires -journal")
-			os.Exit(2)
+		if o.journalPath != "" {
+			c.Resume, jw, c.Journal = openJournal(o.journalPath, codec, o.resume, c.JournalHeader(scenarios))
 		}
 		var stopSignals func()
-		c.Halt, stopSignals = interruptHalt(*journalPath != "", *interruptAfter)
+		c.Halt, stopSignals = interruptHalt(o.journalPath != "", o.interruptAfter)
 		res, err := c.Execute(scenarios)
 		stopSignals()
 		if jw != nil {
@@ -347,44 +302,33 @@ func main() {
 		}
 		writeObs()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
-		// The summary block is rendered by the shared campaignd.Summary
-		// so the daemon's text result and this CLI stay byte-identical
-		// for the same campaign — the goldenfile harness pins that.
-		// An adaptive campaign has no list; its size is what it delivered.
-		campaignd.Summary{
-			World: *world, Protected: !*unprotected,
-			Scenarios: max(len(scenarios), len(res.Outcomes)), Workers: *workers,
-			Shard: shard, Result: res,
-		}.WriteText(os.Stdout)
+		// The summary block is the spec's, so the daemon's text result and
+		// this CLI stay byte-identical for the same campaign — the
+		// goldenfile harness pins that.
+		fmt.Print(spec.Summary(len(scenarios), res).Text())
 		if res.Tally[fault.SafetyCritical] > 0 {
 			os.Exit(1)
 		}
 		return
 	}
-	if *faults == "" {
-		fmt.Fprintln(os.Stderr, "need -faults (or -sites); see fault.ParseDescriptor syntax")
-		os.Exit(2)
-	}
-	sc, err := fault.ParseScenario("cli", *faults)
+	sc, err := fault.ParseScenario("cli", o.faults)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
-	o := runner.RunScenario(sc)
+	out := runner.RunScenario(sc)
 	writeObs()
-	fmt.Printf("world:     %s\n", *world)
-	fmt.Printf("config:    protected=%v\n", !*unprotected)
+	fmt.Printf("world:     %s\n", spec.Universe.World)
+	fmt.Printf("config:    protected=%v\n", !spec.Universe.Unprotected)
 	for _, d := range sc.Faults {
 		fmt.Printf("fault:     %s\n", d)
 	}
-	fmt.Printf("outcome:   %s\n", o.Class)
-	if o.Detail != "" {
-		fmt.Printf("detail:    %s\n", o.Detail)
+	fmt.Printf("outcome:   %s\n", out.Class)
+	if out.Detail != "" {
+		fmt.Printf("detail:    %s\n", out.Detail)
 	}
-	if o.Class == fault.SafetyCritical {
+	if out.Class == fault.SafetyCritical {
 		os.Exit(1)
 	}
 }

@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"sync"
 
-	"repro/internal/caps"
 	"repro/internal/fabric"
 	"repro/internal/fault"
-	"repro/internal/stressor"
 )
 
 // This file bridges campaignd's spec language to the distributed
@@ -18,97 +15,77 @@ import (
 // drives the one-shot CLI, the daemon and the distributed fabric — and
 // all three produce the identical merged result.
 
-// ValidateFabricSpec re-checks a parsed spec for distributed
-// execution. The fabric owns the partitioning and the merged result,
-// so the single-process knobs that conflict with it are rejected here
-// instead of silently misbehaving on a worker.
-func ValidateFabricSpec(s *Spec) error {
-	if s.Shard != "" {
-		return fmt.Errorf("campaignd: spec shard %q conflicts with fabric sharding (use capsim-coord -shards)", s.Shard)
+// parseFabricSpec is ParseSpec for distributed execution — what both
+// fabric entry points accept. The fabric owns the partitioning and the
+// merged result, so the single-process knobs that conflict with it are
+// rejected here instead of silently misbehaving on a worker.
+func parseFabricSpec(raw []byte) (*Spec, error) {
+	s, err := ParseSpec(raw)
+	switch {
+	case err != nil:
+		return nil, err
+	case s.Shard != "":
+		return nil, fmt.Errorf("campaignd: spec shard %q conflicts with fabric sharding (use capsim-coord -shards)", s.Shard)
+	case s.Trace:
+		return nil, fmt.Errorf("campaignd: trace is not supported for distributed runs")
+	case s.Adaptive:
+		return nil, fmt.Errorf("campaignd: adaptive is not supported for distributed runs (the fabric partitions a fixed universe)")
 	}
-	if s.Trace {
-		return fmt.Errorf("campaignd: trace is not supported for distributed runs")
-	}
-	if s.Adaptive {
-		return fmt.Errorf("campaignd: adaptive is not supported for distributed runs (the fabric partitions a fixed universe)")
-	}
-	return nil
+	return s, nil
 }
 
 // MaterializeSpec parses and validates raw spec JSON for fabric use
-// and materializes its scenario universe. The returned runner is the
-// caller's to Close; the coordinator only needs it long enough to
-// enumerate the universe.
-func MaterializeSpec(raw []byte) (*Spec, *caps.Runner, []fault.Scenario, error) {
-	spec, err := ParseSpec(raw)
+// and materializes its scenario universe. The coordinator only
+// enumerates: the runner built for that is closed before returning, and
+// workers build their own from the spec.
+func MaterializeSpec(raw []byte) (*Spec, []fault.Scenario, error) {
+	spec, err := parseFabricSpec(raw)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := ValidateFabricSpec(spec); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	runner, err := spec.BuildRunner()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	defer runner.Close()
 	scenarios, err := spec.Scenarios(runner)
 	if err != nil {
-		runner.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return spec, runner, scenarios, nil
+	return spec, scenarios, nil
 }
 
-// FabricText renders the merged result exactly as capsim prints its
-// campaign summary — the byte-identical block the goldenfile harness
-// pins across capsim, capsimd and the fabric.
-func FabricText(spec *Spec, scenarios int) func(*stressor.Result) string {
-	return func(res *stressor.Result) string { return spec.summary(scenarios, res).Text() }
-}
-
-// FabricResolver materializes lease specs for a fabric worker. Warm
-// runners are cached by RunnerKey for the life of the worker — the
-// same amortization the daemon's runner cache provides, so successive
-// leases (and successive campaigns against one long-lived worker) skip
-// prototype elaboration and the golden run.
+// FabricResolver materializes lease specs for a fabric worker: the
+// campaign is the one Spec.Build assembles (the worker overwrites the
+// identity fields its lease owns), on a warm runner from the same
+// bounded LRU cache the daemon's scheduler uses — successive leases,
+// and successive campaigns against one long-lived worker, skip
+// prototype elaboration and the golden run, and a prototype the worker
+// has moved on from is closed when the cache evicts it. A worker holds
+// only its latest Resolved, and resolves between leases, so an
+// eviction never closes the runner a lease is executing on.
 func FabricResolver(log *slog.Logger) fabric.Resolver {
-	var mu sync.Mutex
-	runners := map[string]*caps.Runner{}
+	return fabricResolver(newRunnerCache(defaultRunnerCacheCap, nil), log)
+}
+
+func fabricResolver(cache *runnerCache, log *slog.Logger) fabric.Resolver {
 	return func(raw json.RawMessage) (*fabric.Resolved, error) {
-		spec, err := ParseSpec(raw)
+		spec, err := parseFabricSpec(raw)
 		if err != nil {
 			return nil, err
 		}
-		if err := ValidateFabricSpec(spec); err != nil {
-			return nil, err
-		}
-		key := spec.RunnerKey()
-		mu.Lock()
-		runner := runners[key]
-		mu.Unlock()
-		if runner == nil {
-			if runner, err = spec.BuildRunner(); err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			if prev := runners[key]; prev != nil {
-				// Lost a build race; keep the first.
-				runner.Close()
-				runner = prev
-			} else {
-				runners[key] = runner
-			}
-			mu.Unlock()
-			if log != nil {
-				log.Info("runner built", "key", key)
-			}
-		}
-		scenarios, err := spec.Scenarios(runner)
+		built := cache.builds.Value()
+		runner, err := cache.get(spec)
 		if err != nil {
 			return nil, err
 		}
-		c := &stressor.Campaign{Run: runner.RunFunc()}
-		spec.applyEngine(c, runner)
+		if log != nil && cache.builds.Value() != built {
+			log.Info("runner built", "key", spec.RunnerKey())
+		}
+		c, scenarios, err := spec.Build(runner)
+		if err != nil {
+			return nil, err
+		}
 		return &fabric.Resolved{Scenarios: scenarios, Campaign: c}, nil
 	}
 }

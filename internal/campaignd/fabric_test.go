@@ -20,8 +20,7 @@ func TestFabricSpecRejects(t *testing.T) {
 	resolve := FabricResolver(nil)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, runner, _, err := MaterializeSpec([]byte(tc.spec)); err == nil {
-				runner.Close()
+			if _, _, err := MaterializeSpec([]byte(tc.spec)); err == nil {
 				t.Error("MaterializeSpec accepted the spec")
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("MaterializeSpec error %q does not mention %q", err, tc.want)

@@ -42,23 +42,23 @@ func FuzzCampaignSpec(f *testing.F) {
 		if spec.Campaign == "" || len(spec.Campaign) > maxNameLen {
 			t.Fatalf("accepted campaign name %q outside bounds", spec.Campaign)
 		}
-		if h := spec.Horizon(); h <= 0 || h > MaxHorizon {
+		if h := spec.horizon; h <= 0 || h > MaxHorizon {
 			t.Fatalf("accepted horizon %d outside bounds", h)
 		}
 		if spec.Workers > MaxWorkers {
 			t.Fatalf("accepted workers %d above cap", spec.Workers)
 		}
-		if d := spec.Timeout(); d < 0 || d > MaxScenarioTimeout {
+		if d := spec.timeout; d < 0 || d > MaxScenarioTimeout {
 			t.Fatalf("accepted scenario timeout %v outside bounds", d)
 		}
-		if sh := spec.ShardSpec(); sh.Count > MaxShardCount {
+		if sh := spec.shard; sh.Count > MaxShardCount {
 			t.Fatalf("accepted shard count %d above cap", sh.Count)
 		}
 		if n := len(spec.Universe.Scenarios); n > MaxInlineScenarios {
 			t.Fatalf("accepted %d inline scenarios above cap", n)
 		}
-		if st := spec.Stride(); st > spec.Horizon() {
-			t.Fatalf("accepted hash stride %d past horizon %d", st, spec.Horizon())
+		if st := spec.stride; st > spec.horizon {
+			t.Fatalf("accepted hash stride %d past horizon %d", st, spec.horizon)
 		}
 		if (spec.CheckpointTree || spec.EarlyExit) && !spec.Checkpoints {
 			t.Fatal("accepted tree/early-exit spec without checkpoints implied")
@@ -93,9 +93,9 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of marshaled spec %s: %v", remarshaled, err)
 		}
-		if again.RunnerKey() != spec.RunnerKey() || again.Horizon() != spec.Horizon() ||
-			again.ShardSpec() != spec.ShardSpec() || again.Timeout() != spec.Timeout() ||
-			again.Stride() != spec.Stride() || again.CheckpointTree != spec.CheckpointTree ||
+		if again.RunnerKey() != spec.RunnerKey() || again.horizon != spec.horizon ||
+			again.shard != spec.shard || again.timeout != spec.timeout ||
+			again.stride != spec.stride || again.CheckpointTree != spec.CheckpointTree ||
 			again.EarlyExit != spec.EarlyExit || again.Adaptive != spec.Adaptive ||
 			again.NoveltyBudget != spec.NoveltyBudget || again.NoveltySeed != spec.NoveltySeed {
 			t.Fatalf("round trip changed the spec: %s", remarshaled)

@@ -41,13 +41,10 @@ type hub struct {
 	last    Event // last state event published
 	closed  bool
 	subs    map[chan Event]struct{}
-	dropped *obs.Counter // nil-safe: shared events-dropped counter
+	dropped *obs.Counter // the daemon's shared events-dropped counter
 }
 
 func newHub(id, state string, dropped *obs.Counter) *hub {
-	if dropped == nil {
-		dropped = &obs.Counter{}
-	}
 	return &hub{
 		last:    Event{Type: "state", Run: id, State: state},
 		subs:    make(map[chan Event]struct{}),

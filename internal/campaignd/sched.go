@@ -12,7 +12,6 @@ import (
 	"repro/internal/caps"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/stressor"
 )
 
 // Config parameterizes a Scheduler.
@@ -74,7 +73,8 @@ type Scheduler struct {
 	// Telemetry plane. agg is the daemon-wide aggregate registry served
 	// at GET /metrics; live holds the in-flight run's registry (and
 	// optional trace recorder) so mid-flight scrapes see the campaign
-	// moving; flight is the black-box event ring.
+	// moving — one run's, because the executor runs one campaign at a
+	// time; flight is the black-box event ring.
 	agg           *obs.Registry
 	prom          *obs.PromEncoder
 	flight        *obs.FlightRecorder
@@ -82,9 +82,12 @@ type Scheduler struct {
 	queueWait     *obs.Histogram
 	eventsDropped *obs.Counter
 
-	liveMu    sync.Mutex
-	liveReg   map[string]*obs.Registry
-	liveTrace map[string]*obs.TraceRecorder
+	liveMu sync.Mutex
+	live   struct {
+		id    string
+		reg   *obs.Registry
+		trace *obs.TraceRecorder
+	}
 }
 
 // NewScheduler opens the store under cfg.DataDir and re-queues every
@@ -96,7 +99,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		cfg.QueueCap = 256
 	}
 	if cfg.RunnerCacheCap <= 0 {
-		cfg.RunnerCacheCap = 4
+		cfg.RunnerCacheCap = defaultRunnerCacheCap
 	}
 	store, err := OpenStore(cfg.DataDir)
 	if err != nil {
@@ -104,21 +107,19 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	}
 	agg := obs.NewRegistry()
 	s := &Scheduler{
-		cfg:       cfg,
-		store:     store,
-		cache:     newRunnerCache(cfg.RunnerCacheCap, agg),
-		queue:     make(chan string, cfg.QueueCap),
-		stopCh:    make(chan struct{}),
-		done:      make(chan struct{}),
-		hubs:      map[string]*hub{},
-		enq:       map[string]time.Time{},
-		specs:     map[string]*Spec{},
-		names:     map[string]string{},
-		agg:       agg,
-		prom:      obs.NewPromEncoder(),
-		flight:    obs.NewFlightRecorder(cfg.FlightCap),
-		liveReg:   map[string]*obs.Registry{},
-		liveTrace: map[string]*obs.TraceRecorder{},
+		cfg:    cfg,
+		store:  store,
+		cache:  newRunnerCache(cfg.RunnerCacheCap, agg),
+		queue:  make(chan string, cfg.QueueCap),
+		stopCh: make(chan struct{}),
+		done:   make(chan struct{}),
+		hubs:   map[string]*hub{},
+		enq:    map[string]time.Time{},
+		specs:  map[string]*Spec{},
+		names:  map[string]string{},
+		agg:    agg,
+		prom:   obs.NewPromEncoder(),
+		flight: obs.NewFlightRecorder(cfg.FlightCap),
 	}
 	// Pre-register every daemon-wide family so the /metrics document has
 	// a deterministic shape from the first scrape (goldenfile-able), not
@@ -134,11 +135,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	for _, id := range ids {
-		state, err := store.State(id)
-		if err != nil {
-			continue
-		}
-		if state != StateQueued {
+		if state, err := store.State(id); err != nil || state != StateQueued {
 			continue
 		}
 		if len(s.queue) == cap(s.queue) {
@@ -217,7 +214,8 @@ func (s *Scheduler) CampaignName(id string) string {
 }
 
 // Hub returns the live event hub for a run, or nil when the daemon
-// holds none (terminal runs from a previous daemon process).
+// holds none: the run is terminal (done or failed, in this process or
+// an earlier one) and the store answers for it.
 func (s *Scheduler) Hub(id string) *hub {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,17 +232,14 @@ func (s *Scheduler) RunnerCacheStats() (builds, hits int64) {
 func (s *Scheduler) Flight() *obs.FlightRecorder { return s.flight }
 
 // WriteProm renders the daemon's live telemetry — the aggregate
-// registry plus every in-flight run's registry — in the Prometheus
-// text exposition format (GET /metrics). The encoder caches rendered
+// registry plus the in-flight run's registry — in the Prometheus text
+// exposition format (GET /metrics). The encoder caches rendered
 // series, so steady-state scrapes do not allocate.
 func (s *Scheduler) WriteProm(w io.Writer) error {
-	regs := []*obs.Registry{s.agg}
 	s.liveMu.Lock()
-	for _, r := range s.liveReg {
-		regs = append(regs, r)
-	}
+	reg := s.live.reg
 	s.liveMu.Unlock()
-	return s.prom.Encode(w, regs...)
+	return s.prom.Encode(w, s.agg, reg)
 }
 
 // LiveMetrics returns the in-flight registry of a running campaign, or
@@ -252,7 +247,10 @@ func (s *Scheduler) WriteProm(w io.Writer) error {
 func (s *Scheduler) LiveMetrics(id string) *obs.Registry {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	return s.liveReg[id]
+	if s.live.id != id {
+		return nil
+	}
+	return s.live.reg
 }
 
 // LiveTrace returns the in-flight trace recorder of a running
@@ -260,23 +258,17 @@ func (s *Scheduler) LiveMetrics(id string) *obs.Registry {
 func (s *Scheduler) LiveTrace(id string) *obs.TraceRecorder {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	return s.liveTrace[id]
+	if s.live.id != id {
+		return nil
+	}
+	return s.live.trace
 }
 
 // setLive installs (or, with nils, clears) a run's live telemetry.
 func (s *Scheduler) setLive(id string, reg *obs.Registry, tr *obs.TraceRecorder) {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	if reg == nil {
-		delete(s.liveReg, id)
-	} else {
-		s.liveReg[id] = reg
-	}
-	if tr == nil {
-		delete(s.liveTrace, id)
-	} else {
-		s.liveTrace[id] = tr
-	}
+	s.live.id, s.live.reg, s.live.trace = id, reg, tr
 }
 
 // DumpFlight writes the flight-recorder contents to cfg.FlightDump
@@ -333,6 +325,18 @@ func (s *Scheduler) publish(e Event) {
 	}
 }
 
+// finish publishes the final event of a run the store has just recorded
+// as done or failed, then releases the run's hub: every subscriber has
+// been handed the event, and from here on the store answers for the run
+// (handleEvents synthesizes the same event from it). An interrupted run
+// is published, not finished — it is still queued on disk.
+func (s *Scheduler) finish(e Event) {
+	s.publish(e)
+	s.mu.Lock()
+	delete(s.hubs, e.Run)
+	s.mu.Unlock()
+}
+
 // execute runs one campaign end to end: warm runner lookup, scenario
 // materialization, journal create-or-resume, Execute, result (or
 // error) persistence. A daemon shutdown mid-campaign leaves the run
@@ -350,27 +354,27 @@ func (s *Scheduler) execute(id string) {
 	s.queueDepth.Set(float64(len(s.queue)))
 
 	defer s.setLive(id, nil, nil)
-	defer func() {
-		if r := recover(); r != nil {
-			msg := fmt.Sprintf("internal error: %v", r)
-			s.store.WriteRunError(id, msg)
-			s.publish(Event{Type: "state", Run: id, State: StateFailed, Error: msg, Final: true})
-			s.agg.Counter("campaignd.runs", obs.L("state", StateFailed)).Inc()
-			s.flight.Recordf("executor.panic", id, "%v", r)
-			s.logError("run panicked", "run", id, "panic", fmt.Sprint(r))
-			s.DumpFlight("executor panic")
-		}
-	}()
 	fail := func(err error) {
 		msg := err.Error()
+		e := Event{Type: "state", Run: id, State: StateFailed, Error: msg, Final: true}
 		if werr := s.store.WriteRunError(id, msg); werr != nil {
+			// Unrecorded, the run is still queued on disk: its hub stays.
 			s.logError("recording failure", "run", id, "err", werr)
+			s.publish(e)
+		} else {
+			s.finish(e)
 		}
-		s.publish(Event{Type: "state", Run: id, State: StateFailed, Error: msg, Final: true})
 		s.agg.Counter("campaignd.runs", obs.L("state", StateFailed)).Inc()
 		s.flight.Record("run.failed", id, msg)
 		s.logError("run failed", "run", id, "err", msg)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.flight.Recordf("executor.panic", id, "%v", r)
+			fail(fmt.Errorf("internal error: %v", r))
+			s.DumpFlight("executor panic")
+		}
+	}()
 
 	if spec == nil {
 		var err error
@@ -381,40 +385,26 @@ func (s *Scheduler) execute(id string) {
 	}
 	s.publish(Event{Type: "state", Run: id, State: StateRunning})
 	s.flight.Record("run.start", id, spec.Campaign)
-	ent, err := s.cache.get(spec)
+	runner, err := s.cache.get(spec)
 	if err != nil {
 		fail(err)
 		return
 	}
-	scenarios, err := spec.Scenarios(ent.runner)
+	c, scenarios, err := spec.Build(runner)
 	if err != nil {
 		fail(err)
 		return
 	}
-	c := &stressor.Campaign{
-		Name: spec.Campaign, Run: ent.runner.RunFunc(),
-		Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst, Shard: spec.ShardSpec(),
-		Flight: s.flight, SlowScenario: s.cfg.SlowScenario,
-		Halt: func(int) bool { return s.halt.Load() },
-		Progress: func(u obs.ProgressUpdate) {
-			s.publish(Event{
-				Type: "progress", Run: id,
-				Completed: u.Completed, Total: u.Total, Failures: u.Failures,
-				RunsPerSec: u.RunsPerSec, ETAMillis: u.ETA.Milliseconds(),
-			})
-		},
-		ProgressInterval: s.cfg.ProgressInterval,
+	c.Flight, c.SlowScenario = s.flight, s.cfg.SlowScenario
+	c.Halt = func(int) bool { return s.halt.Load() }
+	c.Progress = func(u obs.ProgressUpdate) {
+		s.publish(Event{
+			Type: "progress", Run: id,
+			Completed: u.Completed, Total: u.Total, Failures: u.Failures,
+			RunsPerSec: u.RunsPerSec, ETAMillis: u.ETA.Milliseconds(),
+		})
 	}
-	spec.applyEngine(c, ent.runner)
-	if spec.Adaptive {
-		// The Novelty strategy over the spec's fault universe replaces the
-		// list, on the signed RunFunc so signatures reflect prototype state;
-		// a restarted daemon replays the journal into the same seeded strategy.
-		c.Run, c.Dedup = ent.runner.SignedRunFunc(), true
-		c.Source = NewNovelty(ent.runner.Universe(spec.inject), spec.NoveltyBudget, spec.NoveltySeed, spec.Horizon())
-		c.MaxRuns, c.Fingerprint = spec.NoveltyBudget, stressor.UniverseHash(scenarios)
-		scenarios = nil
-	}
+	c.ProgressInterval = s.cfg.ProgressInterval
 	resume, jw, err := journal.Open(s.store.JournalPath(id), c.JournalHeader(scenarios), journal.JSONL)
 	if err != nil {
 		fail(err)
@@ -452,28 +442,24 @@ func (s *Scheduler) execute(id string) {
 		return
 	}
 
-	// An adaptive run has no list; its size is what it delivered.
-	total := max(len(scenarios), len(res.Outcomes))
-	doc := BuildResultDoc(id, total, res, spec.summary(total, res))
-	if err := s.store.WriteResult(id, doc); err != nil {
+	sum := spec.Summary(len(scenarios), res)
+	if err := s.store.WriteResult(id, BuildResultDoc(id, sum.Scenarios, res, sum)); err != nil {
 		fail(err)
 		return
 	}
-	var mbuf bytes.Buffer
-	if err := c.Metrics.WriteJSON(&mbuf); err == nil {
-		if werr := s.store.WriteMetrics(id, mbuf.Bytes()); werr != nil {
-			s.logError("writing metrics", "run", id, "err", werr)
-		}
-	}
-	if c.Trace != nil {
-		var tbuf bytes.Buffer
-		if err := c.Trace.WriteJSON(&tbuf); err == nil {
-			if werr := s.store.WriteTrace(id, tbuf.Bytes()); werr != nil {
-				s.logError("writing trace", "run", id, "err", werr)
+	persist := func(doc string, encode func(io.Writer) error) {
+		var buf bytes.Buffer
+		if err := encode(&buf); err == nil {
+			if werr := s.store.WriteDoc(id, doc, buf.Bytes()); werr != nil {
+				s.logError("writing "+doc, "run", id, "err", werr)
 			}
 		}
 	}
-	s.publish(Event{Type: "state", Run: id, State: StateDone, Final: true})
+	persist(DocMetrics, c.Metrics.WriteJSON)
+	if c.Trace != nil {
+		persist(DocTrace, c.Trace.WriteJSON)
+	}
+	s.finish(Event{Type: "state", Run: id, State: StateDone, Final: true})
 	s.agg.Counter("campaignd.runs", obs.L("state", StateDone)).Inc()
 	s.flight.Recordf("run.done", id, "%s", res.Tally)
 	s.logInfo("run done", "run", id, "tally", res.Tally.String())
@@ -488,9 +474,6 @@ func (s *Scheduler) MergeRuns(spec *Spec, runIDs []string) (*ResultDoc, error) {
 	if len(runIDs) == 0 {
 		return nil, fmt.Errorf("campaignd: merge of zero runs")
 	}
-	if spec.Adaptive {
-		return nil, fmt.Errorf("campaignd: adaptive runs do not shard — there is nothing to merge")
-	}
 	js := make([]*journal.Journal, len(runIDs))
 	for i, id := range runIDs {
 		state, err := s.store.State(id)
@@ -504,38 +487,41 @@ func (s *Scheduler) MergeRuns(spec *Spec, runIDs []string) (*ResultDoc, error) {
 			return nil, err
 		}
 	}
-	ent, err := s.cache.get(spec)
+	runner, err := s.cache.get(spec)
 	if err != nil {
 		return nil, err
 	}
-	scenarios, err := spec.Scenarios(ent.runner)
+	res, total, err := spec.Merge(runner, js)
 	if err != nil {
 		return nil, err
 	}
-	res, err := stressor.Merge(stressor.MergeSpec{
-		StopOnFirst: spec.StopOnFirst, Dedup: spec.Dedup,
-	}, scenarios, js)
-	if err != nil {
-		return nil, err
-	}
-	return BuildResultDoc("merge", len(scenarios), res, spec.summary(len(scenarios), res)), nil
+	return BuildResultDoc("merge", total, res, spec.Summary(total, res)), nil
 }
 
-// runnerCache keeps warm prototype runners keyed by Spec.RunnerKey.
+// defaultRunnerCacheCap is how many distinct prototype configurations a
+// runner cache keeps warm unless Config.RunnerCacheCap says otherwise.
+const defaultRunnerCacheCap = 4
+
+// runnerCache keeps warm prototype runners keyed by Spec.RunnerKey —
+// the daemon's scheduler and a fabric worker's resolver each own one.
 // A hit hands back the same *caps.Runner — slot pools, golden
 // observation, checkpoint node pool and golden trajectories intact —
 // so back-to-back runs pay zero re-elaboration. Checkpoint sessions
 // themselves are per run: their metrics sink is the run's registry.
-// Bounded, LRU-evicted; eviction closes the runner.
+// Bounded, LRU-evicted; eviction closes the runner, so with a capacity
+// of two or more the runner of the most recent get is never the one
+// closed by the next.
 type runnerCache struct {
 	cap int
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	tick    int64
+	evicted int // runners closed to make room
 
 	// builds and hits live in the daemon's aggregate registry
-	// (GET /metrics); RunnerCacheStats reads the same pair.
+	// (GET /metrics); RunnerCacheStats reads the same pair. A nil
+	// registry (the fabric resolver) keeps them private.
 	builds, hits *obs.Counter
 }
 
@@ -552,9 +538,9 @@ type cacheEntry struct {
 	lastUse int64
 }
 
-// get returns the warm entry for spec's prototype configuration,
+// get returns the warm runner for spec's prototype configuration,
 // building (golden run included) on miss.
-func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
+func (c *runnerCache) get(spec *Spec) (*caps.Runner, error) {
 	key := spec.RunnerKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -562,7 +548,7 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 	if ent, ok := c.entries[key]; ok {
 		ent.lastUse = c.tick
 		c.hits.Inc()
-		return ent, nil
+		return ent.runner, nil
 	}
 	if len(c.entries) >= c.cap {
 		var lruKey string
@@ -574,15 +560,15 @@ func (c *runnerCache) get(spec *Spec) (*cacheEntry, error) {
 		}
 		lru.runner.Close()
 		delete(c.entries, lruKey)
+		c.evicted++
 	}
 	r, err := spec.BuildRunner()
 	if err != nil {
 		return nil, err
 	}
-	ent := &cacheEntry{runner: r, lastUse: c.tick}
-	c.entries[key] = ent
+	c.entries[key] = &cacheEntry{runner: r, lastUse: c.tick}
 	c.builds.Inc()
-	return ent, nil
+	return r, nil
 }
 
 // drain closes every cached runner (daemon shutdown).

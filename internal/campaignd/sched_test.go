@@ -32,31 +32,8 @@ func runToCompletion(t testing.TB, sched *Scheduler, raw string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitHubFinal(t, sched, id, StateDone)
+	waitFinal(t, sched, id, StateDone)
 	return id
-}
-
-func waitHubFinal(t testing.TB, sched *Scheduler, id, want string) {
-	t.Helper()
-	ch, cancel := sched.Hub(id).subscribe()
-	defer cancel()
-	deadline := time.After(120 * time.Second)
-	for {
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				t.Fatalf("run %s: hub closed without final event", id)
-			}
-			if e.Final {
-				if e.State != want {
-					t.Fatalf("run %s ended %q (%s), want %q", id, e.State, e.Error, want)
-				}
-				return
-			}
-		case <-deadline:
-			t.Fatalf("run %s: no final event", id)
-		}
-	}
 }
 
 // TestSchedulerStopMidRunResumesByteIdentical is the in-process
@@ -78,7 +55,7 @@ func TestSchedulerStopMidRunResumesByteIdentical(t *testing.T) {
 	}
 	refSched.Start()
 	refID := runToCompletion(t, refSched, raw)
-	refBytes, err := refSched.Store().ReadResult(refID)
+	refBytes, err := refSched.Store().ReadDoc(refID, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +116,8 @@ func TestSchedulerStopMidRunResumesByteIdentical(t *testing.T) {
 	}
 	revived.Start()
 	defer revived.Stop()
-	waitHubFinal(t, revived, id, StateDone)
-	gotBytes, err := revived.Store().ReadResult(id)
+	waitFinal(t, revived, id, StateDone)
+	gotBytes, err := revived.Store().ReadDoc(id, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +150,7 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 	}
 	refSched.Start()
 	refID := runToCompletion(t, refSched, raw)
-	refBytes, err := refSched.Store().ReadResult(refID)
+	refBytes, err := refSched.Store().ReadDoc(refID, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +185,8 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 	}
 	sched.Start()
 	defer sched.Stop()
-	waitHubFinal(t, sched, id, StateDone)
-	gotBytes, err := sched.Store().ReadResult(id)
+	waitFinal(t, sched, id, StateDone)
+	gotBytes, err := sched.Store().ReadDoc(id, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +196,7 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 
 	// The metrics prove the replayed outcomes were skipped: only the
 	// remaining 19 scenarios executed.
-	mdata, err := sched.Store().ReadMetrics(id)
+	mdata, err := sched.Store().ReadDoc(id, DocMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +235,11 @@ func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 
 	// Warm reuse must not perturb results: both runs byte-identical
 	// modulo the run ID.
-	b1, err := sched.Store().ReadResult(first)
+	b1, err := sched.Store().ReadDoc(first, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := sched.Store().ReadResult(second)
+	b2, err := sched.Store().ReadDoc(second, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +266,11 @@ func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 	plain := runToCompletion(t, sched, `{`+base+`}`)
 	tree := runToCompletion(t, sched, `{`+base+`,"checkpoint_tree":true,"early_exit":true,"hash_stride":"5ms"}`)
 
-	b1, err := sched.Store().ReadResult(plain)
+	b1, err := sched.Store().ReadDoc(plain, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := sched.Store().ReadResult(tree)
+	b2, err := sched.Store().ReadDoc(tree, DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +343,7 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 
 	var docs [2]ResultDoc
 	for i, id := range []string{id1, id2} {
-		b, err := sched.Store().ReadResult(id)
+		b, err := sched.Store().ReadDoc(id, DocResult)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +363,7 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 		t.Fatalf("identical adaptive specs diverged:\n%+v\n%+v", docs[0], docs[1])
 	}
 
-	metrics, err := sched.Store().ReadMetrics(id1)
+	metrics, err := sched.Store().ReadDoc(id1, DocMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +376,7 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 			t.Errorf("adaptive run's metrics lack %s", want)
 		}
 	}
-	if tr, err := sched.Store().ReadTrace(id1); err != nil || !strings.Contains(string(tr), `"cat":"campaign"`) {
+	if tr, err := sched.Store().ReadDoc(id1, DocTrace); err != nil || !strings.Contains(string(tr), `"cat":"campaign"`) {
 		t.Errorf("adaptive run with \"trace\": true stored no campaign spans (err %v)", err)
 	}
 	slow := 0

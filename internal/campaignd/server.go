@@ -100,19 +100,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // runStatus is the GET /runs and GET /runs/{id} payload.
 type runStatus struct {
-	ID        string `json:"id"`
-	Campaign  string `json:"campaign"`
-	State     string `json:"state"`
-	Completed int    `json:"completed,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	Failures  int    `json:"failures,omitempty"`
-	Error     string `json:"error,omitempty"`
+	ID       string `json:"id"`
+	Campaign string `json:"campaign"`
+	State    string `json:"state"`
+	Error    string `json:"error,omitempty"`
 }
 
 // status assembles a run's live view: the durable state from the
-// store, overlaid with the live hub state (running/interrupted) and
-// the last progress snapshot when the daemon holds one.
+// store, overlaid with the live hub state (running/interrupted) when
+// the daemon holds one.
 func (s *Server) status(id string) (runStatus, error) {
+	h := s.sched.Hub(id) // before the store, as in handleEvents
 	state, err := s.sched.Store().State(id)
 	if err != nil {
 		return runStatus{}, err
@@ -121,7 +119,7 @@ func (s *Server) status(id string) (runStatus, error) {
 	if state == StateFailed {
 		st.Error = s.sched.Store().ReadRunError(id)
 	}
-	if h := s.sched.Hub(id); h != nil && state == StateQueued {
+	if h != nil && state == StateQueued {
 		if e := h.state(); e.State != "" {
 			st.State = e.State
 		}
@@ -157,6 +155,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// The hub first, the store second: a hub is released only after the
+	// store has recorded its run as done or failed, so a state read after
+	// finding no hub is that terminal state.
+	h := s.sched.Hub(id)
 	state, err := s.sched.Store().State(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
@@ -175,10 +177,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	h := s.sched.Hub(id)
 	if h == nil {
-		// No live hub: the run finished in a previous daemon process.
-		// Synthesize its terminal state and end the stream.
+		// No live hub: the run is terminal — its hub went with the final
+		// event, or it finished in a previous daemon process. Synthesize
+		// that event from the store and end the stream.
 		e := Event{Type: "state", Run: id, State: state, Final: true}
 		if state == StateFailed {
 			e.Error = s.sched.Store().ReadRunError(id)
@@ -217,7 +219,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "run %s has no result yet (state %s)", id, state)
 		return
 	}
-	data, err := s.sched.Store().ReadResult(id)
+	data, err := s.sched.Store().ReadDoc(id, DocResult)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -255,7 +257,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		reg.WriteJSON(w)
 		return
 	}
-	data, err := s.sched.Store().ReadMetrics(id)
+	data, err := s.sched.Store().ReadDoc(id, DocMetrics)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "run %s has no metrics snapshot", id)
 		return
@@ -290,7 +292,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		tr.WriteJSON(w)
 		return
 	}
-	data, err := s.sched.Store().ReadTrace(id)
+	data, err := s.sched.Store().ReadDoc(id, DocTrace)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "run %s has no trace yet (state %s)", id, state)
 		return

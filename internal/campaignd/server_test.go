@@ -75,13 +75,19 @@ func submit(t testing.TB, url, spec string) string {
 	return body.ID
 }
 
-// waitFinal subscribes to a run's hub and blocks until its terminal
-// event, failing the test unless the state matches want.
+// waitFinal blocks until a run's terminal event, failing the test
+// unless the state matches want. A run whose hub is already gone is
+// terminal — the scheduler releases a hub with its done or failed event
+// — and the store answers for it.
 func waitFinal(t testing.TB, sched *Scheduler, id, want string) {
 	t.Helper()
 	h := sched.Hub(id)
 	if h == nil {
-		t.Fatalf("run %s has no hub", id)
+		state, err := sched.Store().State(id)
+		if err != nil || state != want {
+			t.Fatalf("run %s without a hub is %q (err %v, %s), want %q", id, state, err, sched.Store().ReadRunError(id), want)
+		}
+		return
 	}
 	ch, cancel := h.subscribe()
 	defer cancel()
@@ -310,12 +316,12 @@ func TestServerConcurrentClientsFIFO(t *testing.T) {
 		waitFinal(t, sched, id, StateDone)
 	}
 	// Identical specs land on identical result bytes.
-	want, err := sched.Store().ReadResult(ids[0])
+	want, err := sched.Store().ReadDoc(ids[0], DocResult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids[1:] {
-		got, err := sched.Store().ReadResult(id)
+		got, err := sched.Store().ReadDoc(id, DocResult)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/caps"
 	"repro/internal/fault"
+	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/stressor"
 )
@@ -56,10 +57,15 @@ const (
 	maxNameLen = 128
 )
 
-// Spec is the campaign description POSTed to /runs. The JSON knobs
-// mirror capsim's campaign flags one for one, so a spec and a capsim
-// command line describe — and produce — the identical campaign; the
-// clitest goldens pin that for a fixed universe and for adaptive.
+// Spec is the campaign description: the body of POST /runs, the
+// -spec file of capsim-coord, and the value capsim and campmerge bind
+// their flags to. Every front-end validates it with Validate and turns
+// it into a campaign with BuildRunner and Build, so a spec and a
+// command line that set the same knobs are the same campaign by
+// construction; the clitest goldens pin that for a fixed universe and
+// for adaptive. Flags and fields are not one for one: the README table
+// lists which front-end reads which knob, which knobs have no flag, and
+// which capsim flags are caller-attached sinks rather than description.
 type Spec struct {
 	// Campaign labels the run (journals, metrics, trace spans).
 	// Defaults to "capsimd".
@@ -123,6 +129,7 @@ type Spec struct {
 	stride  sim.Time
 	shard   stressor.Shard
 	timeout time.Duration
+	inline  []fault.Scenario // the KindInline universe, in spec order
 }
 
 // UniverseSpec selects and parameterizes the scenario universe.
@@ -171,9 +178,41 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return s, nil
 }
 
+// ValidatePrototype defaults and range-checks the half of a spec that
+// shapes the virtual prototype — world and horizon — which is all
+// BuildRunner reads: enough to list injection sites or run one
+// scenario (capsim -sites, -faults) without describing a campaign.
+func (s *Spec) ValidatePrototype() error {
+	u := &s.Universe
+	if u.World == "" {
+		u.World = "normal"
+	}
+	if u.World != "normal" && u.World != "crash" {
+		return fmt.Errorf("campaignd: unknown world %q (want normal or crash)", u.World)
+	}
+	if u.Horizon == "" {
+		u.Horizon = "80ms"
+	}
+	horizon, err := fault.ParseDuration(u.Horizon)
+	if err != nil {
+		return fmt.Errorf("campaignd: horizon: %w", err)
+	}
+	if horizon <= 0 || horizon > MaxHorizon {
+		return fmt.Errorf("campaignd: horizon %s out of range (0, %v]", u.Horizon, MaxHorizon)
+	}
+	s.horizon = horizon
+	return nil
+}
+
 // Validate defaults and range-checks every knob, parsing the textual
-// durations and the shard into their executable forms.
+// durations and the shard into their executable forms: the prototype
+// half first (ValidatePrototype), then everything that describes the
+// campaign run on it.
 func (s *Spec) Validate() error {
+	if err := s.ValidatePrototype(); err != nil {
+		return err
+	}
+	s.shard, s.stride, s.timeout, s.inline = stressor.Shard{}, 0, 0, nil
 	if s.Campaign == "" {
 		s.Campaign = "capsimd"
 	}
@@ -192,23 +231,6 @@ func (s *Spec) Validate() error {
 	if u.Kind == "" {
 		u.Kind = KindCAPSSingleFault
 	}
-	if u.World == "" {
-		u.World = "normal"
-	}
-	if u.World != "normal" && u.World != "crash" {
-		return fmt.Errorf("campaignd: unknown world %q (want normal or crash)", u.World)
-	}
-	if u.Horizon == "" {
-		u.Horizon = "80ms"
-	}
-	horizon, err := fault.ParseDuration(u.Horizon)
-	if err != nil {
-		return fmt.Errorf("campaignd: horizon: %w", err)
-	}
-	if horizon <= 0 || horizon > MaxHorizon {
-		return fmt.Errorf("campaignd: horizon %s out of range (0, %v]", u.Horizon, MaxHorizon)
-	}
-	s.horizon = horizon
 	switch u.Kind {
 	case KindCAPSSingleFault:
 		if len(u.Scenarios) > 0 {
@@ -221,7 +243,7 @@ func (s *Spec) Validate() error {
 		if err != nil {
 			return fmt.Errorf("campaignd: inject: %w", err)
 		}
-		if inject <= 0 || inject >= horizon {
+		if inject <= 0 || inject >= s.horizon {
 			return fmt.Errorf("campaignd: inject %s out of range (0, horizon)", u.Inject)
 		}
 		s.inject = inject
@@ -233,6 +255,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaignd: inline universe needs 1..%d scenarios, got %d", MaxInlineScenarios, n)
 		}
 		seen := make(map[string]bool, len(u.Scenarios))
+		s.inline = make([]fault.Scenario, 0, len(u.Scenarios))
 		for i, is := range u.Scenarios {
 			if is.ID == "" {
 				return fmt.Errorf("campaignd: inline scenario %d without id", i)
@@ -251,6 +274,7 @@ func (s *Spec) Validate() error {
 			if err := sc.Validate(); err != nil {
 				return fmt.Errorf("campaignd: inline scenario %q: %w", is.ID, err)
 			}
+			s.inline = append(s.inline, sc)
 		}
 	default:
 		return fmt.Errorf("campaignd: unknown universe kind %q", u.Kind)
@@ -264,8 +288,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaignd: shard count %d exceeds %d", sh.Count, MaxShardCount)
 		}
 		s.shard = sh
-	} else {
-		s.shard = stressor.Shard{}
 	}
 	if s.CheckpointTree || s.EarlyExit {
 		// Tree and early-exit modes build on checkpoint sessions, the
@@ -280,12 +302,10 @@ func (s *Spec) Validate() error {
 		if err != nil {
 			return fmt.Errorf("campaignd: hash_stride: %w", err)
 		}
-		if stride <= 0 || stride > horizon {
+		if stride <= 0 || stride > s.horizon {
 			return fmt.Errorf("campaignd: hash_stride %s out of range (0, horizon]", s.HashStride)
 		}
 		s.stride = stride
-	} else {
-		s.stride = 0
 	}
 	if s.Adaptive {
 		// The submit-time mirror of what stressor.Campaign refuses next to
@@ -330,8 +350,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaignd: scenario_timeout %s out of range [0, %v]", s.ScenarioTimeout, MaxScenarioTimeout)
 		}
 		s.timeout = d
-	} else {
-		s.timeout = 0
 	}
 	return nil
 }
@@ -346,8 +364,9 @@ func (s *Spec) RunnerKey() string {
 }
 
 // BuildRunner constructs the CAPS runner for this spec's prototype
-// configuration (one golden run included). Callers cache the result
-// under RunnerKey.
+// configuration (one golden run included) — the one place the commands
+// and this package configure or construct a runner
+// (TestOneSpecToCampaignPath). Callers cache the result under RunnerKey.
 func (s *Spec) BuildRunner() (*caps.Runner, error) {
 	cfg := caps.Protected()
 	if s.Universe.Unprotected {
@@ -360,29 +379,70 @@ func (s *Spec) BuildRunner() (*caps.Runner, error) {
 	return caps.NewRunner(cfg, w, s.horizon)
 }
 
-// applyEngine copies the spec's engine knobs — worker pool,
-// per-scenario budget, checkpoint mode — onto c, with cp supplying the
-// golden-run sessions. The daemon scheduler and the fabric resolver
-// both configure their campaigns through it, so a knob reaches every
-// front-end or none.
-func (s *Spec) applyEngine(c *stressor.Campaign, cp stressor.Checkpointer) {
-	c.Workers = s.Workers
-	c.ScenarioTimeout = s.timeout
+// Build is the one place a spec's knobs become a stressor.Campaign:
+// capsim, the daemon's scheduler and the fabric's resolver all run what
+// it returns, on a runner from BuildRunner, and hand Execute the list
+// returned with it (nil for an adaptive spec, whose scenario source
+// replaces the list). Callers attach only what is theirs — journal and
+// resume, metrics and trace, progress, halt, log, flight — and the
+// fabric worker overwrites the identity fields its lease owns.
+func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, error) {
+	scenarios, err := s.Scenarios(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := &stressor.Campaign{
+		Name: s.Campaign, Run: r.RunFunc(), Workers: s.Workers,
+		Dedup: s.Dedup, StopOnFirst: s.StopOnFirst, Shard: s.shard,
+		ScenarioTimeout: s.timeout,
+	}
 	if s.Checkpoints {
 		c.Checkpoints = true
-		c.Checkpointer = cp
+		c.Checkpointer = r
 		c.CheckpointTree = s.CheckpointTree
 		c.EarlyExit = s.EarlyExit
 		c.HashStride = s.stride
 	}
+	if s.Adaptive {
+		// The Novelty strategy over the spec's fault universe replaces the
+		// list, on the signed RunFunc so outcome signatures reflect real
+		// prototype state; a resumed run replays its journal into the same
+		// seeded strategy.
+		c.Run, c.Dedup = r.SignedRunFunc(), true
+		c.Source = NewNovelty(r.Universe(s.inject), s.NoveltyBudget, s.NoveltySeed, s.horizon)
+		c.MaxRuns, c.Fingerprint = s.NoveltyBudget, stressor.UniverseHash(scenarios)
+		scenarios = nil
+	}
+	return c, scenarios, nil
 }
 
-// summary is the capsim-identical summary of res, a result of this
-// spec's campaign over a universe of the given size.
-func (s *Spec) summary(scenarios int, res *stressor.Result) Summary {
+// Merge reassembles completed shard journals of this spec's campaign
+// into the result the unsharded run would have produced (campmerge and
+// POST /merge), via stressor.Merge, and returns the universe size with
+// it. The universe is rebuilt on r, so the spec must carry the
+// prototype knobs the shards ran with; journals of another universe are
+// refused by their hash.
+func (s *Spec) Merge(r *caps.Runner, js []*journal.Journal) (*stressor.Result, int, error) {
+	if s.Adaptive {
+		return nil, 0, fmt.Errorf("campaignd: adaptive runs do not shard — there is nothing to merge")
+	}
+	scenarios, err := s.Scenarios(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := stressor.Merge(stressor.MergeSpec{
+		StopOnFirst: s.StopOnFirst, Dedup: s.Dedup,
+	}, scenarios, js)
+	return res, len(scenarios), err
+}
+
+// Summary is the summary block every front-end prints for res, a
+// result of this spec's campaign over a universe of the given size. An
+// adaptive campaign has no list; its size is what it delivered.
+func (s *Spec) Summary(scenarios int, res *stressor.Result) Summary {
 	return Summary{
 		World: s.Universe.World, Protected: !s.Universe.Unprotected,
-		Scenarios: scenarios, Workers: s.Workers,
+		Scenarios: max(scenarios, len(res.Outcomes)), Workers: s.Workers,
 		Inline: s.Inline(), Shard: s.shard, Result: res,
 	}
 }
@@ -390,37 +450,18 @@ func (s *Spec) summary(scenarios int, res *stressor.Result) Summary {
 // Scenarios materializes the spec's scenario universe on the given
 // runner. For KindCAPSSingleFault this is exactly the universe capsim
 // enumerates, so the run — and its journal header — is interchangeable
-// with the CLI's.
+// with the CLI's; for KindInline it is the list Validate parsed, which
+// callers share and must not modify.
 func (s *Spec) Scenarios(r *caps.Runner) ([]fault.Scenario, error) {
 	switch s.Universe.Kind {
 	case KindCAPSSingleFault:
 		return fault.Singles(r.Universe(s.inject)), nil
 	case KindInline:
-		out := make([]fault.Scenario, 0, len(s.Universe.Scenarios))
-		for _, is := range s.Universe.Scenarios {
-			sc, err := fault.ParseScenario(is.ID, is.Faults)
-			if err != nil {
-				return nil, fmt.Errorf("campaignd: inline scenario %q: %w", is.ID, err)
-			}
-			out = append(out, sc)
-		}
-		return out, nil
+		return s.inline, nil
 	default:
 		return nil, fmt.Errorf("campaignd: unknown universe kind %q", s.Universe.Kind)
 	}
 }
-
-// ShardSpec returns the parsed shard (zero value when unsharded).
-func (s *Spec) ShardSpec() stressor.Shard { return s.shard }
-
-// Horizon returns the parsed simulated horizon.
-func (s *Spec) Horizon() sim.Time { return s.horizon }
-
-// Timeout returns the parsed per-scenario wall-clock budget.
-func (s *Spec) Timeout() time.Duration { return s.timeout }
-
-// Stride returns the parsed early-exit hash stride (0 = default).
-func (s *Spec) Stride() sim.Time { return s.stride }
 
 // Inline reports whether the universe is client-supplied.
 func (s *Spec) Inline() bool { return s.Universe.Kind == KindInline }

@@ -88,10 +88,7 @@ func (st *Store) NewRun(rawSpec []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("campaignd: store: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), rawSpec); err != nil {
-		return "", err
-	}
-	return id, nil
+	return id, st.WriteDoc(id, docSpec, rawSpec)
 }
 
 // RunDir returns the directory of run id.
@@ -100,21 +97,44 @@ func (st *Store) RunDir(id string) string { return filepath.Join(st.dir, "runs",
 // JournalPath returns the run's campaign journal path.
 func (st *Store) JournalPath(id string) string { return filepath.Join(st.RunDir(id), "journal.jsonl") }
 
-// resultPath / errorPath / metricsPath / tracePath locate the
-// terminal documents.
-func (st *Store) resultPath(id string) string  { return filepath.Join(st.RunDir(id), "result.json") }
-func (st *Store) errorPath(id string) string   { return filepath.Join(st.RunDir(id), "error.json") }
-func (st *Store) metricsPath(id string) string { return filepath.Join(st.RunDir(id), "metrics.json") }
-func (st *Store) tracePath(id string) string   { return filepath.Join(st.RunDir(id), "trace.json") }
+// The documents a run directory holds beside its journal. The final
+// metrics snapshot and the Chrome trace of a "trace": true run are kept
+// out of the result on purpose: they carry wall-clock values, and the
+// result must stay byte-deterministic.
+const (
+	docSpec    = "spec.json"
+	docError   = "error.json"
+	DocResult  = "result.json"
+	DocMetrics = "metrics.json"
+	DocTrace   = "trace.json"
+)
 
-// ReadSpec loads and re-validates a run's spec.
-func (st *Store) ReadSpec(id string) (*Spec, error) {
+func (st *Store) docPath(id, doc string) string { return filepath.Join(st.RunDir(id), doc) }
+
+// ReadDoc loads one of a run's documents, as stored.
+func (st *Store) ReadDoc(id, doc string) ([]byte, error) {
 	if !runIDPat.MatchString(id) {
 		return nil, fmt.Errorf("campaignd: bad run id %q", id)
 	}
-	data, err := os.ReadFile(filepath.Join(st.RunDir(id), "spec.json"))
+	data, err := os.ReadFile(st.docPath(id, doc))
 	if err != nil {
 		return nil, fmt.Errorf("campaignd: store: %w", err)
+	}
+	return data, nil
+}
+
+// WriteDoc persists one of a run's documents atomically — a crash
+// mid-write must not leave a half-result that State would report as
+// done.
+func (st *Store) WriteDoc(id, doc string, data []byte) error {
+	return writeFileAtomic(st.docPath(id, doc), data)
+}
+
+// ReadSpec loads and re-validates a run's spec.
+func (st *Store) ReadSpec(id string) (*Spec, error) {
+	data, err := st.ReadDoc(id, docSpec)
+	if err != nil {
+		return nil, err
 	}
 	return ParseSpec(data)
 }
@@ -124,13 +144,13 @@ func (st *Store) State(id string) (string, error) {
 	if !runIDPat.MatchString(id) {
 		return "", fmt.Errorf("campaignd: bad run id %q", id)
 	}
-	if _, err := os.Stat(filepath.Join(st.RunDir(id), "spec.json")); err != nil {
+	if _, err := os.Stat(st.docPath(id, docSpec)); err != nil {
 		return "", fmt.Errorf("campaignd: unknown run %s", id)
 	}
-	if _, err := os.Stat(st.resultPath(id)); err == nil {
+	if _, err := os.Stat(st.docPath(id, DocResult)); err == nil {
 		return StateDone, nil
 	}
-	if _, err := os.Stat(st.errorPath(id)); err == nil {
+	if _, err := os.Stat(st.docPath(id, docError)); err == nil {
 		return StateFailed, nil
 	}
 	return StateQueued, nil
@@ -181,23 +201,13 @@ func BuildResultDoc(id string, scenarios int, res *stressor.Result, summary Summ
 	return doc
 }
 
-// WriteResult persists a run's result document (atomically — a crash
-// mid-write must not leave a half-result that State would report as
-// done).
+// WriteResult persists a run's result document.
 func (st *Store) WriteResult(id string, doc *ResultDoc) error {
 	data, err := json.Marshal(doc)
 	if err != nil {
 		return fmt.Errorf("campaignd: store: %w", err)
 	}
-	return writeFileAtomic(st.resultPath(id), append(data, '\n'))
-}
-
-// ReadResult loads a run's raw result bytes.
-func (st *Store) ReadResult(id string) ([]byte, error) {
-	if !runIDPat.MatchString(id) {
-		return nil, fmt.Errorf("campaignd: bad run id %q", id)
-	}
-	return os.ReadFile(st.resultPath(id))
+	return st.WriteDoc(id, DocResult, append(data, '\n'))
 }
 
 // errorDoc records a failed run.
@@ -212,12 +222,12 @@ func (st *Store) WriteRunError(id, msg string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(st.errorPath(id), append(data, '\n'))
+	return st.WriteDoc(id, docError, append(data, '\n'))
 }
 
 // ReadRunError loads a failed run's error message ("" when none).
 func (st *Store) ReadRunError(id string) string {
-	data, err := os.ReadFile(st.errorPath(id))
+	data, err := st.ReadDoc(id, docError)
 	if err != nil {
 		return ""
 	}
@@ -226,35 +236,6 @@ func (st *Store) ReadRunError(id string) string {
 		return ""
 	}
 	return doc.Error
-}
-
-// WriteMetrics persists a run's final metrics snapshot (kept out of
-// result.json on purpose: metrics carry wall-clock values, and the
-// result must stay byte-deterministic).
-func (st *Store) WriteMetrics(id string, data []byte) error {
-	return writeFileAtomic(st.metricsPath(id), data)
-}
-
-// ReadMetrics loads a run's metrics snapshot.
-func (st *Store) ReadMetrics(id string) ([]byte, error) {
-	if !runIDPat.MatchString(id) {
-		return nil, fmt.Errorf("campaignd: bad run id %q", id)
-	}
-	return os.ReadFile(st.metricsPath(id))
-}
-
-// WriteTrace persists a traced run's Chrome trace-event document
-// (specs submitted with "trace": true).
-func (st *Store) WriteTrace(id string, data []byte) error {
-	return writeFileAtomic(st.tracePath(id), data)
-}
-
-// ReadTrace loads a run's trace document.
-func (st *Store) ReadTrace(id string) ([]byte, error) {
-	if !runIDPat.MatchString(id) {
-		return nil, fmt.Errorf("campaignd: bad run id %q", id)
-	}
-	return os.ReadFile(st.tracePath(id))
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file

@@ -2,7 +2,6 @@ package campaignd
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/stressor"
@@ -32,8 +31,9 @@ type Summary struct {
 	Result *stressor.Result
 }
 
-// WriteText writes the summary block to w.
-func (s Summary) WriteText(w io.Writer) {
+// Text renders the summary block.
+func (s Summary) Text() string {
+	w := &strings.Builder{}
 	noun := "single-fault scenarios"
 	if s.Inline {
 		noun = "inline scenarios"
@@ -59,11 +59,5 @@ func (s Summary) WriteText(w io.Writer) {
 			len(s.Result.Outcomes), a.Simulated, s.Result.DedupSavedRuns, a.Resumed)
 		fmt.Fprintf(w, "unique:    %d outcome signatures\n", a.UniqueSignatures)
 	}
-}
-
-// Text renders the summary block as a string.
-func (s Summary) Text() string {
-	var b strings.Builder
-	s.WriteText(&b)
-	return b.String()
+	return w.String()
 }

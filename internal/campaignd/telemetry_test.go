@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -301,4 +303,87 @@ func TestDumpFlight(t *testing.T) {
 	s2.Start()
 	defer s2.Stop()
 	s2.DumpFlight("SIGQUIT")
+}
+
+// TestHubsAreReleasedWithTheFinalEvent: the daemon holds an event hub
+// per pending run, not per run ever submitted. A done or failed run's
+// hub goes with its final event: a subscriber attached before that
+// event still receives it, afterwards the daemon holds no hub, and
+// /events answers from the store with the very line the hub delivered.
+// An interrupted run keeps its hub — it is still queued on disk.
+func TestHubsAreReleasedWithTheFinalEvent(t *testing.T) {
+	dir := t.TempDir()
+	sched, err := NewScheduler(Config{DataDir: dir, ProgressInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(sched))
+	defer srv.Close()
+	hubs := func() int {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		return len(sched.hubs)
+	}
+
+	// Queue before the executor starts, so the subscriber and the
+	// sabotage below are in place before any run can finish.
+	const n = 5
+	var ids []string
+	for i := 0; i < n; i++ {
+		ids = append(ids, submit(t, srv.URL, tinySpec))
+	}
+	doomed := submit(t, srv.URL, tinySpec)
+	if err := os.WriteFile(sched.Store().JournalPath(doomed), []byte("not a journal\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := sched.Hub(ids[0]).subscribe()
+	defer cancel()
+	if hubs() != n+1 {
+		t.Fatalf("%d hubs for %d queued runs", hubs(), n+1)
+	}
+	sched.Start()
+
+	var last Event
+	for e := range events {
+		last = e
+	}
+	if !last.Final || last.State != StateDone {
+		t.Fatalf("the subscriber attached before the final event last saw %+v", last)
+	}
+	live, err := json.Marshal(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		waitFinal(t, sched, id, StateDone)
+	}
+	waitFinal(t, sched, doomed, StateFailed)
+	if got := hubs(); got != 0 {
+		t.Errorf("%d hubs held after every run finished, want 0", got)
+	}
+	if code, body := httpGet(t, srv.URL+"/runs/"+ids[0]+"/events"); code != http.StatusOK || body != string(live)+"\n" {
+		t.Errorf("/events after completion = %d %q; the hub delivered %q", code, body, live)
+	}
+	_, body := httpGet(t, srv.URL+"/runs/"+doomed+"/events")
+	var failed Event
+	if err := json.Unmarshal([]byte(body), &failed); err != nil || !failed.Final || failed.State != StateFailed || failed.Error == "" {
+		t.Errorf("/events of the failed run = %q (%v)", body, err)
+	}
+
+	// Stop mid-run: the interrupted run's hub stays, closed, so a late
+	// subscriber still learns why the stream ended.
+	slow := submit(t, srv.URL, genInline("slow", 200, "10s"))
+	ch, cancelSlow := sched.Hub(slow).subscribe()
+	defer cancelSlow()
+	for e := range ch {
+		if e.Type == "progress" {
+			go sched.Stop()
+			break
+		}
+	}
+	sched.Stop()
+	h := sched.Hub(slow)
+	if h == nil || h.state().State != "interrupted" || hubs() != 1 {
+		t.Fatalf("interrupted run: hub %v, %d hubs held; want its hub kept", h, hubs())
+	}
 }

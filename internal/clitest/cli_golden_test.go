@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/campaignd"
 )
 
 // The capsim campaign command line every daemon test mirrors: the
@@ -165,24 +167,28 @@ func TestCapsimAdaptiveGolden(t *testing.T) {
 }
 
 // TestCapsimAdaptiveRefusals: every flag an adaptive campaign cannot
-// compose with is a usage error naming it — exit 2, nothing simulated,
-// nothing on stdout — never a silent no-op. The set is the one
-// stressor.Campaign refuses next to a Source (capsim has no
-// stop-on-first flag) plus an explicit -dedup; what the shared run
-// shell serves (-scenario-timeout, -trace-events) is accepted.
+// compose with is a usage error — exit 2, nothing simulated, nothing on
+// stdout — never a silent no-op. capsim keeps no refusal table of its
+// own: each flag lands in its spec field and Spec.Validate refuses the
+// combination with the one message the daemon answers a POST with
+// (TestSpecAdaptiveRefusals), so this proves each flag reaches its
+// field. The set is the one stressor.Campaign refuses next to a Source
+// (capsim has no stop-on-first flag) plus an explicit -dedup; what the
+// shared run shell serves (-scenario-timeout, -trace-events) is
+// accepted.
 func TestCapsimAdaptiveRefusals(t *testing.T) {
 	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
-	for flag, args := range map[string][]string{
-		"-shard":           {"-shard", "0/2"},
-		"-checkpoints":     {"-checkpoints"},
-		"-checkpoint-tree": {"-checkpoint-tree"},
-		"-early-exit":      {"-early-exit"},
-		"-hash-stride":     {"-early-exit", "-hash-stride", "5ms"},
-		"-dedup":           {"-dedup"},
+	for knob, args := range map[string][]string{
+		"shard":           {"-shard", "0/2"},
+		"checkpoints":     {"-checkpoints"},
+		"checkpoint_tree": {"-checkpoint-tree"},
+		"early_exit":      {"-early-exit"},
+		"hash_stride":     {"-early-exit", "-hash-stride", "5ms"},
+		"dedup":           {"-dedup"},
 	} {
 		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), args...)...)
-		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, flag) || !strings.Contains(r.Stderr, "cannot be combined with -adaptive") {
-			t.Errorf("capsim -adaptive %v: exit %d, stdout %q, stderr %q; want usage error 2 naming %s", args, r.Code, r.Stdout, r.Stderr, flag)
+		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, knob+" cannot be combined with adaptive") {
+			t.Errorf("capsim -adaptive %v: exit %d, stdout %q, stderr %q; want usage error 2 naming %s", args, r.Code, r.Stdout, r.Stderr, knob)
 		}
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
@@ -192,5 +198,55 @@ func TestCapsimAdaptiveRefusals(t *testing.T) {
 	}
 	if data, err := os.ReadFile(trace); err != nil || !strings.Contains(string(data), `"cat":"campaign"`) {
 		t.Errorf("-adaptive -trace-events wrote no campaign spans (err %v)", err)
+	}
+}
+
+// TestCapsimRefusesWhatTheSpecRefuses: a command line and the spec JSON
+// that sets the same knobs are refused alike — capsim with a usage
+// error (exit 2, empty stdout, nothing simulated), ParseSpec with the
+// same message — because the CLI validates the very Spec value its
+// flags bind to. A CLI that runs one of these reports on a campaign
+// that was never injected: `-campaign -horizon 5ms` is 21 faults whose
+// 10 ms injection instant lies past the horizon, an all-clear
+// `tally: masked=21` if simulated.
+func TestCapsimRefusesWhatTheSpecRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		spec string
+	}{
+		{[]string{"-campaign", "-horizon", "5ms"}, `{"universe":{"horizon":"5ms"}}`},
+		{[]string{"-campaign", "-workers", "-7"}, `{"workers":-7}`},
+		{[]string{"-campaign", "-scenario-timeout", "-1s"}, `{"scenario_timeout":"-1s"}`},
+		{[]string{"-campaign", "-early-exit", "-hash-stride", "200ms", "-horizon", "30ms"},
+			`{"universe":{"horizon":"30ms"},"early_exit":true,"hash_stride":"200ms"}`},
+		{[]string{"-campaign", "-shard", "0/5000"}, `{"shard":"0/5000"}`},
+		{[]string{"-campaign", "-horizon", "20s"}, `{"universe":{"horizon":"20s"}}`},
+		{[]string{"-campaign", "-hash-stride", "5ms"}, `{"hash_stride":"5ms"}`},
+		// Novelty knobs without -adaptive are refused, as in a spec.
+		{[]string{"-campaign", "-novelty-budget", "8"}, `{"novelty_budget":8}`},
+		// -sites and -faults answer to the prototype half alone.
+		{[]string{"-sites", "-horizon", "20s"}, `{"universe":{"horizon":"20s"}}`},
+		{[]string{"-faults", "open @caps.accel0.harness from 5ms", "-world", "mars"}, `{"universe":{"world":"mars"}}`},
+	} {
+		_, err := campaignd.ParseSpec([]byte(tc.spec))
+		if err == nil {
+			t.Errorf("ParseSpec accepts %s", tc.spec)
+			continue
+		}
+		r := Run(t, nil, Binary(t, "capsim"), tc.argv...)
+		if r.Code != 2 || r.Stdout != "" || r.Stderr != err.Error()+"\n" {
+			t.Errorf("capsim %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout and the spec's refusal %q",
+				tc.argv, r.Code, r.Stdout, r.Stderr, err)
+		}
+	}
+	// The campaign half does not bind a mode that describes no campaign:
+	// a 5 ms horizon has no room for the campaign's 10 ms injection
+	// instant and every room for listing sites.
+	if r := Run(t, nil, Binary(t, "capsim"), "-sites", "-horizon", "5ms"); r.Code != 0 {
+		t.Errorf("capsim -sites -horizon 5ms: exit %d, stderr %q", r.Code, r.Stderr)
+	}
+	// campmerge binds its flags to the same spec.
+	if r := Run(t, nil, Binary(t, "campmerge"), "-horizon", "5ms", "none.jsonl"); r.Code != 2 || !strings.Contains(r.Stderr, "inject 10ms out of range") {
+		t.Errorf("campmerge -horizon 5ms: exit %d, stderr %q", r.Code, r.Stderr)
 	}
 }

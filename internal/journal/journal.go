@@ -121,18 +121,6 @@ type Journal struct {
 	ValidBytes int64
 }
 
-// ByIndex maps entries by scenario index. Duplicate indices (possible
-// only in hand-edited journals) keep the first occurrence.
-func (j *Journal) ByIndex() map[int]Entry {
-	m := make(map[int]Entry, len(j.Entries))
-	for _, e := range j.Entries {
-		if _, ok := m[e.Index]; !ok {
-			m[e.Index] = e
-		}
-	}
-	return m
-}
-
 // DecodeBytes parses journal bytes, sniffing the codec: data starting
 // with the binary magic decodes as length-prefixed frames, everything
 // else as JSONL lines.

@@ -71,10 +71,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if j.ValidBytes != fi.Size() {
 		t.Errorf("ValidBytes = %d, file size %d", j.ValidBytes, fi.Size())
 	}
-	m := j.ByIndex()
-	if len(m) != len(entries) || m[2].Class != "sdc" {
-		t.Errorf("ByIndex = %v", m)
-	}
 }
 
 func TestJournalCreateRefusesExisting(t *testing.T) {

@@ -248,10 +248,3 @@ func (e *PromEncoder) Encode(w io.Writer, regs ...*Registry) error {
 	_, err := w.Write(buf)
 	return err
 }
-
-// WriteProm renders the registries in the Prometheus text format with
-// a throwaway encoder — the convenience path for CLIs and tests; a
-// serving daemon holds a PromEncoder to stay allocation-free.
-func WriteProm(w io.Writer, regs ...*Registry) error {
-	return NewPromEncoder().Encode(w, regs...)
-}

@@ -106,7 +106,7 @@ func TestPromEncodeRoundTrip(t *testing.T) {
 	h.Observe(1 << 20)
 
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, r); err != nil {
+	if err := NewPromEncoder().Encode(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseProm(t, buf.String())
@@ -171,7 +171,7 @@ func TestPromEncodeMergesRegistries(t *testing.T) {
 	run2.Counter("campaign.runs", L("campaign", "b")).Add(9)
 
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, agg, nil, run1, run2); err != nil {
+	if err := NewPromEncoder().Encode(&buf, agg, nil, run1, run2); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseProm(t, buf.String()) // contiguity enforced by the parser
@@ -206,7 +206,7 @@ func TestPromSanitizeAndEscape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("campaign.weird-name", L("path", `C:\tmp "x"`+"\n")).Inc()
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, r); err != nil {
+	if err := NewPromEncoder().Encode(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseProm(t, buf.String())

@@ -1,72 +1,22 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
 )
 
-// logAttrsKey carries []slog.Attr through a context; see WithLogAttrs.
-type logAttrsKey struct{}
-
-// WithLogAttrs returns a context that stamps the given attrs onto every
-// record logged through a logger built by NewLogger. The campaign
-// daemon uses it to thread run-ID and shard identity through the
-// engine without passing loggers down every call.
-func WithLogAttrs(ctx context.Context, attrs ...slog.Attr) context.Context {
-	if len(attrs) == 0 {
-		return ctx
-	}
-	if prev, ok := ctx.Value(logAttrsKey{}).([]slog.Attr); ok {
-		merged := make([]slog.Attr, 0, len(prev)+len(attrs))
-		merged = append(merged, prev...)
-		merged = append(merged, attrs...)
-		attrs = merged
-	}
-	return context.WithValue(ctx, logAttrsKey{}, attrs)
-}
-
-// ctxAttrHandler decorates a slog.Handler with the attrs carried by the
-// record's context (WithLogAttrs).
-type ctxAttrHandler struct {
-	inner slog.Handler
-}
-
-func (h ctxAttrHandler) Enabled(ctx context.Context, level slog.Level) bool {
-	return h.inner.Enabled(ctx, level)
-}
-
-func (h ctxAttrHandler) Handle(ctx context.Context, rec slog.Record) error {
-	if attrs, ok := ctx.Value(logAttrsKey{}).([]slog.Attr); ok {
-		rec = rec.Clone()
-		rec.AddAttrs(attrs...)
-	}
-	return h.inner.Handle(ctx, rec)
-}
-
-func (h ctxAttrHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return ctxAttrHandler{inner: h.inner.WithAttrs(attrs)}
-}
-
-func (h ctxAttrHandler) WithGroup(name string) slog.Handler {
-	return ctxAttrHandler{inner: h.inner.WithGroup(name)}
-}
-
 // NewLogger builds the shared structured logger of the CLIs and the
 // campaign daemon: format is "text" (slog text handler) or "json"
 // (slog JSON handler, one object per line for CI log pipelines).
-// Records pick up any context attrs installed via WithLogAttrs.
 func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: level}
-	var inner slog.Handler
 	switch format {
 	case "", "text":
-		inner = slog.NewTextHandler(w, opts)
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		inner = slog.NewJSONHandler(w, opts)
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
 	}
-	return slog.New(ctxAttrHandler{inner: inner}), nil
 }

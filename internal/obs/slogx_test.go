@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -54,55 +53,5 @@ func TestNewLoggerLevel(t *testing.T) {
 	out := buf.String()
 	if strings.Contains(out, "quiet") || !strings.Contains(out, "loud") {
 		t.Errorf("level filtering broken: %q", out)
-	}
-}
-
-// TestWithLogAttrs: context attrs (run ID, shard) stamp every record
-// logged through that context, including across nesting.
-func TestWithLogAttrs(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "json", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithLogAttrs(context.Background(), slog.String("run", "r000007"))
-	ctx = WithLogAttrs(ctx, slog.Int("shard", 3))
-	lg.InfoContext(ctx, "scenario done")
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec["run"] != "r000007" || rec["shard"] != float64(3) {
-		t.Errorf("context attrs missing: %v", rec)
-	}
-
-	// A plain context logs fine without attrs.
-	buf.Reset()
-	lg.InfoContext(context.Background(), "bare")
-	if !strings.Contains(buf.String(), "bare") {
-		t.Errorf("bare context record = %q", buf.String())
-	}
-}
-
-// TestWithLogAttrsThroughWith: handler wrapping survives Logger.With
-// and WithGroup.
-func TestWithLogAttrsThroughWith(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "json", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithLogAttrs(context.Background(), slog.String("run", "r000001"))
-	lg.With("component", "sched").WithGroup("exec").InfoContext(ctx, "go", "worker", 2)
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec["component"] != "sched" {
-		t.Errorf("With attr lost: %v", rec)
-	}
-	exec, _ := rec["exec"].(map[string]any)
-	if exec == nil || exec["worker"] != float64(2) || exec["run"] != "r000001" {
-		t.Errorf("grouped attrs = %v", rec)
 	}
 }

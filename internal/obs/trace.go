@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TraceRecorder collects spans and instant events and exports them in
+// TraceRecorder collects spans and exports them in
 // the Chrome trace-event JSON format, loadable in chrome://tracing and
 // Perfetto. It complements the VCD signal tracer (internal/sim.Tracer)
 // with a wall-clock timeline of the *host*: kernel run phases,
@@ -24,7 +24,7 @@ type TraceRecorder struct {
 }
 
 // traceEvent is one entry of the traceEvents array; field names follow
-// the Trace Event Format spec (ph "X" = complete, "i" = instant).
+// the Trace Event Format spec (ph "X" = complete).
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -33,7 +33,6 @@ type traceEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -95,19 +94,6 @@ func (s *Span) End() {
 		Name: s.name, Cat: s.cat, Ph: "X",
 		TS: r.micros(s.start), Dur: &dur,
 		PID: 1, TID: s.tid, Args: s.args,
-	})
-}
-
-// Instant records a zero-duration marker event on tid.
-func (r *TraceRecorder) Instant(cat, name string, tid int, args map[string]any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, traceEvent{
-		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS: r.micros(time.Now()), PID: 1, TID: tid, Args: args,
 	})
 }
 

@@ -16,7 +16,6 @@ func TestTraceJSONShape(t *testing.T) {
 	sp := r.Begin("campaign", "scenario-1", 3)
 	time.Sleep(time.Millisecond)
 	sp.Arg("class", "sdc").End()
-	r.Instant("campaign", "stop-on-first", 0, map[string]any{"index": 5})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -37,8 +36,8 @@ func TestTraceJSONShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(parsed.TraceEvents) != 2 {
-		t.Fatalf("%d events, want 2", len(parsed.TraceEvents))
+	if len(parsed.TraceEvents) != 1 {
+		t.Fatalf("%d events, want 1", len(parsed.TraceEvents))
 	}
 	x := parsed.TraceEvents[0]
 	if x.Ph != "X" || x.Name != "scenario-1" || x.TID != 3 || x.Dur <= 0 {
@@ -46,10 +45,6 @@ func TestTraceJSONShape(t *testing.T) {
 	}
 	if x.Args["class"] != "sdc" {
 		t.Errorf("args = %v", x.Args)
-	}
-	i := parsed.TraceEvents[1]
-	if i.Ph != "i" || i.Name != "stop-on-first" {
-		t.Errorf("instant event = %+v", i)
 	}
 }
 
@@ -71,7 +66,6 @@ func TestTraceNilSafety(t *testing.T) {
 	var r *TraceRecorder
 	sp := r.Begin("c", "n", 0)
 	sp.Arg("k", "v").End()
-	r.Instant("c", "n", 0, nil)
 	if r.Len() != 0 {
 		t.Error("nil recorder has events")
 	}

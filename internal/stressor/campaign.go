@@ -1176,15 +1176,6 @@ func (c *Campaign) assemble(slots []slot) *Result {
 	return res
 }
 
-// FailureRate reports the fraction of runs that ended in unhandled
-// failure.
-func (r *Result) FailureRate() float64 {
-	if len(r.Outcomes) == 0 {
-		return 0
-	}
-	return float64(r.Tally.Failures()) / float64(len(r.Outcomes))
-}
-
 // FirstFailure returns the earliest unhandled failure in the result,
 // if any. Unlike indexing Outcomes with RunsToFirstFailure (which is
 // a position in the full scenario order), this is also correct for

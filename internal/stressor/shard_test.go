@@ -475,8 +475,14 @@ func TestCampaignScenarioTimeout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ent := j.ByIndex()[2]; ent.Class != fault.Timeout.String() {
-				t.Errorf("journaled class = %q, want timeout", ent.Class)
+			journaled := ""
+			for _, ent := range j.Entries {
+				if ent.Index == 2 {
+					journaled = ent.Class
+				}
+			}
+			if journaled != fault.Timeout.String() {
+				t.Errorf("journaled class = %q, want timeout", journaled)
 			}
 		})
 	}

@@ -154,9 +154,6 @@ func TestCampaignExecute(t *testing.T) {
 	if res.RunsToFirstFailure != 2 {
 		t.Errorf("RunsToFirstFailure = %d, want 2", res.RunsToFirstFailure)
 	}
-	if res.FailureRate() != 0.5 {
-		t.Errorf("FailureRate = %v", res.FailureRate())
-	}
 	if got := res.ByClass(fault.SDC); len(got) != 1 {
 		t.Errorf("ByClass(SDC) = %v", got)
 	}
