@@ -413,6 +413,44 @@ func BenchmarkCampaignTree(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignForkWindows is the dense permanent-fault sweep fork
+// windows exist for (DESIGN §14): the E8 universe at 304 instants 247 µs
+// apart, several to each idle window of the golden run, through the
+// checkpoint tree on two workers. simulated/scenario is the share of
+// scenarios a kernel actually ran — the rest were answered from a
+// session's window memo; it is a count, and moves only when the collapse
+// does.
+func BenchmarkCampaignForkWindows(b *testing.B) {
+	runner, err := caps.NewRunner(caps.Protected(), caps.NormalDriving(), sim.MS(80))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runner.Close()
+	var universe []fault.Descriptor
+	for i := 0; i < 304; i++ {
+		at := sim.MS(1) + sim.Time(i)*sim.US(247)
+		for _, d := range runner.Universe(at) {
+			d.Name += "@" + at.String()
+			universe = append(universe, d)
+		}
+	}
+	scenarios := fault.Singles(universe)
+	reg := obs.NewRegistry()
+	c := &stressor.Campaign{
+		Name: "bench", Run: runner.RunFunc(), Workers: 2, Metrics: reg,
+		Checkpoints: true, Checkpointer: runner, CheckpointTree: true,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Execute(scenarios); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hits := reg.Counter("campaign.fork_window_hits", obs.L("campaign", "bench")).Value()
+	b.ReportMetric(1-float64(hits)/float64(b.N*len(scenarios)), "simulated/scenario")
+}
+
 // BenchmarkKernelTimedScheduling isolates the allocation-lean event
 // queue: a reused kernel running a self-retriggering timed event in
 // steady state. allocs/op must report 0 (also pinned by

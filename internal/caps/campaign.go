@@ -50,6 +50,9 @@ type Runner struct {
 	nodePool stressor.NodePool
 	trajMu   sync.Mutex
 	trajs    map[sim.Time]*capsTrajectory
+	// the golden run's activity instants (see activity), recorded once.
+	activityOnce sync.Once
+	activityAt   []sim.Time
 }
 
 // runnerSlot is one reusable kernel+prototype pair with its

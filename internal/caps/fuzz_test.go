@@ -9,9 +9,9 @@ import (
 
 // FuzzScenarioEquivalence asserts, for generated scenarios of one to
 // three faults on the CAPS prototype, that every engine shortcut —
-// slot reuse, the one-node and full checkpoint trees, convergence
-// early-exit with its spliced observation, shard merge, resume —
-// classifies exactly as the naive rebuild path does (see
+// slot reuse, the one-node and full checkpoint trees, fork windows,
+// convergence early-exit with its spliced observation, shard merge,
+// resume — classifies exactly as the naive rebuild path does (see
 // stressortest.Equivalence.CheckScenario).
 func FuzzScenarioEquivalence(f *testing.F) {
 	const horizon = 30 * sim.Millisecond
@@ -57,6 +57,17 @@ func FuzzScenarioEquivalence(f *testing.F) {
 		gene(n/3, func(g *stressortest.Gene) { g.Moves = 2; g.TransientUS = 800 }),
 		gene(n-2, func(g *stressortest.Gene) { g.AfterNS = 40_000 }),
 	))
+	// Fork windows: every universe entry as a permanent fault in the middle
+	// of a golden idle window (the bus is quiet from a frame's completion,
+	// ~0.1 ms into the cycle, to the next cycle), and the bus faults between
+	// a cycle and its frame's completion — the window a bucket per fusion
+	// period would wrongly merge with the one after it.
+	for i, d := range reuse.Universe(0) {
+		f.Add(uint64(5*sim.Millisecond+300*sim.Microsecond), int64(i), stressortest.EncodeGenes(gene(i, nil)))
+		if d.Target == "caps.can.bus" {
+			f.Add(uint64(5*sim.Millisecond+50*sim.Microsecond), int64(i), stressortest.EncodeGenes(gene(i, nil)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, at uint64, seed int64, genes []byte) {
 		eq.CheckScenario(t, at, seed, genes)
 	})

@@ -2,6 +2,7 @@ package caps
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -24,6 +25,14 @@ import (
 // fork), an instant of zero (no prefix to amortize) or an instant past
 // the horizon (never injects) fall back to the plain path, as does the
 // whole runner when ReuseOff disables the reuse machinery.
+//
+// A scenario whose whole timeline is one action — a single permanent
+// fault — forks at the canonical instant of the golden idle window it
+// injects in instead: a+1, a being the last instant before Start at
+// which the golden run executes anything. Nothing happens between a and
+// Start, so the fork still precedes every mutation, and every instant of
+// the window now shares one tree node and one stressor.TreeCore window
+// memo.
 func (r *Runner) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	if r.ReuseOff || len(sc.Faults) == 0 {
 		return 0, false
@@ -32,7 +41,37 @@ func (r *Runner) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	if fork == 0 || fork > r.horizon {
 		return 0, false
 	}
+	if len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent {
+		at := r.activity()
+		if i, _ := slices.BinarySearch(at, fork); i > 0 {
+			fork = at[i-1] + 1
+		}
+	}
 	return fork, true
+}
+
+// activity returns, ascending, the instants up to the horizon at which
+// the golden run executes anything, time zero included — recorded on
+// first use by walking a dedicated golden kernel from one pending
+// notification to the next. Legged RunUntil is observationally one run
+// (sim's TestLeggedRunEqualsOneRun), so these are the instants every
+// session's golden prefix is active at. A golden run that fails leaves
+// the list empty and every fork where it was.
+func (r *Runner) activity() []sim.Time {
+	r.activityOnce.Do(func() {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		Build(k, r.cfg, r.world)
+		var at []sim.Time
+		for t := sim.Time(0); t <= r.horizon; t = k.NextEventTime() {
+			if k.RunUntil(t) != nil {
+				return
+			}
+			at = append(at, t)
+		}
+		r.activityAt = at
+	})
+	return r.activityAt
 }
 
 // NewTreeSession implements stressor.Checkpointer. The returned
@@ -151,13 +190,18 @@ func (s *capsTreeSession) init() error {
 // early-exited runs via the composite observation (live history prefix
 // + golden suffix), which observe would have produced at full horizon.
 func (s *capsTreeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if out, ok := s.core.Recall(sc, fork); ok {
+		return out
+	}
 	ob, err := s.execute(sc, fork)
 	if err != nil {
 		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
 	}
 	ob.Activated = len(sc.Faults) > 0
 	class := analysis.Classify(s.r.golden, ob)
-	return fault.Outcome{Scenario: sc, Class: class, Detail: analysis.Describe(ob)}
+	out := fault.Outcome{Scenario: sc, Class: class, Detail: analysis.Describe(ob)}
+	s.core.Remember(out)
+	return out
 }
 
 // Close implements stressor.CheckpointSession, returning the retained
@@ -185,6 +229,9 @@ func (s *capsTreeSession) execute(sc fault.Scenario, fork sim.Time) (analysis.Ob
 	}
 	s.core.MarkDirty()
 	s.st.Respawn(s.core.K, s.reg, sc, s.r.horizon)
+	if err := s.core.Window(&s.st, sc); err != nil {
+		return analysis.Observation{}, err
+	}
 	if s.traj != nil {
 		converged, at, err := s.traj.tr.RunToHorizon(s.core.K, s.sys, &s.st)
 		if err != nil {

@@ -1,6 +1,7 @@
 package clitest
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -114,4 +115,70 @@ func TestDaemonAdaptiveMatchesCapsimGolden(t *testing.T) {
 		t.Fatalf("GET result?format=text = %d; body: %s", status, text)
 	}
 	Golden(t, goldenAdaptive, text)
+}
+
+// forkWindowSpec is an inline universe that exercises fork windows
+// (DESIGN §14) end to end: five permanent faults, each at three instants
+// inside one idle window of the CAPS golden run (a frame completes 148 µs
+// into the fusion cycle at 5 ms; the bus is then quiet until 6 ms), on the
+// activity instant that ends it, and inside the next window.
+func forkWindowSpec(workers int, tree bool) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `{"campaign":"windows","workers":%d,"checkpoint_tree":%v,"universe":{"kind":"inline","horizon":"30ms","scenarios":[`, workers, tree)
+	n := 0
+	for _, f := range []string{
+		"open @caps.accel0.harness", "value-offset @caps.accel1.harness param 0.5",
+		"corruption @caps.can.bus", "babbling @caps.can.bus", "stuck-at-1 @caps.airbag.threshold",
+	} {
+		for _, at := range []int{5300, 5500, 5900, 6000, 6100} {
+			if n > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `{"id":"s%02d","faults":"%s from %dus"}`, n, f, at)
+			n++
+		}
+	}
+	sb.WriteString(`]}}`)
+	return sb.String()
+}
+
+// TestDaemonForkWindowsMatchPlainResult: scenarios answered from a tree
+// session's window memo leave no mark on the result document. The spec
+// run through the checkpoint tree — on one worker, whose session answers
+// two of every three in-window instants, and on two — yields the bytes
+// the same spec yields with no checkpoints at all.
+func TestDaemonForkWindowsMatchPlainResult(t *testing.T) {
+	d := StartDaemon(t, t.TempDir())
+	result := func(run int, spec string) string {
+		t.Helper()
+		id := fmt.Sprintf("r%06d", run)
+		if status, body := Post(t, d.URL+"/runs", spec); status != http.StatusAccepted {
+			t.Fatalf("POST /runs = %d; body: %s", status, body)
+		}
+		WaitRunState(t, d.URL, id, "done", 60*time.Second)
+		status, doc := Get(t, d.URL+"/runs/"+id+"/result")
+		if status != http.StatusOK {
+			t.Fatalf("GET result of %s = %d", id, status)
+		}
+		// The run id is the one field that tells two runs of a daemon apart.
+		return strings.Replace(doc, `"id":"`+id+`"`, `"id":"run"`, 1)
+	}
+	run := 0
+	for _, workers := range []int{1, 2} {
+		// The document echoes workers=, so each count has its own plain run.
+		run += 2
+		want, got := result(run-1, forkWindowSpec(workers, false)), result(run, forkWindowSpec(workers, true))
+		if !strings.Contains(want, `"scenarios":25`) {
+			t.Fatalf("the plain run's result does not hold the 25 scenarios: %s", want)
+		}
+		if got != want {
+			t.Errorf("workers=%d checkpoint_tree result differs from the run without checkpoints\ngot:  %s\nwant: %s", workers, got, want)
+		}
+	}
+	// The memo did answer — the one-worker tree run's metrics say so, its
+	// result cannot: two of the three in-window instants of each fault.
+	_, metrics := Get(t, d.URL+"/runs/r000002/metrics")
+	if hits := `"campaign.fork_window_hits{campaign=windows}": 10`; !strings.Contains(metrics, hits) {
+		t.Errorf("/runs/r000002/metrics does not hold %s: %s", hits, metrics)
+	}
 }

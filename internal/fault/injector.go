@@ -13,6 +13,16 @@ import (
 // transitions at different positions in the DUT" while "the design
 // should not be changed" — implementations wrap Force/Release hooks,
 // memory backdoors or stimulus filters rather than editing models.
+//
+// Inject and Revert are functions of model state and of the
+// descriptor's content — model, class, domain, target, bit, address,
+// param, duration, period, rate — never of its Start or Name, nor of
+// kernel time: when a fault strikes is the stressor's business. That is
+// what lets a campaign treat two injections of the same content into
+// the same model state as one experiment (stressor.TreeCore.Window).
+// An injector that schedules kernel activity — notifies an event,
+// forces a signal a process is sensitive to — is within the contract;
+// such an injection is simply never merged with another.
 type Injector interface {
 	// Site is the hierarchical injection-site name this injector
 	// serves.

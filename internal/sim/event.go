@@ -87,6 +87,7 @@ func (e *Event) Notify(delay Time) {
 		e.notifyDelta()
 		return
 	}
+	e.k.stats.Notifications++
 	at := e.k.now + delay
 	switch e.pending {
 	case notifyImmediate, notifyDelta:
@@ -105,6 +106,7 @@ func (e *Event) Notify(delay Time) {
 
 // notifyDelta schedules the event for the delta notification phase.
 func (e *Event) notifyDelta() {
+	e.k.stats.Notifications++
 	if e.pending == notifyImmediate || e.pending == notifyDelta {
 		return
 	}
@@ -120,6 +122,7 @@ func (e *Event) NotifyImmediate() {
 		e.notifyDelta()
 		return
 	}
+	e.k.stats.Notifications++
 	e.pending = notifyImmediate
 	e.fire()
 	e.pending = notifyNone

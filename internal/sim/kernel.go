@@ -107,6 +107,11 @@ type Stats struct {
 	Activations uint64
 	// TimeSteps is the number of distinct time points visited.
 	TimeSteps uint64
+	// Notifications is the number of Notify and NotifyImmediate calls of
+	// every kind — timed, delta and immediate, taken up or discarded for
+	// a stronger pending one. A stretch of simulation over which it has
+	// not risen scheduled nothing.
+	Notifications uint64
 }
 
 // Kernel is a discrete-event simulator instance. It is not safe for

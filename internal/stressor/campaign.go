@@ -1,11 +1,13 @@
 package stressor
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -772,40 +774,58 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	for _, u := range l.todo {
 		forks[u], _ = c.Checkpointer.ForkTime(d.scenario(u))
 	}
-	// Sort the todo stream by injection time so each worker session
+	// Sort the todo stream by fork time so each worker session
 	// establishes a golden prefix once per distinct instant and extends
 	// it monotonically — a claimed span is a run of neighbouring forks.
 	// Results stay byte-identical because outcomes, journal entries and
 	// Merge are all keyed by scenario index, not dispatch order. Under
 	// CheckpointTree the stream is further grouped by the first fault's
-	// (target, class) so scenario families — same instant, same site —
-	// dispatch back to back and fork from the same retained node while it
-	// is hottest in the LRU.
-	key := func(u int) (string, fault.Class) {
-		sc := d.scenario(u)
-		if len(sc.Faults) == 0 {
-			return "", 0
+	// content — target and class first — so scenario families dispatch
+	// back to back and fork from the same retained node while it is
+	// hottest in the LRU, and the members of one family that differ in
+	// Start alone (a fork window's instants, see TreeCore.Window) stay
+	// adjacent: a claimed span then splits at most one such family between
+	// two workers' private memos.
+	// The order is total — index breaks every tie — so it needs no stable
+	// sort.
+	var none fault.Descriptor
+	first := func(u int) *fault.Descriptor {
+		if sc := d.scenario(u); len(sc.Faults) > 0 {
+			return &sc.Faults[0]
 		}
-		return sc.Faults[0].Target, sc.Faults[0].Class
+		return &none
 	}
-	sort.SliceStable(l.todo, func(i, j int) bool {
-		ui, uj := l.todo[i], l.todo[j]
-		if forks[ui] != forks[uj] {
-			return forks[ui] < forks[uj]
+	slices.SortFunc(l.todo, func(ui, uj int) int {
+		if o := cmp.Compare(forks[ui], forks[uj]); o != 0 {
+			return o
 		}
 		if c.CheckpointTree {
-			ti, ci := key(ui)
-			tj, cj := key(uj)
-			if ti != tj {
-				return ti < tj
-			}
-			if ci != cj {
-				return ci < cj
+			if o := compareContent(first(ui), first(uj)); o != 0 {
+				return o
 			}
 		}
-		return ui < uj
+		return cmp.Compare(ui, uj)
 	})
 	return l
+}
+
+// compareContent orders two descriptors by everything but Name: target,
+// class and model — which tell most families apart — then the rest of
+// the content, Start last.
+func compareContent(a, b *fault.Descriptor) int {
+	if o := cmp.Or(strings.Compare(a.Target, b.Target), cmp.Compare(a.Class, b.Class), cmp.Compare(a.Model, b.Model)); o != 0 {
+		return o
+	}
+	return cmp.Or(
+		cmp.Compare(a.Domain, b.Domain),
+		cmp.Compare(a.Bit, b.Bit),
+		cmp.Compare(a.Address, b.Address),
+		cmp.Compare(a.Param, b.Param),
+		cmp.Compare(a.Duration, b.Duration),
+		cmp.Compare(a.Period, b.Period),
+		cmp.Compare(a.Rate, b.Rate),
+		cmp.Compare(a.Start, b.Start),
+	)
 }
 
 // unclaimed reports whether a position worth running has yet to be
@@ -1156,6 +1176,17 @@ func (c *Campaign) safeRun(sc fault.Scenario, sess CheckpointSession, fork sim.T
 // subsequence of completed outcomes.
 func (c *Campaign) assemble(slots []slot) *Result {
 	res := &Result{Name: c.Name, Tally: make(fault.Tally)}
+	ran := 0
+	for i := range slots {
+		if slots[i].ran {
+			ran++
+		}
+	}
+	if ran > 0 {
+		// One allocation: grown by append, a sweep's outcome list is copied
+		// a dozen times on the goroutine every worker has just stopped for.
+		res.Outcomes = make([]fault.Outcome, 0, ran)
+	}
 	for i, s := range slots {
 		if !s.ran {
 			continue

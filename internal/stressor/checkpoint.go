@@ -14,10 +14,13 @@ import (
 // in when/where they inject, so the prefix up to the earliest
 // injection instant is shared and worth snapshotting once per worker.
 type Checkpointer interface {
-	// ForkTime reports the injection instant scenario sc can be forked
-	// from — the latest golden-run time that precedes every state
-	// mutation sc performs — and whether forking is valid for it at
-	// all. Runners return ok=false for scenario classes that mutate
+	// ForkTime reports an instant scenario sc can be forked from — a
+	// golden-run time that precedes every state mutation sc performs,
+	// not necessarily the latest one: a runner may name an earlier
+	// instant the golden run is provably idle from, so that scenarios
+	// injecting at different instants of one idle window share a fork
+	// (TreeCore.Window) — and whether forking is valid for it at all.
+	// Runners return ok=false for scenario classes that mutate
 	// pre-injection state (or when their own reuse machinery is
 	// disabled); the campaign transparently falls back to the plain
 	// RunFunc for those. Campaign workers call it concurrently.

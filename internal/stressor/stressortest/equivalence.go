@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -186,6 +187,76 @@ func (eq Equivalence) campaignAround(sc fault.Scenario, seed int64) []fault.Scen
 	return out
 }
 
+// windowNeighbours returns, for a scenario of one permanent fault, sc
+// itself and copies of it shifted to the instants where a fork window
+// (stressor.TreeCore.Window) could go wrong: the first and last instant
+// of the idle window sc injects in, the golden activity instants a and b
+// that bound it, and the first instant past b. The window is read off
+// the runner's own ForkTime — a+1 for every Start in (a, b] — so a
+// runner that does not collapse windows (fork = Start) yields the
+// instants just around Start. Anything else yields nil.
+func (eq Equivalence) windowNeighbours(sc fault.Scenario) []fault.Scenario {
+	if len(sc.Faults) != 1 || sc.Faults[0].Class != fault.Permanent {
+		return nil
+	}
+	start := sc.Faults[0].Start
+	shifted := func(at sim.Time) fault.Scenario {
+		d := sc.Faults[0]
+		d.Start, d.Name = at, fmt.Sprintf("%s@%d", d.Name, uint64(at))
+		return fault.Scenario{ID: fmt.Sprintf("%s@%d", sc.ID, uint64(at)), Faults: []fault.Descriptor{d}}
+	}
+	fork, ok := eq.Reuse.ForkTime(sc)
+	if !ok {
+		return nil
+	}
+	a := fork - 1
+	// ForkTime never falls as Start rises: b is the last Start that still
+	// forks where sc does.
+	b := start + sim.Time(sort.Search(int(eq.Horizon-start), func(i int) bool {
+		f, ok := eq.Reuse.ForkTime(shifted(start + 1 + sim.Time(i)))
+		return !ok || f != fork
+	}))
+	out := []fault.Scenario{sc}
+	seen := map[sim.Time]bool{start: true}
+	for _, at := range []sim.Time{a + 1, b - 1, b + 1, a, b} {
+		if at > 0 && at <= eq.Horizon && !seen[at] {
+			seen[at] = true
+			out = append(out, shifted(at))
+		}
+	}
+	return out
+}
+
+// checkForkWindow asserts that sc and its window neighbours classify on
+// the tree and on tree+early-exit, on one worker session and on two, as
+// the rebuild path does: class, detail and signature of every one.
+func (eq Equivalence) checkForkWindow(t *testing.T, sc fault.Scenario) {
+	t.Helper()
+	scenarios := eq.windowNeighbours(sc)
+	if scenarios == nil {
+		return
+	}
+	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunFunc()}).Execute(scenarios)
+	if err != nil {
+		t.Fatalf("fork-window reference campaign: %v", err)
+	}
+	for _, earlyExit := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			got, err := (&stressor.Campaign{
+				Name: eq.Name, Run: eq.Reuse.RunFunc(), Workers: workers,
+				Checkpoints: true, Checkpointer: eq.Reuse, CheckpointTree: true, EarlyExit: earlyExit,
+			}).Execute(scenarios)
+			if err != nil {
+				t.Fatalf("fork-window campaign: %v", err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("fork window (early exit %v, %d workers) diverged from rebuild on %+v\ngot:  %+v\nwant: %+v",
+					earlyExit, workers, sc.Faults, got.Outcomes, ref.Outcomes)
+			}
+		}
+	}
+}
+
 // modeNamed looks a matrix cell mode up by its name.
 func modeNamed(name string) cellMode {
 	for _, m := range cellModes {
@@ -202,9 +273,11 @@ func modeNamed(name string) cellMode {
 // interrupted-and-resumed, then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
 // two nodes each, one shared node pool — and the signed plain path on
-// both runners, the reuse one also as a campaign over a Source. Inputs
-// that generate nothing runnable, or a fault the prototype's registry
-// rejects, are skipped, not failed.
+// both runners, the reuse one also as a campaign over a Source. A
+// scenario of one permanent fault is also run at the edges of the golden
+// idle window it injects in (checkForkWindow). Inputs that generate
+// nothing runnable, or a fault the prototype's registry rejects, are
+// skipped, not failed.
 func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes []byte) {
 	t.Helper()
 	sc, ok := eq.generate(sim.Time(at%uint64(eq.Horizon)), seed, decodeGenes(genes))
@@ -244,6 +317,8 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 			t.Errorf("%s diverged from rebuild on %+v\ngot:  %+v\nwant: %+v", cell.name, sc.Faults, got.Outcomes, ref.Outcomes)
 		}
 	}
+
+	eq.checkForkWindow(t, sc)
 
 	// Two sessions of one runner, stepped alternately: a walks the
 	// campaign forwards, b backwards, so each regresses to forks the

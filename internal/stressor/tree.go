@@ -1,8 +1,10 @@
 package stressor
 
 import (
+	"math"
 	"sync"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -151,8 +153,18 @@ type TreeCore struct {
 	dirty  bool // a run advanced past the last established instant
 	cur    sim.Time
 
+	// The fork-window memo (see Window): the kernel was last established
+	// in the golden idle window (winFork-1, winEnd), memo holds what the
+	// silent runs injected inside it came to, and pending is the key of the
+	// run in flight, set while its window leg has been silent.
+	winFork, winEnd sim.Time
+	memo            map[windowKey]windowVerdict
+	pending         windowKey
+	hasPending      bool
+
 	hits, extends, rebuilds, evictions *obs.Counter
 	earlyExits, savedNs                *obs.Counter
+	windowHits, windowLoud             *obs.Counter
 	nodesGauge                         *obs.Gauge
 }
 
@@ -169,6 +181,8 @@ func (t *TreeCore) Init() {
 		t.evictions = m.Counter("campaign.tree_evictions", l)
 		t.earlyExits = m.Counter("campaign.early_exits", l)
 		t.savedNs = m.Counter("campaign.early_exit_saved_sim_ns", l)
+		t.windowHits = m.Counter("campaign.fork_window_hits", l)
+		t.windowLoud = m.Counter("campaign.fork_window_loud", l)
 		t.nodesGauge = m.Gauge("campaign.tree_nodes", l)
 	}
 }
@@ -235,6 +249,117 @@ func (t *TreeCore) Establish(fork sim.Time) error {
 		t.nodesGauge.Set(float64(len(t.nodes)))
 	}
 	return nil
+}
+
+// Fork windows. Between two consecutive instants at which the golden
+// run executes anything — an idle window (a, b) — nothing reads or
+// writes model state, so a single permanent fault injected at any
+// instant of the window is the same experiment from b on, provided the
+// injection itself stirs nothing before b (DESIGN §14 has the argument).
+// The host calls Recall before Establish, Window between Respawn and the
+// run to the horizon, and Remember with the outcome of a run that ended
+// cleanly; a host that calls none of them runs every scenario.
+
+// windowKey is a single permanent fault's content minus Name and Start:
+// all an injector may depend on besides model state (fault.Injector).
+type windowKey struct {
+	d fault.Descriptor // Name, Start, Param and Rate zeroed
+	// param and rate are the floats' bits, so -0 and every NaN stay apart.
+	param, rate uint64
+}
+
+// windowVerdict is what a silent run came to.
+type windowVerdict struct {
+	class  fault.Classification
+	detail string
+}
+
+// windowKeyOf keys sc when its whole timeline is one action: a single
+// permanent fault. Transients, intermittents and multi-fault scenarios
+// act again after the window and are never keyed.
+func windowKeyOf(sc fault.Scenario) (key windowKey, start sim.Time, ok bool) {
+	if len(sc.Faults) != 1 || sc.Faults[0].Class != fault.Permanent {
+		return key, 0, false
+	}
+	d := sc.Faults[0]
+	key.param, key.rate = math.Float64bits(d.Param), math.Float64bits(d.Rate)
+	start, d.Name, d.Start, d.Param, d.Rate = d.Start, "", 0, 0, 0
+	key.d = d
+	return key, start, true
+}
+
+// Recall answers sc from the window memo: ok when a run with sc's
+// content, forked at the same fork and injected before the same window
+// end, was silent and ended cleanly. The outcome carries sc itself.
+// Nothing is established, respawned or simulated for a hit.
+func (t *TreeCore) Recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool) {
+	if fork != t.winFork {
+		return fault.Outcome{}, false
+	}
+	key, start, ok := windowKeyOf(sc)
+	if !ok || start >= t.winEnd {
+		return fault.Outcome{}, false
+	}
+	v, ok := t.memo[key]
+	if !ok {
+		return fault.Outcome{}, false
+	}
+	t.count(t.windowHits)
+	return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail}, true
+}
+
+// Window runs a keyed scenario's first leg, with the kernel established
+// at sc's fork and st respawned on it: to the last instant before the
+// golden run next executes anything (b), when sc injects before b. The
+// leg is silent iff the kernel activated nothing but the stressor's own
+// two activations (the initial one and the injection), took no
+// notification but the stressor's own one, still has b as its next
+// event, and the stressor performed its one action without error: then
+// model state at b-1 is golden state plus what Inject made of sc's
+// content, whichever instant of the window sc named, and Remember may
+// keep the verdict. A loud leg is simply the start of an ordinary run.
+// The caller runs on to the horizon either way.
+func (t *TreeCore) Window(st *Stressor, sc fault.Scenario) error {
+	t.hasPending = false
+	key, start, ok := windowKeyOf(sc)
+	if !ok {
+		return nil
+	}
+	b := t.K.NextEventTime()
+	if t.cur != t.winFork || b != t.winEnd {
+		t.winFork, t.winEnd = t.cur, b
+		clear(t.memo)
+	}
+	if start >= b {
+		return nil
+	}
+	before := t.K.Stats()
+	if err := t.K.RunUntil(min(b-1, st.Horizon)); err != nil {
+		return err
+	}
+	after := t.K.Stats()
+	if after.Activations-before.Activations == 2 && after.Notifications-before.Notifications == 1 &&
+		t.K.NextEventTime() == b && st.Finished() && len(st.InjectionErrors()) == 0 {
+		t.pending, t.hasPending = key, true
+	} else {
+		t.count(t.windowLoud)
+	}
+	return nil
+}
+
+// Remember keeps out as the verdict of every later scenario Recall finds
+// equivalent to the one that just ran, when that run's window leg was
+// silent. The host calls it only for a run that ended cleanly — one that
+// errored, panicked or timed out is never remembered.
+func (t *TreeCore) Remember(out fault.Outcome) {
+	if !t.hasPending {
+		return
+	}
+	t.hasPending = false
+	if t.memo == nil {
+		t.memo = make(map[windowKey]windowVerdict)
+	}
+	t.memo[t.pending] = windowVerdict{class: out.Class, detail: out.Detail}
 }
 
 // NoteEarlyExit records one converged run that skipped saved simulated

@@ -1,0 +1,266 @@
+package stressor
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// Fork windows on a toy prototype (DESIGN §14): the memo may answer a
+// scenario only when the run it remembers is provably the same
+// experiment. windowModel is active every windowPeriod — so (10, 20),
+// (20, 30), ... are its idle windows — and every observable it has is in
+// the outcome detail, time stamps included: a verdict carried from one
+// instant of a window to another where it does not hold shows as a
+// detail that differs from the plain path's.
+
+const (
+	windowPeriod  = 10
+	windowHorizon = 100
+)
+
+type windowModel struct {
+	k    *sim.Kernel
+	tick *sim.Event
+	// reg and reg2 are sampled into acc at every tick: the quiet sites.
+	reg, reg2, acc int
+	// line has a method sensitive to it; edgeAt is when it last ran.
+	line   *sim.Signal[bool]
+	edgeAt sim.Time
+	// late fires only when an injector notifies it; lateAt is when.
+	late   *sim.Event
+	lateAt sim.Time
+}
+
+func (m *windowModel) elaborate(k *sim.Kernel) {
+	*m = windowModel{k: k, reg: 1, reg2: 1}
+	m.tick = k.NewEvent("tick")
+	k.MethodNoInit("tick", func() {
+		m.acc += m.reg + m.reg2
+		m.tick.Notify(windowPeriod)
+	}, m.tick)
+	m.tick.Notify(windowPeriod)
+	m.line = sim.NewSignal(k, "line", false)
+	k.MethodNoInit("edge", func() { m.edgeAt = k.Now() }, m.line.Changed())
+	m.late = k.NewEvent("late")
+	k.MethodNoInit("late", func() { m.lateAt = k.Now() }, m.late)
+}
+
+func (m *windowModel) registry() *fault.Registry {
+	reg := fault.NewRegistry()
+	quiet := func(site string, v *int) {
+		reg.MustRegister(&fault.FuncInjector{
+			SiteName: site, Models: []fault.Model{fault.StuckAt1},
+			InjectFn: func(fault.Descriptor) error { *v = 100; return nil },
+			RevertFn: func(fault.Descriptor) error { *v = 1; return nil },
+		})
+	}
+	quiet("toy.reg", &m.reg)
+	quiet("toy.reg2", &m.reg2)
+	reg.MustRegister(fault.SignalInjector("toy.line", m.line, false, true))
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "toy.late", Models: []fault.Model{fault.Delay},
+		// 25 from the injection instant: past the end of every window.
+		InjectFn: func(fault.Descriptor) error { m.late.Notify(25); return nil },
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "toy.clock", Models: []fault.Model{fault.Omission},
+		InjectFn: func(fault.Descriptor) error { m.tick.Cancel(); return nil },
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "toy.spawn", Models: []fault.Model{fault.Babbling},
+		// A process the injector elaborates runs at once: activity with no
+		// notification behind it.
+		InjectFn: func(fault.Descriptor) error {
+			m.k.Method("rogue", func() { m.lateAt = m.k.Now() })
+			return nil
+		},
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "toy.err", Models: []fault.Model{fault.Open},
+		InjectFn: func(fault.Descriptor) error { return errors.New("no such wire") },
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "toy.panic", Models: []fault.Model{fault.Open},
+		InjectFn: func(fault.Descriptor) error { panic(fmt.Sprintf("torn model at %d", uint64(m.k.Now()))) },
+	})
+	return reg
+}
+
+type windowState struct {
+	reg, reg2, acc int
+	edgeAt, lateAt sim.Time
+}
+
+func (m *windowModel) SnapshotState() any {
+	return windowState{m.reg, m.reg2, m.acc, m.edgeAt, m.lateAt}
+}
+
+// RestoreState returns to a golden state, which never holds the line
+// forced. Release tells the edge method of the change; withdrawing that
+// notification leaves the restored kernel as quiet as the golden run's.
+func (m *windowModel) RestoreState(st any) {
+	s := st.(windowState)
+	m.reg, m.reg2, m.acc, m.edgeAt, m.lateAt = s.reg, s.reg2, s.acc, s.edgeAt, s.lateAt
+	m.line.Release()
+	m.line.Changed().Cancel()
+}
+
+// outcome is what both paths report of a finished run.
+func (m *windowModel) outcome(sc fault.Scenario, st *Stressor, err error) fault.Outcome {
+	if err == nil {
+		if errs := st.InjectionErrors(); len(errs) > 0 {
+			err = errs[0]
+		}
+	}
+	if err != nil {
+		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
+	}
+	return fault.Outcome{Scenario: sc, Class: fault.SDC,
+		Detail: fmt.Sprintf("acc=%d line=%v edge@%d late@%d", m.acc, m.line.Read(), uint64(m.edgeAt), uint64(m.lateAt))}
+}
+
+// windowProto is the toy runner: the plain path rebuilds per run, the
+// sessions do what a real host does with TreeCore.
+type windowProto struct{ pool NodePool }
+
+func (*windowProto) run(sc fault.Scenario) fault.Outcome {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	m := &windowModel{}
+	m.elaborate(k)
+	st := SpawnThread(k, m.registry(), sc, windowHorizon)
+	return m.outcome(sc, st, k.RunUntil(windowHorizon))
+}
+
+// ForkTime forks every scenario just past the last tick before its
+// first action — one fork to a window whatever the scenario holds, so
+// only TreeCore's own keying stands between a transient and the memo.
+func (*windowProto) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+	return (ForkTime(sc)-1)/windowPeriod*windowPeriod + 1, true
+}
+
+func (p *windowProto) NewTreeSession(cfg TreeConfig) CheckpointSession {
+	k := sim.NewKernel()
+	m := &windowModel{}
+	m.elaborate(k)
+	s := &windowSession{m: m, reg: m.registry()}
+	s.core = TreeCore{Cfg: cfg, K: k, Model: m, Pool: &p.pool, Rebuild: func() { k.Reset(); m.elaborate(k) }}
+	s.core.Init()
+	return s
+}
+
+type windowSession struct {
+	core TreeCore
+	m    *windowModel
+	reg  *fault.Registry
+	st   Stressor
+}
+
+func (s *windowSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if out, ok := s.core.Recall(sc, fork); ok {
+		return out
+	}
+	err := s.core.Establish(fork)
+	if err == nil {
+		s.core.MarkDirty()
+		s.st.Respawn(s.core.K, s.reg, sc, windowHorizon)
+		if err = s.core.Window(&s.st, sc); err == nil {
+			err = s.core.K.RunUntil(windowHorizon)
+		}
+	}
+	out := s.m.outcome(sc, &s.st, err)
+	if err == nil {
+		s.core.Remember(out)
+	}
+	return out
+}
+
+func (s *windowSession) Close()   { s.core.Recycle(); s.core.K.Shutdown() }
+func (s *windowSession) Recycle() { s.core.Recycle() }
+
+func permanent(name, site string, model fault.Model, at sim.Time) fault.Descriptor {
+	return fault.Descriptor{Name: name, Model: model, Class: fault.Permanent, Target: site, Start: at}
+}
+
+// TestForkWindowNeverAWrongVerdict runs each kind of scenario the memo
+// must not answer at two instants of one idle window, on one session:
+// no hit, and the outcomes the plain path gives. The quiet single
+// permanent fault is the control: it is answered, once, for the second
+// instant of its window and for no instant outside it.
+func TestForkWindowNeverAWrongVerdict(t *testing.T) {
+	at := func(descs func(name string, at sim.Time) []fault.Descriptor, instants ...sim.Time) []fault.Scenario {
+		var out []fault.Scenario
+		for _, i := range instants {
+			name := fmt.Sprintf("f@%d", uint64(i))
+			out = append(out, fault.Scenario{ID: name, Faults: descs(name, i)})
+		}
+		return out
+	}
+	one := func(site string, model fault.Model) func(string, sim.Time) []fault.Descriptor {
+		return func(name string, at sim.Time) []fault.Descriptor {
+			return []fault.Descriptor{permanent(name, site, model, at)}
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		scenarios  []fault.Scenario
+		hits, loud uint64
+		// sameAnyway marks a case both of whose instants come to one outcome:
+		// the memo would have been right, the silence test refuses it all the
+		// same.
+		sameAnyway bool
+	}{
+		// 12 and 15 share (10, 20); 20 is the tick itself, which samples reg
+		// before the stressor (the last process) sets it; 21 is the next window.
+		{"quiet permanent fault", at(one("toy.reg", fault.StuckAt1), 12, 15, 20, 21, 10), 1, 0, true},
+		{"forced signal with a sensitive method", at(one("toy.line", fault.StuckAt1), 12, 15), 0, 2, false},
+		{"timed notification beyond the window", at(one("toy.late", fault.Delay), 12, 15), 0, 2, false},
+		{"process spawned by the injector", at(one("toy.spawn", fault.Babbling), 12, 15), 0, 2, false},
+		{"next event withdrawn", at(one("toy.clock", fault.Omission), 12, 15), 0, 2, true},
+		{"injection error", at(one("toy.err", fault.Open), 12, 15), 0, 2, false},
+		{"panic", at(one("toy.panic", fault.Open), 12, 15), 0, 0, false},
+		{"transient", at(func(name string, at sim.Time) []fault.Descriptor {
+			d := permanent(name, "toy.reg", fault.StuckAt1, at)
+			d.Class, d.Duration = fault.Transient, 27
+			return []fault.Descriptor{d}
+		}, 12, 15), 0, 0, false},
+		{"two faults", at(func(name string, at sim.Time) []fault.Descriptor {
+			return []fault.Descriptor{permanent(name, "toy.reg", fault.StuckAt1, at), permanent(name+"b", "toy.reg2", fault.StuckAt1, at+5)}
+		}, 12, 15), 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proto := &windowProto{}
+			want, err := (&Campaign{Name: "plain", Run: proto.run}).Execute(tc.scenarios)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			got, err := (&Campaign{
+				Name: "plain", Run: proto.run, Workers: 1, Metrics: reg,
+				Checkpoints: true, Checkpointer: proto, CheckpointTree: true,
+			}).Execute(tc.scenarios)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("tree sessions diverge from the plain path\ngot:  %+v\nwant: %+v", got.Outcomes, want.Outcomes)
+			}
+			if same := want.Outcomes[0].Detail == want.Outcomes[1].Detail; same != tc.sameAnyway {
+				t.Errorf("the plain path comes to %q and %q: a wrong hit would go unseen", want.Outcomes[0].Detail, want.Outcomes[1].Detail)
+			}
+			l := obs.L("campaign", "plain")
+			if hits := reg.Counter("campaign.fork_window_hits", l).Value(); hits != tc.hits {
+				t.Errorf("fork_window_hits = %d, want %d", hits, tc.hits)
+			}
+			if loud := reg.Counter("campaign.fork_window_loud", l).Value(); loud != tc.loud {
+				t.Errorf("fork_window_loud = %d, want %d", loud, tc.loud)
+			}
+		})
+	}
+}
