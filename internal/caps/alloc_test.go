@@ -64,6 +64,35 @@ func TestWarmSessionRunAllocatesPerRunOnly(t *testing.T) {
 	}
 }
 
+// TestWarmSignedRunAllocatesNoTrace: a warm plain-path signed run — what
+// every adaptive proposal costs — allocates the outcome's detail and the
+// observation it was classified from, and no copy of the propagation
+// trace (~75 hops for a disturbed sensor) that only RunScenarioTraced
+// returns; a copy of the trace costs two objects more.
+func TestWarmSignedRunAllocatesNoTrace(t *testing.T) {
+	r, err := NewRunner(Protected(), NormalDriving(), sim.MS(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var sc fault.Scenario
+	for _, d := range r.Universe(sim.MS(5)) {
+		if d.Target == "caps.accel0.harness" && d.Model == fault.Open {
+			sc = fault.Single(d)
+		}
+	}
+	if _, tr := r.RunScenarioTraced(sc); tr.Len() == 0 {
+		t.Fatal("the open-harness fault leaves no propagation trace: the pin would be vacuous")
+	}
+	r.RunScenarioSigned(sc)
+	const budget = 5
+	avg := testing.AllocsPerRun(20, func() { r.RunScenarioSigned(sc) })
+	t.Logf("%v allocations per warm signed run", avg)
+	if avg > budget {
+		t.Errorf("a warm signed run allocates %v objects, budget %d", avg, budget)
+	}
+}
+
 // TestCampaignAllocationBudget is the benchmark's allocs_per_scenario
 // brought into tier 1: a warm Execute of a journaled two-worker tree
 // campaign over the permanent universe at eight instants — runner slots,
@@ -83,9 +112,10 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	defer r.Close()
 	scs := permanentSweep(r, sim.MS(5), sim.MS(15), sim.MS(25), sim.MS(35), sim.MS(45), sim.MS(55), sim.MS(65), sim.MS(75))
 	campaign := func() *stressor.Campaign {
-		c := r.NewCampaign("alloc-budget", stressor.Shard{})
-		c.Workers, c.Checkpoints, c.CheckpointTree = 2, true, true
-		return c
+		return &stressor.Campaign{
+			Name: "alloc-budget", Run: r.RunFunc(), Workers: 2,
+			Checkpoints: true, Checkpointer: r, CheckpointTree: true,
+		}
 	}
 	header := campaign().JournalHeader(scs) // hashes the universe: once, as a front-end does
 	dir, round := t.TempDir(), 0

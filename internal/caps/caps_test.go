@@ -373,9 +373,9 @@ func withTransients(u []fault.Descriptor) []fault.Descriptor {
 	return out
 }
 
-// TestRunnerNewCampaignShard: the runner's campaign constructor wires
-// the shard through — two half campaigns partition exactly the
-// unsharded outcome list.
+// TestRunnerNewCampaignShard: a campaign over the runner wires the shard
+// through — two half campaigns partition exactly the unsharded outcome
+// list.
 func TestRunnerNewCampaignShard(t *testing.T) {
 	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {
@@ -383,14 +383,17 @@ func TestRunnerNewCampaignShard(t *testing.T) {
 	}
 	defer runner.Close()
 	scs := fault.Singles(runner.Universe(sim.MS(5)))
-	full, err := runner.NewCampaign("nc", stressor.Shard{}).Execute(scs)
+	campaign := func(shard stressor.Shard) *stressor.Campaign {
+		return &stressor.Campaign{Name: "nc", Run: runner.RunFunc(), Shard: shard, Checkpointer: runner}
+	}
+	full, err := campaign(stressor.Shard{}).Execute(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byID := map[string]fault.Outcome{}
 	total := 0
 	for s := 0; s < 2; s++ {
-		res, err := runner.NewCampaign("nc", stressor.Shard{Index: s, Count: 2}).Execute(scs)
+		res, err := campaign(stressor.Shard{Index: s, Count: 2}).Execute(scs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stressor"
+	"repro/internal/stressor/stressortest"
 )
 
 // transientUniverse is a universe where a meaningful fraction of runs
@@ -104,25 +105,26 @@ func TestTreeEstablishSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runner.Close()
-	s := runner.NewTreeSession(stressor.TreeConfig{}).(*capsTreeSession)
-	defer s.Close()
+	sess := runner.NewTreeSession(stressor.TreeConfig{})
+	defer sess.Close()
 	u := runner.Universe(sim.MS(5))
 	sc := fault.Single(u[0])
 	// Warm: build nodes at two forks, then run each once more so every
 	// pooled buffer has reached its steady-state capacity.
 	for i := 0; i < 2; i++ {
-		s.Run(sc, sim.MS(5))
-		s.Run(sc, sim.MS(7))
+		sess.Run(sc, sim.MS(5))
+		sess.Run(sc, sim.MS(7))
 	}
+	core := sess.(interface{ Core() *stressor.TreeCore }).Core()
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.core.Establish(sim.MS(5)); err != nil {
+		if err := core.Establish(sim.MS(5)); err != nil {
 			panic(err)
 		}
-		s.core.MarkDirty()
-		if err := s.core.Establish(sim.MS(7)); err != nil {
+		core.MarkDirty()
+		if err := core.Establish(sim.MS(7)); err != nil {
 			panic(err)
 		}
-		s.core.MarkDirty()
+		core.MarkDirty()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state tree establish allocates %.1f allocs/op, want 0", allocs)
@@ -130,65 +132,24 @@ func TestTreeEstablishSteadyStateAllocs(t *testing.T) {
 }
 
 // TestForkWindowCollapse is the gate that fails when the fork-window
-// collapse rots (DESIGN §14): over a dense permanent-fault sweep — the
-// E8 universe at 40 instants 247 µs apart, up to four to an idle window
-// of the golden run — one session simulates each (window,
-// descriptor) pair once and answers the rest from its memo. The number
-// of simulated runs is a count, not a time, and the result is the plain
-// path's, outcome for outcome.
+// collapse rots (DESIGN §14): the E8 universe at 40 instants 247 µs
+// apart, up to four to an idle window of the golden run. The 40 instants
+// from 1 ms to 10.633 ms fork at 12 places, and a fusion period is two
+// windows: the cycle at k ms to its frame's completion 148 µs later, and
+// from there to the next cycle. The twelve are the cycle at 1 ms itself
+// (an activity instant, forked from time zero and never keyed), the ten
+// long windows of periods 1 to 10, and the short window of period 10,
+// which 10.139 ms lands in. One session simulates each (window,
+// descriptor) pair once.
 func TestForkWindowCollapse(t *testing.T) {
 	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runner.Close()
-	const instants = 40
-	var universe []fault.Descriptor
-	windows := map[sim.Time]bool{}
-	for i := 0; i < instants; i++ {
-		at := sim.MS(1) + sim.Time(i)*sim.US(247)
-		for _, d := range runner.Universe(at) {
-			d.Name += "@" + at.String()
-			universe = append(universe, d)
-			fork, _ := runner.ForkTime(fault.Single(d))
-			windows[fork] = true
-		}
+	var instants []sim.Time
+	for i := 0; i < 40; i++ {
+		instants = append(instants, sim.MS(1)+sim.Time(i)*sim.US(247))
 	}
-	scenarios := fault.Singles(universe)
-	perInstant := len(scenarios) / instants
-
-	plain, err := (&stressor.Campaign{Name: "caps-plain", Run: runner.RunFunc()}).Execute(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	tree, err := (&stressor.Campaign{
-		Name: "caps-windows", Run: runner.RunFunc(), Workers: 1, Metrics: reg,
-		Checkpoints: true, Checkpointer: runner, CheckpointTree: true,
-	}).Execute(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
-		t.Errorf("collapsed outcomes diverge from the plain path:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
-	}
-	lbl := obs.L("campaign", "caps-windows")
-	hits := reg.Counter("campaign.fork_window_hits", lbl).Value()
-	loud := reg.Counter("campaign.fork_window_loud", lbl).Value()
-	// A fusion period is two windows: the cycle at k ms to its frame's
-	// completion 148 µs later, and from there to the next cycle. The 40
-	// instants from 1 ms to 10.633 ms fork at 12 places: the cycle at 1 ms
-	// itself (an activity instant, forked from time zero and never keyed),
-	// the ten long windows of periods 1 to 10, and the short window of
-	// period 10, which 10.139 ms lands in.
-	const wantWindows = 12
-	if len(windows) != wantWindows {
-		t.Errorf("the instants fork at %d distinct windows, want %d", len(windows), wantWindows)
-	}
-	if simulated := uint64(len(scenarios)) - hits; simulated != wantWindows*uint64(perInstant) {
-		t.Errorf("simulated %d of %d scenarios, want %d (one per window and descriptor)", simulated, len(scenarios), wantWindows*perInstant)
-	}
-	if loud != 0 {
-		t.Errorf("%d injections failed the silence test; no CAPS injector schedules anything", loud)
-	}
+	stressortest.ForkWindowCollapse(t, runner, instants, 12)
 }

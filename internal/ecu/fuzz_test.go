@@ -1,9 +1,9 @@
 package ecu
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/stressor/stressortest"
@@ -94,6 +94,14 @@ func FuzzScenarioEquivalence(f *testing.F) {
 		// The unmapped half of the array (the bus decodes only 32 KiB):
 		// reachable by an upset, never by a read, and in the last page.
 		{midLoop, []stressortest.Gene{gene(mem, 0xfffc, 38)}},
+		// Around the halt: the golden run's last quantum sync (3.88 µs), the
+		// halt itself (4 µs) and two instants of the one idle window after
+		// it, from 4 µs to the horizon. CheckScenario's neighbour legs then
+		// fork at either edge of a real ECU window.
+		{uint64(sim.NS(3880)), []stressortest.Gene{gene(pregs, 5, 7)}},
+		{uint64(sim.US(4)), []stressortest.Gene{gene(pregs, 3, 0)}},
+		{uint64(sim.US(10)), []stressortest.Gene{gene(mem, table16, 5)}},
+		{uint64(sim.US(150)), []stressortest.Gene{gene(sregs, 3, 31)}},
 		// Control flow, and three faults spread over both cores and memory
 		// with Mutator moves on top.
 		{midLoop, []stressortest.Gene{gene(pc, 0, 3)}},
@@ -126,43 +134,46 @@ func TestFuzzSeedsCoverTheirCases(t *testing.T) {
 			Target: target, Address: addr, Bit: bit, Start: at,
 		}
 	}
-	run := func(ds ...fault.Descriptor) (*ecuSlot, fault.Classification) {
+	// run classifies the scenario of ds and hands its finished slot to
+	// inspect.
+	run := func(inspect func(s *ecuSlot), ds ...fault.Descriptor) fault.Classification {
 		for i := range ds {
 			ds[i].Name = string(rune('a' + i))
 		}
-		s := r.acquireSlot()
-		t.Cleanup(func() { r.releaseSlot(s) })
-		sc := fault.Scenario{ID: "seed", Faults: ds}
-		ob, _, _, err := r.runOn(s, sc)
-		if err != nil {
-			t.Fatal(err)
+		out := r.RunScenarioWith(fault.Scenario{ID: "seed", Faults: ds}, inspect)
+		if strings.HasPrefix(out.Detail, "campaign error:") {
+			t.Fatal(out.Detail)
 		}
-		ob.Activated = true
-		return s, analysis.Classify(r.golden, ob)
+		return out.Class
 	}
+	none := func(*ecuSlot) {}
 	at := sim.US(1)
 
-	s, class := run(flip("ecu.primary.regs", 1, 31, at))
-	if p, _ := s.ls.Stores(); p < 5000 || class != fault.DetectedSafe {
-		t.Errorf("r1 bit 31: %d primary stores, %s — not a detected runaway", p, class)
+	var stores, corrected, uncorrectable int
+	var trapped error
+	storesOf := func(s *ecuSlot) { stores, _ = s.ls.Stores() }
+	eccOf := func(s *ecuSlot) {
+		c, u := s.pram.Stats()
+		corrected, uncorrectable, trapped = int(c), int(u), s.pErr
 	}
-	s, class = run(flip("ecu.primary.regs", 2, 30, at))
-	if p, _ := s.ls.Stores(); p < 5000 || class != fault.DetectedSafe {
-		t.Errorf("r2 bit 30: %d primary stores, %s — not a detected runaway", p, class)
+	if class := run(storesOf, flip("ecu.primary.regs", 1, 31, at)); stores < 5000 || class != fault.DetectedSafe {
+		t.Errorf("r1 bit 31: %d primary stores, %s — not a detected runaway", stores, class)
 	}
-	if _, class = run(flip("ecu.primary.regs", 5, 7, at)); class != fault.Masked {
+	if class := run(storesOf, flip("ecu.primary.regs", 2, 30, at)); stores < 5000 || class != fault.DetectedSafe {
+		t.Errorf("r2 bit 30: %d primary stores, %s — not a detected runaway", stores, class)
+	}
+	if class := run(none, flip("ecu.primary.regs", 5, 7, at)); class != fault.Masked {
 		t.Errorf("r5 mid-loop: %s, want masked", class)
 	}
-	s, class = run(flip("ecu.primary.mem", runnerTableBase+0x40, 5, at))
-	if c, u := s.pram.Stats(); c != 1 || u != 0 || class != fault.DetectedSafe {
-		t.Errorf("single codeword flip: corrected=%d uncorrectable=%d %s, want one scrub", c, u, class)
+	if class := run(eccOf, flip("ecu.primary.mem", runnerTableBase+0x40, 5, at)); corrected != 1 || uncorrectable != 0 || class != fault.DetectedSafe {
+		t.Errorf("single codeword flip: corrected=%d uncorrectable=%d %s, want one scrub", corrected, uncorrectable, class)
 	}
-	s, _ = run(flip("ecu.primary.mem", runnerTableBase+0x40, 5, at), flip("ecu.primary.mem", runnerTableBase+0x40, 9, at))
-	if _, u := s.pram.Stats(); u != 1 || s.pErr == nil {
-		t.Errorf("double codeword flip: uncorrectable=%d err=%v, want a trapped load", u, s.pErr)
+	run(eccOf, flip("ecu.primary.mem", runnerTableBase+0x40, 5, at), flip("ecu.primary.mem", runnerTableBase+0x40, 9, at))
+	if uncorrectable != 1 || trapped == nil {
+		t.Errorf("double codeword flip: uncorrectable=%d err=%v, want a trapped load", uncorrectable, trapped)
 	}
-	s, _ = run(flip("ecu.primary.mem", uint64(runnerEntry)+4*5, 3, at))
-	if c, _ := s.pram.Stats(); c != 1 {
-		t.Errorf("program-text flip: corrected=%d, want the fetch to scrub it", c)
+	run(eccOf, flip("ecu.primary.mem", uint64(runnerEntry)+4*5, 3, at))
+	if corrected != 1 {
+		t.Errorf("program-text flip: corrected=%d, want the fetch to scrub it", corrected)
 	}
 }

@@ -2,6 +2,7 @@ package ecu
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestTreeSessionsShareNodePool(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if n := r.nodePool.Live(); n != 0 {
+	if n := r.LiveNodes(); n != 0 {
 		t.Errorf("%d tree nodes still checked out after Close", n)
 	}
 }
@@ -171,8 +172,10 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 		defer r.Close()
 		reg := obs.NewRegistry()
 		scs := seuSweep(r)
-		c := r.NewCampaign("pages", stressor.Shard{})
-		c.Checkpoints, c.CheckpointTree, c.EarlyExit, c.Metrics = true, true, true, reg
+		c := &stressor.Campaign{
+			Name: "pages", Run: r.RunFunc(), Metrics: reg,
+			Checkpoints: true, Checkpointer: r, CheckpointTree: true, EarlyExit: true,
+		}
 		if _, err := c.Execute(scs); err != nil {
 			t.Fatal(err)
 		}
@@ -196,34 +199,75 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 	}
 	t.Logf("%d runs: %d pages re-digested (%d of them the first digest), %d pages restored", runs, rehashed, pages, restored)
 
+	// The page counters are the campaign's: a session without
+	// TreeConfig.Metrics publishes none, not even into the registry the
+	// runner's kernels report to.
 	r, err := NewRunner(DefaultRunnerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true}).(*ecuTreeSession)
+	kernels := obs.NewRegistry()
+	r.Instrument(kernels, nil)
+	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
 	defer sess.Close()
 	sc := fault.Single(r.Universe(sim.US(1))[0])
 	sess.Run(sc, sim.US(1))
-	if sess.pagesRehashed != nil || sess.pagesRestored != nil {
-		t.Error("page counters registered without TreeConfig.Metrics")
+	for _, m := range kernels.Snapshot() {
+		if strings.HasPrefix(m.Name, "campaign.state_pages_") {
+			t.Errorf("%s registered without TreeConfig.Metrics", m.Name)
+		}
+	}
+}
+
+// TestClosedSessionSlotIsReused: a tree session checks its prototype out
+// of the runner's slot pool and Close hands it back, so the next
+// campaign's session re-arms it instead of elaborating (and allocating) a
+// new one — and still answers as the rebuild path does. A session that is
+// never closed, as an abandoned one is not, keeps its slot.
+func TestClosedSessionSlotIsReused(t *testing.T) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	naive, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.ReuseOff = true
+	defer naive.Close()
+	sc := fault.Single(r.Universe(sim.US(30))[0])
+	fork, ok := r.ForkTime(sc)
+	if !ok {
+		t.Fatalf("%s not fork-eligible", sc.ID)
+	}
+	want := naive.RunScenario(sc)
+	run := func(name string) (stressor.CheckpointSession, sim.Snapshottable) {
+		sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
+		if got := sess.Run(sc, fork); got.Class != want.Class || got.Detail != want.Detail {
+			t.Errorf("%s session: got %s %q, rebuild says %s %q", name, got.Class, got.Detail, want.Class, want.Detail)
+		}
+		return sess, sess.(interface{ Core() *stressor.TreeCore }).Core().Model
+	}
+	first, used := run("first")
+	first.Close()
+	second, again := run("second")
+	defer second.Close()
+	if again != used {
+		t.Error("the second session elaborated a prototype instead of re-arming the one the first closed")
+	}
+	third, other := run("third")
+	defer third.Close()
+	if other == used {
+		t.Error("a session got the prototype of a session that is still open")
 	}
 }
 
 // benchSlot is a slot parked mid-run with a warm digest cache and a
 // capture to restore.
 func benchSlot(b *testing.B) (*ecuSlot, any) {
-	r, err := NewRunner(DefaultRunnerConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(r.Close)
-	s := r.buildSlot()
-	b.Cleanup(s.k.Shutdown)
-	s.beginRun()
-	if err := s.k.RunUntil(sim.US(2)); err != nil {
-		b.Fatal(err)
-	}
+	s := parkedSlot(b)
 	h := sim.NewStateHash()
 	s.HashState(&h)
 	return s, s.SnapshotStateInto(nil)

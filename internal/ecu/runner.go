@@ -1,8 +1,8 @@
 package ecu
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -66,230 +66,28 @@ func DefaultRunnerConfig() RunnerConfig {
 	}
 }
 
-// ecuSlot is one reusable kernel + dual-core prototype. As in
-// caps.Runner, each concurrent run checks out a slot, so the pool
-// grows to the campaign's peak concurrency.
-type ecuSlot struct {
-	k        *sim.Kernel
-	wd       *Watchdog
-	primary  *CPU
-	shadow   *CPU
-	pram     *ECCMemory
-	sram     *ECCMemory
-	wdshadow *tlm.Memory
-	ls       *Lockstep
-	reg      *fault.Registry
-
-	// run-phase process bodies, created once in buildSlot: the cores
-	// and the stopper run as method-process state machines (see
-	// corerun.go) so an elaborated run kernel stays snapshottable.
-	pRun, sRun *coreRunner
-	stop       *stopRunner
-
-	// per-run scratch state
-	pDone, sDone bool
-	pErr, sErr   error
-	haltAt       sim.Time
-	tableBuf     []byte
-}
-
 // Runner executes SEU campaigns on the virtual ECU: register, program
 // counter and memory upsets against the lockstep + ECC + watchdog
-// mechanisms, classified golden-vs-faulty like the CAPS campaigns.
-// Kernel+prototype slots are reused across runs (Kernel.Reset +
-// re-arm); ReuseOff restores rebuild-per-run.
+// mechanisms, classified golden-vs-faulty like the CAPS campaigns. The
+// slot pool, the rebuild path behind ReuseOff, the checkpoint tree, fork
+// windows and early exit are stressor.Host's; the runner supplies the
+// model below.
 type Runner struct {
-	cfg     RunnerConfig
-	program []uint32
-	golden  analysis.Observation
-
-	goldenRegs  [2][16]uint32
-	goldenTable []byte
-
-	// ReuseOff disables slot reuse: every scenario rebuilds the
-	// prototype from scratch.
-	ReuseOff bool
-
-	mu    sync.Mutex
-	slots []*ecuSlot
-
-	// checkpoint-tree shared state, mirroring caps.Runner: the
-	// runner-wide node free list, the golden-trajectory cache keyed by
-	// normalized hash stride, and the precomputed early-exit outcome.
-	nodePool stressor.NodePool
-	trajMu   sync.Mutex
-	trajs    map[sim.Time]*stressor.GoldenTrajectory
-	eeOnce   sync.Once
-	eeClass  fault.Classification
-	eeDetail string
+	*stressor.Host[*ecuSlot, struct{}]
 }
 
 // NewRunner assembles the workload, builds the first slot and performs
 // the golden run.
 func NewRunner(cfg RunnerConfig) (*Runner, error) {
-	if cfg.Quantum == 0 {
-		cfg = DefaultRunnerConfig()
-	}
-	program, err := Assemble(runnerProgram)
-	if err != nil {
-		return nil, fmt.Errorf("ecu: runner program: %w", err)
-	}
-	r := &Runner{cfg: cfg, program: program}
-	ob, regs, table, err := r.execute(fault.Scenario{ID: "golden"})
+	m, err := newModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if ob.Detected {
-		return nil, fmt.Errorf("ecu: golden run tripped a mechanism: %v", ob.DetectedBy)
+	h, err := stressor.NewHost[*ecuSlot, struct{}]("ecu", m, m.cfg.Horizon)
+	if err != nil {
+		return nil, err
 	}
-	r.golden = ob
-	r.goldenRegs = regs
-	r.goldenTable = table
-	return r, nil
-}
-
-// Golden exposes the cached golden observation.
-func (r *Runner) Golden() analysis.Observation { return r.golden }
-
-// Close shuts down the thread goroutines parked in the slot pool.
-func (r *Runner) Close() {
-	r.mu.Lock()
-	slots := r.slots
-	r.slots = nil
-	r.mu.Unlock()
-	for _, s := range slots {
-		s.k.Shutdown()
-	}
-}
-
-// Sites lists the prototype's injection sites.
-func (r *Runner) Sites() []string {
-	return []string{"ecu.primary.mem", "ecu.primary.pc", "ecu.primary.regs", "ecu.shadow.regs"}
-}
-
-// buildSlot elaborates a fresh dual-core prototype on its own kernel.
-func (r *Runner) buildSlot() *ecuSlot {
-	k := sim.NewKernel()
-	s := &ecuSlot{k: k, tableBuf: make([]byte, 4*runnerTableLen)}
-	s.wd = NewWatchdog(k, "ecu.wd", r.cfg.WatchdogTimeout)
-
-	s.primary = NewCPU("ecu.primary")
-	s.pram = NewECCMemory("ecu.primary.eccram", 0, 64*1024)
-	pbus := tlm.NewRouter("ecu.primary.bus")
-	pbus.MustMap("ram", 0, runnerWdBase, s.pram)
-	pbus.MustMap("wd", runnerWdBase, 0x100, s.wd)
-	s.primary.Bus.Bind(pbus)
-
-	s.shadow = NewCPU("ecu.shadow")
-	s.sram = NewECCMemory("ecu.shadow.eccram", 0, 64*1024)
-	s.wdshadow = tlm.NewMemory("ecu.shadow.wdshadow", runnerWdBase, 0x100)
-	sbus := tlm.NewRouter("ecu.shadow.bus")
-	sbus.MustMap("ram", 0, runnerWdBase, s.sram)
-	sbus.MustMap("wdshadow", runnerWdBase, 0x100, s.wdshadow)
-	s.shadow.Bus.Bind(sbus)
-
-	s.ls = NewLockstep(s.primary, s.shadow)
-
-	s.pRun = &coreRunner{cpu: s.primary, quantum: r.cfg.Quantum, maxInstrs: r.cfg.MaxInstrs,
-		name: "ecu.run.primary", onDone: func(err error) { s.pErr = err; s.pDone = true }}
-	s.pRun.stepFn = s.pRun.step
-	s.sRun = &coreRunner{cpu: s.shadow, quantum: r.cfg.Quantum, maxInstrs: r.cfg.MaxInstrs,
-		name: "ecu.run.shadow", onDone: func(err error) { s.sErr = err; s.sDone = true }}
-	s.sRun.stepFn = s.sRun.step
-	s.stop = &stopRunner{s: s}
-	s.stop.stepFn = s.stop.step
-
-	reg := fault.NewRegistry()
-	reg.MustRegister(&fault.FuncInjector{
-		SiteName: "ecu.primary.regs",
-		Models:   []fault.Model{fault.BitFlip},
-		InjectFn: func(d fault.Descriptor) error {
-			s.primary.FlipRegBit(int(d.Address), d.Bit)
-			return nil
-		},
-	})
-	reg.MustRegister(&fault.FuncInjector{
-		SiteName: "ecu.shadow.regs",
-		Models:   []fault.Model{fault.BitFlip},
-		InjectFn: func(d fault.Descriptor) error {
-			s.shadow.FlipRegBit(int(d.Address), d.Bit)
-			return nil
-		},
-	})
-	reg.MustRegister(&fault.FuncInjector{
-		SiteName: "ecu.primary.pc",
-		Models:   []fault.Model{fault.BitFlip},
-		InjectFn: func(d fault.Descriptor) error {
-			s.primary.FlipPCBit(d.Bit)
-			return nil
-		},
-	})
-	reg.MustRegister(&fault.FuncInjector{
-		SiteName: "ecu.primary.mem",
-		Models:   []fault.Model{fault.BitFlip},
-		InjectFn: func(d fault.Descriptor) error {
-			return s.pram.FlipStoredBit(d.Address, d.Bit)
-		},
-	})
-	s.reg = reg
-
-	r.seedSlot(s)
-	return s
-}
-
-// seedSlot (re-)loads program, table and core state for one run.
-func (r *Runner) seedSlot(s *ecuSlot) {
-	for _, ram := range []*ECCMemory{s.pram, s.sram} {
-		LoadProgram(ram, uint64(runnerEntry), r.program)
-		for i := 0; i < runnerTableLen; i++ {
-			v := uint32(i*7 + 3)
-			p := tlm.NewWrite(runnerTableBase+uint64(4*i),
-				[]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
-			ram.TransportDbg(p)
-		}
-	}
-	for _, c := range []*CPU{s.primary, s.shadow} {
-		c.Reset(runnerEntry)
-		c.SetReg(6, 2)                    // shift amount for i*4
-		c.SetReg(7, uint32(runnerWdBase)) // watchdog kick register
-		c.SetReg(8, uint32(runnerAccAddr))
-	}
-	s.pDone, s.sDone = false, false
-	s.pErr, s.sErr = nil, nil
-	s.haltAt = 0
-}
-
-// rearmSlot returns a pooled slot to its pristine post-build state.
-func (r *Runner) rearmSlot(s *ecuSlot) {
-	s.k.Reset()
-	s.wd.Rearm(s.k) // same elaboration position NewWatchdog held
-	s.pram.Clear()
-	s.sram.Clear()
-	s.wdshadow.Wipe()
-	s.ls.Reset()
-	r.seedSlot(s)
-}
-
-func (r *Runner) acquireSlot() *ecuSlot {
-	r.mu.Lock()
-	var s *ecuSlot
-	if n := len(r.slots); n > 0 {
-		s = r.slots[n-1]
-		r.slots[n-1] = nil
-		r.slots = r.slots[:n-1]
-	}
-	r.mu.Unlock()
-	if s == nil {
-		return r.buildSlot()
-	}
-	r.rearmSlot(s)
-	return s
-}
-
-func (r *Runner) releaseSlot(s *ecuSlot) {
-	r.mu.Lock()
-	r.slots = append(r.slots, s)
-	r.mu.Unlock()
+	return &Runner{Host: h}, nil
 }
 
 // Universe enumerates a representative SEU space at the given
@@ -330,25 +128,158 @@ func (r *Runner) Universe(start sim.Time) []fault.Descriptor {
 	return out
 }
 
-// execute runs one scenario and returns the observation plus the final
-// register files and primary table image (for latent-state analysis).
-func (r *Runner) execute(sc fault.Scenario) (analysis.Observation, [2][16]uint32, []byte, error) {
-	var s *ecuSlot
-	if r.ReuseOff {
-		s = r.buildSlot()
-		defer s.k.Shutdown()
-	} else {
-		s = r.acquireSlot()
-		defer r.releaseSlot(s)
+// model is the dual-core ECU as stressor.Host runs it. The golden fields
+// are set once, from the golden run.
+type model struct {
+	cfg     RunnerConfig
+	program []uint32
+
+	golden      analysis.Observation
+	goldenRegs  [2][16]uint32
+	goldenTable []byte
+}
+
+func newModel(cfg RunnerConfig) (*model, error) {
+	if cfg.Quantum == 0 {
+		cfg = DefaultRunnerConfig()
 	}
-	return r.runOn(s, sc)
+	program, err := Assemble(runnerProgram)
+	if err != nil {
+		return nil, fmt.Errorf("ecu: runner program: %w", err)
+	}
+	return &model{cfg: cfg, program: program}, nil
+}
+
+// ecuSlot is one dual-core prototype elaborated on its kernel.
+type ecuSlot struct {
+	k        *sim.Kernel
+	wd       *Watchdog
+	primary  *CPU
+	shadow   *CPU
+	pram     *ECCMemory
+	sram     *ECCMemory
+	wdshadow *tlm.Memory
+	ls       *Lockstep
+
+	// run-phase process bodies, created once in Build: the cores and the
+	// stopper run as method-process state machines (see corerun.go) so an
+	// elaborated run kernel stays snapshottable.
+	pRun, sRun *coreRunner
+	stop       *stopRunner
+
+	// per-run scratch state
+	pDone, sDone bool
+	pErr, sErr   error
+	haltAt       sim.Time
+	tableBuf     []byte
+}
+
+// Build elaborates a fresh dual-core prototype on k, ready to run.
+func (m *model) Build(k *sim.Kernel) (*ecuSlot, *fault.Registry) {
+	s := &ecuSlot{k: k, tableBuf: make([]byte, 4*runnerTableLen)}
+	s.wd = NewWatchdog(k, "ecu.wd", m.cfg.WatchdogTimeout)
+
+	s.primary = NewCPU("ecu.primary")
+	s.pram = NewECCMemory("ecu.primary.eccram", 0, 64*1024)
+	pbus := tlm.NewRouter("ecu.primary.bus")
+	pbus.MustMap("ram", 0, runnerWdBase, s.pram)
+	pbus.MustMap("wd", runnerWdBase, 0x100, s.wd)
+	s.primary.Bus.Bind(pbus)
+
+	s.shadow = NewCPU("ecu.shadow")
+	s.sram = NewECCMemory("ecu.shadow.eccram", 0, 64*1024)
+	s.wdshadow = tlm.NewMemory("ecu.shadow.wdshadow", runnerWdBase, 0x100)
+	sbus := tlm.NewRouter("ecu.shadow.bus")
+	sbus.MustMap("ram", 0, runnerWdBase, s.sram)
+	sbus.MustMap("wdshadow", runnerWdBase, 0x100, s.wdshadow)
+	s.shadow.Bus.Bind(sbus)
+
+	s.ls = NewLockstep(s.primary, s.shadow)
+
+	s.pRun = &coreRunner{cpu: s.primary, quantum: m.cfg.Quantum, maxInstrs: m.cfg.MaxInstrs,
+		name: "ecu.run.primary", onDone: func(err error) { s.pErr = err; s.pDone = true }}
+	s.pRun.stepFn = s.pRun.step
+	s.sRun = &coreRunner{cpu: s.shadow, quantum: m.cfg.Quantum, maxInstrs: m.cfg.MaxInstrs,
+		name: "ecu.run.shadow", onDone: func(err error) { s.sErr = err; s.sDone = true }}
+	s.sRun.stepFn = s.sRun.step
+	s.stop = &stopRunner{s: s}
+	s.stop.stepFn = s.stop.step
+
+	reg := fault.NewRegistry()
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "ecu.primary.regs",
+		Models:   []fault.Model{fault.BitFlip},
+		InjectFn: func(d fault.Descriptor) error {
+			s.primary.FlipRegBit(int(d.Address), d.Bit)
+			return nil
+		},
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "ecu.shadow.regs",
+		Models:   []fault.Model{fault.BitFlip},
+		InjectFn: func(d fault.Descriptor) error {
+			s.shadow.FlipRegBit(int(d.Address), d.Bit)
+			return nil
+		},
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "ecu.primary.pc",
+		Models:   []fault.Model{fault.BitFlip},
+		InjectFn: func(d fault.Descriptor) error {
+			s.primary.FlipPCBit(d.Bit)
+			return nil
+		},
+	})
+	reg.MustRegister(&fault.FuncInjector{
+		SiteName: "ecu.primary.mem",
+		Models:   []fault.Model{fault.BitFlip},
+		InjectFn: func(d fault.Descriptor) error {
+			return s.pram.FlipStoredBit(d.Address, d.Bit)
+		},
+	})
+
+	m.seed(s)
+	s.beginRun()
+	return s, reg
+}
+
+// Rearm returns a pooled slot to its pristine post-Build state.
+func (m *model) Rearm(k *sim.Kernel, s *ecuSlot) {
+	s.wd.Rearm(k) // same elaboration position NewWatchdog held
+	s.pram.Clear()
+	s.sram.Clear()
+	s.wdshadow.Wipe()
+	s.ls.Reset()
+	m.seed(s)
+	s.beginRun()
+}
+
+// seed (re-)loads program, table and core state for one run.
+func (m *model) seed(s *ecuSlot) {
+	for _, ram := range []*ECCMemory{s.pram, s.sram} {
+		LoadProgram(ram, uint64(runnerEntry), m.program)
+		for i := 0; i < runnerTableLen; i++ {
+			v := uint32(i*7 + 3)
+			p := tlm.NewWrite(runnerTableBase+uint64(4*i),
+				[]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+			ram.TransportDbg(p)
+		}
+	}
+	for _, c := range []*CPU{s.primary, s.shadow} {
+		c.Reset(runnerEntry)
+		c.SetReg(6, 2)                    // shift amount for i*4
+		c.SetReg(7, uint32(runnerWdBase)) // watchdog kick register
+		c.SetReg(8, uint32(runnerAccAddr))
+	}
+	s.pDone, s.sDone = false, false
+	s.pErr, s.sErr = nil, nil
+	s.haltAt = 0
 }
 
 // beginRun elaborates the run-phase processes (cores, stopper) on the
 // slot's kernel, in the fixed order the process-id-dependent schedule
 // relies on, and arms the watchdog. The stressor — when the scenario
-// has faults — elaborates after it, both here and on the
-// checkpoint-restore path.
+// has faults — elaborates after it.
 func (s *ecuSlot) beginRun() {
 	s.wd.Start()
 	s.pRun.elaborate(s.k)
@@ -356,28 +287,9 @@ func (s *ecuSlot) beginRun() {
 	s.stop.elaborate(s.k)
 }
 
-func (r *Runner) runOn(s *ecuSlot, sc fault.Scenario) (analysis.Observation, [2][16]uint32, []byte, error) {
-	k := s.k
-	s.beginRun()
-	var st *stressor.Stressor
-	if len(sc.Faults) > 0 {
-		st = stressor.SpawnThread(k, s.reg, sc, r.cfg.Horizon)
-	}
-	if err := k.Run(r.cfg.Horizon); err != nil {
-		return analysis.Observation{}, [2][16]uint32{}, nil, err
-	}
-	if st != nil {
-		if errs := st.InjectionErrors(); len(errs) > 0 {
-			return analysis.Observation{}, [2][16]uint32{}, nil, fmt.Errorf("ecu: scenario %s: %v", sc.ID, errs[0])
-		}
-	}
-	return r.finishRun(s)
-}
-
-// finishRun reads mechanisms and observable outputs off a slot whose
-// run just completed — shared by the rebuild/reuse path (runOn) and
-// the checkpoint-restore path so both produce byte-identical results.
-func (r *Runner) finishRun(s *ecuSlot) (analysis.Observation, [2][16]uint32, []byte, error) {
+// Observe reads mechanisms and observable outputs off a slot whose run
+// completed.
+func (m *model) Observe(s *ecuSlot) analysis.Observation {
 	s.ls.FinalCheck()
 	// A core trap (bus error, illegal opcode) escalates to the safety
 	// path, as real lockstep MCUs do.
@@ -391,8 +303,8 @@ func (r *Runner) finishRun(s *ecuSlot) (analysis.Observation, [2][16]uint32, []b
 	}
 
 	ob := analysis.Observation{Outputs: map[string]string{
-		"acc":    fmt.Sprintf("%#x", r.readWord(s.pram, runnerAccAddr)),
-		"sacc":   fmt.Sprintf("%#x", r.readWord(s.sram, runnerAccAddr)),
+		"acc":    fmt.Sprintf("%#x", readWord(s.pram, runnerAccAddr)),
+		"sacc":   fmt.Sprintf("%#x", readWord(s.sram, runnerAccAddr)),
 		"halted": fmt.Sprintf("%v/%v", s.primary.Halted(), s.shadow.Halted()),
 	}}
 	if s.ls.Diverged() {
@@ -404,105 +316,56 @@ func (r *Runner) finishRun(s *ecuSlot) (analysis.Observation, [2][16]uint32, []b
 		ob.DetectedBy = append(ob.DetectedBy, "watchdog")
 	}
 	pc, pu := s.pram.Stats()
-	sc2, su := s.sram.Stats()
-	if pc+pu+sc2+su > 0 {
+	sc, su := s.sram.Stats()
+	if pc+pu+sc+su > 0 {
 		ob.Detected = true
 		ob.DetectedBy = append(ob.DetectedBy, "ecc")
 	}
-	if r.cfg.Deadline > 0 && s.primary.Halted() && s.shadow.Halted() && s.haltAt > r.cfg.Deadline {
+	if m.cfg.Deadline > 0 && s.primary.Halted() && s.shadow.Halted() && s.haltAt > m.cfg.Deadline {
 		ob.DeadlineMissed = true
 	}
+	if m.goldenTable != nil {
+		ob.LatentState = s.regs() != m.goldenRegs || !bytes.Equal(s.table(), m.goldenTable)
+	}
+	return ob
+}
 
-	var regs [2][16]uint32
+// Golden keeps the golden run's observation and the register files and
+// table image later runs' latent state is judged against.
+func (m *model) Golden(s *ecuSlot, ob analysis.Observation) error {
+	if ob.Detected {
+		return fmt.Errorf("ecu: golden run tripped a mechanism: %v", ob.DetectedBy)
+	}
+	m.golden, m.goldenRegs, m.goldenTable = ob, s.regs(), bytes.Clone(s.table())
+	return nil
+}
+
+// Record keeps nothing: the slot digest covers its whole state,
+// histories included, so a converged run's observation is the golden one.
+func (m *model) Record(*struct{}, *ecuSlot) {}
+
+func (m *model) Converged(*ecuSlot, *struct{}, int) analysis.Observation { return m.golden }
+
+// regs returns both cores' register files.
+func (s *ecuSlot) regs() (regs [2][16]uint32) {
 	for i := 0; i < 16; i++ {
 		regs[0][i] = s.primary.Reg(i)
 		regs[1][i] = s.shadow.Reg(i)
 	}
+	return regs
+}
+
+// table reads the primary's table image into the slot's scratch buffer.
+func (s *ecuSlot) table() []byte {
 	p := tlm.NewRead(runnerTableBase, len(s.tableBuf))
 	p.Data = s.tableBuf
 	s.pram.TransportDbg(p)
-	table := append([]byte(nil), s.tableBuf...)
-
-	if r.goldenTable != nil {
-		ob.LatentState = regs != r.goldenRegs || !bytesEqual(table, r.goldenTable)
-	}
-	return ob, regs, table, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return s.tableBuf
 }
 
 // readWord fetches one word through the debug port.
-func (r *Runner) readWord(m *ECCMemory, addr uint64) uint32 {
+func readWord(m *ECCMemory, addr uint64) uint32 {
 	p := tlm.NewRead(addr, 4)
 	m.TransportDbg(p)
 	return uint32(p.Data[0]) | uint32(p.Data[1])<<8 | uint32(p.Data[2])<<16 | uint32(p.Data[3])<<24
-}
-
-// RunScenario executes and classifies one fault scenario.
-func (r *Runner) RunScenario(sc fault.Scenario) fault.Outcome {
-	ob, _, _, err := r.execute(sc)
-	if err != nil {
-		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
-	}
-	ob.Activated = len(sc.Faults) > 0
-	class := analysis.Classify(r.golden, ob)
-	return fault.Outcome{Scenario: sc, Class: class, Detail: analysis.Describe(ob)}
-}
-
-// RunFunc adapts the runner to the campaign engine.
-func (r *Runner) RunFunc() stressor.RunFunc {
-	return func(sc fault.Scenario) fault.Outcome { return r.RunScenario(sc) }
-}
-
-// RunScenarioSigned is RunScenario plus the outcome's equivalence
-// signature: the slot's final-state digest (ecuSlot.HashState — the
-// digest convergence early-exit trusts) folded with the
-// classification. A run that errors out carries no signature (the
-// adaptive engine substitutes its class+detail fallback).
-func (r *Runner) RunScenarioSigned(sc fault.Scenario) fault.Outcome {
-	var s *ecuSlot
-	if r.ReuseOff {
-		s = r.buildSlot()
-		defer s.k.Shutdown()
-	} else {
-		s = r.acquireSlot()
-		defer r.releaseSlot(s)
-	}
-	ob, _, _, err := r.runOn(s, sc)
-	if err != nil {
-		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
-	}
-	// Digest while the slot is still checked out — it re-arms for
-	// another scenario the moment it returns to the pool.
-	sig := sim.StateSignature(s)
-	ob.Activated = len(sc.Faults) > 0
-	class := analysis.Classify(r.golden, ob)
-	return fault.Outcome{
-		Scenario: sc, Class: class, Detail: analysis.Describe(ob),
-		Signature: sim.MixSignature(sig, uint64(class)),
-	}
-}
-
-// SignedRunFunc adapts the signed path to the adaptive campaign
-// engine. Outcomes are identical to RunFunc's except for Signature.
-func (r *Runner) SignedRunFunc() stressor.RunFunc {
-	return func(sc fault.Scenario) fault.Outcome { return r.RunScenarioSigned(sc) }
-}
-
-// NewCampaign builds a campaign over this runner for one shard of the
-// scenario universe (pass the zero Shard for an unsharded campaign).
-// The caller layers on workers, journaling, StopOnFirst and
-// observability.
-func (r *Runner) NewCampaign(name string, shard stressor.Shard) *stressor.Campaign {
-	return &stressor.Campaign{Name: name, Run: r.RunFunc(), Shard: shard, Checkpointer: r}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stressor"
 	"repro/internal/stressor/stressortest"
@@ -38,19 +39,12 @@ func TestRunnerGoldenRepeatsOnReusedSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	// No effect on a rerun of the fault-free scenario: the outputs are the
+	// golden ones, nothing fired, and the register files and table image
+	// equal the golden run's (Observe's latent-state comparison).
 	for i := 0; i < 3; i++ {
-		ob, regs, table, err := r.execute(fault.Scenario{ID: fmt.Sprintf("g%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ob.Outputs, r.golden.Outputs) || ob.Detected {
-			t.Fatalf("rerun %d drifted: %+v vs %+v", i, ob, r.golden)
-		}
-		if regs != r.goldenRegs {
-			t.Fatalf("rerun %d register files drifted", i)
-		}
-		if !bytesEqual(table, r.goldenTable) {
-			t.Fatalf("rerun %d table image drifted", i)
+		if out := r.RunScenario(fault.Scenario{ID: fmt.Sprintf("g%d", i)}); out.Class != fault.NoEffect {
+			t.Fatalf("rerun %d drifted: %s %q", i, out.Class, out.Detail)
 		}
 	}
 }
@@ -169,7 +163,7 @@ func TestRunnerSEUDetections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	res, err := r.NewCampaign("ecu-seu", stressor.Shard{}).Execute(fault.Singles(r.Universe(0)))
+	res, err := (&stressor.Campaign{Name: "ecu-seu", Run: r.RunFunc(), Checkpointer: r}).Execute(fault.Singles(r.Universe(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,4 +196,60 @@ func TestRunnerAdaptiveDeterminismMatrix(t *testing.T) {
 			return r.SignedRunFunc(), r.Close
 		},
 	})
+}
+
+// TestForkWindowCollapse: the golden ECU run is active at 13 instants —
+// the cores' quantum syncs roughly every 500 ns and the stopper's
+// microsecond polls — halts at 4 µs and is idle from there to the
+// horizon. The sweep forks at four places: the window (1020 ns, 1530 ns)
+// holding 1.1, 1.3 and 1.5 µs; the window (2040 ns, 2550 ns) holding 2.2
+// and 2.4 µs; the halt instant itself (an activity instant, forked from
+// the poll before it and never keyed); and the one long window after the
+// halt, which holds every instant from 10 µs to 150 µs.
+func TestForkWindowCollapse(t *testing.T) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	instants := []sim.Time{sim.NS(1100), sim.NS(1300), sim.NS(1500), sim.NS(2200), sim.NS(2400), sim.US(4)}
+	for at := sim.US(10); at <= sim.US(150); at += sim.US(10) {
+		instants = append(instants, at)
+	}
+	stressortest.ForkWindowCollapse(t, r, instants, 4)
+}
+
+// TestInstrumentedCampaignMatchesPlain: Instrument attaches the kernel
+// instrument to every kernel the host runs — pooled slots on the plain
+// path, session kernels on the tree — so an instrumented ECU campaign
+// publishes sim.* counters, and its Result is the uninstrumented one.
+func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
+	run := func(reg *obs.Registry) *stressor.Result {
+		r, err := NewRunner(DefaultRunnerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		r.Instrument(reg, nil)
+		// Universe(0) forks nowhere and takes the plain path.
+		scs := fault.Singles(append(r.Universe(0), r.Universe(sim.US(2))...))
+		res, err := (&stressor.Campaign{
+			Name: "ecu-instrumented", Run: r.RunFunc(), Workers: 2,
+			Checkpoints: true, Checkpointer: r, CheckpointTree: true, EarlyExit: true,
+		}).Execute(scs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(nil)
+	reg := obs.NewRegistry()
+	if got := run(reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("instrumented result diverges:\ngot:  %+v\nwant: %+v", got.Outcomes, want.Outcomes)
+	}
+	for _, name := range []string{"sim.activations", "sim.delta_cycles", "sim.time_steps"} {
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("%s = 0 after an instrumented campaign", name)
+		}
+	}
 }

@@ -61,8 +61,9 @@ func (m *ECCMemory) restoreFrom(st *eccState) {
 	m.uncorrectable = st.uncorrectable
 }
 
-// pagedStats sums the paged-state work counters of both memories.
-func (s *ecuSlot) pagedStats() sim.PagedStats {
+// PagedStats sums the paged-state work counters of both memories; a
+// tree session with metrics publishes them (campaign.state_pages_*).
+func (s *ecuSlot) PagedStats() sim.PagedStats {
 	p, q := s.pram.mem.Stats(), s.sram.mem.Stats()
 	return sim.PagedStats{
 		PagesRehashed: p.PagesRehashed + q.PagesRehashed,

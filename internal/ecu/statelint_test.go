@@ -15,27 +15,34 @@ import (
 // fails here until it is hashed and snapshotted or given a row.
 
 const (
-	wiring = "wiring fixed by buildSlot; the component's own state is linted as its own row"
-	config = "configuration, constant after buildSlot"
+	wiring = "wiring fixed by Build; the component's own state is linted as its own row"
+	config = "configuration, constant after Build"
 )
 
 // midRunSlot returns a slot parked mid-workload: both cores inside the
 // loop with stores logged, the watchdog armed and kicked.
 func midRunSlot(t *testing.T) *ecuSlot {
 	t.Helper()
-	r, err := NewRunner(DefaultRunnerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	s := r.buildSlot()
-	t.Cleanup(s.k.Shutdown)
-	s.beginRun()
-	if err := s.k.RunUntil(sim.US(2)); err != nil {
-		t.Fatal(err)
-	}
+	s := parkedSlot(t)
 	if p, sh := s.ls.Stores(); p == 0 || sh == 0 || s.primary.Halted() {
 		t.Fatalf("slot not mid-run: stores %d/%d, halted %v", p, sh, s.primary.Halted())
+	}
+	return s
+}
+
+// parkedSlot is the runner model's prototype built on a kernel of its
+// own and run 2 µs into the workload.
+func parkedSlot(tb testing.TB) *ecuSlot {
+	tb.Helper()
+	m, err := newModel(DefaultRunnerConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := sim.NewKernel()
+	tb.Cleanup(k.Shutdown)
+	s, _ := m.Build(k)
+	if err := k.RunUntil(sim.US(2)); err != nil {
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -53,8 +60,7 @@ func TestStateCoverageSlot(t *testing.T) {
 		"pRun":     simtest.NotState(wiring),
 		"sRun":     simtest.NotState(wiring),
 		"stop":     simtest.NotState("wiring; the stopper keeps no state of its own"),
-		"reg":      simtest.NotState("injection-site registry, fixed by buildSlot"),
-		"tableBuf": simtest.NotState("scratch: finishRun overwrites it through the debug port before reading it"),
+		"tableBuf": simtest.NotState("scratch: table overwrites it through the debug port before reading it"),
 		"wdshadow": simtest.Via("tlm.Memory is linted in its own package; here: the slot folds and restores it",
 			func() { s.wdshadow.TransportDbg(tlm.NewWrite(runnerWdBase+4, []byte{0xa5})) }),
 	})

@@ -1,0 +1,524 @@
+package stressor
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"repro/internal/analysis"
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// The runner every virtual prototype shares: the paper's Fig. 3
+// error-effect simulation — one golden run, then each scenario run to the
+// horizon and classified against it — with every shortcut written once:
+// pooled slots, the checkpoint tree, fork windows and convergence early
+// exit. A prototype supplies only its Model.
+
+// State is a prototype elaborated on one kernel, as far as the shortcuts
+// need it: snapshots for the tree, a digest for early exit and signatures.
+type State interface {
+	sim.Snapshottable
+	sim.Hashable
+}
+
+// Model is what a prototype tells Host. S is its elaborated state, G what
+// it records of the golden run to answer a run that early-exits.
+type Model[S State, G any] interface {
+	// Build elaborates a fresh prototype on k, ready to run from time
+	// zero, and returns it with its injection-site registry.
+	Build(k *sim.Kernel) (S, *fault.Registry)
+	// Rearm returns s, whose kernel k was just Reset, to the state Build
+	// left it in. Processes and events must be created in Build's order:
+	// process ids set the evaluate order.
+	Rearm(k *sim.Kernel, s S)
+	// Observe reads the observation off s, whose run reached the horizon.
+	Observe(s S) analysis.Observation
+	// Golden vets the golden run's observation ob, read off s, and keeps
+	// whatever later observations are compared with.
+	Golden(s S, ob analysis.Observation) error
+	// Record is called on the golden run of an early-exit trajectory at
+	// every stride instant. It must only read s: the run goes on, and its
+	// state is digested next.
+	Record(g *G, s S)
+	// Converged is the full-horizon observation of a run on s whose state
+	// re-joined the golden trajectory g at stride instant i.
+	Converged(s S, g *G, i int) analysis.Observation
+}
+
+// Host runs fault-injection campaigns on one prototype. It keeps a pool
+// of kernel+prototype slots and re-arms one per scenario (Kernel.Reset +
+// Model.Rearm) instead of rebuilding: each concurrent run and each live
+// tree session checks out its own slot, so the pool grows to the
+// campaign's peak worker count and every run owns its kernel. As a
+// Checkpointer it forks scenarios off golden-prefix tree nodes. Results
+// are byte-identical to ReuseOff's.
+type Host[S State, G any] struct {
+	// ReuseOff turns every shortcut off: each scenario builds the
+	// prototype afresh and ForkTime declines it. It is the naive oracle
+	// the shortcuts are checked against.
+	ReuseOff bool
+
+	name    string
+	m       Model[S, G]
+	horizon sim.Time
+	golden  analysis.Observation
+	reg     *fault.Registry // the first slot's, for enumeration only
+	metrics *obs.Registry
+	trace   *obs.TraceRecorder
+
+	mu    sync.Mutex
+	slots []*hostSlot[S]
+
+	nodes  NodePool
+	trajMu sync.Mutex
+	trajs  map[sim.Time]*trajectory[G]
+	// the golden run's activity instants (see activity), recorded once.
+	activityOnce sync.Once
+	activityAt   []sim.Time
+}
+
+// hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
+// per scenario, so record and timeline buffers survive the campaign.
+type hostSlot[S State] struct {
+	k    *sim.Kernel
+	s    S
+	reg  *fault.Registry
+	st   Stressor
+	hash sim.StateHash
+	// the sinks the kernel's instrument was last built with
+	metrics *obs.Registry
+	trace   *obs.TraceRecorder
+}
+
+// NewHost builds the first slot and performs the golden run on it. name
+// prefixes the host's errors.
+func NewHost[S State, G any](name string, m Model[S, G], horizon sim.Time) (*Host[S, G], error) {
+	h := &Host[S, G]{name: name, m: m, horizon: horizon}
+	var gerr error
+	err := h.exec(fault.Scenario{ID: "golden"}, func(sl *hostSlot[S]) {
+		h.reg = sl.reg
+		h.golden = m.Observe(sl.s)
+		gerr = m.Golden(sl.s, h.golden)
+	})
+	if err == nil {
+		err = gerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Golden exposes the cached golden observation.
+func (h *Host[S, G]) Golden() analysis.Observation { return h.golden }
+
+// Registry is the prototype's injection-site registry, for enumerating
+// the fault space; injecting through it touches a pooled slot.
+func (h *Host[S, G]) Registry() *fault.Registry { return h.reg }
+
+// Sites lists the prototype's injection sites, sorted.
+func (h *Host[S, G]) Sites() []string { return h.reg.Sites() }
+
+// Instrument attaches observability sinks: every later scenario kernel
+// publishes its statistics to reg and its run spans to tr. Both sinks are
+// race-safe, so instrumented hosts work inside parallel campaigns. Pass
+// nils to detach. Call between campaigns, not concurrently with runs.
+func (h *Host[S, G]) Instrument(reg *obs.Registry, tr *obs.TraceRecorder) {
+	h.metrics, h.trace = reg, tr
+}
+
+// Close shuts the pooled kernels down. The host must not be used
+// afterwards. Calling it is optional — nothing in the pool spins — but
+// keeps goroutine-leak checkers quiet in tests.
+func (h *Host[S, G]) Close() {
+	h.mu.Lock()
+	slots := h.slots
+	h.slots = nil
+	h.mu.Unlock()
+	for _, sl := range slots {
+		sl.k.Shutdown()
+	}
+}
+
+// LiveNodes reports the tree nodes checked out of the host's pool: zero
+// once every session is closed or recycled.
+func (h *Host[S, G]) LiveNodes() int { return h.nodes.Live() }
+
+// instrument attaches the host's sinks to a kernel built for one run or
+// one session.
+func (h *Host[S, G]) instrument(k *sim.Kernel) {
+	if h.metrics != nil || h.trace != nil {
+		k.SetInstrument(&sim.Instrument{Metrics: h.metrics, Trace: h.trace})
+	}
+}
+
+// acquire checks a slot out of the pool, re-arming it for a fresh run,
+// or builds a new one when every slot is in use.
+func (h *Host[S, G]) acquire() *hostSlot[S] {
+	h.mu.Lock()
+	var sl *hostSlot[S]
+	if n := len(h.slots); n > 0 {
+		sl = h.slots[n-1]
+		h.slots[n-1] = nil
+		h.slots = h.slots[:n-1]
+	}
+	h.mu.Unlock()
+	if sl == nil {
+		sl = &hostSlot[S]{k: sim.NewKernel()}
+		sl.s, sl.reg = h.m.Build(sl.k)
+	} else {
+		sl.k.Reset()
+		h.m.Rearm(sl.k, sl.s)
+	}
+	if sl.metrics != h.metrics || sl.trace != h.trace {
+		sl.metrics, sl.trace = h.metrics, h.trace
+		// One Instrument per kernel: it carries per-kernel delta state.
+		sl.k.SetInstrument(nil)
+		h.instrument(sl.k)
+	}
+	return sl
+}
+
+func (h *Host[S, G]) release(sl *hostSlot[S]) {
+	h.mu.Lock()
+	h.slots = append(h.slots, sl)
+	h.mu.Unlock()
+}
+
+// exec runs sc to the horizon on a pooled slot — with ReuseOff, on a
+// prototype and a stressor built for it — and hands the finished slot to
+// fn before anything can reuse it. A run that fails returns its error
+// without calling fn.
+func (h *Host[S, G]) exec(sc fault.Scenario, fn func(*hostSlot[S])) error {
+	var sl *hostSlot[S]
+	var st *Stressor
+	if h.ReuseOff {
+		sl = &hostSlot[S]{k: sim.NewKernel()}
+		defer sl.k.Shutdown()
+		h.instrument(sl.k)
+		sl.s, sl.reg = h.m.Build(sl.k)
+		if len(sc.Faults) > 0 {
+			st = SpawnThread(sl.k, sl.reg, sc, h.horizon)
+		}
+	} else {
+		sl = h.acquire()
+		defer h.release(sl)
+		if len(sc.Faults) > 0 {
+			st = &sl.st
+			st.Respawn(sl.k, sl.reg, sc, h.horizon)
+		}
+	}
+	if err := sl.k.RunUntil(h.horizon); err != nil {
+		return err
+	}
+	if err := h.injectionError(sc, st); err != nil {
+		return err
+	}
+	fn(sl)
+	return nil
+}
+
+// signature folds the prototype's final-state digest with class — the
+// digest sim.StateSignature takes, through the slot's own StateHash: a
+// fresh one would escape through the State interface, an allocation a
+// run.
+func (sl *hostSlot[S]) signature(class fault.Classification) uint64 {
+	sl.hash.Reset()
+	sl.s.HashState(&sl.hash)
+	return sim.MixSignature(sl.hash.Sum(), uint64(class))
+}
+
+// injectionError reports the first action st failed to perform: a broken
+// campaign setup, not a prototype failure.
+func (h *Host[S, G]) injectionError(sc fault.Scenario, st *Stressor) error {
+	if st != nil {
+		if errs := st.InjectionErrors(); len(errs) > 0 {
+			return fmt.Errorf("%s: scenario %s: %v", h.name, sc.ID, errs[0])
+		}
+	}
+	return nil
+}
+
+// classify folds a finished run's observation into its outcome.
+func (h *Host[S, G]) classify(sc fault.Scenario, ob analysis.Observation) fault.Outcome {
+	ob.Activated = len(sc.Faults) > 0
+	return fault.Outcome{Scenario: sc, Class: analysis.Classify(h.golden, ob), Detail: analysis.Describe(ob)}
+}
+
+func errorOutcome(sc fault.Scenario, err error) fault.Outcome {
+	return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
+}
+
+func (h *Host[S, G]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome {
+	var out fault.Outcome
+	err := h.exec(sc, func(sl *hostSlot[S]) {
+		out = h.classify(sc, h.m.Observe(sl.s))
+		if sign {
+			out.Signature = sl.signature(out.Class)
+		}
+		if fn != nil {
+			fn(sl.s)
+		}
+	})
+	if err != nil {
+		return errorOutcome(sc, err)
+	}
+	return out
+}
+
+// RunScenario executes and classifies one fault scenario.
+func (h *Host[S, G]) RunScenario(sc fault.Scenario) fault.Outcome { return h.run(sc, false, nil) }
+
+// RunScenarioWith is RunScenario that first hands the prototype of a run
+// that ended cleanly to fn, which must not keep it.
+func (h *Host[S, G]) RunScenarioWith(sc fault.Scenario, fn func(S)) fault.Outcome {
+	return h.run(sc, false, fn)
+}
+
+// RunScenarioSigned is RunScenario plus the outcome's equivalence
+// signature: the prototype's final-state digest (the one convergence
+// early exit trusts) folded with the classification. Two runs with equal
+// signatures ended behaviorally indistinguishable; adaptive campaigns
+// prune and explore on exactly this. A run that errors out carries no
+// signature (the engine substitutes its class+detail fallback).
+func (h *Host[S, G]) RunScenarioSigned(sc fault.Scenario) fault.Outcome { return h.run(sc, true, nil) }
+
+// RunFunc adapts the host to the campaign engine.
+func (h *Host[S, G]) RunFunc() RunFunc { return h.RunScenario }
+
+// SignedRunFunc adapts the signed path to the campaign engine. Outcomes
+// are RunFunc's plus Signature, so plain campaigns keep byte-stable
+// results by using RunFunc.
+func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
+
+// ForkTime implements Checkpointer. A scenario forks at its earliest
+// injection instant; one with no faults, an instant of zero (no prefix to
+// amortize) or one past the horizon (never injects) falls back to the
+// plain path, as does every scenario under ReuseOff.
+//
+// A scenario whose whole timeline is one action — a single permanent
+// fault — forks at the canonical instant of the golden idle window it
+// injects in instead: a+1, a being the last instant before Start at which
+// the golden run executes anything. Nothing happens between a and Start,
+// so the fork still precedes every mutation, and every instant of the
+// window shares one tree node and one TreeCore window memo.
+func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+	if h.ReuseOff || len(sc.Faults) == 0 {
+		return 0, false
+	}
+	fork := ForkTime(sc)
+	if fork == 0 || fork > h.horizon {
+		return 0, false
+	}
+	if len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent {
+		at := h.activity()
+		if i, _ := slices.BinarySearch(at, fork); i > 0 {
+			fork = at[i-1] + 1
+		}
+	}
+	return fork, true
+}
+
+// activity returns, ascending, the instants up to the horizon at which
+// the golden run executes anything, time zero included — recorded on
+// first use by walking a dedicated golden kernel from one pending
+// notification to the next. Legged RunUntil is observationally one run
+// (sim's TestLeggedRunEqualsOneRun), so these are the instants every
+// session's golden prefix is active at. A golden run that fails leaves
+// the list empty and every fork where it was.
+func (h *Host[S, G]) activity() []sim.Time {
+	h.activityOnce.Do(func() {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		h.m.Build(k)
+		var at []sim.Time
+		for t := sim.Time(0); t <= h.horizon; t = k.NextEventTime() {
+			if k.RunUntil(t) != nil {
+				return
+			}
+			at = append(at, t)
+		}
+		h.activityAt = at
+	})
+	return h.activityAt
+}
+
+// trajectory is a golden trajectory and what the model recorded of the
+// same run.
+type trajectory[G any] struct {
+	tr *GoldenTrajectory
+	g  G
+}
+
+// trajectory returns the golden trajectory for the given hash stride,
+// recording it on first use (one dedicated golden run per distinct
+// stride, shared by every session of the host).
+func (h *Host[S, G]) trajectory(stride sim.Time) (*trajectory[G], error) {
+	stride = normalizeStride(stride, h.horizon)
+	h.trajMu.Lock()
+	defer h.trajMu.Unlock()
+	if tj, ok := h.trajs[stride]; ok {
+		return tj, nil
+	}
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	s, _ := h.m.Build(k)
+	tj := &trajectory[G]{}
+	tr, err := RecordTrajectory(k, s, stride, h.horizon, func() { h.m.Record(&tj.g, s) })
+	if err != nil {
+		return nil, err
+	}
+	tj.tr = tr
+	if h.trajs == nil {
+		h.trajs = make(map[sim.Time]*trajectory[G])
+	}
+	h.trajs[stride] = tj
+	return tj, nil
+}
+
+// NewTreeSession implements Checkpointer. The session checks a slot out
+// of the pool on first use and owns it until Close hands it back, so a
+// campaign's sessions re-arm the prototypes the previous one built
+// instead of elaborating and allocating new ones. acquire re-arms every
+// slot it hands out, so golden state never leaks out of a session. A
+// session the campaign abandons is never closed: its slot — perhaps torn,
+// perhaps still running — simply never returns. Its retained tree nodes
+// come from the host-wide pool and go back through Recycle.
+func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
+	return &session[S, G]{h: h, cfg: cfg}
+}
+
+// session is one worker's tree session over TreeCore. Nodes are taken at
+// fork-1: restoring there and elaborating the stressor gives its initial
+// activation one instant before the injection, which reproduces a full
+// run's schedule at the injection instant exactly (the stressor's process
+// id is the highest either way, so it evaluates last within an instant).
+type session[S State, G any] struct {
+	h     *Host[S, G]
+	cfg   TreeConfig
+	core  TreeCore
+	sl    *hostSlot[S] // nil until init, and again after Close
+	traj  *trajectory[G]
+	pages *pageCounters
+}
+
+// pagedState is a State that keeps bulk state in sim.PagedState.
+type pagedState interface{ PagedStats() sim.PagedStats }
+
+// pageCounters publish the pages a session's digests and restores
+// touched — the evidence that their cost followed the write set.
+type pageCounters struct {
+	src                pagedState
+	rehashed, restored *obs.Counter
+	published          sim.PagedStats
+}
+
+func (p *pageCounters) publish() {
+	if p == nil {
+		return
+	}
+	now := p.src.PagedStats()
+	p.rehashed.Add(now.PagesRehashed - p.published.PagesRehashed)
+	p.restored.Add(now.PagesRestored - p.published.PagesRestored)
+	p.published = now
+}
+
+// init lazily checks out the session's slot — pristine at time zero,
+// whether built or re-armed — and records the (early exit on) trajectory.
+func (s *session[S, G]) init() error {
+	if s.sl != nil {
+		return nil
+	}
+	sl := s.h.acquire()
+	s.sl = sl
+	s.core = TreeCore{
+		Cfg: s.cfg, K: sl.k, Model: sl.s, Pool: &s.h.nodes,
+		Rebuild: func() { sl.k.Reset(); s.h.m.Rearm(sl.k, sl.s) },
+	}
+	s.core.Init()
+	if p, ok := any(sl.s).(pagedState); ok && s.cfg.Metrics != nil {
+		l := obs.L("campaign", s.cfg.Campaign)
+		// A re-armed slot's counters still hold its earlier runs' work.
+		s.pages = &pageCounters{src: p, published: p.PagedStats(),
+			rehashed: s.cfg.Metrics.Counter("campaign.state_pages_rehashed", l),
+			restored: s.cfg.Metrics.Counter("campaign.state_pages_restored", l)}
+	}
+	if s.cfg.EarlyExit {
+		tj, err := s.h.trajectory(s.cfg.HashStride)
+		if err != nil {
+			return err
+		}
+		s.traj = tj
+	}
+	return nil
+}
+
+// Run implements CheckpointSession, producing the exact outcome
+// RunScenario yields for the same scenario.
+func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if out, ok := s.core.Recall(sc, fork); ok {
+		return out
+	}
+	ob, err := s.execute(sc, fork)
+	s.pages.publish()
+	if err != nil {
+		return errorOutcome(sc, err)
+	}
+	out := s.h.classify(sc, ob)
+	s.core.Remember(out)
+	return out
+}
+
+func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Observation, error) {
+	if err := s.init(); err != nil {
+		return analysis.Observation{}, err
+	}
+	if err := s.core.Establish(fork); err != nil {
+		return analysis.Observation{}, err
+	}
+	s.core.MarkDirty()
+	sl := s.sl
+	sl.st.Respawn(sl.k, sl.reg, sc, s.h.horizon)
+	if err := s.core.Window(&sl.st, sc); err != nil {
+		return analysis.Observation{}, err
+	}
+	if s.traj != nil {
+		// A run whose injections errored never converges.
+		converged, at, err := s.traj.tr.RunToHorizon(sl.k, sl.s, &sl.st)
+		if err != nil {
+			return analysis.Observation{}, err
+		}
+		if converged {
+			s.core.NoteEarlyExit(s.h.horizon - at)
+			return s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.tr.Stride)-1), nil
+		}
+	} else if err := sl.k.RunUntil(s.h.horizon); err != nil {
+		return analysis.Observation{}, err
+	}
+	if err := s.h.injectionError(sc, &sl.st); err != nil {
+		return analysis.Observation{}, err
+	}
+	return s.h.m.Observe(sl.s), nil
+}
+
+// Close implements CheckpointSession, returning the retained nodes to
+// the host's node pool and the slot to its slot pool. Method-only kernels
+// hold no goroutines, which is what lets the campaign abandon a session
+// without closing it.
+func (s *session[S, G]) Close() {
+	s.core.Recycle()
+	if s.sl != nil {
+		s.h.release(s.sl)
+		s.sl = nil
+	}
+}
+
+// Recycle implements RecyclableSession: the campaign reclaims an
+// abandoned session's nodes once the runaway run has finished.
+func (s *session[S, G]) Recycle() { s.core.Recycle() }
+
+// Core is the session's TreeCore, for tests that pin its steady state.
+func (s *session[S, G]) Core() *TreeCore { return &s.core }

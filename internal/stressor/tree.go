@@ -132,7 +132,7 @@ func (p *NodePool) Live() int {
 }
 
 // TreeCore is the prototype-agnostic heart of a tree session. The
-// hosting session (caps, ecu) supplies the kernel, the model's
+// hosting session (Host's tree session) supplies the kernel, the model's
 // Snapshottable hooks and a Rebuild closure that returns both to their
 // pristine time-zero state; TreeCore owns node retention, restore
 // dispatch, the LRU budget and the counters.
@@ -490,37 +490,27 @@ type GoldenTrajectory struct {
 // each stride instant. Chunked RunUntil is observationally identical
 // to one full run, so the recorded digests are exactly what a faulty
 // run's model would hash to at those instants had the fault never
-// perturbed anything.
-func RecordTrajectory(k *sim.Kernel, m sim.Hashable, stride, horizon sim.Time) (*GoldenTrajectory, error) {
-	return RecordTrajectoryFunc(k, m, stride, horizon, nil)
-}
-
-// RecordTrajectoryFunc is RecordTrajectory with a per-stride hook:
-// onStride is called with the kernel standing at each recorded stride
-// instant (index i, time (i+1)*stride), letting the caller capture
-// model-specific sidecar state alongside the digest — e.g. the golden
-// output-history lengths an early-exited run splices its composite
-// observation at.
-func RecordTrajectoryFunc(k *sim.Kernel, m sim.Hashable, stride, horizon sim.Time, onStride func(i int, t sim.Time)) (*GoldenTrajectory, error) {
-	stride = NormalizeStride(stride, horizon)
+// perturbed anything. onStride is called with the kernel standing at
+// each stride instant, so the caller can record model-specific state
+// beside the digest (Model.Record).
+func RecordTrajectory(k *sim.Kernel, m sim.Hashable, stride, horizon sim.Time, onStride func()) (*GoldenTrajectory, error) {
+	stride = normalizeStride(stride, horizon)
 	tr := &GoldenTrajectory{Stride: stride, Horizon: horizon}
 	tr.NEvents, tr.NProcs = k.Elaborated()
 	for t := stride; t < horizon; t += stride {
 		if err := k.RunUntil(t); err != nil {
 			return nil, err
 		}
-		if onStride != nil {
-			onStride(len(tr.Hashes), t)
-		}
+		onStride()
 		tr.Hashes = append(tr.Hashes, tr.digest(k, m))
 	}
 	return tr, nil
 }
 
-// NormalizeStride resolves the default trajectory stride — horizon/16,
-// minimum one time unit. Runners key their trajectory caches by the
+// normalizeStride resolves the default trajectory stride — horizon/16,
+// minimum one time unit. Hosts key their trajectory caches by the
 // normalized value.
-func NormalizeStride(stride, horizon sim.Time) sim.Time {
+func normalizeStride(stride, horizon sim.Time) sim.Time {
 	if stride <= 0 {
 		stride = horizon / 16
 	}
