@@ -357,6 +357,46 @@ func TestCampaignDeterminismMatrix(t *testing.T) {
 	})
 }
 
+// TestCampaignStopOnFirstShardMatrix runs the matrix under StopOnFirst
+// on the E8 universe injected at 5 ms and then at 3 ms: the first
+// failure in index order is a 5 ms scenario, which injection-time
+// shards place after every 3 ms one, so the shards that hold the
+// positions before it are not the one that finds it.
+func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
+	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scenarios []fault.Scenario
+	for _, at := range []sim.Time{sim.MS(5), sim.MS(3)} {
+		for _, d := range runner.Universe(at) {
+			d.Name += "@" + at.String()
+			scenarios = append(scenarios, fault.Single(d))
+		}
+	}
+	res, err := (&stressor.Campaign{Name: "probe", Run: runner.RunFunc(), StopOnFirst: true}).Execute(scenarios)
+	runner.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, ok := res.FirstFailure(); !ok || !strings.HasSuffix(o.Scenario.ID, "@"+sim.MS(5).String()) {
+		t.Fatalf("first failure %+v (found %v), want a 5 ms scenario", o.Scenario, ok)
+	}
+	stressortest.Run(t, stressortest.Config{
+		Name:      "caps-e8-stop",
+		Scenarios: scenarios,
+		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.ReuseOff = reuseOff
+			return r.RunFunc(), r, r.Close
+		},
+		StopOnFirst: true,
+	})
+}
+
 // withTransients appends a transient variant of every descriptor (2 ms
 // active window) to the universe. Transient runs whose disturbance
 // decays are the ones convergence early-exit can terminate early, so

@@ -147,9 +147,30 @@ func TestForkWindowCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runner.Close()
+	stressortest.ForkWindowCollapse(t, runner, denseInstants(), 12)
+}
+
+// TestShardedForkWindowCollapse runs TestForkWindowCollapse's universe
+// as four shards. Each is a contiguous slice of it in injection-time
+// order — ten instants — so the only window simulated twice is the one
+// a cut falls in: 3.47, 5.94 and 8.41 ms each sit inside a long window,
+// and the shards simulate 252 + 3×21 = 315 runs. Cut round-robin, every
+// shard meets every window and the four simulate all 840.
+func TestShardedForkWindowCollapse(t *testing.T) {
+	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	stressortest.ShardedForkWindowCollapse(t, runner, denseInstants(), 4)
+}
+
+// denseInstants are the 40 injection instants, 247 µs apart from 1 ms,
+// of the fork-window gates.
+func denseInstants() []sim.Time {
 	var instants []sim.Time
 	for i := 0; i < 40; i++ {
 		instants = append(instants, sim.MS(1)+sim.Time(i)*sim.US(247))
 	}
-	stressortest.ForkWindowCollapse(t, runner, instants, 12)
+	return instants
 }

@@ -192,7 +192,8 @@ func (c *Coordinator) journalPath(i int) string {
 func (c *Coordinator) header(i int) journal.Header {
 	return journal.Header{
 		Campaign: c.cfg.Campaign, Shard: i, Shards: c.cfg.Shards,
-		Total: len(c.cfg.Scenarios), Universe: c.universe,
+		Partition: stressor.Shard{Index: i, Count: c.cfg.Shards}.Partition(),
+		Total:     len(c.cfg.Scenarios), Universe: c.universe,
 	}
 }
 

@@ -253,7 +253,8 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 			Header: journal.Header{
 				FormatMarker: journal.Format, Campaign: lease.Campaign,
 				Shard: lease.Shard, Shards: shards,
-				Total: lease.Total, Universe: lease.Universe,
+				Partition: stressor.Shard{Index: lease.Shard, Count: shards}.Partition(),
+				Total:     lease.Total, Universe: lease.Universe,
 			},
 			Entries: lease.Entries,
 		}

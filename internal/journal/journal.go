@@ -38,6 +38,11 @@ type Header struct {
 	// (0/1 for an unsharded campaign).
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
+	// Partition names the rule that assigned unique-run positions to
+	// the Shards journals (PartitionInjectionTime); it is empty for an
+	// unsharded campaign and for shard journals written before the
+	// field existed, which were partitioned PartitionRoundRobin.
+	Partition string `json:"partition,omitempty"`
 	// Total is the number of scenarios in the full (unsharded,
 	// pre-dedup) universe.
 	Total int `json:"total"`
@@ -52,11 +57,56 @@ type Header struct {
 	Adaptive bool `json:"adaptive,omitempty"`
 }
 
+// The partition rules a shard journal's header can name.
+const (
+	// PartitionRoundRobin gave position u to shard u mod Shards. A
+	// header with no Partition means it; no writer records it by name.
+	PartitionRoundRobin = "round-robin"
+	// PartitionInjectionTime gives each shard one contiguous range of
+	// the positions ordered by injection time.
+	PartitionInjectionTime = "injection-time"
+)
+
+// Rule is the partition rule the header's shard set was cut by.
+func (h Header) Rule() string {
+	if h.Partition == "" {
+		return PartitionRoundRobin
+	}
+	return h.Partition
+}
+
+// PartitionError refuses a shard journal cut by another partition rule
+// than the campaign resuming it, or the rest of the set merging with
+// it: the two rules give a position to different shards, so resuming
+// across them would skip positions and merging would leave holes.
+type PartitionError struct {
+	Shard, Shards int
+	// Journal is the rule the refused journal was written under, Want
+	// the rule it was checked against.
+	Journal, Want string
+}
+
+func (e *PartitionError) Error() string {
+	return fmt.Sprintf("journal: shard %d/%d journal is partitioned %s, want %s", e.Shard, e.Shards, e.Journal, e.Want)
+}
+
+// CheckRule returns a *PartitionError when a shard journal with header
+// h cannot stand where one cut by want's rule is expected; an
+// unsharded journal fits under any rule.
+func (h Header) CheckRule(want Header) error {
+	if h.Shards > 1 && h.Rule() != want.Rule() {
+		return &PartitionError{Shard: h.Shard, Shards: h.Shards, Journal: h.Rule(), Want: want.Rule()}
+	}
+	return nil
+}
+
 // Validate reports structural problems with the header.
 func (h Header) Validate() error {
 	switch {
 	case h.FormatMarker != Format:
 		return fmt.Errorf("journal: bad format marker %q (want %q)", h.FormatMarker, Format)
+	case h.Partition != "" && h.Partition != PartitionInjectionTime:
+		return fmt.Errorf("journal: unknown partition rule %q", h.Partition)
 	case h.Shards < 1:
 		return fmt.Errorf("journal: shards = %d, want >= 1", h.Shards)
 	case h.Shard < 0 || h.Shard >= h.Shards:
@@ -271,6 +321,9 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 	j, err := Read(path)
 	if err != nil {
 		return nil, nil, err
+	}
+	if err := j.Header.CheckRule(h); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if j.Header != h {
 		return nil, nil, fmt.Errorf("journal: %s header %+v does not match campaign %+v", path, j.Header, h)

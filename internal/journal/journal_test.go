@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -291,6 +292,37 @@ func TestJournalAppendToRejectsHeaderMismatch(t *testing.T) {
 	}
 }
 
+// TestJournalPartitionRule: both codecs carry a header's partition rule
+// through a round trip, and AppendTo refuses a shard journal cut by the
+// other rule with a *PartitionError naming both — in either direction,
+// the rule-less header being the round-robin one.
+func TestJournalPartitionRule(t *testing.T) {
+	cut := testHeader()
+	cut.Partition = PartitionInjectionTime
+	for _, codec := range []Codec{JSONL, Binary} {
+		for _, pair := range [][2]Header{{cut, testHeader()}, {testHeader(), cut}} {
+			written, resumed := pair[0], pair[1]
+			path := filepath.Join(t.TempDir(), "j")
+			w, err := CreateCodec(path, written, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, err := Read(path)
+			if err != nil || j.Header != written {
+				t.Fatalf("%s: read back %+v (err %v), wrote %+v", codec, j.Header, err, written)
+			}
+			_, _, err = AppendTo(path, resumed)
+			var pe *PartitionError
+			if !errors.As(err, &pe) || pe.Journal != written.Rule() || pe.Want != resumed.Rule() {
+				t.Errorf("%s: resuming %q as %q: err %v, want a *PartitionError", codec, written.Rule(), resumed.Rule(), err)
+			}
+		}
+	}
+}
+
 func TestJournalDecodeRejectsCorruption(t *testing.T) {
 	_, raw := writeJournal(t, testEntries())
 	cases := []struct {
@@ -304,6 +336,7 @@ func TestJournalDecodeRejectsCorruption(t *testing.T) {
 		{"entry out of range", []byte(strings.Replace(string(raw), "{\"i\":2,", "{\"i\":99,", 1))},
 		{"entry without class", []byte(strings.Replace(string(raw), "\"class\":\"sdc\",", "", 1))},
 		{"shard out of range", []byte(strings.Replace(string(raw), "\"shard\":0", "\"shard\":7", 1))},
+		{"unknown partition rule", []byte(strings.Replace(string(raw), "\"shards\":2", "\"shards\":2,\"partition\":\"diagonal\"", 1))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

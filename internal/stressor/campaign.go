@@ -132,11 +132,12 @@ type Campaign struct {
 	// horizon/16). Meaningful only with EarlyExit.
 	HashStride sim.Time
 	// Shard restricts execution to one partition of the (post-Dedup)
-	// unique-run positions: position u runs iff u mod Count == Index.
-	// The zero value runs everything. A sharded Execute returns a
-	// partial Result holding only this shard's outcomes (in scenario
-	// order); Merge folds a complete shard set back into the result
-	// the unsharded run would have produced, byte for byte.
+	// unique-run positions: the Index-th of Count contiguous ranges of
+	// them in injection-time order (see Shard). The zero value runs
+	// everything. A sharded Execute returns a partial Result holding
+	// only this shard's outcomes (in scenario order); Merge folds a
+	// complete shard set back into the result the unsharded run would
+	// have produced, byte for byte.
 	Shard Shard
 	// Journal, when non-nil, records every completed run as one
 	// append-only line so the campaign survives interruption. Under
@@ -480,7 +481,7 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // hash; a Source by its MaxRuns budget and Fingerprint, with entries
 // keyed by proposal sequence number.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
-	h := journal.Header{Campaign: c.Name, Shard: c.Shard.Index, Shards: max(c.Shard.Count, 1)}
+	h := journal.Header{Campaign: c.Name, Shard: c.Shard.Index, Shards: max(c.Shard.Count, 1), Partition: c.Shard.Partition()}
 	if c.Source != nil {
 		h.Total, h.Universe, h.Adaptive = c.MaxRuns, c.Fingerprint, true
 	} else {
@@ -490,11 +491,11 @@ func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 }
 
 // resumeEntries validates c.Resume against this exact campaign — kind,
-// name, shard layout, size or budget, universe fingerprint, per-entry
-// scenario IDs — and indexes its entries by scenario index (proposal
-// sequence number with a Source). Any mismatch is a hard error before
-// the first run: a stale or foreign journal must never silently poison
-// a campaign.
+// name, shard layout and partition rule, size or budget, universe
+// fingerprint, per-entry scenario IDs — and indexes its entries by
+// scenario index (proposal sequence number with a Source). Any mismatch
+// is a hard error before the first run: a stale or foreign journal must
+// never silently poison a campaign.
 func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil
@@ -513,6 +514,9 @@ func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 		return nil, fmt.Errorf("campaign %s: resume journal covers %d runs, campaign has %d", c.Name, h.Total, want.Total)
 	case want.Universe != "" && h.Universe != want.Universe:
 		return nil, fmt.Errorf("campaign %s: resume journal universe %s does not match %s", c.Name, h.Universe, want.Universe)
+	}
+	if err := h.CheckRule(want); err != nil {
+		return nil, fmt.Errorf("campaign %s: resume %w", c.Name, err)
 	}
 	m := make(map[int]journal.Entry, len(c.Resume.Entries))
 	for _, ent := range c.Resume.Entries {
@@ -749,8 +753,12 @@ type listPlan struct {
 func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	c, d, l := e.c, e.dedup, &listPlan{campaignExec: e}
 	e.slots = make([]slot, d.len())
+	var owner []int
+	if c.Shard.Enabled() {
+		owner = shardOwners(d, c.Shard.Count)
+	}
 	for u := range e.slots {
-		if !c.Shard.owns(u) {
+		if owner != nil && owner[u] != c.Shard.Index {
 			continue
 		}
 		ent, ok := resumed[d.index(u)]

@@ -17,9 +17,11 @@ type MergeSpec struct {
 }
 
 // Merge folds the journals of a completed shard set into the Result
-// the unsharded run would have produced, byte for byte. It validates
-// everything first — format, matching headers, the exact shard set
-// {0..N-1}, the universe fingerprint, per-entry scenario IDs — and
+// the unsharded run would have produced, byte for byte. Outcomes are
+// placed by scenario index, so a set cut by either partition rule
+// merges, as long as one rule cut all of it. It validates everything
+// first — format, matching headers and partition rule, the exact shard
+// set {0..N-1}, the universe fingerprint, per-entry scenario IDs — and
 // refuses adaptive journals (their entry indices are proposal sequence
 // numbers, not universe positions), truncated journals (resume them to
 // completion first) and incomplete coverage, so a partial or
@@ -58,6 +60,9 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 		}
 		if h.Campaign != h0.Campaign || h.Shards != h0.Shards || h.Total != h0.Total || h.Universe != h0.Universe {
 			return nil, fmt.Errorf("stressor: journal for shard %d belongs to a different campaign (%+v vs %+v)", h.Shard, h, h0)
+		}
+		if err := h.CheckRule(h0); err != nil {
+			return nil, fmt.Errorf("stressor: shard set mixes partition rules: %w", err)
 		}
 		if seen[h.Shard] {
 			return nil, fmt.Errorf("stressor: shard %d appears twice", h.Shard)
@@ -111,7 +116,7 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 	}
 	for u := 0; u < len(slots) && u <= stop; u++ {
 		if !slots[u].ran {
-			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d is incomplete (interrupted? resume it first)", plan.scenario(u).ID, plan.index(u), u%h0.Shards)
+			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", plan.scenario(u).ID, plan.index(u), shardOf(plan, h0, u), h0.Shards)
 		}
 	}
 
@@ -119,4 +124,16 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 	res := c.assemble(plan.fanOut(slots))
 	res.DedupSavedRuns = len(scenarios) - plan.len()
 	return res, nil
+}
+
+// shardOf names the shard of h's set that position u of plan belongs
+// to, under the partition rule the set was written with.
+func shardOf(plan dedupPlan, h journal.Header, u int) int {
+	switch {
+	case h.Shards <= 1:
+		return 0
+	case h.Rule() == journal.PartitionRoundRobin:
+		return u % h.Shards
+	}
+	return shardOwners(plan, h.Shards)[u]
 }

@@ -1,21 +1,30 @@
 package stressor
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/journal"
+	"repro/internal/sim"
 )
 
 // Shard selects one partition of a campaign's scenario universe so
 // that Count independent invocations — separate processes, separate
 // machines — together cover exactly the runs one unsharded invocation
-// would execute. The partition is applied AFTER dedup: shards split
-// the unique-run positions round-robin (position u belongs to shard
-// u mod Count), so duplicate folding is identical on every shard and
-// the merged result is byte-identical to the unsharded run.
+// would execute. The partition is applied AFTER dedup, so duplicate
+// folding is identical on every shard and the merged result is
+// byte-identical to the unsharded run. It follows injection time: the
+// unique-run positions, ordered by their earliest fault Start, then
+// the first fault's content, then position, are cut into Count
+// contiguous ranges (shard 0 the earliest) of the sizes ShardSizes
+// reports. Faults injected close together share a golden prefix and,
+// one family's adjacent instants, a fork window, so a shard keeps the
+// checkpoint-tree hits and window answers an unsharded run gets.
 //
 // The zero value (and any Count <= 1) means unsharded.
 type Shard struct {
@@ -41,9 +50,58 @@ func (s Shard) validate() error {
 	return nil
 }
 
-// owns reports whether unique-run position u belongs to this shard.
-func (s Shard) owns(u int) bool {
-	return s.Count <= 1 || u%s.Count == s.Index
+// Partition is the rule a journal of this shard records in its header
+// (journal.Header.Partition): none when unsharded.
+func (s Shard) Partition() string {
+	if s.Enabled() {
+		return journal.PartitionInjectionTime
+	}
+	return ""
+}
+
+// shardOwners maps every unique-run position of d to the shard of count
+// that runs it (see Shard).
+func shardOwners(d dedupPlan, count int) []int {
+	n := d.len()
+	order := make([]int, n)
+	for u := range order {
+		order[u] = u
+	}
+	var none fault.Descriptor
+	key := func(u int) (sim.Time, *fault.Descriptor) {
+		sc := d.scenario(u)
+		if len(sc.Faults) == 0 {
+			return 0, &none
+		}
+		start := sc.Faults[0].Start
+		for _, f := range sc.Faults[1:] {
+			start = min(start, f.Start)
+		}
+		return start, &sc.Faults[0]
+	}
+	slices.SortFunc(order, func(ui, uj int) int {
+		si, fi := key(ui)
+		sj, fj := key(uj)
+		return cmp.Or(cmp.Compare(si, sj), compareContent(fi, fj), cmp.Compare(ui, uj))
+	})
+	owner := make([]int, n)
+	for s, lo := 0, 0; s < count; s++ {
+		hi := lo + shardLen(n, count, s)
+		for _, u := range order[lo:hi] {
+			owner[u] = s
+		}
+		lo = hi
+	}
+	return owner
+}
+
+// shardLen is how many of n positions shard s of count owns: the first
+// n%count shards hold one more than the rest.
+func shardLen(n, count, s int) int {
+	if s < n%count {
+		return n/count + 1
+	}
+	return n / count
 }
 
 // String renders the shard in the "i/N" command-line syntax.
@@ -84,8 +142,9 @@ func ParseShard(s string) (Shard, error) {
 // without re-deriving the engine's partition rules.
 func ShardSizes(scenarios []fault.Scenario, dedup bool, count int) []int {
 	sizes := make([]int, max(count, 1))
-	for u, n := 0, newDedupPlan(scenarios, dedup).len(); u < n; u++ {
-		sizes[u%len(sizes)]++ // Shard.owns
+	n := newDedupPlan(scenarios, dedup).len()
+	for s := range sizes {
+		sizes[s] = shardLen(n, len(sizes), s)
 	}
 	return sizes
 }

@@ -1,9 +1,11 @@
 package stressor
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,26 +16,74 @@ import (
 	"repro/internal/obs"
 )
 
+// TestShardPartition checks the injection-time partition on generated
+// universes — single-instant, all-equal Start, dedup-folded,
+// multi-fault, empty — for every count from 1 to 9: the shards'
+// position sets partition the plan exactly, their sizes are
+// ShardSizes', each is one contiguous run of the (earliest Start, first
+// fault's content, position) order with shard 0 the earliest, and
+// Execute runs exactly its shard's set.
 func TestShardPartition(t *testing.T) {
-	// Every position belongs to exactly one shard, for any count.
-	const n = 13
-	for count := 1; count <= 5; count++ {
-		for u := 0; u < n; u++ {
-			owners := 0
-			for idx := 0; idx < count; idx++ {
-				if (Shard{Index: idx, Count: count}).owns(u) {
-					owners++
+	for _, u := range generatedUniverses() {
+		for _, dedup := range []bool{false, true} {
+			plan := newDedupPlan(u.scenarios, dedup)
+			n := plan.len()
+			if dedup && u.folds && n == len(u.scenarios) {
+				t.Fatalf("%s: dedup folds nothing", u.name)
+			}
+			before := func(a, b int) bool {
+				sa, fa := partitionKey(plan.scenario(a))
+				sb, fb := partitionKey(plan.scenario(b))
+				return cmp.Or(cmp.Compare(sa, sb), compareContent(&fa, &fb), cmp.Compare(a, b)) < 0
+			}
+			for count := 1; count <= 9; count++ {
+				name := fmt.Sprintf("%s/dedup=%v/count=%d", u.name, dedup, count)
+				owner := shardOwners(plan, count)
+				sizes := ShardSizes(u.scenarios, dedup, count)
+				got := make([]int, count)
+				for _, s := range owner {
+					if s < 0 || s >= count {
+						t.Fatalf("%s: owner %d out of range", name, s)
+					}
+					got[s]++
+				}
+				if len(owner) != n || !reflect.DeepEqual(got, sizes) {
+					t.Fatalf("%s: %d positions, shard sizes %v, want %d positions, ShardSizes %v", name, len(owner), got, n, sizes)
+				}
+				for a := range owner {
+					for b := range owner {
+						if owner[a] < owner[b] && !before(a, b) {
+							t.Fatalf("%s: position %d (shard %d) sorts after position %d (shard %d)", name, a, owner[a], b, owner[b])
+						}
+					}
+				}
+				for s := 0; s < count; s++ {
+					var ran []int
+					c := Campaign{Name: "p", Dedup: dedup, Shard: Shard{Index: s, Count: count}, Run: func(sc fault.Scenario) fault.Outcome {
+						return fault.Outcome{Scenario: sc, Class: fault.Masked}
+					}}
+					res, err := c.Execute(u.scenarios)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, o := range res.Outcomes {
+						if i := slices.IndexFunc(u.scenarios, func(sc fault.Scenario) bool { return sc.ID == o.Scenario.ID }); i >= 0 {
+							if p, ok := plan.position(i); ok {
+								ran = append(ran, p)
+							}
+						}
+					}
+					var want []int
+					for p, o := range owner {
+						if o == s {
+							want = append(want, p)
+						}
+					}
+					if !slices.Equal(ran, want) {
+						t.Fatalf("%s: shard %d ran positions %v, owns %v", name, s, ran, want)
+					}
 				}
 			}
-			if owners != 1 {
-				t.Fatalf("count=%d: position %d owned by %d shards", count, u, owners)
-			}
-		}
-	}
-	// The zero value owns everything.
-	for u := 0; u < n; u++ {
-		if !(Shard{}).owns(u) {
-			t.Fatalf("zero shard does not own position %d", u)
 		}
 	}
 	for _, good := range []string{"0/1", "0/4", "3/4"} {
@@ -76,7 +126,7 @@ func shardHeader(name string, s Shard, scenarios []fault.Scenario) journal.Heade
 		shards = 1
 	}
 	return journal.Header{
-		Campaign: name, Shard: s.Index, Shards: shards,
+		Campaign: name, Shard: s.Index, Shards: shards, Partition: s.Partition(),
 		Total: len(scenarios), Universe: UniverseHash(scenarios),
 	}
 }
@@ -88,14 +138,14 @@ func shardHeader(name string, s Shard, scenarios []fault.Scenario) journal.Heade
 func TestJournalHeaderOfAList(t *testing.T) {
 	scenarios := dedupScenarios(12, 5) // duplicates: Total is the list's size, not the unique runs'
 	want := journal.Header{
-		Campaign: "hdr", Shard: 1, Shards: 3,
+		Campaign: "hdr", Shard: 1, Shards: 3, Partition: journal.PartitionInjectionTime,
 		Total: 12, Universe: UniverseHash(scenarios), Adaptive: false,
 	}
 	c := Campaign{Name: "hdr", Shard: Shard{Index: 1, Count: 3}, Dedup: true, MaxRuns: 99, Fingerprint: "ignored"}
 	if got := c.JournalHeader(scenarios); got != want {
 		t.Errorf("sharded list: JournalHeader = %+v, want %+v", got, want)
 	}
-	want.Shard, want.Shards = 0, 1
+	want.Shard, want.Shards, want.Partition = 0, 1, ""
 	c.Shard = Shard{}
 	if got := c.JournalHeader(scenarios); got != want {
 		t.Errorf("unsharded list: JournalHeader = %+v, want %+v", got, want)
@@ -210,7 +260,7 @@ func TestCampaignEmptyShard(t *testing.T) {
 // or shard N-1's.
 func TestCampaignStopOnFirstShardPlacement(t *testing.T) {
 	const n = 8
-	for _, failAt := range []int{6, 7} { // positions owned by shard 0 and shard 1 of 2
+	for _, failAt := range []int{2, 6} { // positions owned by shard 0 and shard 1 of 2
 		run := classRunFunc(pattern(n, map[int]fault.Classification{failAt: fault.SDC}))
 		scenarios := makeScenarios(n)
 		baseline, err := (&Campaign{Name: "sp", Run: run, StopOnFirst: true}).Execute(scenarios)

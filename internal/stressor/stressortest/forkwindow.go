@@ -20,16 +20,11 @@ import (
 // must be the plain path's, outcome for outcome.
 func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows int) {
 	t.Helper()
-	var scenarios []fault.Scenario
+	scenarios := denseUniverse(p, instants)
 	forks := map[sim.Time]bool{}
-	for _, at := range instants {
-		for _, d := range p.Universe(at) {
-			sc := fault.Single(d)
-			sc.ID = fmt.Sprintf("%d:%s", len(scenarios), sc.ID)
-			scenarios = append(scenarios, sc)
-			fork, _ := p.ForkTime(sc)
-			forks[fork] = true
-		}
+	for _, sc := range scenarios {
+		fork, _ := p.ForkTime(sc)
+		forks[fork] = true
 	}
 	perInstant := len(scenarios) / len(instants)
 
@@ -38,19 +33,14 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tree, err := (&stressor.Campaign{
-		Name: "windows", Run: p.RunFunc(), Workers: 1, Metrics: reg,
-		Checkpoints: true, Checkpointer: p, CheckpointTree: true,
-	}).Execute(scenarios)
+	tree, err := windowCampaign(p, reg, stressor.Shard{}).Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
 		t.Errorf("collapsed outcomes diverge from the plain path:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
 	}
-	lbl := obs.L("campaign", "windows")
-	hits := reg.Counter("campaign.fork_window_hits", lbl).Value()
-	loud := reg.Counter("campaign.fork_window_loud", lbl).Value()
+	hits, loud := windowCounts(reg)
 	if len(forks) != windows {
 		t.Errorf("the instants fork at %d distinct windows, want %d", len(forks), windows)
 	}
@@ -62,4 +52,80 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 		t.Errorf("%d injections failed the silence test; no injector of the prototype schedules anything", loud)
 	}
 	t.Logf("%d instants, %d windows: %d of %d scenarios simulated", len(instants), len(forks), simulated, len(scenarios))
+}
+
+// ShardedForkWindowCollapse is the count sharding costs: the
+// ForkWindowCollapse universe at instants, run as shards separate
+// one-worker campaigns, must deliver the plain path's outcomes and
+// together simulate at most one instant's descriptors per cut more than
+// one unsharded campaign does — a cut between two instants of one idle
+// window simulates that window's descriptors on both sides of it. A
+// partition that scatters a window's instants over every shard
+// simulates the window once in each.
+func ShardedForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, shards int) {
+	t.Helper()
+	scenarios := denseUniverse(p, instants)
+	plain, err := (&stressor.Campaign{Name: "plain", Run: p.RunFunc()}).Execute(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated := func(sh stressor.Shard) (int, []fault.Outcome) {
+		reg := obs.NewRegistry()
+		res, err := windowCampaign(p, reg, sh).Execute(scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := windowCounts(reg)
+		return len(res.Outcomes) - int(hits), res.Outcomes
+	}
+	whole, _ := simulated(stressor.Shard{})
+	sum, byID := 0, map[string]fault.Outcome{}
+	for s := 0; s < shards; s++ {
+		n, outs := simulated(stressor.Shard{Index: s, Count: shards})
+		sum += n
+		for _, o := range outs {
+			byID[o.Scenario.ID] = o
+		}
+	}
+	for _, want := range plain.Outcomes {
+		if got := byID[want.Scenario.ID]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sharded outcome %+v, plain path %+v", want.Scenario.ID, got, want)
+		}
+	}
+	if len(byID) != len(plain.Outcomes) {
+		t.Errorf("%d shards delivered %d outcomes, want %d", shards, len(byID), len(plain.Outcomes))
+	}
+	if limit := whole + (shards-1)*len(scenarios)/len(instants); sum > limit {
+		t.Errorf("%d shards simulated %d scenarios, one campaign %d: more than the %d its cuts can cost", shards, sum, whole, limit)
+	}
+	t.Logf("%d of %d scenarios simulated across %d shards, %d unsharded", sum, len(scenarios), shards, whole)
+}
+
+// denseUniverse is p's universe at every one of instants, instant after
+// instant, each scenario ID made unique by its position.
+func denseUniverse(p Prototype, instants []sim.Time) []fault.Scenario {
+	var scenarios []fault.Scenario
+	for _, at := range instants {
+		for _, d := range p.Universe(at) {
+			sc := fault.Single(d)
+			sc.ID = fmt.Sprintf("%d:%s", len(scenarios), sc.ID)
+			scenarios = append(scenarios, sc)
+		}
+	}
+	return scenarios
+}
+
+// windowCampaign is the one-worker checkpoint-tree campaign whose
+// session memo the fork-window gates count.
+func windowCampaign(p Prototype, reg *obs.Registry, sh stressor.Shard) *stressor.Campaign {
+	return &stressor.Campaign{
+		Name: "windows", Run: p.RunFunc(), Workers: 1, Metrics: reg, Shard: sh,
+		Checkpoints: true, Checkpointer: p, CheckpointTree: true,
+	}
+}
+
+// windowCounts reads a windowCampaign's fork-window hit and loud counters.
+func windowCounts(reg *obs.Registry) (hits, loud uint64) {
+	lbl := obs.L("campaign", "windows")
+	return reg.Counter("campaign.fork_window_hits", lbl).Value(), reg.Counter("campaign.fork_window_loud", lbl).Value()
 }
