@@ -276,79 +276,19 @@ func BenchmarkCampaignReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignCheckpointed is the PR 5 tentpole measurement:
-// the E8 single-fault universe at a late injection time (h=80ms,
-// inject=60ms — the golden prefix is 3/4 of the run window) on the
-// PR 3 reuse path against the golden-run checkpoint path, which
-// simulates that prefix once per worker session and restores a
-// snapshot instead of re-simulating it for every scenario. Both paths
-// produce identical tallies (cross-checked each iteration); the
-// acceptance bar is ≥1.5× on the sequential pair. The speedup scales
-// with the golden-prefix share of the horizon: at early injection
-// times the checkpoint path degrades gracefully toward reuse.
-func BenchmarkCampaignCheckpointed(b *testing.B) {
-	horizon, inject := sim.MS(80), sim.MS(60)
-	ref, err := caps.NewRunner(caps.Protected(), caps.NormalDriving(), horizon)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scenarios := fault.Singles(ref.Universe(inject))
-	want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunFunc()}).Execute(scenarios)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref.Close()
-	for _, mode := range []struct {
-		name        string
-		checkpoints bool
-	}{{"reuse", false}, {"checkpointed", true}} {
-		for _, wc := range []struct {
-			name    string
-			workers int
-		}{{"sequential", 0}, {fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), stressor.WorkersAuto}} {
-			b.Run(mode.name+"/"+wc.name, func(b *testing.B) {
-				runner, err := caps.NewRunner(caps.Protected(), caps.NormalDriving(), horizon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer runner.Close()
-				c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: wc.workers}
-				if mode.checkpoints {
-					c.Checkpoints = true
-					c.Checkpointer = runner
-				}
-				b.ReportAllocs()
-				b.ReportMetric(float64(len(scenarios)), "scenarios/op")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := c.Execute(scenarios)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Tally.String() != want.Tally.String() {
-						b.Fatalf("tally %s != reference %s", res.Tally, want.Tally)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCampaignTree is the PR 8 tentpole measurement: the E8
+// BenchmarkCampaignTree measures the checkpoint tree on the E8
 // transient sweep (every injection site x four sub-frame injection
-// offsets at inject=10ms, 400us pulses, h=80ms full horizon) across
-// four engine modes. reuse and checkpointed are the PR 3/PR 5
-// baselines (checkpointed is the tree session with a one-node budget,
-// the single rolling checkpoint); tree raises the budget to the
-// retained-node default; tree+ee adds convergence early-exit against
-// the golden trajectory. Transient pulses this short leave most runs
-// dynamically identical to the golden run within a stride or two of
-// the revert, so early-exit truncates ~3/4 of the universe (62/84
-// scenarios converge; the rest latch a detection or corrupt persistent
-// state and must run out the horizon). The acceptance bar is >= 2x on
-// the tree+ee vs checkpointed sequential pair; every mode produces the
-// identical tally (cross-checked each iteration), and byte-identical
-// full results are pinned by the stressortest matrix.
+// offsets at inject=10ms, 400us pulses, h=80ms full horizon) in three
+// engine modes: reuse is the plain path on pooled kernels, with no
+// Checkpointer; tree forks every scenario from a retained golden-prefix
+// node; tree+ee adds convergence early-exit against the golden
+// trajectory. Transient pulses this short leave most runs dynamically
+// identical to the golden run within a stride or two of the revert, so
+// early-exit truncates ~3/4 of the universe (62/84 scenarios converge;
+// the rest latch a detection or corrupt persistent state and must run
+// out the horizon). Every mode produces the identical tally
+// (cross-checked each iteration), and byte-identical full results are
+// pinned by the stressortest matrix.
 func BenchmarkCampaignTree(b *testing.B) {
 	horizon := sim.MS(80)
 	ref, err := caps.NewRunner(caps.Protected(), caps.NormalDriving(), horizon)
@@ -371,13 +311,12 @@ func BenchmarkCampaignTree(b *testing.B) {
 	}
 	ref.Close()
 	for _, mode := range []struct {
-		name                     string
-		checkpoints, tree, early bool
+		name        string
+		tree, early bool
 	}{
-		{"reuse", false, false, false},
-		{"checkpointed", true, false, false},
-		{"tree", true, true, false},
-		{"tree+ee", true, true, true},
+		{"reuse", false, false},
+		{"tree", true, false},
+		{"tree+ee", true, true},
 	} {
 		for _, wc := range []struct {
 			name    string
@@ -389,12 +328,9 @@ func BenchmarkCampaignTree(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer runner.Close()
-				c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: wc.workers}
-				if mode.checkpoints {
-					c.Checkpoints = true
+				c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: wc.workers, EarlyExit: mode.early}
+				if mode.tree {
 					c.Checkpointer = runner
-					c.CheckpointTree = mode.tree
-					c.EarlyExit = mode.early
 				}
 				b.ReportAllocs()
 				b.ReportMetric(float64(len(scenarios)), "scenarios/op")
@@ -437,8 +373,7 @@ func BenchmarkCampaignForkWindows(b *testing.B) {
 	scenarios := fault.Singles(universe)
 	reg := obs.NewRegistry()
 	c := &stressor.Campaign{
-		Name: "bench", Run: runner.RunFunc(), Workers: 2, Metrics: reg,
-		Checkpoints: true, Checkpointer: runner, CheckpointTree: true,
+		Name: "bench", Run: runner.RunFunc(), Workers: 2, Metrics: reg, Checkpointer: runner,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

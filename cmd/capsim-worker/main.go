@@ -60,10 +60,11 @@ func main() {
 
 	resolve := campaignd.FabricResolver(logger)
 	// CAPSIM_WORKER_STALL_AFTER=N blocks the worker forever inside its
-	// N-th scenario (chaos-testing aid, like capsim's
-	// CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness SIGKILLs the stalled
-	// process to prove a real worker death mid-lease is recovered by the
-	// next worker, resuming from the last flushed outcome.
+	// N-th scenario, all of which take the plain run path (chaos-testing
+	// aid, like capsim's CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness
+	// SIGKILLs the stalled process to prove a real worker death mid-lease
+	// is recovered by the next worker, resuming from the last flushed
+	// outcome.
 	if n, err := strconv.Atoi(os.Getenv("CAPSIM_WORKER_STALL_AFTER")); err == nil && n > 0 {
 		inner := resolve
 		var runs atomic.Int32
@@ -72,8 +73,10 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			run := res.Campaign.Run
-			res.Campaign.Run = func(sc fault.Scenario) fault.Outcome {
+			c := res.Campaign
+			c.Checkpointer, c.EarlyExit, c.HashStride = nil, false, 0
+			run := c.Run
+			c.Run = func(sc fault.Scenario) fault.Outcome {
 				if int(runs.Add(1)) == n {
 					select {} // stall forever; only SIGKILL ends this
 				}

@@ -9,8 +9,7 @@
 //	       -faults "omission @caps.can.bus from 15ms; open @caps.accel0.harness from 5ms"
 //	capsim -sites                  # list injection sites
 //	capsim -campaign -workers -1   # exhaustive single-fault campaign, one worker per CPU
-//	capsim -campaign e8 -workers -1 -checkpoints   # restore the golden prefix instead of re-simulating it
-//	capsim -campaign e8 -checkpoint-tree -early-exit   # fork from retained tree nodes, stop on re-convergence
+//	capsim -campaign e8 -early-exit   # also stop each run when it re-converges with the golden run
 //	capsim -campaign e8 -progress -metrics m.json -trace-events t.json
 //	capsim -campaign e8 -shard 0/4 -journal shard0.jsonl   # one shard of four
 //	capsim -campaign e8 -shard 0/4 -journal shard0.jsonl -resume
@@ -21,6 +20,10 @@
 // metrics snapshot as JSON, -trace-events a Chrome trace-event file
 // loadable in chrome://tracing or Perfetto, and -progress streams a
 // live progress line to stderr.
+//
+// A campaign forks every scenario it can from golden-prefix snapshots
+// instead of re-simulating the fault-free prefix; the result is the one
+// a rebuild of the prototype for every scenario would print.
 //
 // -shard i/N runs only the i-th of N deterministic partitions of the
 // scenario universe; -journal appends each outcome to a run journal as
@@ -40,9 +43,8 @@
 // campaign engine with a scenario source in place of the list, so it
 // composes with -journal/-resume, -workers (the outcome stream is
 // deterministic at any worker count), -progress, -metrics,
-// -trace-events and -scenario-timeout; -shard, -checkpoints,
-// -checkpoint-tree, -early-exit, -hash-stride and an explicit -dedup
-// are usage errors.
+// -trace-events and -scenario-timeout; -shard, -early-exit,
+// -hash-stride and an explicit -dedup are usage errors.
 package main
 
 import (
@@ -138,7 +140,6 @@ type options struct {
 	campaign, listSites bool
 	faults              string
 
-	reuseOff                  bool
 	metricsPath, tracePath    string
 	progress                  bool
 	journalPath, journalCodec string
@@ -162,10 +163,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.listSites, "sites", false, "list injection sites and exit")
 	fs.BoolVar(&o.campaign, "campaign", false, "run the exhaustive single-fault campaign instead of one scenario")
 	fs.IntVar(&s.Workers, "workers", 0, "campaign worker-pool size: 0 = sequential, -1 = one per CPU")
-	fs.BoolVar(&o.reuseOff, "reuse-off", false, "rebuild the prototype for every scenario instead of reusing pooled kernels")
-	fs.BoolVar(&s.Checkpoints, "checkpoints", false, "snapshot the golden prefix per worker and restore it instead of re-simulating (implies kernel reuse)")
-	fs.BoolVar(&s.CheckpointTree, "checkpoint-tree", false, "retain a tree of golden-prefix snapshots and fork each scenario from the deepest shared one (implies -checkpoints)")
-	fs.BoolVar(&s.EarlyExit, "early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory (implies -checkpoints)")
+	fs.BoolVar(&s.EarlyExit, "early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory")
 	fs.StringVar(&s.HashStride, "hash-stride", "", "golden-trajectory hashing interval for -early-exit (e.g. 5ms; default horizon/16)")
 	fs.BoolVar(&s.Dedup, "dedup", false, "collapse campaign scenarios with identical fault content into one run")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "drive the campaign with the novelty-adaptive strategy (outcome signatures steer scenario generation) instead of the fixed universe")
@@ -223,9 +221,6 @@ func main() {
 	if err != nil {
 		die(2, err)
 	}
-	if spec.Checkpoints && o.reuseOff {
-		die(2, fmt.Errorf("-checkpoints requires kernel reuse; drop -reuse-off"))
-	}
 	if o.resume && o.journalPath == "" {
 		die(2, fmt.Errorf("-resume requires -journal"))
 	}
@@ -267,7 +262,6 @@ func main() {
 		die(1, err)
 	}
 	defer runner.Close()
-	runner.ReuseOff = o.reuseOff
 	// Attach after BuildRunner so the golden run stays out of the data.
 	runner.Instrument(reg, tr)
 	if o.listSites {

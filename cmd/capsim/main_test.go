@@ -25,15 +25,15 @@ func TestFlagsDenoteSpec(t *testing.T) {
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"workers":-1}`},
 		{"prototype", []string{"-campaign", "-world", "crash", "-unprotected", "-horizon", "30ms"},
 			`{"campaign":"capsim","universe":{"world":"crash","unprotected":true,"horizon":"30ms"}}`},
-		{"engine", []string{"-campaign", "e8", "-checkpoints", "-checkpoint-tree", "-early-exit", "-hash-stride", "5ms", "-dedup"},
-			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"dedup":true,"checkpoints":true,"checkpoint_tree":true,"early_exit":true,"hash_stride":"5ms"}`},
+		{"engine", []string{"-campaign", "e8", "-early-exit", "-hash-stride", "5ms", "-dedup"},
+			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"dedup":true,"early_exit":true,"hash_stride":"5ms"}`},
 		{"shard", []string{"-campaign", "e8", "-shard", "1/4", "-scenario-timeout", "2s"},
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"shard":"1/4","scenario_timeout":"2s"}`},
 		{"adaptive", []string{"-campaign", "nv", "-adaptive", "-novelty-budget", "100", "-novelty-seed", "7"},
 			`{"campaign":"nv","universe":{"world":"normal","horizon":"80ms"},"adaptive":true,"novelty_budget":100,"novelty_seed":7}`},
 		// The sinks a caller attaches describe no campaign: none of them
 		// reaches the spec.
-		{"sinks", []string{"-campaign", "e8", "-reuse-off", "-journal", "j", "-journal-codec", "binary", "-resume", "-interrupt-after", "3",
+		{"sinks", []string{"-campaign", "e8", "-journal", "j", "-journal-codec", "binary", "-resume", "-interrupt-after", "3",
 			"-metrics", "m", "-trace-events", "t", "-progress", "-log-format", "json"},
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"}}`},
 		// Without -campaign the positional is not a name.
@@ -73,12 +73,12 @@ func TestFlagsDenoteSpec(t *testing.T) {
 // TestParseArgsSinks: the switches that are not campaign description
 // land in the options beside the spec.
 func TestParseArgsSinks(t *testing.T) {
-	o, err := parseArgs([]string{"-campaign", "e8", "-reuse-off", "-journal", "j.bin", "-journal-codec", "binary", "-resume",
+	o, err := parseArgs([]string{"-campaign", "e8", "-journal", "j.bin", "-journal-codec", "binary", "-resume",
 		"-interrupt-after", "3", "-metrics", "m.json", "-trace-events", "t.json", "-progress", "-log-format", "json"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.campaign || !o.reuseOff || o.journalPath != "j.bin" || o.journalCodec != "binary" || !o.resume ||
+	if !o.campaign || o.journalPath != "j.bin" || o.journalCodec != "binary" || !o.resume ||
 		o.interruptAfter != 3 || o.metricsPath != "m.json" || o.tracePath != "t.json" || !o.progress || o.logFormat != "json" {
 		t.Errorf("options = %+v", o)
 	}

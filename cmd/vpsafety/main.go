@@ -31,7 +31,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metrics snapshot (JSON) to this file")
 	tracePath := flag.String("trace-events", "", "write Chrome trace-event JSON to this file")
 	progress := flag.Bool("progress", false, "stream live campaign progress to stderr")
-	checkpoints := flag.Bool("checkpoints", false, "restore golden-run snapshots in the campaign-heavy experiments (E8, X2) instead of re-simulating the fault-free prefix")
 	flag.Parse()
 
 	var reg *obs.Registry
@@ -46,7 +45,6 @@ func main() {
 	if *progress {
 		experiments.CampaignProgress = obs.ProgressLine(os.Stderr)
 	}
-	experiments.CampaignCheckpoints = *checkpoints
 	writeObs := func() {
 		if err := obs.WriteMetricsFile(reg, *metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -8,14 +8,14 @@ import (
 // BenchmarkDaemonRunTurnaround measures the submit-to-done latency of
 // one campaign through the scheduler, allocation-pinned. The warm
 // case rides one cached runner (slot pools, checkpoint node buffers;
-// the one-node checkpoint sessions themselves are built per run) for
+// the tree sessions themselves are built per run) for
 // every iteration; the cold case alternates two prototype
 // configurations through a cache of one, forcing a rebuild — golden
 // run included — on every submission. The gap is the cross-run
 // amortization the daemon exists to provide.
 func BenchmarkDaemonRunTurnaround(b *testing.B) {
 	spec := func(horizon string) string {
-		return fmt.Sprintf(`{"campaign":"bench","universe":{"kind":"caps-single-fault","horizon":%q},"workers":2,"checkpoints":true}`, horizon)
+		return fmt.Sprintf(`{"campaign":"bench","universe":{"kind":"caps-single-fault","horizon":%q},"workers":2}`, horizon)
 	}
 
 	b.Run("warm", func(b *testing.B) {

@@ -60,9 +60,6 @@ func FuzzCampaignSpec(f *testing.F) {
 		if st := spec.stride; st > spec.horizon {
 			t.Fatalf("accepted hash stride %d past horizon %d", st, spec.horizon)
 		}
-		if (spec.CheckpointTree || spec.EarlyExit) && !spec.Checkpoints {
-			t.Fatal("accepted tree/early-exit spec without checkpoints implied")
-		}
 		if spec.HashStride != "" && !spec.EarlyExit {
 			t.Fatal("accepted hash_stride without early_exit")
 		}
@@ -70,7 +67,7 @@ func FuzzCampaignSpec(f *testing.F) {
 			if spec.NoveltyBudget < 1 || spec.NoveltyBudget > MaxNoveltyBudget {
 				t.Fatalf("accepted novelty budget %d outside bounds", spec.NoveltyBudget)
 			}
-			if spec.Dedup || spec.Checkpoints || spec.StopOnFirst || spec.Shard != "" {
+			if spec.Dedup || spec.EarlyExit || spec.StopOnFirst || spec.Shard != "" {
 				t.Fatal("accepted adaptive spec combined with knobs the engine refuses next to a Source")
 			}
 			if spec.Inline() {
@@ -95,7 +92,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		if again.RunnerKey() != spec.RunnerKey() || again.horizon != spec.horizon ||
 			again.shard != spec.shard || again.timeout != spec.timeout ||
-			again.stride != spec.stride || again.CheckpointTree != spec.CheckpointTree ||
+			again.stride != spec.stride || again.Checkpoints != spec.Checkpoints || again.CheckpointTree != spec.CheckpointTree ||
 			again.EarlyExit != spec.EarlyExit || again.Adaptive != spec.Adaptive ||
 			again.NoveltyBudget != spec.NoveltyBudget || again.NoveltySeed != spec.NoveltySeed {
 			t.Fatalf("round trip changed the spec: %s", remarshaled)

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,88 @@ func TestOneSpecToCampaignPath(t *testing.T) {
 	}
 }
 
+// TestNothingSetsTheRetiredCheckpointSwitches: Campaign.Checkpoints and
+// Campaign.CheckpointTree select nothing — the Checkpointer alone does —
+// and Spec's fields of the same names only parse. Outside bench/, which
+// is kept as it was, no non-test file names either field, so no caller
+// can come to believe that setting one forks or that clearing one stops
+// forking.
+func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
+	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true}
+	fset := token.NewFileSet()
+	const root = "../.."
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var name *ast.Ident
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				name = n.Sel
+			case *ast.KeyValueExpr:
+				name, _ = n.Key.(*ast.Ident)
+			}
+			if name != nil && retired[name.Name] {
+				t.Errorf("%s: %s names a retired checkpoint switch", fset.Position(name.Pos()), name.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpecBuildForksFromTheRunner: every fixed-universe spec builds a
+// campaign that forks from the runner's checkpoint tree — the bare spec
+// and the spellings of the retired checkpoint switches alike, which
+// build the very same campaign — and an adaptive one, whose source never
+// forks, builds none.
+func TestSpecBuildForksFromTheRunner(t *testing.T) {
+	u := `"campaign":"p","universe":{"horizon":"30ms","inject":"5ms"},"workers":2`
+	runner, err := mustSpec(t, `{`+u+`}`).BuildRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	build := func(raw string) *stressor.Campaign {
+		t.Helper()
+		c, _, err := mustSpec(t, raw).Build(runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run = nil // a method value, which DeepEqual never finds equal
+		return c
+	}
+	bare := build(`{` + u + `}`)
+	if bare.Checkpointer != stressor.Checkpointer(runner) {
+		t.Fatalf("the bare spec builds Checkpointer %v, want the runner", bare.Checkpointer)
+	}
+	for _, knobs := range []string{`"checkpoints":true`, `"checkpoint_tree":true`, `"checkpoints":false,"checkpoint_tree":false`} {
+		if c := build(`{` + u + `,` + knobs + `}`); !reflect.DeepEqual(c, bare) {
+			t.Errorf("{%s} builds\n  %+v\nthe bare spec\n  %+v", knobs, c, bare)
+		}
+	}
+	if c := build(`{` + u + `,"adaptive":true}`); c.Checkpointer != nil {
+		t.Errorf("an adaptive spec builds Checkpointer %v, want none", c.Checkpointer)
+	}
+}
+
 // docOf renders a finished campaign of spec the way the scheduler
 // stores it, under a fixed run ID.
 func docOf(t *testing.T, spec *Spec, scenarios []fault.Scenario, res *stressor.Result) string {
@@ -104,12 +187,46 @@ func docOf(t *testing.T, spec *Spec, scenarios []fault.Scenario, res *stressor.R
 	return string(data)
 }
 
+// rebuildDoc is docOf for the rebuild oracle: the campaign Spec.Build
+// assembles for raw, run on a runner that rebuilds the prototype for
+// every scenario (ReuseOff, whose ForkTime declines every fork).
+func rebuildDoc(t *testing.T, raw string) string {
+	t.Helper()
+	spec := mustSpec(t, raw)
+	runner, err := spec.BuildRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	runner.ReuseOff = true
+	c, scenarios, err := spec.Build(runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docOf(t, spec, scenarios, res)
+}
+
+// storedDoc is the result document the scheduler stored for run id, as
+// docOf renders it.
+func storedDoc(t *testing.T, sched *Scheduler, id string) string {
+	t.Helper()
+	stored, err := sched.Store().ReadDoc(id, DocResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(strings.Replace(string(stored), `"id":"`+id+`"`, `"id":"r"`, 1))
+}
+
 // TestFrontEndsBuildTheSameCampaign: for every kind of spec, the
 // campaign Spec.Build assembles, executed directly (what capsim does),
 // is the result the Scheduler stores for the same bytes and — where the
 // fabric takes the spec at all — the result of the campaign
 // FabricResolver hands a worker: outcomes, tally and summary text, byte
-// for byte.
+// for byte. For a fixed universe it is also the rebuild oracle's.
 func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 	u := `"universe":{"horizon":"30ms","inject":"5ms"}`
 	inline := strings.Replace(tinySpec, `"campaign":"tiny"`, `"campaign":"p"`, 1)
@@ -121,7 +238,10 @@ func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 	}{
 		{"plain", `{"campaign":"p",` + u + `,"workers":2}`, true},
 		{"dedup", `{"campaign":"p",` + u + `,"dedup":true}`, true},
-		{"tree+ee+stride", `{"campaign":"p",` + u + `,"workers":2,"checkpoint_tree":true,"early_exit":true,"hash_stride":"5ms"}`, true},
+		{"ee+stride", `{"campaign":"p",` + u + `,"workers":2,"early_exit":true,"hash_stride":"5ms"}`, true},
+		{"checkpoints", `{"campaign":"p",` + u + `,"workers":2,"checkpoints":true}`, true},
+		{"checkpoint_tree", `{"campaign":"p",` + u + `,"workers":2,"checkpoint_tree":true}`, true},
+		{"checkpoints off", `{"campaign":"p",` + u + `,"workers":2,"checkpoints":false,"checkpoint_tree":false}`, true},
 		{"shard", `{"campaign":"p",` + u + `,"shard":"1/2"}`, false},
 		{"inline", inline, true},
 		{"adaptive", `{"campaign":"p",` + u + `,"adaptive":true,"novelty_budget":16,"novelty_seed":3,"workers":2}`, false},
@@ -145,14 +265,13 @@ func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 			if spec.Adaptive == (scenarios != nil) || len(res.Outcomes) == 0 {
 				t.Fatalf("adaptive=%v built a list of %d and %d outcomes", spec.Adaptive, len(scenarios), len(res.Outcomes))
 			}
-
-			id := runToCompletion(t, sched, tc.raw)
-			stored, err := sched.Store().ReadDoc(id, DocResult)
-			if err != nil {
-				t.Fatal(err)
+			if !spec.Adaptive {
+				if oracle := rebuildDoc(t, tc.raw); oracle != want {
+					t.Errorf("the rebuild oracle yields\n  %s\nbuilt and executed directly\n  %s", oracle, want)
+				}
 			}
-			got := strings.TrimSpace(strings.Replace(string(stored), `"id":"`+id+`"`, `"id":"r"`, 1))
-			if got != want {
+
+			if got := storedDoc(t, sched, runToCompletion(t, sched, tc.raw)); got != want {
 				t.Errorf("the scheduler stored\n  %s\nbuilt and executed directly\n  %s", got, want)
 			}
 

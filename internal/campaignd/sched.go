@@ -325,16 +325,21 @@ func (s *Scheduler) publish(e Event) {
 	}
 }
 
-// finish publishes the final event of a run the store has just recorded
-// as done or failed, then releases the run's hub: every subscriber has
-// been handed the event, and from here on the store answers for the run
-// (handleEvents synthesizes the same event from it). An interrupted run
-// is published, not finished — it is still queued on disk.
+// finish releases the hub of a run the store has just recorded as done
+// or failed, then publishes the final event through it: every subscriber
+// is handed the event, and whoever has seen it finds no hub — the store
+// answers for the run from here on (handleEvents synthesizes the same
+// event from it). An interrupted run is published, not finished — it is
+// still queued on disk.
 func (s *Scheduler) finish(e Event) {
-	s.publish(e)
 	s.mu.Lock()
+	h := s.hubs[e.Run]
 	delete(s.hubs, e.Run)
 	s.mu.Unlock()
+	s.setLive(e.Run, nil, nil)
+	if h != nil {
+		h.publish(e)
+	}
 }
 
 // execute runs one campaign end to end: warm runner lookup, scenario
@@ -357,6 +362,9 @@ func (s *Scheduler) execute(id string) {
 	fail := func(err error) {
 		msg := err.Error()
 		e := Event{Type: "state", Run: id, State: StateFailed, Error: msg, Final: true}
+		s.agg.Counter("campaignd.runs", obs.L("state", StateFailed)).Inc()
+		s.flight.Record("run.failed", id, msg)
+		s.logError("run failed", "run", id, "err", msg)
 		if werr := s.store.WriteRunError(id, msg); werr != nil {
 			// Unrecorded, the run is still queued on disk: its hub stays.
 			s.logError("recording failure", "run", id, "err", werr)
@@ -364,9 +372,6 @@ func (s *Scheduler) execute(id string) {
 		} else {
 			s.finish(e)
 		}
-		s.agg.Counter("campaignd.runs", obs.L("state", StateFailed)).Inc()
-		s.flight.Record("run.failed", id, msg)
-		s.logError("run failed", "run", id, "err", msg)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -442,11 +447,8 @@ func (s *Scheduler) execute(id string) {
 		return
 	}
 
-	sum := spec.Summary(len(scenarios), res)
-	if err := s.store.WriteResult(id, BuildResultDoc(id, sum.Scenarios, res, sum)); err != nil {
-		fail(err)
-		return
-	}
+	// The metrics and trace go first: result.json makes the run done, and
+	// whoever sees it done may ask for them next.
 	persist := func(doc string, encode func(io.Writer) error) {
 		var buf bytes.Buffer
 		if err := encode(&buf); err == nil {
@@ -459,10 +461,15 @@ func (s *Scheduler) execute(id string) {
 	if c.Trace != nil {
 		persist(DocTrace, c.Trace.WriteJSON)
 	}
-	s.finish(Event{Type: "state", Run: id, State: StateDone, Final: true})
+	sum := spec.Summary(len(scenarios), res)
+	if err := s.store.WriteResult(id, BuildResultDoc(id, sum.Scenarios, res, sum)); err != nil {
+		fail(err)
+		return
+	}
 	s.agg.Counter("campaignd.runs", obs.L("state", StateDone)).Inc()
 	s.flight.Recordf("run.done", id, "%s", res.Tally)
 	s.logInfo("run done", "run", id, "tally", res.Tally.String())
+	s.finish(Event{Type: "state", Run: id, State: StateDone, Final: true})
 }
 
 // MergeRuns reassembles the shard journals of the given completed

@@ -161,53 +161,59 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 	refSched.Stop()
 
 	// Craft an interrupted store: same spec, journal truncated to the
-	// header plus the first 5 outcomes.
-	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := store.NewRun([]byte(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// header plus the first 5 outcomes. The stored spec may also spell
+	// the retired checkpoint switches, which change nothing.
 	lines := strings.SplitAfter(string(refJournal), "\n")
 	if len(lines) < 7 {
 		t.Fatalf("reference journal too short: %d lines", len(lines))
 	}
-	if err := os.WriteFile(store.JournalPath(id), []byte(strings.Join(lines[:6], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	legacy := strings.Replace(raw, `"campaign":"crafted"`, `"campaign":"crafted","checkpoints":true,"checkpoint_tree":true`, 1)
+	for name, stored := range map[string]string{"bare": raw, "checkpoint fields": legacy} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := store.NewRun([]byte(stored))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(store.JournalPath(id), []byte(strings.Join(lines[:6], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	sched, err := NewScheduler(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.Start()
-	defer sched.Stop()
-	waitFinal(t, sched, id, StateDone)
-	gotBytes, err := sched.Store().ReadDoc(id, DocResult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotBytes) != string(refBytes) {
-		t.Errorf("crafted-resume result differs from reference:\n--- resumed ---\n%s\n--- reference ---\n%s", gotBytes, refBytes)
-	}
+			sched, err := NewScheduler(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched.Start()
+			defer sched.Stop()
+			waitFinal(t, sched, id, StateDone)
+			gotBytes, err := sched.Store().ReadDoc(id, DocResult)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotBytes) != string(refBytes) {
+				t.Errorf("crafted-resume result differs from reference:\n--- resumed ---\n%s\n--- reference ---\n%s", gotBytes, refBytes)
+			}
 
-	// The metrics prove the replayed outcomes were skipped: only the
-	// remaining 19 scenarios executed.
-	mdata, err := sched.Store().ReadDoc(id, DocMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.Unmarshal(mdata, &m); err != nil {
-		t.Fatalf("metrics document: %v", err)
-	}
-	if got := m.Counters["campaign.resumed_skips{campaign=crafted}"]; got != 5 {
-		t.Errorf("resume skipped %d scenarios, want 5 (the journaled prefix)", got)
+			// The metrics prove the replayed outcomes were skipped: only the
+			// remaining 19 scenarios executed.
+			mdata, err := sched.Store().ReadDoc(id, DocMetrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m struct {
+				Counters map[string]uint64 `json:"counters"`
+			}
+			if err := json.Unmarshal(mdata, &m); err != nil {
+				t.Fatalf("metrics document: %v", err)
+			}
+			if got := m.Counters["campaign.resumed_skips{campaign=crafted}"]; got != 5 {
+				t.Errorf("resume skipped %d scenarios, want 5 (the journaled prefix)", got)
+			}
+		})
 	}
 }
 
@@ -224,7 +230,7 @@ func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 	sched.Start()
 	defer sched.Stop()
 
-	raw := `{"campaign":"warm","universe":{"kind":"caps-single-fault","horizon":"30ms"},"workers":2,"checkpoints":true}`
+	raw := `{"campaign":"warm","universe":{"kind":"caps-single-fault","horizon":"30ms"},"workers":2}`
 	first := runToCompletion(t, sched, raw)
 	second := runToCompletion(t, sched, raw)
 
@@ -251,9 +257,10 @@ func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 }
 
 // TestSchedulerTreeEarlyExitResultIdentical is the daemon surface of
-// the engine's byte-identity promise: a checkpoint-tree + early-exit
-// spec must produce the identical result document (modulo run ID) to
-// the plain spec of the same campaign.
+// the engine's byte-identity promise: the tree and the tree with early
+// exit each store the result document (modulo run ID) of the rebuild
+// oracle — the same campaign rebuilding the prototype for every
+// scenario.
 func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 	sched, err := NewScheduler(Config{DataDir: t.TempDir()})
 	if err != nil {
@@ -263,21 +270,11 @@ func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 	defer sched.Stop()
 
 	base := `"campaign":"tree","universe":{"kind":"caps-single-fault","horizon":"30ms","inject":"5ms"}`
-	plain := runToCompletion(t, sched, `{`+base+`}`)
-	tree := runToCompletion(t, sched, `{`+base+`,"checkpoint_tree":true,"early_exit":true,"hash_stride":"5ms"}`)
-
-	b1, err := sched.Store().ReadDoc(plain, DocResult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := sched.Store().ReadDoc(tree, DocResult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := strings.ReplaceAll(string(b1), `"id":"`+plain+`"`, `"id":"r"`)
-	s2 := strings.ReplaceAll(string(b2), `"id":"`+tree+`"`, `"id":"r"`)
-	if s1 != s2 {
-		t.Errorf("tree+early-exit run produced a different result document\nplain: %s\ntree:  %s", s1, s2)
+	want := rebuildDoc(t, `{`+base+`}`)
+	for _, raw := range []string{`{` + base + `}`, `{` + base + `,"early_exit":true,"hash_stride":"5ms"}`} {
+		if got := storedDoc(t, sched, runToCompletion(t, sched, raw)); got != want {
+			t.Errorf("%s stored a result the rebuild oracle does not produce\ngot:  %s\nwant: %s", raw, got, want)
+		}
 	}
 }
 
@@ -394,7 +391,8 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 // an HTTP 400 naming the knob at submit time — before a run is queued,
 // never a silent no-op — and it is the set stressor.Campaign refuses
 // next to a Source, plus an explicit dedup. What the shared run shell
-// serves (scenario_timeout, trace, workers) is accepted.
+// serves (scenario_timeout, trace, workers) is accepted, and so are the
+// checkpoint switches, which no longer select anything.
 func TestSpecAdaptiveRefusals(t *testing.T) {
 	sched, srv := newTestDaemon(t)
 	post := func(knobs string) (int, string) {
@@ -408,13 +406,11 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 	for knob, knobs := range map[string]string{
-		"shard":           `"shard":"0/2"`,
-		"checkpoints":     `"checkpoints":true`,
-		"checkpoint_tree": `"checkpoint_tree":true`,
-		"early_exit":      `"early_exit":true`,
-		"hash_stride":     `"early_exit":true,"hash_stride":"5ms"`,
-		"stop_on_first":   `"stop_on_first":true`,
-		"dedup":           `"dedup":true`,
+		"shard":         `"shard":"0/2"`,
+		"early_exit":    `"early_exit":true`,
+		"hash_stride":   `"early_exit":true,"hash_stride":"5ms"`,
+		"stop_on_first": `"stop_on_first":true`,
+		"dedup":         `"dedup":true`,
 	} {
 		code, body := post(knobs)
 		if code != http.StatusBadRequest || !strings.Contains(body, knob+" cannot be combined with adaptive") {
@@ -424,7 +420,8 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 	if ids, err := sched.Store().List(); err != nil || len(ids) != 0 {
 		t.Fatalf("refused submissions left runs behind: %v (err %v)", ids, err)
 	}
-	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2`); code != http.StatusAccepted {
-		t.Errorf("scenario_timeout+trace+workers: POST = %d %s, want 202", code, body)
+	// The retired checkpoint switches are inert, so no reason to refuse.
+	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2,"checkpoints":true,"checkpoint_tree":true`); code != http.StatusAccepted {
+		t.Errorf("scenario_timeout+trace+workers+checkpoint switches: POST = %d %s, want 202", code, body)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // genInline builds an inline-universe spec of n scenarios; at a 10s
 // horizon each scenario costs a few milliseconds of wall clock, which
 // is how the lifecycle tests dilate campaigns enough to observe them
-// mid-flight.
+// mid-flight. The faults are transient, so no two scenarios share a
+// fork window's run: each simulates to the horizon.
 func genInline(campaign string, n int, horizon string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `{"campaign":%q,"universe":{"kind":"inline","horizon":%q,"scenarios":[`, campaign, horizon)
@@ -26,7 +27,7 @@ func genInline(campaign string, n int, horizon string) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, `{"id":"s%04d","faults":"open @caps.accel0.harness from %dus"}`, i, 100+i)
+		fmt.Fprintf(&sb, `{"id":"s%04d","faults":"open @caps.accel0.harness from %dus for 50us"}`, i, 100+i)
 	}
 	sb.WriteString(`]}}`)
 	return sb.String()

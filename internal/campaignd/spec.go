@@ -78,19 +78,13 @@ type Spec struct {
 	// Dedup collapses scenarios with identical fault content
 	// (capsim -dedup).
 	Dedup bool `json:"dedup,omitempty"`
-	// Checkpoints forks scenarios off golden-run snapshots
-	// (capsim -checkpoints): each worker session keeps one rolling
-	// snapshot. Sessions live for one run; what the daemon keeps warm
-	// across runs is the runner — slot pools, snapshot buffers, golden
-	// trajectories.
-	Checkpoints bool `json:"checkpoints,omitempty"`
-	// CheckpointTree raises the session's snapshot budget from one to a
-	// tree of golden-prefix snapshots and forks each scenario from the
-	// deepest shared one (capsim -checkpoint-tree). Implies checkpoints.
+	// Checkpoints and CheckpointTree still parse, so stored specs and
+	// older clients stay valid, but change nothing: every fixed-universe
+	// campaign forks its scenarios off a tree of golden-prefix snapshots.
+	Checkpoints    bool `json:"checkpoints,omitempty"`
 	CheckpointTree bool `json:"checkpoint_tree,omitempty"`
 	// EarlyExit terminates a run the moment its state hash re-converges
-	// with the golden trajectory (capsim -early-exit). Implies
-	// checkpoints.
+	// with the golden trajectory (capsim -early-exit).
 	EarlyExit bool `json:"early_exit,omitempty"`
 	// HashStride is the golden-trajectory hashing interval for
 	// EarlyExit, e.g. "5ms" (capsim -hash-stride; default horizon/16).
@@ -111,10 +105,10 @@ type Spec struct {
 	// instead of the fixed universe (capsim -adaptive). The universe
 	// kind must generate fault descriptors (KindCAPSSingleFault). It
 	// runs through the same engine as a fixed universe, so workers,
-	// scenario_timeout and trace apply; shard, checkpoints,
-	// checkpoint_tree, early_exit, hash_stride and stop_on_first do not
-	// compose with the feedback loop and are rejected, as is an explicit
-	// dedup (adaptive always prunes equivalent proposals).
+	// scenario_timeout and trace apply; shard, early_exit, hash_stride and
+	// stop_on_first do not compose with the feedback loop and are
+	// rejected, as is an explicit dedup (adaptive always prunes equivalent
+	// proposals).
 	Adaptive bool `json:"adaptive,omitempty"`
 	// NoveltyBudget is the adaptive simulated-run budget
 	// (capsim -novelty-budget; default 64).
@@ -289,11 +283,6 @@ func (s *Spec) Validate() error {
 		}
 		s.shard = sh
 	}
-	if s.CheckpointTree || s.EarlyExit {
-		// Tree and early-exit modes build on checkpoint sessions, the
-		// same way capsim's flags imply -checkpoints.
-		s.Checkpoints = true
-	}
 	if s.HashStride != "" {
 		if !s.EarlyExit {
 			return fmt.Errorf("campaignd: hash_stride set without early_exit")
@@ -317,8 +306,7 @@ func (s *Spec) Validate() error {
 			on   bool
 		}{
 			{"shard", s.Shard != ""}, {"hash_stride", s.HashStride != ""},
-			{"early_exit", s.EarlyExit}, {"checkpoint_tree", s.CheckpointTree},
-			{"checkpoints", s.Checkpoints}, {"stop_on_first", s.StopOnFirst},
+			{"early_exit", s.EarlyExit}, {"stop_on_first", s.StopOnFirst},
 			{"dedup", s.Dedup},
 		}
 		for _, f := range refused {
@@ -395,20 +383,15 @@ func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, erro
 		Name: s.Campaign, Run: r.RunFunc(), Workers: s.Workers,
 		Dedup: s.Dedup, StopOnFirst: s.StopOnFirst, Shard: s.shard,
 		ScenarioTimeout: s.timeout,
-	}
-	if s.Checkpoints {
-		c.Checkpoints = true
-		c.Checkpointer = r
-		c.CheckpointTree = s.CheckpointTree
-		c.EarlyExit = s.EarlyExit
-		c.HashStride = s.stride
+		Checkpointer:    r, EarlyExit: s.EarlyExit, HashStride: s.stride,
 	}
 	if s.Adaptive {
 		// The Novelty strategy over the spec's fault universe replaces the
 		// list, on the signed RunFunc so outcome signatures reflect real
 		// prototype state; a resumed run replays its journal into the same
-		// seeded strategy.
-		c.Run, c.Dedup = r.SignedRunFunc(), true
+		// seeded strategy. A source never forks: sessions return unsigned
+		// outcomes.
+		c.Run, c.Dedup, c.Checkpointer = r.SignedRunFunc(), true, nil
 		c.Source = NewNovelty(r.Universe(s.inject), s.NoveltyBudget, s.NoveltySeed, s.horizon)
 		c.MaxRuns, c.Fingerprint = s.NoveltyBudget, stressor.UniverseHash(scenarios)
 		scenarios = nil

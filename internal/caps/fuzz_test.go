@@ -9,7 +9,7 @@ import (
 
 // FuzzScenarioEquivalence asserts, for generated scenarios of one to
 // three faults on the CAPS prototype, that every engine shortcut —
-// slot reuse, the one-node and full checkpoint trees, fork windows,
+// slot reuse, the checkpoint tree and small-budget tree sessions, fork windows,
 // convergence early-exit with its spliced observation, shard merge,
 // resume — classifies exactly as the naive rebuild path does (see
 // stressortest.Equivalence.CheckScenario).

@@ -41,8 +41,7 @@ func TestTreeEarlyExitMatchesPlain(t *testing.T) {
 	reg := obs.NewRegistry()
 	tree, err := (&stressor.Campaign{
 		Name: "caps-tree", Run: runner.RunFunc(),
-		Checkpoints: true, Checkpointer: runner,
-		CheckpointTree: true, EarlyExit: true,
+		Checkpointer: runner, EarlyExit: true,
 		Metrics: reg,
 	}).Execute(scenarios)
 	if err != nil {

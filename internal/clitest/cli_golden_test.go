@@ -1,6 +1,7 @@
 package clitest
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,15 +44,13 @@ func TestCapsimCampaignGolden(t *testing.T) {
 }
 
 // TestCapsimCampaignModesIdentical pins the engine's core promise at
-// the CLI surface: checkpointed, checkpoint-tree, early-exit and
-// journaled executions of the same campaign print the same bytes
-// (against the same golden) as the plain run.
+// the CLI surface: early-exit and journaled executions of the same
+// campaign print the same bytes (against the same golden) as the run
+// without them.
 func TestCapsimCampaignModesIdentical(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "run.jsonl")
 	for _, extra := range [][]string{
-		{"-checkpoints"},
-		{"-checkpoint-tree"},
-		{"-checkpoint-tree", "-early-exit"},
+		{"-early-exit"},
 		{"-early-exit", "-hash-stride", "5ms"},
 		{"-journal", jpath},
 	} {
@@ -60,6 +59,30 @@ func TestCapsimCampaignModesIdentical(t *testing.T) {
 			t.Fatalf("capsim %v: exit %d, stderr:\n%s", extra, r.Code, r.Stderr)
 		}
 		Golden(t, goldenCampaign, r.Stdout)
+	}
+}
+
+// TestCapsimForksWithoutAFlag: a campaign needs no flag to fork from the
+// checkpoint tree: its metrics count the golden prefixes its sessions
+// extended or simulated from time zero.
+func TestCapsimForksWithoutAFlag(t *testing.T) {
+	mpath := filepath.Join(t.TempDir(), "m.json")
+	r := Run(t, nil, Binary(t, "capsim"), "-campaign", "e8", "-metrics", mpath)
+	if r.Code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", r.Code, r.Stderr)
+	}
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Counters["campaign.tree_extends{campaign=e8}"] + m.Counters["campaign.tree_rebuilds{campaign=e8}"]; n == 0 {
+		t.Errorf("capsim -campaign e8 established no golden prefix: %v", m.Counters)
 	}
 }
 
@@ -179,12 +202,10 @@ func TestCapsimAdaptiveGolden(t *testing.T) {
 func TestCapsimAdaptiveRefusals(t *testing.T) {
 	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
 	for knob, args := range map[string][]string{
-		"shard":           {"-shard", "0/2"},
-		"checkpoints":     {"-checkpoints"},
-		"checkpoint_tree": {"-checkpoint-tree"},
-		"early_exit":      {"-early-exit"},
-		"hash_stride":     {"-early-exit", "-hash-stride", "5ms"},
-		"dedup":           {"-dedup"},
+		"shard":       {"-shard", "0/2"},
+		"early_exit":  {"-early-exit"},
+		"hash_stride": {"-early-exit", "-hash-stride", "5ms"},
+		"dedup":       {"-dedup"},
 	} {
 		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), args...)...)
 		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, knob+" cannot be combined with adaptive") {

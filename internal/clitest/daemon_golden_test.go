@@ -1,11 +1,14 @@
 package clitest
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/campaignd"
 )
 
 // e2eSpec mirrors capsimCampaignArgs knob for knob; the daemon must
@@ -122,9 +125,9 @@ func TestDaemonAdaptiveMatchesCapsimGolden(t *testing.T) {
 // inside one idle window of the CAPS golden run (a frame completes 148 µs
 // into the fusion cycle at 5 ms; the bus is then quiet until 6 ms), on the
 // activity instant that ends it, and inside the next window.
-func forkWindowSpec(workers int, tree bool) string {
+func forkWindowSpec(workers int) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, `{"campaign":"windows","workers":%d,"checkpoint_tree":%v,"universe":{"kind":"inline","horizon":"30ms","scenarios":[`, workers, tree)
+	fmt.Fprintf(&sb, `{"campaign":"windows","workers":%d,"universe":{"kind":"inline","horizon":"30ms","scenarios":[`, workers)
 	n := 0
 	for _, f := range []string{
 		"open @caps.accel0.harness", "value-offset @caps.accel1.harness param 0.5",
@@ -142,16 +145,48 @@ func forkWindowSpec(workers int, tree bool) string {
 	return sb.String()
 }
 
+// rebuildResultDoc is the result document of the rebuild oracle for the
+// spec raw, under run ID "run": the campaign Spec.Build assembles, run in
+// this process on a runner that rebuilds the prototype for every scenario
+// (ReuseOff, whose ForkTime declines every fork).
+func rebuildResultDoc(t *testing.T, raw string) string {
+	t.Helper()
+	spec, err := campaignd.ParseSpec([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := spec.BuildRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	runner.ReuseOff = true
+	c, scenarios, err := spec.Build(runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := spec.Summary(len(scenarios), res)
+	data, err := json.Marshal(campaignd.BuildResultDoc("run", sum.Scenarios, res, sum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 // TestDaemonForkWindowsMatchPlainResult: scenarios answered from a tree
 // session's window memo leave no mark on the result document. The spec
-// run through the checkpoint tree — on one worker, whose session answers
-// two of every three in-window instants, and on two — yields the bytes
-// the same spec yields with no checkpoints at all.
+// run through the daemon — on one worker, whose session answers two of
+// every three in-window instants, and on two — yields the bytes of the
+// rebuild oracle, which simulates every scenario from time zero.
 func TestDaemonForkWindowsMatchPlainResult(t *testing.T) {
 	d := StartDaemon(t, t.TempDir())
-	result := func(run int, spec string) string {
-		t.Helper()
-		id := fmt.Sprintf("r%06d", run)
+	for run, workers := range []int{1, 2} {
+		id := fmt.Sprintf("r%06d", run+1)
+		spec := forkWindowSpec(workers)
 		if status, body := Post(t, d.URL+"/runs", spec); status != http.StatusAccepted {
 			t.Fatalf("POST /runs = %d; body: %s", status, body)
 		}
@@ -161,24 +196,19 @@ func TestDaemonForkWindowsMatchPlainResult(t *testing.T) {
 			t.Fatalf("GET result of %s = %d", id, status)
 		}
 		// The run id is the one field that tells two runs of a daemon apart.
-		return strings.Replace(doc, `"id":"`+id+`"`, `"id":"run"`, 1)
-	}
-	run := 0
-	for _, workers := range []int{1, 2} {
-		// The document echoes workers=, so each count has its own plain run.
-		run += 2
-		want, got := result(run-1, forkWindowSpec(workers, false)), result(run, forkWindowSpec(workers, true))
+		got := strings.TrimSpace(strings.Replace(doc, `"id":"`+id+`"`, `"id":"run"`, 1))
+		want := rebuildResultDoc(t, spec)
 		if !strings.Contains(want, `"scenarios":25`) {
-			t.Fatalf("the plain run's result does not hold the 25 scenarios: %s", want)
+			t.Fatalf("the rebuild oracle's result does not hold the 25 scenarios: %s", want)
 		}
 		if got != want {
-			t.Errorf("workers=%d checkpoint_tree result differs from the run without checkpoints\ngot:  %s\nwant: %s", workers, got, want)
+			t.Errorf("workers=%d: the daemon's result differs from the rebuild oracle's\ngot:  %s\nwant: %s", workers, got, want)
 		}
 	}
-	// The memo did answer — the one-worker tree run's metrics say so, its
+	// The memo did answer — the one-worker run's metrics say so, its
 	// result cannot: two of the three in-window instants of each fault.
-	_, metrics := Get(t, d.URL+"/runs/r000002/metrics")
+	_, metrics := Get(t, d.URL+"/runs/r000001/metrics")
 	if hits := `"campaign.fork_window_hits{campaign=windows}": 10`; !strings.Contains(metrics, hits) {
-		t.Errorf("/runs/r000002/metrics does not hold %s: %s", hits, metrics)
+		t.Errorf("/runs/r000001/metrics does not hold %s: %s", hits, metrics)
 	}
 }

@@ -14,7 +14,9 @@ import (
 )
 
 // bigSpec builds an inline-universe spec large enough (~2-3s of wall
-// clock) that a SIGTERM reliably lands mid-campaign.
+// clock) that a SIGTERM reliably lands mid-campaign. The faults are
+// transient, so no two scenarios share a fork window's run: each
+// simulates to the horizon.
 func bigSpec(n int) string {
 	var sb strings.Builder
 	sb.WriteString(`{"campaign":"big","universe":{"kind":"inline","horizon":"10s","scenarios":[`)
@@ -22,7 +24,7 @@ func bigSpec(n int) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, `{"id":"s%04d","faults":"open @caps.accel0.harness from %dus"}`, i, 100+i)
+		fmt.Fprintf(&sb, `{"id":"s%04d","faults":"open @caps.accel0.harness from %dus for 50us"}`, i, 100+i)
 	}
 	sb.WriteString(`]}}`)
 	return sb.String()

@@ -174,7 +174,7 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 		scs := seuSweep(r)
 		c := &stressor.Campaign{
 			Name: "pages", Run: r.RunFunc(), Metrics: reg,
-			Checkpoints: true, Checkpointer: r, CheckpointTree: true, EarlyExit: true,
+			Checkpointer: r, EarlyExit: true,
 		}
 		if _, err := c.Execute(scs); err != nil {
 			t.Fatal(err)

@@ -113,6 +113,7 @@ func TestRunnerDeterminismMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu",
 		Scenarios: scs,
+		Horizon:   DefaultRunnerConfig().Horizon,
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
@@ -142,6 +143,7 @@ func TestRunnerCheckpointMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu-cp",
 		Scenarios: scs,
+		Horizon:   DefaultRunnerConfig().Horizon,
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
@@ -235,7 +237,7 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 		scs := fault.Singles(append(r.Universe(0), r.Universe(sim.US(2))...))
 		res, err := (&stressor.Campaign{
 			Name: "ecu-instrumented", Run: r.RunFunc(), Workers: 2,
-			Checkpoints: true, Checkpointer: r, CheckpointTree: true, EarlyExit: true,
+			Checkpointer: r, EarlyExit: true,
 		}).Execute(scs)
 		if err != nil {
 			t.Fatal(err)

@@ -24,13 +24,6 @@ import (
 // only trades wall-clock time.
 var CampaignWorkers = stressor.WorkersAuto
 
-// CampaignCheckpoints switches the campaign-heavy experiments (E8,
-// X2) to golden-run checkpointing: each worker snapshots the fault-
-// free prefix once per injection instant and restores it instead of
-// re-simulating. Results are byte-identical either way; the knob only
-// trades wall-clock time (see BenchmarkCampaignCheckpointed).
-var CampaignCheckpoints = false
-
 // Metrics and Trace are the harness-wide observability sinks. Both
 // are nil by default (experiments run uninstrumented); the vpsafety
 // CLI attaches them via Instrument. All obs types are nil-safe, so

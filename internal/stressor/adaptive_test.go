@@ -526,13 +526,10 @@ func TestCampaignCallbacksAreSerial(t *testing.T) {
 func TestCampaignSourceRefusals(t *testing.T) {
 	cp := forkSorter{}
 	for name, set := range map[string]func(*Campaign){
-		"Shard":          func(c *Campaign) { c.Shard = Shard{Index: 0, Count: 2} },
-		"Checkpoints":    func(c *Campaign) { c.Checkpoints, c.Checkpointer = true, cp },
-		"CheckpointTree": func(c *Campaign) { c.Checkpoints, c.Checkpointer, c.CheckpointTree = true, cp, true },
-		"EarlyExit":      func(c *Campaign) { c.Checkpoints, c.Checkpointer, c.EarlyExit = true, cp, true },
-		"HashStride": func(c *Campaign) {
-			c.Checkpoints, c.Checkpointer, c.EarlyExit, c.HashStride = true, cp, true, sim.MS(1)
-		},
+		"Shard":         func(c *Campaign) { c.Shard = Shard{Index: 0, Count: 2} },
+		"Checkpointer":  func(c *Campaign) { c.Checkpointer = cp },
+		"EarlyExit":     func(c *Campaign) { c.Checkpointer, c.EarlyExit = cp, true },
+		"HashStride":    func(c *Campaign) { c.Checkpointer, c.EarlyExit, c.HashStride = cp, true, sim.MS(1) },
 		"StopOnFirst":   func(c *Campaign) { c.StopOnFirst = true },
 		"scenario list": nil,
 	} {

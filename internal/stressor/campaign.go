@@ -61,9 +61,9 @@ type Campaign struct {
 	// outcome carries a non-zero signature, Result.Adaptive holds the
 	// proposal census, and journals are keyed by proposal sequence number
 	// (create them from JournalHeader). A Source does not compose with
-	// Shard (its universe only exists as the campaign unfolds), with
-	// Checkpoints/CheckpointTree/EarlyExit/HashStride (sessions return
-	// unsigned outcomes) or with StopOnFirst; Execute refuses those.
+	// Shard (its universe only exists as the campaign unfolds), with a
+	// Checkpointer (sessions return unsigned outcomes) or with
+	// StopOnFirst; Execute refuses those.
 	Source ScenarioSource
 	// MaxRuns budgets a Source's simulated runs (proposals Dedup answers
 	// are free); 0 runs until the source exhausts — only safe with a
@@ -97,34 +97,26 @@ type Campaign struct {
 	// matches an already-delivered run is answered from a memo of
 	// delivered outcomes — no simulation, no budget, no journal entry.
 	Dedup bool
-	// Checkpoints enables golden-run checkpointing: each worker's
-	// scenario stream is sorted by injection time (unless StopOnFirst
-	// demands index order), the golden prefix is simulated once per
-	// worker tree session, snapshotted at each distinct injection
-	// instant, and restored instead of rebuilt for every scenario at
-	// that instant. On its own the session retains one node — a rolling
-	// checkpoint that extends with the sorted stream. Scenarios the
-	// Checkpointer declines (ForkTime ok=false) transparently fall back
-	// to the plain RunFunc. Results are byte-identical to a
-	// non-checkpointed Execute.
-	Checkpoints bool
-	// Checkpointer supplies golden-run sessions; required when
-	// Checkpoints is set. The CAPS and ECU runners implement it.
+	// Checkpointer, when non-nil, forks scenarios off the golden run:
+	// the scenario stream is sorted by fork time (unless StopOnFirst
+	// demands index order) and grouped by fault content so scenario
+	// families dispatch back to back, and each worker's tree session
+	// retains a budget of golden-prefix snapshots and establishes every
+	// scenario from the deepest one at or before its fork instead of
+	// re-simulating the prefix. Scenarios the Checkpointer declines
+	// (ForkTime ok=false) fall back to the plain RunFunc. Results are
+	// byte-identical to an Execute without one. The CAPS and ECU runners
+	// implement it.
 	Checkpointer Checkpointer
-	// CheckpointTree raises the session's node budget from one to the
-	// TreeConfig default: each worker session retains an LRU-budgeted
-	// set of golden-prefix snapshots and establishes every scenario
-	// from the deepest retained node at or before its fork, and the
-	// dispatch stream is further grouped by (injection target, fault
-	// class) so scenario families share prefixes. Requires Checkpoints.
-	// Results are byte-identical to a one-node Execute.
-	CheckpointTree bool
+	// Deprecated: Checkpoints and CheckpointTree are never read; the
+	// Checkpointer alone decides whether a campaign forks.
+	Checkpoints, CheckpointTree bool
 	// EarlyExit enables convergence early-exit inside the sessions:
 	// the golden trajectory is hashed at HashStride intervals, and an
 	// injected run whose state digest returns to the golden trajectory
 	// (after its last scheduled fault action) terminates immediately
 	// with the golden-equal classification instead of simulating to
-	// the horizon. Requires Checkpoints; classifications are
+	// the horizon. Requires a Checkpointer; classifications are
 	// byte-identical to full-horizon runs.
 	EarlyExit bool
 	// HashStride is the EarlyExit trajectory hashing interval; zero
@@ -453,10 +445,8 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 	switch {
 	case c.Run == nil:
 		return fmt.Errorf("no RunFunc")
-	case c.Checkpoints && c.Checkpointer == nil:
-		return fmt.Errorf("Checkpoints set without a Checkpointer")
-	case (c.CheckpointTree || c.EarlyExit) && !c.Checkpoints:
-		return fmt.Errorf("CheckpointTree/EarlyExit require Checkpoints")
+	case c.EarlyExit && c.Checkpointer == nil:
+		return fmt.Errorf("EarlyExit requires a Checkpointer")
 	case c.HashStride > 0 && !c.EarlyExit:
 		return fmt.Errorf("HashStride set without EarlyExit")
 	case c.Source == nil:
@@ -467,8 +457,8 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 		return fmt.Errorf("negative MaxRuns %d", c.MaxRuns)
 	case c.Shard.Enabled():
 		return fmt.Errorf("a Source does not shard: its universe only exists as the campaign unfolds")
-	case c.Checkpoints: // which CheckpointTree, EarlyExit and HashStride all need
-		return fmt.Errorf("a Source does not compose with Checkpoints: sessions return unsigned outcomes")
+	case c.Checkpointer != nil: // which EarlyExit and HashStride both need
+		return fmt.Errorf("a Source does not compose with a Checkpointer: sessions return unsigned outcomes")
 	case c.StopOnFirst:
 		return fmt.Errorf("a Source does not compose with StopOnFirst")
 	}
@@ -773,7 +763,7 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 		}
 		e.answered[byJournal]++
 	}
-	if !c.Checkpoints || c.StopOnFirst {
+	if c.Checkpointer == nil || c.StopOnFirst {
 		// Index order: under StopOnFirst the campaign must execute exactly
 		// the prefix the sequential loop would.
 		return l
@@ -786,14 +776,14 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	// establishes a golden prefix once per distinct instant and extends
 	// it monotonically — a claimed span is a run of neighbouring forks.
 	// Results stay byte-identical because outcomes, journal entries and
-	// Merge are all keyed by scenario index, not dispatch order. Under
-	// CheckpointTree the stream is further grouped by the first fault's
-	// content — target and class first — so scenario families dispatch
-	// back to back and fork from the same retained node while it is
-	// hottest in the LRU, and the members of one family that differ in
-	// Start alone (a fork window's instants, see TreeCore.Window) stay
-	// adjacent: a claimed span then splits at most one such family between
-	// two workers' private memos.
+	// Merge are all keyed by scenario index, not dispatch order. Within
+	// one fork the stream is grouped by the first fault's content —
+	// target and class first — so scenario families dispatch back to back
+	// and fork from the same retained node while it is hottest in the
+	// LRU, and the members of one family that differ in Start alone (a
+	// fork window's instants, see TreeCore.Window) stay adjacent: a
+	// claimed span then splits at most one such family between two
+	// workers' private memos.
 	// The order is total — index breaks every tie — so it needs no stable
 	// sort.
 	var none fault.Descriptor
@@ -807,10 +797,8 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 		if o := cmp.Compare(forks[ui], forks[uj]); o != 0 {
 			return o
 		}
-		if c.CheckpointTree {
-			if o := compareContent(first(ui), first(uj)); o != 0 {
-				return o
-			}
+		if o := compareContent(first(ui), first(uj)); o != 0 {
+			return o
 		}
 		return cmp.Compare(ui, uj)
 	})

@@ -9,7 +9,7 @@ import (
 
 // Checkpointer is what a prototype runner implements to let campaigns
 // fork scenarios off a golden-run checkpoint instead of re-simulating
-// the fault-free prefix (Campaign.Checkpoints). The contract mirrors
+// the fault-free prefix (Campaign.Checkpointer). The contract mirrors
 // the paper's error-effect-simulation structure: scenarios differ only
 // in when/where they inject, so the prefix up to the earliest
 // injection instant is shared and worth snapshotting once per worker.
@@ -35,7 +35,7 @@ type Checkpointer interface {
 }
 
 // TreeCheckpointer is Checkpointer: every checkpoint session is a tree
-// session, the rolling single checkpoint being the one-node tree.
+// session.
 type TreeCheckpointer = Checkpointer
 
 // CheckpointSession is one worker's reusable golden-run prototype: it
@@ -51,11 +51,11 @@ type CheckpointSession interface {
 }
 
 // sessionHolder carries one worker's lazily created checkpoint
-// session. nil holders (checkpointing off) are valid and inert.
+// session. nil holders (no Checkpointer) are valid and inert.
 type sessionHolder struct{ sess CheckpointSession }
 
 func (e *campaignExec) newHolder() *sessionHolder {
-	if !e.c.Checkpoints {
+	if e.c.Checkpointer == nil {
 		return nil
 	}
 	return &sessionHolder{}
@@ -76,21 +76,15 @@ func (h *sessionHolder) close() {
 // result or journal because the campaign already recorded the run.
 func (h *sessionHolder) abandon() { h.sess = nil }
 
-// newSession builds the worker's tree session. CheckpointTree selects
-// the node budget: without it the session retains a single node — the
-// rolling checkpoint that only ever extends under fork-sorted dispatch
-// — with it the TreeConfig default applies.
+// newSession builds the worker's tree session at the default node
+// budget.
 func (c *Campaign) newSession() CheckpointSession {
-	cfg := TreeConfig{
+	return c.Checkpointer.NewTreeSession(TreeConfig{
 		EarlyExit:  c.EarlyExit,
 		HashStride: c.HashStride,
 		Metrics:    c.Metrics,
 		Campaign:   c.Name,
-	}
-	if !c.CheckpointTree {
-		cfg.MaxNodes = 1
-	}
-	return c.Checkpointer.NewTreeSession(cfg)
+	})
 }
 
 // recycleGuard reclaims an abandoned session's retained tree nodes

@@ -63,17 +63,6 @@ func (s *fakeSession) Close() {
 	s.Recycle()
 }
 
-// checkpointModes are the two node budgets a checkpointed campaign
-// selects: the one-node rolling checkpoint and the default tree.
-var checkpointModes = []struct {
-	name     string
-	tree     bool
-	maxNodes int32
-}{
-	{"checkpoints", false, 1},
-	{"tree", true, 0},
-}
-
 // waitNodesDrained polls until the fake's live-node count reaches
 // zero: the timeout path recycles from the runaway goroutine after the
 // campaign has already returned.
@@ -85,15 +74,6 @@ func waitNodesDrained(t *testing.T, cp *fakeCheckpointer) {
 	}
 	if got := cp.liveNodes.Load(); got != 0 {
 		t.Errorf("live tree nodes = %d after campaign drained, want 0 (leaked by abandonment)", got)
-	}
-}
-
-// TestCampaignCheckpointValidation: Checkpoints without a Checkpointer
-// is a configuration error caught before any run.
-func TestCampaignCheckpointValidation(t *testing.T) {
-	_, err := (&Campaign{Name: "cv", Run: classRunFunc(pattern(1, nil)), Checkpoints: true}).Execute(makeScenarios(1))
-	if err == nil || !strings.Contains(err.Error(), "Checkpointer") {
-		t.Fatalf("Checkpoints without Checkpointer accepted: %v", err)
 	}
 }
 
@@ -180,52 +160,45 @@ func TestCampaignTimeoutLateRunDiscarded(t *testing.T) {
 // the next eligible run builds a fresh one, the abandoned session is
 // never Closed, and its retained nodes return to the pool once the
 // runaway goroutine finishes — abandonment may not leak the node
-// budget. Same lifecycle at either node budget.
+// budget.
 func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 	const n = 5
-	for _, mode := range checkpointModes {
-		t.Run(mode.name, func(t *testing.T) {
-			block := make(chan struct{})
-			lateDone := make(chan struct{})
-			cp := &fakeCheckpointer{}
-			cp.run = func(sc fault.Scenario) fault.Outcome {
-				if sc.ID == "s2" {
-					defer close(lateDone)
-					<-block
-				}
-				return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-			}
-			c := &Campaign{
-				Name: "ab", Run: cp.run, Checkpoints: true, Checkpointer: cp,
-				CheckpointTree: mode.tree, ScenarioTimeout: 20 * time.Millisecond,
-			}
-			res, err := c.Execute(makeScenarios(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Outcomes[2].Class != fault.Timeout {
-				t.Fatalf("timed-out outcome = %+v", res.Outcomes[2])
-			}
-			if res.Tally[fault.Masked] != n-1 {
-				t.Errorf("tally = %v", res.Tally)
-			}
-			// Unblock the runaway goroutine; it recycles the abandoned
-			// session's nodes on its way out.
-			close(block)
-			<-lateDone
-			waitNodesDrained(t, cp)
-			// Session 1 served s0, s1 and was abandoned at s2's timeout;
-			// session 2 served s3, s4 and was closed at worker-loop end.
-			if got := cp.sessions.Load(); got != 2 {
-				t.Errorf("NewTreeSession called %d times, want 2 (fresh session after abandonment)", got)
-			}
-			if got := cp.closes.Load(); got != 1 {
-				t.Errorf("Close called %d times, want 1 (abandoned session recycled, not closed)", got)
-			}
-			if got := cp.maxNodes.Load(); got != mode.maxNodes {
-				t.Errorf("session MaxNodes = %d, want %d", got, mode.maxNodes)
-			}
-		})
+	block := make(chan struct{})
+	lateDone := make(chan struct{})
+	cp := &fakeCheckpointer{}
+	cp.run = func(sc fault.Scenario) fault.Outcome {
+		if sc.ID == "s2" {
+			defer close(lateDone)
+			<-block
+		}
+		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
+	}
+	c := &Campaign{Name: "ab", Run: cp.run, Checkpointer: cp, ScenarioTimeout: 20 * time.Millisecond}
+	res, err := c.Execute(makeScenarios(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcomes[2].Class != fault.Timeout {
+		t.Fatalf("timed-out outcome = %+v", res.Outcomes[2])
+	}
+	if res.Tally[fault.Masked] != n-1 {
+		t.Errorf("tally = %v", res.Tally)
+	}
+	// Unblock the runaway goroutine; it recycles the abandoned
+	// session's nodes on its way out.
+	close(block)
+	<-lateDone
+	waitNodesDrained(t, cp)
+	// Session 1 served s0, s1 and was abandoned at s2's timeout;
+	// session 2 served s3, s4 and was closed at worker-loop end.
+	if got := cp.sessions.Load(); got != 2 {
+		t.Errorf("NewTreeSession called %d times, want 2 (fresh session after abandonment)", got)
+	}
+	if got := cp.closes.Load(); got != 1 {
+		t.Errorf("Close called %d times, want 1 (abandoned session recycled, not closed)", got)
+	}
+	if got := cp.maxNodes.Load(); got != 0 {
+		t.Errorf("session MaxNodes = %d, want 0 (the default budget)", got)
 	}
 }
 
@@ -235,42 +208,38 @@ func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 // the engine reclaims its nodes synchronously, before Execute returns.
 func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	const n = 4
-	for _, mode := range checkpointModes {
-		t.Run(mode.name, func(t *testing.T) {
-			cp := &fakeCheckpointer{}
-			cp.run = func(sc fault.Scenario) fault.Outcome {
-				if sc.ID == "s1" {
-					panic("kernel torn mid-run")
-				}
-				return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
-			}
-			c := &Campaign{Name: "abp", Run: cp.run, Checkpoints: true, Checkpointer: cp, CheckpointTree: mode.tree}
-			res, err := c.Execute(makeScenarios(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
-				t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
-			}
-			if got := cp.liveNodes.Load(); got != 0 {
-				t.Errorf("live tree nodes = %d immediately after Execute, want 0 (panic path recycles synchronously)", got)
-			}
-			if got := cp.sessions.Load(); got != 2 {
-				t.Errorf("NewTreeSession called %d times, want 2", got)
-			}
-			if got := cp.closes.Load(); got != 1 {
-				t.Errorf("Close called %d times, want 1", got)
-			}
-			if got := cp.recycles.Load(); got < 2 {
-				t.Errorf("Recycle called %d times, want >= 2 (abandoned session + closed session)", got)
-			}
-		})
+	cp := &fakeCheckpointer{}
+	cp.run = func(sc fault.Scenario) fault.Outcome {
+		if sc.ID == "s1" {
+			panic("kernel torn mid-run")
+		}
+		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
+	}
+	res, err := (&Campaign{Name: "abp", Run: cp.run, Checkpointer: cp}).Execute(makeScenarios(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
+		t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
+	}
+	if got := cp.liveNodes.Load(); got != 0 {
+		t.Errorf("live tree nodes = %d immediately after Execute, want 0 (panic path recycles synchronously)", got)
+	}
+	if got := cp.sessions.Load(); got != 2 {
+		t.Errorf("NewTreeSession called %d times, want 2", got)
+	}
+	if got := cp.closes.Load(); got != 1 {
+		t.Errorf("Close called %d times, want 1", got)
+	}
+	if got := cp.recycles.Load(); got < 2 {
+		t.Errorf("Recycle called %d times, want >= 2 (abandoned session + closed session)", got)
 	}
 }
 
-// TestCampaignTreeValidation: tree and early-exit modes are rejected
-// up front when misconfigured — without Checkpoints, or with a
-// nonsensical hash stride.
+// TestCampaignTreeValidation: early exit is rejected up front when
+// misconfigured — without a Checkpointer to hash in, or with a stride
+// and no early exit — and the retired Checkpoints/CheckpointTree
+// switches are inert: they are no reason to refuse a campaign.
 func TestCampaignTreeValidation(t *testing.T) {
 	run := classRunFunc(pattern(1, nil))
 	scs := makeScenarios(1)
@@ -280,9 +249,8 @@ func TestCampaignTreeValidation(t *testing.T) {
 		c    *Campaign
 		want string
 	}{
-		{"tree without checkpoints", &Campaign{Name: "v", Run: run, CheckpointTree: true, Checkpointer: tree}, "Checkpoints"},
-		{"early-exit without checkpoints", &Campaign{Name: "v", Run: run, EarlyExit: true, Checkpointer: tree}, "Checkpoints"},
-		{"stride without early-exit", &Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true, HashStride: 5, Checkpointer: tree}, "EarlyExit"},
+		{"early-exit without a Checkpointer", &Campaign{Name: "v", Run: run, EarlyExit: true}, "Checkpointer"},
+		{"stride without early-exit", &Campaign{Name: "v", Run: run, HashStride: 5, Checkpointer: tree}, "EarlyExit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -291,6 +259,9 @@ func TestCampaignTreeValidation(t *testing.T) {
 				t.Fatalf("want error mentioning %q, got: %v", tc.want, err)
 			}
 		})
+	}
+	if _, err := (&Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true}).Execute(scs); err != nil {
+		t.Errorf("Checkpoints/CheckpointTree without a Checkpointer refused: %v", err)
 	}
 }
 
@@ -313,7 +284,7 @@ func TestCampaignCheckpointDispatchSorted(t *testing.T) {
 		order = append(order, i)
 		return baseRun(sc)
 	}
-	c := &Campaign{Name: "cs", Run: cp.run, Checkpoints: true, Checkpointer: forkSorter{cp}}
+	c := &Campaign{Name: "cs", Run: cp.run, Checkpointer: forkSorter{cp}}
 	res, err := c.Execute(makeScenarios(n))
 	if err != nil {
 		t.Fatal(err)

@@ -244,7 +244,7 @@ func (eq Equivalence) checkForkWindow(t *testing.T, sc fault.Scenario) {
 		for _, workers := range []int{1, 2} {
 			got, err := (&stressor.Campaign{
 				Name: eq.Name, Run: eq.Reuse.RunFunc(), Workers: workers,
-				Checkpoints: true, Checkpointer: eq.Reuse, CheckpointTree: true, EarlyExit: earlyExit,
+				Checkpointer: eq.Reuse, EarlyExit: earlyExit,
 			}).Execute(scenarios)
 			if err != nil {
 				t.Fatalf("fork-window campaign: %v", err)
@@ -269,8 +269,8 @@ func modeNamed(name string) cellMode {
 
 // CheckScenario generates one scenario from (at, seed, genes) and
 // asserts that class, detail and signature agree across rebuild ≡ reuse
-// ≡ one-node tree ≡ tree ≡ tree+early-exit ≡ 2-shard merged ≡
-// interrupted-and-resumed, then drives two interleaved tree sessions
+// ≡ tree ≡ tree+early-exit ≡ 2-shard merged ≡ interrupted-and-resumed,
+// then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
 // two nodes each, one shared node pool — and the signed plain path on
 // both runners, the reuse one also as a campaign over a Source. A
@@ -285,7 +285,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		t.Skip("input generates no valid scenario")
 	}
 	scenarios := eq.campaignAround(sc, seed)
-	cfg := Config{Name: eq.Name, Scenarios: scenarios, InterruptAfter: 3}
+	cfg := Config{Name: eq.Name, Scenarios: scenarios, Horizon: eq.Horizon, InterruptAfter: 3}
 
 	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunFunc()}).Execute(scenarios)
 	if err != nil {
@@ -301,7 +301,6 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		resumed    bool
 	}{
 		{"reuse", "plain", 1, false},
-		{"one-node tree", "checkpoints", 1, false},
 		{"tree", "tree", 1, false},
 		{"tree+ee", "tree+ee", 1, false},
 		{"2-shard merged", "tree+ee", 2, false},
@@ -309,7 +308,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	} {
 		mode := modeNamed(cell.mode)
 		var cp stressor.Checkpointer
-		if mode.checkpoints {
+		if mode.tree {
 			cp = eq.Reuse
 		}
 		got := executeCell(t, cfg, eq.Reuse.RunFunc(), cp, mode, 0, cell.shards, cell.resumed)

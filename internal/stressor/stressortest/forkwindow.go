@@ -119,8 +119,7 @@ func denseUniverse(p Prototype, instants []sim.Time) []fault.Scenario {
 // session memo the fork-window gates count.
 func windowCampaign(p Prototype, reg *obs.Registry, sh stressor.Shard) *stressor.Campaign {
 	return &stressor.Campaign{
-		Name: "windows", Run: p.RunFunc(), Workers: 1, Metrics: reg, Shard: sh,
-		Checkpoints: true, Checkpointer: p, CheckpointTree: true,
+		Name: "windows", Run: p.RunFunc(), Workers: 1, Metrics: reg, Shard: sh, Checkpointer: p,
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package stressortest provides the cross-mode determinism matrix
 // shared by the campaign-engine integrations: one table-driven suite
 // asserting that a campaign's Result is byte-identical across
-// {sequential, parallel} × {rebuild, reuse, checkpointed, tree,
-// tree+early-exit, early-exit-only} × {unsharded, N-shard merged} ×
+// {sequential, parallel} × {rebuild, reuse, tree, tree+early-exit at
+// the default, a fine and a coarse hash stride} × {unsharded, N-shard
+// merged} ×
 // {fresh, resumed-after-simulated-interrupt}, plus a distributed axis
 // running the campaign through the fabric coordinator with two real
 // workers — once cleanly and once with a worker killed mid-lease. The
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/sim"
 	"repro/internal/stressor"
 )
 
@@ -38,6 +40,9 @@ type Config struct {
 	// Shards are the shard counts to cross; 1 means unsharded
 	// (default {1, 2, 4}).
 	Shards []int
+	// Horizon is the prototype's simulation horizon, which the stride
+	// cells divide into their HashStride. Run refuses a zero Horizon.
+	Horizon sim.Time
 	// Dedup and StopOnFirst apply to every cell.
 	Dedup       bool
 	StopOnFirst bool
@@ -50,6 +55,9 @@ type Config struct {
 // unsharded/fresh, and every other cell must reproduce its Result
 // exactly.
 func Run(t *testing.T, cfg Config) {
+	if cfg.Horizon <= 0 {
+		t.Fatal("stressortest: Config.Horizon unset")
+	}
 	if cfg.Workers == nil {
 		cfg.Workers = []int{0, 2}
 	}
@@ -73,9 +81,9 @@ func Run(t *testing.T, cfg Config) {
 	runDistributed(t, cfg, ref)
 	for _, reuseOff := range []bool{true, false} {
 		for _, mode := range cellModes {
-			if mode.checkpoints && reuseOff {
-				// Checkpoint sessions build on the reuse machinery; the
-				// rebuild path has nothing to fork from.
+			if mode.tree && reuseOff {
+				// Tree sessions build on the reuse machinery; the rebuild
+				// path has nothing to fork from.
 				continue
 			}
 			for _, workers := range cfg.Workers {
@@ -90,10 +98,10 @@ func Run(t *testing.T, cfg Config) {
 						t.Run(name, func(t *testing.T) {
 							run, cp, cleanup := cfg.NewRun(t, reuseOff)
 							defer cleanup()
-							if mode.checkpoints && cp == nil {
+							if mode.tree && cp == nil {
 								t.Skip("engine has no Checkpointer")
 							}
-							if !mode.checkpoints {
+							if !mode.tree {
 								cp = nil
 							}
 							got := executeCell(t, cfg, run, cp, mode, workers, shards, resumed)
@@ -109,23 +117,27 @@ func Run(t *testing.T, cfg Config) {
 }
 
 // cellMode is the checkpointing axis of the matrix: classifications
-// must be byte-identical whether runs rebuild from scratch, fork from
-// a one-node tree session (the rolling checkpoint), fork from a
-// retained node of a full tree, or early-exit the moment they provably
-// re-converge with the golden trajectory.
+// must be byte-identical whether runs take the plain path, fork from a
+// retained node of a tree session, or also early-exit the moment they
+// provably re-converge with the golden trajectory.
+// The stride modes hash the golden trajectory four times finer and
+// four times coarser than the default Horizon/16, so early exit checks
+// convergence at many instants and at few.
 type cellMode struct {
-	name        string
-	checkpoints bool
-	tree        bool
-	earlyExit   bool
+	name      string
+	tree      bool
+	earlyExit bool
+	// strides, when set, is the hash points per horizon: the campaign's
+	// HashStride is cfg.Horizon/strides.
+	strides sim.Time
 }
 
 var cellModes = []cellMode{
 	{name: "plain"},
-	{name: "checkpoints", checkpoints: true},
-	{name: "tree", checkpoints: true, tree: true},
-	{name: "tree+ee", checkpoints: true, tree: true, earlyExit: true},
-	{name: "ee", checkpoints: true, earlyExit: true},
+	{name: "tree", tree: true},
+	{name: "tree+ee", tree: true, earlyExit: true},
+	{name: "tree+ee+fine", tree: true, earlyExit: true, strides: 64},
+	{name: "tree+ee+coarse", tree: true, earlyExit: true, strides: 4},
 }
 
 // executeCell runs one matrix cell: all shards of the campaign (with
@@ -134,14 +146,16 @@ var cellModes = []cellMode{
 func executeCell(t *testing.T, cfg Config, run stressor.RunFunc, cp stressor.Checkpointer, mode cellMode, workers, shards int, resumed bool) *stressor.Result {
 	t.Helper()
 	dir := t.TempDir()
+	var stride sim.Time
+	if cp != nil && mode.strides > 0 {
+		stride = cfg.Horizon / mode.strides
+	}
 	campaign := func(sh stressor.Shard, w *journal.Writer, j *journal.Journal, halt func(int) bool) *stressor.Campaign {
 		return &stressor.Campaign{
 			Name: cfg.Name, Run: run, Workers: workers,
 			Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
-			Checkpoints: cp != nil, Checkpointer: cp,
-			CheckpointTree: cp != nil && mode.tree,
-			EarlyExit:      cp != nil && mode.earlyExit,
-			Shard:          sh, Journal: w, Resume: j, Halt: halt,
+			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit, HashStride: stride,
+			Shard: sh, Journal: w, Resume: j, Halt: halt,
 		}
 	}
 	// runShard executes one shard (journaled, so every cell also

@@ -10,25 +10,24 @@ import (
 )
 
 // Checkpoint trees + convergence early-exit: the one checkpoint path
-// behind Campaign.Checkpoints. A tree session retains a budgeted set
+// behind Campaign.Checkpointer. A tree session retains a budgeted set
 // of golden-prefix snapshots ("nodes"), one per injection instant it
 // has visited, and establishes each scenario from the deepest retained
 // node at or before its fork time — so a campaign whose fork times
 // regress (StopOnFirst index order, resumed tails) forks from the
-// deepest shared prefix instead of re-simulating from time zero. With
-// a budget of one node it is the rolling single checkpoint: the same
-// fork restores, a later fork extends, an earlier fork rebuilds. Convergence
-// early-exit layers on top: the golden trajectory is hashed at a fixed
-// stride, and a faulty run whose post-injection state hash returns to
-// the golden trajectory stops simulating immediately and inherits the
-// golden-equal classification — byte-identical to running it out.
+// deepest shared prefix instead of re-simulating from time zero.
+// Convergence early-exit layers on top: the golden trajectory is hashed
+// at a fixed stride, and a faulty run whose post-injection state hash
+// returns to the golden trajectory stops simulating immediately and
+// inherits the golden-equal classification — byte-identical to running
+// it out.
 
-// Default tree budgets, applied when TreeConfig leaves them zero.
 const (
-	// DefaultTreeMaxNodes bounds the retained snapshots per session.
+	// DefaultTreeMaxNodes bounds the retained snapshots per session when
+	// TreeConfig.MaxNodes is zero.
 	DefaultTreeMaxNodes = 32
-	// DefaultTreeMaxBytes bounds the kernel-side bytes those snapshots
-	// retain (model-state captures are not counted; see
+	// DefaultTreeMaxBytes bounds the kernel-side bytes a session's
+	// snapshots retain (model-state captures are not counted; see
 	// Checkpoint.ApproxBytes).
 	DefaultTreeMaxBytes = 16 << 20
 )
@@ -36,13 +35,8 @@ const (
 // TreeConfig parameterizes a checkpoint-tree session.
 type TreeConfig struct {
 	// MaxNodes is the LRU depth budget on retained tree nodes
-	// (0 selects DefaultTreeMaxNodes). A single-node tree is the
-	// rolling checkpoint Campaign.Checkpoints runs without
-	// CheckpointTree.
+	// (0 selects DefaultTreeMaxNodes).
 	MaxNodes int
-	// MaxBytes is the byte budget on retained kernel snapshots
-	// (0 selects DefaultTreeMaxBytes).
-	MaxBytes int
 	// EarlyExit enables convergence detection against the golden
 	// trajectory.
 	EarlyExit bool
@@ -54,17 +48,6 @@ type TreeConfig struct {
 	Metrics *obs.Registry
 	// Campaign labels the counters.
 	Campaign string
-}
-
-// withDefaults fills the budget defaults.
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = DefaultTreeMaxNodes
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = DefaultTreeMaxBytes
-	}
-	return c
 }
 
 // RecyclableSession is a CheckpointSession whose retained node buffers
@@ -170,7 +153,9 @@ type TreeCore struct {
 
 // Init finalizes the core after the host built its kernel and model.
 func (t *TreeCore) Init() {
-	t.Cfg = t.Cfg.withDefaults()
+	if t.Cfg.MaxNodes <= 0 {
+		t.Cfg.MaxNodes = DefaultTreeMaxNodes
+	}
 	t.virgin = true
 	t.dirty = true
 	if m := t.Cfg.Metrics; m != nil {
@@ -428,7 +413,7 @@ func (t *TreeCore) evict() {
 			for _, nd := range t.nodes {
 				bytes += nd.cp.ApproxBytes()
 			}
-			over = bytes > t.Cfg.MaxBytes
+			over = bytes > DefaultTreeMaxBytes
 		}
 		if !over {
 			return

@@ -28,14 +28,13 @@ func (m *tickModel) SnapshotState() any      { return m.ticks }
 func (m *tickModel) RestoreState(st any)     { m.ticks = st.(int) }
 func (m *tickModel) at(k *sim.Kernel) [2]int { return [2]int{int(k.Now()), m.ticks} }
 
-// TestTreeCoreOneNodeIsRollingCheckpoint pins what Campaign.Checkpoints
-// without CheckpointTree relies on: a MaxNodes: 1 core is the rolling
-// single checkpoint. The same fork is a no-op on an untouched kernel
-// and a restore (hit) on a dirty one, a later fork extends the golden
-// run from the held node and supersedes it, an earlier fork rebuilds
-// from time zero — and exactly one node is retained throughout, which
-// Recycle (the session's Close) returns to the pool.
-func TestTreeCoreOneNodeIsRollingCheckpoint(t *testing.T) {
+// TestTreeCoreBudgetOfOne pins Establish's cases and the LRU budget on
+// a core that may retain a single node. The same fork is a no-op on an
+// untouched kernel and a restore (hit) on a dirty one, a later fork
+// extends the golden run from the held node and evicts it, an earlier
+// fork rebuilds from time zero — and exactly one node is retained
+// throughout, which Recycle (the session's Close) returns to the pool.
+func TestTreeCoreBudgetOfOne(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	m := &tickModel{}

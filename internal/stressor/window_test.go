@@ -242,8 +242,7 @@ func TestForkWindowNeverAWrongVerdict(t *testing.T) {
 			}
 			reg := obs.NewRegistry()
 			got, err := (&Campaign{
-				Name: "plain", Run: proto.run, Workers: 1, Metrics: reg,
-				Checkpoints: true, Checkpointer: proto, CheckpointTree: true,
+				Name: "plain", Run: proto.run, Workers: 1, Metrics: reg, Checkpointer: proto,
 			}).Execute(tc.scenarios)
 			if err != nil {
 				t.Fatal(err)
