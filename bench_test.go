@@ -441,7 +441,7 @@ func BenchmarkCampaignSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				js := make([]*journal.Journal, shards)
 				for s := 0; s < shards; s++ {
-					path := filepath.Join(dir, fmt.Sprintf("i%d-s%d.jsonl", i, s))
+					path := filepath.Join(dir, fmt.Sprintf("i%d-s%d.journal", i, s))
 					h := journal.Header{
 						Campaign: "bench", Shard: s, Shards: shards,
 						Total: len(scenarios), Universe: hash,

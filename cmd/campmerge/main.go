@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	campmerge shard0.jsonl shard1.jsonl shard2.jsonl shard3.jsonl
-//	campmerge -world crash -unprotected -stop-on-first j0.jsonl j1.jsonl
+//	campmerge shard0.journal shard1.journal shard2.journal shard3.journal
+//	campmerge -world crash -unprotected -stop-on-first j0.journal j1.journal
 //
 // The world/config/horizon flags must match the capsim invocations
 // that produced the journals: campmerge rebuilds the same scenario
@@ -12,10 +12,9 @@
 // merge against the wrong prototype configuration fails loudly
 // instead of mislabeling outcomes.
 //
-// Journal encodings are sniffed per file, so JSONL shards (capsim's
-// default) and binary shards (capsim -journal-codec binary, or a
-// capsim-coord data directory) merge together freely — one campaign's
-// shards need not agree on a spelling.
+// Journal encodings are sniffed per file: the binary journals capsim
+// and capsim-coord write merge together with JSONL shards an older
+// capsim wrote, so one campaign's shards need not agree on a spelling.
 package main
 
 import (
@@ -46,7 +45,7 @@ func main() {
 		os.Exit(code)
 	}
 	if flag.NArg() == 0 {
-		die(2, fmt.Errorf("usage: campmerge [flags] shard0.jsonl [shard1.jsonl ...]"))
+		die(2, fmt.Errorf("usage: campmerge [flags] shard0.journal [shard1.journal ...]"))
 	}
 	if err := spec.Validate(); err != nil {
 		die(2, err)

@@ -20,9 +20,10 @@
 // the campaign completes and exits — once every worker that registered
 // has been told the campaign is done, or has been silent for a lease
 // TTL; without it the coordinator keeps
-// serving results until SIGINT/SIGTERM. Shard journals live under
-// -data, so a restarted coordinator (same -data, same spec) adopts
-// them and resumes the campaign instead of rerunning it.
+// serving results until SIGINT/SIGTERM. Shard journals are binary and
+// live under -data, so a restarted coordinator (same -data, same spec)
+// adopts them — JSONL ones an older coordinator wrote included — and
+// resumes the campaign instead of rerunning it.
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 
 	"repro/internal/campaignd"
 	"repro/internal/fabric"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/stressor"
 )
@@ -50,7 +50,6 @@ func main() {
 	specPath := flag.String("spec", "", "campaign spec JSON file (capsimd POST /runs schema; \"-\" reads stdin)")
 	shards := flag.Int("shards", 4, "number of shard leases to partition the campaign into")
 	dataDir := flag.String("data", "capsim-coord-data", "shard journal directory")
-	codec := flag.String("journal-codec", "binary", "shard journal encoding: binary or jsonl")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "heartbeat deadline before a lease is reclaimed")
 	stealAfter := flag.Duration("steal-after", 0, "no-progress window before an idle worker may steal a live lease (default 3x lease-ttl)")
 	oneshot := flag.Bool("oneshot", false, "print the campaign summary and exit when the campaign completes")
@@ -75,10 +74,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cdc, err := journal.ParseCodec(*codec)
-	if err != nil {
-		fail(err)
-	}
 	level := slog.LevelInfo
 	if *quiet {
 		level = slog.LevelError
@@ -100,8 +95,7 @@ func main() {
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
 		Campaign: spec.Campaign, Spec: raw, Scenarios: scenarios,
 		Shards: *shards, Dedup: spec.Dedup, StopOnFirst: spec.StopOnFirst,
-		DataDir: *dataDir, Codec: cdc,
-		LeaseTTL: *leaseTTL, StealAfter: *stealAfter,
+		DataDir: *dataDir, LeaseTTL: *leaseTTL, StealAfter: *stealAfter,
 		Text: text, Log: logger,
 	})
 	if err != nil {

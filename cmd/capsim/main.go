@@ -11,8 +11,8 @@
 //	capsim -campaign -workers -1   # exhaustive single-fault campaign, one worker per CPU
 //	capsim -campaign e8 -early-exit   # also stop each run when it re-converges with the golden run
 //	capsim -campaign e8 -progress -metrics m.json -trace-events t.json
-//	capsim -campaign e8 -shard 0/4 -journal shard0.jsonl   # one shard of four
-//	capsim -campaign e8 -shard 0/4 -journal shard0.jsonl -resume
+//	capsim -campaign e8 -shard 0/4 -journal shard0.journal   # one shard of four
+//	capsim -campaign e8 -shard 0/4 -journal shard0.journal -resume
 //	capsim -campaign nv -adaptive -novelty-budget 100 -workers -1   # signature-novelty feedback loop
 //
 // An optional positional argument after -campaign names the campaign
@@ -26,14 +26,12 @@
 // a rebuild of the prototype for every scenario would print.
 //
 // -shard i/N runs only the i-th of N deterministic partitions of the
-// scenario universe; -journal appends each outcome to a run journal as
-// it completes (-journal-codec selects JSONL, the default, or the
-// compact binary framing), and -resume picks an interrupted journal
-// back up, skipping scenarios already recorded — sniffing and adopting
-// whichever encoding the journal already uses. Ctrl-C stops the
-// campaign cleanly after the in-flight scenarios finish, leaving the
-// journal resumable. Completed shard journals merge with campmerge,
-// mixed encodings included.
+// scenario universe; -journal appends each outcome to a binary run
+// journal as it completes, and -resume picks an interrupted journal
+// back up, skipping scenarios already recorded — a JSONL journal
+// written by an older capsim included, which stays JSONL. Ctrl-C stops
+// the campaign cleanly after the in-flight scenarios finish, leaving
+// the journal resumable. Completed shard journals merge with campmerge.
 //
 // -adaptive swaps the exhaustive scenario list for the
 // signature-novelty feedback loop (DESIGN §16): -novelty-budget
@@ -86,21 +84,21 @@ func (f *failingJournal) Append(e journal.Entry) error {
 }
 
 // openJournal opens the -journal file for a campaign, exiting on any
-// error. With -resume an existing journal is picked up (sniffing and
-// adopting its own encoding; -journal-codec only shapes fresh
-// journals) and a missing one is started, so the same command line
-// works for the first run and re-runs; without -resume an existing
-// file is refused. The returned sink is the writer itself, or the
-// CAPSIM_FAIL_JOURNAL_AFTER fault-injecting wrapper around it.
-func openJournal(path string, codec journal.Codec, resume bool, h journal.Header) (*journal.Journal, *journal.Writer, stressor.JournalSink) {
+// error. With -resume an existing journal is picked up (in whichever
+// encoding it was written) and a missing one is started, so the same
+// command line works for the first run and re-runs; without -resume an
+// existing file is refused. A fresh journal is binary. The returned
+// sink is the writer itself, or the CAPSIM_FAIL_JOURNAL_AFTER
+// fault-injecting wrapper around it.
+func openJournal(path string, resume bool, h journal.Header) (*journal.Journal, *journal.Writer, stressor.JournalSink) {
 	var j *journal.Journal
 	var w *journal.Writer
 	var err error
 	if resume {
-		if j, w, err = journal.Open(path, h, codec); err != nil {
+		if j, w, err = journal.Open(path, h); err != nil {
 			die(1, err)
 		}
-	} else if w, err = journal.CreateCodec(path, h, codec); err != nil {
+	} else if w, err = journal.Create(path, h); err != nil {
 		die(1, fmt.Errorf("%v (use -resume to continue an interrupted journal)", err))
 	}
 	if n, err := strconv.Atoi(os.Getenv("CAPSIM_FAIL_JOURNAL_AFTER")); err == nil && n >= 0 {
@@ -140,12 +138,12 @@ type options struct {
 	campaign, listSites bool
 	faults              string
 
-	metricsPath, tracePath    string
-	progress                  bool
-	journalPath, journalCodec string
-	resume                    bool
-	interruptAfter            int
-	logFormat                 string
+	metricsPath, tracePath string
+	progress               bool
+	journalPath            string
+	resume                 bool
+	interruptAfter         int
+	logFormat              string
 }
 
 // parseArgs binds the command line to an options value. It checks
@@ -174,7 +172,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.progress, "progress", false, "stream live campaign progress to stderr")
 	fs.StringVar(&s.Shard, "shard", "", "run one shard i/N of the campaign universe (e.g. 0/4)")
 	fs.StringVar(&o.journalPath, "journal", "", "append per-scenario outcomes to this run journal")
-	fs.StringVar(&o.journalCodec, "journal-codec", "jsonl", "encoding for a fresh -journal: jsonl or binary (resume adopts the existing encoding)")
 	fs.BoolVar(&o.resume, "resume", false, "resume an interrupted -journal, skipping recorded scenarios")
 	fs.StringVar(&s.ScenarioTimeout, "scenario-timeout", "", "wall-clock budget per scenario, e.g. 2s (default none)")
 	fs.IntVar(&o.interruptAfter, "interrupt-after", 0, "stop cleanly after N completed runs (testing aid; journal stays resumable)")
@@ -223,10 +220,6 @@ func main() {
 	}
 	if o.resume && o.journalPath == "" {
 		die(2, fmt.Errorf("-resume requires -journal"))
-	}
-	codec, err := journal.ParseCodec(o.journalCodec)
-	if err != nil {
-		die(2, err)
 	}
 	if !o.campaign && !o.listSites && o.faults == "" {
 		die(2, fmt.Errorf("need -faults (or -sites); see fault.ParseDescriptor syntax"))
@@ -283,7 +276,7 @@ func main() {
 		}
 		var jw *journal.Writer
 		if o.journalPath != "" {
-			c.Resume, jw, c.Journal = openJournal(o.journalPath, codec, o.resume, c.JournalHeader(scenarios))
+			c.Resume, jw, c.Journal = openJournal(o.journalPath, o.resume, c.JournalHeader(scenarios))
 		}
 		var stopSignals func()
 		c.Halt, stopSignals = interruptHalt(o.journalPath != "", o.interruptAfter)

@@ -33,7 +33,7 @@ func TestFlagsDenoteSpec(t *testing.T) {
 			`{"campaign":"nv","universe":{"world":"normal","horizon":"80ms"},"adaptive":true,"novelty_budget":100,"novelty_seed":7}`},
 		// The sinks a caller attaches describe no campaign: none of them
 		// reaches the spec.
-		{"sinks", []string{"-campaign", "e8", "-journal", "j", "-journal-codec", "binary", "-resume", "-interrupt-after", "3",
+		{"sinks", []string{"-campaign", "e8", "-journal", "j", "-resume", "-interrupt-after", "3",
 			"-metrics", "m", "-trace-events", "t", "-progress", "-log-format", "json"},
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"}}`},
 		// Without -campaign the positional is not a name.
@@ -73,19 +73,22 @@ func TestFlagsDenoteSpec(t *testing.T) {
 // TestParseArgsSinks: the switches that are not campaign description
 // land in the options beside the spec.
 func TestParseArgsSinks(t *testing.T) {
-	o, err := parseArgs([]string{"-campaign", "e8", "-journal", "j.bin", "-journal-codec", "binary", "-resume",
+	o, err := parseArgs([]string{"-campaign", "e8", "-journal", "j.journal", "-resume",
 		"-interrupt-after", "3", "-metrics", "m.json", "-trace-events", "t.json", "-progress", "-log-format", "json"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.campaign || o.journalPath != "j.bin" || o.journalCodec != "binary" || !o.resume ||
+	if !o.campaign || o.journalPath != "j.journal" || !o.resume ||
 		o.interruptAfter != 3 || o.metricsPath != "m.json" || o.tracePath != "t.json" || !o.progress || o.logFormat != "json" {
 		t.Errorf("options = %+v", o)
 	}
 	if o, err = parseArgs([]string{"-sites"}, io.Discard); err != nil || !o.listSites || o.campaign {
 		t.Errorf("-sites: %+v, %v", o, err)
 	}
-	if _, err := parseArgs([]string{"-no-such-flag"}, io.Discard); err == nil {
-		t.Error("an unknown flag parsed")
+	// -journal-codec is gone: every fresh journal is binary.
+	for _, argv := range [][]string{{"-no-such-flag"}, {"-campaign", "-journal", "j", "-journal-codec", "binary"}} {
+		if _, err := parseArgs(argv, io.Discard); err == nil {
+			t.Errorf("capsim %v parsed; want a usage error", argv)
+		}
 	}
 }

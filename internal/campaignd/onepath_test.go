@@ -93,14 +93,11 @@ func TestOneSpecToCampaignPath(t *testing.T) {
 	}
 }
 
-// TestNothingSetsTheRetiredCheckpointSwitches: Campaign.Checkpoints and
-// Campaign.CheckpointTree select nothing — the Checkpointer alone does —
-// and Spec's fields of the same names only parse. Outside bench/, which
-// is kept as it was, no non-test file names either field, so no caller
-// can come to believe that setting one forks or that clearing one stops
-// forking.
-func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
-	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true}
+// inspectNonTestSource calls visit on every node of every non-test Go
+// file of the module outside bench/, which is kept as it was, and
+// testdata.
+func inspectNonTestSource(t *testing.T, visit func(fset *token.FileSet, n ast.Node)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	const root = "../.."
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -121,16 +118,7 @@ func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			var name *ast.Ident
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				name = n.Sel
-			case *ast.KeyValueExpr:
-				name, _ = n.Key.(*ast.Ident)
-			}
-			if name != nil && retired[name.Name] {
-				t.Errorf("%s: %s names a retired checkpoint switch", fset.Position(name.Pos()), name.Name)
-			}
+			visit(fset, n)
 			return true
 		})
 		return nil
@@ -138,6 +126,57 @@ func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNothingSetsTheRetiredCheckpointSwitches: Campaign.Checkpoints and
+// Campaign.CheckpointTree select nothing — the Checkpointer alone does —
+// and Spec's fields of the same names only parse. No non-test file
+// names either field, so no caller can come to believe that setting one
+// forks or that clearing one stops forking.
+func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
+	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true}
+	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
+		var name *ast.Ident
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			name = n.Sel
+		case *ast.KeyValueExpr:
+			name, _ = n.Key.(*ast.Ident)
+		}
+		if name != nil && retired[name.Name] {
+			t.Errorf("%s: %s names a retired checkpoint switch", fset.Position(name.Pos()), name.Name)
+		}
+	})
+}
+
+// TestNothingWritesJSONL: every journal is created binary. No non-test
+// file calls journal.CreateCodec, names journal.JSONL or sets the inert
+// fabric.CoordConfig.Codec, so no front-end can come to pick a codec
+// again; JSONL journals are only ever read, or appended to in place.
+func TestNothingWritesJSONL(t *testing.T) {
+	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok && id.Name == "journal" && (n.Sel.Name == "CreateCodec" || n.Sel.Name == "JSONL") {
+				t.Errorf("%s: journal.%s picks a journal codec", fset.Position(n.Pos()), n.Sel.Name)
+			}
+		case *ast.CompositeLit:
+			typ := n.Type
+			if sel, ok := typ.(*ast.SelectorExpr); ok {
+				typ = sel.Sel
+			}
+			if id, ok := typ.(*ast.Ident); !ok || id.Name != "CoordConfig" {
+				return
+			}
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Codec" {
+						t.Errorf("%s: a CoordConfig sets Codec", fset.Position(kv.Pos()))
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestSpecBuildForksFromTheRunner: every fixed-universe spec builds a

@@ -410,7 +410,7 @@ func (s *Scheduler) execute(id string) {
 		})
 	}
 	c.ProgressInterval = s.cfg.ProgressInterval
-	resume, jw, err := journal.Open(s.store.JournalPath(id), c.JournalHeader(scenarios), journal.JSONL)
+	resume, jw, err := journal.Open(s.store.JournalPath(id), c.JournalHeader(scenarios))
 	if err != nil {
 		fail(err)
 		return

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -99,13 +101,12 @@ func TestSchedulerStopMidRunResumesByteIdentical(t *testing.T) {
 	if state != StateQueued {
 		t.Fatalf("interrupted run state = %q, want queued (pending)", state)
 	}
-	jdata, err := os.ReadFile(filepath.Join(dir, "runs", id, "journal.jsonl"))
+	j, err := journal.Read(filepath.Join(dir, "runs", id, "journal"))
 	if err != nil {
 		t.Fatalf("interrupted run has no journal: %v", err)
 	}
-	jlines := len(strings.Split(strings.TrimRight(string(jdata), "\n"), "\n"))
-	if jlines < 2 || jlines >= n+1 {
-		t.Fatalf("journal has %d lines, want a partial 2..%d", jlines, n)
+	if got := len(j.Entries); got < 1 || got >= n {
+		t.Fatalf("journal has %d entries, want a partial 1..%d", got, n-1)
 	}
 
 	// Restart: the pending run is requeued and resumed from the
@@ -125,14 +126,13 @@ func TestSchedulerStopMidRunResumesByteIdentical(t *testing.T) {
 		t.Errorf("resumed result differs from the uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", gotBytes, refBytes)
 	}
 
-	// The journal grew to completion (header + every outcome): the
-	// resume appended only the missing scenarios.
-	jdata, err = os.ReadFile(filepath.Join(dir, "runs", id, "journal.jsonl"))
-	if err != nil {
+	// The journal grew to completion (every outcome, once): the resume
+	// appended only the missing scenarios.
+	if j, err = journal.Read(filepath.Join(dir, "runs", id, "journal")); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(strings.Split(strings.TrimRight(string(jdata), "\n"), "\n")); got != n+1 {
-		t.Errorf("final journal has %d lines, want %d (header + %d outcomes)", got, n+1, n)
+	if got := len(j.Entries); got != n {
+		t.Errorf("final journal has %d entries, want %d", got, n)
 	}
 }
 
@@ -140,7 +140,9 @@ func TestSchedulerStopMidRunResumesByteIdentical(t *testing.T) {
 // resume test: a run directory is crafted with a journal that holds
 // only the first few outcomes of a completed reference run, and a
 // fresh scheduler must finish the campaign, skip the recorded
-// entries, and serialize the byte-identical result document.
+// entries, and serialize the byte-identical result document. The
+// crafted journal is binary, as every daemon now writes it, or JSONL at
+// the journal.jsonl path an older daemon left, which resumes in place.
 func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 	raw := genInline("crafted", 24, "100ms")
 
@@ -154,33 +156,65 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refJournal, err := os.ReadFile(refSched.Store().JournalPath(refID))
+	refPath := refSched.Store().JournalPath(refID)
+	ref, err := journal.Read(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refSched.Stop()
+	if ref.Codec != journal.Binary || filepath.Base(refPath) != "journal" {
+		t.Fatalf("a daemon run journaled %s to %s, want binary to journal", ref.Codec, refPath)
+	}
 
 	// Craft an interrupted store: same spec, journal truncated to the
 	// header plus the first 5 outcomes. The stored spec may also spell
 	// the retired checkpoint switches, which change nothing.
-	lines := strings.SplitAfter(string(refJournal), "\n")
-	if len(lines) < 7 {
-		t.Fatalf("reference journal too short: %d lines", len(lines))
+	if len(ref.Entries) < 6 {
+		t.Fatalf("reference journal too short: %d entries", len(ref.Entries))
 	}
+	recorded := ref.Entries[:5]
 	legacy := strings.Replace(raw, `"campaign":"crafted"`, `"campaign":"crafted","checkpoints":true,"checkpoint_tree":true`, 1)
-	for name, stored := range map[string]string{"bare": raw, "checkpoint fields": legacy} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, stored string
+		codec        journal.Codec
+	}{
+		{"bare", raw, journal.Binary},
+		{"checkpoint fields", legacy, journal.Binary},
+		{"jsonl journal", raw, journal.JSONL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			store, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			id, err := store.NewRun([]byte(stored))
+			id, err := store.NewRun([]byte(tc.stored))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(store.JournalPath(id), []byte(strings.Join(lines[:6], "")), 0o644); err != nil {
-				t.Fatal(err)
+			if tc.codec == journal.JSONL {
+				var buf bytes.Buffer
+				enc := json.NewEncoder(&buf)
+				enc.Encode(ref.Header)
+				for _, e := range recorded {
+					enc.Encode(e)
+				}
+				if err := os.WriteFile(filepath.Join(store.RunDir(id), "journal.jsonl"), buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				w, err := journal.Create(store.JournalPath(id), ref.Header)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range recorded {
+					if err := w.Append(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			sched, err := NewScheduler(Config{DataDir: dir})
@@ -212,6 +246,14 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 			}
 			if got := m.Counters["campaign.resumed_skips{campaign=crafted}"]; got != 5 {
 				t.Errorf("resume skipped %d scenarios, want 5 (the journaled prefix)", got)
+			}
+			// The run completed the journal it found, in its own codec.
+			j, err := journal.Read(store.JournalPath(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Codec != tc.codec || len(j.Entries) != len(ref.Entries) {
+				t.Errorf("completed journal holds %d %s entries, want %d %s", len(j.Entries), j.Codec, len(ref.Entries), tc.codec)
 			}
 		})
 	}

@@ -94,8 +94,15 @@ func (st *Store) NewRun(rawSpec []byte) (string, error) {
 // RunDir returns the directory of run id.
 func (st *Store) RunDir(id string) string { return filepath.Join(st.dir, "runs", id) }
 
-// JournalPath returns the run's campaign journal path.
-func (st *Store) JournalPath(id string) string { return filepath.Join(st.RunDir(id), "journal.jsonl") }
+// JournalPath returns the run's journal path: "journal", or the
+// "journal.jsonl" an older daemon left, so its pending run resumes in place.
+func (st *Store) JournalPath(id string) string {
+	legacy := st.docPath(id, "journal.jsonl")
+	if _, err := os.Stat(legacy); err == nil {
+		return legacy
+	}
+	return st.docPath(id, "journal")
+}
 
 // The documents a run directory holds beside its journal. The final
 // metrics snapshot and the Chrome trace of a "trace": true run are kept

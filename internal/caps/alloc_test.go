@@ -121,7 +121,7 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	execute := func() {
 		round++
 		c := campaign()
-		w, err := journal.CreateCodec(filepath.Join(dir, fmt.Sprint(round)), header, journal.Binary)
+		w, err := journal.Create(filepath.Join(dir, fmt.Sprint(round)), header)
 		if err != nil {
 			t.Fatal(err)
 		}

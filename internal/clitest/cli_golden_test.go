@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/campaignd"
+	"repro/internal/journal"
 )
 
 // The capsim campaign command line every daemon test mirrors: the
@@ -46,9 +47,9 @@ func TestCapsimCampaignGolden(t *testing.T) {
 // TestCapsimCampaignModesIdentical pins the engine's core promise at
 // the CLI surface: early-exit and journaled executions of the same
 // campaign print the same bytes (against the same golden) as the run
-// without them.
+// without them. The journal holds every outcome, in binary.
 func TestCapsimCampaignModesIdentical(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "run.jsonl")
+	jpath := filepath.Join(t.TempDir(), "run.journal")
 	for _, extra := range [][]string{
 		{"-early-exit"},
 		{"-early-exit", "-hash-stride", "5ms"},
@@ -59,6 +60,13 @@ func TestCapsimCampaignModesIdentical(t *testing.T) {
 			t.Fatalf("capsim %v: exit %d, stderr:\n%s", extra, r.Code, r.Stderr)
 		}
 		Golden(t, goldenCampaign, r.Stdout)
+	}
+	j, err := journal.Read(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Codec != journal.Binary || len(j.Entries) != 21 {
+		t.Errorf("capsim -journal wrote %d %s entries, want 21 binary", len(j.Entries), j.Codec)
 	}
 }
 
@@ -94,7 +102,7 @@ func TestCampmergeGolden(t *testing.T) {
 	capsim := Binary(t, "capsim")
 	var journals []string
 	for _, shard := range []string{"0/2", "1/2"} {
-		jpath := filepath.Join(dir, "shard"+shard[:1]+".jsonl")
+		jpath := filepath.Join(dir, "shard"+shard[:1]+".journal")
 		journals = append(journals, jpath)
 		args := append(append([]string{}, capsimCampaignArgs...), "-shard", shard, "-journal", jpath)
 		if r := Run(t, nil, capsim, args...); r.Code != 0 {
@@ -136,7 +144,7 @@ func TestVpsafetyGolden(t *testing.T) {
 // CAPSIM_FAIL_JOURNAL_AFTER knob injects the write failure after N
 // appends, modeling a volume that fills up mid-campaign.
 func TestCapsimJournalFailureExitsNonZero(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "run.jsonl")
+	jpath := filepath.Join(t.TempDir(), "run.journal")
 	args := append(append([]string{}, capsimCampaignArgs...), "-journal", jpath)
 	r := Run(t, []string{"CAPSIM_FAIL_JOURNAL_AFTER=3"}, Binary(t, "capsim"), args...)
 	if r.Code == 0 {
@@ -145,13 +153,13 @@ func TestCapsimJournalFailureExitsNonZero(t *testing.T) {
 	if !strings.Contains(r.Stderr, "injected write failure") {
 		t.Errorf("stderr lacks the journal failure cause:\n%s", r.Stderr)
 	}
-	// The journal keeps the appends that succeeded: header + 3 entries.
-	data, err := os.ReadFile(jpath)
+	// The journal keeps the appends that succeeded: 3 entries.
+	j, err := journal.Read(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(strings.Split(strings.TrimRight(string(data), "\n"), "\n")); n != 4 {
-		t.Errorf("journal has %d lines, want 4 (header + 3 outcomes)", n)
+	if n := len(j.Entries); n != 3 {
+		t.Errorf("journal has %d entries, want 3", n)
 	}
 }
 

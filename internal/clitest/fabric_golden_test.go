@@ -204,28 +204,3 @@ func TestFabricWorkerKillResumeGolden(t *testing.T) {
 	_, summary := coord.waitExit(30 * time.Second)
 	Golden(t, goldenCampaign, summary)
 }
-
-// TestCampmergeMixedCodecsGolden shards the campaign across the two
-// journal encodings — shard 0 in the compact binary framing, shard 1
-// in JSONL — and merges them with campmerge: the sniffing makes mixed
-// fleets mergeable, and the summary is the same goldenfile the
-// all-JSONL merge test asserts against.
-func TestCampmergeMixedCodecsGolden(t *testing.T) {
-	dir := t.TempDir()
-	capsim := Binary(t, "capsim")
-	journals := []string{filepath.Join(dir, "shard0.bin"), filepath.Join(dir, "shard1.jsonl")}
-	for i, extra := range [][]string{
-		{"-shard", "0/2", "-journal", journals[0], "-journal-codec", "binary"},
-		{"-shard", "1/2", "-journal", journals[1]},
-	} {
-		args := append(append([]string{}, capsimCampaignArgs...), extra...)
-		if r := Run(t, nil, capsim, args...); r.Code != 0 {
-			t.Fatalf("capsim shard %d: exit %d, stderr:\n%s", i, r.Code, r.Stderr)
-		}
-	}
-	r := Run(t, nil, Binary(t, "campmerge"), append([]string{"-horizon", "30ms"}, journals...)...)
-	if r.Code != 0 {
-		t.Fatalf("campmerge: exit %d, stderr:\n%s", r.Code, r.Stderr)
-	}
-	Golden(t, "campmerge", r.Stdout)
-}

@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // bigSpec builds an inline-universe spec large enough (~2-3s of wall
@@ -94,15 +96,13 @@ func TestDaemonSigtermResumesToIdenticalResult(t *testing.T) {
 	}
 	victim.WaitExit(15 * time.Second)
 
-	// The journal is partial: the header plus some, but not all,
-	// outcomes.
-	jdata, err := os.ReadFile(filepath.Join(dataDir, "runs", "r000001", "journal.jsonl"))
+	// The journal is partial: some, but not all, outcomes.
+	j, err := journal.Read(filepath.Join(dataDir, "runs", "r000001", "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := len(strings.Split(strings.TrimRight(string(jdata), "\n"), "\n"))
-	if lines < 2 || lines >= scenarios+1 {
-		t.Fatalf("journal has %d lines after SIGTERM, want partial (2..%d)", lines, scenarios)
+	if n := len(j.Entries); n < 1 || n >= scenarios {
+		t.Fatalf("journal has %d entries after SIGTERM, want partial (1..%d)", n, scenarios-1)
 	}
 	if _, err := os.Stat(filepath.Join(dataDir, "runs", "r000001", "result.json")); err == nil {
 		t.Fatal("interrupted run has a result.json; it must stay pending")

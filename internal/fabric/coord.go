@@ -43,7 +43,10 @@ type CoordConfig struct {
 	// found there at startup are adopted, so a restarted coordinator
 	// resumes its campaign instead of rerunning it.
 	DataDir string
-	// Codec selects the shard journal encoding (default Binary).
+	// Codec is never read: shard journals are created binary.
+	//
+	// Deprecated: the benchmark still sets it; it goes with that
+	// (ROADMAP 1(a)).
 	Codec journal.Codec
 	// LeaseTTL is the heartbeat deadline: a lease not flushed within it
 	// is considered dead and returns to the pool. Default 10s.
@@ -110,9 +113,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("fabric: coordinator needs a data directory")
 	}
-	if cfg.Codec == "" {
-		cfg.Codec = journal.Binary
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
 	}
@@ -145,35 +145,27 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			owned:   sizes[i],
 		}
 		c.total += s.owned
-		path := c.journalPath(i)
-		header := c.header(i)
-		if _, statErr := os.Stat(path); statErr == nil {
-			// A previous coordinator ran here: adopt the journal (trimming
-			// any torn tail) so the campaign resumes from its last flush.
-			j, w, err := journal.AppendTo(path, header)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: adopting shard %d journal: %w", i, err)
-			}
+		// A journal a previous coordinator left here is adopted (any torn
+		// tail trimmed), so the campaign resumes from its last flush.
+		header := stressor.Shard{Index: i, Count: cfg.Shards}.JournalHeader(cfg.Campaign, len(cfg.Scenarios), c.universe)
+		j, w, err := journal.Open(c.journalPath(i), header)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: opening shard %d journal: %w", i, err)
+		}
+		s.w = w
+		if j != nil {
 			for _, e := range j.Entries {
 				if _, ok := s.entries[e.Index]; !ok {
 					s.entries[e.Index] = e
 					s.order = append(s.order, e.Index)
 				}
 			}
-			if len(s.entries) < s.owned {
-				s.w = w
-			} else {
-				s.state = "done"
+			if len(s.entries) >= s.owned {
+				s.state, s.w = "done", nil
 				if err := w.Close(); err != nil {
 					return nil, fmt.Errorf("fabric: closing shard %d journal: %w", i, err)
 				}
 			}
-		} else {
-			w, err := journal.CreateCodec(path, header, cfg.Codec)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: creating shard %d journal: %w", i, err)
-			}
-			s.w = w
 		}
 		c.shards = append(c.shards, s)
 	}
@@ -187,14 +179,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 
 func (c *Coordinator) journalPath(i int) string {
 	return filepath.Join(c.cfg.DataDir, fmt.Sprintf("shard-%d.journal", i))
-}
-
-func (c *Coordinator) header(i int) journal.Header {
-	return journal.Header{
-		Campaign: c.cfg.Campaign, Shard: i, Shards: c.cfg.Shards,
-		Partition: stressor.Shard{Index: i, Count: c.cfg.Shards}.Partition(),
-		Total:     len(c.cfg.Scenarios), Universe: c.universe,
-	}
 }
 
 // Handler returns the coordinator's HTTP API.

@@ -213,10 +213,10 @@ func TestFlushBodyMustDecodeWhole(t *testing.T) {
 }
 
 // TestSealedShardAnswersRepeatsOnly: the flush that completes a shard
-// closes and syncs its journal there and then. The same flush delivered
-// again is acknowledged from memory; an entry the shard does not hold is
-// refused; neither touches the closed writer, and the journal on disk is
-// complete before the campaign is.
+// closes and syncs its journal — a binary one — there and then. The same
+// flush delivered again is acknowledged from memory; an entry the shard
+// does not hold is refused; neither touches the closed writer, and the
+// journal on disk is complete before the campaign is.
 func TestSealedShardAnswersRepeatsOnly(t *testing.T) {
 	scenarios := testScenarios(6)
 	c, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 2})
@@ -231,8 +231,11 @@ func TestSealedShardAnswersRepeatsOnly(t *testing.T) {
 	sealed := func() []journal.Entry {
 		t.Helper()
 		j, err := journal.Read(filepath.Join(c.cfg.DataDir, fmt.Sprintf("shard-%d.journal", l.Shard)))
-		if err != nil || j.Truncated {
-			t.Fatalf("sealed journal: %v (truncated %v)", err, j != nil && j.Truncated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Truncated || j.Codec != journal.Binary {
+			t.Fatalf("sealed journal: truncated %v, codec %s; want a whole binary journal", j.Truncated, j.Codec)
 		}
 		return j.Entries
 	}

@@ -243,19 +243,14 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	w.buf = nil
 	w.mu.Unlock()
 
-	shards := lease.Shards
-	if shards < 1 {
-		shards = 1
+	shard := stressor.Shard{Index: lease.Shard, Count: lease.Shards}
+	if !shard.Enabled() {
+		shard = stressor.Shard{}
 	}
 	var resume *journal.Journal
 	if len(lease.Entries) > 0 {
 		resume = &journal.Journal{
-			Header: journal.Header{
-				FormatMarker: journal.Format, Campaign: lease.Campaign,
-				Shard: lease.Shard, Shards: shards,
-				Partition: stressor.Shard{Index: lease.Shard, Count: shards}.Partition(),
-				Total:     lease.Total, Universe: lease.Universe,
-			},
+			Header:  shard.JournalHeader(lease.Campaign, lease.Total, w.universe),
 			Entries: lease.Entries,
 		}
 	}
@@ -325,11 +320,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	c.Name = lease.Campaign
 	c.Dedup = lease.Dedup
 	c.StopOnFirst = lease.StopOnFirst
-	if shards > 1 {
-		c.Shard = stressor.Shard{Index: lease.Shard, Count: shards}
-	} else {
-		c.Shard = stressor.Shard{}
-	}
+	c.Shard = shard
 	c.Journal = &bufSink{w: w}
 	c.Resume = resume
 	c.Halt = func(int) bool { return w.killed.Load() || revoked.Load() }

@@ -292,7 +292,7 @@ func TestFabricAllocationBudget(t *testing.T) {
 	round := func() {
 		rounds++
 		c, err := NewCoordinator(CoordConfig{
-			Campaign: "budget", Scenarios: scenarios, Shards: 8, Codec: journal.Binary,
+			Campaign: "budget", Scenarios: scenarios, Shards: 8,
 			DataDir: filepath.Join(dir, fmt.Sprint(rounds)), LeaseTTL: time.Minute,
 		})
 		if err != nil {

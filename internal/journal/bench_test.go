@@ -45,8 +45,8 @@ func encodeBinary(h Header, entries []Entry) []byte {
 }
 
 // BenchmarkJournalCodec pins the binary codec's encode+decode
-// throughput advantage over JSONL — the reason the fabric coordinator
-// defaults its shard journals to binary. Reported bytes/op is the
+// throughput advantage over JSONL — the reason every journal is
+// created binary. Reported bytes/op is the
 // encoded size, so ns/op comparisons are per full 4096-entry journal.
 func BenchmarkJournalCodec(b *testing.B) {
 	const n = 4096

@@ -9,13 +9,10 @@ import (
 	"unicode/utf8"
 )
 
-// Codec selects a journal's on-disk encoding. JSONL is the original
-// human-readable line format and stays the interoperability default;
-// Binary is the compact length-prefixed frame format campaigns at
-// millions of entries want (BenchmarkJournalCodec pins the delta).
-// Readers never need to be told which one a file uses: DecodeBytes
-// sniffs the binary magic and the two formats are unambiguous (a JSONL
-// journal always starts with '{').
+// Codec names a journal's on-disk encoding. Every journal is created
+// Binary, the compact frame format; JSONL, the original line format,
+// is still read and, by AppendTo, appended to. DecodeBytes sniffs the
+// binary magic, and the two are unambiguous (JSONL starts with '{').
 type Codec string
 
 const (
@@ -24,15 +21,6 @@ const (
 	// Binary encodes length-prefixed frames with a CRC32 trailer.
 	Binary Codec = "binary"
 )
-
-// ParseCodec parses the command-line codec syntax.
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case JSONL, Binary:
-		return Codec(s), nil
-	}
-	return "", fmt.Errorf("journal: unknown codec %q (want jsonl or binary)", s)
-}
 
 // The binary layout:
 //

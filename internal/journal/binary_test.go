@@ -8,24 +8,12 @@ import (
 	"testing"
 )
 
-// encodeBinaryJournal renders a complete binary journal in memory.
-func encodeBinaryJournal(t testing.TB, h Header, entries []Entry) []byte {
-	t.Helper()
-	data, err := encodeBinaryHeader(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data = appendFrame(data, appendEntryPayload(nil, e))
-	}
-	return data
-}
-
-// writeBinaryJournal creates a binary journal file via the Writer path.
+// writeBinaryJournal creates a journal file via the Writer path, which
+// writes binary.
 func writeBinaryJournal(t *testing.T, entries []Entry) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "j.bin")
-	w, err := CreateCodec(path, testHeader(), Binary)
+	w, err := Create(path, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +21,9 @@ func writeBinaryJournal(t *testing.T, entries []Entry) (string, []byte) {
 		if err := w.Append(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if w.Appends() != len(entries) {
+		t.Fatalf("Appends() = %d, want %d", w.Appends(), len(entries))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -70,7 +61,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Errorf("ValidBytes = %d, file size %d", j.ValidBytes, len(raw))
 	}
 	// The Writer path and the in-memory encoder must agree byte for byte.
-	if mem := encodeBinaryJournal(t, testHeader(), entries); string(mem) != string(raw) {
+	if mem := encodeBinary(testHeader(), entries); string(mem) != string(raw) {
 		t.Error("Writer output differs from in-memory encoding")
 	}
 }
@@ -80,7 +71,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // ValidBytes, which are representation facts).
 func TestBinaryMatchesJSONLSemantics(t *testing.T) {
 	entries := testEntries()
-	_, jsonlRaw := writeJournal(t, entries)
+	_, jsonlRaw := writeJSONLJournal(t, entries)
 	_, binRaw := writeBinaryJournal(t, entries)
 	ja, err := DecodeBytes(jsonlRaw)
 	if err != nil {
@@ -102,7 +93,7 @@ func TestBinaryMatchesJSONLSemantics(t *testing.T) {
 func TestBinaryTruncationAtEveryByte(t *testing.T) {
 	entries := testEntries()
 	_, raw := writeBinaryJournal(t, entries)
-	headerLen := len(encodeBinaryJournal(t, testHeader(), nil))
+	headerLen := len(encodeBinary(testHeader(), nil))
 	for cut := 0; cut <= len(raw); cut++ {
 		j, err := DecodeBytes(raw[:cut])
 		if cut < headerLen {
@@ -151,7 +142,7 @@ func TestBinaryTornFinalFrame(t *testing.T) {
 	if len(j.Entries) != len(entries)-1 {
 		t.Fatalf("entries = %d, want %d", len(j.Entries), len(entries)-1)
 	}
-	withoutLast := encodeBinaryJournal(t, testHeader(), entries[:len(entries)-1])
+	withoutLast := encodeBinary(testHeader(), entries[:len(entries)-1])
 	if j.ValidBytes != int64(len(withoutLast)) {
 		t.Fatalf("ValidBytes = %d, want %d", j.ValidBytes, len(withoutLast))
 	}
@@ -163,7 +154,7 @@ func TestBinaryTornFinalFrame(t *testing.T) {
 func TestBinaryMidFileCorruptionRefused(t *testing.T) {
 	entries := testEntries()
 	_, raw := writeBinaryJournal(t, entries)
-	headerLen := len(encodeBinaryJournal(t, testHeader(), nil))
+	headerLen := len(encodeBinary(testHeader(), nil))
 	damaged := append([]byte{}, raw...)
 	damaged[headerLen+6] ^= 0x40 // inside the first entry frame's payload
 	if _, err := DecodeBytes(damaged); err == nil {
@@ -175,7 +166,7 @@ func TestBinaryMidFileCorruptionRefused(t *testing.T) {
 
 // TestBinaryOversizedLengthRefused writes an absurd frame length word.
 func TestBinaryOversizedLengthRefused(t *testing.T) {
-	raw := encodeBinaryJournal(t, testHeader(), nil)
+	raw := encodeBinary(testHeader(), nil)
 	raw = append(raw, 0xff, 0xff, 0xff, 0xff)
 	if _, err := DecodeBytes(raw); err == nil {
 		t.Fatal("oversized length word accepted")
@@ -224,7 +215,7 @@ func TestBinaryAppendToResumesAndAdoptsCodec(t *testing.T) {
 // unlike JSONL's unterminated-header special case, a binary file
 // without a complete header frame is unidentifiable and refused.
 func TestBinaryHeaderOnlyTruncationRefused(t *testing.T) {
-	raw := encodeBinaryJournal(t, testHeader(), nil)
+	raw := encodeBinary(testHeader(), nil)
 	for _, cut := range []int{len(binaryMagic), len(binaryMagic) + 4, len(raw) - 1} {
 		if _, err := DecodeBytes(raw[:cut]); err == nil {
 			t.Fatalf("cut %d inside header accepted", cut)
@@ -232,24 +223,9 @@ func TestBinaryHeaderOnlyTruncationRefused(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for _, s := range []string{"jsonl", "binary"} {
-		c, err := ParseCodec(s)
-		if err != nil || string(c) != s {
-			t.Fatalf("ParseCodec(%q) = %q, %v", s, c, err)
-		}
-	}
-	if _, err := ParseCodec("cbor"); err == nil {
-		t.Fatal("ParseCodec accepted unknown codec")
-	}
-	if _, err := CreateCodec(filepath.Join(t.TempDir(), "x"), testHeader(), Codec("cbor")); err == nil {
-		t.Fatal("CreateCodec accepted unknown codec")
-	}
-}
-
 // TestBinaryEntryFrameValidation feeds malformed entry frames.
 func TestBinaryEntryFrameValidation(t *testing.T) {
-	base := encodeBinaryJournal(t, testHeader(), nil)
+	base := encodeBinary(testHeader(), nil)
 	badFlags := appendEntryPayload(nil, Entry{Index: 1, ID: "x", Class: "c"})
 	badFlags[len(badFlags)-1] = 0x02
 	cases := map[string][]byte{
@@ -271,7 +247,7 @@ func TestBinaryEntryFrameValidation(t *testing.T) {
 // per run. (TestBinaryRoundTrip holds the bytes to the reference
 // encoding.)
 func TestBinaryAppendAllocatesNothing(t *testing.T) {
-	w, err := CreateCodec(filepath.Join(t.TempDir(), "j.bin"), testHeader(), Binary)
+	w, err := Create(filepath.Join(t.TempDir(), "j.bin"), testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}

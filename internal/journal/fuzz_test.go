@@ -2,60 +2,29 @@ package journal
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// fuzzSeedJournal builds a small valid journal for the seed corpus.
-func fuzzSeedJournal() []byte {
-	var buf bytes.Buffer
-	h := Header{FormatMarker: Format, Campaign: "fz", Shard: 1, Shards: 4, Total: 8, Universe: "cafe0000cafe0000"}
-	line, _ := json.Marshal(h)
-	buf.Write(append(line, '\n'))
-	for _, e := range []Entry{
-		{Index: 1, ID: "a", Class: "masked"},
-		{Index: 5, ID: "b", Class: "sdc", Detail: "x\ny", Panicked: true},
-	} {
-		line, _ := json.Marshal(e)
-		buf.Write(append(line, '\n'))
-	}
-	return buf.Bytes()
-}
-
-// FuzzJournalReplay is the crash/corruption contract of the journal
-// layer: DecodeBytes must never panic, must never fabricate entries a
-// re-encode would not reproduce, and must never report more valid
-// bytes than it was given. Truncated and corrupt inputs are detected —
-// a journal that decodes cleanly round-trips bit-exact through
-// re-encoding, so nothing corrupt can ever be silently merged.
-// fuzzSeedBinaryJournal builds a small valid binary journal for the
-// FuzzJournalBinary seed corpus.
-func fuzzSeedBinaryJournal() []byte {
-	h := Header{FormatMarker: Format, Campaign: "fz", Shard: 1, Shards: 4, Total: 8, Universe: "cafe0000cafe0000"}
-	data, _ := encodeBinaryHeader(h)
-	for _, e := range []Entry{
-		{Index: 1, ID: "a", Class: "masked"},
-		{Index: 5, ID: "b", Class: "sdc", Detail: "x\ny", Panicked: true},
-	} {
-		data = appendFrame(data, appendEntryPayload(nil, e))
-	}
-	return data
+// fuzzSeed is the small valid journal both seed corpora start from.
+func fuzzSeed() (Header, []Entry) {
+	return Header{FormatMarker: Format, Campaign: "fz", Shard: 1, Shards: 4, Total: 8, Universe: "cafe0000cafe0000"},
+		[]Entry{
+			{Index: 1, ID: "a", Class: "masked"},
+			{Index: 5, ID: "b", Class: "sdc", Detail: "x\ny", Panicked: true},
+		}
 }
 
 // fuzzSeedAdaptiveBinaryJournal is the adaptive-campaign spelling:
 // gappy proposal-sequence indices past Total, signature uvarints
 // behind flags bit 1.
 func fuzzSeedAdaptiveBinaryJournal() []byte {
-	h := Header{FormatMarker: Format, Campaign: "fz-ad", Shard: 0, Shards: 1, Total: 4, Universe: "feed0000feed0000", Adaptive: true}
-	data, _ := encodeBinaryHeader(h)
-	for _, e := range []Entry{
-		{Index: 0, ID: "p0", Class: "masked", Sig: 0xdeadbeefcafe},
-		{Index: 3, ID: "p3", Class: "sdc", Sig: 1},
-		{Index: 9, ID: "p9", Class: "no-effect", Panicked: true, Sig: 1<<63 + 7},
-	} {
-		data = appendFrame(data, appendEntryPayload(nil, e))
-	}
-	return data
+	return encodeBinary(
+		Header{FormatMarker: Format, Campaign: "fz-ad", Shard: 0, Shards: 1, Total: 4, Universe: "feed0000feed0000", Adaptive: true},
+		[]Entry{
+			{Index: 0, ID: "p0", Class: "masked", Sig: 0xdeadbeefcafe},
+			{Index: 3, ID: "p3", Class: "sdc", Sig: 1},
+			{Index: 9, ID: "p9", Class: "no-effect", Panicked: true, Sig: 1<<63 + 7},
+		})
 }
 
 // FuzzJournalBinary extends the FuzzJournalReplay contract to the
@@ -66,7 +35,7 @@ func fuzzSeedAdaptiveBinaryJournal() []byte {
 // same journal through a JSONL re-encode — the two codecs are one
 // format with two spellings.
 func FuzzJournalBinary(f *testing.F) {
-	valid := fuzzSeedBinaryJournal()
+	valid := encodeBinary(fuzzSeed())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])     // truncated mid-frame
 	f.Add(valid[:len(binaryMagic)]) // magic only
@@ -78,9 +47,8 @@ func FuzzJournalBinary(f *testing.F) {
 	torn := append([]byte{}, valid...)
 	torn[len(torn)-1] ^= 0xff
 	f.Add(torn)
-	// Oversized length word after a valid header.
-	hdr := fuzzSeedBinaryJournal()[:len(binaryMagic)]
-	f.Add(append(append([]byte{}, hdr...), 0xff, 0xff, 0xff, 0x7f))
+	// Oversized length word right after the magic.
+	f.Add(append(append([]byte{}, binaryMagic...), 0xff, 0xff, 0xff, 0x7f))
 	// Adaptive journal: signature uvarints, indices past Total.
 	adaptive := fuzzSeedAdaptiveBinaryJournal()
 	f.Add(adaptive)
@@ -165,14 +133,7 @@ func FuzzJournalBinary(f *testing.F) {
 		}
 		// Cross-codec: the same content spelled as JSONL decodes to the
 		// same journal (Merge/resume semantics cannot depend on codec).
-		var buf bytes.Buffer
-		line, _ := json.Marshal(j.Header)
-		buf.Write(append(line, '\n'))
-		for _, e := range j.Entries {
-			line, _ := json.Marshal(e)
-			buf.Write(append(line, '\n'))
-		}
-		j3, err := DecodeBytes(buf.Bytes())
+		j3, err := DecodeBytes(encodeJSONL(j.Header, j.Entries))
 		if err != nil {
 			t.Fatalf("JSONL re-spelling does not decode: %v", err)
 		}
@@ -187,8 +148,14 @@ func FuzzJournalBinary(f *testing.F) {
 	})
 }
 
+// FuzzJournalReplay is the crash/corruption contract of the journal
+// layer: DecodeBytes must never panic, must never fabricate entries a
+// re-encode would not reproduce, and must never report more valid
+// bytes than it was given. Truncated and corrupt inputs are detected —
+// a journal that decodes cleanly round-trips bit-exact through
+// re-encoding, so nothing corrupt can ever be silently merged.
 func FuzzJournalReplay(f *testing.F) {
-	valid := fuzzSeedJournal()
+	valid := encodeJSONL(fuzzSeed())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])                                     // truncated tail
 	f.Add(valid[:bytes.IndexByte(valid, '\n')/2])                   // truncated header
@@ -226,14 +193,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// Re-encode the decoded journal and decode again: the accepted
 		// content must survive a write/read cycle unchanged.
-		var buf bytes.Buffer
-		line, _ := json.Marshal(j.Header)
-		buf.Write(append(line, '\n'))
-		for _, e := range j.Entries {
-			line, _ := json.Marshal(e)
-			buf.Write(append(line, '\n'))
-		}
-		j2, err := DecodeBytes(buf.Bytes())
+		j2, err := DecodeBytes(encodeJSONL(j.Header, j.Entries))
 		if err != nil {
 			t.Fatalf("re-encoded journal does not decode: %v", err)
 		}

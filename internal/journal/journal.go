@@ -1,23 +1,25 @@
-// Package journal implements the append-only JSONL run journal that
-// makes fault-injection campaigns interruptible and shardable: every
-// completed scenario run is recorded as one line, so a campaign killed
-// mid-flight (SIGINT, timeout, crash) resumes by replaying the journal
-// and skipping what is already recorded, and the journals of a
-// completed shard set merge into the unsharded result.
+// Package journal implements the append-only run journal that makes
+// fault-injection campaigns interruptible and shardable: every
+// completed scenario run is one record, so a campaign killed
+// mid-flight resumes by replaying the journal and skipping what is
+// recorded, and the journals of a completed shard set merge into the
+// unsharded result.
 //
-// The format is one JSON object per line. The first line is the
-// Header (self-identifying via the "journal" format marker); every
-// later line is an Entry. Appends are line-atomic in practice — a
-// crash can only lose the line being written — and the decoder
-// distinguishes a partial trailing line (Truncated, safe to resume
-// from after trimming) from corruption anywhere else (a hard error,
-// never silently merged).
+// The first record is the Header (self-identifying via the "journal"
+// format marker); every later one is an Entry. Journals are created
+// binary — CRC-checked frames, see binary.go; JSONL journals from
+// before that still decode, resume and merge. Appends are
+// record-atomic in practice, and the decoder distinguishes a partial
+// trailing record (Truncated, safe to resume from after trimming) from
+// corruption anywhere else (a hard error, never silently merged).
 package journal
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
 )
@@ -267,14 +269,18 @@ type Writer struct {
 	frame []byte
 }
 
-// Create starts a new JSONL journal at path, writing the header. It
+// Create starts a new binary journal at path, writing the header. It
 // refuses to overwrite an existing file: journals are resumable state,
 // so a stale one must be resumed (AppendTo) or deleted explicitly.
 func Create(path string, h Header) (*Writer, error) {
-	return CreateCodec(path, h, JSONL)
+	return CreateCodec(path, h, Binary)
 }
 
 // CreateCodec is Create with an explicit on-disk encoding.
+//
+// Deprecated: every journal is created binary (Create). CreateCodec
+// stays only for the benchmark's JSONL encode probe and goes with it
+// (ROADMAP 1(a)).
 func CreateCodec(path string, h Header, codec Codec) (*Writer, error) {
 	h.FormatMarker = Format
 	if err := h.Validate(); err != nil {
@@ -357,15 +363,16 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 
 // Open resumes the journal at path when the file exists — AppendTo,
 // returning the recorded entries for replay and keeping the file's own
-// codec — and starts a fresh one in codec otherwise, so the same call
-// serves a campaign's first run and every re-run. The returned Journal
-// is nil for a fresh file.
-func Open(path string, h Header, codec Codec) (*Journal, *Writer, error) {
-	if _, err := os.Stat(path); err == nil {
-		return AppendTo(path, h)
+// codec — and starts a fresh binary one (Create) when it does not, so
+// the same call serves a campaign's first run and every re-run. The
+// returned Journal is nil for a fresh file. Only a missing file starts
+// fresh: one that cannot be read for any other reason is an error.
+func Open(path string, h Header) (*Journal, *Writer, error) {
+	j, w, err := AppendTo(path, h)
+	if errors.Is(err, fs.ErrNotExist) {
+		w, err = Create(path, h)
 	}
-	w, err := CreateCodec(path, h, codec)
-	return nil, w, err
+	return j, w, err
 }
 
 // Append writes one entry as a single line (JSONL) or frame (binary).

@@ -25,28 +25,14 @@ newline`},
 	}
 }
 
-// writeJournal creates a journal with the test header and entries and
-// returns its path and raw bytes.
-func writeJournal(t *testing.T, entries []Entry) (string, []byte) {
+// writeJSONLJournal writes a JSONL journal — the encoding journals had
+// before every writer went binary — with the test header and entries,
+// and returns its path and raw bytes.
+func writeJSONLJournal(t *testing.T, entries []Entry) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, err := Create(path, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := w.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Appends() != len(entries) {
-		t.Fatalf("Appends() = %d, want %d", w.Appends(), len(entries))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	raw := encodeJSONL(testHeader(), entries)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path, raw
@@ -54,7 +40,7 @@ func writeJournal(t *testing.T, entries []Entry) (string, []byte) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	entries := testEntries()
-	path, _ := writeJournal(t, entries)
+	path, _ := writeJSONLJournal(t, entries)
 	j, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +61,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalCreateRefusesExisting(t *testing.T) {
-	path, _ := writeJournal(t, nil)
+	path, _ := writeBinaryJournal(t, nil)
 	if _, err := Create(path, testHeader()); err == nil {
 		t.Fatal("Create overwrote an existing journal")
 	}
@@ -88,7 +74,7 @@ func TestJournalCreateRefusesExisting(t *testing.T) {
 // prefix may ever decode to entries that were not in the original.
 func TestJournalTruncationAtEveryByte(t *testing.T) {
 	entries := testEntries()
-	_, raw := writeJournal(t, entries)
+	_, raw := writeJSONLJournal(t, entries)
 	full, err := DecodeBytes(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +110,7 @@ func TestJournalTruncationAtEveryByte(t *testing.T) {
 // append was cut mid-line trims the tail and continues cleanly.
 func TestJournalAppendToTrimsPartialTail(t *testing.T) {
 	entries := testEntries()
-	path, raw := writeJournal(t, entries)
+	path, raw := writeJSONLJournal(t, entries)
 	// Chop the file mid-way through the final line.
 	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
 		t.Fatal(err)
@@ -161,7 +147,7 @@ func TestJournalAppendToTrimsPartialTail(t *testing.T) {
 // AppendTo rewrites the header it trimmed.
 func TestJournalZeroEntryRecovery(t *testing.T) {
 	t.Run("header with newline", func(t *testing.T) {
-		path, raw := writeJournal(t, nil)
+		path, raw := writeJSONLJournal(t, nil)
 		j, err := DecodeBytes(raw)
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +177,7 @@ func TestJournalZeroEntryRecovery(t *testing.T) {
 		}
 	})
 	t.Run("header without newline", func(t *testing.T) {
-		path, raw := writeJournal(t, nil)
+		path, raw := writeJSONLJournal(t, nil)
 		if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +211,7 @@ func TestJournalZeroEntryRecovery(t *testing.T) {
 		}
 	})
 	// A header cut mid-way is unidentifiable and must stay a hard error.
-	_, raw := writeJournal(t, nil)
+	_, raw := writeJSONLJournal(t, nil)
 	if _, err := DecodeBytes(raw[:len(raw)/2]); err == nil {
 		t.Fatal("half a header accepted")
 	}
@@ -238,7 +224,7 @@ func TestJournalZeroEntryRecovery(t *testing.T) {
 // journal resumes from the last complete line.
 func TestJournalGarbageAfterValidTail(t *testing.T) {
 	entries := testEntries()
-	path, raw := writeJournal(t, entries)
+	path, raw := writeJSONLJournal(t, entries)
 	tail := []byte("{\"i\":6,\"id\":\"s6\",\"class\":\"masked\"}{\"i\":7,\"id")
 	if err := os.WriteFile(path, append(raw, tail...), 0o644); err != nil {
 		t.Fatal(err)
@@ -279,7 +265,7 @@ func TestJournalGarbageAfterValidTail(t *testing.T) {
 }
 
 func TestJournalAppendToRejectsHeaderMismatch(t *testing.T) {
-	path, _ := writeJournal(t, testEntries())
+	path, _ := writeJSONLJournal(t, testEntries())
 	h := testHeader()
 	h.Universe = "0000000000000000"
 	if _, _, err := AppendTo(path, h); err == nil {
@@ -299,15 +285,11 @@ func TestJournalAppendToRejectsHeaderMismatch(t *testing.T) {
 func TestJournalPartitionRule(t *testing.T) {
 	cut := testHeader()
 	cut.Partition = PartitionInjectionTime
-	for _, codec := range []Codec{JSONL, Binary} {
+	for codec, encode := range map[Codec]func(Header, []Entry) []byte{JSONL: encodeJSONL, Binary: encodeBinary} {
 		for _, pair := range [][2]Header{{cut, testHeader()}, {testHeader(), cut}} {
 			written, resumed := pair[0], pair[1]
 			path := filepath.Join(t.TempDir(), "j")
-			w, err := CreateCodec(path, written, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
+			if err := os.WriteFile(path, encode(written, nil), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			j, err := Read(path)
@@ -324,7 +306,7 @@ func TestJournalPartitionRule(t *testing.T) {
 }
 
 func TestJournalDecodeRejectsCorruption(t *testing.T) {
-	_, raw := writeJournal(t, testEntries())
+	_, raw := writeJSONLJournal(t, testEntries())
 	cases := []struct {
 		name string
 		data []byte
@@ -344,5 +326,49 @@ func TestJournalDecodeRejectsCorruption(t *testing.T) {
 				t.Errorf("corruption accepted: %q", tc.data)
 			}
 		})
+	}
+}
+
+// TestJournalOpen: Open starts a missing journal fresh — binary, with nothing to
+// replay — resumes an existing one in the codec it was written in, a
+// JSONL journal included, and refuses a path it cannot read for any
+// other reason than its absence instead of starting over beside it.
+func TestJournalOpen(t *testing.T) {
+	entries := testEntries()
+	path := filepath.Join(t.TempDir(), "j")
+	j, w, err := Open(path, testHeader())
+	if err != nil || j != nil {
+		t.Fatalf("fresh Open: journal %+v, err %v; want none to replay", j, err)
+	}
+	if err := w.Append(entries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy, _ := writeJSONLJournal(t, entries[:2])
+	for _, tc := range []struct {
+		path  string
+		codec Codec
+		have  int
+	}{{path, Binary, 1}, {legacy, JSONL, 2}} {
+		j, w, err := Open(tc.path, testHeader())
+		if err != nil || len(j.Entries) != tc.have {
+			t.Fatalf("reopening a %s journal: %v, %+v", tc.codec, err, j)
+		}
+		if err := w.Append(entries[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := Read(tc.path); err != nil || j.Codec != tc.codec || len(j.Entries) != tc.have+1 {
+			t.Errorf("a %s journal after Open and Append: %v, %+v", tc.codec, err, j)
+		}
+	}
+	for _, bad := range []string{filepath.Join(path, "j"), t.TempDir()} { // not a directory; a directory
+		if _, _, err := Open(bad, testHeader()); err == nil || errors.Is(err, os.ErrNotExist) {
+			t.Errorf("Open(%s): err %v, want the read error", bad, err)
+		}
 	}
 }

@@ -471,13 +471,12 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // hash; a Source by its MaxRuns budget and Fingerprint, with entries
 // keyed by proposal sequence number.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
-	h := journal.Header{Campaign: c.Name, Shard: c.Shard.Index, Shards: max(c.Shard.Count, 1), Partition: c.Shard.Partition()}
 	if c.Source != nil {
-		h.Total, h.Universe, h.Adaptive = c.MaxRuns, c.Fingerprint, true
-	} else {
-		h.Total, h.Universe = len(scenarios), UniverseHash(scenarios)
+		h := c.Shard.JournalHeader(c.Name, c.MaxRuns, c.Fingerprint)
+		h.Adaptive = true
+		return h
 	}
-	return h
+	return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
 }
 
 // resumeEntries validates c.Resume against this exact campaign — kind,

@@ -102,7 +102,7 @@ func TestCampaignTimeoutLateRunDiscarded(t *testing.T) {
 				return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
 			}
 			scenarios := makeScenarios(n)
-			path := filepath.Join(t.TempDir(), "j.jsonl")
+			path := filepath.Join(t.TempDir(), "j.journal")
 			w, err := journal.Create(path, shardHeader("late", Shard{}, scenarios))
 			if err != nil {
 				t.Fatal(err)
@@ -327,7 +327,7 @@ func TestCampaignHaltDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	path := filepath.Join(t.TempDir(), "j.journal")
 	h := shardHeader("hr", Shard{}, scenarios)
 	w, err := journal.Create(path, h)
 	if err != nil {

@@ -1,7 +1,9 @@
 package stressor
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -41,7 +43,7 @@ func TestShardSizes(t *testing.T) {
 				total += size
 				// Cross-check against the journal the engine writes.
 				sh := Shard{Index: i, Count: shards}
-				path := filepath.Join(t.TempDir(), "j.jsonl")
+				path := filepath.Join(t.TempDir(), "j.journal")
 				w, err := journal.Create(path, shardHeader("own", sh, scenarios))
 				if err != nil {
 					t.Fatal(err)
@@ -77,7 +79,9 @@ func TestShardSizes(t *testing.T) {
 // TestMergeMixedCodecs is the heterogeneous-encoding contract: a merge
 // set where one shard journaled binary and the other JSONL produces a
 // Result identical to the all-JSONL merge and to the unsharded run —
-// the codec is a file-format fact, never a semantic one.
+// the codec is a file-format fact, never a semantic one. A JSONL shard
+// is what an older build started and this one finished: a header line
+// on disk, which AppendTo carries on in.
 func TestMergeMixedCodecs(t *testing.T) {
 	const n, shards = 20, 2
 	scenarios := distinctScenarios(n)
@@ -97,7 +101,19 @@ func TestMergeMixedCodecs(t *testing.T) {
 		for s := 0; s < shards; s++ {
 			sh := Shard{Index: s, Count: shards}
 			path := filepath.Join(dir, fmt.Sprintf("shard%d.j", s))
-			w, err := journal.CreateCodec(path, shardHeader(tmpl.Name, sh, scenarios), codecs[s])
+			h := shardHeader(tmpl.Name, sh, scenarios)
+			var w *journal.Writer
+			var err error
+			if codecs[s] == journal.JSONL {
+				h.FormatMarker = journal.Format
+				line, _ := json.Marshal(h)
+				if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, w, err = journal.AppendTo(path, h)
+			} else {
+				w, err = journal.Create(path, h)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

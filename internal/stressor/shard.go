@@ -50,13 +50,17 @@ func (s Shard) validate() error {
 	return nil
 }
 
-// Partition is the rule a journal of this shard records in its header
-// (journal.Header.Partition): none when unsharded.
-func (s Shard) Partition() string {
+// JournalHeader is the header of this shard's journal of a campaign
+// over total scenarios with the given universe fingerprint — for
+// Campaign.JournalHeader, a fabric coordinator's shard journals and a
+// worker's resume prefix alike. A sharded header names the partition
+// rule; an unsharded one is shard 0/1 and names none.
+func (s Shard) JournalHeader(campaign string, total int, universe string) journal.Header {
+	h := journal.Header{Campaign: campaign, Shard: s.Index, Shards: max(s.Count, 1), Total: total, Universe: universe}
 	if s.Enabled() {
-		return journal.PartitionInjectionTime
+		h.Partition = journal.PartitionInjectionTime
 	}
-	return ""
+	return h
 }
 
 // shardOwners maps every unique-run position of d to the shard of count

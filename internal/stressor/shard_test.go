@@ -121,21 +121,29 @@ func TestUniverseHash(t *testing.T) {
 
 // shardHeader builds the journal header for one shard of a campaign.
 func shardHeader(name string, s Shard, scenarios []fault.Scenario) journal.Header {
-	shards := s.Count
-	if shards < 1 {
-		shards = 1
-	}
-	return journal.Header{
-		Campaign: name, Shard: s.Index, Shards: shards, Partition: s.Partition(),
-		Total: len(scenarios), Universe: UniverseHash(scenarios),
-	}
+	return s.JournalHeader(name, len(scenarios), UniverseHash(scenarios))
 }
 
-// TestJournalHeaderOfAList pins Campaign.JournalHeader for a scenario
-// list against literals: capsim, the daemon, the stressortest matrix
-// and resumeEntries all take the header from it, so a wrong field there
-// would be self-consistent everywhere else.
+// TestJournalHeaderOfAList pins Shard.JournalHeader and
+// Campaign.JournalHeader for a scenario list against literals: capsim,
+// the daemon, the stressortest matrix, resumeEntries, the fabric
+// coordinator and a worker's resume prefix all take the header from
+// them, so a wrong field there would be self-consistent everywhere
+// else.
 func TestJournalHeaderOfAList(t *testing.T) {
+	for _, tc := range []struct {
+		shard Shard
+		want  journal.Header
+	}{
+		{Shard{}, journal.Header{Campaign: "s", Shard: 0, Shards: 1, Total: 7, Universe: "u"}},
+		{Shard{Index: 0, Count: 1}, journal.Header{Campaign: "s", Shard: 0, Shards: 1, Total: 7, Universe: "u"}},
+		{Shard{Index: 2, Count: 4}, journal.Header{Campaign: "s", Shard: 2, Shards: 4, Partition: journal.PartitionInjectionTime, Total: 7, Universe: "u"}},
+	} {
+		if got := tc.shard.JournalHeader("s", 7, "u"); got != tc.want {
+			t.Errorf("Shard %+v: JournalHeader = %+v, want %+v", tc.shard, got, tc.want)
+		}
+	}
+
 	scenarios := dedupScenarios(12, 5) // duplicates: Total is the list's size, not the unique runs'
 	want := journal.Header{
 		Campaign: "hdr", Shard: 1, Shards: 3, Partition: journal.PartitionInjectionTime,
@@ -160,7 +168,7 @@ func executeShards(t *testing.T, tmpl Campaign, scenarios []fault.Scenario, shar
 	js := make([]*journal.Journal, shards)
 	for s := 0; s < shards; s++ {
 		sh := Shard{Index: s, Count: shards}
-		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", s))
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.journal", s))
 		w, err := journal.Create(path, shardHeader(tmpl.Name, sh, scenarios))
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +331,7 @@ func TestCampaignResumeCompletedJournal(t *testing.T) {
 	const n = 10
 	scenarios := makeScenarios(n)
 	classes := pattern(n, map[int]fault.Classification{4: fault.SDC})
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	path := filepath.Join(t.TempDir(), "j.journal")
 	h := shardHeader("rc", Shard{}, scenarios)
 	w, err := journal.Create(path, h)
 	if err != nil {
@@ -381,7 +389,7 @@ func TestCampaignResumeAfterHalt(t *testing.T) {
 	}
 	for _, workers := range []int{0, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "j.jsonl")
+			path := filepath.Join(t.TempDir(), "j.journal")
 			h := shardHeader("rh", Shard{}, scenarios)
 			w, err := journal.Create(path, h)
 			if err != nil {
@@ -439,7 +447,7 @@ func TestCampaignShardResumeMerge(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		sh := Shard{Index: s, Count: shards}
 		h := shardHeader("srm", sh, scenarios)
-		path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", s))
+		path := filepath.Join(dir, fmt.Sprintf("s%d.journal", s))
 		w, err := journal.Create(path, h)
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +501,7 @@ func TestCampaignScenarioTimeout(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			scenarios := makeScenarios(n)
-			path := filepath.Join(t.TempDir(), "j.jsonl")
+			path := filepath.Join(t.TempDir(), "j.journal")
 			w, err := journal.Create(path, shardHeader("to", Shard{}, scenarios))
 			if err != nil {
 				t.Fatal(err)
@@ -546,7 +554,7 @@ func TestCampaignResumeRejects(t *testing.T) {
 	run := classRunFunc(pattern(6, nil))
 	mkJournal := func(h journal.Header, entries ...journal.Entry) *journal.Journal {
 		t.Helper()
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		w, err := journal.Create(path, h)
 		if err != nil {
 			t.Fatal(err)

@@ -163,7 +163,7 @@ func executeCell(t *testing.T, cfg Config, run stressor.RunFunc, cp stressor.Che
 	// interrupting after cfg.InterruptAfter runs and resuming from the
 	// journal. It returns the final Execute's Result and the journal.
 	runShard := func(sh stressor.Shard, interrupt bool) (*stressor.Result, *journal.Journal) {
-		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", sh.Index))
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.journal", sh.Index))
 		h := campaign(sh, nil, nil, nil).JournalHeader(cfg.Scenarios)
 		w, err := journal.Create(path, h)
 		if err != nil {

@@ -33,8 +33,8 @@ func TestShardResumeMergeSmoke(t *testing.T) {
 	golden := tallyLine(t, runMain(t, "./cmd/capsim", args...))
 
 	dir := t.TempDir()
-	j0 := filepath.Join(dir, "shard0.jsonl")
-	j1 := filepath.Join(dir, "shard1.jsonl")
+	j0 := filepath.Join(dir, "shard0.journal")
+	j1 := filepath.Join(dir, "shard1.journal")
 
 	// Shard 0: interrupt after 3 runs, then resume to completion.
 	out := runMain(t, "./cmd/capsim", append(args,
