@@ -96,7 +96,7 @@ func TestSnapshotCapturePooled(t *testing.T) {
 
 // TestTreeEstablishSteadyStateAllocs pins the tree session's steady
 // state: once nodes for a set of forks are retained, re-establishing
-// those forks (restore from node, mark dirty, restore again) is
+// those forks (restore from a node, run past it, restore again) is
 // allocation-free.
 func TestTreeEstablishSteadyStateAllocs(t *testing.T) {
 	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
@@ -114,16 +114,14 @@ func TestTreeEstablishSteadyStateAllocs(t *testing.T) {
 		sess.Run(sc, sim.MS(5))
 		sess.Run(sc, sim.MS(7))
 	}
-	core := sess.(interface{ Core() *stressor.TreeCore }).Core()
+	tree := sess.(interface{ Establish(sim.Time) error })
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := core.Establish(sim.MS(5)); err != nil {
+		if err := tree.Establish(sim.MS(5)); err != nil {
 			panic(err)
 		}
-		core.MarkDirty()
-		if err := core.Establish(sim.MS(7)); err != nil {
+		if err := tree.Establish(sim.MS(7)); err != nil {
 			panic(err)
 		}
-		core.MarkDirty()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state tree establish allocates %.1f allocs/op, want 0", allocs)

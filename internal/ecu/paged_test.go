@@ -243,12 +243,12 @@ func TestClosedSessionSlotIsReused(t *testing.T) {
 		t.Fatalf("%s not fork-eligible", sc.ID)
 	}
 	want := naive.RunScenario(sc)
-	run := func(name string) (stressor.CheckpointSession, sim.Snapshottable) {
+	run := func(name string) (stressor.CheckpointSession, stressor.State) {
 		sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
 		if got := sess.Run(sc, fork); got.Class != want.Class || got.Detail != want.Detail {
 			t.Errorf("%s session: got %s %q, rebuild says %s %q", name, got.Class, got.Detail, want.Class, want.Detail)
 		}
-		return sess, sess.(interface{ Core() *stressor.TreeCore }).Core().Model
+		return sess, sess.(interface{ Prototype() stressor.State }).Prototype()
 	}
 	first, used := run("first")
 	first.Close()

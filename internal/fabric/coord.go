@@ -445,17 +445,24 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "lease revoked (shard %d held by %q attempt %d)", shard, s.worker, s.attempt)
 		return
 	}
-	if s.state == "leased" {
-		s.deadline = now.Add(c.cfg.LeaseTTL)
+	// Check every entry before recording any: a refused flush records
+	// nothing and extends nothing. A new entry enters s.entries as it
+	// passes, so a body that names one index twice is checked against
+	// itself; a refusal takes them out again.
+	fresh := entries[:0]
+	refuse := func(code int, format string, args ...any) {
+		for _, e := range fresh {
+			delete(s.entries, e.Index)
+		}
+		writeErr(w, code, format, args...)
 	}
-	grew := false
 	for _, e := range entries {
 		if e.Index < 0 || e.Index >= len(c.cfg.Scenarios) {
-			writeErr(w, http.StatusBadRequest, "entry index %d out of range", e.Index)
+			refuse(http.StatusBadRequest, "entry index %d out of range", e.Index)
 			return
 		}
 		if c.cfg.Scenarios[e.Index].ID != e.ID {
-			writeErr(w, http.StatusBadRequest, "entry %d is scenario %q, universe has %q", e.Index, e.ID, c.cfg.Scenarios[e.Index].ID)
+			refuse(http.StatusBadRequest, "entry %d is scenario %q, universe has %q", e.Index, e.ID, c.cfg.Scenarios[e.Index].ID)
 			return
 		}
 		if prev, ok := s.entries[e.Index]; ok {
@@ -463,7 +470,7 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 				// Two attempts disagreeing about one scenario means the
 				// prototype is nondeterministic — the one condition the
 				// whole fabric is built never to paper over.
-				writeErr(w, http.StatusConflict, "entry %d recorded twice with different outcomes (%+v vs %+v)", e.Index, prev, e)
+				refuse(http.StatusConflict, "entry %d recorded twice with different outcomes (%+v vs %+v)", e.Index, prev, e)
 				return
 			}
 			continue
@@ -471,17 +478,26 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		if s.state == "done" {
 			// The shard's journal is sealed; only repeats of what it holds
 			// (a final flush delivered twice) are answered.
-			writeErr(w, http.StatusConflict, "entry %d arrived after shard %d completed", e.Index, shard)
-			return
-		}
-		if err := s.w.Append(e); err != nil {
-			writeErr(w, http.StatusInternalServerError, "journal append: %v", err)
+			refuse(http.StatusConflict, "entry %d arrived after shard %d completed", e.Index, shard)
 			return
 		}
 		s.entries[e.Index] = e
-		s.order = append(s.order, e.Index)
-		grew = true
+		fresh = append(fresh, e)
 	}
+	if s.state == "leased" {
+		s.deadline = now.Add(c.cfg.LeaseTTL)
+	}
+	for i, e := range fresh {
+		if err := s.w.Append(e); err != nil {
+			for _, e := range fresh[i:] {
+				delete(s.entries, e.Index)
+			}
+			writeErr(w, http.StatusInternalServerError, "journal append: %v", err)
+			return
+		}
+		s.order = append(s.order, e.Index)
+	}
+	grew := len(fresh) > 0
 	if grew {
 		s.progress = now
 	}

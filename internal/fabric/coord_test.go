@@ -128,10 +128,12 @@ func TestLeaseStealFromStalledHolder(t *testing.T) {
 // match against the universe, and the duplicate policy — identical
 // duplicates fold silently (work-stealing makes them normal),
 // conflicting duplicates are a 409 because they prove nondeterminism.
+// A refused flush records nothing: a good entry in front of the bad one
+// is neither journaled nor recorded, and the lease is not extended.
 func TestFlushValidation(t *testing.T) {
 	scenarios := testScenarios(4)
 	clock := newFakeClock()
-	_, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1, Now: clock.Now})
+	c, srv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1, Now: clock.Now})
 	l := lease(t, srv.URL, "w1")
 	req := func(entries ...journal.Entry) flushReq {
 		return flushReq{Worker: "w1", Attempt: l.Attempt, Entries: entries}
@@ -157,6 +159,43 @@ func TestFlushValidation(t *testing.T) {
 	if code := flush(t, srv.URL, 9, req()); code != http.StatusBadRequest {
 		t.Fatalf("bad shard: HTTP %d, want 400", code)
 	}
+
+	type state struct {
+		recorded, appended int
+		deadline           time.Time
+	}
+	shard := func() state {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		s := c.shards[0]
+		st := state{recorded: len(s.entries), deadline: s.deadline}
+		if s.w != nil {
+			st.appended = s.w.Appends()
+		}
+		return st
+	}
+	fresh := entryFor(scenarios, 0, fault.Masked)
+	refused := func(name string, code int, entries ...journal.Entry) {
+		t.Helper()
+		clock.Advance(time.Second)
+		before := shard()
+		if got := flush(t, srv.URL, 0, req(entries...)); got != code {
+			t.Fatalf("%s: HTTP %d, want %d", name, got, code)
+		}
+		if after := shard(); after != before {
+			t.Errorf("%s: a refused flush changed the shard: %+v, was %+v", name, after, before)
+		}
+	}
+	refused("good, then out-of-range index", http.StatusBadRequest, fresh, journal.Entry{Index: 99, ID: "s99", Class: "masked"})
+	refused("good, then ID mismatch", http.StatusBadRequest, fresh, journal.Entry{Index: 2, ID: "wrong", Class: "masked"})
+	refused("good, then conflicting duplicate", http.StatusConflict, fresh, conflicting)
+	refused("one index twice, disagreeing", http.StatusConflict, fresh, entryFor(scenarios, 0, fault.SDC))
+	final := req(fresh)
+	final.Done = true
+	if code := flush(t, srv.URL, 0, final); code != http.StatusOK {
+		t.Fatalf("final flush: HTTP %d", code)
+	}
+	refused("sealed: held, then new", http.StatusConflict, fresh, entryFor(scenarios, 2, fault.Masked))
 }
 
 // TestFlushBodyMustDecodeWhole: a flush body is journal entry frames and

@@ -19,7 +19,8 @@ import (
 // param, duration, period, rate — never of its Start or Name, nor of
 // kernel time: when a fault strikes is the stressor's business. That is
 // what lets a campaign treat two injections of the same content into
-// the same model state as one experiment (stressor.TreeCore.Window).
+// the same model state as one experiment (a tree session's fork-window
+// memo, stressor.Host).
 // An injector that schedules kernel activity — notifies an event,
 // forces a signal a process is sensitive to — is within the contract;
 // such an injection is simply never merged with another.

@@ -92,11 +92,30 @@ func (e *PartitionError) Error() string {
 	return fmt.Sprintf("journal: shard %d/%d journal is partitioned %s, want %s", e.Shard, e.Shards, e.Journal, e.Want)
 }
 
-// CheckRule returns a *PartitionError when a shard journal with header
-// h cannot stand where one cut by want's rule is expected; an
-// unsharded journal fits under any rule.
-func (h Header) CheckRule(want Header) error {
-	if h.Shards > 1 && h.Rule() != want.Rule() {
+// Match reports whether a journal with header h can stand where one
+// with header want is expected: nil, or an error naming the first field
+// that differs — kind, campaign, shard layout, total, universe — and a
+// *PartitionError for a shard journal cut by another partition rule (an
+// unsharded journal fits under any rule).
+func (h Header) Match(want Header) error {
+	kind := func(h Header) string {
+		if h.Adaptive {
+			return "an adaptive"
+		}
+		return "a fixed-universe"
+	}
+	switch {
+	case h.Adaptive != want.Adaptive:
+		return fmt.Errorf("journal: written by %s campaign, want %s one", kind(h), kind(want))
+	case h.Campaign != want.Campaign:
+		return fmt.Errorf("journal: campaign %q, want %q", h.Campaign, want.Campaign)
+	case h.Shard != want.Shard || h.Shards != want.Shards:
+		return fmt.Errorf("journal: shard %d/%d, want %d/%d", h.Shard, h.Shards, want.Shard, want.Shards)
+	case h.Total != want.Total:
+		return fmt.Errorf("journal: total %d, want %d", h.Total, want.Total)
+	case h.Universe != want.Universe:
+		return fmt.Errorf("journal: universe %s, want %s", h.Universe, want.Universe)
+	case h.Shards > 1 && h.Rule() != want.Rule():
 		return &PartitionError{Shard: h.Shard, Shards: h.Shards, Journal: h.Rule(), Want: want.Rule()}
 	}
 	return nil
@@ -314,8 +333,8 @@ func CreateCodec(path string, h Header, codec Codec) (*Writer, error) {
 }
 
 // AppendTo reopens an existing journal for appending, adopting
-// whatever codec the file already uses. The on-disk header must match
-// h exactly (same campaign, shard layout and universe); a partial
+// whatever codec the file already uses. The on-disk header must Match
+// h (same kind, campaign, shard layout, total and universe); a partial
 // trailing line or frame left by a crash is trimmed first. It returns
 // the decoded journal alongside the writer so the caller can replay
 // the recorded entries.
@@ -328,11 +347,8 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := j.Header.CheckRule(h); err != nil {
+	if err := j.Header.Match(h); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if j.Header != h {
-		return nil, nil, fmt.Errorf("journal: %s header %+v does not match campaign %+v", path, j.Header, h)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

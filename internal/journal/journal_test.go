@@ -264,17 +264,25 @@ func TestJournalGarbageAfterValidTail(t *testing.T) {
 	}
 }
 
+// TestJournalAppendToRejectsHeaderMismatch: AppendTo refuses a journal
+// whose header does not Match the campaign's, naming the field.
 func TestJournalAppendToRejectsHeaderMismatch(t *testing.T) {
 	path, _ := writeJSONLJournal(t, testEntries())
-	h := testHeader()
-	h.Universe = "0000000000000000"
-	if _, _, err := AppendTo(path, h); err == nil {
-		t.Fatal("AppendTo accepted a journal from a different universe")
-	}
-	h = testHeader()
-	h.Shard = 1
-	if _, _, err := AppendTo(path, h); err == nil {
-		t.Fatal("AppendTo accepted a journal from a different shard")
+	for _, tc := range []struct {
+		edit func(*Header)
+		want string
+	}{
+		{func(h *Header) { h.Adaptive = true }, "written by a fixed-universe campaign, want an adaptive one"},
+		{func(h *Header) { h.Campaign = "u" }, `campaign "t", want "u"`},
+		{func(h *Header) { h.Shard = 1 }, "shard 0/2, want 1/2"},
+		{func(h *Header) { h.Total = 11 }, "total 10, want 11"},
+		{func(h *Header) { h.Universe = "0000000000000000" }, "universe deadbeefdeadbeef, want 0000000000000000"},
+	} {
+		h := testHeader()
+		tc.edit(&h)
+		if _, _, err := AppendTo(path, h); err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("AppendTo(%+v): err %v, want one ending %q", h, err, tc.want)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // Kernel conformance vectors (ROADMAP 6c): what a run does, written down,
 // and the ways of driving the kernel that must not change it. Fork
-// windows (stressor.TreeCore.Window) lean on both properties below: they
-// ask an idle kernel for its next event, and they run in legs that stop
-// one instant short of it.
+// windows (the stressor tree session's window leg) lean on both
+// properties below: they ask an idle kernel for its next event, and they
+// run in legs that stop one instant short of it.
 
 // confModel is snapModel with a written trace: the ticker re-arms itself
 // every 7 ns, and on every third nanosecond arms the kicker, which pulls

@@ -489,22 +489,11 @@ func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil
 	}
-	h, want := c.Resume.Header, c.JournalHeader(d.scenarios)
-	switch {
-	case h.Adaptive && !want.Adaptive:
-		return nil, fmt.Errorf("campaign %s: resume journal was written by an adaptive campaign", c.Name)
-	case want.Adaptive && !h.Adaptive:
-		return nil, fmt.Errorf("campaign %s: resume journal was written by a fixed-universe campaign", c.Name)
-	case h.Campaign != want.Campaign:
-		return nil, fmt.Errorf("campaign %s: resume journal belongs to campaign %q", c.Name, h.Campaign)
-	case h.Shards != want.Shards || h.Shard != want.Shard:
-		return nil, fmt.Errorf("campaign %s: resume journal is shard %d/%d, campaign is %s", c.Name, h.Shard, h.Shards, c.Shard)
-	case h.Total != want.Total:
-		return nil, fmt.Errorf("campaign %s: resume journal covers %d runs, campaign has %d", c.Name, h.Total, want.Total)
-	case want.Universe != "" && h.Universe != want.Universe:
-		return nil, fmt.Errorf("campaign %s: resume journal universe %s does not match %s", c.Name, h.Universe, want.Universe)
+	want := c.JournalHeader(d.scenarios)
+	if want.Universe == "" {
+		want.Universe = c.Resume.Header.Universe // a Source without a Fingerprint
 	}
-	if err := h.CheckRule(want); err != nil {
+	if err := c.Resume.Header.Match(want); err != nil {
 		return nil, fmt.Errorf("campaign %s: resume %w", c.Name, err)
 	}
 	m := make(map[int]journal.Entry, len(c.Resume.Entries))
@@ -780,7 +769,7 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	// target and class first — so scenario families dispatch back to back
 	// and fork from the same retained node while it is hottest in the
 	// LRU, and the members of one family that differ in Start alone (a
-	// fork window's instants, see TreeCore.Window) stay adjacent: a
+	// fork window's instants, see the session's window) stay adjacent: a
 	// claimed span then splits at most one such family between two
 	// workers' private memos.
 	// The order is total — index breaks every tie — so it needs no stable

@@ -19,10 +19,10 @@ type Checkpointer interface {
 	// not necessarily the latest one: a runner may name an earlier
 	// instant the golden run is provably idle from, so that scenarios
 	// injecting at different instants of one idle window share a fork
-	// (TreeCore.Window) — and whether forking is valid for it at all.
-	// Runners return ok=false for scenario classes that mutate
-	// pre-injection state (or when their own reuse machinery is
-	// disabled); the campaign transparently falls back to the plain
+	// (the tree session's fork-window memo) — and whether forking is
+	// valid for it at all. Runners return ok=false for scenario classes
+	// that mutate pre-injection state (or when their own reuse machinery
+	// is disabled); the campaign transparently falls back to the plain
 	// RunFunc for those. Campaign workers call it concurrently.
 	ForkTime(sc fault.Scenario) (sim.Time, bool)
 	// NewTreeSession creates a private golden-run session retaining up

@@ -72,7 +72,7 @@ type Host[S State, G any] struct {
 	mu    sync.Mutex
 	slots []*hostSlot[S]
 
-	nodes  NodePool
+	nodes  nodePool
 	trajMu sync.Mutex
 	trajs  map[sim.Time]*trajectory[G]
 	// the golden run's activity instants (see activity), recorded once.
@@ -145,7 +145,11 @@ func (h *Host[S, G]) Close() {
 
 // LiveNodes reports the tree nodes checked out of the host's pool: zero
 // once every session is closed or recycled.
-func (h *Host[S, G]) LiveNodes() int { return h.nodes.Live() }
+func (h *Host[S, G]) LiveNodes() int {
+	h.nodes.mu.Lock()
+	defer h.nodes.mu.Unlock()
+	return h.nodes.live
+}
 
 // instrument attaches the host's sinks to a kernel built for one run or
 // one session.
@@ -304,7 +308,7 @@ func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 // injects in instead: a+1, a being the last instant before Start at which
 // the golden run executes anything. Nothing happens between a and Start,
 // so the fork still precedes every mutation, and every instant of the
-// window shares one tree node and one TreeCore window memo.
+// window shares one tree node and one session's window memo.
 func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	if h.ReuseOff || len(sc.Faults) == 0 {
 		return 0, false
@@ -345,180 +349,3 @@ func (h *Host[S, G]) activity() []sim.Time {
 	})
 	return h.activityAt
 }
-
-// trajectory is a golden trajectory and what the model recorded of the
-// same run.
-type trajectory[G any] struct {
-	tr *GoldenTrajectory
-	g  G
-}
-
-// trajectory returns the golden trajectory for the given hash stride,
-// recording it on first use (one dedicated golden run per distinct
-// stride, shared by every session of the host).
-func (h *Host[S, G]) trajectory(stride sim.Time) (*trajectory[G], error) {
-	stride = normalizeStride(stride, h.horizon)
-	h.trajMu.Lock()
-	defer h.trajMu.Unlock()
-	if tj, ok := h.trajs[stride]; ok {
-		return tj, nil
-	}
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	s, _ := h.m.Build(k)
-	tj := &trajectory[G]{}
-	tr, err := RecordTrajectory(k, s, stride, h.horizon, func() { h.m.Record(&tj.g, s) })
-	if err != nil {
-		return nil, err
-	}
-	tj.tr = tr
-	if h.trajs == nil {
-		h.trajs = make(map[sim.Time]*trajectory[G])
-	}
-	h.trajs[stride] = tj
-	return tj, nil
-}
-
-// NewTreeSession implements Checkpointer. The session checks a slot out
-// of the pool on first use and owns it until Close hands it back, so a
-// campaign's sessions re-arm the prototypes the previous one built
-// instead of elaborating and allocating new ones. acquire re-arms every
-// slot it hands out, so golden state never leaks out of a session. A
-// session the campaign abandons is never closed: its slot — perhaps torn,
-// perhaps still running — simply never returns. Its retained tree nodes
-// come from the host-wide pool and go back through Recycle.
-func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	return &session[S, G]{h: h, cfg: cfg}
-}
-
-// session is one worker's tree session over TreeCore. Nodes are taken at
-// fork-1: restoring there and elaborating the stressor gives its initial
-// activation one instant before the injection, which reproduces a full
-// run's schedule at the injection instant exactly (the stressor's process
-// id is the highest either way, so it evaluates last within an instant).
-type session[S State, G any] struct {
-	h     *Host[S, G]
-	cfg   TreeConfig
-	core  TreeCore
-	sl    *hostSlot[S] // nil until init, and again after Close
-	traj  *trajectory[G]
-	pages *pageCounters
-}
-
-// pagedState is a State that keeps bulk state in sim.PagedState.
-type pagedState interface{ PagedStats() sim.PagedStats }
-
-// pageCounters publish the pages a session's digests and restores
-// touched — the evidence that their cost followed the write set.
-type pageCounters struct {
-	src                pagedState
-	rehashed, restored *obs.Counter
-	published          sim.PagedStats
-}
-
-func (p *pageCounters) publish() {
-	if p == nil {
-		return
-	}
-	now := p.src.PagedStats()
-	p.rehashed.Add(now.PagesRehashed - p.published.PagesRehashed)
-	p.restored.Add(now.PagesRestored - p.published.PagesRestored)
-	p.published = now
-}
-
-// init lazily checks out the session's slot — pristine at time zero,
-// whether built or re-armed — and records the (early exit on) trajectory.
-func (s *session[S, G]) init() error {
-	if s.sl != nil {
-		return nil
-	}
-	sl := s.h.acquire()
-	s.sl = sl
-	s.core = TreeCore{
-		Cfg: s.cfg, K: sl.k, Model: sl.s, Pool: &s.h.nodes,
-		Rebuild: func() { sl.k.Reset(); s.h.m.Rearm(sl.k, sl.s) },
-	}
-	s.core.Init()
-	if p, ok := any(sl.s).(pagedState); ok && s.cfg.Metrics != nil {
-		l := obs.L("campaign", s.cfg.Campaign)
-		// A re-armed slot's counters still hold its earlier runs' work.
-		s.pages = &pageCounters{src: p, published: p.PagedStats(),
-			rehashed: s.cfg.Metrics.Counter("campaign.state_pages_rehashed", l),
-			restored: s.cfg.Metrics.Counter("campaign.state_pages_restored", l)}
-	}
-	if s.cfg.EarlyExit {
-		tj, err := s.h.trajectory(s.cfg.HashStride)
-		if err != nil {
-			return err
-		}
-		s.traj = tj
-	}
-	return nil
-}
-
-// Run implements CheckpointSession, producing the exact outcome
-// RunScenario yields for the same scenario.
-func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
-	if out, ok := s.core.Recall(sc, fork); ok {
-		return out
-	}
-	ob, err := s.execute(sc, fork)
-	s.pages.publish()
-	if err != nil {
-		return errorOutcome(sc, err)
-	}
-	out := s.h.classify(sc, ob)
-	s.core.Remember(out)
-	return out
-}
-
-func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Observation, error) {
-	if err := s.init(); err != nil {
-		return analysis.Observation{}, err
-	}
-	if err := s.core.Establish(fork); err != nil {
-		return analysis.Observation{}, err
-	}
-	s.core.MarkDirty()
-	sl := s.sl
-	sl.st.Respawn(sl.k, sl.reg, sc, s.h.horizon)
-	if err := s.core.Window(&sl.st, sc); err != nil {
-		return analysis.Observation{}, err
-	}
-	if s.traj != nil {
-		// A run whose injections errored never converges.
-		converged, at, err := s.traj.tr.RunToHorizon(sl.k, sl.s, &sl.st)
-		if err != nil {
-			return analysis.Observation{}, err
-		}
-		if converged {
-			s.core.NoteEarlyExit(s.h.horizon - at)
-			return s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.tr.Stride)-1), nil
-		}
-	} else if err := sl.k.RunUntil(s.h.horizon); err != nil {
-		return analysis.Observation{}, err
-	}
-	if err := s.h.injectionError(sc, &sl.st); err != nil {
-		return analysis.Observation{}, err
-	}
-	return s.h.m.Observe(sl.s), nil
-}
-
-// Close implements CheckpointSession, returning the retained nodes to
-// the host's node pool and the slot to its slot pool. Method-only kernels
-// hold no goroutines, which is what lets the campaign abandon a session
-// without closing it.
-func (s *session[S, G]) Close() {
-	s.core.Recycle()
-	if s.sl != nil {
-		s.h.release(s.sl)
-		s.sl = nil
-	}
-}
-
-// Recycle implements RecyclableSession: the campaign reclaims an
-// abandoned session's nodes once the runaway run has finished.
-func (s *session[S, G]) Recycle() { s.core.Recycle() }
-
-// Core is the session's TreeCore, for tests that pin its steady state.
-func (s *session[S, G]) Core() *TreeCore { return &s.core }

@@ -42,27 +42,20 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 	if len(js) == 0 {
 		return nil, fmt.Errorf("stressor: merge of zero journals")
 	}
+	// Every journal must be a fixed-universe shard of the first one's
+	// campaign, layout and partition rule, over this universe.
 	h0 := js[0].Header
-	if h0.Total != len(scenarios) {
-		return nil, fmt.Errorf("stressor: journals cover %d scenarios, universe has %d", h0.Total, len(scenarios))
-	}
-	if h0.Universe != universe {
-		return nil, fmt.Errorf("stressor: journal universe %s does not match scenario universe %s", h0.Universe, universe)
-	}
+	want := h0
+	want.Adaptive, want.Total, want.Universe = false, len(scenarios), universe
 	seen := make([]bool, h0.Shards)
 	for _, j := range js {
 		h := j.Header
-		if h.Adaptive {
-			return nil, fmt.Errorf("stressor: journal for campaign %q was written by an adaptive campaign — adaptive journals do not merge", h.Campaign)
+		want.Shard = h.Shard
+		if err := h.Match(want); err != nil {
+			return nil, fmt.Errorf("stressor: merging shard %d/%d: %w", h.Shard, h.Shards, err)
 		}
 		if j.Truncated {
 			return nil, fmt.Errorf("stressor: journal for shard %d/%d is truncated — resume it to completion before merging", h.Shard, h.Shards)
-		}
-		if h.Campaign != h0.Campaign || h.Shards != h0.Shards || h.Total != h0.Total || h.Universe != h0.Universe {
-			return nil, fmt.Errorf("stressor: journal for shard %d belongs to a different campaign (%+v vs %+v)", h.Shard, h, h0)
-		}
-		if err := h.CheckRule(h0); err != nil {
-			return nil, fmt.Errorf("stressor: shard set mixes partition rules: %w", err)
 		}
 		if seen[h.Shard] {
 			return nil, fmt.Errorf("stressor: shard %d appears twice", h.Shard)

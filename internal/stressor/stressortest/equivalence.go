@@ -189,7 +189,7 @@ func (eq Equivalence) campaignAround(sc fault.Scenario, seed int64) []fault.Scen
 
 // windowNeighbours returns, for a scenario of one permanent fault, sc
 // itself and copies of it shifted to the instants where a fork window
-// (stressor.TreeCore.Window) could go wrong: the first and last instant
+// (a tree session's window memo) could go wrong: the first and last instant
 // of the idle window sc injects in, the golden activity instants a and b
 // that bound it, and the first instant past b. The window is read off
 // the runner's own ForkTime — a+1 for every Start in (a, b] — so a

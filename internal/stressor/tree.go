@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -23,19 +24,19 @@ import (
 // it out.
 
 const (
-	// DefaultTreeMaxNodes bounds the retained snapshots per session when
+	// treeMaxNodes bounds the retained snapshots per session when
 	// TreeConfig.MaxNodes is zero.
-	DefaultTreeMaxNodes = 32
-	// DefaultTreeMaxBytes bounds the kernel-side bytes a session's
-	// snapshots retain (model-state captures are not counted; see
+	treeMaxNodes = 32
+	// treeMaxBytes bounds the kernel-side bytes a session's snapshots
+	// retain (model-state captures are not counted; see
 	// Checkpoint.ApproxBytes).
-	DefaultTreeMaxBytes = 16 << 20
+	treeMaxBytes = 16 << 20
 )
 
 // TreeConfig parameterizes a checkpoint-tree session.
 type TreeConfig struct {
 	// MaxNodes is the LRU depth budget on retained tree nodes
-	// (0 selects DefaultTreeMaxNodes).
+	// (0 selects the default of 32).
 	MaxNodes int
 	// EarlyExit enables convergence detection against the golden
 	// trajectory.
@@ -60,28 +61,28 @@ type RecyclableSession interface {
 	Recycle()
 }
 
-// TreeNode is one retained golden-prefix snapshot: the kernel
+// treeNode is one retained golden-prefix snapshot: the kernel
 // checkpoint and the paired model-state capture at fork-1.
-type TreeNode struct {
+type treeNode struct {
 	fork sim.Time
 	tick uint64
 	cp   sim.Checkpoint
 	mst  any
 }
 
-// NodePool is a runner-level free list of tree nodes, shared by every
-// session of that runner so node buffers survive session abandonment,
-// Close and — on a warm daemon runner — the campaign itself. SnapshotInto and
-// SnapshotStateInto fully overwrite a node's buffers, so recycling
+// nodePool is a host-wide free list of tree nodes, shared by every
+// session of the host so node buffers survive session abandonment,
+// Close and — on a warm daemon runner — the campaign itself. SnapshotInto
+// and SnapshotStateInto fully overwrite a node's buffers, so recycling
 // them across kernels is safe.
-type NodePool struct {
+type nodePool struct {
 	mu   sync.Mutex
-	free []*TreeNode
+	free []*treeNode
 	live int
 }
 
-// Get takes a node from the pool (allocating when empty).
-func (p *NodePool) Get() *TreeNode {
+// get takes a node from the pool (allocating when empty).
+func (p *nodePool) get() *treeNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.live++
@@ -91,14 +92,11 @@ func (p *NodePool) Get() *TreeNode {
 		p.free = p.free[:n-1]
 		return nd
 	}
-	return &TreeNode{}
+	return &treeNode{}
 }
 
-// Put returns a node's buffers to the pool.
-func (p *NodePool) Put(nd *TreeNode) {
-	if nd == nil {
-		return
-	}
+// put returns a node's buffers to the pool.
+func (p *nodePool) put(nd *treeNode) {
 	nd.fork, nd.tick = 0, 0
 	p.mu.Lock()
 	p.live--
@@ -106,37 +104,42 @@ func (p *NodePool) Put(nd *TreeNode) {
 	p.mu.Unlock()
 }
 
-// Live reports how many nodes are currently checked out — the
-// leak-detection hook for engine lifecycle tests.
-func (p *NodePool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
+// NewTreeSession implements Checkpointer. The session checks a slot out
+// of the pool on first use and owns it until Close hands it back, so a
+// campaign's sessions re-arm the prototypes the previous one built
+// instead of elaborating and allocating new ones. acquire re-arms every
+// slot it hands out, so golden state never leaks out of a session. A
+// session the campaign abandons is never closed: its slot — perhaps torn,
+// perhaps still running — simply never returns. Its retained tree nodes
+// come from the host-wide pool and go back through Recycle.
+func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
+	if cfg.MaxNodes <= 0 {
+		cfg.MaxNodes = treeMaxNodes
+	}
+	return &session[S, G]{h: h, cfg: cfg}
 }
 
-// TreeCore is the prototype-agnostic heart of a tree session. The
-// hosting session (Host's tree session) supplies the kernel, the model's
-// Snapshottable hooks and a Rebuild closure that returns both to their
-// pristine time-zero state; TreeCore owns node retention, restore
-// dispatch, the LRU budget and the counters.
-type TreeCore struct {
-	Cfg   TreeConfig
-	K     *sim.Kernel
-	Model sim.Snapshottable
-	// Rebuild returns kernel and model to pristine time zero (Reset +
-	// Rearm + run-phase elaboration). It invalidates every retained
-	// node — Establish recycles them first.
-	Rebuild func()
-	// Pool is the runner-shared node free list (required).
-	Pool *NodePool
+// session is one worker's tree session: one slot, the golden-prefix
+// nodes retained of it, the fork-window memo and the golden trajectory
+// its runs are compared with. Nodes are taken at fork-1: restoring there
+// and elaborating the stressor gives its initial activation one instant
+// before the injection, which reproduces a full run's schedule at the
+// injection instant exactly (the stressor's process id is the highest
+// either way, so it evaluates last within an instant).
+type session[S State, G any] struct {
+	h     *Host[S, G]
+	cfg   TreeConfig
+	sl    *hostSlot[S] // nil until init, and again after Close
+	traj  *trajectory[G]
+	pages *pageCounters
 
-	nodes  []*TreeNode // sorted by fork, ascending
+	nodes  []*treeNode // sorted by fork, ascending
 	tick   uint64
-	virgin bool // kernel freshly built, pristine at time zero
+	virgin bool // the slot is pristine at time zero
 	dirty  bool // a run advanced past the last established instant
 	cur    sim.Time
 
-	// The fork-window memo (see Window): the kernel was last established
+	// The fork-window memo (see window): the kernel was last established
 	// in the golden idle window (winFork-1, winEnd), memo holds what the
 	// silent runs injected inside it came to, and pending is the key of the
 	// run in flight, set while its window leg has been silent.
@@ -148,92 +151,269 @@ type TreeCore struct {
 	hits, extends, rebuilds, evictions *obs.Counter
 	earlyExits, savedNs                *obs.Counter
 	windowHits, windowLoud             *obs.Counter
-	nodesGauge                         *obs.Gauge
 }
 
-// Init finalizes the core after the host built its kernel and model.
-func (t *TreeCore) Init() {
-	if t.Cfg.MaxNodes <= 0 {
-		t.Cfg.MaxNodes = DefaultTreeMaxNodes
+// pagedState is a State that keeps bulk state in sim.PagedState.
+type pagedState interface{ PagedStats() sim.PagedStats }
+
+// pageCounters publish the pages a session's digests and restores
+// touched — the evidence that their cost followed the write set.
+type pageCounters struct {
+	src                pagedState
+	rehashed, restored *obs.Counter
+	published          sim.PagedStats
+}
+
+func (p *pageCounters) publish() {
+	if p == nil {
+		return
 	}
-	t.virgin = true
-	t.dirty = true
-	if m := t.Cfg.Metrics; m != nil {
-		l := obs.L("campaign", t.Cfg.Campaign)
-		t.hits = m.Counter("campaign.tree_hits", l)
-		t.extends = m.Counter("campaign.tree_extends", l)
-		t.rebuilds = m.Counter("campaign.tree_rebuilds", l)
-		t.evictions = m.Counter("campaign.tree_evictions", l)
-		t.earlyExits = m.Counter("campaign.early_exits", l)
-		t.savedNs = m.Counter("campaign.early_exit_saved_sim_ns", l)
-		t.windowHits = m.Counter("campaign.fork_window_hits", l)
-		t.windowLoud = m.Counter("campaign.fork_window_loud", l)
-		t.nodesGauge = m.Gauge("campaign.tree_nodes", l)
+	now := p.src.PagedStats()
+	p.rehashed.Add(now.PagesRehashed - p.published.PagesRehashed)
+	p.restored.Add(now.PagesRestored - p.published.PagesRestored)
+	p.published = now
+}
+
+// init lazily checks out the session's slot — pristine at time zero,
+// whether built or re-armed — and records the (early exit on) trajectory.
+func (s *session[S, G]) init() error {
+	if s.sl != nil {
+		return nil
+	}
+	s.sl = s.h.acquire()
+	s.virgin, s.dirty = true, true
+	if m := s.cfg.Metrics; m != nil {
+		l := obs.L("campaign", s.cfg.Campaign)
+		s.hits = m.Counter("campaign.tree_hits", l)
+		s.extends = m.Counter("campaign.tree_extends", l)
+		s.rebuilds = m.Counter("campaign.tree_rebuilds", l)
+		s.evictions = m.Counter("campaign.tree_evictions", l)
+		s.earlyExits = m.Counter("campaign.early_exits", l)
+		s.savedNs = m.Counter("campaign.early_exit_saved_sim_ns", l)
+		s.windowHits = m.Counter("campaign.fork_window_hits", l)
+		s.windowLoud = m.Counter("campaign.fork_window_loud", l)
+		if p, ok := any(s.sl.s).(pagedState); ok {
+			// A re-armed slot's counters still hold its earlier runs' work.
+			s.pages = &pageCounters{src: p, published: p.PagedStats(),
+				rehashed: m.Counter("campaign.state_pages_rehashed", l),
+				restored: m.Counter("campaign.state_pages_restored", l)}
+		}
+	}
+	if s.cfg.EarlyExit {
+		tj, err := s.h.trajectory(s.cfg.HashStride)
+		if err != nil {
+			return err
+		}
+		s.traj = tj
+	}
+	return nil
+}
+
+// Run implements CheckpointSession, producing the exact outcome
+// RunScenario yields for the same scenario.
+func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if out, ok := s.recall(sc, fork); ok {
+		return out
+	}
+	ob, err := s.execute(sc, fork)
+	s.pages.publish()
+	if err != nil {
+		return errorOutcome(sc, err)
+	}
+	out := s.h.classify(sc, ob)
+	s.remember(out)
+	return out
+}
+
+func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Observation, error) {
+	if err := s.init(); err != nil {
+		return analysis.Observation{}, err
+	}
+	if err := s.establish(fork); err != nil {
+		return analysis.Observation{}, err
+	}
+	s.dirty = true
+	sl := s.sl
+	sl.st.Respawn(sl.k, sl.reg, sc, s.h.horizon)
+	if err := s.window(&sl.st, sc); err != nil {
+		return analysis.Observation{}, err
+	}
+	if s.traj != nil {
+		// A run whose injections errored never converges.
+		converged, at, err := s.runToHorizon()
+		if err != nil {
+			return analysis.Observation{}, err
+		}
+		if converged {
+			if s.earlyExits != nil {
+				s.earlyExits.Inc()
+				s.savedNs.Add(uint64(s.h.horizon - at))
+			}
+			return s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.stride)-1), nil
+		}
+	} else if err := sl.k.RunUntil(s.h.horizon); err != nil {
+		return analysis.Observation{}, err
+	}
+	if err := s.h.injectionError(sc, &sl.st); err != nil {
+		return analysis.Observation{}, err
+	}
+	return s.h.m.Observe(sl.s), nil
+}
+
+// Close implements CheckpointSession, returning the retained nodes to
+// the host's node pool and the slot to its slot pool. Method-only kernels
+// hold no goroutines, which is what lets the campaign abandon a session
+// without closing it.
+func (s *session[S, G]) Close() {
+	s.Recycle()
+	if s.sl != nil {
+		s.h.release(s.sl)
+		s.sl = nil
 	}
 }
 
-// Nodes reports the retained node count (tests).
-func (t *TreeCore) Nodes() int { return len(t.nodes) }
+// Recycle implements RecyclableSession: every retained node goes back to
+// the host's pool — on Close, on a rebuild from time zero, and for an
+// abandoned session once the runaway run has finished. Node buffers are
+// fully overwritten on reuse, so this is safe after abandonment.
+func (s *session[S, G]) Recycle() {
+	for i, nd := range s.nodes {
+		s.h.nodes.put(nd)
+		s.nodes[i] = nil
+	}
+	s.nodes = s.nodes[:0]
+	s.dirty = true
+}
 
-// MarkDirty records that the hosting session is about to run the
-// kernel past the established instant.
-func (t *TreeCore) MarkDirty() { t.dirty = true }
+// Establish is establish for tests that pin the tree's steady state: the
+// slot is left golden at fork-1, as a run forked at fork starts, and is
+// marked run past, as the run that follows leaves it.
+func (s *session[S, G]) Establish(fork sim.Time) error {
+	if err := s.init(); err != nil {
+		return err
+	}
+	err := s.establish(fork)
+	s.dirty = true
+	return err
+}
 
-// Establish leaves kernel and model in the golden state at simulated
+// Prototype is the prototype in the session's slot, for tests of the slot
+// pool: valid from the first run until Close.
+func (s *session[S, G]) Prototype() State { return s.sl.s }
+
+// establish leaves kernel and model in the golden state at simulated
 // time fork-1, with a node at fork retained for the next scenario.
 // Cheapest case first: an exact-fork node is restored (or nothing
 // happens if the kernel still sits there untouched); otherwise the
 // deepest node before fork is restored and the golden run extended
 // forward; with no usable node the prefix is rebuilt from time zero —
 // which Resets the kernel and therefore recycles every retained node.
-func (t *TreeCore) Establish(fork sim.Time) error {
-	if !t.dirty && t.cur == fork {
+func (s *session[S, G]) establish(fork sim.Time) error {
+	if !s.dirty && s.cur == fork {
 		return nil
 	}
-	if nd := t.lookup(fork); nd != nil {
-		if err := t.restore(nd); err != nil {
-			return err
+	k := s.sl.k
+	// Nodes are sorted by fork and no two share one: the last at or
+	// before fork is the exact one if there is one.
+	var nd *treeNode
+	for _, n := range s.nodes {
+		if n.fork <= fork {
+			nd = n
 		}
-		t.touch(nd)
-		t.count(t.hits)
-		t.cur, t.dirty = fork, false
-		return nil
 	}
-	if nd := t.deepestBefore(fork); nd != nil {
-		if err := t.restore(nd); err != nil {
+	if nd != nil {
+		if err := k.Restore(&nd.cp); err != nil {
 			return err
 		}
-		t.touch(nd)
-		t.count(t.extends)
+		s.sl.s.RestoreState(nd.mst)
+		s.touch(nd)
+		if nd.fork == fork {
+			inc(s.hits)
+			s.cur, s.dirty = fork, false
+			return nil
+		}
+		inc(s.extends)
 	} else {
 		// No retained prefix at or before fork: rebuild from zero. A
-		// fresh kernel is already pristine; Rebuild Resets otherwise,
-		// invalidating the whole tree.
-		if !t.virgin {
-			t.recycleAll()
-			t.Rebuild()
+		// fresh slot is already pristine; otherwise Reset invalidates the
+		// whole tree.
+		if !s.virgin {
+			s.Recycle()
+			k.Reset()
+			s.h.m.Rearm(k, s.sl.s)
 		}
-		t.count(t.rebuilds)
+		inc(s.rebuilds)
 	}
-	t.virgin = false
-	if err := t.K.RunUntil(fork - 1); err != nil {
+	s.virgin = false
+	if err := k.RunUntil(fork - 1); err != nil {
 		return err
 	}
-	nd := t.Pool.Get()
-	if err := t.K.SnapshotInto(&nd.cp); err != nil {
-		t.Pool.Put(nd)
+	nd = s.h.nodes.get()
+	if err := k.SnapshotInto(&nd.cp); err != nil {
+		s.h.nodes.put(nd)
 		return err
 	}
-	nd.mst = sim.SnapshotModelState(t.Model, nd.mst)
+	nd.mst = sim.SnapshotModelState(s.sl.s, nd.mst)
 	nd.fork = fork
-	t.insert(nd)
-	t.touch(nd)
-	t.evict()
-	t.cur, t.dirty = fork, false
-	if t.nodesGauge != nil {
-		t.nodesGauge.Set(float64(len(t.nodes)))
-	}
+	s.insert(nd)
+	s.touch(nd)
+	s.evict()
+	s.cur, s.dirty = fork, false
 	return nil
+}
+
+func (s *session[S, G]) insert(nd *treeNode) {
+	i := len(s.nodes)
+	s.nodes = append(s.nodes, nd)
+	for i > 0 && s.nodes[i-1].fork > nd.fork {
+		s.nodes[i] = s.nodes[i-1]
+		i--
+	}
+	s.nodes[i] = nd
+}
+
+func (s *session[S, G]) touch(nd *treeNode) {
+	s.tick++
+	nd.tick = s.tick
+}
+
+// evict enforces the node-count and byte budgets, dropping the least
+// recently used nodes first (never the one just touched).
+func (s *session[S, G]) evict() {
+	for len(s.nodes) > 1 {
+		over := len(s.nodes) > s.cfg.MaxNodes
+		if !over {
+			bytes := 0
+			for _, nd := range s.nodes {
+				bytes += nd.cp.ApproxBytes()
+			}
+			over = bytes > treeMaxBytes
+		}
+		if !over {
+			return
+		}
+		lru := 0
+		for i, nd := range s.nodes {
+			if nd.tick < s.nodes[lru].tick {
+				lru = i
+			}
+		}
+		if s.nodes[lru].tick == s.tick {
+			return // everything else already evicted
+		}
+		nd := s.nodes[lru]
+		copy(s.nodes[lru:], s.nodes[lru+1:])
+		s.nodes[len(s.nodes)-1] = nil
+		s.nodes = s.nodes[:len(s.nodes)-1]
+		s.h.nodes.put(nd)
+		inc(s.evictions)
+	}
+}
+
+func inc(c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
 }
 
 // Fork windows. Between two consecutive instants at which the golden
@@ -241,9 +421,9 @@ func (t *TreeCore) Establish(fork sim.Time) error {
 // writes model state, so a single permanent fault injected at any
 // instant of the window is the same experiment from b on, provided the
 // injection itself stirs nothing before b (DESIGN §14 has the argument).
-// The host calls Recall before Establish, Window between Respawn and the
-// run to the horizon, and Remember with the outcome of a run that ended
-// cleanly; a host that calls none of them runs every scenario.
+// Run calls recall before establishing, window between Respawn and the
+// run to the horizon, and remember with the outcome of a run that ended
+// cleanly.
 
 // windowKey is a single permanent fault's content minus Name and Start:
 // all an injector may depend on besides model state (fault.Injector).
@@ -273,27 +453,27 @@ func windowKeyOf(sc fault.Scenario) (key windowKey, start sim.Time, ok bool) {
 	return key, start, true
 }
 
-// Recall answers sc from the window memo: ok when a run with sc's
+// recall answers sc from the window memo: ok when a run with sc's
 // content, forked at the same fork and injected before the same window
 // end, was silent and ended cleanly. The outcome carries sc itself.
 // Nothing is established, respawned or simulated for a hit.
-func (t *TreeCore) Recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool) {
-	if fork != t.winFork {
+func (s *session[S, G]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool) {
+	if fork != s.winFork {
 		return fault.Outcome{}, false
 	}
 	key, start, ok := windowKeyOf(sc)
-	if !ok || start >= t.winEnd {
+	if !ok || start >= s.winEnd {
 		return fault.Outcome{}, false
 	}
-	v, ok := t.memo[key]
+	v, ok := s.memo[key]
 	if !ok {
 		return fault.Outcome{}, false
 	}
-	t.count(t.windowHits)
+	inc(s.windowHits)
 	return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail}, true
 }
 
-// Window runs a keyed scenario's first leg, with the kernel established
+// window runs a keyed scenario's first leg, with the kernel established
 // at sc's fork and st respawned on it: to the last instant before the
 // golden run next executes anything (b), when sc injects before b. The
 // leg is silent iff the kernel activated nothing but the stressor's own
@@ -301,219 +481,116 @@ func (t *TreeCore) Recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool
 // notification but the stressor's own one, still has b as its next
 // event, and the stressor performed its one action without error: then
 // model state at b-1 is golden state plus what Inject made of sc's
-// content, whichever instant of the window sc named, and Remember may
+// content, whichever instant of the window sc named, and remember may
 // keep the verdict. A loud leg is simply the start of an ordinary run.
 // The caller runs on to the horizon either way.
-func (t *TreeCore) Window(st *Stressor, sc fault.Scenario) error {
-	t.hasPending = false
+func (s *session[S, G]) window(st *Stressor, sc fault.Scenario) error {
+	s.hasPending = false
 	key, start, ok := windowKeyOf(sc)
 	if !ok {
 		return nil
 	}
-	b := t.K.NextEventTime()
-	if t.cur != t.winFork || b != t.winEnd {
-		t.winFork, t.winEnd = t.cur, b
-		clear(t.memo)
+	k := s.sl.k
+	b := k.NextEventTime()
+	if s.cur != s.winFork || b != s.winEnd {
+		s.winFork, s.winEnd = s.cur, b
+		clear(s.memo)
 	}
 	if start >= b {
 		return nil
 	}
-	before := t.K.Stats()
-	if err := t.K.RunUntil(min(b-1, st.Horizon)); err != nil {
+	before := k.Stats()
+	if err := k.RunUntil(min(b-1, st.Horizon)); err != nil {
 		return err
 	}
-	after := t.K.Stats()
+	after := k.Stats()
 	if after.Activations-before.Activations == 2 && after.Notifications-before.Notifications == 1 &&
-		t.K.NextEventTime() == b && st.Finished() && len(st.InjectionErrors()) == 0 {
-		t.pending, t.hasPending = key, true
+		k.NextEventTime() == b && st.Finished() && len(st.InjectionErrors()) == 0 {
+		s.pending, s.hasPending = key, true
 	} else {
-		t.count(t.windowLoud)
+		inc(s.windowLoud)
 	}
 	return nil
 }
 
-// Remember keeps out as the verdict of every later scenario Recall finds
+// remember keeps out as the verdict of every later scenario recall finds
 // equivalent to the one that just ran, when that run's window leg was
-// silent. The host calls it only for a run that ended cleanly — one that
+// silent. Run calls it only for a run that ended cleanly — one that
 // errored, panicked or timed out is never remembered.
-func (t *TreeCore) Remember(out fault.Outcome) {
-	if !t.hasPending {
+func (s *session[S, G]) remember(out fault.Outcome) {
+	if !s.hasPending {
 		return
 	}
-	t.hasPending = false
-	if t.memo == nil {
-		t.memo = make(map[windowKey]windowVerdict)
+	s.hasPending = false
+	if s.memo == nil {
+		s.memo = make(map[windowKey]windowVerdict)
 	}
-	t.memo[t.pending] = windowVerdict{class: out.Class, detail: out.Detail}
+	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail}
 }
 
-// NoteEarlyExit records one converged run that skipped saved simulated
-// time.
-func (t *TreeCore) NoteEarlyExit(saved sim.Time) {
-	if t.earlyExits != nil {
-		t.earlyExits.Inc()
-		t.savedNs.Add(uint64(saved))
+// trajectory is the golden run's incremental state-hash stream and what
+// the model recorded of the same run: hashes[i] is the digest of model +
+// scheduler state after running to (i+1)*stride, for every stride instant
+// strictly before the horizon. The digests are derived from the
+// Snapshottable/Hashable capture — no full snapshots are taken.
+type trajectory[G any] struct {
+	stride sim.Time
+	// nEvents/nProcs are the golden elaboration's object counts; live
+	// runs restrict their scheduler hash to this prefix so the stressor's
+	// own event/process (elaborated after the model) never enters the
+	// digest.
+	nEvents, nProcs int
+	hashes          []uint64
+	g               G
+}
+
+// trajectory returns the golden trajectory for the given hash stride
+// (0: horizon/16, at least one time unit), recording it on first use:
+// one dedicated golden run per distinct stride, shared by every session
+// of the host. The freshly elaborated golden kernel (no stressor) runs to
+// the horizon in stride chunks, and the model records its own state at
+// each stride instant beside the digest (Model.Record). Chunked RunUntil
+// is observationally one full run, so the digests are exactly what a
+// faulty run would hash to at those instants had the fault never
+// perturbed anything.
+func (h *Host[S, G]) trajectory(stride sim.Time) (*trajectory[G], error) {
+	if stride <= 0 {
+		stride = h.horizon / 16
 	}
-}
-
-// Recycle implements the RecyclableSession half of the hosting
-// session: every retained node goes back to the runner pool. Safe
-// after abandonment — node buffers are fully overwritten on reuse.
-func (t *TreeCore) Recycle() { t.recycleAll() }
-
-func (t *TreeCore) restore(nd *TreeNode) error {
-	if err := t.K.Restore(&nd.cp); err != nil {
-		return err
+	stride = max(stride, 1)
+	h.trajMu.Lock()
+	defer h.trajMu.Unlock()
+	if tj, ok := h.trajs[stride]; ok {
+		return tj, nil
 	}
-	t.Model.RestoreState(nd.mst)
-	return nil
-}
-
-func (t *TreeCore) lookup(fork sim.Time) *TreeNode {
-	for _, nd := range t.nodes {
-		if nd.fork == fork {
-			return nd
-		}
-	}
-	return nil
-}
-
-func (t *TreeCore) deepestBefore(fork sim.Time) *TreeNode {
-	var best *TreeNode
-	for _, nd := range t.nodes {
-		if nd.fork < fork {
-			best = nd // nodes sorted ascending
-		}
-	}
-	return best
-}
-
-func (t *TreeCore) insert(nd *TreeNode) {
-	i := len(t.nodes)
-	t.nodes = append(t.nodes, nd)
-	for i > 0 && t.nodes[i-1].fork > nd.fork {
-		t.nodes[i] = t.nodes[i-1]
-		i--
-	}
-	t.nodes[i] = nd
-}
-
-func (t *TreeCore) touch(nd *TreeNode) {
-	t.tick++
-	nd.tick = t.tick
-}
-
-// evict enforces the node-count and byte budgets, dropping the least
-// recently used nodes first (never the one just touched).
-func (t *TreeCore) evict() {
-	for len(t.nodes) > 1 {
-		over := len(t.nodes) > t.Cfg.MaxNodes
-		if !over {
-			bytes := 0
-			for _, nd := range t.nodes {
-				bytes += nd.cp.ApproxBytes()
-			}
-			over = bytes > DefaultTreeMaxBytes
-		}
-		if !over {
-			return
-		}
-		lru := 0
-		for i, nd := range t.nodes {
-			if nd.tick < t.nodes[lru].tick {
-				lru = i
-			}
-		}
-		if t.nodes[lru].tick == t.tick {
-			return // everything else already evicted
-		}
-		nd := t.nodes[lru]
-		copy(t.nodes[lru:], t.nodes[lru+1:])
-		t.nodes[len(t.nodes)-1] = nil
-		t.nodes = t.nodes[:len(t.nodes)-1]
-		t.Pool.Put(nd)
-		t.count(t.evictions)
-	}
-}
-
-func (t *TreeCore) recycleAll() {
-	for i, nd := range t.nodes {
-		t.Pool.Put(nd)
-		t.nodes[i] = nil
-	}
-	t.nodes = t.nodes[:0]
-	t.dirty = true
-	if t.nodesGauge != nil {
-		t.nodesGauge.Set(0)
-	}
-}
-
-func (t *TreeCore) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-// GoldenTrajectory is the golden run's incremental state-hash stream:
-// Hashes[i] is the digest of model + scheduler state after running to
-// (i+1)*Stride, for every stride instant strictly before Horizon. The
-// digests are derived from the Snapshottable/Hashable capture — no
-// full snapshots are taken.
-type GoldenTrajectory struct {
-	Stride  sim.Time
-	Horizon sim.Time
-	// NEvents/NProcs are the golden elaboration's object counts; live
-	// runs restrict their scheduler hash to this prefix so the
-	// stressor's own event/process (elaborated after the model) never
-	// enters the digest.
-	NEvents, NProcs int
-	Hashes          []uint64
-}
-
-// RecordTrajectory runs a freshly elaborated golden kernel (no
-// stressor) to horizon in stride chunks, recording the state digest at
-// each stride instant. Chunked RunUntil is observationally identical
-// to one full run, so the recorded digests are exactly what a faulty
-// run's model would hash to at those instants had the fault never
-// perturbed anything. onStride is called with the kernel standing at
-// each stride instant, so the caller can record model-specific state
-// beside the digest (Model.Record).
-func RecordTrajectory(k *sim.Kernel, m sim.Hashable, stride, horizon sim.Time, onStride func()) (*GoldenTrajectory, error) {
-	stride = normalizeStride(stride, horizon)
-	tr := &GoldenTrajectory{Stride: stride, Horizon: horizon}
-	tr.NEvents, tr.NProcs = k.Elaborated()
-	for t := stride; t < horizon; t += stride {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	s, _ := h.m.Build(k)
+	tj := &trajectory[G]{stride: stride}
+	tj.nEvents, tj.nProcs = k.Elaborated()
+	for t := stride; t < h.horizon; t += stride {
 		if err := k.RunUntil(t); err != nil {
 			return nil, err
 		}
-		onStride()
-		tr.Hashes = append(tr.Hashes, tr.digest(k, m))
+		h.m.Record(&tj.g, s)
+		tj.hashes = append(tj.hashes, tj.digest(k, s))
 	}
-	return tr, nil
-}
-
-// normalizeStride resolves the default trajectory stride — horizon/16,
-// minimum one time unit. Hosts key their trajectory caches by the
-// normalized value.
-func normalizeStride(stride, horizon sim.Time) sim.Time {
-	if stride <= 0 {
-		stride = horizon / 16
+	if h.trajs == nil {
+		h.trajs = make(map[sim.Time]*trajectory[G])
 	}
-	if stride <= 0 {
-		stride = 1
-	}
-	return stride
+	h.trajs[stride] = tj
+	return tj, nil
 }
 
 // digest folds scheduler + model state into one hash value.
-func (tr *GoldenTrajectory) digest(k *sim.Kernel, m sim.Hashable) uint64 {
+func (tj *trajectory[G]) digest(k *sim.Kernel, m sim.Hashable) uint64 {
 	h := sim.NewStateHash()
-	k.HashScheduler(&h, tr.NEvents, tr.NProcs)
+	k.HashScheduler(&h, tj.nEvents, tj.nProcs)
 	m.HashState(&h)
 	return h.Sum()
 }
 
-// RunToHorizon advances an injected run from its current time to the
+// runToHorizon advances the injected run from its current time to the
 // horizon in trajectory-stride chunks, checking for convergence at
 // each stride instant once the stressor has performed every scheduled
 // action (a pending revert or intermittent pulse could still push the
@@ -523,12 +600,13 @@ func (tr *GoldenTrajectory) digest(k *sim.Kernel, m sim.Hashable) uint64 {
 // the suffix is byte-identical to the golden run's, so the final
 // observation is the golden one. Runs whose injections errored never
 // converge here — their campaign-error outcome requires the full path.
-func (tr *GoldenTrajectory) RunToHorizon(k *sim.Kernel, m sim.Hashable, st *Stressor) (converged bool, at sim.Time, err error) {
+func (s *session[S, G]) runToHorizon() (converged bool, at sim.Time, err error) {
+	k, st, tj := s.sl.k, &s.sl.st, s.traj
 	now := k.Now()
 	checkable := true
 	checked := false
-	for i := range tr.Hashes {
-		t := sim.Time(i+1) * tr.Stride
+	for i := range tj.hashes {
+		t := sim.Time(i+1) * tj.stride
 		if t <= now {
 			continue
 		}
@@ -545,11 +623,11 @@ func (tr *GoldenTrajectory) RunToHorizon(k *sim.Kernel, m sim.Hashable, st *Stre
 				continue
 			}
 		}
-		if tr.digest(k, m) == tr.Hashes[i] {
+		if tj.digest(k, s.sl.s) == tj.hashes[i] {
 			return true, t, nil
 		}
 	}
-	if err := k.RunUntil(tr.Horizon); err != nil {
+	if err := k.RunUntil(s.h.horizon); err != nil {
 		return false, 0, err
 	}
 	return false, 0, nil

@@ -3,12 +3,14 @@ package stressor
 import (
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// tickModel is a minimal Snapshottable prototype: one method process
-// counting unit ticks, so the golden state at time t is ticks == t.
+// tickModel is a minimal prototype: one method process counting unit
+// ticks, so the golden state at time t is ticks == t.
 type tickModel struct {
 	ev    *sim.Event
 	ticks int
@@ -24,34 +26,53 @@ func (m *tickModel) elaborate(k *sim.Kernel) {
 	m.ev.Notify(1)
 }
 
-func (m *tickModel) SnapshotState() any      { return m.ticks }
-func (m *tickModel) RestoreState(st any)     { m.ticks = st.(int) }
-func (m *tickModel) at(k *sim.Kernel) [2]int { return [2]int{int(k.Now()), m.ticks} }
+func (m *tickModel) SnapshotState() any         { return m.ticks }
+func (m *tickModel) RestoreState(st any)        { m.ticks = st.(int) }
+func (m *tickModel) HashState(h *sim.StateHash) { h.Int(m.ticks) }
+func (m *tickModel) at(k *sim.Kernel) [2]int    { return [2]int{int(k.Now()), m.ticks} }
 
-// TestTreeCoreBudgetOfOne pins Establish's cases and the LRU budget on
-// a core that may retain a single node. The same fork is a no-op on an
+// tickProto is tickModel's Model. rearms counts the slots returned to
+// time zero.
+type tickProto struct{ rearms int }
+
+func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
+	m := &tickModel{}
+	m.elaborate(k)
+	return m, fault.NewRegistry()
+}
+
+func (p *tickProto) Rearm(k *sim.Kernel, m *tickModel) {
+	p.rearms++
+	m.elaborate(k)
+}
+
+func (*tickProto) Observe(*tickModel) analysis.Observation       { return analysis.Observation{} }
+func (*tickProto) Golden(*tickModel, analysis.Observation) error { return nil }
+func (*tickProto) Record(*struct{}, *tickModel)                  {}
+func (*tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
+	return analysis.Observation{}
+}
+
+// TestTreeCoreBudgetOfOne pins establish's cases and the LRU budget on
+// a session that may retain a single node. The same fork is a no-op on an
 // untouched kernel and a restore (hit) on a dirty one, a later fork
 // extends the golden run from the held node and evicts it, an earlier
 // fork rebuilds from time zero — and exactly one node is retained
-// throughout, which Recycle (the session's Close) returns to the pool.
+// throughout, which Close returns to the host's pool.
 func TestTreeCoreBudgetOfOne(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	m := &tickModel{}
-	m.elaborate(k)
-	reg := obs.NewRegistry()
-	var pool NodePool
-	rebuilt := 0
-	core := TreeCore{
-		Cfg: TreeConfig{MaxNodes: 1, Metrics: reg, Campaign: "roll"},
-		K:   k, Model: m, Pool: &pool,
-		Rebuild: func() {
-			rebuilt++
-			k.Reset()
-			m.elaborate(k)
-		},
+	proto := &tickProto{}
+	h, err := NewHost[*tickModel, struct{}]("tick", proto, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	core.Init()
+	defer h.Close()
+	reg := obs.NewRegistry()
+	s := h.NewTreeSession(TreeConfig{MaxNodes: 1, Metrics: reg, Campaign: "roll"}).(*session[*tickModel, struct{}])
+	if err := s.init(); err != nil {
+		t.Fatal(err)
+	}
+	rearmed := proto.rearms // checking the slot out re-armed it
+	k, m := s.sl.k, s.sl.s
 	counter := func(name string) uint64 {
 		return reg.Counter("campaign.tree_"+name, obs.L("campaign", "roll")).Value()
 	}
@@ -59,7 +80,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	// dirtyRun plays an injected run: the kernel leaves the golden
 	// instant and the model state diverges from it.
 	dirtyRun := func() {
-		core.MarkDirty()
+		s.dirty = true
 		if err := k.RunUntil(k.Now() + 7); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +102,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		if st.dirty {
 			dirtyRun()
 		}
-		if err := core.Establish(st.fork); err != nil {
+		if err := s.establish(st.fork); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
 		golden := int(st.fork) - 1
@@ -92,15 +113,15 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		if got != st.want {
 			t.Errorf("%s: counters = %+v, want %+v", st.name, got, st.want)
 		}
-		if core.Nodes() != 1 || pool.Live() != 1 {
-			t.Errorf("%s: nodes = %d, pool live = %d, want 1 and 1", st.name, core.Nodes(), pool.Live())
+		if len(s.nodes) != 1 || h.LiveNodes() != 1 {
+			t.Errorf("%s: nodes = %d, pool live = %d, want 1 and 1", st.name, len(s.nodes), h.LiveNodes())
 		}
 	}
-	if rebuilt != 1 {
-		t.Errorf("Rebuild ran %d times, want 1 (the first prefix starts from the fresh kernel)", rebuilt)
+	if n := proto.rearms - rearmed; n != 1 {
+		t.Errorf("the slot went back to time zero %d times, want 1 (the first prefix starts from the pristine slot)", n)
 	}
-	core.Recycle()
-	if core.Nodes() != 0 || pool.Live() != 0 {
-		t.Errorf("after Recycle: nodes = %d, pool live = %d, want 0 and 0", core.Nodes(), pool.Live())
+	s.Close()
+	if len(s.nodes) != 0 || h.LiveNodes() != 0 {
+		t.Errorf("after Close: nodes = %d, pool live = %d, want 0 and 0", len(s.nodes), h.LiveNodes())
 	}
 }

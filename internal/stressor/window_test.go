@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -37,15 +38,17 @@ type windowModel struct {
 	lateAt sim.Time
 }
 
+// elaborate builds the model on k, in the same order every time. The
+// line keeps its address, which the registry's injector holds.
 func (m *windowModel) elaborate(k *sim.Kernel) {
-	*m = windowModel{k: k, reg: 1, reg2: 1}
+	*m = windowModel{k: k, reg: 1, reg2: 1, line: m.line}
 	m.tick = k.NewEvent("tick")
 	k.MethodNoInit("tick", func() {
 		m.acc += m.reg + m.reg2
 		m.tick.Notify(windowPeriod)
 	}, m.tick)
 	m.tick.Notify(windowPeriod)
-	m.line = sim.NewSignal(k, "line", false)
+	*m.line = *sim.NewSignal(k, "line", false)
 	k.MethodNoInit("edge", func() { m.edgeAt = k.Now() }, m.line.Changed())
 	m.late = k.NewEvent("late")
 	k.MethodNoInit("late", func() { m.lateAt = k.Now() }, m.late)
@@ -111,78 +114,59 @@ func (m *windowModel) RestoreState(st any) {
 	m.line.Changed().Cancel()
 }
 
-// outcome is what both paths report of a finished run.
-func (m *windowModel) outcome(sc fault.Scenario, st *Stressor, err error) fault.Outcome {
-	if err == nil {
-		if errs := st.InjectionErrors(); len(errs) > 0 {
-			err = errs[0]
-		}
-	}
-	if err != nil {
-		return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
-	}
-	return fault.Outcome{Scenario: sc, Class: fault.SDC,
-		Detail: fmt.Sprintf("acc=%d line=%v edge@%d late@%d", m.acc, m.line.Read(), uint64(m.edgeAt), uint64(m.lateAt))}
+func (m *windowModel) HashState(h *sim.StateHash) {
+	h.Int(m.reg)
+	h.Int(m.reg2)
+	h.Int(m.acc)
+	h.Bool(m.line.Read())
+	h.Time(m.edgeAt)
+	h.Time(m.lateAt)
 }
 
-// windowProto is the toy runner: the plain path rebuilds per run, the
-// sessions do what a real host does with TreeCore.
-type windowProto struct{ pool NodePool }
+// windowToy is windowModel's Model. Every observable the model has is in
+// the goal detail, so in the outcome detail.
+type windowToy struct{ golden analysis.Observation }
 
-func (*windowProto) run(sc fault.Scenario) fault.Outcome {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	m := &windowModel{}
+func (*windowToy) Build(k *sim.Kernel) (*windowModel, *fault.Registry) {
+	m := &windowModel{line: new(sim.Signal[bool])}
 	m.elaborate(k)
-	st := SpawnThread(k, m.registry(), sc, windowHorizon)
-	return m.outcome(sc, st, k.RunUntil(windowHorizon))
+	return m, m.registry()
 }
 
-// ForkTime forks every scenario just past the last tick before its
+func (*windowToy) Rearm(k *sim.Kernel, m *windowModel) { m.elaborate(k) }
+
+func (*windowToy) Observe(m *windowModel) analysis.Observation {
+	return analysis.Observation{GoalViolated: true,
+		GoalDetail: fmt.Sprintf("acc=%d line=%v edge@%d late@%d", m.acc, m.line.Read(), uint64(m.edgeAt), uint64(m.lateAt))}
+}
+
+func (p *windowToy) Golden(_ *windowModel, ob analysis.Observation) error {
+	p.golden = ob
+	return nil
+}
+
+func (*windowToy) Record(*struct{}, *windowModel) {}
+
+func (p *windowToy) Converged(*windowModel, *struct{}, int) analysis.Observation { return p.golden }
+
+// windowForks forks every scenario just past the last tick before its
 // first action — one fork to a window whatever the scenario holds, so
-// only TreeCore's own keying stands between a transient and the memo.
-func (*windowProto) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+// only the session's own keying stands between a transient and the memo.
+type windowForks struct{ *Host[*windowModel, struct{}] }
+
+func (windowForks) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	return (ForkTime(sc)-1)/windowPeriod*windowPeriod + 1, true
 }
 
-func (p *windowProto) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	k := sim.NewKernel()
-	m := &windowModel{}
-	m.elaborate(k)
-	s := &windowSession{m: m, reg: m.registry()}
-	s.core = TreeCore{Cfg: cfg, K: k, Model: m, Pool: &p.pool, Rebuild: func() { k.Reset(); m.elaborate(k) }}
-	s.core.Init()
-	return s
-}
-
-type windowSession struct {
-	core TreeCore
-	m    *windowModel
-	reg  *fault.Registry
-	st   Stressor
-}
-
-func (s *windowSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
-	if out, ok := s.core.Recall(sc, fork); ok {
-		return out
+func newWindowHost(t *testing.T) *Host[*windowModel, struct{}] {
+	t.Helper()
+	h, err := NewHost[*windowModel, struct{}]("toy", &windowToy{}, windowHorizon)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := s.core.Establish(fork)
-	if err == nil {
-		s.core.MarkDirty()
-		s.st.Respawn(s.core.K, s.reg, sc, windowHorizon)
-		if err = s.core.Window(&s.st, sc); err == nil {
-			err = s.core.K.RunUntil(windowHorizon)
-		}
-	}
-	out := s.m.outcome(sc, &s.st, err)
-	if err == nil {
-		s.core.Remember(out)
-	}
-	return out
+	t.Cleanup(h.Close)
+	return h
 }
-
-func (s *windowSession) Close()   { s.core.Recycle(); s.core.K.Shutdown() }
-func (s *windowSession) Recycle() { s.core.Recycle() }
 
 func permanent(name, site string, model fault.Model, at sim.Time) fault.Descriptor {
 	return fault.Descriptor{Name: name, Model: model, Class: fault.Permanent, Target: site, Start: at}
@@ -235,14 +219,16 @@ func TestForkWindowNeverAWrongVerdict(t *testing.T) {
 		}, 12, 15), 0, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proto := &windowProto{}
-			want, err := (&Campaign{Name: "plain", Run: proto.run}).Execute(tc.scenarios)
+			oracle := newWindowHost(t)
+			oracle.ReuseOff = true
+			want, err := (&Campaign{Name: "plain", Run: oracle.RunFunc()}).Execute(tc.scenarios)
 			if err != nil {
 				t.Fatal(err)
 			}
+			h := newWindowHost(t)
 			reg := obs.NewRegistry()
 			got, err := (&Campaign{
-				Name: "plain", Run: proto.run, Workers: 1, Metrics: reg, Checkpointer: proto,
+				Name: "plain", Run: h.RunFunc(), Workers: 1, Metrics: reg, Checkpointer: windowForks{h},
 			}).Execute(tc.scenarios)
 			if err != nil {
 				t.Fatal(err)
