@@ -512,9 +512,10 @@ const defaultRunnerCacheCap = 4
 // runnerCache keeps warm prototype runners keyed by Spec.RunnerKey —
 // the daemon's scheduler and a fabric worker's resolver each own one.
 // A hit hands back the same *caps.Runner — slot pools, golden
-// observation, checkpoint node pool and golden trajectories intact —
-// so back-to-back runs pay zero re-elaboration. Checkpoint sessions
-// themselves are per run: their metrics sink is the run's registry.
+// observation, golden-prefix checkpoint nodes and golden trajectories
+// intact — so back-to-back runs pay zero re-elaboration and fork from the
+// nodes earlier runs left. A run's sessions are its own (their metrics
+// sink is the run's registry); the nodes they restore are the runner's.
 // Bounded, LRU-evicted; eviction closes the runner, so with a capacity
 // of two or more the runner of the most recent get is never the one
 // closed by the next.

@@ -343,8 +343,8 @@ func (s *Spec) Validate() error {
 }
 
 // RunnerKey identifies the virtual-prototype configuration a spec
-// needs. Specs with equal keys share one warm runner (and its slot
-// and checkpoint node pools) across daemon runs; the key
+// needs. Specs with equal keys share one warm runner (its slot pool
+// and its golden-prefix checkpoint nodes) across daemon runs; the key
 // deliberately excludes everything that does not shape the prototype
 // itself (inject time, workers, shard, ...).
 func (s *Spec) RunnerKey() string {

@@ -1,6 +1,7 @@
 package caps
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -170,4 +171,38 @@ func denseInstants() []sim.Time {
 		instants = append(instants, sim.MS(1)+sim.Time(i)*sim.US(247))
 	}
 	return instants
+}
+
+// TestCrossSlotRestore: the node one session's slot publishes restores
+// into another session's slot as that slot stands, in both directions.
+// Session b first runs a 2 ms fault, publishing the 2 ms node from its
+// slot; a then extends from that node to 5 ms in its own slot and
+// publishes there; b runs on from a's node. Run to the horizon, the two
+// slots end every permanent and transient fault of the 5 ms universe
+// with the same model StateHash and observation.
+func TestCrossSlotRestore(t *testing.T) {
+	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	m := &model{cfg: Protected(), world: NormalDriving()}
+	off := fault.Singles(runner.Universe(sim.MS(2)))
+	for i, sc := range transientUniverse(t, runner) {
+		a, b := runner.NewTreeSession(stressor.TreeConfig{}), runner.NewTreeSession(stressor.TreeConfig{})
+		b.Run(off[i%len(off)], sim.MS(2))
+		var ends [2]string
+		for j, sess := range []stressor.CheckpointSession{a, b} {
+			sess.Run(sc, sim.MS(5))
+			s := sess.(interface{ Prototype() stressor.State }).Prototype().(*System)
+			h := sim.NewStateHash()
+			s.HashState(&h)
+			ends[j] = fmt.Sprintf("%#x %+v", h.Sum(), m.Observe(s))
+		}
+		a.Close()
+		b.Close()
+		if ends[0] != ends[1] {
+			t.Errorf("%s: slot a ends at %s, slot b at %s", sc.ID, ends[0], ends[1])
+		}
+	}
 }

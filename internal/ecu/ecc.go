@@ -56,39 +56,31 @@ var dataPositions = func() [32]int {
 	return out
 }()
 
-// eccEncode computes the 7 check bits (6 Hamming + overall parity in
-// bit 6) for a data word.
-func eccEncode(data uint32) uint8 {
-	// Hamming bits: parity over codeword positions with that bit set.
-	var check uint8
-	for b := 0; b < 6; b++ {
-		mask := 1 << b
-		parity := 0
-		for i := 0; i < 32; i++ {
-			if dataPositions[i]&mask != 0 && data>>uint(i)&1 == 1 {
-				parity ^= 1
+// hammingMasks[b] selects the data bits whose codeword position has
+// bit b set: check bit b is their parity.
+var hammingMasks = func() [6]uint32 {
+	var out [6]uint32
+	for i, pos := range dataPositions {
+		for b := range out {
+			if pos&(1<<b) != 0 {
+				out[b] |= 1 << i
 			}
 		}
-		if parity == 1 {
-			check |= 1 << b
-		}
 	}
-	// Overall parity over data bits and the 6 check bits.
-	parity := 0
-	for i := 0; i < 32; i++ {
-		if data>>uint(i)&1 == 1 {
-			parity ^= 1
-		}
-	}
-	for b := 0; b < 6; b++ {
-		if check>>uint(b)&1 == 1 {
-			parity ^= 1
-		}
-	}
-	if parity == 1 {
-		check |= 1 << 6
-	}
-	return check
+	return out
+}()
+
+// eccEncode computes the 7 check bits (6 Hamming + overall parity in
+// bit 6) for a data word. Overall parity covers the data bits and the
+// six check bits.
+func eccEncode(data uint32) uint8 {
+	check := parity32(data&hammingMasks[0]) |
+		parity32(data&hammingMasks[1])<<1 |
+		parity32(data&hammingMasks[2])<<2 |
+		parity32(data&hammingMasks[3])<<3 |
+		parity32(data&hammingMasks[4])<<4 |
+		parity32(data&hammingMasks[5])<<5
+	return check | (parity32(data)^parity32(uint32(check)))<<6
 }
 
 // parity32 computes the parity of a 32-bit word.

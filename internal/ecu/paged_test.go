@@ -2,6 +2,7 @@ package ecu
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -103,11 +104,11 @@ func seuSweep(r *Runner) []fault.Scenario {
 }
 
 // TestTreeSessionsShareNodePool runs two tree sessions of one runner on
-// two goroutines, each walking the sweep in index order against a
-// two-node budget, so evicted node states — pooled PagedCaptures among
-// them — keep crossing from one session's slot to the other's. Every
+// two goroutines, one walking the sweep in index order and the other in
+// reverse, so each keeps restoring into its own slot nodes — pooled
+// PagedCaptures among them — that the other's slot published. Every
 // outcome must equal the naive rebuild path's. Run under -race this is
-// also the concurrency audit of the shared pool and the stamp source.
+// also the concurrency audit of the host's node set and the stamp source.
 func TestTreeSessionsShareNodePool(t *testing.T) {
 	naive, err := NewRunner(DefaultRunnerConfig())
 	if err != nil {
@@ -125,14 +126,14 @@ func TestTreeSessionsShareNodePool(t *testing.T) {
 	for i, sc := range scs {
 		want[i] = naive.RunScenario(sc)
 	}
-	for round := 0; round < 2; round++ { // the second round starts on recycled nodes
+	for round := 0; round < 2; round++ { // the second round starts on the first one's nodes
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
 			w := w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sess := r.NewTreeSession(stressor.TreeConfig{MaxNodes: 2, EarlyExit: true})
+				sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
 				defer sess.Close()
 				for k := range scs {
 					i := k
@@ -152,9 +153,6 @@ func TestTreeSessionsShareNodePool(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-	}
-	if n := r.LiveNodes(); n != 0 {
-		t.Errorf("%d tree nodes still checked out after Close", n)
 	}
 }
 
@@ -222,8 +220,9 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 
 // TestClosedSessionSlotIsReused: a tree session checks its prototype out
 // of the runner's slot pool and Close hands it back, so the next
-// campaign's session re-arms it instead of elaborating (and allocating) a
-// new one — and still answers as the rebuild path does. A session that is
+// campaign's session restores the runner's golden node into it instead
+// of elaborating (and allocating) a new one — and still answers as the
+// rebuild path does. A session that is
 // never closed, as an abandoned one is not, keeps its slot.
 func TestClosedSessionSlotIsReused(t *testing.T) {
 	r, err := NewRunner(DefaultRunnerConfig())
@@ -255,7 +254,7 @@ func TestClosedSessionSlotIsReused(t *testing.T) {
 	second, again := run("second")
 	defer second.Close()
 	if again != used {
-		t.Error("the second session elaborated a prototype instead of re-arming the one the first closed")
+		t.Error("the second session elaborated a prototype instead of reusing the one the first closed")
 	}
 	third, other := run("third")
 	defer third.Close()
@@ -297,5 +296,87 @@ func BenchmarkSlotRestoreState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.pram.mem.Store(int(runnerAccAddr/4), uint64(i))
 		s.RestoreState(st)
+	}
+}
+
+// TestCrossSlotRestore: the node one session's slot publishes restores
+// into another session's slot as that slot stands, in both directions.
+// Session b first runs a 700 ns upset, publishing that node from its
+// slot; a then extends from it to 2 µs, with the cores mid-program, in
+// its own slot and publishes there; b runs on from a's node. Run to the
+// horizon, the two slots end every upset of the 2 µs universe with the
+// same model StateHash and observation.
+func TestCrossSlotRestore(t *testing.T) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m, err := newModel(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := fault.Singles(r.Universe(sim.NS(700)))
+	for i, sc := range fault.Singles(r.Universe(sim.US(2))) {
+		a, b := r.NewTreeSession(stressor.TreeConfig{}), r.NewTreeSession(stressor.TreeConfig{})
+		b.Run(off[i%len(off)], sim.NS(700))
+		var ends [2]string
+		for j, sess := range []stressor.CheckpointSession{a, b} {
+			sess.Run(sc, sim.US(2))
+			s := sess.(interface{ Prototype() stressor.State }).Prototype().(*ecuSlot)
+			h := sim.NewStateHash()
+			s.HashState(&h)
+			ends[j] = fmt.Sprintf("%#x %+v", h.Sum(), m.Observe(s))
+		}
+		a.Close()
+		b.Close()
+		if ends[0] != ends[1] {
+			t.Errorf("%s: slot a ends at %s, slot b at %s", sc.ID, ends[0], ends[1])
+		}
+	}
+}
+
+// TestTreeSessionsOfAWarmHostRebuildNothing: the golden-prefix nodes are
+// the host's and outlive the campaign, so a second campaign over the
+// sweep on the same runner neither rebuilds a prefix from time zero nor
+// extends one — every fork is a node the first campaign left — and it
+// still answers as the rebuild path does.
+func TestTreeSessionsOfAWarmHostRebuildNothing(t *testing.T) {
+	naive, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.ReuseOff = true
+	defer naive.Close()
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	scs := seuSweep(r)
+	want, err := (&stressor.Campaign{Name: "naive", Run: naive.RunFunc()}).Execute(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	for _, name := range []string{"cold", "warm"} {
+		got, err := (&stressor.Campaign{
+			Name: name, Run: r.RunFunc(), Workers: 2, Metrics: reg, Checkpointer: r, EarlyExit: true,
+		}).Execute(scs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+			t.Errorf("%s campaign diverges from rebuild:\ngot:  %+v\nwant: %+v", name, got.Outcomes, want.Outcomes)
+		}
+	}
+	l := obs.L("campaign", "warm")
+	for _, c := range []string{"campaign.tree_rebuilds", "campaign.tree_extends"} {
+		if n := reg.Counter(c, l).Value(); n != 0 {
+			t.Errorf("second campaign on a warm host: %s = %d, want 0", c, n)
+		}
+	}
+	if n := reg.Counter("campaign.tree_hits", l).Value(); n == 0 {
+		t.Error("second campaign on a warm host hit no node")
 	}
 }

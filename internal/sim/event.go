@@ -24,6 +24,9 @@ type Event struct {
 	// event list, assigned by NewEvent; checkpoints reference events by
 	// this index (see snapshot.go).
 	idx int
+	// shape is the kernel's elaboration digest just after this event was
+	// created.
+	shape uint64
 
 	// static are processes statically sensitive to this event.
 	static []*Proc
@@ -57,6 +60,8 @@ func (k *Kernel) NewEvent(name string) *Event {
 		e = &Event{k: k, name: name}
 	}
 	e.idx = len(k.events)
+	k.shape = shapeStep(k.shape, shapeEvent, name)
+	e.shape = k.shape
 	k.events = append(k.events, e)
 	return e
 }

@@ -146,9 +146,10 @@ type Kernel struct {
 	tracers []*Tracer
 	instr   *Instrument
 
-	// gen counts elaboration generations: Reset bumps it, invalidating
-	// every Checkpoint taken before (see snapshot.go).
-	gen uint64
+	// shape digests the (kind, name) sequence of the events and processes
+	// elaborated so far; each object keeps its value as of its creation,
+	// which is what a Checkpoint is matched against (see snapshot.go).
+	shape uint64
 
 	// free lists recycling elaboration objects across Reset: NewEvent,
 	// Method and Thread draw from these, so re-elaborating the same
@@ -500,7 +501,7 @@ func (k *Kernel) Reset() {
 	k.inEvaluate = false
 	k.stopped = false
 	k.threadPanic = nil
-	k.gen++
+	k.shape = 0
 	k.tracers = k.tracers[:0]
 	if in := k.instr; in != nil {
 		in.resetKernelState()

@@ -38,6 +38,9 @@ type Proc struct {
 	name string
 	id   int
 	kind procKind
+	// shape is the kernel's elaboration digest just after this process
+	// was created.
+	shape uint64
 
 	state  procState
 	fn     func()           // method body
@@ -177,6 +180,8 @@ func (k *Kernel) allocProc(name string, kind procKind) *Proc {
 	p.name = name
 	p.id = len(k.procs)
 	p.kind = kind
+	k.shape = shapeStep(k.shape, byte(kind), name)
+	p.shape = k.shape
 	return p
 }
 

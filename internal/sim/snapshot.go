@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 )
 
 // Snapshottable is the convention prototypes implement to support
@@ -32,14 +33,18 @@ type cpTimed struct {
 }
 
 // Checkpoint is an opaque kernel snapshot taken by Kernel.Snapshot and
-// consumed by Kernel.Restore. It is bound to the kernel (and the
-// elaboration generation) it was taken from; it captures the clock,
-// the timed event queue, per-event pending notifications, per-process
-// run states and the activity counters. Model-side state is the
-// prototype's job via Snapshottable.
+// consumed by Kernel.Restore. It names events and processes by creation
+// index, so it restores into any kernel elaborated the same way — the
+// one it was taken on, that kernel after a Reset and the same
+// re-elaboration, or another kernel the same Model.Build elaborated —
+// and into no other (see Restore). It captures the clock, the timed
+// event queue, per-event pending notifications, per-process run states
+// and the activity counters. Model-side state is the prototype's job via
+// Snapshottable.
 type Checkpoint struct {
-	k   *Kernel
-	gen uint64
+	// shape is the source kernel's elaboration digest: that of the
+	// (kind, name) sequence of every retained event and process.
+	shape uint64
 
 	now   Time
 	seq   uint64
@@ -107,8 +112,7 @@ func (k *Kernel) SnapshotInto(cp *Checkpoint) error {
 		}
 	}
 
-	cp.k = k
-	cp.gen = k.gen
+	cp.shape = k.shape
 	cp.now = k.now
 	cp.seq = k.seq
 	cp.stats = k.stats
@@ -163,22 +167,24 @@ func sortCpTimed(ts []cpTimed) {
 // in steady state. Tracers attached since the snapshot are detached,
 // exactly as Reset does.
 //
-// The checkpoint must come from this kernel and from the current
-// elaboration generation: a Reset invalidates all earlier checkpoints
-// (their event indices name objects of a dead elaboration). Restoring
-// the same checkpoint repeatedly is valid — that is the campaign use.
+// The rule is elaboration shape, not kernel identity: the kernel must
+// hold at least the checkpoint's events and processes, and its first
+// ones must have been created with the same (kind, name) sequence as
+// the source kernel's. So a kernel that was Reset and re-elaborated the
+// same way, or a second kernel of the same prototype, accepts the
+// checkpoint; a Reset kernel not yet re-elaborated, or one elaborated by
+// another model, refuses it. The check is O(1). Restoring the same
+// checkpoint repeatedly, into one kernel or several, is valid — that is
+// the campaign use; Restore only reads cp.
 func (k *Kernel) Restore(cp *Checkpoint) error {
 	if k.running {
 		return errors.New("sim: Restore called while the kernel is running")
 	}
-	if cp.k != k {
-		return errors.New("sim: Restore of a checkpoint from a different kernel")
-	}
-	if cp.gen != k.gen {
-		return errors.New("sim: Restore of a stale checkpoint (the kernel was Reset after it was taken)")
-	}
 	if len(k.procs) < cp.nProcs || len(k.events) < cp.nEvents {
-		return errors.New("sim: Restore target has fewer processes or events than the checkpoint (wrong kernel state?)")
+		return errors.New("sim: Restore target has fewer processes or events than the checkpoint (not elaborated yet?)")
+	}
+	if !k.elaboratedAs(cp) {
+		return errors.New("sim: Restore of a checkpoint from another elaboration (events or processes differ in kind or name)")
 	}
 
 	// Retire post-snapshot objects into the free lists, newest first,
@@ -264,6 +270,7 @@ func (k *Kernel) Restore(cp *Checkpoint) error {
 	k.now = cp.now
 	k.seq = cp.seq
 	k.stats = cp.stats
+	k.shape = cp.shape
 	k.inEvaluate = false
 	k.stopped = false
 	k.threadPanic = nil
@@ -275,4 +282,33 @@ func (k *Kernel) Restore(cp *Checkpoint) error {
 		in.published = k.stats
 	}
 	return nil
+}
+
+// elaboratedAs reports whether the kernel's first cp.nEvents events and
+// cp.nProcs processes were created in the (kind, name) sequence of the
+// elaboration cp was taken on. Of the two objects that close those
+// prefixes, the later-created one carries the digest of the whole
+// sequence, so comparing each with cp's digest decides it.
+func (k *Kernel) elaboratedAs(cp *Checkpoint) bool {
+	if cp.nEvents > 0 && k.events[cp.nEvents-1].shape == cp.shape {
+		return true
+	}
+	if cp.nProcs > 0 && k.procs[cp.nProcs-1].shape == cp.shape {
+		return true
+	}
+	return cp.nEvents == 0 && cp.nProcs == 0
+}
+
+// shapeSeed keys the name hash of elaboration digests. Digests are only
+// ever compared within one process.
+var shapeSeed = maphash.MakeSeed()
+
+// shapeEvent is an event's kind in the elaboration digest; a process
+// folds its procKind.
+const shapeEvent = 0xff
+
+// shapeStep folds one created object, its kind and its name, into the
+// elaboration digest h.
+func shapeStep(h uint64, kind byte, name string) uint64 {
+	return Mix64(Mix64(h, uint64(kind)), maphash.String(shapeSeed, name))
 }

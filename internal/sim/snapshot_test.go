@@ -194,11 +194,35 @@ func TestSnapshotRestoreRetiresPostSnapshotObjects(t *testing.T) {
 	}
 }
 
-// TestSnapshotResetInterplay: Reset invalidates earlier checkpoints (a
-// restore must fail loudly, not resurrect a dead elaboration), and the
-// reset kernel re-elaborates, runs and checkpoints cleanly — nothing a
-// snapshot retained can wedge the pools.
+// TestSnapshotResetInterplay pins the restore rule, elaboration shape
+// rather than kernel identity, on one checkpoint taken at 50 ns. A
+// kernel that was Reset and not re-elaborated refuses it (it holds no
+// objects), as do an empty kernel and a kernel holding as many objects
+// under other names. The source kernel Reset and re-elaborated the same
+// way, and a second kernel of the same elaboration, accept it, and run on
+// from it exactly as a kernel that was never Reset runs on from 50 ns.
 func TestSnapshotResetInterplay(t *testing.T) {
+	// continuation runs k from wherever it stands to 200 ns and returns
+	// what it traced of the model signal on the way, with the final
+	// clock and activity counters.
+	continuation := func(k *Kernel, sig *Signal[uint64]) string {
+		var vcd strings.Builder
+		tr := NewTracer(&vcd)
+		tr.AddProbe("sig", 64, func() string { return fmt.Sprintf("%b", sig.Read()) })
+		k.AttachTracer(tr)
+		if err := k.RunUntil(NS(200)); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s\nnow=%v stats=%+v", vcd.String(), k.Now(), k.Stats())
+	}
+	never := NewKernel()
+	defer never.Shutdown()
+	neverSig := snapModel(never, "m")
+	if err := never.Run(NS(50)); err != nil {
+		t.Fatal(err)
+	}
+	want := continuation(never, neverSig)
+
 	k := NewKernel()
 	defer k.Shutdown()
 	snapModel(k, "m")
@@ -210,37 +234,41 @@ func TestSnapshotResetInterplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Reset()
-	if err := k.Restore(cp); err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("Restore of pre-Reset checkpoint: %v", err)
+	if err := k.Restore(cp); err == nil || !strings.Contains(err.Error(), "fewer") {
+		t.Fatalf("Restore into the Reset kernel before it is re-elaborated: %v", err)
 	}
-	// The reset kernel must come back fully functional: re-elaborate,
-	// run, snapshot, restore — all on recycled objects.
 	sig := snapModel(k, "m")
-	if err := k.Run(NS(50)); err != nil {
+	// Run the re-elaborated kernel off the golden path first: the restore
+	// must rewind all of it.
+	if err := k.RunUntil(NS(130)); err != nil {
 		t.Fatal(err)
 	}
-	cp2, err := k.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if err := k.Restore(cp); err != nil {
+		t.Fatalf("Restore into the kernel re-elaborated the same way: %v", err)
 	}
-	if err := k.RunUntil(NS(100)); err != nil {
-		t.Fatal(err)
-	}
-	after := sig.Read()
-	if err := k.Restore(cp2); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RunUntil(NS(100)); err != nil {
-		t.Fatal(err)
-	}
-	if sig.Read() != after {
-		t.Fatalf("post-Reset checkpoint diverged: %d vs %d", sig.Read(), after)
+	if got := continuation(k, sig); got != want {
+		t.Errorf("restored after Reset and re-elaboration:\n%s\nnever Reset:\n%s", got, want)
 	}
 
-	// A checkpoint is bound to its kernel.
 	other := NewKernel()
 	defer other.Shutdown()
-	if err := other.Restore(cp2); err == nil || !strings.Contains(err.Error(), "different kernel") {
-		t.Fatalf("Restore on a different kernel: %v", err)
+	otherSig := snapModel(other, "m")
+	if err := other.Restore(cp); err != nil {
+		t.Fatalf("Restore into a second kernel of the same elaboration: %v", err)
+	}
+	if got := continuation(other, otherSig); got != want {
+		t.Errorf("restored on a second kernel:\n%s\nnever Reset:\n%s", got, want)
+	}
+
+	foreign := NewKernel()
+	defer foreign.Shutdown()
+	snapModel(foreign, "n") // as many events and processes, other names
+	if err := foreign.Restore(cp); err == nil || !strings.Contains(err.Error(), "another elaboration") {
+		t.Errorf("Restore into a kernel of another model: %v", err)
+	}
+	empty := NewKernel()
+	defer empty.Shutdown()
+	if err := empty.Restore(cp); err == nil || !strings.Contains(err.Error(), "fewer") {
+		t.Errorf("Restore into an empty kernel: %v", err)
 	}
 }

@@ -277,9 +277,9 @@ func (c *Campaign) newObs(total, workers int) *campaignObs {
 // span, duration histogram, per-worker busy time, progress step. The
 // run itself goes to sess at fork when dispatchRun resolved one, to the
 // plain RunFunc otherwise.
-func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess CheckpointSession, fork sim.Time, guard *recycleGuard) (fault.Outcome, bool, bool) {
+func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess CheckpointSession, fork sim.Time) (fault.Outcome, bool, bool) {
 	if o == nil {
-		return c.execRun(sc, sess, fork, guard)
+		return c.execRun(sc, sess, fork)
 	}
 	sp := c.Trace.Begin("campaign", sc.ID, worker)
 	var t0 time.Time
@@ -287,7 +287,7 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess Ch
 	if timed {
 		t0 = time.Now()
 	}
-	out, panicked, timedOut := c.execRun(sc, sess, fork, guard)
+	out, panicked, timedOut := c.execRun(sc, sess, fork)
 	if timed {
 		d := time.Since(t0)
 		if o.dur != nil {
@@ -329,9 +329,8 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess Ch
 // campaign moves on. The abandoned goroutine finishes (or hangs) in
 // the background; its late outcome is discarded, and any pooled slot
 // it holds stays with it — the pool builds a fresh slot for the next
-// run, so a hung simulation can never wedge a worker. guard, when the
-// session's nodes can be reclaimed, hears that the run has finished.
-func (c *Campaign) execRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time, guard *recycleGuard) (fault.Outcome, bool, bool) {
+// run, so a hung simulation can never wedge a worker.
+func (c *Campaign) execRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time) (fault.Outcome, bool, bool) {
 	if c.ScenarioTimeout <= 0 {
 		out, panicked := c.safeRun(sc, sess, fork)
 		return out, panicked, false
@@ -343,7 +342,6 @@ func (c *Campaign) execRun(sc fault.Scenario, sess CheckpointSession, fork sim.T
 	ch := make(chan runResult, 1)
 	go func() {
 		out, panicked := c.safeRun(sc, sess, fork)
-		guard.finished()
 		ch <- runResult{out, panicked}
 	}()
 	t := time.NewTimer(c.ScenarioTimeout)

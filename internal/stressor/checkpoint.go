@@ -1,8 +1,6 @@
 package stressor
 
 import (
-	"sync"
-
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -12,7 +10,8 @@ import (
 // the fault-free prefix (Campaign.Checkpointer). The contract mirrors
 // the paper's error-effect-simulation structure: scenarios differ only
 // in when/where they inject, so the prefix up to the earliest
-// injection instant is shared and worth snapshotting once per worker.
+// injection instant is shared and worth snapshotting once per runner:
+// a Host keeps the snapshots and any of its sessions forks from them.
 type Checkpointer interface {
 	// ForkTime reports an instant scenario sc can be forked from — a
 	// golden-run time that precedes every state mutation sc performs,
@@ -25,12 +24,10 @@ type Checkpointer interface {
 	// is disabled); the campaign transparently falls back to the plain
 	// RunFunc for those. Campaign workers call it concurrently.
 	ForkTime(sc fault.Scenario) (sim.Time, bool)
-	// NewTreeSession creates a private golden-run session retaining up
-	// to cfg.MaxNodes golden-prefix snapshots. Each campaign worker owns
-	// at most one live session; sessions are never shared across
-	// goroutines. The returned session should also implement
-	// RecyclableSession so the campaign can reclaim its node buffers
-	// after abandonment.
+	// NewTreeSession creates a golden-run session. Each campaign worker
+	// owns at most one live session; sessions are never shared across
+	// goroutines, but the golden-prefix snapshots they fork from may be
+	// the runner's, shared by all of them.
 	NewTreeSession(cfg TreeConfig) CheckpointSession
 }
 
@@ -87,54 +84,12 @@ func (c *Campaign) newSession() CheckpointSession {
 	})
 }
 
-// recycleGuard reclaims an abandoned session's retained tree nodes
-// once it is safe to do so, for a run under a wall-clock budget — the
-// only kind that can still be going when its worker gives up on it.
-// Abandonment then races with the runaway run, which may still be
-// mutating the session, so whichever of {abandon, run completion}
-// happens second performs the Recycle: the late goroutine when it
-// finally returns from a timeout, the worker for a panic recovered
-// within the budget. Node buffers are fully overwritten on reuse, so
-// reclaiming from a torn kernel is safe.
-type recycleGuard struct {
-	mu        sync.Mutex
-	sess      RecyclableSession
-	done      bool
-	abandoned bool
-}
-
-// finished marks the run complete (called on the run goroutine, after
-// any panic was recovered).
-func (g *recycleGuard) finished() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.done = true
-	if g.abandoned {
-		g.sess.Recycle()
-	}
-}
-
-// abandon marks the session dropped (called on the worker goroutine).
-func (g *recycleGuard) abandon() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.abandoned = true
-	if g.done {
-		g.sess.Recycle()
-	}
-}
-
 // dispatchRun executes sc on worker w, routing fork-eligible
 // scenarios through the worker's checkpoint session and everything
 // else through the plain RunFunc. The session is resolved here, on the
 // worker goroutine, before the (possibly timeout-supervised) run
 // goroutine starts — so an abandoned holder can never race with a
-// late run still using the old session. Without a budget nothing is
-// built per run: the session is called on this goroutine and has
-// returned by the time a recovered panic abandons it.
+// late run still using the old session.
 func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, h *sessionHolder) (fault.Outcome, bool, bool) {
 	var sess CheckpointSession
 	var fork sim.Time
@@ -148,20 +103,9 @@ func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, h *sessionHolder) (
 			sess, fork = h.sess, f
 		}
 	}
-	rs, recyclable := sess.(RecyclableSession)
-	var guard *recycleGuard
-	if recyclable && e.c.ScenarioTimeout > 0 {
-		guard = &recycleGuard{sess: rs}
-	}
-	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, sess, fork, guard)
+	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, sess, fork)
 	if sess != nil && (timedOut || panicked) {
 		h.abandon()
-		switch {
-		case guard != nil:
-			guard.abandon()
-		case recyclable:
-			rs.Recycle()
-		}
 	}
 	return out, panicked, timedOut
 }

@@ -16,66 +16,25 @@ import (
 
 // fakeCheckpointer is a minimal Checkpointer for engine-level tests:
 // every scenario forks at 1ps, sessions run via the supplied function,
-// and the counters expose the engine's lifecycle calls. Sessions
-// account retained nodes — the first Run of a session retains one,
-// Recycle and Close release it — so the lifecycle tests can assert the
-// live-node count returns to baseline after every abandonment path:
-// the engine must recycle, not leak, a session it can no longer use.
+// and the counters expose the engine's session lifecycle calls.
 type fakeCheckpointer struct {
-	run       RunFunc
-	sessions  atomic.Int32
-	closes    atomic.Int32
-	liveNodes atomic.Int32
-	recycles  atomic.Int32
-	// maxNodes records the node budget of the last session requested.
-	maxNodes atomic.Int32
+	run      RunFunc
+	sessions atomic.Int32
+	closes   atomic.Int32
 }
 
 func (f *fakeCheckpointer) ForkTime(fault.Scenario) (sim.Time, bool) { return 1, true }
 
-func (f *fakeCheckpointer) NewTreeSession(cfg TreeConfig) CheckpointSession {
+func (f *fakeCheckpointer) NewTreeSession(TreeConfig) CheckpointSession {
 	f.sessions.Add(1)
-	f.maxNodes.Store(int32(cfg.MaxNodes))
 	return &fakeSession{f: f}
 }
 
-type fakeSession struct {
-	f        *fakeCheckpointer
-	retained atomic.Bool
-}
+type fakeSession struct{ f *fakeCheckpointer }
 
-func (s *fakeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
-	if s.retained.CompareAndSwap(false, true) {
-		s.f.liveNodes.Add(1)
-	}
-	return s.f.run(sc)
-}
+func (s *fakeSession) Run(sc fault.Scenario, fork sim.Time) fault.Outcome { return s.f.run(sc) }
 
-func (s *fakeSession) Recycle() {
-	s.f.recycles.Add(1)
-	if s.retained.CompareAndSwap(true, false) {
-		s.f.liveNodes.Add(-1)
-	}
-}
-
-func (s *fakeSession) Close() {
-	s.f.closes.Add(1)
-	s.Recycle()
-}
-
-// waitNodesDrained polls until the fake's live-node count reaches
-// zero: the timeout path recycles from the runaway goroutine after the
-// campaign has already returned.
-func waitNodesDrained(t *testing.T, cp *fakeCheckpointer) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for cp.liveNodes.Load() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := cp.liveNodes.Load(); got != 0 {
-		t.Errorf("live tree nodes = %d after campaign drained, want 0 (leaked by abandonment)", got)
-	}
-}
+func (s *fakeSession) Close() { s.f.closes.Add(1) }
 
 // TestCampaignTimeoutLateRunDiscarded forces the abandonment
 // interleaving the timeout contract promises to survive: a scenario
@@ -157,10 +116,8 @@ func TestCampaignTimeoutLateRunDiscarded(t *testing.T) {
 
 // TestCampaignCheckpointSessionAbandonedOnTimeout: a timed-out run
 // abandons the worker's session (the runaway goroutine still owns it),
-// the next eligible run builds a fresh one, the abandoned session is
-// never Closed, and its retained nodes return to the pool once the
-// runaway goroutine finishes — abandonment may not leak the node
-// budget.
+// the next eligible run builds a fresh one, and the abandoned session is
+// never Closed.
 func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 	const n = 5
 	block := make(chan struct{})
@@ -184,28 +141,21 @@ func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 	if res.Tally[fault.Masked] != n-1 {
 		t.Errorf("tally = %v", res.Tally)
 	}
-	// Unblock the runaway goroutine; it recycles the abandoned
-	// session's nodes on its way out.
 	close(block)
 	<-lateDone
-	waitNodesDrained(t, cp)
 	// Session 1 served s0, s1 and was abandoned at s2's timeout;
 	// session 2 served s3, s4 and was closed at worker-loop end.
 	if got := cp.sessions.Load(); got != 2 {
 		t.Errorf("NewTreeSession called %d times, want 2 (fresh session after abandonment)", got)
 	}
 	if got := cp.closes.Load(); got != 1 {
-		t.Errorf("Close called %d times, want 1 (abandoned session recycled, not closed)", got)
-	}
-	if got := cp.maxNodes.Load(); got != 0 {
-		t.Errorf("session MaxNodes = %d, want 0 (the default budget)", got)
+		t.Errorf("Close called %d times, want 1 (abandoned session never closed)", got)
 	}
 }
 
 // TestCampaignCheckpointSessionAbandonedOnPanic: same lifecycle for a
 // panicking session run — recovered, recorded detected-safe, session
-// abandoned — and, because the panic is recovered before abandonment,
-// the engine reclaims its nodes synchronously, before Execute returns.
+// abandoned and never closed.
 func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	const n = 4
 	cp := &fakeCheckpointer{}
@@ -222,17 +172,11 @@ func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	if res.Outcomes[1].Class != fault.DetectedSafe || res.PanicRecoveries != 1 {
 		t.Fatalf("panicked outcome = %+v (recoveries %d)", res.Outcomes[1], res.PanicRecoveries)
 	}
-	if got := cp.liveNodes.Load(); got != 0 {
-		t.Errorf("live tree nodes = %d immediately after Execute, want 0 (panic path recycles synchronously)", got)
-	}
 	if got := cp.sessions.Load(); got != 2 {
 		t.Errorf("NewTreeSession called %d times, want 2", got)
 	}
 	if got := cp.closes.Load(); got != 1 {
 		t.Errorf("Close called %d times, want 1", got)
-	}
-	if got := cp.recycles.Load(); got < 2 {
-		t.Errorf("Recycle called %d times, want >= 2 (abandoned session + closed session)", got)
 	}
 }
 

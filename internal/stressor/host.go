@@ -53,8 +53,9 @@ type Model[S State, G any] interface {
 // Model.Rearm) instead of rebuilding: each concurrent run and each live
 // tree session checks out its own slot, so the pool grows to the
 // campaign's peak worker count and every run owns its kernel. As a
-// Checkpointer it forks scenarios off golden-prefix tree nodes. Results
-// are byte-identical to ReuseOff's.
+// Checkpointer it forks scenarios off its golden-prefix tree nodes, which
+// any session restores into whatever slot it holds and which outlive the
+// campaign. Results are byte-identical to ReuseOff's.
 type Host[S State, G any] struct {
 	// ReuseOff turns every shortcut off: each scenario builds the
 	// prototype afresh and ForkTime declines it. It is the naive oracle
@@ -71,8 +72,9 @@ type Host[S State, G any] struct {
 
 	mu    sync.Mutex
 	slots []*hostSlot[S]
+	built int // slots built: the unit of the node budgets
 
-	nodes  nodePool
+	tree   goldenNodes
 	trajMu sync.Mutex
 	trajs  map[sim.Time]*trajectory[G]
 	// the golden run's activity instants (see activity), recorded once.
@@ -143,12 +145,11 @@ func (h *Host[S, G]) Close() {
 	}
 }
 
-// LiveNodes reports the tree nodes checked out of the host's pool: zero
-// once every session is closed or recycled.
+// LiveNodes reports the golden-prefix nodes the host retains.
 func (h *Host[S, G]) LiveNodes() int {
-	h.nodes.mu.Lock()
-	defer h.nodes.mu.Unlock()
-	return h.nodes.live
+	h.tree.mu.RLock()
+	defer h.tree.mu.RUnlock()
+	return len(h.tree.nodes)
 }
 
 // instrument attaches the host's sinks to a kernel built for one run or
@@ -159,29 +160,38 @@ func (h *Host[S, G]) instrument(k *sim.Kernel) {
 	}
 }
 
-// acquire checks a slot out of the pool, re-arming it for a fresh run,
-// or builds a new one when every slot is in use.
-func (h *Host[S, G]) acquire() *hostSlot[S] {
+// take checks a slot out of the pool as its last user left it, or builds
+// a new one, pristine at time zero (fresh), when every slot is in use.
+func (h *Host[S, G]) take() (sl *hostSlot[S], fresh bool) {
 	h.mu.Lock()
-	var sl *hostSlot[S]
 	if n := len(h.slots); n > 0 {
 		sl = h.slots[n-1]
 		h.slots[n-1] = nil
 		h.slots = h.slots[:n-1]
+	} else {
+		h.built++
 	}
 	h.mu.Unlock()
 	if sl == nil {
-		sl = &hostSlot[S]{k: sim.NewKernel()}
+		sl, fresh = &hostSlot[S]{k: sim.NewKernel()}, true
 		sl.s, sl.reg = h.m.Build(sl.k)
-	} else {
-		sl.k.Reset()
-		h.m.Rearm(sl.k, sl.s)
 	}
 	if sl.metrics != h.metrics || sl.trace != h.trace {
 		sl.metrics, sl.trace = h.metrics, h.trace
 		// One Instrument per kernel: it carries per-kernel delta state.
 		sl.k.SetInstrument(nil)
 		h.instrument(sl.k)
+	}
+	return sl, fresh
+}
+
+// acquire checks a slot out of the pool pristine at time zero, re-arming
+// it unless it was just built.
+func (h *Host[S, G]) acquire() *hostSlot[S] {
+	sl, fresh := h.take()
+	if !fresh {
+		sl.k.Reset()
+		h.m.Rearm(sl.k, sl.s)
 	}
 	return sl
 }

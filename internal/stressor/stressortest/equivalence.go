@@ -272,7 +272,7 @@ func modeNamed(name string) cellMode {
 // ≡ tree ≡ tree+early-exit ≡ 2-shard merged ≡ interrupted-and-resumed,
 // then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
-// two nodes each, one shared node pool — and the signed plain path on
+// each restoring nodes the other's slot took — and the signed plain path on
 // both runners, the reuse one also as a campaign over a Source. A
 // scenario of one permanent fault is also run at the edges of the golden
 // idle window it injects in (checkForkWindow). Inputs that generate
@@ -320,9 +320,9 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	eq.checkForkWindow(t, sc)
 
 	// Two sessions of one runner, stepped alternately: a walks the
-	// campaign forwards, b backwards, so each regresses to forks the
-	// other has just evicted nodes for.
-	treeCfg := stressor.TreeConfig{MaxNodes: 2, EarlyExit: true}
+	// campaign forwards, b backwards, so each restores into its own slot
+	// nodes the other's slot published, in both walk directions.
+	treeCfg := stressor.TreeConfig{EarlyExit: true}
 	a, b := eq.Reuse.NewTreeSession(treeCfg), eq.Reuse.NewTreeSession(treeCfg)
 	defer a.Close()
 	defer b.Close()

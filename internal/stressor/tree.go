@@ -1,8 +1,11 @@
 package stressor
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -11,11 +14,12 @@ import (
 )
 
 // Checkpoint trees + convergence early-exit: the one checkpoint path
-// behind Campaign.Checkpointer. A tree session retains a budgeted set
-// of golden-prefix snapshots ("nodes"), one per injection instant it
-// has visited, and establishes each scenario from the deepest retained
-// node at or before its fork time — so a campaign whose fork times
-// regress (StopOnFirst index order, resumed tails) forks from the
+// behind Campaign.Checkpointer. The host retains a budgeted set of
+// golden-prefix snapshots ("nodes"), one per injection instant its
+// sessions have visited, and a session establishes each scenario from the
+// deepest node at or before its fork time, whichever session took it —
+// so a campaign whose fork times regress (StopOnFirst index order,
+// resumed tails), and every later campaign on a warm host, forks from the
 // deepest shared prefix instead of re-simulating from time zero.
 // Convergence early-exit layers on top: the golden trajectory is hashed
 // at a fixed stride, and a faulty run whose post-injection state hash
@@ -24,20 +28,17 @@ import (
 // it out.
 
 const (
-	// treeMaxNodes bounds the retained snapshots per session when
-	// TreeConfig.MaxNodes is zero.
+	// treeMaxNodes bounds the host's retained nodes, per slot it has
+	// built.
 	treeMaxNodes = 32
-	// treeMaxBytes bounds the kernel-side bytes a session's snapshots
-	// retain (model-state captures are not counted; see
+	// treeMaxBytes bounds the kernel-side bytes the host's nodes retain,
+	// per slot it has built (model-state captures are not counted; see
 	// Checkpoint.ApproxBytes).
 	treeMaxBytes = 16 << 20
 )
 
 // TreeConfig parameterizes a checkpoint-tree session.
 type TreeConfig struct {
-	// MaxNodes is the LRU depth budget on retained tree nodes
-	// (0 selects the default of 32).
-	MaxNodes int
 	// EarlyExit enables convergence detection against the golden
 	// trajectory.
 	EarlyExit bool
@@ -51,80 +52,139 @@ type TreeConfig struct {
 	Campaign string
 }
 
-// RecyclableSession is a CheckpointSession whose retained node buffers
-// can be returned to the runner's shared pool without closing the
-// session. The campaign calls Recycle exactly once for a session it
-// abandoned (after the runaway run has finished, so no goroutine still
-// touches the buffers) — abandoned sessions are still never Closed.
+// RecyclableSession is a CheckpointSession with a Recycle method.
+//
+// Deprecated: sessions own no nodes, so there is nothing to recycle and
+// the campaign never calls Recycle; the type stays only for callers that
+// still name it.
 type RecyclableSession interface {
 	CheckpointSession
 	Recycle()
 }
 
-// treeNode is one retained golden-prefix snapshot: the kernel
-// checkpoint and the paired model-state capture at fork-1.
+// treeNode is one golden-prefix snapshot: the kernel checkpoint and the
+// paired model-state capture at fork-1. used is the epoch it was last
+// restored or published in, its LRU stamp.
 type treeNode struct {
-	fork sim.Time
-	tick uint64
-	cp   sim.Checkpoint
-	mst  any
+	fork  sim.Time
+	bytes int // cp.ApproxBytes() when published
+	used  atomic.Uint64
+	cp    sim.Checkpoint
+	mst   any
 }
 
-// nodePool is a host-wide free list of tree nodes, shared by every
-// session of the host so node buffers survive session abandonment,
-// Close and — on a warm daemon runner — the campaign itself. SnapshotInto
-// and SnapshotStateInto fully overwrite a node's buffers, so recycling
-// them across kernels is safe.
-type nodePool struct {
-	mu   sync.Mutex
-	free []*treeNode
-	live int
+// goldenNodes is the host's set of golden-prefix nodes: sorted by fork,
+// no two at one fork, immutable once published and shared by every
+// session of the host. Sessions restore from it under the read lock and
+// publish into it, or evict from it, under the write lock, and keep no
+// node pointer once they let go of the lock. Evicted nodes go to free,
+// whose buffers SnapshotInto and SnapshotModelState overwrite, so a warm
+// host publishes without allocating.
+type goldenNodes struct {
+	mu    sync.RWMutex
+	nodes []*treeNode
+	free  []*treeNode
+	bytes int // the nodes' kernel-side bytes
+	// max is the node budget when set (tests); 0 is treeMaxNodes per
+	// slot built.
+	max int
+	// epoch counts publishes, the LRU clock. Readers only read it, so a
+	// run of hits writes nothing shared.
+	epoch uint64
 }
 
-// get takes a node from the pool (allocating when empty).
-func (p *nodePool) get() *treeNode {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.live++
-	if n := len(p.free); n > 0 {
-		nd := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return nd
+func byFork(nd *treeNode, fork sim.Time) int { return cmp.Compare(nd.fork, fork) }
+
+// restoreNode restores the host's deepest node at or before fork into sl,
+// as sl stands, and reports that node's fork; ok is false when the host
+// holds none.
+func (h *Host[S, G]) restoreNode(sl *hostSlot[S], fork sim.Time) (at sim.Time, ok bool, err error) {
+	g := &h.tree
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	i, found := slices.BinarySearchFunc(g.nodes, fork, byFork)
+	if !found {
+		i--
 	}
-	return &treeNode{}
+	if i < 0 {
+		return 0, false, nil
+	}
+	nd := g.nodes[i]
+	if err := sl.k.Restore(&nd.cp); err != nil {
+		return 0, false, err
+	}
+	sl.s.RestoreState(nd.mst)
+	if nd.used.Load() != g.epoch {
+		nd.used.Store(g.epoch)
+	}
+	return nd.fork, true, nil
 }
 
-// put returns a node's buffers to the pool.
-func (p *nodePool) put(nd *treeNode) {
-	nd.fork, nd.tick = 0, 0
-	p.mu.Lock()
-	p.live--
-	p.free = append(p.free, nd)
-	p.mu.Unlock()
+// publish snapshots sl, which stands golden at fork-1, as the host's node
+// at fork, unless another session published one there first. The budgets
+// are enforced next, least recently used node first and never the one at
+// fork; evicted counts the nodes dropped.
+func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counter) error {
+	h.mu.Lock()
+	maxNodes, maxBytes := treeMaxNodes*h.built, treeMaxBytes*h.built
+	h.mu.Unlock()
+	g := &h.tree
+	if g.max > 0 {
+		maxNodes = g.max
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.epoch++
+	i, found := slices.BinarySearchFunc(g.nodes, fork, byFork)
+	if found {
+		g.nodes[i].used.Store(g.epoch)
+		return nil
+	}
+	nd := &treeNode{}
+	if n := len(g.free); n > 0 {
+		nd, g.free = g.free[n-1], g.free[:n-1]
+	}
+	if err := sl.k.SnapshotInto(&nd.cp); err != nil {
+		g.free = append(g.free, nd)
+		return err
+	}
+	nd.mst = sim.SnapshotModelState(sl.s, nd.mst)
+	nd.fork, nd.bytes = fork, nd.cp.ApproxBytes()
+	nd.used.Store(g.epoch)
+	g.nodes = slices.Insert(g.nodes, i, nd)
+	g.bytes += nd.bytes
+	for len(g.nodes) > 1 && (len(g.nodes) > maxNodes || g.bytes > maxBytes) {
+		lru := -1
+		for j, n := range g.nodes {
+			if n != nd && (lru < 0 || n.used.Load() < g.nodes[lru].used.Load()) {
+				lru = j
+			}
+		}
+		g.bytes -= g.nodes[lru].bytes
+		g.free = append(g.free, g.nodes[lru])
+		g.nodes = slices.Delete(g.nodes, lru, lru+1)
+		inc(evicted)
+	}
+	return nil
 }
 
 // NewTreeSession implements Checkpointer. The session checks a slot out
-// of the pool on first use and owns it until Close hands it back, so a
-// campaign's sessions re-arm the prototypes the previous one built
-// instead of elaborating and allocating new ones. acquire re-arms every
-// slot it hands out, so golden state never leaks out of a session. A
-// session the campaign abandons is never closed: its slot — perhaps torn,
-// perhaps still running — simply never returns. Its retained tree nodes
-// come from the host-wide pool and go back through Recycle.
+// of the pool on first use, as the slot's last user left it, and owns it
+// until Close hands it back, so a campaign's sessions reuse the
+// prototypes the previous one built instead of elaborating and allocating
+// new ones. A session the campaign abandons is never closed: its slot —
+// perhaps torn, perhaps still running — simply never returns. The nodes
+// are the host's, so abandoning a session loses none.
 func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = treeMaxNodes
-	}
 	return &session[S, G]{h: h, cfg: cfg}
 }
 
-// session is one worker's tree session: one slot, the golden-prefix
-// nodes retained of it, the fork-window memo and the golden trajectory
-// its runs are compared with. Nodes are taken at fork-1: restoring there
-// and elaborating the stressor gives its initial activation one instant
-// before the injection, which reproduces a full run's schedule at the
-// injection instant exactly (the stressor's process id is the highest
+// session is one worker's tree session: a slot, where the slot stands
+// (cursor), the fork-window memo, the golden trajectory its runs are
+// compared with and its metrics. Nodes are taken at fork-1: restoring
+// there and elaborating the stressor gives its initial activation one
+// instant before the injection, which reproduces a full run's schedule at
+// the injection instant exactly (the stressor's process id is the highest
 // either way, so it evaluates last within an instant).
 type session[S State, G any] struct {
 	h     *Host[S, G]
@@ -133,11 +193,9 @@ type session[S State, G any] struct {
 	traj  *trajectory[G]
 	pages *pageCounters
 
-	nodes  []*treeNode // sorted by fork, ascending
-	tick   uint64
-	virgin bool // the slot is pristine at time zero
-	dirty  bool // a run advanced past the last established instant
-	cur    sim.Time
+	fresh bool // the slot is pristine at time zero
+	dirty bool // a run advanced past the last established instant
+	cur   sim.Time
 
 	// The fork-window memo (see window): the kernel was last established
 	// in the golden idle window (winFork-1, winEnd), memo holds what the
@@ -174,14 +232,14 @@ func (p *pageCounters) publish() {
 	p.published = now
 }
 
-// init lazily checks out the session's slot — pristine at time zero,
-// whether built or re-armed — and records the (early exit on) trajectory.
+// init lazily checks out the session's slot, as it stands, and records
+// the (early exit on) trajectory.
 func (s *session[S, G]) init() error {
 	if s.sl != nil {
 		return nil
 	}
-	s.sl = s.h.acquire()
-	s.virgin, s.dirty = true, true
+	s.sl, s.fresh = s.h.take()
+	s.dirty = true
 	if m := s.cfg.Metrics; m != nil {
 		l := obs.L("campaign", s.cfg.Campaign)
 		s.hits = m.Counter("campaign.tree_hits", l)
@@ -193,7 +251,7 @@ func (s *session[S, G]) init() error {
 		s.windowHits = m.Counter("campaign.fork_window_hits", l)
 		s.windowLoud = m.Counter("campaign.fork_window_loud", l)
 		if p, ok := any(s.sl.s).(pagedState); ok {
-			// A re-armed slot's counters still hold its earlier runs' work.
+			// A pooled slot's counters still hold its earlier runs' work.
 			s.pages = &pageCounters{src: p, published: p.PagedStats(),
 				rehashed: m.Counter("campaign.state_pages_rehashed", l),
 				restored: m.Counter("campaign.state_pages_restored", l)}
@@ -260,29 +318,15 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Obse
 	return s.h.m.Observe(sl.s), nil
 }
 
-// Close implements CheckpointSession, returning the retained nodes to
-// the host's node pool and the slot to its slot pool. Method-only kernels
-// hold no goroutines, which is what lets the campaign abandon a session
-// without closing it.
+// Close implements CheckpointSession, returning the slot to the host's
+// pool; the nodes stay with the host. Method-only kernels hold no
+// goroutines, which is what lets the campaign abandon a session without
+// closing it.
 func (s *session[S, G]) Close() {
-	s.Recycle()
 	if s.sl != nil {
 		s.h.release(s.sl)
 		s.sl = nil
 	}
-}
-
-// Recycle implements RecyclableSession: every retained node goes back to
-// the host's pool — on Close, on a rebuild from time zero, and for an
-// abandoned session once the runaway run has finished. Node buffers are
-// fully overwritten on reuse, so this is safe after abandonment.
-func (s *session[S, G]) Recycle() {
-	for i, nd := range s.nodes {
-		s.h.nodes.put(nd)
-		s.nodes[i] = nil
-	}
-	s.nodes = s.nodes[:0]
-	s.dirty = true
 }
 
 // Establish is establish for tests that pin the tree's steady state: the
@@ -302,112 +346,45 @@ func (s *session[S, G]) Establish(fork sim.Time) error {
 func (s *session[S, G]) Prototype() State { return s.sl.s }
 
 // establish leaves kernel and model in the golden state at simulated
-// time fork-1, with a node at fork retained for the next scenario.
-// Cheapest case first: an exact-fork node is restored (or nothing
-// happens if the kernel still sits there untouched); otherwise the
-// deepest node before fork is restored and the golden run extended
-// forward; with no usable node the prefix is rebuilt from time zero —
-// which Resets the kernel and therefore recycles every retained node.
+// time fork-1, with a host node at fork for the next scenario. Cheapest
+// case first: nothing happens if the kernel still sits at fork untouched;
+// otherwise the host's deepest node at or before fork is restored into
+// the slot as it stands (a hit when it is at fork); otherwise, when the
+// host has no such node, the slot is re-armed to time zero. Short of
+// fork, the golden run is then extended to it and the node published.
 func (s *session[S, G]) establish(fork sim.Time) error {
 	if !s.dirty && s.cur == fork {
 		return nil
 	}
-	k := s.sl.k
-	// Nodes are sorted by fork and no two share one: the last at or
-	// before fork is the exact one if there is one.
-	var nd *treeNode
-	for _, n := range s.nodes {
-		if n.fork <= fork {
-			nd = n
-		}
+	sl := s.sl
+	at, ok, err := s.h.restoreNode(sl, fork)
+	if err != nil {
+		return err
 	}
-	if nd != nil {
-		if err := k.Restore(&nd.cp); err != nil {
-			return err
-		}
-		s.sl.s.RestoreState(nd.mst)
-		s.touch(nd)
-		if nd.fork == fork {
-			inc(s.hits)
-			s.cur, s.dirty = fork, false
-			return nil
-		}
+	fresh := s.fresh
+	s.fresh = false
+	switch {
+	case ok && at == fork:
+		inc(s.hits)
+		s.cur, s.dirty = fork, false
+		return nil
+	case ok:
 		inc(s.extends)
-	} else {
-		// No retained prefix at or before fork: rebuild from zero. A
-		// fresh slot is already pristine; otherwise Reset invalidates the
-		// whole tree.
-		if !s.virgin {
-			s.Recycle()
-			k.Reset()
-			s.h.m.Rearm(k, s.sl.s)
+	default:
+		if !fresh {
+			sl.k.Reset()
+			s.h.m.Rearm(sl.k, sl.s)
 		}
 		inc(s.rebuilds)
 	}
-	s.virgin = false
-	if err := k.RunUntil(fork - 1); err != nil {
+	if err := sl.k.RunUntil(fork - 1); err != nil {
 		return err
 	}
-	nd = s.h.nodes.get()
-	if err := k.SnapshotInto(&nd.cp); err != nil {
-		s.h.nodes.put(nd)
+	if err := s.h.publish(sl, fork, s.evictions); err != nil {
 		return err
 	}
-	nd.mst = sim.SnapshotModelState(s.sl.s, nd.mst)
-	nd.fork = fork
-	s.insert(nd)
-	s.touch(nd)
-	s.evict()
 	s.cur, s.dirty = fork, false
 	return nil
-}
-
-func (s *session[S, G]) insert(nd *treeNode) {
-	i := len(s.nodes)
-	s.nodes = append(s.nodes, nd)
-	for i > 0 && s.nodes[i-1].fork > nd.fork {
-		s.nodes[i] = s.nodes[i-1]
-		i--
-	}
-	s.nodes[i] = nd
-}
-
-func (s *session[S, G]) touch(nd *treeNode) {
-	s.tick++
-	nd.tick = s.tick
-}
-
-// evict enforces the node-count and byte budgets, dropping the least
-// recently used nodes first (never the one just touched).
-func (s *session[S, G]) evict() {
-	for len(s.nodes) > 1 {
-		over := len(s.nodes) > s.cfg.MaxNodes
-		if !over {
-			bytes := 0
-			for _, nd := range s.nodes {
-				bytes += nd.cp.ApproxBytes()
-			}
-			over = bytes > treeMaxBytes
-		}
-		if !over {
-			return
-		}
-		lru := 0
-		for i, nd := range s.nodes {
-			if nd.tick < s.nodes[lru].tick {
-				lru = i
-			}
-		}
-		if s.nodes[lru].tick == s.tick {
-			return // everything else already evicted
-		}
-		nd := s.nodes[lru]
-		copy(s.nodes[lru:], s.nodes[lru+1:])
-		s.nodes[len(s.nodes)-1] = nil
-		s.nodes = s.nodes[:len(s.nodes)-1]
-		s.h.nodes.put(nd)
-		inc(s.evictions)
-	}
 }
 
 func inc(c *obs.Counter) {

@@ -54,11 +54,12 @@ func (*tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
 }
 
 // TestTreeCoreBudgetOfOne pins establish's cases and the LRU budget on
-// a session that may retain a single node. The same fork is a no-op on an
+// a host that may retain a single node. The same fork is a no-op on an
 // untouched kernel and a restore (hit) on a dirty one, a later fork
 // extends the golden run from the held node and evicts it, an earlier
-// fork rebuilds from time zero — and exactly one node is retained
-// throughout, which Close returns to the host's pool.
+// fork rebuilds from time zero and evicts the later node in turn — and
+// exactly one node is retained throughout. The node is the host's, so
+// it outlives Close, and the next session's slot hits it.
 func TestTreeCoreBudgetOfOne(t *testing.T) {
 	proto := &tickProto{}
 	h, err := NewHost[*tickModel, struct{}]("tick", proto, 100)
@@ -66,12 +67,13 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	h.tree.max = 1
 	reg := obs.NewRegistry()
-	s := h.NewTreeSession(TreeConfig{MaxNodes: 1, Metrics: reg, Campaign: "roll"}).(*session[*tickModel, struct{}])
+	s := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "roll"}).(*session[*tickModel, struct{}])
+	rearmed := proto.rearms
 	if err := s.init(); err != nil {
 		t.Fatal(err)
 	}
-	rearmed := proto.rearms // checking the slot out re-armed it
 	k, m := s.sl.k, s.sl.s
 	counter := func(name string) uint64 {
 		return reg.Counter("campaign.tree_"+name, obs.L("campaign", "roll")).Value()
@@ -96,7 +98,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		{"same fork, untouched kernel: no-op", 10, false, counts{rebuilds: 1}},
 		{"same fork after a run: hit", 10, true, counts{hits: 1, rebuilds: 1}},
 		{"later fork: extend, old node superseded", 20, true, counts{hits: 1, extends: 1, rebuilds: 1, evictions: 1}},
-		{"earlier fork: rebuild from zero", 5, true, counts{hits: 1, extends: 1, rebuilds: 2, evictions: 1}},
+		{"earlier fork: rebuild from zero, later node superseded", 5, true, counts{hits: 1, extends: 1, rebuilds: 2, evictions: 2}},
 	}
 	for _, st := range steps {
 		if st.dirty {
@@ -113,15 +115,40 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		if got != st.want {
 			t.Errorf("%s: counters = %+v, want %+v", st.name, got, st.want)
 		}
-		if len(s.nodes) != 1 || h.LiveNodes() != 1 {
-			t.Errorf("%s: nodes = %d, pool live = %d, want 1 and 1", st.name, len(s.nodes), h.LiveNodes())
+		if n := h.LiveNodes(); n != 1 {
+			t.Errorf("%s: the host retains %d nodes, want 1", st.name, n)
 		}
 	}
-	if n := proto.rearms - rearmed; n != 1 {
-		t.Errorf("the slot went back to time zero %d times, want 1 (the first prefix starts from the pristine slot)", n)
+	// Checking the pooled slot out re-arms nothing; the two rebuilds do.
+	if n := proto.rearms - rearmed; n != 2 {
+		t.Errorf("the slot went back to time zero %d times, want 2 (the first prefix and the earlier fork)", n)
 	}
 	s.Close()
-	if len(s.nodes) != 0 || h.LiveNodes() != 0 {
-		t.Errorf("after Close: nodes = %d, pool live = %d, want 0 and 0", len(s.nodes), h.LiveNodes())
+	if n := h.LiveNodes(); n != 1 {
+		t.Errorf("after Close the host retains %d nodes, want 1", n)
+	}
+	// A second session, on a second slot, forks from the node the first
+	// one published.
+	held := h.NewTreeSession(TreeConfig{})
+	defer held.Close()
+	if err := held.(*session[*tickModel, struct{}]).init(); err != nil {
+		t.Fatal(err)
+	}
+	next := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "next"}).(*session[*tickModel, struct{}])
+	defer next.Close()
+	if err := next.Establish(5); err != nil {
+		t.Fatal(err)
+	}
+	if next.sl.k == k {
+		t.Fatal("the second session got the first one's slot, which the held session should have")
+	}
+	if got := next.sl.s.at(next.sl.k); got != [2]int{4, 4} {
+		t.Errorf("second slot: (now, ticks) = %v, want golden state at 4", got)
+	}
+	if hits := reg.Counter("campaign.tree_hits", obs.L("campaign", "next")).Value(); hits != 1 {
+		t.Errorf("second session: %d hits, want 1 (the first session's node)", hits)
+	}
+	if n := proto.rearms - rearmed; n != 2 {
+		t.Errorf("the second session re-armed its slot (%d rearms in all, want 2)", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -247,5 +248,63 @@ func TestForkWindowNeverAWrongVerdict(t *testing.T) {
 				t.Errorf("fork_window_loud = %d, want %d", loud, tc.loud)
 			}
 		})
+	}
+}
+
+// TestTreeSessionsEvictUnderContention: two sessions of one host whose
+// budget is two nodes walk the same scenarios on two goroutines, in
+// opposite directions, so each keeps evicting nodes the other restores
+// from and extending from nodes the other published. Every outcome must
+// equal a ReuseOff host's. Under -race this is the audit of publish,
+// evict and restore racing across sessions.
+func TestTreeSessionsEvictUnderContention(t *testing.T) {
+	oracle := newWindowHost(t)
+	oracle.ReuseOff = true
+	h := newWindowHost(t)
+	h.tree.max = 2
+	var scs []fault.Scenario
+	for at := sim.Time(3); at < windowHorizon; at += 7 {
+		for _, f := range []struct {
+			site  string
+			model fault.Model
+		}{{"toy.reg", fault.StuckAt1}, {"toy.line", fault.StuckAt1}, {"toy.late", fault.Delay}, {"toy.clock", fault.Omission}} {
+			name := fmt.Sprintf("%s@%d", f.site, uint64(at))
+			scs = append(scs, fault.Scenario{ID: name, Faults: []fault.Descriptor{permanent(name, f.site, f.model, at)}})
+		}
+	}
+	want := make([]fault.Outcome, len(scs))
+	for i, sc := range scs {
+		want[i] = oracle.RunScenario(sc)
+	}
+	reg := obs.NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sess := h.NewTreeSession(TreeConfig{EarlyExit: true, Metrics: reg, Campaign: "contention"})
+			defer sess.Close()
+			for k := range scs {
+				i := k
+				if w == 1 {
+					i = len(scs) - 1 - k
+				}
+				fork, ok := h.ForkTime(scs[i])
+				if !ok {
+					t.Errorf("%s is not fork-eligible", scs[i].ID)
+					return
+				}
+				if got := sess.Run(scs[i], fork); got.Class != want[i].Class || got.Detail != want[i].Detail {
+					t.Errorf("session %d, %s: got %s %q, ReuseOff says %s %q", w, scs[i].ID, got.Class, got.Detail, want[i].Class, want[i].Detail)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := h.LiveNodes(); n > 2 {
+		t.Errorf("the host retains %d nodes over a budget of 2", n)
+	}
+	if ev := reg.Counter("campaign.tree_evictions", obs.L("campaign", "contention")).Value(); ev == 0 {
+		t.Error("no node was evicted: the walk pins nothing about eviction")
 	}
 }
