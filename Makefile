@@ -25,7 +25,8 @@ race:
 # runner, a node pool or a digest cache is hiding an order dependence.
 shuffle:
 	$(GO) test -shuffle=on ./internal/sim/... ./internal/ecu ./internal/stressor/... \
-		./internal/campaignd ./internal/scenario ./internal/journal ./internal/fabric ./internal/caps
+		./internal/campaignd ./internal/scenario ./internal/journal ./internal/fabric ./internal/caps \
+		./internal/can ./internal/tlm
 
 tier1: build vet race shuffle
 

@@ -211,7 +211,8 @@ func BenchmarkCampaignParallel(b *testing.B) {
 
 // BenchmarkCampaignReuse is the tentpole measurement: the E8
 // single-fault universe with rebuild-per-run (the pre-reuse engine,
-// ReuseOff) against the pooled Kernel.Reset+Rearm path, sequentially
+// ReuseOff) against the pooled path, each slot rewound to the runner's
+// root checkpoint, sequentially
 // and at GOMAXPROCS workers. Both paths produce identical tallies
 // (cross-checked each iteration); only the per-scenario constant
 // factor differs. Compare rebuild/* with reuse/* using benchstat.

@@ -74,7 +74,7 @@ func main() {
 				return nil, err
 			}
 			c := res.Campaign
-			c.Checkpointer, c.EarlyExit, c.HashStride = nil, false, 0
+			c.Checkpointer, c.EarlyExit = nil, false
 			run := c.Run
 			c.Run = func(sc fault.Scenario) fault.Outcome {
 				if int(runs.Add(1)) == n {

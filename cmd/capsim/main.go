@@ -9,7 +9,7 @@
 //	       -faults "omission @caps.can.bus from 15ms; open @caps.accel0.harness from 5ms"
 //	capsim -sites                  # list injection sites
 //	capsim -campaign -workers -1   # exhaustive single-fault campaign, one worker per CPU
-//	capsim -campaign e8 -early-exit   # also stop each run when it re-converges with the golden run
+//	capsim -campaign e8 -early-exit   # also stop each run when it re-converges with the golden run (checked every horizon/16)
 //	capsim -campaign e8 -progress -metrics m.json -trace-events t.json
 //	capsim -campaign e8 -shard 0/4 -journal shard0.journal   # one shard of four
 //	capsim -campaign e8 -shard 0/4 -journal shard0.journal -resume
@@ -41,8 +41,8 @@
 // campaign engine with a scenario source in place of the list, so it
 // composes with -journal/-resume, -workers (the outcome stream is
 // deterministic at any worker count), -progress, -metrics,
-// -trace-events and -scenario-timeout; -shard, -early-exit,
-// -hash-stride and an explicit -dedup are usage errors.
+// -trace-events and -scenario-timeout; -shard, -early-exit and an
+// explicit -dedup are usage errors.
 package main
 
 import (
@@ -162,7 +162,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.campaign, "campaign", false, "run the exhaustive single-fault campaign instead of one scenario")
 	fs.IntVar(&s.Workers, "workers", 0, "campaign worker-pool size: 0 = sequential, -1 = one per CPU")
 	fs.BoolVar(&s.EarlyExit, "early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory")
-	fs.StringVar(&s.HashStride, "hash-stride", "", "golden-trajectory hashing interval for -early-exit (e.g. 5ms; default horizon/16)")
 	fs.BoolVar(&s.Dedup, "dedup", false, "collapse campaign scenarios with identical fault content into one run")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "drive the campaign with the novelty-adaptive strategy (outcome signatures steer scenario generation) instead of the fixed universe")
 	fs.IntVar(&s.NoveltyBudget, "novelty-budget", 0, "simulated-run budget for -adaptive (default 64)")

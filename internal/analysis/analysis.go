@@ -117,10 +117,6 @@ func (t *Trace) Record(at sim.Time, site, detail string) {
 // Hops reports the propagation path in time order.
 func (t *Trace) Hops() []Hop { return t.hops }
 
-// Reset clears the trace, keeping the hop buffer's capacity for reuse
-// across campaign runs.
-func (t *Trace) Reset() { t.hops = t.hops[:0] }
-
 // CopyFrom overwrites the trace with the hops of src, reusing the hop
 // buffer's capacity. Checkpoint-restoring runners use it to rewind a
 // prototype's live trace to its golden-prefix contents.

@@ -57,12 +57,6 @@ func FuzzCampaignSpec(f *testing.F) {
 		if n := len(spec.Universe.Scenarios); n > MaxInlineScenarios {
 			t.Fatalf("accepted %d inline scenarios above cap", n)
 		}
-		if st := spec.stride; st > spec.horizon {
-			t.Fatalf("accepted hash stride %d past horizon %d", st, spec.horizon)
-		}
-		if spec.HashStride != "" && !spec.EarlyExit {
-			t.Fatal("accepted hash_stride without early_exit")
-		}
 		if spec.Adaptive {
 			if spec.NoveltyBudget < 1 || spec.NoveltyBudget > MaxNoveltyBudget {
 				t.Fatalf("accepted novelty budget %d outside bounds", spec.NoveltyBudget)
@@ -92,7 +86,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		if again.RunnerKey() != spec.RunnerKey() || again.horizon != spec.horizon ||
 			again.shard != spec.shard || again.timeout != spec.timeout ||
-			again.stride != spec.stride || again.Checkpoints != spec.Checkpoints || again.CheckpointTree != spec.CheckpointTree ||
+			again.HashStride != spec.HashStride || again.Checkpoints != spec.Checkpoints || again.CheckpointTree != spec.CheckpointTree ||
 			again.EarlyExit != spec.EarlyExit || again.Adaptive != spec.Adaptive ||
 			again.NoveltyBudget != spec.NoveltyBudget || again.NoveltySeed != spec.NoveltySeed {
 			t.Fatalf("round trip changed the spec: %s", remarshaled)

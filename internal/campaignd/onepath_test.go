@@ -130,11 +130,11 @@ func inspectNonTestSource(t *testing.T, visit func(fset *token.FileSet, n ast.No
 
 // TestNothingSetsTheRetiredCheckpointSwitches: Campaign.Checkpoints and
 // Campaign.CheckpointTree select nothing — the Checkpointer alone does —
-// and Spec's fields of the same names only parse. No non-test file
-// names either field, so no caller can come to believe that setting one
-// forks or that clearing one stops forking.
+// and Spec's fields of the same names, like Spec.HashStride, only parse.
+// No non-test file names any of them, so no caller can come to believe
+// that setting one forks, stops forking or moves early exit's stride.
 func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
-	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true}
+	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true, "HashStride": true}
 	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
 		var name *ast.Ident
 		switch n := n.(type) {
@@ -277,7 +277,8 @@ func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 	}{
 		{"plain", `{"campaign":"p",` + u + `,"workers":2}`, true},
 		{"dedup", `{"campaign":"p",` + u + `,"dedup":true}`, true},
-		{"ee+stride", `{"campaign":"p",` + u + `,"workers":2,"early_exit":true,"hash_stride":"5ms"}`, true},
+		{"early exit", `{"campaign":"p",` + u + `,"workers":2,"early_exit":true}`, true},
+		{"retired hash_stride", `{"campaign":"p",` + u + `,"workers":2,"early_exit":true,"hash_stride":"5ms"}`, true},
 		{"checkpoints", `{"campaign":"p",` + u + `,"workers":2,"checkpoints":true}`, true},
 		{"checkpoint_tree", `{"campaign":"p",` + u + `,"workers":2,"checkpoint_tree":true}`, true},
 		{"checkpoints off", `{"campaign":"p",` + u + `,"workers":2,"checkpoints":false,"checkpoint_tree":false}`, true},

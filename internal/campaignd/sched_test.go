@@ -450,7 +450,6 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 	for knob, knobs := range map[string]string{
 		"shard":         `"shard":"0/2"`,
 		"early_exit":    `"early_exit":true`,
-		"hash_stride":   `"early_exit":true,"hash_stride":"5ms"`,
 		"stop_on_first": `"stop_on_first":true`,
 		"dedup":         `"dedup":true`,
 	} {
@@ -462,8 +461,9 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 	if ids, err := sched.Store().List(); err != nil || len(ids) != 0 {
 		t.Fatalf("refused submissions left runs behind: %v (err %v)", ids, err)
 	}
-	// The retired checkpoint switches are inert, so no reason to refuse.
-	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2,"checkpoints":true,"checkpoint_tree":true`); code != http.StatusAccepted {
-		t.Errorf("scenario_timeout+trace+workers+checkpoint switches: POST = %d %s, want 202", code, body)
+	// The retired checkpoint switches and hash_stride are inert, so no
+	// reason to refuse.
+	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2,"checkpoints":true,"checkpoint_tree":true,"hash_stride":"5ms"`); code != http.StatusAccepted {
+		t.Errorf("scenario_timeout+trace+workers+retired switches: POST = %d %s, want 202", code, body)
 	}
 }

@@ -86,8 +86,8 @@ type Spec struct {
 	// EarlyExit terminates a run the moment its state hash re-converges
 	// with the golden trajectory (capsim -early-exit).
 	EarlyExit bool `json:"early_exit,omitempty"`
-	// HashStride is the golden-trajectory hashing interval for
-	// EarlyExit, e.g. "5ms" (capsim -hash-stride; default horizon/16).
+	// HashStride still parses, like Checkpoints, but changes nothing:
+	// early exit hashes the golden trajectory at horizon/16.
 	HashStride string `json:"hash_stride,omitempty"`
 	// StopOnFirst aborts at the first unhandled failure.
 	StopOnFirst bool `json:"stop_on_first,omitempty"`
@@ -105,7 +105,7 @@ type Spec struct {
 	// instead of the fixed universe (capsim -adaptive). The universe
 	// kind must generate fault descriptors (KindCAPSSingleFault). It
 	// runs through the same engine as a fixed universe, so workers,
-	// scenario_timeout and trace apply; shard, early_exit, hash_stride and
+	// scenario_timeout and trace apply; shard, early_exit and
 	// stop_on_first do not compose with the feedback loop and are
 	// rejected, as is an explicit dedup (adaptive always prunes equivalent
 	// proposals).
@@ -120,7 +120,6 @@ type Spec struct {
 	// Parsed forms, populated by Validate.
 	horizon sim.Time
 	inject  sim.Time
-	stride  sim.Time
 	shard   stressor.Shard
 	timeout time.Duration
 	inline  []fault.Scenario // the KindInline universe, in spec order
@@ -206,7 +205,7 @@ func (s *Spec) Validate() error {
 	if err := s.ValidatePrototype(); err != nil {
 		return err
 	}
-	s.shard, s.stride, s.timeout, s.inline = stressor.Shard{}, 0, 0, nil
+	s.shard, s.timeout, s.inline = stressor.Shard{}, 0, nil
 	if s.Campaign == "" {
 		s.Campaign = "capsimd"
 	}
@@ -283,19 +282,6 @@ func (s *Spec) Validate() error {
 		}
 		s.shard = sh
 	}
-	if s.HashStride != "" {
-		if !s.EarlyExit {
-			return fmt.Errorf("campaignd: hash_stride set without early_exit")
-		}
-		stride, err := fault.ParseDuration(s.HashStride)
-		if err != nil {
-			return fmt.Errorf("campaignd: hash_stride: %w", err)
-		}
-		if stride <= 0 || stride > s.horizon {
-			return fmt.Errorf("campaignd: hash_stride %s out of range (0, horizon]", s.HashStride)
-		}
-		s.stride = stride
-	}
 	if s.Adaptive {
 		// The submit-time mirror of what stressor.Campaign refuses next to
 		// a Source — client input is rejected before a run is queued, not
@@ -305,8 +291,8 @@ func (s *Spec) Validate() error {
 			name string
 			on   bool
 		}{
-			{"shard", s.Shard != ""}, {"hash_stride", s.HashStride != ""},
-			{"early_exit", s.EarlyExit}, {"stop_on_first", s.StopOnFirst},
+			{"shard", s.Shard != ""}, {"early_exit", s.EarlyExit},
+			{"stop_on_first", s.StopOnFirst},
 			{"dedup", s.Dedup},
 		}
 		for _, f := range refused {
@@ -383,7 +369,7 @@ func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, erro
 		Name: s.Campaign, Run: r.RunFunc(), Workers: s.Workers,
 		Dedup: s.Dedup, StopOnFirst: s.StopOnFirst, Shard: s.shard,
 		ScenarioTimeout: s.timeout,
-		Checkpointer:    r, EarlyExit: s.EarlyExit, HashStride: s.stride,
+		Checkpointer:    r, EarlyExit: s.EarlyExit,
 	}
 	if s.Adaptive {
 		// The Novelty strategy over the spec's fault universe replaces the

@@ -201,12 +201,6 @@ type Bus struct {
 	// cont is the contenders scratch buffer, reused per round.
 	cont []*Node
 
-	// elaboration names and bound methods, computed once in NewBus so
-	// Rearm re-elaborates without re-deriving them (string concat and
-	// method-value creation both allocate).
-	wakeName, arbName, doneName, compName string
-	arbFn, compFn                         func()
-
 	// fault injection
 	corruptNext  int // corrupt the next n frames in transit
 	dropNext     int // silently drop the next n frames
@@ -224,49 +218,12 @@ func NewBus(k *sim.Kernel, name string) *Bus {
 		MaxRetries:  8,
 		retriesLeft: make(map[*Node]int),
 		babbleFrame: frame{id: 0, n: 1},
-		wakeName:    name + ".wake",
-		arbName:     name + ".arbitrate",
-		doneName:    name + ".txdone",
-		compName:    name + ".complete",
 	}
-	b.arbFn = b.arbitrate
-	b.compFn = b.completePending
-	b.elaborate(k)
+	b.wake = k.NewEvent(name + ".wake")
+	k.MethodNoInit(name+".arbitrate", b.arbitrate, b.wake)
+	b.txdone = k.NewEvent(name + ".txdone")
+	k.MethodNoInit(name+".complete", b.completePending, b.txdone)
 	return b
-}
-
-// elaborate registers the bus's event and process quartet on the
-// kernel, in the fixed order both NewBus and Rearm rely on.
-func (b *Bus) elaborate(k *sim.Kernel) {
-	b.wake = k.NewEvent(b.wakeName)
-	k.MethodNoInit(b.arbName, b.arbFn, b.wake)
-	b.txdone = k.NewEvent(b.doneName)
-	k.MethodNoInit(b.compName, b.compFn, b.txdone)
-}
-
-// Rearm re-elaborates the bus onto a freshly Reset kernel and clears
-// all traffic, error-counter and fault state, following the
-// sim.Rearmable convention. The wake event and arbitration process are
-// re-created first thing, so a prototype that calls Rearm at the same
-// point Build called NewBus preserves the original process ordering.
-func (b *Bus) Rearm(k *sim.Kernel) {
-	b.k = k
-	b.elaborate(k)
-	b.txWinner = nil
-	b.txFrame = frame{}
-	b.busy = false
-	b.log = b.log[:0]
-	b.corruptNext = 0
-	b.dropNext = 0
-	clear(b.retriesLeft)
-	b.arbitrations = 0
-	for _, n := range b.nodes {
-		n.tec, n.rec = 0, 0
-		n.state = ErrorActive
-		n.queue = n.qbuf[:0]
-		n.sent, n.received, n.errorsSeen = 0, 0, 0
-		n.Babbling = false
-	}
 }
 
 // Attach creates a node on the bus.

@@ -465,7 +465,7 @@ func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
 				}
 			}
 			// Warm up past every buffer's growth, then give the log its room
-			// back, as Rearm does between runs.
+			// back, as a restore to time zero does between runs.
 			for i := 0; i < 64; i++ {
 				round()
 			}

@@ -42,7 +42,7 @@ func TestStateCoverageBus(t *testing.T) {
 
 	const (
 		config  = "configuration, constant after NewBus"
-		wiring  = "kernel objects and bound methods, re-created by Rearm; pending notifications are scheduler state"
+		wiring  = "kernel objects and wiring, fixed by NewBus and kept by every restore; pending notifications are scheduler state"
 		diag    = "diagnostics nothing behavioral reads back (see Bus.HashState)"
 		padding = "inline payload: HashState folds data[:n]; the bytes past n are zero padding nothing reads, so the byte perturbed is a live one"
 	)
@@ -62,9 +62,6 @@ func TestStateCoverageBus(t *testing.T) {
 		"txFrame.data": simtest.Via(padding, func() { b.txFrame.data[b.txFrame.n-1] ^= 0xee }),
 		"rx":           simtest.NotState("scratch: the delivery buffer, rewritten before every OnReceive and read only during it"),
 		"cont":         simtest.NotState("scratch: contenders refills it every arbitration round"),
-		"wakeName":     simtest.NotState(config), "arbName": simtest.NotState(config),
-		"doneName": simtest.NotState(config), "compName": simtest.NotState(config),
-		"arbFn": simtest.NotState(wiring), "compFn": simtest.NotState(wiring),
 		"retriesLeft":  simtest.Via("a map keyed by node, captured by index", func() { b.retriesLeft[b.txWinner]-- }),
 		"babbleFrame":  simtest.NotState(config),
 		"arbitrations": simtest.Unhashed(diag),

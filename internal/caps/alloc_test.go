@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stressor"
 )
@@ -139,5 +140,44 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	t.Logf("%.2f allocations per scenario over %d scenarios", per, len(scs))
 	if per > ceiling {
 		t.Errorf("%.2f allocations per scenario, ceiling %.0f", per, ceiling)
+	}
+}
+
+// TestConvergingRunDigestsWithoutAllocating: a warm early-exit session
+// run of a 2 ms CAN corruption transient — five convergence checks, the
+// fifth of which re-joins the golden trajectory — allocates what the run
+// returns and nothing per check. Each check digests the slot through its
+// own StateHash; a local one escaped to the heap through the State
+// interface, one object a check, which put this run at 12.
+func TestConvergingRunDigestsWithoutAllocating(t *testing.T) {
+	r, err := NewRunner(Protected(), NormalDriving(), sim.MS(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var sc fault.Scenario
+	for _, d := range withTransients(r.Universe(sim.MS(5))) {
+		if d.Target == "caps.can.bus" && d.Model == fault.Corruption && d.Class == fault.Transient {
+			sc = fault.Single(d)
+		}
+	}
+	fork, ok := r.ForkTime(sc)
+	if !ok {
+		t.Fatalf("no forkable CAN corruption transient in the universe (got %+v)", sc)
+	}
+	reg := obs.NewRegistry()
+	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true, Metrics: reg, Campaign: "converge"})
+	defer sess.Close()
+	run := func() { sess.Run(sc, fork) }
+	run()
+	l := obs.L("campaign", "converge")
+	if exits, saved := reg.Counter("campaign.early_exits", l).Value(), reg.Counter("campaign.early_exit_saved_sim_ns", l).Value(); exits != 1 || sim.Time(saved) != sim.MS(50) {
+		t.Fatalf("the run early-exited %d times, saving %v: want once, at 30 ms, after five checks", exits, sim.Time(saved))
+	}
+	const budget = 8
+	avg := testing.AllocsPerRun(20, run)
+	t.Logf("%v allocations per converging session run", avg)
+	if avg > budget {
+		t.Errorf("a converging session run allocates %v objects, budget %d", avg, budget)
 	}
 }

@@ -57,7 +57,7 @@ func (r *Runner) Universe(start sim.Time) []fault.Descriptor {
 // recorded by the prototype (fault → sensor → fusion → airbag hops).
 func (r *Runner) RunScenarioTraced(sc fault.Scenario) (fault.Outcome, *analysis.Trace) {
 	tr := &analysis.Trace{}
-	// Clone: the slot's trace buffer is re-armed for its next run.
+	// Clone: the slot's trace buffer is rewound for its next run.
 	out := r.RunScenarioWith(sc, func(s *System) { tr = s.Trace.Clone() })
 	return out, tr
 }
@@ -70,8 +70,6 @@ type model struct {
 }
 
 func (m *model) Build(k *sim.Kernel) (*System, *fault.Registry) { return Build(k, m.cfg, m.world) }
-
-func (m *model) Rearm(k *sim.Kernel, s *System) { s.Rearm(k) }
 
 func (m *model) Observe(s *System) analysis.Observation {
 	return m.observation(s.Fired, s.FiredAt, s.Severities, s.Detections, m.stateCorrupted(s))

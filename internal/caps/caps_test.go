@@ -345,7 +345,6 @@ func TestCampaignDeterminismMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "caps-e8",
 		Scenarios: scenarios,
-		Horizon:   sim.MS(30),
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {
@@ -386,7 +385,6 @@ func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "caps-e8-stop",
 		Scenarios: scenarios,
-		Horizon:   sim.MS(30),
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {

@@ -33,11 +33,10 @@ func TestStateCoverageSystem(t *testing.T) {
 
 	const (
 		config = "configuration, constant after Build"
-		wiring = "kernel objects, bound methods and bus attachments, fixed by Build and re-created by Rearm"
+		wiring = "kernel objects and bus attachments, fixed by Build and kept by every restore"
 	)
 	simtest.StateCoverage(t, sys, sys, map[string]simtest.Rule{
 		"cfg": simtest.NotState(config), "world": simtest.NotState(config), "k": simtest.NotState(wiring),
-		"fusionFn": simtest.NotState(wiring), "framewdFn": simtest.NotState(wiring),
 		"cycleEv": simtest.NotState(wiring), "wdEv": simtest.NotState(wiring),
 		"sensors":     simtest.NotState("sensor list fixed by Build; Sensor state is linted below"),
 		"sensorSites": simtest.NotState("the sensors' trace site names, built once by Build and only read"),

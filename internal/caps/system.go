@@ -83,10 +83,6 @@ type System struct {
 	world *World
 	k     *sim.Kernel
 
-	// bound process bodies, created once in Build: Rearm re-registers
-	// them without paying method-value allocation per run.
-	fusionFn  func()
-	framewdFn func()
 	// cycleEv drives the fusion method process: it re-notifies itself
 	// every SamplePeriod. Modelled as an SC_METHOD rather than an
 	// SC_THREAD because the fusion cycle is the prototype's hottest
@@ -155,9 +151,14 @@ func Build(k *sim.Kernel, cfg Config, world *World) (*System, *fault.Registry) {
 	s.babbler = s.bus.Attach("babbler")
 	s.airbagRx.OnReceive = s.onFrame
 
-	s.fusionFn = s.fusionCycle
-	s.framewdFn = s.frameWatchdog
-	s.elaborate(k)
+	s.cycleEv = k.NewEvent("caps.fusion.cycle")
+	k.MethodNoInit("caps.fusion", s.fusionCycle, s.cycleEv)
+	s.cycleEv.Notify(cfg.SamplePeriod)
+	if cfg.FrameWatchdog {
+		s.wdEv = k.NewEvent("caps.framewd.timer")
+		k.MethodNoInit("caps.framewd", s.frameWatchdog, s.wdEv)
+		s.wdEv.Notify(cfg.FrameTimeout)
+	}
 
 	reg := fault.NewRegistry()
 	for i, sensor := range s.sensors {
@@ -202,51 +203,6 @@ func Build(k *sim.Kernel, cfg Config, world *World) (*System, *fault.Registry) {
 		},
 	})
 	return s, reg
-}
-
-// Rearm implements the sim.Rearmable convention: after k.Reset() it
-// re-elaborates the prototype's processes and events on the kernel and
-// re-seeds every piece of mutable state to its exact post-Build value,
-// so a reused system behaves identically to a freshly built one. The
-// elaboration order mirrors Build — bus (wake event + arbitrate
-// method) first, then the fusion thread, then the optional frame
-// watchdog — because process ids are assigned in creation order and
-// the schedule depends on them.
-func (s *System) Rearm(k *sim.Kernel) {
-	s.k = k
-	s.bus.Rearm(k)
-	for _, sen := range s.sensors {
-		sen.SetDisturbance(0, math.NaN())
-	}
-	s.calib.Wipe()
-	s.writeCalib(50)
-	s.threshold = s.cfg.FireThreshold
-	s.thresholdInv = ^s.cfg.FireThreshold
-	s.debounceCount = 0
-	s.inhibited = false
-	s.lastFrameAt = 0
-	s.gotFrame = false
-	s.Fired = false
-	s.FiredAt = 0
-	// Detections is handed out by reference in observations; start a
-	// fresh slice rather than truncating the old one.
-	s.Detections = nil
-	s.Severities = s.Severities[:0]
-	s.Trace.Reset()
-	s.elaborate(k)
-}
-
-// elaborate registers the fusion and watchdog processes, in the fixed
-// order both Build and Rearm rely on, and kicks off the fusion cycle.
-func (s *System) elaborate(k *sim.Kernel) {
-	s.cycleEv = k.NewEvent("caps.fusion.cycle")
-	k.MethodNoInit("caps.fusion", s.fusionFn, s.cycleEv)
-	s.cycleEv.Notify(s.cfg.SamplePeriod)
-	if s.cfg.FrameWatchdog {
-		s.wdEv = k.NewEvent("caps.framewd.timer")
-		k.MethodNoInit("caps.framewd", s.framewdFn, s.wdEv)
-		s.wdEv.Notify(s.cfg.FrameTimeout)
-	}
 }
 
 // writeCalib stores the gain and its CRC.
@@ -503,7 +459,7 @@ func (s *System) HashState(h *sim.StateHash) {
 // RestoreState implements sim.Snapshottable. Detections is rebuilt as
 // a fresh slice on every restore because observations hand it out by
 // reference — a run after one restore must not corrupt the last run's
-// observation (mirroring Rearm).
+// observation.
 func (s *System) RestoreState(state any) {
 	st := state.(*systemState)
 	s.threshold = st.threshold

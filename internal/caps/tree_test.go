@@ -206,3 +206,21 @@ func TestCrossSlotRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestRootEqualsBuild: a slot rewound to the runner's root checkpoint
+// runs every scenario of the E8 universe and its transients as a fresh
+// build does (stressortest.CheckRoot).
+func TestRootEqualsBuild(t *testing.T) {
+	naive, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer naive.Close()
+	naive.ReuseOff = true
+	r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	stressortest.CheckRoot(t, naive.SignedRunFunc(), r.SignedRunFunc(), transientUniverse(t, r))
+}

@@ -52,7 +52,6 @@ func TestCapsimCampaignModesIdentical(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "run.journal")
 	for _, extra := range [][]string{
 		{"-early-exit"},
-		{"-early-exit", "-hash-stride", "5ms"},
 		{"-journal", jpath},
 	} {
 		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, capsimCampaignArgs...), extra...)...)
@@ -210,10 +209,9 @@ func TestCapsimAdaptiveGolden(t *testing.T) {
 func TestCapsimAdaptiveRefusals(t *testing.T) {
 	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
 	for knob, args := range map[string][]string{
-		"shard":       {"-shard", "0/2"},
-		"early_exit":  {"-early-exit"},
-		"hash_stride": {"-early-exit", "-hash-stride", "5ms"},
-		"dedup":       {"-dedup"},
+		"shard":      {"-shard", "0/2"},
+		"early_exit": {"-early-exit"},
+		"dedup":      {"-dedup"},
 	} {
 		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), args...)...)
 		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, knob+" cannot be combined with adaptive") {
@@ -246,11 +244,8 @@ func TestCapsimRefusesWhatTheSpecRefuses(t *testing.T) {
 		{[]string{"-campaign", "-horizon", "5ms"}, `{"universe":{"horizon":"5ms"}}`},
 		{[]string{"-campaign", "-workers", "-7"}, `{"workers":-7}`},
 		{[]string{"-campaign", "-scenario-timeout", "-1s"}, `{"scenario_timeout":"-1s"}`},
-		{[]string{"-campaign", "-early-exit", "-hash-stride", "200ms", "-horizon", "30ms"},
-			`{"universe":{"horizon":"30ms"},"early_exit":true,"hash_stride":"200ms"}`},
 		{[]string{"-campaign", "-shard", "0/5000"}, `{"shard":"0/5000"}`},
 		{[]string{"-campaign", "-horizon", "20s"}, `{"universe":{"horizon":"20s"}}`},
-		{[]string{"-campaign", "-hash-stride", "5ms"}, `{"hash_stride":"5ms"}`},
 		// Novelty knobs without -adaptive are refused, as in a spec.
 		{[]string{"-campaign", "-novelty-budget", "8"}, `{"novelty_budget":8}`},
 		// -sites and -faults answer to the prototype half alone.

@@ -38,7 +38,6 @@ type coreRunner struct {
 	// onDone is bound once at slot construction; it publishes the
 	// core's completion (error and done flag) into the slot.
 	onDone func(error)
-	stepFn func()
 
 	ev    *sim.Event
 	local sim.Time
@@ -47,14 +46,10 @@ type coreRunner struct {
 }
 
 // elaborate registers the runner's event and method process on the
-// kernel and resets the per-run phase state. Call it at the same point
-// in the elaboration order every run — process ids depend on it.
+// kernel.
 func (c *coreRunner) elaborate(k *sim.Kernel) {
-	c.local = 0
-	c.phase = crRun
-	c.err = nil
 	c.ev = k.NewEvent(c.name + ".timer")
-	k.Method(c.name, c.stepFn, c.ev)
+	k.Method(c.name, c.step, c.ev)
 }
 
 // step is one activation: resume from the parked phase, then execute
@@ -121,14 +116,13 @@ func (c *coreRunner) complete() {
 // time and disarm the watchdog so a healthy run drains its event queue
 // before the horizon.
 type stopRunner struct {
-	s      *ecuSlot
-	stepFn func()
-	ev     *sim.Event
+	s  *ecuSlot
+	ev *sim.Event
 }
 
 func (st *stopRunner) elaborate(k *sim.Kernel) {
 	st.ev = k.NewEvent("ecu.run.stopper.timer")
-	k.Method("ecu.run.stopper", st.stepFn, st.ev)
+	k.Method("ecu.run.stopper", st.step, st.ev)
 }
 
 func (st *stopRunner) step() {

@@ -171,16 +171,6 @@ func NewECCMemory(name string, base uint64, size int) *ECCMemory {
 	return &ECCMemory{name: name, base: base, mem: sim.NewPagedState(size/4, codewordBytes, zeroCodeword)}
 }
 
-// Clear returns the memory to its freshly constructed all-zero state
-// and zeroes the error counters, without reallocating the backing
-// array. Campaign runners use it to re-seed a reused core's memory
-// image between runs.
-func (m *ECCMemory) Clear() {
-	m.mem.Reset(zeroCodeword)
-	m.corrected = 0
-	m.uncorrectable = 0
-}
-
 // Name reports the instance name.
 func (m *ECCMemory) Name() string { return m.name }
 

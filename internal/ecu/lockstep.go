@@ -41,8 +41,6 @@ func (l *storeLog) append(r storeRec) {
 	l.sum = sim.Mix64(l.sum, uint64(r.addr)<<32|uint64(r.val))
 }
 
-func (l *storeLog) reset() { l.recs, l.sum = l.recs[:0], 0 }
-
 // copyFrom makes l a deep copy of o, reusing l's buffer.
 func (l *storeLog) copyFrom(o *storeLog) {
 	l.recs, l.sum = append(l.recs[:0], o.recs...), o.sum
@@ -76,15 +74,6 @@ func (ls *Lockstep) flag(idx int, who string, addr, val uint32, o storeRec) {
 	ls.diverged = true
 	ls.detail = fmt.Sprintf("store %d: %s wrote %#x=%#x, counterpart wrote %#x=%#x",
 		idx, who, addr, val, o.addr, o.val)
-}
-
-// Reset clears the comparator for another run, keeping the store-log
-// capacity. The store hooks installed by NewLockstep stay attached.
-func (ls *Lockstep) Reset() {
-	ls.pLog.reset()
-	ls.sLog.reset()
-	ls.diverged = false
-	ls.detail = ""
 }
 
 // FinalCheck compares store counts after both cores halt: a core that

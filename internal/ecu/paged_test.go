@@ -186,16 +186,16 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 	if rehashed != again || restored != againRestored {
 		t.Errorf("page counters do not repeat: rehashed %d then %d, restored %d then %d", rehashed, again, restored, againRestored)
 	}
-	pages := uint64(2 * 64 * 1024 / 4 / sim.PageCells)
-	// One full digest initialises the cache; after that a run re-digests
-	// and restores a handful of pages, never the whole memory.
-	if rehashed < pages || rehashed > pages+uint64(8*runs) {
-		t.Errorf("campaign.state_pages_rehashed = %d over %d runs, want %d for the first digest plus a few per run", rehashed, runs, pages)
+	// The runner digested its memories in full once, on its golden walk,
+	// and its root and nodes carry the page digests: a run re-digests and
+	// restores a handful of pages, never the whole memory.
+	if rehashed == 0 || rehashed > uint64(8*runs) {
+		t.Errorf("campaign.state_pages_rehashed = %d over %d runs, want a few per run", rehashed, runs)
 	}
 	if restored == 0 || restored > uint64(8*runs) {
 		t.Errorf("campaign.state_pages_restored = %d over %d runs, want a few per run", restored, runs)
 	}
-	t.Logf("%d runs: %d pages re-digested (%d of them the first digest), %d pages restored", runs, rehashed, pages, restored)
+	t.Logf("%d runs: %d pages re-digested, %d pages restored (of %d)", runs, rehashed, restored, 2*64*1024/4/sim.PageCells)
 
 	// The page counters are the campaign's: a session without
 	// TreeConfig.Metrics publishes none, not even into the registry the

@@ -198,12 +198,9 @@ func (m *model) Build(k *sim.Kernel) (*ecuSlot, *fault.Registry) {
 
 	s.pRun = &coreRunner{cpu: s.primary, quantum: m.cfg.Quantum, maxInstrs: m.cfg.MaxInstrs,
 		name: "ecu.run.primary", onDone: func(err error) { s.pErr = err; s.pDone = true }}
-	s.pRun.stepFn = s.pRun.step
 	s.sRun = &coreRunner{cpu: s.shadow, quantum: m.cfg.Quantum, maxInstrs: m.cfg.MaxInstrs,
 		name: "ecu.run.shadow", onDone: func(err error) { s.sErr = err; s.sDone = true }}
-	s.sRun.stepFn = s.sRun.step
 	s.stop = &stopRunner{s: s}
-	s.stop.stepFn = s.stop.step
 
 	reg := fault.NewRegistry()
 	reg.MustRegister(&fault.FuncInjector{
@@ -243,18 +240,7 @@ func (m *model) Build(k *sim.Kernel) (*ecuSlot, *fault.Registry) {
 	return s, reg
 }
 
-// Rearm returns a pooled slot to its pristine post-Build state.
-func (m *model) Rearm(k *sim.Kernel, s *ecuSlot) {
-	s.wd.Rearm(k) // same elaboration position NewWatchdog held
-	s.pram.Clear()
-	s.sram.Clear()
-	s.wdshadow.Wipe()
-	s.ls.Reset()
-	m.seed(s)
-	s.beginRun()
-}
-
-// seed (re-)loads program, table and core state for one run.
+// seed loads program, table and core state.
 func (m *model) seed(s *ecuSlot) {
 	for _, ram := range []*ECCMemory{s.pram, s.sram} {
 		LoadProgram(ram, uint64(runnerEntry), m.program)
@@ -271,9 +257,6 @@ func (m *model) seed(s *ecuSlot) {
 		c.SetReg(7, uint32(runnerWdBase)) // watchdog kick register
 		c.SetReg(8, uint32(runnerAccAddr))
 	}
-	s.pDone, s.sDone = false, false
-	s.pErr, s.sErr = nil, nil
-	s.haltAt = 0
 }
 
 // beginRun elaborates the run-phase processes (cores, stopper) on the

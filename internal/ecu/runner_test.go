@@ -113,7 +113,6 @@ func TestRunnerDeterminismMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu",
 		Scenarios: scs,
-		Horizon:   DefaultRunnerConfig().Horizon,
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
@@ -143,7 +142,6 @@ func TestRunnerCheckpointMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu-cp",
 		Scenarios: scs,
-		Horizon:   DefaultRunnerConfig().Horizon,
 		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
@@ -254,4 +252,26 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 			t.Errorf("%s = 0 after an instrumented campaign", name)
 		}
 	}
+}
+
+// TestRootEqualsBuild: a slot rewound to the runner's root checkpoint
+// runs every scenario of the SEU universe, injected at three instants,
+// as a fresh build does (stressortest.CheckRoot).
+func TestRootEqualsBuild(t *testing.T) {
+	naive, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer naive.Close()
+	naive.ReuseOff = true
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var ds []fault.Descriptor
+	for _, at := range []sim.Time{sim.NS(700), sim.US(30), sim.US(90)} {
+		ds = append(ds, r.Universe(at)...)
+	}
+	stressortest.CheckRoot(t, naive.SignedRunFunc(), r.SignedRunFunc(), fault.Singles(ds))
 }

@@ -115,7 +115,6 @@ func TestStateCoverageLockstep(t *testing.T) {
 func TestStateCoverageWatchdog(t *testing.T) {
 	s := midRunSlot(t)
 	simtest.StateCoverage(t, s, s.wd, map[string]simtest.Rule{
-		"name":      simtest.NotState(config),
 		"k":         simtest.NotState(wiring),
 		"Timeout":   simtest.NotState(config),
 		"OnTimeout": simtest.NotState(wiring),
@@ -132,7 +131,6 @@ func TestStateCoverageCoreRunner(t *testing.T) {
 			"maxInstrs": simtest.NotState(config),
 			"name":      simtest.NotState(config),
 			"onDone":    simtest.NotState(wiring),
-			"stepFn":    simtest.NotState(wiring),
 			"ev":        simtest.NotState("kernel event: its pending notification is scheduler state"),
 		})
 	}

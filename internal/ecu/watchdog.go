@@ -12,8 +12,7 @@ import (
 // "additional delay" error class (Sec. 3.4): a task that still
 // produces right values but too late stops kicking in time.
 type Watchdog struct {
-	name string
-	k    *sim.Kernel
+	k *sim.Kernel
 	// Timeout is the maximum allowed kick interval.
 	Timeout sim.Time
 	// OnTimeout is called (once per expiry) when the window is missed.
@@ -27,22 +26,9 @@ type Watchdog struct {
 
 // NewWatchdog creates a stopped watchdog.
 func NewWatchdog(k *sim.Kernel, name string, timeout sim.Time) *Watchdog {
-	w := &Watchdog{name: name, k: k, Timeout: timeout, timer: k.NewEvent(name + ".timer")}
+	w := &Watchdog{k: k, Timeout: timeout, timer: k.NewEvent(name + ".timer")}
 	k.MethodNoInit(name+".expire", w.expire, w.timer)
 	return w
-}
-
-// Rearm re-creates the watchdog's timer event and expiry process on a
-// freshly Reset kernel and clears the counters, following the
-// sim.Rearmable convention. Call it at the same point in the
-// re-elaboration order that NewWatchdog held in the original build.
-func (w *Watchdog) Rearm(k *sim.Kernel) {
-	w.k = k
-	w.timer = k.NewEvent(w.name + ".timer")
-	k.MethodNoInit(w.name+".expire", w.expire, w.timer)
-	w.enabled = false
-	w.timeouts = 0
-	w.kicks = 0
 }
 
 // Start arms the watchdog; the first window begins now.

@@ -44,10 +44,10 @@ type Event struct {
 // Name reports the diagnostic name the event was created with.
 func (e *Event) Name() string { return e.name }
 
-// NewEvent creates a named event bound to the kernel. After a Reset,
-// retired events are recycled from the kernel's free list (keeping
-// their sensitivity-list capacity) so re-elaboration does not allocate
-// in steady state.
+// NewEvent creates a named event bound to the kernel. Events a Restore
+// retired are recycled from the kernel's free list (keeping their
+// sensitivity-list capacity) so re-elaboration does not allocate in
+// steady state.
 func (k *Kernel) NewEvent(name string) *Event {
 	var e *Event
 	if n := len(k.eventPool); n > 0 {
@@ -67,7 +67,7 @@ func (k *Kernel) NewEvent(name string) *Event {
 }
 
 // recycle strips the event back to a reusable blank, keeping the
-// capacity of its waiter lists. Called by Kernel.Reset.
+// capacity of its waiter lists. Called by Kernel.Restore.
 func (e *Event) recycle() {
 	e.name = ""
 	for i := range e.static {

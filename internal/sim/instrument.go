@@ -45,7 +45,6 @@ type Instrument struct {
 	// kernel counter values already published to Metrics, so repeated
 	// Run calls add only deltas.
 	published Stats
-	runNanos  int64
 }
 
 // kernelTID hands out trace rows for auto-assigned kernel instruments;
@@ -67,17 +66,6 @@ func (k *Kernel) SetInstrument(in *Instrument) {
 		in.deltasPerStep = in.Metrics.Histogram("sim.deltas_per_step")
 		in.eventQueueDepth = in.Metrics.Histogram("sim.event_queue_depth")
 	}
-}
-
-// resetKernelState clears the instrument's per-elaboration publication
-// state when the kernel is Reset. The kernel counters restart from
-// zero, so the already-published watermark must too — otherwise the
-// next flush would compute uint64 deltas against the old (larger)
-// totals and publish garbage. Registry totals themselves are
-// cumulative across runs by design and are left untouched.
-func (in *Instrument) resetKernelState() {
-	in.published = Stats{}
-	in.runNanos = 0
 }
 
 // ProcStat is one process's activity record, available on any kernel

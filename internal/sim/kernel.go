@@ -21,19 +21,6 @@ type Updater interface {
 	update()
 }
 
-// Rearmable is the convention prototypes implement to support kernel
-// reuse across campaign runs: after Kernel.Reset returns the kernel to
-// its pre-elaboration state, Rearm must re-create the prototype's
-// processes and events on the kernel in the exact order the original
-// elaboration did (process ids are assigned by creation order and the
-// evaluate phase runs in id order, so a different order changes the
-// schedule) and re-seed all mutable model state to its post-build
-// value. A re-armed prototype must be observationally identical to a
-// freshly built one.
-type Rearmable interface {
-	Rearm(k *Kernel)
-}
-
 // timedEntry is one pending timed notification in the event queue.
 type timedEntry struct {
 	at  Time
@@ -151,9 +138,9 @@ type Kernel struct {
 	// which is what a Checkpoint is matched against (see snapshot.go).
 	shape uint64
 
-	// free lists recycling elaboration objects across Reset: NewEvent,
-	// Method and Thread draw from these, so re-elaborating the same
-	// prototype after Reset allocates nothing in steady state.
+	// free lists recycling the objects a Restore retires: NewEvent,
+	// Method and Thread draw from these, so elaborating the same stressor
+	// after every restore allocates nothing in steady state.
 	eventPool []*Event
 	procPool  []*Proc
 
@@ -162,9 +149,9 @@ type Kernel struct {
 	hashScratch []cpTimed
 
 	// workerPool parks idle thread-worker goroutines (see threadWorker
-	// in process.go). Workers survive Reset, so a reused kernel resumes
-	// thread processes on warm goroutines instead of paying go + channel
-	// allocation per elaboration; Shutdown terminates them.
+	// in process.go). Workers survive Restore, so a rewound kernel
+	// resumes thread processes on warm goroutines instead of paying go +
+	// channel allocation per elaboration; Shutdown terminates them.
 	workerPool []*threadWorker
 }
 
@@ -426,84 +413,11 @@ func (k *Kernel) NextEventTime() Time {
 
 // Shutdown kills every live thread-process goroutine. Call it when the
 // simulation is finished to avoid leaking goroutines; the kernel must
-// not be used afterwards. To reuse the kernel instead, call Reset.
+// not be used afterwards. To reuse the kernel instead, Restore a
+// checkpoint taken on it.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		p.kill()
 	}
 	k.shutdownWorkers()
-}
-
-// Reset returns the kernel to its pristine pre-elaboration state so the
-// same instance can host another elaboration + run, as if freshly
-// created by NewKernel. Live thread bodies are unwound cleanly, but —
-// unlike Shutdown — their worker goroutines are parked in the kernel's
-// pool for the next elaboration, and all queues keep their capacity: a
-// reset kernel is pre-sized to the previous run's high-water mark, and
-// the retired Event and Proc objects are recycled through free lists,
-// so a campaign that re-elaborates the same prototype per scenario
-// settles into a zero-allocation steady state with no goroutine churn.
-//
-// What survives Reset: the max-delta limit, the attached Instrument
-// (its per-run publication state restarts from zero so registry deltas
-// stay correct), the free lists and the worker pool. What does not:
-// tracers are detached (their probes reference the dead elaboration),
-// and all events, processes, pending notifications, stats and the
-// clock are discarded. Reset must not be called while Run is in
-// progress.
-func (k *Kernel) Reset() {
-	if k.running {
-		panic("sim: Reset called while the kernel is running")
-	}
-	for _, p := range k.procs {
-		p.kill()
-	}
-	// Push retired objects in reverse creation order: the pools are
-	// LIFO, so the next elaboration of the same prototype pops each
-	// event and process back into its previous role — waiter-list
-	// capacities and cached derived names line up exactly, which is
-	// what makes re-elaboration allocation-free in steady state.
-	for i := len(k.events) - 1; i >= 0; i-- {
-		e := k.events[i]
-		e.recycle()
-		k.eventPool = append(k.eventPool, e)
-		k.events[i] = nil
-	}
-	k.events = k.events[:0]
-	for i := len(k.procs) - 1; i >= 0; i-- {
-		p := k.procs[i]
-		p.recycle()
-		k.procPool = append(k.procPool, p)
-		k.procs[i] = nil
-	}
-	k.procs = k.procs[:0]
-
-	for i := range k.runnable {
-		k.runnable[i] = nil
-	}
-	k.runnable = k.runnable[:0]
-	for i := range k.deltaQueue {
-		k.deltaQueue[i] = nil
-	}
-	k.deltaQueue = k.deltaQueue[:0]
-	for i := range k.updateQueue {
-		k.updateQueue[i] = nil
-	}
-	k.updateQueue = k.updateQueue[:0]
-	for i := range k.timed {
-		k.timed[i] = timedEntry{}
-	}
-	k.timed = k.timed[:0]
-
-	k.now = 0
-	k.seq = 0
-	k.stats = Stats{}
-	k.inEvaluate = false
-	k.stopped = false
-	k.threadPanic = nil
-	k.shape = 0
-	k.tracers = k.tracers[:0]
-	if in := k.instr; in != nil {
-		in.resetKernelState()
-	}
 }

@@ -146,29 +146,6 @@ func (p *PagedState) fill(v uint64) {
 	}
 }
 
-// Reset returns every cell to v. The contents are rewritten, but the
-// digest cache — if the state has ever been hashed — is refilled in
-// O(pages) from the digest of one uniform page (and of the short last
-// page, if there is one). The state then equals no capture, so the next
-// restore is a full copy.
-func (p *PagedState) Reset(v uint64) {
-	p.fill(v)
-	p.stamp = 0
-	p.restoreDirty.clear()
-	if !p.hashed || len(p.sums) == 0 {
-		return
-	}
-	last := len(p.sums) - 1
-	full, short := p.pageDigest(0), p.pageDigest(last)
-	p.stats.PagesRehashed += 2
-	for pg := range p.sums {
-		p.sums[pg] = full
-	}
-	p.sums[last] = short
-	p.recombine()
-	p.hashDirty.clear()
-}
-
 // Mix64 folds one 64-bit word into a running digest: the step of the
 // page digest, exported for append-only logs that keep a rolling
 // digest beside a PagedState (fold each record as it is appended and
@@ -283,8 +260,8 @@ func (p *PagedState) CaptureInto(c *PagedCapture) {
 
 // RestoreFrom makes the contents equal c's again. When the state last
 // equalled this same capture only the pages written since are copied
-// back; otherwise — another capture, a capture refilled since (by this
-// or any other instance), or a Reset in between — everything is.
+// back; otherwise — another capture, or a capture refilled since (by
+// this or any other instance) — everything is.
 func (p *PagedState) RestoreFrom(c *PagedCapture) {
 	if len(c.data) != len(p.data) {
 		panic("sim: PagedState.RestoreFrom: capture of a different geometry")

@@ -43,7 +43,7 @@ func equalCells(a, b []uint64) bool {
 }
 
 // TestPagedStateProperty drives two instances of one geometry through
-// random store / flip / reset / hash / capture / restore sequences
+// random store / flip / hash / capture / restore sequences
 // against a plain-slice model. The captures come from one shared pool,
 // so an instance regularly restores from a capture it took itself
 // (dirty-only), from an older capture of its own (full copy), and from
@@ -99,12 +99,6 @@ func TestPagedStateProperty(t *testing.T) {
 				v := in.p.Load(i) ^ 1<<uint(rng.Intn(8*g.width))
 				in.p.Store(i, v)
 				in.model[i] = v
-			case op < 58:
-				v := uint64(rng.Intn(3)) & mask
-				in.p.Reset(v)
-				for j := range in.model {
-					in.model[j] = v
-				}
 			case op < 75:
 				hashes = true
 			case op < 87:
@@ -133,7 +127,7 @@ func TestPagedStateProperty(t *testing.T) {
 }
 
 // TestPagedStateNeverHashesUnasked pins the lazy half of the contract:
-// run paths that never call HashInto — stores, resets, captures,
+// run paths that never call HashInto — stores, captures,
 // same-capture and other-capture restores — digest no page.
 func TestPagedStateNeverHashesUnasked(t *testing.T) {
 	p := NewPagedState(8*PageCells, 5, 1)
@@ -145,7 +139,6 @@ func TestPagedStateNeverHashesUnasked(t *testing.T) {
 	p.Store(5, 1)
 	p.RestoreFrom(&b)
 	p.RestoreFrom(&a)
-	p.Reset(0)
 	p.Store(1, 1)
 	if n := p.Stats().PagesRehashed; n != 0 {
 		t.Fatalf("%d pages digested with no HashInto call", n)

@@ -70,10 +70,10 @@ type Proc struct {
 	waitSet []*Event // scratch buffer for WaitTimeout's event set
 
 	// timerName caches the derived timer-event name for the process
-	// name it was built from. Both survive recycle: a reset kernel
-	// re-elaborating the same prototype hands each Proc the same role
-	// (and name) again, so the concat happens once per pool slot, not
-	// once per run.
+	// name it was built from. Both survive recycle: a restored kernel
+	// re-elaborating the same objects hands each Proc the same role (and
+	// name) again, so the concat happens once per pool slot, not once
+	// per run.
 	timerName    string
 	timerNameFor string
 }
@@ -93,7 +93,7 @@ func (p *Proc) timerEvent() *Event {
 // threadWorker is a pooled goroutine that hosts thread-process bodies
 // one after another. The goroutine and its handshake channel pair are
 // the expensive part of a thread process; decoupling them from Proc
-// lets Kernel.Reset keep them warm in the kernel's pool, so a reused
+// lets Kernel.Restore keep them warm in the kernel's pool, so a rewound
 // kernel re-elaborates threads without spawning goroutines — a cost the
 // rebuild-per-run path necessarily pays on every fresh kernel.
 type threadWorker struct {
@@ -166,7 +166,7 @@ func (k *Kernel) shutdownWorkers() {
 }
 
 // allocProc returns a blank process bound to k with the next creation
-// id, drawing from the free list populated by Reset when possible.
+// id, drawing from the free list populated by Restore when possible.
 func (k *Kernel) allocProc(name string, kind procKind) *Proc {
 	var p *Proc
 	if n := len(k.procPool); n > 0 {
@@ -189,7 +189,7 @@ func (k *Kernel) allocProc(name string, kind procKind) *Proc {
 // free list. The ThreadCtx survives (it only references the Proc), and
 // the worker goroutine has already been returned to the kernel's pool
 // by kill or by the final activation, so p.w is nil here. Called by
-// Kernel.Reset after the body (if any) has unwound.
+// Kernel.Restore after the body (if any) has unwound.
 func (p *Proc) recycle() {
 	p.name = ""
 	p.state = procWaiting
@@ -265,9 +265,9 @@ func (k *Kernel) Thread(name string, fn func(*ThreadCtx), sensitivity ...*Event)
 
 func (p *Proc) attachStatic(sensitivity []*Event) {
 	// Copy rather than alias the variadic slice: a recycled process
-	// keeps its buffer, so re-elaborating pooled procs (Rearm, or a
-	// checkpoint session's respawn loop) is allocation-free in steady
-	// state — and the caller's slice can never mutate the wiring.
+	// keeps its buffer, so re-elaborating pooled procs (a checkpoint
+	// session's respawn loop) is allocation-free in steady state — and
+	// the caller's slice can never mutate the wiring.
 	p.static = append(p.static[:0], sensitivity...)
 	for _, e := range sensitivity {
 		e.static = append(e.static, p)

@@ -7,9 +7,10 @@ import (
 )
 
 // Snapshottable is the convention prototypes implement to support
-// golden-run checkpointing, mirroring Rearmable: SnapshotState returns
-// an opaque deep copy of all mutable model state, and RestoreState
-// writes a previously captured copy back into the live objects. The
+// checkpointing — golden-prefix nodes, and the time-zero capture a reused
+// prototype is rewound to: SnapshotState returns an opaque deep copy of
+// all mutable model state, and RestoreState writes a previously captured
+// copy back into the live objects. The
 // kernel's own Snapshot/Restore pair covers scheduler state (clock,
 // event queue, process states); SnapshotState must cover everything
 // else the model mutates during a run — memories, counters, queues,
@@ -35,11 +36,12 @@ type cpTimed struct {
 // Checkpoint is an opaque kernel snapshot taken by Kernel.Snapshot and
 // consumed by Kernel.Restore. It names events and processes by creation
 // index, so it restores into any kernel elaborated the same way — the
-// one it was taken on, that kernel after a Reset and the same
-// re-elaboration, or another kernel the same Model.Build elaborated —
-// and into no other (see Restore). It captures the clock, the timed
+// one it was taken on, or another kernel the same Model.Build elaborated
+// — and into no other (see Restore). It captures the clock, the timed
 // event queue, per-event pending notifications, per-process run states
-// and the activity counters. Model-side state is the prototype's job via
+// (a process runnable at the snapshot, such as one still waiting for its
+// initial activation, is runnable again after the restore) and the
+// activity counters. Model-side state is the prototype's job via
 // Snapshottable.
 type Checkpoint struct {
 	// shape is the source kernel's elaboration digest: that of the
@@ -75,13 +77,16 @@ func (cp *Checkpoint) ApproxBytes() int {
 
 // Snapshot captures the kernel's scheduler state so a later Restore
 // can rewind the simulation to this exact point. The kernel must be
-// quiescent: not inside Run (snapshotting mid-delta-cycle would tear
-// the evaluate/update/notify phases apart), no runnable processes or
-// pending delta activity (run to a time boundary first), no live
-// thread processes (a goroutine stack cannot be copied — convert
+// between Run calls (snapshotting mid-delta-cycle would tear the
+// evaluate/update/notify phases apart), with no pending delta
+// notifications or channel updates (run to a time boundary first), no
+// live thread processes (a goroutine stack cannot be copied — convert
 // campaign-path threads to method processes), and no attached tracers
-// (their probes observe only the forward run). Model state is NOT
-// captured — pair this with the prototype's Snapshottable.
+// (their probes observe only the forward run). Runnable method
+// processes are allowed, so a freshly elaborated kernel, its processes
+// waiting for their initial activation, is snapshottable: that capture
+// rewinds a kernel to time zero. Model state is NOT captured — pair this
+// with the prototype's Snapshottable.
 func (k *Kernel) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{}
 	if err := k.SnapshotInto(cp); err != nil {
@@ -97,8 +102,11 @@ func (k *Kernel) SnapshotInto(cp *Checkpoint) error {
 	if k.running {
 		return errors.New("sim: Snapshot called while the kernel is running (snapshots must be taken between Run calls, not mid-delta-cycle)")
 	}
-	if len(k.runnable) > 0 || len(k.deltaQueue) > 0 || len(k.updateQueue) > 0 {
-		return errors.New("sim: Snapshot of a non-quiescent kernel (runnable processes or pending delta activity; run to a time boundary first)")
+	if len(k.deltaQueue) > 0 {
+		return errors.New("sim: Snapshot with pending delta notifications (run to a time boundary first)")
+	}
+	if len(k.updateQueue) > 0 {
+		return errors.New("sim: Snapshot with pending channel updates (run to a time boundary first)")
 	}
 	if len(k.tracers) > 0 {
 		return errors.New("sim: Snapshot with attached tracers (tracers observe only the forward run; attach after restoring instead)")
@@ -164,18 +172,18 @@ func sortCpTimed(ts []cpTimed) {
 // retired into the kernel's free lists in reverse creation order —
 // re-elaborating the same objects after the restore pops them straight
 // back out, so a restore-respawn-run campaign loop is allocation-free
-// in steady state. Tracers attached since the snapshot are detached,
-// exactly as Reset does.
+// in steady state. Tracers attached since the snapshot are detached:
+// their probes observe only the forward run. An attached Instrument
+// stays, its published watermark rebased to the restored counters.
 //
 // The rule is elaboration shape, not kernel identity: the kernel must
 // hold at least the checkpoint's events and processes, and its first
 // ones must have been created with the same (kind, name) sequence as
-// the source kernel's. So a kernel that was Reset and re-elaborated the
-// same way, or a second kernel of the same prototype, accepts the
-// checkpoint; a Reset kernel not yet re-elaborated, or one elaborated by
-// another model, refuses it. The check is O(1). Restoring the same
-// checkpoint repeatedly, into one kernel or several, is valid — that is
-// the campaign use; Restore only reads cp.
+// the source kernel's. So the source kernel, or a second kernel of the
+// same prototype, accepts the checkpoint; an empty kernel, or one
+// elaborated by another model, refuses it. The check is O(1). Restoring
+// the same checkpoint repeatedly, into one kernel or several, is valid —
+// that is the campaign use; Restore only reads cp.
 func (k *Kernel) Restore(cp *Checkpoint) error {
 	if k.running {
 		return errors.New("sim: Restore called while the kernel is running")
@@ -187,8 +195,10 @@ func (k *Kernel) Restore(cp *Checkpoint) error {
 		return errors.New("sim: Restore of a checkpoint from another elaboration (events or processes differ in kind or name)")
 	}
 
-	// Retire post-snapshot objects into the free lists, newest first,
-	// mirroring Reset's LIFO discipline.
+	// Retire post-snapshot objects into the free lists, newest first: the
+	// lists are LIFO, so re-elaborating the same objects pops each back
+	// into its previous role, waiter-list capacities and cached derived
+	// names lining up.
 	for i := len(k.procs) - 1; i >= cp.nProcs; i-- {
 		p := k.procs[i]
 		p.kill()
@@ -219,7 +229,7 @@ func (k *Kernel) Restore(cp *Checkpoint) error {
 	}
 	k.updateQueue = k.updateQueue[:0]
 
-	// Reset retained events to the snapshot: static waiter lists are
+	// Rewind retained events to the snapshot: static waiter lists are
 	// append-only, so truncating to the recorded length removes exactly
 	// the post-snapshot attachments; dynamic waiter lists were empty at
 	// snapshot time (only live threads wait dynamically, and Snapshot
@@ -255,6 +265,11 @@ func (k *Kernel) Restore(cp *Checkpoint) error {
 
 	for i, p := range k.procs {
 		p.state = cp.states[i]
+		if p.state == procRunnable {
+			// The evaluate phase sorts its batch by id, so queue order
+			// does not matter.
+			k.runnable = append(k.runnable, p)
+		}
 		for j := range p.dynamicWait {
 			p.dynamicWait[j] = nil
 		}

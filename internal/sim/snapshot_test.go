@@ -47,18 +47,33 @@ func TestSnapshotRejectsMidDelta(t *testing.T) {
 }
 
 // TestSnapshotRejections: the remaining guard rails — pending delta
-// activity, attached tracers, live thread processes — each refuse with
-// a message naming the problem.
+// notifications, pending channel updates, attached tracers, live thread
+// processes — each refuse with a message naming the problem. (Runnable
+// method processes do not: a pristine kernel is snapshottable, see
+// root_test.go.)
 func TestSnapshotRejections(t *testing.T) {
-	t.Run("non-quiescent", func(t *testing.T) {
+	t.Run("pending delta", func(t *testing.T) {
 		k := NewKernel()
 		defer k.Shutdown()
-		ev := k.NewEvent("ev")
-		// Method (with init activation) leaves the process runnable
-		// until the first Run — the kernel is not at a time boundary.
-		k.Method("init", func() {}, ev)
-		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "non-quiescent") {
-			t.Fatalf("Snapshot of non-quiescent kernel: %v", err)
+		snapModel(k, "m")
+		if err := k.Run(NS(50)); err != nil {
+			t.Fatal(err)
+		}
+		k.NewEvent("ev").Notify(0)
+		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "delta notifications") {
+			t.Fatalf("Snapshot with a pending delta notification: %v", err)
+		}
+	})
+	t.Run("pending update", func(t *testing.T) {
+		k := NewKernel()
+		defer k.Shutdown()
+		sig := snapModel(k, "m")
+		if err := k.Run(NS(50)); err != nil {
+			t.Fatal(err)
+		}
+		sig.Write(1)
+		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "channel updates") {
+			t.Fatalf("Snapshot with a pending channel update: %v", err)
 		}
 	})
 	t.Run("tracer attached", func(t *testing.T) {
@@ -194,14 +209,13 @@ func TestSnapshotRestoreRetiresPostSnapshotObjects(t *testing.T) {
 	}
 }
 
-// TestSnapshotResetInterplay pins the restore rule, elaboration shape
-// rather than kernel identity, on one checkpoint taken at 50 ns. A
-// kernel that was Reset and not re-elaborated refuses it (it holds no
-// objects), as do an empty kernel and a kernel holding as many objects
-// under other names. The source kernel Reset and re-elaborated the same
-// way, and a second kernel of the same elaboration, accept it, and run on
-// from it exactly as a kernel that was never Reset runs on from 50 ns.
-func TestSnapshotResetInterplay(t *testing.T) {
+// TestRestoreRule pins the restore rule, elaboration shape rather than
+// kernel identity, on one checkpoint taken at 50 ns. The source kernel,
+// run off the golden path first, and a second kernel of the same
+// elaboration accept it and run on from it exactly as a kernel that was
+// never restored runs on from 50 ns; an empty kernel and a kernel holding
+// as many objects under other names refuse it.
+func TestRestoreRule(t *testing.T) {
 	// continuation runs k from wherever it stands to 200 ns and returns
 	// what it traced of the model signal on the way, with the final
 	// clock and activity counters.
@@ -225,7 +239,7 @@ func TestSnapshotResetInterplay(t *testing.T) {
 
 	k := NewKernel()
 	defer k.Shutdown()
-	snapModel(k, "m")
+	sig := snapModel(k, "m")
 	if err := k.Run(NS(50)); err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +247,16 @@ func TestSnapshotResetInterplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Reset()
-	if err := k.Restore(cp); err == nil || !strings.Contains(err.Error(), "fewer") {
-		t.Fatalf("Restore into the Reset kernel before it is re-elaborated: %v", err)
-	}
-	sig := snapModel(k, "m")
-	// Run the re-elaborated kernel off the golden path first: the restore
-	// must rewind all of it.
+	// Run the kernel past the checkpoint first: the restore must rewind
+	// all of it.
 	if err := k.RunUntil(NS(130)); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Restore(cp); err != nil {
-		t.Fatalf("Restore into the kernel re-elaborated the same way: %v", err)
+		t.Fatalf("Restore into the source kernel: %v", err)
 	}
 	if got := continuation(k, sig); got != want {
-		t.Errorf("restored after Reset and re-elaboration:\n%s\nnever Reset:\n%s", got, want)
+		t.Errorf("restored on the source kernel:\n%s\nnever restored:\n%s", got, want)
 	}
 
 	other := NewKernel()
@@ -257,7 +266,7 @@ func TestSnapshotResetInterplay(t *testing.T) {
 		t.Fatalf("Restore into a second kernel of the same elaboration: %v", err)
 	}
 	if got := continuation(other, otherSig); got != want {
-		t.Errorf("restored on a second kernel:\n%s\nnever Reset:\n%s", got, want)
+		t.Errorf("restored on a second kernel:\n%s\nnever restored:\n%s", got, want)
 	}
 
 	foreign := NewKernel()

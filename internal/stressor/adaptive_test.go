@@ -529,7 +529,6 @@ func TestCampaignSourceRefusals(t *testing.T) {
 		"Shard":         func(c *Campaign) { c.Shard = Shard{Index: 0, Count: 2} },
 		"Checkpointer":  func(c *Campaign) { c.Checkpointer = cp },
 		"EarlyExit":     func(c *Campaign) { c.Checkpointer, c.EarlyExit = cp, true },
-		"HashStride":    func(c *Campaign) { c.Checkpointer, c.EarlyExit, c.HashStride = cp, true, sim.MS(1) },
 		"StopOnFirst":   func(c *Campaign) { c.StopOnFirst = true },
 		"scenario list": nil,
 	} {

@@ -112,17 +112,13 @@ type Campaign struct {
 	// Checkpointer alone decides whether a campaign forks.
 	Checkpoints, CheckpointTree bool
 	// EarlyExit enables convergence early-exit inside the sessions:
-	// the golden trajectory is hashed at HashStride intervals, and an
+	// the golden trajectory is hashed at horizon/16 intervals, and an
 	// injected run whose state digest returns to the golden trajectory
 	// (after its last scheduled fault action) terminates immediately
 	// with the golden-equal classification instead of simulating to
 	// the horizon. Requires a Checkpointer; classifications are
 	// byte-identical to full-horizon runs.
 	EarlyExit bool
-	// HashStride is the EarlyExit trajectory hashing interval; zero
-	// lets the runner derive one from its horizon (typically
-	// horizon/16). Meaningful only with EarlyExit.
-	HashStride sim.Time
 	// Shard restricts execution to one partition of the (post-Dedup)
 	// unique-run positions: the Index-th of Count contiguous ranges of
 	// them in injection-time order (see Shard). The zero value runs
@@ -445,8 +441,6 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 		return fmt.Errorf("no RunFunc")
 	case c.EarlyExit && c.Checkpointer == nil:
 		return fmt.Errorf("EarlyExit requires a Checkpointer")
-	case c.HashStride > 0 && !c.EarlyExit:
-		return fmt.Errorf("HashStride set without EarlyExit")
 	case c.Source == nil:
 		return nil
 	case len(scenarios) > 0:
@@ -455,7 +449,7 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 		return fmt.Errorf("negative MaxRuns %d", c.MaxRuns)
 	case c.Shard.Enabled():
 		return fmt.Errorf("a Source does not shard: its universe only exists as the campaign unfolds")
-	case c.Checkpointer != nil: // which EarlyExit and HashStride both need
+	case c.Checkpointer != nil: // which EarlyExit needs
 		return fmt.Errorf("a Source does not compose with a Checkpointer: sessions return unsigned outcomes")
 	case c.StopOnFirst:
 		return fmt.Errorf("a Source does not compose with StopOnFirst")

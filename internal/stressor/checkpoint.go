@@ -77,10 +77,9 @@ func (h *sessionHolder) abandon() { h.sess = nil }
 // budget.
 func (c *Campaign) newSession() CheckpointSession {
 	return c.Checkpointer.NewTreeSession(TreeConfig{
-		EarlyExit:  c.EarlyExit,
-		HashStride: c.HashStride,
-		Metrics:    c.Metrics,
-		Campaign:   c.Name,
+		EarlyExit: c.EarlyExit,
+		Metrics:   c.Metrics,
+		Campaign:  c.Name,
 	})
 }
 

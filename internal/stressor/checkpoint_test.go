@@ -180,21 +180,18 @@ func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	}
 }
 
-// TestCampaignTreeValidation: early exit is rejected up front when
-// misconfigured — without a Checkpointer to hash in, or with a stride
-// and no early exit — and the retired Checkpoints/CheckpointTree
+// TestCampaignTreeValidation: early exit is rejected up front without a
+// Checkpointer to hash in, and the retired Checkpoints/CheckpointTree
 // switches are inert: they are no reason to refuse a campaign.
 func TestCampaignTreeValidation(t *testing.T) {
 	run := classRunFunc(pattern(1, nil))
 	scs := makeScenarios(1)
-	tree := &fakeCheckpointer{run: run}
 	cases := []struct {
 		name string
 		c    *Campaign
 		want string
 	}{
 		{"early-exit without a Checkpointer", &Campaign{Name: "v", Run: run, EarlyExit: true}, "Checkpointer"},
-		{"stride without early-exit", &Campaign{Name: "v", Run: run, HashStride: 5, Checkpointer: tree}, "EarlyExit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

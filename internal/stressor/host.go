@@ -28,20 +28,19 @@ type State interface {
 // it records of the golden run to answer a run that early-exits.
 type Model[S State, G any] interface {
 	// Build elaborates a fresh prototype on k, ready to run from time
-	// zero, and returns it with its injection-site registry.
+	// zero, and returns it with its injection-site registry. It must
+	// leave no delta notification or channel update pending: the host
+	// captures what Build left as its root checkpoint, and a used slot
+	// goes back to time zero by restoring it.
 	Build(k *sim.Kernel) (S, *fault.Registry)
-	// Rearm returns s, whose kernel k was just Reset, to the state Build
-	// left it in. Processes and events must be created in Build's order:
-	// process ids set the evaluate order.
-	Rearm(k *sim.Kernel, s S)
 	// Observe reads the observation off s, whose run reached the horizon.
 	Observe(s S) analysis.Observation
 	// Golden vets the golden run's observation ob, read off s, and keeps
 	// whatever later observations are compared with.
 	Golden(s S, ob analysis.Observation) error
-	// Record is called on the golden run of an early-exit trajectory at
-	// every stride instant. It must only read s: the run goes on, and its
-	// state is digested next.
+	// Record is called on the golden run at every stride instant of the
+	// early-exit trajectory. It must only read s: the run goes on, and
+	// its state is digested next.
 	Record(g *G, s S)
 	// Converged is the full-horizon observation of a run on s whose state
 	// re-joined the golden trajectory g at stride instant i.
@@ -49,9 +48,10 @@ type Model[S State, G any] interface {
 }
 
 // Host runs fault-injection campaigns on one prototype. It keeps a pool
-// of kernel+prototype slots and re-arms one per scenario (Kernel.Reset +
-// Model.Rearm) instead of rebuilding: each concurrent run and each live
-// tree session checks out its own slot, so the pool grows to the
+// of kernel+prototype slots and rewinds one per scenario instead of
+// rebuilding, by restoring its root checkpoint — the first slot as Build
+// left it, captured once — into the slot: each concurrent run and each
+// live tree session checks out its own slot, so the pool grows to the
 // campaign's peak worker count and every run owns its kernel. As a
 // Checkpointer it forks scenarios off its golden-prefix tree nodes, which
 // any session restores into whatever slot it holds and which outlive the
@@ -74,12 +74,15 @@ type Host[S State, G any] struct {
 	slots []*hostSlot[S]
 	built int // slots built: the unit of the node budgets
 
-	tree   goldenNodes
-	trajMu sync.Mutex
-	trajs  map[sim.Time]*trajectory[G]
-	// the golden run's activity instants (see activity), recorded once.
-	activityOnce sync.Once
-	activityAt   []sim.Time
+	// root is the first slot captured right after Build, before anything
+	// ran; restoring it takes any slot back to time zero.
+	root treeNode
+	tree goldenNodes
+	// Recorded by NewHost's golden walk: the early-exit trajectory, and
+	// the instants up to the horizon at which the golden run executes
+	// anything, time zero included (see ForkTime).
+	traj       trajectory[G]
+	activityAt []sim.Time
 }
 
 // hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
@@ -95,23 +98,63 @@ type hostSlot[S State] struct {
 	trace   *obs.TraceRecorder
 }
 
-// NewHost builds the first slot and performs the golden run on it. name
-// prefixes the host's errors.
+// NewHost builds the first slot, captures it as the root and walks the
+// golden run on it. name prefixes the host's errors.
 func NewHost[S State, G any](name string, m Model[S, G], horizon sim.Time) (*Host[S, G], error) {
 	h := &Host[S, G]{name: name, m: m, horizon: horizon}
-	var gerr error
-	err := h.exec(fault.Scenario{ID: "golden"}, func(sl *hostSlot[S]) {
-		h.reg = sl.reg
-		h.golden = m.Observe(sl.s)
-		gerr = m.Golden(sl.s, h.golden)
-	})
-	if err == nil {
-		err = gerr
+	sl := h.take()
+	h.reg = sl.reg
+	// Digested first, so the root carries the prototype's page digests
+	// (sim.PagedState) and a slot restored to it need not recompute them.
+	sl.hash.Reset()
+	sl.s.HashState(&sl.hash)
+	if err := sl.k.SnapshotInto(&h.root.cp); err != nil {
+		return nil, fmt.Errorf("%s: root checkpoint: %w", name, err)
 	}
-	if err != nil {
+	h.root.mst = sim.SnapshotModelState(sl.s, nil)
+	if err := h.walkGolden(sl); err != nil {
 		return nil, err
 	}
+	h.release(sl)
 	return h, nil
+}
+
+// walkGolden runs the golden run on sl, the freshly built first slot,
+// from one instant to the next up to the horizon: every instant at which
+// the golden run executes anything, recorded as such, and every stride
+// instant short of the horizon, at which the model records its history
+// (Model.Record) and the trajectory keeps the state digest. At the
+// horizon the run is observed and vetted (Model.Golden). Legged RunUntil
+// is observationally one run (sim's TestLeggedRunEqualsOneRun), so each
+// instant shows what one plain golden run shows there — and the digests
+// are exactly what a faulty run hashes to at a stride instant had the
+// fault never perturbed anything.
+func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
+	k, tj := sl.k, &h.traj
+	tj.stride = max(h.horizon/16, 1)
+	tj.nEvents, tj.nProcs = k.Elaborated()
+	next := tj.stride // the next stride instant
+	for t, active := sim.Time(0), true; ; {
+		if err := k.RunUntil(t); err != nil {
+			return err
+		}
+		if active {
+			h.activityAt = append(h.activityAt, t)
+		}
+		if t == next && t < h.horizon {
+			h.m.Record(&tj.g, sl.s)
+			tj.hashes = append(tj.hashes, sl.digest(tj.nEvents, tj.nProcs))
+			next += tj.stride
+		}
+		if t == h.horizon {
+			break
+		}
+		pending := k.NextEventTime()
+		t = min(pending, next, h.horizon)
+		active = t == pending
+	}
+	h.golden = h.m.Observe(sl.s)
+	return h.m.Golden(sl.s, h.golden)
 }
 
 // Golden exposes the cached golden observation.
@@ -161,8 +204,8 @@ func (h *Host[S, G]) instrument(k *sim.Kernel) {
 }
 
 // take checks a slot out of the pool as its last user left it, or builds
-// a new one, pristine at time zero (fresh), when every slot is in use.
-func (h *Host[S, G]) take() (sl *hostSlot[S], fresh bool) {
+// a new one, pristine at time zero, when every slot is in use.
+func (h *Host[S, G]) take() (sl *hostSlot[S]) {
 	h.mu.Lock()
 	if n := len(h.slots); n > 0 {
 		sl = h.slots[n-1]
@@ -173,7 +216,7 @@ func (h *Host[S, G]) take() (sl *hostSlot[S], fresh bool) {
 	}
 	h.mu.Unlock()
 	if sl == nil {
-		sl, fresh = &hostSlot[S]{k: sim.NewKernel()}, true
+		sl = &hostSlot[S]{k: sim.NewKernel()}
 		sl.s, sl.reg = h.m.Build(sl.k)
 	}
 	if sl.metrics != h.metrics || sl.trace != h.trace {
@@ -182,18 +225,16 @@ func (h *Host[S, G]) take() (sl *hostSlot[S], fresh bool) {
 		sl.k.SetInstrument(nil)
 		h.instrument(sl.k)
 	}
-	return sl, fresh
+	return sl
 }
 
-// acquire checks a slot out of the pool pristine at time zero, re-arming
-// it unless it was just built.
-func (h *Host[S, G]) acquire() *hostSlot[S] {
-	sl, fresh := h.take()
-	if !fresh {
-		sl.k.Reset()
-		h.m.Rearm(sl.k, sl.s)
+// restore rewinds sl's kernel and prototype to nd.
+func (sl *hostSlot[S]) restore(nd *treeNode) error {
+	if err := sl.k.Restore(&nd.cp); err != nil {
+		return err
 	}
-	return sl
+	sl.s.RestoreState(nd.mst)
+	return nil
 }
 
 func (h *Host[S, G]) release(sl *hostSlot[S]) {
@@ -209,7 +250,18 @@ func (h *Host[S, G]) release(sl *hostSlot[S]) {
 func (h *Host[S, G]) exec(sc fault.Scenario, fn func(*hostSlot[S])) error {
 	var sl *hostSlot[S]
 	var st *Stressor
-	if h.ReuseOff {
+	pooled := !h.ReuseOff
+	if pooled {
+		// Back to time zero, as Build left it.
+		sl = h.take()
+		if err := sl.restore(&h.root); err != nil {
+			return err
+		}
+		if len(sc.Faults) > 0 {
+			st = &sl.st
+			st.Respawn(sl.k, sl.reg, sc, h.horizon)
+		}
+	} else {
 		sl = &hostSlot[S]{k: sim.NewKernel()}
 		defer sl.k.Shutdown()
 		h.instrument(sl.k)
@@ -217,22 +269,22 @@ func (h *Host[S, G]) exec(sc fault.Scenario, fn func(*hostSlot[S])) error {
 		if len(sc.Faults) > 0 {
 			st = SpawnThread(sl.k, sl.reg, sc, h.horizon)
 		}
-	} else {
-		sl = h.acquire()
-		defer h.release(sl)
-		if len(sc.Faults) > 0 {
-			st = &sl.st
-			st.Respawn(sl.k, sl.reg, sc, h.horizon)
-		}
 	}
-	if err := sl.k.RunUntil(h.horizon); err != nil {
-		return err
+	err := sl.k.RunUntil(h.horizon)
+	if err == nil {
+		err = h.injectionError(sc, st)
 	}
-	if err := h.injectionError(sc, st); err != nil {
-		return err
+	if err == nil {
+		fn(sl)
 	}
-	fn(sl)
-	return nil
+	// Not deferred: a run that panicked can leave its kernel torn (a
+	// method process that panics mid-evaluate leaves the runnable queue
+	// and its spare on one array, which neither Restore nor anything
+	// else separates), and a torn slot must never run again.
+	if pooled {
+		h.release(sl)
+	}
+	return err
 }
 
 // signature folds the prototype's final-state digest with class — the
@@ -243,6 +295,17 @@ func (sl *hostSlot[S]) signature(class fault.Classification) uint64 {
 	sl.hash.Reset()
 	sl.s.HashState(&sl.hash)
 	return sim.MixSignature(sl.hash.Sum(), uint64(class))
+}
+
+// digest folds the slot's scheduler state, restricted to its first
+// nEvents events and nProcs processes (the prototype's elaboration, so a
+// stressor's own objects never enter it), and its prototype's state into
+// one value, through the slot's own StateHash as signature does.
+func (sl *hostSlot[S]) digest(nEvents, nProcs int) uint64 {
+	sl.hash.Reset()
+	sl.k.HashScheduler(&sl.hash, nEvents, nProcs)
+	sl.s.HashState(&sl.hash)
+	return sl.hash.Sum()
 }
 
 // injectionError reports the first action st failed to perform: a broken
@@ -328,34 +391,9 @@ func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 		return 0, false
 	}
 	if len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent {
-		at := h.activity()
-		if i, _ := slices.BinarySearch(at, fork); i > 0 {
-			fork = at[i-1] + 1
+		if i, _ := slices.BinarySearch(h.activityAt, fork); i > 0 {
+			fork = h.activityAt[i-1] + 1
 		}
 	}
 	return fork, true
-}
-
-// activity returns, ascending, the instants up to the horizon at which
-// the golden run executes anything, time zero included — recorded on
-// first use by walking a dedicated golden kernel from one pending
-// notification to the next. Legged RunUntil is observationally one run
-// (sim's TestLeggedRunEqualsOneRun), so these are the instants every
-// session's golden prefix is active at. A golden run that fails leaves
-// the list empty and every fork where it was.
-func (h *Host[S, G]) activity() []sim.Time {
-	h.activityOnce.Do(func() {
-		k := sim.NewKernel()
-		defer k.Shutdown()
-		h.m.Build(k)
-		var at []sim.Time
-		for t := sim.Time(0); t <= h.horizon; t = k.NextEventTime() {
-			if k.RunUntil(t) != nil {
-				return
-			}
-			at = append(at, t)
-		}
-		h.activityAt = at
-	})
-	return h.activityAt
 }

@@ -72,7 +72,7 @@ func SpawnThread(k *sim.Kernel, reg *fault.Registry, sc fault.Scenario, horizon 
 }
 
 // Respawn re-arms the stressor for another scenario on a freshly
-// elaborated (or reset, or checkpoint-restored) kernel, reusing its
+// elaborated (or checkpoint-restored) kernel, reusing its
 // internal buffers. Campaign runners that pool prototype slots keep
 // one stressor per slot and Respawn it each scenario instead of
 // allocating a new one.

@@ -285,7 +285,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		t.Skip("input generates no valid scenario")
 	}
 	scenarios := eq.campaignAround(sc, seed)
-	cfg := Config{Name: eq.Name, Scenarios: scenarios, Horizon: eq.Horizon, InterruptAfter: 3}
+	cfg := Config{Name: eq.Name, Scenarios: scenarios, InterruptAfter: 3}
 
 	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunFunc()}).Execute(scenarios)
 	if err != nil {

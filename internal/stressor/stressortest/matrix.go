@@ -1,9 +1,8 @@
 // Package stressortest provides the cross-mode determinism matrix
 // shared by the campaign-engine integrations: one table-driven suite
 // asserting that a campaign's Result is byte-identical across
-// {sequential, parallel} × {rebuild, reuse, tree, tree+early-exit at
-// the default, a fine and a coarse hash stride} × {unsharded, N-shard
-// merged} ×
+// {sequential, parallel} × {rebuild, reuse, tree, tree+early-exit, each
+// tree mode again on a warm host} × {unsharded, N-shard merged} ×
 // {fresh, resumed-after-simulated-interrupt}, plus a distributed axis
 // running the campaign through the fabric coordinator with two real
 // workers — once cleanly and once with a worker killed mid-lease. The
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/journal"
-	"repro/internal/sim"
 	"repro/internal/stressor"
 )
 
@@ -40,9 +38,6 @@ type Config struct {
 	// Shards are the shard counts to cross; 1 means unsharded
 	// (default {1, 2, 4}).
 	Shards []int
-	// Horizon is the prototype's simulation horizon, which the stride
-	// cells divide into their HashStride. Run refuses a zero Horizon.
-	Horizon sim.Time
 	// Dedup and StopOnFirst apply to every cell.
 	Dedup       bool
 	StopOnFirst bool
@@ -55,9 +50,6 @@ type Config struct {
 // unsharded/fresh, and every other cell must reproduce its Result
 // exactly.
 func Run(t *testing.T, cfg Config) {
-	if cfg.Horizon <= 0 {
-		t.Fatal("stressortest: Config.Horizon unset")
-	}
 	if cfg.Workers == nil {
 		cfg.Workers = []int{0, 2}
 	}
@@ -104,6 +96,12 @@ func Run(t *testing.T, cfg Config) {
 							if !mode.tree {
 								cp = nil
 							}
+							if mode.warm {
+								warm := executeCell(t, cfg, run, cp, mode, workers, 1, false)
+								if !reflect.DeepEqual(warm, ref) {
+									t.Errorf("warm-up campaign diverged from reference\ngot:  %+v\nwant: %+v", warm, ref)
+								}
+							}
 							got := executeCell(t, cfg, run, cp, mode, workers, shards, resumed)
 							if !reflect.DeepEqual(got, ref) {
 								t.Errorf("result diverged from reference\ngot:  %+v\nwant: %+v", got, ref)
@@ -119,25 +117,23 @@ func Run(t *testing.T, cfg Config) {
 // cellMode is the checkpointing axis of the matrix: classifications
 // must be byte-identical whether runs take the plain path, fork from a
 // retained node of a tree session, or also early-exit the moment they
-// provably re-converge with the golden trajectory.
-// The stride modes hash the golden trajectory four times finer and
-// four times coarser than the default Horizon/16, so early exit checks
-// convergence at many instants and at few.
+// provably re-converge with the golden trajectory. A warm cell first
+// runs the whole universe once on the same runner, so its campaign
+// starts on slots a faulty run left behind (rewound to the root) and
+// forks from golden nodes an earlier campaign's sessions published.
 type cellMode struct {
 	name      string
 	tree      bool
 	earlyExit bool
-	// strides, when set, is the hash points per horizon: the campaign's
-	// HashStride is cfg.Horizon/strides.
-	strides sim.Time
+	warm      bool
 }
 
 var cellModes = []cellMode{
 	{name: "plain"},
 	{name: "tree", tree: true},
 	{name: "tree+ee", tree: true, earlyExit: true},
-	{name: "tree+ee+fine", tree: true, earlyExit: true, strides: 64},
-	{name: "tree+ee+coarse", tree: true, earlyExit: true, strides: 4},
+	{name: "tree+warm", tree: true, warm: true},
+	{name: "tree+ee+warm", tree: true, earlyExit: true, warm: true},
 }
 
 // executeCell runs one matrix cell: all shards of the campaign (with
@@ -146,15 +142,11 @@ var cellModes = []cellMode{
 func executeCell(t *testing.T, cfg Config, run stressor.RunFunc, cp stressor.Checkpointer, mode cellMode, workers, shards int, resumed bool) *stressor.Result {
 	t.Helper()
 	dir := t.TempDir()
-	var stride sim.Time
-	if cp != nil && mode.strides > 0 {
-		stride = cfg.Horizon / mode.strides
-	}
 	campaign := func(sh stressor.Shard, w *journal.Writer, j *journal.Journal, halt func(int) bool) *stressor.Campaign {
 		return &stressor.Campaign{
 			Name: cfg.Name, Run: run, Workers: workers,
 			Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
-			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit, HashStride: stride,
+			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit,
 			Shard: sh, Journal: w, Resume: j, Halt: halt,
 		}
 	}

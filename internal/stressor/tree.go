@@ -22,10 +22,10 @@ import (
 // resumed tails), and every later campaign on a warm host, forks from the
 // deepest shared prefix instead of re-simulating from time zero.
 // Convergence early-exit layers on top: the golden trajectory is hashed
-// at a fixed stride, and a faulty run whose post-injection state hash
-// returns to the golden trajectory stops simulating immediately and
-// inherits the golden-equal classification — byte-identical to running
-// it out.
+// at a fixed stride, horizon/16, and a faulty run whose post-injection
+// state hash returns to the golden trajectory stops simulating
+// immediately and inherits the golden-equal classification —
+// byte-identical to running it out.
 
 const (
 	// treeMaxNodes bounds the host's retained nodes, per slot it has
@@ -42,9 +42,6 @@ type TreeConfig struct {
 	// EarlyExit enables convergence detection against the golden
 	// trajectory.
 	EarlyExit bool
-	// HashStride is the trajectory hashing interval (0 lets the runner
-	// derive one from its horizon, typically horizon/16).
-	HashStride sim.Time
 	// Metrics, when non-nil, receives tree/early-exit counters labeled
 	// with Campaign. The campaign Result is identical without it.
 	Metrics *obs.Registry
@@ -63,7 +60,8 @@ type RecyclableSession interface {
 }
 
 // treeNode is one golden-prefix snapshot: the kernel checkpoint and the
-// paired model-state capture at fork-1. used is the epoch it was last
+// paired model-state capture at fork-1 (the host's root, at time zero
+// before anything ran, is one too). used is the epoch it was last
 // restored or published in, its LRU stamp.
 type treeNode struct {
 	fork  sim.Time
@@ -110,10 +108,9 @@ func (h *Host[S, G]) restoreNode(sl *hostSlot[S], fork sim.Time) (at sim.Time, o
 		return 0, false, nil
 	}
 	nd := g.nodes[i]
-	if err := sl.k.Restore(&nd.cp); err != nil {
+	if err := sl.restore(nd); err != nil {
 		return 0, false, err
 	}
-	sl.s.RestoreState(nd.mst)
 	if nd.used.Load() != g.epoch {
 		nd.used.Store(g.epoch)
 	}
@@ -176,7 +173,11 @@ func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counte
 // perhaps torn, perhaps still running — simply never returns. The nodes
 // are the host's, so abandoning a session loses none.
 func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	return &session[S, G]{h: h, cfg: cfg}
+	s := &session[S, G]{h: h, cfg: cfg}
+	if cfg.EarlyExit {
+		s.traj = &h.traj
+	}
+	return s
 }
 
 // session is one worker's tree session: a slot, where the slot stands
@@ -189,11 +190,10 @@ func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 type session[S State, G any] struct {
 	h     *Host[S, G]
 	cfg   TreeConfig
-	sl    *hostSlot[S] // nil until init, and again after Close
-	traj  *trajectory[G]
+	sl    *hostSlot[S]   // nil until init, and again after Close
+	traj  *trajectory[G] // the host's, with early exit on
 	pages *pageCounters
 
-	fresh bool // the slot is pristine at time zero
 	dirty bool // a run advanced past the last established instant
 	cur   sim.Time
 
@@ -232,13 +232,12 @@ func (p *pageCounters) publish() {
 	p.published = now
 }
 
-// init lazily checks out the session's slot, as it stands, and records
-// the (early exit on) trajectory.
-func (s *session[S, G]) init() error {
+// init lazily checks out the session's slot, as it stands.
+func (s *session[S, G]) init() {
 	if s.sl != nil {
-		return nil
+		return
 	}
-	s.sl, s.fresh = s.h.take()
+	s.sl = s.h.take()
 	s.dirty = true
 	if m := s.cfg.Metrics; m != nil {
 		l := obs.L("campaign", s.cfg.Campaign)
@@ -257,14 +256,6 @@ func (s *session[S, G]) init() error {
 				restored: m.Counter("campaign.state_pages_restored", l)}
 		}
 	}
-	if s.cfg.EarlyExit {
-		tj, err := s.h.trajectory(s.cfg.HashStride)
-		if err != nil {
-			return err
-		}
-		s.traj = tj
-	}
-	return nil
 }
 
 // Run implements CheckpointSession, producing the exact outcome
@@ -284,9 +275,7 @@ func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 }
 
 func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Observation, error) {
-	if err := s.init(); err != nil {
-		return analysis.Observation{}, err
-	}
+	s.init()
 	if err := s.establish(fork); err != nil {
 		return analysis.Observation{}, err
 	}
@@ -333,9 +322,7 @@ func (s *session[S, G]) Close() {
 // slot is left golden at fork-1, as a run forked at fork starts, and is
 // marked run past, as the run that follows leaves it.
 func (s *session[S, G]) Establish(fork sim.Time) error {
-	if err := s.init(); err != nil {
-		return err
-	}
+	s.init()
 	err := s.establish(fork)
 	s.dirty = true
 	return err
@@ -350,8 +337,9 @@ func (s *session[S, G]) Prototype() State { return s.sl.s }
 // case first: nothing happens if the kernel still sits at fork untouched;
 // otherwise the host's deepest node at or before fork is restored into
 // the slot as it stands (a hit when it is at fork); otherwise, when the
-// host has no such node, the slot is re-armed to time zero. Short of
-// fork, the golden run is then extended to it and the node published.
+// host has no such node, the host's root is, taking the slot back to
+// time zero. Short of fork, the golden run is then extended to it and the
+// node published.
 func (s *session[S, G]) establish(fork sim.Time) error {
 	if !s.dirty && s.cur == fork {
 		return nil
@@ -361,8 +349,6 @@ func (s *session[S, G]) establish(fork sim.Time) error {
 	if err != nil {
 		return err
 	}
-	fresh := s.fresh
-	s.fresh = false
 	switch {
 	case ok && at == fork:
 		inc(s.hits)
@@ -371,9 +357,8 @@ func (s *session[S, G]) establish(fork sim.Time) error {
 	case ok:
 		inc(s.extends)
 	default:
-		if !fresh {
-			sl.k.Reset()
-			s.h.m.Rearm(sl.k, sl.s)
+		if err := sl.restore(&s.h.root); err != nil {
+			return err
 		}
 		inc(s.rebuilds)
 	}
@@ -505,11 +490,12 @@ func (s *session[S, G]) remember(out fault.Outcome) {
 	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail}
 }
 
-// trajectory is the golden run's incremental state-hash stream and what
-// the model recorded of the same run: hashes[i] is the digest of model +
-// scheduler state after running to (i+1)*stride, for every stride instant
-// strictly before the horizon. The digests are derived from the
-// Snapshottable/Hashable capture — no full snapshots are taken.
+// trajectory is the golden run's state-hash stream and what the model
+// recorded of the same run, both taken by NewHost's golden walk:
+// hashes[i] is the digest of model + scheduler state after running to
+// (i+1)*stride, for every stride instant strictly before the horizon.
+// The digests are derived from the Snapshottable/Hashable capture — no
+// full snapshots are taken.
 type trajectory[G any] struct {
 	stride sim.Time
 	// nEvents/nProcs are the golden elaboration's object counts; live
@@ -519,52 +505,6 @@ type trajectory[G any] struct {
 	nEvents, nProcs int
 	hashes          []uint64
 	g               G
-}
-
-// trajectory returns the golden trajectory for the given hash stride
-// (0: horizon/16, at least one time unit), recording it on first use:
-// one dedicated golden run per distinct stride, shared by every session
-// of the host. The freshly elaborated golden kernel (no stressor) runs to
-// the horizon in stride chunks, and the model records its own state at
-// each stride instant beside the digest (Model.Record). Chunked RunUntil
-// is observationally one full run, so the digests are exactly what a
-// faulty run would hash to at those instants had the fault never
-// perturbed anything.
-func (h *Host[S, G]) trajectory(stride sim.Time) (*trajectory[G], error) {
-	if stride <= 0 {
-		stride = h.horizon / 16
-	}
-	stride = max(stride, 1)
-	h.trajMu.Lock()
-	defer h.trajMu.Unlock()
-	if tj, ok := h.trajs[stride]; ok {
-		return tj, nil
-	}
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	s, _ := h.m.Build(k)
-	tj := &trajectory[G]{stride: stride}
-	tj.nEvents, tj.nProcs = k.Elaborated()
-	for t := stride; t < h.horizon; t += stride {
-		if err := k.RunUntil(t); err != nil {
-			return nil, err
-		}
-		h.m.Record(&tj.g, s)
-		tj.hashes = append(tj.hashes, tj.digest(k, s))
-	}
-	if h.trajs == nil {
-		h.trajs = make(map[sim.Time]*trajectory[G])
-	}
-	h.trajs[stride] = tj
-	return tj, nil
-}
-
-// digest folds scheduler + model state into one hash value.
-func (tj *trajectory[G]) digest(k *sim.Kernel, m sim.Hashable) uint64 {
-	h := sim.NewStateHash()
-	k.HashScheduler(&h, tj.nEvents, tj.nProcs)
-	m.HashState(&h)
-	return h.Sum()
 }
 
 // runToHorizon advances the injected run from its current time to the
@@ -600,7 +540,7 @@ func (s *session[S, G]) runToHorizon() (converged bool, at sim.Time, err error) 
 				continue
 			}
 		}
-		if tj.digest(k, s.sl.s) == tj.hashes[i] {
+		if s.sl.digest(tj.nEvents, tj.nProcs) == tj.hashes[i] {
 			return true, t, nil
 		}
 	}

@@ -17,7 +17,6 @@ type tickModel struct {
 }
 
 func (m *tickModel) elaborate(k *sim.Kernel) {
-	m.ticks = 0
 	m.ev = k.NewEvent("tick")
 	k.MethodNoInit("tick", func() {
 		m.ticks++
@@ -31,19 +30,13 @@ func (m *tickModel) RestoreState(st any)        { m.ticks = st.(int) }
 func (m *tickModel) HashState(h *sim.StateHash) { h.Int(m.ticks) }
 func (m *tickModel) at(k *sim.Kernel) [2]int    { return [2]int{int(k.Now()), m.ticks} }
 
-// tickProto is tickModel's Model. rearms counts the slots returned to
-// time zero.
-type tickProto struct{ rearms int }
+// tickProto is tickModel's Model.
+type tickProto struct{}
 
 func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
 	m := &tickModel{}
 	m.elaborate(k)
 	return m, fault.NewRegistry()
-}
-
-func (p *tickProto) Rearm(k *sim.Kernel, m *tickModel) {
-	p.rearms++
-	m.elaborate(k)
 }
 
 func (*tickProto) Observe(*tickModel) analysis.Observation       { return analysis.Observation{} }
@@ -57,12 +50,11 @@ func (*tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
 // a host that may retain a single node. The same fork is a no-op on an
 // untouched kernel and a restore (hit) on a dirty one, a later fork
 // extends the golden run from the held node and evicts it, an earlier
-// fork rebuilds from time zero and evicts the later node in turn — and
-// exactly one node is retained throughout. The node is the host's, so
-// it outlives Close, and the next session's slot hits it.
+// fork rebuilds from the root at time zero and evicts the later node in
+// turn — and exactly one node is retained throughout. The node is the
+// host's, so it outlives Close, and the next session's slot hits it.
 func TestTreeCoreBudgetOfOne(t *testing.T) {
-	proto := &tickProto{}
-	h, err := NewHost[*tickModel, struct{}]("tick", proto, 100)
+	h, err := NewHost[*tickModel, struct{}]("tick", &tickProto{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +62,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	h.tree.max = 1
 	reg := obs.NewRegistry()
 	s := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "roll"}).(*session[*tickModel, struct{}])
-	rearmed := proto.rearms
-	if err := s.init(); err != nil {
-		t.Fatal(err)
-	}
+	s.init()
 	k, m := s.sl.k, s.sl.s
 	counter := func(name string) uint64 {
 		return reg.Counter("campaign.tree_"+name, obs.L("campaign", "roll")).Value()
@@ -119,10 +108,6 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 			t.Errorf("%s: the host retains %d nodes, want 1", st.name, n)
 		}
 	}
-	// Checking the pooled slot out re-arms nothing; the two rebuilds do.
-	if n := proto.rearms - rearmed; n != 2 {
-		t.Errorf("the slot went back to time zero %d times, want 2 (the first prefix and the earlier fork)", n)
-	}
 	s.Close()
 	if n := h.LiveNodes(); n != 1 {
 		t.Errorf("after Close the host retains %d nodes, want 1", n)
@@ -131,9 +116,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	// one published.
 	held := h.NewTreeSession(TreeConfig{})
 	defer held.Close()
-	if err := held.(*session[*tickModel, struct{}]).init(); err != nil {
-		t.Fatal(err)
-	}
+	held.(*session[*tickModel, struct{}]).init()
 	next := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "next"}).(*session[*tickModel, struct{}])
 	defer next.Close()
 	if err := next.Establish(5); err != nil {
@@ -145,10 +128,11 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	if got := next.sl.s.at(next.sl.k); got != [2]int{4, 4} {
 		t.Errorf("second slot: (now, ticks) = %v, want golden state at 4", got)
 	}
-	if hits := reg.Counter("campaign.tree_hits", obs.L("campaign", "next")).Value(); hits != 1 {
+	l := obs.L("campaign", "next")
+	if hits := reg.Counter("campaign.tree_hits", l).Value(); hits != 1 {
 		t.Errorf("second session: %d hits, want 1 (the first session's node)", hits)
 	}
-	if n := proto.rearms - rearmed; n != 2 {
-		t.Errorf("the second session re-armed its slot (%d rearms in all, want 2)", n)
+	if n := reg.Counter("campaign.tree_rebuilds", l).Value(); n != 0 {
+		t.Errorf("the second session took its slot back to time zero %d times, want 0", n)
 	}
 }

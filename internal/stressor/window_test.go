@@ -134,8 +134,6 @@ func (*windowToy) Build(k *sim.Kernel) (*windowModel, *fault.Registry) {
 	return m, m.registry()
 }
 
-func (*windowToy) Rearm(k *sim.Kernel, m *windowModel) { m.elaborate(k) }
-
 func (*windowToy) Observe(m *windowModel) analysis.Observation {
 	return analysis.Observation{GoalViolated: true,
 		GoalDetail: fmt.Sprintf("acc=%d line=%v edge@%d late@%d", m.acc, m.line.Read(), uint64(m.edgeAt), uint64(m.lateAt))}

@@ -175,17 +175,6 @@ func (m *Memory) ClearFaults() {
 	clear(m.stuckMask)
 }
 
-// Wipe returns the memory to its freshly constructed state — zeroed
-// contents, no stuck-at defects, zeroed access statistics — without
-// reallocating the backing store. Prototype Rearm implementations use
-// it to re-seed memories between campaign runs.
-func (m *Memory) Wipe() {
-	clear(m.data)
-	clear(m.stuckMask)
-	m.reads = 0
-	m.writes = 0
-}
-
 // Poke writes raw bytes without timing (test/loader backdoor).
 func (m *Memory) Poke(addr uint64, data []byte) {
 	copy(m.data[addr-m.base:], data)
