@@ -179,6 +179,27 @@ func TestNothingWritesJSONL(t *testing.T) {
 	})
 }
 
+// TestNothingCallsTheCaptureShim: a model has one state capture,
+// m.SnapshotState(prev). No non-test file outside bench/ calls the
+// deprecated sim.SnapshotModelState forwarder, so it can go once the
+// benchmark's probe stops calling it.
+func TestNothingCallsTheCaptureShim(t *testing.T) {
+	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			var name *ast.Ident
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				name = fn.Sel
+			case *ast.Ident:
+				name = fn
+			}
+			if name != nil && name.Name == "SnapshotModelState" {
+				t.Errorf("%s: calls sim.SnapshotModelState; call the model's SnapshotState(prev)", fset.Position(name.Pos()))
+			}
+		}
+	})
+}
+
 // TestSpecBuildForksFromTheRunner: every fixed-universe spec builds a
 // campaign that forks from the runner's checkpoint tree — the bare spec
 // and the spellings of the retired checkpoint switches alike, which

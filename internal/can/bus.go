@@ -406,45 +406,15 @@ type BusState struct {
 	nodes       []nodeState
 }
 
-// SnapshotState implements sim.Snapshottable. Pair it with the
-// kernel's own Snapshot: the pending txdone/wake notifications live in
-// the kernel checkpoint, this captures everything else.
-func (b *Bus) SnapshotState() any {
-	st := &BusState{
-		busy:        b.busy,
-		txWinner:    -1,
-		txFrame:     b.txFrame,
-		log:         append([]TxRecord(nil), b.log...),
-		corruptNext: b.corruptNext,
-		dropNext:    b.dropNext,
-		retriesLeft: make(map[int]int, len(b.retriesLeft)),
-		arbs:        b.arbitrations,
-		nodes:       make([]nodeState, len(b.nodes)),
-	}
-	for i, n := range b.nodes {
-		if n == b.txWinner {
-			st.txWinner = i
-		}
-		if left, ok := b.retriesLeft[n]; ok {
-			st.retriesLeft[i] = left
-		}
-		st.nodes[i] = nodeState{
-			tec: n.tec, rec: n.rec, state: n.state,
-			queue: append([]frame(nil), n.queue...),
-			sent:  n.sent, received: n.received, errors: n.errorsSeen,
-			babbling: n.Babbling,
-		}
-	}
-	return st
-}
-
-// SnapshotStateInto implements sim.StatePooler: SnapshotState reusing
-// the buffers of a previous capture (log, queues, retry map), so
-// checkpoint trees fork allocation-free in steady state.
-func (b *Bus) SnapshotStateInto(prev any) any {
+// SnapshotState implements sim.Snapshottable, reusing prev's buffers
+// (log, queues, retry map) so checkpoint trees fork allocation-free in
+// steady state. Pair it with the kernel's own SnapshotInto: the pending
+// txdone/wake notifications live in the kernel checkpoint, this
+// captures everything else.
+func (b *Bus) SnapshotState(prev any) any {
 	st, _ := prev.(*BusState)
 	if st == nil {
-		return b.SnapshotState()
+		st = &BusState{retriesLeft: map[int]int{}}
 	}
 	st.busy = b.busy
 	st.txWinner = -1

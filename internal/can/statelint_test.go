@@ -11,7 +11,7 @@ import (
 // nodes, caught mid-traffic: a frame in flight, frames queued behind
 // it in a queue window that has already slid off the start of its
 // array, a retry budget open and a non-empty transaction log. Every field
-// is perturbed and must move the digest and survive snapshot → perturb
+// is perturbed and must move the digest and survive capture → perturb
 // → restore, or is listed with the reason it need not.
 func TestStateCoverageBus(t *testing.T) {
 	k, b := busFixture(t)
@@ -40,13 +40,53 @@ func TestStateCoverageBus(t *testing.T) {
 			b.busy, b.txWinner, len(b.log), len(b.retriesLeft), len(a.queue), cap(a.queue), cap(a.qbuf))
 	}
 
-	const (
-		config  = "configuration, constant after NewBus"
-		wiring  = "kernel objects and wiring, fixed by NewBus and kept by every restore; pending notifications are scheduler state"
-		diag    = "diagnostics nothing behavioral reads back (see Bus.HashState)"
-		padding = "inline payload: HashState folds data[:n]; the bytes past n are zero padding nothing reads, so the byte perturbed is a live one"
-	)
-	simtest.StateCoverage(t, b, b, map[string]simtest.Rule{
+	simtest.StateCoverage(t, b, b, busRules(b, a, c))
+	for _, n := range []*Node{a, c} {
+		n := n
+		simtest.StateCoverage(t, b, n, map[string]simtest.Rule{
+			"name": simtest.NotState(config), "bus": simtest.NotState(wiring),
+			"OnReceive":  simtest.NotState("wiring: the application's receive callback"),
+			"queue.data": simtest.Via(padding, func() { f := &n.queue[len(n.queue)-1]; f.data[f.n-1] ^= 0xee }),
+			"qbuf":       simtest.NotState("storage: the array queue slides along; every waiting frame is in queue"),
+			"sent":       simtest.Unhashed(diag), "received": simtest.Unhashed(diag), "errorsSeen": simtest.Unhashed(diag),
+		})
+	}
+}
+
+// TestStateCoverageIdleBus is the lint on a bus that carried traffic and
+// went quiet: no frame in flight, so the capture's no-winner index is
+// the one restored.
+func TestStateCoverageIdleBus(t *testing.T) {
+	k, b := busFixture(t)
+	defer k.Shutdown()
+	a, c := b.Attach("a"), b.Attach("c")
+	if err := a.Send(Frame{ID: 0x10, Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(Frame{ID: 0x20, Data: []byte{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(sim.MS(1)); err != nil {
+		t.Fatal(err)
+	}
+	if b.busy || b.txWinner != nil || len(b.log) != 2 {
+		t.Fatalf("bus not idle after traffic: busy=%v winner=%v log=%d", b.busy, b.txWinner, len(b.log))
+	}
+	rules := busRules(b, a, c)
+	rules["txFrame.data"] = simtest.Unhashed("no frame in flight: every byte is padding past n = 0, which HashState does not fold")
+	simtest.StateCoverage(t, b, b, rules)
+}
+
+const (
+	config  = "configuration, constant after NewBus"
+	wiring  = "kernel objects and wiring, fixed by NewBus and kept by every restore; pending notifications are scheduler state"
+	diag    = "diagnostics nothing behavioral reads back (see Bus.HashState)"
+	padding = "inline payload: HashState folds data[:n]; the bytes past n are zero padding nothing reads, so the byte perturbed is a live one"
+)
+
+// busRules are the Bus rows of the lint, for a bus with nodes a and c.
+func busRules(b *Bus, a, c *Node) map[string]simtest.Rule {
+	return map[string]simtest.Rule{
 		"k": simtest.NotState(wiring), "name": simtest.NotState(config),
 		"BitTime": simtest.NotState(config), "MaxRetries": simtest.NotState(config),
 		"nodes": simtest.NotState("attachment list, fixed after elaboration; node state is linted below"),
@@ -62,18 +102,8 @@ func TestStateCoverageBus(t *testing.T) {
 		"txFrame.data": simtest.Via(padding, func() { b.txFrame.data[b.txFrame.n-1] ^= 0xee }),
 		"rx":           simtest.NotState("scratch: the delivery buffer, rewritten before every OnReceive and read only during it"),
 		"cont":         simtest.NotState("scratch: contenders refills it every arbitration round"),
-		"retriesLeft":  simtest.Via("a map keyed by node, captured by index", func() { b.retriesLeft[b.txWinner]-- }),
+		"retriesLeft":  simtest.Via("a map keyed by node, captured by index", func() { b.retriesLeft[a]-- }),
 		"babbleFrame":  simtest.NotState(config),
 		"arbitrations": simtest.Unhashed(diag),
-	})
-	for _, n := range []*Node{a, c} {
-		n := n
-		simtest.StateCoverage(t, b, n, map[string]simtest.Rule{
-			"name": simtest.NotState(config), "bus": simtest.NotState(wiring),
-			"OnReceive":  simtest.NotState("wiring: the application's receive callback"),
-			"queue.data": simtest.Via(padding, func() { f := &n.queue[len(n.queue)-1]; f.data[f.n-1] ^= 0xee }),
-			"qbuf":       simtest.NotState("storage: the array queue slides along; every waiting frame is in queue"),
-			"sent":       simtest.Unhashed(diag), "received": simtest.Unhashed(diag), "errorsSeen": simtest.Unhashed(diag),
-		})
 	}
 }

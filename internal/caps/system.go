@@ -351,39 +351,12 @@ type systemState struct {
 	sensors       []sensorState
 }
 
-// SnapshotState implements sim.Snapshottable.
-func (s *System) SnapshotState() any {
-	st := &systemState{
-		threshold:     s.threshold,
-		thresholdInv:  s.thresholdInv,
-		debounceCount: s.debounceCount,
-		inhibited:     s.inhibited,
-		lastFrameAt:   s.lastFrameAt,
-		gotFrame:      s.gotFrame,
-		fired:         s.Fired,
-		firedAt:       s.FiredAt,
-		severities:    append([]byte(nil), s.Severities...),
-		calib:         s.calib.SnapshotState(),
-		bus:           s.bus.SnapshotState(),
-		sensors:       make([]sensorState, len(s.sensors)),
-	}
-	if s.Detections != nil {
-		st.detections = append([]string(nil), s.Detections...)
-	}
-	st.trace.CopyFrom(&s.Trace)
-	for i, sen := range s.sensors {
-		st.sensors[i] = sensorState{offset: sen.offset, override: sen.override}
-	}
-	return st
-}
-
-// SnapshotStateInto implements sim.StatePooler: SnapshotState reusing
-// a previous capture's buffers so checkpoint-tree forking stays
-// allocation-free in steady state.
-func (s *System) SnapshotStateInto(prev any) any {
+// SnapshotState implements sim.Snapshottable, reusing prev's buffers
+// so checkpoint-tree forking stays allocation-free in steady state.
+func (s *System) SnapshotState(prev any) any {
 	st, _ := prev.(*systemState)
 	if st == nil {
-		return s.SnapshotState()
+		st = &systemState{}
 	}
 	st.threshold = s.threshold
 	st.thresholdInv = s.thresholdInv
@@ -400,8 +373,8 @@ func (s *System) SnapshotStateInto(prev any) any {
 	}
 	st.severities = append(st.severities[:0], s.Severities...)
 	st.trace.CopyFrom(&s.Trace)
-	st.calib = s.calib.SnapshotStateInto(st.calib)
-	st.bus = s.bus.SnapshotStateInto(st.bus)
+	st.calib = s.calib.SnapshotState(st.calib)
+	st.bus = s.bus.SnapshotState(st.bus)
 	if len(st.sensors) != len(s.sensors) {
 		st.sensors = make([]sensorState, len(s.sensors))
 	}

@@ -83,12 +83,12 @@ func TestSnapshotCapturePooled(t *testing.T) {
 	if err := k.SnapshotInto(&cp); err != nil {
 		t.Fatal(err)
 	}
-	mst := sim.SnapshotModelState(sys, nil)
+	mst := sys.SnapshotState(nil)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := k.SnapshotInto(&cp); err != nil {
 			panic(err)
 		}
-		mst = sim.SnapshotModelState(sys, mst)
+		mst = sys.SnapshotState(mst)
 	})
 	if allocs != 0 {
 		t.Errorf("warm snapshot capture allocates %.1f allocs/op, want 0", allocs)
@@ -194,7 +194,7 @@ func TestCrossSlotRestore(t *testing.T) {
 		var ends [2]string
 		for j, sess := range []stressor.CheckpointSession{a, b} {
 			sess.Run(sc, sim.MS(5))
-			s := sess.(interface{ Prototype() stressor.State }).Prototype().(*System)
+			s := sess.(interface{ Prototype() sim.State }).Prototype().(*System)
 			h := sim.NewStateHash()
 			s.HashState(&h)
 			ends[j] = fmt.Sprintf("%#x %+v", h.Sum(), m.Observe(s))

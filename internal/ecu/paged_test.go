@@ -70,14 +70,14 @@ func TestSlotStateSteadyStateAllocs(t *testing.T) {
 	s := midRunSlot(t)
 	h := sim.NewStateHash()
 	s.HashState(&h)
-	st := s.SnapshotStateInto(nil)
-	st = s.SnapshotStateInto(st)
+	st := s.SnapshotState(nil)
+	st = s.SnapshotState(st)
 	for name, fn := range map[string]func(){
 		"hash": func() {
 			s.pram.mem.Store(int(runnerAccAddr/4), 1)
 			s.HashState(&h)
 		},
-		"capture": func() { st = s.SnapshotStateInto(st) },
+		"capture": func() { st = s.SnapshotState(st) },
 		"restore": func() {
 			s.pram.mem.Store(int(runnerAccAddr/4), 2)
 			s.RestoreState(st)
@@ -242,12 +242,12 @@ func TestClosedSessionSlotIsReused(t *testing.T) {
 		t.Fatalf("%s not fork-eligible", sc.ID)
 	}
 	want := naive.RunScenario(sc)
-	run := func(name string) (stressor.CheckpointSession, stressor.State) {
+	run := func(name string) (stressor.CheckpointSession, sim.State) {
 		sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
 		if got := sess.Run(sc, fork); got.Class != want.Class || got.Detail != want.Detail {
 			t.Errorf("%s session: got %s %q, rebuild says %s %q", name, got.Class, got.Detail, want.Class, want.Detail)
 		}
-		return sess, sess.(interface{ Prototype() stressor.State }).Prototype()
+		return sess, sess.(interface{ Prototype() sim.State }).Prototype()
 	}
 	first, used := run("first")
 	first.Close()
@@ -269,7 +269,7 @@ func benchSlot(b *testing.B) (*ecuSlot, any) {
 	s := parkedSlot(b)
 	h := sim.NewStateHash()
 	s.HashState(&h)
-	return s, s.SnapshotStateInto(nil)
+	return s, s.SnapshotState(nil)
 }
 
 // BenchmarkSlotHashState is one early-exit stride's model digest after
@@ -323,7 +323,7 @@ func TestCrossSlotRestore(t *testing.T) {
 		var ends [2]string
 		for j, sess := range []stressor.CheckpointSession{a, b} {
 			sess.Run(sc, sim.US(2))
-			s := sess.(interface{ Prototype() stressor.State }).Prototype().(*ecuSlot)
+			s := sess.(interface{ Prototype() sim.State }).Prototype().(*ecuSlot)
 			h := sim.NewStateHash()
 			s.HashState(&h)
 			ends[j] = fmt.Sprintf("%#x %+v", h.Sum(), m.Observe(s))

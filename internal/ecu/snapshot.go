@@ -116,39 +116,19 @@ type ecuSlotState struct {
 	haltAt          sim.Time
 }
 
-// SnapshotState implements sim.Snapshottable.
-func (s *ecuSlot) SnapshotState() any {
-	st := &ecuSlotState{
-		wdshadow: s.wdshadow.SnapshotState(),
-		wd:       wdState{enabled: s.wd.enabled, timeouts: s.wd.timeouts, kicks: s.wd.kicks},
-		pRun:     crState{local: s.pRun.local, phase: s.pRun.phase, err: s.pRun.err},
-		sRun:     crState{local: s.sRun.local, phase: s.sRun.phase, err: s.sRun.err},
-		pDone:    s.pDone, sDone: s.sDone,
-		pErr: s.pErr, sErr: s.sErr,
-		haltAt: s.haltAt,
-	}
-	s.primary.captureInto(&st.primary)
-	s.shadow.captureInto(&st.shadow)
-	s.pram.captureInto(&st.pram)
-	s.sram.captureInto(&st.sram)
-	s.ls.captureInto(&st.ls)
-	return st
-}
-
-// SnapshotStateInto implements sim.StatePooler: SnapshotState reusing
-// a previous capture's buffers (codeword arrays, store logs, the
-// watchdog shadow) so checkpoint-tree forking stays allocation-free in
-// steady state.
-func (s *ecuSlot) SnapshotStateInto(prev any) any {
+// SnapshotState implements sim.Snapshottable, reusing prev's buffers
+// (codeword arrays, store logs, the watchdog shadow) so checkpoint-tree
+// forking stays allocation-free in steady state.
+func (s *ecuSlot) SnapshotState(prev any) any {
 	st, _ := prev.(*ecuSlotState)
 	if st == nil {
-		return s.SnapshotState()
+		st = &ecuSlotState{}
 	}
 	s.primary.captureInto(&st.primary)
 	s.shadow.captureInto(&st.shadow)
 	s.pram.captureInto(&st.pram)
 	s.sram.captureInto(&st.sram)
-	st.wdshadow = s.wdshadow.SnapshotStateInto(st.wdshadow)
+	st.wdshadow = s.wdshadow.SnapshotState(st.wdshadow)
 	st.wd = wdState{enabled: s.wd.enabled, timeouts: s.wd.timeouts, kicks: s.wd.kicks}
 	s.ls.captureInto(&st.ls)
 	st.pRun = crState{local: s.pRun.local, phase: s.pRun.phase, err: s.pRun.err}

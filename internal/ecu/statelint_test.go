@@ -10,7 +10,7 @@ import (
 
 // The state-coverage lint on the ECU prototype: every field of the
 // slot and of each component it folds is either perturbed (digest must
-// change, snapshot → perturb → restore must put it back) or listed
+// change, capture → perturb → restore must put it back) or listed
 // below with the reason it is not. A new field on any of these structs
 // fails here until it is hashed and snapshotted or given a row.
 
@@ -62,7 +62,9 @@ func TestStateCoverageSlot(t *testing.T) {
 		"stop":     simtest.NotState("wiring; the stopper keeps no state of its own"),
 		"tableBuf": simtest.NotState("scratch: table overwrites it through the debug port before reading it"),
 		"wdshadow": simtest.Via("tlm.Memory is linted in its own package; here: the slot folds and restores it",
-			func() { s.wdshadow.TransportDbg(tlm.NewWrite(runnerWdBase+4, []byte{0xa5})) }),
+			func() {
+				s.wdshadow.TransportDbg(tlm.NewWrite(runnerWdBase+4, []byte{s.wdshadow.Peek(runnerWdBase+4, 1)[0] ^ 0xa5}))
+			}),
 	})
 }
 

@@ -116,7 +116,7 @@ func TestIdleNextEventTimeIsPure(t *testing.T) {
 		defer k.Shutdown()
 		var r record
 		confModel(k, &r.trace)
-		var cp *Checkpoint
+		var cp Checkpoint
 		var cpLen int
 		for i, stop := range stops {
 			if err := k.RunUntil(stop); err != nil {
@@ -129,8 +129,7 @@ func TestIdleNextEventTimeIsPure(t *testing.T) {
 			}
 			r.hashes = append(r.hashes, schedulerHash(k))
 			if i == 1 {
-				var err error
-				if cp, err = k.Snapshot(); err != nil {
+				if err := k.SnapshotInto(&cp); err != nil {
 					t.Fatal(err)
 				}
 				cpLen = len(r.trace)
@@ -143,7 +142,7 @@ func TestIdleNextEventTimeIsPure(t *testing.T) {
 		// Back to the second stop, and on to the horizon in one piece.
 		first := append([]string(nil), r.trace...)
 		r.trace = r.trace[:cpLen]
-		if err := k.Restore(cp); err != nil {
+		if err := k.Restore(&cp); err != nil {
 			t.Fatal(err)
 		}
 		if err := k.RunUntil(horizon); err != nil {

@@ -136,24 +136,10 @@ type Hashable interface {
 	HashState(h *StateHash)
 }
 
-// StatePooler is an optional extension of Snapshottable for
-// allocation-conscious checkpointing: SnapshotStateInto behaves like
-// SnapshotState but may reuse the buffers of prev (a value previously
-// returned by SnapshotState/SnapshotStateInto of the same model type;
-// nil means allocate fresh). Checkpoint trees recycle their node
-// states through this, keeping steady-state forking allocation-free.
-type StatePooler interface {
-	SnapshotStateInto(prev any) any
-}
-
-// SnapshotModelState captures m's state through its pooled path when
-// available, falling back to the plain SnapshotState.
-func SnapshotModelState(m Snapshottable, prev any) any {
-	if p, ok := m.(StatePooler); ok {
-		return p.SnapshotStateInto(prev)
-	}
-	return m.SnapshotState()
-}
+// SnapshotModelState is m.SnapshotState(prev).
+//
+// Deprecated: call m.SnapshotState(prev).
+func SnapshotModelState(m Snapshottable, prev any) any { return m.SnapshotState(prev) }
 
 // Elaborated reports how many events and processes the kernel
 // currently holds. Convergence trajectories record these right after

@@ -7,11 +7,11 @@ import (
 )
 
 // Paged, dirty-tracked bulk state: the helper behind the Hashable /
-// Snapshottable / StatePooler conventions for models that own real
-// memory. A whole-array digest or restore costs what the model owns; a
-// faulted run forked from a golden node only ever disturbs the pages
-// it writes (its dynamic cone), so PagedState makes both cost what the
-// run wrote instead. The contract has three parts:
+// Snapshottable conventions for models that own real memory. A
+// whole-array digest or restore costs what the model owns; a faulted
+// run forked from a golden node only ever disturbs the pages it writes
+// (its dynamic cone), so PagedState makes both cost what the run wrote
+// instead. The contract has three parts:
 //
 //   - Storage is owned by the helper. Cells are reached only through
 //     Load and Store, so a write that skips the dirty barrier cannot be

@@ -87,8 +87,8 @@ func rootKernel(t *testing.T) (*Kernel, *rootState, *Event, *Checkpoint) {
 	t.Cleanup(k.Shutdown)
 	st := &rootState{}
 	ping := rootModel(k, st)
-	root, err := k.Snapshot()
-	if err != nil {
+	root := &Checkpoint{}
+	if err := k.SnapshotInto(root); err != nil {
 		t.Fatalf("Snapshot of a pristine kernel: %v", err)
 	}
 	return k, st, ping, root

@@ -1,5 +1,5 @@
 // Package simtest holds test helpers for models that follow the sim
-// state conventions (Hashable, Snapshottable, StatePooler).
+// state conventions (sim.State: Hashable and Snapshottable).
 package simtest
 
 import (
@@ -19,15 +19,15 @@ import (
 // hand: one forgotten field is a silently wrong safety verdict. The
 // lint turns the omission into a test failure. It walks the fields of a
 // struct by reflection, perturbs each one in place, and requires that
-// the owning model's digest changes and that snapshot → perturb →
-// restore puts field and digest back. A field the walk cannot or should
-// not check that way needs a Rule, and every Rule carries its reason.
-
-// Model is a prototype that implements both state conventions.
-type Model interface {
-	sim.Hashable
-	sim.Snapshottable
-}
+// the owning model's digest changes and that capture → perturb →
+// restore puts field and digest back. A model has one capture, called
+// two ways, and both are checked: into nil, and into a buffer that
+// holds the field perturbed, so a capture that skips the field when it
+// reuses a buffer shows. Each field is checked from two baselines, its
+// value and its perturbed value, so a field the capture never writes
+// shows even where its value is the zero value. A field the walk cannot
+// or should not check that way needs a Rule, and every Rule carries its
+// reason.
 
 // TB is the part of testing.TB the lint reports through, so a test can
 // hand it a recorder and assert that a seeded omission is caught.
@@ -75,7 +75,7 @@ func Via(reason string, perturb func()) Rule {
 // structs and without slice or array indices ("queue.Data"); a rule on
 // a path covers everything below it. A rule with an empty reason, or
 // one naming no field, fails the lint too.
-func StateCoverage(t TB, m Model, target any, rules map[string]Rule) {
+func StateCoverage(t TB, m sim.State, target any, rules map[string]Rule) {
 	t.Helper()
 	v := reflect.ValueOf(target)
 	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
@@ -87,6 +87,14 @@ func StateCoverage(t TB, m Model, target any, rules map[string]Rule) {
 		if strings.TrimSpace(r.reason) == "" {
 			t.Errorf("statelint: %s.%s: rule without a reason", l.name, path)
 		}
+	}
+	// A round trip through a capture into nil must not move the digest.
+	// It also leaves state the capture misses where every later restore
+	// puts it, so that each check sees only its own field move.
+	before := l.digest()
+	m.RestoreState(m.SnapshotState(nil))
+	if after := l.digest(); after != before {
+		t.Errorf("statelint: %s: a capture into nil and its restore change the digest: the capture misses some state (its own check names it, unless a Via rule or another target reaches it)", l.name)
 	}
 	l.walk(func() reflect.Value { return v.Elem() }, "", true)
 	var stale []string
@@ -103,13 +111,10 @@ func StateCoverage(t TB, m Model, target any, rules map[string]Rule) {
 
 type linter struct {
 	t     TB
-	m     Model
+	m     sim.State
 	rules map[string]Rule
 	used  map[string]bool
 	name  string
-	// prev recycles the model-state capture between checks, so a
-	// StatePooler's buffer-reusing path is the one exercised.
-	prev any
 }
 
 func (l *linter) digest() uint64 { return sim.StateSignature(l.m) }
@@ -191,7 +196,8 @@ func (l *linter) walk(get func() reflect.Value, path string, hashed bool) {
 	case reflect.Array, reflect.Slice:
 		if v.Len() == 0 {
 			if v.Kind() == reflect.Slice {
-				l.check(path+"[len]", get, func(v reflect.Value) { v.Set(reflect.MakeSlice(v.Type(), 1, 1)) }, hashed)
+				// Length 0 ↔ 1: a second perturbation undoes the first.
+				l.check(path+"[len]", get, func(v reflect.Value) { n := 1 - v.Len(); v.Set(reflect.MakeSlice(v.Type(), n, n)) }, hashed)
 			}
 			return
 		}
@@ -216,7 +222,7 @@ func (l *linter) walk(get func() reflect.Value, path string, hashed bool) {
 		l.check(path, get, func(v reflect.Value) { v.SetString(v.String() + "~") }, hashed)
 	default:
 		if v.Kind() == reflect.Interface && v.Type() == errorType {
-			l.check(path, get, func(v reflect.Value) { v.Set(reflect.ValueOf(errors.New("statelint"))) }, hashed)
+			l.check(path, get, func(v reflect.Value) { v.Set(reflect.ValueOf(errors.New(fmt.Sprint(v.Interface()) + "~"))) }, hashed)
 			return
 		}
 		l.errorf(path, "a %s cannot be perturbed by reflection: cover what it holds with a Via rule, or mark it NotState, with the reason", v.Kind())
@@ -236,39 +242,69 @@ func sample(n int) []int {
 	return []int{0, n / 2, n - 1}
 }
 
-// check runs one snapshot → perturb → restore cycle on the value get
-// resolves (nil for a Via rule, whose state only the digest can see).
+// check lints the value get resolves at path (get is nil for a Via
+// rule, whose state only the digest can see). From each baseline,
+// capture → perturb → restore must put the field and the digest back,
+// the capture taken into nil and into a buffer holding the field
+// perturbed. The model is left as it was found.
 func (l *linter) check(path string, get func() reflect.Value, perturb func(reflect.Value), hashed bool) {
 	l.t.Helper()
-	before := l.digest()
-	snap := sim.SnapshotModelState(l.m, l.prev)
-	var field, saved reflect.Value
-	if get != nil {
-		field = get()
-		saved = deepCopy(field)
+	if get == nil {
+		get = func() reflect.Value { return reflect.Value{} }
 	}
-	perturb(field)
-	if hashed && l.digest() == before {
-		l.errorf(path, "perturbing it leaves the HashState digest unchanged — fold it, or list it as Unhashed with the reason")
-	}
-	l.m.RestoreState(snap)
-	l.prev = snap
-	if get != nil {
-		if now := get(); !now.IsValid() {
-			l.errorf(path, "snapshot → perturb → restore dropped it")
-		} else if !same(now, saved) {
-			l.errorf(path, "snapshot → perturb → restore does not put it back (have %v, want %v)", now, saved)
-			now.Set(saved) // keep one omission from failing every later field
+	found, origin := deepCopy(get()), l.m.SnapshotState(nil)
+	defer func() {
+		l.m.RestoreState(origin)
+		if now := get(); now.IsValid() && !same(now, found) {
+			now.Set(found)
 		}
+	}()
+	back := func(want reflect.Value, before uint64, what string) bool {
+		l.t.Helper()
+		if now := get(); want.IsValid() && (!now.IsValid() || !same(now, want)) {
+			l.errorf(path, "%s does not put it back (have %v, want %v)", what, now, want)
+			return false
+		}
+		if after := l.digest(); after != before {
+			l.errorf(path, "%s: the digest after restore (%#x) differs from the one before the perturbation (%#x)", what, after, before)
+			return false
+		}
+		return true
 	}
-	if after := l.digest(); after != before {
-		l.errorf(path, "the digest after restore (%#x) differs from the one before the perturbation (%#x)", after, before)
+	for base := 0; base < 2; base++ {
+		if base == 1 {
+			perturb(get())
+		}
+		want := deepCopy(get())
+		before := l.digest()
+		ref := l.m.SnapshotState(nil)
+		perturb(get())
+		if hashed && l.digest() == before {
+			l.errorf(path, "perturbing it leaves the HashState digest unchanged — fold it, or list it as Unhashed with the reason")
+			return
+		}
+		l.m.RestoreState(ref)
+		if !back(want, before, "capture into nil → perturb → restore") {
+			return
+		}
+		perturb(get())
+		buf := l.m.SnapshotState(nil)
+		l.m.RestoreState(ref)
+		snap := l.m.SnapshotState(buf)
+		perturb(get())
+		l.m.RestoreState(snap)
+		if !back(want, before, "capture into a buffer holding it perturbed → perturb → restore") {
+			return
+		}
 	}
 }
 
 // deepCopy copies v far enough that perturbing v in place cannot reach
 // the copy: slices get fresh backing arrays, recursively.
 func deepCopy(v reflect.Value) reflect.Value {
+	if !v.IsValid() {
+		return v
+	}
 	out := reflect.New(v.Type()).Elem()
 	switch v.Kind() {
 	case reflect.Slice:

@@ -8,20 +8,29 @@ import (
 
 // Snapshottable is the convention prototypes implement to support
 // checkpointing — golden-prefix nodes, and the time-zero capture a reused
-// prototype is rewound to: SnapshotState returns an opaque deep copy of
-// all mutable model state, and RestoreState writes a previously captured
-// copy back into the live objects. The
-// kernel's own Snapshot/Restore pair covers scheduler state (clock,
-// event queue, process states); SnapshotState must cover everything
-// else the model mutates during a run — memories, counters, queues,
-// signal shadows — so that restoring both yields a simulation
-// observationally identical to one that never ran past the snapshot
-// point. RestoreState must not alias the saved state into the model:
-// a checkpoint is restored many times, and a run after one restore
-// must not be able to corrupt the next.
+// prototype is rewound to. The kernel's own SnapshotInto/Restore pair
+// covers scheduler state (clock, event queue, process states);
+// SnapshotState captures everything else the model mutates during a run
+// — memories, counters, queues, signal shadows — so that restoring both
+// yields a simulation observationally identical to one that never ran
+// past the snapshot point. A model has one capture: prev is nil, which
+// allocates, or a capture an earlier SnapshotState of the same model type
+// returned, whose buffers are overwritten (as fmi2GetFMUstate overwrites
+// the state it is handed), so checkpoint trees recycle node states
+// allocation-free. Either way every field is written. RestoreState writes
+// a capture back and must not alias it into the model: a checkpoint is
+// restored many times, and a run after one restore must not be able to
+// corrupt the next.
 type Snapshottable interface {
-	SnapshotState() any
+	SnapshotState(prev any) any
 	RestoreState(state any)
+}
+
+// State is a model under both conventions: what checkpoints, early exit
+// and the state-coverage lint need of a prototype.
+type State interface {
+	Snapshottable
+	Hashable
 }
 
 // cpTimed is one live timed notification captured by a checkpoint: the
@@ -33,9 +42,9 @@ type cpTimed struct {
 	ev  int
 }
 
-// Checkpoint is an opaque kernel snapshot taken by Kernel.Snapshot and
-// consumed by Kernel.Restore. It names events and processes by creation
-// index, so it restores into any kernel elaborated the same way — the
+// Checkpoint is an opaque kernel snapshot taken by Kernel.SnapshotInto
+// and consumed by Kernel.Restore. It names events and processes by
+// creation index, so it restores into any kernel elaborated the same way — the
 // one it was taken on, or another kernel the same Model.Build elaborated
 // — and into no other (see Restore). It captures the clock, the timed
 // event queue, per-event pending notifications, per-process run states
@@ -75,9 +84,11 @@ func (cp *Checkpoint) ApproxBytes() int {
 	return headBytes + cap(cp.timed)*timedSize + cap(cp.staticLen)*8 + cap(cp.states)
 }
 
-// Snapshot captures the kernel's scheduler state so a later Restore
-// can rewind the simulation to this exact point. The kernel must be
-// between Run calls (snapshotting mid-delta-cycle would tear the
+// SnapshotInto captures the kernel's scheduler state into cp, reusing
+// its internal buffers (repeated snapshots through the same Checkpoint
+// are allocation-free in steady state), so a later Restore can rewind
+// the simulation to this exact point. The kernel must be between Run
+// calls (snapshotting mid-delta-cycle would tear the
 // evaluate/update/notify phases apart), with no pending delta
 // notifications or channel updates (run to a time boundary first), no
 // live thread processes (a goroutine stack cannot be copied — convert
@@ -87,17 +98,6 @@ func (cp *Checkpoint) ApproxBytes() int {
 // waiting for their initial activation, is snapshottable: that capture
 // rewinds a kernel to time zero. Model state is NOT captured — pair this
 // with the prototype's Snapshottable.
-func (k *Kernel) Snapshot() (*Checkpoint, error) {
-	cp := &Checkpoint{}
-	if err := k.SnapshotInto(cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// SnapshotInto is Snapshot writing into a caller-owned Checkpoint,
-// reusing its internal buffers; repeated snapshots through the same
-// Checkpoint are allocation-free in steady state.
 func (k *Kernel) SnapshotInto(cp *Checkpoint) error {
 	if k.running {
 		return errors.New("sim: Snapshot called while the kernel is running (snapshots must be taken between Run calls, not mid-delta-cycle)")

@@ -28,7 +28,7 @@ func snapModel(k *Kernel, name string) *Signal[uint64] {
 	return sig
 }
 
-// TestSnapshotRejectsMidDelta: Snapshot from inside a process body —
+// TestSnapshotRejectsMidDelta: SnapshotInto from inside a process body —
 // mid-delta-cycle — must fail with an error saying the kernel is
 // running, never tear the evaluate/update phases apart.
 func TestSnapshotRejectsMidDelta(t *testing.T) {
@@ -36,7 +36,7 @@ func TestSnapshotRejectsMidDelta(t *testing.T) {
 	defer k.Shutdown()
 	ev := k.NewEvent("ev")
 	var serr error
-	k.MethodNoInit("snapper", func() { _, serr = k.Snapshot() }, ev)
+	k.MethodNoInit("snapper", func() { serr = k.SnapshotInto(&Checkpoint{}) }, ev)
 	ev.Notify(NS(1))
 	if err := k.Run(US(1)); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSnapshotRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.NewEvent("ev").Notify(0)
-		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "delta notifications") {
+		if err := k.SnapshotInto(&Checkpoint{}); err == nil || !strings.Contains(err.Error(), "delta notifications") {
 			t.Fatalf("Snapshot with a pending delta notification: %v", err)
 		}
 	})
@@ -72,7 +72,7 @@ func TestSnapshotRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 		sig.Write(1)
-		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "channel updates") {
+		if err := k.SnapshotInto(&Checkpoint{}); err == nil || !strings.Contains(err.Error(), "channel updates") {
 			t.Fatalf("Snapshot with a pending channel update: %v", err)
 		}
 	})
@@ -84,7 +84,7 @@ func TestSnapshotRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.AttachTracer(NewTracer(&strings.Builder{}))
-		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "tracer") {
+		if err := k.SnapshotInto(&Checkpoint{}); err == nil || !strings.Contains(err.Error(), "tracer") {
 			t.Fatalf("Snapshot with attached tracer: %v", err)
 		}
 	})
@@ -96,7 +96,7 @@ func TestSnapshotRejections(t *testing.T) {
 		if err := k.Run(NS(10)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "parked") {
+		if err := k.SnapshotInto(&Checkpoint{}); err == nil || !strings.Contains(err.Error(), "parked") {
 			t.Fatalf("Snapshot with live thread: %v", err)
 		}
 	})
@@ -115,8 +115,8 @@ func TestSnapshotRestoreTrajectory(t *testing.T) {
 	if err := k.Run(NS(50)); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := k.Snapshot()
-	if err != nil {
+	var cp Checkpoint
+	if err := k.SnapshotInto(&cp); err != nil {
 		t.Fatal(err)
 	}
 	if cp.Now() != NS(50) {
@@ -140,7 +140,7 @@ func TestSnapshotRestoreTrajectory(t *testing.T) {
 		t.Fatalf("continuation traced nothing:\n%s", first)
 	}
 	for i := 0; i < 3; i++ {
-		if err := k.Restore(cp); err != nil {
+		if err := k.Restore(&cp); err != nil {
 			t.Fatal(err)
 		}
 		if k.Now() != NS(50) {
@@ -243,8 +243,8 @@ func TestRestoreRule(t *testing.T) {
 	if err := k.Run(NS(50)); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := k.Snapshot()
-	if err != nil {
+	var cp Checkpoint
+	if err := k.SnapshotInto(&cp); err != nil {
 		t.Fatal(err)
 	}
 	// Run the kernel past the checkpoint first: the restore must rewind
@@ -252,7 +252,7 @@ func TestRestoreRule(t *testing.T) {
 	if err := k.RunUntil(NS(130)); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Restore(cp); err != nil {
+	if err := k.Restore(&cp); err != nil {
 		t.Fatalf("Restore into the source kernel: %v", err)
 	}
 	if got := continuation(k, sig); got != want {
@@ -262,7 +262,7 @@ func TestRestoreRule(t *testing.T) {
 	other := NewKernel()
 	defer other.Shutdown()
 	otherSig := snapModel(other, "m")
-	if err := other.Restore(cp); err != nil {
+	if err := other.Restore(&cp); err != nil {
 		t.Fatalf("Restore into a second kernel of the same elaboration: %v", err)
 	}
 	if got := continuation(other, otherSig); got != want {
@@ -272,12 +272,12 @@ func TestRestoreRule(t *testing.T) {
 	foreign := NewKernel()
 	defer foreign.Shutdown()
 	snapModel(foreign, "n") // as many events and processes, other names
-	if err := foreign.Restore(cp); err == nil || !strings.Contains(err.Error(), "another elaboration") {
+	if err := foreign.Restore(&cp); err == nil || !strings.Contains(err.Error(), "another elaboration") {
 		t.Errorf("Restore into a kernel of another model: %v", err)
 	}
 	empty := NewKernel()
 	defer empty.Shutdown()
-	if err := empty.Restore(cp); err == nil || !strings.Contains(err.Error(), "fewer") {
+	if err := empty.Restore(&cp); err == nil || !strings.Contains(err.Error(), "fewer") {
 		t.Errorf("Restore into an empty kernel: %v", err)
 	}
 }

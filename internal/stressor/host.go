@@ -17,16 +17,10 @@ import (
 // pooled slots, the checkpoint tree, fork windows and convergence early
 // exit. A prototype supplies only its Model.
 
-// State is a prototype elaborated on one kernel, as far as the shortcuts
-// need it: snapshots for the tree, a digest for early exit and signatures.
-type State interface {
-	sim.Snapshottable
-	sim.Hashable
-}
-
-// Model is what a prototype tells Host. S is its elaborated state, G what
+// Model is what a prototype tells Host. S is its elaborated state — a
+// capture for the tree, a digest for early exit and signatures — G what
 // it records of the golden run to answer a run that early-exits.
-type Model[S State, G any] interface {
+type Model[S sim.State, G any] interface {
 	// Build elaborates a fresh prototype on k, ready to run from time
 	// zero, and returns it with its injection-site registry. It must
 	// leave no delta notification or channel update pending: the host
@@ -56,7 +50,7 @@ type Model[S State, G any] interface {
 // Checkpointer it forks scenarios off its golden-prefix tree nodes, which
 // any session restores into whatever slot it holds and which outlive the
 // campaign. Results are byte-identical to ReuseOff's.
-type Host[S State, G any] struct {
+type Host[S sim.State, G any] struct {
 	// ReuseOff turns every shortcut off: each scenario builds the
 	// prototype afresh and ForkTime declines it. It is the naive oracle
 	// the shortcuts are checked against.
@@ -87,7 +81,7 @@ type Host[S State, G any] struct {
 
 // hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
 // per scenario, so record and timeline buffers survive the campaign.
-type hostSlot[S State] struct {
+type hostSlot[S sim.State] struct {
 	k    *sim.Kernel
 	s    S
 	reg  *fault.Registry
@@ -100,7 +94,7 @@ type hostSlot[S State] struct {
 
 // NewHost builds the first slot, captures it as the root and walks the
 // golden run on it. name prefixes the host's errors.
-func NewHost[S State, G any](name string, m Model[S, G], horizon sim.Time) (*Host[S, G], error) {
+func NewHost[S sim.State, G any](name string, m Model[S, G], horizon sim.Time) (*Host[S, G], error) {
 	h := &Host[S, G]{name: name, m: m, horizon: horizon}
 	sl := h.take()
 	h.reg = sl.reg
@@ -111,7 +105,7 @@ func NewHost[S State, G any](name string, m Model[S, G], horizon sim.Time) (*Hos
 	if err := sl.k.SnapshotInto(&h.root.cp); err != nil {
 		return nil, fmt.Errorf("%s: root checkpoint: %w", name, err)
 	}
-	h.root.mst = sim.SnapshotModelState(sl.s, nil)
+	h.root.mst = sl.s.SnapshotState(nil)
 	if err := h.walkGolden(sl); err != nil {
 		return nil, err
 	}

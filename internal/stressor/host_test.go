@@ -73,7 +73,7 @@ const (
 	fanHorizon = 50
 )
 
-func (m *fanModel) SnapshotState() any { return *m }
+func (m *fanModel) SnapshotState(any) any { return *m }
 
 func (m *fanModel) RestoreState(st any) {
 	s := st.(fanModel)

@@ -76,8 +76,8 @@ type treeNode struct {
 // session of the host. Sessions restore from it under the read lock and
 // publish into it, or evict from it, under the write lock, and keep no
 // node pointer once they let go of the lock. Evicted nodes go to free,
-// whose buffers SnapshotInto and SnapshotModelState overwrite, so a warm
-// host publishes without allocating.
+// whose buffers SnapshotInto and SnapshotState overwrite, so a warm host
+// publishes without allocating.
 type goldenNodes struct {
 	mu    sync.RWMutex
 	nodes []*treeNode
@@ -145,7 +145,7 @@ func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counte
 		g.free = append(g.free, nd)
 		return err
 	}
-	nd.mst = sim.SnapshotModelState(sl.s, nd.mst)
+	nd.mst = sl.s.SnapshotState(nd.mst)
 	nd.fork, nd.bytes = fork, nd.cp.ApproxBytes()
 	nd.used.Store(g.epoch)
 	g.nodes = slices.Insert(g.nodes, i, nd)
@@ -187,7 +187,7 @@ func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 // instant before the injection, which reproduces a full run's schedule at
 // the injection instant exactly (the stressor's process id is the highest
 // either way, so it evaluates last within an instant).
-type session[S State, G any] struct {
+type session[S sim.State, G any] struct {
 	h     *Host[S, G]
 	cfg   TreeConfig
 	sl    *hostSlot[S]   // nil until init, and again after Close
@@ -330,7 +330,7 @@ func (s *session[S, G]) Establish(fork sim.Time) error {
 
 // Prototype is the prototype in the session's slot, for tests of the slot
 // pool: valid from the first run until Close.
-func (s *session[S, G]) Prototype() State { return s.sl.s }
+func (s *session[S, G]) Prototype() sim.State { return s.sl.s }
 
 // establish leaves kernel and model in the golden state at simulated
 // time fork-1, with a host node at fork for the next scenario. Cheapest

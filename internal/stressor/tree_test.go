@@ -25,7 +25,7 @@ func (m *tickModel) elaborate(k *sim.Kernel) {
 	m.ev.Notify(1)
 }
 
-func (m *tickModel) SnapshotState() any         { return m.ticks }
+func (m *tickModel) SnapshotState(any) any      { return m.ticks }
 func (m *tickModel) RestoreState(st any)        { m.ticks = st.(int) }
 func (m *tickModel) HashState(h *sim.StateHash) { h.Int(m.ticks) }
 func (m *tickModel) at(k *sim.Kernel) [2]int    { return [2]int{int(k.Now()), m.ticks} }

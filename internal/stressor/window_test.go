@@ -101,7 +101,7 @@ type windowState struct {
 	edgeAt, lateAt sim.Time
 }
 
-func (m *windowModel) SnapshotState() any {
+func (m *windowModel) SnapshotState(any) any {
 	return windowState{m.reg, m.reg2, m.acc, m.edgeAt, m.lateAt}
 }
 

@@ -197,27 +197,13 @@ type MemoryState struct {
 	writes uint64
 }
 
-// SnapshotState implements sim.Snapshottable.
-func (m *Memory) SnapshotState() any {
-	st := &MemoryState{
-		data:   append([]byte(nil), m.data...),
-		stuck:  make(map[uint64]stuck, len(m.stuckMask)),
-		reads:  m.reads,
-		writes: m.writes,
-	}
-	for k, v := range m.stuckMask {
-		st.stuck[k] = v
-	}
-	return st
-}
-
-// SnapshotStateInto implements sim.StatePooler: SnapshotState reusing
-// the buffers of a previous capture, so checkpoint trees can recycle
-// node states allocation-free in steady state.
-func (m *Memory) SnapshotStateInto(prev any) any {
+// SnapshotState implements sim.Snapshottable, reusing prev's buffers
+// so checkpoint trees recycle node states allocation-free in steady
+// state.
+func (m *Memory) SnapshotState(prev any) any {
 	st, _ := prev.(*MemoryState)
 	if st == nil {
-		return m.SnapshotState()
+		st = &MemoryState{stuck: map[uint64]stuck{}}
 	}
 	st.data = append(st.data[:0], m.data...)
 	clear(st.stuck)

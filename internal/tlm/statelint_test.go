@@ -7,7 +7,7 @@ import (
 )
 
 // TestStateCoverageMemory is the state-coverage lint on Memory: every
-// field is perturbed and must move the digest and survive snapshot →
+// field is perturbed and must move the digest and survive capture →
 // perturb → restore, or is listed with the reason it need not.
 func TestStateCoverageMemory(t *testing.T) {
 	m := NewMemory("lint", 0x100, 64)
@@ -23,6 +23,6 @@ func TestStateCoverageMemory(t *testing.T) {
 		"WriteLatency": simtest.NotState(config),
 		"AllowDMI":     simtest.NotState(config),
 		"stuckMask": simtest.Via("a map: perturbed the way StuckAt writes it",
-			func() { m.stuckMask[0x20] = stuck{mask: 1, value: 1} }),
+			func() { m.stuckMask[0x20] = stuck{mask: 1, value: m.stuckMask[0x20].value ^ 1} }),
 	})
 }
