@@ -42,14 +42,21 @@ type Node struct {
 	// the package doc).
 	OnReceive func(f Frame, at sim.Time)
 
-	tec, rec int
-	state    NodeState
 	// queue holds the frames waiting to be sent, oldest first. It is a
 	// window sliding along qbuf's array: pop moves its start, push slides
 	// it back over the sent frames when it reaches the end, so both are
 	// O(1) at any depth and the array is kept from run to run.
 	queue []frame
 	qbuf  []frame
+
+	controller
+}
+
+// controller is a node's scalar run state: fault confinement, traffic
+// statistics and the babbling-idiot latch.
+type controller struct {
+	tec, rec int
+	state    NodeState
 
 	sent, received, errorsSeen uint64
 	// Babbling makes the node continuously transmit highest-priority
@@ -184,7 +191,6 @@ type Bus struct {
 	MaxRetries int
 
 	nodes []*Node
-	busy  bool
 	wake  *sim.Event
 	log   []TxRecord
 
@@ -194,7 +200,6 @@ type Bus struct {
 	// kernel's process table per frame).
 	txdone   *sim.Event
 	txWinner *Node
-	txFrame  frame
 	// rx is the delivery buffer: the frame every OnReceive of one
 	// completed transmission sees, through a Frame that aliases it.
 	rx frame
@@ -202,10 +207,19 @@ type Bus struct {
 	cont []*Node
 
 	// fault injection
+	retriesLeft map[*Node]int
+	babbleFrame frame
+
+	channel
+}
+
+// channel is the bus's scalar run state: the frame in flight, the
+// channel-fault budgets and the arbitration count.
+type channel struct {
+	busy         bool
+	txFrame      frame
 	corruptNext  int // corrupt the next n frames in transit
 	dropNext     int // silently drop the next n frames
-	retriesLeft  map[*Node]int
-	babbleFrame  frame
 	arbitrations uint64
 }
 
@@ -380,13 +394,8 @@ func (b *Bus) complete(sender *Node, f frame) {
 
 // nodeState is one node's mutable state inside a BusState.
 type nodeState struct {
-	tec, rec int
-	state    NodeState
-	queue    []frame
-	sent     uint64
-	received uint64
-	errors   uint64
-	babbling bool
+	controller
+	queue []frame
 }
 
 // BusState is an opaque deep copy of the bus's mutable state — traffic
@@ -395,14 +404,10 @@ type nodeState struct {
 // golden-run checkpointing. Frames carry their payload inline, so the
 // capture shares no bytes with the live bus.
 type BusState struct {
-	busy        bool
+	channel
 	txWinner    int // index into nodes, -1 when no frame is in flight
-	txFrame     frame
 	log         []TxRecord
-	corruptNext int
-	dropNext    int
 	retriesLeft map[int]int // by node index
-	arbs        uint64
 	nodes       []nodeState
 }
 
@@ -416,14 +421,10 @@ func (b *Bus) SnapshotState(prev any) any {
 	if st == nil {
 		st = &BusState{retriesLeft: map[int]int{}}
 	}
-	st.busy = b.busy
+	st.channel = b.channel
 	st.txWinner = -1
-	st.txFrame = b.txFrame
 	st.log = append(st.log[:0], b.log...)
-	st.corruptNext = b.corruptNext
-	st.dropNext = b.dropNext
 	clear(st.retriesLeft)
-	st.arbs = b.arbitrations
 	if cap(st.nodes) < len(b.nodes) {
 		st.nodes = make([]nodeState, len(b.nodes))
 	}
@@ -436,10 +437,8 @@ func (b *Bus) SnapshotState(prev any) any {
 			st.retriesLeft[i] = left
 		}
 		ns := &st.nodes[i]
-		ns.tec, ns.rec, ns.state = n.tec, n.rec, n.state
+		ns.controller = n.controller
 		ns.queue = append(ns.queue[:0], n.queue...)
-		ns.sent, ns.received, ns.errors = n.sent, n.received, n.errorsSeen
-		ns.babbling = n.Babbling
 	}
 	return st
 }
@@ -491,25 +490,18 @@ func hashFrame(h *sim.StateHash, f *frame) {
 // capture back into the live bus and nodes without aliasing it.
 func (b *Bus) RestoreState(state any) {
 	st := state.(*BusState)
-	b.busy = st.busy
+	b.channel = st.channel
 	b.txWinner = nil
 	if st.txWinner >= 0 {
 		b.txWinner = b.nodes[st.txWinner]
 	}
-	b.txFrame = st.txFrame
 	b.log = append(b.log[:0], st.log...)
-	b.corruptNext = st.corruptNext
-	b.dropNext = st.dropNext
 	clear(b.retriesLeft)
 	for i, left := range st.retriesLeft {
 		b.retriesLeft[b.nodes[i]] = left
 	}
-	b.arbitrations = st.arbs
 	for i, n := range b.nodes {
-		ns := st.nodes[i]
-		n.tec, n.rec, n.state = ns.tec, ns.rec, ns.state
-		n.setQueue(ns.queue)
-		n.sent, n.received, n.errorsSeen = ns.sent, ns.received, ns.errors
-		n.Babbling = ns.babbling
+		n.controller = st.nodes[i].controller
+		n.setQueue(st.nodes[i].queue)
 	}
 }

@@ -45,10 +45,12 @@ func TestStateCoverageBus(t *testing.T) {
 		n := n
 		simtest.StateCoverage(t, b, n, map[string]simtest.Rule{
 			"name": simtest.NotState(config), "bus": simtest.NotState(wiring),
-			"OnReceive":  simtest.NotState("wiring: the application's receive callback"),
-			"queue.data": simtest.Via(padding, func() { f := &n.queue[len(n.queue)-1]; f.data[f.n-1] ^= 0xee }),
-			"qbuf":       simtest.NotState("storage: the array queue slides along; every waiting frame is in queue"),
-			"sent":       simtest.Unhashed(diag), "received": simtest.Unhashed(diag), "errorsSeen": simtest.Unhashed(diag),
+			"OnReceive":             simtest.NotState("wiring: the application's receive callback"),
+			"queue.data":            simtest.Via(padding, func() { f := &n.queue[len(n.queue)-1]; f.data[f.n-1] ^= 0xee }),
+			"qbuf":                  simtest.NotState("storage: the array queue slides along; every waiting frame is in queue"),
+			"controller.sent":       simtest.Unhashed(diag),
+			"controller.received":   simtest.Unhashed(diag),
+			"controller.errorsSeen": simtest.Unhashed(diag),
 		})
 	}
 }
@@ -73,7 +75,7 @@ func TestStateCoverageIdleBus(t *testing.T) {
 		t.Fatalf("bus not idle after traffic: busy=%v winner=%v log=%d", b.busy, b.txWinner, len(b.log))
 	}
 	rules := busRules(b, a, c)
-	rules["txFrame.data"] = simtest.Unhashed("no frame in flight: every byte is padding past n = 0, which HashState does not fold")
+	rules["channel.txFrame.data"] = simtest.Unhashed("no frame in flight: every byte is padding past n = 0, which HashState does not fold")
 	simtest.StateCoverage(t, b, b, rules)
 }
 
@@ -99,11 +101,11 @@ func busRules(b *Bus, a, c *Node) map[string]simtest.Rule {
 				b.txWinner = a
 			}
 		}),
-		"txFrame.data": simtest.Via(padding, func() { b.txFrame.data[b.txFrame.n-1] ^= 0xee }),
-		"rx":           simtest.NotState("scratch: the delivery buffer, rewritten before every OnReceive and read only during it"),
-		"cont":         simtest.NotState("scratch: contenders refills it every arbitration round"),
-		"retriesLeft":  simtest.Via("a map keyed by node, captured by index", func() { b.retriesLeft[a]-- }),
-		"babbleFrame":  simtest.NotState(config),
-		"arbitrations": simtest.Unhashed(diag),
+		"channel.txFrame.data": simtest.Via(padding, func() { b.txFrame.data[b.txFrame.n-1] ^= 0xee }),
+		"rx":                   simtest.NotState("scratch: the delivery buffer, rewritten before every OnReceive and read only during it"),
+		"cont":                 simtest.NotState("scratch: contenders refills it every arbitration round"),
+		"retriesLeft":          simtest.Via("a map keyed by node, captured by index", func() { b.retriesLeft[a]-- }),
+		"babbleFrame":          simtest.NotState(config),
+		"channel.arbitrations": simtest.Unhashed(diag),
 	}
 }

@@ -74,8 +74,8 @@ func systemRules(sys *System) map[string]simtest.Rule {
 		"bus": simtest.Via("can.Bus is linted in its own package; here: System folds and restores it",
 			func() { sys.bus.DropNextFrames(1) }),
 		"fusionTx": simtest.NotState(wiring), "airbagRx": simtest.NotState(wiring), "babbler": simtest.NotState(wiring),
-		"Detections": simtest.Unhashed("accumulated observation history: composeObservation splices it at early-exit (see HashState)"),
-		"Severities": simtest.Unhashed("accumulated observation history: composeObservation splices it at early-exit (see HashState)"),
+		"Detections": simtest.Unhashed("accumulated observation history: model.Converged splices it at early-exit (see HashState)"),
+		"Severities": simtest.Unhashed("accumulated observation history: model.Converged splices it at early-exit (see HashState)"),
 		"Trace":      simtest.Unhashed("pure diagnostics: a fault that leaves only a trace residue has no remaining effect (see HashState)"),
 	}
 }

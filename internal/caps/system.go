@@ -106,17 +106,9 @@ type System struct {
 	airbagRx *can.Node
 	babbler  *can.Node
 
-	// airbag state
-	threshold     byte
-	thresholdInv  byte // redundant inverted copy
-	debounceCount int
-	inhibited     bool
-	lastFrameAt   sim.Time
-	gotFrame      bool
+	airbag
 
 	// results
-	Fired      bool
-	FiredAt    sim.Time
 	Detections []string
 	Severities []byte // reported severity stream (observable output)
 	// Trace records error propagation through the prototype: every
@@ -125,13 +117,28 @@ type System struct {
 	Trace analysis.Trace
 }
 
+// airbag is the airbag ECU's scalar run state: its latches, and whether
+// and when it deployed.
+type airbag struct {
+	threshold     byte
+	thresholdInv  byte // redundant inverted copy
+	debounceCount int
+	inhibited     bool
+	lastFrameAt   sim.Time
+	gotFrame      bool
+
+	// results
+	Fired   bool
+	FiredAt sim.Time
+}
+
 // Build wires the prototype onto the kernel and returns it with its
 // injection-site registry populated.
 func Build(k *sim.Kernel, cfg Config, world *World) (*System, *fault.Registry) {
 	if cfg.Debounce < 1 {
 		cfg.Debounce = 1
 	}
-	s := &System{cfg: cfg, world: world, k: k, threshold: cfg.FireThreshold, thresholdInv: ^cfg.FireThreshold}
+	s := &System{cfg: cfg, world: world, k: k, airbag: airbag{threshold: cfg.FireThreshold, thresholdInv: ^cfg.FireThreshold}}
 
 	s.sensors = append(s.sensors, NewSensor("accel0", world))
 	if cfg.Redundant {
@@ -326,29 +333,19 @@ func (s *System) frameWatchdog() {
 // Inhibited reports whether a mechanism latched the safe state.
 func (s *System) Inhibited() bool { return s.inhibited }
 
-// sensorState is one sensor's installed disturbance.
-type sensorState struct{ offset, override float64 }
-
 // systemState is the opaque deep copy of the prototype's mutable state
 // returned by SnapshotState: airbag-side latches, observable outputs,
 // the propagation trace, the calibration memory, the CAN bus and the
 // sensor disturbances. The kernel checkpoint carries the scheduler
 // side (fusion/watchdog timers, in-flight bus notifications).
 type systemState struct {
-	threshold     byte
-	thresholdInv  byte
-	debounceCount int
-	inhibited     bool
-	lastFrameAt   sim.Time
-	gotFrame      bool
-	fired         bool
-	firedAt       sim.Time
-	detections    []string
-	severities    []byte
-	trace         analysis.Trace
-	calib         any
-	bus           any
-	sensors       []sensorState
+	airbag
+	detections []string
+	severities []byte
+	trace      analysis.Trace
+	calib      any
+	bus        any
+	sensors    []sensorState
 }
 
 // SnapshotState implements sim.Snapshottable, reusing prev's buffers
@@ -358,14 +355,7 @@ func (s *System) SnapshotState(prev any) any {
 	if st == nil {
 		st = &systemState{}
 	}
-	st.threshold = s.threshold
-	st.thresholdInv = s.thresholdInv
-	st.debounceCount = s.debounceCount
-	st.inhibited = s.inhibited
-	st.lastFrameAt = s.lastFrameAt
-	st.gotFrame = s.gotFrame
-	st.fired = s.Fired
-	st.firedAt = s.FiredAt
+	st.airbag = s.airbag
 	if s.Detections == nil {
 		st.detections = nil
 	} else {
@@ -379,7 +369,7 @@ func (s *System) SnapshotState(prev any) any {
 		st.sensors = make([]sensorState, len(s.sensors))
 	}
 	for i, sen := range s.sensors {
-		st.sensors[i] = sensorState{offset: sen.offset, override: sen.override}
+		st.sensors[i] = sen.sensorState
 	}
 	return st
 }
@@ -396,7 +386,7 @@ func (s *System) SnapshotState(prev any) any {
 //   - Accumulated observation history (Detections, Severities): an
 //     append-only record of the past that nothing feeds back into the
 //     dynamics. A converged run's final history is its live prefix
-//     plus the golden suffix — composeObservation splices it at
+//     plus the golden suffix — model.Converged splices it at
 //     early-exit, replicating detect()'s dedup, so excluding it here
 //     is what lets detected/SDC transients early-exit at all. (detect
 //     does read Detections, but only to dedup appends — and a run
@@ -435,14 +425,7 @@ func (s *System) HashState(h *sim.StateHash) {
 // observation.
 func (s *System) RestoreState(state any) {
 	st := state.(*systemState)
-	s.threshold = st.threshold
-	s.thresholdInv = st.thresholdInv
-	s.debounceCount = st.debounceCount
-	s.inhibited = st.inhibited
-	s.lastFrameAt = st.lastFrameAt
-	s.gotFrame = st.gotFrame
-	s.Fired = st.fired
-	s.FiredAt = st.firedAt
+	s.airbag = st.airbag
 	s.Detections = nil
 	if st.detections != nil {
 		s.Detections = append([]string(nil), st.detections...)
@@ -452,7 +435,6 @@ func (s *System) RestoreState(state any) {
 	s.calib.RestoreState(st.calib)
 	s.bus.RestoreState(st.bus)
 	for i, sen := range s.sensors {
-		sen.offset = st.sensors[i].offset
-		sen.override = st.sensors[i].override
+		sen.sensorState = st.sensors[i]
 	}
 }

@@ -77,19 +77,23 @@ type Sensor struct {
 	// Rail is the supply voltage (clipping level).
 	Rail float64
 
+	sensorState
+}
+
+// sensorState is the sensor's installed disturbance.
+type sensorState struct {
 	offset   float64
 	override float64 // NaN = none; +Inf = open line (reads as 0 V)
 }
 
 // NewSensor creates a 0.05 V/g sensor on a 5 V rail.
 func NewSensor(name string, w *World) *Sensor {
-	return &Sensor{Name: name, World: w, Scale: 0.05, Rail: 5.0, override: math.NaN()}
+	return &Sensor{Name: name, World: w, Scale: 0.05, Rail: 5.0, sensorState: sensorState{override: math.NaN()}}
 }
 
 // SetDisturbance implements fault.AnalogValue.
 func (s *Sensor) SetDisturbance(offset, override float64) {
-	s.offset = offset
-	s.override = override
+	s.sensorState = sensorState{offset, override}
 }
 
 // Faulted reports whether a disturbance is installed.

@@ -39,7 +39,12 @@ type coreRunner struct {
 	// core's completion (error and done flag) into the slot.
 	onDone func(error)
 
-	ev    *sim.Event
+	ev *sim.Event
+	crState
+}
+
+// crState is a core runner's run state: unsynced time, phase, error.
+type crState struct {
 	local sim.Time
 	phase uint8
 	err   error

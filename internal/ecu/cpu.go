@@ -28,6 +28,11 @@ type CPU struct {
 	// StoreHook observes every SW (lockstep comparators attach here).
 	StoreHook func(addr, val uint32)
 
+	cpuState
+}
+
+// cpuState is the core's run state: everything Step changes.
+type cpuState struct {
 	regs    [16]uint32
 	pc      uint32
 	savedPC uint32
@@ -51,15 +56,7 @@ func NewCPU(name string) *CPU {
 func (c *CPU) Name() string { return c.name }
 
 // Reset initializes the core to start execution at pc.
-func (c *CPU) Reset(pc uint32) {
-	c.regs = [16]uint32{}
-	c.pc = pc
-	c.savedPC = 0
-	c.inIRQ = false
-	c.pending = false
-	c.halted = false
-	c.instrs = 0
-}
+func (c *CPU) Reset(pc uint32) { c.cpuState = cpuState{pc: pc} }
 
 // PC reports the program counter.
 func (c *CPU) PC() uint32 { return c.pc }

@@ -145,13 +145,18 @@ type ECCMemory struct {
 
 	ReadLatency  sim.Time
 	WriteLatency sim.Time
-
-	corrected     uint64
-	uncorrectable uint64
 	// CorrectionDelay models the extra read latency of an ECC repair
 	// (the "error correction that may cause deadline violations" of
 	// Sec. 3.4).
 	CorrectionDelay sim.Time
+
+	eccCounters
+}
+
+// eccCounters is the memory's run state: its detection outputs.
+type eccCounters struct {
+	corrected     uint64
+	uncorrectable uint64
 }
 
 // codewordBytes is the cell width that holds a 39-bit codeword.

@@ -15,10 +15,15 @@ import (
 // is at store granularity: a corrupted register that never reaches a
 // store stays latent, exactly as in real lockstep designs.
 type Lockstep struct {
-	Primary  *CPU
-	Shadow   *CPU
-	pLog     storeLog
-	sLog     storeLog
+	Primary *CPU
+	Shadow  *CPU
+	pLog    storeLog
+	sLog    storeLog
+	verdict
+}
+
+// verdict is the comparator's run state: whether it fired, and on what.
+type verdict struct {
 	diverged bool
 	detail   string
 }

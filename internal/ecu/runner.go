@@ -167,11 +167,17 @@ type ecuSlot struct {
 	pRun, sRun *coreRunner
 	stop       *stopRunner
 
-	// per-run scratch state
+	// per-run state
+	completion
+	tableBuf []byte // table's scratch buffer
+}
+
+// completion is the slot's run state: each core's outcome, and when
+// both were done.
+type completion struct {
 	pDone, sDone bool
 	pErr, sErr   error
 	haltAt       sim.Time
-	tableBuf     []byte
 }
 
 // Build elaborates a fresh dual-core prototype on k, ready to run.

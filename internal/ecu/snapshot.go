@@ -9,56 +9,25 @@ import (
 // mutates — core register files, ECC codeword arrays, the watchdog
 // shadow memory, lockstep store logs, watchdog counters and the
 // run-phase process machines — so restoring it plus the paired kernel
-// checkpoint rewinds a slot to the golden-prefix instant exactly. The
-// codeword arrays are sim.PagedState captures: restoring the capture a
-// slot was last forked from copies back only the pages the run wrote.
-
-type cpuState struct {
-	regs    [16]uint32
-	pc      uint32
-	savedPC uint32
-	inIRQ   bool
-	pending bool
-	halted  bool
-	instrs  uint64
-}
-
-func (c *CPU) captureInto(st *cpuState) {
-	st.regs = c.regs
-	st.pc = c.pc
-	st.savedPC = c.savedPC
-	st.inIRQ = c.inIRQ
-	st.pending = c.pending
-	st.halted = c.halted
-	st.instrs = c.instrs
-}
-
-func (c *CPU) restoreFrom(st *cpuState) {
-	c.regs = st.regs
-	c.pc = st.pc
-	c.savedPC = st.savedPC
-	c.inIRQ = st.inIRQ
-	c.pending = st.pending
-	c.halted = st.halted
-	c.instrs = st.instrs
-}
+// checkpoint rewinds a slot to the golden-prefix instant exactly. Each
+// component's scalar run state is one value, copied by one assignment.
+// The codeword arrays are sim.PagedState captures: restoring the
+// capture a slot was last forked from copies back only the pages the
+// run wrote.
 
 type eccState struct {
-	mem           sim.PagedCapture
-	corrected     uint64
-	uncorrectable uint64
+	mem sim.PagedCapture
+	eccCounters
 }
 
 func (m *ECCMemory) captureInto(st *eccState) {
 	m.mem.CaptureInto(&st.mem)
-	st.corrected = m.corrected
-	st.uncorrectable = m.uncorrectable
+	st.eccCounters = m.eccCounters
 }
 
 func (m *ECCMemory) restoreFrom(st *eccState) {
 	m.mem.RestoreFrom(&st.mem)
-	m.corrected = st.corrected
-	m.uncorrectable = st.uncorrectable
+	m.eccCounters = st.eccCounters
 }
 
 // PagedStats sums the paged-state work counters of both memories; a
@@ -71,36 +40,21 @@ func (s *ecuSlot) PagedStats() sim.PagedStats {
 	}
 }
 
-type wdState struct {
-	enabled  bool
-	timeouts uint64
-	kicks    uint64
-}
-
 type lsState struct {
 	pLog, sLog storeLog
-	diverged   bool
-	detail     string
+	verdict
 }
 
 func (ls *Lockstep) captureInto(st *lsState) {
 	st.pLog.copyFrom(&ls.pLog)
 	st.sLog.copyFrom(&ls.sLog)
-	st.diverged = ls.diverged
-	st.detail = ls.detail
+	st.verdict = ls.verdict
 }
 
 func (ls *Lockstep) restoreFrom(st *lsState) {
 	ls.pLog.copyFrom(&st.pLog)
 	ls.sLog.copyFrom(&st.sLog)
-	ls.diverged = st.diverged
-	ls.detail = st.detail
-}
-
-type crState struct {
-	local sim.Time
-	phase uint8
-	err   error
+	ls.verdict = st.verdict
 }
 
 // ecuSlotState is the opaque deep copy returned by SnapshotState.
@@ -111,9 +65,7 @@ type ecuSlotState struct {
 	wd              wdState
 	ls              lsState
 	pRun, sRun      crState
-	pDone, sDone    bool
-	pErr, sErr      error
-	haltAt          sim.Time
+	completion
 }
 
 // SnapshotState implements sim.Snapshottable, reusing prev's buffers
@@ -124,18 +76,16 @@ func (s *ecuSlot) SnapshotState(prev any) any {
 	if st == nil {
 		st = &ecuSlotState{}
 	}
-	s.primary.captureInto(&st.primary)
-	s.shadow.captureInto(&st.shadow)
+	st.primary = s.primary.cpuState
+	st.shadow = s.shadow.cpuState
 	s.pram.captureInto(&st.pram)
 	s.sram.captureInto(&st.sram)
 	st.wdshadow = s.wdshadow.SnapshotState(st.wdshadow)
-	st.wd = wdState{enabled: s.wd.enabled, timeouts: s.wd.timeouts, kicks: s.wd.kicks}
+	st.wd = s.wd.wdState
 	s.ls.captureInto(&st.ls)
-	st.pRun = crState{local: s.pRun.local, phase: s.pRun.phase, err: s.pRun.err}
-	st.sRun = crState{local: s.sRun.local, phase: s.sRun.phase, err: s.sRun.err}
-	st.pDone, st.sDone = s.pDone, s.sDone
-	st.pErr, st.sErr = s.pErr, s.sErr
-	st.haltAt = s.haltAt
+	st.pRun = s.pRun.crState
+	st.sRun = s.sRun.crState
+	st.completion = s.completion
 	return st
 }
 
@@ -214,18 +164,14 @@ func hashErr(h *sim.StateHash, err error) {
 // backing buffers (codeword arrays, store logs).
 func (s *ecuSlot) RestoreState(state any) {
 	st := state.(*ecuSlotState)
-	s.primary.restoreFrom(&st.primary)
-	s.shadow.restoreFrom(&st.shadow)
+	s.primary.cpuState = st.primary
+	s.shadow.cpuState = st.shadow
 	s.pram.restoreFrom(&st.pram)
 	s.sram.restoreFrom(&st.sram)
 	s.wdshadow.RestoreState(st.wdshadow)
-	s.wd.enabled = st.wd.enabled
-	s.wd.timeouts = st.wd.timeouts
-	s.wd.kicks = st.wd.kicks
+	s.wd.wdState = st.wd
 	s.ls.restoreFrom(&st.ls)
-	s.pRun.local, s.pRun.phase, s.pRun.err = st.pRun.local, st.pRun.phase, st.pRun.err
-	s.sRun.local, s.sRun.phase, s.sRun.err = st.sRun.local, st.sRun.phase, st.sRun.err
-	s.pDone, s.sDone = st.pDone, st.sDone
-	s.pErr, s.sErr = st.pErr, st.sErr
-	s.haltAt = st.haltAt
+	s.pRun.crState = st.pRun
+	s.sRun.crState = st.sRun
+	s.completion = st.completion
 }

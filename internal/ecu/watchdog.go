@@ -18,7 +18,12 @@ type Watchdog struct {
 	// OnTimeout is called (once per expiry) when the window is missed.
 	OnTimeout func()
 
-	timer    *sim.Event
+	timer *sim.Event
+	wdState
+}
+
+// wdState is the watchdog's run state (the pending expiry is timer's).
+type wdState struct {
 	enabled  bool
 	timeouts uint64
 	kicks    uint64

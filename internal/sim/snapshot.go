@@ -8,19 +8,19 @@ import (
 
 // Snapshottable is the convention prototypes implement to support
 // checkpointing — golden-prefix nodes, and the time-zero capture a reused
-// prototype is rewound to. The kernel's own SnapshotInto/Restore pair
-// covers scheduler state (clock, event queue, process states);
-// SnapshotState captures everything else the model mutates during a run
-// — memories, counters, queues, signal shadows — so that restoring both
-// yields a simulation observationally identical to one that never ran
-// past the snapshot point. A model has one capture: prev is nil, which
-// allocates, or a capture an earlier SnapshotState of the same model type
-// returned, whose buffers are overwritten (as fmi2GetFMUstate overwrites
-// the state it is handed), so checkpoint trees recycle node states
-// allocation-free. Either way every field is written. RestoreState writes
-// a capture back and must not alias it into the model: a checkpoint is
-// restored many times, and a run after one restore must not be able to
-// corrupt the next.
+// prototype is rewound to. The kernel's SnapshotInto/Restore pair covers
+// scheduler state (clock, event queue, process states); SnapshotState
+// captures everything else a run mutates, so that restoring both yields a
+// simulation observationally identical to one that never ran past the
+// snapshot point. A component keeps its scalar run state in one value
+// struct, which capture and restore assign whole (as fmi2GetFMUstate
+// takes a model's state as one value); only slices, maps and pointers get
+// code of their own. prev is nil, which allocates, or an earlier capture
+// of the same model type, whose buffers are overwritten, so checkpoint
+// trees recycle node states allocation-free; either way every field is
+// written. RestoreState writes a capture back and must not alias it into
+// the model: a checkpoint is restored many times, and a run after one
+// restore must not be able to corrupt the next.
 type Snapshottable interface {
 	SnapshotState(prev any) any
 	RestoreState(state any)

@@ -27,6 +27,11 @@ type Memory struct {
 
 	stuckMask map[uint64]stuck // addr -> per-bit stuck info
 
+	accesses
+}
+
+// accesses is the memory's scalar run state: the transactions served.
+type accesses struct {
 	reads, writes uint64
 }
 
@@ -191,10 +196,9 @@ func (m *Memory) Peek(addr uint64, n int) []byte {
 // contents, stuck-at defects and access counters — captured by
 // SnapshotState for golden-run checkpointing.
 type MemoryState struct {
-	data   []byte
-	stuck  map[uint64]stuck
-	reads  uint64
-	writes uint64
+	data  []byte
+	stuck map[uint64]stuck
+	accesses
 }
 
 // SnapshotState implements sim.Snapshottable, reusing prev's buffers
@@ -210,8 +214,7 @@ func (m *Memory) SnapshotState(prev any) any {
 	for k, v := range m.stuckMask {
 		st.stuck[k] = v
 	}
-	st.reads = m.reads
-	st.writes = m.writes
+	st.accesses = m.accesses
 	return st
 }
 
@@ -250,6 +253,5 @@ func (m *Memory) RestoreState(state any) {
 	for k, v := range st.stuck {
 		m.stuckMask[k] = v
 	}
-	m.reads = st.reads
-	m.writes = st.writes
+	m.accesses = st.accesses
 }

@@ -1,11 +1,13 @@
 #!/bin/sh
 # capture-mutants.sh — the capture-mutant sweep (`make capture-mutants`):
-# how much of each model's one state capture the state-coverage lint
-# holds. For each assignment in the SnapshotState bodies of caps.System,
-# can.Bus, tlm.Memory and the ECU slot, in turn, it comments the line
-# out in a copy of the tree and runs that package's TestStateCoverage*.
-# A deletion the tests fail on is caught; one they pass is a survivor;
-# one that does not build is not compiling. Every deletion is listed.
+# how much of each model's state capture and restore the state-coverage
+# lint holds. For each assignment and each call statement in the
+# SnapshotState and RestoreState bodies of caps.System, can.Bus,
+# tlm.Memory and the ECU slot, and in the ECU helpers those bodies call,
+# in turn, it comments the line out in a copy of the tree and runs that
+# package's TestStateCoverage*. A deletion the tests fail on is caught;
+# one they pass is a survivor; one that does not build is not
+# compiling. Every deletion is listed.
 #
 #   scripts/capture-mutants.sh
 #
@@ -20,11 +22,20 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/capture-mutants.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 trap 'exit 130' INT TERM
 
-# The four captures: FILE, then the function's receiver and name.
+# The four captures and restores and the ECU's per-component helpers:
+# FILE, then the function's receiver and name.
 targets='internal/caps/system.go (s *System) SnapshotState
+internal/caps/system.go (s *System) RestoreState
 internal/can/bus.go (b *Bus) SnapshotState
+internal/can/bus.go (b *Bus) RestoreState
 internal/tlm/memory.go (m *Memory) SnapshotState
-internal/ecu/snapshot.go (s *ecuSlot) SnapshotState'
+internal/tlm/memory.go (m *Memory) RestoreState
+internal/ecu/snapshot.go (s *ecuSlot) SnapshotState
+internal/ecu/snapshot.go (s *ecuSlot) RestoreState
+internal/ecu/snapshot.go (m *ECCMemory) captureInto
+internal/ecu/snapshot.go (m *ECCMemory) restoreFrom
+internal/ecu/snapshot.go (ls *Lockstep) captureInto
+internal/ecu/snapshot.go (ls *Lockstep) restoreFrom'
 
 # Survivors that are no omission: FILE<TAB>STATEMENT<TAB>REASON.
 allow='internal/can/bus.go	st.nodes = st.nodes[:len(b.nodes)]	a bus'"'"'s node list is fixed once elaborated, so a buffer it captured before already has that length'
@@ -37,7 +48,8 @@ echo "$targets" | while read -r file fn; do
 	pkg=./$(dirname "$file")
 	src=$work/$file
 	cp "$src" "$work/orig.go"
-	# LINE<TAB>STATEMENT for every assignment in the body.
+	# LINE<TAB>STATEMENT for every assignment and call statement in the
+	# body.
 	awk -v head="func $fn(" '
 		index($0, head) == 1 { in_body = 1; next }
 		in_body && /^}/ { exit }
@@ -45,10 +57,10 @@ echo "$targets" | while read -r file fn; do
 			s = $0
 			sub(/^[ \t]+/, "", s)
 			if (s ~ /^(if|for|switch|return|\/\/|})/) next
-			if (s ~ /^[A-Za-z_][][A-Za-z0-9_., ]*[ \t]:?=[ \t]/) print NR "\t" s
+			if (s ~ /^[A-Za-z_][][A-Za-z0-9_., ]*[ \t]:?=[ \t]/ || s ~ /^[A-Za-z_][A-Za-z0-9_.]*\(.*\)$/) print NR "\t" s
 		}' "$work/orig.go" >"$work/sites"
 	if [ ! -s "$work/sites" ]; then
-		echo "capture-mutants: no assignments found in $file's $fn" >&2
+		echo "capture-mutants: no assignments or calls found in $file's $fn" >&2
 		exit 1
 	fi
 	while IFS='	' read -r line stmt; do
