@@ -60,8 +60,8 @@ func main() {
 
 	resolve := campaignd.FabricResolver(logger)
 	// CAPSIM_WORKER_STALL_AFTER=N blocks the worker forever inside its
-	// N-th scenario, all of which take the plain run path (chaos-testing
-	// aid, like capsim's CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness
+	// N-th scenario, all run by the wrapped RunFunc (chaos-testing aid,
+	// like capsim's CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness
 	// SIGKILLs the stalled process to prove a real worker death mid-lease
 	// is recovered by the next worker, resuming from the last flushed
 	// outcome.

@@ -40,9 +40,9 @@
 // equivalence-duplicate proposals pruned for free. It is the same
 // campaign engine with a scenario source in place of the list, so it
 // composes with -journal/-resume, -workers (the outcome stream is
-// deterministic at any worker count), -progress, -metrics,
-// -trace-events and -scenario-timeout; -shard, -early-exit and an
-// explicit -dedup are usage errors.
+// deterministic at any worker count), -early-exit, -progress, -metrics,
+// -trace-events and -scenario-timeout; -shard and an explicit -dedup
+// are usage errors.
 package main
 
 import (

@@ -61,7 +61,7 @@ func FuzzCampaignSpec(f *testing.F) {
 			if spec.NoveltyBudget < 1 || spec.NoveltyBudget > MaxNoveltyBudget {
 				t.Fatalf("accepted novelty budget %d outside bounds", spec.NoveltyBudget)
 			}
-			if spec.Dedup || spec.EarlyExit || spec.StopOnFirst || spec.Shard != "" {
+			if spec.Dedup || spec.StopOnFirst || spec.Shard != "" {
 				t.Fatal("accepted adaptive spec combined with knobs the engine refuses next to a Source")
 			}
 			if spec.Inline() {

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -200,11 +202,96 @@ func TestNothingCallsTheCaptureShim(t *testing.T) {
 	})
 }
 
-// TestSpecBuildForksFromTheRunner: every fixed-universe spec builds a
-// campaign that forks from the runner's checkpoint tree — the bare spec
-// and the spellings of the retired checkpoint switches alike, which
-// build the very same campaign — and an adaptive one, whose source never
-// forks, builds none.
+// TestModelsAreHostDeterministic: a signature digests model state, and a
+// Source steers by the signatures sessions compute, so a digest — or any
+// model behavior — that depended on the host would make one campaign
+// propose different scenarios in different processes. No non-test file
+// of the model packages reads the wall clock, draws from the global
+// math/rand source or ranges over a map, except where an entry below says
+// why the use cannot reach model state. Ranging over a map is a type
+// fact, which a parse alone does not show, so the packages are
+// type-checked from source here rather than walked by
+// inspectNonTestSource.
+func TestModelsAreHostDeterministic(t *testing.T) {
+	allowed := map[string]string{
+		"internal/sim/kernel.go RunUntil time.Now":   "instrumentation: the wall-clock length of a run, published to metrics and traces only",
+		"internal/sim/process.go run time.Now":       "instrumentation: the wall-clock length of an activation, published to metrics only",
+		"internal/can/bus.go RestoreState range":     "copies one map into another: every order writes the same map",
+		"internal/tlm/memory.go SnapshotState range": "copies one map into another: every order writes the same map",
+		"internal/tlm/memory.go RestoreState range":  "copies one map into another: every order writes the same map",
+		"internal/tlm/memory.go HashState range":     "collects the keys, which are sorted before anything is hashed",
+	}
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	for _, pkg := range []string{"sim", "caps", "can", "tlm", "ecu"} {
+		dir := filepath.Join("../..", "internal", pkg)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, e := range ents {
+			if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+		if _, err := (&types.Config{Importer: imp}).Check("repro/internal/"+pkg, fset, files, info); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					var what string
+					switch n := n.(type) {
+					case *ast.RangeStmt:
+						if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+							what = "range"
+						}
+					case *ast.Ident:
+						// A package-level function: methods of a seeded *rand.Rand
+						// are deterministic, and so are its constructors.
+						if f, ok := info.Uses[n].(*types.Func); ok && f.Pkg() != nil && f.Type().(*types.Signature).Recv() == nil {
+							switch path := f.Pkg().Path(); {
+							case path == "time" && f.Name() == "Now",
+								(path == "math/rand" || path == "math/rand/v2") && !strings.HasPrefix(f.Name(), "New"):
+								what = f.Pkg().Name() + "." + f.Name()
+							}
+						}
+					}
+					if what == "" {
+						return true
+					}
+					pos := fset.Position(n.Pos())
+					key := fmt.Sprintf("internal/%s/%s %s %s", pkg, filepath.Base(pos.Filename), fn.Name.Name, what)
+					if seen[key] = true; allowed[key] == "" {
+						t.Errorf("%s: %s in %s: model behavior may depend on the host", pos, what, fn.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range allowed {
+		if !seen[key] {
+			t.Errorf("allow-list entry %q matches nothing; drop it", key)
+		}
+	}
+}
+
+// TestSpecBuildForksFromTheRunner: every spec builds a campaign that
+// forks from the runner's checkpoint tree — the bare spec and the
+// spellings of the retired checkpoint switches alike, which build the
+// very same campaign, and an adaptive one, whose sessions sign.
 func TestSpecBuildForksFromTheRunner(t *testing.T) {
 	u := `"campaign":"p","universe":{"horizon":"30ms","inject":"5ms"},"workers":2`
 	runner, err := mustSpec(t, `{`+u+`}`).BuildRunner()
@@ -230,8 +317,8 @@ func TestSpecBuildForksFromTheRunner(t *testing.T) {
 			t.Errorf("{%s} builds\n  %+v\nthe bare spec\n  %+v", knobs, c, bare)
 		}
 	}
-	if c := build(`{` + u + `,"adaptive":true}`); c.Checkpointer != nil {
-		t.Errorf("an adaptive spec builds Checkpointer %v, want none", c.Checkpointer)
+	if c := build(`{` + u + `,"adaptive":true}`); c.Checkpointer != stressor.Checkpointer(runner) {
+		t.Errorf("an adaptive spec builds Checkpointer %v, want the runner", c.Checkpointer)
 	}
 }
 
@@ -286,7 +373,7 @@ func storedDoc(t *testing.T, sched *Scheduler, id string) string {
 // is the result the Scheduler stores for the same bytes and — where the
 // fabric takes the spec at all — the result of the campaign
 // FabricResolver hands a worker: outcomes, tally and summary text, byte
-// for byte. For a fixed universe it is also the rebuild oracle's.
+// for byte. It is also the rebuild oracle's.
 func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 	u := `"universe":{"horizon":"30ms","inject":"5ms"}`
 	inline := strings.Replace(tinySpec, `"campaign":"tiny"`, `"campaign":"p"`, 1)
@@ -306,6 +393,7 @@ func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 		{"shard", `{"campaign":"p",` + u + `,"shard":"1/2"}`, false},
 		{"inline", inline, true},
 		{"adaptive", `{"campaign":"p",` + u + `,"adaptive":true,"novelty_budget":16,"novelty_seed":3,"workers":2}`, false},
+		{"adaptive early exit", `{"campaign":"p",` + u + `,"adaptive":true,"novelty_budget":16,"novelty_seed":3,"workers":2,"early_exit":true}`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := mustSpec(t, tc.raw)
@@ -326,10 +414,8 @@ func TestFrontEndsBuildTheSameCampaign(t *testing.T) {
 			if spec.Adaptive == (scenarios != nil) || len(res.Outcomes) == 0 {
 				t.Fatalf("adaptive=%v built a list of %d and %d outcomes", spec.Adaptive, len(scenarios), len(res.Outcomes))
 			}
-			if !spec.Adaptive {
-				if oracle := rebuildDoc(t, tc.raw); oracle != want {
-					t.Errorf("the rebuild oracle yields\n  %s\nbuilt and executed directly\n  %s", oracle, want)
-				}
+			if oracle := rebuildDoc(t, tc.raw); oracle != want {
+				t.Errorf("the rebuild oracle yields\n  %s\nbuilt and executed directly\n  %s", oracle, want)
 			}
 
 			if got := storedDoc(t, sched, runToCompletion(t, sched, tc.raw)); got != want {

@@ -433,8 +433,9 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 // an HTTP 400 naming the knob at submit time — before a run is queued,
 // never a silent no-op — and it is the set stressor.Campaign refuses
 // next to a Source, plus an explicit dedup. What the shared run shell
-// serves (scenario_timeout, trace, workers) is accepted, and so are the
-// checkpoint switches, which no longer select anything.
+// serves (scenario_timeout, trace, workers) is accepted, as is early_exit,
+// whose sessions sign, and so are the checkpoint switches, which no longer
+// select anything.
 func TestSpecAdaptiveRefusals(t *testing.T) {
 	sched, srv := newTestDaemon(t)
 	post := func(knobs string) (int, string) {
@@ -449,7 +450,6 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 	}
 	for knob, knobs := range map[string]string{
 		"shard":         `"shard":"0/2"`,
-		"early_exit":    `"early_exit":true`,
 		"stop_on_first": `"stop_on_first":true`,
 		"dedup":         `"dedup":true`,
 	} {
@@ -463,7 +463,7 @@ func TestSpecAdaptiveRefusals(t *testing.T) {
 	}
 	// The retired checkpoint switches and hash_stride are inert, so no
 	// reason to refuse.
-	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2,"checkpoints":true,"checkpoint_tree":true,"hash_stride":"5ms"`); code != http.StatusAccepted {
-		t.Errorf("scenario_timeout+trace+workers+retired switches: POST = %d %s, want 202", code, body)
+	if code, body := post(`"scenario_timeout":"1m","trace":true,"workers":2,"early_exit":true,"checkpoints":true,"checkpoint_tree":true,"hash_stride":"5ms"`); code != http.StatusAccepted {
+		t.Errorf("scenario_timeout+trace+workers+early_exit+retired switches: POST = %d %s, want 202", code, body)
 	}
 }

@@ -105,7 +105,7 @@ type Spec struct {
 	// instead of the fixed universe (capsim -adaptive). The universe
 	// kind must generate fault descriptors (KindCAPSSingleFault). It
 	// runs through the same engine as a fixed universe, so workers,
-	// scenario_timeout and trace apply; shard, early_exit and
+	// early_exit, scenario_timeout and trace apply; shard and
 	// stop_on_first do not compose with the feedback loop and are
 	// rejected, as is an explicit dedup (adaptive always prunes equivalent
 	// proposals).
@@ -291,8 +291,7 @@ func (s *Spec) Validate() error {
 			name string
 			on   bool
 		}{
-			{"shard", s.Shard != ""}, {"early_exit", s.EarlyExit},
-			{"stop_on_first", s.StopOnFirst},
+			{"shard", s.Shard != ""}, {"stop_on_first", s.StopOnFirst},
 			{"dedup", s.Dedup},
 		}
 		for _, f := range refused {
@@ -373,11 +372,10 @@ func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, erro
 	}
 	if s.Adaptive {
 		// The Novelty strategy over the spec's fault universe replaces the
-		// list, on the signed RunFunc so outcome signatures reflect real
-		// prototype state; a resumed run replays its journal into the same
-		// seeded strategy. A source never forks: sessions return unsigned
-		// outcomes.
-		c.Run, c.Dedup, c.Checkpointer = r.SignedRunFunc(), true, nil
+		// list; the runner's sessions sign for it, as does the RunFunc a
+		// ReuseOff runner runs instead. A resumed run replays its journal
+		// into the same seeded strategy.
+		c.Run, c.Dedup = r.SignedRunFunc(), true
 		c.Source = NewNovelty(r.Universe(s.inject), s.NoveltyBudget, s.NoveltySeed, s.horizon)
 		c.MaxRuns, c.Fingerprint = s.NoveltyBudget, stressor.UniverseHash(scenarios)
 		scenarios = nil

@@ -456,8 +456,9 @@ func TestRunnerNewCampaignShard(t *testing.T) {
 // TestCampaignAdaptiveDeterminismMatrix runs the closed adaptive loop
 // — Novelty strategy feeding on real CAPS state signatures — through
 // the shared adaptive matrix: {sequential, 4 workers} × {rebuild,
-// reuse} × {fresh, interrupted+resumed} must all reproduce the
-// sequential reference exactly. This pins the engine's ordered-
+// reuse, tree, tree+ee, each tree mode again warm} × {fresh,
+// interrupted+resumed} must all reproduce the sequential reference
+// exactly, signatures included. This pins the engine's ordered-
 // delivery guarantee against a real prototype, where run latencies
 // genuinely vary.
 func TestCampaignAdaptiveDeterminismMatrix(t *testing.T) {
@@ -470,13 +471,13 @@ func TestCampaignAdaptiveDeterminismMatrix(t *testing.T) {
 	stressortest.RunAdaptive(t, stressortest.AdaptiveConfig{
 		Name:     "caps-e8-adaptive",
 		Universe: universe,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.SignedRunFunc(), r.Close
+			return r.SignedRunFunc(), r, r.Close
 		},
 	})
 }

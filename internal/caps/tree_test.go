@@ -207,9 +207,9 @@ func TestCrossSlotRestore(t *testing.T) {
 	}
 }
 
-// TestRootEqualsBuild: a slot rewound to the runner's root checkpoint
-// runs every scenario of the E8 universe and its transients as a fresh
-// build does (stressortest.CheckRoot).
+// TestRootEqualsBuild: a pooled slot runs every scenario of the E8
+// universe and its transients, and the three that fork at zero, as a
+// fresh build does (stressortest.CheckRoot).
 func TestRootEqualsBuild(t *testing.T) {
 	naive, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {

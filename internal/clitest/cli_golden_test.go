@@ -174,14 +174,20 @@ const (
 	goldenAdaptive = "capsim_adaptive"
 )
 
+// TestCapsimAdaptiveGolden: the adaptive campaign prints the golden, and
+// so does the same campaign with -early-exit, whose converged runs sign
+// with the golden final state.
 func TestCapsimAdaptiveGolden(t *testing.T) {
-	r := Run(t, nil, Binary(t, "capsim"), capsimAdaptiveArgs...)
-	if r.Code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", r.Code, r.Stderr)
-	}
-	Golden(t, goldenAdaptive, r.Stdout)
-	if r.Stderr != "" {
-		t.Errorf("stderr without -progress:\n%s", r.Stderr)
+	var r Result
+	for _, args := range [][]string{capsimAdaptiveArgs, append(append([]string{}, capsimAdaptiveArgs...), "-early-exit")} {
+		r = Run(t, nil, Binary(t, "capsim"), args...)
+		if r.Code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, r.Code, r.Stderr)
+		}
+		Golden(t, goldenAdaptive, r.Stdout)
+		if r.Stderr != "" {
+			t.Errorf("%v: stderr without -progress:\n%s", args, r.Stderr)
+		}
 	}
 
 	// -progress reaches the adaptive path: a live line per update on
@@ -205,13 +211,13 @@ func TestCapsimAdaptiveGolden(t *testing.T) {
 // field. The set is the one stressor.Campaign refuses next to a Source
 // (capsim has no stop-on-first flag) plus an explicit -dedup; what the
 // shared run shell serves (-scenario-timeout, -trace-events) is
-// accepted.
+// accepted, and -early-exit prints the adaptive golden
+// (TestCapsimAdaptiveGolden).
 func TestCapsimAdaptiveRefusals(t *testing.T) {
 	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
 	for knob, args := range map[string][]string{
-		"shard":      {"-shard", "0/2"},
-		"early_exit": {"-early-exit"},
-		"dedup":      {"-dedup"},
+		"shard": {"-shard", "0/2"},
+		"dedup": {"-dedup"},
 	} {
 		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, base...), args...)...)
 		if r.Code != 2 || r.Stdout != "" || !strings.Contains(r.Stderr, knob+" cannot be combined with adaptive") {

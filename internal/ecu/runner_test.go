@@ -175,7 +175,9 @@ func TestRunnerSEUDetections(t *testing.T) {
 // TestRunnerAdaptiveDeterminismMatrix drives the adaptive campaign
 // loop against the ECU prototype: the Novelty strategy mutates on
 // real snapshot-state signatures, and every {workers} × {rebuild,
-// reuse} × {fresh, resumed} cell must match the sequential reference.
+// reuse, tree, tree+ee, each tree mode again warm} × {fresh, resumed}
+// cell must match the sequential reference, signatures included. The
+// universe injects at zero, so every run forks from the root.
 func TestRunnerAdaptiveDeterminismMatrix(t *testing.T) {
 	r, err := NewRunner(DefaultRunnerConfig())
 	if err != nil {
@@ -187,13 +189,13 @@ func TestRunnerAdaptiveDeterminismMatrix(t *testing.T) {
 		Name:     "ecu-seu-adaptive",
 		Universe: universe,
 		Budget:   16,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.SignedRunFunc(), r.Close
+			return r.SignedRunFunc(), r, r.Close
 		},
 	})
 }
@@ -220,8 +222,8 @@ func TestForkWindowCollapse(t *testing.T) {
 }
 
 // TestInstrumentedCampaignMatchesPlain: Instrument attaches the kernel
-// instrument to every kernel the host runs — pooled slots on the plain
-// path, session kernels on the tree — so an instrumented ECU campaign
+// instrument to every kernel the host runs — every pooled slot, whatever
+// session holds it — so an instrumented ECU campaign
 // publishes sim.* counters, and its Result is the uninstrumented one.
 func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 	run := func(reg *obs.Registry) *stressor.Result {
@@ -231,7 +233,7 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 		}
 		defer r.Close()
 		r.Instrument(reg, nil)
-		// Universe(0) forks nowhere and takes the plain path.
+		// Universe(0) forks at zero, from the root.
 		scs := fault.Singles(append(r.Universe(0), r.Universe(sim.US(2))...))
 		res, err := (&stressor.Campaign{
 			Name: "ecu-instrumented", Run: r.RunFunc(), Workers: 2,
@@ -254,8 +256,8 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestRootEqualsBuild: a slot rewound to the runner's root checkpoint
-// runs every scenario of the SEU universe, injected at three instants,
+// TestRootEqualsBuild: a pooled slot runs every scenario of the SEU
+// universe, injected at three instants, and the three that fork at zero,
 // as a fresh build does (stressortest.CheckRoot).
 func TestRootEqualsBuild(t *testing.T) {
 	naive, err := NewRunner(DefaultRunnerConfig())

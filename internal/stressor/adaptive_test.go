@@ -524,11 +524,8 @@ func TestCampaignCallbacksAreSerial(t *testing.T) {
 // no-op. The front-ends mirror this set (campaignd.Spec.Validate,
 // capsim's flag check).
 func TestCampaignSourceRefusals(t *testing.T) {
-	cp := forkSorter{}
 	for name, set := range map[string]func(*Campaign){
 		"Shard":         func(c *Campaign) { c.Shard = Shard{Index: 0, Count: 2} },
-		"Checkpointer":  func(c *Campaign) { c.Checkpointer = cp },
-		"EarlyExit":     func(c *Campaign) { c.Checkpointer, c.EarlyExit = cp, true },
 		"StopOnFirst":   func(c *Campaign) { c.StopOnFirst = true },
 		"scenario list": nil,
 	} {

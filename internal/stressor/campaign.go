@@ -46,10 +46,11 @@ type JournalSink interface {
 type Campaign struct {
 	// Name labels the campaign in reports, metrics and journals.
 	Name string
-	// Run executes one scenario. With a Source, RunFuncs that populate
-	// Outcome.Signature (the runners' signed variants) give the campaign
-	// real behavioral equivalence classes; plain RunFuncs get a
-	// class+detail fallback signature.
+	// Run executes each scenario the Checkpointer does not fork. With a
+	// Source, RunFuncs that populate Outcome.Signature (the runners'
+	// signed variants) give the campaign real behavioral equivalence
+	// classes, as sessions do; plain RunFuncs get a class+detail fallback
+	// signature.
 	Run RunFunc
 	// Source, when non-nil, replaces the scenario list (Execute takes
 	// nil): scenarios are pulled from it while at most lookahead of them
@@ -61,8 +62,7 @@ type Campaign struct {
 	// outcome carries a non-zero signature, Result.Adaptive holds the
 	// proposal census, and journals are keyed by proposal sequence number
 	// (create them from JournalHeader). A Source does not compose with
-	// Shard (its universe only exists as the campaign unfolds), with a
-	// Checkpointer (sessions return unsigned outcomes) or with
+	// Shard (its universe only exists as the campaign unfolds) or with
 	// StopOnFirst; Execute refuses those.
 	Source ScenarioSource
 	// MaxRuns budgets a Source's simulated runs (proposals Dedup answers
@@ -104,9 +104,9 @@ type Campaign struct {
 	// retains a budget of golden-prefix snapshots and establishes every
 	// scenario from the deepest one at or before its fork instead of
 	// re-simulating the prefix. Scenarios the Checkpointer declines
-	// (ForkTime ok=false) fall back to the plain RunFunc. Results are
-	// byte-identical to an Execute without one. The CAPS and ECU runners
-	// implement it.
+	// (ForkTime ok=false) run through the RunFunc. Results are
+	// byte-identical to an Execute without one, signatures included. The
+	// CAPS and ECU runners implement it.
 	Checkpointer Checkpointer
 	// Deprecated: Checkpoints and CheckpointTree are never read; the
 	// Checkpointer alone decides whether a campaign forks.
@@ -272,7 +272,7 @@ func (c *Campaign) newObs(total, workers int) *campaignObs {
 // runOne executes one scenario through the instrumentation shell:
 // span, duration histogram, per-worker busy time, progress step. The
 // run itself goes to sess at fork when dispatchRun resolved one, to the
-// plain RunFunc otherwise.
+// RunFunc otherwise.
 func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess CheckpointSession, fork sim.Time) (fault.Outcome, bool, bool) {
 	if o == nil {
 		return c.execRun(sc, sess, fork)
@@ -449,8 +449,6 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 		return fmt.Errorf("negative MaxRuns %d", c.MaxRuns)
 	case c.Shard.Enabled():
 		return fmt.Errorf("a Source does not shard: its universe only exists as the campaign unfolds")
-	case c.Checkpointer != nil: // which EarlyExit needs
-		return fmt.Errorf("a Source does not compose with a Checkpointer: sessions return unsigned outcomes")
 	case c.StopOnFirst:
 		return fmt.Errorf("a Source does not compose with StopOnFirst")
 	}
@@ -992,8 +990,12 @@ func (s *sourcePlan) census() *Census {
 // over back, or straight to the plan — until nothing is left to claim.
 // The closed range is checked before every position, not every span.
 func (e *campaignExec) drain(p plan, w, workers int, back chan<- span) {
-	h := e.newHolder()
-	defer h.close()
+	var sess CheckpointSession // the worker's, from its first forked run
+	defer func() {
+		if sess != nil {
+			sess.Close()
+		}
+	}()
 	for {
 		sp, ok := e.claim(workers)
 		if !ok {
@@ -1004,7 +1006,7 @@ func (e *campaignExec) drain(p plan, w, workers int, back chan<- span) {
 			if int64(pos) > e.cutoff.Load() {
 				continue // a StopOnFirst failure below it: moot
 			}
-			out, panicked, timedOut := e.dispatchRun(sc, w, h)
+			out, panicked, timedOut := e.dispatchRun(sc, w, &sess)
 			*res = slot{out: out, ran: true, panicked: panicked, timedOut: timedOut}
 			if e.c.StopOnFirst && out.Class.IsFailure() {
 				e.lowerCutoff(pos)

@@ -18,11 +18,10 @@ type Checkpointer interface {
 	// not necessarily the latest one: a runner may name an earlier
 	// instant the golden run is provably idle from, so that scenarios
 	// injecting at different instants of one idle window share a fork
-	// (the tree session's fork-window memo) — and whether forking is
-	// valid for it at all. Runners return ok=false for scenario classes
-	// that mutate pre-injection state (or when their own reuse machinery
-	// is disabled); the campaign transparently falls back to the plain
-	// RunFunc for those. Campaign workers call it concurrently.
+	// (the tree session's fork-window memo) — and whether to fork it at
+	// all. A Host declines (ok=false) only under ReuseOff, and the
+	// campaign runs a declined scenario through its RunFunc. Campaign
+	// workers call it concurrently.
 	ForkTime(sc fault.Scenario) (sim.Time, bool)
 	// NewTreeSession creates a golden-run session. Each campaign worker
 	// owns at most one live session; sessions are never shared across
@@ -47,64 +46,43 @@ type CheckpointSession interface {
 	Close()
 }
 
-// sessionHolder carries one worker's lazily created checkpoint
-// session. nil holders (no Checkpointer) are valid and inert.
-type sessionHolder struct{ sess CheckpointSession }
-
-func (e *campaignExec) newHolder() *sessionHolder {
-	if e.c.Checkpointer == nil {
-		return nil
-	}
-	return &sessionHolder{}
-}
-
-// close shuts the worker's session down at the end of its run loop.
-func (h *sessionHolder) close() {
-	if h != nil && h.sess != nil {
-		h.sess.Close()
-		h.sess = nil
-	}
-}
-
-// abandon drops the session without closing it: a timed-out run's
-// goroutine (or a panicked run's torn kernel) still owns it, so the
-// worker must not touch it again — the next eligible run builds a
-// fresh one. Late writes into the abandoned session can never reach a
-// result or journal because the campaign already recorded the run.
-func (h *sessionHolder) abandon() { h.sess = nil }
-
 // newSession builds the worker's tree session at the default node
-// budget.
+// budget, signing its outcomes for a Source.
 func (c *Campaign) newSession() CheckpointSession {
 	return c.Checkpointer.NewTreeSession(TreeConfig{
 		EarlyExit: c.EarlyExit,
 		Metrics:   c.Metrics,
 		Campaign:  c.Name,
+		sign:      c.Source != nil,
 	})
 }
 
-// dispatchRun executes sc on worker w, routing fork-eligible
-// scenarios through the worker's checkpoint session and everything
-// else through the plain RunFunc. The session is resolved here, on the
-// worker goroutine, before the (possibly timeout-supervised) run
-// goroutine starts — so an abandoned holder can never race with a
-// late run still using the old session.
-func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, h *sessionHolder) (fault.Outcome, bool, bool) {
+// dispatchRun executes sc on worker w: through the worker's checkpoint
+// session *held, created on first use, when the Checkpointer forks it;
+// through the RunFunc when there is no Checkpointer or it declines (the
+// ReuseOff oracle). The session is resolved here, on the worker
+// goroutine, before the (possibly timeout-supervised) run goroutine
+// starts — so an abandoned session can never race with a late run still
+// using it.
+func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, held *CheckpointSession) (fault.Outcome, bool, bool) {
 	var sess CheckpointSession
 	var fork sim.Time
-	if h != nil {
-		// The plan needed fork times only to sort its list; asking again
-		// costs less than carrying them round the loop.
-		if f, ok := e.c.Checkpointer.ForkTime(sc); ok {
-			if h.sess == nil {
-				h.sess = e.c.newSession()
+	// The plan needed fork times only to sort its list; asking again costs
+	// less than carrying them round the loop.
+	if cp := e.c.Checkpointer; cp != nil {
+		if f, ok := cp.ForkTime(sc); ok {
+			if *held == nil {
+				*held = e.c.newSession()
 			}
-			sess, fork = h.sess, f
+			sess, fork = *held, f
 		}
 	}
 	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, sess, fork)
 	if sess != nil && (timedOut || panicked) {
-		h.abandon()
+		// Abandoned, never closed: a timed-out run's goroutine or a
+		// panicked run's torn kernel still owns it, and what it writes late
+		// reaches no result. The next forked run builds a fresh one.
+		*held = nil
 	}
 	return out, panicked, timedOut
 }

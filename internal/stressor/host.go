@@ -42,14 +42,14 @@ type Model[S sim.State, G any] interface {
 }
 
 // Host runs fault-injection campaigns on one prototype. It keeps a pool
-// of kernel+prototype slots and rewinds one per scenario instead of
-// rebuilding, by restoring its root checkpoint — the first slot as Build
-// left it, captured once — into the slot: each concurrent run and each
-// live tree session checks out its own slot, so the pool grows to the
-// campaign's peak worker count and every run owns its kernel. As a
-// Checkpointer it forks scenarios off its golden-prefix tree nodes, which
-// any session restores into whatever slot it holds and which outlive the
-// campaign. Results are byte-identical to ReuseOff's.
+// of kernel+prototype slots: each concurrent run and each live tree
+// session checks out its own, so the pool grows to the campaign's peak
+// worker count and every run owns its kernel. Every pooled run is a tree
+// session's, a campaign's or a single call's: it forks off the deepest
+// of the host's golden-prefix nodes, which any session restores into
+// whatever slot it holds and which outlive the campaign, or off the root
+// checkpoint, the first slot as Build left it, captured once. Results
+// are byte-identical to ReuseOff's.
 type Host[S sim.State, G any] struct {
 	// ReuseOff turns every shortcut off: each scenario builds the
 	// prototype afresh and ForkTime declines it. It is the naive oracle
@@ -100,8 +100,7 @@ func NewHost[S sim.State, G any](name string, m Model[S, G], horizon sim.Time) (
 	h.reg = sl.reg
 	// Digested first, so the root carries the prototype's page digests
 	// (sim.PagedState) and a slot restored to it need not recompute them.
-	sl.hash.Reset()
-	sl.s.HashState(&sl.hash)
+	sl.sum()
 	if err := sl.k.SnapshotInto(&h.root.cp); err != nil {
 		return nil, fmt.Errorf("%s: root checkpoint: %w", name, err)
 	}
@@ -118,11 +117,11 @@ func NewHost[S sim.State, G any](name string, m Model[S, G], horizon sim.Time) (
 // the golden run executes anything, recorded as such, and every stride
 // instant short of the horizon, at which the model records its history
 // (Model.Record) and the trajectory keeps the state digest. At the
-// horizon the run is observed and vetted (Model.Golden). Legged RunUntil
-// is observationally one run (sim's TestLeggedRunEqualsOneRun), so each
-// instant shows what one plain golden run shows there — and the digests
-// are exactly what a faulty run hashes to at a stride instant had the
-// fault never perturbed anything.
+// horizon the run is observed, digested and vetted (Model.Golden).
+// Legged RunUntil is observationally one run (sim's
+// TestLeggedRunEqualsOneRun), so each instant shows what one plain golden
+// run shows there — and the digests are exactly what a faulty run hashes
+// to at a stride instant had the fault never perturbed anything.
 func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
 	k, tj := sl.k, &h.traj
 	tj.stride = max(h.horizon/16, 1)
@@ -148,6 +147,9 @@ func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
 		active = t == pending
 	}
 	h.golden = h.m.Observe(sl.s)
+	// After Observe, as runs are signed: CAPS's Observe reads calibration
+	// memory, whose read count is hashed.
+	tj.final = sl.sum()
 	return h.m.Golden(sl.s, h.golden)
 }
 
@@ -237,58 +239,41 @@ func (h *Host[S, G]) release(sl *hostSlot[S]) {
 	h.mu.Unlock()
 }
 
-// exec runs sc to the horizon on a pooled slot — with ReuseOff, on a
-// prototype and a stressor built for it — and hands the finished slot to
-// fn before anything can reuse it. A run that fails returns its error
-// without calling fn.
-func (h *Host[S, G]) exec(sc fault.Scenario, fn func(*hostSlot[S])) error {
-	var sl *hostSlot[S]
+// rebuild is run on a prototype and a stressor built for sc: the ReuseOff
+// oracle, which shares nothing with the pool.
+func (h *Host[S, G]) rebuild(sc fault.Scenario, sign bool, fn func(S)) (fault.Outcome, error) {
+	sl := &hostSlot[S]{k: sim.NewKernel()}
+	defer sl.k.Shutdown()
+	h.instrument(sl.k)
+	sl.s, sl.reg = h.m.Build(sl.k)
 	var st *Stressor
-	pooled := !h.ReuseOff
-	if pooled {
-		// Back to time zero, as Build left it.
-		sl = h.take()
-		if err := sl.restore(&h.root); err != nil {
-			return err
-		}
-		if len(sc.Faults) > 0 {
-			st = &sl.st
-			st.Respawn(sl.k, sl.reg, sc, h.horizon)
-		}
-	} else {
-		sl = &hostSlot[S]{k: sim.NewKernel()}
-		defer sl.k.Shutdown()
-		h.instrument(sl.k)
-		sl.s, sl.reg = h.m.Build(sl.k)
-		if len(sc.Faults) > 0 {
-			st = SpawnThread(sl.k, sl.reg, sc, h.horizon)
-		}
+	if len(sc.Faults) > 0 {
+		st = SpawnThread(sl.k, sl.reg, sc, h.horizon)
 	}
-	err := sl.k.RunUntil(h.horizon)
-	if err == nil {
-		err = h.injectionError(sc, st)
+	if err := sl.k.RunUntil(h.horizon); err != nil {
+		return fault.Outcome{}, err
 	}
-	if err == nil {
-		fn(sl)
+	if err := h.injectionError(sc, st); err != nil {
+		return fault.Outcome{}, err
 	}
-	// Not deferred: a run that panicked can leave its kernel torn (a
-	// method process that panics mid-evaluate leaves the runnable queue
-	// and its spare on one array, which neither Restore nor anything
-	// else separates), and a torn slot must never run again.
-	if pooled {
-		h.release(sl)
+	out := h.outcome(sc, sl, sign)
+	if fn != nil {
+		fn(sl.s)
 	}
-	return err
+	return out, nil
 }
 
-// signature folds the prototype's final-state digest with class — the
-// digest sim.StateSignature takes, through the slot's own StateHash: a
-// fresh one would escape through the State interface, an allocation a
-// run.
-func (sl *hostSlot[S]) signature(class fault.Classification) uint64 {
+// sum digests the prototype's state through the slot's own StateHash: a
+// fresh one would escape through the State interface, an allocation a run.
+func (sl *hostSlot[S]) sum() uint64 {
 	sl.hash.Reset()
 	sl.s.HashState(&sl.hash)
-	return sim.MixSignature(sl.hash.Sum(), uint64(class))
+	return sl.hash.Sum()
+}
+
+// signature folds the prototype's final-state digest with class.
+func (sl *hostSlot[S]) signature(class fault.Classification) uint64 {
+	return sim.MixSignature(sl.sum(), uint64(class))
 }
 
 // digest folds the slot's scheduler state, restricted to its first
@@ -319,21 +304,41 @@ func (h *Host[S, G]) classify(sc fault.Scenario, ob analysis.Observation) fault.
 	return fault.Outcome{Scenario: sc, Class: analysis.Classify(h.golden, ob), Detail: analysis.Describe(ob)}
 }
 
+// outcome classifies the run that reached the horizon on sl, signed when
+// sign is set.
+func (h *Host[S, G]) outcome(sc fault.Scenario, sl *hostSlot[S], sign bool) fault.Outcome {
+	out := h.classify(sc, h.m.Observe(sl.s))
+	if sign {
+		out.Signature = sl.signature(out.Class)
+	}
+	return out
+}
+
 func errorOutcome(sc fault.Scenario, err error) fault.Outcome {
 	return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
 }
 
+// run is every call's run: under ReuseOff a rebuild, otherwise a one-shot
+// tree session — a pooled slot established at ForkTime(sc), run, signed
+// when sign is set and handed back — that keeps no fork-window memo, since
+// no later run of it could read one.
 func (h *Host[S, G]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome {
 	var out fault.Outcome
-	err := h.exec(sc, func(sl *hostSlot[S]) {
-		out = h.classify(sc, h.m.Observe(sl.s))
-		if sign {
-			out.Signature = sl.signature(out.Class)
+	var err error
+	if h.ReuseOff {
+		out, err = h.rebuild(sc, sign, fn)
+	} else {
+		fork, _ := h.ForkTime(sc)
+		s := session[S, G]{h: h, cfg: TreeConfig{sign: sign}}
+		if out, err = s.execute(sc, fork, false); err == nil && fn != nil {
+			fn(s.sl.s)
 		}
-		if fn != nil {
-			fn(sl.s)
-		}
-	})
+		// Not deferred: a run that panicked can leave its kernel torn (a
+		// method process that panics mid-evaluate leaves the runnable queue
+		// and its spare on one array, which neither Restore nor anything
+		// else separates), and a torn slot must never run again.
+		s.Close()
+	}
 	if err != nil {
 		return errorOutcome(sc, err)
 	}
@@ -366,9 +371,9 @@ func (h *Host[S, G]) RunFunc() RunFunc { return h.RunScenario }
 func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 
 // ForkTime implements Checkpointer. A scenario forks at its earliest
-// injection instant; one with no faults, an instant of zero (no prefix to
-// amortize) or one past the horizon (never injects) falls back to the
-// plain path, as does every scenario under ReuseOff.
+// injection instant; one with no faults, or whose earliest instant is past
+// the horizon (it never injects), forks at zero, which is the root. Only
+// ReuseOff declines.
 //
 // A scenario whose whole timeline is one action — a single permanent
 // fault — forks at the canonical instant of the golden idle window it
@@ -377,12 +382,12 @@ func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 // so the fork still precedes every mutation, and every instant of the
 // window shares one tree node and one session's window memo.
 func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
-	if h.ReuseOff || len(sc.Faults) == 0 {
+	if h.ReuseOff {
 		return 0, false
 	}
 	fork := ForkTime(sc)
-	if fork == 0 || fork > h.horizon {
-		return 0, false
+	if fork > h.horizon {
+		return 0, true
 	}
 	if len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent {
 		if i, _ := slices.BinarySearch(h.activityAt, fork); i > 0 {

@@ -32,8 +32,9 @@ type AdaptiveConfig struct {
 	// strategy from it with the same Seed.
 	Universe []fault.Descriptor
 	// NewRun builds the cell's signed RunFunc (the runner's
-	// SignedRunFunc) and a cleanup. Called once per cell.
-	NewRun func(t *testing.T, reuseOff bool) (stressor.RunFunc, func())
+	// SignedRunFunc), the runner as Checkpointer and a cleanup. Called
+	// once per cell, so every cell but a warm one starts on a cold runner.
+	NewRun func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func())
 	// Budget is the simulated-run budget per cell (default 24).
 	Budget int
 	// Seed fixes the strategy RNG (default 1).
@@ -47,9 +48,14 @@ type AdaptiveConfig struct {
 	InterruptAfter int
 }
 
+// rebuild is the plain mode on a ReuseOff runner, the reference's.
+var rebuild = cellMode{name: "rebuild"}
+
 // RunAdaptive executes the adaptive matrix: reference = rebuild/
-// sequential/fresh; cells cross {workers} × {rebuild, reuse} ×
-// {fresh, interrupted+resumed} and must all DeepEqual the reference.
+// sequential/fresh; cells cross {workers} × {rebuild, plain, tree,
+// tree+ee, tree+warm, tree+ee+warm} × {fresh, interrupted+resumed} and
+// must all DeepEqual the reference, signatures included — the tree cells'
+// come from signing sessions, the plain cells' from one-shot ones.
 // On top of that, per worker count: a cell with everything the shared
 // run shell offers attached (a generous ScenarioTimeout, Trace,
 // Progress, Metrics) must still DeepEqual the bare reference, and a
@@ -76,12 +82,16 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	// configured strategy. The Novelty proposal budget is deliberately
 	// larger than the engine budget so MaxRuns is always the terminating
 	// bound and pruned (budget-free) proposals cannot starve the stream.
-	campaign := func(run stressor.RunFunc, workers int) *stressor.Campaign {
+	campaign := func(run stressor.RunFunc, cp stressor.Checkpointer, mode cellMode, workers int) *stressor.Campaign {
 		src := scenario.NewNovelty(cfg.Universe, 4*cfg.Budget, rand.New(rand.NewSource(cfg.Seed)))
 		src.Mutator().Window = cfg.Window
+		if !mode.tree {
+			cp = nil
+		}
 		return &stressor.Campaign{
 			Name: cfg.Name, Run: run, Source: src, Workers: workers,
 			MaxRuns: cfg.Budget, Dedup: true,
+			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit,
 			Fingerprint: stressor.UniverseHash(fault.Singles(cfg.Universe)),
 		}
 	}
@@ -94,13 +104,20 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 		return res
 	}
 
+	var ref *stressor.Result
 	// runCell executes one cell, journaled; when interrupt is set it
 	// halts after InterruptAfter delivered outcomes, reopens the
-	// journal and resumes with a fresh, identically-seeded source.
-	runCell := func(t *testing.T, workers int, reuseOff, interrupt bool) *stressor.Result {
-		run, cleanup := cfg.NewRun(t, reuseOff)
+	// journal and resumes with a fresh, identically-seeded source. A warm
+	// cell first runs the campaign once, unjournaled, on the same runner.
+	runCell := func(t *testing.T, workers int, mode cellMode, interrupt bool) *stressor.Result {
+		run, cp, cleanup := cfg.NewRun(t, mode == rebuild)
 		defer cleanup()
-		c := campaign(run, workers)
+		if mode.warm {
+			if warm := execute(t, campaign(run, cp, mode, workers)); !reflect.DeepEqual(warm, ref) {
+				t.Errorf("warm-up campaign diverged from reference:\n got: %+v\nwant: %+v", warm, ref)
+			}
+		}
+		c := campaign(run, cp, mode, workers)
 		header := c.JournalHeader(nil)
 		path := filepath.Join(t.TempDir(), "adaptive.journal")
 		w, err := journal.Create(path, header)
@@ -126,14 +143,13 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 			t.Fatal(err)
 		}
 		defer w2.Close()
-		c2 := campaign(run, workers)
+		c2 := campaign(run, cp, mode, workers)
 		c2.Journal, c2.Resume = w2, j
 		return execute(t, c2)
 	}
 
-	var ref *stressor.Result
 	t.Run("reference", func(t *testing.T) {
-		ref = runCell(t, 0, true, false)
+		ref = runCell(t, 0, rebuild, false)
 		if ref.Adaptive.Simulated != cfg.Budget {
 			t.Fatalf("reference simulated %d runs, want the full budget %d", ref.Adaptive.Simulated, cfg.Budget)
 		}
@@ -158,21 +174,14 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	}
 
 	for _, workers := range cfg.Workers {
-		for _, reuseOff := range []bool{true, false} {
+		for _, mode := range append([]cellMode{rebuild}, cellModes...) {
 			for _, interrupt := range []bool{false, true} {
-				name := fmt.Sprintf("w%d", workers)
-				if reuseOff {
-					name += "-rebuild"
-				} else {
-					name += "-reuse"
-				}
+				phase := "fresh"
 				if interrupt {
-					name += "-resumed"
-				} else {
-					name += "-fresh"
+					phase = "resumed"
 				}
-				t.Run(name, func(t *testing.T) {
-					got := runCell(t, workers, reuseOff, interrupt)
+				t.Run(fmt.Sprintf("w%d-%s-%s", workers, mode.name, phase), func(t *testing.T) {
+					got := runCell(t, workers, mode, interrupt)
 					if interrupt {
 						if got.Adaptive.Simulated+got.Adaptive.Resumed != ref.Adaptive.Simulated {
 							t.Errorf("resumed cell simulated %d + resumed %d != reference %d",
@@ -196,9 +205,9 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	var hung *stressor.Result
 	for _, workers := range cfg.Workers {
 		t.Run(fmt.Sprintf("w%d-instrumented", workers), func(t *testing.T) {
-			run, cleanup := cfg.NewRun(t, false)
+			run, _, cleanup := cfg.NewRun(t, false)
 			defer cleanup()
-			c := campaign(run, workers)
+			c := campaign(run, nil, cellModes[0], workers)
 			reg, updates := obs.NewRegistry(), 0
 			c.ScenarioTimeout = time.Minute
 			c.Metrics, c.Trace = reg, obs.NewTraceRecorder()
@@ -215,7 +224,7 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 			}
 		})
 		t.Run(fmt.Sprintf("w%d-hung-run", workers), func(t *testing.T) {
-			run, cleanup := cfg.NewRun(t, false)
+			run, _, cleanup := cfg.NewRun(t, false)
 			defer cleanup()
 			// The hung run never reaches the runner and is released when
 			// the cell ends, so its goroutine is bounded by the cell.
@@ -228,7 +237,7 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 					return fault.Outcome{Scenario: sc}
 				}
 				return run(sc)
-			}, workers)
+			}, nil, cellModes[0], workers)
 			c.ScenarioTimeout = 500 * time.Millisecond
 			got := execute(t, c)
 			if o := got.Outcomes[hangAt]; o.Class != fault.Timeout || !strings.Contains(o.Detail, "wall-clock budget") || o.Signature == 0 {

@@ -272,8 +272,8 @@ func modeNamed(name string) cellMode {
 // ≡ tree ≡ tree+early-exit ≡ 2-shard merged ≡ interrupted-and-resumed,
 // then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
-// each restoring nodes the other's slot took — and the signed plain path on
-// both runners, the reuse one also as a campaign over a Source. A
+// each restoring nodes the other's slot took — and the signed calls on
+// both runners, the reuse one also as a tree+ee campaign over a Source. A
 // scenario of one permanent fault is also run at the edges of the golden
 // idle window it injects in (checkForkWindow). Inputs that generate
 // nothing runnable, or a fault the prototype's registry rejects, are
@@ -345,13 +345,14 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		}
 	}
 
-	// The signed plain path digests final state; rebuild hashes a fresh
-	// slot from scratch, reuse a pooled one incrementally — called
-	// directly, and as the campaign engine runs it when the same list
-	// arrives through a Source.
+	// A signed run digests final state; rebuild hashes a fresh slot from
+	// scratch, reuse a pooled one incrementally — called directly, and on
+	// the signing sessions the engine runs when the same list arrives
+	// through a Source.
 	src := listSource(scenarios)
 	sourced, err := (&stressor.Campaign{
 		Name: eq.Name, Run: eq.Reuse.SignedRunFunc(), Source: &src, Workers: 2,
+		Checkpointer: eq.Reuse, EarlyExit: true,
 	}).Execute(nil)
 	if err != nil {
 		t.Fatalf("campaign over a source: %v", err)

@@ -17,7 +17,7 @@ import (
 // distinct places. One worker's session must simulate each (window,
 // descriptor) pair once and answer the rest from its memo — a count, not
 // a time — with no injection failing the silence test, and the result
-// must be the plain path's, outcome for outcome.
+// must be memo-free one-shot runs', outcome for outcome.
 func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows int) {
 	t.Helper()
 	scenarios := denseUniverse(p, instants)
@@ -38,7 +38,7 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
-		t.Errorf("collapsed outcomes diverge from the plain path:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
+		t.Errorf("collapsed outcomes diverge from one-shot runs:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
 	}
 	hits, loud := windowCounts(reg)
 	if len(forks) != windows {
@@ -56,7 +56,7 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 
 // ShardedForkWindowCollapse is the count sharding costs: the
 // ForkWindowCollapse universe at instants, run as shards separate
-// one-worker campaigns, must deliver the plain path's outcomes and
+// one-worker campaigns, must deliver one-shot runs' outcomes and
 // together simulate at most one instant's descriptors per cut more than
 // one unsharded campaign does — a cut between two instants of one idle
 // window simulates that window's descriptors on both sides of it. A
@@ -89,7 +89,7 @@ func ShardedForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, s
 	}
 	for _, want := range plain.Outcomes {
 		if got := byID[want.Scenario.ID]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: sharded outcome %+v, plain path %+v", want.Scenario.ID, got, want)
+			t.Errorf("%s: sharded outcome %+v, one-shot run %+v", want.Scenario.ID, got, want)
 		}
 	}
 	if len(byID) != len(plain.Outcomes) {

@@ -115,9 +115,9 @@ func Run(t *testing.T, cfg Config) {
 }
 
 // cellMode is the checkpointing axis of the matrix: classifications
-// must be byte-identical whether runs take the plain path, fork from a
-// retained node of a tree session, or also early-exit the moment they
-// provably re-converge with the golden trajectory. A warm cell first
+// must be byte-identical whether runs are one-shot (plain), fork from a
+// retained node in a campaign's tree session, or also early-exit the
+// moment they provably re-converge with the golden trajectory. A warm cell first
 // runs the whole universe once on the same runner, so its campaign
 // starts on slots a faulty run left behind (rewound to the root) and
 // forks from golden nodes an earlier campaign's sessions published.

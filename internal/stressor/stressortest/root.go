@@ -7,20 +7,27 @@ import (
 	"repro/internal/stressor"
 )
 
-// CheckRoot asserts that a slot rewound to its host's root checkpoint
-// runs as a freshly built prototype does — the root stands in for Build
-// on every run but a slot's first. reuse and rebuild are the signed run
-// paths of a pooled runner and of its ReuseOff twin. Nothing else may use
-// the pooled runner meanwhile, so its runs, one after another, all take
-// one slot. Each scenario of universe runs there right after a different
-// faulty one, and its outcome — class, detail and signature, which
-// digests the final state — must equal rebuild's.
+// CheckRoot asserts that a pooled run — which restores its host's
+// deepest golden node at or before the scenario's fork, or the root when
+// there is none or the fork is zero — runs as a freshly built prototype
+// does. reuse and rebuild are the signed run paths of a pooled runner and
+// of its ReuseOff twin. Nothing else may use the pooled runner meanwhile,
+// so its runs, one after another, all take one slot. Each scenario of
+// universe, and each of the three a pooled run forks at zero — no fault,
+// and universe's first fault injected at zero and past any horizon — runs
+// there right after a different faulty one, and its outcome — class,
+// detail and signature, which digests the final state — must equal
+// rebuild's.
 func CheckRoot(t *testing.T, rebuild, reuse stressor.RunFunc, universe []fault.Scenario) {
 	t.Helper()
 	if len(universe) < 2 {
 		t.Fatal("stressortest: CheckRoot needs two scenarios or more")
 	}
-	for i, sc := range universe {
+	zero, late := universe[0].Faults[0], universe[0].Faults[0]
+	zero.Name, zero.Start = zero.Name+"@0", 0
+	late.Name, late.Start = late.Name+"@late", 1<<62
+	edges := []fault.Scenario{{ID: "no-fault"}, fault.Single(zero), fault.Single(late)}
+	for i, sc := range append(universe[:len(universe):len(universe)], edges...) {
 		before := universe[(i+1)%len(universe)]
 		if len(before.Faults) == 0 {
 			t.Fatalf("stressortest: CheckRoot runs %s first, and it injects nothing", before.ID)
@@ -28,7 +35,7 @@ func CheckRoot(t *testing.T, rebuild, reuse stressor.RunFunc, universe []fault.S
 		reuse(before)
 		got, want := reuse(sc), rebuild(sc)
 		if got.Class != want.Class || got.Detail != want.Detail || got.Signature != want.Signature {
-			t.Errorf("%s right after %s: the rewound slot says %s %q sig %#x, a fresh build %s %q sig %#x",
+			t.Errorf("%s right after %s: the pooled slot says %s %q sig %#x, a fresh build %s %q sig %#x",
 				sc.ID, before.ID, got.Class, got.Detail, got.Signature, want.Class, want.Detail, want.Signature)
 		}
 	}

@@ -7,25 +7,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Checkpoint trees + convergence early-exit: the one checkpoint path
-// behind Campaign.Checkpointer. The host retains a budgeted set of
-// golden-prefix snapshots ("nodes"), one per injection instant its
-// sessions have visited, and a session establishes each scenario from the
-// deepest node at or before its fork time, whichever session took it —
-// so a campaign whose fork times regress (StopOnFirst index order,
-// resumed tails), and every later campaign on a warm host, forks from the
-// deepest shared prefix instead of re-simulating from time zero.
-// Convergence early-exit layers on top: the golden trajectory is hashed
-// at a fixed stride, horizon/16, and a faulty run whose post-injection
-// state hash returns to the golden trajectory stops simulating
-// immediately and inherits the golden-equal classification —
-// byte-identical to running it out.
+// Checkpoint trees + convergence early-exit: the one pooled run path,
+// a campaign's (Campaign.Checkpointer) and a single call's alike. The host
+// retains a budgeted set of golden-prefix snapshots ("nodes"), one per
+// injection instant its sessions have visited, and a session establishes
+// each scenario from the deepest one at or before its fork time,
+// whichever session took it, instead of re-simulating from time zero.
+// With early exit, a faulty run whose state digest returns to the golden
+// trajectory, hashed every horizon/16, stops there and inherits the
+// golden-equal classification — byte-identical to running it out.
 
 const (
 	// treeMaxNodes bounds the host's retained nodes, per slot it has
@@ -47,6 +42,7 @@ type TreeConfig struct {
 	Metrics *obs.Registry
 	// Campaign labels the counters.
 	Campaign string
+	sign     bool // outcome signatures: set for a Source and the signed calls
 }
 
 // RecyclableSession is a CheckpointSession with a Recycle method.
@@ -180,8 +176,8 @@ func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 	return s
 }
 
-// session is one worker's tree session: a slot, where the slot stands
-// (cursor), the fork-window memo, the golden trajectory its runs are
+// session is one worker's tree session: a slot, the fork it was last
+// established at, the fork-window memo, the golden trajectory its runs are
 // compared with and its metrics. Nodes are taken at fork-1: restoring
 // there and elaborating the stressor gives its initial activation one
 // instant before the injection, which reproduces a full run's schedule at
@@ -194,8 +190,7 @@ type session[S sim.State, G any] struct {
 	traj  *trajectory[G] // the host's, with early exit on
 	pages *pageCounters
 
-	dirty bool // a run advanced past the last established instant
-	cur   sim.Time
+	cur sim.Time // the fork the slot was last established at
 
 	// The fork-window memo (see window): the kernel was last established
 	// in the golden idle window (winFork-1, winEnd), memo holds what the
@@ -238,7 +233,6 @@ func (s *session[S, G]) init() {
 		return
 	}
 	s.sl = s.h.take()
-	s.dirty = true
 	if m := s.cfg.Metrics; m != nil {
 		l := obs.L("campaign", s.cfg.Campaign)
 		s.hits = m.Counter("campaign.tree_hits", l)
@@ -259,52 +253,61 @@ func (s *session[S, G]) init() {
 }
 
 // Run implements CheckpointSession, producing the exact outcome
-// RunScenario yields for the same scenario.
+// RunScenario — RunScenarioSigned, when the session signs — yields for the
+// same scenario.
 func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	if out, ok := s.recall(sc, fork); ok {
 		return out
 	}
-	ob, err := s.execute(sc, fork)
+	out, err := s.execute(sc, fork, true)
 	s.pages.publish()
 	if err != nil {
 		return errorOutcome(sc, err)
 	}
-	out := s.h.classify(sc, ob)
 	s.remember(out)
 	return out
 }
 
-func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time) (analysis.Observation, error) {
+// execute establishes the slot at fork, runs sc and classifies it; with
+// memo, the run's window leg decides whether remember may keep the verdict.
+func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool) (fault.Outcome, error) {
 	s.init()
 	if err := s.establish(fork); err != nil {
-		return analysis.Observation{}, err
+		return fault.Outcome{}, err
 	}
-	s.dirty = true
 	sl := s.sl
 	sl.st.Respawn(sl.k, sl.reg, sc, s.h.horizon)
-	if err := s.window(&sl.st, sc); err != nil {
-		return analysis.Observation{}, err
+	if memo {
+		if err := s.window(&sl.st, sc); err != nil {
+			return fault.Outcome{}, err
+		}
 	}
 	if s.traj != nil {
 		// A run whose injections errored never converges.
 		converged, at, err := s.runToHorizon()
 		if err != nil {
-			return analysis.Observation{}, err
+			return fault.Outcome{}, err
 		}
 		if converged {
 			if s.earlyExits != nil {
 				s.earlyExits.Inc()
 				s.savedNs.Add(uint64(s.h.horizon - at))
 			}
-			return s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.stride)-1), nil
+			out := s.h.classify(sc, s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.stride)-1))
+			if s.cfg.sign {
+				// Back on the golden trajectory, the run ends in the golden
+				// final state.
+				out.Signature = sim.MixSignature(s.traj.final, uint64(out.Class))
+			}
+			return out, nil
 		}
 	} else if err := sl.k.RunUntil(s.h.horizon); err != nil {
-		return analysis.Observation{}, err
+		return fault.Outcome{}, err
 	}
 	if err := s.h.injectionError(sc, &sl.st); err != nil {
-		return analysis.Observation{}, err
+		return fault.Outcome{}, err
 	}
-	return s.h.m.Observe(sl.s), nil
+	return s.h.outcome(sc, sl, s.cfg.sign), nil
 }
 
 // Close implements CheckpointSession, returning the slot to the host's
@@ -319,13 +322,10 @@ func (s *session[S, G]) Close() {
 }
 
 // Establish is establish for tests that pin the tree's steady state: the
-// slot is left golden at fork-1, as a run forked at fork starts, and is
-// marked run past, as the run that follows leaves it.
+// slot is left golden at fork-1, as a run forked at fork starts.
 func (s *session[S, G]) Establish(fork sim.Time) error {
 	s.init()
-	err := s.establish(fork)
-	s.dirty = true
-	return err
+	return s.establish(fork)
 }
 
 // Prototype is the prototype in the session's slot, for tests of the slot
@@ -333,26 +333,21 @@ func (s *session[S, G]) Establish(fork sim.Time) error {
 func (s *session[S, G]) Prototype() sim.State { return s.sl.s }
 
 // establish leaves kernel and model in the golden state at simulated
-// time fork-1, with a host node at fork for the next scenario. Cheapest
-// case first: nothing happens if the kernel still sits at fork untouched;
-// otherwise the host's deepest node at or before fork is restored into
-// the slot as it stands (a hit when it is at fork); otherwise, when the
-// host has no such node, the host's root is, taking the slot back to
-// time zero. Short of fork, the golden run is then extended to it and the
-// node published.
+// time fork-1, with a host node at fork for the next scenario — or, for a
+// fork at zero, as Build left them: the root, which needs no node. The
+// host's deepest node at or before fork is restored into the slot as it
+// stands (a hit when it is at fork); when the host has no such node, the
+// host's root is, taking the slot back to time zero. Short of fork, the
+// golden run is then extended to it and the node published.
 func (s *session[S, G]) establish(fork sim.Time) error {
-	if !s.dirty && s.cur == fork {
-		return nil
-	}
 	sl := s.sl
+	s.cur = fork
 	at, ok, err := s.h.restoreNode(sl, fork)
-	if err != nil {
-		return err
-	}
 	switch {
+	case err != nil:
+		return err
 	case ok && at == fork:
 		inc(s.hits)
-		s.cur, s.dirty = fork, false
 		return nil
 	case ok:
 		inc(s.extends)
@@ -361,15 +356,14 @@ func (s *session[S, G]) establish(fork sim.Time) error {
 			return err
 		}
 		inc(s.rebuilds)
+		if fork == 0 {
+			return nil
+		}
 	}
 	if err := sl.k.RunUntil(fork - 1); err != nil {
 		return err
 	}
-	if err := s.h.publish(sl, fork, s.evictions); err != nil {
-		return err
-	}
-	s.cur, s.dirty = fork, false
-	return nil
+	return s.h.publish(sl, fork, s.evictions)
 }
 
 func inc(c *obs.Counter) {
@@ -395,10 +389,12 @@ type windowKey struct {
 	param, rate uint64
 }
 
-// windowVerdict is what a silent run came to.
+// windowVerdict is what a silent run came to, signature included: neither
+// Start nor Name enters the final state (fault.Injector).
 type windowVerdict struct {
 	class  fault.Classification
 	detail string
+	sig    uint64
 }
 
 // windowKeyOf keys sc when its whole timeline is one action: a single
@@ -432,7 +428,7 @@ func (s *session[S, G]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome,
 		return fault.Outcome{}, false
 	}
 	inc(s.windowHits)
-	return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail}, true
+	return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail, Signature: v.sig}, true
 }
 
 // window runs a keyed scenario's first leg, with the kernel established
@@ -487,7 +483,7 @@ func (s *session[S, G]) remember(out fault.Outcome) {
 	if s.memo == nil {
 		s.memo = make(map[windowKey]windowVerdict)
 	}
-	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail}
+	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail, sig: out.Signature}
 }
 
 // trajectory is the golden run's state-hash stream and what the model
@@ -504,6 +500,7 @@ type trajectory[G any] struct {
 	// digest.
 	nEvents, nProcs int
 	hashes          []uint64
+	final           uint64 // the model state digest at the horizon, which converged runs sign
 	g               G
 }
 

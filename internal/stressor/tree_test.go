@@ -1,6 +1,7 @@
 package stressor
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -47,11 +48,11 @@ func (*tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
 }
 
 // TestTreeCoreBudgetOfOne pins establish's cases and the LRU budget on
-// a host that may retain a single node. The same fork is a no-op on an
-// untouched kernel and a restore (hit) on a dirty one, a later fork
-// extends the golden run from the held node and evicts it, an earlier
-// fork rebuilds from the root at time zero and evicts the later node in
-// turn — and exactly one node is retained throughout. The node is the
+// a host that may retain a single node. The same fork is a restore (hit)
+// after a run, a later fork extends the golden run from the held node
+// and evicts it, an earlier fork rebuilds from the root at time zero and
+// evicts the later node in turn — and exactly one node is retained
+// throughout. The node is the
 // host's, so it outlives Close, and the next session's slot hits it.
 func TestTreeCoreBudgetOfOne(t *testing.T) {
 	h, err := NewHost[*tickModel, struct{}]("tick", &tickProto{}, 100)
@@ -71,7 +72,6 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	// dirtyRun plays an injected run: the kernel leaves the golden
 	// instant and the model state diverges from it.
 	dirtyRun := func() {
-		s.dirty = true
 		if err := k.RunUntil(k.Now() + 7); err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,6 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 		want  counts
 	}{
 		{"first fork simulates the prefix", 10, false, counts{rebuilds: 1}},
-		{"same fork, untouched kernel: no-op", 10, false, counts{rebuilds: 1}},
 		{"same fork after a run: hit", 10, true, counts{hits: 1, rebuilds: 1}},
 		{"later fork: extend, old node superseded", 20, true, counts{hits: 1, extends: 1, rebuilds: 1, evictions: 1}},
 		{"earlier fork: rebuild from zero, later node superseded", 5, true, counts{hits: 1, extends: 1, rebuilds: 2, evictions: 2}},
@@ -134,5 +133,32 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	}
 	if n := reg.Counter("campaign.tree_rebuilds", l).Value(); n != 0 {
 		t.Errorf("the second session took its slot back to time zero %d times, want 0", n)
+	}
+}
+
+// TestForkTimeDeclinesOnlyUnderReuseOff: a scenario with no fault, one
+// injecting at zero and one injecting past the horizon fork at zero —
+// a one-shot session restores the root, publishes no node and comes to
+// the ReuseOff outcome — and only a ReuseOff host declines them.
+func TestForkTimeDeclinesOnlyUnderReuseOff(t *testing.T) {
+	oracle, h := newWindowHost(t), newWindowHost(t)
+	oracle.ReuseOff = true
+	for _, sc := range []fault.Scenario{
+		{ID: "none"},
+		fault.Single(permanent("zero", "toy.reg", fault.StuckAt1, 0)),
+		fault.Single(permanent("late", "toy.reg", fault.StuckAt1, windowHorizon+1)),
+	} {
+		if _, ok := oracle.ForkTime(sc); ok {
+			t.Errorf("%s: a ReuseOff host forks it", sc.ID)
+		}
+		if fork, ok := h.ForkTime(sc); fork != 0 || !ok {
+			t.Errorf("%s: ForkTime = %v, %v; want 0, true", sc.ID, fork, ok)
+		}
+		if got, want := h.RunScenarioSigned(sc), oracle.RunScenarioSigned(sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v, ReuseOff says %+v", sc.ID, got, want)
+		}
+	}
+	if n := h.LiveNodes(); n != 0 {
+		t.Errorf("runs forked at zero published %d nodes, want none", n)
 	}
 }
