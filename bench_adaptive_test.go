@@ -39,7 +39,7 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 	// counts distinct outcome signatures.
 	uniqueSigs := func(r *caps.Runner, src stressor.ScenarioSource, prune bool) int {
 		c := &stressor.Campaign{
-			Name: "bench-adaptive", Run: r.SignedRunFunc(), Source: src,
+			Name: "bench-adaptive", Run: r.RunScenarioSigned, Source: src,
 			Workers: stressor.WorkersAuto, MaxRuns: budget, Dedup: prune,
 		}
 		res, err := c.Execute(nil)

@@ -179,7 +179,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	for _, d := range runner.Universe(sim.MS(10)) {
 		scenarios = append(scenarios, fault.Single(d))
 	}
-	want, err := (&stressor.Campaign{Name: "ref", Run: runner.RunFunc()}).Execute(scenarios)
+	want, err := (&stressor.Campaign{Name: "ref", Run: runner.RunScenario}).Execute(scenarios)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: bc.workers}
+			c := &stressor.Campaign{Name: "bench", Run: runner.RunScenario, Workers: bc.workers}
 			b.ReportAllocs()
 			b.ReportMetric(float64(len(scenarios)), "scenarios/op")
 			b.ResetTimer()
@@ -238,7 +238,7 @@ func BenchmarkCampaignReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		scenarios := fault.Singles(ref.Universe(reg.inject))
-		want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunFunc()}).Execute(scenarios)
+		want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunScenario}).Execute(scenarios)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func BenchmarkCampaignReuse(b *testing.B) {
 					}
 					defer runner.Close()
 					runner.ReuseOff = mode.reuseOff
-					c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: wc.workers}
+					c := &stressor.Campaign{Name: "bench", Run: runner.RunScenario, Workers: wc.workers}
 					b.ReportAllocs()
 					b.ReportMetric(float64(len(scenarios)), "scenarios/op")
 					b.ResetTimer()
@@ -306,7 +306,7 @@ func BenchmarkCampaignTree(b *testing.B) {
 		}
 	}
 	scenarios := fault.Singles(universe)
-	want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunFunc()}).Execute(scenarios)
+	want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunScenario}).Execute(scenarios)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func BenchmarkCampaignTree(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer runner.Close()
-				c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Workers: wc.workers, EarlyExit: mode.early}
+				c := &stressor.Campaign{Name: "bench", Run: runner.RunScenario, Workers: wc.workers, EarlyExit: mode.early}
 				if mode.tree {
 					c.Checkpointer = runner
 				}
@@ -374,7 +374,7 @@ func BenchmarkCampaignForkWindows(b *testing.B) {
 	scenarios := fault.Singles(universe)
 	reg := obs.NewRegistry()
 	c := &stressor.Campaign{
-		Name: "bench", Run: runner.RunFunc(), Workers: 2, Metrics: reg, Checkpointer: runner,
+		Name: "bench", Workers: 2, Metrics: reg, Checkpointer: runner,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -422,7 +422,7 @@ func BenchmarkCampaignSharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	scenarios := fault.Singles(ref.Universe(inject))
-	want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunFunc()}).Execute(scenarios)
+	want, err := (&stressor.Campaign{Name: "ref", Run: ref.RunScenario}).Execute(scenarios)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func BenchmarkCampaignSharded(b *testing.B) {
 					if shards > 1 {
 						sh = stressor.Shard{Index: s, Count: shards}
 					}
-					c := &stressor.Campaign{Name: "bench", Run: runner.RunFunc(), Shard: sh, Journal: w}
+					c := &stressor.Campaign{Name: "bench", Run: runner.RunScenario, Shard: sh, Journal: w}
 					if _, err := c.Execute(scenarios); err != nil {
 						b.Fatal(err)
 					}

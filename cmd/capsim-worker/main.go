@@ -31,6 +31,8 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/stressor"
 )
 
 func main() {
@@ -60,29 +62,19 @@ func main() {
 
 	resolve := campaignd.FabricResolver(logger)
 	// CAPSIM_WORKER_STALL_AFTER=N blocks the worker forever inside its
-	// N-th scenario, all run by the wrapped RunFunc (chaos-testing aid,
-	// like capsim's CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness
-	// SIGKILLs the stalled process to prove a real worker death mid-lease
-	// is recovered by the next worker, resuming from the last flushed
-	// outcome.
+	// N-th scenario, counted over every session of the campaigns it
+	// resolves (chaos-testing aid, like capsim's
+	// CAPSIM_FAIL_JOURNAL_AFTER): the E2E harness SIGKILLs the stalled
+	// process to prove a real worker death mid-lease is recovered by the
+	// next worker, resuming from the last flushed outcome.
 	if n, err := strconv.Atoi(os.Getenv("CAPSIM_WORKER_STALL_AFTER")); err == nil && n > 0 {
-		inner := resolve
-		var runs atomic.Int32
+		inner, runs := resolve, new(atomic.Int32)
 		resolve = func(raw json.RawMessage) (*fabric.Resolved, error) {
 			res, err := inner(raw)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				res.Campaign.Checkpointer = stallAfter{Checkpointer: res.Campaign.Checkpointer, n: int32(n), runs: runs}
 			}
-			c := res.Campaign
-			c.Checkpointer, c.EarlyExit = nil, false
-			run := c.Run
-			c.Run = func(sc fault.Scenario) fault.Outcome {
-				if int(runs.Add(1)) == n {
-					select {} // stall forever; only SIGKILL ends this
-				}
-				return run(sc)
-			}
-			return res, nil
+			return res, err
 		}
 	}
 
@@ -113,4 +105,26 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("capsim-worker done")
+}
+
+// stallAfter is a prototype and, once NewTreeSession has set its
+// CheckpointSession, a session of it: the n-th scenario any of its
+// sessions runs never returns.
+type stallAfter struct {
+	stressor.Checkpointer
+	stressor.CheckpointSession
+	n    int32
+	runs *atomic.Int32
+}
+
+func (p stallAfter) NewTreeSession(cfg stressor.TreeConfig) stressor.CheckpointSession {
+	p.CheckpointSession = p.Checkpointer.NewTreeSession(cfg)
+	return p
+}
+
+func (p stallAfter) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+	if p.runs.Add(1) == p.n {
+		select {} // stall forever; only SIGKILL ends this
+	}
+	return p.CheckpointSession.Run(sc, fork)
 }

@@ -38,7 +38,7 @@ func main() {
 		for _, d := range runner.Universe(sim.MS(10)) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
-		campaign := &stressor.Campaign{Name: cfg.name, Run: runner.RunFunc()}
+		campaign := &stressor.Campaign{Name: cfg.name, Run: runner.RunScenario}
 		res, err := campaign.Execute(scenarios)
 		if err != nil {
 			panic(err)

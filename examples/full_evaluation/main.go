@@ -37,7 +37,7 @@ func main() {
 	ev := &core.Evaluation{
 		Profile:   profile,
 		Sites:     runner.Sites(),
-		Run:       runner.RunFunc(),
+		Run:       runner.RunScenario,
 		Horizon:   horizon - sim.MS(5),
 		Seed:      42,
 		Replicate: 5,

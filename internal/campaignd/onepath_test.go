@@ -151,6 +151,36 @@ func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
 	})
 }
 
+// TestNothingPairsRunWithCheckpointer: a campaign runs on its
+// Checkpointer alone — a ReuseOff runner's sessions are the rebuild
+// oracle — so no non-test file sets Run beside a Checkpointer in one
+// composite literal, or calls the deprecated RunFunc()/SignedRunFunc()
+// forwarders a runner keeps for bench/; a plain call takes the method
+// value RunScenario or RunScenarioSigned.
+func TestNothingPairsRunWithCheckpointer(t *testing.T) {
+	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			// No arguments: stressor.RunFunc(f) is a conversion.
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) == 0 && (sel.Sel.Name == "RunFunc" || sel.Sel.Name == "SignedRunFunc") {
+				t.Errorf("%s: calls %s(); pass the runner as Checkpointer, or its method value", fset.Position(n.Pos()), sel.Sel.Name)
+			}
+		case *ast.CompositeLit:
+			keys := map[string]bool{}
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						keys[key.Name] = true
+					}
+				}
+			}
+			if keys["Run"] && keys["Checkpointer"] {
+				t.Errorf("%s: a composite literal sets both Run and Checkpointer", fset.Position(n.Pos()))
+			}
+		}
+	})
+}
+
 // TestNothingWritesJSONL: every journal is created binary. No non-test
 // file calls journal.CreateCodec, names journal.JSONL or sets the inert
 // fabric.CoordConfig.Codec, so no front-end can come to pick a codec
@@ -289,9 +319,10 @@ func TestModelsAreHostDeterministic(t *testing.T) {
 }
 
 // TestSpecBuildForksFromTheRunner: every spec builds a campaign that
-// forks from the runner's checkpoint tree — the bare spec and the
-// spellings of the retired checkpoint switches alike, which build the
-// very same campaign, and an adaptive one, whose sessions sign.
+// runs on the runner alone, as its Checkpointer, with no Run beside it —
+// the bare spec and the spellings of the retired checkpoint switches
+// alike, which build the very same campaign, and an adaptive one, whose
+// sessions sign.
 func TestSpecBuildForksFromTheRunner(t *testing.T) {
 	u := `"campaign":"p","universe":{"horizon":"30ms","inject":"5ms"},"workers":2`
 	runner, err := mustSpec(t, `{`+u+`}`).BuildRunner()
@@ -305,7 +336,9 @@ func TestSpecBuildForksFromTheRunner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Run = nil // a method value, which DeepEqual never finds equal
+		if c.Run != nil {
+			t.Errorf("%s builds a Run beside the Checkpointer", raw)
+		}
 		return c
 	}
 	bare := build(`{` + u + `}`)
@@ -336,7 +369,7 @@ func docOf(t *testing.T, spec *Spec, scenarios []fault.Scenario, res *stressor.R
 
 // rebuildDoc is docOf for the rebuild oracle: the campaign Spec.Build
 // assembles for raw, run on a runner that rebuilds the prototype for
-// every scenario (ReuseOff, whose ForkTime declines every fork).
+// every scenario (ReuseOff, whose sessions rebuild).
 func rebuildDoc(t *testing.T, raw string) string {
 	t.Helper()
 	spec := mustSpec(t, raw)

@@ -365,17 +365,16 @@ func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, erro
 		return nil, nil, err
 	}
 	c := &stressor.Campaign{
-		Name: s.Campaign, Run: r.RunFunc(), Workers: s.Workers,
+		Name: s.Campaign, Workers: s.Workers,
 		Dedup: s.Dedup, StopOnFirst: s.StopOnFirst, Shard: s.shard,
 		ScenarioTimeout: s.timeout,
 		Checkpointer:    r, EarlyExit: s.EarlyExit,
 	}
 	if s.Adaptive {
 		// The Novelty strategy over the spec's fault universe replaces the
-		// list; the runner's sessions sign for it, as does the RunFunc a
-		// ReuseOff runner runs instead. A resumed run replays its journal
-		// into the same seeded strategy.
-		c.Run, c.Dedup = r.SignedRunFunc(), true
+		// list, and the runner's sessions sign for it. A resumed run
+		// replays its journal into the same seeded strategy.
+		c.Dedup = true
 		c.Source = NewNovelty(r.Universe(s.inject), s.NoveltyBudget, s.NoveltySeed, s.horizon)
 		c.MaxRuns, c.Fingerprint = s.NoveltyBudget, stressor.UniverseHash(scenarios)
 		scenarios = nil

@@ -126,7 +126,7 @@ func TestCampaignAllocationBudget(t *testing.T) {
 	scs := permanentSweep(r, sim.MS(5), sim.MS(15), sim.MS(25), sim.MS(35), sim.MS(45), sim.MS(55), sim.MS(65), sim.MS(75))
 	campaign := func() *stressor.Campaign {
 		return &stressor.Campaign{
-			Name: "alloc-budget", Run: r.RunFunc(), Workers: 2, Checkpointer: r,
+			Name: "alloc-budget", Workers: 2, Checkpointer: r,
 		}
 	}
 	header := campaign().JournalHeader(scs) // hashes the universe: once, as a front-end does

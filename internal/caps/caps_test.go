@@ -207,7 +207,7 @@ func TestExhaustiveCampaignProtectedHasNoG1Violations(t *testing.T) {
 	for _, d := range r.Universe(sim.MS(10)) {
 		scenarios = append(scenarios, fault.Single(d))
 	}
-	c := &stressor.Campaign{Name: "protected", Run: r.RunFunc()}
+	c := &stressor.Campaign{Name: "protected", Run: r.RunScenario}
 	res, err := c.Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestExhaustiveCampaignUnprotectedHasViolations(t *testing.T) {
 	for _, d := range r.Universe(sim.MS(10)) {
 		scenarios = append(scenarios, fault.Single(d))
 	}
-	c := &stressor.Campaign{Name: "unprotected", Run: r.RunFunc()}
+	c := &stressor.Campaign{Name: "unprotected", Run: r.RunScenario}
 	res, err := c.Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
@@ -345,13 +345,13 @@ func TestCampaignDeterminismMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "caps-e8",
 		Scenarios: scenarios,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.RunFunc(), r, r.Close
+			return r, r.Close
 		},
 		Dedup: true,
 	})
@@ -374,7 +374,7 @@ func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
 	}
-	res, err := (&stressor.Campaign{Name: "probe", Run: runner.RunFunc(), StopOnFirst: true}).Execute(scenarios)
+	res, err := (&stressor.Campaign{Name: "probe", Run: runner.RunScenario, StopOnFirst: true}).Execute(scenarios)
 	runner.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -385,13 +385,13 @@ func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "caps-e8-stop",
 		Scenarios: scenarios,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.RunFunc(), r, r.Close
+			return r, r.Close
 		},
 		StopOnFirst: true,
 	})
@@ -424,7 +424,7 @@ func TestRunnerNewCampaignShard(t *testing.T) {
 	defer runner.Close()
 	scs := fault.Singles(runner.Universe(sim.MS(5)))
 	campaign := func(shard stressor.Shard) *stressor.Campaign {
-		return &stressor.Campaign{Name: "nc", Run: runner.RunFunc(), Shard: shard, Checkpointer: runner}
+		return &stressor.Campaign{Name: "nc", Shard: shard, Checkpointer: runner}
 	}
 	full, err := campaign(stressor.Shard{}).Execute(scs)
 	if err != nil {
@@ -471,13 +471,13 @@ func TestCampaignAdaptiveDeterminismMatrix(t *testing.T) {
 	stressortest.RunAdaptive(t, stressortest.AdaptiveConfig{
 		Name:     "caps-e8-adaptive",
 		Universe: universe,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.SignedRunFunc(), r, r.Close
+			return r, r.Close
 		},
 	})
 }

@@ -34,14 +34,14 @@ func TestTreeEarlyExitMatchesPlain(t *testing.T) {
 	defer runner.Close()
 	scenarios := transientUniverse(t, runner)
 
-	plain, err := (&stressor.Campaign{Name: "caps-plain", Run: runner.RunFunc()}).Execute(scenarios)
+	plain, err := (&stressor.Campaign{Name: "caps-plain", Run: runner.RunScenario}).Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
 	tree, err := (&stressor.Campaign{
-		Name: "caps-tree", Run: runner.RunFunc(),
+		Name:         "caps-tree",
 		Checkpointer: runner, EarlyExit: true,
 		Metrics: reg,
 	}).Execute(scenarios)
@@ -208,8 +208,8 @@ func TestCrossSlotRestore(t *testing.T) {
 }
 
 // TestRootEqualsBuild: a pooled slot runs every scenario of the E8
-// universe and its transients, and the three that fork at zero, as a
-// fresh build does (stressortest.CheckRoot).
+// universe and its transients, the three that fork at zero and one
+// injected at the horizon, as a fresh build does (stressortest.CheckRoot).
 func TestRootEqualsBuild(t *testing.T) {
 	naive, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {
@@ -222,5 +222,5 @@ func TestRootEqualsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	stressortest.CheckRoot(t, naive.SignedRunFunc(), r.SignedRunFunc(), transientUniverse(t, r))
+	stressortest.CheckRoot(t, naive.RunScenarioSigned, r.RunScenarioSigned, transientUniverse(t, r), sim.MS(30))
 }

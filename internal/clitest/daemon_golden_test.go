@@ -148,7 +148,7 @@ func forkWindowSpec(workers int) string {
 // rebuildResultDoc is the result document of the rebuild oracle for the
 // spec raw, under run ID "run": the campaign Spec.Build assembles, run in
 // this process on a runner that rebuilds the prototype for every scenario
-// (ReuseOff, whose ForkTime declines every fork).
+// (ReuseOff, whose sessions rebuild).
 func rebuildResultDoc(t *testing.T, raw string) string {
 	t.Helper()
 	spec, err := campaignd.ParseSpec([]byte(raw))

@@ -171,7 +171,7 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 		reg := obs.NewRegistry()
 		scs := seuSweep(r)
 		c := &stressor.Campaign{
-			Name: "pages", Run: r.RunFunc(), Metrics: reg,
+			Name: "pages", Metrics: reg,
 			Checkpointer: r, EarlyExit: true,
 		}
 		if _, err := c.Execute(scs); err != nil {
@@ -354,14 +354,14 @@ func TestTreeSessionsOfAWarmHostRebuildNothing(t *testing.T) {
 	}
 	defer r.Close()
 	scs := seuSweep(r)
-	want, err := (&stressor.Campaign{Name: "naive", Run: naive.RunFunc()}).Execute(scs)
+	want, err := (&stressor.Campaign{Name: "naive", Run: naive.RunScenario}).Execute(scs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	for _, name := range []string{"cold", "warm"} {
 		got, err := (&stressor.Campaign{
-			Name: name, Run: r.RunFunc(), Workers: 2, Metrics: reg, Checkpointer: r, EarlyExit: true,
+			Name: name, Workers: 2, Metrics: reg, Checkpointer: r, EarlyExit: true,
 		}).Execute(scs)
 		if err != nil {
 			t.Fatal(err)

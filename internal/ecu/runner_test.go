@@ -113,13 +113,13 @@ func TestRunnerDeterminismMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu",
 		Scenarios: scs,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.RunFunc(), r, r.Close
+			return r, r.Close
 		},
 		Shards: []int{1, 2},
 	})
@@ -127,8 +127,8 @@ func TestRunnerDeterminismMatrix(t *testing.T) {
 
 // TestRunnerCheckpointMatrix reruns the matrix with a non-zero
 // injection time: Universe(0) scenarios all fork at time zero (no
-// prefix to amortize, ForkTime declines them), so the matrix above
-// only proves the transparent fallback. Injecting at 2µs makes every
+// prefix to amortize), so the matrix above only proves the root.
+// Injecting at 2µs makes every
 // scenario fork-eligible and drives the ECU checkpoint sessions —
 // snapshot of mid-run cores, restore, re-injection — through the full
 // {seq,par} × {sharded} × {resumed} grid.
@@ -142,13 +142,13 @@ func TestRunnerCheckpointMatrix(t *testing.T) {
 	stressortest.Run(t, stressortest.Config{
 		Name:      "ecu-seu-cp",
 		Scenarios: scs,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.RunFunc(), r, r.Close
+			return r, r.Close
 		},
 		Workers: []int{0, 2},
 		Shards:  []int{1, 2},
@@ -163,7 +163,7 @@ func TestRunnerSEUDetections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	res, err := (&stressor.Campaign{Name: "ecu-seu", Run: r.RunFunc(), Checkpointer: r}).Execute(fault.Singles(r.Universe(0)))
+	res, err := (&stressor.Campaign{Name: "ecu-seu", Checkpointer: r}).Execute(fault.Singles(r.Universe(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestRunnerAdaptiveDeterminismMatrix(t *testing.T) {
 		Name:     "ecu-seu-adaptive",
 		Universe: universe,
 		Budget:   16,
-		NewRun: func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func()) {
+		NewRun: func(t *testing.T, reuseOff bool) (stressortest.Prototype, func()) {
 			r, err := NewRunner(DefaultRunnerConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.ReuseOff = reuseOff
-			return r.SignedRunFunc(), r, r.Close
+			return r, r.Close
 		},
 	})
 }
@@ -236,7 +236,7 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 		// Universe(0) forks at zero, from the root.
 		scs := fault.Singles(append(r.Universe(0), r.Universe(sim.US(2))...))
 		res, err := (&stressor.Campaign{
-			Name: "ecu-instrumented", Run: r.RunFunc(), Workers: 2,
+			Name: "ecu-instrumented", Workers: 2,
 			Checkpointer: r, EarlyExit: true,
 		}).Execute(scs)
 		if err != nil {
@@ -257,8 +257,8 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 }
 
 // TestRootEqualsBuild: a pooled slot runs every scenario of the SEU
-// universe, injected at three instants, and the three that fork at zero,
-// as a fresh build does (stressortest.CheckRoot).
+// universe, injected at three instants, the three that fork at zero and
+// one injected at the horizon, as a fresh build does (stressortest.CheckRoot).
 func TestRootEqualsBuild(t *testing.T) {
 	naive, err := NewRunner(DefaultRunnerConfig())
 	if err != nil {
@@ -275,5 +275,5 @@ func TestRootEqualsBuild(t *testing.T) {
 	for _, at := range []sim.Time{sim.NS(700), sim.US(30), sim.US(90)} {
 		ds = append(ds, r.Universe(at)...)
 	}
-	stressortest.CheckRoot(t, naive.SignedRunFunc(), r.SignedRunFunc(), fault.Singles(ds))
+	stressortest.CheckRoot(t, naive.RunScenarioSigned, r.RunScenarioSigned, fault.Singles(ds), DefaultRunnerConfig().Horizon)
 }

@@ -41,7 +41,6 @@ func runE4() (*Result, error) {
 		return nil, err
 	}
 	universe := runner.Universe(sim.MS(5))
-	run := runner.RunFunc()
 
 	// Monte Carlo samples the *full* fault space, which includes the
 	// occurrence-time dimension: faults are transient windows placed
@@ -71,7 +70,7 @@ func runE4() (*Result, error) {
 		mc := scenario.NewMonteCarlo(mcUniverse, E4Budget, rand.New(rand.NewSource(seed)))
 		mc.MultiFault = 2
 		mc.Window = sim.MS(40)
-		outcomes := scenario.Drive(mc, run)
+		outcomes := scenario.Drive(mc, runner.RunScenario)
 		first := firstCritical(outcomes)
 		fails := countCritical(outcomes)
 		firstStr := "never"
@@ -89,7 +88,7 @@ func runE4() (*Result, error) {
 	// Guided.
 	guidedDone := Phase("E4", "weak-spot-guided")
 	g := scenario.NewGuided(universe, E4Budget)
-	outcomes := scenario.Drive(g, run)
+	outcomes := scenario.Drive(g, runner.RunScenario)
 	guidedDone()
 	gFirst := firstCritical(outcomes)
 	gFails := countCritical(outcomes)

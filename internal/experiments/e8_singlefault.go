@@ -37,7 +37,7 @@ func runE8() (*Result, error) {
 		for _, d := range universe {
 			scenarios = append(scenarios, fault.Single(d))
 		}
-		c := &stressor.Campaign{Name: name, Run: runner.RunFunc(), Workers: CampaignWorkers, Checkpointer: runner}
+		c := &stressor.Campaign{Name: name, Workers: CampaignWorkers, Checkpointer: runner}
 		instrumentCampaign(c)
 		res, err := c.Execute(scenarios)
 		return res, universe, err

@@ -55,7 +55,7 @@ func runX2() (*Result, error) {
 		for _, d := range runner.Universe(sim.MS(10)) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
-		c := &stressor.Campaign{Name: v.name, Run: runner.RunFunc(), Workers: CampaignWorkers, Checkpointer: runner}
+		c := &stressor.Campaign{Name: v.name, Workers: CampaignWorkers, Checkpointer: runner}
 		instrumentCampaign(c)
 		res, err := c.Execute(scenarios)
 		done()

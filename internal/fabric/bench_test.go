@@ -59,7 +59,7 @@ func BenchmarkCampaignDistributed(b *testing.B) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
 	}
-	want, err := (&stressor.Campaign{Name: "ref", Run: runner.RunFunc()}).Execute(scenarios)
+	want, err := (&stressor.Campaign{Name: "ref", Run: runner.RunScenario}).Execute(scenarios)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func BenchmarkCampaignDistributed(b *testing.B) {
 		name string
 		run  stressor.RunFunc
 	}{
-		{"sim", runner.RunFunc()},
+		{"sim", runner.RunScenario},
 		{"remote", func(sc fault.Scenario) fault.Outcome {
 			time.Sleep(benchLatency)
-			return runner.RunFunc()(sc)
+			return runner.RunScenario(sc)
 		}},
 	}
 	for _, regime := range regimes {

@@ -284,7 +284,7 @@ func TestFabricAllocationBudget(t *testing.T) {
 	scenarios := universe()
 	resolve := func(json.RawMessage) (*Resolved, error) {
 		return &Resolved{Scenarios: universe(), Campaign: &stressor.Campaign{
-			Run: runner.RunFunc(), Checkpointer: runner,
+			Checkpointer: runner,
 		}}, nil
 	}
 	srv := newSwapServer(t)

@@ -46,11 +46,11 @@ type JournalSink interface {
 type Campaign struct {
 	// Name labels the campaign in reports, metrics and journals.
 	Name string
-	// Run executes each scenario the Checkpointer does not fork. With a
-	// Source, RunFuncs that populate Outcome.Signature (the runners'
-	// signed variants) give the campaign real behavioral equivalence
-	// classes, as sessions do; plain RunFuncs get a class+detail fallback
-	// signature.
+	// Run executes each scenario of a campaign without a Checkpointer,
+	// and is read only when Checkpointer is nil. With a Source, a Run that
+	// populates Outcome.Signature (a runner's RunScenarioSigned) gives the
+	// campaign real behavioral equivalence classes, as sessions do; any
+	// other gets a class+detail fallback signature.
 	Run RunFunc
 	// Source, when non-nil, replaces the scenario list (Execute takes
 	// nil): scenarios are pulled from it while at most lookahead of them
@@ -97,16 +97,16 @@ type Campaign struct {
 	// matches an already-delivered run is answered from a memo of
 	// delivered outcomes — no simulation, no budget, no journal entry.
 	Dedup bool
-	// Checkpointer, when non-nil, forks scenarios off the golden run:
-	// the scenario stream is sorted by fork time (unless StopOnFirst
-	// demands index order) and grouped by fault content so scenario
-	// families dispatch back to back, and each worker's tree session
-	// retains a budget of golden-prefix snapshots and establishes every
-	// scenario from the deepest one at or before its fork instead of
-	// re-simulating the prefix. Scenarios the Checkpointer declines
-	// (ForkTime ok=false) run through the RunFunc. Results are
-	// byte-identical to an Execute without one, signatures included. The
-	// CAPS and ECU runners implement it.
+	// Checkpointer is the prototype every scenario runs on, each on its
+	// worker's session: the scenario stream is sorted by fork time
+	// (unless StopOnFirst demands index order) and grouped by fault
+	// content so scenario families dispatch back to back, and the
+	// sessions establish every scenario from the deepest golden-prefix
+	// snapshot at or before its fork instead of re-simulating the prefix.
+	// Results are byte-identical to a freshly built prototype's — a
+	// ReuseOff runner's sessions build one — signatures included. The
+	// CAPS and ECU runners implement it. A campaign without one runs Run
+	// in index order.
 	Checkpointer Checkpointer
 	// Deprecated: Checkpoints and CheckpointTree are never read; the
 	// Checkpointer alone decides whether a campaign forks.
@@ -149,10 +149,10 @@ type Campaign struct {
 	Resume *journal.Journal
 	// ScenarioTimeout, when positive, bounds each run's wall-clock
 	// time. A run exceeding it is recorded as fault.Timeout and the
-	// campaign moves on; the runaway RunFunc keeps its goroutine (and
-	// any kernel slot it holds) so the worker continues on a fresh
-	// slot, and its eventual outcome is discarded. Timeout is not a
-	// failure: StopOnFirst does not trigger on it.
+	// campaign moves on; the runaway run keeps its goroutine and its
+	// session (and any kernel slot that holds), so the worker continues
+	// on a fresh session, and its eventual outcome is discarded. Timeout
+	// is not a failure: StopOnFirst does not trigger on it.
 	ScenarioTimeout time.Duration
 	// Halt, when non-nil, is polled with the number of outcomes
 	// delivered so far — before anything runs, then after every delivery
@@ -271,8 +271,7 @@ func (c *Campaign) newObs(total, workers int) *campaignObs {
 
 // runOne executes one scenario through the instrumentation shell:
 // span, duration histogram, per-worker busy time, progress step. The
-// run itself goes to sess at fork when dispatchRun resolved one, to the
-// RunFunc otherwise.
+// run itself goes to sess at fork.
 func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess CheckpointSession, fork sim.Time) (fault.Outcome, bool, bool) {
 	if o == nil {
 		return c.execRun(sc, sess, fork)
@@ -323,9 +322,9 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess Ch
 // budget it is a plain call; with one, the run proceeds on its own
 // goroutine and an overrun is classified fault.Timeout while the
 // campaign moves on. The abandoned goroutine finishes (or hangs) in
-// the background; its late outcome is discarded, and any pooled slot
-// it holds stays with it — the pool builds a fresh slot for the next
-// run, so a hung simulation can never wedge a worker.
+// the background; its late outcome is discarded, and its session, with
+// any pooled slot that holds, stays with it — the worker's next run is
+// on a fresh session, so a hung simulation can never wedge a worker.
 func (c *Campaign) execRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time) (fault.Outcome, bool, bool) {
 	if c.ScenarioTimeout <= 0 {
 		out, panicked := c.safeRun(sc, sess, fork)
@@ -373,7 +372,7 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	// The dedup plan comes BEFORE shard partition and resume replay, so
 	// every shard computes the identical unique-run list and journals
 	// refer to stable representative indices.
-	e := &campaignExec{c: c, dedup: newDedupPlan(scenarios, c.Dedup)}
+	e := &campaignExec{c: c, proto: c.prototype(), dedup: newDedupPlan(scenarios, c.Dedup)}
 	e.more.L = &e.mu
 	e.cutoff.Store(math.MaxInt64)
 	resumed, err := c.resumeEntries(e.dedup)
@@ -437,8 +436,8 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 		return err
 	}
 	switch {
-	case c.Run == nil:
-		return fmt.Errorf("no RunFunc")
+	case c.prototype() == nil:
+		return fmt.Errorf("neither Run nor Checkpointer")
 	case c.EarlyExit && c.Checkpointer == nil:
 		return fmt.Errorf("EarlyExit requires a Checkpointer")
 	case c.Source == nil:
@@ -579,6 +578,7 @@ type plan interface {
 // the Source and counts.
 type campaignExec struct {
 	c     *Campaign
+	proto Checkpointer // what every scenario runs on (Campaign.prototype)
 	dedup dedupPlan
 	obs   *campaignObs
 
@@ -742,8 +742,9 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 		e.answered[byJournal]++
 	}
 	if c.Checkpointer == nil || c.StopOnFirst {
-		// Index order: under StopOnFirst the campaign must execute exactly
-		// the prefix the sequential loop would.
+		// Index order: a Run has no fork to sort by, and under StopOnFirst
+		// the campaign must execute exactly the prefix the sequential loop
+		// would.
 		return l
 	}
 	forks := make([]sim.Time, d.len())
@@ -990,7 +991,7 @@ func (s *sourcePlan) census() *Census {
 // over back, or straight to the plan — until nothing is left to claim.
 // The closed range is checked before every position, not every span.
 func (e *campaignExec) drain(p plan, w, workers int, back chan<- span) {
-	var sess CheckpointSession // the worker's, from its first forked run
+	var sess CheckpointSession // the worker's, from its first run
 	defer func() {
 		if sess != nil {
 			sess.Close()
@@ -1132,15 +1133,11 @@ func recoverRun(sc fault.Scenario, o *fault.Outcome, panicked *bool) {
 	}
 }
 
-// safeRun runs sc under recoverRun — on sess from fork when there is a
-// session, through the RunFunc otherwise. The second return reports
-// whether a panic was recovered, feeding Result.PanicRecoveries.
+// safeRun runs sc on sess from fork under recoverRun. The second return
+// reports whether a panic was recovered, feeding Result.PanicRecoveries.
 func (c *Campaign) safeRun(sc fault.Scenario, sess CheckpointSession, fork sim.Time) (o fault.Outcome, panicked bool) {
 	defer recoverRun(sc, &o, &panicked)
-	if sess != nil {
-		return sess.Run(sc, fork), false
-	}
-	return c.Run(sc), false
+	return sess.Run(sc, fork), false
 }
 
 // assemble folds per-index slots into a Result in scenario order,

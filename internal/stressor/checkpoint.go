@@ -5,24 +5,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Checkpointer is what a prototype runner implements to let campaigns
-// fork scenarios off a golden-run checkpoint instead of re-simulating
-// the fault-free prefix (Campaign.Checkpointer). The contract mirrors
-// the paper's error-effect-simulation structure: scenarios differ only
-// in when/where they inject, so the prefix up to the earliest
-// injection instant is shared and worth snapshotting once per runner:
-// a Host keeps the snapshots and any of its sessions forks from them.
+// Checkpointer is a campaign's prototype (Campaign.Checkpointer): a
+// runner that forks scenarios off a golden-run checkpoint instead of
+// re-simulating the fault-free prefix. Scenarios differ only in
+// when/where they inject (the paper's error-effect simulation), so the
+// prefix up to the earliest injection instant is shared: a Host keeps its
+// snapshots and any of its sessions forks from them.
 type Checkpointer interface {
 	// ForkTime reports an instant scenario sc can be forked from — a
 	// golden-run time that precedes every state mutation sc performs,
 	// not necessarily the latest one: a runner may name an earlier
 	// instant the golden run is provably idle from, so that scenarios
 	// injecting at different instants of one idle window share a fork
-	// (the tree session's fork-window memo) — and whether to fork it at
-	// all. A Host declines (ok=false) only under ReuseOff, and the
-	// campaign runs a declined scenario through its RunFunc. Campaign
-	// workers call it concurrently.
-	ForkTime(sc fault.Scenario) (sim.Time, bool)
+	// (the tree session's fork-window memo). ok is always true; the
+	// campaign reads only the instant. Campaign workers call it
+	// concurrently.
+	ForkTime(sc fault.Scenario) (fork sim.Time, ok bool)
 	// NewTreeSession creates a golden-run session. Each campaign worker
 	// owns at most one live session; sessions are never shared across
 	// goroutines, but the golden-prefix snapshots they fork from may be
@@ -30,58 +28,62 @@ type Checkpointer interface {
 	NewTreeSession(cfg TreeConfig) CheckpointSession
 }
 
-// TreeCheckpointer is Checkpointer: every checkpoint session is a tree
-// session.
+// TreeCheckpointer is Checkpointer.
+//
+// Deprecated: every checkpoint session is a tree session; name Checkpointer.
 type TreeCheckpointer = Checkpointer
 
 // CheckpointSession is one worker's reusable golden-run prototype: it
 // lazily simulates the golden prefix up to fork, snapshots there, and
 // serves scenario runs by restoring a retained snapshot instead of
-// rebuilding. Run must produce the exact Outcome the campaign's
-// RunFunc would for the same scenario. Close releases the session's
-// resources; a session the campaign abandoned (timeout, panic) is
-// never Closed — its kernel must therefore hold no goroutines.
+// rebuilding. Run must produce the exact Outcome a freshly built
+// prototype would for the same scenario — a ReuseOff host's sessions
+// build one. Close releases the session's resources; a session the
+// campaign abandoned (timeout, panic) is never Closed — its kernel must
+// therefore hold no goroutines.
 type CheckpointSession interface {
 	Run(sc fault.Scenario, fork sim.Time) fault.Outcome
 	Close()
 }
 
-// newSession builds the worker's tree session at the default node
-// budget, signing its outcomes for a Source.
-func (c *Campaign) newSession() CheckpointSession {
-	return c.Checkpointer.NewTreeSession(TreeConfig{
-		EarlyExit: c.EarlyExit,
-		Metrics:   c.Metrics,
-		Campaign:  c.Name,
-		sign:      c.Source != nil,
-	})
+// runPrototype is the prototype of a campaign that has a Run and no
+// Checkpointer: nothing forks, and its session — itself, so that
+// building one allocates nothing — calls the function.
+type runPrototype RunFunc
+
+func (runPrototype) ForkTime(fault.Scenario) (sim.Time, bool)          { return 0, true }
+func (r runPrototype) NewTreeSession(TreeConfig) CheckpointSession     { return r }
+func (r runPrototype) Run(sc fault.Scenario, _ sim.Time) fault.Outcome { return r(sc) }
+func (runPrototype) Close()                                            {}
+
+// prototype is what the campaign's scenarios run on: the Checkpointer,
+// or else Run behind a runPrototype; nil when it has neither.
+func (c *Campaign) prototype() Checkpointer {
+	if c.Checkpointer == nil && c.Run != nil {
+		return runPrototype(c.Run)
+	}
+	return c.Checkpointer
 }
 
-// dispatchRun executes sc on worker w: through the worker's checkpoint
-// session *held, created on first use, when the Checkpointer forks it;
-// through the RunFunc when there is no Checkpointer or it declines (the
-// ReuseOff oracle). The session is resolved here, on the worker
+// dispatchRun executes sc on worker w's session *held, forked at the
+// prototype's ForkTime. The session — created on first use at the default
+// node budget, signing for a Source — is resolved here, on the worker
 // goroutine, before the (possibly timeout-supervised) run goroutine
-// starts — so an abandoned session can never race with a late run still
+// starts, so an abandoned session can never race with a late run still
 // using it.
 func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, held *CheckpointSession) (fault.Outcome, bool, bool) {
-	var sess CheckpointSession
-	var fork sim.Time
+	c := e.c
 	// The plan needed fork times only to sort its list; asking again costs
 	// less than carrying them round the loop.
-	if cp := e.c.Checkpointer; cp != nil {
-		if f, ok := cp.ForkTime(sc); ok {
-			if *held == nil {
-				*held = e.c.newSession()
-			}
-			sess, fork = *held, f
-		}
+	fork, _ := e.proto.ForkTime(sc)
+	if *held == nil {
+		*held = e.proto.NewTreeSession(TreeConfig{EarlyExit: c.EarlyExit, Metrics: c.Metrics, Campaign: c.Name, sign: c.Source != nil})
 	}
-	out, panicked, timedOut := e.c.runOne(e.obs, sc, w, sess, fork)
-	if sess != nil && (timedOut || panicked) {
+	out, panicked, timedOut := c.runOne(e.obs, sc, w, *held, fork)
+	if timedOut || panicked {
 		// Abandoned, never closed: a timed-out run's goroutine or a
 		// panicked run's torn kernel still owns it, and what it writes late
-		// reaches no result. The next forked run builds a fresh one.
+		// reaches no result. The next run builds a fresh one.
 		*held = nil
 	}
 	return out, panicked, timedOut

@@ -130,7 +130,7 @@ func TestCampaignCheckpointSessionAbandonedOnTimeout(t *testing.T) {
 		}
 		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
 	}
-	c := &Campaign{Name: "ab", Run: cp.run, Checkpointer: cp, ScenarioTimeout: 20 * time.Millisecond}
+	c := &Campaign{Name: "ab", Checkpointer: cp, ScenarioTimeout: 20 * time.Millisecond}
 	res, err := c.Execute(makeScenarios(n))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 		}
 		return fault.Outcome{Scenario: sc, Class: fault.Masked, Detail: "ran " + sc.ID}
 	}
-	res, err := (&Campaign{Name: "abp", Run: cp.run, Checkpointer: cp}).Execute(makeScenarios(n))
+	res, err := (&Campaign{Name: "abp", Checkpointer: cp}).Execute(makeScenarios(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,11 @@ func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	}
 }
 
-// TestCampaignTreeValidation: early exit is rejected up front without a
-// Checkpointer to hash in, and the retired Checkpoints/CheckpointTree
-// switches are inert: they are no reason to refuse a campaign.
+// TestCampaignTreeValidation: a campaign with nothing to run on, and
+// early exit without a Checkpointer to hash in, are rejected up front; a
+// Checkpointer needs no Run beside it; and the retired
+// Checkpoints/CheckpointTree switches are inert: they are no reason to
+// refuse a campaign.
 func TestCampaignTreeValidation(t *testing.T) {
 	run := classRunFunc(pattern(1, nil))
 	scs := makeScenarios(1)
@@ -191,6 +193,7 @@ func TestCampaignTreeValidation(t *testing.T) {
 		c    *Campaign
 		want string
 	}{
+		{"neither Run nor Checkpointer", &Campaign{Name: "v"}, "neither Run nor Checkpointer"},
 		{"early-exit without a Checkpointer", &Campaign{Name: "v", Run: run, EarlyExit: true}, "Checkpointer"},
 	}
 	for _, tc := range cases {
@@ -203,6 +206,10 @@ func TestCampaignTreeValidation(t *testing.T) {
 	}
 	if _, err := (&Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true}).Execute(scs); err != nil {
 		t.Errorf("Checkpoints/CheckpointTree without a Checkpointer refused: %v", err)
+	}
+	res, err := (&Campaign{Name: "v", Checkpointer: &fakeCheckpointer{run: run}, EarlyExit: true}).Execute(scs)
+	if err != nil || len(res.Outcomes) != len(scs) || res.Outcomes[0].Detail != run(scs[0]).Detail {
+		t.Errorf("a Checkpointer without a Run: result %+v, error %v", res, err)
 	}
 }
 
@@ -225,7 +232,7 @@ func TestCampaignCheckpointDispatchSorted(t *testing.T) {
 		order = append(order, i)
 		return baseRun(sc)
 	}
-	c := &Campaign{Name: "cs", Run: cp.run, Checkpointer: forkSorter{cp}}
+	c := &Campaign{Name: "cs", Checkpointer: forkSorter{cp}}
 	res, err := c.Execute(makeScenarios(n))
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,13 @@ import (
 
 // RootCase is one toy prototype of this package's tests as the external
 // tests hand it to stressortest.CheckRoot: the signed run paths of a
-// ReuseOff host and of a pooled one, and a universe of faulty scenarios.
+// ReuseOff host and of a pooled one, a universe of faulty scenarios and
+// the hosts' horizon.
 type RootCase struct {
 	Name           string
 	Rebuild, Reuse RunFunc
 	Universe       []fault.Scenario
+	Horizon        sim.Time
 }
 
 // RootCases builds a RootCase for each toy with injection sites that
@@ -43,7 +45,7 @@ func RootCases(t *testing.T) []RootCase {
 	fanRebuild, fanReuse := newFanHost(t), newFanHost(t)
 	fanRebuild.ReuseOff = true
 	return []RootCase{
-		{"window", rebuild.SignedRunFunc(), reuse.SignedRunFunc(), window},
-		{"fan", fanRebuild.SignedRunFunc(), fanReuse.SignedRunFunc(), fan},
+		{"window", rebuild.RunScenarioSigned, reuse.RunScenarioSigned, window, windowHorizon},
+		{"fan", fanRebuild.RunScenarioSigned, fanReuse.RunScenarioSigned, fan, fanHorizon},
 	}
 }

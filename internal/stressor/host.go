@@ -51,8 +51,9 @@ type Model[S sim.State, G any] interface {
 // checkpoint, the first slot as Build left it, captured once. Results
 // are byte-identical to ReuseOff's.
 type Host[S sim.State, G any] struct {
-	// ReuseOff turns every shortcut off: each scenario builds the
-	// prototype afresh and ForkTime declines it. It is the naive oracle
+	// ReuseOff turns every shortcut off: each of the host's sessions, a
+	// one-shot call's included, builds the prototype afresh for every
+	// scenario, forks nothing and takes no slot. It is the naive oracle
 	// the shortcuts are checked against.
 	ReuseOff bool
 
@@ -256,11 +257,7 @@ func (h *Host[S, G]) rebuild(sc fault.Scenario, sign bool, fn func(S)) (fault.Ou
 	if err := h.injectionError(sc, st); err != nil {
 		return fault.Outcome{}, err
 	}
-	out := h.outcome(sc, sl, sign)
-	if fn != nil {
-		fn(sl.s)
-	}
-	return out, nil
+	return h.outcome(sc, sl, sign, fn), nil
 }
 
 // sum digests the prototype's state through the slot's own StateHash: a
@@ -305,11 +302,14 @@ func (h *Host[S, G]) classify(sc fault.Scenario, ob analysis.Observation) fault.
 }
 
 // outcome classifies the run that reached the horizon on sl, signed when
-// sign is set.
-func (h *Host[S, G]) outcome(sc fault.Scenario, sl *hostSlot[S], sign bool) fault.Outcome {
+// sign is set, and then hands sl's prototype to fn, when set.
+func (h *Host[S, G]) outcome(sc fault.Scenario, sl *hostSlot[S], sign bool, fn func(S)) fault.Outcome {
 	out := h.classify(sc, h.m.Observe(sl.s))
 	if sign {
 		out.Signature = sl.signature(out.Class)
+	}
+	if fn != nil {
+		fn(sl.s)
 	}
 	return out
 }
@@ -318,27 +318,19 @@ func errorOutcome(sc fault.Scenario, err error) fault.Outcome {
 	return fault.Outcome{Scenario: sc, Class: fault.DetectedSafe, Detail: "campaign error: " + err.Error()}
 }
 
-// run is every call's run: under ReuseOff a rebuild, otherwise a one-shot
-// tree session — a pooled slot established at ForkTime(sc), run, signed
-// when sign is set and handed back — that keeps no fork-window memo, since
-// no later run of it could read one.
+// run is every call's run: a one-shot tree session — a pooled slot
+// established at ForkTime(sc), run, signed when sign is set and handed
+// back — that keeps no fork-window memo, since no later run of it could
+// read one.
 func (h *Host[S, G]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome {
-	var out fault.Outcome
-	var err error
-	if h.ReuseOff {
-		out, err = h.rebuild(sc, sign, fn)
-	} else {
-		fork, _ := h.ForkTime(sc)
-		s := session[S, G]{h: h, cfg: TreeConfig{sign: sign}}
-		if out, err = s.execute(sc, fork, false); err == nil && fn != nil {
-			fn(s.sl.s)
-		}
-		// Not deferred: a run that panicked can leave its kernel torn (a
-		// method process that panics mid-evaluate leaves the runnable queue
-		// and its spare on one array, which neither Restore nor anything
-		// else separates), and a torn slot must never run again.
-		s.Close()
-	}
+	fork, _ := h.ForkTime(sc)
+	s := session[S, G]{h: h, cfg: TreeConfig{sign: sign}}
+	out, err := s.execute(sc, fork, false, fn)
+	// Not deferred: a run that panicked can leave its kernel torn (a
+	// method process that panics mid-evaluate leaves the runnable queue
+	// and its spare on one array, which neither Restore nor anything else
+	// separates), and a torn slot must never run again.
+	s.Close()
 	if err != nil {
 		return errorOutcome(sc, err)
 	}
@@ -362,18 +354,20 @@ func (h *Host[S, G]) RunScenarioWith(sc fault.Scenario, fn func(S)) fault.Outcom
 // signature (the engine substitutes its class+detail fallback).
 func (h *Host[S, G]) RunScenarioSigned(sc fault.Scenario) fault.Outcome { return h.run(sc, true, nil) }
 
-// RunFunc adapts the host to the campaign engine.
+// RunFunc is the method value h.RunScenario.
+//
+// Deprecated: a campaign takes the host as its Checkpointer.
 func (h *Host[S, G]) RunFunc() RunFunc { return h.RunScenario }
 
-// SignedRunFunc adapts the signed path to the campaign engine. Outcomes
-// are RunFunc's plus Signature, so plain campaigns keep byte-stable
-// results by using RunFunc.
+// SignedRunFunc is the method value h.RunScenarioSigned.
+//
+// Deprecated: a campaign takes the host as its Checkpointer.
 func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 
-// ForkTime implements Checkpointer. A scenario forks at its earliest
-// injection instant; one with no faults, or whose earliest instant is past
-// the horizon (it never injects), forks at zero, which is the root. Only
-// ReuseOff declines.
+// ForkTime implements Checkpointer, and ok is always true. A scenario
+// forks at its earliest injection instant; one with no faults, or whose
+// earliest instant is past the horizon (it never injects), forks at zero,
+// which is the root.
 //
 // A scenario whose whole timeline is one action — a single permanent
 // fault — forks at the canonical instant of the golden idle window it
@@ -382,9 +376,6 @@ func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 // so the fork still precedes every mutation, and every instant of the
 // window shares one tree node and one session's window memo.
 func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
-	if h.ReuseOff {
-		return 0, false
-	}
 	fork := ForkTime(sc)
 	if fork > h.horizon {
 		return 0, true

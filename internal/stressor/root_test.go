@@ -11,6 +11,6 @@ import (
 // package's tests (stressortest.CheckRoot).
 func TestRootEqualsBuild(t *testing.T) {
 	for _, c := range stressor.RootCases(t) {
-		t.Run(c.Name, func(t *testing.T) { stressortest.CheckRoot(t, c.Rebuild, c.Reuse, c.Universe) })
+		t.Run(c.Name, func(t *testing.T) { stressortest.CheckRoot(t, c.Rebuild, c.Reuse, c.Universe, c.Horizon) })
 	}
 }

@@ -31,10 +31,10 @@ type AdaptiveConfig struct {
 	// Universe seeds the Novelty strategy; every cell rebuilds the
 	// strategy from it with the same Seed.
 	Universe []fault.Descriptor
-	// NewRun builds the cell's signed RunFunc (the runner's
-	// SignedRunFunc), the runner as Checkpointer and a cleanup. Called
-	// once per cell, so every cell but a warm one starts on a cold runner.
-	NewRun func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func())
+	// NewRun builds the cell's runner — with ReuseOff set when reuseOff
+	// is — and its cleanup. Called once per cell, so every cell but a warm
+	// one starts on a cold runner.
+	NewRun func(t *testing.T, reuseOff bool) (Prototype, func())
 	// Budget is the simulated-run budget per cell (default 24).
 	Budget int
 	// Seed fixes the strategy RNG (default 1).
@@ -82,18 +82,16 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	// configured strategy. The Novelty proposal budget is deliberately
 	// larger than the engine budget so MaxRuns is always the terminating
 	// bound and pruned (budget-free) proposals cannot starve the stream.
-	campaign := func(run stressor.RunFunc, cp stressor.Checkpointer, mode cellMode, workers int) *stressor.Campaign {
+	campaign := func(r Prototype, mode cellMode, workers int) *stressor.Campaign {
 		src := scenario.NewNovelty(cfg.Universe, 4*cfg.Budget, rand.New(rand.NewSource(cfg.Seed)))
 		src.Mutator().Window = cfg.Window
-		if !mode.tree {
-			cp = nil
-		}
-		return &stressor.Campaign{
-			Name: cfg.Name, Run: run, Source: src, Workers: workers,
+		c := &stressor.Campaign{
+			Name: cfg.Name, Source: src, Workers: workers,
 			MaxRuns: cfg.Budget, Dedup: true,
-			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit,
 			Fingerprint: stressor.UniverseHash(fault.Singles(cfg.Universe)),
 		}
+		mode.runOn(c, r, r.RunScenarioSigned)
+		return c
 	}
 	execute := func(t *testing.T, c *stressor.Campaign) *stressor.Result {
 		t.Helper()
@@ -110,14 +108,14 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	// journal and resumes with a fresh, identically-seeded source. A warm
 	// cell first runs the campaign once, unjournaled, on the same runner.
 	runCell := func(t *testing.T, workers int, mode cellMode, interrupt bool) *stressor.Result {
-		run, cp, cleanup := cfg.NewRun(t, mode == rebuild)
+		r, cleanup := cfg.NewRun(t, mode == rebuild)
 		defer cleanup()
 		if mode.warm {
-			if warm := execute(t, campaign(run, cp, mode, workers)); !reflect.DeepEqual(warm, ref) {
+			if warm := execute(t, campaign(r, mode, workers)); !reflect.DeepEqual(warm, ref) {
 				t.Errorf("warm-up campaign diverged from reference:\n got: %+v\nwant: %+v", warm, ref)
 			}
 		}
-		c := campaign(run, cp, mode, workers)
+		c := campaign(r, mode, workers)
 		header := c.JournalHeader(nil)
 		path := filepath.Join(t.TempDir(), "adaptive.journal")
 		w, err := journal.Create(path, header)
@@ -143,7 +141,7 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 			t.Fatal(err)
 		}
 		defer w2.Close()
-		c2 := campaign(run, cp, mode, workers)
+		c2 := campaign(r, mode, workers)
 		c2.Journal, c2.Resume = w2, j
 		return execute(t, c2)
 	}
@@ -205,9 +203,9 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 	var hung *stressor.Result
 	for _, workers := range cfg.Workers {
 		t.Run(fmt.Sprintf("w%d-instrumented", workers), func(t *testing.T) {
-			run, _, cleanup := cfg.NewRun(t, false)
+			r, cleanup := cfg.NewRun(t, false)
 			defer cleanup()
-			c := campaign(run, nil, cellModes[0], workers)
+			c := campaign(r, cellModes[0], workers)
 			reg, updates := obs.NewRegistry(), 0
 			c.ScenarioTimeout = time.Minute
 			c.Metrics, c.Trace = reg, obs.NewTraceRecorder()
@@ -224,20 +222,21 @@ func RunAdaptive(t *testing.T, cfg AdaptiveConfig) {
 			}
 		})
 		t.Run(fmt.Sprintf("w%d-hung-run", workers), func(t *testing.T) {
-			run, _, cleanup := cfg.NewRun(t, false)
+			r, cleanup := cfg.NewRun(t, false)
 			defer cleanup()
 			// The hung run never reaches the runner and is released when
 			// the cell ends, so its goroutine is bounded by the cell.
 			release := make(chan struct{})
 			defer close(release)
 			victim := ref.Outcomes[hangAt].Scenario.ID
-			c := campaign(func(sc fault.Scenario) fault.Outcome {
+			c := campaign(r, cellModes[0], workers)
+			c.Run = func(sc fault.Scenario) fault.Outcome {
 				if sc.ID == victim {
 					<-release
 					return fault.Outcome{Scenario: sc}
 				}
-				return run(sc)
-			}, nil, cellModes[0], workers)
+				return r.RunScenarioSigned(sc)
+			}
 			c.ScenarioTimeout = 500 * time.Millisecond
 			got := execute(t, c)
 			if o := got.Outcomes[hangAt]; o.Class != fault.Timeout || !strings.Contains(o.Detail, "wall-clock budget") || o.Signature == 0 {

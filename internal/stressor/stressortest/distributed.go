@@ -54,8 +54,9 @@ func runDistributed(t *testing.T, cfg Config, ref *stressor.Result) {
 			// Each worker gets its own engine instance from cfg.NewRun,
 			// exactly like separate worker processes on separate machines.
 			newWorker := func(name string, wrap func(stressor.RunFunc) stressor.RunFunc) *fabric.Worker {
-				run, _, cleanup := cfg.NewRun(t, false)
+				r, cleanup := cfg.NewRun(t, false)
 				t.Cleanup(cleanup)
+				run := stressor.RunFunc(r.RunScenario)
 				if wrap != nil {
 					run = wrap(run)
 				}

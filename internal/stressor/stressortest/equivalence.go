@@ -23,13 +23,13 @@ import (
 // coverage (dirty bits, hashed-field lists): a miss there is a wrong
 // verdict on some scenario nobody listed.
 
-// Prototype is what the check needs of a runner; caps.Runner and
-// ecu.Runner both provide it. Universe must enumerate the same sites at
-// every instant, as both do.
+// Prototype is what the checks of this package need of a runner;
+// caps.Runner and ecu.Runner both provide it. Universe must enumerate
+// the same sites at every instant, as both do.
 type Prototype interface {
 	stressor.Checkpointer
-	RunFunc() stressor.RunFunc
-	SignedRunFunc() stressor.RunFunc
+	RunScenario(sc fault.Scenario) fault.Outcome
+	RunScenarioSigned(sc fault.Scenario) fault.Outcome
 	Universe(start sim.Time) []fault.Descriptor
 }
 
@@ -205,16 +205,13 @@ func (eq Equivalence) windowNeighbours(sc fault.Scenario) []fault.Scenario {
 		d.Start, d.Name = at, fmt.Sprintf("%s@%d", d.Name, uint64(at))
 		return fault.Scenario{ID: fmt.Sprintf("%s@%d", sc.ID, uint64(at)), Faults: []fault.Descriptor{d}}
 	}
-	fork, ok := eq.Reuse.ForkTime(sc)
-	if !ok {
-		return nil
-	}
+	fork, _ := eq.Reuse.ForkTime(sc)
 	a := fork - 1
 	// ForkTime never falls as Start rises: b is the last Start that still
 	// forks where sc does.
 	b := start + sim.Time(sort.Search(int(eq.Horizon-start), func(i int) bool {
-		f, ok := eq.Reuse.ForkTime(shifted(start + 1 + sim.Time(i)))
-		return !ok || f != fork
+		f, _ := eq.Reuse.ForkTime(shifted(start + 1 + sim.Time(i)))
+		return f != fork
 	}))
 	out := []fault.Scenario{sc}
 	seen := map[sim.Time]bool{start: true}
@@ -236,15 +233,14 @@ func (eq Equivalence) checkForkWindow(t *testing.T, sc fault.Scenario) {
 	if scenarios == nil {
 		return
 	}
-	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunFunc()}).Execute(scenarios)
+	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunScenario}).Execute(scenarios)
 	if err != nil {
 		t.Fatalf("fork-window reference campaign: %v", err)
 	}
 	for _, earlyExit := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
 			got, err := (&stressor.Campaign{
-				Name: eq.Name, Run: eq.Reuse.RunFunc(), Workers: workers,
-				Checkpointer: eq.Reuse, EarlyExit: earlyExit,
+				Name: eq.Name, Workers: workers, Checkpointer: eq.Reuse, EarlyExit: earlyExit,
 			}).Execute(scenarios)
 			if err != nil {
 				t.Fatalf("fork-window campaign: %v", err)
@@ -287,7 +283,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	scenarios := eq.campaignAround(sc, seed)
 	cfg := Config{Name: eq.Name, Scenarios: scenarios, InterruptAfter: 3}
 
-	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunFunc()}).Execute(scenarios)
+	ref, err := (&stressor.Campaign{Name: eq.Name, Run: eq.Rebuild.RunScenario}).Execute(scenarios)
 	if err != nil {
 		t.Fatalf("reference campaign: %v", err)
 	}
@@ -306,12 +302,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 		{"2-shard merged", "tree+ee", 2, false},
 		{"interrupted and resumed", "tree+ee", 1, true},
 	} {
-		mode := modeNamed(cell.mode)
-		var cp stressor.Checkpointer
-		if mode.tree {
-			cp = eq.Reuse
-		}
-		got := executeCell(t, cfg, eq.Reuse.RunFunc(), cp, mode, 0, cell.shards, cell.resumed)
+		got := executeCell(t, cfg, eq.Reuse, modeNamed(cell.mode), 0, cell.shards, cell.resumed)
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("%s diverged from rebuild on %+v\ngot:  %+v\nwant: %+v", cell.name, sc.Faults, got.Outcomes, ref.Outcomes)
 		}
@@ -333,10 +324,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 			idx  int
 		}{{a, i}, {b, n - 1 - i}} {
 			s := scenarios[step.idx]
-			fork, ok := eq.Reuse.ForkTime(s)
-			if !ok {
-				continue
-			}
+			fork, _ := eq.Reuse.ForkTime(s)
 			got, want := step.sess.Run(s, fork), ref.Outcomes[step.idx]
 			if got.Class != want.Class || got.Detail != want.Detail || got.Signature != want.Signature {
 				t.Errorf("tree session, scenario %s forked at %s out of order: got %s %q sig %#x, rebuild says %s %q sig %#x",
@@ -351,13 +339,12 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	// through a Source.
 	src := listSource(scenarios)
 	sourced, err := (&stressor.Campaign{
-		Name: eq.Name, Run: eq.Reuse.SignedRunFunc(), Source: &src, Workers: 2,
-		Checkpointer: eq.Reuse, EarlyExit: true,
+		Name: eq.Name, Source: &src, Workers: 2, Checkpointer: eq.Reuse, EarlyExit: true,
 	}).Execute(nil)
 	if err != nil {
 		t.Fatalf("campaign over a source: %v", err)
 	}
-	rebuild, reuse := eq.Rebuild.SignedRunFunc(), eq.Reuse.SignedRunFunc()
+	rebuild, reuse := eq.Rebuild.RunScenarioSigned, eq.Reuse.RunScenarioSigned
 	for i, s := range scenarios {
 		want := rebuild(s)
 		for path, got := range map[string]fault.Outcome{"reuse": reuse(s), "reuse through a Source": sourced.Outcomes[i]} {

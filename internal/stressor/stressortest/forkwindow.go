@@ -28,7 +28,7 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 	}
 	perInstant := len(scenarios) / len(instants)
 
-	plain, err := (&stressor.Campaign{Name: "plain", Run: p.RunFunc()}).Execute(scenarios)
+	plain, err := (&stressor.Campaign{Name: "plain", Run: p.RunScenario}).Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 func ShardedForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, shards int) {
 	t.Helper()
 	scenarios := denseUniverse(p, instants)
-	plain, err := (&stressor.Campaign{Name: "plain", Run: p.RunFunc()}).Execute(scenarios)
+	plain, err := (&stressor.Campaign{Name: "plain", Run: p.RunScenario}).Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,7 @@ func denseUniverse(p Prototype, instants []sim.Time) []fault.Scenario {
 // windowCampaign is the one-worker checkpoint-tree campaign whose
 // session memo the fork-window gates count.
 func windowCampaign(p Prototype, reg *obs.Registry, sh stressor.Shard) *stressor.Campaign {
-	return &stressor.Campaign{
-		Name: "windows", Run: p.RunFunc(), Workers: 1, Metrics: reg, Shard: sh, Checkpointer: p,
-	}
+	return &stressor.Campaign{Name: "windows", Workers: 1, Metrics: reg, Shard: sh, Checkpointer: p}
 }
 
 // windowCounts reads a windowCampaign's fork-window hit and loud counters.

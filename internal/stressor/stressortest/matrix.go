@@ -27,12 +27,10 @@ type Config struct {
 	Name string
 	// Scenarios is the universe every cell executes.
 	Scenarios []fault.Scenario
-	// NewRun builds a RunFunc for one cell (reuseOff selects the
-	// rebuild-per-run path where the engine supports it), the engine's
-	// Checkpointer (nil when it has none — checkpointed cells are then
-	// skipped) and a cleanup. It is called once per cell, so pooled
-	// engines get a fresh pool each time.
-	NewRun func(t *testing.T, reuseOff bool) (stressor.RunFunc, stressor.Checkpointer, func())
+	// NewRun builds the runner for one cell — with ReuseOff set when
+	// reuseOff is — and its cleanup. It is called once per cell, so every
+	// cell gets a fresh pool.
+	NewRun func(t *testing.T, reuseOff bool) (Prototype, func())
 	// Workers are the worker counts to cross (default {0, 2}).
 	Workers []int
 	// Shards are the shard counts to cross; 1 means unsharded
@@ -59,9 +57,9 @@ func Run(t *testing.T, cfg Config) {
 	if cfg.InterruptAfter == 0 {
 		cfg.InterruptAfter = 3
 	}
-	refRun, _, cleanup := cfg.NewRun(t, true)
+	refRunner, cleanup := cfg.NewRun(t, true)
 	ref, err := (&stressor.Campaign{
-		Name: cfg.Name, Run: refRun, Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
+		Name: cfg.Name, Run: refRunner.RunScenario, Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
 	}).Execute(cfg.Scenarios)
 	cleanup()
 	if err != nil {
@@ -74,8 +72,8 @@ func Run(t *testing.T, cfg Config) {
 	for _, reuseOff := range []bool{true, false} {
 		for _, mode := range cellModes {
 			if mode.tree && reuseOff {
-				// Tree sessions build on the reuse machinery; the rebuild
-				// path has nothing to fork from.
+				// A ReuseOff runner's sessions rebuild: its tree cells would
+				// repeat its plain ones.
 				continue
 			}
 			for _, workers := range cfg.Workers {
@@ -88,21 +86,15 @@ func Run(t *testing.T, cfg Config) {
 						}
 						reuseOff, mode, workers, shards, resumed := reuseOff, mode, workers, shards, resumed
 						t.Run(name, func(t *testing.T) {
-							run, cp, cleanup := cfg.NewRun(t, reuseOff)
+							r, cleanup := cfg.NewRun(t, reuseOff)
 							defer cleanup()
-							if mode.tree && cp == nil {
-								t.Skip("engine has no Checkpointer")
-							}
-							if !mode.tree {
-								cp = nil
-							}
 							if mode.warm {
-								warm := executeCell(t, cfg, run, cp, mode, workers, 1, false)
+								warm := executeCell(t, cfg, r, mode, workers, 1, false)
 								if !reflect.DeepEqual(warm, ref) {
 									t.Errorf("warm-up campaign diverged from reference\ngot:  %+v\nwant: %+v", warm, ref)
 								}
 							}
-							got := executeCell(t, cfg, run, cp, mode, workers, shards, resumed)
+							got := executeCell(t, cfg, r, mode, workers, shards, resumed)
 							if !reflect.DeepEqual(got, ref) {
 								t.Errorf("result diverged from reference\ngot:  %+v\nwant: %+v", got, ref)
 							}
@@ -115,7 +107,7 @@ func Run(t *testing.T, cfg Config) {
 }
 
 // cellMode is the checkpointing axis of the matrix: classifications
-// must be byte-identical whether runs are one-shot (plain), fork from a
+// must be byte-identical whether runs are one-shot calls (plain), fork from a
 // retained node in a campaign's tree session, or also early-exit the
 // moment they provably re-converge with the golden trajectory. A warm cell first
 // runs the whole universe once on the same runner, so its campaign
@@ -128,6 +120,16 @@ type cellMode struct {
 	warm      bool
 }
 
+// runOn points c at r as mode runs it: as its Checkpointer in a tree
+// mode, through run — a one-shot call per scenario — otherwise.
+func (mode cellMode) runOn(c *stressor.Campaign, r Prototype, run stressor.RunFunc) {
+	if mode.tree {
+		c.Checkpointer, c.EarlyExit = r, mode.earlyExit
+	} else {
+		c.Run = run
+	}
+}
+
 var cellModes = []cellMode{
 	{name: "plain"},
 	{name: "tree", tree: true},
@@ -136,19 +138,20 @@ var cellModes = []cellMode{
 	{name: "tree+ee+warm", tree: true, earlyExit: true, warm: true},
 }
 
-// executeCell runs one matrix cell: all shards of the campaign (with
-// shard 0 interrupted and resumed when resumed is set), merged back
-// into one Result when sharded.
-func executeCell(t *testing.T, cfg Config, run stressor.RunFunc, cp stressor.Checkpointer, mode cellMode, workers, shards int, resumed bool) *stressor.Result {
+// executeCell runs one matrix cell on r: all shards of the campaign
+// (with shard 0 interrupted and resumed when resumed is set), merged
+// back into one Result when sharded.
+func executeCell(t *testing.T, cfg Config, r Prototype, mode cellMode, workers, shards int, resumed bool) *stressor.Result {
 	t.Helper()
 	dir := t.TempDir()
 	campaign := func(sh stressor.Shard, w *journal.Writer, j *journal.Journal, halt func(int) bool) *stressor.Campaign {
-		return &stressor.Campaign{
-			Name: cfg.Name, Run: run, Workers: workers,
+		c := &stressor.Campaign{
+			Name: cfg.Name, Workers: workers,
 			Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
-			Checkpointer: cp, EarlyExit: cp != nil && mode.earlyExit,
 			Shard: sh, Journal: w, Resume: j, Halt: halt,
 		}
+		mode.runOn(c, r, r.RunScenario)
+		return c
 	}
 	// runShard executes one shard (journaled, so every cell also
 	// proves journaling never perturbs the result), optionally

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/stressor"
 )
 
@@ -11,22 +12,25 @@ import (
 // deepest golden node at or before the scenario's fork, or the root when
 // there is none or the fork is zero — runs as a freshly built prototype
 // does. reuse and rebuild are the signed run paths of a pooled runner and
-// of its ReuseOff twin. Nothing else may use the pooled runner meanwhile,
-// so its runs, one after another, all take one slot. Each scenario of
-// universe, and each of the three a pooled run forks at zero — no fault,
-// and universe's first fault injected at zero and past any horizon — runs
-// there right after a different faulty one, and its outcome — class,
-// detail and signature, which digests the final state — must equal
-// rebuild's.
-func CheckRoot(t *testing.T, rebuild, reuse stressor.RunFunc, universe []fault.Scenario) {
+// of its ReuseOff twin, both with the given horizon. Nothing else may use
+// the pooled runner meanwhile, so its runs, one after another, all take
+// one slot. Each scenario of universe, the three a pooled run forks at
+// zero — no fault, and universe's first fault injected at zero and past
+// any horizon — and that fault injected exactly at the horizon, the last
+// instant that still forks through the tree, runs there right after a
+// different faulty one, and its outcome — class, detail and signature,
+// which digests the final state — must equal rebuild's.
+func CheckRoot(t *testing.T, rebuild, reuse stressor.RunFunc, universe []fault.Scenario, horizon sim.Time) {
 	t.Helper()
 	if len(universe) < 2 {
 		t.Fatal("stressortest: CheckRoot needs two scenarios or more")
 	}
-	zero, late := universe[0].Faults[0], universe[0].Faults[0]
-	zero.Name, zero.Start = zero.Name+"@0", 0
-	late.Name, late.Start = late.Name+"@late", 1<<62
-	edges := []fault.Scenario{{ID: "no-fault"}, fault.Single(zero), fault.Single(late)}
+	edges := []fault.Scenario{{ID: "no-fault"}}
+	for _, start := range []sim.Time{0, 1 << 62, horizon} {
+		d := universe[0].Faults[0]
+		d.Name, d.Start = d.Name+"@"+start.String(), start
+		edges = append(edges, fault.Single(d))
+	}
 	for i, sc := range append(universe[:len(universe):len(universe)], edges...) {
 		before := universe[(i+1)%len(universe)]
 		if len(before.Faults) == 0 {

@@ -167,7 +167,8 @@ func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counte
 // prototypes the previous one built instead of elaborating and allocating
 // new ones. A session the campaign abandons is never closed: its slot —
 // perhaps torn, perhaps still running — simply never returns. The nodes
-// are the host's, so abandoning a session loses none.
+// are the host's, so abandoning a session loses none. A ReuseOff host's
+// session takes no slot: it builds the prototype afresh for every run.
 func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 	s := &session[S, G]{h: h, cfg: cfg}
 	if cfg.EarlyExit {
@@ -259,7 +260,7 @@ func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	if out, ok := s.recall(sc, fork); ok {
 		return out
 	}
-	out, err := s.execute(sc, fork, true)
+	out, err := s.execute(sc, fork, true, nil)
 	s.pages.publish()
 	if err != nil {
 		return errorOutcome(sc, err)
@@ -268,9 +269,14 @@ func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	return out
 }
 
-// execute establishes the slot at fork, runs sc and classifies it; with
-// memo, the run's window leg decides whether remember may keep the verdict.
-func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool) (fault.Outcome, error) {
+// execute establishes the slot at fork, runs sc and classifies it (see
+// outcome for fn); with memo, the run's window leg decides whether
+// remember may keep the verdict. A ReuseOff host's session rebuilds: the
+// oracle, which takes no slot and publishes no node.
+func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn func(S)) (fault.Outcome, error) {
+	if s.h.ReuseOff {
+		return s.h.rebuild(sc, s.cfg.sign, fn)
+	}
 	s.init()
 	if err := s.establish(fork); err != nil {
 		return fault.Outcome{}, err
@@ -307,7 +313,7 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool) (fa
 	if err := s.h.injectionError(sc, &sl.st); err != nil {
 		return fault.Outcome{}, err
 	}
-	return s.h.outcome(sc, sl, s.cfg.sign), nil
+	return s.h.outcome(sc, sl, s.cfg.sign, fn), nil
 }
 
 // Close implements CheckpointSession, returning the slot to the host's

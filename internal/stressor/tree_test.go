@@ -136,29 +136,52 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	}
 }
 
-// TestForkTimeDeclinesOnlyUnderReuseOff: a scenario with no fault, one
-// injecting at zero and one injecting past the horizon fork at zero —
-// a one-shot session restores the root, publishes no node and comes to
-// the ReuseOff outcome — and only a ReuseOff host declines them.
-func TestForkTimeDeclinesOnlyUnderReuseOff(t *testing.T) {
+// TestForkTimeNeverDeclines: a scenario with no fault, one injecting at
+// zero and one injecting past the horizon fork at zero — a one-shot
+// session restores the root, publishes no node and comes to the ReuseOff
+// outcome — and a ReuseOff host forks every scenario too: its session is
+// the rebuild, RunScenarioSigned's outcome exactly, and publishes no
+// node and takes no slot from the pool.
+func TestForkTimeNeverDeclines(t *testing.T) {
 	oracle, h := newWindowHost(t), newWindowHost(t)
 	oracle.ReuseOff = true
+	sess := oracle.NewTreeSession(TreeConfig{EarlyExit: true, sign: true})
+	defer sess.Close()
+	mid := fault.Single(permanent("mid", "toy.reg", fault.StuckAt1, 12))
 	for _, sc := range []fault.Scenario{
 		{ID: "none"},
 		fault.Single(permanent("zero", "toy.reg", fault.StuckAt1, 0)),
 		fault.Single(permanent("late", "toy.reg", fault.StuckAt1, windowHorizon+1)),
+		mid,
 	} {
-		if _, ok := oracle.ForkTime(sc); ok {
-			t.Errorf("%s: a ReuseOff host forks it", sc.ID)
+		want := oracle.RunScenarioSigned(sc)
+		fork, ok := oracle.ForkTime(sc)
+		if !ok {
+			t.Errorf("%s: a ReuseOff host declines it", sc.ID)
+		}
+		if got := sess.Run(sc, fork); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the ReuseOff session says %+v, RunScenarioSigned %+v", sc.ID, got, want)
+		}
+		if sc.ID == mid.ID {
+			continue
 		}
 		if fork, ok := h.ForkTime(sc); fork != 0 || !ok {
 			t.Errorf("%s: ForkTime = %v, %v; want 0, true", sc.ID, fork, ok)
 		}
-		if got, want := h.RunScenarioSigned(sc), oracle.RunScenarioSigned(sc); !reflect.DeepEqual(got, want) {
+		if got := h.RunScenarioSigned(sc); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %+v, ReuseOff says %+v", sc.ID, got, want)
 		}
 	}
 	if n := h.LiveNodes(); n != 0 {
 		t.Errorf("runs forked at zero published %d nodes, want none", n)
+	}
+	if n := oracle.LiveNodes(); n != 0 {
+		t.Errorf("the ReuseOff host published %d nodes, want none", n)
+	}
+	oracle.mu.Lock()
+	built, pooled := oracle.built, len(oracle.slots)
+	oracle.mu.Unlock()
+	if built != 1 || pooled != 1 {
+		t.Errorf("the ReuseOff host built %d slots and pools %d; want its first slot only, in the pool", built, pooled)
 	}
 }

@@ -220,14 +220,14 @@ func TestForkWindowNeverAWrongVerdict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			oracle := newWindowHost(t)
 			oracle.ReuseOff = true
-			want, err := (&Campaign{Name: "plain", Run: oracle.RunFunc()}).Execute(tc.scenarios)
+			want, err := (&Campaign{Name: "plain", Run: oracle.RunScenario}).Execute(tc.scenarios)
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := newWindowHost(t)
 			reg := obs.NewRegistry()
 			got, err := (&Campaign{
-				Name: "plain", Run: h.RunFunc(), Workers: 1, Metrics: reg, Checkpointer: windowForks{h},
+				Name: "plain", Workers: 1, Metrics: reg, Checkpointer: windowForks{h},
 			}).Execute(tc.scenarios)
 			if err != nil {
 				t.Fatal(err)
