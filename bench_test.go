@@ -279,17 +279,17 @@ func BenchmarkCampaignReuse(b *testing.B) {
 
 // BenchmarkCampaignTree measures the checkpoint tree on the E8
 // transient sweep (every injection site x four sub-frame injection
-// offsets at inject=10ms, 400us pulses, h=80ms full horizon) in three
-// engine modes: reuse is the plain path on pooled kernels, with no
-// Checkpointer; tree forks every scenario from a retained golden-prefix
-// node; tree+ee adds convergence early-exit against the golden
-// trajectory. Transient pulses this short leave most runs dynamically
-// identical to the golden run within a stride or two of the revert, so
-// early-exit truncates ~3/4 of the universe (62/84 scenarios converge;
-// the rest latch a detection or corrupt persistent state and must run
-// out the horizon). Every mode produces the identical tally
-// (cross-checked each iteration), and byte-identical full results are
-// pinned by the stressortest matrix.
+// offsets at inject=10ms, 400us pulses, h=80ms full horizon) in two
+// engine modes: reuse is the plain path, a one-shot call per scenario
+// with no Checkpointer; tree forks every scenario from a retained
+// golden-prefix node. Both early-exit against the golden trajectory, as
+// every run with no permanent fault does. Transient pulses this short
+// leave most runs dynamically identical to the golden run within a
+// stride or two of the revert, so early-exit truncates ~3/4 of the
+// universe (62/84 scenarios converge; the rest latch a detection or
+// corrupt persistent state and must run out the horizon). Both modes
+// produce the identical tally (cross-checked each iteration), and
+// byte-identical full results are pinned by the stressortest matrix.
 func BenchmarkCampaignTree(b *testing.B) {
 	horizon := sim.MS(80)
 	ref, err := caps.NewRunner(caps.Protected(), caps.NormalDriving(), horizon)
@@ -312,12 +312,11 @@ func BenchmarkCampaignTree(b *testing.B) {
 	}
 	ref.Close()
 	for _, mode := range []struct {
-		name        string
-		tree, early bool
+		name string
+		tree bool
 	}{
-		{"reuse", false, false},
-		{"tree", true, false},
-		{"tree+ee", true, true},
+		{"reuse", false},
+		{"tree", true},
 	} {
 		for _, wc := range []struct {
 			name    string
@@ -329,9 +328,11 @@ func BenchmarkCampaignTree(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer runner.Close()
-				c := &stressor.Campaign{Name: "bench", Run: runner.RunScenario, Workers: wc.workers, EarlyExit: mode.early}
+				c := &stressor.Campaign{Name: "bench", Workers: wc.workers}
 				if mode.tree {
 					c.Checkpointer = runner
+				} else {
+					c.Run = runner.RunScenario
 				}
 				b.ReportAllocs()
 				b.ReportMetric(float64(len(scenarios)), "scenarios/op")

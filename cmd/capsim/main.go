@@ -9,7 +9,6 @@
 //	       -faults "omission @caps.can.bus from 15ms; open @caps.accel0.harness from 5ms"
 //	capsim -sites                  # list injection sites
 //	capsim -campaign -workers -1   # exhaustive single-fault campaign, one worker per CPU
-//	capsim -campaign e8 -early-exit   # also stop each run when it re-converges with the golden run (checked every horizon/16)
 //	capsim -campaign e8 -progress -metrics m.json -trace-events t.json
 //	capsim -campaign e8 -shard 0/4 -journal shard0.journal   # one shard of four
 //	capsim -campaign e8 -shard 0/4 -journal shard0.journal -resume
@@ -22,8 +21,10 @@
 // live progress line to stderr.
 //
 // A campaign forks every scenario it can from golden-prefix snapshots
-// instead of re-simulating the fault-free prefix; the result is the one
-// a rebuild of the prototype for every scenario would print.
+// instead of re-simulating the fault-free prefix, and stops a run with no
+// permanent fault once it re-converges with the golden run (checked every
+// horizon/16); the result is the one a rebuild of the prototype for every
+// scenario would print.
 //
 // -shard i/N runs only the i-th of N deterministic partitions of the
 // scenario universe; -journal appends each outcome to a binary run
@@ -40,9 +41,8 @@
 // equivalence-duplicate proposals pruned for free. It is the same
 // campaign engine with a scenario source in place of the list, so it
 // composes with -journal/-resume, -workers (the outcome stream is
-// deterministic at any worker count), -early-exit, -progress, -metrics,
-// -trace-events and -scenario-timeout; -shard and an explicit -dedup
-// are usage errors.
+// deterministic at any worker count), -progress, -metrics, -trace-events
+// and -scenario-timeout; -shard and an explicit -dedup are usage errors.
 package main
 
 import (
@@ -161,7 +161,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.listSites, "sites", false, "list injection sites and exit")
 	fs.BoolVar(&o.campaign, "campaign", false, "run the exhaustive single-fault campaign instead of one scenario")
 	fs.IntVar(&s.Workers, "workers", 0, "campaign worker-pool size: 0 = sequential, -1 = one per CPU")
-	fs.BoolVar(&s.EarlyExit, "early-exit", false, "terminate a run the moment its state hash re-converges with the golden trajectory")
 	fs.BoolVar(&s.Dedup, "dedup", false, "collapse campaign scenarios with identical fault content into one run")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "drive the campaign with the novelty-adaptive strategy (outcome signatures steer scenario generation) instead of the fixed universe")
 	fs.IntVar(&s.NoveltyBudget, "novelty-budget", 0, "simulated-run budget for -adaptive (default 64)")

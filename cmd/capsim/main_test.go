@@ -25,8 +25,8 @@ func TestFlagsDenoteSpec(t *testing.T) {
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"workers":-1}`},
 		{"prototype", []string{"-campaign", "-world", "crash", "-unprotected", "-horizon", "30ms"},
 			`{"campaign":"capsim","universe":{"world":"crash","unprotected":true,"horizon":"30ms"}}`},
-		{"engine", []string{"-campaign", "e8", "-early-exit", "-dedup"},
-			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"dedup":true,"early_exit":true}`},
+		{"engine", []string{"-campaign", "e8", "-dedup"},
+			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"dedup":true}`},
 		{"shard", []string{"-campaign", "e8", "-shard", "1/4", "-scenario-timeout", "2s"},
 			`{"campaign":"e8","universe":{"world":"normal","horizon":"80ms"},"shard":"1/4","scenario_timeout":"2s"}`},
 		{"adaptive", []string{"-campaign", "nv", "-adaptive", "-novelty-budget", "100", "-novelty-seed", "7"},

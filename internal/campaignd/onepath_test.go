@@ -130,13 +130,15 @@ func inspectNonTestSource(t *testing.T, visit func(fset *token.FileSet, n ast.No
 	}
 }
 
-// TestNothingSetsTheRetiredCheckpointSwitches: Campaign.Checkpoints and
+// TestNothingSetsTheRetiredSwitches: Campaign.Checkpoints and
 // Campaign.CheckpointTree select nothing — the Checkpointer alone does —
-// and Spec's fields of the same names, like Spec.HashStride, only parse.
-// No non-test file names any of them, so no caller can come to believe
-// that setting one forks, stops forking or moves early exit's stride.
-func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
-	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true, "HashStride": true}
+// Campaign.EarlyExit nothing either — a session checks exactly the runs
+// with no permanent fault for convergence — and Spec's fields of the same
+// names, like Spec.HashStride, only parse. No non-test file names any of
+// them, so no caller can come to believe that setting one forks, stops
+// forking, turns early exit on or off or moves its stride.
+func TestNothingSetsTheRetiredSwitches(t *testing.T) {
+	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true, "EarlyExit": true, "HashStride": true}
 	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
 		var name *ast.Ident
 		switch n := n.(type) {
@@ -146,7 +148,7 @@ func TestNothingSetsTheRetiredCheckpointSwitches(t *testing.T) {
 			name, _ = n.Key.(*ast.Ident)
 		}
 		if name != nil && retired[name.Name] {
-			t.Errorf("%s: %s names a retired checkpoint switch", fset.Position(name.Pos()), name.Name)
+			t.Errorf("%s: %s names a retired switch", fset.Position(name.Pos()), name.Name)
 		}
 	})
 }

@@ -299,10 +299,12 @@ func TestSchedulerWarmRunnerAndSessionReuse(t *testing.T) {
 }
 
 // TestSchedulerTreeEarlyExitResultIdentical is the daemon surface of
-// the engine's byte-identity promise: the tree and the tree with early
-// exit each store the result document (modulo run ID) of the rebuild
-// oracle — the same campaign rebuilding the prototype for every
-// scenario.
+// the engine's byte-identity promise: over an inline universe of
+// transients and a permanent fault, a spec with and one without the
+// retired early_exit switch each store the result document (modulo run
+// ID) of the rebuild oracle — the same campaign rebuilding the prototype
+// for every scenario — and the spec without it still early-exits the
+// transients that re-converge.
 func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 	sched, err := NewScheduler(Config{DataDir: t.TempDir()})
 	if err != nil {
@@ -311,11 +313,28 @@ func TestSchedulerTreeEarlyExitResultIdentical(t *testing.T) {
 	sched.Start()
 	defer sched.Stop()
 
-	base := `"campaign":"tree","universe":{"kind":"caps-single-fault","horizon":"30ms","inject":"5ms"}`
+	base := `"campaign":"ee","universe":{"kind":"inline","horizon":"30ms","scenarios":[` +
+		`{"id":"open","faults":"open @caps.accel0.harness from 5ms for 2ms"},` +
+		`{"id":"omit","faults":"omission @caps.can.bus from 5ms for 2ms"},` +
+		`{"id":"stuck","faults":"stuck-at-1 @caps.accel0.harness from 5ms"}]}`
 	want := rebuildDoc(t, `{`+base+`}`)
 	for _, raw := range []string{`{` + base + `}`, `{` + base + `,"early_exit":true,"hash_stride":"5ms"}`} {
-		if got := storedDoc(t, sched, runToCompletion(t, sched, raw)); got != want {
+		id := runToCompletion(t, sched, raw)
+		if got := storedDoc(t, sched, id); got != want {
 			t.Errorf("%s stored a result the rebuild oracle does not produce\ngot:  %s\nwant: %s", raw, got, want)
+		}
+		mdata, err := sched.Store().ReadDoc(id, DocMetrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Counters map[string]uint64 `json:"counters"`
+		}
+		if err := json.Unmarshal(mdata, &m); err != nil {
+			t.Fatalf("metrics document: %v", err)
+		}
+		if m.Counters["campaign.early_exits{campaign=ee}"] == 0 {
+			t.Errorf("%s: no run early-exited: %v", raw, m.Counters)
 		}
 	}
 }
@@ -433,9 +452,9 @@ func TestSchedulerAdaptiveRun(t *testing.T) {
 // an HTTP 400 naming the knob at submit time — before a run is queued,
 // never a silent no-op — and it is the set stressor.Campaign refuses
 // next to a Source, plus an explicit dedup. What the shared run shell
-// serves (scenario_timeout, trace, workers) is accepted, as is early_exit,
-// whose sessions sign, and so are the checkpoint switches, which no longer
-// select anything.
+// serves (scenario_timeout, trace, workers) is accepted, and so are the
+// retired early_exit and checkpoint switches, which no longer select
+// anything.
 func TestSpecAdaptiveRefusals(t *testing.T) {
 	sched, srv := newTestDaemon(t)
 	post := func(knobs string) (int, string) {

@@ -78,17 +78,15 @@ type Spec struct {
 	// Dedup collapses scenarios with identical fault content
 	// (capsim -dedup).
 	Dedup bool `json:"dedup,omitempty"`
-	// Checkpoints and CheckpointTree still parse, so stored specs and
-	// older clients stay valid, but change nothing: every fixed-universe
-	// campaign forks its scenarios off a tree of golden-prefix snapshots.
-	Checkpoints    bool `json:"checkpoints,omitempty"`
-	CheckpointTree bool `json:"checkpoint_tree,omitempty"`
-	// EarlyExit terminates a run the moment its state hash re-converges
-	// with the golden trajectory (capsim -early-exit).
-	EarlyExit bool `json:"early_exit,omitempty"`
-	// HashStride still parses, like Checkpoints, but changes nothing:
-	// early exit hashes the golden trajectory at horizon/16.
-	HashStride string `json:"hash_stride,omitempty"`
+	// Checkpoints, CheckpointTree, EarlyExit and HashStride still parse,
+	// so stored specs and older clients stay valid, but change nothing:
+	// every campaign forks its scenarios off a tree of golden-prefix
+	// snapshots, and a run with no permanent fault stops once its state
+	// hash, taken every horizon/16, re-joins the golden run's.
+	Checkpoints    bool   `json:"checkpoints,omitempty"`
+	CheckpointTree bool   `json:"checkpoint_tree,omitempty"`
+	EarlyExit      bool   `json:"early_exit,omitempty"`
+	HashStride     string `json:"hash_stride,omitempty"`
 	// StopOnFirst aborts at the first unhandled failure.
 	StopOnFirst bool `json:"stop_on_first,omitempty"`
 	// Shard restricts the run to one partition, "i/N" (capsim -shard).
@@ -105,7 +103,7 @@ type Spec struct {
 	// instead of the fixed universe (capsim -adaptive). The universe
 	// kind must generate fault descriptors (KindCAPSSingleFault). It
 	// runs through the same engine as a fixed universe, so workers,
-	// early_exit, scenario_timeout and trace apply; shard and
+	// scenario_timeout and trace apply; shard and
 	// stop_on_first do not compose with the feedback loop and are
 	// rejected, as is an explicit dedup (adaptive always prunes equivalent
 	// proposals).
@@ -368,7 +366,7 @@ func (s *Spec) Build(r *caps.Runner) (*stressor.Campaign, []fault.Scenario, erro
 		Name: s.Campaign, Workers: s.Workers,
 		Dedup: s.Dedup, StopOnFirst: s.StopOnFirst, Shard: s.shard,
 		ScenarioTimeout: s.timeout,
-		Checkpointer:    r, EarlyExit: s.EarlyExit,
+		Checkpointer:    r,
 	}
 	if s.Adaptive {
 		// The Novelty strategy over the spec's fault universe replaces the

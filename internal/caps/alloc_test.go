@@ -178,7 +178,7 @@ func TestConvergingRunDigestsWithoutAllocating(t *testing.T) {
 		t.Fatalf("no forkable CAN corruption transient in the universe (got %+v)", sc)
 	}
 	reg := obs.NewRegistry()
-	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true, Metrics: reg, Campaign: "converge"})
+	sess := r.NewTreeSession(stressor.TreeConfig{Metrics: reg, Campaign: "converge"})
 	defer sess.Close()
 	run := func() { sess.Run(sc, fork) }
 	run()

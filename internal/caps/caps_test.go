@@ -2,10 +2,12 @@ package caps
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stressor"
 	"repro/internal/stressor/stressortest"
@@ -326,6 +328,50 @@ func TestPropagationTrace(t *testing.T) {
 	}
 }
 
+// TestPropagationTraceOfATransient: a 2 ms pulse that re-converges with
+// the golden run is still traced to the horizon when the caller asks for
+// the prototype — a run handed to RunScenarioWith is never checked for
+// convergence, which would end it without one — so the pooled runner's
+// trace and outcome are the ReuseOff runner's. The campaign leg proves
+// the pulse does converge when nobody asks.
+func TestPropagationTraceOfATransient(t *testing.T) {
+	sc := fault.Single(fault.Descriptor{
+		Name: "open-2ms", Model: fault.Open, Class: fault.Transient,
+		Target: "caps.accel0.harness", Start: sim.MS(10), Duration: sim.MS(2),
+	})
+	pooled, err := NewRunner(Protected(), NormalDriving(), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pooled.Close()
+	rebuild, err := NewRunner(Protected(), NormalDriving(), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuild.Close()
+	rebuild.ReuseOff = true
+
+	reg := obs.NewRegistry()
+	if _, err := (&stressor.Campaign{Name: "pulse", Checkpointer: pooled, Metrics: reg}).Execute([]fault.Scenario{sc}); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("campaign.early_exits", obs.L("campaign", "pulse")).Value() != 1 {
+		t.Fatal("the pulse did not re-converge: the trace below would prove nothing")
+	}
+
+	got, gotTr := pooled.RunScenarioTraced(sc)
+	want, wantTr := rebuild.RunScenarioTraced(sc)
+	if got.Class != want.Class || got.Detail != want.Detail {
+		t.Errorf("pooled run says %s %q, ReuseOff %s %q", got.Class, got.Detail, want.Class, want.Detail)
+	}
+	if wantTr.Len() == 0 {
+		t.Fatal("the ReuseOff trace is empty: the pulse leaves no hop to compare")
+	}
+	if !reflect.DeepEqual(gotTr.Hops(), wantTr.Hops()) {
+		t.Errorf("pooled trace\n%s\nReuseOff trace\n%s", gotTr, wantTr)
+	}
+}
+
 // TestCampaignDeterminismMatrix runs the real E8 single-fault campaign
 // through the shared cross-mode matrix: {sequential, parallel} ×
 // {rebuild, reuse} × {unsharded, 2-shard merged, 4-shard merged} ×
@@ -353,8 +399,15 @@ func TestCampaignDeterminismMatrix(t *testing.T) {
 			r.ReuseOff = reuseOff
 			return r, r.Close
 		},
-		Dedup: true,
+		Hooked: hooked,
+		Dedup:  true,
 	})
+}
+
+// hooked is the matrix's hooked one-shot call: RunScenarioWith with a
+// hook that calls hook and keeps nothing.
+func hooked(p stressortest.Prototype, sc fault.Scenario, hook func()) fault.Outcome {
+	return p.(*Runner).RunScenarioWith(sc, func(*System) { hook() })
 }
 
 // TestCampaignStopOnFirstShardMatrix runs the matrix under StopOnFirst
@@ -393,6 +446,7 @@ func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
 			r.ReuseOff = reuseOff
 			return r, r.Close
 		},
+		Hooked:      hooked,
 		StopOnFirst: true,
 	})
 }
@@ -400,8 +454,9 @@ func TestCampaignStopOnFirstShardMatrix(t *testing.T) {
 // withTransients appends a transient variant of every descriptor (2 ms
 // active window) to the universe. Transient runs whose disturbance
 // decays are the ones convergence early-exit can terminate early, so
-// the determinism matrix's tree+ee and ee cells exercise both the
-// converged and the ran-to-horizon path.
+// every pooled cell of the determinism matrix exercises both the
+// converged and the ran-to-horizon path; the permanent originals run to
+// the horizon unchecked.
 func withTransients(u []fault.Descriptor) []fault.Descriptor {
 	out := append([]fault.Descriptor(nil), u...)
 	for _, d := range u {
@@ -456,9 +511,8 @@ func TestRunnerNewCampaignShard(t *testing.T) {
 // TestCampaignAdaptiveDeterminismMatrix runs the closed adaptive loop
 // — Novelty strategy feeding on real CAPS state signatures — through
 // the shared adaptive matrix: {sequential, 4 workers} × {rebuild,
-// reuse, tree, tree+ee, each tree mode again warm} × {fresh,
-// interrupted+resumed} must all reproduce the sequential reference
-// exactly, signatures included. This pins the engine's ordered-
+// reuse, tree, tree again warm} × {fresh, interrupted+resumed} must all
+// reproduce the sequential reference exactly, signatures included. This pins the engine's ordered-
 // delivery guarantee against a real prototype, where run latencies
 // genuinely vary.
 func TestCampaignAdaptiveDeterminismMatrix(t *testing.T) {

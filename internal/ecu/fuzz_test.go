@@ -11,8 +11,8 @@ import (
 
 // ecuEquivalence builds the two runners FuzzScenarioEquivalence shares
 // across inputs: the naive rebuild-per-run reference and the runner
-// every shortcut (slot reuse, checkpoint tree, early-exit, paged
-// dirty-tracked memories) runs on.
+// every shortcut (slot reuse, checkpoint tree, early exit of transients,
+// paged dirty-tracked memories) runs on.
 func ecuEquivalence(tb testing.TB) stressortest.Equivalence {
 	tb.Helper()
 	cfg := DefaultRunnerConfig()
@@ -72,9 +72,11 @@ func FuzzScenarioEquivalence(f *testing.F) {
 		{midLoop, []stressortest.Gene{gene(pregs, 2, 30)}},
 		{midLoop, []stressortest.Gene{gene(sregs, 2, 30)}},
 		// Masked: r5 is dead between add and the next lw, which is where
-		// every quantum boundary of the loop falls — the run re-converges
+		// every quantum boundary of the loop falls. The permanent flip runs
+		// to the horizon; the same flip as a 1 µs transient re-converges
 		// and early-exits.
 		{midLoop, []stressortest.Gene{gene(pregs, 5, 7)}},
+		{midLoop, []stressortest.Gene{{Pick: pick(pregs), Addr: 5, Bit: 7, TransientUS: 1}}},
 		// The same flip after the halt stays in the register file: latent.
 		{afterHalt, []stressortest.Gene{gene(pregs, 5, 7)}},
 		// A stored-codeword flip in a table cell not yet read: the read

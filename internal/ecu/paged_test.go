@@ -133,7 +133,7 @@ func TestTreeSessionsShareNodePool(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
+				sess := r.NewTreeSession(stressor.TreeConfig{})
 				defer sess.Close()
 				for k := range scs {
 					i := k
@@ -172,7 +172,7 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 		scs := seuSweep(r)
 		c := &stressor.Campaign{
 			Name: "pages", Metrics: reg,
-			Checkpointer: r, EarlyExit: true,
+			Checkpointer: r,
 		}
 		if _, err := c.Execute(scs); err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestTreeSessionPublishesPageCounters(t *testing.T) {
 	defer r.Close()
 	kernels := obs.NewRegistry()
 	r.Instrument(kernels, nil)
-	sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
+	sess := r.NewTreeSession(stressor.TreeConfig{})
 	defer sess.Close()
 	sc := fault.Single(r.Universe(sim.US(1))[0])
 	sess.Run(sc, sim.US(1))
@@ -243,7 +243,7 @@ func TestClosedSessionSlotIsReused(t *testing.T) {
 	}
 	want := naive.RunScenario(sc)
 	run := func(name string) (stressor.CheckpointSession, sim.State) {
-		sess := r.NewTreeSession(stressor.TreeConfig{EarlyExit: true})
+		sess := r.NewTreeSession(stressor.TreeConfig{})
 		if got := sess.Run(sc, fork); got.Class != want.Class || got.Detail != want.Detail {
 			t.Errorf("%s session: got %s %q, rebuild says %s %q", name, got.Class, got.Detail, want.Class, want.Detail)
 		}
@@ -361,7 +361,7 @@ func TestTreeSessionsOfAWarmHostRebuildNothing(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, name := range []string{"cold", "warm"} {
 		got, err := (&stressor.Campaign{
-			Name: name, Workers: 2, Metrics: reg, Checkpointer: r, EarlyExit: true,
+			Name: name, Workers: 2, Metrics: reg, Checkpointer: r,
 		}).Execute(scs)
 		if err != nil {
 			t.Fatal(err)

@@ -121,8 +121,15 @@ func TestRunnerDeterminismMatrix(t *testing.T) {
 			r.ReuseOff = reuseOff
 			return r, r.Close
 		},
+		Hooked: hooked,
 		Shards: []int{1, 2},
 	})
+}
+
+// hooked is the matrix's hooked one-shot call: RunScenarioWith with a
+// hook that calls hook and keeps nothing.
+func hooked(p stressortest.Prototype, sc fault.Scenario, hook func()) fault.Outcome {
+	return p.(*Runner).RunScenarioWith(sc, func(*ecuSlot) { hook() })
 }
 
 // TestRunnerCheckpointMatrix reruns the matrix with a non-zero
@@ -150,6 +157,7 @@ func TestRunnerCheckpointMatrix(t *testing.T) {
 			r.ReuseOff = reuseOff
 			return r, r.Close
 		},
+		Hooked:  hooked,
 		Workers: []int{0, 2},
 		Shards:  []int{1, 2},
 	})
@@ -175,8 +183,8 @@ func TestRunnerSEUDetections(t *testing.T) {
 // TestRunnerAdaptiveDeterminismMatrix drives the adaptive campaign
 // loop against the ECU prototype: the Novelty strategy mutates on
 // real snapshot-state signatures, and every {workers} × {rebuild,
-// reuse, tree, tree+ee, each tree mode again warm} × {fresh, resumed}
-// cell must match the sequential reference, signatures included. The
+// reuse, tree, tree again warm} × {fresh, resumed} cell must match the
+// sequential reference, signatures included. The
 // universe injects at zero, so every run forks from the root.
 func TestRunnerAdaptiveDeterminismMatrix(t *testing.T) {
 	r, err := NewRunner(DefaultRunnerConfig())
@@ -237,7 +245,7 @@ func TestInstrumentedCampaignMatchesPlain(t *testing.T) {
 		scs := fault.Singles(append(r.Universe(0), r.Universe(sim.US(2))...))
 		res, err := (&stressor.Campaign{
 			Name: "ecu-instrumented", Workers: 2,
-			Checkpointer: r, EarlyExit: true,
+			Checkpointer: r,
 		}).Execute(scs)
 		if err != nil {
 			t.Fatal(err)

@@ -108,17 +108,10 @@ type Campaign struct {
 	// CAPS and ECU runners implement it. A campaign without one runs Run
 	// in index order.
 	Checkpointer Checkpointer
-	// Deprecated: Checkpoints and CheckpointTree are never read; the
-	// Checkpointer alone decides whether a campaign forks.
-	Checkpoints, CheckpointTree bool
-	// EarlyExit enables convergence early-exit inside the sessions:
-	// the golden trajectory is hashed at horizon/16 intervals, and an
-	// injected run whose state digest returns to the golden trajectory
-	// (after its last scheduled fault action) terminates immediately
-	// with the golden-equal classification instead of simulating to
-	// the horizon. Requires a Checkpointer; classifications are
-	// byte-identical to full-horizon runs.
-	EarlyExit bool
+	// Deprecated: Checkpoints, CheckpointTree and EarlyExit are never
+	// read; the Checkpointer alone decides whether a campaign forks, and
+	// a run with no permanent fault is always checked for convergence.
+	Checkpoints, CheckpointTree, EarlyExit bool
 	// Shard restricts execution to one partition of the (post-Dedup)
 	// unique-run positions: the Index-th of Count contiguous ranges of
 	// them in injection-time order (see Shard). The zero value runs
@@ -438,8 +431,6 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 	switch {
 	case c.prototype() == nil:
 		return fmt.Errorf("neither Run nor Checkpointer")
-	case c.EarlyExit && c.Checkpointer == nil:
-		return fmt.Errorf("EarlyExit requires a Checkpointer")
 	case c.Source == nil:
 		return nil
 	case len(scenarios) > 0:

@@ -77,7 +77,7 @@ func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, held *CheckpointSes
 	// less than carrying them round the loop.
 	fork, _ := e.proto.ForkTime(sc)
 	if *held == nil {
-		*held = e.proto.NewTreeSession(TreeConfig{EarlyExit: c.EarlyExit, Metrics: c.Metrics, Campaign: c.Name, sign: c.Source != nil})
+		*held = e.proto.NewTreeSession(TreeConfig{Metrics: c.Metrics, Campaign: c.Name, sign: c.Source != nil})
 	}
 	out, panicked, timedOut := c.runOne(e.obs, sc, w, *held, fork)
 	if timedOut || panicked {

@@ -180,11 +180,10 @@ func TestCampaignCheckpointSessionAbandonedOnPanic(t *testing.T) {
 	}
 }
 
-// TestCampaignTreeValidation: a campaign with nothing to run on, and
-// early exit without a Checkpointer to hash in, are rejected up front; a
-// Checkpointer needs no Run beside it; and the retired
-// Checkpoints/CheckpointTree switches are inert: they are no reason to
-// refuse a campaign.
+// TestCampaignTreeValidation: a campaign with nothing to run on is
+// rejected up front; a Checkpointer needs no Run beside it; and the
+// retired Checkpoints/CheckpointTree/EarlyExit switches are inert: they
+// are no reason to refuse a campaign.
 func TestCampaignTreeValidation(t *testing.T) {
 	run := classRunFunc(pattern(1, nil))
 	scs := makeScenarios(1)
@@ -194,7 +193,6 @@ func TestCampaignTreeValidation(t *testing.T) {
 		want string
 	}{
 		{"neither Run nor Checkpointer", &Campaign{Name: "v"}, "neither Run nor Checkpointer"},
-		{"early-exit without a Checkpointer", &Campaign{Name: "v", Run: run, EarlyExit: true}, "Checkpointer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,10 +202,10 @@ func TestCampaignTreeValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, err := (&Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true}).Execute(scs); err != nil {
-		t.Errorf("Checkpoints/CheckpointTree without a Checkpointer refused: %v", err)
+	if _, err := (&Campaign{Name: "v", Run: run, Checkpoints: true, CheckpointTree: true, EarlyExit: true}).Execute(scs); err != nil {
+		t.Errorf("Checkpoints/CheckpointTree/EarlyExit without a Checkpointer refused: %v", err)
 	}
-	res, err := (&Campaign{Name: "v", Checkpointer: &fakeCheckpointer{run: run}, EarlyExit: true}).Execute(scs)
+	res, err := (&Campaign{Name: "v", Checkpointer: &fakeCheckpointer{run: run}}).Execute(scs)
 	if err != nil || len(res.Outcomes) != len(scs) || res.Outcomes[0].Detail != run(scs[0]).Detail {
 		t.Errorf("a Checkpointer without a Run: result %+v, error %v", res, err)
 	}

@@ -108,10 +108,10 @@ func (m *fanModel) HashState(h *sim.StateHash) {
 }
 
 // fanToy is fanModel's Model; its registry's one site panics when
-// injected.
-type fanToy struct{}
+// injected. A converged run observes what the golden run did.
+type fanToy struct{ golden analysis.Observation }
 
-func (fanToy) Build(k *sim.Kernel) (*fanModel, *fault.Registry) {
+func (*fanToy) Build(k *sim.Kernel) (*fanModel, *fault.Registry) {
 	m := &fanModel{k: k, beat: k.NewEvent("beat"), fan: k.NewEvent("fan")}
 	k.Method("start", func() {
 		m.started++
@@ -137,19 +137,22 @@ func (fanToy) Build(k *sim.Kernel) (*fanModel, *fault.Registry) {
 	return m, reg
 }
 
-func (fanToy) Observe(m *fanModel) analysis.Observation {
+func (*fanToy) Observe(m *fanModel) analysis.Observation {
 	return analysis.Observation{GoalViolated: true,
 		GoalDetail: fmt.Sprintf("started=%d late=%d x=%d y=%d beats=%d", m.started, m.late, m.x, m.y, m.beats)}
 }
-func (fanToy) Golden(*fanModel, analysis.Observation) error { return nil }
-func (fanToy) Record(*struct{}, *fanModel)                  {}
-func (fanToy) Converged(*fanModel, *struct{}, int) analysis.Observation {
-	return analysis.Observation{}
+func (p *fanToy) Golden(_ *fanModel, ob analysis.Observation) error {
+	p.golden = ob
+	return nil
 }
+
+func (*fanToy) Record(*struct{}, *fanModel) {}
+
+func (p *fanToy) Converged(*fanModel, *struct{}, int) analysis.Observation { return p.golden }
 
 func newFanHost(t *testing.T) *Host[*fanModel, struct{}] {
 	t.Helper()
-	h, err := NewHost[*fanModel, struct{}]("fan", fanToy{}, fanHorizon)
+	h, err := NewHost[*fanModel, struct{}]("fan", &fanToy{}, fanHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,10 +52,10 @@ type AdaptiveConfig struct {
 var rebuild = cellMode{name: "rebuild"}
 
 // RunAdaptive executes the adaptive matrix: reference = rebuild/
-// sequential/fresh; cells cross {workers} × {rebuild, plain, tree,
-// tree+ee, tree+warm, tree+ee+warm} × {fresh, interrupted+resumed} and
-// must all DeepEqual the reference, signatures included — the tree cells'
-// come from signing sessions, the plain cells' from one-shot ones.
+// sequential/fresh; cells cross {workers} × {rebuild, plain,
+// plain+warm, tree, tree+warm} × {fresh, interrupted+resumed} and must
+// all DeepEqual the reference, signatures included — the tree cells' come from signing
+// sessions, the plain cells' from one-shot ones.
 // On top of that, per worker count: a cell with everything the shared
 // run shell offers attached (a generous ScenarioTimeout, Trace,
 // Progress, Metrics) must still DeepEqual the bare reference, and a

@@ -225,8 +225,8 @@ func (eq Equivalence) windowNeighbours(sc fault.Scenario) []fault.Scenario {
 }
 
 // checkForkWindow asserts that sc and its window neighbours classify on
-// the tree and on tree+early-exit, on one worker session and on two, as
-// the rebuild path does: class, detail and signature of every one.
+// the tree, on one worker session and on two, as the rebuild path does:
+// class, detail and signature of every one.
 func (eq Equivalence) checkForkWindow(t *testing.T, sc fault.Scenario) {
 	t.Helper()
 	scenarios := eq.windowNeighbours(sc)
@@ -237,18 +237,16 @@ func (eq Equivalence) checkForkWindow(t *testing.T, sc fault.Scenario) {
 	if err != nil {
 		t.Fatalf("fork-window reference campaign: %v", err)
 	}
-	for _, earlyExit := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			got, err := (&stressor.Campaign{
-				Name: eq.Name, Workers: workers, Checkpointer: eq.Reuse, EarlyExit: earlyExit,
-			}).Execute(scenarios)
-			if err != nil {
-				t.Fatalf("fork-window campaign: %v", err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("fork window (early exit %v, %d workers) diverged from rebuild on %+v\ngot:  %+v\nwant: %+v",
-					earlyExit, workers, sc.Faults, got.Outcomes, ref.Outcomes)
-			}
+	for _, workers := range []int{1, 2} {
+		got, err := (&stressor.Campaign{
+			Name: eq.Name, Workers: workers, Checkpointer: eq.Reuse,
+		}).Execute(scenarios)
+		if err != nil {
+			t.Fatalf("fork-window campaign: %v", err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("fork window (%d workers) diverged from rebuild on %+v\ngot:  %+v\nwant: %+v",
+				workers, sc.Faults, got.Outcomes, ref.Outcomes)
 		}
 	}
 }
@@ -265,11 +263,11 @@ func modeNamed(name string) cellMode {
 
 // CheckScenario generates one scenario from (at, seed, genes) and
 // asserts that class, detail and signature agree across rebuild ≡ reuse
-// ≡ tree ≡ tree+early-exit ≡ 2-shard merged ≡ interrupted-and-resumed,
+// ≡ tree ≡ 2-shard merged ≡ interrupted-and-resumed,
 // then drives two interleaved tree sessions
 // over the same scenarios in index order — forks rising and falling,
 // each restoring nodes the other's slot took — and the signed calls on
-// both runners, the reuse one also as a tree+ee campaign over a Source. A
+// both runners, the reuse one also as a tree campaign over a Source. A
 // scenario of one permanent fault is also run at the edges of the golden
 // idle window it injects in (checkForkWindow). Inputs that generate
 // nothing runnable, or a fault the prototype's registry rejects, are
@@ -298,9 +296,8 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	}{
 		{"reuse", "plain", 1, false},
 		{"tree", "tree", 1, false},
-		{"tree+ee", "tree+ee", 1, false},
-		{"2-shard merged", "tree+ee", 2, false},
-		{"interrupted and resumed", "tree+ee", 1, true},
+		{"2-shard merged", "tree", 2, false},
+		{"interrupted and resumed", "tree", 1, true},
 	} {
 		got := executeCell(t, cfg, eq.Reuse, modeNamed(cell.mode), 0, cell.shards, cell.resumed)
 		if !reflect.DeepEqual(got, ref) {
@@ -313,8 +310,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	// Two sessions of one runner, stepped alternately: a walks the
 	// campaign forwards, b backwards, so each restores into its own slot
 	// nodes the other's slot published, in both walk directions.
-	treeCfg := stressor.TreeConfig{EarlyExit: true}
-	a, b := eq.Reuse.NewTreeSession(treeCfg), eq.Reuse.NewTreeSession(treeCfg)
+	a, b := eq.Reuse.NewTreeSession(stressor.TreeConfig{}), eq.Reuse.NewTreeSession(stressor.TreeConfig{})
 	defer a.Close()
 	defer b.Close()
 	n := len(scenarios)
@@ -339,7 +335,7 @@ func (eq Equivalence) CheckScenario(t *testing.T, at uint64, seed int64, genes [
 	// through a Source.
 	src := listSource(scenarios)
 	sourced, err := (&stressor.Campaign{
-		Name: eq.Name, Source: &src, Workers: 2, Checkpointer: eq.Reuse, EarlyExit: true,
+		Name: eq.Name, Source: &src, Workers: 2, Checkpointer: eq.Reuse,
 	}).Execute(nil)
 	if err != nil {
 		t.Fatalf("campaign over a source: %v", err)

@@ -1,8 +1,8 @@
 // Package stressortest provides the cross-mode determinism matrix
 // shared by the campaign-engine integrations: one table-driven suite
 // asserting that a campaign's Result is byte-identical across
-// {sequential, parallel} × {rebuild, reuse, tree, tree+early-exit, each
-// tree mode again on a warm host} × {unsharded, N-shard merged} ×
+// {sequential, parallel} × {rebuild, reuse, tree, reuse and tree again
+// on a warm host, hooked one-shot calls} × {unsharded, N-shard merged} ×
 // {fresh, resumed-after-simulated-interrupt}, plus a distributed axis
 // running the campaign through the fabric coordinator with two real
 // workers — once cleanly and once with a worker killed mid-lease. The
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -36,6 +37,13 @@ type Config struct {
 	// Shards are the shard counts to cross; 1 means unsharded
 	// (default {1, 2, 4}).
 	Shards []int
+	// Hooked runs sc on p through the runner's RunScenarioWith with a
+	// hook that calls hook and keeps nothing. A run handed to a hook is
+	// never checked for convergence, so the plain+hook cells simulate
+	// every scenario, transients included, to the horizon on reused
+	// slots, and every run that ended cleanly must call hook. When nil,
+	// the matrix has no hook cells.
+	Hooked func(p Prototype, sc fault.Scenario, hook func()) fault.Outcome
 	// Dedup and StopOnFirst apply to every cell.
 	Dedup       bool
 	StopOnFirst bool
@@ -69,11 +77,15 @@ func Run(t *testing.T, cfg Config) {
 		t.Fatal("reference campaign produced no outcomes — matrix would pass vacuously")
 	}
 	runDistributed(t, cfg, ref)
+	modes := cellModes
+	if cfg.Hooked != nil {
+		modes = append(modes[:len(modes):len(modes)], hookMode)
+	}
 	for _, reuseOff := range []bool{true, false} {
-		for _, mode := range cellModes {
-			if mode.tree && reuseOff {
-				// A ReuseOff runner's sessions rebuild: its tree cells would
-				// repeat its plain ones.
+		for _, mode := range modes {
+			if (mode.tree || mode.warm) && reuseOff {
+				// A ReuseOff runner's sessions rebuild and keep nothing: its
+				// tree and warm cells would repeat its plain ones.
 				continue
 			}
 			for _, workers := range cfg.Workers {
@@ -107,24 +119,26 @@ func Run(t *testing.T, cfg Config) {
 }
 
 // cellMode is the checkpointing axis of the matrix: classifications
-// must be byte-identical whether runs are one-shot calls (plain), fork from a
-// retained node in a campaign's tree session, or also early-exit the
-// moment they provably re-converge with the golden trajectory. A warm cell first
-// runs the whole universe once on the same runner, so its campaign
-// starts on slots a faulty run left behind (rewound to the root) and
-// forks from golden nodes an earlier campaign's sessions published.
+// must be byte-identical whether runs are one-shot calls (plain) or fork
+// from a retained node in a campaign's tree session. Either way a run
+// with no permanent fault early-exits the moment it provably re-converges
+// with the golden trajectory, and the rebuild reference never does; a
+// hooked one-shot call never does either. A warm cell first runs the
+// whole universe once on the same runner, so its campaign starts on slots
+// a faulty run left behind (rewound to the root) and forks from golden
+// nodes an earlier campaign's sessions published.
 type cellMode struct {
-	name      string
-	tree      bool
-	earlyExit bool
-	warm      bool
+	name string
+	tree bool
+	warm bool
+	hook bool
 }
 
 // runOn points c at r as mode runs it: as its Checkpointer in a tree
 // mode, through run — a one-shot call per scenario — otherwise.
 func (mode cellMode) runOn(c *stressor.Campaign, r Prototype, run stressor.RunFunc) {
 	if mode.tree {
-		c.Checkpointer, c.EarlyExit = r, mode.earlyExit
+		c.Checkpointer = r
 	} else {
 		c.Run = run
 	}
@@ -132,11 +146,13 @@ func (mode cellMode) runOn(c *stressor.Campaign, r Prototype, run stressor.RunFu
 
 var cellModes = []cellMode{
 	{name: "plain"},
+	{name: "plain+warm", warm: true},
 	{name: "tree", tree: true},
-	{name: "tree+ee", tree: true, earlyExit: true},
 	{name: "tree+warm", tree: true, warm: true},
-	{name: "tree+ee+warm", tree: true, earlyExit: true, warm: true},
 }
+
+// hookMode is the plain mode through Config.Hooked; only Run has it.
+var hookMode = cellMode{name: "plain+hook", hook: true}
 
 // executeCell runs one matrix cell on r: all shards of the campaign
 // (with shard 0 interrupted and resumed when resumed is set), merged
@@ -150,7 +166,18 @@ func executeCell(t *testing.T, cfg Config, r Prototype, mode cellMode, workers, 
 			Dedup: cfg.Dedup, StopOnFirst: cfg.StopOnFirst,
 			Shard: sh, Journal: w, Resume: j, Halt: halt,
 		}
-		mode.runOn(c, r, r.RunScenario)
+		run := r.RunScenario
+		if mode.hook {
+			run = func(sc fault.Scenario) fault.Outcome {
+				called := false
+				out := cfg.Hooked(r, sc, func() { called = true })
+				if !called && !strings.HasPrefix(out.Detail, "campaign error:") {
+					t.Errorf("%s ended cleanly but never reached the hook", sc.ID)
+				}
+				return out
+			}
+		}
+		mode.runOn(c, r, run)
 		return c
 	}
 	// runShard executes one shard (journaled, so every cell also

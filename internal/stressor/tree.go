@@ -17,8 +17,8 @@ import (
 // retains a budgeted set of golden-prefix snapshots ("nodes"), one per
 // injection instant its sessions have visited, and a session establishes
 // each scenario from the deepest one at or before its fork time,
-// whichever session took it, instead of re-simulating from time zero.
-// With early exit, a faulty run whose state digest returns to the golden
+// whichever session took it, instead of re-simulating from time zero. A
+// run checksConvergence admits whose state digest returns to the golden
 // trajectory, hashed every horizon/16, stops there and inherits the
 // golden-equal classification — byte-identical to running it out.
 
@@ -34,9 +34,6 @@ const (
 
 // TreeConfig parameterizes a checkpoint-tree session.
 type TreeConfig struct {
-	// EarlyExit enables convergence detection against the golden
-	// trajectory.
-	EarlyExit bool
 	// Metrics, when non-nil, receives tree/early-exit counters labeled
 	// with Campaign. The campaign Result is identical without it.
 	Metrics *obs.Registry
@@ -170,25 +167,20 @@ func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counte
 // are the host's, so abandoning a session loses none. A ReuseOff host's
 // session takes no slot: it builds the prototype afresh for every run.
 func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	s := &session[S, G]{h: h, cfg: cfg}
-	if cfg.EarlyExit {
-		s.traj = &h.traj
-	}
-	return s
+	return &session[S, G]{h: h, cfg: cfg}
 }
 
 // session is one worker's tree session: a slot, the fork it was last
-// established at, the fork-window memo, the golden trajectory its runs are
-// compared with and its metrics. Nodes are taken at fork-1: restoring
-// there and elaborating the stressor gives its initial activation one
-// instant before the injection, which reproduces a full run's schedule at
-// the injection instant exactly (the stressor's process id is the highest
-// either way, so it evaluates last within an instant).
+// established at, the fork-window memo and its metrics. Nodes are taken
+// at fork-1: restoring there and elaborating the stressor gives its
+// initial activation one instant before the injection, which reproduces a
+// full run's schedule at the injection instant exactly (the stressor's
+// process id is the highest either way, so it evaluates last within an
+// instant).
 type session[S sim.State, G any] struct {
 	h     *Host[S, G]
 	cfg   TreeConfig
-	sl    *hostSlot[S]   // nil until init, and again after Close
-	traj  *trajectory[G] // the host's, with early exit on
+	sl    *hostSlot[S] // nil until init, and again after Close
 	pages *pageCounters
 
 	cur sim.Time // the fork the slot was last established at
@@ -271,8 +263,9 @@ func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 
 // execute establishes the slot at fork, runs sc and classifies it (see
 // outcome for fn); with memo, the run's window leg decides whether
-// remember may keep the verdict. A ReuseOff host's session rebuilds: the
-// oracle, which takes no slot and publishes no node.
+// remember may keep the verdict. A run checksConvergence admits stops
+// once it re-joins the golden trajectory. A ReuseOff host's session
+// rebuilds: the oracle, which takes no slot and publishes no node.
 func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn func(S)) (fault.Outcome, error) {
 	if s.h.ReuseOff {
 		return s.h.rebuild(sc, s.cfg.sign, fn)
@@ -288,7 +281,7 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 			return fault.Outcome{}, err
 		}
 	}
-	if s.traj != nil {
+	if checksConvergence(sc, fn != nil) {
 		// A run whose injections errored never converges.
 		converged, at, err := s.runToHorizon()
 		if err != nil {
@@ -299,11 +292,12 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 				s.earlyExits.Inc()
 				s.savedNs.Add(uint64(s.h.horizon - at))
 			}
-			out := s.h.classify(sc, s.h.m.Converged(sl.s, &s.traj.g, int(at/s.traj.stride)-1))
+			tj := &s.h.traj
+			out := s.h.classify(sc, s.h.m.Converged(sl.s, &tj.g, int(at/tj.stride)-1))
 			if s.cfg.sign {
 				// Back on the golden trajectory, the run ends in the golden
 				// final state.
-				out.Signature = sim.MixSignature(s.traj.final, uint64(out.Class))
+				out.Signature = sim.MixSignature(tj.final, uint64(out.Class))
 			}
 			return out, nil
 		}
@@ -417,6 +411,15 @@ func windowKeyOf(sc fault.Scenario) (key windowKey, start sim.Time, ok bool) {
 	return key, start, true
 }
 
+// checksConvergence is the one early-exit rule: a run of sc is compared
+// with the golden trajectory exactly when none of its faults is permanent
+// (those rarely re-converge, DESIGN §14; a single one is what the fork
+// windows answer) and the caller does not keep the prototype, which a
+// converged run never carries to the horizon.
+func checksConvergence(sc fault.Scenario, keepsPrototype bool) bool {
+	return !keepsPrototype && !slices.ContainsFunc(sc.Faults, func(d fault.Descriptor) bool { return d.Class == fault.Permanent })
+}
+
 // recall answers sc from the window memo: ok when a run with sc's
 // content, forked at the same fork and injected before the same window
 // end, was silent and ended cleanly. The outcome carries sc itself.
@@ -521,7 +524,7 @@ type trajectory[G any] struct {
 // observation is the golden one. Runs whose injections errored never
 // converge here — their campaign-error outcome requires the full path.
 func (s *session[S, G]) runToHorizon() (converged bool, at sim.Time, err error) {
-	k, st, tj := s.sl.k, &s.sl.st, s.traj
+	k, st, tj := s.sl.k, &s.sl.st, &s.h.traj
 	now := k.Now()
 	checkable := true
 	checked := false

@@ -31,8 +31,9 @@ func (m *tickModel) RestoreState(st any)        { m.ticks = st.(int) }
 func (m *tickModel) HashState(h *sim.StateHash) { h.Int(m.ticks) }
 func (m *tickModel) at(k *sim.Kernel) [2]int    { return [2]int{int(k.Now()), m.ticks} }
 
-// tickProto is tickModel's Model.
-type tickProto struct{}
+// tickProto is tickModel's Model. A converged run observes what the
+// golden run did.
+type tickProto struct{ golden analysis.Observation }
 
 func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
 	m := &tickModel{}
@@ -40,12 +41,16 @@ func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
 	return m, fault.NewRegistry()
 }
 
-func (*tickProto) Observe(*tickModel) analysis.Observation       { return analysis.Observation{} }
-func (*tickProto) Golden(*tickModel, analysis.Observation) error { return nil }
-func (*tickProto) Record(*struct{}, *tickModel)                  {}
-func (*tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
-	return analysis.Observation{}
+func (*tickProto) Observe(*tickModel) analysis.Observation { return analysis.Observation{} }
+
+func (p *tickProto) Golden(_ *tickModel, ob analysis.Observation) error {
+	p.golden = ob
+	return nil
 }
+
+func (*tickProto) Record(*struct{}, *tickModel) {}
+
+func (p *tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation { return p.golden }
 
 // TestTreeCoreBudgetOfOne pins establish's cases and the LRU budget on
 // a host that may retain a single node. The same fork is a restore (hit)
@@ -145,7 +150,7 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 func TestForkTimeNeverDeclines(t *testing.T) {
 	oracle, h := newWindowHost(t), newWindowHost(t)
 	oracle.ReuseOff = true
-	sess := oracle.NewTreeSession(TreeConfig{EarlyExit: true, sign: true})
+	sess := oracle.NewTreeSession(TreeConfig{sign: true})
 	defer sess.Close()
 	mid := fault.Single(permanent("mid", "toy.reg", fault.StuckAt1, 12))
 	for _, sc := range []fault.Scenario{

@@ -280,7 +280,7 @@ func TestTreeSessionsEvictUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := h.NewTreeSession(TreeConfig{EarlyExit: true, Metrics: reg, Campaign: "contention"})
+			sess := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "contention"})
 			defer sess.Close()
 			for k := range scs {
 				i := k
