@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDescriptor -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzJournalBinary -fuzztime=$(FUZZTIME) ./internal/journal
+	$(GO) test -run=NONE -fuzz=FuzzMergeJournals -fuzztime=$(FUZZTIME) ./internal/stressor
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpec -fuzztime=$(FUZZTIME) ./internal/campaignd
 	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/ecu
 	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/caps

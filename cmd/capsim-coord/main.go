@@ -64,6 +64,10 @@ func main() {
 	if *specPath == "" {
 		fail(fmt.Errorf("capsim-coord: -spec is required"))
 	}
+	// The shard count sizes the lease table: bounded like a spec's.
+	if *shards < 1 || *shards > campaignd.MaxShardCount {
+		fail(fmt.Errorf("capsim-coord: -shards %d out of range 1..%d", *shards, campaignd.MaxShardCount))
+	}
 	var raw []byte
 	var err error
 	if *specPath == "-" {

@@ -340,8 +340,8 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MergeRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "campaignd: bad merge request: %v", err)
+	if err := decodeStrict(data, &req, "merge request"); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Runs) == 0 || len(req.Runs) > MaxShardCount {

@@ -382,6 +382,21 @@ func TestServerMergeShards(t *testing.T) {
 		}
 	}
 
+	// The request decodes as strictly as a spec: a typo'd knob or
+	// trailing data is a 400 naming it, never a merge without it.
+	for body, want := range map[string]string{
+		strings.Replace(mergeReq, `"runs"`, `"stop_on_frist":true,"runs"`, 1): `unknown field \"stop_on_frist\"`,
+		mergeReq + ` {}`: "trailing data after merge request",
+	} {
+		resp, err := http.Post(srv.URL+"/merge", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, want) {
+			t.Errorf("POST /merge %s = %d %s, want 400 naming %s", body, resp.StatusCode, got, want)
+		}
+	}
+
 	// Merging an unknown run is a structured conflict, not a panic.
 	badReq := fmt.Sprintf(`{"campaign":"m","universe":{"kind":"caps-single-fault","horizon":"30ms"},"runs":[%q,"r000099"]}`, s0)
 	resp, err = http.Post(srv.URL+"/merge", "application/json", strings.NewReader(badReq))

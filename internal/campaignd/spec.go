@@ -154,19 +154,28 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if len(data) > MaxSpecBytes {
 		return nil, fmt.Errorf("campaignd: spec exceeds %d bytes", MaxSpecBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	s := &Spec{}
-	if err := dec.Decode(s); err != nil {
-		return nil, fmt.Errorf("campaignd: bad spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("campaignd: trailing data after spec")
+	if err := decodeStrict(data, s, "spec"); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decodeStrict decodes the JSON body data, a what, into v. A typo'd
+// knob or trailing data fails the request, never silently dropped.
+func decodeStrict(data []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("campaignd: bad %s: %w", what, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("campaignd: trailing data after %s", what)
+	}
+	return nil
 }
 
 // ValidatePrototype defaults and range-checks the half of a spec that

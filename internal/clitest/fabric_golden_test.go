@@ -1,6 +1,7 @@
 package clitest
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/campaignd"
 )
 
 // fabricSpec is the spec JSON the fabric tests feed capsim-coord: the
@@ -96,6 +99,31 @@ func (c *coordProc) waitExit(timeout time.Duration) (ready, rest string) {
 		c.t.Fatalf("capsim-coord stdout has no readiness line: %q", out)
 	}
 	return out[:i], out[i+1:]
+}
+
+// TestCoordRefusesShardCountOutOfRange: -shards is bounded like a
+// spec's shard count, before anything is sized by it or listens. A
+// count of 1<<40 would otherwise size the lease table and die out of
+// memory.
+func TestCoordRefusesShardCountOutOfRange(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(specPath, []byte(fabricSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, campaignd.MaxShardCount + 1, 1 << 40} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, Binary(t, "capsim-coord"),
+			"-addr", "127.0.0.1:0", "-spec", specPath, "-shards", fmt.Sprint(n), "-data", t.TempDir(), "-oneshot", "-quiet")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		cancel()
+		want := fmt.Sprintf("capsim-coord: -shards %d out of range 1..%d\n", n, campaignd.MaxShardCount)
+		if err == nil || stderr.String() != want || stdout.Len() != 0 {
+			t.Errorf("capsim-coord -shards %d: err %v, stdout %q, stderr %q; want a non-zero exit, no readiness line and %q",
+				n, err, stdout.String(), stderr.String(), want)
+		}
+	}
 }
 
 // TestFabricPairGolden is the distributed-campaign headline pinned at

@@ -362,32 +362,28 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	}
 	workers := par.Resolve(c.Workers)
 
-	// The dedup plan comes BEFORE shard partition and resume replay, so
-	// every shard computes the identical unique-run list and journals
-	// refer to stable representative indices.
-	e := &campaignExec{c: c, proto: c.prototype(), dedup: newDedupPlan(scenarios, c.Dedup)}
-	e.more.L = &e.mu
-	e.cutoff.Store(math.MaxInt64)
-	resumed, err := c.resumeEntries(e.dedup)
+	e := newExec(c, scenarios)
+	resumed, err := c.resumeEntries(e)
 	if err != nil {
 		return nil, err
 	}
 	var p plan
-	var planned int
+	var planned, replayed int
 	if c.Source == nil {
-		l := newListPlan(e, resumed)
-		p, planned = l, len(l.todo)
+		l := newListPlan(e)
+		p, planned, replayed = l, len(l.todo), e.answered[byJournal]
 	} else {
 		e.slots = make([]slot, 0, c.MaxRuns)
 		p = &sourcePlan{campaignExec: e, resumed: resumed, memo: map[string]fault.Outcome{}, sigs: map[uint64]struct{}{}}
 		planned = max(c.MaxRuns-len(resumed), 0) // what is left of the budget
+		replayed = len(resumed)
 	}
 
 	e.obs = c.newObs(planned, workers)
 	if c.Log != nil {
 		c.Log.Info("campaign start", "campaign", c.Name,
 			"scenarios", len(scenarios), "todo", planned,
-			"workers", workers, "resumed", len(resumed))
+			"workers", workers, "resumed", replayed)
 	}
 	start := time.Now()
 	e.loop(p, workers)
@@ -459,35 +455,41 @@ func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 	return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
 }
 
+// newExec is one Execute's state before any replay or plan. The dedup
+// plan comes first, so every shard computes the identical unique-run
+// list and journals refer to stable representative indices.
+func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
+	e := &campaignExec{c: c, proto: c.prototype(), dedup: newDedupPlan(scenarios, c.Dedup)}
+	e.slots = make([]slot, e.dedup.len())
+	e.more.L = &e.mu
+	e.cutoff.Store(math.MaxInt64)
+	return e
+}
+
 // resumeEntries validates c.Resume against this exact campaign — kind,
 // name, shard layout and partition rule, size or budget, universe
-// fingerprint, per-entry scenario IDs — and indexes its entries by
-// scenario index (proposal sequence number with a Source). Any mismatch
-// is a hard error before the first run: a stale or foreign journal must
-// never silently poison a campaign.
-func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
+// fingerprint — and replays a list's journal into e's slots; a Source's
+// it indexes by proposal sequence number. Any mismatch is a hard error
+// before the first run: a stale or foreign journal must never silently
+// poison a campaign.
+func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil
 	}
-	want := c.JournalHeader(d.scenarios)
+	want := c.JournalHeader(e.dedup.scenarios)
 	if want.Universe == "" {
 		want.Universe = c.Resume.Header.Universe // a Source without a Fingerprint
 	}
 	if err := c.Resume.Header.Match(want); err != nil {
 		return nil, fmt.Errorf("campaign %s: resume %w", c.Name, err)
 	}
+	if c.Source == nil {
+		return nil, e.replay(c.Resume.Entries)
+	}
+	// A proposal's ID is only known once the replay proposes it; next
+	// checks it then.
 	m := make(map[int]journal.Entry, len(c.Resume.Entries))
 	for _, ent := range c.Resume.Entries {
-		if c.Source == nil {
-			// A proposal's ID is only known once the replay proposes it;
-			// next checks it then.
-			if id := d.scenarios[ent.Index].ID; id != ent.ID {
-				return nil, fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", c.Name, ent.Index, ent.ID, id)
-			}
-			if _, ok := d.position(ent.Index); !ok {
-				return nil, fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without -dedup?)", c.Name, ent.Index)
-			}
-		}
 		if _, ok := fault.ParseClassification(ent.Class); !ok {
 			return nil, fmt.Errorf("campaign %s: journal entry %d has unknown class %q", c.Name, ent.Index, ent.Class)
 		}
@@ -497,6 +499,35 @@ func (c *Campaign) resumeEntries(d dedupPlan) (map[int]journal.Entry, error) {
 		m[ent.Index] = ent
 	}
 	return m, nil
+}
+
+// replay writes a list's journal entries into the slots of their
+// unique-run positions, for Resume and each journal of a Merge alike.
+// An entry must name the scenario at its index, sit at a dedup
+// representative and carry a known class, and no run may be recorded
+// twice with another class, detail or panicked (a list signs nothing).
+func (e *campaignExec) replay(entries []journal.Entry) error {
+	d := e.dedup
+	for _, ent := range entries {
+		sc := d.scenarios[ent.Index]
+		if sc.ID != ent.ID {
+			return fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", e.c.Name, ent.Index, ent.ID, sc.ID)
+		}
+		u, ok := d.position(ent.Index)
+		if !ok {
+			return fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without dedup?)", e.c.Name, ent.Index)
+		}
+		cls, ok := fault.ParseClassification(ent.Class)
+		if !ok {
+			return fmt.Errorf("campaign %s: journal entry %d has unknown class %q", e.c.Name, ent.Index, ent.Class)
+		}
+		s := &e.slots[u]
+		if s.ran && (s.out.Class != cls || s.out.Detail != ent.Detail || s.panicked != ent.Panicked) {
+			return fmt.Errorf("campaign %s: journal records scenario %s (index %d) twice with different outcomes", e.c.Name, ent.ID, ent.Index)
+		}
+		*s = slot{out: fault.Outcome{Scenario: sc, Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
+	}
+	return nil
 }
 
 // lookahead bounds a Source's outstanding proposals: the source
@@ -594,7 +625,7 @@ type campaignExec struct {
 
 	delivered int // outcomes delivered by this Execute (Halt's argument)
 	// answered counts the outcomes in the result by what answered them;
-	// byJournal includes the list entries newListPlan replayed.
+	// byJournal includes the replayed list entries newListPlan counts.
 	answered [numAnswers]int
 	timeouts int
 	halted   bool
@@ -705,32 +736,29 @@ type listPlan struct {
 	todo []int
 }
 
-// newListPlan partitions and replays a scenario list: it walks the
-// unique-run positions once, keeps this shard's share, fills the slots
-// the journal already recorded and leaves the rest in todo, sorted for
-// the checkpoint sessions.
-func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
+// newListPlan partitions a scenario list whose slots hold the replayed
+// journal: it keeps this shard's share (dropping journaled positions
+// another shard owns), counts what was replayed and leaves the rest in
+// todo, sorted for the checkpoint sessions.
+func newListPlan(e *campaignExec) *listPlan {
 	c, d, l := e.c, e.dedup, &listPlan{campaignExec: e}
-	e.slots = make([]slot, d.len())
 	var owner []int
 	if c.Shard.Enabled() {
 		owner = shardOwners(d, c.Shard.Count)
 	}
 	for u := range e.slots {
-		if owner != nil && owner[u] != c.Shard.Index {
-			continue
-		}
-		ent, ok := resumed[d.index(u)]
-		if !ok {
+		s := &e.slots[u]
+		switch {
+		case owner != nil && owner[u] != c.Shard.Index:
+			*s = slot{}
+		case !s.ran:
 			l.todo = append(l.todo, u)
-			continue
+		default:
+			if c.StopOnFirst && s.out.Class.IsFailure() {
+				e.lowerCutoff(u)
+			}
+			e.answered[byJournal]++
 		}
-		cls, _ := fault.ParseClassification(ent.Class)
-		e.slots[u] = slot{out: fault.Outcome{Scenario: d.scenario(u), Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
-		if c.StopOnFirst && cls.IsFailure() {
-			e.lowerCutoff(u)
-		}
-		e.answered[byJournal]++
 	}
 	if c.Checkpointer == nil || c.StopOnFirst {
 		// Index order: a Run has no fork to sort by, and under StopOnFirst
@@ -758,8 +786,9 @@ func newListPlan(e *campaignExec, resumed map[int]journal.Entry) *listPlan {
 	// sort.
 	var none fault.Descriptor
 	first := func(u int) *fault.Descriptor {
-		if sc := d.scenario(u); len(sc.Faults) > 0 {
-			return &sc.Faults[0]
+		// In place: copying a Scenario per comparison slowed the sort.
+		if f := d.scenarios[d.index(u)].Faults; len(f) > 0 {
+			return &f[0]
 		}
 		return &none
 	}

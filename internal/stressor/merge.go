@@ -17,15 +17,14 @@ type MergeSpec struct {
 }
 
 // Merge folds the journals of a completed shard set into the Result
-// the unsharded run would have produced, byte for byte. Outcomes are
-// placed by scenario index, so a set cut by either partition rule
-// merges, as long as one rule cut all of it. It validates everything
-// first — format, matching headers and partition rule, the exact shard
-// set {0..N-1}, the universe fingerprint, per-entry scenario IDs — and
-// refuses adaptive journals (their entry indices are proposal sequence
-// numbers, not universe positions), truncated journals (resume them to
-// completion first) and incomplete coverage, so a partial or
-// mismatched set can never be silently merged.
+// the unsharded run would have produced, byte for byte. It checks the
+// set — exactly Shards untruncated fixed-universe journals of one
+// campaign, layout and partition rule over this universe, no shard
+// twice — then replays it as the unsharded campaign's resume journal,
+// with resume's per-entry checks, and refuses what that campaign would
+// still have to run. Outcomes are placed by scenario index, so a set
+// cut by either partition rule merges, as long as one rule cut all of
+// it. Adaptive journals are refused: they index proposals, not scenarios.
 //
 // StopOnFirst composes across shards: each shard stops at its own
 // first failure, which sits at or after the global first failure f,
@@ -42,12 +41,15 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 	if len(js) == 0 {
 		return nil, fmt.Errorf("stressor: merge of zero journals")
 	}
-	// Every journal must be a fixed-universe shard of the first one's
-	// campaign, layout and partition rule, over this universe.
+	// A complete set holds exactly Shards journals, checked before the
+	// header's count sizes anything.
 	h0 := js[0].Header
+	if len(js) != h0.Shards {
+		return nil, fmt.Errorf("stressor: %d journals for a %d-shard set", len(js), h0.Shards)
+	}
 	want := h0
 	want.Adaptive, want.Total, want.Universe = false, len(scenarios), universe
-	seen := make([]bool, h0.Shards)
+	seen := make([]bool, len(js))
 	for _, j := range js {
 		h := j.Header
 		want.Shard = h.Shard
@@ -62,60 +64,21 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 		}
 		seen[h.Shard] = true
 	}
-	for s, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("stressor: shard %d/%d is missing", s, h0.Shards)
-		}
-	}
 
-	// Rebuild the exact dedup plan the shards computed, then place
-	// every journaled outcome at its unique-run position.
-	plan := newDedupPlan(scenarios, spec.Dedup)
-	slots := make([]slot, plan.len())
+	c := &Campaign{Name: h0.Campaign, StopOnFirst: spec.StopOnFirst, Dedup: spec.Dedup}
+	e := newExec(c, scenarios)
 	for _, j := range js {
-		for _, ent := range j.Entries {
-			if scenarios[ent.Index].ID != ent.ID {
-				return nil, fmt.Errorf("stressor: shard %d journal entry %d is scenario %q, universe has %q", j.Header.Shard, ent.Index, ent.ID, scenarios[ent.Index].ID)
-			}
-			u, ok := plan.position(ent.Index)
-			if !ok {
-				return nil, fmt.Errorf("stressor: shard %d journal entry %d is not a dedup representative (journals written without dedup?)", j.Header.Shard, ent.Index)
-			}
-			cls, ok := fault.ParseClassification(ent.Class)
-			if !ok {
-				return nil, fmt.Errorf("stressor: shard %d journal entry %d has unknown class %q", j.Header.Shard, ent.Index, ent.Class)
-			}
-			if s := slots[u]; s.ran && (s.out.Class != cls || s.out.Detail != ent.Detail || s.panicked != ent.Panicked) {
-				return nil, fmt.Errorf("stressor: scenario %s (index %d) recorded twice with different outcomes", ent.ID, ent.Index)
-			}
-			slots[u] = slot{
-				out: fault.Outcome{Scenario: plan.scenario(u), Class: cls, Detail: ent.Detail},
-				ran: true, panicked: ent.Panicked,
-			}
+		if err := e.replay(j.Entries); err != nil {
+			return nil, fmt.Errorf("stressor: merging shard %d/%d: %w", j.Header.Shard, h0.Shards, err)
 		}
 	}
-
-	// Completeness: without StopOnFirst every unique position must be
-	// covered; with it, every position up to the global first failure
-	// must be — a gap below the cutoff means some shard is incomplete.
-	stop := len(slots)
-	if spec.StopOnFirst {
-		for u, s := range slots {
-			if s.ran && s.out.Class.IsFailure() {
-				stop = u
-				break
-			}
-		}
+	// A hole is a position left to run at or below the first failure.
+	if l := newListPlan(e); l.unclaimed() {
+		u := l.todo[0]
+		return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", e.dedup.scenario(u).ID, e.dedup.index(u), shardOf(e.dedup, h0, u), h0.Shards)
 	}
-	for u := 0; u < len(slots) && u <= stop; u++ {
-		if !slots[u].ran {
-			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", plan.scenario(u).ID, plan.index(u), shardOf(plan, h0, u), h0.Shards)
-		}
-	}
-
-	c := &Campaign{Name: h0.Campaign, StopOnFirst: spec.StopOnFirst}
-	res := c.assemble(plan.fanOut(slots))
-	res.DedupSavedRuns = len(scenarios) - plan.len()
+	res := c.assemble(e.dedup.fanOut(e.slots))
+	res.DedupSavedRuns = len(scenarios) - e.dedup.len()
 	return res, nil
 }
 

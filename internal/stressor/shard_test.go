@@ -548,24 +548,15 @@ func TestCampaignScenarioTimeout(t *testing.T) {
 
 // TestCampaignResumeRejects: a journal from the wrong campaign, wrong
 // shard, wrong universe, the adaptive engine, or with entries that
-// contradict the universe must fail before any run executes.
+// contradict the universe must fail before any run executes. The
+// entry-level refusals are the one list replay's, so Merge refuses the
+// same journal, as a one-shard set, in the resume error's own words.
 func TestCampaignResumeRejects(t *testing.T) {
 	scenarios := makeScenarios(6)
 	run := classRunFunc(pattern(6, nil))
 	mkJournal := func(h journal.Header, entries ...journal.Entry) *journal.Journal {
 		t.Helper()
-		path := filepath.Join(t.TempDir(), "j.journal")
-		w, err := journal.Create(path, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if err := w.Append(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.Close()
-		j, err := journal.Read(path)
+		j, err := journal.DecodeBytes(binaryJournal(t, h, entries...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,10 +574,6 @@ func TestCampaignResumeRejects(t *testing.T) {
 			Campaign: "rr", Shard: 1, Shards: 2, Total: 6, Universe: good.Universe})},
 		{"wrong universe", Campaign{Name: "rr"}, mkJournal(journal.Header{
 			Campaign: "rr", Shards: 1, Total: 6, Universe: "0000000000000000"})},
-		{"wrong scenario ID", Campaign{Name: "rr"}, mkJournal(good,
-			journal.Entry{Index: 0, ID: "not-s0", Class: "masked"})},
-		{"unknown class", Campaign{Name: "rr"}, mkJournal(good,
-			journal.Entry{Index: 0, ID: "s0", Class: "exploded"})},
 		// An adaptive journal whose budget equals the universe size
 		// passes every other header check, and its proposal sequence
 		// numbers may exceed Total — an unchecked universe index.
@@ -594,15 +581,16 @@ func TestCampaignResumeRejects(t *testing.T) {
 			Campaign: "rr", Shards: 1, Total: 6, Universe: good.Universe, Adaptive: true},
 			journal.Entry{Index: 9, ID: "s9", Class: "masked"})},
 	}
+	var calls int32
+	counting := func(sc fault.Scenario) fault.Outcome {
+		atomic.AddInt32(&calls, 1)
+		return run(sc)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var calls int32
+			calls = 0
 			c := tc.c
-			c.Run = func(sc fault.Scenario) fault.Outcome {
-				atomic.AddInt32(&calls, 1)
-				return run(sc)
-			}
-			c.Resume = tc.j
+			c.Run, c.Resume = counting, tc.j
 			if _, err := c.Execute(scenarios); err == nil {
 				t.Fatal("mismatched journal accepted")
 			}
@@ -611,14 +599,43 @@ func TestCampaignResumeRejects(t *testing.T) {
 			}
 		})
 	}
+
 	// A journal written without dedup cannot resume a dedup campaign:
 	// its entries sit at non-representative indices.
 	scs := dedupScenarios(6, 2)
-	h := shardHeader("rd", Shard{}, scs)
-	j := mkJournal(h, journal.Entry{Index: 3, ID: "d3", Class: "masked"})
-	c := Campaign{Name: "rd", Run: run, Dedup: true, Resume: j}
-	if _, err := c.Execute(scs); err == nil {
-		t.Fatal("non-representative journal entry accepted under dedup")
+	entryCases := []struct {
+		name      string
+		dedup     bool
+		scenarios []fault.Scenario
+		entries   []journal.Entry
+	}{
+		{"wrong scenario ID", false, scenarios, []journal.Entry{
+			{Index: 0, ID: "not-s0", Class: "masked"}}},
+		{"unknown class", false, scenarios, []journal.Entry{
+			{Index: 0, ID: "s0", Class: "exploded"}}},
+		{"conflicting duplicate", false, scenarios, []journal.Entry{
+			{Index: 2, ID: "s2", Class: "masked", Detail: "ran s2"},
+			{Index: 2, ID: "s2", Class: "masked", Detail: "ran s2", Panicked: true}}},
+		{"non-representative under dedup", true, scs, []journal.Entry{
+			{Index: 3, ID: "d3", Class: "masked"}}},
+	}
+	for _, tc := range entryCases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls = 0
+			j := mkJournal(shardHeader("rr", Shard{}, tc.scenarios), tc.entries...)
+			c := Campaign{Name: "rr", Run: counting, Dedup: tc.dedup, Resume: j}
+			_, rerr := c.Execute(tc.scenarios)
+			if rerr == nil {
+				t.Fatal("resume accepted the journal")
+			}
+			if calls != 0 {
+				t.Errorf("%d runs executed before the journal was rejected", calls)
+			}
+			_, merr := Merge(MergeSpec{Dedup: tc.dedup}, tc.scenarios, []*journal.Journal{j})
+			if merr == nil || !strings.Contains(merr.Error(), rerr.Error()) {
+				t.Errorf("merge error %v does not carry the resume error %q", merr, rerr)
+			}
+		})
 	}
 }
 
@@ -639,6 +656,14 @@ func TestMergeRejects(t *testing.T) {
 	}
 	if _, err := Merge(MergeSpec{}, scenarios, []*journal.Journal{js[0], js[0]}); err == nil {
 		t.Error("duplicate shard accepted")
+	}
+	// A header's shard count is refused against the set before it sizes
+	// anything: 1<<40 shards must be an error, not an out-of-memory
+	// crash.
+	huge := *js[0]
+	huge.Header.Shards = 1 << 40
+	if _, err := Merge(MergeSpec{}, scenarios, []*journal.Journal{&huge, js[1]}); err == nil || !strings.Contains(err.Error(), "2 journals for a 1099511627776-shard set") {
+		t.Errorf("1<<40-shard header: want a journal-count error, got %v", err)
 	}
 	trunc := *js[1]
 	trunc.Truncated = true
