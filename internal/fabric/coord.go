@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,8 +30,8 @@ type CoordConfig struct {
 	// Scenarios (enforced via the universe hash in every lease).
 	Spec json.RawMessage
 	// Scenarios is the full, pre-dedup scenario universe — the
-	// coordinator's side of the determinism contract, used for entry
-	// validation, progress accounting and the final merge.
+	// coordinator's side of the determinism contract, which its shard
+	// set checks every entry against and the final merge reads.
 	Scenarios []fault.Scenario
 	// Shards is the partition count (>= 1). More shards than workers is
 	// normal: idle workers lease the next pending shard, which is what
@@ -69,12 +71,9 @@ type shardState struct {
 	attempt  int
 	deadline time.Time // lease expiry, extended by every flush
 	progress time.Time // last time recorded grew (steal decisions)
-	entries  map[int]journal.Entry
-	order    []int // recorded indices in arrival order (lease replay)
 	// w appends to the shard's journal until the shard is done; the flush
 	// that completes it closes w — the fsync — outside mu, then clears it.
-	w     *journal.Writer
-	owned int
+	w *journal.Writer
 }
 
 // Coordinator runs the lease/flush/merge protocol for one campaign.
@@ -87,6 +86,7 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	shards []*shardState
+	set    *stressor.ShardSet // every entry recorded, campaign-wide
 	// workers holds every worker that registered or asked for a lease;
 	// the value says it has not been told the campaign is done yet.
 	workers   map[string]bool
@@ -95,7 +95,6 @@ type Coordinator struct {
 	result    *stressor.Result
 	mergeErr  error
 	waiters   []chan struct{}
-	total     int // unique-run positions across all shards
 }
 
 // NewCoordinator validates cfg, opens (or adopts) the shard journals
@@ -133,41 +132,37 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		workers:   map[string]bool{},
 		done:      make(chan struct{}),
 		dismissed: make(chan struct{}),
+		set:       stressor.NewShardSet(cfg.Campaign, cfg.Scenarios, cfg.Dedup, cfg.Shards),
 	}
-	sizes := stressor.ShardSizes(cfg.Scenarios, cfg.Dedup, cfg.Shards)
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s := &shardState{
-			state:   "pending",
-			entries: map[int]journal.Entry{},
-			owned:   sizes[i],
-		}
-		c.total += s.owned
-		// A journal a previous coordinator left here is adopted (any torn
-		// tail trimmed), so the campaign resumes from its last flush.
+		// A journal left here is adopted (any torn tail trimmed) through
+		// the shard set: the campaign resumes from its last flush, or does
+		// not start from a journal Merge would refuse.
 		header := stressor.Shard{Index: i, Count: cfg.Shards}.JournalHeader(cfg.Campaign, len(cfg.Scenarios), c.universe)
 		j, w, err := journal.Open(c.journalPath(i), header)
 		if err != nil {
+			c.Close()
 			return nil, fmt.Errorf("fabric: opening shard %d journal: %w", i, err)
 		}
-		s.w = w
-		if j != nil {
-			for _, e := range j.Entries {
-				if _, ok := s.entries[e.Index]; !ok {
-					s.entries[e.Index] = e
-					s.order = append(s.order, e.Index)
-				}
-			}
-			if len(s.entries) >= s.owned {
-				s.state, s.w = "done", nil
-				if err := w.Close(); err != nil {
-					return nil, fmt.Errorf("fabric: closing shard %d journal: %w", i, err)
-				}
+		s := &shardState{state: "pending", w: w}
+		c.shards = append(c.shards, s)
+		if j == nil {
+			continue
+		}
+		if _, err := c.set.Add(i, j.Entries, nil); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("fabric: adopting shard %d journal: %w", i, err)
+		}
+		if c.set.Recorded(i) >= c.set.Owned(i) {
+			s.state, s.w = "done", nil
+			if err := w.Close(); err != nil {
+				c.Close()
+				return nil, fmt.Errorf("fabric: closing shard %d journal: %w", i, err)
 			}
 		}
-		c.shards = append(c.shards, s)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,17 +211,30 @@ func readBytes(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return data, err == nil
 }
 
-// readBody decodes a small JSON request body strictly.
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// readWorker reads a RegisterRequest or LeaseRequest body (one shape)
+// strictly — one JSON value, no field the request lacks, nothing after
+// it — and returns the worker it names.
+func readWorker(w http.ResponseWriter, r *http.Request) (string, bool) {
 	data, ok := readBytes(w, r)
 	if !ok {
-		return false
+		return "", false
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	var req LeaseRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil && len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+		err = errors.New("trailing data after the JSON value")
+	}
+	switch {
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+	case req.Worker == "":
+		writeErr(w, http.StatusBadRequest, "worker name required")
+	default:
+		return req.Worker, true
 	}
-	return true
+	return "", false
 }
 
 func (c *Coordinator) logInfo(msg string, args ...any) {
@@ -285,7 +293,7 @@ func (c *Coordinator) dismissLocked(worker string) {
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for i, s := range c.shards {
 		if s.state == "leased" && now.After(s.deadline) {
-			c.logInfo("lease expired", "shard", i, "worker", s.worker, "recorded", len(s.entries))
+			c.logInfo("lease expired", "shard", i, "worker", s.worker, "recorded", c.set.Recorded(i))
 			s.state = "pending"
 			s.worker = ""
 		}
@@ -333,54 +341,46 @@ func (c *Coordinator) finalizeLocked() {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		writeErr(w, http.StatusBadRequest, "worker name required")
+	worker, ok := readWorker(w, r)
+	if !ok {
 		return
 	}
 	c.mu.Lock()
-	c.workers[req.Worker] = true
+	c.workers[worker] = true
 	c.mu.Unlock()
-	c.logInfo("worker registered", "worker", req.Worker)
+	c.logInfo("worker registered", "worker", worker)
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		writeErr(w, http.StatusBadRequest, "worker name required")
+	worker, ok := readWorker(w, r)
+	if !ok {
 		return
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.workers[req.Worker] = true
+	c.workers[worker] = true
 	c.sweepLocked(now)
 
+	// grant hands shard i out with its journal as mu leaves it on disk.
 	grant := func(i int, s *shardState, how string) {
+		data, err := os.ReadFile(c.journalPath(i))
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "reading shard %d journal: %v", i, err)
+			return
+		}
 		s.state = "leased"
-		s.worker = req.Worker
+		s.worker = worker
 		s.attempt++
 		s.deadline = now.Add(c.cfg.LeaseTTL)
 		s.progress = now
-		c.logInfo("lease "+how, "shard", i, "worker", req.Worker, "attempt", s.attempt, "resume", len(s.entries))
-		entries := make([]journal.Entry, 0, len(s.order))
-		for _, idx := range s.order {
-			entries = append(entries, s.entries[idx])
-		}
+		c.logInfo("lease "+how, "shard", i, "worker", worker, "attempt", s.attempt, "resume", c.set.Recorded(i))
 		writeJSON(w, http.StatusOK, Lease{
-			Status: StatusGranted, Campaign: c.cfg.Campaign,
-			Shard: i, Shards: c.cfg.Shards, Attempt: s.attempt,
-			Total: len(c.cfg.Scenarios), Universe: c.universe,
+			Status: StatusGranted, Attempt: s.attempt,
 			Dedup: c.cfg.Dedup, StopOnFirst: c.cfg.StopOnFirst,
 			TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-			Spec:      c.cfg.Spec, Entries: entries,
+			Spec:      c.cfg.Spec, Journal: data,
 		})
 	}
 	for i, s := range c.shards {
@@ -394,14 +394,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// running until its next flush is answered 409 — its entries are
 	// deterministic duplicates of the thief's, folded on arrival.
 	for i, s := range c.shards {
-		if s.state == "leased" && s.worker != req.Worker && now.Sub(s.progress) >= c.cfg.StealAfter {
-			c.logInfo("lease stolen", "shard", i, "from", s.worker, "by", req.Worker)
+		if s.state == "leased" && s.worker != worker && now.Sub(s.progress) >= c.cfg.StealAfter {
+			c.logInfo("lease stolen", "shard", i, "from", s.worker, "by", worker)
 			grant(i, s, "stolen")
 			return
 		}
 	}
 	if c.allDoneLocked() {
-		c.dismissLocked(req.Worker)
+		c.dismissLocked(worker)
 		writeJSON(w, http.StatusOK, Lease{Status: StatusDone})
 		return
 	}
@@ -445,65 +445,38 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "lease revoked (shard %d held by %q attempt %d)", shard, s.worker, s.attempt)
 		return
 	}
-	// Check every entry before recording any: a refused flush records
-	// nothing and extends nothing. A new entry enters s.entries as it
-	// passes, so a body that names one index twice is checked against
-	// itself; a refusal takes them out again.
-	fresh := entries[:0]
-	refuse := func(code int, format string, args ...any) {
-		for _, e := range fresh {
-			delete(s.entries, e.Index)
-		}
-		writeErr(w, code, format, args...)
-	}
-	for _, e := range entries {
-		if e.Index < 0 || e.Index >= len(c.cfg.Scenarios) {
-			refuse(http.StatusBadRequest, "entry index %d out of range", e.Index)
-			return
-		}
-		if c.cfg.Scenarios[e.Index].ID != e.ID {
-			refuse(http.StatusBadRequest, "entry %d is scenario %q, universe has %q", e.Index, e.ID, c.cfg.Scenarios[e.Index].ID)
-			return
-		}
-		if prev, ok := s.entries[e.Index]; ok {
-			if prev != e {
-				// Two attempts disagreeing about one scenario means the
-				// prototype is nondeterministic — the one condition the
-				// whole fabric is built never to paper over.
-				refuse(http.StatusConflict, "entry %d recorded twice with different outcomes (%+v vs %+v)", e.Index, prev, e)
-				return
-			}
-			continue
-		}
+	// A refused flush records, appends and extends nothing: a malformed
+	// entry is a 400, a conflicting duplicate (a nondeterministic
+	// prototype) or a new entry for a sealed shard a 409.
+	code := http.StatusBadRequest
+	n, err := c.set.Add(shard, entries, func(e journal.Entry) error {
 		if s.state == "done" {
-			// The shard's journal is sealed; only repeats of what it holds
-			// (a final flush delivered twice) are answered.
-			refuse(http.StatusConflict, "entry %d arrived after shard %d completed", e.Index, shard)
-			return
+			code = http.StatusConflict
+			return fmt.Errorf("entry %d arrived after shard %d completed", e.Index, shard)
 		}
-		s.entries[e.Index] = e
-		fresh = append(fresh, e)
+		if err := s.w.Append(e); err != nil {
+			code = http.StatusInternalServerError
+			return fmt.Errorf("journal append: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, stressor.ErrConflict) {
+			code = http.StatusConflict
+		}
+		writeErr(w, code, "%v", err)
+		return
 	}
 	if s.state == "leased" {
 		s.deadline = now.Add(c.cfg.LeaseTTL)
 	}
-	for i, e := range fresh {
-		if err := s.w.Append(e); err != nil {
-			for _, e := range fresh[i:] {
-				delete(s.entries, e.Index)
-			}
-			writeErr(w, http.StatusInternalServerError, "journal append: %v", err)
-			return
-		}
-		s.order = append(s.order, e.Index)
-	}
-	grew := len(fresh) > 0
+	grew := n > 0
 	if grew {
 		s.progress = now
 	}
 	if done && s.state != "done" {
 		s.state = "done"
-		c.logInfo("shard done", "shard", shard, "worker", worker, "recorded", len(s.entries))
+		c.logInfo("shard done", "shard", shard, "worker", worker, "recorded", c.set.Recorded(shard))
 		// Close and sync this shard's journal now, with mu released: the
 		// fsync is paid per shard as shards finish, not for all of them
 		// under the lock inside the campaign's last flush.
@@ -523,18 +496,19 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		c.broadcastLocked()
 	}
 	c.dismissLocked(worker)
-	writeJSON(w, http.StatusOK, FlushResponse{OK: true, Recorded: len(s.entries), CampaignDone: c.finalized})
+	writeJSON(w, http.StatusOK, FlushResponse{OK: true, Recorded: c.set.Recorded(shard), CampaignDone: c.finalized})
 }
 
 // statusLocked snapshots progress for /status and /events.
 func (c *Coordinator) statusLocked() StatusDoc {
-	doc := StatusDoc{Campaign: c.cfg.Campaign, Total: c.total, Done: c.finalized}
+	doc := StatusDoc{Campaign: c.cfg.Campaign, Done: c.finalized}
 	for i, s := range c.shards {
 		doc.Shards = append(doc.Shards, ShardStatus{
 			Shard: i, State: s.state, Worker: s.worker, Attempt: s.attempt,
-			Recorded: len(s.entries), Owned: s.owned,
+			Recorded: c.set.Recorded(i), Owned: c.set.Owned(i),
 		})
-		doc.Completed += len(s.entries)
+		doc.Completed += c.set.Recorded(i)
+		doc.Total += c.set.Owned(i)
 	}
 	for name := range c.workers {
 		doc.Workers = append(doc.Workers, name)

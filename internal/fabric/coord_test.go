@@ -168,7 +168,7 @@ func TestFlushValidation(t *testing.T) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		s := c.shards[0]
-		st := state{recorded: len(s.entries), deadline: s.deadline}
+		st := state{recorded: c.set.Recorded(0), deadline: s.deadline}
 		if s.w != nil {
 			st.appended = s.w.Appends()
 		}
@@ -241,7 +241,7 @@ func TestFlushBodyMustDecodeWhole(t *testing.T) {
 		t.Fatalf("unreadable attempt: HTTP %d, want 400", code)
 	}
 	c.mu.Lock()
-	recorded, appended := len(c.shards[0].entries), c.shards[0].w.Appends()
+	recorded, appended := c.set.Recorded(0), c.shards[0].w.Appends()
 	c.mu.Unlock()
 	if recorded != 0 || appended != 0 {
 		t.Fatalf("%d entries recorded, %d appended from refused bodies", recorded, appended)

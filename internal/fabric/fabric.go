@@ -3,10 +3,10 @@
 // shard leases and N workers execute them, streaming journal entries
 // back over HTTP. The protocol is leases-over-journals:
 //
-//   - A worker POSTs /leases and receives one shard to run, together
-//     with every entry already recorded for it — the lease IS a resume
-//     journal, so whoever picks a shard up continues from its last
-//     flushed entry, never from scratch.
+//   - A worker POSTs /leases and receives one shard to run as that
+//     shard's journal file — the lease IS a resume journal, so whoever
+//     picks a shard up continues from its last flushed entry, never
+//     from scratch.
 //   - The worker runs the shard through the ordinary stressor.Campaign
 //     engine and flushes completed entries to
 //     POST /leases/{shard}/flush?worker=W&attempt=N[&done=1] on a
@@ -26,21 +26,17 @@
 //
 // Work-stealing is determinism-safe because scenario outcomes are
 // deterministic: a stale holder and the thief can only ever record
-// identical entries for the same index, the coordinator dedups them by
-// index, and stressor.Merge independently refuses conflicting
-// duplicates — a nondeterministic prototype fails loudly instead of
-// merging silently.
+// identical entries for the same index, and the coordinator records
+// every entry through one stressor.ShardSet, the replay Resume and Merge
+// use, which folds such repeats and refuses conflicting duplicates — a
+// nondeterministic prototype fails loudly instead of merging silently.
 //
 // Everything is stdlib HTTP, JSON but for flush bodies. The coordinator keeps no background
 // timers: lease expiry is swept inside request handlers against an
 // injectable clock, which is what makes the chaos tests deterministic.
 package fabric
 
-import (
-	"encoding/json"
-
-	"repro/internal/journal"
-)
+import "encoding/json"
 
 // Lease statuses returned by POST /leases.
 const (
@@ -64,26 +60,21 @@ type LeaseRequest struct {
 }
 
 // Lease is the response of POST /leases. With StatusGranted it fully
-// describes one shard assignment: the campaign identity the worker
-// must reproduce (and cross-check via the universe hash), the opaque
-// spec its resolver materializes scenarios from, and the entries
-// already recorded for the shard, which the worker replays as a resume
-// journal.
+// describes one shard assignment: the opaque spec the worker's resolver
+// materializes scenarios from, the engine knobs, and the shard's journal
+// file (journal.DecodeBytes reads it) — its header the campaign identity
+// the worker must reproduce (and cross-check via the universe hash), its
+// entries what the worker resumes from.
 type Lease struct {
 	Status      string `json:"status"`
-	Campaign    string `json:"campaign,omitempty"`
-	Shard       int    `json:"shard"`
-	Shards      int    `json:"shards,omitempty"`
 	Attempt     int    `json:"attempt,omitempty"`
-	Total       int    `json:"total,omitempty"`
-	Universe    string `json:"universe,omitempty"`
 	Dedup       bool   `json:"dedup,omitempty"`
 	StopOnFirst bool   `json:"stop_on_first,omitempty"`
 	// TTLMillis tells the worker how often it must flush to keep the
 	// lease (it flushes at a fraction of this).
 	TTLMillis int64           `json:"ttl_ms,omitempty"`
 	Spec      json.RawMessage `json:"spec,omitempty"`
-	Entries   []journal.Entry `json:"entries,omitempty"`
+	Journal   []byte          `json:"journal,omitempty"`
 }
 
 // FlushResponse acknowledges a flush.

@@ -104,18 +104,33 @@ func postJSON(t *testing.T, url string, v any) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// lease requests a lease for worker and decodes it.
-func lease(t *testing.T, base, worker string) Lease {
+// granted is a lease as the tests read it: the reply, and the shard and
+// the entries its journal holds.
+type granted struct {
+	Lease
+	Shard   int
+	Entries []journal.Entry
+}
+
+// lease requests a lease for worker and decodes it, journal included.
+func lease(t *testing.T, base, worker string) granted {
 	t.Helper()
 	code, data := postJSON(t, base+"/leases", LeaseRequest{Worker: worker})
 	if code != http.StatusOK {
 		t.Fatalf("lease: HTTP %d: %s", code, data)
 	}
-	var l Lease
-	if err := json.Unmarshal(data, &l); err != nil {
+	var g granted
+	if err := json.Unmarshal(data, &g.Lease); err != nil {
 		t.Fatal(err)
 	}
-	return l
+	if g.Status == StatusGranted {
+		j, err := journal.DecodeBytes(g.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Shard, g.Entries = j.Header.Shard, j.Entries
+	}
+	return g
 }
 
 // flushReq is one flush as a worker would send it.

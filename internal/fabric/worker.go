@@ -109,7 +109,7 @@ func (w *Worker) logInfo(msg string, args ...any) {
 }
 
 // maxReply bounds a coordinator response; a lease reply grows with the
-// spec and with the entries already recorded for the shard.
+// spec and with the shard's journal.
 const maxReply = 1 << 28
 
 // flushBytes is where a flush request stops taking entries, well under
@@ -226,16 +226,21 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 		w.resolved, w.universe = resolved, stressor.UniverseHash(resolved.Scenarios)
 	}
 	resolved := w.resolved
-	if len(resolved.Scenarios) != lease.Total {
-		return false, fmt.Errorf("fabric: resolved %d scenarios, lease says %d", len(resolved.Scenarios), lease.Total)
+	j, err := journal.DecodeBytes(lease.Journal)
+	if err != nil {
+		return false, fmt.Errorf("fabric: lease journal: %w", err)
 	}
-	if w.universe != lease.Universe {
+	h := j.Header
+	if len(resolved.Scenarios) != h.Total {
+		return false, fmt.Errorf("fabric: resolved %d scenarios, lease says %d", len(resolved.Scenarios), h.Total)
+	}
+	if w.universe != h.Universe {
 		// The worker would run a different universe than the coordinator
 		// merges: a version or configuration skew that must stop the
 		// worker, not poison the campaign.
-		return false, fmt.Errorf("fabric: resolved universe %s does not match lease universe %s", w.universe, lease.Universe)
+		return false, fmt.Errorf("fabric: resolved universe %s does not match lease universe %s", w.universe, h.Universe)
 	}
-	w.logInfo("lease granted", "shard", lease.Shard, "attempt", lease.Attempt, "resume", len(lease.Entries))
+	w.logInfo("lease granted", "shard", h.Shard, "attempt", lease.Attempt, "resume", len(j.Entries))
 
 	// Drop anything a previous revoked lease left unflushed: those
 	// entries belong to a shard someone else owns now.
@@ -243,23 +248,11 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	w.buf = nil
 	w.mu.Unlock()
 
-	shard := stressor.Shard{Index: lease.Shard, Count: lease.Shards}
-	if !shard.Enabled() {
-		shard = stressor.Shard{}
-	}
-	var resume *journal.Journal
-	if len(lease.Entries) > 0 {
-		resume = &journal.Journal{
-			Header:  shard.JournalHeader(lease.Campaign, lease.Total, w.universe),
-			Entries: lease.Entries,
-		}
-	}
-
 	// revoked stops the lease: superseded (409) or, with rejected set, a
 	// flush the coordinator refused outright.
 	var revoked, campaignDone atomic.Bool
 	var rejected error
-	flushPath := fmt.Sprintf("/leases/%d/flush?worker=%s&attempt=%d", lease.Shard, url.QueryEscape(w.cfg.Name), lease.Attempt)
+	flushPath := fmt.Sprintf("/leases/%d/flush?worker=%s&attempt=%d", h.Shard, url.QueryEscape(w.cfg.Name), lease.Attempt)
 	// flush sends what is buffered as entry frames, in as many requests
 	// as flushBytes makes of it; done rides on the last.
 	flush := func(done bool) {
@@ -297,7 +290,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 				// Superseded: someone stole the lease (or it expired and was
 				// regranted). Halt; the thief re-runs whatever we did not get
 				// flushed in time.
-				w.logInfo("lease revoked", "shard", lease.Shard, "attempt", lease.Attempt)
+				w.logInfo("lease revoked", "shard", h.Shard, "attempt", lease.Attempt)
 				revoked.Store(true)
 			case code/100 == 4:
 				// The coordinator refuses these bytes and would refuse them
@@ -310,19 +303,22 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 				w.mu.Lock()
 				w.buf = append(entries, w.buf...)
 				w.mu.Unlock()
-				w.logInfo("flush failed", "shard", lease.Shard, "err", err.Error())
+				w.logInfo("flush failed", "shard", h.Shard, "err", err.Error())
 			}
 			return
 		}
 	}
 
 	c := *resolved.Campaign
-	c.Name = lease.Campaign
+	c.Name = h.Campaign
 	c.Dedup = lease.Dedup
 	c.StopOnFirst = lease.StopOnFirst
-	c.Shard = shard
+	c.Shard = stressor.Shard{Index: h.Shard, Count: h.Shards}
 	c.Journal = &bufSink{w: w}
-	c.Resume = resume
+	if len(j.Entries) > 0 {
+		// Only a resume hashes the universe (Campaign.JournalHeader).
+		c.Resume = j
+	}
 	c.Halt = func(int) bool { return w.killed.Load() || revoked.Load() }
 
 	hb := w.cfg.Heartbeat
@@ -346,7 +342,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 		}
 	}()
 
-	_, err := c.Execute(resolved.Scenarios)
+	_, err = c.Execute(resolved.Scenarios)
 	close(stop)
 	hbDone.Wait()
 	if err == nil && !w.killed.Load() && !revoked.Load() {
@@ -354,14 +350,14 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	}
 	switch {
 	case err != nil:
-		return false, fmt.Errorf("fabric: shard %d: %w", lease.Shard, err)
+		return false, fmt.Errorf("fabric: shard %d: %w", h.Shard, err)
 	case rejected != nil:
-		return false, fmt.Errorf("fabric: shard %d: flush rejected: %w", lease.Shard, rejected)
+		return false, fmt.Errorf("fabric: shard %d: flush rejected: %w", h.Shard, rejected)
 	case w.killed.Load() || revoked.Load():
 		// Killed: go silent. Revoked: the thief owns the shard now.
 		return false, nil
 	}
-	w.logInfo("lease done", "shard", lease.Shard, "attempt", lease.Attempt)
+	w.logInfo("lease done", "shard", h.Shard, "attempt", lease.Attempt)
 	return campaignDone.Load(), nil
 }
 

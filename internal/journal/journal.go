@@ -282,6 +282,7 @@ func Read(path string) (*Journal, error) {
 type Writer struct {
 	mu      sync.Mutex
 	f       *os.File
+	header  Header // the file's, which Append checks every entry against
 	codec   Codec
 	appends int
 	// frame is the binary codec's encode buffer, reused under mu.
@@ -329,7 +330,7 @@ func CreateCodec(path string, h Header, codec Codec) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, codec: codec}, nil
+	return &Writer{f: f, header: h, codec: codec}, nil
 }
 
 // AppendTo reopens an existing journal for appending, adopting
@@ -374,7 +375,7 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 			}
 		}
 	}
-	return j, &Writer{f: f, codec: j.Codec}, nil
+	return j, &Writer{f: f, header: j.Header, codec: j.Codec}, nil
 }
 
 // Open resumes the journal at path when the file exists — AppendTo,
@@ -391,8 +392,12 @@ func Open(path string, h Header) (*Journal, *Writer, error) {
 	return j, w, err
 }
 
-// Append writes one entry as a single line (JSONL) or frame (binary).
+// Append writes one entry as a single line (JSONL) or frame (binary),
+// refusing unwritten one that the decoder would refuse.
 func (w *Writer) Append(e Entry) error {
+	if err := e.validate(w.header); err != nil {
+		return err
+	}
 	var rec []byte
 	if w.codec != Binary {
 		line, err := json.Marshal(e)

@@ -140,6 +140,61 @@ func TestJournalAppendToTrimsPartialTail(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesUnreadableEntries: an entry the decoder would refuse
+// is refused by Append before any byte of it is written — an empty
+// class, an index past the header's total, no scenario ID — in either
+// codec, so the file still decodes whole, holding only the good entries.
+func TestWriterRefusesUnreadableEntries(t *testing.T) {
+	good := testEntries()
+	bad := map[string]Entry{
+		"empty class":  {Index: 1, ID: "s1"},
+		"out of range": {Index: 10, ID: "s10", Class: "masked"},
+		"negative":     {Index: -1, ID: "s-1", Class: "masked"},
+		"no ID":        {Index: 1, Class: "masked"},
+	}
+	for name, open := range map[string]func(path string) (*Writer, error){
+		"binary": func(path string) (*Writer, error) { return Create(path, testHeader()) },
+		"JSONL": func(path string) (*Writer, error) {
+			if err := os.WriteFile(path, encodeJSONL(testHeader(), nil), 0o644); err != nil {
+				return nil, err
+			}
+			_, w, err := AppendTo(path, testHeader())
+			return w, err
+		},
+	} {
+		path := filepath.Join(t.TempDir(), "j")
+		w, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range good {
+			if err := w.Append(e); err != nil {
+				t.Fatalf("%s: good entry %d: %v", name, i, err)
+			}
+			if i == 0 {
+				for what, e := range bad {
+					if err := w.Append(e); err == nil {
+						t.Errorf("%s: appending an entry with %s succeeded", name, what)
+					}
+				}
+			}
+		}
+		if n := w.Appends(); n != len(good) {
+			t.Errorf("%s: %d appends counted, want %d", name, n, len(good))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Read(path)
+		if err != nil {
+			t.Fatalf("%s: the journal no longer decodes: %v", name, err)
+		}
+		if j.Truncated || !reflect.DeepEqual(j.Entries, good) {
+			t.Fatalf("%s: journal holds %+v (truncated %v), want %+v", name, j.Entries, j.Truncated, good)
+		}
+	}
+}
+
 // TestJournalZeroEntryRecovery covers the two header-boundary crash
 // footprints: a file ending exactly at the header line (zero entries,
 // clean) and a file whose only line is the header with its newline

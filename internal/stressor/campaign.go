@@ -468,10 +468,10 @@ func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
 
 // resumeEntries validates c.Resume against this exact campaign — kind,
 // name, shard layout and partition rule, size or budget, universe
-// fingerprint — and replays a list's journal into e's slots; a Source's
-// it indexes by proposal sequence number. Any mismatch is a hard error
-// before the first run: a stale or foreign journal must never silently
-// poison a campaign.
+// fingerprint — and adds a list's journal to e's slots (a ShardSet); a
+// Source's it indexes by proposal sequence number. Any mismatch is a
+// hard error before the first run: a stale or foreign journal must
+// never silently poison a campaign.
 func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil
@@ -484,7 +484,8 @@ func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error)
 		return nil, fmt.Errorf("campaign %s: resume %w", c.Name, err)
 	}
 	if c.Source == nil {
-		return nil, e.replay(c.Resume.Entries)
+		_, err := (&ShardSet{e: e, recorded: make([]int, 1)}).Add(0, c.Resume.Entries, nil)
+		return nil, err
 	}
 	// A proposal's ID is only known once the replay proposes it; next
 	// checks it then.
@@ -499,35 +500,6 @@ func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error)
 		m[ent.Index] = ent
 	}
 	return m, nil
-}
-
-// replay writes a list's journal entries into the slots of their
-// unique-run positions, for Resume and each journal of a Merge alike.
-// An entry must name the scenario at its index, sit at a dedup
-// representative and carry a known class, and no run may be recorded
-// twice with another class, detail or panicked (a list signs nothing).
-func (e *campaignExec) replay(entries []journal.Entry) error {
-	d := e.dedup
-	for _, ent := range entries {
-		sc := d.scenarios[ent.Index]
-		if sc.ID != ent.ID {
-			return fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", e.c.Name, ent.Index, ent.ID, sc.ID)
-		}
-		u, ok := d.position(ent.Index)
-		if !ok {
-			return fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without dedup?)", e.c.Name, ent.Index)
-		}
-		cls, ok := fault.ParseClassification(ent.Class)
-		if !ok {
-			return fmt.Errorf("campaign %s: journal entry %d has unknown class %q", e.c.Name, ent.Index, ent.Class)
-		}
-		s := &e.slots[u]
-		if s.ran && (s.out.Class != cls || s.out.Detail != ent.Detail || s.panicked != ent.Panicked) {
-			return fmt.Errorf("campaign %s: journal records scenario %s (index %d) twice with different outcomes", e.c.Name, ent.ID, ent.Index)
-		}
-		*s = slot{out: fault.Outcome{Scenario: sc, Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
-	}
-	return nil
 }
 
 // lookahead bounds a Source's outstanding proposals: the source

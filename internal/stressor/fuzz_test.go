@@ -71,27 +71,36 @@ func jsonlJournal(h journal.Header, entries ...journal.Entry) []byte {
 
 // FuzzMergeJournals throws arbitrary bytes at the merge consumer — what
 // campmerge reads from user-supplied files and POST /merge from the
-// store. Both inputs are decoded as shard journals over the toy
+// store — and at the shard set a restarted fabric coordinator adopts its
+// journals into. Both inputs are decoded as shard journals over the toy
 // universe, and whichever decode are merged as one set, with and
-// without Dedup. Invariants: Merge never panics or crashes the process
-// (a header's shard count must not size an allocation), and an accepted
-// merge holds one outcome per scenario, in universe order.
+// without Dedup, and added to one fresh ShardSet shard by shard.
+// Invariants: neither panics or crashes the process (a header's shard
+// count must not size an allocation); an accepted merge holds one
+// outcome per scenario, in universe order; where Merge accepts, the
+// set accepts every journal and its shards' recorded runs sum to the
+// merge's unique runs; and a journal the set refuses, Merge refuses.
 func FuzzMergeJournals(f *testing.F) {
 	universe := fuzzUniverse()
-	headers := make([]journal.Header, 2)
-	entries := make([][]journal.Entry, 2)
-	for s := range headers {
-		sh := Shard{Index: s, Count: 2}
-		headers[s] = shardHeader("fz", sh, universe)
-		sink := &entrySink{}
-		c := Campaign{Name: "fz", Run: fuzzRun, Shard: sh, Journal: sink}
-		if _, err := c.Execute(universe); err != nil {
-			f.Fatal(err)
+	shardJournals := func(dedup bool) (headers []journal.Header, entries [][]journal.Entry) {
+		for s := 0; s < 2; s++ {
+			sh := Shard{Index: s, Count: 2}
+			sink := &entrySink{}
+			c := Campaign{Name: "fz", Run: fuzzRun, Dedup: dedup, Shard: sh, Journal: sink}
+			if _, err := c.Execute(universe); err != nil {
+				f.Fatal(err)
+			}
+			headers, entries = append(headers, shardHeader("fz", sh, universe)), append(entries, *sink)
 		}
-		entries[s] = *sink
+		return headers, entries
 	}
+	headers, entries := shardJournals(false)
 	bin0 := binaryJournal(f, headers[0], entries[0]...)
 	bin1 := binaryJournal(f, headers[1], entries[1]...)
+	unknown := append([]journal.Entry(nil), entries[0]...)
+	unknown[0].Class = "bogus"
+	_, folded := shardJournals(true)
+	nonRep := append(append([]journal.Entry(nil), folded[0]...), journal.Entry{Index: 5, ID: "d5", Class: "sdc", Detail: "ran d5"})
 	adaptive := headers[0]
 	adaptive.Shard, adaptive.Shards, adaptive.Partition, adaptive.Adaptive = 0, 1, "", true
 	huge := headers[0]
@@ -106,6 +115,8 @@ func FuzzMergeJournals(f *testing.F) {
 		{"truncated tail", bin0, bin1[:len(bin1)-3]},
 		{"adaptive header", jsonlJournal(adaptive, journal.Entry{Index: 9, ID: "p9", Class: "masked"}), nil},
 		{"1<<40-shard header", jsonlJournal(huge, entries[0]...), bin1},
+		{"unknown class", binaryJournal(f, headers[0], unknown...), bin1},
+		{"non-representative entry under Dedup", binaryJournal(f, headers[0], nonRep...), binaryJournal(f, headers[1], folded[1]...)},
 	}
 	for _, v := range vectors {
 		f.Add(v.a, v.b)
@@ -123,8 +134,18 @@ func FuzzMergeJournals(f *testing.F) {
 		}
 		for _, dedup := range []bool{false, true} {
 			res, err := Merge(MergeSpec{Dedup: dedup}, universe, js)
+			recorded, refused, added := adopt(universe, dedup, js)
+			if refused != nil && err == nil {
+				t.Fatalf("dedup=%v: the shard set refused a journal Merge accepts: %v", dedup, refused)
+			}
 			if err != nil {
 				continue
+			}
+			if !added || refused != nil {
+				t.Fatalf("dedup=%v: Merge accepts a set the shard set did not take whole (refused: %v)", dedup, refused)
+			}
+			if runs := len(universe) - res.DedupSavedRuns; recorded != runs {
+				t.Fatalf("dedup=%v: the shards recorded %d runs, the merge has %d", dedup, recorded, runs)
 			}
 			if len(res.Outcomes) != len(universe) {
 				t.Fatalf("dedup=%v: accepted merge has %d outcomes for %d scenarios", dedup, len(res.Outcomes), len(universe))
@@ -136,4 +157,29 @@ func FuzzMergeJournals(f *testing.F) {
 			}
 		}
 	})
+}
+
+// adopt adds js to one fresh ShardSet of the first header's campaign
+// and layout, each journal as the shard its header names, and sums what
+// the shards recorded. added is false when the journals do not make up
+// such a set — their count or a layout differs, which Merge refuses
+// before it sizes anything — and refused is the first Add error.
+func adopt(universe []fault.Scenario, dedup bool, js []*journal.Journal) (recorded int, refused error, added bool) {
+	h0 := js[0].Header
+	if len(js) != h0.Shards {
+		return 0, nil, false
+	}
+	set := NewShardSet(h0.Campaign, universe, dedup, h0.Shards)
+	for _, j := range js {
+		if j.Header.Shards != h0.Shards {
+			return 0, nil, false
+		}
+		if _, err := set.Add(j.Header.Shard, j.Entries, nil); err != nil {
+			return 0, err, true
+		}
+	}
+	for s := 0; s < h0.Shards; s++ {
+		recorded += set.Recorded(s)
+	}
+	return recorded, nil, true
 }

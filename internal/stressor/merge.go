@@ -20,9 +20,9 @@ type MergeSpec struct {
 // the unsharded run would have produced, byte for byte. It checks the
 // set — exactly Shards untruncated fixed-universe journals of one
 // campaign, layout and partition rule over this universe, no shard
-// twice — then replays it as the unsharded campaign's resume journal,
-// with resume's per-entry checks, and refuses what that campaign would
-// still have to run. Outcomes are placed by scenario index, so a set
+// twice — then adds each journal to one ShardSet, as the unsharded
+// campaign's resume adds its journal, and refuses what that campaign
+// would still have to run. Outcomes are placed by scenario index, so a set
 // cut by either partition rule merges, as long as one rule cut all of
 // it. Adaptive journals are refused: they index proposals, not scenarios.
 //
@@ -66,12 +66,13 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 	}
 
 	c := &Campaign{Name: h0.Campaign, StopOnFirst: spec.StopOnFirst, Dedup: spec.Dedup}
-	e := newExec(c, scenarios)
+	set := &ShardSet{e: newExec(c, scenarios), recorded: make([]int, h0.Shards)}
 	for _, j := range js {
-		if err := e.replay(j.Entries); err != nil {
+		if _, err := set.Add(j.Header.Shard, j.Entries, nil); err != nil {
 			return nil, fmt.Errorf("stressor: merging shard %d/%d: %w", j.Header.Shard, h0.Shards, err)
 		}
 	}
+	e := set.e
 	// A hole is a position left to run at or below the first failure.
 	if l := newListPlan(e); l.unclaimed() {
 		u := l.todo[0]

@@ -24,9 +24,20 @@ func distinctScenarios(n int) []fault.Scenario {
 	return out
 }
 
-// TestShardSizes pins the exported shard-sizing helper against the
-// engine's own partition: the size it reports for a shard is the number
-// of entries that shard journals.
+// shardSizes is what a ShardSet of count shards reports as Owned, shard
+// by shard.
+func shardSizes(scenarios []fault.Scenario, dedup bool, count int) []int {
+	set := NewShardSet("own", scenarios, dedup, count)
+	sizes := make([]int, max(count, 1))
+	for s := range sizes {
+		sizes[s] = set.Owned(s)
+	}
+	return sizes
+}
+
+// TestShardSizes pins a ShardSet's Owned against the engine's own
+// partition: the size it reports for a shard is the number of entries
+// that shard journals.
 func TestShardSizes(t *testing.T) {
 	scenarios := distinctScenarios(11)
 	// Make s3/s7 duplicates of s1 so dedup collapses them.
@@ -34,7 +45,7 @@ func TestShardSizes(t *testing.T) {
 	scenarios[7].Faults = scenarios[1].Faults
 	for _, dedup := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 3} {
-			sizes := ShardSizes(scenarios, dedup, shards)
+			sizes := shardSizes(scenarios, dedup, shards)
 			if len(sizes) != shards {
 				t.Fatalf("dedup=%v shards=%d: %d sizes", dedup, shards, len(sizes))
 			}
@@ -58,7 +69,7 @@ func TestShardSizes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if size != len(j.Entries) {
-					t.Fatalf("dedup=%v shard %d/%d: ShardSizes %d, journal has %d entries", dedup, i, shards, size, len(j.Entries))
+					t.Fatalf("dedup=%v shard %d/%d: Owned %d, journal has %d entries", dedup, i, shards, size, len(j.Entries))
 				}
 			}
 			wantTotal := len(scenarios)
@@ -71,7 +82,7 @@ func TestShardSizes(t *testing.T) {
 		}
 	}
 	// A non-positive count is one unsharded campaign.
-	if got := ShardSizes(scenarios, false, 0); len(got) != 1 || got[0] != len(scenarios) {
+	if got := shardSizes(scenarios, false, 0); len(got) != 1 || got[0] != len(scenarios) {
 		t.Fatalf("zero count sizes %v, want [%d]", got, len(scenarios))
 	}
 }

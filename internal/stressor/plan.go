@@ -44,7 +44,7 @@ func scenarioContentKey(sc fault.Scenario) string {
 // dedupPlan maps between a scenario universe and its unique-run
 // positions: the first occurrence of each distinct fault content is
 // the representative that runs, every later one is folded into it.
-// Execute, Merge and ShardSizes all build it from the same inputs, so
+// Execute, Merge and a ShardSet all build it from the same inputs, so
 // every shard and every merge agrees on the positions journals and the
 // shard partition are keyed by. Without Dedup — or when nothing folds —
 // positions are the scenario indices themselves.

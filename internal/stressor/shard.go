@@ -2,6 +2,7 @@ package stressor
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -21,7 +22,7 @@ import (
 // byte-identical to the unsharded run. It follows injection time: the
 // unique-run positions, ordered by their earliest fault Start, then
 // the first fault's content, then position, are cut into Count
-// contiguous ranges (shard 0 the earliest) of the sizes ShardSizes
+// contiguous ranges (shard 0 the earliest) of the sizes ShardSet.Owned
 // reports. Faults injected close together share a golden prefix and,
 // one family's adjacent instants, a fork window, so a shard keeps the
 // checkpoint-tree hits and window answers an unsharded run gets.
@@ -139,19 +140,81 @@ func ParseShard(s string) (Shard, error) {
 	return sh, nil
 }
 
-// ShardSizes returns how many unique-run positions each of count shards
-// owns under the given dedup setting — the number of runs that shard
-// executes and journals; their sum is the whole campaign's. Distributed
-// coordinators size shard progress with it, from one dedup plan and
-// without re-deriving the engine's partition rules.
-func ShardSizes(scenarios []fault.Scenario, dedup bool, count int) []int {
-	sizes := make([]int, max(count, 1))
-	n := newDedupPlan(scenarios, dedup).len()
-	for s := range sizes {
-		sizes[s] = shardLen(n, len(sizes), s)
-	}
-	return sizes
+// ErrConflict marks Add's refusal of a run recorded with two outcomes.
+var ErrConflict = errors.New("twice with different outcomes")
+
+// ShardSet is the one path from journal entries to results, for
+// Execute's resume, Merge and a fabric coordinator's flushes and restart
+// alike: the unsharded campaign's slots, fed shard by shard, and what
+// each shard recorded. A repeat is folded whichever shard sends it.
+type ShardSet struct {
+	e        *campaignExec
+	recorded []int
+	fresh    []int // Add's scratch: batch indices of new entries
 }
+
+// NewShardSet is the empty set of count shards of the named campaign.
+func NewShardSet(name string, scenarios []fault.Scenario, dedup bool, count int) *ShardSet {
+	return &ShardSet{e: newExec(&Campaign{Name: name, Dedup: dedup}, scenarios), recorded: make([]int, max(count, 1))}
+}
+
+// Add checks the whole batch before it records any of it — each entry
+// in range, naming the scenario at its index, at a dedup representative,
+// with a known class, and no run recorded twice with another class,
+// detail or panicked (an error wrapping ErrConflict) — then records each
+// entry new to the set once keep accepts it (a nil keep accepts all),
+// folding exact repeats. It returns how many it recorded and keep's error.
+func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Entry) error) (int, error) {
+	name, d, fresh := s.e.c.Name, s.e.dedup, s.fresh[:0]
+	var err error
+	for i, ent := range entries {
+		if ent.Index < 0 || ent.Index >= len(d.scenarios) {
+			err = fmt.Errorf("campaign %s: journal entry index %d out of range 0..%d", name, ent.Index, len(d.scenarios)-1)
+			break
+		}
+		sc := d.scenarios[ent.Index]
+		u, rep := d.position(ent.Index)
+		cls, known := fault.ParseClassification(ent.Class)
+		switch sl := &s.e.slots[u]; {
+		case sc.ID != ent.ID:
+			err = fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", name, ent.Index, ent.ID, sc.ID)
+		case !rep:
+			err = fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without dedup?)", name, ent.Index)
+		case !known:
+			err = fmt.Errorf("campaign %s: journal entry %d has unknown class %q", name, ent.Index, ent.Class)
+		case !sl.ran:
+			*sl = slot{out: fault.Outcome{Scenario: sc, Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
+			fresh = append(fresh, i)
+		case sl.out.Class != cls || sl.out.Detail != ent.Detail || sl.panicked != ent.Panicked:
+			err = fmt.Errorf("campaign %s: journal records scenario %s (index %d) %w", name, ent.ID, ent.Index, ErrConflict)
+		}
+		if err != nil {
+			break
+		}
+	}
+	n := len(fresh) // recorded: the new entries before any keep refused
+	if err != nil {
+		n = 0
+	} else if keep != nil {
+		for n = 0; n < len(fresh); n++ {
+			if err = keep(entries[fresh[n]]); err != nil {
+				break
+			}
+		}
+	}
+	for _, i := range fresh[n:] {
+		u, _ := d.position(entries[i].Index)
+		s.e.slots[u] = slot{}
+	}
+	s.fresh, s.recorded[shard] = fresh, s.recorded[shard]+n
+	return n, err
+}
+
+// Recorded is how many runs shard has recorded.
+func (s *ShardSet) Recorded(shard int) int { return s.recorded[shard] }
+
+// Owned is how many unique-run positions shard owns: the runs it journals.
+func (s *ShardSet) Owned(shard int) int { return shardLen(s.e.dedup.len(), len(s.recorded), shard) }
 
 // UniverseHash fingerprints a scenario universe: IDs, fault names and
 // the full fault content of every scenario, in order. Journals carry

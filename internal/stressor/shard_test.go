@@ -20,7 +20,7 @@ import (
 // universes — single-instant, all-equal Start, dedup-folded,
 // multi-fault, empty — for every count from 1 to 9: the shards'
 // position sets partition the plan exactly, their sizes are
-// ShardSizes', each is one contiguous run of the (earliest Start, first
+// a ShardSet's Owned, each is one contiguous run of the (earliest Start, first
 // fault's content, position) order with shard 0 the earliest, and
 // Execute runs exactly its shard's set.
 func TestShardPartition(t *testing.T) {
@@ -39,7 +39,7 @@ func TestShardPartition(t *testing.T) {
 			for count := 1; count <= 9; count++ {
 				name := fmt.Sprintf("%s/dedup=%v/count=%d", u.name, dedup, count)
 				owner := shardOwners(plan, count)
-				sizes := ShardSizes(u.scenarios, dedup, count)
+				sizes := shardSizes(u.scenarios, dedup, count)
 				got := make([]int, count)
 				for _, s := range owner {
 					if s < 0 || s >= count {
@@ -48,7 +48,7 @@ func TestShardPartition(t *testing.T) {
 					got[s]++
 				}
 				if len(owner) != n || !reflect.DeepEqual(got, sizes) {
-					t.Fatalf("%s: %d positions, shard sizes %v, want %d positions, ShardSizes %v", name, len(owner), got, n, sizes)
+					t.Fatalf("%s: %d positions, shard sizes %v, want %d positions, Owned %v", name, len(owner), got, n, sizes)
 				}
 				for a := range owner {
 					for b := range owner {
