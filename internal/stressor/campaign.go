@@ -105,8 +105,9 @@ type Campaign struct {
 	// snapshot at or before its fork instead of re-simulating the prefix.
 	// Results are byte-identical to a freshly built prototype's — a
 	// ReuseOff runner's sessions build one — signatures included. The
-	// CAPS and ECU runners implement it. A campaign without one runs Run
-	// in index order.
+	// CAPS and ECU runners implement it, and keep the dispatch order and
+	// shard owners of the universes they ran for the next Execute of an
+	// equal universe. A campaign without one runs Run in index order.
 	Checkpointer Checkpointer
 	// Deprecated: Checkpoints, CheckpointTree and EarlyExit are never
 	// read; the Checkpointer alone decides whether a campaign forks, and
@@ -601,7 +602,10 @@ type campaignExec struct {
 	answered [numAnswers]int
 	timeouts int
 	halted   bool
-	err      error
+	// planReused says the list's dispatch plan was one the Checkpointer
+	// kept (campaign.plan_reused).
+	planReused bool
+	err        error
 }
 
 // publish makes the next n indices claimable.
@@ -711,20 +715,27 @@ type listPlan struct {
 // newListPlan partitions a scenario list whose slots hold the replayed
 // journal: it keeps this shard's share (dropping journaled positions
 // another shard owns), counts what was replayed and leaves the rest in
-// todo, sorted for the checkpoint sessions.
+// todo, in the dispatch order of the universe's plan (keptPlan) — or in
+// index order: a Run has no fork to sort by, and under StopOnFirst the
+// campaign must execute exactly the prefix the sequential loop would.
 func newListPlan(e *campaignExec) *listPlan {
 	c, d, l := e.c, e.dedup, &listPlan{campaignExec: e}
+	var kp *keptPlan
+	if c.Checkpointer != nil && !c.StopOnFirst {
+		kp = e.dispatchPlan()
+	}
 	var owner []int
 	if c.Shard.Enabled() {
-		owner = shardOwners(d, c.Shard.Count)
+		owner = kp.shardOwners(d, c.Shard.Count)
 	}
+	n := 0 // positions to run
 	for u := range e.slots {
 		s := &e.slots[u]
 		switch {
 		case owner != nil && owner[u] != c.Shard.Index:
 			*s = slot{}
 		case !s.ran:
-			l.todo = append(l.todo, u)
+			n++
 		default:
 			if c.StopOnFirst && s.out.Class.IsFailure() {
 				e.lowerCutoff(u)
@@ -732,67 +743,205 @@ func newListPlan(e *campaignExec) *listPlan {
 			e.answered[byJournal]++
 		}
 	}
-	if c.Checkpointer == nil || c.StopOnFirst {
-		// Index order: a Run has no fork to sort by, and under StopOnFirst
-		// the campaign must execute exactly the prefix the sequential loop
-		// would.
+	order := kp.dispatchOrder(d)
+	if n == len(order) {
+		l.todo = order // the plan runs whole; todo is only ever read
 		return l
 	}
-	forks := make([]sim.Time, d.len())
-	for _, u := range l.todo {
-		forks[u], _ = c.Checkpointer.ForkTime(d.scenario(u))
+	l.todo = make([]int, 0, n)
+	for _, u := range order {
+		if !e.slots[u].ran && (owner == nil || owner[u] == c.Shard.Index) {
+			l.todo = append(l.todo, u)
+		}
 	}
-	// Sort the todo stream by fork time so each worker session
-	// establishes a golden prefix once per distinct instant and extends
-	// it monotonically — a claimed span is a run of neighbouring forks.
-	// Results stay byte-identical because outcomes, journal entries and
-	// Merge are all keyed by scenario index, not dispatch order. Within
-	// one fork the stream is grouped by the first fault's content —
-	// target and class first — so scenario families dispatch back to back
-	// and fork from the same retained node while it is hottest in the
-	// LRU, and the members of one family that differ in Start alone (a
-	// fork window's instants, see the session's window) stay adjacent: a
-	// claimed span then splits at most one such family between two
-	// workers' private memos.
-	// The order is total — index breaks every tie — so it needs no stable
-	// sort.
-	var none fault.Descriptor
-	first := func(u int) *fault.Descriptor {
-		// In place: copying a Scenario per comparison slowed the sort.
-		if f := d.scenarios[d.index(u)].Faults; len(f) > 0 {
-			return &f[0]
-		}
-		return &none
-	}
-	slices.SortFunc(l.todo, func(ui, uj int) int {
-		if o := cmp.Compare(forks[ui], forks[uj]); o != 0 {
-			return o
-		}
-		if o := compareContent(first(ui), first(uj)); o != 0 {
-			return o
-		}
-		return cmp.Compare(ui, uj)
-	})
 	return l
+}
+
+// keptPlan is what Execute derives from a list universe before anything
+// runs, for a Checkpointer to keep (planCache) so that the next Execute
+// of an equal universe on it sorts nothing: every unique-run position in
+// dispatch order, and the shard owners of the last shard count asked
+// for. It holds its own copy of the universe's fault lists, which a
+// lookup compares field by field (matches). Once built it never changes
+// but for the owners, which mu guards.
+type keptPlan struct {
+	// The key: Dedup and the universe's faults, scenario i's ending at
+	// ends[i].
+	dedup  bool
+	ends   []int
+	faults []fault.Descriptor
+
+	// order holds every unique-run position in dispatch order.
+	order []int
+
+	mu         sync.Mutex
+	ownerCount int   // the shard count owners is for; 0 before any
+	owners     []int // shardOwners(universe, ownerCount)
+}
+
+// dispatchPlan is the plan of e's universe that the Checkpointer kept,
+// or a new one it keeps from now on.
+func (e *campaignExec) dispatchPlan() *keptPlan {
+	c, d := e.c, e.dedup
+	cache := c.Checkpointer.planCache()
+	if kp := cache.find(d.scenarios, c.Dedup); kp != nil {
+		e.planReused = true
+		return kp
+	}
+	kp := &keptPlan{dedup: c.Dedup, ends: make([]int, len(d.scenarios))}
+	n := 0
+	for _, sc := range d.scenarios {
+		n += len(sc.Faults)
+	}
+	kp.faults = make([]fault.Descriptor, 0, n)
+	for i, sc := range d.scenarios {
+		kp.faults = append(kp.faults, sc.Faults...)
+		kp.ends[i] = len(kp.faults)
+	}
+	// Sorted by fork time so each worker session establishes a golden
+	// prefix once per distinct instant and extends it monotonically — a
+	// claimed span is a run of neighbouring forks. Results stay
+	// byte-identical because outcomes, journal entries and Merge are all
+	// keyed by scenario index, not dispatch order. Within one fork the
+	// stream is grouped by the first fault's content — target and class
+	// first — so scenario families dispatch back to back and fork from the
+	// same retained node while it is hottest in the LRU, and the members of
+	// one family that differ in Start alone (a fork window's instants, see
+	// the session's window) stay adjacent: a claimed span then splits at
+	// most one such family between two workers' private memos.
+	kp.order = sortPositions(d, func(sc fault.Scenario) sim.Time {
+		fork, _ := c.Checkpointer.ForkTime(sc)
+		return fork
+	})
+	cache.keep(kp)
+	return kp
+}
+
+// dispatchOrder is the plan's dispatch order; without a plan, d's
+// positions in index order.
+func (kp *keptPlan) dispatchOrder(d dedupPlan) []int {
+	if kp != nil {
+		return kp.order
+	}
+	order := make([]int, d.len())
+	for u := range order {
+		order[u] = u
+	}
+	return order
+}
+
+// sortPositions lists d's unique-run positions ordered by at(scenario),
+// then by the scenario's first fault's content, then by position. The order is total, so it needs no stable sort, and
+// filtering it gives any subset of the positions its own sorted order.
+func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) []int {
+	// Each position's key, read once: a comparison then touches neither
+	// the dedup plan nor the scenario.
+	type key struct {
+		at    sim.Time
+		first *fault.Descriptor
+		u     int
+	}
+	var none fault.Descriptor
+	keys := make([]key, d.len())
+	for u := range keys {
+		sc := d.scenario(u)
+		keys[u] = key{at: at(sc), first: &none, u: u}
+		if len(sc.Faults) > 0 {
+			keys[u].first = &sc.Faults[0]
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		if o := compareContent(a.first, b.first); o != 0 {
+			return o
+		}
+		return cmp.Compare(a.u, b.u)
+	})
+	order := make([]int, len(keys))
+	for i, k := range keys {
+		order[i] = k.u
+	}
+	return order
+}
+
+// matches reports whether kp was made for scenarios under dedup: the
+// same number of scenarios, each with the
+// same number of faults, each equal to the kept copy in every field but
+// Name. It compares what dedup, the dispatch order and the shard owners
+// are functions of, and nothing else, so a rebuilt universe matches and
+// one mutated in place does not. A digest (UniverseHash) would cost more
+// than the sorts it saves, and the slice's identity can neither see an
+// in-place mutation nor find a rebuilt universe.
+func (kp *keptPlan) matches(scenarios []fault.Scenario, dedup bool) bool {
+	if kp.dedup != dedup || len(kp.ends) != len(scenarios) {
+		return false
+	}
+	lo := 0
+	for i, sc := range scenarios {
+		kept := kp.faults[lo:kp.ends[i]]
+		if len(kept) != len(sc.Faults) {
+			return false
+		}
+		for j := range kept {
+			if !sameContent(&kept[j], &sc.Faults[j]) {
+				return false
+			}
+		}
+		lo = kp.ends[i]
+	}
+	return true
+}
+
+// sameContent reports whether two descriptors agree in every field but
+// Name. Param and Rate compare as a dedup key spells them: -0 is not 0,
+// and a NaN matches nothing, so a universe holding one is planned afresh.
+func sameContent(a, b *fault.Descriptor) bool {
+	sameFloat := func(x, y float64) bool { return x == y && math.Signbit(x) == math.Signbit(y) }
+	return a.Target == b.Target && a.Class == b.Class && a.Model == b.Model &&
+		a.Domain == b.Domain && a.Bit == b.Bit && a.Address == b.Address &&
+		a.Start == b.Start && a.Duration == b.Duration && a.Period == b.Period &&
+		sameFloat(a.Param, b.Param) && sameFloat(a.Rate, b.Rate)
 }
 
 // compareContent orders two descriptors by everything but Name: target,
 // class and model — which tell most families apart — then the rest of
-// the content, Start last.
+// the content, Start last. It returns at the first field that differs.
 func compareContent(a, b *fault.Descriptor) int {
-	if o := cmp.Or(strings.Compare(a.Target, b.Target), cmp.Compare(a.Class, b.Class), cmp.Compare(a.Model, b.Model)); o != 0 {
+	if o := strings.Compare(a.Target, b.Target); o != 0 {
 		return o
 	}
-	return cmp.Or(
-		cmp.Compare(a.Domain, b.Domain),
-		cmp.Compare(a.Bit, b.Bit),
-		cmp.Compare(a.Address, b.Address),
-		cmp.Compare(a.Param, b.Param),
-		cmp.Compare(a.Duration, b.Duration),
-		cmp.Compare(a.Period, b.Period),
-		cmp.Compare(a.Rate, b.Rate),
-		cmp.Compare(a.Start, b.Start),
-	)
+	if a.Class != b.Class {
+		return cmp.Compare(a.Class, b.Class)
+	}
+	if a.Model != b.Model {
+		return cmp.Compare(a.Model, b.Model)
+	}
+	if a.Domain != b.Domain {
+		return cmp.Compare(a.Domain, b.Domain)
+	}
+	if a.Bit != b.Bit {
+		return cmp.Compare(a.Bit, b.Bit)
+	}
+	if a.Address != b.Address {
+		return cmp.Compare(a.Address, b.Address)
+	}
+	// cmp.Compare, not !=: a NaN sorts before every number and equals
+	// itself, and -0 equals 0.
+	if o := cmp.Compare(a.Param, b.Param); o != 0 {
+		return o
+	}
+	if a.Duration != b.Duration {
+		return cmp.Compare(a.Duration, b.Duration)
+	}
+	if a.Period != b.Period {
+		return cmp.Compare(a.Period, b.Period)
+	}
+	if o := cmp.Compare(a.Rate, b.Rate); o != 0 {
+		return o
+	}
+	return cmp.Compare(a.Start, b.Start)
 }
 
 // unclaimed reports whether a position worth running has yet to be
@@ -1088,6 +1237,9 @@ func (c *Campaign) publish(e *campaignExec, res *Result, elapsed time.Duration) 
 	reg.Counter("campaign.elapsed_ns", name).Add(uint64(elapsed.Nanoseconds()))
 	if res.PanicRecoveries > 0 {
 		reg.Counter("campaign.panic_recoveries", name).Add(uint64(res.PanicRecoveries))
+	}
+	if e.planReused {
+		reg.Counter("campaign.plan_reused", name).Inc()
 	}
 	if a := res.Adaptive; a != nil {
 		reg.Gauge("campaign.signatures_unique", name).Set(float64(a.UniqueSignatures))

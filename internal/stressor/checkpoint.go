@@ -26,6 +26,13 @@ type Checkpointer interface {
 	// goroutines, but the golden-prefix snapshots they fork from may be
 	// the runner's, shared by all of them.
 	NewTreeSession(cfg TreeConfig) CheckpointSession
+	// planCache is where the campaign keeps the dispatch plans of the
+	// universes it executed on this prototype (see keptPlan); nil keeps
+	// none. A Host has one; a decorator that embeds a Checkpointer
+	// reaches the one it wraps, which an optional-interface assertion
+	// could not: a struct embedding an interface has only the
+	// interface's methods.
+	planCache() *planCache
 }
 
 // TreeCheckpointer is Checkpointer.
@@ -53,6 +60,7 @@ type runPrototype RunFunc
 
 func (runPrototype) ForkTime(fault.Scenario) (sim.Time, bool)          { return 0, true }
 func (r runPrototype) NewTreeSession(TreeConfig) CheckpointSession     { return r }
+func (runPrototype) planCache() *planCache                             { return nil }
 func (r runPrototype) Run(sc fault.Scenario, _ sim.Time) fault.Outcome { return r(sc) }
 func (runPrototype) Close()                                            {}
 

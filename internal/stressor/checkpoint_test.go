@@ -25,6 +25,8 @@ type fakeCheckpointer struct {
 
 func (f *fakeCheckpointer) ForkTime(fault.Scenario) (sim.Time, bool) { return 1, true }
 
+func (f *fakeCheckpointer) planCache() *planCache { return nil }
+
 func (f *fakeCheckpointer) NewTreeSession(TreeConfig) CheckpointSession {
 	f.sessions.Add(1)
 	return &fakeSession{f: f}

@@ -73,12 +73,62 @@ type Host[S sim.State, G any] struct {
 	// ran; restoring it takes any slot back to time zero.
 	root treeNode
 	tree goldenNodes
+	plan planCache
 	// Recorded by NewHost's golden walk: the early-exit trajectory, and
 	// the instants up to the horizon at which the golden run executes
 	// anything, time zero included (see ForkTime).
 	traj       trajectory[G]
 	activityAt []sim.Time
 }
+
+// maxKeptPlans bounds the plans a host keeps. A daemon serves repeated
+// specs from one cached runner: bench/'s daemon-e8-loop cycles four
+// universes through each of its two (eight specs over two worlds), so a
+// host that keeps fewer than four serves none of them. The budget is
+// twice that; a plan of the 6 384-scenario CAPS universe holds ~0.8 MB.
+const maxKeptPlans = 8
+
+// planCache is the dispatch plans a host keeps (keptPlan). Past
+// maxKeptPlans the oldest goes, served or not: a host cycling through
+// fewer universes than that is served every one of them, as under an
+// LRU. Concurrent campaigns on the host read and add plans under mu; a
+// keptPlan's key never changes, so it is matched outside it.
+type planCache struct {
+	mu    sync.Mutex
+	plans [maxKeptPlans]*keptPlan
+	next  int // the slot keep fills: the oldest plan's
+}
+
+// find is the kept plan made for scenarios under dedup; nil when there
+// is none.
+func (pc *planCache) find(scenarios []fault.Scenario, dedup bool) *keptPlan {
+	if pc == nil {
+		return nil
+	}
+	pc.mu.Lock()
+	plans := pc.plans
+	pc.mu.Unlock()
+	for _, kp := range plans {
+		if kp != nil && kp.matches(scenarios, dedup) {
+			return kp
+		}
+	}
+	return nil
+}
+
+// keep adds kp in place of the oldest plan.
+func (pc *planCache) keep(kp *keptPlan) {
+	if pc == nil {
+		return
+	}
+	pc.mu.Lock()
+	pc.plans[pc.next] = kp
+	pc.next = (pc.next + 1) % maxKeptPlans
+	pc.mu.Unlock()
+}
+
+// planCache implements Checkpointer.
+func (h *Host[S, G]) planCache() *planCache { return &h.plan }
 
 // hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
 // per scenario, so record and timeline buffers survive the campaign.

@@ -1,17 +1,14 @@
 package stressor
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/journal"
-	"repro/internal/sim"
 )
 
 // Shard selects one partition of a campaign's scenario universe so
@@ -65,30 +62,11 @@ func (s Shard) JournalHeader(campaign string, total int, universe string) journa
 }
 
 // shardOwners maps every unique-run position of d to the shard of count
-// that runs it (see Shard).
+// that runs it (see Shard): the positions ordered by their earliest
+// fault Start (ForkTime, not a host's), cut into count ranges.
 func shardOwners(d dedupPlan, count int) []int {
 	n := d.len()
-	order := make([]int, n)
-	for u := range order {
-		order[u] = u
-	}
-	var none fault.Descriptor
-	key := func(u int) (sim.Time, *fault.Descriptor) {
-		sc := d.scenario(u)
-		if len(sc.Faults) == 0 {
-			return 0, &none
-		}
-		start := sc.Faults[0].Start
-		for _, f := range sc.Faults[1:] {
-			start = min(start, f.Start)
-		}
-		return start, &sc.Faults[0]
-	}
-	slices.SortFunc(order, func(ui, uj int) int {
-		si, fi := key(ui)
-		sj, fj := key(uj)
-		return cmp.Or(cmp.Compare(si, sj), compareContent(fi, fj), cmp.Compare(ui, uj))
-	})
+	order := sortPositions(d, ForkTime)
 	owner := make([]int, n)
 	for s, lo := 0, 0; s < count; s++ {
 		hi := lo + shardLen(n, count, s)
@@ -98,6 +76,22 @@ func shardOwners(d dedupPlan, count int) []int {
 		lo = hi
 	}
 	return owner
+}
+
+// shardOwners is shardOwners(d, count) for the universe kp was made for:
+// kept from the last call, sorted afresh when count is not that call's
+// (which drops the owners kept before, so a plan holds one owner map
+// whatever counts it is asked for); without a plan, sorted afresh.
+func (kp *keptPlan) shardOwners(d dedupPlan, count int) []int {
+	if kp == nil {
+		return shardOwners(d, count)
+	}
+	kp.mu.Lock()
+	defer kp.mu.Unlock()
+	if kp.ownerCount != count {
+		kp.owners, kp.ownerCount = shardOwners(d, count), count
+	}
+	return kp.owners
 }
 
 // shardLen is how many of n positions shard s of count owns: the first

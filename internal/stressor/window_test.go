@@ -157,6 +157,9 @@ func (windowForks) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	return (ForkTime(sc)-1)/windowPeriod*windowPeriod + 1, true
 }
 
+// planCache keeps no plan: the host's is sorted by the host's forks.
+func (windowForks) planCache() *planCache { return nil }
+
 func newWindowHost(t *testing.T) *Host[*windowModel, struct{}] {
 	t.Helper()
 	h, err := NewHost[*windowModel, struct{}]("toy", &windowToy{}, windowHorizon)
