@@ -1,6 +1,9 @@
 # govp build/test entry points. `make tier1` is the gate every change
 # must pass: build, vet, and the full test suite under the race
-# detector — mandatory now that campaigns execute on worker pools.
+# detector — mandatory now that campaigns execute on worker pools. The
+# suite includes the source lints (lint_test.go at the module root, one
+# type-checked load of the module; DESIGN §17), so no lint needs a step
+# of its own.
 
 GO ?= go
 
@@ -23,10 +26,12 @@ race:
 # The state, engine and front-end packages again in shuffled test order
 # (ROADMAP 4f): a test that only passes after another one has warmed a
 # runner, a node pool or a digest cache is hiding an order dependence.
+# The module root is here for the source lints, which share one lazily
+# loaded module.
 shuffle:
 	$(GO) test -shuffle=on ./internal/sim/... ./internal/ecu ./internal/stressor/... \
 		./internal/campaignd ./internal/scenario ./internal/journal ./internal/fabric ./internal/caps \
-		./internal/can ./internal/tlm
+		./internal/can ./internal/tlm .
 
 tier1: build vet race shuffle
 

@@ -72,8 +72,6 @@ func main() {
 const (
 	pSensorShort = 1e-4
 	pThresholdSA = 5e-5
-	pCalibFlip   = 2e-4
-	pBusFault    = 3e-4
 )
 
 // unprotectedTree is G1 (inadvertent deployment) for the bare system:

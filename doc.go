@@ -13,14 +13,14 @@
 //   - internal/rtl — gate-level netlists, a levelized evaluator with
 //     stuck-at/open fault overlays and a synthesizable circuit library;
 //   - internal/uvm — a UVM testbench library (components, phases,
-//     sequences, factory, config DB, analysis ports, scoreboards);
+//     scoreboards, objections);
 //   - internal/fault, internal/stressor — formal fault descriptors,
 //     injector interfaces and the campaign engine;
 //   - internal/missionprofile — Mission Profiles with supply-chain
 //     refinement and fault-description derivation (the paper's Fig. 2);
-//   - internal/safety — FTA, FMEDA (ISO 26262 metrics) and FPTC;
+//   - internal/safety — FTA and FMEDA (ISO 26262 metrics);
 //   - internal/coverage, internal/scenario — fault-space coverage
-//     models and exhaustive/Monte-Carlo/weak-spot-guided strategies;
+//     models and Monte-Carlo/weak-spot-guided/novelty strategies;
 //   - internal/mdl, internal/mutation — a behavioural model language
 //     and mutation analysis for testbench qualification;
 //   - internal/ecu, internal/can — a virtual ECU (AE32 ISA, ECC RAM,

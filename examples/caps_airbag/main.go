@@ -4,13 +4,15 @@
 // must not trigger the airbag in normal operation".
 //
 // The campaign runs twice (safety mechanisms on and off) and prints
-// the outcome tally plus every G1 violation found. Run with:
+// the outcome tally plus every G1 violation found, and the sites the
+// first violation's error propagated through. Run with:
 //
 //	go run ./examples/caps_airbag
 package main
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/caps"
 	"repro/internal/fault"
@@ -60,6 +62,8 @@ func main() {
 			for _, o := range viol {
 				fmt.Printf("  %-45s %s\n", o.Scenario.ID, o.Detail)
 			}
+			_, tr := runner.RunScenarioTraced(viol[0].Scenario)
+			fmt.Printf("propagation of %s: %s\n", viol[0].Scenario.ID, strings.Join(tr.SitesVisited(), " -> "))
 		} else {
 			fmt.Println("G1 holds: no single fault triggers the airbag.")
 		}

@@ -114,9 +114,6 @@ func (t *Trace) Record(at sim.Time, site, detail string) {
 	t.hops = append(t.hops, Hop{At: at, Site: site, Detail: detail})
 }
 
-// Hops reports the propagation path in time order.
-func (t *Trace) Hops() []Hop { return t.hops }
-
 // CopyFrom overwrites the trace with the hops of src, reusing the hop
 // buffer's capacity. Checkpoint-restoring runners use it to rewind a
 // prototype's live trace to its golden-prefix contents.
@@ -124,15 +121,18 @@ func (t *Trace) CopyFrom(src *Trace) {
 	t.hops = append(t.hops[:0], src.hops...)
 }
 
-// Clone returns an independent copy of the trace. Runners that reuse a
-// prototype across runs hand out clones so a returned trace is not
-// overwritten by the next run.
-func (t *Trace) Clone() *Trace {
-	return &Trace{hops: append([]Hop(nil), t.hops...)}
+// SitesVisited lists distinct sites on the path, in first-visit order.
+func (t *Trace) SitesVisited() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, h := range t.hops {
+		if !seen[h.Site] {
+			seen[h.Site] = true
+			out = append(out, h.Site)
+		}
+	}
+	return out
 }
-
-// Len reports the number of hops.
-func (t *Trace) Len() int { return len(t.hops) }
 
 // String renders the path.
 func (t *Trace) String() string {
@@ -147,19 +147,6 @@ func (t *Trace) String() string {
 		}
 	}
 	return b.String()
-}
-
-// SitesVisited lists distinct sites on the path, in first-visit order.
-func (t *Trace) SitesVisited() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, h := range t.hops {
-		if !seen[h.Site] {
-			seen[h.Site] = true
-			out = append(out, h.Site)
-		}
-	}
-	return out
 }
 
 // SynthesizeFaultTree builds a fault tree from campaign outcomes: each

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -92,231 +90,6 @@ func TestOneSpecToCampaignPath(t *testing.T) {
 	}
 	for _, s := range strays {
 		t.Errorf("%s outside Spec.BuildRunner: the prototype has one construction site", s)
-	}
-}
-
-// inspectNonTestSource calls visit on every node of every non-test Go
-// file of the module outside bench/, which is kept as it was, and
-// testdata.
-func inspectNonTestSource(t *testing.T, visit func(fset *token.FileSet, n ast.Node)) {
-	t.Helper()
-	fset := token.NewFileSet()
-	const root = "../.."
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			visit(fset, n)
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNothingSetsTheRetiredSwitches: Campaign.Checkpoints and
-// Campaign.CheckpointTree select nothing — the Checkpointer alone does —
-// Campaign.EarlyExit nothing either — a session checks exactly the runs
-// with no permanent fault for convergence — and Spec's fields of the same
-// names, like Spec.HashStride, only parse. No non-test file names any of
-// them, so no caller can come to believe that setting one forks, stops
-// forking, turns early exit on or off or moves its stride.
-func TestNothingSetsTheRetiredSwitches(t *testing.T) {
-	retired := map[string]bool{"Checkpoints": true, "CheckpointTree": true, "EarlyExit": true, "HashStride": true}
-	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
-		var name *ast.Ident
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			name = n.Sel
-		case *ast.KeyValueExpr:
-			name, _ = n.Key.(*ast.Ident)
-		}
-		if name != nil && retired[name.Name] {
-			t.Errorf("%s: %s names a retired switch", fset.Position(name.Pos()), name.Name)
-		}
-	})
-}
-
-// TestNothingPairsRunWithCheckpointer: a campaign runs on its
-// Checkpointer alone — a ReuseOff runner's sessions are the rebuild
-// oracle — so no non-test file sets Run beside a Checkpointer in one
-// composite literal, or calls the deprecated RunFunc()/SignedRunFunc()
-// forwarders a runner keeps for bench/; a plain call takes the method
-// value RunScenario or RunScenarioSigned.
-func TestNothingPairsRunWithCheckpointer(t *testing.T) {
-	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// No arguments: stressor.RunFunc(f) is a conversion.
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) == 0 && (sel.Sel.Name == "RunFunc" || sel.Sel.Name == "SignedRunFunc") {
-				t.Errorf("%s: calls %s(); pass the runner as Checkpointer, or its method value", fset.Position(n.Pos()), sel.Sel.Name)
-			}
-		case *ast.CompositeLit:
-			keys := map[string]bool{}
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						keys[key.Name] = true
-					}
-				}
-			}
-			if keys["Run"] && keys["Checkpointer"] {
-				t.Errorf("%s: a composite literal sets both Run and Checkpointer", fset.Position(n.Pos()))
-			}
-		}
-	})
-}
-
-// TestNothingWritesJSONL: every journal is created binary. No non-test
-// file calls journal.CreateCodec, names journal.JSONL or sets the inert
-// fabric.CoordConfig.Codec, so no front-end can come to pick a codec
-// again; JSONL journals are only ever read, or appended to in place.
-func TestNothingWritesJSONL(t *testing.T) {
-	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && id.Name == "journal" && (n.Sel.Name == "CreateCodec" || n.Sel.Name == "JSONL") {
-				t.Errorf("%s: journal.%s picks a journal codec", fset.Position(n.Pos()), n.Sel.Name)
-			}
-		case *ast.CompositeLit:
-			typ := n.Type
-			if sel, ok := typ.(*ast.SelectorExpr); ok {
-				typ = sel.Sel
-			}
-			if id, ok := typ.(*ast.Ident); !ok || id.Name != "CoordConfig" {
-				return
-			}
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Codec" {
-						t.Errorf("%s: a CoordConfig sets Codec", fset.Position(kv.Pos()))
-					}
-				}
-			}
-		}
-	})
-}
-
-// TestNothingCallsTheCaptureShim: a model has one state capture,
-// m.SnapshotState(prev). No non-test file outside bench/ calls the
-// deprecated sim.SnapshotModelState forwarder, so it can go once the
-// benchmark's probe stops calling it.
-func TestNothingCallsTheCaptureShim(t *testing.T) {
-	inspectNonTestSource(t, func(fset *token.FileSet, n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok {
-			var name *ast.Ident
-			switch fn := call.Fun.(type) {
-			case *ast.SelectorExpr:
-				name = fn.Sel
-			case *ast.Ident:
-				name = fn
-			}
-			if name != nil && name.Name == "SnapshotModelState" {
-				t.Errorf("%s: calls sim.SnapshotModelState; call the model's SnapshotState(prev)", fset.Position(name.Pos()))
-			}
-		}
-	})
-}
-
-// TestModelsAreHostDeterministic: a signature digests model state, and a
-// Source steers by the signatures sessions compute, so a digest — or any
-// model behavior — that depended on the host would make one campaign
-// propose different scenarios in different processes. No non-test file
-// of the model packages reads the wall clock, draws from the global
-// math/rand source or ranges over a map, except where an entry below says
-// why the use cannot reach model state. Ranging over a map is a type
-// fact, which a parse alone does not show, so the packages are
-// type-checked from source here rather than walked by
-// inspectNonTestSource.
-func TestModelsAreHostDeterministic(t *testing.T) {
-	allowed := map[string]string{
-		"internal/sim/kernel.go RunUntil time.Now":   "instrumentation: the wall-clock length of a run, published to metrics and traces only",
-		"internal/sim/process.go run time.Now":       "instrumentation: the wall-clock length of an activation, published to metrics only",
-		"internal/can/bus.go RestoreState range":     "copies one map into another: every order writes the same map",
-		"internal/tlm/memory.go SnapshotState range": "copies one map into another: every order writes the same map",
-		"internal/tlm/memory.go RestoreState range":  "copies one map into another: every order writes the same map",
-		"internal/tlm/memory.go HashState range":     "collects the keys, which are sorted before anything is hashed",
-	}
-	seen := map[string]bool{}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	for _, pkg := range []string{"sim", "caps", "can", "tlm", "ecu"} {
-		dir := filepath.Join("../..", "internal", pkg)
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var files []*ast.File
-		for _, e := range ents {
-			if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				files = append(files, f)
-			}
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-		if _, err := (&types.Config{Importer: imp}).Check("repro/internal/"+pkg, fset, files, info); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					var what string
-					switch n := n.(type) {
-					case *ast.RangeStmt:
-						if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
-							what = "range"
-						}
-					case *ast.Ident:
-						// A package-level function: methods of a seeded *rand.Rand
-						// are deterministic, and so are its constructors.
-						if f, ok := info.Uses[n].(*types.Func); ok && f.Pkg() != nil && f.Type().(*types.Signature).Recv() == nil {
-							switch path := f.Pkg().Path(); {
-							case path == "time" && f.Name() == "Now",
-								(path == "math/rand" || path == "math/rand/v2") && !strings.HasPrefix(f.Name(), "New"):
-								what = f.Pkg().Name() + "." + f.Name()
-							}
-						}
-					}
-					if what == "" {
-						return true
-					}
-					pos := fset.Position(n.Pos())
-					key := fmt.Sprintf("internal/%s/%s %s %s", pkg, filepath.Base(pos.Filename), fn.Name.Name, what)
-					if seen[key] = true; allowed[key] == "" {
-						t.Errorf("%s: %s in %s: model behavior may depend on the host", pos, what, fn.Name.Name)
-					}
-					return true
-				})
-			}
-		}
-	}
-	for key := range allowed {
-		if !seen[key] {
-			t.Errorf("allow-list entry %q matches nothing; drop it", key)
-		}
 	}
 }
 

@@ -64,20 +64,6 @@ type controller struct {
 	Babbling bool
 }
 
-// Name reports the node name.
-func (n *Node) Name() string { return n.name }
-
-// State reports the fault-confinement state.
-func (n *Node) State() NodeState { return n.state }
-
-// Counters reports the transmit and receive error counters.
-func (n *Node) Counters() (tec, rec int) { return n.tec, n.rec }
-
-// Stats reports frames sent, received and error frames observed.
-func (n *Node) Stats() (sent, received, errors uint64) {
-	return n.sent, n.received, n.errorsSeen
-}
-
 // Send queues a frame for transmission, copying its payload: the
 // caller's buffer is its own again when Send returns. Bus-off nodes
 // drop it.
@@ -92,9 +78,6 @@ func (n *Node) Send(f Frame) error {
 	n.bus.kick()
 	return nil
 }
-
-// Pending reports queued frames.
-func (n *Node) Pending() int { return len(n.queue) }
 
 // push queues f behind the frames waiting.
 func (n *Node) push(f frame) {
@@ -254,12 +237,6 @@ func (b *Bus) CorruptNextFrames(n int) { b.corruptNext += n }
 // DropNextFrames makes the next n frames vanish in transit (the
 // omission fault; receivers see nothing, the sender believes it sent).
 func (b *Bus) DropNextFrames(n int) { b.dropNext += n }
-
-// Log returns the completed transaction records.
-func (b *Bus) Log() []TxRecord { return b.log }
-
-// Arbitrations reports how many arbitration rounds were resolved.
-func (b *Bus) Arbitrations() uint64 { return b.arbitrations }
 
 // kick schedules an arbitration round.
 func (b *Bus) kick() {

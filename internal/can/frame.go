@@ -1,10 +1,11 @@
 // Package can models a CAN 2.0A network at message level with the
 // protocol behaviours that matter for safety evaluation: identifier-
-// based arbitration (lowest ID wins, losers retry), CRC-15 protection
-// with error-frame signalling, transmit/receive error counters with
-// the error-active → error-passive → bus-off fault-confinement state
-// machine, automatic retransmission, and injectable channel faults
-// (corruption, omission, babbling-idiot nodes).
+// based arbitration (lowest ID wins, losers retry), corruption that the
+// receivers' CRC check detects, with error-frame signalling,
+// transmit/receive error counters with the error-active →
+// error-passive → bus-off fault-confinement state machine, automatic
+// retransmission, and injectable channel faults (corruption, omission,
+// babbling-idiot nodes).
 //
 // This is the "interconnection network" substrate of the paper's
 // Sec. 3.4 system picture and carries the sensor→airbag traffic of
@@ -59,33 +60,6 @@ func (f Frame) Validate() error {
 // String renders the frame.
 func (f Frame) String() string {
 	return fmt.Sprintf("id=%#03x data=% x", f.ID, f.Data)
-}
-
-// CRC computes the CAN CRC-15 (polynomial 0x4599) over the frame's
-// identifier, length and payload bits.
-func (f Frame) CRC() uint16 {
-	const poly = 0x4599
-	crc := uint16(0)
-	feed := func(bit uint16) {
-		in := bit ^ crc>>14&1
-		crc = crc << 1 & 0x7fff
-		if in == 1 {
-			crc ^= poly
-		}
-	}
-	for i := 10; i >= 0; i-- {
-		feed(f.ID >> uint(i) & 1)
-	}
-	dlc := uint16(len(f.Data))
-	for i := 3; i >= 0; i-- {
-		feed(dlc >> uint(i) & 1)
-	}
-	for _, b := range f.Data {
-		for i := 7; i >= 0; i-- {
-			feed(uint16(b) >> uint(i) & 1)
-		}
-	}
-	return crc
 }
 
 // Bits approximates the frame's wire length in bits: SOF + arbitration

@@ -90,7 +90,7 @@ func TestWarmSignedRunAllocatesNoTrace(t *testing.T) {
 			calib = fault.Single(d)
 		}
 	}
-	if _, tr := r.RunScenarioTraced(harness); tr.Len() == 0 {
+	if _, tr := r.RunScenarioTraced(harness); tr.String() == "" {
 		t.Fatal("the open-harness fault leaves no propagation trace: the pin would be vacuous")
 	}
 	for _, tc := range []struct {

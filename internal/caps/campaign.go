@@ -57,8 +57,8 @@ func (r *Runner) Universe(start sim.Time) []fault.Descriptor {
 // recorded by the prototype (fault → sensor → fusion → airbag hops).
 func (r *Runner) RunScenarioTraced(sc fault.Scenario) (fault.Outcome, *analysis.Trace) {
 	tr := &analysis.Trace{}
-	// Clone: the slot's trace buffer is rewound for its next run.
-	out := r.RunScenarioWith(sc, func(s *System) { tr = s.Trace.Clone() })
+	// Copy: the slot's trace buffer is rewound for its next run.
+	out := r.RunScenarioWith(sc, func(s *System) { tr.CopyFrom(&s.Trace) })
 	return out, tr
 }
 

@@ -2,7 +2,7 @@ package caps
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,16 +287,18 @@ func TestPropagationTrace(t *testing.T) {
 	if o.Class != fault.SafetyCritical {
 		t.Fatalf("class = %s", o.Class)
 	}
-	sites := tr.SitesVisited()
+	// The distinct sites in first-visit order, off the rendered path.
+	var sites []string
+	deployed := false
+	for _, hop := range strings.Split(tr.String(), " -> ") {
+		if site, _, _ := strings.Cut(hop, "@"); !slices.Contains(sites, site) {
+			sites = append(sites, site)
+		}
+		deployed = deployed || strings.HasPrefix(hop, "caps.airbag@") && strings.HasSuffix(hop, "(deployment)")
+	}
 	want := []string{"caps.accel0", "caps.airbag"}
 	if len(sites) < 2 || sites[0] != want[0] || sites[1] != want[1] {
 		t.Errorf("propagation path = %v, want prefix %v", sites, want)
-	}
-	deployed := false
-	for _, h := range tr.Hops() {
-		if h.Site == "caps.airbag" && h.Detail == "deployment" {
-			deployed = true
-		}
 	}
 	if !deployed {
 		t.Errorf("trace missing the deployment hop: %s", tr)
@@ -314,16 +316,10 @@ func TestPropagationTrace(t *testing.T) {
 	if o.Class != fault.DetectedSafe {
 		t.Fatalf("protected class = %s", o.Class)
 	}
-	foundBarrier := false
-	for _, h := range tr.Hops() {
-		if h.Site == "caps.airbag" && h.Detail == "deployment" {
-			t.Error("protected trace reaches deployment")
-		}
-		if h.Site == "caps.fusion" {
-			foundBarrier = true
-		}
+	if strings.Contains(tr.String(), "(deployment)") {
+		t.Error("protected trace reaches deployment")
 	}
-	if !foundBarrier {
+	if !strings.HasPrefix(tr.String(), "caps.fusion@") && !strings.Contains(tr.String(), " -> caps.fusion@") {
 		t.Errorf("trace missing the fusion barrier hop: %s", tr)
 	}
 }
@@ -364,10 +360,10 @@ func TestPropagationTraceOfATransient(t *testing.T) {
 	if got.Class != want.Class || got.Detail != want.Detail {
 		t.Errorf("pooled run says %s %q, ReuseOff %s %q", got.Class, got.Detail, want.Class, want.Detail)
 	}
-	if wantTr.Len() == 0 {
+	if wantTr.String() == "" {
 		t.Fatal("the ReuseOff trace is empty: the pulse leaves no hop to compare")
 	}
-	if !reflect.DeepEqual(gotTr.Hops(), wantTr.Hops()) {
+	if gotTr.String() != wantTr.String() {
 		t.Errorf("pooled trace\n%s\nReuseOff trace\n%s", gotTr, wantTr)
 	}
 }

@@ -26,9 +26,9 @@ func TestStateCoverageSystem(t *testing.T) {
 	if err := k.RunUntil(sim.MS(12)); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Detections) == 0 || len(sys.Severities) == 0 || len(sys.Trace.Hops()) == 0 {
-		t.Fatalf("fixture too quiet: detections=%d severities=%d hops=%d",
-			len(sys.Detections), len(sys.Severities), len(sys.Trace.Hops()))
+	if len(sys.Detections) == 0 || len(sys.Severities) == 0 || sys.Trace.String() == "" {
+		t.Fatalf("fixture too quiet: detections=%d severities=%d trace %q",
+			len(sys.Detections), len(sys.Severities), sys.Trace.String())
 	}
 
 	simtest.StateCoverage(t, sys, sys, systemRules(sys))

@@ -330,9 +330,6 @@ func (s *System) frameWatchdog() {
 	s.wdEv.Notify(s.cfg.FrameTimeout)
 }
 
-// Inhibited reports whether a mechanism latched the safe state.
-func (s *System) Inhibited() bool { return s.inhibited }
-
 // systemState is the opaque deep copy of the prototype's mutable state
 // returned by SnapshotState: airbag-side latches, observable outputs,
 // the propagation trace, the calibration memory, the CAN bus and the

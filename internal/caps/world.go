@@ -112,7 +112,3 @@ func (s *Sensor) Sample(t sim.Time) float64 {
 	v := s.World.Accel(t)*s.Scale + s.offset
 	return math.Max(0, math.Min(s.Rail, v))
 }
-
-// Gs converts a sampled voltage back to acceleration using the
-// nominal gain (what the fusion ECU computes with its calibration).
-func (s *Sensor) Gs(volts float64) float64 { return volts / s.Scale }

@@ -304,9 +304,6 @@ func (d *Daemon) DebugURL() string {
 	return ""
 }
 
-// Stderr returns everything the daemon has written to stderr so far.
-func (d *Daemon) Stderr() string { return d.stderr.String() }
-
 // WaitStderr polls the daemon's stderr for up to timeout until it
 // contains every one of marks in that order (each is searched for
 // after the match of the one before). It returns the stderr read so far

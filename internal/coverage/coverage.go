@@ -1,211 +1,13 @@
 // Package coverage implements the "intelligent coverage models"
-// requirement of Sec. 3.4 and Fig. 3: functional covergroups with
-// bins and crosses (measuring how much of the stimulus space a
-// testbench exercised), and a fault-space coverage model over
+// requirement of Sec. 3.4 and Fig. 3: a fault-space coverage model over
 // (injection site × fault model) pairs that measures "the completeness
 // of the error effect simulation" and exposes the holes that the next
 // error-injection scenarios should target (coverage closure).
 package coverage
 
 import (
-	"fmt"
-	"math"
 	"sort"
 )
-
-// Bin is one value range of a coverpoint — [Lo, Hi] inclusive by
-// default, [Lo, Hi) when ExclusiveHi is set.
-type Bin struct {
-	Name   string
-	Lo, Hi float64
-	// ExclusiveHi makes the upper edge exclusive. UniformBins sets it
-	// on every interior bin so a sample landing exactly on a shared
-	// edge counts in one bin, not two; hand-declared bins keep the
-	// historical inclusive-both-ends behavior.
-	ExclusiveHi bool
-}
-
-// Contains reports whether v falls into the bin.
-func (b Bin) Contains(v float64) bool {
-	if b.ExclusiveHi {
-		return v >= b.Lo && v < b.Hi
-	}
-	return v >= b.Lo && v <= b.Hi
-}
-
-// Coverpoint tracks hit counts over its bins.
-type Coverpoint struct {
-	name string
-	bins []Bin
-	hits []uint64
-	// misses counts samples outside every bin (a modeling smell).
-	misses uint64
-}
-
-// NewCoverpoint creates a coverpoint with explicit bins.
-func NewCoverpoint(name string, bins ...Bin) *Coverpoint {
-	return &Coverpoint{name: name, bins: bins, hits: make([]uint64, len(bins))}
-}
-
-// UniformBins builds n equal-width bins spanning [lo, hi]. Interior
-// edges are half-open — bin i covers [lo+i·w, lo+(i+1)·w) and only the
-// last bin closes at hi — so a sample landing exactly on a shared edge
-// is counted once instead of inflating two adjacent bins' hit counts.
-func UniformBins(n int, lo, hi float64) []Bin {
-	bins := make([]Bin, n)
-	w := (hi - lo) / float64(n)
-	for i := range bins {
-		bLo := lo + float64(i)*w
-		bHi := bLo + w
-		last := i == n-1
-		if last {
-			bHi = hi
-		}
-		bins[i] = Bin{Name: fmt.Sprintf("bin%d", i), Lo: bLo, Hi: bHi, ExclusiveHi: !last}
-	}
-	return bins
-}
-
-// Name reports the coverpoint name.
-func (cp *Coverpoint) Name() string { return cp.name }
-
-// Sample records a value; every containing bin counts a hit.
-func (cp *Coverpoint) Sample(v float64) {
-	hit := false
-	for i, b := range cp.bins {
-		if b.Contains(v) {
-			cp.hits[i]++
-			hit = true
-		}
-	}
-	if !hit {
-		cp.misses++
-	}
-}
-
-// Coverage reports the fraction of bins with at least one hit.
-func (cp *Coverpoint) Coverage() float64 {
-	if len(cp.bins) == 0 {
-		return 1
-	}
-	n := 0
-	for _, h := range cp.hits {
-		if h > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(cp.bins))
-}
-
-// Holes lists bins never hit.
-func (cp *Coverpoint) Holes() []string {
-	var out []string
-	for i, h := range cp.hits {
-		if h == 0 {
-			out = append(out, cp.bins[i].Name)
-		}
-	}
-	return out
-}
-
-// Misses reports out-of-range samples.
-func (cp *Coverpoint) Misses() uint64 { return cp.misses }
-
-// Cross tracks joint coverage of two coverpoints: a cross bin is hit
-// when one Sample2 call lands in both component bins.
-type Cross struct {
-	name  string
-	a, b  *Coverpoint
-	hits  map[[2]int]uint64
-	abins int
-	bbins int
-}
-
-// NewCross creates a cross over two coverpoints.
-func NewCross(name string, a, b *Coverpoint) *Cross {
-	return &Cross{name: name, a: a, b: b, hits: make(map[[2]int]uint64), abins: len(a.bins), bbins: len(b.bins)}
-}
-
-// Sample2 records a joint sample (also sampling both coverpoints).
-func (x *Cross) Sample2(va, vb float64) {
-	x.a.Sample(va)
-	x.b.Sample(vb)
-	for i, ba := range x.a.bins {
-		if !ba.Contains(va) {
-			continue
-		}
-		for j, bb := range x.b.bins {
-			if bb.Contains(vb) {
-				x.hits[[2]int{i, j}]++
-			}
-		}
-	}
-}
-
-// Coverage reports the fraction of cross bins hit.
-func (x *Cross) Coverage() float64 {
-	total := x.abins * x.bbins
-	if total == 0 {
-		return 1
-	}
-	return float64(len(x.hits)) / float64(total)
-}
-
-// Covergroup aggregates coverpoints and crosses.
-type Covergroup struct {
-	name    string
-	points  []*Coverpoint
-	crosses []*Cross
-}
-
-// NewCovergroup creates an empty group.
-func NewCovergroup(name string) *Covergroup {
-	return &Covergroup{name: name}
-}
-
-// AddPoint registers a coverpoint and returns it.
-func (cg *Covergroup) AddPoint(cp *Coverpoint) *Coverpoint {
-	cg.points = append(cg.points, cp)
-	return cp
-}
-
-// AddCross registers a cross and returns it.
-func (cg *Covergroup) AddCross(x *Cross) *Cross {
-	cg.crosses = append(cg.crosses, x)
-	return x
-}
-
-// Coverage is the arithmetic mean over all points and crosses.
-func (cg *Covergroup) Coverage() float64 {
-	n := len(cg.points) + len(cg.crosses)
-	if n == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, p := range cg.points {
-		sum += p.Coverage()
-	}
-	for _, x := range cg.crosses {
-		sum += x.Coverage()
-	}
-	return sum / float64(n)
-}
-
-// Report renders per-point coverage.
-func (cg *Covergroup) Report() string {
-	out := fmt.Sprintf("covergroup %s: %.1f%%\n", cg.name, cg.Coverage()*100)
-	for _, p := range cg.points {
-		out += fmt.Sprintf("  %s: %.1f%% (%d holes, %d misses)\n", p.name, p.Coverage()*100, len(p.Holes()), p.misses)
-	}
-	for _, x := range cg.crosses {
-		out += fmt.Sprintf("  %s (cross): %.1f%%\n", x.name, x.Coverage()*100)
-	}
-	return out
-}
-
-// RoundPct rounds a coverage fraction to whole percent (report
-// stability helper).
-func RoundPct(f float64) int { return int(math.Round(f * 100)) }
 
 // SiteModelKey identifies one cell of the fault-space coverage model.
 type SiteModelKey struct {
@@ -307,13 +109,4 @@ func (fs *FaultSpace) WorstBySite() []SiteSeverity {
 type SiteSeverity struct {
 	Site     string
 	Severity int
-}
-
-// Injections reports the total number of recorded injections.
-func (fs *FaultSpace) Injections() int {
-	n := 0
-	for _, c := range fs.injected {
-		n += c
-	}
-	return n
 }

@@ -52,14 +52,8 @@ func NewCPU(name string) *CPU {
 	}
 }
 
-// Name reports the core name.
-func (c *CPU) Name() string { return c.name }
-
 // Reset initializes the core to start execution at pc.
 func (c *CPU) Reset(pc uint32) { c.cpuState = cpuState{pc: pc} }
-
-// PC reports the program counter.
-func (c *CPU) PC() uint32 { return c.pc }
 
 // Halted reports whether the core executed HALT.
 func (c *CPU) Halted() bool { return c.halted }
@@ -99,9 +93,6 @@ func (c *CPU) FlipPCBit(bit uint) {
 // RaiseIRQ marks the interrupt line pending; the core vectors before
 // the next instruction (unless already servicing one).
 func (c *CPU) RaiseIRQ() { c.pending = true }
-
-// InIRQ reports whether the core is inside an interrupt handler.
-func (c *CPU) InIRQ() bool { return c.inIRQ }
 
 // Step executes one instruction, adding consumed time to *delay.
 // Errors are machine-level faults (bus error, illegal opcode) that a

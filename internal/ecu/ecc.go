@@ -176,9 +176,6 @@ func NewECCMemory(name string, base uint64, size int) *ECCMemory {
 	return &ECCMemory{name: name, base: base, mem: sim.NewPagedState(size/4, codewordBytes, zeroCodeword)}
 }
 
-// Name reports the instance name.
-func (m *ECCMemory) Name() string { return m.name }
-
 // Stats reports corrected and uncorrectable error counts — the
 // diagnostic-coverage evidence for FMEDA.
 func (m *ECCMemory) Stats() (corrected, uncorrectable uint64) {

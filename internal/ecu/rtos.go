@@ -129,9 +129,6 @@ func (s *Scheduler) Run() error {
 	return s.k.Run(s.Horizon)
 }
 
-// Records reports every job's timing.
-func (s *Scheduler) Records() []JobRecord { return s.records }
-
 // Misses reports the deadline-miss count.
 func (s *Scheduler) Misses() int { return s.misses }
 
@@ -141,17 +138,6 @@ func (s *Scheduler) ObservedMisses() int {
 	n := 0
 	for _, r := range s.records {
 		if r.ObservedMissed {
-			n++
-		}
-	}
-	return n
-}
-
-// MissesFor reports misses of one task.
-func (s *Scheduler) MissesFor(name string) int {
-	n := 0
-	for _, r := range s.records {
-		if r.Task == name && r.Missed {
 			n++
 		}
 	}

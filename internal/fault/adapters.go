@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/rtl"
-	"repro/internal/sim"
 	"repro/internal/tlm"
 )
 
@@ -35,57 +33,6 @@ func MemoryInjector(site string, m *tlm.Memory) Injector {
 				// A flip is a state change, not a persistent fault —
 				// nothing to revert.
 			}
-			return nil
-		},
-	}
-}
-
-// NetInjector serves stuck-at/open faults on one net of an rtl
-// evaluator.
-func NetInjector(site string, e *rtl.Evaluator, n rtl.Net) Injector {
-	return &FuncInjector{
-		SiteName: site,
-		Models:   []Model{StuckAt0, StuckAt1, Open, ShortToGround, ShortToSupply},
-		InjectFn: func(d Descriptor) error {
-			switch d.Model {
-			case StuckAt0, ShortToGround:
-				e.InjectFault(n, rtl.FaultStuckAt0)
-			case StuckAt1, ShortToSupply:
-				e.InjectFault(n, rtl.FaultStuckAt1)
-			case Open:
-				e.InjectFault(n, rtl.FaultOpen)
-			default:
-				return fmt.Errorf("fault: %s on net site %s", d.Model, site)
-			}
-			return nil
-		},
-		RevertFn: func(d Descriptor) error {
-			e.ClearFaults()
-			return nil
-		},
-	}
-}
-
-// SignalInjector serves stuck/short faults on a kernel signal via
-// Force/Release — the saboteur pattern. lowVal and highVal are the
-// forced values for the 0/1 rails of the signal's value type.
-func SignalInjector[T comparable](site string, s *sim.Signal[T], lowVal, highVal T) Injector {
-	return &FuncInjector{
-		SiteName: site,
-		Models:   []Model{StuckAt0, StuckAt1, ShortToGround, ShortToSupply},
-		InjectFn: func(d Descriptor) error {
-			switch d.Model {
-			case StuckAt0, ShortToGround:
-				s.Force(lowVal)
-			case StuckAt1, ShortToSupply:
-				s.Force(highVal)
-			default:
-				return fmt.Errorf("fault: %s on signal site %s", d.Model, site)
-			}
-			return nil
-		},
-		RevertFn: func(d Descriptor) error {
-			s.Release()
 			return nil
 		},
 	}

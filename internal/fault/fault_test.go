@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/tlm"
 )
@@ -77,9 +76,6 @@ func TestClassificationOrder(t *testing.T) {
 	}
 	if DetectedSafe.IsFailure() || Masked.IsFailure() {
 		t.Error("non-failures flagged")
-	}
-	if !Latent.IsDangerous() || Masked.IsDangerous() {
-		t.Error("IsDangerous wrong")
 	}
 }
 
@@ -238,70 +234,6 @@ func TestMemoryInjectorAdapter(t *testing.T) {
 	}
 	if err := inj.Inject(Descriptor{Name: "x", Model: Open, Target: "ecu.ram"}); err == nil {
 		t.Error("unsupported model on memory accepted")
-	}
-}
-
-func TestNetInjectorAdapter(t *testing.T) {
-	c := rtl.NewCircuit("c")
-	a := c.Input("a")
-	y := c.Buf(a)
-	c.Output("y", y)
-	e, err := rtl.NewEvaluator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := NetInjector("c.mid", e, y)
-	for _, tc := range []struct {
-		m    Model
-		want rtl.Logic
-	}{
-		{StuckAt0, rtl.L0}, {ShortToGround, rtl.L0},
-		{StuckAt1, rtl.L1}, {ShortToSupply, rtl.L1},
-		{Open, rtl.LX},
-	} {
-		if err := inj.Inject(Descriptor{Name: "f", Model: tc.m, Target: "c.mid"}); err != nil {
-			t.Fatal(err)
-		}
-		e.SetInputNet(a, rtl.L1)
-		e.Eval()
-		if got := e.Value(y); got != tc.want {
-			t.Errorf("%s: y = %s, want %s", tc.m, got, tc.want)
-		}
-		if err := inj.Revert(Descriptor{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.SetInputNet(a, rtl.L1)
-	e.Eval()
-	if got := e.Value(y); got != rtl.L1 {
-		t.Errorf("after revert: y = %s", got)
-	}
-}
-
-func TestSignalInjectorAdapter(t *testing.T) {
-	k := sim.NewKernel()
-	s := sim.NewSignal(k, "sig", 5.0)
-	inj := SignalInjector("top.sig", s, 0.0, 12.0)
-	if err := inj.Inject(Descriptor{Name: "f", Model: ShortToSupply, Target: "top.sig"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Read() != 12.0 {
-		t.Errorf("forced = %v", s.Read())
-	}
-	if err := inj.Inject(Descriptor{Name: "f", Model: StuckAt0, Target: "top.sig"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Read() != 0.0 {
-		t.Errorf("forced low = %v", s.Read())
-	}
-	if err := inj.Revert(Descriptor{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Read() != 5.0 {
-		t.Errorf("released = %v", s.Read())
-	}
-	if err := inj.Inject(Descriptor{Name: "f", Model: Delay, Target: "top.sig"}); err == nil {
-		t.Error("unsupported model accepted")
 	}
 }
 

@@ -109,12 +109,6 @@ func (r *Registry) MustRegister(inj Injector) {
 	}
 }
 
-// Lookup resolves a site name.
-func (r *Registry) Lookup(site string) (Injector, bool) {
-	inj, ok := r.sites[site]
-	return inj, ok
-}
-
 // Sites lists registered site names, sorted (deterministic fault-space
 // enumeration).
 func (r *Registry) Sites() []string {

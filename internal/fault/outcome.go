@@ -100,12 +100,6 @@ func (c Classification) IsFailure() bool {
 	return c == SDC || c == TimingViolation || c == SafetyCritical
 }
 
-// IsDangerous reports whether the fault outcome counts as dangerous
-// for FMEDA purposes (failures plus latent errors).
-func (c Classification) IsDangerous() bool {
-	return c.IsFailure() || c == Latent
-}
-
 // Outcome is the record of one injected scenario.
 type Outcome struct {
 	// Scenario is the injected fault set.

@@ -11,11 +11,11 @@ func TestParseDuration(t *testing.T) {
 		in   string
 		want sim.Time
 	}{
-		{"7ps", sim.PS(7)},
+		{"7ps", 7 * sim.Picosecond},
 		{"500ns", sim.NS(500)},
 		{"200us", sim.US(200)},
 		{"10ms", sim.MS(10)},
-		{"3s", sim.Sec(3)},
+		{"3s", 3 * sim.Second},
 		{"1.5ms", sim.US(1500)},
 	}
 	for _, c := range cases {

@@ -1,10 +1,5 @@
 package mdl
 
-import (
-	"fmt"
-	"strings"
-)
-
 // NodeID addresses one AST node for mutation schemata: the parser
 // assigns dense IDs in visitation order, so a (program, NodeID) pair
 // uniquely names a mutation site.
@@ -15,14 +10,12 @@ type Expr interface {
 	exprNode()
 	// ID reports the node's mutation address.
 	ID() NodeID
-	print(b *strings.Builder)
 }
 
 // Stmt is a statement node.
 type Stmt interface {
 	stmtNode()
 	ID() NodeID
-	print(b *strings.Builder, indent int)
 }
 
 // IntLit is an integer literal.
@@ -155,111 +148,10 @@ type Func struct {
 // Program is a parsed MDL source file.
 type Program struct {
 	Funcs map[string]*Func
-	// Order preserves declaration order for printing.
+	// Order preserves declaration order.
 	Order []string
 	// NumNodes is the number of AST nodes (IDs are 0..NumNodes-1).
 	NumNodes int
 	// Source is the original text (for error messages and reports).
 	Source string
-}
-
-// ---- Printer (used to materialize textual mutants) ----
-
-func (e *IntLit) print(b *strings.Builder)  { fmt.Fprintf(b, "%d", e.Val) }
-func (e *BoolLit) print(b *strings.Builder) { fmt.Fprintf(b, "%v", e.Val) }
-func (e *VarRef) print(b *strings.Builder)  { b.WriteString(e.Name) }
-
-func (e *Binary) print(b *strings.Builder) {
-	b.WriteByte('(')
-	e.L.print(b)
-	fmt.Fprintf(b, " %s ", e.Op)
-	e.R.print(b)
-	b.WriteByte(')')
-}
-
-func (e *Unary) print(b *strings.Builder) {
-	b.WriteString(e.Op.String())
-	b.WriteByte('(')
-	e.X.print(b)
-	b.WriteByte(')')
-}
-
-func (e *Call) print(b *strings.Builder) {
-	b.WriteString(e.Name)
-	b.WriteByte('(')
-	for i, a := range e.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		a.print(b)
-	}
-	b.WriteByte(')')
-}
-
-func pad(b *strings.Builder, n int) { b.WriteString(strings.Repeat("  ", n)) }
-
-func (s *Let) print(b *strings.Builder, indent int) {
-	pad(b, indent)
-	fmt.Fprintf(b, "let %s = ", s.Name)
-	s.E.print(b)
-	b.WriteByte('\n')
-}
-
-func (s *Assign) print(b *strings.Builder, indent int) {
-	pad(b, indent)
-	fmt.Fprintf(b, "%s = ", s.Name)
-	s.E.print(b)
-	b.WriteByte('\n')
-}
-
-func printBlock(b *strings.Builder, stmts []Stmt, indent int) {
-	for _, s := range stmts {
-		s.print(b, indent)
-	}
-}
-
-func (s *If) print(b *strings.Builder, indent int) {
-	pad(b, indent)
-	b.WriteString("if ")
-	s.Cond.print(b)
-	b.WriteString(" {\n")
-	printBlock(b, s.Then, indent+1)
-	pad(b, indent)
-	b.WriteString("}")
-	if len(s.Else) > 0 {
-		b.WriteString(" else {\n")
-		printBlock(b, s.Else, indent+1)
-		pad(b, indent)
-		b.WriteString("}")
-	}
-	b.WriteByte('\n')
-}
-
-func (s *While) print(b *strings.Builder, indent int) {
-	pad(b, indent)
-	b.WriteString("while ")
-	s.Cond.print(b)
-	b.WriteString(" {\n")
-	printBlock(b, s.Body, indent+1)
-	pad(b, indent)
-	b.WriteString("}\n")
-}
-
-func (s *Return) print(b *strings.Builder, indent int) {
-	pad(b, indent)
-	b.WriteString("return ")
-	s.E.print(b)
-	b.WriteByte('\n')
-}
-
-// Print renders the program back to parseable MDL source.
-func (p *Program) Print() string {
-	var b strings.Builder
-	for _, name := range p.Order {
-		f := p.Funcs[name]
-		fmt.Fprintf(&b, "func %s(%s) {\n", f.Name, strings.Join(f.Params, ", "))
-		printBlock(&b, f.Body, 1)
-		b.WriteString("}\n")
-	}
-	return b.String()
 }

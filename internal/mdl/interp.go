@@ -72,12 +72,6 @@ func NewInterp(p *Program) *Interp {
 // SetMutation activates a schemata mutant (nil deactivates).
 func (in *Interp) SetMutation(m *SchemataMut) { in.mut = m }
 
-// ResetCoverage clears the statement coverage map.
-func (in *Interp) ResetCoverage() { clear(in.covered) }
-
-// Covered reports the covered statement IDs.
-func (in *Interp) Covered() map[NodeID]bool { return in.covered }
-
 // CoverageFraction reports covered statements over all statements.
 func (in *Interp) CoverageFraction() float64 {
 	all := CollectStmtIDs(in.prog)

@@ -166,8 +166,7 @@ func Schedule(p *Profile, derived []Derived, horizon sim.Time, rng *rand.Rand) [
 	return scenarios
 }
 
-// siteMatch is the same glob dialect as the UVM config DB: '*' spans
-// any run, '?' one character.
+// siteMatch matches a glob: '*' spans any run, '?' one character.
 func siteMatch(pattern, s string) bool {
 	pi, si := 0, 0
 	star, mark := -1, 0

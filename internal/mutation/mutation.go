@@ -176,16 +176,13 @@ func (r *Report) Survivors() []Mutant {
 	return out
 }
 
-// WorkersAuto asks QualifyWith for one worker per available CPU.
-const WorkersAuto = par.Auto
-
 // Options configure a qualification run.
 type Options struct {
 	// Reparse re-parses the model source for every mutant before
 	// execution — the naive rebuild-per-mutant baseline of E9.
 	Reparse bool
 	// Workers selects mutant-execution parallelism: 0 runs mutants
-	// sequentially, N > 0 uses a pool of N goroutines, WorkersAuto
+	// sequentially, N > 0 uses a pool of N goroutines, par.Auto
 	// sizes the pool to GOMAXPROCS. Every mutant executes in its own
 	// interpreter against a read-only program, so the Report is
 	// identical for every setting.

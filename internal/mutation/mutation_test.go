@@ -1,6 +1,7 @@
 package mutation
 
 import (
+	"repro/internal/par"
 	"testing"
 
 	"repro/internal/mdl"
@@ -271,7 +272,7 @@ func TestQualifyWithWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 4, 8, WorkersAuto} {
+		for _, workers := range []int{0, 1, 4, 8, par.Auto} {
 			got, err := QualifyWith(p, suite, Options{Reparse: reparse, Workers: workers})
 			if err != nil {
 				t.Fatalf("reparse=%v workers=%d: %v", reparse, workers, err)

@@ -103,69 +103,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the power-of-two
-// buckets: it walks the cumulative counts to the bucket holding the
-// q-th observation and interpolates linearly inside it, clamping the
-// result to the exactly-tracked [Min, Max] range so small samples never
-// report a value outside what was observed. Returns 0 before any
-// Observe. Like every read, it races benignly with concurrent writers.
-func (h *Histogram) Quantile(q float64) uint64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	// Rank of the target observation, 1-based: ceil(q*n) clamped to [1,n].
-	rank := uint64(q * float64(n))
-	if float64(rank) < q*float64(n) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			// Interpolate inside [lo, le]: bucket i covers
-			// [2^(i-1), 2^i - 1] (bucket 0 holds only zero).
-			le := bucketLe(i)
-			var lo uint64
-			if i > 0 {
-				lo = bucketLe(i-1) + 1
-			}
-			if le == ^uint64(0) {
-				// The open top bucket has no usable width; fall back to
-				// its lower bound and let the Max clamp refine it.
-				le = lo
-			}
-			frac := (float64(rank-cum) - 0.5) / float64(c)
-			v := float64(lo) + frac*float64(le-lo)
-			est := uint64(v)
-			if min := h.Min(); est < min {
-				est = min
-			}
-			if max := h.Max(); est > max {
-				est = max
-			}
-			return est
-		}
-		cum += c
-	}
-	return h.Max()
-}
-
 // snapshot fills the histogram portion of a Metric.
 func (h *Histogram) snapshot() Metric {
 	return Metric{

@@ -5,95 +5,59 @@ import (
 	"testing"
 )
 
-func TestQuantileEmptyAndEdges(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
-	}
-	h.Observe(100)
-	if got := h.Quantile(0); got != 100 {
-		t.Errorf("q=0 -> %d, want Min", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Errorf("q=1 -> %d, want Max", got)
-	}
-	if got := h.Quantile(0.5); got != 100 {
-		t.Errorf("single-sample median = %d, want 100 (clamped to [Min,Max])", got)
-	}
-}
-
-// TestQuantileUniform: on a uniform sample the power-of-two estimate
-// must land within one bucket width (2x relative error) of the truth.
-func TestQuantileUniform(t *testing.T) {
-	var h Histogram
-	for v := uint64(1); v <= 10000; v++ {
-		h.Observe(v)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want uint64
-	}{{0.5, 5000}, {0.9, 9000}, {0.99, 9900}} {
-		got := h.Quantile(tc.q)
-		// Power-of-two buckets guarantee at most 2x relative error.
-		if got < tc.want/2 || got > tc.want*2 {
-			t.Errorf("Quantile(%v) = %d, want within 2x of %d", tc.q, got, tc.want)
+// TestMetricQuantile: the snapshot's estimator, which the report reads,
+// interpolates inside the power-of-two bucket holding the q-th
+// observation and clamps to the exactly tracked [Min, Max].
+func TestMetricQuantile(t *testing.T) {
+	observe := func(vs ...uint64) Metric {
+		var h Histogram
+		for _, v := range vs {
+			h.Observe(v)
 		}
+		return h.snapshot()
 	}
-}
-
-// TestQuantileMonotone: quantiles never decrease in q and always stay
-// inside [Min, Max].
-func TestQuantileMonotone(t *testing.T) {
-	var h Histogram
+	var uniform, random []uint64
+	for v := uint64(1); v <= 10000; v++ {
+		uniform = append(uniform, v)
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
-		h.Observe(uint64(rng.Int63n(1 << 30)))
+		random = append(random, uint64(rng.Int63n(1<<30)))
 	}
-	prev := uint64(0)
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("Quantile(%v) = %d < previous %d", q, v, prev)
+	for _, tc := range []struct {
+		name   string
+		m      Metric
+		q      float64
+		lo, hi uint64 // the estimate's bounds, inclusive
+	}{
+		{"empty", Metric{}, 0.5, 0, 0},
+		{"empty histogram", observe(), 0.5, 0, 0},
+		{"single sample, q=0 is Min", observe(100), 0, 100, 100},
+		{"single sample, q=1 is Max", observe(100), 1, 100, 100},
+		{"single sample, median clamped to [Min,Max]", observe(100), 0.5, 100, 100},
+		// Power-of-two buckets guarantee at most 2x relative error.
+		{"uniform p50", observe(uniform...), 0.5, 2500, 10000},
+		{"uniform p90", observe(uniform...), 0.9, 4500, 18000},
+		{"uniform p99", observe(uniform...), 0.99, 4950, 19800},
+		// Values in the open top bucket (>= 2^63) must not overflow.
+		{"top bucket", observe(^uint64(0), ^uint64(0)-5), 0.99, 1 << 63, ^uint64(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.m.Quantile(tc.q); got < tc.lo || got > tc.hi {
+				t.Errorf("Quantile(%v) = %d, want in [%d, %d]", tc.q, got, tc.lo, tc.hi)
+			}
+		})
+	}
+	// Quantiles never decrease in q and always stay inside [Min, Max].
+	t.Run("monotone", func(t *testing.T) {
+		m := observe(random...)
+		prev := uint64(0)
+		for q := 0.0; q <= 1.0; q += 0.05 {
+			v := m.Quantile(q)
+			if v < prev || v < m.Min || v > m.Max {
+				t.Fatalf("Quantile(%v) = %d: previous %d, range [%d, %d]", q, v, prev, m.Min, m.Max)
+			}
+			prev = v
 		}
-		if v < h.Min() || v > h.Max() {
-			t.Fatalf("Quantile(%v) = %d outside [%d, %d]", q, v, h.Min(), h.Max())
-		}
-		prev = v
-	}
-}
-
-// TestQuantileTopBucket: values in the open top bucket (>= 2^63) must
-// not overflow the estimator.
-func TestQuantileTopBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(^uint64(0))
-	h.Observe(^uint64(0) - 5)
-	if got := h.Quantile(0.99); got < 1<<63 {
-		t.Errorf("top-bucket quantile = %d, want >= 2^63", got)
-	}
-}
-
-// TestMetricQuantileMatchesHistogram: the snapshot-side estimator
-// agrees with the live one (both interpolate the same fixed layout).
-func TestMetricQuantileMatchesHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("dur")
-	for v := uint64(1); v <= 3000; v++ {
-		h.Observe(v)
-	}
-	var m Metric
-	for _, s := range r.Snapshot() {
-		if s.Name == "dur" {
-			m = s
-		}
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		if live, snap := h.Quantile(q), m.Quantile(q); live != snap {
-			t.Errorf("q=%v: live %d != snapshot %d", q, live, snap)
-		}
-	}
-	var empty Metric
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty Metric quantile != 0")
-	}
+	})
 }

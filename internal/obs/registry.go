@@ -206,9 +206,11 @@ func (m Metric) Label(key string) string {
 }
 
 // Quantile estimates the q-quantile of a histogram Metric from its
-// snapshot buckets, with the same interpolate-and-clamp scheme as
-// Histogram.Quantile. Non-histogram metrics and empty histograms
-// return 0.
+// snapshot buckets: it walks the cumulative counts to the bucket
+// holding the q-th observation and interpolates linearly inside it,
+// clamping the result to the exactly tracked [Min, Max] range so small
+// samples never report a value outside what was observed.
+// Non-histogram metrics and empty histograms return 0.
 func (m Metric) Quantile(q float64) uint64 {
 	if m.Count == 0 || len(m.Buckets) == 0 {
 		return 0

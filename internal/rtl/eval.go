@@ -45,21 +45,18 @@ func (k FaultKind) overlay() Logic {
 	}
 }
 
-// Evaluator executes a compiled netlist: levelized evaluation of the
-// combinational cloud plus a Tick operation that clocks every
-// flip-flop. Net-level faults overlay evaluation results without
-// modifying the netlist — the "design should not be changed" injection
-// requirement of Sec. 3.3.
+// Evaluator executes a compiled netlist by levelized evaluation of its
+// combinational cloud. Net-level faults overlay evaluation results
+// without modifying the netlist — the "design should not be changed"
+// injection requirement of Sec. 3.3.
 type Evaluator struct {
 	c     *Circuit
 	val   []Logic
-	order []int // combinational gate indices in topological order
-	dffs  []int // DFF gate indices
+	order []int // gate indices in topological order
 
 	faults map[Net]FaultKind
 	// evals counts gate evaluations, the cost metric for experiment E1.
 	evals uint64
-	ticks uint64
 }
 
 // NewEvaluator compiles the circuit; it fails on combinational loops.
@@ -73,25 +70,15 @@ func NewEvaluator(c *Circuit) (*Evaluator, error) {
 		e.val[i] = LX
 	}
 
-	// Kahn topological sort over combinational gates. DFF outputs act
-	// as sources (their value is state), DFF inputs as sinks.
-	consumers := make([][]int, c.numNets) // net -> combinational gates reading it
+	// Kahn topological sort over the gates.
+	consumers := make([][]int, c.numNets) // net -> gates reading it
 	indeg := make([]int, len(c.gates))
 	for gi := range c.gates {
-		g := &c.gates[gi]
-		if g.Kind == GateDFF {
-			e.dffs = append(e.dffs, gi)
-			e.val[g.Out] = g.Const
-			continue
-		}
-		if g.Kind == GateConst {
-			continue // no inputs
-		}
-		for _, in := range g.In {
+		for _, in := range c.gates[gi].In {
 			consumers[in] = append(consumers[in], gi)
 		}
 	}
-	// A combinational gate depends on the gates driving its inputs.
+	// A gate depends on the gates driving its inputs.
 	driver := make([]int, c.numNets)
 	for i := range driver {
 		driver[i] = -1
@@ -99,22 +86,12 @@ func NewEvaluator(c *Circuit) (*Evaluator, error) {
 	for gi := range c.gates {
 		driver[c.gates[gi].Out] = gi
 	}
-	for gi := range c.gates {
-		g := &c.gates[gi]
-		if g.Kind == GateDFF || g.Kind == GateConst {
-			continue
-		}
-		for _, in := range g.In {
-			if d := driver[in]; d >= 0 && c.gates[d].Kind != GateDFF {
-				indeg[gi]++
-			}
-		}
-	}
 	var queue []int
 	for gi := range c.gates {
-		g := &c.gates[gi]
-		if g.Kind == GateDFF {
-			continue
+		for _, in := range c.gates[gi].In {
+			if driver[in] >= 0 {
+				indeg[gi]++
+			}
 		}
 		if indeg[gi] == 0 {
 			queue = append(queue, gi)
@@ -131,29 +108,10 @@ func NewEvaluator(c *Circuit) (*Evaluator, error) {
 			}
 		}
 	}
-	combCount := 0
-	for gi := range c.gates {
-		if c.gates[gi].Kind != GateDFF {
-			combCount++
-		}
-	}
-	if len(e.order) != combCount {
+	if len(e.order) != len(c.gates) {
 		return nil, fmt.Errorf("rtl: circuit %q has a combinational loop", c.name)
 	}
 	return e, nil
-}
-
-// Circuit reports the compiled netlist.
-func (e *Evaluator) Circuit() *Circuit { return e.c }
-
-// SetInput drives a primary input by name.
-func (e *Evaluator) SetInput(name string, v Logic) error {
-	n, ok := e.c.byName[name]
-	if !ok {
-		return fmt.Errorf("rtl: no net %q in %s", name, e.c.name)
-	}
-	e.val[n] = e.faulted(n, v)
-	return nil
 }
 
 // SetInputNet drives a primary input net directly.
@@ -171,15 +129,6 @@ func (e *Evaluator) SetBus(bus []Net, v uint64) {
 
 // Value reads the current value of any net (post-fault-overlay).
 func (e *Evaluator) Value(n Net) Logic { return e.val[n] }
-
-// ValueByName reads a named net.
-func (e *Evaluator) ValueByName(name string) (Logic, error) {
-	n, ok := e.c.byName[name]
-	if !ok {
-		return LX, fmt.Errorf("rtl: no net %q in %s", name, e.c.name)
-	}
-	return e.val[n], nil
-}
 
 // BusValue reads a bus as an integer; ok is false when any bit is
 // unknown.
@@ -208,7 +157,7 @@ func (e *Evaluator) faulted(n Net, v Logic) Logic {
 	return v
 }
 
-// Eval settles the combinational cloud given current inputs and state.
+// Eval settles the combinational cloud given the current inputs.
 func (e *Evaluator) Eval() {
 	for _, gi := range e.order {
 		g := &e.c.gates[gi]
@@ -217,63 +166,11 @@ func (e *Evaluator) Eval() {
 	}
 }
 
-// Tick runs one clock cycle: settle combinational logic, capture every
-// flip-flop's D input, then settle again so outputs reflect new state.
-func (e *Evaluator) Tick() {
-	e.Eval()
-	next := make([]Logic, len(e.dffs))
-	for i, gi := range e.dffs {
-		next[i] = e.val[e.c.gates[gi].In[0]]
-	}
-	for i, gi := range e.dffs {
-		g := &e.c.gates[gi]
-		e.val[g.Out] = e.faulted(g.Out, next[i])
-	}
-	e.ticks++
-	e.Eval()
-}
-
-// Reset restores every flip-flop to its initial state and clears nets
-// to unknown (inputs must be re-driven).
-func (e *Evaluator) Reset() {
-	for i := range e.val {
-		e.val[i] = LX
-	}
-	for _, gi := range e.dffs {
-		g := &e.c.gates[gi]
-		e.val[g.Out] = g.Const
-	}
-}
-
 // InjectFault overlays a fault on a net until ClearFaults. Injection
-// takes effect at the next Eval/Tick.
+// takes effect at the next Eval.
 func (e *Evaluator) InjectFault(n Net, kind FaultKind) {
 	e.faults[n] = kind
 }
-
-// InjectFaultByName overlays a fault on a named net.
-func (e *Evaluator) InjectFaultByName(name string, kind FaultKind) error {
-	n, ok := e.c.byName[name]
-	if !ok {
-		return fmt.Errorf("rtl: no net %q in %s", name, e.c.name)
-	}
-	e.InjectFault(n, kind)
-	return nil
-}
-
-// FlipState inverts the current value of flip-flop i (an SEU in a
-// register bit). Unknown state flips to unknown.
-func (e *Evaluator) FlipState(i int) {
-	gi := e.dffs[i]
-	out := e.c.gates[gi].Out
-	e.val[out] = e.val[out].Not()
-}
-
-// NumState reports the number of flip-flops.
-func (e *Evaluator) NumState() int { return len(e.dffs) }
-
-// StateNet reports the Q net of flip-flop i (an injection site).
-func (e *Evaluator) StateNet(i int) Net { return e.c.gates[e.dffs[i]].Out }
 
 // ClearFaults removes all fault overlays; values refresh on next Eval.
 func (e *Evaluator) ClearFaults() {
@@ -282,6 +179,3 @@ func (e *Evaluator) ClearFaults() {
 
 // GateEvals reports the cumulative number of gate evaluations.
 func (e *Evaluator) GateEvals() uint64 { return e.evals }
-
-// Ticks reports the cumulative number of clock cycles.
-func (e *Evaluator) Ticks() uint64 { return e.ticks }

@@ -6,21 +6,19 @@ import (
 
 // KernelCircuit runs a netlist as event-driven processes on the
 // simulation kernel: one method process per combinational gate,
-// sensitive to its input nets' value-changed events, and one clock
-// process for the flip-flops. This is the classic (and deliberately
-// expensive) gate-level event simulation, the bottom rung of the
-// abstraction ladder measured by experiment E1. For fault campaigns
+// sensitive to its input nets' value-changed events. This is the
+// classic (and deliberately expensive) gate-level event simulation, the
+// bottom rung of the abstraction ladder measured by experiment E1. For fault campaigns
 // use the levelized Evaluator instead; for cost comparison use this.
 type KernelCircuit struct {
 	k    *sim.Kernel
 	c    *Circuit
 	sigs []*sim.Signal[Logic]
-	clk  *sim.Event
 }
 
 // BindKernel elaborates the circuit onto the kernel.
 func BindKernel(k *sim.Kernel, c *Circuit) *KernelCircuit {
-	kc := &KernelCircuit{k: k, c: c, clk: k.NewEvent(c.name + ".clk")}
+	kc := &KernelCircuit{k: k, c: c}
 	kc.sigs = make([]*sim.Signal[Logic], c.numNets)
 	for n := 0; n < c.numNets; n++ {
 		kc.sigs[n] = sim.NewSignal(k, c.NetName(Net(n)), LX)
@@ -29,14 +27,6 @@ func BindKernel(k *sim.Kernel, c *Circuit) *KernelCircuit {
 	for gi := range c.gates {
 		g := &c.gates[gi]
 		switch g.Kind {
-		case GateDFF:
-			d := kc.sigs[g.In[0]]
-			q := kc.sigs[g.Out]
-			// Initialize state; the write commits in the first delta.
-			q.Write(g.Const)
-			k.MethodNoInit(c.name+".dff", func() {
-				q.Write(d.Read())
-			}, kc.clk)
 		case GateConst:
 			out := kc.sigs[g.Out]
 			v := g.Const
@@ -86,19 +76,4 @@ func (kc *KernelCircuit) ReadBus(bus []Net) (v uint64, ok bool) {
 		}
 	}
 	return v, ok
-}
-
-// Signal exposes a net's underlying signal (for Force-based saboteur
-// injection).
-func (kc *KernelCircuit) Signal(n Net) *sim.Signal[Logic] { return kc.sigs[n] }
-
-// Clk returns the shared flip-flop clock event.
-func (kc *KernelCircuit) Clk() *sim.Event { return kc.clk }
-
-// Step advances one clock cycle from a thread process: it lets the
-// combinational cloud settle, fires the clock, and settles again.
-func (kc *KernelCircuit) Step(ctx *sim.ThreadCtx, period sim.Time) {
-	ctx.WaitTime(period / 2)
-	kc.clk.Notify(0)
-	ctx.WaitTime(period - period/2)
 }

@@ -38,70 +38,6 @@ func RippleSubtractor(c *Circuit, a, b []Net) (diff []Net, noBorrow Net) {
 	return RippleAdder(c, a, nb, c.Const(L1))
 }
 
-// EqComparator inserts an equality comparator over two buses.
-func EqComparator(c *Circuit, a, b []Net) Net {
-	if len(a) != len(b) {
-		panic("rtl: EqComparator width mismatch")
-	}
-	bits := make([]Net, len(a))
-	for i := range a {
-		bits[i] = c.Xnor(a[i], b[i])
-	}
-	return c.And(bits...)
-}
-
-// Majority3 inserts a one-bit 2-of-3 majority voter.
-func Majority3(c *Circuit, a, b, d Net) Net {
-	return c.Or(c.And(a, b), c.And(a, d), c.And(b, d))
-}
-
-// TMRVoter inserts a bitwise 2-of-3 majority voter over three buses —
-// the classic triple-modular-redundancy safety mechanism. All buses
-// must have equal width.
-func TMRVoter(c *Circuit, a, b, d []Net) []Net {
-	if len(a) != len(b) || len(b) != len(d) {
-		panic("rtl: TMRVoter width mismatch")
-	}
-	out := make([]Net, len(a))
-	for i := range a {
-		out[i] = Majority3(c, a[i], b[i], d[i])
-	}
-	return out
-}
-
-// Parity inserts an even-parity generator over a bus.
-func Parity(c *Circuit, bus []Net) Net {
-	return c.Xor(bus...)
-}
-
-// CRC8Step inserts one byte-wide step of CRC-8 (polynomial 0x07,
-// MSB-first): given the current CRC register bus and a data byte bus
-// (both 8 bits, LSB first), it returns the next CRC bus. Chaining
-// steps yields a combinational multi-byte CRC — the end-to-end
-// protection code used by the CAPS communication experiments.
-func CRC8Step(c *Circuit, crc, data []Net) []Net {
-	if len(crc) != 8 || len(data) != 8 {
-		panic("rtl: CRC8Step requires 8-bit buses")
-	}
-	cur := make([]Net, 8)
-	for i := 0; i < 8; i++ {
-		cur[i] = c.Xor(crc[i], data[i])
-	}
-	// Process 8 bit-shifts MSB-first: out = (cur<<1) ^ (msb ? 0x07 : 0).
-	for step := 0; step < 8; step++ {
-		msb := cur[7]
-		next := make([]Net, 8)
-		next[0] = c.Mux2(msb, c.Const(L0), c.Const(L1)) // bit0 ^= msb&1
-		next[1] = c.Mux2(msb, cur[0], c.Not(cur[0]))    // bit1 ^= msb&1
-		next[2] = c.Mux2(msb, cur[1], c.Not(cur[1]))    // bit2 ^= msb&1
-		for i := 3; i < 8; i++ {
-			next[i] = cur[i-1]
-		}
-		cur = next
-	}
-	return cur
-}
-
 // ALUOp selects an ALU operation (3-bit op bus encoding).
 type ALUOp uint8
 
@@ -224,8 +160,7 @@ func ALUGolden(op ALUOp, a, b uint64, width int) (y uint64, carry, zero bool) {
 	return y, carry, y == 0
 }
 
-// CRC8 computes the software reference CRC-8 (poly 0x07, init 0x00)
-// matching CRC8Step chains.
+// CRC8 computes the software reference CRC-8 (poly 0x07, init 0x00).
 func CRC8(data []byte) byte {
 	var crc byte
 	for _, d := range data {

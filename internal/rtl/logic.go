@@ -1,9 +1,9 @@
 // Package rtl implements a gate-level / register-transfer-level logic
-// simulation substrate: structural netlists of primitive gates and
-// flip-flops over four-state logic, a fast levelized evaluator with
-// stuck-at and bit-flip fault overlays, a library of synthesizable
-// circuits (adders, comparators, TMR voters, CRC, a small ALU), and an
-// adapter that runs a netlist as processes on the event-driven kernel.
+// simulation substrate: structural netlists of primitive gates over
+// four-state logic, a fast levelized evaluator with stuck-at and open
+// fault overlays, a library of synthesizable circuits (adders and a
+// small ALU), and an adapter that runs a netlist as processes on the
+// event-driven kernel.
 //
 // This is the "RTL and gate-level analysis" substrate of Sec. 2.2 of
 // the paper: errors are injected "as bit value flips in memory cells or

@@ -32,15 +32,12 @@ const (
 	GateMux
 	// GateConst drives a constant (stored in Const).
 	GateConst
-	// GateDFF is a rising-edge D flip-flop (state element; clocked by
-	// the evaluator's Tick, not by a net).
-	GateDFF
 )
 
 var gateKindNames = map[GateKind]string{
 	GateBuf: "buf", GateNot: "not", GateAnd: "and", GateOr: "or",
 	GateNand: "nand", GateNor: "nor", GateXor: "xor", GateXnor: "xnor",
-	GateMux: "mux", GateConst: "const", GateDFF: "dff",
+	GateMux: "mux", GateConst: "const",
 }
 
 // String names the gate kind.
@@ -56,38 +53,31 @@ type Gate struct {
 	Kind  GateKind
 	In    []Net
 	Out   Net
-	Const Logic // for GateConst; initial state for GateDFF
+	Const Logic // for GateConst
 }
 
 // Circuit is a structural netlist under construction. Build it with
-// the Input/And/Or/.../DFF methods, mark observable nets with Output,
+// the Input/And/Or/... methods, mark observable nets with Output,
 // then compile it into an Evaluator.
 type Circuit struct {
 	name    string
 	numNets int
 	gates   []Gate
 
-	inputs      []Net
-	inputNames  []string
-	outputs     []Net
-	outputNames []string
+	outputs []Net
 
 	netName map[Net]string
-	byName  map[string]Net
 }
 
 // NewCircuit creates an empty netlist.
 func NewCircuit(name string) *Circuit {
-	return &Circuit{name: name, netName: make(map[Net]string), byName: make(map[string]Net)}
+	return &Circuit{name: name, netName: make(map[Net]string)}
 }
-
-// Name reports the circuit name.
-func (c *Circuit) Name() string { return c.name }
 
 // NumNets reports the number of wires.
 func (c *Circuit) NumNets() int { return c.numNets }
 
-// NumGates reports the number of cells (including flip-flops).
+// NumGates reports the number of cells.
 func (c *Circuit) NumGates() int { return len(c.gates) }
 
 // Gates exposes the cell list (read-only use).
@@ -106,7 +96,6 @@ func (c *Circuit) nameNet(n Net, name string) {
 		return
 	}
 	c.netName[n] = name
-	c.byName[name] = n
 }
 
 // NetName reports the name of a net ("n<id>" when unnamed).
@@ -117,18 +106,10 @@ func (c *Circuit) NetName(n Net) string {
 	return "n" + strconv.Itoa(int(n))
 }
 
-// NetByName resolves a named net; ok is false when unknown.
-func (c *Circuit) NetByName(name string) (Net, bool) {
-	n, ok := c.byName[name]
-	return n, ok
-}
-
 // Input declares a primary input wire.
 func (c *Circuit) Input(name string) Net {
 	n := c.newNet()
 	c.nameNet(n, name)
-	c.inputs = append(c.inputs, n)
-	c.inputNames = append(c.inputNames, name)
 	return n
 }
 
@@ -146,7 +127,6 @@ func (c *Circuit) InputBus(name string, width int) []Net {
 func (c *Circuit) Output(name string, n Net) {
 	c.nameNet(n, name)
 	c.outputs = append(c.outputs, n)
-	c.outputNames = append(c.outputNames, name)
 }
 
 // OutputBus marks width nets as outputs named name0.., LSB first.
@@ -155,12 +135,6 @@ func (c *Circuit) OutputBus(name string, bus []Net) {
 		c.Output(fmt.Sprintf("%s%d", name, i), n)
 	}
 }
-
-// Inputs reports the primary input nets in declaration order.
-func (c *Circuit) Inputs() []Net { return c.inputs }
-
-// Outputs reports the primary output nets in declaration order.
-func (c *Circuit) Outputs() []Net { return c.outputs }
 
 // addGate appends a cell and returns its output net.
 func (c *Circuit) addGate(kind GateKind, in ...Net) Net {
@@ -181,17 +155,11 @@ func (c *Circuit) And(in ...Net) Net { return c.addGate(GateAnd, in...) }
 // Or inserts an n-input OR.
 func (c *Circuit) Or(in ...Net) Net { return c.addGate(GateOr, in...) }
 
-// Nand inserts an n-input NAND.
-func (c *Circuit) Nand(in ...Net) Net { return c.addGate(GateNand, in...) }
-
 // Nor inserts an n-input NOR.
 func (c *Circuit) Nor(in ...Net) Net { return c.addGate(GateNor, in...) }
 
 // Xor inserts an n-input XOR (parity).
 func (c *Circuit) Xor(in ...Net) Net { return c.addGate(GateXor, in...) }
-
-// Xnor inserts an n-input XNOR.
-func (c *Circuit) Xnor(in ...Net) Net { return c.addGate(GateXnor, in...) }
 
 // Mux2 inserts a 2:1 multiplexer: out = sel ? b : a.
 func (c *Circuit) Mux2(sel, a, b Net) Net { return c.addGate(GateMux, sel, a, b) }
@@ -200,14 +168,6 @@ func (c *Circuit) Mux2(sel, a, b Net) Net { return c.addGate(GateMux, sel, a, b)
 func (c *Circuit) Const(v Logic) Net {
 	out := c.newNet()
 	c.gates = append(c.gates, Gate{Kind: GateConst, Out: out, Const: v})
-	return out
-}
-
-// DFF inserts a rising-edge flip-flop with initial state init; it
-// returns the Q net. All flip-flops share the evaluator's single clock.
-func (c *Circuit) DFF(d Net, init Logic) Net {
-	out := c.newNet()
-	c.gates = append(c.gates, Gate{Kind: GateDFF, In: []Net{d}, Out: out, Const: init})
 	return out
 }
 

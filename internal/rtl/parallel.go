@@ -1,9 +1,5 @@
 package rtl
 
-import (
-	"fmt"
-)
-
 // ParallelEvaluator is a two-valued, bit-parallel evaluator: each net
 // holds a 64-bit word carrying 64 independent stimulus patterns, so
 // one pass over the netlist simulates 64 vectors (the classic PPSFP —
@@ -28,15 +24,11 @@ type ParallelEvaluator struct {
 	evals uint64
 }
 
-// NewParallelEvaluator compiles the circuit; it rejects netlists with
-// flip-flops (fault grading targets combinational cones).
+// NewParallelEvaluator compiles the circuit.
 func NewParallelEvaluator(c *Circuit) (*ParallelEvaluator, error) {
 	base, err := NewEvaluator(c)
 	if err != nil {
 		return nil, err
-	}
-	if base.NumState() > 0 {
-		return nil, fmt.Errorf("rtl: ParallelEvaluator requires a combinational circuit (%d flip-flops present)", base.NumState())
 	}
 	return &ParallelEvaluator{c: c, val: make([]uint64, c.numNets), order: base.order}, nil
 }
@@ -118,12 +110,6 @@ func (e *ParallelEvaluator) Eval() {
 		e.evals++
 	}
 }
-
-// Value reads a net's 64-pattern word.
-func (e *ParallelEvaluator) Value(n Net) uint64 { return e.val[n] }
-
-// GateEvals reports cumulative gate evaluations (64 patterns each).
-func (e *ParallelEvaluator) GateEvals() uint64 { return e.evals }
 
 // FaultGradeResult summarizes a stuck-at fault-grading run.
 type FaultGradeResult struct {

@@ -49,20 +49,11 @@ func TestParallelMatchesSerialEvaluation(t *testing.T) {
 		se.Eval()
 		for b, n := range alu.Y {
 			sBit, _ := se.Value(n).Bool()
-			pBit := pe.Value(n)>>uint(pi)&1 == 1
+			pBit := pe.val[n]>>uint(pi)&1 == 1
 			if sBit != pBit {
 				t.Fatalf("pattern %d output bit %d: serial %v, parallel %v", pi, b, sBit, pBit)
 			}
 		}
-	}
-}
-
-func TestParallelRejectsSequential(t *testing.T) {
-	c := NewCircuit("seq")
-	d := c.Input("d")
-	c.Output("q", c.DFF(d, L0))
-	if _, err := NewParallelEvaluator(c); err == nil {
-		t.Error("sequential circuit accepted")
 	}
 }
 
@@ -157,7 +148,7 @@ func TestPropertyParallelLaneZero(t *testing.T) {
 		se.Eval()
 		for _, n := range alu.Y {
 			sBit, _ := se.Value(n).Bool()
-			if (pe.Value(n)&1 == 1) != sBit {
+			if (pe.val[n]&1 == 1) != sBit {
 				return false
 			}
 		}

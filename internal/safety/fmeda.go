@@ -2,7 +2,6 @@ package safety
 
 import (
 	"fmt"
-	"sort"
 )
 
 // ASIL is an ISO 26262 Automotive Safety Integrity Level.
@@ -158,46 +157,4 @@ func (r *FMEDAResult) String() string {
 	return fmt.Sprintf("total=%.1f FIT safe=%.1f DD=%.1f DU=%.1f latent=%.1f SPFM=%.2f%% LFM=%.2f%% PMHF=%.3g/h -> %s",
 		r.TotalFIT, r.SafeFIT, r.DangerousDetectedFIT, r.DangerousUndetectedFIT, r.LatentFIT,
 		r.SPFM*100, r.LFM*100, r.PMHF, r.ASIL())
-}
-
-// Worksheet is a buildable FMEDA table with per-component grouping.
-type Worksheet struct {
-	Modes []FailureMode
-}
-
-// Add appends a row.
-func (w *Worksheet) Add(m FailureMode) { w.Modes = append(w.Modes, m) }
-
-// ByComponent groups rates per component, sorted by descending
-// dangerous-undetected contribution — the FMEDA weak-spot list.
-func (w *Worksheet) ByComponent() []ComponentContribution {
-	agg := map[string]*ComponentContribution{}
-	for _, m := range w.Modes {
-		c := agg[m.Component]
-		if c == nil {
-			c = &ComponentContribution{Component: m.Component}
-			agg[m.Component] = c
-		}
-		dang := m.RateFIT * (1 - m.SafeFraction)
-		c.TotalFIT += m.RateFIT
-		c.DangerousUndetectedFIT += dang * (1 - m.DiagnosticCoverage)
-	}
-	out := make([]ComponentContribution, 0, len(agg))
-	for _, c := range agg {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DangerousUndetectedFIT != out[j].DangerousUndetectedFIT {
-			return out[i].DangerousUndetectedFIT > out[j].DangerousUndetectedFIT
-		}
-		return out[i].Component < out[j].Component
-	})
-	return out
-}
-
-// ComponentContribution is one row of the weak-spot list.
-type ComponentContribution struct {
-	Component              string
-	TotalFIT               float64
-	DangerousUndetectedFIT float64
 }

@@ -2,9 +2,7 @@
 // analyses the paper surveys in Sec. 2.1: Fault Tree Analysis (FTA)
 // with minimal cut sets and top-event probability, Failure Mode
 // Effects & Diagnostic Analysis (FMEDA) with the ISO 26262 hardware
-// architectural metrics (SPFM, LFM, PMHF) and ASIL determination, and
-// the Fault Propagation and Transformation Calculus (FPTC) of
-// Wallace [4] for component-network failure behaviour.
+// architectural metrics (SPFM, LFM, PMHF) and ASIL determination.
 //
 // These are the analytic baselines the error-effect simulation is
 // compared against (experiment E7 checks that a fault tree synthesized
@@ -28,8 +26,6 @@ const (
 	GateAnd
 	// GateOr fails when any child fails.
 	GateOr
-	// GateKofN fails when at least K children fail.
-	GateKofN
 )
 
 // String names the gate type.
@@ -41,8 +37,6 @@ func (g GateType) String() string {
 		return "AND"
 	case GateOr:
 		return "OR"
-	case GateKofN:
-		return "K-of-N"
 	default:
 		return fmt.Sprintf("GateType(%d)", uint8(g))
 	}
@@ -56,7 +50,6 @@ type Node struct {
 	Name     string
 	Gate     GateType
 	Prob     float64 // basic events only
-	K        int     // K-of-N gates only
 	Children []*Node
 }
 
@@ -75,11 +68,6 @@ func Or(name string, children ...*Node) *Node {
 	return &Node{Name: name, Gate: GateOr, Children: children}
 }
 
-// KofN creates a voting gate that fails when at least k children fail.
-func KofN(name string, k int, children ...*Node) *Node {
-	return &Node{Name: name, Gate: GateKofN, K: k, Children: children}
-}
-
 // Validate checks structural sanity of the tree.
 func (n *Node) Validate() error {
 	switch n.Gate {
@@ -93,10 +81,6 @@ func (n *Node) Validate() error {
 	case GateAnd, GateOr:
 		if len(n.Children) == 0 {
 			return fmt.Errorf("safety: gate %s has no children", n.Name)
-		}
-	case GateKofN:
-		if n.K < 1 || n.K > len(n.Children) {
-			return fmt.Errorf("safety: gate %s K=%d outside 1..%d", n.Name, n.K, len(n.Children))
 		}
 	}
 	for _, c := range n.Children {
@@ -137,7 +121,7 @@ func (n *Node) MinimalCutSets() []CutSet {
 
 // cutSets expands recursively: a basic event is one singleton set; an
 // OR gate unions child expansions; an AND gate forms the cross
-// product; a K-of-N gate ORs the AND of every K-subset.
+// product.
 func (n *Node) cutSets() []CutSet {
 	switch n.Gate {
 	case GateBasic:
@@ -153,26 +137,6 @@ func (n *Node) cutSets() []CutSet {
 		for _, c := range n.Children {
 			out = crossProduct(out, c.cutSets())
 		}
-		return out
-	case GateKofN:
-		var out []CutSet
-		idx := make([]int, n.K)
-		var choose func(start, depth int)
-		choose = func(start, depth int) {
-			if depth == n.K {
-				subset := []CutSet{{}}
-				for _, i := range idx {
-					subset = crossProduct(subset, n.Children[i].cutSets())
-				}
-				out = append(out, subset...)
-				return
-			}
-			for i := start; i <= len(n.Children)-(n.K-depth); i++ {
-				idx[depth] = i
-				choose(i+1, depth+1)
-			}
-		}
-		choose(0, 0)
 		return out
 	default:
 		return nil
@@ -374,8 +338,6 @@ func (n *Node) String() string {
 		switch n.Gate {
 		case GateBasic:
 			fmt.Fprintf(&b, "%s%s p=%g\n", pad, n.Name, n.Prob)
-		case GateKofN:
-			fmt.Fprintf(&b, "%s%s [%d-of-%d]\n", pad, n.Name, n.K, len(n.Children))
 		default:
 			fmt.Fprintf(&b, "%s%s [%s]\n", pad, n.Name, n.Gate)
 		}

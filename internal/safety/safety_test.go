@@ -16,8 +16,6 @@ func TestFTAValidate(t *testing.T) {
 		BasicEvent("a", -0.1),
 		BasicEvent("a", 1.5),
 		Or("empty"),
-		KofN("k", 0, BasicEvent("a", 0.1)),
-		KofN("k", 3, BasicEvent("a", 0.1), BasicEvent("b", 0.1)),
 	}
 	for i, n := range bad {
 		if err := n.Validate(); err == nil {
@@ -48,20 +46,6 @@ func TestMinimalCutSetsAbsorption(t *testing.T) {
 	mcs := tree.MinimalCutSets()
 	if len(mcs) != 1 || mcs[0].key() != "a" {
 		t.Errorf("absorption failed: %v", mcs)
-	}
-}
-
-func TestKofNCutSets(t *testing.T) {
-	// 2-of-3 voter: cut sets are all pairs.
-	tree := KofN("vote", 2, BasicEvent("a", 0.1), BasicEvent("b", 0.1), BasicEvent("c", 0.1))
-	mcs := tree.MinimalCutSets()
-	if len(mcs) != 3 {
-		t.Fatalf("mcs = %v", mcs)
-	}
-	for _, cs := range mcs {
-		if len(cs) != 2 {
-			t.Errorf("cut set %v not a pair", cs)
-		}
 	}
 }
 
@@ -100,19 +84,6 @@ func TestConflictingProbabilitiesRejected(t *testing.T) {
 	}
 }
 
-func TestKofNProbabilityMatchesBinomial(t *testing.T) {
-	// 2-of-3 with p=0.1 each: 3*p^2*(1-p) + p^3 = 0.028.
-	tree := KofN("vote", 2, BasicEvent("a", 0.1), BasicEvent("b", 0.1), BasicEvent("c", 0.1))
-	p, err := tree.TopEventProbability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 3*0.01*0.9 + 0.001
-	if math.Abs(p-want) > 1e-12 {
-		t.Errorf("P = %v, want %v", p, want)
-	}
-}
-
 func TestImportanceRanking(t *testing.T) {
 	// Event "a" is in the singleton cut set; it must dominate.
 	tree := Or("top", BasicEvent("a", 0.01), And("g", BasicEvent("b", 0.01), BasicEvent("c", 0.01)))
@@ -129,9 +100,9 @@ func TestImportanceRanking(t *testing.T) {
 }
 
 func TestTreeString(t *testing.T) {
-	tree := Or("top", BasicEvent("a", 0.1), KofN("v", 2, BasicEvent("b", 0.1), BasicEvent("c", 0.1), BasicEvent("d", 0.1)))
+	tree := Or("top", BasicEvent("a", 0.1), And("v", BasicEvent("b", 0.1), BasicEvent("c", 0.1)))
 	s := tree.String()
-	for _, want := range []string{"top [OR]", "a p=0.1", "v [2-of-3]"} {
+	for _, want := range []string{"top [OR]", "a p=0.1", "v [AND]", "    c p=0.1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("tree string missing %q:\n%s", want, s)
 		}
@@ -214,179 +185,12 @@ func TestFMEDAValidation(t *testing.T) {
 	}
 }
 
-func TestWorksheetByComponent(t *testing.T) {
-	var w Worksheet
-	w.Add(FailureMode{Component: "sensor", Mode: "drift", RateFIT: 200, DiagnosticCoverage: 0.5})
-	w.Add(FailureMode{Component: "cpu", Mode: "seu", RateFIT: 100, DiagnosticCoverage: 0.99})
-	w.Add(FailureMode{Component: "sensor", Mode: "open", RateFIT: 50, DiagnosticCoverage: 0.9})
-	rows := w.ByComponent()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	// sensor DU = 100 + 5 = 105; cpu DU = 1. Sensor is the weak spot.
-	if rows[0].Component != "sensor" || math.Abs(rows[0].DangerousUndetectedFIT-105) > 1e-9 {
-		t.Errorf("rows[0] = %+v", rows[0])
-	}
-}
-
 func TestASILStrings(t *testing.T) {
 	if QM.String() != "QM" || ASILD.String() != "ASIL-D" {
 		t.Error("ASIL strings")
 	}
-	if GateAnd.String() != "AND" || GateKofN.String() != "K-of-N" {
+	if GateAnd.String() != "AND" || GateOr.String() != "OR" {
 		t.Error("gate strings")
-	}
-}
-
-func buildFPTCChain(t *testing.T) *System {
-	t.Helper()
-	s := NewSystem()
-	// sensor -> filter -> actuator
-	if err := s.Add(&Component{
-		Name: "sensor", Outputs: []string{"out"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(&Component{
-		Name: "filter", Inputs: []string{"in"}, Outputs: []string{"out"},
-		Rules: []Rule{
-			{In: []FailureType{ValueF}, Out: []FailureType{NoFailure}}, // filter masks value errors
-			{In: []FailureType{Var}, Out: []FailureType{Var}},          // everything else propagates
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(&Component{
-		Name: "actuator", Inputs: []string{"in"}, Outputs: []string{"out"},
-		Rules: []Rule{
-			{In: []FailureType{LateF}, Out: []FailureType{OmissionF}}, // late input -> omitted actuation
-			{In: []FailureType{Var}, Out: []FailureType{Var}},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Connect("sensor", "out", "filter", "in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Connect("filter", "out", "actuator", "in"); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestFPTCMasking(t *testing.T) {
-	s := buildFPTCChain(t)
-	res, err := s.Propagate(map[string][]FailureType{"sensor.out": {ValueF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, bad := res["actuator.out"]; bad {
-		t.Errorf("value failure not masked by filter: %v", res)
-	}
-	if got := res["sensor.out"]; len(got) != 1 || got[0] != ValueF {
-		t.Errorf("sensor.out = %v", got)
-	}
-}
-
-func TestFPTCTransformation(t *testing.T) {
-	s := buildFPTCChain(t)
-	res, err := s.Propagate(map[string][]FailureType{"sensor.out": {LateF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res["actuator.out"]
-	if len(got) != 1 || got[0] != OmissionF {
-		t.Errorf("late not transformed to omission: %v", res)
-	}
-}
-
-func TestFPTCDefaultPropagation(t *testing.T) {
-	s := NewSystem()
-	if err := s.Add(&Component{Name: "src", Outputs: []string{"o"}}); err != nil {
-		t.Fatal(err)
-	}
-	// No rules at all: default is propagate.
-	if err := s.Add(&Component{Name: "pipe", Inputs: []string{"i"}, Outputs: []string{"o"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Connect("src", "o", "pipe", "i"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Propagate(map[string][]FailureType{"src.o": {OmissionF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res["pipe.o"]; len(got) != 1 || got[0] != OmissionF {
-		t.Errorf("default propagation failed: %v", res)
-	}
-}
-
-func TestFPTCErrors(t *testing.T) {
-	s := NewSystem()
-	if err := s.Add(&Component{Name: "a", Outputs: []string{"o"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(&Component{Name: "a", Outputs: []string{"o"}}); err == nil {
-		t.Error("duplicate component accepted")
-	}
-	if err := s.Add(&Component{Name: "bad", Inputs: []string{"i"}, Outputs: []string{"o"},
-		Rules: []Rule{{In: []FailureType{Var, Var}, Out: []FailureType{Var}}}}); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if err := s.Connect("a", "o", "nosuch", "i"); err == nil {
-		t.Error("connect to unknown component accepted")
-	}
-	if err := s.Connect("a", "nosuch", "a", "o"); err == nil {
-		t.Error("connect from unknown port accepted")
-	}
-	if _, err := s.Propagate(map[string][]FailureType{"nodot": {ValueF}}); err == nil {
-		t.Error("bad injection key accepted")
-	}
-	if _, err := s.Propagate(map[string][]FailureType{"a.nosuch": {ValueF}}); err == nil {
-		t.Error("unknown injection port accepted")
-	}
-}
-
-func TestFPTCTwoInputVoter(t *testing.T) {
-	// A 2-input comparator that masks a single value failure but
-	// passes simultaneous value failures.
-	s := NewSystem()
-	for _, n := range []string{"lane0", "lane1"} {
-		if err := s.Add(&Component{Name: n, Outputs: []string{"o"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Add(&Component{
-		Name: "voter", Inputs: []string{"a", "b"}, Outputs: []string{"o"},
-		Rules: []Rule{
-			{In: []FailureType{ValueF, ValueF}, Out: []FailureType{ValueF}},
-			{In: []FailureType{ValueF, NoFailure}, Out: []FailureType{NoFailure}},
-			{In: []FailureType{NoFailure, ValueF}, Out: []FailureType{NoFailure}},
-			{In: []FailureType{Any, Any}, Out: []FailureType{NoFailure}},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Connect("lane0", "o", "voter", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Connect("lane1", "o", "voter", "b"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Propagate(map[string][]FailureType{"lane0.o": {ValueF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, bad := res["voter.o"]; bad {
-		t.Errorf("single lane failure not masked: %v", res)
-	}
-	res, err = s.Propagate(map[string][]FailureType{"lane0.o": {ValueF}, "lane1.o": {ValueF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res["voter.o"]
-	if len(got) != 1 || got[0] != ValueF {
-		t.Errorf("double failure masked: %v", res)
 	}
 }
 
@@ -428,38 +232,6 @@ func TestPropertyFMEDADecomposition(t *testing.T) {
 			res.SPFM >= -1e-12 && res.SPFM <= 1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: FPTC propagation is monotone — injecting more failure
-// types never yields fewer failures at any output.
-func TestPropertyFPTCMonotone(t *testing.T) {
-	f := func(inject1 bool) bool {
-		s := buildFPTCChain(t)
-		small, err := s.Propagate(map[string][]FailureType{"sensor.out": {LateF}})
-		if err != nil {
-			return false
-		}
-		s2 := buildFPTCChain(t)
-		big, err := s2.Propagate(map[string][]FailureType{"sensor.out": {LateF, OmissionF}})
-		if err != nil {
-			return false
-		}
-		for port, fs := range small {
-			have := map[FailureType]bool{}
-			for _, f := range big[port] {
-				have[f] = true
-			}
-			for _, f := range fs {
-				if !have[f] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
 }

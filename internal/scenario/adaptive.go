@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -46,9 +45,6 @@ func (x *SignatureIndex) Note(sig uint64) bool {
 	x.seen[sig] = struct{}{}
 	return true
 }
-
-// Unique reports how many distinct non-zero signatures were noted.
-func (x *SignatureIndex) Unique() int { return len(x.seen) }
 
 // Mutator derives neighbor descriptors from a parent, navigating the
 // valid (target, model) lattice of a fault universe rather than a free
@@ -154,7 +150,6 @@ const (
 	moveRetarget
 	moveRebit
 	moveReparam
-	numMoves
 )
 
 // creditKey identifies one bandit arm: a mutation move applied to a
@@ -334,10 +329,6 @@ func NewNovelty(universe []fault.Descriptor, budget int, rng *rand.Rand) *Novelt
 // (Window, Starts).
 func (n *Novelty) Mutator() *Mutator { return n.mut }
 
-// UniqueSignatures reports how many distinct outcome signatures the
-// strategy has observed.
-func (n *Novelty) UniqueSignatures() int { return n.sigs.Unique() }
-
 // Next implements Strategy.
 func (n *Novelty) Next() (fault.Scenario, bool) {
 	if n.produced >= n.budget {
@@ -421,33 +412,6 @@ func (n *Novelty) Observe(o fault.Outcome) {
 		}
 		n.novel = append(n.novel, d)
 	}
-}
-
-// HolesFirst reorders a universe so descriptors covering uninjected
-// (site, model) cells of a fault-space coverage model come first —
-// coverage-closure work before re-injection. The order is stable
-// within each partition, so a nil/empty fault space is the identity.
-func HolesFirst(universe []fault.Descriptor, fs *coverage.FaultSpace) []fault.Descriptor {
-	if fs == nil {
-		return universe
-	}
-	holes := make(map[coverage.SiteModelKey]bool)
-	for _, k := range fs.Holes() {
-		holes[k] = true
-	}
-	if len(holes) == 0 {
-		return universe
-	}
-	out := make([]fault.Descriptor, 0, len(universe))
-	var rest []fault.Descriptor
-	for _, d := range universe {
-		if holes[coverage.SiteModelKey{Site: d.Target, Model: d.Model.String()}] {
-			out = append(out, d)
-		} else {
-			rest = append(rest, d)
-		}
-	}
-	return append(out, rest...)
 }
 
 // StartsFromCorpus maps concolic-exploration input vectors (e.g.

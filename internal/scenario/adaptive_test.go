@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -152,31 +151,6 @@ func TestNoveltyPairEscalation(t *testing.T) {
 	}
 	if pairs == 0 {
 		t.Fatal("novel outcomes never escalated to fault pairs")
-	}
-}
-
-func TestHolesFirst(t *testing.T) {
-	u := universe(3) // sites a,b,c
-	fs := coverage.NewFaultSpace([]string{"a", "b", "c"}, []string{
-		fault.StuckAt0.String(), fault.StuckAt1.String(),
-	})
-	// Everything injected except site b.
-	for _, d := range u {
-		if d.Target != "b" {
-			fs.Record(d.Target, d.Model.String(), 0)
-		}
-	}
-	got := HolesFirst(u, fs)
-	if len(got) != len(u) {
-		t.Fatalf("length changed: %d != %d", len(got), len(u))
-	}
-	for i := 0; i < 2; i++ {
-		if got[i].Target != "b" {
-			t.Errorf("position %d targets %s, want hole site b first", i, got[i].Target)
-		}
-	}
-	if !reflect.DeepEqual(HolesFirst(u, nil), u) {
-		t.Error("nil fault space must be the identity")
 	}
 }
 

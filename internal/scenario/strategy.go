@@ -1,10 +1,10 @@
 // Package scenario implements injection-space exploration strategies
-// for error-effect simulation campaigns: exhaustive enumeration,
-// Monte-Carlo sampling, and the weak-spot-guided systematic search the
-// paper argues for in Sec. 3.4 ("Standard Monte-Carlo techniques may
-// fail to identify the critical error effects ... a systematic
-// approach is required that stresses the system at its possible weak
-// spots"). Experiment E4 compares these strategies head to head.
+// for error-effect simulation campaigns: Monte-Carlo sampling and the
+// weak-spot-guided systematic search the paper argues for in Sec. 3.4
+// ("Standard Monte-Carlo techniques may fail to identify the critical
+// error effects ... a systematic approach is required that stresses the
+// system at its possible weak spots"). Experiment E4 compares these
+// strategies head to head.
 package scenario
 
 import (
@@ -25,31 +25,6 @@ type Strategy interface {
 	// Observe feeds back the outcome of a proposed scenario.
 	Observe(o fault.Outcome)
 }
-
-// Exhaustive walks a fixed fault universe in order — complete but
-// O(|universe|); the baseline for single-point ISO analysis (E8).
-type Exhaustive struct {
-	universe []fault.Descriptor
-	next     int
-}
-
-// NewExhaustive creates the strategy over a universe.
-func NewExhaustive(universe []fault.Descriptor) *Exhaustive {
-	return &Exhaustive{universe: universe}
-}
-
-// Next implements Strategy.
-func (e *Exhaustive) Next() (fault.Scenario, bool) {
-	if e.next >= len(e.universe) {
-		return fault.Scenario{}, false
-	}
-	d := e.universe[e.next]
-	e.next++
-	return fault.Single(d), true
-}
-
-// Observe implements Strategy (exhaustive search does not adapt).
-func (e *Exhaustive) Observe(fault.Outcome) {}
 
 // MonteCarlo samples the universe uniformly with random start times —
 // the standard technique whose rare-event blindness E4 demonstrates.
@@ -263,16 +238,4 @@ func Drive(s Strategy, run func(fault.Scenario) fault.Outcome) []fault.Outcome {
 		s.Observe(o)
 		out = append(out, o)
 	}
-}
-
-// FirstFailureIndex reports the 1-based index of the first unhandled
-// failure in a campaign trace, or 0 when none occurred — the E4
-// comparison metric.
-func FirstFailureIndex(outcomes []fault.Outcome) int {
-	for i, o := range outcomes {
-		if o.Class.IsFailure() {
-			return i + 1
-		}
-	}
-	return 0
 }

@@ -22,31 +22,6 @@ func universe(sites int) []fault.Descriptor {
 	return u
 }
 
-func TestExhaustiveWalksAll(t *testing.T) {
-	u := universe(3)
-	e := NewExhaustive(u)
-	var got []string
-	for {
-		sc, ok := e.Next()
-		if !ok {
-			break
-		}
-		if len(sc.Faults) != 1 {
-			t.Fatalf("scenario = %+v", sc)
-		}
-		got = append(got, sc.Faults[0].Name)
-		e.Observe(fault.Outcome{Scenario: sc})
-	}
-	if len(got) != len(u) {
-		t.Fatalf("walked %d of %d", len(got), len(u))
-	}
-	for i, d := range u {
-		if got[i] != d.Name {
-			t.Errorf("order[%d] = %s, want %s", i, got[i], d.Name)
-		}
-	}
-}
-
 func TestMonteCarloBudgetAndWindow(t *testing.T) {
 	u := universe(4)
 	m := NewMonteCarlo(u, 50, rand.New(rand.NewSource(1)))
@@ -174,26 +149,36 @@ func TestGuidedBudget(t *testing.T) {
 	}
 }
 
-func TestDriveAndFirstFailure(t *testing.T) {
+// walk proposes each descriptor of a universe once, in order, and
+// counts what it is told.
+type walk struct {
+	universe       []fault.Descriptor
+	next, observed int
+}
+
+func (w *walk) Next() (fault.Scenario, bool) {
+	if w.next >= len(w.universe) {
+		return fault.Scenario{}, false
+	}
+	w.next++
+	return fault.Single(w.universe[w.next-1]), true
+}
+
+func (w *walk) Observe(fault.Outcome) { w.observed++ }
+
+// TestDrive: Drive runs every scenario the strategy proposes, in order,
+// and tells the strategy each outcome.
+func TestDrive(t *testing.T) {
 	u := universe(2)
-	e := NewExhaustive(u)
-	i := 0
-	outcomes := Drive(e, func(sc fault.Scenario) fault.Outcome {
-		i++
-		class := fault.Masked
-		if i == 3 {
-			class = fault.SafetyCritical
+	w := &walk{universe: u}
+	outcomes := Drive(w, func(sc fault.Scenario) fault.Outcome { return fault.Outcome{Scenario: sc} })
+	if len(outcomes) != len(u) || w.observed != len(u) {
+		t.Fatalf("outcomes = %d, observed = %d, want %d", len(outcomes), w.observed, len(u))
+	}
+	for i, o := range outcomes {
+		if o.Scenario.Faults[0].Name != u[i].Name {
+			t.Errorf("outcome %d ran %s, want %s", i, o.Scenario.Faults[0].Name, u[i].Name)
 		}
-		return fault.Outcome{Scenario: sc, Class: class}
-	})
-	if len(outcomes) != len(u) {
-		t.Fatalf("outcomes = %d", len(outcomes))
-	}
-	if got := FirstFailureIndex(outcomes); got != 3 {
-		t.Errorf("FirstFailureIndex = %d, want 3", got)
-	}
-	if FirstFailureIndex(outcomes[:2]) != 0 {
-		t.Error("no-failure index should be 0")
 	}
 }
 
@@ -204,7 +189,6 @@ func TestPropertyStrategiesProduceValidScenarios(t *testing.T) {
 		u := universe(int(nSites%5) + 1)
 		b := int(budget%40) + 1
 		strategies := []Strategy{
-			NewExhaustive(u),
 			NewMonteCarlo(u, b, rand.New(rand.NewSource(seed))),
 			NewGuided(u, b),
 		}

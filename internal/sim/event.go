@@ -41,9 +41,6 @@ type Event struct {
 	pendingSeq  uint64
 }
 
-// Name reports the diagnostic name the event was created with.
-func (e *Event) Name() string { return e.name }
-
 // NewEvent creates a named event bound to the kernel. Events a Restore
 // retired are recycled from the kernel's free list (keeping their
 // sensitivity-list capacity) so re-elaboration does not allocate in

@@ -68,26 +68,6 @@ func (k *Kernel) SetInstrument(in *Instrument) {
 	}
 }
 
-// ProcStat is one process's activity record, available on any kernel
-// whose instrument had Metrics attached while it ran.
-type ProcStat struct {
-	Name        string
-	Activations uint64
-	RunTime     time.Duration
-}
-
-// ProcStats reports per-process activation counts and cumulative run
-// time in creation order. Counts are zero unless an Instrument with
-// Metrics was attached during the runs being measured.
-func (k *Kernel) ProcStats() []ProcStat {
-	out := make([]ProcStat, len(k.procs))
-	for i, p := range k.procs {
-		out[i] = ProcStat{Name: p.name, Activations: p.activations,
-			RunTime: time.Duration(p.runNanos)}
-	}
-	return out
-}
-
 // flushInstr publishes the counters accumulated since the previous
 // flush into the registry; called at the end of every RunUntil so
 // long-running simulations stream rather than burst.

@@ -166,15 +166,9 @@ func (k *Kernel) Now() Time { return k.now }
 // Stats returns a copy of the kernel activity counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// SetMaxDeltas overrides the per-time-point delta cycle watchdog.
-func (k *Kernel) SetMaxDeltas(n uint64) { k.maxDeltas = n }
-
 // Stop makes the current Run call return after the ongoing delta cycle
 // completes. Further Run calls resume the simulation.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop was called during the last Run.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 // scheduleTimed enqueues a timed notification and returns its sequence
 // number for stale-entry detection.
@@ -374,12 +368,6 @@ func (k *Kernel) deltaCycle() error {
 		tr.sampleDelta(k.now)
 	}
 	return nil
-}
-
-// Pending reports whether any activity (runnable processes, delta
-// notifications or timed notifications) remains.
-func (k *Kernel) Pending() bool {
-	return len(k.runnable) > 0 || len(k.deltaQueue) > 0 || k.timed.Len() > 0
 }
 
 // NextEventTime returns the absolute time of the earliest pending timed

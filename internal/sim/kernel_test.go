@@ -12,11 +12,11 @@ func TestTimeString(t *testing.T) {
 		want string
 	}{
 		{0, "0 s"},
-		{PS(7), "7 ps"},
+		{7 * Picosecond, "7 ps"},
 		{NS(15), "15 ns"},
 		{US(2), "2 us"},
 		{MS(9), "9 ms"},
-		{Sec(3), "3 s"},
+		{3 * Second, "3 s"},
 		{TimeMax, "t-max"},
 	}
 	for _, c := range cases {
@@ -27,13 +27,10 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeConversions(t *testing.T) {
-	if Sec(1).Seconds() != 1.0 {
-		t.Errorf("Sec(1).Seconds() = %v", Sec(1).Seconds())
+	if Second.Seconds() != 1.0 {
+		t.Errorf("Second.Seconds() = %v", Second.Seconds())
 	}
-	if NS(1).Nanoseconds() != 1.0 {
-		t.Errorf("NS(1).Nanoseconds() = %v", NS(1).Nanoseconds())
-	}
-	if MS(1) != US(1000) || US(1) != NS(1000) || NS(1) != PS(1000) {
+	if MS(1) != US(1000) || US(1) != NS(1000) || NS(1) != 1000*Picosecond {
 		t.Error("unit ladder inconsistent")
 	}
 }
@@ -267,30 +264,6 @@ func TestThreadWaitAnyOf(t *testing.T) {
 	k.Shutdown()
 	if cause != "b" {
 		t.Errorf("wait cause = %q, want b", cause)
-	}
-}
-
-func TestThreadWaitTimeout(t *testing.T) {
-	k := NewKernel()
-	e := k.NewEvent("e")
-	var timedOut, gotEvent bool
-	k.Thread("t", func(c *ThreadCtx) {
-		if c.WaitTimeout(NS(5), e) == nil {
-			timedOut = true
-		}
-		e.Notify(NS(2))
-		if got := c.WaitTimeout(NS(100), e); got == e {
-			gotEvent = true
-		}
-	})
-	if err := k.Run(TimeMax); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Error("first wait should have timed out")
-	}
-	if !gotEvent {
-		t.Error("second wait should have caught the event")
 	}
 }
 
@@ -673,7 +646,7 @@ func TestWaitDelta(t *testing.T) {
 	k.Thread("t", func(c *ThreadCtx) {
 		s.Write(42)
 		sawOld = s.Read() // same evaluation phase: old value
-		c.WaitDelta()
+		c.WaitTime(0)
 		sawNew = s.Read() // one delta later: committed
 	})
 	if err := k.Run(TimeMax); err != nil {

@@ -66,8 +66,7 @@ type Proc struct {
 	killed  bool
 	w       *threadWorker
 	ctx     *ThreadCtx
-	timerEv *Event   // lazily created private event for timed waits
-	waitSet []*Event // scratch buffer for WaitTimeout's event set
+	timerEv *Event // lazily created private event for timed waits
 
 	// timerName caches the derived timer-event name for the process
 	// name it was built from. Both survive recycle: a restored kernel
@@ -203,10 +202,6 @@ func (p *Proc) recycle() {
 		p.dynamicWait[i] = nil
 	}
 	p.dynamicWait = p.dynamicWait[:0]
-	for i := range p.waitSet {
-		p.waitSet[i] = nil
-	}
-	p.waitSet = p.waitSet[:0]
 	p.waitCause = nil
 	p.noInit = false
 	p.activations = 0
@@ -216,13 +211,6 @@ func (p *Proc) recycle() {
 	p.killed = false
 	p.timerEv = nil
 }
-
-// Name reports the process name.
-func (p *Proc) Name() string { return p.name }
-
-// Done reports whether a thread process body has returned. Method
-// processes never report done.
-func (p *Proc) Done() bool { return p.state == procDone }
 
 // Method registers a method process: fn is invoked once at simulation
 // start (unless NoInit was applied) and again whenever any event in its
@@ -352,14 +340,8 @@ type ThreadCtx struct {
 	p *Proc
 }
 
-// Kernel returns the kernel the thread runs on.
-func (c *ThreadCtx) Kernel() *Kernel { return c.p.k }
-
 // Now returns the current simulation time.
 func (c *ThreadCtx) Now() Time { return c.p.k.now }
-
-// Proc returns the process handle of this thread.
-func (c *ThreadCtx) Proc() *Proc { return c.p }
 
 // Wait suspends until any of the given events fires and returns the one
 // that did. With no arguments it waits on the process's static
@@ -385,28 +367,5 @@ func (c *ThreadCtx) Wait(events ...*Event) *Event {
 func (c *ThreadCtx) WaitTime(d Time) {
 	p := c.p
 	p.timerEvent().Notify(d)
-	c.Wait(p.timerEv)
-}
-
-// WaitTimeout suspends until one of events fires or d elapses. It
-// returns the fired event, or nil if the timeout won.
-func (c *ThreadCtx) WaitTimeout(d Time, events ...*Event) *Event {
-	p := c.p
-	p.timerEvent().Notify(d)
-	set := append(p.waitSet[:0], events...)
-	set = append(set, p.timerEv)
-	p.waitSet = set
-	got := c.Wait(set...)
-	if got == p.timerEv {
-		return nil
-	}
-	p.timerEv.Cancel()
-	return got
-}
-
-// WaitDelta suspends for exactly one delta cycle.
-func (c *ThreadCtx) WaitDelta() {
-	p := c.p
-	p.timerEvent().Notify(0)
 	c.Wait(p.timerEv)
 }

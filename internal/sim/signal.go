@@ -21,7 +21,6 @@ type Signal[T comparable] struct {
 	forceVal T
 
 	changed *Event
-	writes  uint64
 }
 
 // NewSignal creates a named signal with an initial value.
@@ -41,14 +40,9 @@ func (s *Signal[T]) Read() T {
 	return s.cur
 }
 
-// ReadDriven returns the driven value ignoring any force, used by
-// monitors that want to observe the fault-free behaviour.
-func (s *Signal[T]) ReadDriven() T { return s.cur }
-
 // Write schedules v to become the signal value in the update phase of
 // the current delta cycle. The last write in an evaluate phase wins.
 func (s *Signal[T]) Write(v T) {
-	s.writes++
 	if !s.hasNext {
 		s.hasNext = true
 		s.k.DeferUpdate(s)
@@ -103,10 +97,3 @@ func (s *Signal[T]) Release() {
 		s.changed.notifyDelta()
 	}
 }
-
-// Forced reports whether a fault injector currently holds the signal.
-func (s *Signal[T]) Forced() bool { return s.forced }
-
-// WriteCount reports how many writes the signal has received; activity
-// metrics use it to locate hot state for weak-spot analysis.
-func (s *Signal[T]) WriteCount() uint64 { return s.writes }

@@ -69,9 +69,6 @@ type Checkpoint struct {
 	states    []procState // per retained proc: run state at snapshot
 }
 
-// Now reports the simulated time the checkpoint was captured at.
-func (cp *Checkpoint) Now() Time { return cp.now }
-
 // ApproxBytes estimates the memory retained by the checkpoint's
 // internal buffers — the quantity checkpoint trees budget their
 // retained nodes against. Capacities (not lengths) are counted, since

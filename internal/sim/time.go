@@ -35,9 +35,6 @@ const (
 // kernel until TimeMax effectively means "run until no events remain".
 const TimeMax Time = math.MaxUint64
 
-// PS returns n picoseconds as a Time.
-func PS(n uint64) Time { return Time(n) * Picosecond }
-
 // NS returns n nanoseconds as a Time.
 func NS(n uint64) Time { return Time(n) * Nanosecond }
 
@@ -47,14 +44,8 @@ func US(n uint64) Time { return Time(n) * Microsecond }
 // MS returns n milliseconds as a Time.
 func MS(n uint64) Time { return Time(n) * Millisecond }
 
-// Sec returns n seconds as a Time.
-func Sec(n uint64) Time { return Time(n) * Second }
-
 // Seconds reports the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Nanoseconds reports the time as a floating-point number of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 // String renders the time with the largest unit that divides it evenly,
 // e.g. "15 ns" or "2 us" or "7 ps".

@@ -49,3 +49,10 @@ func RootCases(t *testing.T) []RootCase {
 		{"fan", fanRebuild.RunScenarioSigned, fanReuse.RunScenarioSigned, fan, fanHorizon},
 	}
 }
+
+// LiveNodes reports the golden-prefix nodes the host retains.
+func (h *Host[S, G]) LiveNodes() int {
+	h.tree.mu.RLock()
+	defer h.tree.mu.RUnlock()
+	return len(h.tree.nodes)
+}

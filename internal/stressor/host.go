@@ -235,13 +235,6 @@ func (h *Host[S, G]) Close() {
 	}
 }
 
-// LiveNodes reports the golden-prefix nodes the host retains.
-func (h *Host[S, G]) LiveNodes() int {
-	h.tree.mu.RLock()
-	defer h.tree.mu.RUnlock()
-	return len(h.tree.nodes)
-}
-
 // instrument attaches the host's sinks to a kernel built for one run or
 // one session.
 func (h *Host[S, G]) instrument(k *sim.Kernel) {

@@ -2,79 +2,12 @@ package stressor
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
-
-// TestOnePrototypeHost: the runner every prototype shares is written
-// once, here. Outside this package no non-test file under internal/,
-// cmd/ or examples/ may declare ForkTime or NewTreeSession — a prototype
-// supplies a Model to Host instead. The one exception is a decorator: a
-// NewTreeSession on a struct that embeds a stressor.Checkpointer, whose
-// sessions it wraps and forwards to (capsim-worker's stall hook; bench/,
-// the measuring instrument, has a tracing one).
-func TestOnePrototypeHost(t *testing.T) {
-	const module = "../.."
-	fset := token.NewFileSet()
-	for _, top := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(filepath.Join(module, top), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if path == filepath.Join(module, "internal", "stressor") || d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			rel, _ := filepath.Rel(module, path)
-			decorators := map[string]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						for _, fld := range st.Fields.List {
-							if sel, ok := fld.Type.(*ast.SelectorExpr); ok && len(fld.Names) == 0 && sel.Sel.Name == "Checkpointer" {
-								decorators[ts.Name.Name] = true
-							}
-						}
-					}
-				}
-				return true
-			})
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if ok && fn.Name.Name == "NewTreeSession" && fn.Recv != nil {
-					if id, isIdent := fn.Recv.List[0].Type.(*ast.Ident); isIdent && decorators[id.Name] {
-						continue
-					}
-				}
-				if ok && (fn.Name.Name == "ForkTime" || fn.Name.Name == "NewTreeSession") {
-					t.Errorf("%s:%d: declares %s: prototype hosting belongs to stressor.Host", rel, fset.Position(fn.Pos()).Line, fn.Name.Name)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // fanModel is a toy prototype for the torn-slot test. Eight beat methods
 // wake together every fanPeriod, so the kernel's runnable queue and its

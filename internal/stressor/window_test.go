@@ -66,7 +66,7 @@ func (m *windowModel) registry() *fault.Registry {
 	}
 	quiet("toy.reg", &m.reg)
 	quiet("toy.reg2", &m.reg2)
-	reg.MustRegister(fault.SignalInjector("toy.line", m.line, false, true))
+	reg.MustRegister(signalInjector("toy.line", m.line, false, true))
 	reg.MustRegister(&fault.FuncInjector{
 		SiteName: "toy.late", Models: []fault.Model{fault.Delay},
 		// 25 from the injection instant: past the end of every window.
@@ -307,5 +307,30 @@ func TestTreeSessionsEvictUnderContention(t *testing.T) {
 	}
 	if ev := reg.Counter("campaign.tree_evictions", obs.L("campaign", "contention")).Value(); ev == 0 {
 		t.Error("no node was evicted: the walk pins nothing about eviction")
+	}
+}
+
+// signalInjector serves stuck/short faults on a kernel signal via
+// Force/Release — the saboteur pattern. lowVal and highVal are the
+// forced values for the 0/1 rails of the signal's value type.
+func signalInjector[T comparable](site string, s *sim.Signal[T], lowVal, highVal T) fault.Injector {
+	return &fault.FuncInjector{
+		SiteName: site,
+		Models:   []fault.Model{fault.StuckAt0, fault.StuckAt1, fault.ShortToGround, fault.ShortToSupply},
+		InjectFn: func(d fault.Descriptor) error {
+			switch d.Model {
+			case fault.StuckAt0, fault.ShortToGround:
+				s.Force(lowVal)
+			case fault.StuckAt1, fault.ShortToSupply:
+				s.Force(highVal)
+			default:
+				return fmt.Errorf("fault: %s on signal site %s", d.Model, site)
+			}
+			return nil
+		},
+		RevertFn: func(d fault.Descriptor) error {
+			s.Release()
+			return nil
+		},
 	}
 }

@@ -19,22 +19,6 @@ type Exploration struct {
 	Runs int
 }
 
-// CoverageFraction reports covered statements over all statements of
-// the program.
-func (e *Exploration) CoverageFraction(p *mdl.Program) float64 {
-	all := mdl.CollectStmtIDs(p)
-	if len(all) == 0 {
-		return 1
-	}
-	n := 0
-	for _, id := range all {
-		if e.Covered[id] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(all))
-}
-
 // Explore runs generational concolic search from a seed input: each
 // executed path contributes branch-negation candidates; candidates
 // that verify symbolically are executed in turn, until the run budget

@@ -48,18 +48,6 @@ func NewMemory(name string, base uint64, size int) *Memory {
 	}
 }
 
-// Name reports the memory instance name.
-func (m *Memory) Name() string { return m.name }
-
-// Size reports the memory size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
-
-// Base reports the first mapped address.
-func (m *Memory) Base() uint64 { return m.base }
-
-// Stats reports the number of read and write transactions served.
-func (m *Memory) Stats() (reads, writes uint64) { return m.reads, m.writes }
-
 // contains reports whether the [addr, addr+n) range is fully mapped.
 func (m *Memory) contains(addr uint64, n int) bool {
 	return addr >= m.base && addr-m.base+uint64(n) <= uint64(len(m.data))

@@ -91,8 +91,6 @@ type Payload struct {
 	ByteEnable []byte // nil = all bytes enabled; 0x00 disables a byte lane
 	Response   Response
 	DMIAllowed bool // hint set by targets: initiator may request DMI
-
-	ext map[string]any
 }
 
 // NewRead builds a read payload for n bytes at addr.
@@ -104,25 +102,6 @@ func NewRead(addr uint64, n int) *Payload {
 // is referenced, not copied.
 func NewWrite(addr uint64, data []byte) *Payload {
 	return &Payload{Command: CmdWrite, Address: addr, Data: data}
-}
-
-// SetExtension attaches tool metadata under a key.
-func (p *Payload) SetExtension(key string, v any) {
-	if p.ext == nil {
-		p.ext = make(map[string]any)
-	}
-	p.ext[key] = v
-}
-
-// Extension retrieves tool metadata; ok is false when absent.
-func (p *Payload) Extension(key string) (v any, ok bool) {
-	v, ok = p.ext[key]
-	return v, ok
-}
-
-// ClearExtension removes tool metadata under a key.
-func (p *Payload) ClearExtension(key string) {
-	delete(p.ext, key)
 }
 
 // EnabledByte reports whether byte lane i participates in the transfer.

@@ -22,17 +22,8 @@ func NewQuantumKeeper(ctx *sim.ThreadCtx, quantum sim.Time) *QuantumKeeper {
 	return &QuantumKeeper{ctx: ctx, quantum: quantum}
 }
 
-// SetQuantum changes the quantum.
-func (q *QuantumKeeper) SetQuantum(t sim.Time) { q.quantum = t }
-
-// Quantum reports the configured quantum.
-func (q *QuantumKeeper) Quantum() sim.Time { return q.quantum }
-
 // Inc adds consumed local time.
 func (q *QuantumKeeper) Inc(d sim.Time) { q.local += d }
-
-// LocalTime reports the unsynchronized local offset.
-func (q *QuantumKeeper) LocalTime() sim.Time { return q.local }
 
 // CurrentTime reports kernel time plus local offset — the initiator's
 // notion of "now".
@@ -62,7 +53,3 @@ func (q *QuantumKeeper) SyncIfNeeded() bool {
 	q.Sync()
 	return true
 }
-
-// Syncs reports how many kernel synchronizations have occurred; the
-// E1/E6 benchmarks use it to attribute speed-up to avoided syncs.
-func (q *QuantumKeeper) Syncs() uint64 { return q.syncs }

@@ -33,9 +33,6 @@ func NewRouter(name string) *Router {
 	return &Router{name: name}
 }
 
-// Name reports the router instance name.
-func (r *Router) Name() string { return r.name }
-
 // Map binds [start, start+size) to a target. Overlapping ranges are a
 // wiring bug and are rejected.
 func (r *Router) Map(name string, start uint64, size uint64, t Target) error {
@@ -128,6 +125,3 @@ func (r *Router) GetDMIPtr(p *Payload, dmi *DMIData) bool {
 	dmi.WriteLatency += r.HopLatency
 	return true
 }
-
-// Hops reports how many transactions the router has forwarded.
-func (r *Router) Hops() uint64 { return r.hops }

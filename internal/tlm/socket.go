@@ -34,11 +34,6 @@ type DMIData struct {
 	WriteLatency sim.Time
 }
 
-// Contains reports whether addr lies inside the granted window.
-func (d *DMIData) Contains(addr uint64) bool {
-	return addr >= d.StartAddr && addr <= d.EndAddr
-}
-
 // DMITarget is optionally implemented by targets that can grant DMI.
 type DMITarget interface {
 	// GetDMIPtr requests a DMI window covering p.Address. It returns
@@ -59,9 +54,6 @@ func NewInitiatorSocket(name string) *InitiatorSocket {
 	return &InitiatorSocket{name: name}
 }
 
-// Name reports the socket name.
-func (s *InitiatorSocket) Name() string { return s.name }
-
 // Bind connects the socket to a target. Binding twice is a wiring bug
 // and panics during elaboration rather than corrupting a simulation.
 func (s *InitiatorSocket) Bind(t Target) {
@@ -70,9 +62,6 @@ func (s *InitiatorSocket) Bind(t Target) {
 	}
 	s.target = t
 }
-
-// Bound reports whether the socket has a target.
-func (s *InitiatorSocket) Bound() bool { return s.target != nil }
 
 // BTransport forwards the transaction to the bound target.
 func (s *InitiatorSocket) BTransport(p *Payload, delay *sim.Time) {
@@ -128,9 +117,3 @@ func (s *InitiatorSocket) Read32(addr uint64, delay *sim.Time) (uint32, Response
 func (s *InitiatorSocket) Write32(addr uint64, v uint32, delay *sim.Time) Response {
 	return s.Write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, delay)
 }
-
-// TargetFunc adapts a plain function to the Target interface.
-type TargetFunc func(p *Payload, delay *sim.Time)
-
-// BTransport implements Target.
-func (f TargetFunc) BTransport(p *Payload, delay *sim.Time) { f(p, delay) }

@@ -22,22 +22,6 @@ func TestPayloadBuilders(t *testing.T) {
 	}
 }
 
-func TestPayloadExtensions(t *testing.T) {
-	p := NewRead(0, 1)
-	if _, ok := p.Extension("fault"); ok {
-		t.Error("extension present on fresh payload")
-	}
-	p.SetExtension("fault", 42)
-	v, ok := p.Extension("fault")
-	if !ok || v.(int) != 42 {
-		t.Errorf("Extension = %v, %v", v, ok)
-	}
-	p.ClearExtension("fault")
-	if _, ok := p.Extension("fault"); ok {
-		t.Error("extension survives ClearExtension")
-	}
-}
-
 func TestPayloadByteEnable(t *testing.T) {
 	p := NewWrite(0, []byte{1, 2, 3, 4})
 	p.ByteEnable = []byte{0xff, 0x00}

@@ -1,21 +1,19 @@
 // Package uvm implements a Go rendition of the Universal Verification
-// Methodology testbench library: a phased component hierarchy (agents,
-// drivers, monitors, sequencers, scoreboards, environments), analysis
-// ports, a factory with type overrides, a hierarchical configuration
-// database and an objection-based end-of-test mechanism.
+// Methodology testbench library: a phased component hierarchy,
+// scoreboards, environments and an objection-based end-of-test
+// mechanism.
 //
 // The paper (Sec. 2.3, 3.3) argues that UVM's reuse concepts should be
 // carried beyond SystemVerilog — it cites SystemC-UVM and SVM as
 // language ports — and that fault/error evaluation should slot into
 // such testbenches as an additional stressor component with injector
 // interfaces. This package is that port for Go: the stressor package
-// implements a uvm.Component, and injectors ride on the same
-// configuration and analysis plumbing as functional verification.
+// implements a uvm.Component, and its failures are scored the way
+// functional verification scores a mismatch.
 package uvm
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -110,30 +108,13 @@ func (c *Comp) base() *Comp { return c }
 // from the build phase onward).
 func (c *Comp) Env() *Env { return c.env }
 
-// Kernel returns the simulation kernel.
-func (c *Comp) Kernel() *sim.Kernel { return c.env.Kernel }
-
-// Errorf records a test error against this component.
-func (c *Comp) Errorf(format string, args ...any) {
-	c.env.recordError(fmt.Sprintf("%s: %s", c.FullName(), fmt.Sprintf(format, args...)))
-}
-
-// Infof records an informational message at default verbosity.
-func (c *Comp) Infof(format string, args ...any) {
-	c.env.recordInfo(fmt.Sprintf("%s: %s", c.FullName(), fmt.Sprintf(format, args...)))
-}
-
-// Env orchestrates the phased execution of a component tree on a
-// kernel, carries the factory and configuration database, and collects
-// messages. It is the uvm_root/uvm_test_top analogue.
+// Env orchestrates the phased execution of a component tree on a kernel
+// and collects its errors. It is the uvm_root/uvm_test_top analogue.
 type Env struct {
-	Kernel  *sim.Kernel
-	Factory *Factory
-	Config  *ConfigDB
+	Kernel *sim.Kernel
 
 	top        Component
 	errors     []string
-	infos      []string
 	objections int
 	objRaised  bool
 	objEv      *sim.Event
@@ -142,21 +123,12 @@ type Env struct {
 // NewEnv creates an environment on a kernel.
 func NewEnv(k *sim.Kernel) *Env {
 	return &Env{
-		Kernel:  k,
-		Factory: NewFactory(),
-		Config:  NewConfigDB(),
-		objEv:   k.NewEvent("uvm.objections"),
+		Kernel: k,
+		objEv:  k.NewEvent("uvm.objections"),
 	}
 }
 
 func (e *Env) recordError(msg string) { e.errors = append(e.errors, msg) }
-func (e *Env) recordInfo(msg string)  { e.infos = append(e.infos, msg) }
-
-// Errors reports test errors recorded so far.
-func (e *Env) Errors() []string { return e.errors }
-
-// Infos reports informational messages recorded so far.
-func (e *Env) Infos() []string { return e.infos }
 
 // RaiseObjection keeps the run phase alive (drop it when done).
 func (e *Env) RaiseObjection() {
@@ -248,20 +220,4 @@ func (e *Env) RunTest(top Component, until sim.Time) []string {
 	errs := e.Finish()
 	e.Kernel.Shutdown()
 	return errs
-}
-
-// Hierarchy renders the component tree as an indented listing.
-func (e *Env) Hierarchy() string {
-	var b strings.Builder
-	var walk func(c Component, depth int)
-	walk = func(c Component, depth int) {
-		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), c.Name())
-		for _, k := range c.Children() {
-			walk(k, depth+1)
-		}
-	}
-	if e.top != nil {
-		walk(e.top, 0)
-	}
-	return b.String()
 }

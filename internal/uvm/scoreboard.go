@@ -50,15 +50,6 @@ func (s *Scoreboard[T]) Matched() int { return s.matched }
 // Observed reports total transactions submitted.
 func (s *Scoreboard[T]) Observed() int { return s.observed }
 
-// Mismatches reports the recorded comparison failures.
-func (s *Scoreboard[T]) Mismatches() []string { return s.mismatches }
-
-// Clean reports whether every expected transaction matched and none
-// are outstanding.
-func (s *Scoreboard[T]) Clean() bool {
-	return len(s.mismatches) == 0 && len(s.expected) == 0
-}
-
 // Check implements Component: it fails on mismatches or missing
 // transactions.
 func (s *Scoreboard[T]) Check() error {

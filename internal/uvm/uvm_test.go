@@ -3,7 +3,6 @@ package uvm
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 	"repro/internal/tlm"
@@ -79,10 +78,6 @@ func TestFullNames(t *testing.T) {
 	if tp.FullName() != "env" {
 		t.Errorf("top FullName = %q", tp.FullName())
 	}
-	h := env.Hierarchy()
-	if !strings.Contains(h, "env\n  a\n  b\n") {
-		t.Errorf("hierarchy:\n%s", h)
-	}
 }
 
 type runner struct {
@@ -122,211 +117,6 @@ func TestObjectionEndsTest(t *testing.T) {
 	}
 }
 
-func TestErrorfCollection(t *testing.T) {
-	k := sim.NewKernel()
-	env := NewEnv(k)
-	var log []string
-	tp := newTop("top", &log)
-	env.Elaborate(tp)
-	tp.Errorf("bad %d", 42)
-	tp.Infof("hello")
-	if len(env.Errors()) != 1 || !strings.Contains(env.Errors()[0], "top: bad 42") {
-		t.Errorf("Errors = %v", env.Errors())
-	}
-	if len(env.Infos()) != 1 {
-		t.Errorf("Infos = %v", env.Infos())
-	}
-}
-
-func TestFactoryOverride(t *testing.T) {
-	f := NewFactory()
-	f.Register("driver", func() any { return "functional" })
-	f.Register("err_driver", func() any { return "injecting" })
-	v, err := f.Create("driver")
-	if err != nil || v.(string) != "functional" {
-		t.Fatalf("Create = %v, %v", v, err)
-	}
-	f.SetOverride("driver", "err_driver")
-	v, err = f.Create("driver")
-	if err != nil || v.(string) != "injecting" {
-		t.Fatalf("overridden Create = %v, %v", v, err)
-	}
-	if !f.Registered("driver") || f.Registered("nope") {
-		t.Error("Registered wrong")
-	}
-}
-
-func TestFactoryOverrideChainAndCycle(t *testing.T) {
-	f := NewFactory()
-	f.Register("c", func() any { return 3 })
-	f.SetOverride("a", "b")
-	f.SetOverride("b", "c")
-	v, err := f.Create("a")
-	if err != nil || v.(int) != 3 {
-		t.Fatalf("chained Create = %v, %v", v, err)
-	}
-	f.SetOverride("c", "a")
-	if _, err := f.Create("a"); err == nil {
-		t.Error("override cycle not detected")
-	}
-	if _, err := f.Create("unregistered"); err == nil {
-		t.Error("unregistered type created")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustCreate did not panic")
-		}
-	}()
-	f.MustCreate("unregistered")
-}
-
-func TestGlobMatch(t *testing.T) {
-	cases := []struct {
-		pat, s string
-		want   bool
-	}{
-		{"env.agent.driver", "env.agent.driver", true},
-		{"env.*", "env.agent.driver", true},
-		{"env.*.driver", "env.agent.driver", true},
-		{"*.driver", "env.agent.driver", true},
-		{"env.?gent.driver", "env.agent.driver", true},
-		{"env.*", "other.agent", false},
-		{"*", "anything.at.all", true},
-		{"env.agent", "env.agent.driver", false},
-		{"", "", true},
-		{"**", "x", true},
-	}
-	for _, c := range cases {
-		if got := globMatch(c.pat, c.s); got != c.want {
-			t.Errorf("globMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
-		}
-	}
-}
-
-func TestConfigDBPrecedence(t *testing.T) {
-	db := NewConfigDB()
-	db.Set("env.*", "count", 10)
-	db.Set("env.agent.driver", "count", 20)
-	if v, ok := db.GetPath("env.agent.driver", "count"); !ok || v.(int) != 20 {
-		t.Errorf("specific get = %v, %v", v, ok)
-	}
-	// Last write wins even when less specific.
-	db.Set("env.*", "count", 30)
-	if v, _ := db.GetPath("env.agent.driver", "count"); v.(int) != 30 {
-		t.Errorf("last-write get = %v", v)
-	}
-	if _, ok := db.GetPath("env.agent.driver", "missing"); ok {
-		t.Error("missing key found")
-	}
-}
-
-func TestConfigDBTypedGetters(t *testing.T) {
-	k := sim.NewKernel()
-	env := NewEnv(k)
-	var log []string
-	tp := newTop("top", &log)
-	env.Elaborate(tp)
-	db := env.Config
-	db.Set("top.a", "n", 7)
-	db.Set("top.a", "s", "hi")
-	db.Set("top.a", "b", true)
-	a := tp.Children()[0]
-	if db.GetInt(a, "n", -1) != 7 || db.GetString(a, "s", "") != "hi" || !db.GetBool(a, "b", false) {
-		t.Error("typed getters wrong")
-	}
-	if db.GetInt(a, "nope", -1) != -1 {
-		t.Error("default not returned")
-	}
-	db.Set("top.a", "n", "wrong-type")
-	if db.GetInt(a, "n", -1) != -1 {
-		t.Error("type mismatch should yield default")
-	}
-}
-
-func TestAnalysisPortAndFIFO(t *testing.T) {
-	p := NewAnalysisPort[int]("ap")
-	var got []int
-	p.Subscribe(func(v int) { got = append(got, v) })
-	fifo := NewAnalysisFIFO(p)
-	if p.Subscribers() != 2 {
-		t.Errorf("subscribers = %d", p.Subscribers())
-	}
-	p.Write(1)
-	p.Write(2)
-	if len(got) != 2 || got[0] != 1 {
-		t.Errorf("subscriber got %v", got)
-	}
-	if fifo.Len() != 2 {
-		t.Errorf("fifo len = %d", fifo.Len())
-	}
-	v, ok := fifo.TryGet()
-	if !ok || v != 1 {
-		t.Errorf("TryGet = %v, %v", v, ok)
-	}
-	rest := fifo.Drain()
-	if len(rest) != 1 || rest[0] != 2 {
-		t.Errorf("Drain = %v", rest)
-	}
-	if _, ok := fifo.TryGet(); ok {
-		t.Error("TryGet on empty fifo")
-	}
-}
-
-func TestSequencerHandshake(t *testing.T) {
-	k := sim.NewKernel()
-	seq := NewSequencer[int](k, "seq")
-	var drove []int
-	var sendDone []sim.Time
-	k.Thread("sequence", func(ctx *sim.ThreadCtx) {
-		for i := 1; i <= 3; i++ {
-			seq.Send(ctx, i*10)
-			sendDone = append(sendDone, ctx.Now())
-		}
-	})
-	k.Thread("driver", func(ctx *sim.ThreadCtx) {
-		for i := 0; i < 3; i++ {
-			item := seq.GetNext(ctx)
-			ctx.WaitTime(sim.NS(100)) // bus time
-			drove = append(drove, item)
-			seq.ItemDone()
-		}
-	})
-	if err := k.Run(sim.TimeMax); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	if len(drove) != 3 || drove[0] != 10 || drove[2] != 30 {
-		t.Errorf("drove = %v", drove)
-	}
-	// Send must block until the driver completed each item.
-	want := []sim.Time{sim.NS(100), sim.NS(200), sim.NS(300)}
-	for i := range want {
-		if sendDone[i] != want[i] {
-			t.Errorf("sendDone[%d] = %v, want %v", i, sendDone[i], want[i])
-		}
-	}
-	pulled, completed := seq.Stats()
-	if pulled != 3 || completed != 3 {
-		t.Errorf("stats = %d, %d", pulled, completed)
-	}
-}
-
-func TestSequencerTryNext(t *testing.T) {
-	k := sim.NewKernel()
-	seq := NewSequencer[string](k, "s")
-	if _, ok := seq.TryNext(); ok {
-		t.Error("TryNext on empty")
-	}
-	seq.Push("x")
-	if seq.Pending() != 1 {
-		t.Errorf("pending = %d", seq.Pending())
-	}
-	v, ok := seq.TryNext()
-	if !ok || v != "x" {
-		t.Errorf("TryNext = %q, %v", v, ok)
-	}
-}
-
 func TestScoreboard(t *testing.T) {
 	k := sim.NewKernel()
 	env := NewEnv(k)
@@ -338,13 +128,10 @@ func TestScoreboard(t *testing.T) {
 	sb.Expect(2)
 	sb.Observe(1)
 	sb.Observe(2)
-	if !sb.Clean() || sb.Matched() != 2 || sb.Check() != nil {
+	if sb.Matched() != 2 || sb.Check() != nil {
 		t.Error("clean scoreboard reports failure")
 	}
 	sb.Observe(3)
-	if sb.Clean() {
-		t.Error("surplus not detected")
-	}
 	if err := sb.Check(); err == nil {
 		t.Error("Check passed with surplus")
 	}
@@ -358,8 +145,8 @@ func TestScoreboardMismatchAndMissing(t *testing.T) {
 	sb := NewScoreboard[string](sbTop, "sb")
 	sb.Expect("a")
 	sb.Observe("b")
-	if len(sb.Mismatches()) != 1 {
-		t.Errorf("mismatches = %v", sb.Mismatches())
+	if err := sb.Check(); err == nil || !strings.Contains(err.Error(), "1 mismatches") {
+		t.Errorf("mismatch check = %v", err)
 	}
 	sb2 := NewScoreboard[string](sbTop, "sb2")
 	sb2.Expect("never")
@@ -374,13 +161,12 @@ type memItem struct {
 	data byte
 }
 
-// memEnv is a complete UVM testbench around a TLM memory DUT:
-// sequence -> sequencer -> driver -> DUT, monitor -> scoreboard.
+// memEnv is a complete UVM testbench around a TLM memory DUT: a
+// driver writes each item, reads it back and hands the readback to
+// the scoreboard.
 type memEnv struct {
 	Comp
 	dut *tlm.Memory
-	seq *Sequencer[memItem]
-	ap  *AnalysisPort[memItem]
 	sb  *Scoreboard[memItem]
 	n   int
 }
@@ -388,38 +174,22 @@ type memEnv struct {
 func newMemEnv(k *sim.Kernel, n int) *memEnv {
 	e := &memEnv{dut: tlm.NewMemory("dut", 0, 256), n: n}
 	NewComp(e, nil, "env")
-	e.seq = NewSequencer[memItem](k, "env.seq")
-	e.ap = NewAnalysisPort[memItem]("env.ap")
 	e.sb = NewScoreboard[memItem](e, "sb")
 	return e
 }
 
-func (e *memEnv) Connect() {
-	e.ap.Subscribe(func(it memItem) { e.sb.Observe(it) })
-}
-
 func (e *memEnv) Run(ctx *sim.ThreadCtx) {
 	e.Env().RaiseObjection()
-	// Sequence: write then read back each address; expect the readback.
-	go func() {}() // no goroutines needed; inline both roles via child threads
-	k := e.Kernel()
-	k.Thread("driver", func(dctx *sim.ThreadCtx) {
-		sock := tlm.NewInitiatorSocket("drv")
-		sock.Bind(e.dut)
-		for {
-			item := e.seq.GetNext(dctx)
-			var d sim.Time
-			sock.Write(item.addr, []byte{item.data}, &d)
-			got, _ := sock.Read(item.addr, 1, &d)
-			dctx.WaitTime(d)
-			e.ap.Write(memItem{addr: item.addr, data: got[0]}) // monitor-on-driver
-			e.seq.ItemDone()
-		}
-	})
+	sock := tlm.NewInitiatorSocket("drv")
+	sock.Bind(e.dut)
 	for i := 0; i < e.n; i++ {
 		it := memItem{addr: uint64(i * 3 % 256), data: byte(i*7 + 1)}
 		e.sb.Expect(it)
-		e.seq.Send(ctx, it)
+		var d sim.Time
+		sock.Write(it.addr, []byte{it.data}, &d)
+		got, _ := sock.Read(it.addr, 1, &d)
+		ctx.WaitTime(d)
+		e.sb.Observe(memItem{addr: it.addr, data: got[0]})
 	}
 	e.Env().DropObjection()
 }
@@ -454,46 +224,5 @@ func TestEndToEndTestbenchDetectsFault(t *testing.T) {
 	}
 	if !strings.Contains(errs[0], "mismatch") {
 		t.Errorf("errs = %v", errs)
-	}
-}
-
-// Property: glob matching is reflexive for any literal path (no
-// metacharacters) and any path matches "*".
-func TestPropertyGlobReflexive(t *testing.T) {
-	f := func(segs []uint8) bool {
-		parts := make([]string, 0, len(segs))
-		for _, s := range segs {
-			parts = append(parts, string(rune('a'+s%26)))
-		}
-		path := strings.Join(parts, ".")
-		return globMatch(path, path) && globMatch("*", path)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the sequencer preserves FIFO order for any push sequence.
-func TestPropertySequencerFIFO(t *testing.T) {
-	f := func(items []int16) bool {
-		if len(items) > 100 {
-			items = items[:100]
-		}
-		k := sim.NewKernel()
-		seq := NewSequencer[int16](k, "s")
-		for _, it := range items {
-			seq.Push(it)
-		}
-		for _, want := range items {
-			got, ok := seq.TryNext()
-			if !ok || got != want {
-				return false
-			}
-		}
-		_, ok := seq.TryNext()
-		return !ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
