@@ -41,12 +41,7 @@ func benchExperiment(b *testing.B, id string) {
 
 // BenchmarkE1_AbstractionLadder regenerates the Sec. 2.3 speed-up
 // claim table (gate level → LT+temporal-decoupling).
-func BenchmarkE1_AbstractionLadder(b *testing.B) {
-	old := experiments.E1Items
-	experiments.E1Items = 500
-	defer func() { experiments.E1Items = old }()
-	benchExperiment(b, "E1")
-}
+func BenchmarkE1_AbstractionLadder(b *testing.B) { benchExperiment(b, "E1") }
 
 // BenchmarkE2_CrossLayer regenerates the gate-vs-TLM injection
 // divergence table (Sec. 3.4, [40]).
@@ -58,21 +53,11 @@ func BenchmarkE3_MutationVsCoverage(b *testing.B) { benchExperiment(b, "E3") }
 
 // BenchmarkE4_MonteCarloVsGuided regenerates the rare-event search
 // comparison (Sec. 3.4).
-func BenchmarkE4_MonteCarloVsGuided(b *testing.B) {
-	oldB, oldS := experiments.E4Budget, experiments.E4Seeds
-	experiments.E4Budget, experiments.E4Seeds = 200, 3
-	defer func() { experiments.E4Budget, experiments.E4Seeds = oldB, oldS }()
-	benchExperiment(b, "E4")
-}
+func BenchmarkE4_MonteCarloVsGuided(b *testing.B) { benchExperiment(b, "E4") }
 
 // BenchmarkE5_MissionProfile regenerates the profile-derived vs
 // uniform campaign comparison (Sec. 3.2).
-func BenchmarkE5_MissionProfile(b *testing.B) {
-	old := experiments.E5Runs
-	experiments.E5Runs = 30
-	defer func() { experiments.E5Runs = old }()
-	benchExperiment(b, "E5")
-}
+func BenchmarkE5_MissionProfile(b *testing.B) { benchExperiment(b, "E5") }
 
 // BenchmarkE6_QuantumSweep regenerates the temporal-decoupling
 // accuracy/speed sweep (Sec. 3.4).
@@ -88,12 +73,7 @@ func BenchmarkE8_SingleFaultCAPS(b *testing.B) { benchExperiment(b, "E8") }
 
 // BenchmarkE9_MutationSchemata regenerates the schemata-vs-rebuild
 // efficiency table (Sec. 2.4, [21]).
-func BenchmarkE9_MutationSchemata(b *testing.B) {
-	old := experiments.E9Repeats
-	experiments.E9Repeats = 7
-	defer func() { experiments.E9Repeats = old }()
-	benchExperiment(b, "E9")
-}
+func BenchmarkE9_MutationSchemata(b *testing.B) { benchExperiment(b, "E9") }
 
 // BenchmarkF2_MissionProfilePipeline regenerates Fig. 2 as an
 // executable pipeline.

@@ -40,7 +40,7 @@ func main() {
 		for _, d := range runner.Universe(sim.MS(10)) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
-		campaign := &stressor.Campaign{Name: cfg.name, Run: runner.RunScenario}
+		campaign := &stressor.Campaign{Name: cfg.name, Checkpointer: runner}
 		res, err := campaign.Execute(scenarios)
 		if err != nil {
 			panic(err)

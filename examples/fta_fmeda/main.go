@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/internal/stressor"
 )
 
 func main() {
@@ -48,15 +49,17 @@ func main() {
 		panic(err)
 	}
 	universe := runner.Universe(sim.MS(5))
-	var outcomes []fault.Outcome
-	for _, d := range universe {
-		outcomes = append(outcomes, runner.RunScenario(fault.Single(d)))
-	}
+	var scenarios []fault.Scenario
 	probs := map[string]float64{}
 	for _, d := range universe {
+		scenarios = append(scenarios, fault.Single(d))
 		probs[analysis.EventKey(d)] = p
 	}
-	synth := analysis.SynthesizeFaultTree("G1-from-simulation", outcomes,
+	res, err := (&stressor.Campaign{Name: "G1", Checkpointer: runner}).Execute(scenarios)
+	if err != nil {
+		panic(err)
+	}
+	synth := analysis.SynthesizeFaultTree("G1-from-simulation", res.Outcomes,
 		func(c fault.Classification) bool { return c == fault.SafetyCritical }, probs, p)
 	ps, err := synth.TopEventProbability()
 	if err != nil {

@@ -37,7 +37,7 @@ func main() {
 	ev := &core.Evaluation{
 		Profile:   profile,
 		Sites:     runner.Sites(),
-		Run:       runner.RunScenario,
+		Prototype: runner,
 		Horizon:   horizon - sim.MS(5),
 		Seed:      42,
 		Replicate: 5,

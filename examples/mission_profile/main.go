@@ -11,9 +11,9 @@ import (
 	"math/rand"
 
 	"repro/internal/caps"
-	"repro/internal/fault"
 	"repro/internal/missionprofile"
 	"repro/internal/sim"
+	"repro/internal/stressor"
 )
 
 func main() {
@@ -55,11 +55,12 @@ func main() {
 	// state weight (stressful states attract more activations).
 	scenarios := missionprofile.Schedule(tier1, derived, horizon-sim.MS(5), rand.New(rand.NewSource(1)))
 	fmt.Printf("\nScheduled %d scenarios; injecting into the protected CAPS prototype:\n", len(scenarios))
-	tally := make(fault.Tally)
-	for _, sc := range scenarios {
-		o := runner.RunScenario(sc)
-		tally.Add(o)
-		fmt.Printf("  %-70s start=%-8v -> %s\n", sc.ID, sc.Faults[0].Start, o.Class)
+	res, err := (&stressor.Campaign{Name: tier1.Component, Checkpointer: runner}).Execute(scenarios)
+	if err != nil {
+		panic(err)
 	}
-	fmt.Printf("\ncampaign tally: %s\n", tally)
+	for _, o := range res.Outcomes {
+		fmt.Printf("  %-70s start=%-8v -> %s\n", o.Scenario.ID, o.Scenario.Faults[0].Start, o.Class)
+	}
+	fmt.Printf("\ncampaign tally: %s\n", res.Tally)
 }

@@ -3,11 +3,13 @@
 // fault injectors, (iii) error-effect simulation — into one
 // end-to-end safety evaluation (Sec. 3.1 of the paper).
 //
-// An Evaluation takes a mission profile, a derivation rule base and a
-// virtual prototype (as a campaign RunFunc plus its injection sites),
-// and produces the quantitative artifacts the methodology promises:
-// the outcome tally, fault-space coverage, the weak-spot ranking, and
-// a fault tree synthesized from the observed failures.
+// An Evaluation takes a mission profile and a virtual prototype (the
+// runner a stressor campaign forks every scenario from, plus its
+// injection sites), derives fault descriptions with
+// missionprofile.DefaultRules, and produces the quantitative artifacts
+// the methodology promises: the outcome tally, fault-space coverage,
+// the weak-spot ranking, and a fault tree synthesized from the
+// observed failures.
 package core
 
 import (
@@ -28,13 +30,10 @@ type Evaluation struct {
 	// Profile is the (already refined) mission profile of the
 	// component under evaluation.
 	Profile *missionprofile.Profile
-	// Rules derive fault descriptions from the profile's stresses;
-	// nil selects missionprofile.DefaultRules.
-	Rules []missionprofile.DerivationRule
 	// Sites are the prototype's injection sites.
 	Sites []string
-	// Run executes one fault scenario on the prototype.
-	Run stressor.RunFunc
+	// Prototype runs the scheduled scenarios as one stressor campaign.
+	Prototype stressor.Checkpointer
 	// Horizon is the simulated duration per run.
 	Horizon sim.Time
 	// Seed makes scenario scheduling reproducible.
@@ -42,10 +41,11 @@ type Evaluation struct {
 	// Replicate multiplies the derived fault set to grow the campaign
 	// (minimum 1).
 	Replicate int
-	// EventProb is the per-mission basic-event probability used in
-	// the synthesized fault tree.
-	EventProb float64
 }
+
+// eventProb is the per-mission basic-event probability of the
+// synthesized fault tree.
+const eventProb = 1e-3
 
 // Summary is the evaluation outcome.
 type Summary struct {
@@ -69,17 +69,13 @@ type Summary struct {
 // Execute runs the full pipeline: derive → schedule → inject →
 // classify → aggregate.
 func (e *Evaluation) Execute() (*Summary, error) {
-	if e.Profile == nil || e.Run == nil || len(e.Sites) == 0 {
-		return nil, fmt.Errorf("core: evaluation needs a profile, a run function and injection sites")
+	if e.Profile == nil || e.Prototype == nil || len(e.Sites) == 0 {
+		return nil, fmt.Errorf("core: evaluation needs a profile, a prototype and injection sites")
 	}
 	if e.Horizon == 0 {
 		return nil, fmt.Errorf("core: evaluation needs a horizon")
 	}
-	rules := e.Rules
-	if rules == nil {
-		rules = missionprofile.DefaultRules()
-	}
-	derived, err := missionprofile.Derive(e.Profile, rules, e.Sites)
+	derived, err := missionprofile.Derive(e.Profile, missionprofile.DefaultRules(), e.Sites)
 	if err != nil {
 		return nil, err
 	}
@@ -100,23 +96,20 @@ func (e *Evaluation) Execute() (*Summary, error) {
 	for _, d := range derived {
 		fs.Declare(d.Descriptor.Target, d.Descriptor.Model.String())
 	}
-	tally := make(fault.Tally)
-	var outcomes []fault.Outcome
-	for _, sc := range scenarios {
-		o := e.Run(sc)
-		outcomes = append(outcomes, o)
-		tally.Add(o)
-		for _, d := range sc.Faults {
+	res, err := (&stressor.Campaign{
+		Name: e.Profile.Component, Checkpointer: e.Prototype, Workers: stressor.WorkersAuto,
+	}).Execute(scenarios)
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range res.Outcomes {
+		for _, d := range o.Scenario.Faults {
 			fs.Record(d.Target, d.Model.String(), o.Class.Severity())
 		}
 	}
 
-	prob := e.EventProb
-	if prob == 0 {
-		prob = 1e-3
-	}
-	tree := analysis.SynthesizeFaultTree(e.Profile.Component+"-hazard", outcomes,
-		func(c fault.Classification) bool { return c.IsFailure() }, nil, prob)
+	tree := analysis.SynthesizeFaultTree(e.Profile.Component+"-hazard", res.Outcomes,
+		func(c fault.Classification) bool { return c.IsFailure() }, nil, eventProb)
 	top, err := tree.TopEventProbability()
 	if err != nil {
 		return nil, err
@@ -125,7 +118,7 @@ func (e *Evaluation) Execute() (*Summary, error) {
 	return &Summary{
 		Derived:             len(derived),
 		Scenarios:           len(scenarios),
-		Tally:               tally,
+		Tally:               res.Tally,
 		Coverage:            fs.Coverage(),
 		WeakSpots:           fs.WorstBySite(),
 		FaultTree:           tree,

@@ -26,7 +26,7 @@ func capsEvaluation(t *testing.T, cfg caps.Config) *Evaluation {
 	return &Evaluation{
 		Profile:   profile,
 		Sites:     runner.Sites(),
-		Run:       runner.RunScenario,
+		Prototype: runner,
 		Horizon:   horizon - sim.MS(5),
 		Seed:      1,
 		Replicate: 3,

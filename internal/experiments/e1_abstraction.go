@@ -14,8 +14,8 @@ func init() {
 	register(Experiment{ID: "E1", Title: "Communication abstraction ladder speed-up", Run: runE1})
 }
 
-// E1Items is the workload size (transactions per level).
-var E1Items = 2000
+// e1Items is the workload size (transactions per level).
+const e1Items = 2000
 
 // e1Level runs the workload at one abstraction level and reports
 // wall-clock and kernel statistics.
@@ -36,7 +36,7 @@ type e1Level struct {
 // simulation, a crucial advantage on early safety assurance of large
 // VPs."
 func runE1() (*Result, error) {
-	n := E1Items
+	n := e1Items
 	levels := []struct {
 		name string
 		run  func(n int) (sim.Stats, error)

@@ -11,8 +11,8 @@ func init() {
 	register(Experiment{ID: "E2", Title: "Cross-layer injection divergence (gate vs TLM)", Run: runE2})
 }
 
-// E2Vectors is the stimulus count per fault.
-var E2Vectors = 64
+// e2Vectors is the stimulus count per fault.
+const e2Vectors = 64
 
 // runE2 injects matched stuck-at faults into the same ALU at two
 // abstraction levels and compares outcome classifications.
@@ -37,7 +37,7 @@ func runE2() (*Result, error) {
 	// Stimuli: a deterministic mix of vectors.
 	type vec struct{ a, b, op uint64 }
 	var vecs []vec
-	for i := 0; i < E2Vectors; i++ {
+	for i := 0; i < e2Vectors; i++ {
 		vecs = append(vecs, vec{
 			a:  uint64(i*37+11) & 0xff,
 			b:  uint64(i*91+3) & 0xff,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/caps"
 	"repro/internal/fault"
@@ -15,11 +16,11 @@ func init() {
 	register(Experiment{ID: "E4", Title: "Monte Carlo vs weak-spot-guided injection", Run: runE4})
 }
 
-// E4Budget is the per-strategy run budget; E4Seeds the Monte-Carlo
+// e4Budget is the per-strategy run budget; e4Seeds the Monte-Carlo
 // seed count.
-var (
-	E4Budget = 300
-	E4Seeds  = 5
+const (
+	e4Budget = 300
+	e4Seeds  = 5
 )
 
 // runE4 searches for the safety-critical error effect of the fully
@@ -28,7 +29,10 @@ var (
 // short-to-supply on both redundant sensors) defeat the plausibility
 // check and fire the airbag. Monte Carlo samples random fault pairs;
 // the guided strategy sweeps singles to rank weak spots, then
-// concentrates pair scenarios on them.
+// concentrates pair scenarios on them. Each strategy is the Source of
+// its own campaign; the engine keeps a few proposals outstanding, so
+// Guided ranks its weak spots on the singles observed by the time it
+// proposes its first pair.
 //
 // Paper anchor (Sec. 3.4): "Standard Monte-Carlo techniques may fail
 // to identify the critical error effects leading to system failure
@@ -59,27 +63,25 @@ func runE4() (*Result, error) {
 
 	t := &report.Table{
 		Title:   "E4: runs to first safety-critical failure (protected CAPS, dual-point fault space)",
-		Note:    fmt.Sprintf("budget %d runs per strategy; universe %d single faults", E4Budget, len(universe)),
+		Note:    fmt.Sprintf("budget %d runs per strategy; universe %d single faults", e4Budget, len(universe)),
 		Columns: []string{"strategy", "seed", "runs-to-first-critical", "criticals-found", "runs-used"},
 	}
 
 	// Monte Carlo, several seeds.
 	mcDone := Phase("E4", "monte-carlo")
-	mcFirst := make([]int, 0, E4Seeds)
-	for seed := int64(1); seed <= int64(E4Seeds); seed++ {
-		mc := scenario.NewMonteCarlo(mcUniverse, E4Budget, rand.New(rand.NewSource(seed)))
+	mcFirst := make([]int, 0, e4Seeds)
+	for seed := int64(1); seed <= e4Seeds; seed++ {
+		mc := scenario.NewMonteCarlo(mcUniverse, e4Budget, rand.New(rand.NewSource(seed)))
 		mc.MultiFault = 2
 		mc.Window = sim.MS(40)
-		outcomes := scenario.Drive(mc, runner.RunScenario)
-		first := firstCritical(outcomes)
-		fails := countCritical(outcomes)
-		firstStr := "never"
-		if first > 0 {
-			firstStr = fmt.Sprint(first)
+		res, err := campaign(fmt.Sprintf("monte-carlo seed %d", seed), runner, mc).Execute(nil)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow("monte-carlo", seed, firstStr, fails, len(outcomes))
+		first := firstCritical(res.Outcomes)
+		t.AddRow("monte-carlo", seed, never(first), res.Tally[fault.SafetyCritical], len(res.Outcomes))
 		if first == 0 {
-			first = E4Budget + 1 // censored
+			first = e4Budget + 1 // censored
 		}
 		mcFirst = append(mcFirst, first)
 	}
@@ -87,16 +89,14 @@ func runE4() (*Result, error) {
 
 	// Guided.
 	guidedDone := Phase("E4", "weak-spot-guided")
-	g := scenario.NewGuided(universe, E4Budget)
-	outcomes := scenario.Drive(g, runner.RunScenario)
+	res, err := campaign("weak-spot-guided", runner, scenario.NewGuided(universe, e4Budget)).Execute(nil)
 	guidedDone()
-	gFirst := firstCritical(outcomes)
-	gFails := countCritical(outcomes)
-	gFirstStr := "never"
-	if gFirst > 0 {
-		gFirstStr = fmt.Sprint(gFirst)
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("weak-spot-guided", "-", gFirstStr, gFails, len(outcomes))
+	gFirst := firstCritical(res.Outcomes)
+	gFirstStr := never(gFirst)
+	t.AddRow("weak-spot-guided", "-", gFirstStr, res.Tally[fault.SafetyCritical], len(res.Outcomes))
 
 	// Shape: guided finds a critical failure; its first-failure index
 	// beats the Monte-Carlo median.
@@ -111,7 +111,7 @@ func runE4() (*Result, error) {
 		ShapeHolds: holds,
 		ShapeDetail: fmt.Sprintf(
 			"guided finds the critical dual-point failure after %s runs vs Monte-Carlo median %d (budget %d, censored counted as budget+1)",
-			gFirstStr, median, E4Budget),
+			gFirstStr, median, e4Budget),
 	}, nil
 }
 
@@ -119,33 +119,20 @@ func runE4() (*Result, error) {
 // violation (SDC and timing failures are easier to hit and are not
 // what this search is about), or 0 when none occurred.
 func firstCritical(outcomes []fault.Outcome) int {
-	for i, o := range outcomes {
-		if o.Class == fault.SafetyCritical {
-			return i + 1
-		}
-	}
-	return 0
+	return 1 + slices.IndexFunc(outcomes, func(o fault.Outcome) bool { return o.Class == fault.SafetyCritical })
 }
 
-func countCritical(outcomes []fault.Outcome) int {
-	n := 0
-	for _, o := range outcomes {
-		if o.Class == fault.SafetyCritical {
-			n++
-		}
+// never renders a runs-to-first-critical index, 0 meaning none.
+func never(first int) string {
+	if first == 0 {
+		return "never"
 	}
-	return n
+	return fmt.Sprint(first)
 }
 
+// medianInt is the upper median of a non-empty xs.
 func medianInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]int(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -11,14 +11,15 @@ import (
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stressor"
 )
 
 func init() {
 	register(Experiment{ID: "E5", Title: "Mission-profile-derived stressors vs uniform random", Run: runE5})
 }
 
-// E5Runs is the campaign size per approach.
-var E5Runs = 60
+// e5Runs is the campaign size per approach.
+const e5Runs = 60
 
 // runE5 compares two ways of choosing what to inject into the CAPS
 // prototype: descriptors derived from the vehicle's mission profile
@@ -58,61 +59,58 @@ func runE5() (*Result, error) {
 	}
 	// Replicate derived faults to fill the campaign budget.
 	var pool []missionprofile.Derived
-	for len(pool) < E5Runs {
+	for len(pool) < e5Runs {
 		pool = append(pool, derived...)
 	}
-	pool = pool[:E5Runs]
+	pool = pool[:e5Runs]
 	mpScenarios := missionprofile.Schedule(tier1, pool, horizon-sim.MS(10), rand.New(rand.NewSource(11)))
 	deriveDone()
 
 	// Uniform baseline: random single faults over the raw universe.
 	universe := runner.Universe(0)
-	mc := scenario.NewMonteCarlo(universe, E5Runs, rand.New(rand.NewSource(11)))
-	mc.Window = horizon - sim.MS(10)
+	uniform := scenario.NewMonteCarlo(universe, e5Runs, rand.New(rand.NewSource(11)))
+	uniform.Window = horizon - sim.MS(10)
 
-	classifyAll := func(scs []fault.Scenario) (tally fault.Tally, harnessShare float64, detections map[string]int) {
-		tally = make(fault.Tally)
-		detections = map[string]int{}
+	t := &report.Table{
+		Title:   "E5: mission-profile-derived vs uniform random campaigns (protected CAPS)",
+		Note:    fmt.Sprintf("%d runs each; harness share = fraction of injections on wiring-harness sites", e5Runs),
+		Columns: []string{"campaign", "runs", "harness share", "detected-safe", "masked", "sdc", "distinct mechanisms exercised"},
+	}
+	// row adds a campaign's row to t: its tally, the distinct detection
+	// mechanisms it exercised, and its harness share, which it returns.
+	row := func(res *stressor.Result) float64 {
+		mechanisms := map[string]bool{}
 		harness := 0
-		for _, sc := range scs {
-			o := runner.RunScenario(sc)
-			tally.Add(o)
-			for _, d := range sc.Faults {
+		for _, o := range res.Outcomes {
+			for _, d := range o.Scenario.Faults {
 				if strings.Contains(d.Target, "harness") {
 					harness++
 				}
 			}
 			if o.Class == fault.DetectedSafe && o.Detail != "" {
-				detections[o.Detail]++
+				mechanisms[o.Detail] = true
 			}
 		}
-		return tally, float64(harness) / float64(len(scs)), detections
+		share := float64(harness) / float64(len(res.Outcomes))
+		t.AddRow(res.Name, len(res.Outcomes), fmt.Sprintf("%.0f%%", share*100),
+			res.Tally[fault.DetectedSafe], res.Tally[fault.Masked], res.Tally[fault.SDC], len(mechanisms))
+		return share
 	}
 
 	mpDone := Phase("E5", "profile-campaign")
-	mpTally, mpHarness, mpDet := classifyAll(mpScenarios)
+	mp, err := campaign("mission-profile", runner, nil).Execute(mpScenarios)
 	mpDone()
-	var mcScenarios []fault.Scenario
-	for {
-		sc, ok := mc.Next()
-		if !ok {
-			break
-		}
-		mcScenarios = append(mcScenarios, sc)
+	if err != nil {
+		return nil, err
 	}
+	mpHarness := row(mp)
 	mcDone := Phase("E5", "uniform-campaign")
-	mcTally, mcHarness, mcDet := classifyAll(mcScenarios)
+	mc, err := campaign("uniform-random", runner, uniform).Execute(nil)
 	mcDone()
-
-	t := &report.Table{
-		Title:   "E5: mission-profile-derived vs uniform random campaigns (protected CAPS)",
-		Note:    fmt.Sprintf("%d runs each; harness share = fraction of injections on wiring-harness sites", E5Runs),
-		Columns: []string{"campaign", "runs", "harness share", "detected-safe", "masked", "sdc", "distinct mechanisms exercised"},
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("mission-profile", len(mpScenarios), fmt.Sprintf("%.0f%%", mpHarness*100),
-		mpTally[fault.DetectedSafe], mpTally[fault.Masked], mpTally[fault.SDC], len(mpDet))
-	t.AddRow("uniform-random", len(mcScenarios), fmt.Sprintf("%.0f%%", mcHarness*100),
-		mcTally[fault.DetectedSafe], mcTally[fault.Masked], mcTally[fault.SDC], len(mcDet))
+	mcHarness := row(mc)
 
 	// Derivation audit table (the Fig. 2 artifact).
 	dt := &report.Table{

@@ -34,10 +34,9 @@ func runE7() (*Result, error) {
 	// Campaign: all singles, then all unordered pairs (the system has
 	// no triple-point protection left to defeat, so pairs complete the
 	// cut-set search for this DUT).
-	campaignDone := Phase("E7", "campaign")
-	var outcomes []fault.Outcome
+	var scenarios []fault.Scenario
 	for _, d := range universe {
-		outcomes = append(outcomes, runner.RunScenario(fault.Single(d)))
+		scenarios = append(scenarios, fault.Single(d))
 	}
 	for i := 0; i < len(universe); i++ {
 		for j := i + 1; j < len(universe); j++ {
@@ -45,11 +44,15 @@ func runE7() (*Result, error) {
 			if a.Target == b.Target {
 				continue // same-site pairs add nothing over singles here
 			}
-			sc := fault.Scenario{ID: a.Name + "+" + b.Name, Faults: []fault.Descriptor{a, b}}
-			outcomes = append(outcomes, runner.RunScenario(sc))
+			scenarios = append(scenarios, fault.Scenario{ID: a.Name + "+" + b.Name, Faults: []fault.Descriptor{a, b}})
 		}
 	}
+	campaignDone := Phase("E7", "campaign")
+	res, err := campaign("singles+pairs", runner, nil).Execute(scenarios)
 	campaignDone()
+	if err != nil {
+		return nil, err
+	}
 
 	// Event probabilities: uniform per-mission basic-event probability
 	// (absolute rates are not the point; structure is).
@@ -60,7 +63,7 @@ func runE7() (*Result, error) {
 	}
 	isG1 := func(c fault.Classification) bool { return c == fault.SafetyCritical }
 	synthDone := Phase("E7", "synthesize")
-	synth := analysis.SynthesizeFaultTree("G1-inadvertent-deployment", outcomes, isG1, probs, p)
+	synth := analysis.SynthesizeFaultTree("G1-inadvertent-deployment", res.Outcomes, isG1, probs, p)
 	synthDone()
 
 	// Analytic tree from design knowledge of the unprotected system:

@@ -13,8 +13,8 @@ func init() {
 	register(Experiment{ID: "E9", Title: "Mutation schemata vs rebuild-per-mutant", Run: runE9})
 }
 
-// E9Repeats stabilizes the wall-clock comparison.
-var E9Repeats = 5
+// e9Repeats stabilizes the wall-clock comparison.
+const e9Repeats = 5
 
 // runE9 measures the cost of qualifying the same testbench with
 // mutation schemata (parse once, select the live mutant by flag)
@@ -61,7 +61,7 @@ func lookup(x) {
 
 	t := &report.Table{
 		Title:   "E9: testbench qualification cost, schemata vs rebuild-per-mutant",
-		Note:    fmt.Sprintf("minimum of %d repetitions; identical verdicts checked per run", E9Repeats),
+		Note:    fmt.Sprintf("minimum of %d repetitions; identical verdicts checked per run", e9Repeats),
 		Columns: []string{"model", "mutants", "schemata", "rebuild", "speedup"},
 	}
 
@@ -79,7 +79,7 @@ func lookup(x) {
 		// GC interference only ever add time).
 		schemata, rebuild := time.Duration(1<<62), time.Duration(1<<62)
 		var total int
-		for rep := 0; rep < E9Repeats; rep++ {
+		for rep := 0; rep < e9Repeats; rep++ {
 			s0 := time.Now()
 			a, err := mutation.Qualify(p, tests)
 			if err != nil {

@@ -17,22 +17,15 @@ import (
 	"repro/internal/stressor"
 )
 
-// CampaignWorkers sizes the worker pool of the campaign-heavy
-// experiments (E8, X2): 0 forces sequential execution, N > 0 a pool
-// of N, and the stressor.WorkersAuto default one worker per CPU.
-// Campaign results are deterministic for every setting, so this knob
-// only trades wall-clock time.
-var CampaignWorkers = stressor.WorkersAuto
-
 // Metrics and Trace are the harness-wide observability sinks. Both
 // are nil by default (experiments run uninstrumented); the vpsafety
 // CLI attaches them via Instrument. All obs types are nil-safe, so
-// experiment code calls Phase and instrumentCampaign unconditionally.
+// experiment code calls Phase and campaign unconditionally.
 var (
 	Metrics *obs.Registry
 	Trace   *obs.TraceRecorder
-	// CampaignProgress, when set, streams live progress from the
-	// campaign-heavy experiments (E8, X2).
+	// CampaignProgress, when set, streams live progress from every
+	// experiment campaign.
 	CampaignProgress obs.ProgressFunc
 )
 
@@ -82,13 +75,17 @@ func AttributionTable(id string) *report.Table {
 	return report.MetricsTable(fmt.Sprintf("%s: wall-clock attribution by phase", id), ms)
 }
 
-// instrumentCampaign points a stressor campaign at the harness sinks.
-// All fields are nil when the harness is uninstrumented, which leaves
-// the campaign on its zero-overhead path.
-func instrumentCampaign(c *stressor.Campaign) {
-	c.Metrics = Metrics
-	c.Trace = Trace
-	c.Progress = CampaignProgress
+// campaign builds the stressor campaign an experiment runs its
+// scenarios on: the runner as the prototype every scenario forks from,
+// one worker per CPU, and src (nil for a scenario list handed to
+// Execute) as the strategy. Results are identical at every worker
+// count. The harness sinks are nil when it is uninstrumented, which
+// leaves the campaign on its zero-overhead path.
+func campaign(name string, runner stressor.Checkpointer, src stressor.ScenarioSource) *stressor.Campaign {
+	return &stressor.Campaign{
+		Name: name, Checkpointer: runner, Source: src, Workers: stressor.WorkersAuto,
+		Metrics: Metrics, Trace: Trace, Progress: CampaignProgress,
+	}
 }
 
 // Result is one experiment's outcome.

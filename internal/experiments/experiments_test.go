@@ -52,45 +52,13 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestE1AbstractionLadder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	old := E1Items
-	E1Items = 500
-	defer func() { E1Items = old }()
-	runAndCheck(t, "E1")
-}
-
-func TestE2CrossLayer(t *testing.T)         { runAndCheck(t, "E2") }
-func TestE3MutationVsCoverage(t *testing.T) { runAndCheck(t, "E3") }
-
-func TestE4MonteCarloVsGuided(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	oldB, oldS := E4Budget, E4Seeds
-	E4Budget, E4Seeds = 250, 3
-	defer func() { E4Budget, E4Seeds = oldB, oldS }()
-	runAndCheck(t, "E4")
-}
-
-func TestE5MissionProfile(t *testing.T) {
-	oldR := E5Runs
-	E5Runs = 40
-	defer func() { E5Runs = oldR }()
-	runAndCheck(t, "E5")
-}
-
-func TestE6QuantumSweep(t *testing.T) { runAndCheck(t, "E6") }
-
-func TestE7SimFTA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	runAndCheck(t, "E7")
-}
-
+func TestE1AbstractionLadder(t *testing.T)      { runAndCheck(t, "E1") }
+func TestE2CrossLayer(t *testing.T)             { runAndCheck(t, "E2") }
+func TestE3MutationVsCoverage(t *testing.T)     { runAndCheck(t, "E3") }
+func TestE4MonteCarloVsGuided(t *testing.T)     { runAndCheck(t, "E4") }
+func TestE5MissionProfile(t *testing.T)         { runAndCheck(t, "E5") }
+func TestE6QuantumSweep(t *testing.T)           { runAndCheck(t, "E6") }
+func TestE7SimFTA(t *testing.T)                 { runAndCheck(t, "E7") }
 func TestE8SingleFaultCAPS(t *testing.T)        { runAndCheck(t, "E8") }
 func TestE9MutationSchemata(t *testing.T)       { runAndCheck(t, "E9") }
 func TestF2MissionProfilePipeline(t *testing.T) { runAndCheck(t, "F2") }

@@ -82,12 +82,12 @@ func runF2() (*Result, error) {
 	// Stage 4: schedule into operating states and run the stressor.
 	injectDone := Phase("F2", "schedule-inject")
 	scenarios := missionprofile.Schedule(tier1, derived, horizon-sim.MS(5), rand.New(rand.NewSource(3)))
-	tally := make(fault.Tally)
-	for _, sc := range scenarios {
-		o := runner.RunScenario(sc)
-		tally.Add(o)
-	}
+	res, err := campaign("mission-profile", runner, nil).Execute(scenarios)
 	injectDone()
+	if err != nil {
+		return nil, err
+	}
+	tally := res.Tally
 	st := &report.Table{
 		Title:   "F2c: stressor campaign outcome (protected CAPS)",
 		Columns: []string{"scenarios", "outcome tally"},

@@ -28,46 +28,28 @@ func runF3() (*Result, error) {
 	universe := runner.Universe(sim.MS(10))
 
 	// Declare the fault space from the universe.
-	fs := coverage.NewFaultSpace(nil, nil)
-	byCell := map[coverage.SiteModelKey]fault.Descriptor{}
+	loop := &closure{
+		fs:       coverage.NewFaultSpace(nil, nil),
+		byCell:   map[coverage.SiteModelKey]fault.Descriptor{},
+		proposed: map[coverage.SiteModelKey]bool{},
+		t: &report.Table{
+			Title:   "F3: coverage-closure loop over the CAPS fault space",
+			Columns: []string{"iteration", "scenarios run", "coverage", "open holes", "worst site severity"},
+		},
+	}
 	for _, d := range universe {
-		fs.Declare(d.Target, d.Model.String())
-		byCell[coverage.SiteModelKey{Site: d.Target, Model: d.Model.String()}] = d
+		loop.fs.Declare(d.Target, d.Model.String())
+		loop.byCell[coverage.SiteModelKey{Site: d.Target, Model: d.Model.String()}] = d
 	}
 
-	t := &report.Table{
-		Title:   "F3: coverage-closure loop over the CAPS fault space",
-		Columns: []string{"iteration", "scenarios run", "coverage", "open holes", "worst site severity"},
-	}
-
-	const perIteration = 5
-	iterations := 0
-	totalRuns := 0
 	loopDone := Phase("F3", "closure-loop")
-	for fs.Coverage() < 1 {
-		iterations++
-		holes := fs.Holes()
-		n := perIteration
-		if n > len(holes) {
-			n = len(holes)
-		}
-		for _, hole := range holes[:n] {
-			d := byCell[hole]
-			o := runner.RunScenario(fault.Single(d))
-			fs.Record(d.Target, d.Model.String(), o.Class.Severity())
-			totalRuns++
-		}
-		worst := 0
-		if ws := fs.WorstBySite(); len(ws) > 0 {
-			worst = ws[0].Severity
-		}
-		t.AddRow(iterations, totalRuns, fmt.Sprintf("%.0f%%", fs.Coverage()*100), len(fs.Holes()), worst)
-		if iterations > 100 {
-			return nil, fmt.Errorf("F3: loop did not converge")
-		}
-	}
+	_, err = campaign("coverage-closure", runner, loop).Execute(nil)
 	loopDone()
+	if err != nil {
+		return nil, err
+	}
 
+	fs, iterations, totalRuns := loop.fs, len(loop.t.Rows), loop.runs
 	ws := fs.WorstBySite()
 	wt := &report.Table{
 		Title:   "F3a: weak-spot ranking produced by the loop",
@@ -82,10 +64,49 @@ func runF3() (*Result, error) {
 		ID:         "F3",
 		Title:      "Fig. 3 as an executable closed loop",
 		Claim:      "intelligent coverage models measure the completeness of the error effect simulation and steer injection toward coverage closure (Sec. 3.4, Fig. 3)",
-		Tables:     []*report.Table{t, wt},
+		Tables:     []*report.Table{loop.t, wt},
 		ShapeHolds: holds,
 		ShapeDetail: fmt.Sprintf(
 			"loop reached 100%% fault-space coverage in %d iterations and %d runs (one per declared cell), emitting the weak-spot ranking",
 			iterations, totalRuns),
 	}, nil
+}
+
+// perIteration is how many closure runs one row of F3's table spans.
+const perIteration = 5
+
+// closure is F3's loop as a campaign Source: Next proposes the first
+// coverage hole not yet proposed, Observe records the outcome's
+// severity in the fault space and adds a table row every perIteration
+// runs and at closure.
+type closure struct {
+	fs       *coverage.FaultSpace
+	byCell   map[coverage.SiteModelKey]fault.Descriptor
+	proposed map[coverage.SiteModelKey]bool
+	runs     int
+	t        *report.Table
+}
+
+func (c *closure) Next() (fault.Scenario, bool) {
+	for _, hole := range c.fs.Holes() {
+		if !c.proposed[hole] {
+			c.proposed[hole] = true
+			return fault.Single(c.byCell[hole]), true
+		}
+	}
+	return fault.Scenario{}, false
+}
+
+func (c *closure) Observe(o fault.Outcome) {
+	d := o.Scenario.Faults[0]
+	c.fs.Record(d.Target, d.Model.String(), o.Class.Severity())
+	c.runs++
+	if c.runs%perIteration != 0 && c.fs.Coverage() < 1 {
+		return
+	}
+	worst := 0
+	if ws := c.fs.WorstBySite(); len(ws) > 0 {
+		worst = ws[0].Severity
+	}
+	c.t.AddRow(len(c.t.Rows)+1, c.runs, fmt.Sprintf("%.0f%%", c.fs.Coverage()*100), len(c.fs.Holes()), worst)
 }

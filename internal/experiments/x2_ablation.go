@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/stressor"
 )
 
 func init() {
@@ -55,9 +54,7 @@ func runX2() (*Result, error) {
 		for _, d := range runner.Universe(sim.MS(10)) {
 			scenarios = append(scenarios, fault.Single(d))
 		}
-		c := &stressor.Campaign{Name: v.name, Workers: CampaignWorkers, Checkpointer: runner}
-		instrumentCampaign(c)
-		res, err := c.Execute(scenarios)
+		res, err := campaign(v.name, runner, nil).Execute(scenarios)
 		done()
 		if err != nil {
 			return nil, fmt.Errorf("X2 %s: %w", v.name, err)

@@ -329,7 +329,7 @@ func NewNovelty(universe []fault.Descriptor, budget int, rng *rand.Rand) *Novelt
 // (Window, Starts).
 func (n *Novelty) Mutator() *Mutator { return n.mut }
 
-// Next implements Strategy.
+// Next implements stressor.ScenarioSource.
 func (n *Novelty) Next() (fault.Scenario, bool) {
 	if n.produced >= n.budget {
 		return fault.Scenario{}, false
@@ -380,7 +380,7 @@ func (n *Novelty) enqueue(sc fault.Scenario) {
 	n.queue = append(n.queue, sc)
 }
 
-// Observe implements Strategy: every outcome credits the mutation
+// Observe implements stressor.ScenarioSource: every outcome credits the mutation
 // move that produced it (the bandit's learning signal); novel
 // signatures additionally spawn descendants.
 func (n *Novelty) Observe(o fault.Outcome) {

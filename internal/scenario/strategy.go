@@ -1,10 +1,11 @@
 // Package scenario implements injection-space exploration strategies
-// for error-effect simulation campaigns: Monte-Carlo sampling and the
+// for error-effect simulation campaigns: Monte-Carlo sampling, the
 // weak-spot-guided systematic search the paper argues for in Sec. 3.4
 // ("Standard Monte-Carlo techniques may fail to identify the critical
 // error effects ... a systematic approach is required that stresses the
-// system at its possible weak spots"). Experiment E4 compares these
-// strategies head to head.
+// system at its possible weak spots") and signature novelty. Each is a
+// stressor.ScenarioSource: a stressor.Campaign drives it, and experiment
+// E4 compares the first two head to head.
 package scenario
 
 import (
@@ -15,16 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
-
-// Strategy produces fault scenarios one at a time and learns from
-// outcomes. Next returns false when the strategy is exhausted (or has
-// reached its budget).
-type Strategy interface {
-	// Next proposes the next scenario to simulate.
-	Next() (fault.Scenario, bool)
-	// Observe feeds back the outcome of a proposed scenario.
-	Observe(o fault.Outcome)
-}
 
 // MonteCarlo samples the universe uniformly with random start times —
 // the standard technique whose rare-event blindness E4 demonstrates.
@@ -51,7 +42,8 @@ func NewMonteCarlo(universe []fault.Descriptor, budget int, rng *rand.Rand) *Mon
 // duplicate is kept so Next stays total.
 const mcResampleRetries = 8
 
-// Next implements Strategy.
+// Next implements stressor.ScenarioSource; it returns false once the
+// budget is spent.
 func (m *MonteCarlo) Next() (fault.Scenario, bool) {
 	if m.produced >= m.budget || len(m.universe) == 0 {
 		return fault.Scenario{}, false
@@ -96,7 +88,8 @@ func (m *MonteCarlo) Next() (fault.Scenario, bool) {
 	return sc, true
 }
 
-// Observe implements Strategy (Monte Carlo does not adapt).
+// Observe implements stressor.ScenarioSource (Monte Carlo does not
+// adapt).
 func (m *MonteCarlo) Observe(fault.Outcome) {}
 
 // Guided is the systematic weak-spot strategy: phase 1 sweeps every
@@ -138,7 +131,8 @@ func NewGuided(universe []fault.Descriptor, budget int) *Guided {
 	return g
 }
 
-// Next implements Strategy.
+// Next implements stressor.ScenarioSource: the single-fault sweep, then
+// the weak-spot pairs, until the budget or the pairs run out.
 func (g *Guided) Next() (fault.Scenario, bool) {
 	if g.produced >= g.budget {
 		return fault.Scenario{}, false
@@ -214,28 +208,13 @@ func (g *Guided) generatePairs() {
 	}
 }
 
-// Observe implements Strategy: track worst severity per site.
+// Observe implements stressor.ScenarioSource: track worst severity per
+// site.
 func (g *Guided) Observe(o fault.Outcome) {
 	sev := o.Class.Severity()
 	for _, d := range o.Scenario.Faults {
 		if sev > g.severity[d.Target] {
 			g.severity[d.Target] = sev
 		}
-	}
-}
-
-// Drive runs a strategy against a campaign run function until the
-// strategy is exhausted, returning all outcomes. It is the generic
-// closed loop of Fig. 3 (strategy ⇄ error effect simulation).
-func Drive(s Strategy, run func(fault.Scenario) fault.Outcome) []fault.Outcome {
-	var out []fault.Outcome
-	for {
-		sc, ok := s.Next()
-		if !ok {
-			return out
-		}
-		o := run(sc)
-		s.Observe(o)
-		out = append(out, o)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/stressor"
 )
 
 func universe(sites int) []fault.Descriptor {
@@ -149,48 +150,16 @@ func TestGuidedBudget(t *testing.T) {
 	}
 }
 
-// walk proposes each descriptor of a universe once, in order, and
-// counts what it is told.
-type walk struct {
-	universe       []fault.Descriptor
-	next, observed int
-}
-
-func (w *walk) Next() (fault.Scenario, bool) {
-	if w.next >= len(w.universe) {
-		return fault.Scenario{}, false
-	}
-	w.next++
-	return fault.Single(w.universe[w.next-1]), true
-}
-
-func (w *walk) Observe(fault.Outcome) { w.observed++ }
-
-// TestDrive: Drive runs every scenario the strategy proposes, in order,
-// and tells the strategy each outcome.
-func TestDrive(t *testing.T) {
-	u := universe(2)
-	w := &walk{universe: u}
-	outcomes := Drive(w, func(sc fault.Scenario) fault.Outcome { return fault.Outcome{Scenario: sc} })
-	if len(outcomes) != len(u) || w.observed != len(u) {
-		t.Fatalf("outcomes = %d, observed = %d, want %d", len(outcomes), w.observed, len(u))
-	}
-	for i, o := range outcomes {
-		if o.Scenario.Faults[0].Name != u[i].Name {
-			t.Errorf("outcome %d ran %s, want %s", i, o.Scenario.Faults[0].Name, u[i].Name)
-		}
-	}
-}
-
 // Property: every strategy respects its budget and produces valid
 // scenarios.
 func TestPropertyStrategiesProduceValidScenarios(t *testing.T) {
 	f := func(seed int64, nSites, budget uint8) bool {
 		u := universe(int(nSites%5) + 1)
 		b := int(budget%40) + 1
-		strategies := []Strategy{
+		strategies := []stressor.ScenarioSource{
 			NewMonteCarlo(u, b, rand.New(rand.NewSource(seed))),
 			NewGuided(u, b),
+			NewNovelty(u, b, rand.New(rand.NewSource(seed))),
 		}
 		for _, s := range strategies {
 			count := 0

@@ -6,9 +6,9 @@ import (
 )
 
 // ScenarioSource feeds a Campaign in place of a scenario list: Next
-// proposes scenarios, Observe receives each delivered outcome.
-// scenario.Strategy satisfies it (the interface is restated here so the
-// engine does not depend on the strategy package). The engine makes all
+// proposes scenarios until it returns false, Observe receives each
+// delivered outcome. The exploration strategies of package scenario
+// (MonteCarlo, Guided, Novelty) are sources. The engine makes all
 // Next/Observe calls from one goroutine, in proposal order —
 // implementations need no locking, and deterministic implementations
 // make the whole campaign deterministic.
