@@ -35,13 +35,14 @@ shuffle:
 
 tier1: build vet race shuffle
 
-# How much of each model's state capture and restore the state-coverage
-# lint holds (scripts/capture-mutants.sh): every assignment and call
-# statement in the SnapshotState and RestoreState bodies of caps, can, tlm
-# and the ECU slot, and in the ECU helpers they call, is commented out in
-# turn, in a copy of the tree, against that package's TestStateCoverage*. Fails
-# on a surviving deletion its allow-list does not give a reason for. CI
-# runs it in the tier1 job.
+# How much of each model's state capture, restore and digest the
+# state-coverage lint holds (scripts/capture-mutants.sh): every assignment
+# and call statement in the SnapshotState, RestoreState and HashState
+# bodies of caps, can, tlm and the ECU slot, and in the ECU helpers the
+# capture and restore call, is commented out in turn, in a copy of the
+# tree, against that package's TestStateCoverage*. Fails on a surviving
+# deletion its allow-list does not give a reason for. CI runs it in the
+# tier1 job.
 capture-mutants:
 	GO=$(GO) sh scripts/capture-mutants.sh
 

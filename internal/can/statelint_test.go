@@ -109,3 +109,32 @@ func busRules(b *Bus, a, c *Node) map[string]simtest.Rule {
 		"channel.arbitrations": simtest.Unhashed(diag),
 	}
 }
+
+// TestStateCoverageBusOwners: the lint perturbs a node's retry budget
+// and queue in place, which moves the digest whatever the framing. Which
+// node holds a budget or a queued frame must move it too: with every
+// counter at zero, a zero budget or an ID-0 empty frame on one node
+// folds the same zero words as on the other but for the presence bit
+// and the queue length, and two runs that differ only there would pass
+// for one state.
+func TestStateCoverageBusOwners(t *testing.T) {
+	digest := func(set func(b *Bus, n *Node)) [2]uint64 {
+		var out [2]uint64
+		for i := range out {
+			k, b := busFixture(t)
+			nodes := []*Node{b.Attach("a"), b.Attach("c")}
+			set(b, nodes[i])
+			out[i] = sim.StateSignature(b)
+			k.Shutdown()
+		}
+		return out
+	}
+	for name, set := range map[string]func(b *Bus, n *Node){
+		"a zero retry budget": func(b *Bus, n *Node) { b.retriesLeft[n] = 0 },
+		"an ID-0 empty frame": func(_ *Bus, n *Node) { n.queue = append(n.queue, frame{}) },
+	} {
+		if d := digest(set); d[0] == d[1] {
+			t.Errorf("%s on one node or the other digests alike (%#x)", name, d[0])
+		}
+	}
+}

@@ -2,7 +2,6 @@ package caps
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -18,12 +17,12 @@ import (
 // the rebuild path behind ReuseOff, the checkpoint tree, fork windows and
 // early exit are stressor.Host's; the runner supplies the model below.
 type Runner struct {
-	*stressor.Host[*System, splices]
+	*stressor.Host[*System, record]
 }
 
 // NewRunner builds the runner and performs the golden run.
 func NewRunner(cfg Config, world *World, horizon sim.Time) (*Runner, error) {
-	h, err := stressor.NewHost[*System, splices]("caps", &model{cfg: cfg, world: world}, horizon)
+	h, err := stressor.NewHost[*System, record]("caps", &model{cfg: cfg, world: world}, horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -64,88 +63,108 @@ func (r *Runner) RunScenarioTraced(sc fault.Scenario) (fault.Outcome, *analysis.
 
 // model is the CAPS prototype as stressor.Host runs it.
 type model struct {
-	cfg    Config
-	world  *World
-	golden golden // set once, from the golden run
+	cfg   Config
+	world *World
 }
 
 func (m *model) Build(k *sim.Kernel) (*System, *fault.Registry) { return Build(k, m.cfg, m.world) }
 
 func (m *model) Observe(s *System) analysis.Observation {
-	return m.observation(s.Fired, s.FiredAt, s.Severities, s.Detections, m.stateCorrupted(s))
+	return m.observation(s.Fired, s.FiredAt, formatSeverities(s.Severities, nil, 0), s.Detections, m.stateCorrupted(s))
 }
 
-// Golden keeps the golden run's output history and final facts: what an
-// early-exited run's observation is composed from (Converged).
-func (m *model) Golden(s *System, ob analysis.Observation) error {
+// Golden vets the golden run: what an early-exited run's observation
+// is composed from is the record of the run it joined, golden's included.
+func (m *model) Golden(_ *System, ob analysis.Observation) error {
 	if ob.GoalViolated {
 		return fmt.Errorf("caps: golden run violates the safety goal: %s", ob.GoalDetail)
-	}
-	m.golden = golden{
-		sev: slices.Clone(s.Severities), det: slices.Clone(s.Detections),
-		fired: s.Fired, firedAt: s.FiredAt, latent: ob.LatentState,
 	}
 	return nil
 }
 
-// golden is the fault-free run's full-horizon output history (severity
-// stream, detections) and its final dynamic-derived facts (firing,
-// latent corruption). The digest covers only dynamic state — see
-// System.HashState — so this, spliced at the history lengths below, is
-// what turns "the dynamics re-joined golden at t" into the
-// byte-identical full-horizon observation.
-type golden struct {
-	sev           []byte
+// record is a finished run's output history as a run joining its
+// trajectory splices it: the history lengths at each stride mark, the
+// full-horizon history — the severity stream as Observe renders it, with
+// where in that text each mark's suffix starts, and the detections — and
+// the final dynamic-derived facts (firing, latent corruption). The digest
+// covers only dynamic state — see System.HashState — so the history,
+// spliced at the marks, is what turns "the dynamics joined that run at t"
+// into the byte-identical full-horizon observation.
+type record struct {
+	detAt, sevAt  []int
+	sevText       []byte
+	textAt        []int
 	det           []string
 	fired, latent bool
 	firedAt       sim.Time
 }
 
-// splices are the golden history lengths at each stride instant
-// (i+1)*stride: where a run converging there splices the golden suffix.
-type splices struct{ sev, det []int }
+func (m *model) Record(r *record, s *System, n int, ob *analysis.Observation) {
+	if ob == nil {
+		r.sevAt = append(r.sevAt[:n], len(s.Severities))
+		r.detAt = append(r.detAt[:n], len(s.Detections))
+		return
+	}
+	r.sevText = appendSeverities(r.sevText[:0], s.Severities)
+	r.textAt = r.textAt[:0]
+	at, k := 1, 0 // the text offset of severity k
+	for _, j := range r.sevAt[:n] {
+		for ; k < j; k++ {
+			at += digits(s.Severities[k]) + 1
+		}
+		r.textAt = append(r.textAt, at)
+	}
+	r.det = append(r.det[:0], s.Detections...)
+	r.fired, r.firedAt, r.latent = s.Fired, s.FiredAt, ob.LatentState
+}
 
-func (m *model) Record(g *splices, s *System) {
-	g.sev = append(g.sev, len(s.Severities))
-	g.det = append(g.det, len(s.Detections))
+// HistoryKey digests the set of detections recorded so far: detect()
+// dedups against it, so two runs with equal dynamic state but different
+// sets append different detections from then on. The set, not the list:
+// what detect appends depends on membership alone. 0 for no detections —
+// golden's, which every run may join, since an empty set makes a dedup
+// refuse nothing.
+func (m *model) HistoryKey(s *System) uint64 {
+	var sum uint64
+	for _, d := range s.Detections {
+		h := sim.NewStateHash()
+		h.Str(d)
+		sum += h.Sum()
+	}
+	if len(s.Detections) > 0 {
+		sum |= 1
+	}
+	return sum
 }
 
 // Converged builds the full-horizon observation of a run whose dynamic
-// state re-joined the golden trajectory at stride instant i: live
-// accumulated history up to it, golden history after it. Soundness rests
-// on two facts. First, equal dynamic state at that instant means the run
-// evolves identically to golden from there on, so its remaining output
-// history IS the golden suffix — spliced at GOLDEN's per-stride lengths,
-// since the live prefix may be shorter (an omission fault drops severity
-// appends without diverging the dynamics for long). Second, the golden
-// run is fault-free and records zero detections, so the spliced detection
-// suffix is empty in practice; the dedup guard below still mirrors
-// detect()'s already-recorded check byte-for-byte should that ever
-// change.
-func (m *model) Converged(s *System, g *splices, i int) analysis.Observation {
-	gold := &m.golden
-	sev := append(append([]byte(nil), s.Severities...), gold.sev[g.sev[i]:]...)
-	det := append([]string(nil), s.Detections...)
-tail:
-	for _, d := range gold.det[g.det[i]:] {
-		for _, have := range det {
-			if have == d {
-				continue tail
-			}
-		}
-		det = append(det, d)
+// state joined r's trajectory at mark n: live accumulated history up to
+// it, r's history after it. Soundness rests on two facts. First, equal
+// dynamic state at that instant means the run evolves as r's did from
+// there on, so its remaining output history IS r's suffix — spliced at
+// r's own marks, since the live prefix may be shorter (an omission fault
+// drops severity appends without diverging the dynamics for long).
+// Second, the run joins only where r's detection set was its own or empty
+// (HistoryKey), so the detections detect appended to r from there on are
+// exactly those it appends to the run, less those already recorded, which
+// detect drops. The severity suffix is r's rendered text, so a spliced
+// outcome formats only the live prefix; the detections go into the slot's
+// own list, which RestoreState rebuilds afresh before the next run.
+func (m *model) Converged(s *System, r *record, n int) analysis.Observation {
+	for _, d := range r.det[r.detAt[n]:] {
+		s.detect(d)
 	}
-	return m.observation(gold.fired, gold.firedAt, sev, det, gold.latent)
+	return m.observation(r.fired, r.firedAt, formatSeverities(s.Severities, r.sevText, r.textAt[n]), s.Detections, r.latent)
 }
 
 // observation is a run's outputs judged against the safety goals — the
 // one tail a full run (Observe) and an early-exited one (Converged)
 // share.
-func (m *model) observation(fired bool, firedAt sim.Time, sev []byte, det []string, latent bool) analysis.Observation {
+func (m *model) observation(fired bool, firedAt sim.Time, sev string, det []string, latent bool) analysis.Observation {
 	ob := analysis.Observation{
 		Outputs: map[string]string{
 			"fired": strconv.FormatBool(fired),
-			"sev":   formatSeverities(sev),
+			"sev":   sev,
 		},
 		Detected:    len(det) > 0,
 		DetectedBy:  det,
@@ -167,11 +186,29 @@ func (m *model) observation(fired bool, firedAt sim.Time, sev []byte, det []stri
 	return ob
 }
 
-// formatSeverities renders the severity stream exactly as
-// fmt.Sprint([]byte) would ("[1 2 3]") without fmt's reflection cost —
-// it runs once per campaign scenario.
-func formatSeverities(sev []byte) string {
-	buf := make([]byte, 0, 2+4*len(sev))
+// formatSeverities renders the severity stream sev, followed by the
+// severities text renders from byte at on, exactly as fmt.Sprint([]byte)
+// renders both as one stream ("[1 2 3]"), without fmt's reflection cost:
+// it runs once per campaign scenario. text is a record's sevText and at
+// one of its textAt offsets; nil renders sev alone.
+func formatSeverities(sev, text []byte, at int) string {
+	var stack [512]byte
+	buf := appendSeverities(stack[:0], sev)
+	if suffix := text[min(at, max(len(text)-1, 0)):]; len(suffix) > 1 {
+		// "[a b]" + "c d]": the prefix's ']' becomes the separator, or
+		// goes when the prefix is empty.
+		if len(sev) > 0 {
+			buf[len(buf)-1] = ' '
+		} else {
+			buf = buf[:len(buf)-1]
+		}
+		buf = append(buf, suffix...)
+	}
+	return string(buf)
+}
+
+// appendSeverities appends sev to buf as fmt.Sprint renders it.
+func appendSeverities(buf, sev []byte) []byte {
 	buf = append(buf, '[')
 	for i, v := range sev {
 		if i > 0 {
@@ -179,8 +216,18 @@ func formatSeverities(sev []byte) string {
 		}
 		buf = strconv.AppendUint(buf, uint64(v), 10)
 	}
-	buf = append(buf, ']')
-	return string(buf)
+	return append(buf, ']')
+}
+
+// digits is how many decimal digits v renders to.
+func digits(v byte) int {
+	switch {
+	case v >= 100:
+		return 3
+	case v >= 10:
+		return 2
+	}
+	return 1
 }
 
 // stateCorrupted compares persistent state against the design values.

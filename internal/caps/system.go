@@ -383,12 +383,12 @@ func (s *System) SnapshotState(prev any) any {
 //   - Accumulated observation history (Detections, Severities): an
 //     append-only record of the past that nothing feeds back into the
 //     dynamics. A converged run's final history is its live prefix
-//     plus the golden suffix — model.Converged splices it at
-//     early-exit, replicating detect()'s dedup, so excluding it here
-//     is what lets detected/SDC transients early-exit at all. (detect
-//     does read Detections, but only to dedup appends — and a run
-//     whose dynamics match fault-free golden makes no further detect
-//     calls, since golden makes none.)
+//     plus the suffix of the run it joined — model.Converged splices
+//     it at early-exit, through detect()'s dedup — so excluding it
+//     here is what lets detected/SDC runs early-exit at all. (detect
+//     does read Detections, but only to dedup appends; model.HistoryKey
+//     digests the set, and a run joins only a trajectory whose set was
+//     its own or empty, as golden's always is.)
 //   - Pure diagnostics (the propagation Trace): a transient fault
 //     that leaves only a trace residue has, by definition, no
 //     remaining effect.

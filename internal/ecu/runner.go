@@ -3,6 +3,7 @@ package ecu
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -73,7 +74,7 @@ func DefaultRunnerConfig() RunnerConfig {
 // windows and early exit are stressor.Host's; the runner supplies the
 // model below.
 type Runner struct {
-	*stressor.Host[*ecuSlot, struct{}]
+	*stressor.Host[*ecuSlot, analysis.Observation]
 }
 
 // NewRunner assembles the workload, builds the first slot and performs
@@ -83,7 +84,7 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := stressor.NewHost[*ecuSlot, struct{}]("ecu", m, m.cfg.Horizon)
+	h, err := stressor.NewHost[*ecuSlot, analysis.Observation]("ecu", m, m.cfg.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +130,14 @@ func (r *Runner) Universe(start sim.Time) []fault.Descriptor {
 }
 
 // model is the dual-core ECU as stressor.Host runs it. The golden fields
-// are set once, from the golden run.
+// are set once, from the golden run. The slot digest covers its whole
+// state, histories included, so a run that joins another's trajectory
+// ends with that run's observation: the record is that observation.
 type model struct {
+	stressor.FinalObservation[*ecuSlot]
 	cfg     RunnerConfig
 	program []uint32
 
-	golden      analysis.Observation
 	goldenRegs  [2][16]uint32
 	goldenTable []byte
 }
@@ -292,9 +295,9 @@ func (m *model) Observe(s *ecuSlot) analysis.Observation {
 	}
 
 	ob := analysis.Observation{Outputs: map[string]string{
-		"acc":    fmt.Sprintf("%#x", readWord(s.pram, runnerAccAddr)),
-		"sacc":   fmt.Sprintf("%#x", readWord(s.sram, runnerAccAddr)),
-		"halted": fmt.Sprintf("%v/%v", s.primary.Halted(), s.shadow.Halted()),
+		"acc":    hexWord(readWord(s.pram, runnerAccAddr)),
+		"sacc":   hexWord(readWord(s.sram, runnerAccAddr)),
+		"halted": strconv.FormatBool(s.primary.Halted()) + "/" + strconv.FormatBool(s.shadow.Halted()),
 	}}
 	if s.ls.Diverged() {
 		ob.Detected = true
@@ -319,21 +322,15 @@ func (m *model) Observe(s *ecuSlot) analysis.Observation {
 	return ob
 }
 
-// Golden keeps the golden run's observation and the register files and
-// table image later runs' latent state is judged against.
+// Golden keeps the golden run's register files and table image, which
+// later runs' latent state is judged against.
 func (m *model) Golden(s *ecuSlot, ob analysis.Observation) error {
 	if ob.Detected {
 		return fmt.Errorf("ecu: golden run tripped a mechanism: %v", ob.DetectedBy)
 	}
-	m.golden, m.goldenRegs, m.goldenTable = ob, s.regs(), bytes.Clone(s.table())
+	m.goldenRegs, m.goldenTable = s.regs(), bytes.Clone(s.table())
 	return nil
 }
-
-// Record keeps nothing: the slot digest covers its whole state,
-// histories included, so a converged run's observation is the golden one.
-func (m *model) Record(*struct{}, *ecuSlot) {}
-
-func (m *model) Converged(*ecuSlot, *struct{}, int) analysis.Observation { return m.golden }
 
 // regs returns both cores' register files.
 func (s *ecuSlot) regs() (regs [2][16]uint32) {
@@ -353,6 +350,13 @@ func (s *ecuSlot) table() []byte {
 }
 
 // readWord fetches one word through the debug port.
+// hexWord is fmt.Sprintf("%#x", v) without fmt: Observe runs once a
+// scenario.
+func hexWord(v uint32) string {
+	var buf [10]byte
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), uint64(v), 16))
+}
+
 func readWord(m *ECCMemory, addr uint64) uint32 {
 	p := tlm.NewRead(addr, 4)
 	m.TransportDbg(p)

@@ -285,3 +285,13 @@ func TestRootEqualsBuild(t *testing.T) {
 	}
 	stressortest.CheckRoot(t, naive.RunScenarioSigned, r.RunScenarioSigned, fault.Singles(ds), DefaultRunnerConfig().Horizon)
 }
+
+// TestHexWordIsSprintf: Observe's outputs are the bytes fmt's %#x
+// printed before it went without fmt.
+func TestHexWordIsSprintf(t *testing.T) {
+	for _, v := range []uint32{0, 1, 0xf, 0x10, 0x800, 0xdeadbeef, 0xffffffff} {
+		if got, want := hexWord(v), fmt.Sprintf("%#x", v); got != want {
+			t.Errorf("hexWord(%d) = %q, want %q", v, got, want)
+		}
+	}
+}

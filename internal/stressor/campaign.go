@@ -388,6 +388,7 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 	}
 	start := time.Now()
 	e.loop(p, workers)
+	e.scope.leave()
 	if e.err != nil {
 		c.Flight.Recordf("campaign.abort", c.Name, "%v", e.err)
 		if c.Log != nil {
@@ -464,6 +465,7 @@ func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
 	e.slots = make([]slot, e.dedup.len())
 	e.more.L = &e.mu
 	e.cutoff.Store(math.MaxInt64)
+	e.scope.refs = 1
 	return e
 }
 
@@ -574,6 +576,9 @@ type plan interface {
 type campaignExec struct {
 	c     *Campaign
 	proto Checkpointer // what every scenario runs on (Campaign.prototype)
+	// scope is what the sessions share; its first reference is the
+	// Execute's own, dropped once the loop is over.
+	scope campaignScope
 	dedup dedupPlan
 	obs   *campaignObs
 

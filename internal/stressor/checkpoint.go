@@ -85,13 +85,17 @@ func (e *campaignExec) dispatchRun(sc fault.Scenario, w int, held *CheckpointSes
 	// less than carrying them round the loop.
 	fork, _ := e.proto.ForkTime(sc)
 	if *held == nil {
-		*held = e.proto.NewTreeSession(TreeConfig{Metrics: c.Metrics, Campaign: c.Name, sign: c.Source != nil})
+		*held = e.proto.NewTreeSession(TreeConfig{Metrics: c.Metrics, Campaign: c.Name, sign: c.Source != nil, scope: &e.scope})
 	}
 	out, panicked, timedOut := c.runOne(e.obs, sc, w, *held, fork)
 	if timedOut || panicked {
 		// Abandoned, never closed: a timed-out run's goroutine or a
 		// panicked run's torn kernel still owns it, and what it writes late
-		// reaches no result. The next run builds a fresh one.
+		// reaches no result and no trajectory set. The next run builds a
+		// fresh one.
+		if a, ok := (*held).(interface{ abandon() }); ok {
+			a.abandon()
+		}
 		*held = nil
 	}
 	return out, panicked, timedOut

@@ -18,9 +18,10 @@ import (
 // exit. A prototype supplies only its Model.
 
 // Model is what a prototype tells Host. S is its elaborated state — a
-// capture for the tree, a digest for early exit and signatures — G what
-// it records of the golden run to answer a run that early-exits.
-type Model[S sim.State, G any] interface {
+// capture for the tree, a digest for early exit and signatures — R what
+// it records of a finished run to answer a run that joins that run's
+// trajectory and stops early.
+type Model[S sim.State, R any] interface {
 	// Build elaborates a fresh prototype on k, ready to run from time
 	// zero, and returns it with its injection-site registry. It must
 	// leave no delta notification or channel update pending: the host
@@ -32,13 +33,40 @@ type Model[S sim.State, G any] interface {
 	// Golden vets the golden run's observation ob, read off s, and keeps
 	// whatever later observations are compared with.
 	Golden(s S, ob analysis.Observation) error
-	// Record is called on the golden run at every stride instant of the
-	// early-exit trajectory. It must only read s: the run goes on, and
-	// its state is digested next.
-	Record(g *G, s S)
+	// Record keeps in r what a run's trajectory carries for the runs that
+	// join it later (Converged): it is called at the n-th stride instant
+	// the run is marked at (n = 0 first, so a reused r is overwritten)
+	// with ob nil and, once the run has reached the horizon, after Observe
+	// with ob its observation, valid during the call, and n its number of
+	// marks. It must only read s: the run goes on.
+	Record(r *R, s S, n int, ob *analysis.Observation)
+	// HistoryKey digests the history s has recorded that its state digest
+	// leaves out and its future appends read (a dedup); 0 when there is
+	// none. A run joins a trajectory only where that run's key was the
+	// same or 0.
+	HistoryKey(s S) uint64
 	// Converged is the full-horizon observation of a run on s whose state
-	// re-joined the golden trajectory g at stride instant i.
-	Converged(s S, g *G, i int) analysis.Observation
+	// joined the trajectory recorded in r at its n-th mark. It may append
+	// to s's history: the slot is restored before its next run.
+	Converged(s S, r *R, n int) analysis.Observation
+}
+
+// FinalObservation is the record half of a Model — Record, HistoryKey,
+// Converged — for a prototype whose state digest covers all its state,
+// histories included: a run that joins another's trajectory ends exactly
+// as that run did, so the record is the final observation alone.
+type FinalObservation[S any] struct{}
+
+func (FinalObservation[S]) Record(r *analysis.Observation, _ S, _ int, ob *analysis.Observation) {
+	if ob != nil {
+		*r = *ob
+	}
+}
+
+func (FinalObservation[S]) HistoryKey(S) uint64 { return 0 }
+
+func (FinalObservation[S]) Converged(_ S, r *analysis.Observation, _ int) analysis.Observation {
+	return *r
 }
 
 // Host runs fault-injection campaigns on one prototype. It keeps a pool
@@ -50,7 +78,7 @@ type Model[S sim.State, G any] interface {
 // whatever slot it holds and which outlive the campaign, or off the root
 // checkpoint, the first slot as Build left it, captured once. Results
 // are byte-identical to ReuseOff's.
-type Host[S sim.State, G any] struct {
+type Host[S sim.State, R any] struct {
 	// ReuseOff turns every shortcut off: each of the host's sessions, a
 	// one-shot call's included, builds the prototype afresh for every
 	// scenario, forks nothing and takes no slot. It is the naive oracle
@@ -58,7 +86,7 @@ type Host[S sim.State, G any] struct {
 	ReuseOff bool
 
 	name    string
-	m       Model[S, G]
+	m       Model[S, R]
 	horizon sim.Time
 	golden  analysis.Observation
 	reg     *fault.Registry // the first slot's, for enumeration only
@@ -74,10 +102,13 @@ type Host[S sim.State, G any] struct {
 	root treeNode
 	tree goldenNodes
 	plan planCache
+	// sets are the trajectory sets the host's campaigns gave back, for
+	// the next ones (campaignSet).
+	sets []*trajSet[S, R]
 	// Recorded by NewHost's golden walk: the early-exit trajectory, and
 	// the instants up to the horizon at which the golden run executes
 	// anything, time zero included (see ForkTime).
-	traj       trajectory[G]
+	traj       trajectory[S, R]
 	activityAt []sim.Time
 }
 
@@ -128,7 +159,7 @@ func (pc *planCache) keep(kp *keptPlan) {
 }
 
 // planCache implements Checkpointer.
-func (h *Host[S, G]) planCache() *planCache { return &h.plan }
+func (h *Host[S, R]) planCache() *planCache { return &h.plan }
 
 // hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
 // per scenario, so record and timeline buffers survive the campaign.
@@ -138,6 +169,7 @@ type hostSlot[S sim.State] struct {
 	reg  *fault.Registry
 	st   Stressor
 	hash sim.StateHash
+	ob   analysis.Observation // the observation a recorded run hands Model.Record
 	// the sinks the kernel's instrument was last built with
 	metrics *obs.Registry
 	trace   *obs.TraceRecorder
@@ -145,8 +177,8 @@ type hostSlot[S sim.State] struct {
 
 // NewHost builds the first slot, captures it as the root and walks the
 // golden run on it. name prefixes the host's errors.
-func NewHost[S sim.State, G any](name string, m Model[S, G], horizon sim.Time) (*Host[S, G], error) {
-	h := &Host[S, G]{name: name, m: m, horizon: horizon}
+func NewHost[S sim.State, R any](name string, m Model[S, R], horizon sim.Time) (*Host[S, R], error) {
+	h := &Host[S, R]{name: name, m: m, horizon: horizon}
 	sl := h.take()
 	h.reg = sl.reg
 	// Digested first, so the root carries the prototype's page digests
@@ -166,15 +198,16 @@ func NewHost[S sim.State, G any](name string, m Model[S, G], horizon sim.Time) (
 // walkGolden runs the golden run on sl, the freshly built first slot,
 // from one instant to the next up to the horizon: every instant at which
 // the golden run executes anything, recorded as such, and every stride
-// instant short of the horizon, at which the model records its history
-// (Model.Record) and the trajectory keeps the state digest. At the
-// horizon the run is observed, digested and vetted (Model.Golden).
-// Legged RunUntil is observationally one run (sim's
-// TestLeggedRunEqualsOneRun), so each instant shows what one plain golden
-// run shows there — and the digests are exactly what a faulty run hashes
-// to at a stride instant had the fault never perturbed anything.
-func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
+// instant short of the horizon, at which the golden record is marked with
+// the state digest and history key and the model records its history
+// (Model.Record). At the horizon the run is observed, digested, recorded
+// and vetted (Model.Golden). Legged RunUntil is observationally one run
+// (sim's TestLeggedRunEqualsOneRun), so each instant shows what one plain
+// golden run shows there — and the digests are exactly what a faulty run
+// hashes to at a stride instant had the fault never perturbed anything.
+func (h *Host[S, R]) walkGolden(sl *hostSlot[S]) error {
 	k, tj := sl.k, &h.traj
+	g := &tj.golden
 	tj.stride = max(h.horizon/16, 1)
 	tj.nEvents, tj.nProcs = k.Elaborated()
 	next := tj.stride // the next stride instant
@@ -186,8 +219,9 @@ func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
 			h.activityAt = append(h.activityAt, t)
 		}
 		if t == next && t < h.horizon {
-			h.m.Record(&tj.g, sl.s)
-			tj.hashes = append(tj.hashes, sl.digest(tj.nEvents, tj.nProcs))
+			n := len(g.digests)
+			h.m.Record(&g.r, sl.s, n, nil)
+			g.mark(n, n, sl.digest(tj.nEvents, tj.nProcs), h.m.HistoryKey(sl.s))
 			next += tj.stride
 		}
 		if t == h.horizon {
@@ -200,32 +234,35 @@ func (h *Host[S, G]) walkGolden(sl *hostSlot[S]) error {
 	h.golden = h.m.Observe(sl.s)
 	// After Observe, as runs are signed: CAPS's Observe reads calibration
 	// memory, whose read count is hashed.
-	tj.final = sl.sum()
+	g.final = sl.sum()
+	h.m.Record(&g.r, sl.s, len(g.digests), &h.golden)
+	tj.only = h.newTrajSet()
+	tj.only.fixed = true
 	return h.m.Golden(sl.s, h.golden)
 }
 
 // Golden exposes the cached golden observation.
-func (h *Host[S, G]) Golden() analysis.Observation { return h.golden }
+func (h *Host[S, R]) Golden() analysis.Observation { return h.golden }
 
 // Registry is the prototype's injection-site registry, for enumerating
 // the fault space; injecting through it touches a pooled slot.
-func (h *Host[S, G]) Registry() *fault.Registry { return h.reg }
+func (h *Host[S, R]) Registry() *fault.Registry { return h.reg }
 
 // Sites lists the prototype's injection sites, sorted.
-func (h *Host[S, G]) Sites() []string { return h.reg.Sites() }
+func (h *Host[S, R]) Sites() []string { return h.reg.Sites() }
 
 // Instrument attaches observability sinks: every later scenario kernel
 // publishes its statistics to reg and its run spans to tr. Both sinks are
 // race-safe, so instrumented hosts work inside parallel campaigns. Pass
 // nils to detach. Call between campaigns, not concurrently with runs.
-func (h *Host[S, G]) Instrument(reg *obs.Registry, tr *obs.TraceRecorder) {
+func (h *Host[S, R]) Instrument(reg *obs.Registry, tr *obs.TraceRecorder) {
 	h.metrics, h.trace = reg, tr
 }
 
 // Close shuts the pooled kernels down. The host must not be used
 // afterwards. Calling it is optional — nothing in the pool spins — but
 // keeps goroutine-leak checkers quiet in tests.
-func (h *Host[S, G]) Close() {
+func (h *Host[S, R]) Close() {
 	h.mu.Lock()
 	slots := h.slots
 	h.slots = nil
@@ -237,7 +274,7 @@ func (h *Host[S, G]) Close() {
 
 // instrument attaches the host's sinks to a kernel built for one run or
 // one session.
-func (h *Host[S, G]) instrument(k *sim.Kernel) {
+func (h *Host[S, R]) instrument(k *sim.Kernel) {
 	if h.metrics != nil || h.trace != nil {
 		k.SetInstrument(&sim.Instrument{Metrics: h.metrics, Trace: h.trace})
 	}
@@ -245,7 +282,7 @@ func (h *Host[S, G]) instrument(k *sim.Kernel) {
 
 // take checks a slot out of the pool as its last user left it, or builds
 // a new one, pristine at time zero, when every slot is in use.
-func (h *Host[S, G]) take() (sl *hostSlot[S]) {
+func (h *Host[S, R]) take() (sl *hostSlot[S]) {
 	h.mu.Lock()
 	if n := len(h.slots); n > 0 {
 		sl = h.slots[n-1]
@@ -277,7 +314,7 @@ func (sl *hostSlot[S]) restore(nd *treeNode) error {
 	return nil
 }
 
-func (h *Host[S, G]) release(sl *hostSlot[S]) {
+func (h *Host[S, R]) release(sl *hostSlot[S]) {
 	h.mu.Lock()
 	h.slots = append(h.slots, sl)
 	h.mu.Unlock()
@@ -285,7 +322,7 @@ func (h *Host[S, G]) release(sl *hostSlot[S]) {
 
 // rebuild is run on a prototype and a stressor built for sc: the ReuseOff
 // oracle, which shares nothing with the pool.
-func (h *Host[S, G]) rebuild(sc fault.Scenario, sign bool, fn func(S)) (fault.Outcome, error) {
+func (h *Host[S, R]) rebuild(sc fault.Scenario, sign bool, fn func(S)) (fault.Outcome, error) {
 	sl := &hostSlot[S]{k: sim.NewKernel()}
 	defer sl.k.Shutdown()
 	h.instrument(sl.k)
@@ -300,7 +337,7 @@ func (h *Host[S, G]) rebuild(sc fault.Scenario, sign bool, fn func(S)) (fault.Ou
 	if err := h.injectionError(sc, st); err != nil {
 		return fault.Outcome{}, err
 	}
-	return h.outcome(sc, sl, sign, fn), nil
+	return h.outcome(sc, sl, sign, nil, 0, fn), nil
 }
 
 // sum digests the prototype's state through the slot's own StateHash: a
@@ -311,15 +348,10 @@ func (sl *hostSlot[S]) sum() uint64 {
 	return sl.hash.Sum()
 }
 
-// signature folds the prototype's final-state digest with class.
-func (sl *hostSlot[S]) signature(class fault.Classification) uint64 {
-	return sim.MixSignature(sl.sum(), uint64(class))
-}
-
 // digest folds the slot's scheduler state, restricted to its first
 // nEvents events and nProcs processes (the prototype's elaboration, so a
 // stressor's own objects never enter it), and its prototype's state into
-// one value, through the slot's own StateHash as signature does.
+// one value, through the slot's own StateHash as sum does.
 func (sl *hostSlot[S]) digest(nEvents, nProcs int) uint64 {
 	sl.hash.Reset()
 	sl.k.HashScheduler(&sl.hash, nEvents, nProcs)
@@ -329,7 +361,7 @@ func (sl *hostSlot[S]) digest(nEvents, nProcs int) uint64 {
 
 // injectionError reports the first action st failed to perform: a broken
 // campaign setup, not a prototype failure.
-func (h *Host[S, G]) injectionError(sc fault.Scenario, st *Stressor) error {
+func (h *Host[S, R]) injectionError(sc fault.Scenario, st *Stressor) error {
 	if st != nil {
 		if errs := st.InjectionErrors(); len(errs) > 0 {
 			return fmt.Errorf("%s: scenario %s: %v", h.name, sc.ID, errs[0])
@@ -339,17 +371,29 @@ func (h *Host[S, G]) injectionError(sc fault.Scenario, st *Stressor) error {
 }
 
 // classify folds a finished run's observation into its outcome.
-func (h *Host[S, G]) classify(sc fault.Scenario, ob analysis.Observation) fault.Outcome {
+func (h *Host[S, R]) classify(sc fault.Scenario, ob analysis.Observation) fault.Outcome {
 	ob.Activated = len(sc.Faults) > 0
 	return fault.Outcome{Scenario: sc, Class: analysis.Classify(h.golden, ob), Detail: analysis.Describe(ob)}
 }
 
 // outcome classifies the run that reached the horizon on sl, signed when
-// sign is set, and then hands sl's prototype to fn, when set.
-func (h *Host[S, G]) outcome(sc fault.Scenario, sl *hostSlot[S], sign bool, fn func(S)) fault.Outcome {
-	out := h.classify(sc, h.m.Observe(sl.s))
-	if sign {
-		out.Signature = sl.signature(out.Class)
+// sign is set, records its final material in rec, when set, as the end of
+// a trajectory with marks marks, and then hands sl's prototype to fn, when
+// set.
+func (h *Host[S, R]) outcome(sc fault.Scenario, sl *hostSlot[S], sign bool, rec *runRecord[R], marks int, fn func(S)) fault.Outcome {
+	ob := h.m.Observe(sl.s)
+	out := h.classify(sc, ob)
+	if sign || rec != nil {
+		final := sl.sum()
+		if sign {
+			out.Signature = sim.MixSignature(final, uint64(out.Class))
+		}
+		if rec != nil {
+			rec.final = final
+			// Through the slot: ob itself would escape through the Model.
+			sl.ob = ob
+			h.m.Record(&rec.r, sl.s, marks, &sl.ob)
+		}
 	}
 	if fn != nil {
 		fn(sl.s)
@@ -365,9 +409,9 @@ func errorOutcome(sc fault.Scenario, err error) fault.Outcome {
 // established at ForkTime(sc), run, signed when sign is set and handed
 // back — that keeps no fork-window memo, since no later run of it could
 // read one.
-func (h *Host[S, G]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome {
+func (h *Host[S, R]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome {
 	fork, _ := h.ForkTime(sc)
-	s := session[S, G]{h: h, cfg: TreeConfig{sign: sign}}
+	s := session[S, R]{h: h, cfg: TreeConfig{sign: sign}}
 	out, err := s.execute(sc, fork, false, fn)
 	// Not deferred: a run that panicked can leave its kernel torn (a
 	// method process that panics mid-evaluate leaves the runnable queue
@@ -381,11 +425,11 @@ func (h *Host[S, G]) run(sc fault.Scenario, sign bool, fn func(S)) fault.Outcome
 }
 
 // RunScenario executes and classifies one fault scenario.
-func (h *Host[S, G]) RunScenario(sc fault.Scenario) fault.Outcome { return h.run(sc, false, nil) }
+func (h *Host[S, R]) RunScenario(sc fault.Scenario) fault.Outcome { return h.run(sc, false, nil) }
 
 // RunScenarioWith is RunScenario that first hands the prototype of a run
 // that ended cleanly to fn, which must not keep it.
-func (h *Host[S, G]) RunScenarioWith(sc fault.Scenario, fn func(S)) fault.Outcome {
+func (h *Host[S, R]) RunScenarioWith(sc fault.Scenario, fn func(S)) fault.Outcome {
 	return h.run(sc, false, fn)
 }
 
@@ -395,17 +439,17 @@ func (h *Host[S, G]) RunScenarioWith(sc fault.Scenario, fn func(S)) fault.Outcom
 // signatures ended behaviorally indistinguishable; adaptive campaigns
 // prune and explore on exactly this. A run that errors out carries no
 // signature (the engine substitutes its class+detail fallback).
-func (h *Host[S, G]) RunScenarioSigned(sc fault.Scenario) fault.Outcome { return h.run(sc, true, nil) }
+func (h *Host[S, R]) RunScenarioSigned(sc fault.Scenario) fault.Outcome { return h.run(sc, true, nil) }
 
 // RunFunc is the method value h.RunScenario.
 //
 // Deprecated: a campaign takes the host as its Checkpointer.
-func (h *Host[S, G]) RunFunc() RunFunc { return h.RunScenario }
+func (h *Host[S, R]) RunFunc() RunFunc { return h.RunScenario }
 
 // SignedRunFunc is the method value h.RunScenarioSigned.
 //
 // Deprecated: a campaign takes the host as its Checkpointer.
-func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
+func (h *Host[S, R]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 
 // ForkTime implements Checkpointer, and ok is always true. A scenario
 // forks at its earliest injection instant; one with no faults, or whose
@@ -418,7 +462,7 @@ func (h *Host[S, G]) SignedRunFunc() RunFunc { return h.RunScenarioSigned }
 // the golden run executes anything. Nothing happens between a and Start,
 // so the fork still precedes every mutation, and every instant of the
 // window shares one tree node and one session's window memo.
-func (h *Host[S, G]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+func (h *Host[S, R]) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	fork := ForkTime(sc)
 	if fork > h.horizon {
 		return 0, true

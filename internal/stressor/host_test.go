@@ -41,8 +41,8 @@ func (m *fanModel) HashState(h *sim.StateHash) {
 }
 
 // fanToy is fanModel's Model; its registry's one site panics when
-// injected. A converged run observes what the golden run did.
-type fanToy struct{ golden analysis.Observation }
+// injected. A converged run observes what the run it joined did.
+type fanToy struct{ FinalObservation[*fanModel] }
 
 func (*fanToy) Build(k *sim.Kernel) (*fanModel, *fault.Registry) {
 	m := &fanModel{k: k, beat: k.NewEvent("beat"), fan: k.NewEvent("fan")}
@@ -74,18 +74,11 @@ func (*fanToy) Observe(m *fanModel) analysis.Observation {
 	return analysis.Observation{GoalViolated: true,
 		GoalDetail: fmt.Sprintf("started=%d late=%d x=%d y=%d beats=%d", m.started, m.late, m.x, m.y, m.beats)}
 }
-func (p *fanToy) Golden(_ *fanModel, ob analysis.Observation) error {
-	p.golden = ob
-	return nil
-}
+func (*fanToy) Golden(*fanModel, analysis.Observation) error { return nil }
 
-func (*fanToy) Record(*struct{}, *fanModel) {}
-
-func (p *fanToy) Converged(*fanModel, *struct{}, int) analysis.Observation { return p.golden }
-
-func newFanHost(t *testing.T) *Host[*fanModel, struct{}] {
+func newFanHost(t *testing.T) *Host[*fanModel, analysis.Observation] {
 	t.Helper()
-	h, err := NewHost[*fanModel, struct{}]("fan", &fanToy{}, fanHorizon)
+	h, err := NewHost[*fanModel, analysis.Observation]("fan", &fanToy{}, fanHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

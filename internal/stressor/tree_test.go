@@ -31,9 +31,9 @@ func (m *tickModel) RestoreState(st any)        { m.ticks = st.(int) }
 func (m *tickModel) HashState(h *sim.StateHash) { h.Int(m.ticks) }
 func (m *tickModel) at(k *sim.Kernel) [2]int    { return [2]int{int(k.Now()), m.ticks} }
 
-// tickProto is tickModel's Model. A converged run observes what the
-// golden run did.
-type tickProto struct{ golden analysis.Observation }
+// tickProto is tickModel's Model. A converged run observes what the run
+// it joined did.
+type tickProto struct{ FinalObservation[*tickModel] }
 
 func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
 	m := &tickModel{}
@@ -43,14 +43,7 @@ func (*tickProto) Build(k *sim.Kernel) (*tickModel, *fault.Registry) {
 
 func (*tickProto) Observe(*tickModel) analysis.Observation { return analysis.Observation{} }
 
-func (p *tickProto) Golden(_ *tickModel, ob analysis.Observation) error {
-	p.golden = ob
-	return nil
-}
-
-func (*tickProto) Record(*struct{}, *tickModel) {}
-
-func (p *tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation { return p.golden }
+func (*tickProto) Golden(*tickModel, analysis.Observation) error { return nil }
 
 // TestTreeCoreBudgetOfOne pins establish's cases and the LRU budget on
 // a host that may retain a single node. The same fork is a restore (hit)
@@ -60,14 +53,14 @@ func (p *tickProto) Converged(*tickModel, *struct{}, int) analysis.Observation {
 // throughout. The node is the
 // host's, so it outlives Close, and the next session's slot hits it.
 func TestTreeCoreBudgetOfOne(t *testing.T) {
-	h, err := NewHost[*tickModel, struct{}]("tick", &tickProto{}, 100)
+	h, err := NewHost[*tickModel, analysis.Observation]("tick", &tickProto{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 	h.tree.max = 1
 	reg := obs.NewRegistry()
-	s := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "roll"}).(*session[*tickModel, struct{}])
+	s := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "roll"}).(*session[*tickModel, analysis.Observation])
 	s.init()
 	k, m := s.sl.k, s.sl.s
 	counter := func(name string) uint64 {
@@ -120,8 +113,8 @@ func TestTreeCoreBudgetOfOne(t *testing.T) {
 	// one published.
 	held := h.NewTreeSession(TreeConfig{})
 	defer held.Close()
-	held.(*session[*tickModel, struct{}]).init()
-	next := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "next"}).(*session[*tickModel, struct{}])
+	held.(*session[*tickModel, analysis.Observation]).init()
+	next := h.NewTreeSession(TreeConfig{Metrics: reg, Campaign: "next"}).(*session[*tickModel, analysis.Observation])
 	defer next.Close()
 	if err := next.Establish(5); err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func (m *windowModel) HashState(h *sim.StateHash) {
 
 // windowToy is windowModel's Model. Every observable the model has is in
 // the goal detail, so in the outcome detail.
-type windowToy struct{ golden analysis.Observation }
+type windowToy struct{ FinalObservation[*windowModel] }
 
 func (*windowToy) Build(k *sim.Kernel) (*windowModel, *fault.Registry) {
 	m := &windowModel{line: new(sim.Signal[bool])}
@@ -139,19 +139,14 @@ func (*windowToy) Observe(m *windowModel) analysis.Observation {
 		GoalDetail: fmt.Sprintf("acc=%d line=%v edge@%d late@%d", m.acc, m.line.Read(), uint64(m.edgeAt), uint64(m.lateAt))}
 }
 
-func (p *windowToy) Golden(_ *windowModel, ob analysis.Observation) error {
-	p.golden = ob
-	return nil
-}
-
-func (*windowToy) Record(*struct{}, *windowModel) {}
-
-func (p *windowToy) Converged(*windowModel, *struct{}, int) analysis.Observation { return p.golden }
+func (*windowToy) Golden(*windowModel, analysis.Observation) error { return nil }
 
 // windowForks forks every scenario just past the last tick before its
 // first action — one fork to a window whatever the scenario holds, so
 // only the session's own keying stands between a transient and the memo.
-type windowForks struct{ *Host[*windowModel, struct{}] }
+type windowForks struct {
+	*Host[*windowModel, analysis.Observation]
+}
 
 func (windowForks) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 	return (ForkTime(sc)-1)/windowPeriod*windowPeriod + 1, true
@@ -160,9 +155,9 @@ func (windowForks) ForkTime(sc fault.Scenario) (sim.Time, bool) {
 // planCache keeps no plan: the host's is sorted by the host's forks.
 func (windowForks) planCache() *planCache { return nil }
 
-func newWindowHost(t *testing.T) *Host[*windowModel, struct{}] {
+func newWindowHost(t *testing.T) *Host[*windowModel, analysis.Observation] {
 	t.Helper()
-	h, err := NewHost[*windowModel, struct{}]("toy", &windowToy{}, windowHorizon)
+	h, err := NewHost[*windowModel, analysis.Observation]("toy", &windowToy{}, windowHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

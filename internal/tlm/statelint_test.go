@@ -3,6 +3,7 @@ package tlm
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
 
@@ -25,4 +26,28 @@ func TestStateCoverageMemory(t *testing.T) {
 		"stuckMask": simtest.Via("a map: perturbed the way StuckAt writes it",
 			func() { m.stuckMask[0x20] = stuck{mask: 1, value: m.stuckMask[0x20].value ^ 1} }),
 	})
+}
+
+// TestStateCoverageStuckDefects: the lint perturbs the defect map by
+// adding an entry, which the length fold registers on its own. Every
+// part of a defect must move the digest as well — its cell, its mask
+// and its value — or runs stuck at different cells would pass for one
+// state.
+func TestStateCoverageStuckDefects(t *testing.T) {
+	digest := func(addr uint64, bit uint, value bool) uint64 {
+		m := NewMemory("lint", 0x100, 64)
+		if err := m.StuckAt(addr, bit, value); err != nil {
+			t.Fatal(err)
+		}
+		return sim.StateSignature(m)
+	}
+	base := digest(0x110, 2, false)
+	for _, c := range []struct {
+		part string
+		d    uint64
+	}{{"cell", digest(0x111, 2, false)}, {"mask", digest(0x110, 3, false)}, {"value", digest(0x110, 2, true)}} {
+		if c.d == base {
+			t.Errorf("two defects that differ only in their %s digest alike (%#x)", c.part, base)
+		}
+	}
 }

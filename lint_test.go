@@ -702,7 +702,8 @@ type seededModel struct{}
 func (seededModel) Build(*sim.Kernel) (*System, *fault.Registry)      { return nil, nil }
 func (seededModel) Observe(*System) analysis.Observation              { return analysis.Observation{} }
 func (seededModel) Golden(*System, analysis.Observation) error        { return nil }
-func (seededModel) Record(*int, *System)                              {}
+func (seededModel) Record(*int, *System, int, *analysis.Observation) {}
+func (seededModel) HistoryKey(*System) uint64                        { return 0 }
 func (seededModel) Converged(*System, *int, int) analysis.Observation { return analysis.Observation{} }
 
 var _, _ = stressor.NewHost[*System, int]("seeded", seededModel{}, 1)
@@ -761,7 +762,7 @@ func TestReachabilityRuleOnSeededCode(t *testing.T) {
 		{"internal/caps.seededModel.Record", ""},
 		{"internal/caps.seededModel.Converged", ""},
 		{"internal/caps.seededName.String", ""},
-		{"internal/caps.seededOwn", "internal/caps/seeded.go:38: internal/caps.seededOwn (1 line) is reached by no non-test code"},
+		{"internal/caps.seededOwn", "internal/caps/seeded.go:39: internal/caps.seededOwn (1 line) is reached by no non-test code"},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var got []string

@@ -1,11 +1,13 @@
 #!/bin/sh
 # capture-mutants.sh — the capture-mutant sweep (`make capture-mutants`):
-# how much of each model's state capture and restore the state-coverage
-# lint holds. For each assignment and each call statement in the
-# SnapshotState and RestoreState bodies of caps.System, can.Bus,
-# tlm.Memory and the ECU slot, and in the ECU helpers those bodies call,
-# in turn, it comments the line out in a copy of the tree and runs that
-# package's TestStateCoverage*. A deletion the tests fail on is caught;
+# how much of each model's state capture, restore and digest the
+# state-coverage lint holds. For each assignment and each call statement
+# in the SnapshotState, RestoreState and HashState bodies of caps.System,
+# can.Bus, tlm.Memory and the ECU slot, and in the ECU helpers the
+# capture and restore call, in turn, it comments the line out in a copy
+# of the tree and runs that package's TestStateCoverage*. A dropped fold
+# in a HashState is a wrong verdict, not just a missed early exit: runs
+# stop where their digest equals one a finished run passed. A deletion the tests fail on is caught;
 # one they pass is a survivor; one that does not build is not
 # compiling. Every deletion is listed.
 #
@@ -22,23 +24,30 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/capture-mutants.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 trap 'exit 130' INT TERM
 
-# The four captures and restores and the ECU's per-component helpers:
-# FILE, then the function's receiver and name.
+# The four captures, restores and digests and the ECU's per-component
+# capture helpers: FILE, then the function's receiver and name.
 targets='internal/caps/system.go (s *System) SnapshotState
 internal/caps/system.go (s *System) RestoreState
+internal/caps/system.go (s *System) HashState
 internal/can/bus.go (b *Bus) SnapshotState
 internal/can/bus.go (b *Bus) RestoreState
+internal/can/bus.go (b *Bus) HashState
 internal/tlm/memory.go (m *Memory) SnapshotState
 internal/tlm/memory.go (m *Memory) RestoreState
+internal/tlm/memory.go (m *Memory) HashState
 internal/ecu/snapshot.go (s *ecuSlot) SnapshotState
 internal/ecu/snapshot.go (s *ecuSlot) RestoreState
+internal/ecu/snapshot.go (s *ecuSlot) HashState
 internal/ecu/snapshot.go (m *ECCMemory) captureInto
 internal/ecu/snapshot.go (m *ECCMemory) restoreFrom
 internal/ecu/snapshot.go (ls *Lockstep) captureInto
 internal/ecu/snapshot.go (ls *Lockstep) restoreFrom'
 
 # Survivors that are no omission: FILE<TAB>STATEMENT<TAB>REASON.
-allow='internal/can/bus.go	st.nodes = st.nodes[:len(b.nodes)]	a bus'"'"'s node list is fixed once elaborated, so a buffer it captured before already has that length'
+allow='internal/can/bus.go	st.nodes = st.nodes[:len(b.nodes)]	a bus'"'"'s node list is fixed once elaborated, so a buffer it captured before already has that length
+internal/caps/system.go	h.Bool(false)	framing: a sensor'"'"'s not-installed override folds this byte, an installed one a byte and eight more; without either bit the branches still fold streams of different widths, which realistic offsets (zero, or the universe'"'"'s 0.5) never line up
+internal/caps/system.go	h.Bool(true)	framing, as h.Bool(false) above: the branches fold one byte and eight plus one
+internal/tlm/memory.go	h.Int(len(m.stuckMask))	framing: each defect adds ten bytes (cell, mask, value) ahead of the access counters, so memories with different defect counts fold streams of different lengths; TestStateCoverageStuckDefects holds each part of a defect'
 
 cp -R "$root/go.mod" "$root/internal" "$work/"
 report=$work/report
