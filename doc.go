@@ -9,7 +9,7 @@
 //   - internal/sim — a deterministic discrete-event kernel with
 //     SystemC (IEEE 1666) scheduling semantics;
 //   - internal/tlm — TLM-2.0-style transaction-level modeling with the
-//     full abstraction ladder, DMI and temporal decoupling;
+//     full abstraction ladder and temporal decoupling;
 //   - internal/rtl — gate-level netlists, a levelized evaluator with
 //     stuck-at/open fault overlays and a synthesizable circuit library;
 //   - internal/uvm — a UVM testbench library (components, phases,

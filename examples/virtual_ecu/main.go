@@ -1,115 +1,58 @@
-// Virtual ECU demo: an AE32 program runs under the three classic
-// hardware safety mechanisms — SECDED ECC memory, a windowed
-// watchdog, and dual-core lockstep — while SEUs are injected into
-// memory and registers. Run with:
+// Virtual ECU demo: an AE32 program runs on a dual-core lockstep ECU
+// under the three classic hardware safety mechanisms — SECDED ECC
+// memory, a windowed watchdog, and the lockstep store comparator —
+// while SEUs are injected into memory and registers, one scenario
+// each. Run with:
 //
 //	go run ./examples/virtual_ecu
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/ecu"
+	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/tlm"
 )
 
-// program: control loop computing a running checksum of a lookup
-// table into RAM and kicking the watchdog (a store to 0x8000) each
-// iteration.
-const program = `
-	addi r1, r0, 0      ; i
-	addi r2, r0, 64     ; n
-	addi r3, r0, 0      ; acc
-loop:
-	shl  r4, r1, r6     ; r6=2 -> i*4 (set by loader)
-	lw   r5, 1024(r4)   ; table[i]
-	add  r3, r3, r5
-	sw   r3, 0(r8)      ; publish acc at 0x800
-	sw   r0, 0(r7)      ; kick watchdog at 0x8000
-	addi r1, r1, 1
-	blt  r1, r2, loop
-	halt
-`
-
-func buildCore(name string, k *sim.Kernel, wd *ecu.Watchdog) (*ecu.CPU, *ecu.ECCMemory) {
-	cpu := ecu.NewCPU(name)
-	ram := ecu.NewECCMemory(name+".eccram", 0, 64*1024)
-	bus := tlm.NewRouter(name + ".bus")
-	bus.MustMap("ram", 0, 0x8000, ram)
-	if wd != nil {
-		bus.MustMap("wd", 0x8000, 0x100, wd)
-	} else {
-		bus.MustMap("wdshadow", 0x8000, 0x100, tlm.NewMemory(name+".wdshadow", 0x8000, 0x100))
-	}
-	cpu.Bus.Bind(bus)
-	words := ecu.MustAssemble(program)
-	ecu.LoadProgram(ram, 0x4000, words)
-	// Lookup table at 0x400.
-	for i := 0; i < 64; i++ {
-		p := tlm.NewWrite(uint64(0x400+4*i), []byte{byte(i), 0, 0, 0})
-		ram.TransportDbg(p)
-	}
-	cpu.Reset(0x4000)
-	cpu.SetReg(6, 2)      // shift amount for i*4
-	cpu.SetReg(7, 0x8000) // watchdog base
-	cpu.SetReg(8, 0x800)  // result cell
-	return cpu, ram
-}
-
 func main() {
-	k := sim.NewKernel()
-	wd := ecu.NewWatchdog(k, "wd", sim.US(50))
-	wdFired := 0
-	wd.OnTimeout = func() { wdFired++ }
-	wd.Start()
-
-	primary, pram := buildCore("primary", k, wd)
-	shadow, _ := buildCore("shadow", k, nil)
-	ls := ecu.NewLockstep(primary, shadow)
-
-	// SEU #1: flip a bit in the primary's ECC-protected lookup table —
-	// the ECC corrects it transparently on the next read.
-	if err := pram.FlipStoredBit(0x410, 3); err != nil {
-		panic(err)
-	}
-	// SEU #2: flip a register bit in the shadow core mid-run — the
-	// lockstep comparator catches the divergence. (The whole program
-	// takes ~4.5 us, so inject at 2 us with a fine quantum.)
-	k.Thread("seu", func(ctx *sim.ThreadCtx) {
-		ctx.WaitTime(sim.US(2))
-		shadow.FlipRegBit(3, 7)
-	})
-	// The watchdog re-arms forever; stop it (and let the event queue
-	// drain) once both cores halt.
-	k.Thread("stopper", func(ctx *sim.ThreadCtx) {
-		for !primary.Halted() || !shadow.Halted() {
-			ctx.WaitTime(sim.US(1))
-		}
-		wd.Stop()
-	})
-
-	detected, err := ecu.RunLockstep(k, ls, sim.NS(500), 100000)
+	r, err := ecu.NewRunner(ecu.DefaultRunnerConfig())
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	wd.Stop()
+	defer r.Close()
+	g := r.Golden()
+	fmt.Printf("golden run:            acc %s, halted %s\n", g.Outputs["acc"], g.Outputs["halted"])
 
-	corr, unc := pram.Stats()
-	fmt.Printf("simulated time:        %v\n", k.Now())
-	fmt.Printf("instructions:          primary %d, shadow %d\n", primary.Instructions(), shadow.Instructions())
-	fmt.Printf("ECC:                   %d corrected, %d uncorrectable\n", corr, unc)
-	fmt.Printf("watchdog:              %d kicks, %d timeouts\n", wd.Kicks(), wd.Timeouts())
-	fmt.Printf("lockstep divergence:   %v\n", detected)
-	if detected {
-		fmt.Printf("  detail: %s\n", ls.Detail())
+	seus := []struct {
+		what string
+		want string
+		d    fault.Descriptor
+	}{
+		// SEU #1: flip a bit in an entry of the primary's ECC-protected
+		// lookup table that the loop has yet to read — the ECC corrects
+		// it transparently on that read.
+		{"table bit flip", "detected by ecc", fault.Descriptor{
+			Name: "seu-table", Target: "ecu.primary.mem", Address: 0x440, Bit: 3}},
+		// SEU #2: flip a register bit in the shadow core mid-run — the
+		// lockstep comparator catches the divergence.
+		{"shadow register flip", "detected by lockstep", fault.Descriptor{
+			Name: "seu-shadow-r3", Target: "ecu.shadow.regs", Address: 3, Bit: 7, Start: sim.US(2)}},
+	}
+	ok := true
+	for _, seu := range seus {
+		seu.d.Model, seu.d.Class = fault.BitFlip, fault.Permanent
+		out := r.RunScenario(fault.Single(seu.d))
+		fmt.Printf("%-22s %s: %s\n", seu.what+":", out.Class, out.Detail)
+		ok = ok && out.Class == fault.DetectedSafe && out.Detail == seu.want
 	}
 	fmt.Println()
-	switch {
-	case corr > 0 && detected && wdFired == 0:
-		fmt.Println("all three mechanisms did their job: ECC corrected the memory SEU,")
-		fmt.Println("lockstep caught the register SEU, and the software never missed a kick.")
-	default:
-		fmt.Println("unexpected mechanism behaviour — inspect the counters above.")
+	if ok {
+		fmt.Println("the mechanisms did their job: ECC corrected the memory SEU and")
+		fmt.Println("lockstep caught the register SEU.")
+	} else {
+		fmt.Println("unexpected mechanism behaviour — inspect the outcomes above.")
 	}
 }

@@ -33,9 +33,6 @@ type Config struct {
 	// SlowScenario, when positive, marks any single scenario run at or
 	// over this wall-clock budget in the flight recorder.
 	SlowScenario time.Duration
-	// FlightCap sizes the flight-recorder ring (default
-	// obs.DefaultFlightCap).
-	FlightCap int
 	// FlightDump, when non-nil, receives the flight-recorder text dump
 	// on executor panic and on DumpFlight (capsimd points it at
 	// stderr for SIGQUIT forensics).
@@ -119,7 +116,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		names:  map[string]string{},
 		agg:    agg,
 		prom:   obs.NewPromEncoder(),
-		flight: obs.NewFlightRecorder(cfg.FlightCap),
+		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
 	}
 	// Pre-register every daemon-wide family so the /metrics document has
 	// a deterministic shape from the first scrape (goldenfile-able), not

@@ -52,13 +52,11 @@ type Node struct {
 	controller
 }
 
-// controller is a node's scalar run state: fault confinement, traffic
-// statistics and the babbling-idiot latch.
+// controller is a node's scalar run state: fault confinement and the
+// babbling-idiot latch.
 type controller struct {
 	tec, rec int
 	state    NodeState
-
-	sent, received, errorsSeen uint64
 	// Babbling makes the node continuously transmit highest-priority
 	// junk frames (the babbling-idiot fault).
 	Babbling bool
@@ -119,7 +117,6 @@ func (n *Node) bumpTxError() {
 // bumpRxError applies the receive-error penalty (+1).
 func (n *Node) bumpRxError() {
 	n.rec++
-	n.errorsSeen++
 	n.updateState()
 }
 
@@ -156,18 +153,9 @@ func (n *Node) updateState() {
 	}
 }
 
-// TxRecord is one completed bus transaction in the log.
-type TxRecord struct {
-	At        sim.Time
-	Node      string
-	Corrupted bool
-	Dropped   bool
-}
-
 // Bus is the shared medium.
 type Bus struct {
-	k    *sim.Kernel
-	name string
+	k *sim.Kernel
 	// BitTime is the duration of one bit (500 kbit/s default).
 	BitTime sim.Time
 	// MaxRetries bounds automatic retransmission per frame.
@@ -175,7 +163,6 @@ type Bus struct {
 
 	nodes []*Node
 	wake  *sim.Event
-	log   []TxRecord
 
 	// in-flight transmission, completed by the persistent txdone
 	// process (one event + one method for the bus's lifetime, not one
@@ -196,21 +183,19 @@ type Bus struct {
 	channel
 }
 
-// channel is the bus's scalar run state: the frame in flight, the
-// channel-fault budgets and the arbitration count.
+// channel is the bus's scalar run state: the frame in flight and the
+// channel-fault budgets.
 type channel struct {
-	busy         bool
-	txFrame      frame
-	corruptNext  int // corrupt the next n frames in transit
-	dropNext     int // silently drop the next n frames
-	arbitrations uint64
+	busy        bool
+	txFrame     frame
+	corruptNext int // corrupt the next n frames in transit
+	dropNext    int // silently drop the next n frames
 }
 
 // NewBus creates a bus on the kernel at 500 kbit/s.
 func NewBus(k *sim.Kernel, name string) *Bus {
 	b := &Bus{
 		k:           k,
-		name:        name,
 		BitTime:     sim.US(2),
 		MaxRetries:  8,
 		retriesLeft: make(map[*Node]int),
@@ -275,7 +260,6 @@ func (b *Bus) arbitrate() {
 	if len(cont) == 0 {
 		return
 	}
-	b.arbitrations++
 	// Lowest ID wins; ties resolve by attachment order (real CAN
 	// cannot have ID ties on a correct network). Stable insertion sort:
 	// the slice holds a handful of nodes and, unlike sort.SliceStable,
@@ -314,16 +298,12 @@ func (b *Bus) completePending() {
 // signal errors, then re-arm arbitration.
 func (b *Bus) complete(sender *Node, f frame) {
 	b.busy = false
-	now := b.k.Now()
-
 	switch {
 	case b.dropNext > 0:
 		b.dropNext--
 		// Omission: the frame is gone. The sender still dequeues (a
 		// transceiver-level fault invisible to the controller).
 		sender.pop()
-		sender.sent++
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Dropped: true})
 	case b.corruptNext > 0:
 		b.corruptNext--
 		// Receivers detect the CRC mismatch and signal an error frame:
@@ -335,7 +315,6 @@ func (b *Bus) complete(sender *Node, f frame) {
 			}
 		}
 		sender.bumpTxError()
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name, Corrupted: true})
 		if _, ok := b.retriesLeft[sender]; !ok {
 			b.retriesLeft[sender] = b.MaxRetries
 		}
@@ -350,21 +329,19 @@ func (b *Bus) complete(sender *Node, f frame) {
 	default:
 		// Clean delivery.
 		sender.pop()
-		sender.sent++
 		sender.decayTx()
 		delete(b.retriesLeft, sender)
 		b.rx = f
+		now := b.k.Now()
 		for _, n := range b.nodes {
 			if n == sender || n.state == BusOff {
 				continue
 			}
-			n.received++
 			n.decayRx()
 			if n.OnReceive != nil {
 				n.OnReceive(b.rx.view(), now)
 			}
 		}
-		b.log = append(b.log, TxRecord{At: now, Node: sender.name})
 	}
 	b.kick()
 }
@@ -376,20 +353,19 @@ type nodeState struct {
 }
 
 // BusState is an opaque deep copy of the bus's mutable state — traffic
-// queues, error counters, the in-flight transmission, the transaction
-// log and the channel-fault budgets — captured by SnapshotState for
+// queues, error counters, the in-flight transmission and the
+// channel-fault budgets — captured by SnapshotState for
 // golden-run checkpointing. Frames carry their payload inline, so the
 // capture shares no bytes with the live bus.
 type BusState struct {
 	channel
-	txWinner    int // index into nodes, -1 when no frame is in flight
-	log         []TxRecord
+	txWinner    int         // index into nodes, -1 when no frame is in flight
 	retriesLeft map[int]int // by node index
 	nodes       []nodeState
 }
 
 // SnapshotState implements sim.Snapshottable, reusing prev's buffers
-// (log, queues, retry map) so checkpoint trees fork allocation-free in
+// (queues, retry map) so checkpoint trees fork allocation-free in
 // steady state. Pair it with the kernel's own SnapshotInto: the pending
 // txdone/wake notifications live in the kernel checkpoint, this
 // captures everything else.
@@ -400,7 +376,6 @@ func (b *Bus) SnapshotState(prev any) any {
 	}
 	st.channel = b.channel
 	st.txWinner = -1
-	st.log = append(st.log[:0], b.log...)
 	clear(st.retriesLeft)
 	if cap(st.nodes) < len(b.nodes) {
 		st.nodes = make([]nodeState, len(b.nodes))
@@ -423,10 +398,7 @@ func (b *Bus) SnapshotState(prev any) any {
 // HashState implements sim.Hashable, folding the bus state that can
 // influence future traffic or deliveries: the in-flight transmission,
 // channel-fault budgets, retry budgets, and each node's error
-// counters, confinement state, queue and babbling flag. The
-// transaction log, arbitration count and per-node sent/received/error
-// statistics are diagnostics nothing behavioral reads back — including
-// them would keep transient bus faults from ever converging.
+// counters, confinement state, queue and babbling flag.
 func (b *Bus) HashState(h *sim.StateHash) {
 	h.Bool(b.busy)
 	wi := -1
@@ -472,7 +444,6 @@ func (b *Bus) RestoreState(state any) {
 	if st.txWinner >= 0 {
 		b.txWinner = b.nodes[st.txWinner]
 	}
-	b.log = append(b.log[:0], st.log...)
 	clear(b.retriesLeft)
 	for i, left := range st.retriesLeft {
 		b.retriesLeft[b.nodes[i]] = left

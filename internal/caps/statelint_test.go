@@ -65,7 +65,7 @@ const (
 // documented exclusions are the Unhashed rows.
 func systemRules(sys *System) map[string]simtest.Rule {
 	return map[string]simtest.Rule{
-		"cfg": simtest.NotState(config), "world": simtest.NotState(config), "k": simtest.NotState(wiring),
+		"cfg": simtest.NotState(config), "k": simtest.NotState(wiring),
 		"cycleEv": simtest.NotState(wiring), "wdEv": simtest.NotState(wiring),
 		"sensors":     simtest.NotState("sensor list fixed by Build; Sensor state is linted below"),
 		"sensorSites": simtest.NotState("the sensors' trace site names, built once by Build and only read"),

@@ -79,9 +79,8 @@ const (
 
 // System is the elaborated CAPS virtual prototype.
 type System struct {
-	cfg   Config
-	world *World
-	k     *sim.Kernel
+	cfg Config
+	k   *sim.Kernel
 
 	// cycleEv drives the fusion method process: it re-notifies itself
 	// every SamplePeriod. Modelled as an SC_METHOD rather than an
@@ -138,7 +137,7 @@ func Build(k *sim.Kernel, cfg Config, world *World) (*System, *fault.Registry) {
 	if cfg.Debounce < 1 {
 		cfg.Debounce = 1
 	}
-	s := &System{cfg: cfg, world: world, k: k, airbag: airbag{threshold: cfg.FireThreshold, thresholdInv: ^cfg.FireThreshold}}
+	s := &System{cfg: cfg, k: k, airbag: airbag{threshold: cfg.FireThreshold, thresholdInv: ^cfg.FireThreshold}}
 
 	s.sensors = append(s.sensors, NewSensor("accel0", world))
 	if cfg.Redundant {

@@ -24,9 +24,8 @@ import (
 // to word-relative offsets from the *next* instruction.
 func Assemble(src string) ([]uint32, error) {
 	type line struct {
-		no    int
-		text  string
-		label string
+		no   int
+		text string
 	}
 	var lines []line
 	labels := map[string]int{} // label -> word index
@@ -284,13 +283,4 @@ func Assemble(src string) ([]uint32, error) {
 		}
 	}
 	return out, nil
-}
-
-// MustAssemble is Assemble that panics (test fixtures).
-func MustAssemble(src string) []uint32 {
-	w, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }

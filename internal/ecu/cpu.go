@@ -23,8 +23,6 @@ type CPU struct {
 	// (memory latency comes from the bus on top).
 	CyclePeriod sim.Time
 	CPI         uint32
-	// IRQVector is the interrupt entry point.
-	IRQVector uint32
 	// StoreHook observes every SW (lockstep comparators attach here).
 	StoreHook func(addr, val uint32)
 
@@ -33,13 +31,10 @@ type CPU struct {
 
 // cpuState is the core's run state: everything Step changes.
 type cpuState struct {
-	regs    [16]uint32
-	pc      uint32
-	savedPC uint32
-	inIRQ   bool
-	pending bool
-	halted  bool
-	instrs  uint64
+	regs   [16]uint32
+	pc     uint32
+	halted bool
+	instrs uint64
 }
 
 // NewCPU creates a core with a 100 MHz clock and CPI 1.
@@ -57,9 +52,6 @@ func (c *CPU) Reset(pc uint32) { c.cpuState = cpuState{pc: pc} }
 
 // Halted reports whether the core executed HALT.
 func (c *CPU) Halted() bool { return c.halted }
-
-// Instructions reports the retired instruction count.
-func (c *CPU) Instructions() uint64 { return c.instrs }
 
 // Reg reads register i.
 func (c *CPU) Reg(i int) uint32 {
@@ -90,22 +82,12 @@ func (c *CPU) FlipPCBit(bit uint) {
 	}
 }
 
-// RaiseIRQ marks the interrupt line pending; the core vectors before
-// the next instruction (unless already servicing one).
-func (c *CPU) RaiseIRQ() { c.pending = true }
-
 // Step executes one instruction, adding consumed time to *delay.
 // Errors are machine-level faults (bus error, illegal opcode) that a
 // real core would trap on; campaigns classify them as detected errors.
 func (c *CPU) Step(delay *sim.Time) error {
 	if c.halted {
 		return nil
-	}
-	if c.pending && !c.inIRQ {
-		c.pending = false
-		c.inIRQ = true
-		c.savedPC = c.pc
-		c.pc = c.IRQVector
 	}
 	word, resp := c.Bus.Read32(uint64(c.pc), delay)
 	if !resp.OK() {
@@ -181,8 +163,7 @@ func (c *CPU) Step(delay *sim.Time) error {
 		c.SetReg(int(ins.Rd), c.pc+4)
 		next = c.Reg(int(ins.Rs1)) + uint32(ins.Imm)
 	case OpRETI:
-		next = c.savedPC
-		c.inIRQ = false
+		next = 0
 	}
 	c.pc = next
 	return nil

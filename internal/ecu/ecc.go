@@ -139,16 +139,8 @@ func eccDecode(data uint32, check uint8) (corrected uint32, status ECCStatus) {
 // digests and checkpoint restores cost what a run wrote rather than
 // what the memory holds.
 type ECCMemory struct {
-	name string
 	base uint64
 	mem  *sim.PagedState
-
-	ReadLatency  sim.Time
-	WriteLatency sim.Time
-	// CorrectionDelay models the extra read latency of an ECC repair
-	// (the "error correction that may cause deadline violations" of
-	// Sec. 3.4).
-	CorrectionDelay sim.Time
 
 	eccCounters
 }
@@ -172,8 +164,8 @@ var zeroCodeword = encoded(0)
 
 // NewECCMemory creates size bytes (rounded down to whole words) at
 // base.
-func NewECCMemory(name string, base uint64, size int) *ECCMemory {
-	return &ECCMemory{name: name, base: base, mem: sim.NewPagedState(size/4, codewordBytes, zeroCodeword)}
+func NewECCMemory(base uint64, size int) *ECCMemory {
+	return &ECCMemory{base: base, mem: sim.NewPagedState(size/4, codewordBytes, zeroCodeword)}
 }
 
 // Stats reports corrected and uncorrectable error counts — the
@@ -211,11 +203,9 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 	case tlm.CmdRead:
 		cw := m.mem.Load(i)
 		data, status := eccDecode(uint32(cw), uint8(cw>>32))
-		*delay += m.ReadLatency
 		switch status {
 		case ECCCorrected:
 			m.corrected++
-			*delay += m.CorrectionDelay
 			// Scrub: write back the corrected word.
 			m.mem.Store(i, encoded(data))
 		case ECCUncorrectable:
@@ -230,7 +220,6 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 	case tlm.CmdWrite:
 		v := uint32(p.Data[0]) | uint32(p.Data[1])<<8 | uint32(p.Data[2])<<16 | uint32(p.Data[3])<<24
 		m.mem.Store(i, encoded(v))
-		*delay += m.WriteLatency
 	default:
 		p.Response = tlm.RespCommandError
 		return

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/tlm"
 )
@@ -211,35 +212,32 @@ func TestCPUALUOps(t *testing.T) {
 	}
 }
 
-func TestCPUIRQ(t *testing.T) {
-	// Main loop increments r1 forever; IRQ handler stores r1 and halts.
+// TestRETIReturnsToZero: the core has no interrupt line, so RETI — an
+// opcode a corrupted instruction word can decode to — jumps to address
+// 0.
+func TestRETIReturnsToZero(t *testing.T) {
 	k, cpu, ram := buildSystem(t, `
-		jal r0, main
-	handler:
+		addi r1, r0, 3
+		reti
+		addi r1, r0, 9
+		halt
+	`)
+	LoadProgram(ram, 0, MustAssemble(`
 		sw r1, 512(r0)
 		halt
-	main:
-		addi r1, r1, 1
-		jal r0, main
-	`)
-	cpu.IRQVector = 0x1004 // word 1 = handler
+	`))
 	k.Thread("cpu", func(ctx *sim.ThreadCtx) {
 		qk := tlm.NewQuantumKeeper(ctx, sim.NS(200))
-		_ = cpu.Run(ctx, qk, 100000)
-	})
-	k.Thread("irq", func(ctx *sim.ThreadCtx) {
-		ctx.WaitTime(sim.US(2))
-		cpu.RaiseIRQ()
+		if err := cpu.Run(ctx, qk, 100); err != nil {
+			t.Error(err)
+		}
 	})
 	if err := k.Run(sim.TimeMax); err != nil {
 		t.Fatal(err)
 	}
 	k.Shutdown()
-	if !cpu.Halted() {
-		t.Fatal("IRQ handler did not run")
-	}
-	if ram.Peek(512, 1)[0] == 0 {
-		t.Error("handler saw zero iterations")
+	if !cpu.Halted() || cpu.PC() != 8 || ram.Peek(512, 1)[0] != 3 {
+		t.Errorf("halted=%v pc=%#x stored %d; want the code at 0 to run and store 3", cpu.Halted(), cpu.PC(), ram.Peek(512, 1)[0])
 	}
 }
 
@@ -339,7 +337,7 @@ func TestECCDoubleBitDetection(t *testing.T) {
 }
 
 func TestECCMemoryEndToEnd(t *testing.T) {
-	m := NewECCMemory("eccram", 0, 1024)
+	m := NewECCMemory(0, 1024)
 	var d sim.Time
 	p := tlm.NewWrite(16, []byte{0x78, 0x56, 0x34, 0x12})
 	m.BTransport(p, &d)
@@ -378,7 +376,7 @@ func TestECCMemoryEndToEnd(t *testing.T) {
 }
 
 func TestECCMemoryAlignment(t *testing.T) {
-	m := NewECCMemory("eccram", 0, 64)
+	m := NewECCMemory(0, 64)
 	var d sim.Time
 	p := tlm.NewRead(2, 4) // unaligned
 	m.BTransport(p, &d)
@@ -397,32 +395,9 @@ func TestECCMemoryAlignment(t *testing.T) {
 	}
 }
 
-func TestECCCorrectionDelay(t *testing.T) {
-	m := NewECCMemory("eccram", 0, 64)
-	m.ReadLatency = sim.NS(10)
-	m.CorrectionDelay = sim.NS(50)
-	var d sim.Time
-	m.BTransport(tlm.NewWrite(0, []byte{1, 0, 0, 0}), &d)
-	d = 0
-	m.BTransport(tlm.NewRead(0, 4), &d)
-	if d != sim.NS(10) {
-		t.Errorf("clean read delay = %v", d)
-	}
-	if err := m.FlipStoredBit(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	d = 0
-	m.BTransport(tlm.NewRead(0, 4), &d)
-	if d != sim.NS(60) {
-		t.Errorf("correcting read delay = %v, want 60 ns", d)
-	}
-}
-
 func TestWatchdogKickKeepsAlive(t *testing.T) {
 	k := sim.NewKernel()
 	wd := NewWatchdog(k, "wd", sim.US(100))
-	fired := 0
-	wd.OnTimeout = func() { fired++ }
 	k.Thread("sw", func(ctx *sim.ThreadCtx) {
 		wd.Start()
 		for i := 0; i < 10; i++ {
@@ -434,8 +409,8 @@ func TestWatchdogKickKeepsAlive(t *testing.T) {
 	if err := k.Run(sim.TimeMax); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 0 || wd.Timeouts() != 0 {
-		t.Errorf("watchdog fired %d times despite kicks", fired)
+	if wd.Timeouts() != 0 {
+		t.Errorf("watchdog fired %d times despite kicks", wd.Timeouts())
 	}
 	if wd.Kicks() != 10 {
 		t.Errorf("kicks = %d", wd.Kicks())
@@ -445,24 +420,25 @@ func TestWatchdogKickKeepsAlive(t *testing.T) {
 func TestWatchdogTimeout(t *testing.T) {
 	k := sim.NewKernel()
 	wd := NewWatchdog(k, "wd", sim.US(100))
-	var firedAt []sim.Time
-	wd.OnTimeout = func() { firedAt = append(firedAt, k.Now()) }
 	k.Thread("sw", func(ctx *sim.ThreadCtx) {
 		wd.Start()
 		ctx.WaitTime(sim.US(50))
 		wd.Kick()
 		// then the software "hangs" — no more kicks
 	})
-	if err := k.Run(sim.US(500)); err != nil {
-		t.Fatal(err)
+	// The window the kick at 50 us opened closes at 150 us.
+	for _, c := range []struct {
+		at   sim.Time
+		want uint64
+	}{{sim.US(150) - 1, 0}, {sim.US(150), 1}, {sim.US(500), 4}} {
+		if err := k.RunUntil(c.at); err != nil {
+			t.Fatal(err)
+		}
+		if got := wd.Timeouts(); got != c.want {
+			t.Errorf("timeouts by %v = %d, want %d", c.at, got, c.want)
+		}
 	}
 	wd.Stop()
-	if len(firedAt) == 0 {
-		t.Fatal("watchdog never fired")
-	}
-	if firedAt[0] != sim.US(150) {
-		t.Errorf("first timeout at %v, want 150 us", firedAt[0])
-	}
 }
 
 func TestWatchdogTLMInterface(t *testing.T) {
@@ -497,7 +473,9 @@ loop:
 	halt
 `
 
-func buildLockstep(t *testing.T) (*sim.Kernel, *Lockstep) {
+// buildLockstep wires two cores running lockstepProg to a comparator
+// and returns the kernel, the comparator and the primary core.
+func buildLockstep(t *testing.T) (*sim.Kernel, *Lockstep, *CPU) {
 	t.Helper()
 	k := sim.NewKernel()
 	mk := func(name string) *CPU {
@@ -511,41 +489,47 @@ func buildLockstep(t *testing.T) (*sim.Kernel, *Lockstep) {
 		cpu.Reset(0x1000)
 		return cpu
 	}
-	return k, NewLockstep(mk("p"), mk("s"))
+	p := mk("p")
+	return k, NewLockstep(p, mk("s")), p
 }
 
-func TestLockstepCleanRun(t *testing.T) {
-	k, ls := buildLockstep(t)
-	detected, err := RunLockstep(k, ls, sim.US(1), 10000)
+// runLockstep runs sc on a fresh runner and reports what the lockstep
+// comparator saw.
+func runLockstep(t *testing.T, sc fault.Scenario) (out fault.Outcome, diverged bool, detail string, stores [2]int) {
+	t.Helper()
+	r, err := NewRunner(DefaultRunnerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if detected {
-		t.Errorf("clean run flagged: %s", ls.Detail())
+	defer r.Close()
+	out = r.RunScenarioWith(sc, func(s *ecuSlot) {
+		diverged, detail = s.ls.Diverged(), s.ls.Detail()
+		stores[0], stores[1] = s.ls.Stores()
+	})
+	return out, diverged, detail, stores
+}
+
+func TestLockstepCleanRun(t *testing.T) {
+	out, diverged, detail, stores := runLockstep(t, fault.Scenario{ID: "clean"})
+	if out.Class != fault.NoEffect || diverged {
+		t.Errorf("clean run flagged: %s, %q", out.Class, detail)
 	}
-	p, s := ls.Stores()
-	if p != 10 || s != 10 {
-		t.Errorf("stores = %d, %d", p, s)
+	// Two stores an iteration: the checksum and the watchdog kick.
+	if stores != [2]int{2 * runnerTableLen, 2 * runnerTableLen} {
+		t.Errorf("stores = %v", stores)
 	}
 }
 
 func TestLockstepDetectsSEU(t *testing.T) {
-	k, ls := buildLockstep(t)
-	// Flip a bit in the shadow core's loop counter mid-run. The small
-	// quantum keeps both cores synchronized finely enough that the
-	// injection lands while the loop is still executing.
-	k.Thread("inj", func(ctx *sim.ThreadCtx) {
-		ctx.WaitTime(sim.NS(300))
-		ls.Shadow.FlipRegBit(1, 3)
-	})
-	detected, err := RunLockstep(k, ls, sim.NS(50), 10000)
-	if err != nil {
-		t.Fatal(err)
+	// Flip a bit in the shadow core's loop counter mid-run.
+	out, diverged, detail, _ := runLockstep(t, fault.Single(fault.Descriptor{
+		Name: "seu-shadow-r1", Model: fault.BitFlip, Class: fault.Permanent,
+		Target: "ecu.shadow.regs", Address: 1, Bit: 3, Start: sim.US(1),
+	}))
+	if out.Class != fault.DetectedSafe || !diverged || out.Detail != "detected by lockstep" {
+		t.Errorf("lockstep missed register SEU: %s, %q", out.Class, out.Detail)
 	}
-	if !detected {
-		t.Error("lockstep missed register SEU")
-	}
-	if ls.Detail() == "" {
+	if detail == "" {
 		t.Error("no divergence detail")
 	}
 }
@@ -565,8 +549,27 @@ func TestRTOSNoMissesWhenSchedulable(t *testing.T) {
 	if s.Misses() != 0 {
 		t.Errorf("misses = %d", s.Misses())
 	}
-	if len(s.Records()) != 15 { // 10 ctrl + 5 log
-		t.Errorf("records = %d", len(s.Records()))
+}
+
+// TestRTOSCountsEveryJob: with every job late, the miss count is the
+// job count — 10 ctrl and 5 log jobs in 10 ms.
+func TestRTOSCountsEveryJob(t *testing.T) {
+	k := sim.NewKernel()
+	s := NewScheduler(k, sim.MS(10))
+	for _, task := range []*Task{
+		{Name: "ctrl", Period: sim.MS(1), Deadline: sim.US(300), WCET: sim.US(200), ExtraDelay: sim.US(200)},
+		{Name: "log", Period: sim.MS(2), Deadline: sim.US(150), WCET: sim.US(100), ExtraDelay: sim.US(100)},
+	} {
+		if err := s.Add(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if s.Misses() != 15 {
+		t.Errorf("misses = %d, want 15 (every job)", s.Misses())
 	}
 }
 
@@ -583,9 +586,6 @@ func TestRTOSDelayFaultCausesMisses(t *testing.T) {
 	}
 	if s.Misses() != 10 {
 		t.Errorf("misses = %d, want 10 (every job)", s.Misses())
-	}
-	if s.MissesFor("ctrl") != 10 {
-		t.Error("MissesFor mismatch")
 	}
 }
 

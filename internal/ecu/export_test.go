@@ -6,22 +6,20 @@ func (c *CPU) Name() string { return c.name }
 // PC reports the program counter.
 func (c *CPU) PC() uint32 { return c.pc }
 
-// InIRQ reports whether the core is inside an interrupt handler.
-func (c *CPU) InIRQ() bool { return c.inIRQ }
+// Instructions reports the retired instruction count.
+func (c *CPU) Instructions() uint64 { return c.instrs }
 
-// Name reports the instance name.
-func (m *ECCMemory) Name() string { return m.name }
+// Kicks reports accepted kicks.
+func (w *Watchdog) Kicks() uint64 { return w.kicks }
 
-// Records reports every job's timing.
-func (s *Scheduler) Records() []JobRecord { return s.records }
-
-// MissesFor reports misses of one task.
-func (s *Scheduler) MissesFor(name string) int {
-	n := 0
-	for _, r := range s.records {
-		if r.Task == name && r.Missed {
-			n++
-		}
+// MustAssemble is Assemble that panics.
+func MustAssemble(src string) []uint32 {
+	w, err := Assemble(src)
+	if err != nil {
+		panic(err)
 	}
-	return n
+	return w
 }
+
+// Detail describes the first divergence.
+func (ls *Lockstep) Detail() string { return ls.detail }

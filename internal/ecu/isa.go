@@ -10,8 +10,12 @@
 // concurrent tasks that exhibit hard and soft real-time constraints",
 // and protection mechanisms (ECC, watchdog, lockstep) are what
 // separates a masked error from a safety-critical failure. The CPU is
-// a loosely-timed TLM initiator with a quantum keeper, making it the
-// workload for the temporal-decoupling experiment E6.
+// a loosely-timed TLM initiator whose run loop synchronizes by quantum;
+// the scheduler's tasks are the workload of the temporal-decoupling
+// experiment E6.
+//
+// The core has no interrupt line. RETI keeps its opcode, because a
+// corrupted instruction word can decode to it, and jumps to address 0.
 package ecu
 
 import "fmt"
@@ -42,7 +46,7 @@ const (
 	OpBGE                // if rs1 >= rs2 (signed): pc += simm12*4
 	OpJAL                // rd = pc+4; pc += simm12*4
 	OpJALR               // rd = pc+4; pc = rs1 + simm12
-	OpRETI               // return from interrupt (pc = saved pc)
+	OpRETI               // pc = 0: the core has no interrupt line to return from
 	opCount
 )
 

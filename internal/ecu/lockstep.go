@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/tlm"
 )
 
 // Lockstep runs two AE32 cores over the same program and compares
@@ -15,10 +14,8 @@ import (
 // is at store granularity: a corrupted register that never reaches a
 // store stays latent, exactly as in real lockstep designs.
 type Lockstep struct {
-	Primary *CPU
-	Shadow  *CPU
-	pLog    storeLog
-	sLog    storeLog
+	pLog storeLog
+	sLog storeLog
 	verdict
 }
 
@@ -53,7 +50,7 @@ func (l *storeLog) copyFrom(o *storeLog) {
 
 // NewLockstep wires the comparator onto two cores.
 func NewLockstep(primary, shadow *CPU) *Lockstep {
-	ls := &Lockstep{Primary: primary, Shadow: shadow}
+	ls := &Lockstep{}
 	primary.StoreHook = func(addr, val uint32) { ls.record(&ls.pLog, &ls.sLog, addr, val, "primary") }
 	shadow.StoreHook = func(addr, val uint32) { ls.record(&ls.sLog, &ls.pLog, addr, val, "shadow") }
 	return ls
@@ -97,38 +94,5 @@ func (ls *Lockstep) FinalCheck() {
 // Diverged reports whether the comparator fired.
 func (ls *Lockstep) Diverged() bool { return ls.diverged }
 
-// Detail describes the first divergence.
-func (ls *Lockstep) Detail() string { return ls.detail }
-
 // Stores reports the store counts seen so far.
 func (ls *Lockstep) Stores() (primary, shadow int) { return len(ls.pLog.recs), len(ls.sLog.recs) }
-
-// RunLockstep executes both cores to completion on a fresh kernel
-// thread pair and returns whether the comparator detected divergence.
-// quantum controls temporal decoupling for both cores.
-func RunLockstep(k *sim.Kernel, ls *Lockstep, quantum sim.Time, maxInstrs uint64) (detected bool, err error) {
-	errs := make([]error, 2)
-	k.Thread("lockstep.primary", func(ctx *sim.ThreadCtx) {
-		qk := tlm.NewQuantumKeeper(ctx, quantum)
-		errs[0] = ls.Primary.Run(ctx, qk, maxInstrs)
-	})
-	k.Thread("lockstep.shadow", func(ctx *sim.ThreadCtx) {
-		qk := tlm.NewQuantumKeeper(ctx, quantum)
-		errs[1] = ls.Shadow.Run(ctx, qk, maxInstrs)
-	})
-	if err := k.Run(sim.TimeMax); err != nil {
-		return false, err
-	}
-	ls.FinalCheck()
-	// A trap (bus error / illegal opcode) on either core is likewise a
-	// detection: real lockstep MCUs escalate traps to the safety path.
-	for _, e := range errs {
-		if e != nil {
-			ls.diverged = true
-			if ls.detail == "" {
-				ls.detail = "core trap: " + e.Error()
-			}
-		}
-	}
-	return ls.diverged, nil
-}

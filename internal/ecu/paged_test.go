@@ -27,7 +27,7 @@ func eccDigest(m *ECCMemory) uint64 {
 // restore of the capture taken before the upset copies exactly that
 // page back.
 func TestECCCorrectedReadDirtiesPage(t *testing.T) {
-	m := NewECCMemory("eccram", 0, 16*1024)
+	m := NewECCMemory(0, 16*1024)
 	var d sim.Time
 	const addr = 0x1230
 	m.BTransport(tlm.NewWrite(addr, []byte{0x78, 0x56, 0x34, 0x12}), &d)

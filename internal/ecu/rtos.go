@@ -9,43 +9,31 @@ import (
 
 // Task is one periodic real-time task in the RTOS-lite model: released
 // every Period, consuming WCET of execution time, due Deadline after
-// release. Work is an optional callback executed at each completion
-// (the functional payload); the scheduler itself only models timing —
-// the AUTOSAR-runnable substitution documented in DESIGN.md.
+// release. The scheduler only models timing — the AUTOSAR-runnable
+// substitution documented in DESIGN.md.
 type Task struct {
 	Name     string
 	Period   sim.Time
 	Deadline sim.Time
 	WCET     sim.Time
-	// Work runs at each job completion with the job index.
-	Work func(job int)
 	// ExtraDelay is added to each job's execution time — the injection
 	// point for delay faults ("the right value at the wrong time").
 	ExtraDelay sim.Time
 }
 
-// JobRecord is one released job's timing. Completion is the exact
-// (temporally decoupled, local-time) completion; ObservedCompletion
-// is the kernel time at which an external monitor could see it —
-// never later than Completion's wall position, so large quanta make
-// external deadline monitors miss true violations (ObservedMissed is
-// a subset of Missed). This observability gap is the accuracy cost of
-// temporal decoupling that experiment E6 sweeps.
-type JobRecord struct {
-	Task               string
-	Job                int
-	Release            sim.Time
-	Completion         sim.Time
-	ObservedCompletion sim.Time
-	Deadline           sim.Time
-	Missed             bool
-	ObservedMissed     bool
-}
-
 // Scheduler runs a periodic task set on the kernel with per-task
-// temporal decoupling and records deadline misses. With quantum 0 the
+// temporal decoupling and counts deadline misses. With quantum 0 the
 // timing is exact; larger quanta trade deadline-detection accuracy
 // for fewer kernel synchronizations (experiment E6).
+//
+// A job misses when its exact (temporally decoupled, local-time)
+// completion is past its deadline, and an external monitor observes
+// the miss when the kernel time at which it could see the completion
+// is. That kernel time is never later than the exact completion, so
+// large quanta make external deadline monitors miss true violations:
+// the observed misses are a subset of the true ones. This
+// observability gap is the accuracy cost of temporal decoupling that
+// experiment E6 sweeps.
 type Scheduler struct {
 	k     *sim.Kernel
 	tasks []*Task
@@ -55,8 +43,7 @@ type Scheduler struct {
 	// Horizon bounds job generation.
 	Horizon sim.Time
 
-	records []JobRecord
-	misses  int
+	misses, observedMisses int
 }
 
 // NewScheduler creates a scheduler on the kernel.
@@ -98,26 +85,13 @@ func (s *Scheduler) Spawn() {
 				// Execute.
 				qk.Inc(task.WCET + task.ExtraDelay)
 				qk.SyncIfNeeded()
-				completion := qk.CurrentTime()
-				observed := ctx.Now()
-				if task.Work != nil {
-					task.Work(job)
-				}
 				deadline := release + task.Deadline
-				rec := JobRecord{
-					Task:               task.Name,
-					Job:                job,
-					Release:            release,
-					Completion:         completion,
-					ObservedCompletion: observed,
-					Deadline:           deadline,
-					Missed:             completion > deadline,
-					ObservedMissed:     observed > deadline,
-				}
-				if rec.Missed {
+				if qk.CurrentTime() > deadline {
 					s.misses++
 				}
-				s.records = append(s.records, rec)
+				if ctx.Now() > deadline {
+					s.observedMisses++
+				}
 			}
 		})
 	}
@@ -134,12 +108,4 @@ func (s *Scheduler) Misses() int { return s.misses }
 
 // ObservedMisses reports how many true misses an external (kernel-
 // time) monitor would have seen.
-func (s *Scheduler) ObservedMisses() int {
-	n := 0
-	for _, r := range s.records {
-		if r.ObservedMissed {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) ObservedMisses() int { return s.observedMisses }

@@ -52,9 +52,6 @@ type RunnerConfig struct {
 	Horizon sim.Time
 	// WatchdogTimeout is the kick window.
 	WatchdogTimeout sim.Time
-	// Deadline, when non-zero, marks runs whose cores halt correctly
-	// but later than this as timing violations.
-	Deadline sim.Time
 }
 
 // DefaultRunnerConfig returns the standard campaign parameters.
@@ -189,14 +186,14 @@ func (m *model) Build(k *sim.Kernel) (*ecuSlot, *fault.Registry) {
 	s.wd = NewWatchdog(k, "ecu.wd", m.cfg.WatchdogTimeout)
 
 	s.primary = NewCPU("ecu.primary")
-	s.pram = NewECCMemory("ecu.primary.eccram", 0, 64*1024)
+	s.pram = NewECCMemory(0, 64*1024)
 	pbus := tlm.NewRouter("ecu.primary.bus")
 	pbus.MustMap("ram", 0, runnerWdBase, s.pram)
 	pbus.MustMap("wd", runnerWdBase, 0x100, s.wd)
 	s.primary.Bus.Bind(pbus)
 
 	s.shadow = NewCPU("ecu.shadow")
-	s.sram = NewECCMemory("ecu.shadow.eccram", 0, 64*1024)
+	s.sram = NewECCMemory(0, 64*1024)
 	s.wdshadow = tlm.NewMemory("ecu.shadow.wdshadow", runnerWdBase, 0x100)
 	sbus := tlm.NewRouter("ecu.shadow.bus")
 	sbus.MustMap("ram", 0, runnerWdBase, s.sram)
@@ -313,9 +310,6 @@ func (m *model) Observe(s *ecuSlot) analysis.Observation {
 		ob.Detected = true
 		ob.DetectedBy = append(ob.DetectedBy, "ecc")
 	}
-	if m.cfg.Deadline > 0 && s.primary.Halted() && s.shadow.Halted() && s.haltAt > m.cfg.Deadline {
-		ob.DeadlineMissed = true
-	}
 	if m.goldenTable != nil {
 		ob.LatentState = s.regs() != m.goldenRegs || !bytes.Equal(s.table(), m.goldenTable)
 	}
@@ -349,7 +343,6 @@ func (s *ecuSlot) table() []byte {
 	return s.tableBuf
 }
 
-// readWord fetches one word through the debug port.
 // hexWord is fmt.Sprintf("%#x", v) without fmt: Observe runs once a
 // scenario.
 func hexWord(v uint32) string {
@@ -357,6 +350,7 @@ func hexWord(v uint32) string {
 	return string(strconv.AppendUint(append(buf[:0], "0x"...), uint64(v), 16))
 }
 
+// readWord fetches one word through the debug port.
 func readWord(m *ECCMemory, addr uint64) uint32 {
 	p := tlm.NewRead(addr, 4)
 	m.TransportDbg(p)

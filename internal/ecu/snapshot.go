@@ -123,9 +123,6 @@ func hashCPU(h *sim.StateHash, c *CPU) {
 		h.U32(r)
 	}
 	h.U32(c.pc)
-	h.U32(c.savedPC)
-	h.Bool(c.inIRQ)
-	h.Bool(c.pending)
 	h.Bool(c.halted)
 	h.U64(c.instrs)
 }

@@ -76,7 +76,6 @@ func TestStateCoverageCPU(t *testing.T) {
 			"Bus":         simtest.NotState(wiring),
 			"CyclePeriod": simtest.NotState(config),
 			"CPI":         simtest.NotState(config),
-			"IRQVector":   simtest.NotState(config),
 			"StoreHook":   simtest.NotState("wiring: the lockstep comparator's hook"),
 		})
 	}
@@ -90,13 +89,9 @@ func TestStateCoverageECCMemory(t *testing.T) {
 		for _, cell := range []int{0, int(runnerTableBase / 4), m.mem.Len() - 1} {
 			for _, bit := range []uint{3, 35} {
 				simtest.StateCoverage(t, s, m, map[string]simtest.Rule{
-					"name": simtest.NotState(config),
 					"base": simtest.NotState(config),
 					"mem": simtest.Via("codewords live behind the PagedState write barrier",
 						func() { m.mem.Store(cell, m.mem.Load(cell)^1<<bit) }),
-					"ReadLatency":     simtest.NotState(config),
-					"WriteLatency":    simtest.NotState(config),
-					"CorrectionDelay": simtest.NotState(config),
 				})
 			}
 		}
@@ -107,8 +102,6 @@ func TestStateCoverageLockstep(t *testing.T) {
 	s := midRunSlot(t)
 	appendOnly := "append-only log folded through its rolling digest: perturbed the way the comparator writes it"
 	simtest.StateCoverage(t, s, s.ls, map[string]simtest.Rule{
-		"Primary":   simtest.NotState(wiring),
-		"Shadow":    simtest.NotState(wiring),
 		"pLog.recs": simtest.Via(appendOnly, func() { s.ls.pLog.append(storeRec{0x800, 1}) }),
 		"sLog.recs": simtest.Via(appendOnly, func() { s.ls.sLog.append(storeRec{0x800, 1}) }),
 	})
@@ -117,10 +110,8 @@ func TestStateCoverageLockstep(t *testing.T) {
 func TestStateCoverageWatchdog(t *testing.T) {
 	s := midRunSlot(t)
 	simtest.StateCoverage(t, s, s.wd, map[string]simtest.Rule{
-		"k":         simtest.NotState(wiring),
-		"Timeout":   simtest.NotState(config),
-		"OnTimeout": simtest.NotState(wiring),
-		"timer":     simtest.NotState("kernel event: its pending notification is scheduler state"),
+		"Timeout": simtest.NotState(config),
+		"timer":   simtest.NotState("kernel event: its pending notification is scheduler state"),
 	})
 }
 

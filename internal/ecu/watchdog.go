@@ -7,16 +7,13 @@ import (
 
 // Watchdog is a memory-mapped timeout monitor: software must write
 // the kick register (offset 0) within Timeout of the previous kick,
-// otherwise the watchdog fires — incrementing the timeout count,
-// notifying TimeoutEvent and invoking OnTimeout. It detects the
-// "additional delay" error class (Sec. 3.4): a task that still
-// produces right values but too late stops kicking in time.
+// otherwise the watchdog fires — incrementing the timeout count and
+// re-arming. It detects the "additional delay" error class (Sec. 3.4):
+// a task that still produces right values but too late stops kicking
+// in time.
 type Watchdog struct {
-	k *sim.Kernel
 	// Timeout is the maximum allowed kick interval.
 	Timeout sim.Time
-	// OnTimeout is called (once per expiry) when the window is missed.
-	OnTimeout func()
 
 	timer *sim.Event
 	wdState
@@ -31,7 +28,7 @@ type wdState struct {
 
 // NewWatchdog creates a stopped watchdog.
 func NewWatchdog(k *sim.Kernel, name string, timeout sim.Time) *Watchdog {
-	w := &Watchdog{k: k, Timeout: timeout, timer: k.NewEvent(name + ".timer")}
+	w := &Watchdog{Timeout: timeout, timer: k.NewEvent(name + ".timer")}
 	k.MethodNoInit(name+".expire", w.expire, w.timer)
 	return w
 }
@@ -65,18 +62,12 @@ func (w *Watchdog) expire() {
 		return
 	}
 	w.timeouts++
-	if w.OnTimeout != nil {
-		w.OnTimeout()
-	}
 	// Re-arm: a stuck system keeps counting windows.
 	w.timer.Notify(w.Timeout)
 }
 
 // Timeouts reports expired windows.
 func (w *Watchdog) Timeouts() uint64 { return w.timeouts }
-
-// Kicks reports accepted kicks.
-func (w *Watchdog) Kicks() uint64 { return w.kicks }
 
 // BTransport implements tlm.Target: any write to offset 0 kicks; a
 // read of offset 0 returns the timeout count (diagnosis register).

@@ -34,7 +34,6 @@ func runE6() (*Result, error) {
 	}
 
 	type row struct {
-		quantum   sim.Time
 		timeSteps uint64
 		trueM     int
 		obsM      int
@@ -68,7 +67,7 @@ func runE6() (*Result, error) {
 			det = fmt.Sprintf("%.0f%%", 100*float64(s.ObservedMisses())/float64(s.Misses()))
 		}
 		t.AddRow(q, st.TimeSteps, wall.Round(time.Microsecond), s.Misses(), s.ObservedMisses(), det)
-		rows = append(rows, row{quantum: q, timeSteps: st.TimeSteps, trueM: s.Misses(), obsM: s.ObservedMisses()})
+		rows = append(rows, row{timeSteps: st.TimeSteps, trueM: s.Misses(), obsM: s.ObservedMisses()})
 		done()
 	}
 

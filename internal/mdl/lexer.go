@@ -82,7 +82,6 @@ type Token struct {
 	Text string
 	Val  int64 // TokInt only
 	Line int
-	Col  int
 }
 
 var keywords = map[string]TokKind{
@@ -96,7 +95,7 @@ func Lex(src string) ([]Token, error) {
 	line, col := 1, 1
 	i := 0
 	emit := func(k TokKind, text string, val int64) {
-		toks = append(toks, Token{Kind: k, Text: text, Val: val, Line: line, Col: col})
+		toks = append(toks, Token{Kind: k, Text: text, Val: val, Line: line})
 	}
 	for i < len(src) {
 		c := src[i]

@@ -62,12 +62,11 @@ func DefaultRules() []DerivationRule {
 	}
 }
 
-// Derived is the output of the derivation: a descriptor plus which
-// rule and stress produced it (for traceability in reports).
+// Derived is the output of the derivation: a descriptor plus the rule
+// that produced it (for traceability in reports).
 type Derived struct {
 	Descriptor fault.Descriptor
 	Rule       DerivationRule
-	StressMax  float64
 }
 
 // Derive applies the rule base to a profile over the given injection
@@ -102,7 +101,7 @@ func Derive(p *Profile, rules []DerivationRule, sites []string) ([]Derived, erro
 			if d.Class == fault.Intermittent && d.Period <= d.Duration {
 				d.Period = d.Duration * 10
 			}
-			out = append(out, Derived{Descriptor: d, Rule: r, StressMax: s.Max})
+			out = append(out, Derived{Descriptor: d, Rule: r})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Descriptor.Name < out[j].Descriptor.Name })

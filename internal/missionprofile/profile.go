@@ -89,28 +89,16 @@ func (s EnvironmentalStress) Validate() error {
 	return nil
 }
 
-// FunctionalLoad is an application load on the component (actuations,
-// switching cycles, torque).
-type FunctionalLoad struct {
-	Name string
-	// Level is the load magnitude in Unit.
-	Level float64
-	Unit  string
-	// CyclesPerHour is the activation frequency.
-	CyclesPerHour float64
-}
-
 // OperatingState is one named system state with its share of mission
-// time. Special states describe "a possible malfunction or a special
-// use case, for instance the high load for the servo motor when
-// steering against a curbstone".
+// time. A special state — "a possible malfunction or a special use
+// case, for instance the high load for the servo motor when steering
+// against a curbstone" — is one with a high LoadScale.
 type OperatingState struct {
 	Name string
 	// Fraction of total mission time spent in this state.
 	Fraction float64
-	// Special marks malfunction / extreme-use states.
-	Special bool
-	// LoadScale multiplies functional loads while in this state.
+	// LoadScale is the state's load relative to normal operation;
+	// Schedule weights the state's injection instants by it.
 	LoadScale float64
 }
 
@@ -149,7 +137,6 @@ type Profile struct {
 	// MissionHours is the total service life.
 	MissionHours float64
 	Stresses     []EnvironmentalStress
-	Loads        []FunctionalLoad
 	States       []OperatingState
 }
 
@@ -202,8 +189,8 @@ type TransferRule struct {
 
 // Refine derives a sub-component profile one supply-chain level down,
 // applying stress transfer rules for the sub-component's mounting
-// point. Loads and states are inherited unchanged unless the caller
-// edits them afterwards.
+// point. States are inherited unchanged unless the caller edits them
+// afterwards.
 func (p *Profile) Refine(component string, rules []TransferRule) (*Profile, error) {
 	if p.Level == Semiconductor {
 		return nil, fmt.Errorf("missionprofile: cannot refine below semiconductor level")
@@ -212,7 +199,6 @@ func (p *Profile) Refine(component string, rules []TransferRule) (*Profile, erro
 		Component:    component,
 		Level:        p.Level + 1,
 		MissionHours: p.MissionHours,
-		Loads:        append([]FunctionalLoad(nil), p.Loads...),
 		States:       append([]OperatingState(nil), p.States...),
 	}
 	for _, s := range p.Stresses {
@@ -246,14 +232,11 @@ func VehicleUnderhood(component string) *Profile {
 			{Kind: EMI, Min: 0, Max: 100, DutyCycle: 0.05},
 			{Kind: SupplyVoltage, Min: 6, Max: 16, DutyCycle: 0.02},
 		},
-		Loads: []FunctionalLoad{
-			{Name: "actuation", Level: 1.0, Unit: "duty", CyclesPerHour: 3600},
-		},
 		States: []OperatingState{
 			{Name: "off", Fraction: 0.55, LoadScale: 0},
 			{Name: "normal-drive", Fraction: 0.40, LoadScale: 1},
-			{Name: "high-load", Fraction: 0.04, Special: true, LoadScale: 2},
-			{Name: "crash-maneuver", Fraction: 0.01, Special: true, LoadScale: 3},
+			{Name: "high-load", Fraction: 0.04, LoadScale: 2},
+			{Name: "crash-maneuver", Fraction: 0.01, LoadScale: 3},
 		},
 	}
 }

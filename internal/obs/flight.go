@@ -36,15 +36,12 @@ type FlightRecorder struct {
 	next uint64 // total events ever recorded
 }
 
-// DefaultFlightCap is the ring size used when NewFlightRecorder is
-// asked for a non-positive capacity.
+// DefaultFlightCap is the daemon's ring size.
 const DefaultFlightCap = 256
 
-// NewFlightRecorder creates a recorder keeping the last size events.
+// NewFlightRecorder creates a recorder keeping the last size events;
+// size must be positive.
 func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultFlightCap
-	}
 	return &FlightRecorder{ring: make([]FlightEvent, size)}
 }
 

@@ -11,14 +11,12 @@ import (
 // bottom rung of the abstraction ladder measured by experiment E1. For fault campaigns
 // use the levelized Evaluator instead; for cost comparison use this.
 type KernelCircuit struct {
-	k    *sim.Kernel
-	c    *Circuit
 	sigs []*sim.Signal[Logic]
 }
 
 // BindKernel elaborates the circuit onto the kernel.
 func BindKernel(k *sim.Kernel, c *Circuit) *KernelCircuit {
-	kc := &KernelCircuit{k: k, c: c}
+	kc := &KernelCircuit{}
 	kc.sigs = make([]*sim.Signal[Logic], c.numNets)
 	for n := 0; n < c.numNets; n++ {
 		kc.sigs[n] = sim.NewSignal(k, c.NetName(Net(n)), LX)

@@ -69,7 +69,6 @@ type ALU struct {
 	Y       []Net
 	Carry   Net
 	Zero    Net
-	Width   int
 }
 
 // NewALU builds a width-bit structural ALU with operations selected by
@@ -125,7 +124,7 @@ func NewALU(width int) *ALU {
 	c.OutputBus("y", y)
 	c.Output("carry", carry)
 	c.Output("zero", zero)
-	return &ALU{Circuit: c, A: a, B: b, Op: op, Y: y, Carry: carry, Zero: zero, Width: width}
+	return &ALU{Circuit: c, A: a, B: b, Op: op, Y: y, Carry: carry, Zero: zero}
 }
 
 // ALUGolden is the behavioural (TLM-level) reference model of the

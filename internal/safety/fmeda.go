@@ -86,7 +86,6 @@ func (m FailureMode) Validate() error {
 type FMEDAResult struct {
 	TotalFIT               float64
 	SafeFIT                float64
-	DangerousFIT           float64
 	DangerousDetectedFIT   float64
 	DangerousUndetectedFIT float64
 	LatentFIT              float64
@@ -116,7 +115,6 @@ func EvaluateFMEDA(modes []FailureMode) (*FMEDAResult, error) {
 		du := dang - dd
 		latent := dd * (1 - m.LatentCoverage)
 		r.SafeFIT += safe
-		r.DangerousFIT += dang
 		r.DangerousDetectedFIT += dd
 		r.DangerousUndetectedFIT += du
 		r.LatentFIT += latent

@@ -18,8 +18,7 @@ const (
 // simulated-time delay. Events carry no value; signals layer a value on
 // top via their value-changed event.
 type Event struct {
-	k    *Kernel
-	name string
+	k *Kernel
 	// idx is the event's position in the kernel's creation-ordered
 	// event list, assigned by NewEvent; checkpoints reference events by
 	// this index (see snapshot.go).
@@ -52,9 +51,8 @@ func (k *Kernel) NewEvent(name string) *Event {
 		k.eventPool[n-1] = nil
 		k.eventPool = k.eventPool[:n-1]
 		e.k = k
-		e.name = name
 	} else {
-		e = &Event{k: k, name: name}
+		e = &Event{k: k}
 	}
 	e.idx = len(k.events)
 	k.shape = shapeStep(k.shape, shapeEvent, name)
@@ -66,7 +64,6 @@ func (k *Kernel) NewEvent(name string) *Event {
 // recycle strips the event back to a reusable blank, keeping the
 // capacity of its waiter lists. Called by Kernel.Restore.
 func (e *Event) recycle() {
-	e.name = ""
 	for i := range e.static {
 		e.static[i] = nil
 	}

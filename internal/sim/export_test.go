@@ -16,9 +16,6 @@ func (s *Signal[T]) ReadDriven() T { return s.cur }
 // Forced reports whether a fault injector currently holds the signal.
 func (s *Signal[T]) Forced() bool { return s.forced }
 
-// Name reports the diagnostic name the event was created with.
-func (e *Event) Name() string { return e.name }
-
 // ProcStats reports per-process activation counts and cumulative run
 // time in creation order. Counts are zero unless an Instrument with
 // Metrics was attached during the runs being measured.

@@ -249,10 +249,9 @@ func TestThreadWaitAnyOf(t *testing.T) {
 	k := NewKernel()
 	a := k.NewEvent("a")
 	b := k.NewEvent("b")
-	var cause string
+	var cause *Event
 	k.Thread("t", func(c *ThreadCtx) {
-		got := c.Wait(a, b)
-		cause = got.Name()
+		cause = c.Wait(a, b)
 	})
 	k.Thread("kick", func(c *ThreadCtx) {
 		c.WaitTime(NS(1))
@@ -262,8 +261,8 @@ func TestThreadWaitAnyOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Shutdown()
-	if cause != "b" {
-		t.Errorf("wait cause = %q, want b", cause)
+	if cause != b {
+		t.Errorf("wait cause = %p, want b (%p)", cause, b)
 	}
 }
 

@@ -50,8 +50,6 @@ type Proc struct {
 	dynamicWait []*Event // events the thread currently waits on (any-of)
 	waitCause   *Event   // which event resumed the last dynamic wait
 
-	noInit bool
-
 	// instrumentation accumulators, maintained only while an
 	// Instrument is attached to the kernel (see instrument.go);
 	// pub* record the portion already flushed to the registry.
@@ -203,7 +201,6 @@ func (p *Proc) recycle() {
 	}
 	p.dynamicWait = p.dynamicWait[:0]
 	p.waitCause = nil
-	p.noInit = false
 	p.activations = 0
 	p.runNanos = 0
 	p.pubActivations = 0
@@ -229,7 +226,6 @@ func (k *Kernel) Method(name string, fn func(), sensitivity ...*Event) *Proc {
 func (k *Kernel) MethodNoInit(name string, fn func(), sensitivity ...*Event) *Proc {
 	p := k.allocProc(name, methodProc)
 	p.fn = fn
-	p.noInit = true
 	p.attachStatic(sensitivity)
 	k.procs = append(k.procs, p)
 	return p

@@ -37,7 +37,6 @@ type AdaptiveResult struct {
 	Outcomes         []fault.Outcome
 	Proposed         int
 	Simulated        int
-	PrunedEquiv      int
 	UniqueSignatures int
 
 	res *Result
@@ -57,7 +56,6 @@ func (c *AdaptiveCampaign) Execute() (*AdaptiveResult, error) {
 	}
 	return &AdaptiveResult{
 		Outcomes: res.Outcomes, Proposed: len(res.Outcomes),
-		Simulated: res.Adaptive.Simulated, PrunedEquiv: res.DedupSavedRuns,
-		UniqueSignatures: res.Adaptive.UniqueSignatures, res: res,
+		Simulated: res.Adaptive.Simulated, UniqueSignatures: res.Adaptive.UniqueSignatures, res: res,
 	}, nil
 }

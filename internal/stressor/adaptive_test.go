@@ -440,7 +440,7 @@ func TestAdaptiveCampaignShim(t *testing.T) {
 	if !reflect.DeepEqual(got.Result(), want) || !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
 		t.Error("shim result diverged from Campaign{Source}")
 	}
-	if got.Proposed != len(want.Outcomes) || got.Simulated != 30 || got.PrunedEquiv != want.DedupSavedRuns ||
+	if got.Proposed != len(want.Outcomes) || got.Simulated != 30 ||
 		got.UniqueSignatures != want.Adaptive.UniqueSignatures {
 		t.Errorf("shim census = %+v, want the campaign's %+v", got, want.Adaptive)
 	}

@@ -66,8 +66,6 @@ func (s *SUn) String() string { return s.Op.String() + s.X.String() }
 
 // Branch is one recorded path decision.
 type Branch struct {
-	// StmtID is the if/while statement taken.
-	StmtID mdl.NodeID
 	// Cond is the symbolic condition (of the un-negated source text).
 	Cond Sym
 	// Taken is the concrete direction.
@@ -76,7 +74,6 @@ type Branch struct {
 
 // PathResult is one concolic run.
 type PathResult struct {
-	Inputs   []int64
 	Output   int64
 	Err      error
 	Branches []Branch
@@ -113,7 +110,7 @@ func Run(p *mdl.Program, fn string, inputs []int64) (*PathResult, error) {
 	if len(inputs) != len(f.Params) {
 		return nil, fmt.Errorf("symex: %s expects %d inputs, got %d", fn, len(f.Params), len(inputs))
 	}
-	res := &PathResult{Inputs: append([]int64(nil), inputs...), Covered: map[mdl.NodeID]bool{}}
+	res := &PathResult{Covered: map[mdl.NodeID]bool{}}
 	in := &interp{prog: p, res: res, maxSteps: mdl.DefaultMaxSteps}
 	env := map[string]value{}
 	for i, name := range f.Params {
@@ -180,7 +177,7 @@ func (in *interp) stmt(s mdl.Stmt, env map[string]value) error {
 		env[st.Name] = v
 		return nil
 	case *mdl.If:
-		c, err := in.branch(st.NID, st.Cond, env)
+		c, err := in.branch(st.Cond, env)
 		if err != nil {
 			return err
 		}
@@ -190,7 +187,7 @@ func (in *interp) stmt(s mdl.Stmt, env map[string]value) error {
 		return in.block(st.Else, env)
 	case *mdl.While:
 		for {
-			c, err := in.branch(st.NID, st.Cond, env)
+			c, err := in.branch(st.Cond, env)
 			if err != nil {
 				return err
 			}
@@ -216,13 +213,13 @@ func (in *interp) stmt(s mdl.Stmt, env map[string]value) error {
 }
 
 // branch evaluates a condition and records the decision.
-func (in *interp) branch(id mdl.NodeID, cond mdl.Expr, env map[string]value) (bool, error) {
+func (in *interp) branch(cond mdl.Expr, env map[string]value) (bool, error) {
 	v, err := in.eval(cond, env)
 	if err != nil {
 		return false, err
 	}
 	taken := v.c != 0
-	in.res.Branches = append(in.res.Branches, Branch{StmtID: id, Cond: v.s, Taken: taken})
+	in.res.Branches = append(in.res.Branches, Branch{Cond: v.s, Taken: taken})
 	return taken, nil
 }
 

@@ -70,9 +70,6 @@ type ATTarget struct {
 	name  string
 	inner Target
 	bw    NBInitiator
-	// AcceptLatency models the request-channel occupancy before the
-	// target starts processing.
-	AcceptLatency sim.Time
 
 	busy  bool
 	queue []*Payload
@@ -90,7 +87,7 @@ func (t *ATTarget) NBTransportFw(p *Payload, ph *Phase, delay *sim.Time) Sync {
 		t.queue = append(t.queue, p)
 		if !t.busy {
 			t.busy = true
-			t.scheduleNext(*delay + t.AcceptLatency)
+			t.scheduleNext(*delay)
 		}
 		*ph = PhaseEndReq
 		return SyncUpdated
@@ -130,7 +127,6 @@ func (t *ATTarget) scheduleNext(after sim.Time) {
 // the AT protocol from a thread process: Transact sends BEGIN_REQ and
 // suspends until BEGIN_RESP arrives on the backward path.
 type ATRequester struct {
-	k      *sim.Kernel
 	name   string
 	target NBTarget
 
@@ -142,7 +138,7 @@ type ATRequester struct {
 // and pass it as the target's backward interface.
 func NewATRequester(k *sim.Kernel, name string) *ATRequester {
 	return &ATRequester{
-		k: k, name: name,
+		name:     name,
 		respEv:   k.NewEvent(name + ".resp"),
 		inFlight: make(map[*Payload]bool),
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Memory is a byte-addressable TLM memory target with per-beat access
-// latencies, optional DMI, and backdoor access for fault injection:
+// latencies and backdoor access for fault injection:
 // FlipBit models a single-event upset (SEU) in a memory cell, StuckAt
 // models a permanent cell defect. Both are the canonical "erroneous
 // data in arbitrary components, such as registers or memory cells"
@@ -22,8 +22,6 @@ type Memory struct {
 	// (one payload = one beat regardless of length, matching LT style).
 	ReadLatency  sim.Time
 	WriteLatency sim.Time
-	// AllowDMI lets initiators bypass transactions entirely.
-	AllowDMI bool
 
 	stuckMask map[uint64]stuck // addr -> per-bit stuck info
 
@@ -72,18 +70,12 @@ func (m *Memory) BTransport(p *Payload, delay *sim.Time) {
 	case CmdRead:
 		m.reads++
 		for i := range p.Data {
-			if p.EnabledByte(i) {
-				p.Data[i] = m.applyStuck(off+uint64(i), m.data[off+uint64(i)])
-			}
+			p.Data[i] = m.applyStuck(off+uint64(i), m.data[off+uint64(i)])
 		}
 		*delay += m.ReadLatency
 	case CmdWrite:
 		m.writes++
-		for i := range p.Data {
-			if p.EnabledByte(i) {
-				m.data[off+uint64(i)] = p.Data[i]
-			}
-		}
+		copy(m.data[off:], p.Data)
 		*delay += m.WriteLatency
 	case CmdIgnore:
 		// No transfer.
@@ -91,7 +83,6 @@ func (m *Memory) BTransport(p *Payload, delay *sim.Time) {
 		p.Response = RespCommandError
 		return
 	}
-	p.DMIAllowed = m.AllowDMI && len(m.stuckMask) == 0
 	p.Response = RespOK
 }
 
@@ -112,23 +103,6 @@ func (m *Memory) TransportDbg(p *Payload) int {
 	}
 	p.Response = RespOK
 	return len(p.Data)
-}
-
-// GetDMIPtr implements DMITarget. DMI is denied while any stuck-at
-// defect is active, because a raw pointer would bypass the defect
-// overlay and hide the fault from the simulation.
-func (m *Memory) GetDMIPtr(p *Payload, dmi *DMIData) bool {
-	if !m.AllowDMI || len(m.stuckMask) > 0 || !m.contains(p.Address, 1) {
-		return false
-	}
-	dmi.Ptr = m.data
-	dmi.StartAddr = m.base
-	dmi.EndAddr = m.base + uint64(len(m.data)) - 1
-	dmi.ReadAllowed = true
-	dmi.WriteAllowed = true
-	dmi.ReadLatency = m.ReadLatency
-	dmi.WriteLatency = m.WriteLatency
-	return true
 }
 
 // FlipBit injects a single-event upset: bit (0-7) of the cell at the

@@ -1,9 +1,8 @@
 // Package tlm implements transaction-level modeling in the style of
 // TLM-2.0 (IEEE 1666-2011): a generic payload, blocking and
 // non-blocking transport interfaces, initiator/target sockets, an
-// address-decoding router, a memory target, direct memory interface
-// (DMI) and a quantum keeper for temporally decoupled loosely-timed
-// simulation.
+// address-decoding router, a memory target and a quantum keeper for
+// temporally decoupled loosely-timed simulation.
 //
 // The abstraction ladder this package provides — cycle-accurate,
 // approximately-timed (AT, four-phase), loosely-timed (LT) and LT with
@@ -82,15 +81,11 @@ func (r Response) String() string {
 func (r Response) OK() bool { return r == RespOK }
 
 // Payload is the generic payload: one memory-mapped bus transaction.
-// Extensions carry tool-specific metadata (the fault package uses them
-// to tag corrupted transactions for propagation tracing).
 type Payload struct {
-	Command    Command
-	Address    uint64
-	Data       []byte
-	ByteEnable []byte // nil = all bytes enabled; 0x00 disables a byte lane
-	Response   Response
-	DMIAllowed bool // hint set by targets: initiator may request DMI
+	Command  Command
+	Address  uint64
+	Data     []byte
+	Response Response
 }
 
 // NewRead builds a read payload for n bytes at addr.
@@ -102,14 +97,6 @@ func NewRead(addr uint64, n int) *Payload {
 // is referenced, not copied.
 func NewWrite(addr uint64, data []byte) *Payload {
 	return &Payload{Command: CmdWrite, Address: addr, Data: data}
-}
-
-// EnabledByte reports whether byte lane i participates in the transfer.
-func (p *Payload) EnabledByte(i int) bool {
-	if p.ByteEnable == nil {
-		return true
-	}
-	return p.ByteEnable[i%len(p.ByteEnable)] != 0
 }
 
 // String renders a compact transaction summary for logs.

@@ -13,7 +13,6 @@ type QuantumKeeper struct {
 	ctx     *sim.ThreadCtx
 	quantum sim.Time
 	local   sim.Time
-	syncs   uint64
 }
 
 // NewQuantumKeeper creates a keeper for the given thread context. A
@@ -40,7 +39,6 @@ func (q *QuantumKeeper) Sync() {
 	}
 	d := q.local
 	q.local = 0
-	q.syncs++
 	q.ctx.WaitTime(d)
 }
 

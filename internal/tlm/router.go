@@ -9,17 +9,12 @@ import (
 
 // Router is an address-decoding interconnect: incoming transactions are
 // forwarded to the target whose address range contains the payload
-// address, with a per-hop routing latency added. It models the
-// communication architecture left "undefined and open for design space
-// exploration" in the paper's TLM discussion — swap routing latency and
-// mapping without touching initiators or targets.
+// address. It models the communication architecture left "undefined
+// and open for design space exploration" in the paper's TLM discussion
+// — swap the mapping without touching initiators or targets.
 type Router struct {
-	name string
-	// HopLatency is added to the annotated delay per routed transaction.
-	HopLatency sim.Time
-
+	name   string
 	ranges []mapRange
-	hops   uint64
 }
 
 type mapRange struct {
@@ -83,8 +78,6 @@ func (r *Router) BTransport(p *Payload, delay *sim.Time) {
 		p.Response = RespAddressError
 		return
 	}
-	r.hops++
-	*delay += r.HopLatency
 	mr.target.BTransport(p, delay)
 }
 
@@ -99,29 +92,4 @@ func (r *Router) TransportDbg(p *Payload) int {
 		return dt.TransportDbg(p)
 	}
 	return 0
-}
-
-// GetDMIPtr implements DMITarget by forwarding; the router clamps the
-// granted window to the mapped range so a DMI pointer never spans two
-// targets.
-func (r *Router) GetDMIPtr(p *Payload, dmi *DMIData) bool {
-	mr := r.decode(p.Address)
-	if mr == nil {
-		return false
-	}
-	dt, ok := mr.target.(DMITarget)
-	if !ok || !dt.GetDMIPtr(p, dmi) {
-		return false
-	}
-	if dmi.StartAddr < mr.start {
-		dmi.Ptr = dmi.Ptr[mr.start-dmi.StartAddr:]
-		dmi.StartAddr = mr.start
-	}
-	if dmi.EndAddr > mr.end {
-		dmi.Ptr = dmi.Ptr[:dmi.EndAddr-dmi.StartAddr+1-(dmi.EndAddr-mr.end)]
-		dmi.EndAddr = mr.end
-	}
-	dmi.ReadLatency += r.HopLatency
-	dmi.WriteLatency += r.HopLatency
-	return true
 }

@@ -22,25 +22,6 @@ type DebugTarget interface {
 	TransportDbg(p *Payload) int
 }
 
-// DMIData describes a direct memory interface grant: a host-memory
-// window the initiator may access without transactions.
-type DMIData struct {
-	Ptr          []byte // backing storage for [StartAddr, EndAddr]
-	StartAddr    uint64
-	EndAddr      uint64
-	ReadAllowed  bool
-	WriteAllowed bool
-	ReadLatency  sim.Time // per-beat latency to account during DMI use
-	WriteLatency sim.Time
-}
-
-// DMITarget is optionally implemented by targets that can grant DMI.
-type DMITarget interface {
-	// GetDMIPtr requests a DMI window covering p.Address. It returns
-	// false when DMI is denied.
-	GetDMIPtr(p *Payload, dmi *DMIData) bool
-}
-
 // InitiatorSocket is the initiator-side binding point. It forwards
 // blocking transport calls to the bound target and offers convenience
 // read/write helpers.
@@ -78,15 +59,6 @@ func (s *InitiatorSocket) TransportDbg(p *Payload) int {
 		return dt.TransportDbg(p)
 	}
 	return 0
-}
-
-// GetDMIPtr forwards a DMI request; it returns false when the target
-// cannot grant DMI.
-func (s *InitiatorSocket) GetDMIPtr(p *Payload, dmi *DMIData) bool {
-	if dt, ok := s.target.(DMITarget); ok {
-		return dt.GetDMIPtr(p, dmi)
-	}
-	return false
 }
 
 // Read performs a blocking read of n bytes at addr and returns the data

@@ -22,7 +22,6 @@ func TestStateCoverageMemory(t *testing.T) {
 		"base":         simtest.NotState(config),
 		"ReadLatency":  simtest.NotState(config),
 		"WriteLatency": simtest.NotState(config),
-		"AllowDMI":     simtest.NotState(config),
 		"stuckMask": simtest.Via("a map: perturbed the way StuckAt writes it",
 			func() { m.stuckMask[0x20] = stuck{mask: 1, value: m.stuckMask[0x20].value ^ 1} }),
 	})

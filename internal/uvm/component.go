@@ -51,7 +51,6 @@ type Comp struct {
 	parent Component
 	kids   []Component
 	env    *Env
-	self   Component
 }
 
 // NewComp initializes an embedded base and registers it with its
@@ -61,7 +60,6 @@ func NewComp(self Component, parent Component, name string) *Comp {
 	c := self.base()
 	c.name = name
 	c.parent = parent
-	c.self = self
 	if parent != nil {
 		pb := parent.base()
 		pb.kids = append(pb.kids, self)

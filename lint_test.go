@@ -169,10 +169,11 @@ func loadModule(patterns []string, overlay map[string]string) (*lintModule, erro
 		return nil, err
 	}
 	m := &lintModule{fset: token.NewFileSet(), testUses: map[*ast.Ident]types.Object{}, info: &types.Info{
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Instances: map[*ast.Ident]types.Instance{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	byPath, byDir := map[string]*lintPkg{}, map[string]*lintPkg{}
 	export := map[string]string{}
@@ -417,49 +418,71 @@ var dynamicInterfaces = map[string][]string{
 	"encoding":      {"TextMarshaler", "TextUnmarshaler"},
 }
 
+// ifaceUse is an interface with methods and where non-test code uses
+// it; a use at token.NoPos is the language's or the standard library's.
+type ifaceUse struct {
+	iface *types.Interface
+	at    []token.Pos
+}
+
 // usedInterfaces is every interface with methods that an expression of
 // the module's non-test code has, or that a function it calls takes or
 // returns — generic interfaces at their instantiations — and error and
-// the dynamic ones.
-func (m *lintModule) usedInterfaces() ([]*types.Interface, error) {
-	var out []*types.Interface
-	seen := map[types.Type]bool{}
-	add := func(t types.Type) {
-		if seen[t] {
-			return
+// the dynamic ones. An interface's own declaration is not a use.
+func (m *lintModule) usedInterfaces() ([]*ifaceUse, error) {
+	var out []*ifaceUse
+	seen := map[types.Type]*ifaceUse{}
+	add := func(t types.Type, at token.Pos) {
+		u, ok := seen[t]
+		if !ok {
+			if i, ok := t.Underlying().(*types.Interface); ok && i.NumMethods() > 0 {
+				u = &ifaceUse{iface: i}
+				out = append(out, u)
+			}
+			seen[t] = u
 		}
-		seen[t] = true
-		if i, ok := t.Underlying().(*types.Interface); ok && i.NumMethods() > 0 {
-			out = append(out, i)
+		if u != nil {
+			u.at = append(u.at, at)
 		}
 	}
-	tuple := func(tup *types.Tuple) {
+	tuple := func(tup *types.Tuple, at token.Pos) {
 		for i := 0; i < tup.Len(); i++ {
 			t := tup.At(i).Type()
 			if s, ok := t.(*types.Slice); ok {
 				t = s.Elem() // a variadic parameter
 			}
-			add(t)
+			add(t, at)
+		}
+	}
+	declared := map[ast.Expr]bool{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := n.(*ast.TypeSpec); ok {
+					declared[s.Type] = true
+				}
+				return true
+			})
 		}
 	}
 	for e, tv := range m.info.Types {
-		if tv.Type == nil || m.isTest(e.Pos()) {
+		if tv.Type == nil || m.isTest(e.Pos()) || declared[e] {
 			continue
 		}
-		add(tv.Type)
+		add(tv.Type, e.Pos())
 		if sig, ok := tv.Type.(*types.Signature); ok {
-			tuple(sig.Params())
-			tuple(sig.Results())
+			tuple(sig.Params(), e.Pos())
+			tuple(sig.Results(), e.Pos())
 		}
 	}
-	add(types.Universe.Lookup("error").Type())
+	add(types.Universe.Lookup("error").Type(), token.NoPos)
 	for path, names := range dynamicInterfaces {
 		pkg, err := m.std.Import(path)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range names {
-			add(pkg.Scope().Lookup(name).Type())
+			add(pkg.Scope().Lookup(name).Type(), token.NoPos)
 		}
 	}
 	return out, nil
@@ -472,10 +495,12 @@ func (m *lintModule) usedInterfaces() ([]*types.Interface, error) {
 // entry that names no package of the module is keyed "".
 //
 // A use inside the declaration itself or in a method's receiver does
-// not count, and a package only tests import counts its tests' uses. A method is also reached
-// when its receiver, or a type that embeds it, implements one of
-// usedInterfaces(). Struct fields are not checked: encoding/json
-// reaches them by reflection.
+// not count, and a package only tests import counts its tests' uses. A
+// method is also reached when its receiver, or a type that embeds it,
+// implements one of usedInterfaces(). A use of an interface inside one
+// of the methods implementing it counts only once that method is
+// reached some other way. Struct fields are the field rules'
+// (deadFields).
 func (m *lintModule) unreached(allow map[string]string) (map[string][]string, error) {
 	decls := m.declarations()
 	// A method's receiver names its type without using it.
@@ -535,30 +560,61 @@ func (m *lintModule) unreached(allow map[string]string) (map[string][]string, er
 			named = append(named, n)
 		}
 	}
+	type methodSet struct {
+		ptr  types.Type
+		mset *types.MethodSet
+	}
+	var msets []methodSet
 	for _, t := range named {
-		if types.IsInterface(t) {
-			continue
+		if ptr := types.NewPointer(t); !types.IsInterface(t) {
+			if mset := types.NewMethodSet(ptr); mset.Len() > 0 {
+				msets = append(msets, methodSet{ptr, mset})
+			}
 		}
-		ptr := types.NewPointer(t)
-		mset := types.NewMethodSet(ptr)
-		if mset.Len() == 0 {
-			continue
-		}
+	}
+	// An interface is used only through an expression outside the
+	// methods it would reach: a type assertion inside its own
+	// implementations keeps nothing alive until one of them is reached
+	// some other way, so the interfaces are marked to a fixpoint.
+	type ifaceSels struct {
+		at   []token.Pos
+		sels []*types.Selection
+	}
+	var pending []ifaceSels
+	for _, u := range ifaces {
+		var sels []*types.Selection
 	next:
-		for _, i := range ifaces {
-			sels := make([]*types.Selection, i.NumMethods())
-			for k := range sels {
-				fn := i.Method(k)
-				if sels[k] = mset.Lookup(fn.Pkg(), fn.Name()); sels[k] == nil {
+		for _, ms := range msets {
+			own := make([]*types.Selection, u.iface.NumMethods())
+			for k := range own {
+				fn := u.iface.Method(k)
+				if own[k] = ms.mset.Lookup(fn.Pkg(), fn.Name()); own[k] == nil {
 					continue next
 				}
 			}
-			if types.Implements(ptr, i) {
-				for _, sel := range sels {
-					reached[origin(sel.Obj())] = true
-				}
+			if types.Implements(ms.ptr, u.iface) {
+				sels = append(sels, own...)
 			}
 		}
+		pending = append(pending, ifaceSels{u.at, sels})
+	}
+	for marked := true; marked; {
+		marked = false
+		pending = slices.DeleteFunc(pending, func(u ifaceSels) bool {
+			used := slices.ContainsFunc(u.at, func(at token.Pos) bool {
+				return !slices.ContainsFunc(u.sels, func(sel *types.Selection) bool {
+					d := decls[origin(sel.Obj())]
+					return d != nil && !reached[d.obj] && at >= d.start && at < d.end
+				})
+			})
+			if used {
+				for _, sel := range u.sels {
+					reached[origin(sel.Obj())] = true
+				}
+				marked = true
+			}
+			return used
+		})
 	}
 
 	var out []*reachDecl
@@ -587,6 +643,14 @@ func (m *lintModule) unreached(allow map[string]string) (map[string][]string, er
 		}
 		findings[d.dir] = append(findings[d.dir], fmt.Sprintf("%s: %s (%d %s) is reached by no %s", m.where(d.obj.Pos()), d.key, n, unit, who))
 	}
+	m.stale(allow, matched, findings, "unreached declaration")
+	return findings, nil
+}
+
+// stale adds to findings one for every entry of allow that matched
+// nothing, under the package whose directory is the longest prefix of
+// its key, or "" when none is.
+func (m *lintModule) stale(allow map[string]string, matched map[string]bool, findings map[string][]string, what string) {
 	var stale []string
 	for key := range allow {
 		if !matched[key] {
@@ -595,23 +659,21 @@ func (m *lintModule) unreached(allow map[string]string) (map[string][]string, er
 	}
 	sort.Strings(stale)
 	for _, key := range stale {
-		// The package whose directory is the longest prefix of the key.
 		dir := ""
 		for _, p := range m.pkgs {
 			if strings.HasPrefix(key, p.dir+".") && len(p.dir) > len(dir) {
 				dir = p.dir
 			}
 		}
-		findings[dir] = append(findings[dir], fmt.Sprintf("allow-list entry %s matches no unreached declaration; drop it", key))
+		findings[dir] = append(findings[dir], fmt.Sprintf("allow-list entry %s matches no %s; drop it", key, what))
 	}
-	return findings, nil
 }
 
 // reachAllowed gives, for each declaration that no non-test code
 // reaches, why it stays. A hook that only another package's tests reach
 // cannot move into a _test.go file: that file is not in their build.
 var reachAllowed = map[string]string{
-	"internal/ecu.CPU.RaiseIRQ":           "the core's interrupt line, which no shipped program raises yet: RETI, an opcode a corrupted instruction word can decode to, returns through its state, and that state is in every ECU digest (ROADMAP 14)",
+	"internal/ecu.CPU.Run":                "the core loop in its thread form: corerun_test.go holds the checkpointable coreRunner the runner drives to it, store for store and instant for instant",
 	"internal/journal.Writer.Appends":     "test hook: stressor and fabric tests count what a resume or a flush appended",
 	"internal/obs.TraceRecorder.Len":      "test hook: sim, stressor, mutation and experiments tests count the spans a run recorded",
 	"internal/sim.Event.NotifyImmediate":  "SystemC immediate notification, pinned by conformance_test.go; stressor's torn-slot toy fans out through it",
@@ -637,6 +699,12 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportByPackage(t, m, findings)
+}
+
+// reportByPackage fails a subtest for each package a lint checks with
+// the findings keyed by its directory, and the test with the rest.
+func reportByPackage(t *testing.T, m *lintModule, findings map[string][]string) {
 	for _, p := range m.pkgs {
 		if p.user() {
 			continue
@@ -653,6 +721,383 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			t.Error(f)
 		}
 	}
+}
+
+// fieldDecl is one struct field the field rules check.
+type fieldDecl struct {
+	obj *types.Var
+	dir string // the declaring package's
+	key string // "dir.Type.field"; a nested struct type adds its field's name
+}
+
+// fields is every named field of the struct types in the non-test files
+// of the module outside bench/ and the test-helper packages, but those
+// of a struct with a tag: a codec sets and reads them by reflection.
+func (m *lintModule) fields() map[*types.Var]*fieldDecl {
+	out := map[*types.Var]*fieldDecl{}
+	for _, p := range m.pkgs {
+		if p.user() || p.helper {
+			continue
+		}
+		var walk func(n ast.Node, prefix string)
+		walk = func(n ast.Node, prefix string) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					walk(n.Type, prefix+"."+n.Name.Name)
+					return false
+				case *ast.StructType:
+					tagged := false
+					for _, f := range n.Fields.List {
+						tagged = tagged || f.Tag != nil
+					}
+					for _, f := range n.Fields.List {
+						for _, id := range f.Names {
+							if v, ok := m.info.Defs[id].(*types.Var); ok && !tagged && id.Name != "_" {
+								out[v] = &fieldDecl{obj: v, dir: p.dir, key: prefix + "." + id.Name}
+							}
+							walk(f.Type, prefix+"."+id.Name)
+						}
+						if f.Names == nil {
+							walk(f.Type, prefix)
+						}
+					}
+					return false
+				}
+				return true
+			})
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					walk(d, p.dir+"."+d.Name.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if s, ok := spec.(*ast.ValueSpec); ok {
+							walk(s, p.dir+"."+s.Names[0].Name)
+						} else {
+							walk(spec, p.dir)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// captureBodies is the body of every SnapshotState and RestoreState
+// method of the checked packages and of the functions of its package
+// such a body calls, at any depth.
+func (m *lintModule) captureBodies() map[ast.Node]bool {
+	funcs := map[types.Object]*ast.FuncDecl{}
+	var todo []*ast.FuncDecl
+	for _, p := range m.pkgs {
+		if p.user() || p.helper {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+					funcs[m.info.Defs[fn.Name]] = fn
+					if fn.Recv != nil && (fn.Name.Name == "SnapshotState" || fn.Name.Name == "RestoreState") {
+						todo = append(todo, fn)
+					}
+				}
+			}
+		}
+	}
+	bodies := map[ast.Node]bool{}
+	for len(todo) > 0 {
+		fn := todo[0]
+		todo = todo[1:]
+		bodies[fn.Body] = true
+		pkg := m.info.Defs[fn.Name].Pkg()
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] != nil {
+				if d := funcs[origin(m.info.Uses[id])]; d != nil && !bodies[d.Body] && m.info.Uses[id].Pkg() == pkg {
+					bodies[d.Body] = true
+					todo = append(todo, d)
+				}
+			}
+			return true
+		})
+	}
+	return bodies
+}
+
+// liveFields classifies every use of a checked field in non-test code,
+// bench/ included, and returns the fields read and those set.
+//
+// Set: an assignment, inc/dec or op-assign to the field, a composite
+// literal that initialises it, keyed or not, taking its address, slicing
+// it, indexing it as an assignment's target, and calling a pointer
+// method on it (a mutex's Lock, an atomic's Add). Assigning into a
+// struct or array the field holds, or into an element of its slice or
+// map, sets it too.
+//
+// Read: every other use, but as an assignment's target, in its own
+// update (x.f = append(x.f, …), x.f = x.f[:n]) and as clear's argument.
+// A copy inside a capture body reads its source only if the field it
+// is copied into is read.
+func (m *lintModule) liveFields(fields map[*types.Var]*fieldDecl) (read, set map[*types.Var]bool) {
+	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	notRead := map[*ast.Ident]bool{}
+	// target marks the field e names as set, and every field whose
+	// storage holds e's; write marks e as an assignment's target.
+	var target func(e ast.Expr, write bool) *types.Var
+	target = func(e ast.Expr, write bool) *types.Var {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			if _, ok := m.info.TypeOf(x.X).Underlying().(*types.Pointer); !ok {
+				return target(x.X, write)
+			}
+		case *ast.SelectorExpr:
+			v := field(x.Sel)
+			if v == nil {
+				return nil
+			}
+			set[v] = true
+			notRead[x.Sel] = notRead[x.Sel] || write
+			if !m.info.Selections[x].Indirect() {
+				target(x.X, write)
+			}
+			return v
+		}
+		return nil
+	}
+	// copied marks the fields rhs copies into the checked fields to as
+	// not read yet: their reads wait on the targets'.
+	copies := map[*types.Var][]*types.Var{}
+	var copied func(rhs ast.Expr, to []*types.Var)
+	copied = func(rhs ast.Expr, to []*types.Var) {
+		for _, dst := range to {
+			if fields[dst] == nil {
+				return
+			}
+		}
+		ast.Inspect(rhs, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IndexExpr:
+				copied(n.X, to) // the index itself is read
+				return false
+			case *ast.SelectorExpr:
+				if src := field(n.Sel); src != nil && fields[src] != nil && !notRead[n.Sel] {
+					notRead[n.Sel] = true
+					for _, dst := range to {
+						copies[dst] = append(copies[dst], src)
+					}
+				}
+			}
+			return true
+		})
+	}
+	// readAll marks every field of a struct that a map hashes as a key
+	// or == compares as read.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if v := u.Field(i).Origin(); !read[v] {
+					read[v] = true
+					readAll(v.Type())
+				}
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	captures := m.captureBodies()
+	for _, p := range m.pkgs {
+		if p.helper {
+			continue
+		}
+		for _, f := range p.files {
+			var capture ast.Node // the capture body n is inside
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					return true
+				}
+				if capture != nil && n.Pos() >= capture.End() {
+					capture = nil
+				}
+				if captures[n] {
+					capture = n
+				}
+				switch n := n.(type) {
+				case *ast.Ident:
+					if v := field(n); v != nil && !notRead[n] {
+						read[v] = true
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.DEFINE {
+						return true
+					}
+					own := map[string]bool{}
+					to := make([]*types.Var, len(n.Lhs))
+					for i, lhs := range n.Lhs {
+						to[i] = target(lhs, true)
+						own[types.ExprString(lhs)] = true
+					}
+					for i, rhs := range n.Rhs {
+						ast.Inspect(rhs, func(r ast.Node) bool {
+							if sel, ok := r.(*ast.SelectorExpr); ok && own[types.ExprString(sel)] {
+								notRead[sel.Sel] = true
+							}
+							return true
+						})
+						if capture != nil {
+							if len(n.Lhs) == len(n.Rhs) {
+								copied(rhs, to[i:i+1])
+							} else {
+								copied(rhs, to)
+							}
+						}
+					}
+				case *ast.MapType:
+					readAll(m.info.TypeOf(n.Key))
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(m.info.TypeOf(n.X))
+					}
+				case *ast.IncDecStmt:
+					target(n.X, true)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						for _, e := range []ast.Expr{n.Key, n.Value} {
+							if e != nil {
+								target(e, true)
+							}
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X, false)
+					}
+				case *ast.SliceExpr:
+					target(n.X, false)
+				case *ast.CallExpr:
+					switch fun := ast.Unparen(n.Fun).(type) {
+					case *ast.Ident:
+						if b, ok := m.info.Uses[fun].(*types.Builtin); ok && b.Name() == "clear" {
+							if sel, ok := ast.Unparen(n.Args[0]).(*ast.SelectorExpr); ok {
+								notRead[sel.Sel] = true
+							}
+						}
+					case *ast.SelectorExpr:
+						if s := m.info.Selections[fun]; s != nil && s.Kind() == types.MethodVal {
+							_, byPtr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+							if _, isPtr := m.info.TypeOf(fun.X).Underlying().(*types.Pointer); byPtr && !isPtr {
+								target(fun.X, false)
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					t := m.info.TypeOf(n).Underlying()
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem().Underlying()
+					}
+					st, ok := t.(*types.Struct)
+					for i := 0; ok && i < len(n.Elts); i++ {
+						if kv, isKV := n.Elts[i].(*ast.KeyValueExpr); isKV {
+							if v := field(kv.Key.(*ast.Ident)); v != nil {
+								set[v] = true
+								notRead[kv.Key.(*ast.Ident)] = true
+							}
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for dst, srcs := range copies {
+			for _, src := range srcs {
+				if read[dst] && !read[src] {
+					read[src], changed = true, true
+				}
+			}
+		}
+	}
+	return read, set
+}
+
+// deadFields is the field rules: a finding for every checked field that
+// no non-test code reads or none sets and that allow gives no reason
+// for, and one for every entry of allow that names no such field.
+// Findings are keyed like unreached's.
+func (m *lintModule) deadFields(allow map[string]string) map[string][]string {
+	fields := m.fields()
+	read, set := m.liveFields(fields)
+	var dead []*fieldDecl
+	matched := map[string]bool{}
+	for v, d := range fields {
+		if read[v] && set[v] {
+			continue
+		}
+		if _, ok := allow[d.key]; ok {
+			matched[d.key] = true
+			continue
+		}
+		dead = append(dead, d)
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].obj.Pos() < dead[j].obj.Pos() })
+	findings := map[string][]string{}
+	for _, d := range dead {
+		var what []string
+		if !read[d.obj] {
+			what = append(what, "read")
+		}
+		if !set[d.obj] {
+			what = append(what, "set")
+		}
+		findings[d.dir] = append(findings[d.dir], fmt.Sprintf("%s: %s is %s by no non-test code", m.where(d.obj.Pos()), d.key, strings.Join(what, " or ")))
+	}
+	m.stale(allow, matched, findings, "unread or unset field")
+	return findings
+}
+
+// fieldAllowed gives, for each field that no non-test code reads or
+// none sets, why it stays.
+var fieldAllowed = map[string]string{
+	"internal/stressor.Campaign.Checkpoints":     "retired switch bench/ still sets (retiredAPI); goes with ROADMAP 1(a)",
+	"internal/stressor.Campaign.CheckpointTree":  "retired switch bench/ still sets (retiredAPI); goes with ROADMAP 1(a)",
+	"internal/stressor.Campaign.EarlyExit":       "retired switch bench/ still sets (retiredAPI); goes with ROADMAP 1(a)",
+	"internal/fabric.CoordConfig.Codec":          "retired switch bench/ still sets (retiredAPI); goes with ROADMAP 1(a)",
+	"internal/stressor.goldenNodes.max":          "test seam: tree_test.go and window_test.go shrink the node budget to force eviction",
+	"internal/campaignd.Config.ProgressInterval": "test seam: the daemon's tests set -1 so every progress event reaches /events",
+	"internal/mutation.Options.ProgressInterval": "test seam: mutation_obs_test.go sets -1 so every progress update is delivered",
+	"internal/campaignd.runnerCache.evicted":     "TestFabricResolverReleasesPrototypes counts the runners the bounded cache closed",
+	"internal/rtl.ALU.Carry":                     "the ALU's carry output: TestALUMatchesGolden and TestPropertyALUEquivalence check the gates behind it",
+	"internal/rtl.ALU.Zero":                      "the ALU's zero output (ALU.Carry)",
+	"internal/mdl.Program.NumNodes":              "TestPrintRoundTrip and TestPropertyNodeIDsDense check the parser's node numbering against it",
+	"internal/mutation.MutantResult.KillingTest": "TestKilledByErrorVerdict and TestQualifyWithWorkersDeterministic check which test killed a mutant",
+	"internal/symex.PathResult.Output":           "the concrete result of a concolic run: TestRunRecordsPathAndOutput and TestEvalSymMatchesInterpreter check the interpreter through it",
+	"internal/symex.PathResult.Err":              "the concrete run's error: TestRunErrors and TestRunawayPathBudget check it",
+	"internal/symex.Exploration.Covered":         "statement coverage of a search: the Explore tests check it through CoverageFraction",
+}
+
+// TestEveryFieldIsLive: no field of the module is state nothing reads or
+// a knob nothing sets (DESIGN §17). Every run captures, restores and
+// steps through model state, so a field no output reads is pure cost,
+// and a knob nothing sets is its zero value in every branch that reads
+// it. Such a field is deleted, or listed in fieldAllowed with the
+// reason it stays. Each package the rules check is a subtest.
+func TestEveryFieldIsLive(t *testing.T) {
+	m := loadedModule(t)
+	reportByPackage(t, m, m.deadFields(fieldAllowed))
 }
 
 var (
@@ -732,15 +1177,160 @@ type seededSwitches struct{ EarlyExit bool }
 
 var _ = seededSwitches{EarlyExit: true}.EarlyExit
 `,
+	"internal/caps/seeded_fields.go": `package caps
+
+import (
+	"flag"
+	"sync"
+
+	"repro/internal/sim"
+)
+
+// seededHop is named only inside the methods that implement it.
+type seededHop interface{ seededNext() int }
+
+type seededHopA struct{ next any }
+
+func (a seededHopA) seededNext() int {
+	if h, ok := a.next.(seededHop); ok {
+		return h.seededNext()
+	}
+	return 0
+}
+
+type seededHopB struct{}
+
+func (seededHopB) seededNext() int { return 1 }
+
+var _ = seededHopA{next: seededHopB{}}
+
+// seededCounter's count is copied by capture and restore, and read by
+// nothing else.
+type seededCounter struct{ hits int }
+
+type seededCounterState struct{ hits int }
+
+func (c *seededCounter) seededStep() { c.hits++ }
+
+func (c *seededCounter) SnapshotState(prev any) any {
+	st, _ := prev.(*seededCounterState)
+	if st == nil {
+		st = &seededCounterState{}
+	}
+	st.hits = c.hits
+	return st
+}
+
+func (c *seededCounter) RestoreState(state any) { c.hits = state.(*seededCounterState).hits }
+
+// seededLog only ever appends to itself.
+type seededLog struct{ lines []string }
+
+func (l *seededLog) seededAdd(s string) { l.lines = append(l.lines, s) }
+
+// seededKnobs.Verbose is read in a branch and set by nothing.
+type seededKnobs struct{ Verbose bool }
+
+func (k seededKnobs) seededLevel() int {
+	if k.Verbose {
+		return 2
+	}
+	return 1
+}
+
+var _ = seededKnobs{}.seededLevel()
+
+// seededWire is a codec's: its tags say so.
+type seededWire struct {
+	ID   int ` + "`json:\"id\"`" + `
+	Note string
+}
+
+// seededGuard's mutex is set by its pointer methods.
+type seededGuard struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (g *seededGuard) seededBump() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.n++
+	return g.n
+}
+
+// seededOptions.verbose is bound to a flag through its address.
+type seededOptions struct{ verbose bool }
+
+func seededFlags(fs *flag.FlagSet) *seededOptions {
+	o := &seededOptions{}
+	fs.BoolVar(&o.verbose, "v", false, "")
+	return o
+}
+
+// seededHashed.seed is read by its digest alone.
+type seededHashed struct{ seed uint64 }
+
+func (s *seededHashed) HashState(h *sim.StateHash) { h.U64(s.seed) }
+
+var _ = seededHashed{seed: 1}
+
+// seededFwd is named only inside seededFwdA.seededGet, which non-test
+// code calls directly, so its assertion runs and reaches seededFwdB.
+type seededFwd interface{ seededGet() int }
+
+type seededFwdA struct{ next any }
+
+func (a seededFwdA) seededGet() int {
+	if f, ok := a.next.(seededFwd); ok {
+		return f.seededGet()
+	}
+	return 0
+}
+
+type seededFwdB struct{}
+
+func (seededFwdB) seededGet() int { return 2 }
+
+var _ = seededFwdA{next: seededFwdB{}}.seededGet()
+`,
 	"internal/stressor/seeded_retired.go": `package stressor
 
 func seededEarlyExit(c *Campaign) bool { return c.EarlyExit }
 `,
 }
 
+// seededCase is what a rule must report on one identifier of the seeded
+// module.
+type seededCase struct {
+	key  string // what a finding names
+	want string // the finding, "" when there must be none
+}
+
+// check fails unless findings name tc.key exactly in tc.want, or not at
+// all when tc.want is "".
+func (tc seededCase) check(t *testing.T, findings []string) {
+	t.Helper()
+	var got []string
+	for _, f := range findings {
+		if strings.Contains(f, " "+tc.key+" ") {
+			got = append(got, f)
+		}
+	}
+	switch {
+	case tc.want == "" && len(got) > 0:
+		t.Errorf("%s must pass, yet: %q", tc.key, got)
+	case tc.want != "" && (len(got) != 1 || got[0] != tc.want):
+		t.Errorf("%s: findings %q, want %q", tc.key, got, tc.want)
+	}
+}
+
 // TestReachabilityRuleOnSeededCode: the rule fails on each kind of
-// unreached declaration seeded into the module, and not on methods
-// reached only through an interface.
+// unreached declaration seeded into the module — methods that only an
+// assertion inside their own bodies reaches through an interface among
+// them — and not on methods reached only through an interface, the
+// implementer an assertion in a directly called forwarder reaches
+// among them.
 func TestReachabilityRuleOnSeededCode(t *testing.T) {
 	m := seededModule(t)
 	byDir, err := m.unreached(map[string]string{"internal/caps.SeededStale": "seeded"})
@@ -751,10 +1341,7 @@ func TestReachabilityRuleOnSeededCode(t *testing.T) {
 	for _, fs := range byDir {
 		findings = append(findings, fs...)
 	}
-	for _, tc := range []struct {
-		key  string // what a finding names
-		want string // the finding, "" when there must be none
-	}{
+	for _, tc := range []seededCase{
 		{"internal/caps.SeededExport", "internal/caps/seeded.go:12: internal/caps.SeededExport (1 line) is reached by no non-test code"},
 		{"internal/caps.seededOrphan", "internal/caps/seeded.go:14: internal/caps.seededOrphan (3 lines) is reached by no non-test code"},
 		{"internal/caps.SeededStale", "allow-list entry internal/caps.SeededStale matches no unreached declaration; drop it"},
@@ -763,21 +1350,39 @@ func TestReachabilityRuleOnSeededCode(t *testing.T) {
 		{"internal/caps.seededModel.Converged", ""},
 		{"internal/caps.seededName.String", ""},
 		{"internal/caps.seededOwn", "internal/caps/seeded.go:39: internal/caps.seededOwn (1 line) is reached by no non-test code"},
+		{"internal/caps.seededHopA.seededNext", "internal/caps/seeded_fields.go:15: internal/caps.seededHopA.seededNext (6 lines) is reached by no non-test code"},
+		{"internal/caps.seededHopB.seededNext", "internal/caps/seeded_fields.go:24: internal/caps.seededHopB.seededNext (1 line) is reached by no non-test code"},
+		{"internal/caps.seededFwdA.seededGet", ""},
+		{"internal/caps.seededFwdB.seededGet", ""},
 	} {
-		t.Run(tc.key, func(t *testing.T) {
-			var got []string
-			for _, f := range findings {
-				if strings.Contains(f, " "+tc.key+" ") {
-					got = append(got, f)
-				}
-			}
-			switch {
-			case tc.want == "" && len(got) > 0:
-				t.Errorf("%s is reached through an interface, yet: %q", tc.key, got)
-			case tc.want != "" && (len(got) != 1 || got[0] != tc.want):
-				t.Errorf("%s: findings %q, want %q", tc.key, got, tc.want)
-			}
-		})
+		t.Run(tc.key, func(t *testing.T) { tc.check(t, findings) })
+	}
+}
+
+// TestFieldRulesOnSeededCode: the field rules fail on each kind of
+// dead field seeded into the module — a count only capture and restore
+// copy, a log only ever appended to, a knob read in a branch and set by
+// nothing — and on a stale allow-list entry, and not on the fields a
+// codec, a pointer method, a flag or a digest keeps live.
+func TestFieldRulesOnSeededCode(t *testing.T) {
+	m := seededModule(t)
+	var findings []string
+	for _, fs := range m.deadFields(map[string]string{"internal/caps.seededStale.x": "seeded"}) {
+		findings = append(findings, fs...)
+	}
+	for _, tc := range []seededCase{
+		{"internal/caps.seededCounter.hits", "internal/caps/seeded_fields.go:30: internal/caps.seededCounter.hits is read by no non-test code"},
+		{"internal/caps.seededCounterState.hits", "internal/caps/seeded_fields.go:32: internal/caps.seededCounterState.hits is read by no non-test code"},
+		{"internal/caps.seededLog.lines", "internal/caps/seeded_fields.go:48: internal/caps.seededLog.lines is read by no non-test code"},
+		{"internal/caps.seededKnobs.Verbose", "internal/caps/seeded_fields.go:53: internal/caps.seededKnobs.Verbose is set by no non-test code"},
+		{"internal/caps.seededStale.x", "allow-list entry internal/caps.seededStale.x matches no unread or unset field; drop it"},
+		{"internal/caps.seededWire.ID", ""},
+		{"internal/caps.seededWire.Note", ""},
+		{"internal/caps.seededGuard.mu", ""},
+		{"internal/caps.seededOptions.verbose", ""},
+		{"internal/caps.seededHashed.seed", ""},
+	} {
+		t.Run(tc.key, func(t *testing.T) { tc.check(t, findings) })
 	}
 }
 

@@ -139,7 +139,7 @@ func TestExampleSmoke(t *testing.T) {
 		sentinel string
 	}{
 		{"./examples/quickstart", "fault detected by the scoreboard"},
-		{"./examples/virtual_ecu", "lockstep divergence"},
+		{"./examples/virtual_ecu", "detected by lockstep"},
 		{"./examples/caps_airbag", "crash check (G2)"},
 		{"./examples/fta_fmeda", "top-event probability"},
 		{"./examples/full_evaluation", "full safety evaluation"},
