@@ -71,8 +71,10 @@ type shardState struct {
 	attempt  int
 	deadline time.Time // lease expiry, extended by every flush
 	progress time.Time // last time recorded grew (steal decisions)
-	// w appends to the shard's journal until the shard is done; the flush
-	// that completes it closes w — the fsync — outside mu, then clears it.
+	// w appends to the shard's journal until the shard is done, and every
+	// flush request writes what it recorded to the file under mu; the
+	// flush that completes the shard closes w — the fsync — outside mu,
+	// then clears it.
 	w *journal.Writer
 }
 
@@ -460,6 +462,14 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
+	if s.state != "done" {
+		// grant hands out the journal as it stands on disk, so what this
+		// request recorded is written — one write — before it is
+		// answered; after a failed write every request is a 500.
+		if ferr := s.w.Flush(); ferr != nil && err == nil {
+			code, err = http.StatusInternalServerError, fmt.Errorf("journal append: %w", ferr)
+		}
+	}
 	if err != nil {
 		if errors.Is(err, stressor.ErrConflict) {
 			code = http.StatusConflict

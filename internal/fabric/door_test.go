@@ -215,3 +215,48 @@ func TestRequestBodiesDecodeStrictly(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushAcknowledgesOnlyWhatIsOnDisk: before the shard completes,
+// every entry a 200 flush answer counts as Recorded is already in the
+// shard's journal file — the file grant hands the lease's next holder
+// as its resume prefix, which the thief of a stalled lease receives.
+func TestFlushAcknowledgesOnlyWhatIsOnDisk(t *testing.T) {
+	u := testScenarios(6)
+	clock := newFakeClock()
+	c, srv := startCoord(t, CoordConfig{Scenarios: u, Shards: 1, Now: clock.Now})
+	l := lease(t, srv.URL, "w1")
+	recorded := 0
+	// One entry, two, a duplicate beside a new one, a heartbeat.
+	for _, batch := range [][]int{{0}, {1, 2}, {2, 3}, {}} {
+		req := flushReq{Worker: "w1", Attempt: l.Attempt}
+		for _, i := range batch {
+			req.Entries = append(req.Entries, entryFor(u, i, fault.Masked))
+		}
+		var body []byte
+		for _, e := range req.Entries {
+			body = journal.AppendEntryFrame(body, e)
+		}
+		resp, err := http.Post(flushURL(srv.URL, 0, req), "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack FlushResponse
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("flush %v: HTTP %d, %v", batch, resp.StatusCode, err)
+		}
+		j, err := journal.Read(c.journalPath(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.Entries) != ack.Recorded {
+			t.Fatalf("flush %v answered %d recorded, the journal file holds %d entries", batch, ack.Recorded, len(j.Entries))
+		}
+		recorded = ack.Recorded
+	}
+	clock.Advance(3 * c.cfg.LeaseTTL)
+	if l2 := lease(t, srv.URL, "w2"); l2.Status != StatusGranted || len(l2.Entries) != recorded {
+		t.Fatalf("the next holder got %+v with %d entries, want the %d recorded", l2.Lease, len(l2.Entries), recorded)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -79,5 +80,32 @@ func BenchmarkJournalCodec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWriterAppend prices one Append into a journal file: the
+// entry's frame encoded into the writer's buffer and its share of one
+// write per full buffer. It allocates nothing in steady state. The file
+// is emptied, untimed, once per journal's worth of entries.
+func BenchmarkWriterAppend(b *testing.B) {
+	h, entries := benchJournal(4096)
+	w, err := Create(filepath.Join(b.TempDir(), "j"), h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(entries) == 0 {
+			b.StopTimer()
+			if err := w.f.Truncate(0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := w.Append(entries[i%len(entries)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

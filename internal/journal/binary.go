@@ -85,6 +85,12 @@ func AppendEntryFrame(dst []byte, e Entry) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcIEEE))
 }
 
+// maxEntryFrameLen bounds the length of e's frame: the length and CRC
+// words, the tag and flags bytes, at most five uvarints and the strings.
+func maxEntryFrameLen(e Entry) int {
+	return 4 + 1 + 5*binary.MaxVarintLen64 + len(e.ID) + len(e.Class) + len(e.Detail) + 1 + 4
+}
+
 // appendUvarint / appendString are the entry payload primitives.
 func appendUvarint(dst []byte, v uint64) []byte {
 	var b [binary.MaxVarintLen64]byte

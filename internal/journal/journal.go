@@ -8,10 +8,23 @@
 // The first record is the Header (self-identifying via the "journal"
 // format marker); every later one is an Entry. Journals are created
 // binary — CRC-checked frames, see binary.go; JSONL journals from
-// before that still decode, resume and merge. Appends are
-// record-atomic in practice, and the decoder distinguishes a partial
-// trailing record (Truncated, safe to resume from after trimming) from
-// corruption anywhere else (a hard error, never silently merged).
+// before that still decode, resume and merge. The decoder
+// distinguishes a partial trailing record (Truncated, safe to resume
+// from after trimming) from corruption anywhere else (a hard error,
+// never silently merged).
+//
+// Durability. A Writer writes the header when it creates the file and
+// keeps later records in a fixed-size buffer, written in one write
+// when the buffer is full, on Flush and in Close, which then syncs:
+//   - a process crash loses at most the entries still in the buffer;
+//   - a batch the crash cut short decodes as a truncated tail, which
+//     AppendTo trims;
+//   - resume re-runs the lost entries, and a campaign's runs are
+//     deterministic, so the resumed journal and result are the bytes
+//     of an uninterrupted run.
+//
+// A failed write is sticky: the Append that forced it, or the Flush or
+// Close, returns it, and so does every later call.
 package journal
 
 import (
@@ -285,8 +298,39 @@ type Writer struct {
 	header  Header // the file's, which Append checks every entry against
 	codec   Codec
 	appends int
-	// frame is the binary codec's encode buffer, reused under mu.
-	frame []byte
+	// buf holds the records appended since the last write, in a buffer
+	// of bufSize taken from freeBufs and given back by Close.
+	buf []byte
+	err error // the first failed write, returned by every later one
+}
+
+// bufSize is the writer's buffer: a record that would not fit writes
+// what the buffer holds first.
+const bufSize = 8 << 10
+
+// freeBufs keeps the buffers of closed writers for the next ones, so a
+// process that opens one journal after another allocates no buffer per
+// journal. A sync.Pool would not promise that: it keeps a buffer in the
+// closing goroutine's P, where a writer opened on another P does not
+// look, and drops it after two GCs. It keeps at most maxFreeBufs.
+var freeBufs struct {
+	sync.Mutex
+	bufs [][]byte
+}
+
+const maxFreeBufs = 16
+
+func newWriter(f *os.File, h Header, codec Codec) *Writer {
+	w := &Writer{f: f, header: h, codec: codec}
+	freeBufs.Lock()
+	if n := len(freeBufs.bufs); n > 0 {
+		w.buf, freeBufs.bufs = freeBufs.bufs[n-1], freeBufs.bufs[:n-1]
+	}
+	freeBufs.Unlock()
+	if w.buf == nil {
+		w.buf = make([]byte, 0, bufSize)
+	}
+	return w
 }
 
 // Create starts a new binary journal at path, writing the header. It
@@ -330,7 +374,7 @@ func CreateCodec(path string, h Header, codec Codec) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, header: h, codec: codec}, nil
+	return newWriter(f, h, codec), nil
 }
 
 // AppendTo reopens an existing journal for appending, adopting
@@ -375,7 +419,7 @@ func AppendTo(path string, h Header) (*Journal, *Writer, error) {
 			}
 		}
 	}
-	return j, &Writer{f: f, header: j.Header, codec: j.Codec}, nil
+	return j, newWriter(f, j.Header, j.Codec), nil
 }
 
 // Open resumes the journal at path when the file exists — AppendTo,
@@ -392,28 +436,37 @@ func Open(path string, h Header) (*Journal, *Writer, error) {
 	return j, w, err
 }
 
-// Append writes one entry as a single line (JSONL) or frame (binary),
-// refusing unwritten one that the decoder would refuse.
+// Append adds one entry as a single line (JSONL) or frame (binary) to
+// the buffer, refusing unwritten one that the decoder would refuse. It
+// writes the buffer first when the record would not fit, and returns
+// that write's error.
 func (w *Writer) Append(e Entry) error {
 	if err := e.validate(w.header); err != nil {
 		return err
 	}
-	var rec []byte
-	if w.codec != Binary {
-		line, err := json.Marshal(e)
-		if err != nil {
+	var line []byte
+	var need int
+	if w.codec == Binary {
+		need = maxEntryFrameLen(e)
+	} else {
+		var err error
+		if line, err = json.Marshal(e); err != nil {
 			return err
 		}
-		rec = append(line, '\n')
+		need = len(line) + 1
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.codec == Binary {
-		w.frame = AppendEntryFrame(w.frame[:0], e)
-		rec = w.frame
+	if len(w.buf)+need > cap(w.buf) {
+		w.flushLocked()
 	}
-	if _, err := w.f.Write(rec); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	if w.err != nil {
+		return w.err
+	}
+	if w.codec == Binary {
+		w.buf = AppendEntryFrame(w.buf, e)
+	} else {
+		w.buf = append(append(w.buf, line...), '\n')
 	}
 	w.appends++
 	return nil
@@ -426,17 +479,53 @@ func (w *Writer) Appends() int {
 	return w.appends
 }
 
-// Close syncs the journal to stable storage and closes the file. The
-// sync is what surfaces write-back failures — an unwritable path
-// (quota, ENOSPC, a yanked network mount) discovered after the kernel
-// buffered the appends — so a campaign CLI can exit non-zero instead
-// of reporting success over a journal that never reached disk.
+// Flush writes the buffered entries to the file in one write, so a
+// reader of the file sees every entry appended so far. It does not
+// sync: a process crash after Flush loses nothing, a machine crash may.
+func (w *Writer) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushLocked()
+}
+
+func (w *Writer) flushLocked() error {
+	if w.err == nil && len(w.buf) > 0 {
+		if _, err := w.f.Write(w.buf); err != nil {
+			w.err = fmt.Errorf("journal: append: %w", err)
+		}
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// Close writes the buffered entries, syncs the journal to stable
+// storage and closes the file, and returns the writer's buffer for the
+// next writer to use. The sync is what surfaces write-back failures —
+// an unwritable path (quota, ENOSPC, a yanked network mount)
+// discovered after the kernel buffered the appends — so a campaign CLI
+// can exit non-zero instead of reporting success over a journal that
+// never reached disk. The file is closed whatever fails.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	werr := w.flushLocked()
+	if w.buf != nil {
+		freeBufs.Lock()
+		if len(freeBufs.bufs) < maxFreeBufs {
+			freeBufs.bufs = append(freeBufs.bufs, w.buf)
+		}
+		freeBufs.Unlock()
+		w.buf = nil
+	}
 	serr := w.f.Sync()
 	cerr := w.f.Close()
-	if serr != nil {
+	if w.err == nil {
+		w.err = fmt.Errorf("journal: %w", os.ErrClosed)
+	}
+	switch {
+	case werr != nil:
+		return werr
+	case serr != nil:
 		return fmt.Errorf("journal: sync: %w", serr)
 	}
 	return cerr

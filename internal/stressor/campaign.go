@@ -32,8 +32,10 @@ type RunFunc func(sc fault.Scenario) fault.Outcome
 const WorkersAuto = par.Auto
 
 // JournalSink receives one entry per completed run. *journal.Writer
-// implements it; wrappers compose around it — the daemon's run store
-// and the fault-injecting test writers both do.
+// implements it, buffering entries until its buffer fills, Flush or
+// Close; wrappers compose around it — the fault-injecting test writers
+// do. Whoever opened the writer closes it after Execute, on every path:
+// the entries still buffered reach the file only then.
 type JournalSink interface {
 	Append(journal.Entry) error
 }
@@ -122,12 +124,16 @@ type Campaign struct {
 	// have produced, byte for byte.
 	Shard Shard
 	// Journal, when non-nil, records every completed run as one
-	// append-only line so the campaign survives interruption. Under
+	// append-only record so the campaign survives interruption. Under
 	// Dedup only representative runs are journaled. A journal append
 	// failure aborts the campaign with an error — better to stop than
-	// to run scenarios that can never be resumed or merged. Callers
-	// assigning a concrete pointer must take care not to store a typed
-	// nil (the engine only checks Journal against the nil interface).
+	// to run scenarios that can never be resumed or merged. A
+	// *journal.Writer writes its buffer only when the buffer is full, so
+	// a failed write surfaces at the Append that fills it or at the
+	// writer's Flush or Close, not at the Append of the entry it loses:
+	// the caller must check Close's error too. Callers assigning a
+	// concrete pointer must take care not to store a typed nil (the
+	// engine only checks Journal against the nil interface).
 	Journal JournalSink
 	// Resume, when non-nil, is a previously recorded journal for this
 	// exact campaign (same name, shard, universe — validated before
