@@ -206,11 +206,36 @@ const maxBody = 1 << 22
 
 // readBytes reads a request body of at most maxBody bytes.
 func readBytes(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	data, err := readAll(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
 	if err != nil {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
 	}
 	return data, err == nil
+}
+
+// readAll is io.ReadAll into a buffer sized up front for a body that
+// says it is size bytes long (a Content-Length; -1 when it says nothing),
+// so that a body read whole is never copied to grow. A size past limit,
+// which r refuses to deliver anyway, reserves nothing.
+func readAll(r io.Reader, size, limit int64) ([]byte, error) {
+	reserve := int64(512)
+	if size >= 0 && size <= limit {
+		reserve = size + 1 // room to read EOF
+	}
+	b := make([]byte, 0, reserve)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // readWorker reads a RegisterRequest or LeaseRequest body (one shape)
@@ -312,9 +337,13 @@ func (c *Coordinator) allDoneLocked() bool {
 	return true
 }
 
-// finalizeLocked re-reads the shard journals — each closed and synced
-// when its shard completed — from disk and merges: the merged Result is
-// what the unsharded sequential run would have produced, byte for byte.
+// finalizeLocked assembles the result from the shard set — every entry
+// the journals hold, each checked as it arrived — after reading every
+// shard journal, each closed and synced when its shard completed, back
+// from disk to check that the file still holds what the set recorded:
+// every frame whole, the shard's header, as many entries as the shard
+// recorded. The merged Result is what the unsharded sequential run would
+// have produced, byte for byte.
 func (c *Coordinator) finalizeLocked() {
 	if c.finalized {
 		return
@@ -326,20 +355,32 @@ func (c *Coordinator) finalizeLocked() {
 	if c.mergeErr != nil { // a shard journal failed to sync
 		return
 	}
-	js := make([]*journal.Journal, 0, len(c.shards))
 	for i := range c.shards {
-		j, err := journal.Read(c.journalPath(i))
-		if err != nil {
+		if err := c.verifyJournal(i); err != nil {
 			c.mergeErr = err
 			return
 		}
-		js = append(js, j)
 	}
-	spec := stressor.MergeSpec{Dedup: c.cfg.Dedup, StopOnFirst: c.cfg.StopOnFirst}
-	c.result, c.mergeErr = stressor.MergeHashed(spec, c.cfg.Scenarios, c.universe, js)
+	c.result, c.mergeErr = c.set.Result(c.cfg.StopOnFirst)
 	if c.mergeErr == nil {
 		c.logInfo("campaign merged", "campaign", c.cfg.Campaign, "outcomes", len(c.result.Outcomes))
 	}
+}
+
+// verifyJournal checks shard i's journal on disk against what the shard
+// set recorded for it, without decoding an entry (journal.Verify).
+func (c *Coordinator) verifyJournal(i int) error {
+	h, n, err := journal.Verify(c.journalPath(i))
+	if err == nil {
+		err = h.Match(stressor.Shard{Index: i, Count: c.cfg.Shards}.JournalHeader(c.cfg.Campaign, len(c.cfg.Scenarios), c.universe))
+	}
+	if err == nil && n != c.set.Recorded(i) {
+		err = fmt.Errorf("%d entries on disk, %d recorded", n, c.set.Recorded(i))
+	}
+	if err != nil {
+		return fmt.Errorf("fabric: shard %d journal: %w", i, err)
+	}
+	return nil
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {

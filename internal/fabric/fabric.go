@@ -20,9 +20,11 @@
 //     slow) can be stolen by an idle worker. Stealing bumps the
 //     attempt counter: flushes from the superseded holder are answered
 //     409 and it halts.
-//   - When every shard is done the coordinator merges the shard
-//     journals with stressor.Merge into the Result the unsharded
-//     sequential run would have produced, byte for byte.
+//   - When every shard is done the coordinator checks every shard
+//     journal on disk against what it recorded (journal.Verify) and
+//     assembles its shard set into the Result the unsharded sequential
+//     run would have produced, byte for byte — what stressor.Merge of
+//     the journals gives.
 //
 // Work-stealing is determinism-safe because scenario outcomes are
 // deterministic: a stale holder and the thief can only ever record

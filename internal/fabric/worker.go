@@ -71,6 +71,9 @@ type Worker struct {
 
 	mu  sync.Mutex
 	buf []journal.Entry // completed entries awaiting flush
+	// spare is the backing of the entries the last flush sent, which buf
+	// takes over at the next one; nil while a requeue holds it in buf.
+	spare []journal.Entry
 }
 
 // NewWorker validates cfg.
@@ -139,7 +142,7 @@ func (w *Worker) post(ctx context.Context, path, contentType string, body []byte
 		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
+	data, err := readAll(io.LimitReader(resp.Body, maxReply+1), resp.ContentLength, maxReply)
 	if err != nil {
 		return resp.StatusCode, err
 	}
@@ -245,7 +248,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	// Drop anything a previous revoked lease left unflushed: those
 	// entries belong to a shard someone else owns now.
 	w.mu.Lock()
-	w.buf = nil
+	w.buf = w.buf[:0]
 	w.mu.Unlock()
 
 	// revoked stops the lease: superseded (409) or, with rejected set, a
@@ -258,7 +261,8 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 	flush := func(done bool) {
 		w.mu.Lock()
 		entries := w.buf
-		w.buf = nil
+		w.buf = w.spare
+		w.spare = entries[:0]
 		w.mu.Unlock()
 		for {
 			if w.killed.Load() || revoked.Load() {
@@ -301,7 +305,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) (bool, error) {
 				// Transient failure: requeue and retry next heartbeat. The
 				// lease survives as long as one flush lands within the TTL.
 				w.mu.Lock()
-				w.buf = append(entries, w.buf...)
+				w.buf, w.spare = append(entries, w.buf...), nil
 				w.mu.Unlock()
 				w.logInfo("flush failed", "shard", h.Shard, "err", err.Error())
 			}

@@ -3,7 +3,9 @@ package fault
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +182,54 @@ func TestUniverse(t *testing.T) {
 	}
 	if sites := r.Sites(); len(sites) != 2 || sites[0] != "mem" || sites[1] != "net1" {
 		t.Errorf("sites = %v", sites)
+	}
+}
+
+// TestUniverseConcurrentCalls: goroutines enumerating one freshly
+// elaborated registry at once — the first calls build its table of
+// named models — each get exactly what a sequential call gets, on that
+// registry and on one of its own. A model past the table is still asked
+// for, and a site registered after a call is in the next one.
+func TestUniverseConcurrentCalls(t *testing.T) {
+	models := []Model{StuckAt0, StuckAt1, BitFlip, Open, ShortToGround, ShortToSupply, ValueOffset, Corruption, Omission, Babbling, Model(200)}
+	elaborate := func() *Registry {
+		r := NewRegistry()
+		for i := 9; i >= 0; i-- {
+			r.MustRegister(&FuncInjector{SiteName: fmt.Sprintf("caps.site%d.harness", i),
+				Models: []Model{models[i], models[(i+3)%10], Model(200)}, InjectFn: func(Descriptor) error { return nil }})
+		}
+		return r
+	}
+	want := elaborate().Universe(models, Transient, sim.NS(7), sim.NS(3), sim.NS(5))
+	if len(want) != 30 || want[0].Name != "caps.site0.harness/stuck-at-0" || want[2].Name != "caps.site0.harness/Model(200)" {
+		t.Fatalf("sequential universe: %d descriptors, first %v", len(want), want[:min(3, len(want))])
+	}
+	r := elaborate()
+	got := make([][]Descriptor, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = r.Universe(models, Transient, sim.NS(7), sim.NS(3), sim.NS(5))
+		}()
+	}
+	wg.Wait()
+	got = append(got, r.Universe(models, Transient, sim.NS(7), sim.NS(3), sim.NS(5)))
+	for g, u := range got {
+		if !reflect.DeepEqual(u, want) {
+			t.Fatalf("call %d: %v, want %v", g, u, want)
+		}
+		if cap(u) != len(u) {
+			t.Fatalf("call %d: %d descriptors in a slice of %d", g, len(u), cap(u))
+		}
+	}
+	r.MustRegister(&FuncInjector{SiteName: "caps.late", Models: []Model{Omission}, InjectFn: func(Descriptor) error { return nil }})
+	if u := r.Universe(models, Transient, 0, 0, 0); len(u) != len(want)+1 || u[0].Name != "caps.late/omission" {
+		t.Fatalf("after a late Register: %d descriptors, first %s", len(u), u[0].Name)
+	}
+	if u := r.Universe([]Model{Delay}, Permanent, 0, 0, 0); u != nil {
+		t.Fatalf("no site supports delay, got %v", u)
 	}
 }
 

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -83,6 +84,51 @@ type Registry struct {
 	// enumerating the fault space never sorts (and concurrent Universe
 	// calls on an elaborated registry only read).
 	sorted []string
+	// table is every site's supported models, named, in site order:
+	// built by the first Universe after the last Register, then shared
+	// by every later one. Concurrent first calls each build an equal
+	// table and keep whichever is stored last.
+	table atomic.Pointer[[]siteModels]
+}
+
+// siteModels is one site's row of the table: the "site/model" name of
+// each model it supports, "" for each it does not.
+type siteModels struct {
+	site  string
+	inj   Injector
+	names [Babbling + 1]string
+}
+
+// name is the descriptor name of model m at the row's site; "" when the
+// site does not support m. A model past the row's names is asked for
+// directly.
+func (s *siteModels) name(m Model) string {
+	switch {
+	case int(m) < len(s.names):
+		return s.names[m]
+	case s.inj.Supports(m):
+		return s.site + "/" + m.String()
+	}
+	return ""
+}
+
+// models is the registry's table, built when there is none.
+func (r *Registry) models() []siteModels {
+	if t := r.table.Load(); t != nil {
+		return *t
+	}
+	t := make([]siteModels, len(r.sorted))
+	for i, site := range r.sorted {
+		row := &t[i]
+		row.site, row.inj = site, r.sites[site]
+		for m := range row.names {
+			if row.inj.Supports(Model(m)) {
+				row.names[m] = site + "/" + Model(m).String()
+			}
+		}
+	}
+	r.table.Store(&t)
+	return t
 }
 
 // NewRegistry creates an empty registry.
@@ -99,6 +145,7 @@ func (r *Registry) Register(inj Injector) error {
 	r.sites[site] = inj
 	at, _ := slices.BinarySearch(r.sorted, site)
 	r.sorted = slices.Insert(r.sorted, at, site)
+	r.table.Store(nil)
 	return nil
 }
 
@@ -135,20 +182,35 @@ func (r *Registry) Revert(d Descriptor) error {
 
 // Universe enumerates the full single-fault space over the registry:
 // for every site, every supported model from the given list, one
-// descriptor. It is the exhaustive fault list of experiment E8.
+// descriptor. It is the exhaustive fault list of experiment E8. The
+// names come from the registry's table and the list is allocated at its
+// length, so a call costs that one allocation.
 func (r *Registry) Universe(models []Model, class Class, start, duration, period sim.Time) []Descriptor {
-	var out []Descriptor
-	for _, site := range r.sorted {
-		inj := r.sites[site]
+	table := r.models()
+	n := 0
+	for i := range table {
 		for _, m := range models {
-			if !inj.Supports(m) {
+			if table[i].name(m) != "" {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Descriptor, 0, n)
+	for i := range table {
+		row := &table[i]
+		for _, m := range models {
+			name := row.name(m)
+			if name == "" {
 				continue
 			}
 			out = append(out, Descriptor{
-				Name:     site + "/" + m.String(),
+				Name:     name,
 				Model:    m,
 				Class:    class,
-				Target:   site,
+				Target:   row.site,
 				Start:    start,
 				Duration: duration,
 				Period:   period,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"unicode/utf8"
 )
 
@@ -307,6 +308,63 @@ func decodeBinary(data []byte) (*Journal, error) {
 	}
 	j.ValidBytes = off
 	return j, nil
+}
+
+// Verify checks the journal file at path whole without decoding its
+// entries and returns its header and how many entries it holds. A
+// binary journal must end on a frame boundary — a torn or CRC-failing
+// final frame is an error here, not a truncation — with every frame's
+// CRC holding and every frame after the header an entry; a JSONL one
+// is decoded, and refused when truncated. It is how a writer that kept
+// what it wrote in memory checks that the file on disk still holds it.
+func Verify(path string) (Header, int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Header{}, 0, err
+	}
+	h, n, err := verifyBytes(data)
+	if err != nil {
+		return Header{}, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, n, nil
+}
+
+func verifyBytes(data []byte) (Header, int, error) {
+	var h Header
+	if SniffCodec(data) != Binary {
+		j, err := DecodeBytes(data)
+		switch {
+		case err != nil:
+			return h, 0, err
+		case j.Truncated:
+			return h, 0, fmt.Errorf("journal: torn final line after %d entries", len(j.Entries))
+		}
+		return j.Header, len(j.Entries), nil
+	}
+	n := -1 // entry frames; -1 until the header frame
+	for rest := data[len(binaryMagic):]; len(rest) > 0; n++ {
+		payload, frameLen, complete, err := nextFrame(rest)
+		switch {
+		case err != nil:
+			return h, 0, err
+		case !complete:
+			return h, 0, fmt.Errorf("journal: torn or CRC-failing final frame after %d entries", max(n, 0))
+		case n < 0:
+			if len(payload) == 0 || payload[0] != frameHeader {
+				return h, 0, fmt.Errorf("journal: first frame is not a header")
+			}
+			if err := json.Unmarshal(payload[1:], &h); err != nil {
+				return h, 0, fmt.Errorf("journal: bad header frame: %w", err)
+			}
+		case len(payload) == 0 || payload[0] != frameEntry:
+			return h, 0, fmt.Errorf("journal: frame after %d entries is not an entry", n)
+		}
+		rest = rest[frameLen:]
+	}
+	if n < 0 {
+		return h, 0, fmt.Errorf("journal: truncated before a complete header")
+	}
+	return h, n, nil
 }
 
 // nextFrame inspects the frame at the start of rest. complete reports

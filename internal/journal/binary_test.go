@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -263,4 +264,53 @@ func TestBinaryAppendAllocatesNothing(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("%v allocations per binary Append, want 0", avg)
 	}
+}
+
+// TestVerify: Verify reports a whole journal's header and entry count
+// without decoding an entry, and refuses what a decode would refuse and
+// also the torn tail a decode trims: a CRC failing anywhere, a cut final
+// frame, a non-entry frame. A JSONL journal is decoded to be counted.
+func TestVerify(t *testing.T) {
+	path, raw := writeBinaryJournal(t, testEntries())
+	h, n, err := Verify(path)
+	if err != nil || n != len(testEntries()) || h.Match(testHeader()) != nil || h.FormatMarker != Format {
+		t.Fatalf("clean journal: header %+v, %d entries, %v", h, n, err)
+	}
+	header := len(binaryMagic) + 4 + 1 + len(mustJSON(t, testHeader())) + 4
+	for name, data := range map[string][]byte{
+		"flipped entry byte":  flip(raw, header+6),
+		"flipped header byte": flip(raw, len(binaryMagic)+6),
+		"torn final frame":    raw[:len(raw)-3],
+		"header only, torn":   raw[:header-1],
+		"second header":       append(append([]byte{}, raw...), raw[len(binaryMagic):header]...),
+	} {
+		if _, _, err := verifyBytes(data); err == nil {
+			t.Errorf("%s: verified", name)
+		}
+	}
+	if _, n, err := verifyBytes(raw[:header]); err != nil || n != 0 {
+		t.Errorf("header alone: %d entries, %v", n, err)
+	}
+	jsonl, _ := writeJSONLJournal(t, testEntries())
+	if _, n, err := Verify(jsonl); err != nil || n != len(testEntries()) {
+		t.Errorf("JSONL journal: %d entries, %v", n, err)
+	}
+	if _, _, err := verifyBytes(encodeJSONL(testHeader(), testEntries())[:40]); err == nil {
+		t.Error("torn JSONL journal verified")
+	}
+}
+
+func flip(data []byte, at int) []byte {
+	out := append([]byte{}, data...)
+	out[at] ^= 0x01
+	return out
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

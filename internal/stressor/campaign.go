@@ -402,7 +402,7 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 		}
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, e.err)
 	}
-	res := c.assemble(e.dedup.fanOut(e.slots))
+	res := c.assemble(e.fanOut())
 	res.DedupSavedRuns, res.Halted = len(scenarios)-e.dedup.len()+e.answered[byMemo], e.halted
 	res.Adaptive = p.census()
 	elapsed := time.Since(start)
@@ -463,12 +463,28 @@ func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 	return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
 }
 
-// newExec is one Execute's state before any replay or plan. The dedup
+// newExec is one Execute's state before any replay: the dedup plan,
+// the positions it holds slots for and their dispatch order. The dedup
 // plan comes first, so every shard computes the identical unique-run
-// list and journals refer to stable representative indices.
+// list and journals refer to stable representative indices. A list's
+// dispatch order comes from the universe's plan (keptPlan) — or is
+// index order: a Run has no fork to sort by, and under StopOnFirst the
+// campaign must execute exactly the prefix the sequential loop would. A
+// sharded list holds slots for its own positions only (shardView).
 func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
 	e := &campaignExec{c: c, proto: c.prototype(), dedup: newDedupPlan(scenarios, c.Dedup)}
-	e.slots = make([]slot, e.dedup.len())
+	var kp *keptPlan
+	if c.Source == nil && c.Checkpointer != nil && !c.StopOnFirst {
+		kp = e.dispatchPlan()
+	}
+	e.view = shardView{own: e.dedup}
+	if kp != nil {
+		e.view.order = kp.order
+	}
+	if c.Shard.Enabled() {
+		e.view = kp.shardView(e.dedup, c.Shard)
+	}
+	e.slots = make([]slot, e.view.own.len())
 	e.more.L = &e.mu
 	e.cutoff.Store(math.MaxInt64)
 	e.scope.refs = 1
@@ -586,11 +602,14 @@ type campaignExec struct {
 	// Execute's own, dropped once the loop is over.
 	scope campaignScope
 	dedup dedupPlan
-	obs   *campaignObs
+	// view is the positions slots stand for, in their dispatch order:
+	// every one of dedup's, or a sharded list's own.
+	view shardView
+	obs  *campaignObs
 
-	// slots holds the results by position: preallocated for a list, whose
-	// workers write their own positions' slots; grown in proposal order by
-	// the coordinator for a source.
+	// slots holds the results by position of view: preallocated for a
+	// list, whose workers write their own positions' slots; grown in
+	// proposal order by the coordinator for a source.
 	slots []slot
 
 	// The hand-out. Indices below published may be claimed; claimed is the
@@ -696,7 +715,7 @@ func (e *campaignExec) halt() bool {
 func (e *campaignExec) commit(pos int, id string, s *slot, by answer, sig uint64) bool {
 	if by == bySimulation && e.err == nil && e.c.Journal != nil {
 		e.err = e.c.Journal.Append(journal.Entry{
-			Index: e.dedup.index(pos), ID: id, Sig: sig,
+			Index: e.view.own.index(pos), ID: id, Sig: sig,
 			Class: s.out.Class.String(), Detail: s.out.Detail, Panicked: s.panicked,
 		})
 	}
@@ -723,58 +742,124 @@ type listPlan struct {
 	todo []int
 }
 
-// newListPlan partitions a scenario list whose slots hold the replayed
-// journal: it keeps this shard's share (dropping journaled positions
-// another shard owns), counts what was replayed and leaves the rest in
-// todo, in the dispatch order of the universe's plan (keptPlan) — or in
-// index order: a Run has no fork to sort by, and under StopOnFirst the
-// campaign must execute exactly the prefix the sequential loop would.
+// newListPlan plans a scenario list whose slots hold the replayed
+// journal: it counts what was replayed and leaves the rest in todo, in
+// the view's dispatch order. It walks the slots the Execute holds, a
+// shard's own and no other.
 func newListPlan(e *campaignExec) *listPlan {
-	c, d, l := e.c, e.dedup, &listPlan{campaignExec: e}
-	var kp *keptPlan
-	if c.Checkpointer != nil && !c.StopOnFirst {
-		kp = e.dispatchPlan()
-	}
-	var owner []int
-	if c.Shard.Enabled() {
-		owner = kp.shardOwners(d, c.Shard.Count)
-	}
+	l := &listPlan{campaignExec: e}
 	n := 0 // positions to run
 	for u := range e.slots {
-		s := &e.slots[u]
-		switch {
-		case owner != nil && owner[u] != c.Shard.Index:
-			*s = slot{}
+		switch s := &e.slots[u]; {
 		case !s.ran:
 			n++
 		default:
-			if c.StopOnFirst && s.out.Class.IsFailure() {
+			if e.c.StopOnFirst && s.out.Class.IsFailure() {
 				e.lowerCutoff(u)
 			}
 			e.answered[byJournal]++
 		}
 	}
-	order := kp.dispatchOrder(d)
-	if n == len(order) {
+	order := e.view.order
+	if order != nil && n == len(order) {
 		l.todo = order // the plan runs whole; todo is only ever read
 		return l
 	}
 	l.todo = make([]int, 0, n)
-	for _, u := range order {
-		if !e.slots[u].ran && (owner == nil || owner[u] == c.Shard.Index) {
+	for i := range e.slots {
+		u := i
+		if order != nil {
+			u = order[i]
+		}
+		if !e.slots[u].ran {
 			l.todo = append(l.todo, u)
 		}
 	}
 	return l
 }
 
+// shardView is the part of a list universe's unique-run positions one
+// Execute holds slots for, and the order it dispatches them in. Unsharded
+// it is the dedup plan itself; a shard's own is the positions it owns,
+// ascending, slot k running the representative own.index(k) — own.uniq,
+// never nil, lists their scenario indices, and own has no pos, so only
+// len, index and scenario apply to it.
+type shardView struct {
+	own dedupPlan
+	// order lists own's positions in dispatch order; nil is index order.
+	order []int
+}
+
+// slotOf is the slot that holds position u of e's dedup plan; nil when
+// another shard owns u.
+func (e *campaignExec) slotOf(u int) *slot {
+	if !e.c.Shard.Enabled() {
+		return &e.slots[u]
+	}
+	if k, ok := slices.BinarySearch(e.view.own.uniq, e.dedup.index(u)); ok {
+		return &e.slots[k]
+	}
+	return nil
+}
+
+// fanOut is e's slots as assemble takes them: one per scenario of the
+// universe e holds an outcome for, in scenario order, and each one's
+// scenario index (nil: its place in the list).
+func (e *campaignExec) fanOut() ([]slot, []int) {
+	switch d := e.dedup; {
+	case !e.c.Shard.Enabled():
+		return d.fanOut(e.slots), nil
+	case d.uniq == nil: // positions are scenario indices
+		return e.slots, e.view.own.uniq
+	default:
+		full := make([]slot, d.len())
+		for k, i := range e.view.own.uniq {
+			full[d.pos[i]] = e.slots[k]
+		}
+		return d.fanOut(full), nil
+	}
+}
+
+// shardViews is every shard's view of d under owners, which maps each
+// position to its shard of count, each view dispatching its positions
+// in the order order lists them (nil: index order).
+func shardViews(d dedupPlan, owners []int, count int, order []int) []shardView {
+	views := make([]shardView, count)
+	indices := make([]int, len(owners)) // every view's own.uniq, shard by shard
+	var orders, slot []int              // every view's order; each position's slot in its view
+	if order != nil {
+		orders, slot = make([]int, len(owners)), make([]int, len(owners))
+	}
+	for s, lo := 0, 0; s < count; s++ {
+		hi := lo + shardLen(len(owners), count, s)
+		views[s].own = dedupPlan{scenarios: d.scenarios, uniq: indices[lo:lo:hi]}
+		if order != nil {
+			views[s].order = orders[lo:lo:hi]
+		}
+		lo = hi
+	}
+	for u, s := range owners {
+		v := &views[s]
+		if slot != nil {
+			slot[u] = len(v.own.uniq)
+		}
+		v.own.uniq = append(v.own.uniq, d.index(u))
+	}
+	for _, u := range order {
+		v := &views[owners[u]]
+		v.order = append(v.order, slot[u])
+	}
+	return views
+}
+
 // keptPlan is what Execute derives from a list universe before anything
 // runs, for a Checkpointer to keep (planCache) so that the next Execute
 // of an equal universe on it sorts nothing: every unique-run position in
-// dispatch order, and the shard owners of the last shard count asked
-// for. It holds its own copy of the universe's fault lists, which a
-// lookup compares field by field (matches). Once built it never changes
-// but for the owners, which mu guards.
+// dispatch order, and the shard owners and every shard's view of the
+// last shard count asked for, so that a repeat lease of a shard builds
+// nothing either. It holds its own copy of the universe's fault lists,
+// which a lookup compares field by field (matches). Once built it never
+// changes but for the owners and views, which mu guards.
 type keptPlan struct {
 	// The key: Dedup and the universe's faults, scenario i's ending at
 	// ends[i].
@@ -786,8 +871,9 @@ type keptPlan struct {
 	order []int
 
 	mu         sync.Mutex
-	ownerCount int   // the shard count owners is for; 0 before any
-	owners     []int // shardOwners(universe, ownerCount)
+	ownerCount int         // the shard count owners is for; 0 before any
+	owners     []int       // shardOwners(universe, ownerCount)
+	views      []shardView // shardViews of owners, in dispatch order
 }
 
 // dispatchPlan is the plan of e's universe that the Checkpointer kept,
@@ -826,19 +912,6 @@ func (e *campaignExec) dispatchPlan() *keptPlan {
 	})
 	cache.keep(kp)
 	return kp
-}
-
-// dispatchOrder is the plan's dispatch order; without a plan, d's
-// positions in index order.
-func (kp *keptPlan) dispatchOrder(d dedupPlan) []int {
-	if kp != nil {
-		return kp.order
-	}
-	order := make([]int, d.len())
-	for u := range order {
-		order[u] = u
-	}
-	return order
 }
 
 // sortPositions lists d's unique-run positions ordered by at(scenario),
@@ -972,7 +1045,7 @@ func (l *listPlan) open() {
 
 func (l *listPlan) job(i int) (int, fault.Scenario, *slot) {
 	pos := l.todo[i]
-	return pos, l.dedup.scenario(pos), &l.slots[pos]
+	return pos, l.view.own.scenario(pos), &l.slots[pos]
 }
 
 // retire delivers the positions of the span that ran. Halt is polled
@@ -982,7 +1055,7 @@ func (l *listPlan) job(i int) (int, fault.Scenario, *slot) {
 func (l *listPlan) retire(sp span) {
 	for _, pos := range l.todo[sp.lo:sp.hi] {
 		s := &l.slots[pos]
-		if !s.ran || !l.commit(pos, l.dedup.scenario(pos).ID, s, bySimulation, 0) {
+		if !s.ran || !l.commit(pos, l.view.own.scenario(pos).ID, s, bySimulation, 0) {
 			continue
 		}
 		if !l.closed.Load() && l.unclaimed() && l.halt() {
@@ -1301,10 +1374,11 @@ func (c *Campaign) safeRun(sc fault.Scenario, sess CheckpointSession, fork sim.T
 // and extra outcomes a parallel run completed past that point are
 // discarded. PanicRecoveries counts only runs included in the result,
 // so it too is identical across worker counts. Positions that never
-// ran — scenarios owned by other shards, or left behind by a Halt —
-// are simply skipped: a sharded or interrupted Result is the ordered
-// subsequence of completed outcomes.
-func (c *Campaign) assemble(slots []slot) *Result {
+// ran — scenarios left behind by a Halt — are simply skipped, and a
+// shard's slots are those of its own scenarios, index naming each one's
+// scenario index (nil: slot i is scenario i): a sharded or interrupted
+// Result is the ordered subsequence of completed outcomes.
+func (c *Campaign) assemble(slots []slot, index []int) *Result {
 	res := &Result{Name: c.Name, Tally: make(fault.Tally)}
 	ran := 0
 	for i := range slots {
@@ -1329,6 +1403,9 @@ func (c *Campaign) assemble(slots []slot) *Result {
 		}
 		if o.Class.IsFailure() && res.RunsToFirstFailure == 0 {
 			res.RunsToFirstFailure = i + 1
+			if index != nil {
+				res.RunsToFirstFailure = index[i] + 1
+			}
 			if c.StopOnFirst {
 				break
 			}

@@ -32,12 +32,6 @@ type MergeSpec struct {
 // merged assemble truncates at f exactly as the unsharded run would,
 // and surplus runs past f are discarded.
 func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*Result, error) {
-	return MergeHashed(spec, scenarios, UniverseHash(scenarios), js)
-}
-
-// MergeHashed is Merge for a caller that already holds
-// UniverseHash(scenarios) as universe, and so need not pay for it again.
-func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js []*journal.Journal) (*Result, error) {
 	if len(js) == 0 {
 		return nil, fmt.Errorf("stressor: merge of zero journals")
 	}
@@ -48,7 +42,7 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 		return nil, fmt.Errorf("stressor: %d journals for a %d-shard set", len(js), h0.Shards)
 	}
 	want := h0
-	want.Adaptive, want.Total, want.Universe = false, len(scenarios), universe
+	want.Adaptive, want.Total, want.Universe = false, len(scenarios), UniverseHash(scenarios)
 	seen := make([]bool, len(js))
 	for _, j := range js {
 		h := j.Header
@@ -65,32 +59,24 @@ func MergeHashed(spec MergeSpec, scenarios []fault.Scenario, universe string, js
 		seen[h.Shard] = true
 	}
 
-	c := &Campaign{Name: h0.Campaign, StopOnFirst: spec.StopOnFirst, Dedup: spec.Dedup}
-	set := &ShardSet{e: newExec(c, scenarios), recorded: make([]int, h0.Shards)}
+	set := NewShardSet(h0.Campaign, scenarios, spec.Dedup, h0.Shards)
+	set.rule = h0.Rule()
 	for _, j := range js {
 		if _, err := set.Add(j.Header.Shard, j.Entries, nil); err != nil {
 			return nil, fmt.Errorf("stressor: merging shard %d/%d: %w", j.Header.Shard, h0.Shards, err)
 		}
 	}
-	e := set.e
-	// A hole is a position left to run at or below the first failure.
-	if l := newListPlan(e); l.unclaimed() {
-		u := l.todo[0]
-		return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", e.dedup.scenario(u).ID, e.dedup.index(u), shardOf(e.dedup, h0, u), h0.Shards)
-	}
-	res := c.assemble(e.dedup.fanOut(e.slots))
-	res.DedupSavedRuns = len(scenarios) - e.dedup.len()
-	return res, nil
+	return set.Result(spec.StopOnFirst)
 }
 
-// shardOf names the shard of h's set that position u of plan belongs
-// to, under the partition rule the set was written with.
-func shardOf(plan dedupPlan, h journal.Header, u int) int {
+// shardOf names the shard of a count-shard set cut by rule that
+// position u of plan belongs to.
+func shardOf(plan dedupPlan, count int, rule string, u int) int {
 	switch {
-	case h.Shards <= 1:
+	case count <= 1:
 		return 0
-	case h.Rule() == journal.PartitionRoundRobin:
-		return u % h.Shards
+	case rule == journal.PartitionRoundRobin:
+		return u % count
 	}
-	return shardOwners(plan, h.Shards)[u]
+	return shardOwners(plan, count)[u]
 }

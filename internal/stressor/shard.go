@@ -78,20 +78,23 @@ func shardOwners(d dedupPlan, count int) []int {
 	return owner
 }
 
-// shardOwners is shardOwners(d, count) for the universe kp was made for:
-// kept from the last call, sorted afresh when count is not that call's
-// (which drops the owners kept before, so a plan holds one owner map
-// whatever counts it is asked for); without a plan, sorted afresh.
-func (kp *keptPlan) shardOwners(d dedupPlan, count int) []int {
+// shardView is shard sh's view of the universe kp was made for: its
+// positions, in the plan's dispatch order. The owners of sh.Count shards
+// and every shard's view are kept from the last call and built afresh
+// when sh.Count is not that call's (which drops those kept before, so a
+// plan holds one owner map whatever counts it is asked for); without a
+// plan, the view is built afresh, in index order.
+func (kp *keptPlan) shardView(d dedupPlan, sh Shard) shardView {
 	if kp == nil {
-		return shardOwners(d, count)
+		return shardViews(d, shardOwners(d, sh.Count), sh.Count, nil)[sh.Index]
 	}
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
-	if kp.ownerCount != count {
-		kp.owners, kp.ownerCount = shardOwners(d, count), count
+	if kp.ownerCount != sh.Count {
+		kp.owners, kp.ownerCount = shardOwners(d, sh.Count), sh.Count
+		kp.views = shardViews(d, kp.owners, sh.Count, kp.order)
 	}
-	return kp.owners
+	return kp.views[sh.Index]
 }
 
 // shardLen is how many of n positions shard s of count owns: the first
@@ -140,16 +143,23 @@ var ErrConflict = errors.New("twice with different outcomes")
 // ShardSet is the one path from journal entries to results, for
 // Execute's resume, Merge and a fabric coordinator's flushes and restart
 // alike: the unsharded campaign's slots, fed shard by shard, and what
-// each shard recorded. A repeat is folded whichever shard sends it.
+// each shard recorded. A repeat is folded whichever shard sends it. A
+// complete set assembles into the unsharded campaign's Result (Result).
 type ShardSet struct {
 	e        *campaignExec
 	recorded []int
-	fresh    []int // Add's scratch: batch indices of new entries
+	rule     string // the partition rule the shards were cut by
+	fresh    []int  // Add's scratch: batch indices of new entries
 }
 
-// NewShardSet is the empty set of count shards of the named campaign.
+// NewShardSet is the empty set of count shards of the named campaign,
+// cut by injection time.
 func NewShardSet(name string, scenarios []fault.Scenario, dedup bool, count int) *ShardSet {
-	return &ShardSet{e: newExec(&Campaign{Name: name, Dedup: dedup}, scenarios), recorded: make([]int, max(count, 1))}
+	return &ShardSet{
+		e:        newExec(&Campaign{Name: name, Dedup: dedup}, scenarios),
+		recorded: make([]int, max(count, 1)),
+		rule:     journal.PartitionInjectionTime,
+	}
 }
 
 // Add checks the whole batch before it records any of it — each entry
@@ -158,8 +168,11 @@ func NewShardSet(name string, scenarios []fault.Scenario, dedup bool, count int)
 // detail or panicked (an error wrapping ErrConflict) — then records each
 // entry new to the set once keep accepts it (a nil keep accepts all),
 // folding exact repeats. It returns how many it recorded and keep's error.
+// The entry of a run a sharded resume does not hold a slot for — another
+// shard's — is checked like any and then dropped.
 func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Entry) error) (int, error) {
 	name, d, fresh := s.e.c.Name, s.e.dedup, s.fresh[:0]
+	var dropped map[int]*slot // another shard's runs, by position
 	var err error
 	for i, ent := range entries {
 		if ent.Index < 0 || ent.Index >= len(d.scenarios) {
@@ -169,16 +182,34 @@ func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Ent
 		sc := d.scenarios[ent.Index]
 		u, rep := d.position(ent.Index)
 		cls, known := fault.ParseClassification(ent.Class)
-		switch sl := &s.e.slots[u]; {
+		switch {
 		case sc.ID != ent.ID:
 			err = fmt.Errorf("campaign %s: journal entry %d is scenario %q, universe has %q", name, ent.Index, ent.ID, sc.ID)
 		case !rep:
 			err = fmt.Errorf("campaign %s: journal entry %d is not a dedup representative (journal written without dedup?)", name, ent.Index)
 		case !known:
 			err = fmt.Errorf("campaign %s: journal entry %d has unknown class %q", name, ent.Index, ent.Class)
+		}
+		if err != nil {
+			break
+		}
+		sl := s.e.slotOf(u)
+		own := sl != nil
+		if !own {
+			if sl = dropped[u]; sl == nil {
+				if dropped == nil {
+					dropped = map[int]*slot{}
+				}
+				sl = new(slot)
+				dropped[u] = sl
+			}
+		}
+		switch {
 		case !sl.ran:
 			*sl = slot{out: fault.Outcome{Scenario: sc, Class: cls, Detail: ent.Detail}, ran: true, panicked: ent.Panicked}
-			fresh = append(fresh, i)
+			if own {
+				fresh = append(fresh, i)
+			}
 		case sl.out.Class != cls || sl.out.Detail != ent.Detail || sl.panicked != ent.Panicked:
 			err = fmt.Errorf("campaign %s: journal records scenario %s (index %d) %w", name, ent.ID, ent.Index, ErrConflict)
 		}
@@ -198,7 +229,7 @@ func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Ent
 	}
 	for _, i := range fresh[n:] {
 		u, _ := d.position(entries[i].Index)
-		s.e.slots[u] = slot{}
+		*s.e.slotOf(u) = slot{}
 	}
 	s.fresh, s.recorded[shard] = fresh, s.recorded[shard]+n
 	return n, err
@@ -209,6 +240,27 @@ func (s *ShardSet) Recorded(shard int) int { return s.recorded[shard] }
 
 // Owned is how many unique-run positions shard owns: the runs it journals.
 func (s *ShardSet) Owned(shard int) int { return shardLen(s.e.dedup.len(), len(s.recorded), shard) }
+
+// Result assembles the set into the Result the unsharded campaign would
+// have produced, byte for byte, under stopOnFirst's semantics: duplicates
+// fanned out from their representatives, outcomes in scenario order. It
+// refuses a set with a hole — a position missing at or below the first
+// failure, naming the shard that owns it — as the unsharded campaign
+// would still have had to run it.
+func (s *ShardSet) Result(stopOnFirst bool) (*Result, error) {
+	e, count := s.e, len(s.recorded)
+	for u := range e.slots {
+		if sl := &e.slots[u]; !sl.ran {
+			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", e.dedup.scenario(u).ID, e.dedup.index(u), shardOf(e.dedup, count, s.rule, u), count)
+		} else if stopOnFirst && sl.out.Class.IsFailure() {
+			break
+		}
+	}
+	c := Campaign{Name: e.c.Name, StopOnFirst: stopOnFirst}
+	res := c.assemble(e.fanOut())
+	res.DedupSavedRuns = len(e.dedup.scenarios) - e.dedup.len()
+	return res, nil
+}
 
 // UniverseHash fingerprints a scenario universe: IDs, fault names and
 // the full fault content of every scenario, in order. Journals carry
