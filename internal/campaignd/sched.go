@@ -58,14 +58,17 @@ type Scheduler struct {
 	done   chan struct{}
 	halt   atomic.Bool
 
-	mu   sync.Mutex // guards hubs, enq, specs, names, and Submit's id-allocate+enqueue pairing
+	mu   sync.Mutex // guards hubs, enq, pending, names, and Submit's id-allocate+enqueue pairing
 	hubs map[string]*hub
 	enq  map[string]time.Time // run id -> enqueue instant (queue-wait metric)
-	// specs holds what Submit parsed until the executor takes it (a run
+	// pending holds what Submit parsed until the executor takes it (a run
 	// requeued from an earlier daemon's store is parsed from there), names
 	// the campaign names status answers with.
-	specs map[string]*Spec
-	names map[string]string
+	pending map[string]*Spec
+	names   map[string]string
+	// kept is every spec body this daemon parsed that validated: a
+	// resubmitted or re-read body is not parsed again.
+	kept keptSpecs
 
 	// Telemetry plane. agg is the daemon-wide aggregate registry served
 	// at GET /metrics; live holds the in-flight run's registry (and
@@ -104,19 +107,19 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	}
 	agg := obs.NewRegistry()
 	s := &Scheduler{
-		cfg:    cfg,
-		store:  store,
-		cache:  newRunnerCache(cfg.RunnerCacheCap, agg),
-		queue:  make(chan string, cfg.QueueCap),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-		hubs:   map[string]*hub{},
-		enq:    map[string]time.Time{},
-		specs:  map[string]*Spec{},
-		names:  map[string]string{},
-		agg:    agg,
-		prom:   obs.NewPromEncoder(),
-		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
+		cfg:     cfg,
+		store:   store,
+		cache:   newRunnerCache(cfg.RunnerCacheCap, agg),
+		queue:   make(chan string, cfg.QueueCap),
+		stopCh:  make(chan struct{}),
+		done:    make(chan struct{}),
+		hubs:    map[string]*hub{},
+		enq:     map[string]time.Time{},
+		pending: map[string]*Spec{},
+		names:   map[string]string{},
+		agg:     agg,
+		prom:    obs.NewPromEncoder(),
+		flight:  obs.NewFlightRecorder(obs.DefaultFlightCap),
 	}
 	// Pre-register every daemon-wide family so the /metrics document has
 	// a deterministic shape from the first scrape (goldenfile-able), not
@@ -173,7 +176,7 @@ func (s *Scheduler) Submit(spec *Spec, rawSpec []byte) (string, error) {
 	}
 	s.hubs[id] = newHub(id, StateQueued, s.eventsDropped)
 	s.enq[id] = time.Now()
-	s.specs[id], s.names[id] = spec, spec.Campaign
+	s.pending[id], s.names[id] = spec, spec.Campaign
 	s.queue <- id
 	s.queueDepth.Set(float64(len(s.queue)))
 	s.flight.Record("run.submit", id, spec.Campaign)
@@ -194,6 +197,16 @@ func (s *Scheduler) Stop() {
 	s.cache.drain()
 }
 
+// readSpec loads and re-validates a run's stored spec, through the kept
+// specs.
+func (s *Scheduler) readSpec(id string) (*Spec, error) {
+	data, err := s.store.ReadDoc(id, docSpec)
+	if err != nil {
+		return nil, err
+	}
+	return s.kept.spec(data)
+}
+
 // CampaignName returns the campaign name of run id ("" when its stored
 // spec does not parse), reading the store only the first time it is
 // asked about a run this process did not accept.
@@ -202,7 +215,7 @@ func (s *Scheduler) CampaignName(id string) string {
 	defer s.mu.Unlock()
 	name, ok := s.names[id]
 	if !ok {
-		if spec, err := s.store.ReadSpec(id); err == nil {
+		if spec, err := s.readSpec(id); err == nil {
 			name = spec.Campaign
 			s.names[id] = name
 		}
@@ -350,8 +363,8 @@ func (s *Scheduler) execute(id string) {
 		delete(s.enq, id)
 		s.queueWait.Observe(uint64(time.Since(t0)))
 	}
-	spec := s.specs[id]
-	delete(s.specs, id)
+	spec := s.pending[id]
+	delete(s.pending, id)
 	s.mu.Unlock()
 	s.queueDepth.Set(float64(len(s.queue)))
 
@@ -380,7 +393,7 @@ func (s *Scheduler) execute(id string) {
 
 	if spec == nil {
 		var err error
-		if spec, err = s.store.ReadSpec(id); err != nil {
+		if spec, err = s.readSpec(id); err != nil {
 			fail(err)
 			return
 		}

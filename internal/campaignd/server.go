@@ -85,7 +85,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := ParseSpec(data)
+	spec, err := s.sched.kept.spec(data)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -277,7 +277,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	spec, err := s.sched.Store().ReadSpec(id)
+	spec, err := s.sched.readSpec(id)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return

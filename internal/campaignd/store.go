@@ -137,15 +137,6 @@ func (st *Store) WriteDoc(id, doc string, data []byte) error {
 	return writeFileAtomic(st.docPath(id, doc), data)
 }
 
-// ReadSpec loads and re-validates a run's spec.
-func (st *Store) ReadSpec(id string) (*Spec, error) {
-	data, err := st.ReadDoc(id, docSpec)
-	if err != nil {
-		return nil, err
-	}
-	return ParseSpec(data)
-}
-
 // State derives the run's terminal-or-pending state from disk.
 func (st *Store) State(id string) (string, error) {
 	if !runIDPat.MatchString(id) {

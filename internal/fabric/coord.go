@@ -489,10 +489,13 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A refused flush records, appends and extends nothing: a malformed
-	// entry is a 400, a conflicting duplicate (a nondeterministic
-	// prototype) or a new entry for a sealed shard a 409.
+	// entry is a 400; a conflicting duplicate (a nondeterministic
+	// prototype), a new entry for a sealed shard or a done flush that
+	// leaves the shard short of its runs a 409. A worker takes any 409
+	// as its lease lost and stops, so the shard waits for the lease to
+	// expire and be granted again.
 	code := http.StatusBadRequest
-	n, err := c.set.Add(shard, entries, func(e journal.Entry) error {
+	keep := func(e journal.Entry) error {
 		if s.state == "done" {
 			code = http.StatusConflict
 			return fmt.Errorf("entry %d arrived after shard %d completed", e.Index, shard)
@@ -502,7 +505,15 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 			return fmt.Errorf("journal append: %w", err)
 		}
 		return nil
-	})
+	}
+	var n int
+	if done && s.state != "done" {
+		// A shard is done once it holds every run it owns, as at restart,
+		// or under StopOnFirst every run it owns up to a failure.
+		n, err = c.set.AddLast(shard, entries, c.cfg.StopOnFirst, keep)
+	} else {
+		n, err = c.set.Add(shard, entries, keep)
+	}
 	if s.state != "done" {
 		// grant hands out the journal as it stands on disk, so what this
 		// request recorded is written — one write — before it is
@@ -512,7 +523,7 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		if errors.Is(err, stressor.ErrConflict) {
+		if errors.Is(err, stressor.ErrConflict) || errors.Is(err, stressor.ErrIncomplete) {
 			code = http.StatusConflict
 		}
 		writeErr(w, code, "%v", err)

@@ -160,42 +160,79 @@ func TestFlushValidation(t *testing.T) {
 		t.Fatalf("bad shard: HTTP %d, want 400", code)
 	}
 
+	fresh := entryFor(scenarios, 0, fault.Masked)
+	refused := refusedFlush(t, c, srv.URL, clock)
+	refused("good, then out-of-range index", http.StatusBadRequest, req(fresh, journal.Entry{Index: 99, ID: "s99", Class: "masked"}))
+	refused("good, then ID mismatch", http.StatusBadRequest, req(fresh, journal.Entry{Index: 2, ID: "wrong", Class: "masked"}))
+	refused("good, then conflicting duplicate", http.StatusConflict, req(fresh, conflicting))
+	refused("one index twice, disagreeing", http.StatusConflict, req(fresh, entryFor(scenarios, 0, fault.SDC)))
+	// A done flush seals the shard only once it holds every run it owns:
+	// 2 or 3 of 4 is a 409 that records nothing, and the lease stays.
+	done := func(entries ...journal.Entry) flushReq {
+		r := req(entries...)
+		r.Done = true
+		return r
+	}
+	refused("done, one short", http.StatusConflict, done(fresh, entryFor(scenarios, 2, fault.Masked)))
+	refused("done, repeats only", http.StatusConflict, done(good, good))
+	refused("done, short and failed", http.StatusConflict, done(fresh, entryFor(scenarios, 2, fault.SDC)))
+	if code := flush(t, srv.URL, 0, req(fresh)); code != http.StatusOK {
+		t.Fatalf("after a refused done, the lease's next flush: HTTP %d", code)
+	}
+	final := done(good, entryFor(scenarios, 2, fault.Masked), entryFor(scenarios, 3, fault.Masked))
+	if code := flush(t, srv.URL, 0, final); code != http.StatusOK {
+		t.Fatalf("final flush: HTTP %d", code)
+	}
+	refused("sealed: held, then conflicting", http.StatusConflict, req(fresh, entryFor(scenarios, 3, fault.SDC)))
+
+	// Under StopOnFirst a shard that holds every position up to a failure
+	// stops early; one that skipped a position below its failure, or
+	// recorded none, is still held to every run it owns. Nothing new
+	// lands on the sealed shard.
+	sc, ssrv := startCoord(t, CoordConfig{Scenarios: scenarios, Shards: 1, StopOnFirst: true, Now: clock.Now})
+	sl := lease(t, ssrv.URL, "w1")
+	sreq := func(done bool, entries ...journal.Entry) flushReq {
+		return flushReq{Worker: "w1", Attempt: sl.Attempt, Entries: entries, Done: done}
+	}
+	srefused := refusedFlush(t, sc, ssrv.URL, clock)
+	srefused("stop-on-first, done without a failure", http.StatusConflict, sreq(true, fresh))
+	srefused("stop-on-first, done at a failure past a hole", http.StatusConflict, sreq(true, fresh, entryFor(scenarios, 2, fault.SDC)))
+	if code := flush(t, ssrv.URL, 0, sreq(true, fresh, entryFor(scenarios, 1, fault.SDC))); code != http.StatusOK {
+		t.Fatalf("stop-on-first, done at the first failure: HTTP %d", code)
+	}
+	srefused("stop-on-first sealed: held, then new", http.StatusConflict, sreq(false, fresh, entryFor(scenarios, 2, fault.Masked)))
+}
+
+// refusedFlush returns a check that a flush of shard 0 of c, served at
+// url, answers code and leaves the shard as it was: nothing recorded or
+// appended, the lease not extended (clock moves a second first).
+func refusedFlush(t *testing.T, c *Coordinator, url string, clock *fakeClock) func(name string, code int, r flushReq) {
 	type state struct {
 		recorded, appended int
 		deadline           time.Time
+		sealed             bool
 	}
 	shard := func() state {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		s := c.shards[0]
-		st := state{recorded: c.set.Recorded(0), deadline: s.deadline}
+		st := state{recorded: c.set.Recorded(0), deadline: s.deadline, sealed: s.state == "done"}
 		if s.w != nil {
 			st.appended = s.w.Appends()
 		}
 		return st
 	}
-	fresh := entryFor(scenarios, 0, fault.Masked)
-	refused := func(name string, code int, entries ...journal.Entry) {
+	return func(name string, code int, r flushReq) {
 		t.Helper()
 		clock.Advance(time.Second)
 		before := shard()
-		if got := flush(t, srv.URL, 0, req(entries...)); got != code {
+		if got := flush(t, url, 0, r); got != code {
 			t.Fatalf("%s: HTTP %d, want %d", name, got, code)
 		}
 		if after := shard(); after != before {
 			t.Errorf("%s: a refused flush changed the shard: %+v, was %+v", name, after, before)
 		}
 	}
-	refused("good, then out-of-range index", http.StatusBadRequest, fresh, journal.Entry{Index: 99, ID: "s99", Class: "masked"})
-	refused("good, then ID mismatch", http.StatusBadRequest, fresh, journal.Entry{Index: 2, ID: "wrong", Class: "masked"})
-	refused("good, then conflicting duplicate", http.StatusConflict, fresh, conflicting)
-	refused("one index twice, disagreeing", http.StatusConflict, fresh, entryFor(scenarios, 0, fault.SDC))
-	final := req(fresh)
-	final.Done = true
-	if code := flush(t, srv.URL, 0, final); code != http.StatusOK {
-		t.Fatalf("final flush: HTTP %d", code)
-	}
-	refused("sealed: held, then new", http.StatusConflict, fresh, entryFor(scenarios, 2, fault.Masked))
 }
 
 // TestFlushBodyMustDecodeWhole: a flush body is journal entry frames and
@@ -246,7 +283,11 @@ func TestFlushBodyMustDecodeWhole(t *testing.T) {
 	if recorded != 0 || appended != 0 {
 		t.Fatalf("%d entries recorded, %d appended from refused bodies", recorded, appended)
 	}
-	if code := post(url+"&done=1", append(append([]byte(nil), good...), second...)); code != http.StatusOK {
+	var whole []byte
+	for i := range scenarios {
+		whole = journal.AppendEntryFrame(whole, entryFor(scenarios, i, fault.Masked))
+	}
+	if code := post(url+"&done=1", whole); code != http.StatusOK {
 		t.Fatalf("whole body: HTTP %d", code)
 	}
 }

@@ -29,7 +29,7 @@ func ParseDescriptor(s string) (Descriptor, error) {
 		return Descriptor{}, fmt.Errorf("fault: parse %q: want '<model> @<site> ...'", s)
 	}
 	var d Descriptor
-	model, ok := modelByName(fields[0])
+	model, ok := modelsByName[fields[0]]
 	if !ok {
 		return Descriptor{}, fmt.Errorf("fault: parse %q: unknown model %q", s, fields[0])
 	}
@@ -153,7 +153,7 @@ func ParseScenario(id, s string) (Scenario, error) {
 		if err != nil {
 			return Scenario{}, err
 		}
-		d.Name = fmt.Sprintf("%s#%d", d.Name, len(sc.Faults))
+		d.Name += "#" + strconv.Itoa(len(sc.Faults))
 		sc.Faults = append(sc.Faults, d)
 	}
 	if len(sc.Faults) == 0 {
@@ -195,12 +195,11 @@ func ParseDuration(s string) (sim.Time, error) {
 	return 0, fmt.Errorf("fault: bad duration %q (want e.g. 10ms, 200us)", s)
 }
 
-// modelByName resolves a model name (as printed by Model.String).
-func modelByName(name string) (Model, bool) {
-	for m, s := range modelNames {
-		if s == name {
-			return m, true
-		}
+// modelsByName resolves a model name (as printed by Model.String).
+var modelsByName = func() map[string]Model {
+	m := make(map[string]Model, len(modelNames))
+	for model, name := range modelNames {
+		m[name] = model
 	}
-	return 0, false
-}
+	return m
+}()

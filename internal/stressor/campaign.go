@@ -453,14 +453,23 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // scenarios (nil with a Source) must carry — the one Resume is checked
 // against. A list is identified by its shard layout, size and universe
 // hash; a Source by its MaxRuns budget and Fingerprint, with entries
-// keyed by proposal sequence number.
+// keyed by proposal sequence number. A list's hash is the one its
+// Checkpointer kept with the universe's plan (keptPlan.fingerprint) when
+// the plan was made for this very list, and UniverseHash otherwise.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 	if c.Source != nil {
 		h := c.Shard.JournalHeader(c.Name, c.MaxRuns, c.Fingerprint)
 		h.Adaptive = true
 		return h
 	}
-	return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
+	var kp *keptPlan
+	if c.Checkpointer != nil {
+		kp = c.Checkpointer.planCache().find(scenarios, c.Dedup)
+	}
+	if kp == nil {
+		return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
+	}
+	return c.Shard.JournalHeader(c.Name, len(scenarios), kp.fingerprint(scenarios))
 }
 
 // newExec is one Execute's state before any replay: the dedup plan,
@@ -857,9 +866,11 @@ func shardViews(d dedupPlan, owners []int, count int, order []int) []shardView {
 // of an equal universe on it sorts nothing: every unique-run position in
 // dispatch order, and the shard owners and every shard's view of the
 // last shard count asked for, so that a repeat lease of a shard builds
-// nothing either. It holds its own copy of the universe's fault lists,
-// which a lookup compares field by field (matches). Once built it never
-// changes but for the owners and views, which mu guards.
+// nothing either, and the universe's fingerprint, so that a journal
+// header hashes nothing (fingerprint). It holds its own copy of the
+// universe's fault lists, which a lookup compares field by field
+// (matches). Once built it never changes but for the owners and views,
+// which mu guards, and the fingerprint, swapped whole.
 type keptPlan struct {
 	// The key: Dedup and the universe's faults, scenario i's ending at
 	// ends[i].
@@ -874,6 +885,60 @@ type keptPlan struct {
 	ownerCount int         // the shard count owners is for; 0 before any
 	owners     []int       // shardOwners(universe, ownerCount)
 	views      []shardView // shardViews of owners, in dispatch order
+
+	// fp is the UniverseHash of the last list whose journal header was
+	// asked of this plan; nil before any.
+	fp atomic.Pointer[keptFingerprint]
+}
+
+// keptFingerprint is a list's UniverseHash and what the hash covers that
+// the plan's key does not: its scenario IDs and fault names.
+type keptFingerprint struct {
+	ids   []string
+	names []string // kp.faults' names
+	hash  string
+}
+
+// fingerprint is UniverseHash(scenarios) for a list kp matches: the kept
+// one when the list's IDs and fault names are the ones it was computed
+// over, else a fresh one kept from now on. Whatever matches kp agrees
+// with the kept list in every content field (sameContent), so equal IDs
+// and names make an equal hash.
+func (kp *keptPlan) fingerprint(scenarios []fault.Scenario) string {
+	if fp := kp.fp.Load(); fp != nil && fp.covers(scenarios) {
+		return fp.hash
+	}
+	fp := &keptFingerprint{
+		ids: make([]string, len(scenarios)), names: make([]string, 0, len(kp.faults)),
+		hash: UniverseHash(scenarios),
+	}
+	for i, sc := range scenarios {
+		fp.ids[i] = sc.ID
+		for _, d := range sc.Faults {
+			fp.names = append(fp.names, d.Name)
+		}
+	}
+	kp.fp.Store(fp)
+	return fp.hash
+}
+
+// covers reports whether scenarios carry fp's IDs and fault names, in
+// order. It is asked only of a list its plan matches, so the fault
+// counts agree.
+func (fp *keptFingerprint) covers(scenarios []fault.Scenario) bool {
+	n := 0
+	for i, sc := range scenarios {
+		if sc.ID != fp.ids[i] {
+			return false
+		}
+		for _, d := range sc.Faults {
+			if d.Name != fp.names[n] {
+				return false
+			}
+			n++
+		}
+	}
+	return true
 }
 
 // dispatchPlan is the plan of e's universe that the Checkpointer kept,

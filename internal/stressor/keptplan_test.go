@@ -280,3 +280,85 @@ func TestHostKeepsACycleOfUniverses(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalHeaderReadsTheKeptFingerprint: once a host keeps a list's
+// plan, a journal header of that list — or of a rebuilt equal one —
+// carries the fingerprint hashed once and kept with the plan, which
+// equals UniverseHash of the list. A list that differs only in one
+// scenario ID or one fault Name matches the plan but not its
+// fingerprint, and one with -0 for 0 in a Param or a NaN matches
+// neither: each is hashed afresh, to its own UniverseHash. Two
+// goroutines asking at once read and replace the fingerprint safely.
+func TestJournalHeaderReadsTheKeptFingerprint(t *testing.T) {
+	p := newEarliestFork(t)
+	for _, u := range generatedUniverses() {
+		if len(u.scenarios) == 0 {
+			continue
+		}
+		c := &Campaign{Name: "fp", Checkpointer: p}
+		header := func(scenarios []fault.Scenario) string { return c.JournalHeader(scenarios).Universe }
+		want := UniverseHash(u.scenarios)
+		if got := header(u.scenarios); got != want {
+			t.Fatalf("%s: header before any plan %s, UniverseHash %s", u.name, got, want)
+		}
+		plannedTodo(c, u.scenarios)
+		kp := p.planCache().find(u.scenarios, false)
+		if kp == nil {
+			t.Fatalf("%s: no plan kept", u.name)
+		}
+		if got := header(u.scenarios); got != want {
+			t.Fatalf("%s: header %s, UniverseHash %s", u.name, got, want)
+		}
+		kept := kp.fp.Load()
+		if kept == nil || kept.hash != want {
+			t.Fatalf("%s: plan keeps fingerprint %+v, want %s", u.name, kept, want)
+		}
+		if got := header(rebuilt(u.scenarios)); got != want || kp.fp.Load() != kept {
+			t.Fatalf("%s: a rebuilt equal list: header %s (want %s), hashed again: %v", u.name, got, want, kp.fp.Load() != kept)
+		}
+
+		k := len(u.scenarios) - 1
+		for len(u.scenarios[k].Faults) == 0 {
+			k--
+		}
+		variants := map[string]func(sc *fault.Scenario){
+			"id":      func(sc *fault.Scenario) { sc.ID += "x" },
+			"name":    func(sc *fault.Scenario) { sc.Faults[0].Name += "x" },
+			"-0":      func(sc *fault.Scenario) { sc.Faults[0].Param = math.Copysign(0, -1) },
+			"NaN":     func(sc *fault.Scenario) { sc.Faults[0].Param = math.NaN() },
+			"unequal": func(sc *fault.Scenario) { sc.Faults[0].Start++ },
+		}
+		for name, change := range variants {
+			v := rebuilt(u.scenarios)
+			change(&v[k])
+			vwant := UniverseHash(v)
+			if vwant == want {
+				t.Fatalf("%s/%s: the variant hashes as the list", u.name, name)
+			}
+			var wg sync.WaitGroup
+			for g := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range 4 {
+						list, lwant := v, vwant
+						if (i+g)%2 == 1 {
+							list, lwant = u.scenarios, want
+						}
+						if got := header(list); got != lwant {
+							t.Errorf("%s/%s: header %s, UniverseHash %s", u.name, name, got, lwant)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := header(v); got != vwant {
+				t.Fatalf("%s/%s: header %s, UniverseHash %s", u.name, name, got, vwant)
+			}
+			matched := p.planCache().find(v, false) == kp
+			if want := name == "id" || name == "name"; matched != want {
+				t.Fatalf("%s/%s: the variant matches the kept plan: %v, want %v", u.name, name, matched, want)
+			}
+		}
+	}
+}

@@ -140,6 +140,10 @@ func ParseShard(s string) (Shard, error) {
 // ErrConflict marks Add's refusal of a run recorded with two outcomes.
 var ErrConflict = errors.New("twice with different outcomes")
 
+// ErrIncomplete marks AddLast's refusal of a batch that would leave its
+// shard short of the runs it owns.
+var ErrIncomplete = errors.New("done short of the runs it owns")
+
 // ShardSet is the one path from journal entries to results, for
 // Execute's resume, Merge and a fabric coordinator's flushes and restart
 // alike: the unsharded campaign's slots, fed shard by shard, and what
@@ -171,6 +175,21 @@ func NewShardSet(name string, scenarios []fault.Scenario, dedup bool, count int)
 // The entry of a run a sharded resume does not hold a slot for — another
 // shard's — is checked like any and then dropped.
 func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Entry) error) (int, error) {
+	return s.add(shard, entries, false, false, keep)
+}
+
+// AddLast is Add for the batch a shard says it is done with. It records
+// nothing, refusing the batch with an error wrapping ErrIncomplete,
+// unless with it the shard has recorded as many runs as it owns (the
+// rule a coordinator adopts a journal left at restart by) or, under
+// stopOnFirst, every position it owns up to a failure: a StopOnFirst
+// shard runs its positions in index order and stops at its first
+// failure.
+func (s *ShardSet) AddLast(shard int, entries []journal.Entry, stopOnFirst bool, keep func(journal.Entry) error) (int, error) {
+	return s.add(shard, entries, true, stopOnFirst, keep)
+}
+
+func (s *ShardSet) add(shard int, entries []journal.Entry, last, stopOnFirst bool, keep func(journal.Entry) error) (int, error) {
 	name, d, fresh := s.e.c.Name, s.e.dedup, s.fresh[:0]
 	var dropped map[int]*slot // another shard's runs, by position
 	var err error
@@ -217,6 +236,9 @@ func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Ent
 			break
 		}
 	}
+	if err == nil && last && s.recorded[shard]+len(fresh) < s.Owned(shard) && !(stopOnFirst && s.heldToFailure(shard)) {
+		err = fmt.Errorf("campaign %s: shard %d %w: %d of %d recorded", name, shard, ErrIncomplete, s.recorded[shard]+len(fresh), s.Owned(shard))
+	}
 	n := len(fresh) // recorded: the new entries before any keep refused
 	if err != nil {
 		n = 0
@@ -233,6 +255,27 @@ func (s *ShardSet) Add(shard int, entries []journal.Entry, keep func(journal.Ent
 	}
 	s.fresh, s.recorded[shard] = fresh, s.recorded[shard]+n
 	return n, err
+}
+
+// heldToFailure reports whether the slots hold every position shard
+// owns, in index order, up to one that failed.
+func (s *ShardSet) heldToFailure(shard int) bool {
+	e, count := s.e, len(s.recorded)
+	owner := func(u int) int { return shardOf(e.dedup, count, s.rule, u) }
+	if count > 1 && s.rule != journal.PartitionRoundRobin {
+		owners := shardOwners(e.dedup, count)
+		owner = func(u int) int { return owners[u] }
+	}
+	for u := range e.slots {
+		switch sl := &e.slots[u]; {
+		case owner(u) != shard:
+		case !sl.ran:
+			return false
+		case sl.out.Class.IsFailure():
+			return true
+		}
+	}
+	return false
 }
 
 // Recorded is how many runs shard has recorded.
