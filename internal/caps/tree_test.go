@@ -135,8 +135,8 @@ func TestTreeEstablishSteadyStateAllocs(t *testing.T) {
 // from there to the next cycle. The twelve are the cycle at 1 ms itself
 // (an activity instant, forked from time zero and never keyed), the ten
 // long windows of periods 1 to 10, and the short window of period 10,
-// which 10.139 ms lands in. One session simulates each (window,
-// descriptor) pair once.
+// which 10.139 ms lands in. Each (window, descriptor) pair is simulated
+// once, on one worker and on several alike.
 func TestForkWindowCollapse(t *testing.T) {
 	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {
@@ -150,8 +150,9 @@ func TestForkWindowCollapse(t *testing.T) {
 // as four shards. Each is a contiguous slice of it in injection-time
 // order — ten instants — so the only window simulated twice is the one
 // a cut falls in: 3.47, 5.94 and 8.41 ms each sit inside a long window,
-// and the shards simulate 252 + 3×21 = 315 runs. Cut round-robin, every
-// shard meets every window and the four simulate all 840.
+// and the shards simulate 252 + 3×21 = 315 runs, on two workers as on
+// one. Cut round-robin, every shard meets every window and the four
+// simulate all 840.
 func TestShardedForkWindowCollapse(t *testing.T) {
 	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
 	if err != nil {

@@ -12,9 +12,9 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -150,6 +150,7 @@ const (
 	moveRetarget
 	moveRebit
 	moveReparam
+	numMoves
 )
 
 // creditKey identifies one bandit arm: a mutation move applied to a
@@ -173,8 +174,9 @@ func bitAddressed(md fault.Model) bool {
 // ((wins+0.5)/(trials+1) — optimistic for unexplored arms, sharply
 // suppressed after repeated failures). ok=false when no move applies.
 func (m *Mutator) chooseMove(parent fault.Descriptor) (int, bool) {
-	var moves []int
-	var weights []float64
+	var movesAt [numMoves]int
+	var weightsAt [numMoves]float64
+	moves, weights := movesAt[:0], weightsAt[:0]
 	add := func(mv int) {
 		k := creditKey{parent.Model, mv}
 		moves = append(moves, mv)
@@ -268,7 +270,7 @@ func (m *Mutator) Mutate(parent fault.Descriptor, n int) []fault.Descriptor {
 			continue
 		}
 		m.serial++
-		d.Name = fmt.Sprintf("%s~m%d", parent.Name, m.serial)
+		d.Name = parent.Name + "~m" + strconv.Itoa(m.serial)
 		m.prov[d.Name] = creditKey{parent.Model, mv}
 		out = append(out, d)
 	}
@@ -348,7 +350,7 @@ func (n *Novelty) Next() (fault.Scenario, bool) {
 	if len(n.queue) > 0 {
 		sc := n.queue[len(n.queue)-1]
 		n.queue = n.queue[:len(n.queue)-1]
-		sc.ID = fmt.Sprintf("nv-%d", n.produced)
+		sc.ID = "nv-" + strconv.Itoa(n.produced)
 		return sc, true
 	}
 	// Fallback: the queue drained (Observe feedback lags the proposal
@@ -365,11 +367,11 @@ func (n *Novelty) Next() (fault.Scenario, bool) {
 	parent := pool[n.rrNovel%len(pool)]
 	n.rrNovel++
 	for _, d := range n.mut.Mutate(parent, 1) {
-		return fault.Scenario{ID: fmt.Sprintf("nv-%d", n.produced), Faults: []fault.Descriptor{d}}, true
+		return fault.Scenario{ID: "nv-" + strconv.Itoa(n.produced), Faults: []fault.Descriptor{d}}, true
 	}
 	// Mutation-disabled corner (no window, single-cell universe):
 	// re-propose the parent itself rather than stalling the stream.
-	return fault.Scenario{ID: fmt.Sprintf("nv-%d", n.produced), Faults: []fault.Descriptor{parent}}, true
+	return fault.Scenario{ID: "nv-" + strconv.Itoa(n.produced), Faults: []fault.Descriptor{parent}}, true
 }
 
 // enqueue appends a descendant scenario, honoring MaxQueue.

@@ -488,7 +488,7 @@ func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
 	}
 	e.view = shardView{own: e.dedup}
 	if kp != nil {
-		e.view.order = kp.order
+		e.view.order, e.view.family = kp.order, kp.family
 	}
 	if c.Shard.Enabled() {
 		e.view = kp.shardView(e.dedup, c.Shard)
@@ -543,10 +543,12 @@ func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error)
 // Workers.
 const lookahead = 8
 
-// maxChunk caps how many positions of a list one claim takes. A chunk
-// is what a worker runs between two trips to the shared state, and what
+// maxChunk caps the guided share of a list one claim takes. A chunk is
+// what a worker runs between two trips to the shared state, and what
 // the coordinator gets back — and journals, and polls Halt after — in
-// one piece, so it also scales the Halt and StopOnFirst overshoot.
+// one piece, so it also scales the Halt and StopOnFirst overshoot. On
+// more than one worker a span runs past it to the end of the fork-window
+// family it stopped in (claim): those members are recalls, not runs.
 const maxChunk = 16
 
 // slot is one position's result. The worker that ran the position
@@ -622,14 +624,19 @@ type campaignExec struct {
 	slots []slot
 
 	// The hand-out. Indices below published may be claimed; claimed is the
-	// next one a worker takes, with one atomic add per span. final says
-	// published will not grow again, closed that nothing further is to
-	// start; mu and more are where a worker whose index is not published
-	// yet waits for either.
+	// next one a worker takes, with one atomic add per span — or, where
+	// family is set, a compare-and-swap. final says published will not
+	// grow again, closed that nothing further is to start; mu and more are
+	// where a worker whose index is not published yet waits for either.
 	published, claimed atomic.Int64
 	final, closed      atomic.Bool
 	mu                 sync.Mutex
 	more               sync.Cond
+	// family is each hand-out index's fork-window family (keptPlan.family)
+	// for a list whose plan has one of two or more members; nil for any
+	// other list and for a source. Only the coordinator writes it, before
+	// any worker starts.
+	family []int32
 	// cutoff is the lowest failing position under StopOnFirst (MaxInt64:
 	// none). The worker that classifies a failure lowers it; every worker
 	// reads it to skip the positions past it.
@@ -681,11 +688,33 @@ func (e *campaignExec) close() {
 // even split, so the spans shrink towards the end and the workers finish
 // together; the coordinator running inline takes 1 to retire (and poll
 // Halt after) every run.
+//
+// On more than one worker, a list with window families (family) extends
+// the share to the end of the family it stopped in, so that one worker's
+// session runs a whole family and answers all but its first member from
+// its memo; the compare-and-swap that takes such a span still hands every
+// index out exactly once. The list was published whole before any worker
+// started, so nothing waits.
 func (e *campaignExec) claim(workers int) (sp span, ok bool) {
+	if workers > 1 && e.family != nil {
+		end := int(e.published.Load())
+		for {
+			lo := e.claimed.Load()
+			if int(lo) >= end {
+				return span{}, false
+			}
+			sp = span{int(lo), int(lo) + guided(end-int(lo), workers)}
+			for sp.hi < end && e.family[sp.hi] == e.family[sp.hi-1] {
+				sp.hi++
+			}
+			if e.claimed.CompareAndSwap(lo, int64(sp.hi)) {
+				return sp, !e.closed.Load()
+			}
+		}
+	}
 	n := 1
 	if workers > 0 && e.final.Load() {
-		left := int(e.published.Load() - e.claimed.Load())
-		n = min(max(left/(4*workers), 1), maxChunk)
+		n = guided(int(e.published.Load()-e.claimed.Load()), workers)
 	}
 	sp.lo = int(e.claimed.Add(int64(n))) - n
 	if int(e.published.Load()) <= sp.lo {
@@ -698,6 +727,9 @@ func (e *campaignExec) claim(workers int) (sp span, ok bool) {
 	sp.hi = min(sp.lo+n, int(e.published.Load()))
 	return sp, sp.lo < sp.hi && !e.closed.Load()
 }
+
+// guided is a claim's share of left positions for workers workers.
+func guided(left, workers int) int { return min(max(left/(4*workers), 1), maxChunk) }
 
 // lowerCutoff moves the StopOnFirst cutoff down to a failing position.
 func (e *campaignExec) lowerCutoff(pos int) {
@@ -753,8 +785,8 @@ type listPlan struct {
 
 // newListPlan plans a scenario list whose slots hold the replayed
 // journal: it counts what was replayed and leaves the rest in todo, in
-// the view's dispatch order. It walks the slots the Execute holds, a
-// shard's own and no other.
+// the view's dispatch order, and their window families in e.family. It
+// walks the slots the Execute holds, a shard's own and no other.
 func newListPlan(e *campaignExec) *listPlan {
 	l := &listPlan{campaignExec: e}
 	n := 0 // positions to run
@@ -769,12 +801,16 @@ func newListPlan(e *campaignExec) *listPlan {
 			e.answered[byJournal]++
 		}
 	}
-	order := e.view.order
+	order, family := e.view.order, e.view.family
 	if order != nil && n == len(order) {
-		l.todo = order // the plan runs whole; todo is only ever read
+		// The plan runs whole; todo and family are only ever read.
+		l.todo, e.family = order, family
 		return l
 	}
 	l.todo = make([]int, 0, n)
+	if family != nil {
+		e.family = make([]int32, 0, n)
+	}
 	for i := range e.slots {
 		u := i
 		if order != nil {
@@ -782,6 +818,9 @@ func newListPlan(e *campaignExec) *listPlan {
 		}
 		if !e.slots[u].ran {
 			l.todo = append(l.todo, u)
+			if family != nil {
+				e.family = append(e.family, family[i])
+			}
 		}
 	}
 	return l
@@ -796,7 +835,10 @@ func newListPlan(e *campaignExec) *listPlan {
 type shardView struct {
 	own dedupPlan
 	// order lists own's positions in dispatch order; nil is index order.
-	order []int
+	// family is each one's fork-window family (keptPlan.family), nil when
+	// the plan keeps none.
+	order  []int
+	family []int32
 }
 
 // slotOf is the slot that holds position u of e's dedup plan; nil when
@@ -831,19 +873,27 @@ func (e *campaignExec) fanOut() ([]slot, []int) {
 
 // shardViews is every shard's view of d under owners, which maps each
 // position to its shard of count, each view dispatching its positions
-// in the order order lists them (nil: index order).
-func shardViews(d dedupPlan, owners []int, count int, order []int) []shardView {
+// in the order order lists them (nil: index order) and keeping their
+// families from family (nil: none).
+func shardViews(d dedupPlan, owners []int, count int, order []int, family []int32) []shardView {
 	views := make([]shardView, count)
 	indices := make([]int, len(owners)) // every view's own.uniq, shard by shard
 	var orders, slot []int              // every view's order; each position's slot in its view
+	var families []int32                // every view's family
 	if order != nil {
 		orders, slot = make([]int, len(owners)), make([]int, len(owners))
+	}
+	if family != nil {
+		families = make([]int32, len(owners))
 	}
 	for s, lo := 0, 0; s < count; s++ {
 		hi := lo + shardLen(len(owners), count, s)
 		views[s].own = dedupPlan{scenarios: d.scenarios, uniq: indices[lo:lo:hi]}
 		if order != nil {
 			views[s].order = orders[lo:lo:hi]
+		}
+		if family != nil {
+			views[s].family = families[lo:lo:hi]
 		}
 		lo = hi
 	}
@@ -854,9 +904,12 @@ func shardViews(d dedupPlan, owners []int, count int, order []int) []shardView {
 		}
 		v.own.uniq = append(v.own.uniq, d.index(u))
 	}
-	for _, u := range order {
+	for i, u := range order {
 		v := &views[owners[u]]
 		v.order = append(v.order, slot[u])
+		if family != nil {
+			v.family = append(v.family, family[i])
+		}
 	}
 	return views
 }
@@ -878,8 +931,11 @@ type keptPlan struct {
 	ends   []int
 	faults []fault.Descriptor
 
-	// order holds every unique-run position in dispatch order.
-	order []int
+	// order holds every unique-run position in dispatch order, and family
+	// the fork-window family of each (sortPositions); family is nil when
+	// no family has two members.
+	order  []int
+	family []int32
 
 	mu         sync.Mutex
 	ownerCount int         // the shard count owners is for; 0 before any
@@ -969,9 +1025,11 @@ func (e *campaignExec) dispatchPlan() *keptPlan {
 	// first — so scenario families dispatch back to back and fork from the
 	// same retained node while it is hottest in the LRU, and the members of
 	// one family that differ in Start alone (a fork window's instants, see
-	// the session's window) stay adjacent: a claimed span then splits at
-	// most one such family between two workers' private memos.
-	kp.order = sortPositions(d, func(sc fault.Scenario) sim.Time {
+	// the session's window) stay adjacent. The plan records those window
+	// families, and claim never splits one between two workers: the one
+	// session that runs a family simulates its first member and recalls
+	// the rest.
+	kp.order, kp.family = sortPositions(d, func(sc fault.Scenario) sim.Time {
 		fork, _ := c.Checkpointer.ForkTime(sc)
 		return fork
 	})
@@ -980,15 +1038,21 @@ func (e *campaignExec) dispatchPlan() *keptPlan {
 }
 
 // sortPositions lists d's unique-run positions ordered by at(scenario),
-// then by the scenario's first fault's content, then by position. The order is total, so it needs no stable sort, and
-// filtering it gives any subset of the positions its own sorted order.
-func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) []int {
+// then by the scenario's first fault's content, then by position. The
+// order is total, so it needs no stable sort, and filtering it gives any
+// subset of the positions its own sorted order. family numbers each
+// position of order by its fork-window family: a run of neighbours with
+// one at and one single permanent fault (windowKeyOf) that agree in
+// every content field but Start, all a session's window memo tells
+// apart. family is nil when no family has two members.
+func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) (order []int, family []int32) {
 	// Each position's key, read once: a comparison then touches neither
 	// the dedup plan nor the scenario.
 	type key struct {
 		at    sim.Time
 		first *fault.Descriptor
 		u     int
+		keyed bool // a single permanent fault
 	}
 	var none fault.Descriptor
 	keys := make([]key, d.len())
@@ -997,6 +1061,7 @@ func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) []int {
 		keys[u] = key{at: at(sc), first: &none, u: u}
 		if len(sc.Faults) > 0 {
 			keys[u].first = &sc.Faults[0]
+			keys[u].keyed = len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent
 		}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
@@ -1008,11 +1073,33 @@ func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) []int {
 		}
 		return cmp.Compare(a.u, b.u)
 	})
-	order := make([]int, len(keys))
+	order = make([]int, len(keys))
+	family = make([]int32, len(keys))
+	shared := false // some family has two members
 	for i, k := range keys {
 		order[i] = k.u
+		if i == 0 {
+			continue
+		}
+		family[i] = family[i-1]
+		if prev := keys[i-1]; k.keyed && prev.keyed && k.at == prev.at && sameWindowContent(k.first, prev.first) {
+			shared = true
+		} else {
+			family[i]++
+		}
 	}
-	return order
+	if !shared {
+		family = nil
+	}
+	return order, family
+}
+
+// sameWindowContent reports whether two descriptors agree in every field
+// but Name and Start.
+func sameWindowContent(a, b *fault.Descriptor) bool {
+	x, y := *a, *b
+	x.Start, y.Start = 0, 0
+	return sameContent(&x, &y)
 }
 
 // matches reports whether kp was made for scenarios under dedup: the

@@ -3,12 +3,14 @@ package stressor
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/sim"
 )
 
 // The hand-out's property test (DESIGN §7): publish, claim, retire over
@@ -309,6 +311,172 @@ func TestHandoutSourceAtLookahead(t *testing.T) {
 					t.Errorf("%d coordinator callbacks, want %d", p.calls, want)
 				}
 			})
+		}
+	}
+}
+
+// familyForks is a Checkpointer over handoutProbe whose scenarios
+// (familyScenarios) fork by the window family fam of their Start, so
+// that the plan's dispatch order is index order and its families are
+// fam's runs. Each session records, by scenario index, which session ran
+// it.
+type familyForks struct {
+	p        *handoutProbe
+	fam      []int
+	by       []atomic.Int32 // 1 + the session that ran scenario i
+	sessions atomic.Int32
+}
+
+func (f *familyForks) ForkTime(sc fault.Scenario) (sim.Time, bool) {
+	return sim.Time(f.fam[sc.Faults[0].Start]), true
+}
+
+func (f *familyForks) planCache() *planCache { return nil }
+
+func (f *familyForks) NewTreeSession(TreeConfig) CheckpointSession {
+	return &familySession{f: f, id: f.sessions.Add(1)}
+}
+
+type familySession struct {
+	f  *familyForks
+	id int32
+}
+
+func (s *familySession) Run(sc fault.Scenario, _ sim.Time) fault.Outcome {
+	s.f.by[sc.Faults[0].Start].Store(s.id)
+	return s.f.p.run(sc)
+}
+
+func (s *familySession) Close() {}
+
+// familyScenarios is n single permanent faults of one content at Starts
+// 0..n-1, named s0..s(n-1), cut into families whose sizes cycle through
+// sizes, and each scenario's family.
+func familyScenarios(n int, sizes []int) ([]fault.Scenario, []int) {
+	scs, fam := make([]fault.Scenario, n), make([]int, n)
+	for i, f, left := 0, 0, sizes[0]; i < n; i++ {
+		if left == 0 {
+			f++
+			left = sizes[f%len(sizes)]
+		}
+		left--
+		fam[i] = f
+		scs[i] = fault.Single(fault.Descriptor{
+			Name: fmt.Sprintf("s%d", i), Model: fault.BitFlip, Class: fault.Permanent, Target: "m", Start: sim.Time(i),
+		})
+	}
+	return scs, fam
+}
+
+// familySizes mixes singletons, families shorter than a chunk, and one
+// longer than maxChunk.
+var familySizes = []int{1, 3, 2, maxChunk + 3, 5, 1, 9}
+
+// TestHandoutClaimsEndAtFamilyBoundaries: on a list with window
+// families, workers claiming concurrently take every index exactly once,
+// in spans that each end at a family boundary or at the end of the list
+// and run at most to the end of the family a guided share stopped in.
+func TestHandoutClaimsEndAtFamilyBoundaries(t *testing.T) {
+	for _, n := range []int{maxChunk - 1, maxChunk, maxChunk + 1, 3 * maxChunk, 1000} {
+		for _, workers := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				_, fam := familyScenarios(n, familySizes)
+				e := &campaignExec{family: make([]int32, n)}
+				for i, f := range fam {
+					e.family[i] = int32(f)
+				}
+				e.published.Store(int64(n))
+				e.final.Store(true)
+				spans := make([][]span, workers)
+				var wg sync.WaitGroup
+				for w := range spans {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							sp, ok := e.claim(workers)
+							if !ok {
+								return
+							}
+							spans[w] = append(spans[w], sp)
+						}
+					}()
+				}
+				wg.Wait()
+				claimed := make([]int, n)
+				for _, ws := range spans {
+					for _, sp := range ws {
+						for i := sp.lo; i < sp.hi; i++ {
+							claimed[i]++
+						}
+						if sp.hi < n && fam[sp.hi] == fam[sp.hi-1] {
+							t.Errorf("span [%d, %d) ends inside family %d", sp.lo, sp.hi, fam[sp.hi])
+						}
+						if sp.hi-sp.lo > maxChunk && fam[sp.hi-1] != fam[sp.lo+maxChunk-1] {
+							t.Errorf("span [%d, %d) runs past the family its share stopped in", sp.lo, sp.hi)
+						}
+					}
+				}
+				for i, c := range claimed {
+					if c != 1 {
+						t.Fatalf("index %d claimed %d times", i, c)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHandoutFamiliesRunWhole: a checkpointed list with window families
+// runs every position once on every worker count, each family on one
+// session; its journal appends stay serial and once per position; and
+// Halt at any point stops the pool within one position per worker.
+func TestHandoutFamiliesRunWhole(t *testing.T) {
+	for _, n := range []int{maxChunk - 1, maxChunk, maxChunk + 1, 1000} {
+		for _, workers := range []int{2, 4, 8} {
+			scs, fam := familyScenarios(n, familySizes)
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				p := newHandoutProbe(t, n)
+				f := &familyForks{p: p, fam: fam, by: make([]atomic.Int32, n)}
+				res, err := (&Campaign{Name: "fam", Checkpointer: f, Workers: workers, Journal: p, Halt: p.halt}).Execute(scs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.checkOnce(func(int) bool { return true })
+				if len(res.Outcomes) != n || len(p.appends) != n || res.Halted {
+					t.Fatalf("%d outcomes, %d journal entries (halted %v), want %d", len(res.Outcomes), len(p.appends), res.Halted, n)
+				}
+				for i := 1; i < n; i++ {
+					if fam[i] == fam[i-1] && f.by[i].Load() != f.by[i-1].Load() {
+						t.Errorf("family %d split between sessions at scenario %d", fam[i], i)
+					}
+				}
+			})
+			for _, haltAt := range []int{1, n / 3, n - 1} {
+				t.Run(fmt.Sprintf("n=%d/workers=%d/halt=%d", n, workers, haltAt), func(t *testing.T) {
+					p := newHandoutProbe(t, n)
+					p.haltAt = haltAt
+					f := &familyForks{p: p, fam: fam, by: make([]atomic.Int32, n)}
+					res, err := (&Campaign{Name: "fam", Checkpointer: f, Workers: workers, Journal: p, Halt: p.halt}).Execute(scs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if late := int(p.late.Load()); late > workers {
+						t.Errorf("%d runs started after Halt returned true, want at most one per worker (%d)", late, workers)
+					}
+					ran := 0
+					for i := range p.runs {
+						ran += int(p.runs[i].Load())
+					}
+					p.checkOnce(func(int) bool { return false })
+					if ran != len(res.Outcomes) || ran != len(p.appends) {
+						t.Errorf("%d runs, %d outcomes, %d journal entries: every run that happened is delivered", ran, len(res.Outcomes), len(p.appends))
+					}
+					if !res.Halted && ran != n {
+						t.Errorf("%d of %d ran, and the campaign does not say it was halted", ran, n)
+					}
+				})
+			}
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (s Shard) JournalHeader(campaign string, total int, universe string) journa
 // fault Start (ForkTime, not a host's), cut into count ranges.
 func shardOwners(d dedupPlan, count int) []int {
 	n := d.len()
-	order := sortPositions(d, ForkTime)
+	order, _ := sortPositions(d, ForkTime)
 	owner := make([]int, n)
 	for s, lo := 0, 0; s < count; s++ {
 		hi := lo + shardLen(n, count, s)
@@ -86,13 +86,13 @@ func shardOwners(d dedupPlan, count int) []int {
 // plan, the view is built afresh, in index order.
 func (kp *keptPlan) shardView(d dedupPlan, sh Shard) shardView {
 	if kp == nil {
-		return shardViews(d, shardOwners(d, sh.Count), sh.Count, nil)[sh.Index]
+		return shardViews(d, shardOwners(d, sh.Count), sh.Count, nil, nil)[sh.Index]
 	}
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
 	if kp.ownerCount != sh.Count {
 		kp.owners, kp.ownerCount = shardOwners(d, sh.Count), sh.Count
-		kp.views = shardViews(d, kp.owners, sh.Count, kp.order)
+		kp.views = shardViews(d, kp.owners, sh.Count, kp.order, kp.family)
 	}
 	return kp.views[sh.Index]
 }

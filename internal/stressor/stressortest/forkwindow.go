@@ -14,10 +14,11 @@ import (
 // ForkWindowCollapse is the gate that fails when the fork-window collapse
 // rots (DESIGN §14), on a prototype's own dense permanent-fault sweep: its
 // universe at every one of instants, which must fork at exactly windows
-// distinct places. One worker's session must simulate each (window,
-// descriptor) pair once and answer the rest from its memo — a count, not
-// a time — with no injection failing the silence test, and the result
-// must be memo-free one-shot runs', outcome for outcome.
+// distinct places. At 1, 2 and 4 workers the campaign must simulate each
+// (window, descriptor) pair once and answer the rest from its sessions'
+// memos — a count, not a time: no worker count splits a family between
+// two sessions — with no injection failing the silence test, and the
+// result must be memo-free one-shot runs', outcome for outcome.
 func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows int) {
 	t.Helper()
 	scenarios := denseUniverse(p, instants)
@@ -32,26 +33,28 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tree, err := windowCampaign(p, reg, stressor.Shard{}).Execute(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
-		t.Errorf("collapsed outcomes diverge from one-shot runs:\ngot:  %+v\nwant: %+v", tree.Outcomes, plain.Outcomes)
-	}
-	hits, loud := windowCounts(reg)
 	if len(forks) != windows {
 		t.Errorf("the instants fork at %d distinct windows, want %d", len(forks), windows)
 	}
-	simulated := uint64(len(scenarios)) - hits
-	if want := uint64(windows * perInstant); simulated != want {
-		t.Errorf("simulated %d of %d scenarios, want %d (one per window and descriptor)", simulated, len(scenarios), want)
+	for _, workers := range []int{1, 2, 4} {
+		reg := obs.NewRegistry()
+		tree, err := windowCampaign(p, reg, stressor.Shard{}, workers).Execute(scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tree.Outcomes, plain.Outcomes) {
+			t.Errorf("workers=%d: collapsed outcomes diverge from one-shot runs:\ngot:  %+v\nwant: %+v", workers, tree.Outcomes, plain.Outcomes)
+		}
+		hits, loud := windowCounts(reg)
+		simulated := uint64(len(scenarios)) - hits
+		if want := uint64(windows * perInstant); simulated != want {
+			t.Errorf("workers=%d: simulated %d of %d scenarios, want %d (one per window and descriptor)", workers, simulated, len(scenarios), want)
+		}
+		if loud != 0 {
+			t.Errorf("workers=%d: %d injections failed the silence test; no injector of the prototype schedules anything", workers, loud)
+		}
+		t.Logf("workers=%d: %d instants, %d windows: %d of %d scenarios simulated", workers, len(instants), len(forks), simulated, len(scenarios))
 	}
-	if loud != 0 {
-		t.Errorf("%d injections failed the silence test; no injector of the prototype schedules anything", loud)
-	}
-	t.Logf("%d instants, %d windows: %d of %d scenarios simulated", len(instants), len(forks), simulated, len(scenarios))
 }
 
 // ShardedForkWindowCollapse is the count sharding costs: the
@@ -61,7 +64,9 @@ func ForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, windows 
 // one unsharded campaign does — a cut between two instants of one idle
 // window simulates that window's descriptors on both sides of it. A
 // partition that scatters a window's instants over every shard
-// simulates the window once in each.
+// simulates the window once in each. Every shard, run again on two
+// workers, must simulate what it did on one: a shard's view keeps the
+// plan's families.
 func ShardedForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, shards int) {
 	t.Helper()
 	scenarios := denseUniverse(p, instants)
@@ -69,22 +74,25 @@ func ShardedForkWindowCollapse(t *testing.T, p Prototype, instants []sim.Time, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulated := func(sh stressor.Shard) (int, []fault.Outcome) {
+	simulated := func(sh stressor.Shard, workers int) (int, []fault.Outcome) {
 		reg := obs.NewRegistry()
-		res, err := windowCampaign(p, reg, sh).Execute(scenarios)
+		res, err := windowCampaign(p, reg, sh, workers).Execute(scenarios)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hits, _ := windowCounts(reg)
 		return len(res.Outcomes) - int(hits), res.Outcomes
 	}
-	whole, _ := simulated(stressor.Shard{})
+	whole, _ := simulated(stressor.Shard{}, 1)
 	sum, byID := 0, map[string]fault.Outcome{}
 	for s := 0; s < shards; s++ {
-		n, outs := simulated(stressor.Shard{Index: s, Count: shards})
+		n, outs := simulated(stressor.Shard{Index: s, Count: shards}, 1)
 		sum += n
 		for _, o := range outs {
 			byID[o.Scenario.ID] = o
+		}
+		if n2, outs2 := simulated(stressor.Shard{Index: s, Count: shards}, 2); n2 != n || !reflect.DeepEqual(outs2, outs) {
+			t.Errorf("shard %d/%d simulated %d scenarios on two workers, %d on one", s, shards, n2, n)
 		}
 	}
 	for _, want := range plain.Outcomes {
@@ -115,10 +123,12 @@ func denseUniverse(p Prototype, instants []sim.Time) []fault.Scenario {
 	return scenarios
 }
 
-// windowCampaign is the one-worker checkpoint-tree campaign whose
-// session memo the fork-window gates count.
-func windowCampaign(p Prototype, reg *obs.Registry, sh stressor.Shard) *stressor.Campaign {
-	return &stressor.Campaign{Name: "windows", Workers: 1, Metrics: reg, Shard: sh, Checkpointer: p}
+// windowCampaign is the checkpoint-tree campaign on workers workers
+// whose sessions' memos the fork-window gates count. Its count is one
+// worker's at any worker count, because claim hands each window family
+// to one session whole.
+func windowCampaign(p Prototype, reg *obs.Registry, sh stressor.Shard, workers int) *stressor.Campaign {
+	return &stressor.Campaign{Name: "windows", Workers: workers, Metrics: reg, Shard: sh, Checkpointer: p}
 }
 
 // windowCounts reads a windowCampaign's fork-window hit and loud counters.

@@ -201,13 +201,17 @@ type session[S sim.State, R any] struct {
 	abandoned atomic.Bool
 
 	// The fork-window memo (see window): the kernel was last established
-	// in the golden idle window (winFork-1, winEnd), memo holds what the
-	// silent runs injected inside it came to, and pending is the key of the
-	// run in flight, set while its window leg has been silent.
-	winFork, winEnd sim.Time
-	memo            map[windowKey]windowVerdict
-	pending         windowKey
-	hasPending      bool
+	// in the golden idle window (winFork-1, winEnd); memo is what the last
+	// silent run injected inside it came to, memoKey that run's key.
+	// hasMemo says memo holds it; hasPending says the run in flight, whose
+	// key memoKey already is, has had a silent window leg. One entry is
+	// all a campaign needs: it dispatches a window's instants of one
+	// descriptor (a family, keptPlan.family) back to back, and one worker
+	// runs a whole family (claim).
+	winFork, winEnd     sim.Time
+	memoKey             windowKey
+	memo                windowVerdict
+	hasMemo, hasPending bool
 
 	hits, extends, rebuilds, evictions *obs.Counter
 	earlyExits, siblingExits, savedNs  *obs.Counter
@@ -471,15 +475,11 @@ func (s *session[S, R]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome,
 		return fault.Outcome{}, false
 	}
 	key, start, ok := windowKeyOf(sc)
-	if !ok || start >= s.winEnd {
-		return fault.Outcome{}, false
-	}
-	v, ok := s.memo[key]
-	if !ok {
+	if !ok || start >= s.winEnd || !s.hasMemo || key != s.memoKey {
 		return fault.Outcome{}, false
 	}
 	inc(s.windowHits)
-	return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail, Signature: v.sig}, true
+	return fault.Outcome{Scenario: sc, Class: s.memo.class, Detail: s.memo.detail, Signature: s.memo.sig}, true
 }
 
 // window runs a keyed scenario's first leg, with the kernel established
@@ -502,8 +502,7 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 	k := s.sl.k
 	b := k.NextEventTime()
 	if s.cur != s.winFork || b != s.winEnd {
-		s.winFork, s.winEnd = s.cur, b
-		clear(s.memo)
+		s.winFork, s.winEnd, s.hasMemo = s.cur, b, false
 	}
 	if start >= b {
 		return nil
@@ -515,7 +514,7 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 	after := k.Stats()
 	if after.Activations-before.Activations == 2 && after.Notifications-before.Notifications == 1 &&
 		k.NextEventTime() == b && st.Finished() && len(st.InjectionErrors()) == 0 {
-		s.pending, s.hasPending = key, true
+		s.memoKey, s.hasMemo, s.hasPending = key, false, true
 	} else {
 		inc(s.windowLoud)
 	}
@@ -524,17 +523,15 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 
 // remember keeps out as the verdict of every later scenario recall finds
 // equivalent to the one that just ran, when that run's window leg was
-// silent. Run calls it only for a run that ended cleanly — one that
-// errored, panicked or timed out is never remembered.
+// silent; the memo's earlier verdict, of another key, goes. Run calls it
+// only for a run that ended cleanly — one that errored, panicked or timed
+// out is never remembered.
 func (s *session[S, R]) remember(out fault.Outcome) {
 	if !s.hasPending {
 		return
 	}
-	s.hasPending = false
-	if s.memo == nil {
-		s.memo = make(map[windowKey]windowVerdict)
-	}
-	s.memo[s.pending] = windowVerdict{class: out.Class, detail: out.Detail, sig: out.Signature}
+	s.memo = windowVerdict{class: out.Class, detail: out.Detail, sig: out.Signature}
+	s.hasMemo, s.hasPending = true, false
 }
 
 // trajectory is the golden run's stride grid and record, taken by
