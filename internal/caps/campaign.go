@@ -2,6 +2,7 @@ package caps
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -70,7 +71,7 @@ type model struct {
 func (m *model) Build(k *sim.Kernel) (*System, *fault.Registry) { return Build(k, m.cfg, m.world) }
 
 func (m *model) Observe(s *System) analysis.Observation {
-	return m.observation(s.Fired, s.FiredAt, formatSeverities(s.Severities, nil, 0), s.Detections, m.stateCorrupted(s))
+	return m.observation(outputs(s.Fired, string(s.Severities)), s.Fired, s.FiredAt, s.Detections, m.stateCorrupted(s))
 }
 
 // Golden vets the golden run: what an early-exited run's observation
@@ -84,16 +85,16 @@ func (m *model) Golden(_ *System, ob analysis.Observation) error {
 
 // record is a finished run's output history as a run joining its
 // trajectory splices it: the history lengths at each stride mark, the
-// full-horizon history — the severity stream as Observe renders it, with
-// where in that text each mark's suffix starts, and the detections — and
-// the final dynamic-derived facts (firing, latent corruption). The digest
-// covers only dynamic state — see System.HashState — so the history,
-// spliced at the marks, is what turns "the dynamics joined that run at t"
-// into the byte-identical full-horizon observation.
+// full-horizon history — the outputs Observe read off it, the severity
+// stream among them, and the detections — and the final dynamic-derived
+// facts (firing, latent corruption). The digest covers only dynamic state — see
+// System.HashState — so the history, spliced at the marks, is what turns
+// "the dynamics joined that run at t" into the byte-identical full-horizon
+// observation.
 type record struct {
 	detAt, sevAt  []int
-	sevText       []byte
-	textAt        []int
+	out           map[string]string
+	sev           string // out["sev"]
 	det           []string
 	fired, latent bool
 	firedAt       sim.Time
@@ -105,15 +106,7 @@ func (m *model) Record(r *record, s *System, n int, ob *analysis.Observation) {
 		r.detAt = append(r.detAt[:n], len(s.Detections))
 		return
 	}
-	r.sevText = appendSeverities(r.sevText[:0], s.Severities)
-	r.textAt = r.textAt[:0]
-	at, k := 1, 0 // the text offset of severity k
-	for _, j := range r.sevAt[:n] {
-		for ; k < j; k++ {
-			at += digits(s.Severities[k]) + 1
-		}
-		r.textAt = append(r.textAt, at)
-	}
+	r.out, r.sev = ob.Outputs, ob.Outputs["sev"]
 	r.det = append(r.det[:0], s.Detections...)
 	r.fired, r.firedAt, r.latent = s.Fired, s.FiredAt, ob.LatentState
 }
@@ -147,25 +140,34 @@ func (m *model) HistoryKey(s *System) uint64 {
 // Second, the run joins only where r's detection set was its own or empty
 // (HistoryKey), so the detections detect appended to r from there on are
 // exactly those it appends to the run, less those already recorded, which
-// detect drops. The severity suffix is r's rendered text, so a spliced
-// outcome formats only the live prefix; the detections go into the slot's
-// own list, which RestoreState rebuilds afresh before the next run.
+// detect drops. A run whose live history is r's up to the mark ends with
+// r's history, so its observation is r's: r's outputs map, shared and
+// never written, and r's detections. Otherwise the detections go into the
+// slot's own list, which RestoreState rebuilds afresh before the next run.
 func (m *model) Converged(s *System, r *record, n int) analysis.Observation {
-	for _, d := range r.det[r.detAt[n]:] {
+	sevAt, detAt := r.sevAt[n], r.detAt[n]
+	if string(s.Severities) == r.sev[:sevAt] && slices.Equal(s.Detections, r.det[:detAt]) {
+		return m.observation(r.out, r.fired, r.firedAt, r.det, r.latent)
+	}
+	for _, d := range r.det[detAt:] {
 		s.detect(d)
 	}
-	return m.observation(r.fired, r.firedAt, formatSeverities(s.Severities, r.sevText, r.textAt[n]), s.Detections, r.latent)
+	return m.observation(outputs(r.fired, string(s.Severities)+r.sev[sevAt:]), r.fired, r.firedAt, s.Detections, r.latent)
+}
+
+// outputs is a run's externally visible results: whether the airbag
+// fired and the severity stream, its raw bytes. Only Classify reads them,
+// and raw bytes are equal exactly when their renderings are.
+func outputs(fired bool, sev string) map[string]string {
+	return map[string]string{"fired": strconv.FormatBool(fired), "sev": sev}
 }
 
 // observation is a run's outputs judged against the safety goals — the
 // one tail a full run (Observe) and an early-exited one (Converged)
 // share.
-func (m *model) observation(fired bool, firedAt sim.Time, sev string, det []string, latent bool) analysis.Observation {
+func (m *model) observation(out map[string]string, fired bool, firedAt sim.Time, det []string, latent bool) analysis.Observation {
 	ob := analysis.Observation{
-		Outputs: map[string]string{
-			"fired": strconv.FormatBool(fired),
-			"sev":   sev,
-		},
+		Outputs:     out,
 		Detected:    len(det) > 0,
 		DetectedBy:  det,
 		LatentState: latent,
@@ -184,50 +186,6 @@ func (m *model) observation(fired bool, firedAt sim.Time, sev string, det []stri
 		ob.GoalDetail = "inadvertent deployment in normal operation (G1)"
 	}
 	return ob
-}
-
-// formatSeverities renders the severity stream sev, followed by the
-// severities text renders from byte at on, exactly as fmt.Sprint([]byte)
-// renders both as one stream ("[1 2 3]"), without fmt's reflection cost:
-// it runs once per campaign scenario. text is a record's sevText and at
-// one of its textAt offsets; nil renders sev alone.
-func formatSeverities(sev, text []byte, at int) string {
-	var stack [512]byte
-	buf := appendSeverities(stack[:0], sev)
-	if suffix := text[min(at, max(len(text)-1, 0)):]; len(suffix) > 1 {
-		// "[a b]" + "c d]": the prefix's ']' becomes the separator, or
-		// goes when the prefix is empty.
-		if len(sev) > 0 {
-			buf[len(buf)-1] = ' '
-		} else {
-			buf = buf[:len(buf)-1]
-		}
-		buf = append(buf, suffix...)
-	}
-	return string(buf)
-}
-
-// appendSeverities appends sev to buf as fmt.Sprint renders it.
-func appendSeverities(buf, sev []byte) []byte {
-	buf = append(buf, '[')
-	for i, v := range sev {
-		if i > 0 {
-			buf = append(buf, ' ')
-		}
-		buf = strconv.AppendUint(buf, uint64(v), 10)
-	}
-	return append(buf, ']')
-}
-
-// digits is how many decimal digits v renders to.
-func digits(v byte) int {
-	switch {
-	case v >= 100:
-		return 3
-	case v >= 10:
-		return 2
-	}
-	return 1
 }
 
 // stateCorrupted compares persistent state against the design values.

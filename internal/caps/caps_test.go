@@ -531,3 +531,42 @@ func TestCampaignAdaptiveDeterminismMatrix(t *testing.T) {
 		},
 	})
 }
+
+// TestInstrumentedProcSeriesDoNotGrowWithScenarios: an instrumented
+// campaign publishes one sim.proc.* series per process name, and every
+// scenario's stressor process has the same one, so the series a
+// 168-scenario campaign registers are those a 1-scenario one does. A
+// process named after its scenario grew the label set by one a run.
+func TestInstrumentedProcSeriesDoNotGrowWithScenarios(t *testing.T) {
+	procs := func(n int) []string {
+		r, err := NewRunner(Protected(), NormalDriving(), sim.MS(80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		reg := obs.NewRegistry()
+		r.Instrument(reg, nil)
+		scs := permanentSweep(r, sim.MS(5), sim.MS(15), sim.MS(25), sim.MS(35), sim.MS(45), sim.MS(55), sim.MS(65), sim.MS(75))
+		if _, err := (&stressor.Campaign{Name: "procs", Workers: 2, Checkpointer: r}).Execute(scs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, m := range reg.Snapshot() {
+			if strings.HasPrefix(m.Name, "sim.proc.") {
+				for _, l := range m.Labels {
+					if l.Key == "proc" {
+						names = append(names, m.Name+" "+l.Value)
+					}
+				}
+			}
+		}
+		return names
+	}
+	one, all := procs(1), procs(168)
+	if !slices.Equal(all, one) {
+		t.Errorf("168 scenarios register %d sim.proc series, 1 scenario %d:\n168: %q\n1:   %q", len(all), len(one), all, one)
+	}
+	if !slices.Contains(one, "sim.proc.activations stressor") {
+		t.Errorf("no stressor process series in %q: the comparison is vacuous", one)
+	}
+}

@@ -1,6 +1,7 @@
 package caps
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -179,26 +180,75 @@ func (l *listSource) Next() (sc fault.Scenario, ok bool) {
 
 func (*listSource) Observe(fault.Outcome) {}
 
-// TestSplicedSeveritiesRenderAsOneStream: a joining run's severity output
-// is its live prefix rendered and the finished run's text from the mark
-// on, which must read as fmt.Sprint of the two streams joined — empty
-// prefix, empty suffix and a mark at either end included.
-func TestSplicedSeveritiesRenderAsOneStream(t *testing.T) {
-	m := &model{}
-	finished := &System{Severities: []byte{0, 7, 42, 255, 100, 9}}
-	for _, live := range [][]byte{nil, {3}, {10, 200, 0}} {
-		var r record
-		marks := []int{0, 1, 3, 6}
-		for n, j := range marks {
-			r.sevAt = append(r.sevAt[:n], j)
-			r.detAt = append(r.detAt[:n], 0)
+// TestConvergedObservationIsTheFullRuns: the observation Converged
+// composes for a run that joins a finished run's trajectory at a mark is
+// the one Observe reads off the run carried to the horizon — the live
+// history followed by the finished run's from the mark on, less the
+// detections the live run already holds. A live history equal to the
+// finished run's up to the mark takes the record's outputs map itself;
+// any other — an empty live prefix, other severities, an extra live
+// detection — is spliced. Marks sit at either end of both streams.
+func TestConvergedObservationIsTheFullRuns(t *testing.T) {
+	m := &model{cfg: Protected(), world: NormalDriving()}
+	s, _ := Build(sim.NewKernel(), m.cfg, m.world)
+	sev := []byte{0, 7, 42, 255, 100, 9}
+	det := []string{"plausibility", "crc", "timeout"}
+	sevAt, detAt := []int{0, 1, 3, 6}, []int{0, 0, 2, 3}
+	history := func(sv []byte, dt []string) {
+		s.Severities, s.Detections = slices.Clone(sv), slices.Clone(dt)
+	}
+	var r record
+	for n := range sevAt {
+		history(sev[:sevAt[n]], det[:detAt[n]])
+		m.Record(&r, s, n, nil)
+	}
+	s.Fired, s.FiredAt = true, sim.MS(12)
+	history(sev, det)
+	ob := m.Observe(s)
+	m.Record(&r, s, len(sevAt), &ob)
+
+	type liveHistory struct {
+		name string
+		sev  []byte
+		det  []string
+	}
+	for n := range sevAt {
+		prefix, known := sev[:sevAt[n]], det[:detAt[n]]
+		lives := []liveHistory{
+			{"equal", prefix, known},
+			{"empty", nil, nil},
+			{"other severities", []byte{3}, known},
+			{"longer severities", append(slices.Clone(prefix), 10, 200), known},
+			{"extra detection", prefix, append(slices.Clone(known), "stuck")},
 		}
-		m.Record(&r, finished, len(marks), &analysis.Observation{})
-		for n, j := range marks {
-			want := fmt.Sprint(append(slices.Clone(live), finished.Severities[j:]...))
-			if got := formatSeverities(live, r.sevText, r.textAt[n]); got != want {
-				t.Errorf("live %v joined at severity %d: %q, want %q", live, j, got, want)
+		if len(known) < len(det) {
+			// A detection the finished run makes later, which the splice drops.
+			lives = append(lives, liveHistory{"later detection first", prefix, append(slices.Clone(known), det[len(det)-1])})
+		}
+		for _, live := range lives {
+			history(append(slices.Clone(live.sev), sev[sevAt[n]:]...), live.det)
+			for _, d := range det[detAt[n]:] {
+				s.detect(d)
+			}
+			want := m.Observe(s)
+			history(live.sev, live.det)
+			got := m.Converged(s, &r, n)
+			if !reflect.DeepEqual(nilEmpty(got), nilEmpty(want)) {
+				t.Errorf("mark %d, %s live history: converged %q %+v, full run %q %+v", n, live.name, got.Outputs, nilEmpty(got), want.Outputs, nilEmpty(want))
+			}
+			equal := bytes.Equal(live.sev, prefix) && slices.Equal(live.det, known)
+			if shared := reflect.ValueOf(got.Outputs).UnsafePointer() == reflect.ValueOf(r.out).UnsafePointer(); shared != equal {
+				t.Errorf("mark %d, %s live history: took the record's outputs %v, want %v", n, live.name, shared, equal)
 			}
 		}
 	}
+}
+
+// nilEmpty is ob with an empty DetectedBy nil: a record's reused list is
+// empty where a fresh run's is nil.
+func nilEmpty(ob analysis.Observation) analysis.Observation {
+	if len(ob.DetectedBy) == 0 {
+		ob.DetectedBy = nil
+	}
+	return ob
 }

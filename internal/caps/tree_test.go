@@ -162,6 +162,44 @@ func TestShardedForkWindowCollapse(t *testing.T) {
 	stressortest.ShardedForkWindowCollapse(t, runner, denseInstants(), 4)
 }
 
+// TestForkWindowRecallUnderStopOnFirst: a StopOnFirst list runs in index
+// order, so on TestForkWindowCollapse's instant-major universe a session
+// meets each window's 21 descriptors once per instant, interleaved, not a
+// family back to back. With the failing scenarios dropped, so the one
+// worker runs all 800, its memo must recall every run of a (window,
+// descriptor) pair after the first — 560, as a per-window map did — and
+// every outcome must be a memo-free one-shot run's.
+func TestForkWindowRecallUnderStopOnFirst(t *testing.T) {
+	runner, err := NewRunner(Protected(), NormalDriving(), sim.MS(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runner.Close()
+	var scenarios []fault.Scenario
+	var want []fault.Outcome
+	for _, at := range denseInstants() {
+		for _, d := range runner.Universe(at) {
+			sc := fault.Single(d)
+			sc.ID = fmt.Sprintf("%d:%s", len(scenarios), sc.ID)
+			if out := runner.RunScenario(sc); !out.Class.IsFailure() {
+				scenarios, want = append(scenarios, sc), append(want, out)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	res, err := (&stressor.Campaign{Name: "windows", Workers: 1, StopOnFirst: true, Metrics: reg, Checkpointer: runner}).Execute(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Outcomes, want) {
+		t.Errorf("StopOnFirst outcomes diverge from one-shot runs:\ngot:  %+v\nwant: %+v", res.Outcomes, want)
+	}
+	hits := reg.Counter("campaign.fork_window_hits", obs.L("campaign", "windows")).Value()
+	if len(scenarios) != 800 || hits != 560 {
+		t.Errorf("recalled %d of %d scenarios, want 560 of 800", hits, len(scenarios))
+	}
+}
+
 // denseInstants are the 40 injection instants, 247 µs apart from 1 ms,
 // of the fork-window gates.
 func denseInstants() []sim.Time {

@@ -18,11 +18,15 @@ import (
 //
 //	sim.delta_cycles / sim.activations / sim.time_steps   counters
 //	sim.run_ns                                            counter (wall clock inside RunUntil)
-//	sim.proc.activations{proc=...}                        counter per process
-//	sim.proc.run_ns{proc=...}                             counter per process
+//	sim.proc.activations{proc=...}                        counter per process name
+//	sim.proc.run_ns{proc=...}                             counter per process name
 //	sim.runnable_depth                                    histogram (procs per delta cycle)
 //	sim.deltas_per_step                                   histogram (delta cycles per time point)
 //	sim.event_queue_depth                                 histogram (timed heap size per time point)
+//
+// A process name is one series: processes that share a name, such as
+// every scenario's stressor process ("stressor"), share it, so a
+// campaign's label set does not grow with its scenarios.
 //
 // When Trace is set, each RunUntil call records one span on its own
 // trace row so concurrent campaign kernels stay distinguishable.

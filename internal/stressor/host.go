@@ -170,6 +170,9 @@ type hostSlot[S sim.State] struct {
 	st   Stressor
 	hash sim.StateHash
 	ob   analysis.Observation // the observation a recorded run hands Model.Record
+	// memo is the buffer of the fork-window memo of the session holding
+	// the slot, kept across sessions so a warm host's grows no list.
+	memo []windowVerdict
 	// the sinks the kernel's instrument was last built with
 	metrics *obs.Registry
 	trace   *obs.TraceRecorder

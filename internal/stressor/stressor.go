@@ -95,9 +95,10 @@ func (s *Stressor) Respawn(k *sim.Kernel, reg *fault.Registry, sc fault.Scenario
 	if s.stepFn == nil {
 		s.stepFn = s.step
 	}
-	name := "stressor." + sc.ID
-	s.ev = k.NewEvent(name)
-	k.Method(name, s.stepFn, s.ev)
+	// One name for every scenario: a name per scenario costs an allocation
+	// a run and, under Instrument, a sim.proc.* series per scenario.
+	s.ev = k.NewEvent("stressor")
+	k.Method("stressor", s.stepFn, s.ev)
 }
 
 // step is one activation of the campaign-path method process: perform

@@ -201,17 +201,19 @@ type session[S sim.State, R any] struct {
 	abandoned atomic.Bool
 
 	// The fork-window memo (see window): the kernel was last established
-	// in the golden idle window (winFork-1, winEnd); memo is what the last
-	// silent run injected inside it came to, memoKey that run's key.
-	// hasMemo says memo holds it; hasPending says the run in flight, whose
-	// key memoKey already is, has had a silent window leg. One entry is
-	// all a campaign needs: it dispatches a window's instants of one
-	// descriptor (a family, keptPlan.family) back to back, and one worker
-	// runs a whole family (claim).
-	winFork, winEnd     sim.Time
-	memoKey             windowKey
-	memo                windowVerdict
-	hasMemo, hasPending bool
+	// in the golden idle window (winFork-1, winEnd); memo is what the
+	// silent runs injected inside it came to, in the order they ran, and
+	// pending is the key of the run in flight, set while its window leg
+	// has been silent. recall checks memo last-first: a campaign
+	// dispatches a window's instants of one descriptor (a family,
+	// keptPlan.family) back to back, and one worker runs a whole family
+	// (claim), so a sorted list hits on its first compare; a StopOnFirst
+	// list, dispatched in index order, meets a window's descriptors
+	// instant after instant and finds each further back.
+	winFork, winEnd sim.Time
+	memo            []windowVerdict
+	pending         windowKey
+	hasPending      bool
 
 	hits, extends, rebuilds, evictions *obs.Counter
 	earlyExits, siblingExits, savedNs  *obs.Counter
@@ -245,6 +247,7 @@ func (s *session[S, R]) init() {
 		return
 	}
 	s.sl = s.h.take()
+	s.memo = s.sl.memo[:0]
 	s.set = s.h.traj.only
 	if sc := s.cfg.scope; sc != nil {
 		if set := s.h.campaignSet(sc); set != nil {
@@ -354,8 +357,9 @@ func (s *session[S, R]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 // closing it.
 func (s *session[S, R]) Close() {
 	if s.sl != nil {
+		s.sl.memo = s.memo
 		s.h.release(s.sl)
-		s.sl = nil
+		s.sl, s.memo = nil, nil
 	}
 	if s.rec != nil {
 		s.set.giveBack(s.rec)
@@ -433,9 +437,10 @@ type windowKey struct {
 	param, rate uint64
 }
 
-// windowVerdict is what a silent run came to, signature included: neither
-// Start nor Name enters the final state (fault.Injector).
+// windowVerdict is what a silent run of key came to, signature included:
+// neither Start nor Name enters the final state (fault.Injector).
 type windowVerdict struct {
+	key    windowKey
 	class  fault.Classification
 	detail string
 	sig    uint64
@@ -475,11 +480,16 @@ func (s *session[S, R]) recall(sc fault.Scenario, fork sim.Time) (fault.Outcome,
 		return fault.Outcome{}, false
 	}
 	key, start, ok := windowKeyOf(sc)
-	if !ok || start >= s.winEnd || !s.hasMemo || key != s.memoKey {
+	if !ok || start >= s.winEnd {
 		return fault.Outcome{}, false
 	}
-	inc(s.windowHits)
-	return fault.Outcome{Scenario: sc, Class: s.memo.class, Detail: s.memo.detail, Signature: s.memo.sig}, true
+	for i := len(s.memo) - 1; i >= 0; i-- {
+		if v := &s.memo[i]; v.key == key {
+			inc(s.windowHits)
+			return fault.Outcome{Scenario: sc, Class: v.class, Detail: v.detail, Signature: v.sig}, true
+		}
+	}
+	return fault.Outcome{}, false
 }
 
 // window runs a keyed scenario's first leg, with the kernel established
@@ -502,7 +512,7 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 	k := s.sl.k
 	b := k.NextEventTime()
 	if s.cur != s.winFork || b != s.winEnd {
-		s.winFork, s.winEnd, s.hasMemo = s.cur, b, false
+		s.winFork, s.winEnd, s.memo = s.cur, b, s.memo[:0]
 	}
 	if start >= b {
 		return nil
@@ -514,7 +524,7 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 	after := k.Stats()
 	if after.Activations-before.Activations == 2 && after.Notifications-before.Notifications == 1 &&
 		k.NextEventTime() == b && st.Finished() && len(st.InjectionErrors()) == 0 {
-		s.memoKey, s.hasMemo, s.hasPending = key, false, true
+		s.pending, s.hasPending = key, true
 	} else {
 		inc(s.windowLoud)
 	}
@@ -523,15 +533,14 @@ func (s *session[S, R]) window(st *Stressor, sc fault.Scenario) error {
 
 // remember keeps out as the verdict of every later scenario recall finds
 // equivalent to the one that just ran, when that run's window leg was
-// silent; the memo's earlier verdict, of another key, goes. Run calls it
-// only for a run that ended cleanly — one that errored, panicked or timed
-// out is never remembered.
+// silent. Run calls it only for a run that ended cleanly — one that
+// errored, panicked or timed out is never remembered.
 func (s *session[S, R]) remember(out fault.Outcome) {
 	if !s.hasPending {
 		return
 	}
-	s.memo = windowVerdict{class: out.Class, detail: out.Detail, sig: out.Signature}
-	s.hasMemo, s.hasPending = true, false
+	s.hasPending = false
+	s.memo = append(s.memo, windowVerdict{key: s.pending, class: out.Class, detail: out.Detail, sig: out.Signature})
 }
 
 // trajectory is the golden run's stride grid and record, taken by
