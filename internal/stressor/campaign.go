@@ -1,13 +1,11 @@
 package stressor
 
 import (
-	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -454,50 +452,73 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // against. A list is identified by its shard layout, size and universe
 // hash; a Source by its MaxRuns budget and Fingerprint, with entries
 // keyed by proposal sequence number. A list's hash is the one its
-// Checkpointer kept with the universe's plan (keptPlan.fingerprint) when
-// the plan was made for this very list, and UniverseHash otherwise.
+// Checkpointer's kept plan of the list holds (universePlan.fingerprint),
+// and UniverseHash when it keeps none.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 	if c.Source != nil {
 		h := c.Shard.JournalHeader(c.Name, c.MaxRuns, c.Fingerprint)
 		h.Adaptive = true
 		return h
 	}
-	var kp *keptPlan
+	var p *universePlan
 	if c.Checkpointer != nil {
-		kp = c.Checkpointer.planCache().find(scenarios, c.Dedup)
+		p = c.Checkpointer.planCache().find(scenarios, c.Dedup)
 	}
-	if kp == nil {
-		return c.Shard.JournalHeader(c.Name, len(scenarios), UniverseHash(scenarios))
-	}
-	return c.Shard.JournalHeader(c.Name, len(scenarios), kp.fingerprint(scenarios))
+	return c.Shard.JournalHeader(c.Name, len(scenarios), p.fingerprint(scenarios))
 }
 
-// newExec is one Execute's state before any replay: the dedup plan,
-// the positions it holds slots for and their dispatch order. The dedup
-// plan comes first, so every shard computes the identical unique-run
-// list and journals refer to stable representative indices. A list's
-// dispatch order comes from the universe's plan (keptPlan) — or is
-// index order: a Run has no fork to sort by, and under StopOnFirst the
-// campaign must execute exactly the prefix the sequential loop would. A
-// sharded list holds slots for its own positions only (shardView).
+// newExec is one Execute's state before any replay: a list's plan, its
+// positions bound to the scenarios, and the positions the Execute holds
+// slots for, in their dispatch order (a sharded list's own only). A
+// Source plans nothing.
 func newExec(c *Campaign, scenarios []fault.Scenario) *campaignExec {
-	e := &campaignExec{c: c, proto: c.prototype(), dedup: newDedupPlan(scenarios, c.Dedup)}
-	var kp *keptPlan
-	if c.Source == nil && c.Checkpointer != nil && !c.StopOnFirst {
-		kp = e.dispatchPlan()
-	}
-	e.view = shardView{own: e.dedup}
-	if kp != nil {
-		e.view.order, e.view.family = kp.order, kp.family
-	}
-	if c.Shard.Enabled() {
-		e.view = kp.shardView(e.dedup, c.Shard)
+	e := &campaignExec{c: c, proto: c.prototype()}
+	if c.Source == nil {
+		e.plan = e.planList(scenarios)
+		e.dedup = e.plan.bind(scenarios)
+		e.view = e.plan.view(scenarios, c.Shard)
 	}
 	e.slots = make([]slot, e.view.own.len())
 	e.more.L = &e.mu
 	e.cutoff.Store(math.MaxInt64)
 	e.scope.refs = 1
 	return e
+}
+
+// planList is the plan of the list scenarios: the one the Checkpointer
+// kept, or a new one, which it keeps from now on. A Run has no fork to
+// sort by, and under StopOnFirst the campaign must execute exactly the
+// prefix the sequential loop would: both dispatch in index order and
+// keep nothing.
+func (e *campaignExec) planList(scenarios []fault.Scenario) *universePlan {
+	c := e.c
+	if c.Checkpointer == nil || c.StopOnFirst {
+		return newUniversePlan(scenarios, c.Dedup, nil)
+	}
+	cache := c.Checkpointer.planCache()
+	if p := cache.find(scenarios, c.Dedup); p != nil {
+		e.planReused = true
+		return p
+	}
+	// Sorted by fork time so each worker session establishes a golden
+	// prefix once per distinct instant and extends it monotonically — a
+	// claimed span is a run of neighbouring forks. Results stay
+	// byte-identical because outcomes, journal entries and Merge are all
+	// keyed by scenario index, not dispatch order. Within one fork the
+	// stream is grouped by the first fault's content — target and class
+	// first — so scenario families dispatch back to back and fork from the
+	// same retained node while it is hottest in the LRU, and the members of
+	// one family that differ in Start alone (a fork window's instants, see
+	// the session's window) stay adjacent. The plan records those window
+	// families, and claim never splits one between two workers: the one
+	// session that runs a family simulates its first member and recalls
+	// the rest.
+	p := newUniversePlan(scenarios, c.Dedup, func(sc fault.Scenario) sim.Time {
+		fork, _ := c.Checkpointer.ForkTime(sc)
+		return fork
+	})
+	cache.keep(p, scenarios)
+	return p
 }
 
 // resumeEntries validates c.Resume against this exact campaign — kind,
@@ -632,7 +653,7 @@ type campaignExec struct {
 	final, closed      atomic.Bool
 	mu                 sync.Mutex
 	more               sync.Cond
-	// family is each hand-out index's fork-window family (keptPlan.family)
+	// family is each hand-out index's fork-window family (universePlan.family)
 	// for a list whose plan has one of two or more members; nil for any
 	// other list and for a source. Only the coordinator writes it, before
 	// any worker starts.
@@ -652,6 +673,9 @@ type campaignExec struct {
 	// kept (campaign.plan_reused).
 	planReused bool
 	err        error
+	// plan is a list's universe plan, whose positions dedup binds; nil
+	// for a Source.
+	plan *universePlan
 }
 
 // publish makes the next n indices claimable.
@@ -826,21 +850,6 @@ func newListPlan(e *campaignExec) *listPlan {
 	return l
 }
 
-// shardView is the part of a list universe's unique-run positions one
-// Execute holds slots for, and the order it dispatches them in. Unsharded
-// it is the dedup plan itself; a shard's own is the positions it owns,
-// ascending, slot k running the representative own.index(k) — own.uniq,
-// never nil, lists their scenario indices, and own has no pos, so only
-// len, index and scenario apply to it.
-type shardView struct {
-	own dedupPlan
-	// order lists own's positions in dispatch order; nil is index order.
-	// family is each one's fork-window family (keptPlan.family), nil when
-	// the plan keeps none.
-	order  []int
-	family []int32
-}
-
 // slotOf is the slot that holds position u of e's dedup plan; nil when
 // another shard owns u.
 func (e *campaignExec) slotOf(u int) *slot {
@@ -869,315 +878,6 @@ func (e *campaignExec) fanOut() ([]slot, []int) {
 		}
 		return d.fanOut(full), nil
 	}
-}
-
-// shardViews is every shard's view of d under owners, which maps each
-// position to its shard of count, each view dispatching its positions
-// in the order order lists them (nil: index order) and keeping their
-// families from family (nil: none).
-func shardViews(d dedupPlan, owners []int, count int, order []int, family []int32) []shardView {
-	views := make([]shardView, count)
-	indices := make([]int, len(owners)) // every view's own.uniq, shard by shard
-	var orders, slot []int              // every view's order; each position's slot in its view
-	var families []int32                // every view's family
-	if order != nil {
-		orders, slot = make([]int, len(owners)), make([]int, len(owners))
-	}
-	if family != nil {
-		families = make([]int32, len(owners))
-	}
-	for s, lo := 0, 0; s < count; s++ {
-		hi := lo + shardLen(len(owners), count, s)
-		views[s].own = dedupPlan{scenarios: d.scenarios, uniq: indices[lo:lo:hi]}
-		if order != nil {
-			views[s].order = orders[lo:lo:hi]
-		}
-		if family != nil {
-			views[s].family = families[lo:lo:hi]
-		}
-		lo = hi
-	}
-	for u, s := range owners {
-		v := &views[s]
-		if slot != nil {
-			slot[u] = len(v.own.uniq)
-		}
-		v.own.uniq = append(v.own.uniq, d.index(u))
-	}
-	for i, u := range order {
-		v := &views[owners[u]]
-		v.order = append(v.order, slot[u])
-		if family != nil {
-			v.family = append(v.family, family[i])
-		}
-	}
-	return views
-}
-
-// keptPlan is what Execute derives from a list universe before anything
-// runs, for a Checkpointer to keep (planCache) so that the next Execute
-// of an equal universe on it sorts nothing: every unique-run position in
-// dispatch order, and the shard owners and every shard's view of the
-// last shard count asked for, so that a repeat lease of a shard builds
-// nothing either, and the universe's fingerprint, so that a journal
-// header hashes nothing (fingerprint). It holds its own copy of the
-// universe's fault lists, which a lookup compares field by field
-// (matches). Once built it never changes but for the owners and views,
-// which mu guards, and the fingerprint, swapped whole.
-type keptPlan struct {
-	// The key: Dedup and the universe's faults, scenario i's ending at
-	// ends[i].
-	dedup  bool
-	ends   []int
-	faults []fault.Descriptor
-
-	// order holds every unique-run position in dispatch order, and family
-	// the fork-window family of each (sortPositions); family is nil when
-	// no family has two members.
-	order  []int
-	family []int32
-
-	mu         sync.Mutex
-	ownerCount int         // the shard count owners is for; 0 before any
-	owners     []int       // shardOwners(universe, ownerCount)
-	views      []shardView // shardViews of owners, in dispatch order
-
-	// fp is the UniverseHash of the last list whose journal header was
-	// asked of this plan; nil before any.
-	fp atomic.Pointer[keptFingerprint]
-}
-
-// keptFingerprint is a list's UniverseHash and what the hash covers that
-// the plan's key does not: its scenario IDs and fault names.
-type keptFingerprint struct {
-	ids   []string
-	names []string // kp.faults' names
-	hash  string
-}
-
-// fingerprint is UniverseHash(scenarios) for a list kp matches: the kept
-// one when the list's IDs and fault names are the ones it was computed
-// over, else a fresh one kept from now on. Whatever matches kp agrees
-// with the kept list in every content field (sameContent), so equal IDs
-// and names make an equal hash.
-func (kp *keptPlan) fingerprint(scenarios []fault.Scenario) string {
-	if fp := kp.fp.Load(); fp != nil && fp.covers(scenarios) {
-		return fp.hash
-	}
-	fp := &keptFingerprint{
-		ids: make([]string, len(scenarios)), names: make([]string, 0, len(kp.faults)),
-		hash: UniverseHash(scenarios),
-	}
-	for i, sc := range scenarios {
-		fp.ids[i] = sc.ID
-		for _, d := range sc.Faults {
-			fp.names = append(fp.names, d.Name)
-		}
-	}
-	kp.fp.Store(fp)
-	return fp.hash
-}
-
-// covers reports whether scenarios carry fp's IDs and fault names, in
-// order. It is asked only of a list its plan matches, so the fault
-// counts agree.
-func (fp *keptFingerprint) covers(scenarios []fault.Scenario) bool {
-	n := 0
-	for i, sc := range scenarios {
-		if sc.ID != fp.ids[i] {
-			return false
-		}
-		for _, d := range sc.Faults {
-			if d.Name != fp.names[n] {
-				return false
-			}
-			n++
-		}
-	}
-	return true
-}
-
-// dispatchPlan is the plan of e's universe that the Checkpointer kept,
-// or a new one it keeps from now on.
-func (e *campaignExec) dispatchPlan() *keptPlan {
-	c, d := e.c, e.dedup
-	cache := c.Checkpointer.planCache()
-	if kp := cache.find(d.scenarios, c.Dedup); kp != nil {
-		e.planReused = true
-		return kp
-	}
-	kp := &keptPlan{dedup: c.Dedup, ends: make([]int, len(d.scenarios))}
-	n := 0
-	for _, sc := range d.scenarios {
-		n += len(sc.Faults)
-	}
-	kp.faults = make([]fault.Descriptor, 0, n)
-	for i, sc := range d.scenarios {
-		kp.faults = append(kp.faults, sc.Faults...)
-		kp.ends[i] = len(kp.faults)
-	}
-	// Sorted by fork time so each worker session establishes a golden
-	// prefix once per distinct instant and extends it monotonically — a
-	// claimed span is a run of neighbouring forks. Results stay
-	// byte-identical because outcomes, journal entries and Merge are all
-	// keyed by scenario index, not dispatch order. Within one fork the
-	// stream is grouped by the first fault's content — target and class
-	// first — so scenario families dispatch back to back and fork from the
-	// same retained node while it is hottest in the LRU, and the members of
-	// one family that differ in Start alone (a fork window's instants, see
-	// the session's window) stay adjacent. The plan records those window
-	// families, and claim never splits one between two workers: the one
-	// session that runs a family simulates its first member and recalls
-	// the rest.
-	kp.order, kp.family = sortPositions(d, func(sc fault.Scenario) sim.Time {
-		fork, _ := c.Checkpointer.ForkTime(sc)
-		return fork
-	})
-	cache.keep(kp)
-	return kp
-}
-
-// sortPositions lists d's unique-run positions ordered by at(scenario),
-// then by the scenario's first fault's content, then by position. The
-// order is total, so it needs no stable sort, and filtering it gives any
-// subset of the positions its own sorted order. family numbers each
-// position of order by its fork-window family: a run of neighbours with
-// one at and one single permanent fault (windowKeyOf) that agree in
-// every content field but Start, all a session's window memo tells
-// apart. family is nil when no family has two members.
-func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time) (order []int, family []int32) {
-	// Each position's key, read once: a comparison then touches neither
-	// the dedup plan nor the scenario.
-	type key struct {
-		at    sim.Time
-		first *fault.Descriptor
-		u     int
-		keyed bool // a single permanent fault
-	}
-	var none fault.Descriptor
-	keys := make([]key, d.len())
-	for u := range keys {
-		sc := d.scenario(u)
-		keys[u] = key{at: at(sc), first: &none, u: u}
-		if len(sc.Faults) > 0 {
-			keys[u].first = &sc.Faults[0]
-			keys[u].keyed = len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent
-		}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		if o := compareContent(a.first, b.first); o != 0 {
-			return o
-		}
-		return cmp.Compare(a.u, b.u)
-	})
-	order = make([]int, len(keys))
-	family = make([]int32, len(keys))
-	shared := false // some family has two members
-	for i, k := range keys {
-		order[i] = k.u
-		if i == 0 {
-			continue
-		}
-		family[i] = family[i-1]
-		if prev := keys[i-1]; k.keyed && prev.keyed && k.at == prev.at && sameWindowContent(k.first, prev.first) {
-			shared = true
-		} else {
-			family[i]++
-		}
-	}
-	if !shared {
-		family = nil
-	}
-	return order, family
-}
-
-// sameWindowContent reports whether two descriptors agree in every field
-// but Name and Start.
-func sameWindowContent(a, b *fault.Descriptor) bool {
-	x, y := *a, *b
-	x.Start, y.Start = 0, 0
-	return sameContent(&x, &y)
-}
-
-// matches reports whether kp was made for scenarios under dedup: the
-// same number of scenarios, each with the
-// same number of faults, each equal to the kept copy in every field but
-// Name. It compares what dedup, the dispatch order and the shard owners
-// are functions of, and nothing else, so a rebuilt universe matches and
-// one mutated in place does not. A digest (UniverseHash) would cost more
-// than the sorts it saves, and the slice's identity can neither see an
-// in-place mutation nor find a rebuilt universe.
-func (kp *keptPlan) matches(scenarios []fault.Scenario, dedup bool) bool {
-	if kp.dedup != dedup || len(kp.ends) != len(scenarios) {
-		return false
-	}
-	lo := 0
-	for i, sc := range scenarios {
-		kept := kp.faults[lo:kp.ends[i]]
-		if len(kept) != len(sc.Faults) {
-			return false
-		}
-		for j := range kept {
-			if !sameContent(&kept[j], &sc.Faults[j]) {
-				return false
-			}
-		}
-		lo = kp.ends[i]
-	}
-	return true
-}
-
-// sameContent reports whether two descriptors agree in every field but
-// Name. Param and Rate compare as a dedup key spells them: -0 is not 0,
-// and a NaN matches nothing, so a universe holding one is planned afresh.
-func sameContent(a, b *fault.Descriptor) bool {
-	sameFloat := func(x, y float64) bool { return x == y && math.Signbit(x) == math.Signbit(y) }
-	return a.Target == b.Target && a.Class == b.Class && a.Model == b.Model &&
-		a.Domain == b.Domain && a.Bit == b.Bit && a.Address == b.Address &&
-		a.Start == b.Start && a.Duration == b.Duration && a.Period == b.Period &&
-		sameFloat(a.Param, b.Param) && sameFloat(a.Rate, b.Rate)
-}
-
-// compareContent orders two descriptors by everything but Name: target,
-// class and model — which tell most families apart — then the rest of
-// the content, Start last. It returns at the first field that differs.
-func compareContent(a, b *fault.Descriptor) int {
-	if o := strings.Compare(a.Target, b.Target); o != 0 {
-		return o
-	}
-	if a.Class != b.Class {
-		return cmp.Compare(a.Class, b.Class)
-	}
-	if a.Model != b.Model {
-		return cmp.Compare(a.Model, b.Model)
-	}
-	if a.Domain != b.Domain {
-		return cmp.Compare(a.Domain, b.Domain)
-	}
-	if a.Bit != b.Bit {
-		return cmp.Compare(a.Bit, b.Bit)
-	}
-	if a.Address != b.Address {
-		return cmp.Compare(a.Address, b.Address)
-	}
-	// cmp.Compare, not !=: a NaN sorts before every number and equals
-	// itself, and -0 equals 0.
-	if o := cmp.Compare(a.Param, b.Param); o != 0 {
-		return o
-	}
-	if a.Duration != b.Duration {
-		return cmp.Compare(a.Duration, b.Duration)
-	}
-	if a.Period != b.Period {
-		return cmp.Compare(a.Period, b.Period)
-	}
-	if o := cmp.Compare(a.Rate, b.Rate); o != 0 {
-		return o
-	}
-	return cmp.Compare(a.Start, b.Start)
 }
 
 // unclaimed reports whether a position worth running has yet to be

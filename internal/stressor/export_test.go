@@ -56,10 +56,3 @@ func (h *Host[S, G]) LiveNodes() int {
 	defer h.tree.mu.RUnlock()
 	return len(h.tree.nodes)
 }
-
-// shardOwners is the owners kp keeps for count shards, as a sharded
-// Execute of that count leaves them.
-func (kp *keptPlan) shardOwners(d dedupPlan, count int) []int {
-	kp.shardView(d, Shard{Count: count})
-	return kp.owners
-}

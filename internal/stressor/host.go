@@ -116,44 +116,46 @@ type Host[S sim.State, R any] struct {
 // specs from one cached runner: bench/'s daemon-e8-loop cycles four
 // universes through each of its two (eight specs over two worlds), so a
 // host that keeps fewer than four serves none of them. The budget is
-// twice that; a plan of the 6 384-scenario CAPS universe holds ~0.8 MB.
+// twice that; a plan of the 6 384-scenario CAPS universe, its key a copy
+// of the universe's IDs and descriptors, holds ~0.84 MB (DESIGN §7).
 const maxKeptPlans = 8
 
-// planCache is the dispatch plans a host keeps (keptPlan). Past
+// planCache is the universe plans a host keeps (universePlan). Past
 // maxKeptPlans the oldest goes, served or not: a host cycling through
 // fewer universes than that is served every one of them, as under an
 // LRU. Concurrent campaigns on the host read and add plans under mu; a
-// keptPlan's key never changes, so it is matched outside it.
+// kept plan's key never changes, so it is matched outside it.
 type planCache struct {
 	mu    sync.Mutex
-	plans [maxKeptPlans]*keptPlan
+	plans [maxKeptPlans]*universePlan
 	next  int // the slot keep fills: the oldest plan's
 }
 
 // find is the kept plan made for scenarios under dedup; nil when there
 // is none.
-func (pc *planCache) find(scenarios []fault.Scenario, dedup bool) *keptPlan {
+func (pc *planCache) find(scenarios []fault.Scenario, dedup bool) *universePlan {
 	if pc == nil {
 		return nil
 	}
 	pc.mu.Lock()
 	plans := pc.plans
 	pc.mu.Unlock()
-	for _, kp := range plans {
-		if kp != nil && kp.matches(scenarios, dedup) {
-			return kp
+	for _, p := range plans {
+		if p != nil && p.matches(scenarios, dedup) {
+			return p
 		}
 	}
 	return nil
 }
 
-// keep adds kp in place of the oldest plan.
-func (pc *planCache) keep(kp *keptPlan) {
+// keep adds p, made for scenarios, in place of the oldest plan.
+func (pc *planCache) keep(p *universePlan, scenarios []fault.Scenario) {
 	if pc == nil {
 		return
 	}
+	p.setKey(scenarios)
 	pc.mu.Lock()
-	pc.plans[pc.next] = kp
+	pc.plans[pc.next] = p
 	pc.next = (pc.next + 1) % maxKeptPlans
 	pc.mu.Unlock()
 }

@@ -44,10 +44,17 @@ func plannedTodo(c *Campaign, scenarios []fault.Scenario) ([]int, bool) {
 	return newListPlan(e).todo, e.planReused
 }
 
+// freshOwners is the owners of count shards that a fresh plan of
+// scenarios under dedup holds.
+func freshOwners(scenarios []fault.Scenario, dedup bool, count int) []int {
+	owners, _ := newUniversePlan(scenarios, dedup, nil).cut(scenarios, count)
+	return owners
+}
+
 // plansLikeFresh plans scenarios on every shard of count, on p and on a
 // p that keeps nothing, and fails unless each shard's todo is the fresh
-// one and the owners p keeps for count are a fresh shardOwners. It
-// returns, per shard, whether p's plan was a kept one.
+// one and the owners p keeps for count are a fresh plan's. It returns,
+// per shard, whether p's plan was a kept one.
 func plansLikeFresh(t *testing.T, name string, p earliestFork, scenarios []fault.Scenario, dedup bool, count int) []bool {
 	t.Helper()
 	reused := make([]bool, count)
@@ -62,7 +69,7 @@ func plansLikeFresh(t *testing.T, name string, p earliestFork, scenarios []fault
 		reused[s] = r
 	}
 	if kp := p.planCache().find(scenarios, dedup); kp != nil && count > 1 {
-		if want := shardOwners(newDedupPlan(scenarios, dedup), count); kp.ownerCount != count || !slices.Equal(kp.owners, want) {
+		if want := freshOwners(scenarios, dedup, count); kp.ownerCount != count || !slices.Equal(kp.owners, want) {
 			t.Fatalf("%s: kept owners for %d shards %v, fresh for %d %v", name, kp.ownerCount, kp.owners, count, want)
 		}
 	}
@@ -122,13 +129,16 @@ func TestKeptPlanIsAFreshPlan(t *testing.T) {
 	}
 }
 
-// TestKeptPlanKeyIsEveryFieldButName: two descriptors are one plan's
-// content exactly when every field but Name agrees, so a field added to
+// TestKeptPlanKeyIsEveryField: two descriptors are one plan's key
+// exactly when every field agrees, Name included, so a field added to
 // fault.Descriptor cannot be left out of the comparison unnoticed; -0 is
-// not 0, as in a dedup key.
-func TestKeptPlanKeyIsEveryFieldButName(t *testing.T) {
+// not 0, as in a dedup key, and a NaN matches nothing, itself included.
+func TestKeptPlanKeyIsEveryField(t *testing.T) {
 	base := fault.Descriptor{Name: "n", Model: fault.BitFlip, Class: fault.Transient, Domain: fault.AnalogHW,
 		Target: "t", Bit: 3, Address: 7, Param: 1.5, Start: 10, Duration: 5, Period: 2, Rate: 0.5}
+	if d := base; !sameDescriptor(&base, &d) {
+		t.Fatal("a descriptor is not its copy's key")
+	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		d := base
@@ -144,14 +154,19 @@ func TestKeptPlanKeyIsEveryFieldButName(t *testing.T) {
 		default:
 			t.Fatalf("field %s: kind %s not covered", typ.Field(i).Name, f.Kind())
 		}
-		if got, want := sameContent(&base, &d), typ.Field(i).Name == "Name"; got != want {
-			t.Errorf("field %s differs: sameContent %v, want %v", typ.Field(i).Name, got, want)
+		if sameDescriptor(&base, &d) {
+			t.Errorf("field %s differs, yet the descriptors are one key", typ.Field(i).Name)
 		}
 	}
 	zero, negZero := base, base
 	zero.Param, negZero.Param = 0, math.Copysign(0, -1)
-	if sameContent(&zero, &negZero) {
-		t.Error("Param 0 and -0 are one plan's content; a dedup key tells them apart")
+	if sameDescriptor(&zero, &negZero) {
+		t.Error("Param 0 and -0 are one plan's key; a dedup key tells them apart")
+	}
+	nan := base
+	nan.Rate = math.NaN()
+	if same := nan; sameDescriptor(&nan, &same) {
+		t.Error("a NaN Rate matches itself; a universe holding one must be planned afresh")
 	}
 }
 
@@ -229,8 +244,9 @@ func TestPlanSharedAcrossConcurrentCampaigns(t *testing.T) {
 // TestKeptPlanHoldsOneOwnerMap: a plan asked for the owners of many
 // shard counts holds those of the last one only, so a daemon spec
 // repeated with a new shard count each time cannot grow it; each count
-// still gets a fresh sort's owners, and a repeat of the last count is
-// served without one.
+// still gets a fresh plan's owners, the partition order is sorted once
+// across all counts, and a repeat of the last count is served without
+// cutting the owners again.
 func TestKeptPlanHoldsOneOwnerMap(t *testing.T) {
 	var scenarios []fault.Scenario
 	for _, u := range generatedUniverses() {
@@ -239,7 +255,7 @@ func TestKeptPlanHoldsOneOwnerMap(t *testing.T) {
 		}
 	}
 	p := newEarliestFork(t)
-	d := newDedupPlan(scenarios, false)
+	var byTime *int // the kept plan's partition order
 	for _, count := range []int{2, 9, 64, 3, 500, 2} {
 		for _, s := range []int{0, count - 1} {
 			c := Campaign{Name: "owners", Shard: Shard{Index: s, Count: count}, Checkpointer: p}
@@ -249,11 +265,18 @@ func TestKeptPlanHoldsOneOwnerMap(t *testing.T) {
 		if kp == nil {
 			t.Fatalf("%d shards: no plan kept", count)
 		}
-		if kp.ownerCount != count || !slices.Equal(kp.owners, shardOwners(d, count)) {
+		if kp.ownerCount != count || !slices.Equal(kp.owners, freshOwners(scenarios, false, count)) {
 			t.Fatalf("%d shards: plan holds the owners for %d shards", count, kp.ownerCount)
 		}
-		if got := kp.shardOwners(d, count); &got[0] != &kp.owners[0] {
-			t.Fatalf("%d shards: a repeated count sorted its owners again", count)
+		if byTime == nil {
+			byTime = &kp.byTime[0]
+		} else if &kp.byTime[0] != byTime {
+			t.Fatalf("%d shards: the partition order was sorted again", count)
+		}
+		owners := &kp.owners[0]
+		plannedTodo(&Campaign{Name: "owners", Shard: Shard{Index: 1, Count: count}, Checkpointer: p}, scenarios)
+		if &kp.owners[0] != owners {
+			t.Fatalf("%d shards: a repeated count cut its owners again", count)
 		}
 	}
 }
@@ -283,12 +306,11 @@ func TestHostKeepsACycleOfUniverses(t *testing.T) {
 
 // TestJournalHeaderReadsTheKeptFingerprint: once a host keeps a list's
 // plan, a journal header of that list — or of a rebuilt equal one —
-// carries the fingerprint hashed once and kept with the plan, which
-// equals UniverseHash of the list. A list that differs only in one
-// scenario ID or one fault Name matches the plan but not its
-// fingerprint, and one with -0 for 0 in a Param or a NaN matches
-// neither: each is hashed afresh, to its own UniverseHash. Two
-// goroutines asking at once read and replace the fingerprint safely.
+// carries the fingerprint the plan hashed once, which equals
+// UniverseHash of the list. A list that differs in one scenario ID, one
+// fault Name, -0 for 0 in a Param, a NaN or a Start matches no plan and
+// is hashed afresh, to its own UniverseHash. Two goroutines asking at
+// once read the kept fingerprint and hash the rest safely.
 func TestJournalHeaderReadsTheKeptFingerprint(t *testing.T) {
 	p := newEarliestFork(t)
 	for _, u := range generatedUniverses() {
@@ -306,15 +328,22 @@ func TestJournalHeaderReadsTheKeptFingerprint(t *testing.T) {
 		if kp == nil {
 			t.Fatalf("%s: no plan kept", u.name)
 		}
-		if got := header(u.scenarios); got != want {
-			t.Fatalf("%s: header %s, UniverseHash %s", u.name, got, want)
+		var wg sync.WaitGroup
+		for range 2 { // the first two asks, at once
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := header(u.scenarios); got != want {
+					t.Errorf("%s: header %s, UniverseHash %s", u.name, got, want)
+				}
+			}()
 		}
-		kept := kp.fp.Load()
-		if kept == nil || kept.hash != want {
-			t.Fatalf("%s: plan keeps fingerprint %+v, want %s", u.name, kept, want)
+		wg.Wait()
+		if kp.fp != want {
+			t.Fatalf("%s: plan keeps fingerprint %q, UniverseHash %s", u.name, kp.fp, want)
 		}
-		if got := header(rebuilt(u.scenarios)); got != want || kp.fp.Load() != kept {
-			t.Fatalf("%s: a rebuilt equal list: header %s (want %s), hashed again: %v", u.name, got, want, kp.fp.Load() != kept)
+		if got := header(rebuilt(u.scenarios)); got != want || p.planCache().find(rebuilt(u.scenarios), false) != kp {
+			t.Fatalf("%s: a rebuilt equal list: header %s (want %s), or it misses the kept plan", u.name, got, want)
 		}
 
 		k := len(u.scenarios) - 1
@@ -335,7 +364,6 @@ func TestJournalHeaderReadsTheKeptFingerprint(t *testing.T) {
 			if vwant == want {
 				t.Fatalf("%s/%s: the variant hashes as the list", u.name, name)
 			}
-			var wg sync.WaitGroup
 			for g := range 2 {
 				wg.Add(1)
 				go func() {
@@ -355,10 +383,72 @@ func TestJournalHeaderReadsTheKeptFingerprint(t *testing.T) {
 			if got := header(v); got != vwant {
 				t.Fatalf("%s/%s: header %s, UniverseHash %s", u.name, name, got, vwant)
 			}
-			matched := p.planCache().find(v, false) == kp
-			if want := name == "id" || name == "name"; matched != want {
-				t.Fatalf("%s/%s: the variant matches the kept plan: %v, want %v", u.name, name, matched, want)
+			if p.planCache().find(v, false) != nil {
+				t.Fatalf("%s/%s: the variant matches a kept plan", u.name, name)
 			}
 		}
 	}
+}
+
+// TestKeptPlanShardViewRunsItsOwnUniverse: a sharded Execute served a
+// kept plan runs, classifies and journals the scenarios it was handed,
+// never those of the Execute the plan was made for. A universe of equal
+// fault content under other IDs and names, and a rebuilt copy of a
+// universe whose first slice was since moved in place, each run shard
+// 1/3 exactly as a host that keeps no plan runs it.
+func TestKeptPlanShardViewRunsItsOwnUniverse(t *testing.T) {
+	universe := func(prefix string) []fault.Scenario {
+		var out []fault.Scenario
+		for at := sim.Time(2); at < windowHorizon-10; at += 7 {
+			for _, site := range []string{"toy.reg", "toy.line", "toy.late"} {
+				name := fmt.Sprintf("%s%s@%d", prefix, site, uint64(at))
+				out = append(out, fault.Single(permanent(name, site, fault.StuckAt1, at)))
+			}
+		}
+		return out
+	}
+	sh := Shard{Index: 1, Count: 3}
+	execute := func(p Checkpointer, scenarios []fault.Scenario) (*Result, []string) {
+		t.Helper()
+		var sink entrySink
+		res, err := (&Campaign{Name: "view", Shard: sh, Checkpointer: p, Journal: &sink}).Execute(scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(sink))
+		for i, e := range sink {
+			ids[i] = e.ID
+		}
+		slices.Sort(ids)
+		return res, ids
+	}
+	sameRun := func(name string, p earliestFork, scenarios []fault.Scenario) {
+		t.Helper()
+		got, gotIDs := execute(p, scenarios)
+		want, wantIDs := execute(unkeptFork{p}, scenarios)
+		if len(got.Outcomes) != len(want.Outcomes) || len(got.Outcomes) == 0 {
+			t.Fatalf("%s: %d outcomes, a host keeping no plan %d", name, len(got.Outcomes), len(want.Outcomes))
+		}
+		for i := range got.Outcomes {
+			if g, w := got.Outcomes[i].Scenario, want.Outcomes[i].Scenario; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: outcome %d is scenario %+v, a host keeping no plan ran %+v", name, i, g, w)
+			}
+		}
+		if !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("%s: journaled %v, a host keeping no plan %v", name, gotIDs, wantIDs)
+		}
+	}
+
+	p := newEarliestFork(t)
+	execute(p, universe(""))
+	sameRun("other IDs and names", p, universe("other-"))
+
+	p = newEarliestFork(t)
+	s := universe("")
+	original := rebuilt(s)
+	execute(p, s)
+	for i := range s {
+		s[i].Faults[0].Start += 3
+	}
+	sameRun("rebuilt after a move in place", p, original)
 }

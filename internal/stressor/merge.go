@@ -68,15 +68,3 @@ func Merge(spec MergeSpec, scenarios []fault.Scenario, js []*journal.Journal) (*
 	}
 	return set.Result(spec.StopOnFirst)
 }
-
-// shardOf names the shard of a count-shard set cut by rule that
-// position u of plan belongs to.
-func shardOf(plan dedupPlan, count int, rule string, u int) int {
-	switch {
-	case count <= 1:
-		return 0
-	case rule == journal.PartitionRoundRobin:
-		return u % count
-	}
-	return shardOwners(plan, count)[u]
-}

@@ -1,9 +1,15 @@
 package stressor
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // appendDescKey appends every descriptor field except the name — the
@@ -41,12 +47,185 @@ func scenarioContentKey(sc fault.Scenario) string {
 	return string(b)
 }
 
-// dedupPlan maps between a scenario universe and its unique-run
-// positions: the first occurrence of each distinct fault content is
-// the representative that runs, every later one is folded into it.
-// Execute, Merge and a ShardSet all build it from the same inputs, so
-// every shard and every merge agrees on the positions journals and the
-// shard partition are keyed by. Without Dedup — or when nothing folds —
+// universePlan is what a list Execute derives from its universe before
+// anything runs: the unique-run positions, their dispatch order and
+// fork-window families, and, once asked for, the shard owners and views
+// of the last shard count and the fingerprint. Execute, Merge and a
+// ShardSet all build it with newUniversePlan, so every shard and every
+// merge agrees on the positions journals and the partition are keyed
+// by. A Checkpointer keeps the plans of the lists it dispatches sorted
+// (planCache), so that the next Execute of the same universe on it
+// derives nothing; a kept plan also holds its key, a copy of that
+// universe (matches). A plan holds positions only, never a caller's
+// slice: bind and view attach the scenarios of the Execute at hand. Once
+// built it changes only in the fields mu guards and the fingerprint,
+// computed once.
+type universePlan struct {
+	dedup bool // the Dedup it was made under, part of the key
+	// uniq and pos are the unique-run positions (dedupPlan).
+	uniq, pos []int
+	// order holds every position in dispatch order, nil for index order,
+	// and family the fork-window family of each (sortPositions), nil when
+	// no family has two members.
+	order  []int
+	family []int32
+
+	// The key, set when a cache keeps the plan: the scenario IDs and the
+	// universe's faults, scenario i's ending at ends[i].
+	ids    []string
+	ends   []int
+	faults []fault.Descriptor
+
+	fpOnce sync.Once
+	fp     string // the universe's UniverseHash
+
+	mu         sync.Mutex
+	byTime     []int       // every position in partition order; nil before any count
+	ownerCount int         // the shard count owners and views are for; 0 before any
+	owners     []int       // each position's shard
+	views      []shardView // every shard's view, unbound
+}
+
+// newUniversePlan plans scenarios under dedup: the first occurrence of
+// each distinct fault content is the representative that runs, every
+// later one is folded into it; positions are dispatched by fork (nil:
+// index order).
+func newUniversePlan(scenarios []fault.Scenario, dedup bool, fork func(fault.Scenario) sim.Time) *universePlan {
+	p := &universePlan{dedup: dedup}
+	if dedup {
+		pos := make([]int, len(scenarios))
+		var uniq []int
+		seen := make(map[string]int, len(scenarios))
+		for i, sc := range scenarios {
+			key := scenarioContentKey(sc)
+			u, ok := seen[key]
+			if !ok {
+				u = len(uniq)
+				seen[key] = u
+				uniq = append(uniq, i)
+			}
+			pos[i] = u
+		}
+		if len(uniq) < len(scenarios) {
+			p.uniq, p.pos = uniq, pos
+		}
+	}
+	if fork != nil {
+		p.order, p.family = sortPositions(p.bind(scenarios), fork, true)
+	}
+	return p
+}
+
+// bind is p's positions over scenarios, the universe p was made for.
+func (p *universePlan) bind(scenarios []fault.Scenario) dedupPlan {
+	return dedupPlan{scenarios: scenarios, uniq: p.uniq, pos: p.pos}
+}
+
+// view is shard sh's view of scenarios, the universe p was made for:
+// every position unsharded, else the positions sh owns; either in p's
+// dispatch order.
+func (p *universePlan) view(scenarios []fault.Scenario, sh Shard) shardView {
+	if !sh.Enabled() {
+		return shardView{own: p.bind(scenarios), order: p.order, family: p.family}
+	}
+	_, views := p.cut(scenarios, sh.Count)
+	v := views[sh.Index]
+	v.own.scenarios = scenarios
+	return v
+}
+
+// cut is the owners and views of count shards of scenarios, the universe
+// p was made for (see Shard): the positions in partition order — by
+// earliest fault Start (ForkTime, not a host's), sorted the first time
+// any count is asked for — cut into count ranges. It keeps those of the
+// last count asked for only, so a plan holds one owner map whatever
+// counts it is asked for.
+func (p *universePlan) cut(scenarios []fault.Scenario, count int) (owners []int, views []shardView) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ownerCount != count {
+		if p.byTime == nil {
+			p.byTime, _ = sortPositions(p.bind(scenarios), ForkTime, false)
+		}
+		p.owners, p.ownerCount = make([]int, len(p.byTime)), count
+		for s, lo := 0, 0; s < count; s++ {
+			hi := lo + shardLen(len(p.owners), count, s)
+			for _, u := range p.byTime[lo:hi] {
+				p.owners[u] = s
+			}
+			lo = hi
+		}
+		p.views = p.shardViews()
+	}
+	return p.owners, p.views
+}
+
+// fingerprint is UniverseHash(scenarios) for the universe p was made
+// for, hashed once: a list a kept plan matches agrees with the one it
+// was hashed over in every field the hash reads. Without a plan (p nil)
+// it is hashed afresh.
+func (p *universePlan) fingerprint(scenarios []fault.Scenario) string {
+	if p == nil {
+		return UniverseHash(scenarios)
+	}
+	p.fpOnce.Do(func() { p.fp = UniverseHash(scenarios) })
+	return p.fp
+}
+
+// setKey copies the key p is matched by from scenarios, the universe p
+// was made for. The IDs' and names' bytes are shared: strings never
+// change.
+func (p *universePlan) setKey(scenarios []fault.Scenario) {
+	n := 0
+	for _, sc := range scenarios {
+		n += len(sc.Faults)
+	}
+	p.ids, p.ends, p.faults = make([]string, len(scenarios)), make([]int, len(scenarios)), make([]fault.Descriptor, 0, n)
+	for i, sc := range scenarios {
+		p.ids[i] = sc.ID
+		p.faults = append(p.faults, sc.Faults...)
+		p.ends[i] = len(p.faults)
+	}
+}
+
+// matches reports whether the kept plan p was made for scenarios under
+// dedup: the same IDs, each scenario with the same number of faults,
+// each equal to the kept copy in every field (sameDescriptor). That is
+// everything the positions, the dispatch order, the owners and the
+// fingerprint are functions of, so a rebuilt universe matches and one
+// mutated in place does not. A digest (UniverseHash) would cost more
+// than the sorts it saves, and the slice's identity can neither see an
+// in-place mutation nor find a rebuilt universe.
+func (p *universePlan) matches(scenarios []fault.Scenario, dedup bool) bool {
+	if p.dedup != dedup || len(p.ids) != len(scenarios) {
+		return false
+	}
+	lo := 0
+	for i := range scenarios {
+		sc, kept := &scenarios[i], p.faults[lo:p.ends[i]]
+		if sc.ID != p.ids[i] || len(kept) != len(sc.Faults) {
+			return false
+		}
+		for j := range kept {
+			if !sameDescriptor(&kept[j], &sc.Faults[j]) {
+				return false
+			}
+		}
+		lo = p.ends[i]
+	}
+	return true
+}
+
+// sameDescriptor reports whether two descriptors agree in every field:
+// struct equality, so a field fault.Descriptor gains is compared too.
+// Param and Rate compare as a dedup key spells them: -0 is not 0, and a
+// NaN matches nothing, so a universe holding one is planned afresh.
+func sameDescriptor(a, b *fault.Descriptor) bool {
+	return *a == *b && math.Signbit(a.Param) == math.Signbit(b.Param) && math.Signbit(a.Rate) == math.Signbit(b.Rate)
+}
+
+// dedupPlan is a plan's unique-run positions bound to one Execute's
+// scenarios (universePlan.bind). Without Dedup — or when nothing folds —
 // positions are the scenario indices themselves.
 type dedupPlan struct {
 	scenarios []fault.Scenario
@@ -54,30 +233,6 @@ type dedupPlan struct {
 	// pos the position of every scenario's representative; both are nil
 	// when positions are scenario indices.
 	uniq, pos []int
-}
-
-func newDedupPlan(scenarios []fault.Scenario, dedup bool) dedupPlan {
-	p := dedupPlan{scenarios: scenarios}
-	if !dedup {
-		return p
-	}
-	pos := make([]int, len(scenarios))
-	var uniq []int
-	seen := make(map[string]int, len(scenarios))
-	for i, sc := range scenarios {
-		key := scenarioContentKey(sc)
-		u, ok := seen[key]
-		if !ok {
-			u = len(uniq)
-			seen[key] = u
-			uniq = append(uniq, i)
-		}
-		pos[i] = u
-	}
-	if len(uniq) < len(scenarios) {
-		p.uniq, p.pos = uniq, pos
-	}
-	return p
 }
 
 // len is the number of unique-run positions.
@@ -126,4 +281,173 @@ func (p dedupPlan) fanOut(slots []slot) []slot {
 		}
 	}
 	return full
+}
+
+// shardView is the part of a list universe's unique-run positions one
+// Execute holds slots for, and the order it dispatches them in. Unsharded
+// it is the bound plan itself; a shard's own is the positions it owns,
+// ascending, slot k running the representative own.index(k) — own.uniq,
+// never nil, lists their scenario indices, and own has no pos, so only
+// len, index and scenario apply to it.
+type shardView struct {
+	own dedupPlan
+	// order lists own's positions in dispatch order; nil is index order.
+	// family is each one's fork-window family (universePlan.family), nil
+	// when the plan keeps none.
+	order  []int
+	family []int32
+}
+
+// shardViews is every shard's view of p's positions under its owners,
+// each dispatching its positions in p's order and keeping their
+// families. The views are unbound: own holds no scenarios. p.mu is held.
+func (p *universePlan) shardViews() []shardView {
+	owners, count, order, family, d := p.owners, p.ownerCount, p.order, p.family, p.bind(nil)
+	views := make([]shardView, count)
+	indices := make([]int, len(owners)) // every view's own.uniq, shard by shard
+	var orders, slot []int              // every view's order; each position's slot in its view
+	var families []int32                // every view's family
+	if order != nil {
+		orders, slot = make([]int, len(owners)), make([]int, len(owners))
+	}
+	if family != nil {
+		families = make([]int32, len(owners))
+	}
+	for s, lo := 0, 0; s < count; s++ {
+		hi := lo + shardLen(len(owners), count, s)
+		views[s].own.uniq = indices[lo:lo:hi]
+		if order != nil {
+			views[s].order = orders[lo:lo:hi]
+		}
+		if family != nil {
+			views[s].family = families[lo:lo:hi]
+		}
+		lo = hi
+	}
+	for u, s := range owners {
+		v := &views[s]
+		if slot != nil {
+			slot[u] = len(v.own.uniq)
+		}
+		v.own.uniq = append(v.own.uniq, d.index(u))
+	}
+	for i, u := range order {
+		v := &views[owners[u]]
+		v.order = append(v.order, slot[u])
+		if family != nil {
+			v.family = append(v.family, family[i])
+		}
+	}
+	return views
+}
+
+// sortPositions lists d's unique-run positions ordered by at(scenario),
+// then by the scenario's first fault's content, then by position. The
+// order is total, so it needs no stable sort, and filtering it gives any
+// subset of the positions its own sorted order. With families, family
+// numbers each position of order by its fork-window family: a run of
+// neighbours with one at and one single permanent fault of one content
+// (windowKeyOf), all a session's window memo tells apart. family is nil
+// without families or when no family has two members.
+func sortPositions(d dedupPlan, at func(fault.Scenario) sim.Time, families bool) (order []int, family []int32) {
+	// Each position's key, read once: a comparison then touches neither
+	// the dedup plan nor the scenario.
+	type key struct {
+		at    sim.Time
+		first *fault.Descriptor
+		u     int
+		keyed bool // a single permanent fault
+	}
+	var none fault.Descriptor
+	keys := make([]key, d.len())
+	for u := range keys {
+		sc := d.scenario(u)
+		keys[u] = key{at: at(sc), first: &none, u: u}
+		if len(sc.Faults) > 0 {
+			keys[u].first = &sc.Faults[0]
+			keys[u].keyed = len(sc.Faults) == 1 && sc.Faults[0].Class == fault.Permanent
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		if o := compareContent(a.first, b.first); o != 0 {
+			return o
+		}
+		return cmp.Compare(a.u, b.u)
+	})
+	order = make([]int, len(keys))
+	family = make([]int32, len(keys))
+	shared := false // some family has two members
+	for i, k := range keys {
+		order[i] = k.u
+		if i == 0 {
+			continue
+		}
+		family[i] = family[i-1]
+		if prev := keys[i-1]; families && k.keyed && prev.keyed && k.at == prev.at && contentOf(k.first) == contentOf(prev.first) {
+			shared = true
+		} else {
+			family[i]++
+		}
+	}
+	if !shared {
+		family = nil
+	}
+	return order, family
+}
+
+// compareContent orders two descriptors by everything but Name: target,
+// class and model — which tell most families apart — then the rest of
+// the content, Start last. It returns at the first field that differs.
+func compareContent(a, b *fault.Descriptor) int {
+	if o := strings.Compare(a.Target, b.Target); o != 0 {
+		return o
+	}
+	if a.Class != b.Class {
+		return cmp.Compare(a.Class, b.Class)
+	}
+	if a.Model != b.Model {
+		return cmp.Compare(a.Model, b.Model)
+	}
+	if a.Domain != b.Domain {
+		return cmp.Compare(a.Domain, b.Domain)
+	}
+	if a.Bit != b.Bit {
+		return cmp.Compare(a.Bit, b.Bit)
+	}
+	if a.Address != b.Address {
+		return cmp.Compare(a.Address, b.Address)
+	}
+	// cmp.Compare, not !=: a NaN sorts before every number and equals
+	// itself, and -0 equals 0.
+	if o := cmp.Compare(a.Param, b.Param); o != 0 {
+		return o
+	}
+	if a.Duration != b.Duration {
+		return cmp.Compare(a.Duration, b.Duration)
+	}
+	if a.Period != b.Period {
+		return cmp.Compare(a.Period, b.Period)
+	}
+	if o := cmp.Compare(a.Rate, b.Rate); o != 0 {
+		return o
+	}
+	return cmp.Compare(a.Start, b.Start)
+}
+
+// content is a fault's content minus Name and Start — all an injector
+// may depend on besides model state (fault.Injector) — as one comparable
+// value: the window memo's key and the family test's.
+type content struct {
+	d fault.Descriptor // Name, Start, Param and Rate zeroed
+	// param and rate are the floats' bits, so -0 and every NaN stay apart.
+	param, rate uint64
+}
+
+func contentOf(d *fault.Descriptor) content {
+	c := content{d: *d, param: math.Float64bits(d.Param), rate: math.Float64bits(d.Rate)}
+	c.d.Name, c.d.Start, c.d.Param, c.d.Rate = "", 0, 0, 0
+	return c
 }

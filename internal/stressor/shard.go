@@ -61,42 +61,6 @@ func (s Shard) JournalHeader(campaign string, total int, universe string) journa
 	return h
 }
 
-// shardOwners maps every unique-run position of d to the shard of count
-// that runs it (see Shard): the positions ordered by their earliest
-// fault Start (ForkTime, not a host's), cut into count ranges.
-func shardOwners(d dedupPlan, count int) []int {
-	n := d.len()
-	order, _ := sortPositions(d, ForkTime)
-	owner := make([]int, n)
-	for s, lo := 0, 0; s < count; s++ {
-		hi := lo + shardLen(n, count, s)
-		for _, u := range order[lo:hi] {
-			owner[u] = s
-		}
-		lo = hi
-	}
-	return owner
-}
-
-// shardView is shard sh's view of the universe kp was made for: its
-// positions, in the plan's dispatch order. The owners of sh.Count shards
-// and every shard's view are kept from the last call and built afresh
-// when sh.Count is not that call's (which drops those kept before, so a
-// plan holds one owner map whatever counts it is asked for); without a
-// plan, the view is built afresh, in index order.
-func (kp *keptPlan) shardView(d dedupPlan, sh Shard) shardView {
-	if kp == nil {
-		return shardViews(d, shardOwners(d, sh.Count), sh.Count, nil, nil)[sh.Index]
-	}
-	kp.mu.Lock()
-	defer kp.mu.Unlock()
-	if kp.ownerCount != sh.Count {
-		kp.owners, kp.ownerCount = shardOwners(d, sh.Count), sh.Count
-		kp.views = shardViews(d, kp.owners, sh.Count, kp.order, kp.family)
-	}
-	return kp.views[sh.Index]
-}
-
 // shardLen is how many of n positions shard s of count owns: the first
 // n%count shards hold one more than the rest.
 func shardLen(n, count, s int) int {
@@ -260,14 +224,9 @@ func (s *ShardSet) add(shard int, entries []journal.Entry, last, stopOnFirst boo
 // heldToFailure reports whether the slots hold every position shard
 // owns, in index order, up to one that failed.
 func (s *ShardSet) heldToFailure(shard int) bool {
-	e, count := s.e, len(s.recorded)
-	owner := func(u int) int { return shardOf(e.dedup, count, s.rule, u) }
-	if count > 1 && s.rule != journal.PartitionRoundRobin {
-		owners := shardOwners(e.dedup, count)
-		owner = func(u int) int { return owners[u] }
-	}
-	for u := range e.slots {
-		switch sl := &e.slots[u]; {
+	owner := s.owner()
+	for u := range s.e.slots {
+		switch sl := &s.e.slots[u]; {
 		case owner(u) != shard:
 		case !sl.ran:
 			return false
@@ -276,6 +235,18 @@ func (s *ShardSet) heldToFailure(shard int) bool {
 		}
 	}
 	return false
+}
+
+// owner maps each position of the set's universe to the shard that owns
+// it under the set's partition rule; the injection-time owners are its
+// plan's.
+func (s *ShardSet) owner() func(u int) int {
+	count := len(s.recorded)
+	if s.rule == journal.PartitionRoundRobin {
+		return func(u int) int { return u % count }
+	}
+	owners, _ := s.e.plan.cut(s.e.dedup.scenarios, count)
+	return func(u int) int { return owners[u] }
 }
 
 // Recorded is how many runs shard has recorded.
@@ -294,7 +265,7 @@ func (s *ShardSet) Result(stopOnFirst bool) (*Result, error) {
 	e, count := s.e, len(s.recorded)
 	for u := range e.slots {
 		if sl := &e.slots[u]; !sl.ran {
-			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", e.dedup.scenario(u).ID, e.dedup.index(u), shardOf(e.dedup, count, s.rule, u), count)
+			return nil, fmt.Errorf("stressor: scenario %s (index %d) missing from the journals — shard %d/%d is incomplete (interrupted? resume it first)", e.dedup.scenario(u).ID, e.dedup.index(u), s.owner()(u), count)
 		} else if stopOnFirst && sl.out.Class.IsFailure() {
 			break
 		}

@@ -26,7 +26,8 @@ import (
 func TestShardPartition(t *testing.T) {
 	for _, u := range generatedUniverses() {
 		for _, dedup := range []bool{false, true} {
-			plan := newDedupPlan(u.scenarios, dedup)
+			up := newUniversePlan(u.scenarios, dedup, nil)
+			plan := up.bind(u.scenarios)
 			n := plan.len()
 			if dedup && u.folds && n == len(u.scenarios) {
 				t.Fatalf("%s: dedup folds nothing", u.name)
@@ -38,7 +39,7 @@ func TestShardPartition(t *testing.T) {
 			}
 			for count := 1; count <= 9; count++ {
 				name := fmt.Sprintf("%s/dedup=%v/count=%d", u.name, dedup, count)
-				owner := shardOwners(plan, count)
+				owner, _ := up.cut(u.scenarios, count)
 				sizes := shardSizes(u.scenarios, dedup, count)
 				got := make([]int, count)
 				for _, s := range owner {

@@ -60,8 +60,8 @@ func TestShardHoldsOnlyItsSlots(t *testing.T) {
 			}
 
 			// Another shard's entry in this shard's journal: checked, dropped.
-			d := newDedupPlan(scenarios, dedup)
-			owners := shardOwners(d, 3)
+			d := newUniversePlan(scenarios, dedup, nil).bind(scenarios)
+			owners := freshOwners(scenarios, dedup, 3)
 			foreign := slices.IndexFunc(owners, func(o int) bool { return o != s })
 			i := d.index(foreign)
 			entry := journal.Entry{Index: i, ID: scenarios[i].ID, Class: fault.Masked.String(), Detail: "ran"}

@@ -2,7 +2,6 @@ package stressor
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -206,13 +205,13 @@ type session[S sim.State, R any] struct {
 	// pending is the key of the run in flight, set while its window leg
 	// has been silent. recall checks memo last-first: a campaign
 	// dispatches a window's instants of one descriptor (a family,
-	// keptPlan.family) back to back, and one worker runs a whole family
+	// universePlan.family) back to back, and one worker runs a whole family
 	// (claim), so a sorted list hits on its first compare; a StopOnFirst
 	// list, dispatched in index order, meets a window's descriptors
 	// instant after instant and finds each further back.
 	winFork, winEnd sim.Time
 	memo            []windowVerdict
-	pending         windowKey
+	pending         content
 	hasPending      bool
 
 	hits, extends, rebuilds, evictions *obs.Counter
@@ -429,18 +428,10 @@ func inc(c *obs.Counter) {
 // run to the horizon, and remember with the outcome of a run that ended
 // cleanly.
 
-// windowKey is a single permanent fault's content minus Name and Start:
-// all an injector may depend on besides model state (fault.Injector).
-type windowKey struct {
-	d fault.Descriptor // Name, Start, Param and Rate zeroed
-	// param and rate are the floats' bits, so -0 and every NaN stay apart.
-	param, rate uint64
-}
-
 // windowVerdict is what a silent run of key came to, signature included:
 // neither Start nor Name enters the final state (fault.Injector).
 type windowVerdict struct {
-	key    windowKey
+	key    content
 	class  fault.Classification
 	detail string
 	sig    uint64
@@ -449,15 +440,11 @@ type windowVerdict struct {
 // windowKeyOf keys sc when its whole timeline is one action: a single
 // permanent fault. Transients, intermittents and multi-fault scenarios
 // act again after the window and are never keyed.
-func windowKeyOf(sc fault.Scenario) (key windowKey, start sim.Time, ok bool) {
+func windowKeyOf(sc fault.Scenario) (key content, start sim.Time, ok bool) {
 	if len(sc.Faults) != 1 || sc.Faults[0].Class != fault.Permanent {
 		return key, 0, false
 	}
-	d := sc.Faults[0]
-	key.param, key.rate = math.Float64bits(d.Param), math.Float64bits(d.Rate)
-	start, d.Name, d.Start, d.Param, d.Rate = d.Start, "", 0, 0, 0
-	key.d = d
-	return key, start, true
+	return contentOf(&sc.Faults[0]), sc.Faults[0].Start, true
 }
 
 // checksConvergence is the one early-exit rule: a run of sc is run in
