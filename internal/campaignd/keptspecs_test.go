@@ -121,15 +121,20 @@ func TestKeptSpecsEvictTheOldestPastTheByteBound(t *testing.T) {
 // several clients at once, while a run of the same body executes and
 // status is read, share one kept spec; every run produces the first
 // one's result. Under -race this shows nothing writes to a kept Spec.
+// The executor starts only once the first run is joined, so that run
+// cannot finish before.
 func TestConcurrentResubmitsShareAKeptSpec(t *testing.T) {
-	sched, srv := newTestDaemon(t)
+	sched, err := NewScheduler(Config{DataDir: t.TempDir(), ProgressInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(sched))
+	t.Cleanup(srv.Close)
 	body := genInline("shared", 24, "2s")
 	first := submit(t, srv.URL, body)
-	h := sched.Hub(first)
-	if h == nil {
-		t.Fatal("the first run finished before it could be joined")
-	}
-	events, cancel := h.subscribe()
+	events, cancel := sched.Hub(first).subscribe()
+	sched.Start()
+	t.Cleanup(sched.Stop)
 	for e := range events {
 		if e.State != StateQueued {
 			break

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // mustSpec parses a spec literal.
@@ -254,6 +255,90 @@ func TestSchedulerResumeFromTruncatedJournal(t *testing.T) {
 			}
 			if j.Codec != tc.codec || len(j.Entries) != len(ref.Entries) {
 				t.Errorf("completed journal holds %d %s entries, want %d %s", len(j.Entries), j.Codec, len(ref.Entries), tc.codec)
+			}
+		})
+	}
+}
+
+// TestSchedulerRestartRefusesAdaptiveJournalOfAnotherDigest: a daemon
+// restarted over an adaptive run whose journal another state digest
+// signed — one that names another digest, or a header from before
+// headers named one — fails the run with the *journal.DigestError
+// naming both before it simulates anything, and the same journal under
+// the header the run writes now resumes to the uninterrupted run's
+// bytes.
+func TestSchedulerRestartRefusesAdaptiveJournalOfAnotherDigest(t *testing.T) {
+	raw := `{"campaign":"ad","universe":{"horizon":"30ms","inject":"5ms"},"adaptive":true,"novelty_budget":12,"novelty_seed":3}`
+	refSched, err := NewScheduler(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSched.Start()
+	refID := runToCompletion(t, refSched, raw)
+	refBytes, err := refSched.Store().ReadDoc(refID, DocResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := journal.Read(refSched.Store().JournalPath(refID))
+	refSched.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Header.Adaptive || ref.Header.Digest != sim.Digest || len(ref.Entries) < 4 {
+		t.Fatalf("reference journal: header %+v with %d entries, want an adaptive one signed %s with at least 4", ref.Header, len(ref.Entries), sim.Digest)
+	}
+
+	for name, digest := range map[string]string{"this digest": sim.Digest, "no name": "", "another digest": "other"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := store.NewRun([]byte(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := ref.Header
+			h.Digest = digest
+			w, err := journal.Create(store.JournalPath(id), h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ref.Entries[:3] {
+				if err := w.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sched, err := NewScheduler(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched.Start()
+			defer sched.Stop()
+			if digest == sim.Digest {
+				// The census line says how each proposal was answered; every
+				// other byte, the unique-signature count included, is the
+				// uninterrupted run's.
+				waitFinal(t, sched, id, StateDone)
+				got, err := sched.Store().ReadDoc(id, DocResult)
+				answered := strings.NewReplacer("(12 simulated, 0 pruned, 0 resumed)", "(9 simulated, 0 pruned, 3 resumed)")
+				if want := answered.Replace(string(refBytes)); err != nil || string(got) != want {
+					t.Errorf("resumed result (err %v) differs from the uninterrupted run:\n%s\nwant:\n%s", err, got, want)
+				}
+				return
+			}
+			waitFinal(t, sched, id, StateFailed)
+			want := (&journal.DigestError{Journal: h.SigDigest(), Want: sim.Digest}).Error()
+			if msg := sched.Store().ReadRunError(id); !strings.HasSuffix(msg, want) {
+				t.Errorf("run failed with %q, want the digest refusal %q", msg, want)
+			}
+			if j, err := journal.Read(store.JournalPath(id)); err != nil || len(j.Entries) != 3 {
+				t.Errorf("refused journal changed: %v entries, err %v; want the 3 it held", len(j.Entries), err)
 			}
 		})
 	}

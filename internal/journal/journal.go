@@ -70,6 +70,26 @@ type Header struct {
 	// records the simulated-run budget, and Universe fingerprints the
 	// strategy configuration instead of a scenario list.
 	Adaptive bool `json:"adaptive,omitempty"`
+	// Digest names the state digest that computed an adaptive journal's
+	// entry signatures (Entry.Sig), which a resumed campaign's Source
+	// rebuilds its novelty state from. Only adaptive headers carry it: a
+	// list journal's signatures reach nothing on replay. An adaptive
+	// header written before the field existed has none and means
+	// DigestFNV1a.
+	Digest string `json:"digest,omitempty"`
+}
+
+// DigestFNV1a is the state digest of an adaptive header that names
+// none: byte-wise FNV-1a, what signatures were before headers named it.
+const DigestFNV1a = "fnv1a"
+
+// SigDigest is the state digest an adaptive header's signatures were
+// computed with.
+func (h Header) SigDigest() string {
+	if h.Digest == "" {
+		return DigestFNV1a
+	}
+	return h.Digest
 }
 
 // The partition rules a shard journal's header can name.
@@ -105,11 +125,27 @@ func (e *PartitionError) Error() string {
 	return fmt.Sprintf("journal: shard %d/%d journal is partitioned %s, want %s", e.Shard, e.Shards, e.Journal, e.Want)
 }
 
+// DigestError refuses an adaptive journal whose signatures another state
+// digest computed than the campaign resuming it uses: its Source would
+// rebuild its novelty state from one digest's signatures and observe
+// another's from then on, so the resumed campaign would count unique
+// signatures, and propose, unlike a fresh one.
+type DigestError struct {
+	// Journal is the digest the refused journal's signatures were
+	// computed with, Want the one it was checked against.
+	Journal, Want string
+}
+
+func (e *DigestError) Error() string {
+	return fmt.Sprintf("journal: adaptive journal's signatures are digest %s, want %s", e.Journal, e.Want)
+}
+
 // Match reports whether a journal with header h can stand where one
 // with header want is expected: nil, or an error naming the first field
-// that differs — kind, campaign, shard layout, total, universe — and a
+// that differs — kind, campaign, shard layout, total, universe — a
 // *PartitionError for a shard journal cut by another partition rule (an
-// unsharded journal fits under any rule).
+// unsharded journal fits under any rule) and a *DigestError for an
+// adaptive journal signed by another state digest.
 func (h Header) Match(want Header) error {
 	kind := func(h Header) string {
 		if h.Adaptive {
@@ -130,6 +166,8 @@ func (h Header) Match(want Header) error {
 		return fmt.Errorf("journal: universe %s, want %s", h.Universe, want.Universe)
 	case h.Shards > 1 && h.Rule() != want.Rule():
 		return &PartitionError{Shard: h.Shard, Shards: h.Shards, Journal: h.Rule(), Want: want.Rule()}
+	case h.Adaptive && h.SigDigest() != want.SigDigest():
+		return &DigestError{Journal: h.SigDigest(), Want: want.SigDigest()}
 	}
 	return nil
 }
@@ -379,7 +417,8 @@ func CreateCodec(path string, h Header, codec Codec) (*Writer, error) {
 
 // AppendTo reopens an existing journal for appending, adopting
 // whatever codec the file already uses. The on-disk header must Match
-// h (same kind, campaign, shard layout, total and universe); a partial
+// h (same kind, campaign, shard layout, total, universe, partition rule
+// and an adaptive journal's digest); a partial
 // trailing line or frame left by a crash is trimmed first. It returns
 // the decoded journal alongside the writer so the caller can replay
 // the recorded entries.

@@ -368,6 +368,54 @@ func TestJournalPartitionRule(t *testing.T) {
 	}
 }
 
+// TestJournalDigest: Match refuses an adaptive journal whose signatures
+// another state digest computed with a *DigestError naming both — the
+// name-less header of a journal written before headers named one being
+// DigestFNV1a's — and leaves list headers, which carry no name, alone;
+// both codecs carry the name through a resume, and a header without one
+// encodes without the key.
+func TestJournalDigest(t *testing.T) {
+	adaptive := func(digest string) Header {
+		h := testHeader()
+		h.Shards, h.Adaptive, h.Digest = 1, true, digest
+		return h
+	}
+	for _, tc := range []struct {
+		name          string
+		written, want Header
+		refused       *DigestError // nil: Match accepts
+	}{
+		{"list", testHeader(), testHeader(), nil},
+		{"adaptive, same digest", adaptive("mix64"), adaptive("mix64"), nil},
+		{"adaptive, no name", adaptive(""), adaptive("mix64"), &DigestError{Journal: DigestFNV1a, Want: "mix64"}},
+		{"adaptive, other digest", adaptive("other"), adaptive("mix64"), &DigestError{Journal: "other", Want: "mix64"}},
+	} {
+		for codec, encode := range map[Codec]func(Header, []Entry) []byte{JSONL: encodeJSONL, Binary: encodeBinary} {
+			raw := encode(tc.written, nil)
+			if tc.written.Digest == "" && strings.Contains(string(raw), `"digest"`) {
+				t.Errorf("%s, %s: a header without a digest encodes one: %q", tc.name, codec, raw)
+			}
+			path := filepath.Join(t.TempDir(), "j")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, w, err := AppendTo(path, tc.want)
+			var de *DigestError
+			switch {
+			case tc.refused == nil && err != nil:
+				t.Errorf("%s, %s: refused: %v", tc.name, codec, err)
+			case tc.refused == nil && j.Header != tc.written:
+				t.Errorf("%s, %s: read back %+v, wrote %+v", tc.name, codec, j.Header, tc.written)
+			case tc.refused != nil && (!errors.As(err, &de) || *de != *tc.refused):
+				t.Errorf("%s, %s: err %v, want %v", tc.name, codec, err, tc.refused)
+			}
+			if w != nil {
+				w.Close()
+			}
+		}
+	}
+}
+
 func TestJournalDecodeRejectsCorruption(t *testing.T) {
 	_, raw := writeJSONLJournal(t, testEntries())
 	cases := []struct {

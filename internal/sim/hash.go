@@ -10,17 +10,35 @@ import "math"
 // the final observation — model state via Hashable, scheduler state
 // via Kernel.HashScheduler — and nothing that is pure diagnostics
 // (propagation traces, activity counters), so that transient faults
-// whose effects wash out still converge.
+// whose effects wash out still converge. Every digest in this package —
+// a StateHash, a PagedState page, a kernel's elaboration shape — is a
+// chain of Mix64 steps, one per 64-bit word.
 
-// fnvOffset64 and fnvPrime64 are the FNV-1a 64-bit parameters.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// fnvOffset64, FNV-1a's offset basis, is the seed a StateHash and each
+// PagedState page digest start from.
+const fnvOffset64 = 14695981039346656037
 
-// StateHash accumulates a 64-bit FNV-1a digest over typed state words.
-// The zero value is NOT ready; use NewStateHash (or Reset). It is a
-// value type — pass by pointer, read with Sum.
+// Digest names the digest StateHash computes, for the journals that keep
+// its values: an adaptive journal's header records it, so signatures of
+// two digests are never mixed on resume.
+const Digest = "mix64"
+
+// Mix64 folds one 64-bit word into a running digest: the step of every
+// digest in this package, exported for append-only logs that keep a
+// rolling digest beside a PagedState (fold each record as it is
+// appended and the digest stays a pure function of the log's contents).
+// It is a bijection of the word for a fixed digest and of the digest for
+// a fixed word (xor, an odd multiply and h ^ h>>32 all invert), so two
+// equal-length fold sequences that differ in one word never share a
+// digest (DESIGN §14).
+func Mix64(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// StateHash accumulates a 64-bit digest over typed state words, one
+// Mix64 step per word. The zero value is NOT ready; use NewStateHash
+// (or Reset). It is a value type — pass by pointer, read with Sum.
 type StateHash struct {
 	h uint64
 }
@@ -35,23 +53,10 @@ func (s *StateHash) Reset() { s.h = fnvOffset64 }
 func (s *StateHash) Sum() uint64 { return s.h }
 
 // Byte folds one byte.
-func (s *StateHash) Byte(b byte) {
-	s.h = (s.h ^ uint64(b)) * fnvPrime64
-}
+func (s *StateHash) Byte(b byte) { s.h = Mix64(s.h, uint64(b)) }
 
-// U64 folds a 64-bit word, little-endian.
-func (s *StateHash) U64(v uint64) {
-	h := s.h
-	h = (h ^ (v & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 8 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 16 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 24 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 32 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 40 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 48 & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 56)) * fnvPrime64
-	s.h = h
-}
+// U64 folds a 64-bit word.
+func (s *StateHash) U64(v uint64) { s.h = Mix64(s.h, v) }
 
 // U32 folds a 32-bit word.
 func (s *StateHash) U32(v uint32) { s.U64(uint64(v)) }
@@ -79,21 +84,26 @@ func (s *StateHash) F64(v float64) { s.U64(math.Float64bits(v)) }
 // alias into the same digest.
 func (s *StateHash) Bytes(b []byte) {
 	s.Int(len(b))
-	h := s.h
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	s.h = h
+	s.h = fold(s.h, b)
 }
 
-// Str folds a string, length-prefixed.
+// Str folds a string as Bytes folds its bytes.
 func (s *StateHash) Str(v string) {
 	s.Int(len(v))
-	h := s.h
-	for i := 0; i < len(v); i++ {
-		h = (h ^ uint64(v[i])) * fnvPrime64
+	s.h = fold(s.h, v)
+}
+
+// fold folds b into h eight little-endian bytes a step, then the tail a
+// byte a step: the loop of Bytes, Str and every page digest.
+func fold[T string | []byte](h uint64, b T) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = Mix64(h, uint64(b[0])|uint64(b[1])<<8|uint64(b[2])<<16|uint64(b[3])<<24|
+			uint64(b[4])<<32|uint64(b[5])<<40|uint64(b[6])<<48|uint64(b[7])<<56)
 	}
-	s.h = h
+	for i := 0; i < len(b); i++ {
+		h = Mix64(h, uint64(b[i]))
+	}
+	return h
 }
 
 // StateSignature digests a model's final state into the 64-bit

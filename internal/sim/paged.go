@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"sync/atomic"
 )
@@ -146,16 +145,6 @@ func (p *PagedState) fill(v uint64) {
 	}
 }
 
-// Mix64 folds one 64-bit word into a running digest: the step of the
-// page digest, exported for append-only logs that keep a rolling
-// digest beside a PagedState (fold each record as it is appended and
-// the digest stays a pure function of the log's contents). Unlike a
-// bare FNV multiply, the xor-shift carries high input bits back down.
-func Mix64(h, w uint64) uint64 {
-	h = (h ^ w) * 0x9e3779b97f4a7c15
-	return h ^ h>>32
-}
-
 // mixPage binds a page digest to its position, so equal pages at
 // different indices — or two pages swapped — do not cancel in the sum.
 func mixPage(pg int, sum uint64) uint64 {
@@ -174,17 +163,7 @@ func (p *PagedState) pageBytes(pg int) []byte {
 }
 
 // pageDigest digests page pg's contents, eight bytes at a time.
-func (p *PagedState) pageDigest(pg int) uint64 {
-	b := p.pageBytes(pg)
-	h := uint64(fnvOffset64)
-	for ; len(b) >= 8; b = b[8:] {
-		h = Mix64(h, binary.LittleEndian.Uint64(b))
-	}
-	for _, c := range b {
-		h = Mix64(h, uint64(c))
-	}
-	return h
-}
+func (p *PagedState) pageDigest(pg int) uint64 { return fold(fnvOffset64, p.pageBytes(pg)) }
 
 // recombine rebuilds the combination from every page digest.
 func (p *PagedState) recombine() {

@@ -157,6 +157,7 @@ func toBinary(s string) string {
 		return s
 	}
 	// Render as the binary of a 64-bit FNV-1a hash: stable, unique-ish.
+	// An output format, not a state digest: its bytes are in traces.
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

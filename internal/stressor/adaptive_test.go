@@ -1,6 +1,7 @@
 package stressor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -289,7 +290,7 @@ func TestAdaptiveJournalResume(t *testing.T) {
 	const budget, seed = 24, 99
 	header := journal.Header{
 		Campaign: "ad-resume", Shard: 0, Shards: 1,
-		Total: budget, Universe: "strategyfp", Adaptive: true,
+		Total: budget, Universe: "strategyfp", Adaptive: true, Digest: sim.Digest,
 	}
 	build := func(workers int) *Campaign {
 		return &Campaign{
@@ -378,12 +379,33 @@ func TestAdaptiveJournalResume(t *testing.T) {
 }
 
 // TestAdaptiveResumeValidation: stale or foreign journals are refused
-// before any run starts.
+// before any run starts — one whose signatures another state digest
+// computed, a header from before headers named one included, with a
+// *journal.DigestError — and the good header itself resumes.
 func TestAdaptiveResumeValidation(t *testing.T) {
 	u := adaptiveUniverse(2)
 	good := journal.Header{
 		FormatMarker: journal.Format, Campaign: "ad-v", Shard: 0, Shards: 1,
-		Total: 10, Universe: "fp", Adaptive: true,
+		Total: 10, Universe: "fp", Adaptive: true, Digest: sim.Digest,
+	}
+	build := func(j *journal.Journal) *Campaign {
+		return &Campaign{
+			Name: "ad-v", Run: sigRunFunc(nil, false),
+			Source: newNoveltySource(u, 10, 1), MaxRuns: 10,
+			Fingerprint: "fp", Resume: j,
+		}
+	}
+	if _, err := build(&journal.Journal{Header: good}).Execute(nil); err != nil {
+		t.Fatalf("the campaign's own header refused: %v", err)
+	}
+	for _, digest := range []string{"", "other"} {
+		h := good
+		h.Digest = digest
+		_, err := build(&journal.Journal{Header: h}).Execute(nil)
+		var de *journal.DigestError
+		if !errors.As(err, &de) || de.Journal != h.SigDigest() || de.Want != sim.Digest {
+			t.Errorf("journal signed %q: err %v, want a *journal.DigestError naming %s and %s", digest, err, h.SigDigest(), sim.Digest)
+		}
 	}
 	cases := []struct {
 		name   string
@@ -407,12 +429,7 @@ func TestAdaptiveResumeValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			j := &journal.Journal{Header: good}
 			tc.mutate(j)
-			c := &Campaign{
-				Name: "ad-v", Run: sigRunFunc(nil, false),
-				Source: newNoveltySource(u, 10, 1), MaxRuns: 10,
-				Fingerprint: "fp", Resume: j,
-			}
-			if _, err := c.Execute(nil); err == nil {
+			if _, err := build(j).Execute(nil); err == nil {
 				t.Fatal("invalid resume journal accepted")
 			}
 		})

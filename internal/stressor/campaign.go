@@ -451,13 +451,14 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // scenarios (nil with a Source) must carry — the one Resume is checked
 // against. A list is identified by its shard layout, size and universe
 // hash; a Source by its MaxRuns budget and Fingerprint, with entries
-// keyed by proposal sequence number. A list's hash is the one its
-// Checkpointer's kept plan of the list holds (universePlan.fingerprint),
-// and UniverseHash when it keeps none.
+// keyed by proposal sequence number and signed by the sim.Digest its
+// header names. A list's hash is the one its Checkpointer's kept plan of
+// the list holds (universePlan.fingerprint), and UniverseHash when it
+// keeps none.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
 	if c.Source != nil {
 		h := c.Shard.JournalHeader(c.Name, c.MaxRuns, c.Fingerprint)
-		h.Adaptive = true
+		h.Adaptive, h.Digest = true, sim.Digest
 		return h
 	}
 	var p *universePlan
@@ -523,10 +524,10 @@ func (e *campaignExec) planList(scenarios []fault.Scenario) *universePlan {
 
 // resumeEntries validates c.Resume against this exact campaign — kind,
 // name, shard layout and partition rule, size or budget, universe
-// fingerprint — and adds a list's journal to e's slots (a ShardSet); a
-// Source's it indexes by proposal sequence number. Any mismatch is a
-// hard error before the first run: a stale or foreign journal must
-// never silently poison a campaign.
+// fingerprint, a Source's signature digest — and adds a list's journal
+// to e's slots (a ShardSet); a Source's it indexes by proposal sequence
+// number. Any mismatch is a hard error before the first run: a stale or
+// foreign journal must never silently poison a campaign.
 func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error) {
 	if c.Resume == nil {
 		return nil, nil

@@ -45,9 +45,9 @@ internal/ecu/snapshot.go (ls *Lockstep) restoreFrom'
 
 # Survivors that are no omission: FILE<TAB>STATEMENT<TAB>REASON.
 allow='internal/can/bus.go	st.nodes = st.nodes[:len(b.nodes)]	a bus'"'"'s node list is fixed once elaborated, so a buffer it captured before already has that length
-internal/caps/system.go	h.Bool(false)	framing: a sensor'"'"'s not-installed override folds this byte, an installed one a byte and eight more; without either bit the branches still fold streams of different widths, which realistic offsets (zero, or the universe'"'"'s 0.5) never line up
-internal/caps/system.go	h.Bool(true)	framing, as h.Bool(false) above: the branches fold one byte and eight plus one
-internal/tlm/memory.go	h.Int(len(m.stuckMask))	framing: each defect adds ten bytes (cell, mask, value) ahead of the access counters, so memories with different defect counts fold streams of different lengths; TestStateCoverageStuckDefects holds each part of a defect'
+internal/caps/system.go	h.Bool(false)	framing: a sensor'"'"'s not-installed override folds this word, an installed one a word and the value'"'"'s word; without either bit the branches still fold streams of different widths, which realistic offsets (zero, or the universe'"'"'s 0.5) never line up
+internal/caps/system.go	h.Bool(true)	framing, as h.Bool(false) above: the branches fold one word and two
+internal/tlm/memory.go	h.Int(len(m.stuckMask))	framing: each defect adds three words (cell, mask, value) ahead of the access counters, so memories with different defect counts fold streams of different lengths; TestStateCoverageStuckDefects holds each part of a defect'
 
 cp -R "$root/go.mod" "$root/internal" "$work/"
 report=$work/report
