@@ -75,5 +75,5 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("crash check (G2): golden crash run deploys = %s\n", runner.Golden().Outputs["fired"])
+	fmt.Printf("crash check (G2): golden crash run deploys = %t\n", caps.Fired(runner.Golden()))
 }

@@ -23,8 +23,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer r.Close()
-	g := r.Golden()
-	fmt.Printf("golden run:            acc %s, halted %s\n", g.Outputs["acc"], g.Outputs["halted"])
+	g := ecu.OutputsOf(r.Golden())
+	fmt.Printf("golden run:            acc %#x, halted %t/%t\n", g.Acc[0], g.Halted[0], g.Halted[1])
 
 	seus := []struct {
 		what string

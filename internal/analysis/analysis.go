@@ -10,8 +10,11 @@ package analysis
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/safety"
@@ -19,11 +22,14 @@ import (
 )
 
 // Observation is what a monitor extracted from one simulation run.
-// Outputs maps observed output names to canonical value strings; the
-// classifier compares them against the golden run.
+// Outputs is the run's externally visible results as one comparable
+// value; the classifier compares it against the golden run's.
 type Observation struct {
-	// Outputs are the externally visible results.
-	Outputs map[string]string
+	// Outputs are the externally visible results: model-canonical bytes,
+	// equal exactly when the results are (the model's accessor reads them
+	// back). A model hands a run whose results equal golden's golden's own
+	// string, so Classify's == sees one pointer and reads no byte.
+	Outputs string
 	// GoalViolated marks a stated safety-goal violation (worst class).
 	GoalViolated bool
 	// GoalDetail explains the violation.
@@ -51,7 +57,7 @@ func Classify(golden, faulty Observation) fault.Classification {
 		return fault.SafetyCritical
 	case faulty.DeadlineMissed:
 		return fault.TimingViolation
-	case !outputsEqual(golden.Outputs, faulty.Outputs):
+	case golden.Outputs != faulty.Outputs:
 		if faulty.Detected {
 			return fault.DetectedSafe
 		}
@@ -67,19 +73,9 @@ func Classify(golden, faulty Observation) fault.Classification {
 	}
 }
 
-func outputsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Describe renders a one-line outcome detail from an observation.
+// Describe renders a one-line outcome detail from an observation. A
+// detected run's detail is interned (detectedBy): a campaign's runs are
+// detected by a handful of mechanism sequences, each rendered once.
 func Describe(o Observation) string {
 	switch {
 	case o.GoalViolated:
@@ -87,11 +83,56 @@ func Describe(o Observation) string {
 	case o.DeadlineMissed:
 		return "deadline missed"
 	case o.Detected:
-		return "detected by " + strings.Join(o.DetectedBy, ",")
+		return detectedBy(o.DetectedBy)
 	default:
 		return ""
 	}
 }
+
+// details interns the details detectedBy renders: an open-addressed table
+// of immutable entries, each published by compare-and-swap, so concurrent
+// campaigns read and fill it without a lock. It is bounded: a sequence
+// whose probes all find other sequences is rendered afresh, every time.
+var details [detailSlots]atomic.Pointer[detail]
+
+const (
+	detailSlots  = 1024 // a power of two
+	detailProbes = 16
+)
+
+// detail is one interned rendering of a mechanism sequence.
+type detail struct {
+	by   []string // a copy: a caller's list may be a reused buffer
+	text string
+}
+
+var detailSeed = maphash.MakeSeed()
+
+// detectedBy is "detected by " and the mechanisms of by, comma-separated:
+// the interned string when by was rendered before.
+func detectedBy(by []string) string {
+	h := uint64(len(by))
+	for _, m := range by {
+		h = sim.Mix64(h, maphash.String(detailSeed, m))
+	}
+	for p := uint64(0); p < detailProbes; p++ {
+		slot := &details[(h+p)&(detailSlots-1)]
+		d := slot.Load()
+		if d == nil {
+			d = &detail{by: slices.Clone(by), text: renderDetectedBy(by)}
+			if slot.CompareAndSwap(nil, d) {
+				return d.text
+			}
+			d = slot.Load()
+		}
+		if slices.Equal(d.by, by) {
+			return d.text
+		}
+	}
+	return renderDetectedBy(by)
+}
+
+func renderDetectedBy(by []string) string { return "detected by " + strings.Join(by, ",") }
 
 // Hop is one step of an error propagation trace.
 type Hop struct {

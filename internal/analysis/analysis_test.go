@@ -2,8 +2,12 @@ package analysis
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/safety"
@@ -11,20 +15,20 @@ import (
 )
 
 func TestClassifyPriorities(t *testing.T) {
-	golden := Observation{Outputs: map[string]string{"y": "1"}}
+	golden := Observation{Outputs: "\x01y"}
 	cases := []struct {
 		name string
 		obs  Observation
 		want fault.Classification
 	}{
 		{"goal beats everything", Observation{GoalViolated: true, DeadlineMissed: true, Detected: true, Activated: true}, fault.SafetyCritical},
-		{"deadline beats sdc", Observation{DeadlineMissed: true, Outputs: map[string]string{"y": "2"}}, fault.TimingViolation},
-		{"mismatch undetected is sdc", Observation{Outputs: map[string]string{"y": "2"}}, fault.SDC},
-		{"mismatch detected is safe", Observation{Outputs: map[string]string{"y": "2"}, Detected: true}, fault.DetectedSafe},
-		{"match detected is safe", Observation{Outputs: map[string]string{"y": "1"}, Detected: true}, fault.DetectedSafe},
-		{"latent", Observation{Outputs: map[string]string{"y": "1"}, LatentState: true}, fault.Latent},
-		{"masked", Observation{Outputs: map[string]string{"y": "1"}, Activated: true}, fault.Masked},
-		{"no effect", Observation{Outputs: map[string]string{"y": "1"}}, fault.NoEffect},
+		{"deadline beats sdc", Observation{DeadlineMissed: true, Outputs: "\x02y"}, fault.TimingViolation},
+		{"mismatch undetected is sdc", Observation{Outputs: "\x02y"}, fault.SDC},
+		{"mismatch detected is safe", Observation{Outputs: "\x02y", Detected: true}, fault.DetectedSafe},
+		{"match detected is safe", Observation{Outputs: "\x01y", Detected: true}, fault.DetectedSafe},
+		{"latent", Observation{Outputs: "\x01y", LatentState: true}, fault.Latent},
+		{"masked", Observation{Outputs: "\x01y", Activated: true}, fault.Masked},
+		{"no effect", Observation{Outputs: "\x01y"}, fault.NoEffect},
 	}
 	for _, c := range cases {
 		if got := Classify(golden, c.obs); got != c.want {
@@ -33,15 +37,19 @@ func TestClassifyPriorities(t *testing.T) {
 	}
 }
 
-func TestClassifyOutputSets(t *testing.T) {
-	golden := Observation{Outputs: map[string]string{"a": "1", "b": "2"}}
-	missing := Observation{Outputs: map[string]string{"a": "1"}}
-	if Classify(golden, missing) != fault.SDC {
-		t.Error("missing output not a mismatch")
+// TestClassifyComparesOutputBytes: outputs are equal exactly when their
+// bytes are — a string built afresh equals golden's, and a prefix, an
+// extension or one flipped byte is a mismatch.
+func TestClassifyComparesOutputBytes(t *testing.T) {
+	golden := Observation{Outputs: "\x00\x07\x2a\xff"}
+	rebuilt := Observation{Outputs: string([]byte{0, 7, 42, 255})}
+	if got := Classify(golden, rebuilt); got != fault.NoEffect {
+		t.Errorf("equal bytes built afresh: got %s, want %s", got, fault.NoEffect)
 	}
-	extra := Observation{Outputs: map[string]string{"a": "1", "b": "2", "c": "3"}}
-	if Classify(golden, extra) != fault.SDC {
-		t.Error("extra output not a mismatch")
+	for _, out := range []string{"", "\x00\x07\x2a", "\x00\x07\x2a\xff\x00", "\x01\x07\x2a\xff", "\x00\x07\x2b\xff"} {
+		if got := Classify(golden, Observation{Outputs: out}); got != fault.SDC {
+			t.Errorf("outputs %q against %q: got %s, want %s", out, golden.Outputs, got, fault.SDC)
+		}
 	}
 }
 
@@ -54,6 +62,114 @@ func TestDescribe(t *testing.T) {
 	}
 	if Describe(Observation{}) != "" {
 		t.Error("empty describe")
+	}
+}
+
+// TestDescribeInternMatchesJoin: for every sequence of mechanisms a CAPS
+// run (each ordering of any subset of its four: detect appends them in
+// firing order) or an ECU run (any subset of its three, in Observe's
+// order) reports, the interned detail is the joined rendering, a second
+// call with another list of the same names returns the same string and
+// allocates nothing, and the nil list renders as the empty one.
+func TestDescribeInternMatchesJoin(t *testing.T) {
+	var seqs [][]string
+	var orderings func(prefix, rest []string)
+	orderings = func(prefix, rest []string) {
+		seqs = append(seqs, slices.Clone(prefix))
+		for i, m := range rest {
+			orderings(append(slices.Clone(prefix), m), slices.Delete(slices.Clone(rest), i, i+1))
+		}
+	}
+	orderings(nil, []string{"calib-crc", "plausibility", "threshold-redundancy", "frame-timeout"})
+	ecu := []string{"lockstep", "watchdog", "ecc"}
+	for set := 1; set < 1<<len(ecu); set++ {
+		var seq []string
+		for i, m := range ecu {
+			if set&(1<<i) != 0 {
+				seq = append(seq, m)
+			}
+		}
+		seqs = append(seqs, seq)
+	}
+	if len(seqs) != 65+7 {
+		t.Fatalf("%d sequences, want 72", len(seqs))
+	}
+	for _, seq := range seqs {
+		want := "detected by " + strings.Join(seq, ",")
+		first := Describe(Observation{Detected: true, DetectedBy: seq})
+		again := Observation{Detected: true, DetectedBy: slices.Clone(seq)}
+		var second string
+		allocs := testing.AllocsPerRun(10, func() { second = Describe(again) })
+		if first != want || second != want {
+			t.Errorf("%q: detail %q, then %q, want %q", seq, first, second, want)
+		}
+		if unsafe.StringData(first) != unsafe.StringData(second) {
+			t.Errorf("%q: a second call rendered the detail again", seq)
+		}
+		if allocs != 0 {
+			t.Errorf("%q: a second call allocates %v objects", seq, allocs)
+		}
+	}
+	if got := Describe(Observation{Detected: true}); got != "detected by " {
+		t.Errorf("nil list: %q", got)
+	}
+}
+
+// TestDescribeInternUnderContention: workers describing overlapping
+// sequences at once, each first seen by several of them, all get the
+// joined rendering (run under the race detector in CI).
+func TestDescribeInternUnderContention(t *testing.T) {
+	const workers, seqs = 4, 64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range seqs {
+				seq := []string{"contended", strconv.Itoa((i + w) % seqs)}
+				if got, want := Describe(Observation{Detected: true, DetectedBy: seq}), "detected by "+strings.Join(seq, ","); got != want {
+					t.Errorf("worker %d: %q, want %q", w, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDescribeInternIsBounded: once every slot of the table holds a
+// detail, Describe renders any other sequence afresh on every call, and
+// still as the joined rendering. The table is put back as it was.
+func TestDescribeInternIsBounded(t *testing.T) {
+	var saved [detailSlots]*detail
+	for i := range details {
+		saved[i] = details[i].Swap(nil)
+	}
+	t.Cleanup(func() {
+		for i := range details {
+			details[i].Store(saved[i])
+		}
+	})
+	taken := func() (n int) {
+		for i := range details {
+			if details[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; taken() < detailSlots; i++ {
+		if i == 100*detailSlots {
+			t.Fatalf("%d distinct sequences fill %d of %d slots", i, taken(), detailSlots)
+		}
+		Describe(Observation{Detected: true, DetectedBy: []string{"m", strconv.Itoa(i)}})
+	}
+	ob := Observation{Detected: true, DetectedBy: []string{"m", "-1"}}
+	first, second := Describe(ob), Describe(ob)
+	if first != "detected by m,-1" || second != first {
+		t.Errorf("a detail past the bound: %q, then %q", first, second)
+	}
+	if unsafe.StringData(first) == unsafe.StringData(second) {
+		t.Error("a detail past the bound was interned")
 	}
 }
 

@@ -3,7 +3,7 @@ package caps
 import (
 	"fmt"
 	"slices"
-	"strconv"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -66,12 +66,15 @@ func (r *Runner) RunScenarioTraced(sc fault.Scenario) (fault.Outcome, *analysis.
 type model struct {
 	cfg   Config
 	world *World
+	// golden is the golden run's outputs, kept by Golden before any other
+	// run: a run whose outputs equal them carries this very string.
+	golden string
 }
 
 func (m *model) Build(k *sim.Kernel) (*System, *fault.Registry) { return Build(k, m.cfg, m.world) }
 
 func (m *model) Observe(s *System) analysis.Observation {
-	return m.observation(outputs(s.Fired, string(s.Severities)), s.Fired, s.FiredAt, s.Detections, m.stateCorrupted(s))
+	return m.observation(m.outputs(s.Fired, s.Severities, "", ""), s.Fired, s.FiredAt, s.Detections, m.stateCorrupted(s))
 }
 
 // Golden vets the golden run: what an early-exited run's observation
@@ -80,6 +83,7 @@ func (m *model) Golden(_ *System, ob analysis.Observation) error {
 	if ob.GoalViolated {
 		return fmt.Errorf("caps: golden run violates the safety goal: %s", ob.GoalDetail)
 	}
+	m.golden = ob.Outputs
 	return nil
 }
 
@@ -93,8 +97,7 @@ func (m *model) Golden(_ *System, ob analysis.Observation) error {
 // observation.
 type record struct {
 	detAt, sevAt  []int
-	out           map[string]string
-	sev           string // out["sev"]
+	out           string // the outputs: the fired byte, then the severity stream
 	det           []string
 	fired, latent bool
 	firedAt       sim.Time
@@ -106,7 +109,7 @@ func (m *model) Record(r *record, s *System, n int, ob *analysis.Observation) {
 		r.detAt = append(r.detAt[:n], len(s.Detections))
 		return
 	}
-	r.out, r.sev = ob.Outputs, ob.Outputs["sev"]
+	r.out = ob.Outputs
 	r.det = append(r.det[:0], s.Detections...)
 	r.fired, r.firedAt, r.latent = s.Fired, s.FiredAt, ob.LatentState
 }
@@ -141,31 +144,55 @@ func (m *model) HistoryKey(s *System) uint64 {
 // (HistoryKey), so the detections detect appended to r from there on are
 // exactly those it appends to the run, less those already recorded, which
 // detect drops. A run whose live history is r's up to the mark ends with
-// r's history, so its observation is r's: r's outputs map, shared and
-// never written, and r's detections. Otherwise the detections go into the
-// slot's own list, which RestoreState rebuilds afresh before the next run.
+// r's history, so its observation is r's: r's outputs and r's detections.
+// Otherwise the detections go into the slot's own list, which the slot's
+// next restore rewinds, and the spliced stream is golden's or r's outputs
+// when it equals one of them (outputs).
 func (m *model) Converged(s *System, r *record, n int) analysis.Observation {
 	sevAt, detAt := r.sevAt[n], r.detAt[n]
-	if string(s.Severities) == r.sev[:sevAt] && slices.Equal(s.Detections, r.det[:detAt]) {
+	sev := r.out[1:]
+	if string(s.Severities) == sev[:sevAt] && slices.Equal(s.Detections, r.det[:detAt]) {
 		return m.observation(r.out, r.fired, r.firedAt, r.det, r.latent)
 	}
 	for _, d := range r.det[detAt:] {
 		s.detect(d)
 	}
-	return m.observation(outputs(r.fired, string(s.Severities)+r.sev[sevAt:]), r.fired, r.firedAt, s.Detections, r.latent)
+	return m.observation(m.outputs(r.fired, s.Severities, sev[sevAt:], r.out), r.fired, r.firedAt, s.Detections, r.latent)
 }
 
-// outputs is a run's externally visible results: whether the airbag
-// fired and the severity stream, its raw bytes. Only Classify reads them,
-// and raw bytes are equal exactly when their renderings are.
-func outputs(fired bool, sev string) map[string]string {
-	return map[string]string{"fired": strconv.FormatBool(fired), "sev": sev}
+// outputs is the outputs of a run that fired as given and whose severity
+// stream is live followed by tail: its externally visible results as one
+// comparable value, the fired byte and then the stream's raw bytes (Fired
+// reads them back). Only Classify compares them, and raw bytes are equal
+// exactly when their renderings are. Results equal to golden's are
+// golden's string, and results equal to joined — the outputs of the run a
+// converged run joined — are that string, so neither is built; any other
+// allocates its one string.
+func (m *model) outputs(fired bool, live []byte, tail, joined string) string {
+	f := byte(0)
+	if fired {
+		f = 1
+	}
+	for _, c := range [...]string{m.golden, joined} {
+		if len(c) == 1+len(live)+len(tail) && c[0] == f && c[1:1+len(live)] == string(live) && c[1+len(live):] == tail {
+			return c
+		}
+	}
+	var b strings.Builder
+	b.Grow(1 + len(live) + len(tail))
+	b.WriteByte(f)
+	b.Write(live)
+	b.WriteString(tail)
+	return b.String()
 }
+
+// Fired reports whether the airbag fired in the run ob was read off.
+func Fired(ob analysis.Observation) bool { return ob.Outputs != "" && ob.Outputs[0] == 1 }
 
 // observation is a run's outputs judged against the safety goals — the
 // one tail a full run (Observe) and an early-exited one (Converged)
 // share.
-func (m *model) observation(out map[string]string, fired bool, firedAt sim.Time, det []string, latent bool) analysis.Observation {
+func (m *model) observation(out string, fired bool, firedAt sim.Time, det []string, latent bool) analysis.Observation {
 	ob := analysis.Observation{
 		Outputs:     out,
 		Detected:    len(det) > 0,

@@ -65,7 +65,7 @@ func TestGoldenNormalRunDoesNotFire(t *testing.T) {
 	if g.GoalViolated || g.Detected {
 		t.Errorf("golden = %+v", g)
 	}
-	if g.Outputs["fired"] != "false" {
+	if Fired(g) {
 		t.Error("golden run fired")
 	}
 }
@@ -76,7 +76,7 @@ func TestGoldenCrashRunFiresOnTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Golden().Outputs["fired"] != "true" {
+	if !Fired(r.Golden()) {
 		t.Fatal("crash run did not deploy")
 	}
 	if r.Golden().DeadlineMissed {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -185,13 +186,18 @@ func (*listSource) Observe(fault.Outcome) {}
 // the one Observe reads off the run carried to the horizon — the live
 // history followed by the finished run's from the mark on, less the
 // detections the live run already holds. A live history equal to the
-// finished run's up to the mark takes the record's outputs map itself;
+// finished run's up to the mark takes the record's outputs themselves;
 // any other — an empty live prefix, other severities, an extra live
-// detection — is spliced. Marks sit at either end of both streams.
+// detection — is spliced, and a spliced stream equal to the record's or
+// to golden's carries that string, its bytes shared: only a stream equal
+// to neither is a string of its own. Marks sit at either end of both
+// streams.
 func TestConvergedObservationIsTheFullRuns(t *testing.T) {
 	m := &model{cfg: Protected(), world: NormalDriving()}
 	s, _ := Build(sim.NewKernel(), m.cfg, m.world)
 	sev := []byte{0, 7, 42, 255, 100, 9}
+	// Golden's outputs are the "other severities" splice at mark 1.
+	m.golden = "\x01\x03" + string(sev[1:])
 	det := []string{"plausibility", "crc", "timeout"}
 	sevAt, detAt := []int{0, 1, 3, 6}, []int{0, 0, 2, 3}
 	history := func(sv []byte, dt []string) {
@@ -212,6 +218,7 @@ func TestConvergedObservationIsTheFullRuns(t *testing.T) {
 		sev  []byte
 		det  []string
 	}
+	branches := map[string]int{}
 	for n := range sevAt {
 		prefix, known := sev[:sevAt[n]], det[:detAt[n]]
 		lives := []liveHistory{
@@ -236,10 +243,35 @@ func TestConvergedObservationIsTheFullRuns(t *testing.T) {
 			if !reflect.DeepEqual(nilEmpty(got), nilEmpty(want)) {
 				t.Errorf("mark %d, %s live history: converged %q %+v, full run %q %+v", n, live.name, got.Outputs, nilEmpty(got), want.Outputs, nilEmpty(want))
 			}
-			equal := bytes.Equal(live.sev, prefix) && slices.Equal(live.det, known)
-			if shared := reflect.ValueOf(got.Outputs).UnsafePointer() == reflect.ValueOf(r.out).UnsafePointer(); shared != equal {
-				t.Errorf("mark %d, %s live history: took the record's outputs %v, want %v", n, live.name, shared, equal)
+			source := "its own" // whose bytes got.Outputs must be
+			switch {
+			case want.Outputs == r.out:
+				source = "the record's"
+				branches[source]++
+				if bytes.Equal(live.sev, prefix) && slices.Equal(live.det, known) {
+					branches["the record whole"]++
+				}
+			case want.Outputs == m.golden:
+				source = "golden's"
+				branches[source]++
+			default:
+				branches[source]++
 			}
+			shared := "its own"
+			switch unsafe.StringData(got.Outputs) {
+			case unsafe.StringData(r.out):
+				shared = "the record's"
+			case unsafe.StringData(m.golden):
+				shared = "golden's"
+			}
+			if shared != source {
+				t.Errorf("mark %d, %s live history: outputs %q share the bytes of %q, want %q", n, live.name, got.Outputs, shared, source)
+			}
+		}
+	}
+	for _, b := range []string{"the record whole", "the record's", "golden's", "its own"} {
+		if branches[b] == 0 {
+			t.Errorf("no live history takes %s outputs: the test is vacuous there", b)
 		}
 	}
 }

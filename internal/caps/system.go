@@ -352,11 +352,7 @@ func (s *System) SnapshotState(prev any) any {
 		st = &systemState{}
 	}
 	st.airbag = s.airbag
-	if s.Detections == nil {
-		st.detections = nil
-	} else {
-		st.detections = append(st.detections[:0], s.Detections...)
-	}
+	st.detections = append(st.detections[:0], s.Detections...)
 	st.severities = append(st.severities[:0], s.Severities...)
 	st.trace.CopyFrom(&s.Trace)
 	st.calib = s.calib.SnapshotState(st.calib)
@@ -415,17 +411,14 @@ func (s *System) HashState(h *sim.StateHash) {
 	}
 }
 
-// RestoreState implements sim.Snapshottable. Detections is rebuilt as
-// a fresh slice on every restore because observations hand it out by
-// reference — a run after one restore must not corrupt the last run's
-// observation.
+// RestoreState implements sim.Snapshottable. Detections is rewound in
+// its own buffer: an observation that hands it out by reference is
+// classified before the slot's next restore, and one that outlives its
+// run (the host's golden observation) owns a copy.
 func (s *System) RestoreState(state any) {
 	st := state.(*systemState)
 	s.airbag = st.airbag
-	s.Detections = nil
-	if st.detections != nil {
-		s.Detections = append([]string(nil), st.detections...)
-	}
+	s.Detections = append(s.Detections[:0], st.detections...)
 	s.Severities = append(s.Severities[:0], st.severities...)
 	s.Trace.CopyFrom(&st.trace)
 	s.calib.RestoreState(st.calib)

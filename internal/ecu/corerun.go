@@ -41,6 +41,10 @@ type coreRunner struct {
 
 	ev *sim.Event
 	crState
+	// delay is one Step's consumed time. Step hands it on to the bus,
+	// through the tlm.Target interface, so a local would escape: one heap
+	// object an instruction.
+	delay sim.Time
 }
 
 // crState is a core runner's run state: unsynced time, phase, error.
@@ -75,14 +79,14 @@ func (c *coreRunner) step() {
 		return
 	}
 	for !c.cpu.halted {
-		var d sim.Time
-		if err := c.cpu.Step(&d); err != nil {
+		c.delay = 0
+		if err := c.cpu.Step(&c.delay); err != nil {
 			// The failing step's own consumed time is not synchronized,
 			// exactly as CPU.Run's error path (d was never Inc'd).
 			c.finish(err)
 			return
 		}
-		c.local += d
+		c.local += c.delay
 		if c.local > c.quantum {
 			d := c.local
 			c.local = 0

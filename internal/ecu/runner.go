@@ -2,8 +2,8 @@ package ecu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -137,6 +137,9 @@ type model struct {
 
 	goldenRegs  [2][16]uint32
 	goldenTable []byte
+	// golden is the golden run's outputs: a run whose outputs equal them
+	// carries this very string.
+	golden string
 }
 
 func newModel(cfg RunnerConfig) (*model, error) {
@@ -267,8 +270,8 @@ func (m *model) seed(s *ecuSlot) {
 
 // beginRun elaborates the run-phase processes (cores, stopper) on the
 // slot's kernel, in the fixed order the process-id-dependent schedule
-// relies on, and arms the watchdog. The stressor — when the scenario
-// has faults — elaborates after it.
+// relies on, and arms the watchdog. The host elaborates the slot's
+// stressor after it.
 func (s *ecuSlot) beginRun() {
 	s.wd.Start()
 	s.pRun.elaborate(s.k)
@@ -291,25 +294,21 @@ func (m *model) Observe(s *ecuSlot) analysis.Observation {
 		}
 	}
 
-	ob := analysis.Observation{Outputs: map[string]string{
-		"acc":    hexWord(readWord(s.pram, runnerAccAddr)),
-		"sacc":   hexWord(readWord(s.sram, runnerAccAddr)),
-		"halted": strconv.FormatBool(s.primary.Halted()) + "/" + strconv.FormatBool(s.shadow.Halted()),
-	}}
+	ob := analysis.Observation{Outputs: m.outputs(readWord(s.pram, runnerAccAddr), readWord(s.sram, runnerAccAddr),
+		s.primary.Halted(), s.shadow.Halted())}
+	var fired int // a set of detectedBy's mechanisms
 	if s.ls.Diverged() {
-		ob.Detected = true
-		ob.DetectedBy = append(ob.DetectedBy, "lockstep")
+		fired |= 1
 	}
 	if s.wd.Timeouts() > 0 {
-		ob.Detected = true
-		ob.DetectedBy = append(ob.DetectedBy, "watchdog")
+		fired |= 2
 	}
 	pc, pu := s.pram.Stats()
 	sc, su := s.sram.Stats()
 	if pc+pu+sc+su > 0 {
-		ob.Detected = true
-		ob.DetectedBy = append(ob.DetectedBy, "ecc")
+		fired |= 4
 	}
+	ob.Detected, ob.DetectedBy = fired != 0, detectedBy[fired]
 	if m.goldenTable != nil {
 		ob.LatentState = s.regs() != m.goldenRegs || !bytes.Equal(s.table(), m.goldenTable)
 	}
@@ -323,7 +322,58 @@ func (m *model) Golden(s *ecuSlot, ob analysis.Observation) error {
 		return fmt.Errorf("ecu: golden run tripped a mechanism: %v", ob.DetectedBy)
 	}
 	m.goldenRegs, m.goldenTable = s.regs(), bytes.Clone(s.table())
+	m.golden = ob.Outputs
 	return nil
+}
+
+// detectedBy lists the mechanisms of each set Observe finds fired — bit 0
+// the lockstep comparator, bit 1 the watchdog, bit 2 the ECC — in that
+// order. The lists are shared and never written, so an observation costs
+// none.
+var detectedBy = [8][]string{
+	nil, {"lockstep"}, {"watchdog"}, {"lockstep", "watchdog"},
+	{"ecc"}, {"lockstep", "ecc"}, {"watchdog", "ecc"}, {"lockstep", "watchdog", "ecc"},
+}
+
+// outputs is a run's externally visible results as one comparable value:
+// both cores' result words, little-endian, then a byte of their halt bits
+// (OutputsOf reads them back). Results equal to golden's are golden's
+// string; any other allocates its one.
+func (m *model) outputs(acc, sacc uint32, halted, shadowHalted bool) string {
+	var b [9]byte
+	binary.LittleEndian.PutUint32(b[0:], acc)
+	binary.LittleEndian.PutUint32(b[4:], sacc)
+	if halted {
+		b[8] |= 1
+	}
+	if shadowHalted {
+		b[8] |= 2
+	}
+	if string(b[:]) == m.golden {
+		return m.golden
+	}
+	return string(b[:])
+}
+
+// Outputs are an ECU run's externally visible results, per core: the
+// primary's at 0, the shadow's at 1.
+type Outputs struct {
+	// Acc is the checksum each core published at 0x800.
+	Acc [2]uint32
+	// Halted reports whether each core reached its halt.
+	Halted [2]bool
+}
+
+// OutputsOf reads back the outputs of the ECU run ob was read off.
+func OutputsOf(ob analysis.Observation) Outputs {
+	b := []byte(ob.Outputs)
+	if len(b) != 9 {
+		return Outputs{}
+	}
+	return Outputs{
+		Acc:    [2]uint32{binary.LittleEndian.Uint32(b[0:]), binary.LittleEndian.Uint32(b[4:])},
+		Halted: [2]bool{b[8]&1 != 0, b[8]&2 != 0},
+	}
 }
 
 // regs returns both cores' register files.
@@ -337,22 +387,15 @@ func (s *ecuSlot) regs() (regs [2][16]uint32) {
 
 // table reads the primary's table image into the slot's scratch buffer.
 func (s *ecuSlot) table() []byte {
-	p := tlm.NewRead(runnerTableBase, len(s.tableBuf))
-	p.Data = s.tableBuf
-	s.pram.TransportDbg(p)
+	p := tlm.Payload{Command: tlm.CmdRead, Address: runnerTableBase, Data: s.tableBuf}
+	s.pram.TransportDbg(&p)
 	return s.tableBuf
-}
-
-// hexWord is fmt.Sprintf("%#x", v) without fmt: Observe runs once a
-// scenario.
-func hexWord(v uint32) string {
-	var buf [10]byte
-	return string(strconv.AppendUint(append(buf[:0], "0x"...), uint64(v), 16))
 }
 
 // readWord fetches one word through the debug port.
 func readWord(m *ECCMemory, addr uint64) uint32 {
-	p := tlm.NewRead(addr, 4)
-	m.TransportDbg(p)
-	return uint32(p.Data[0]) | uint32(p.Data[1])<<8 | uint32(p.Data[2])<<16 | uint32(p.Data[3])<<24
+	var raw [4]byte
+	p := tlm.Payload{Command: tlm.CmdRead, Address: addr, Data: raw[:]}
+	m.TransportDbg(&p)
+	return binary.LittleEndian.Uint32(raw[:])
 }

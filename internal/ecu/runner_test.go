@@ -3,8 +3,11 @@ package ecu
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -19,13 +22,14 @@ func TestRunnerGolden(t *testing.T) {
 	}
 	defer r.Close()
 	g := r.Golden()
-	if g.Outputs["halted"] != "true/true" {
-		t.Fatalf("golden cores did not halt: %v", g.Outputs)
+	out := OutputsOf(g)
+	if out.Halted != [2]bool{true, true} {
+		t.Fatalf("golden cores did not halt: %+v", out)
 	}
-	if g.Outputs["acc"] != g.Outputs["sacc"] {
-		t.Fatalf("golden cores disagree: %v", g.Outputs)
+	if out.Acc[0] != out.Acc[1] {
+		t.Fatalf("golden cores disagree: %+v", out)
 	}
-	if g.Outputs["acc"] == "0x0" {
+	if out.Acc[0] == 0 {
 		t.Fatalf("golden checksum is zero — workload not running")
 	}
 	if g.Detected || g.LatentState {
@@ -286,12 +290,66 @@ func TestRootEqualsBuild(t *testing.T) {
 	stressortest.CheckRoot(t, naive.RunScenarioSigned, r.RunScenarioSigned, fault.Singles(ds), DefaultRunnerConfig().Horizon)
 }
 
-// TestHexWordIsSprintf: Observe's outputs are the bytes fmt's %#x
-// printed before it went without fmt.
-func TestHexWordIsSprintf(t *testing.T) {
-	for _, v := range []uint32{0, 1, 0xf, 0x10, 0x800, 0xdeadbeef, 0xffffffff} {
-		if got, want := hexWord(v), fmt.Sprintf("%#x", v); got != want {
-			t.Errorf("hexWord(%d) = %q, want %q", v, got, want)
+// TestOutputsOfReadsBackOutputs: the outputs value holds both words and
+// both halt bits, OutputsOf reads each back, and a value equal to golden's
+// is golden's own string.
+func TestOutputsOfReadsBackOutputs(t *testing.T) {
+	m := &model{}
+	for _, want := range []Outputs{
+		{},
+		{Acc: [2]uint32{1, 0xf}, Halted: [2]bool{true, false}},
+		{Acc: [2]uint32{0x800, 0xdeadbeef}, Halted: [2]bool{false, true}},
+		{Acc: [2]uint32{0xffffffff, 0x10}, Halted: [2]bool{true, true}},
+	} {
+		out := m.outputs(want.Acc[0], want.Acc[1], want.Halted[0], want.Halted[1])
+		if got := OutputsOf(analysis.Observation{Outputs: out}); got != want {
+			t.Errorf("OutputsOf(%q) = %+v, want %+v", out, got, want)
 		}
+	}
+	m.golden = m.outputs(7, 7, true, true)
+	if out := m.outputs(7, 7, true, true); unsafe.StringData(out) != unsafe.StringData(m.golden) {
+		t.Error("outputs equal to golden's are not golden's string")
+	}
+}
+
+// TestWarmECURunAllocatesNothing: a warm one-shot run of an SEU — a tree
+// session forked off the host's nodes, the cores run as far as the fault
+// lets them, classified — allocates nothing: its outputs are golden's
+// string when they equal golden's, its detections a shared list, its
+// detail interned, and a core's bus accesses and step delay live in its
+// socket and runner. Two kinds of run allocate what only they need: an
+// SDC its outputs, one string, and a run the lockstep comparator flags
+// its outputs and the comparator's divergence detail, which the state
+// digest folds: Sprintf's string and its boxed operands, 7 objects, up to
+// 10 under the race detector, which makes fmt's printer pool miss at
+// random; its budget is loose for that. The outputs map, its rendered
+// words and the detail put a run at 7 or 8 objects more, and the payload
+// and delay of each instruction's bus accesses a run of the whole program
+// past 2 000.
+func TestWarmECURunAllocatesNothing(t *testing.T) {
+	r, err := NewRunner(DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	seen := map[string]int{}
+	for _, d := range append(r.Universe(sim.NS(700)), r.Universe(sim.US(30))...) {
+		sc := fault.Single(d)
+		out := r.RunScenario(sc)
+		kind, budget := "silent or other mechanism", 0.0
+		switch {
+		case out.Class == fault.SDC:
+			kind, budget = "sdc", 1
+		case strings.Contains(out.Detail, "lockstep"):
+			kind, budget = "lockstep", 16
+		}
+		seen[kind]++
+		if avg := testing.AllocsPerRun(5, func() { out = r.RunScenario(sc) }); avg > budget {
+			t.Errorf("a warm run of %s (%v, %s) allocates %v objects, budget %v", sc.ID, out.Class, out.Detail, avg, budget)
+		}
+	}
+	t.Logf("runs: %v", seen)
+	if len(seen) != 3 {
+		t.Errorf("runs %v: the universe no longer has each kind of run, the pin would be vacuous there", seen)
 	}
 }

@@ -125,6 +125,7 @@ func TestStateCoverageCoreRunner(t *testing.T) {
 			"name":      simtest.NotState(config),
 			"onDone":    simtest.NotState(wiring),
 			"ev":        simtest.NotState("kernel event: its pending notification is scheduler state"),
+			"delay":     simtest.NotState("scratch: step zeroes it before each instruction"),
 		})
 	}
 }

@@ -119,6 +119,38 @@ func TestMethodInitialActivation(t *testing.T) {
 	}
 }
 
+// TestTriggerIsTheInitialActivation: a MethodNoInit process triggered
+// runs where Method's initial activation runs it — in the first evaluate
+// phase, after every lower process id — and, triggered again after a
+// Restore to the checkpoint taken before, runs there again, where a
+// process Method created anew would.
+func TestTriggerIsTheInitialActivation(t *testing.T) {
+	var order strings.Builder
+	k := NewKernel()
+	e := k.NewEvent("e")
+	k.Method("a", func() { order.WriteString("a"); e.Notify(0) })
+	k.MethodNoInit("b", func() { order.WriteString("b") }, e)
+	p := k.MethodNoInit("late", func() { order.WriteString("L") })
+	var cp Checkpoint
+	if err := k.SnapshotInto(&cp); err != nil {
+		t.Fatal(err)
+	}
+	for round := range 2 {
+		order.Reset()
+		p.Trigger()
+		p.Trigger() // a runnable process stays queued once
+		if err := k.RunUntil(10); err != nil {
+			t.Fatal(err)
+		}
+		if got := order.String(); got != "aLb" {
+			t.Errorf("round %d: activation order %q, want %q (a and the triggered process, then b a delta later)", round, got, "aLb")
+		}
+		if err := k.Restore(&cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSignalDeltaSemantics(t *testing.T) {
 	k := NewKernel()
 	s := NewSignal(k, "s", 0)

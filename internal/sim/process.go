@@ -231,6 +231,15 @@ func (k *Kernel) MethodNoInit(name string, fn func(), sensitivity ...*Event) *Pr
 	return p
 }
 
+// Trigger makes the process runnable in the current evaluate phase, or
+// in the next one when the kernel is between runs: the activation Method
+// gives a process at its creation, given at any later time. A process
+// MethodNoInit created and Trigger made runnable before anything else
+// happened is the one Method creates; a process triggered again after a
+// Restore gets that initial activation once more, without being created
+// anew. Triggering a runnable process does nothing.
+func (p *Proc) Trigger() { p.k.makeRunnable(p) }
+
 // Thread registers a thread process. The body runs on its own goroutine
 // but the kernel resumes exactly one process at a time, so bodies need
 // no locking against other processes. The body suspends itself with the

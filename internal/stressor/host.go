@@ -29,6 +29,9 @@ type Model[S sim.State, R any] interface {
 	// goes back to time zero by restoring it.
 	Build(k *sim.Kernel) (S, *fault.Registry)
 	// Observe reads the observation off s, whose run reached the horizon.
+	// It may hand out s's own buffers (a detection list): the host
+	// classifies the observation before the slot's next restore, and
+	// keeps golden's with lists of its own.
 	Observe(s S) analysis.Observation
 	// Golden vets the golden run's observation ob, read off s, and keeps
 	// whatever later observations are compared with.
@@ -163,15 +166,20 @@ func (pc *planCache) keep(p *universePlan, scenarios []fault.Scenario) {
 // planCache implements Checkpointer.
 func (h *Host[S, R]) planCache() *planCache { return &h.plan }
 
-// hostSlot is one reusable kernel+prototype pair. Its stressor is Respawned
-// per scenario, so record and timeline buffers survive the campaign.
+// hostSlot is one reusable kernel+prototype pair. Its stressor is
+// elaborated with it, after the prototype, and Respawned per scenario, so
+// neither its kernel objects nor its record and timeline buffers are made
+// again for a run.
 type hostSlot[S sim.State] struct {
-	k    *sim.Kernel
-	s    S
-	reg  *fault.Registry
-	st   Stressor
-	hash sim.StateHash
-	ob   analysis.Observation // the observation a recorded run hands Model.Record
+	k   *sim.Kernel
+	s   S
+	reg *fault.Registry
+	st  Stressor
+	// nEvents and nProcs are the prototype's elaboration, the stressor's
+	// objects excluded: the prefix the slot's digests cover.
+	nEvents, nProcs int
+	hash            sim.StateHash
+	ob              analysis.Observation // the observation a recorded run hands Model.Record
 	// memo is the buffer of the fork-window memo of the session holding
 	// the slot, kept across sessions so a warm host's grows no list.
 	memo []windowVerdict
@@ -214,7 +222,7 @@ func (h *Host[S, R]) walkGolden(sl *hostSlot[S]) error {
 	k, tj := sl.k, &h.traj
 	g := &tj.golden
 	tj.stride = max(h.horizon/16, 1)
-	tj.nEvents, tj.nProcs = k.Elaborated()
+	tj.nEvents, tj.nProcs = sl.nEvents, sl.nProcs
 	next := tj.stride // the next stride instant
 	for t, active := sim.Time(0), true; ; {
 		if err := k.RunUntil(t); err != nil {
@@ -237,6 +245,9 @@ func (h *Host[S, R]) walkGolden(sl *hostSlot[S]) error {
 		active = t == pending
 	}
 	h.golden = h.m.Observe(sl.s)
+	// Golden outlives the run: its list must not be the slot's buffer,
+	// which the slot's next restore rewinds.
+	h.golden.DetectedBy = slices.Clone(h.golden.DetectedBy)
 	// After Observe, as runs are signed: CAPS's Observe reads calibration
 	// memory, whose read count is hashed.
 	g.final = sl.sum()
@@ -300,6 +311,9 @@ func (h *Host[S, R]) take() (sl *hostSlot[S]) {
 	if sl == nil {
 		sl = &hostSlot[S]{k: sim.NewKernel()}
 		sl.s, sl.reg = h.m.Build(sl.k)
+		sl.nEvents, sl.nProcs = sl.k.Elaborated()
+		// Before the root is captured, so every restore keeps it idle.
+		sl.st.elaborate(sl.k, sl.reg)
 	}
 	if sl.metrics != h.metrics || sl.trace != h.trace {
 		sl.metrics, sl.trace = h.metrics, h.trace

@@ -36,21 +36,21 @@ type Stressor struct {
 
 	records []Record
 
-	// reuse machinery: the bound step method value and the timeline
-	// scratch buffer survive Respawn, so a pooled prototype slot drives
-	// scenario after scenario without reallocating either.
-	stepFn func()
-	tl     []timelineEntry
+	// the campaign path's scratch: the timeline buffer survives Respawn,
+	// so a pooled prototype slot drives scenario after scenario without
+	// reallocating it.
+	tl []timelineEntry
 
-	// method-process state for the campaign path (Respawn/SpawnThread):
-	// the timeline cursor and the self-notification event. The stressor
-	// runs as a method process there — a state machine with no goroutine
-	// stack — so a kernel carrying one stays snapshottable
+	// method-process state for the campaign path (elaborate, Respawn): the
+	// timeline cursor, the self-notification event and the process. The
+	// stressor runs as a method process there — a state machine with no
+	// goroutine stack — so a kernel carrying one stays snapshottable
 	// (sim.Snapshottable); the UVM run phase still uses the thread-bodied
 	// Run below.
-	k   *sim.Kernel
-	ev  *sim.Event
-	idx int
+	k    *sim.Kernel
+	ev   *sim.Event
+	proc *sim.Proc
+	idx  int
 }
 
 // New creates a stressor component.
@@ -67,38 +67,45 @@ func New(parent uvm.Component, name string, reg *fault.Registry) *Stressor {
 // kernel thread, so the hosting kernel remains snapshottable.
 func SpawnThread(k *sim.Kernel, reg *fault.Registry, sc fault.Scenario, horizon sim.Time) *Stressor {
 	s := &Stressor{}
-	s.Respawn(k, reg, sc, horizon)
+	s.elaborate(k, reg)
+	s.Respawn(sc, horizon)
 	return s
 }
 
-// Respawn re-arms the stressor for another scenario on a freshly
-// elaborated (or checkpoint-restored) kernel, reusing its
-// internal buffers. Campaign runners that pool prototype slots keep
-// one stressor per slot and Respawn it each scenario instead of
-// allocating a new one.
+// elaborate creates the stressor's event and method process on k, which
+// injects through reg: once per kernel, after the prototype's own
+// elaboration, so the stressor's process id is the highest. The process
+// has no initial activation; Respawn triggers it. A pooled slot
+// elaborates its stressor once, before its root checkpoint is taken, so
+// every restore keeps both objects and no run creates any.
+func (s *Stressor) elaborate(k *sim.Kernel, reg *fault.Registry) {
+	s.k, s.registry = k, reg
+	// One name for every scenario: a name per scenario costs an allocation
+	// a run and, under Instrument, a sim.proc.* series per scenario.
+	s.ev = k.NewEvent("stressor")
+	s.proc = k.MethodNoInit("stressor", s.step, s.ev)
+}
+
+// Respawn re-arms the elaborated stressor for another scenario on its
+// kernel, as it stands — freshly elaborated, or restored to a checkpoint
+// that holds the stressor idle — reusing its timeline buffer. Campaign
+// runners that pool prototype slots keep one stressor per slot and
+// Respawn it each scenario.
 //
-// The stressor elaborates as one event plus one method process whose
-// initial activation walks the timeline from the current kernel time:
-// on a fresh kernel that is time 0 (identical to the old thread form),
-// and on a kernel restored to just before the first injection instant
-// the first actions land at exactly the simulated times a full run
-// would produce — which is what makes checkpointed campaign results
-// byte-identical.
-func (s *Stressor) Respawn(k *sim.Kernel, reg *fault.Registry, sc fault.Scenario, horizon sim.Time) {
-	s.registry = reg
+// Respawn triggers the process, the very activation a process created
+// with an initial one gets: it walks the timeline from the current
+// kernel time. On a fresh kernel that is time 0 (identical to the old
+// thread form), and on a kernel restored to just before the first
+// injection instant the first actions land at exactly the simulated
+// times a full run would produce — which is what makes checkpointed
+// campaign results byte-identical.
+func (s *Stressor) Respawn(sc fault.Scenario, horizon sim.Time) {
 	s.scenario = sc
 	s.Horizon = horizon
 	s.records = s.records[:0]
 	s.timeline()
 	s.idx = 0
-	s.k = k
-	if s.stepFn == nil {
-		s.stepFn = s.step
-	}
-	// One name for every scenario: a name per scenario costs an allocation
-	// a run and, under Instrument, a sim.proc.* series per scenario.
-	s.ev = k.NewEvent("stressor")
-	k.Method("stressor", s.stepFn, s.ev)
+	s.proc.Trigger()
 }
 
 // step is one activation of the campaign-path method process: perform

@@ -175,11 +175,11 @@ func (h *Host[S, R]) NewTreeSession(cfg TreeConfig) CheckpointSession {
 
 // session is one worker's tree session: a slot, the fork it was last
 // established at, the fork-window memo and its metrics. Nodes are taken
-// at fork-1: restoring there and elaborating the stressor gives its
-// initial activation one instant before the injection, which reproduces a
-// full run's schedule at the injection instant exactly (the stressor's
-// process id is the highest either way, so it evaluates last within an
-// instant).
+// at fork-1: restoring there and respawning the slot's stressor gives it
+// its initial activation one instant before the injection, which
+// reproduces a full run's schedule at the injection instant exactly (the
+// stressor's process id is the highest either way, so it evaluates last
+// within an instant).
 type session[S sim.State, R any] struct {
 	h     *Host[S, R]
 	cfg   TreeConfig
@@ -310,7 +310,7 @@ func (s *session[S, R]) execute(sc fault.Scenario, fork sim.Time, memo bool, fn 
 		return fault.Outcome{}, err
 	}
 	sl := s.sl
-	sl.st.Respawn(sl.k, sl.reg, sc, s.h.horizon)
+	sl.st.Respawn(sc, s.h.horizon)
 	if memo {
 		if err := s.window(&sl.st, sc); err != nil {
 			return fault.Outcome{}, err
@@ -537,10 +537,10 @@ func (s *session[S, R]) remember(out fault.Outcome) {
 // Snapshottable/Hashable capture — no full snapshots are taken.
 type trajectory[S sim.State, R any] struct {
 	stride sim.Time
-	// nEvents/nProcs are the golden elaboration's object counts; live
-	// runs restrict their scheduler hash to this prefix so the stressor's
-	// own event/process (elaborated after the model) never enters the
-	// digest.
+	// nEvents/nProcs are the prototype's elaboration's object counts;
+	// live runs restrict their scheduler hash to this prefix so the
+	// stressor's own event/process (elaborated after the model, once per
+	// slot) never enters the digest.
 	nEvents, nProcs int
 	golden          runRecord[R]
 	// only is the set of golden alone, which a session outside a campaign

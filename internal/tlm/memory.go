@@ -190,7 +190,10 @@ func (m *Memory) HashState(h *sim.StateHash) {
 	h.Bytes(m.data)
 	h.Int(len(m.stuckMask))
 	if len(m.stuckMask) > 0 {
-		keys := make([]uint64, 0, len(m.stuckMask))
+		// A stack buffer for the usual handful of stuck cells: a digest is
+		// taken at every stride instant of a run.
+		var buf [8]uint64
+		keys := buf[:0]
 		for k := range m.stuckMask {
 			keys = append(keys, k)
 		}

@@ -28,6 +28,12 @@ type DebugTarget interface {
 type InitiatorSocket struct {
 	name   string
 	target Target
+	// word and wordBuf are Read32's and Write32's payload and data. The
+	// payload escapes through the Target interface, so a fresh one per
+	// word access cost two heap objects an instruction fetch. A socket is
+	// one initiator's, which has one blocking access in flight at a time.
+	word    Payload
+	wordBuf [4]byte
 }
 
 // NewInitiatorSocket creates a named, unbound initiator socket.
@@ -78,14 +84,26 @@ func (s *InitiatorSocket) Write(addr uint64, data []byte, delay *sim.Time) Respo
 
 // Read32 reads a little-endian 32-bit word.
 func (s *InitiatorSocket) Read32(addr uint64, delay *sim.Time) (uint32, Response) {
-	data, resp := s.Read(addr, 4, delay)
-	if !resp.OK() {
-		return 0, resp
+	s.wordBuf = [4]byte{}
+	p := s.wordPayload(CmdRead, addr)
+	s.BTransport(p, delay)
+	if !p.Response.OK() {
+		return 0, p.Response
 	}
-	return uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24, resp
+	d := p.Data
+	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, p.Response
 }
 
 // Write32 writes a little-endian 32-bit word.
 func (s *InitiatorSocket) Write32(addr uint64, v uint32, delay *sim.Time) Response {
-	return s.Write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, delay)
+	s.wordBuf = [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	p := s.wordPayload(CmdWrite, addr)
+	s.BTransport(p, delay)
+	return p.Response
+}
+
+// wordPayload is the socket's word payload, set up for one access.
+func (s *InitiatorSocket) wordPayload(cmd Command, addr uint64) *Payload {
+	s.word = Payload{Command: cmd, Address: addr, Data: s.wordBuf[:]}
+	return &s.word
 }
