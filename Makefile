@@ -78,10 +78,11 @@ bench-pairs:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Native fuzzing smoke: run each fuzz target for FUZZTIME (~70s total
+# Native fuzzing smoke: run each fuzz target for FUZZTIME (~90s total
 # at the default). The seed corpora alone run under `go test`; this
 # target actually mutates, catching parser/interpreter/journal
-# regressions the fixed seeds would miss — and, with the two
+# regressions the fixed seeds would miss, a content index that folds
+# what the old string key kept apart (FuzzContentIndex) — and, with the two
 # FuzzScenarioEquivalence targets, an engine shortcut (reuse, tree,
 # early-exit, shard, resume, paged state) that classifies a generated
 # scenario differently from the naive rebuild path.
@@ -92,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzJournalBinary -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzMergeJournals -fuzztime=$(FUZZTIME) ./internal/stressor
+	$(GO) test -run=NONE -fuzz=FuzzContentIndex -fuzztime=$(FUZZTIME) ./internal/stressor
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpec -fuzztime=$(FUZZTIME) ./internal/campaignd
 	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/ecu
 	$(GO) test -run=NONE -fuzz=FuzzScenarioEquivalence -fuzztime=$(FUZZTIME) ./internal/caps

@@ -12,9 +12,11 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -74,19 +76,21 @@ type Mutator struct {
 	byModel  map[fault.Model][]int
 	rng      *rand.Rand
 	serial   int
-	// prov maps a mutant name to the (parent model, move) arm that
-	// created it until the outcome comes back and Credit resolves it
-	// into trials/wins.
-	prov map[string]creditKey
-	// trials/wins drive the novelty-credit move selection: each
-	// observed mutant counts a trial for its (model, move) arm, each
-	// novel one a win, and chooseMove draws moves weighted by
-	// Laplace-smoothed success rate. The arm is model-conditioned
-	// because move value is model-dependent: retiming a permanent
-	// stuck-at converges to the same absorbing state (the arm fades),
-	// while retiming a timed bus fault or rescaling an analog drift
-	// keeps finding new behavior (those arms take over the budget).
-	trials, wins map[creditKey]int
+	// prov holds, by serial, the parent name and (parent model, move)
+	// arm of every mutant named (proposed) and not yet credited: Credit
+	// resolves it into trials/wins when the outcome comes back.
+	prov map[int]provenance
+	// trials/wins drive the novelty-credit move selection, indexed by
+	// arm (creditKey.index): each observed mutant counts a trial for its
+	// (model, move) arm, each novel one a win, and chooseMove draws moves
+	// weighted by Laplace-smoothed success rate. The arm is
+	// model-conditioned because move value is model-dependent: retiming
+	// a permanent stuck-at converges to the same absorbing state (the
+	// arm fades), while retiming a timed bus fault or rescaling an
+	// analog drift keeps finding new behavior (those arms take over the
+	// budget).
+	trials, wins [numArms]int
+	name         []byte // the last mutant name built, reused
 
 	// Window bounds retime draws when Starts is empty; zero disables
 	// retiming entirely.
@@ -105,9 +109,7 @@ func NewMutator(universe []fault.Descriptor, rng *rand.Rand) *Mutator {
 		byTarget: make(map[string][]int),
 		byModel:  make(map[fault.Model][]int),
 		rng:      rng,
-		prov:     make(map[string]creditKey),
-		trials:   make(map[creditKey]int),
-		wins:     make(map[creditKey]int),
+		prov:     make(map[int]provenance),
 	}
 	for i, d := range universe {
 		m.byTarget[d.Target] = append(m.byTarget[d.Target], i)
@@ -160,6 +162,27 @@ type creditKey struct {
 	mv int
 }
 
+// numArms is the number of arms: every fault.Model value by every move.
+const numArms = (math.MaxUint8 + 1) * numMoves
+
+// index is k's position in Mutator.trials and wins.
+func (k creditKey) index() int { return int(k.md)*numMoves + k.mv }
+
+// provenance is what Credit needs of a proposed mutant: the name of the
+// parent it was named after, and its arm.
+type provenance struct {
+	parent string
+	arm    creditKey
+}
+
+// mutant is a lattice move's result before it is proposed: the
+// descriptor still holds its parent's name, and serial numbers it.
+type mutant struct {
+	d      fault.Descriptor
+	serial int
+	arm    creditKey
+}
+
 // bitAddressed reports whether the model interprets Descriptor.Bit.
 func bitAddressed(md fault.Model) bool {
 	switch md {
@@ -178,7 +201,7 @@ func (m *Mutator) chooseMove(parent fault.Descriptor) (int, bool) {
 	var weightsAt [numMoves]float64
 	moves, weights := movesAt[:0], weightsAt[:0]
 	add := func(mv int) {
-		k := creditKey{parent.Model, mv}
+		k := creditKey{parent.Model, mv}.index()
 		moves = append(moves, mv)
 		weights = append(weights, (float64(m.wins[k])+0.5)/(float64(m.trials[k])+1))
 	}
@@ -215,26 +238,50 @@ func (m *Mutator) chooseMove(parent fault.Descriptor) (int, bool) {
 }
 
 // Credit resolves a mutant's outcome into its move's trial/win record
-// (no-op for non-mutant names). Novelty calls this for every observed
-// fault, novel or not — that asymmetry is the learning signal.
+// (no-op for a name that is not a proposed mutant's, or one already
+// credited). Novelty calls this for every observed fault, novel or not
+// — that asymmetry is the learning signal. A mutant's name is its
+// parent's with "~m" and its serial appended; the serial finds the
+// provenance, which must name the same parent.
 func (m *Mutator) Credit(name string, novel bool) {
-	k, ok := m.prov[name]
-	if !ok {
+	i := len(name)
+	for i > 0 && '0' <= name[i-1] && name[i-1] <= '9' {
+		i--
+	}
+	if i == len(name) || name[i] == '0' || !strings.HasSuffix(name[:i], "~m") {
 		return
 	}
-	delete(m.prov, name)
-	m.trials[k]++
+	serial, err := strconv.Atoi(name[i:])
+	if err != nil {
+		return
+	}
+	p, ok := m.prov[serial]
+	if !ok || p.parent != name[:i-2] {
+		return
+	}
+	delete(m.prov, serial)
+	m.trials[p.arm.index()]++
 	if novel {
-		m.wins[k]++
+		m.wins[p.arm.index()]++
 	}
 }
 
 // Mutate derives up to n neighbors of parent, drawing moves by their
-// novelty credit. Fewer than n come back when the lattice offers no
-// neighbor for a drawn move (single-model universe, no window,
-// non-bit non-parameterized model).
+// novelty credit, each named after parent and its serial and credited
+// when its outcome comes back. Fewer than n come back when the lattice
+// offers no neighbor for a drawn move (single-model universe, no
+// window, non-bit non-parameterized model).
 func (m *Mutator) Mutate(parent fault.Descriptor, n int) []fault.Descriptor {
 	var out []fault.Descriptor
+	for _, mt := range m.mutate(parent, n, nil) {
+		out = append(out, m.propose(mt))
+	}
+	return out
+}
+
+// mutate appends up to n mutants of parent to out, unnamed: what
+// Mutate returns before propose names them.
+func (m *Mutator) mutate(parent fault.Descriptor, n int, out []mutant) []mutant {
 	for i := 0; i < n; i++ {
 		mv, any := m.chooseMove(parent)
 		if !any {
@@ -270,11 +317,20 @@ func (m *Mutator) Mutate(parent fault.Descriptor, n int) []fault.Descriptor {
 			continue
 		}
 		m.serial++
-		d.Name = parent.Name + "~m" + strconv.Itoa(m.serial)
-		m.prov[d.Name] = creditKey{parent.Model, mv}
-		out = append(out, d)
+		d.Name = parent.Name
+		out = append(out, mutant{d: d, serial: m.serial, arm: creditKey{parent.Model, mv}})
 	}
 	return out
+}
+
+// propose names mt — its parent's name, "~m", its serial — and records
+// its provenance for Credit.
+func (m *Mutator) propose(mt mutant) fault.Descriptor {
+	m.name = strconv.AppendInt(append(append(m.name[:0], mt.d.Name...), "~m"...), int64(mt.serial), 10)
+	m.prov[mt.serial] = provenance{parent: mt.d.Name, arm: mt.arm}
+	d := mt.d
+	d.Name = string(m.name)
+	return d
 }
 
 // Novelty is the adaptive strategy: seed the whole universe first
@@ -288,6 +344,10 @@ func (m *Mutator) Mutate(parent fault.Descriptor, n int) []fault.Descriptor {
 // lag, barren region), Next falls back to mutating the novel pool
 // round-robin so the scenario stream never stalls.
 //
+// A descendant waits in the queue as a value: no name, no Faults slice,
+// no provenance — most are never proposed. Next builds those for the
+// one it pops.
+//
 // Determinism: all randomness flows from the constructor's rng, and
 // the adaptive engine delivers Observe calls in proposal order, so a
 // fixed seed yields one canonical scenario stream regardless of worker
@@ -297,9 +357,10 @@ type Novelty struct {
 	budget   int
 	produced int
 	seedNext int
-	queue    []fault.Scenario
+	queue    []descendant
 	sigs     *SignatureIndex
 	mut      *Mutator
+	mutants  []mutant // Observe's and the fallback's mutate buffer
 	novel    []fault.Descriptor
 	rrNovel  int // fallback round-robin cursor
 	pairRot  int // pair-escalation partner cursor
@@ -311,6 +372,15 @@ type Novelty struct {
 	// cannot grow memory without bound; excess descendants are dropped
 	// oldest-parent-first (default 1024).
 	MaxQueue int
+}
+
+// descendant is a queued scenario: a lattice mutant, or a fault pair —
+// the mutant's descriptor and the pair's second one holding their own
+// names, which Next suffixes with "+0" and "+1".
+type descendant struct {
+	mutant
+	second fault.Descriptor
+	pair   bool
 }
 
 // NewNovelty creates the strategy over a universe with a total
@@ -348,10 +418,15 @@ func (n *Novelty) Next() (fault.Scenario, bool) {
 	// (depth-first novelty chasing, the schedule coverage-guided
 	// fuzzers converge on).
 	if len(n.queue) > 0 {
-		sc := n.queue[len(n.queue)-1]
+		x := &n.queue[len(n.queue)-1]
 		n.queue = n.queue[:len(n.queue)-1]
-		sc.ID = "nv-" + strconv.Itoa(n.produced)
-		return sc, true
+		if !x.pair {
+			return n.scenario(n.mut.propose(x.mutant)), true
+		}
+		faults := []fault.Descriptor{x.d, x.second}
+		faults[0].Name += "+0"
+		faults[1].Name += "+1"
+		return fault.Scenario{ID: n.id(), Faults: faults}, true
 	}
 	// Fallback: the queue drained (Observe feedback lags the proposal
 	// window, or mutation went barren) — keep probing around the novel
@@ -366,20 +441,31 @@ func (n *Novelty) Next() (fault.Scenario, bool) {
 	}
 	parent := pool[n.rrNovel%len(pool)]
 	n.rrNovel++
-	for _, d := range n.mut.Mutate(parent, 1) {
-		return fault.Scenario{ID: "nv-" + strconv.Itoa(n.produced), Faults: []fault.Descriptor{d}}, true
+	if n.mutants = n.mut.mutate(parent, 1, n.mutants[:0]); len(n.mutants) == 1 {
+		return n.scenario(n.mut.propose(n.mutants[0])), true
 	}
 	// Mutation-disabled corner (no window, single-cell universe):
 	// re-propose the parent itself rather than stalling the stream.
-	return fault.Scenario{ID: "nv-" + strconv.Itoa(n.produced), Faults: []fault.Descriptor{parent}}, true
+	return n.scenario(parent), true
 }
 
-// enqueue appends a descendant scenario, honoring MaxQueue.
-func (n *Novelty) enqueue(sc fault.Scenario) {
+// scenario is proposal n.produced's single-fault scenario of d.
+func (n *Novelty) scenario(d fault.Descriptor) fault.Scenario {
+	return fault.Scenario{ID: n.id(), Faults: []fault.Descriptor{d}}
+}
+
+// id is proposal n.produced's scenario ID.
+func (n *Novelty) id() string {
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], "nv-"...), int64(n.produced), 10))
+}
+
+// enqueue appends a descendant, honoring MaxQueue.
+func (n *Novelty) enqueue(x descendant) {
 	if n.MaxQueue > 0 && len(n.queue) >= n.MaxQueue {
 		return
 	}
-	n.queue = append(n.queue, sc)
+	n.queue = append(n.queue, x)
 }
 
 // Observe implements stressor.ScenarioSource: every outcome credits the mutation
@@ -395,8 +481,9 @@ func (n *Novelty) Observe(o fault.Outcome) {
 	}
 	for _, d := range o.Scenario.Faults {
 		// Lattice mutants of the descriptor that reached a new outcome.
-		for _, m := range n.mut.Mutate(d, n.MutantsPerNovel) {
-			n.enqueue(fault.Scenario{Faults: []fault.Descriptor{m}})
+		n.mutants = n.mut.mutate(d, n.MutantsPerNovel, n.mutants[:0])
+		for _, mt := range n.mutants {
+			n.enqueue(descendant{mutant: mt})
 		}
 		// Pair escalation: combine with an earlier novel descriptor —
 		// dual-point scenarios reach behavior the single-fault universe
@@ -406,10 +493,7 @@ func (n *Novelty) Observe(o fault.Outcome) {
 			p := n.novel[n.pairRot%len(n.novel)]
 			n.pairRot++
 			if p.Target != d.Target || p.Model != d.Model || p.Start != d.Start {
-				a, b := d, p
-				a.Name += "+0"
-				b.Name += "+1"
-				n.enqueue(fault.Scenario{Faults: []fault.Descriptor{a, b}})
+				n.enqueue(descendant{mutant: mutant{d: d}, second: p, pair: true})
 			}
 		}
 		n.novel = append(n.novel, d)

@@ -311,7 +311,9 @@ func (c *Campaign) runOne(o *campaignObs, sc fault.Scenario, worker int, sess Ch
 	if o.completed != nil {
 		o.completed.Inc()
 	}
-	sp.Arg("class", out.Class.String()).End()
+	if sp != nil {
+		sp.Arg("class", out.Class.String()).End()
+	}
 	o.meter.Step(out.Class.IsFailure())
 	return out, panicked, timedOut
 }
@@ -379,7 +381,11 @@ func (c *Campaign) Execute(scenarios []fault.Scenario) (*Result, error) {
 		p, planned, replayed = l, len(l.todo), e.answered[byJournal]
 	} else {
 		e.slots = make([]slot, 0, c.MaxRuns)
-		p = &sourcePlan{campaignExec: e, resumed: resumed, memo: map[string]fault.Outcome{}, sigs: map[uint64]struct{}{}}
+		sp := &sourcePlan{campaignExec: e, resumed: resumed, sigs: map[uint64]struct{}{}}
+		if c.Dedup {
+			sp.memo = newContentIndex(0)
+		}
+		p = sp
 		planned = max(c.MaxRuns-len(resumed), 0) // what is left of the budget
 		replayed = len(resumed)
 	}
@@ -456,14 +462,21 @@ func (c *Campaign) validate(scenarios []fault.Scenario) error {
 // the list holds (universePlan.fingerprint), and UniverseHash when it
 // keeps none.
 func (c *Campaign) JournalHeader(scenarios []fault.Scenario) journal.Header {
+	var p *universePlan
+	if c.Source == nil && c.Checkpointer != nil {
+		p = c.Checkpointer.planCache().find(scenarios, c.Dedup)
+	}
+	return c.journalHeader(scenarios, p)
+}
+
+// journalHeader is JournalHeader with a list's plan p at hand — the one
+// its Execute holds, so resuming derives no plan and hashes no universe
+// twice (nil: hash the universe afresh).
+func (c *Campaign) journalHeader(scenarios []fault.Scenario, p *universePlan) journal.Header {
 	if c.Source != nil {
 		h := c.Shard.JournalHeader(c.Name, c.MaxRuns, c.Fingerprint)
 		h.Adaptive, h.Digest = true, sim.Digest
 		return h
-	}
-	var p *universePlan
-	if c.Checkpointer != nil {
-		p = c.Checkpointer.planCache().find(scenarios, c.Dedup)
 	}
 	return c.Shard.JournalHeader(c.Name, len(scenarios), p.fingerprint(scenarios))
 }
@@ -532,7 +545,7 @@ func (c *Campaign) resumeEntries(e *campaignExec) (map[int]journal.Entry, error)
 	if c.Resume == nil {
 		return nil, nil
 	}
-	want := c.JournalHeader(e.dedup.scenarios)
+	want := c.journalHeader(e.dedup.scenarios, e.plan)
 	if want.Universe == "" {
 		want.Universe = c.Resume.Header.Universe // a Source without a Fingerprint
 	}
@@ -924,8 +937,8 @@ type run struct {
 	// seq is the proposal's sequence number.
 	seq int
 	sc  fault.Scenario
-	// key is sc's fault-content key, set for a Dedup source only.
-	key string
+	// digest is sc's contentDigest, set for a Dedup source only.
+	digest uint64
 	// by says what answers the proposal. What the journal or the memo
 	// answers comes with res filled and done set; a simulation gets res
 	// from the worker that claimed it and done when its span is retired.
@@ -940,10 +953,12 @@ type run struct {
 // them has been delivered.
 type sourcePlan struct {
 	*campaignExec
-	// resumed is the resume journal by sequence number, memo (Dedup only)
-	// the delivered outcomes by content key, sigs the signatures seen.
+	// resumed is the resume journal by sequence number, memo and memoOut
+	// (Dedup only) the delivered contents and, by memo position, the
+	// outcome last delivered for each, sigs the signatures seen.
 	resumed map[int]journal.Entry
-	memo    map[string]fault.Outcome
+	memo    *contentIndex
+	memoOut []fault.Outcome
 	sigs    map[uint64]struct{}
 	// parked holds the proposals not yet delivered, by sequence number;
 	// tickets points index i of the hand-out at the proposal it runs —
@@ -975,8 +990,8 @@ func (s *sourcePlan) next() (r run, ok bool) {
 	}
 	r.seq = s.proposed
 	s.proposed++
-	if s.c.Dedup {
-		r.key = scenarioContentKey(r.sc)
+	if s.memo != nil {
+		r.digest = contentDigest(r.sc.Faults)
 	}
 	if ent, ok := s.resumed[r.seq]; ok {
 		if ent.ID != r.sc.ID {
@@ -986,8 +1001,9 @@ func (s *sourcePlan) next() (r run, ok bool) {
 		cls, _ := fault.ParseClassification(ent.Class)
 		r.res = slot{out: fault.Outcome{Scenario: r.sc, Class: cls, Detail: ent.Detail, Signature: ent.Sig}, ran: true, panicked: ent.Panicked}
 		r.by, r.done = byJournal, true
-	} else if out, ok := s.memo[r.key]; ok {
+	} else if i, ok := s.memo.find(r.sc.Faults, r.digest); ok {
 		// Free: a pruned proposal does not count against MaxRuns.
+		out := s.memoOut[i]
 		out.Scenario = r.sc
 		r.res, r.by, r.done = slot{out: out, ran: true}, byMemo, true
 		return r, true
@@ -1053,8 +1069,12 @@ func (s *sourcePlan) deliver(r *run) {
 		return
 	}
 	s.slots = append(s.slots, slot{out: out, ran: true, panicked: r.res.panicked})
-	if s.c.Dedup && r.by != byMemo {
-		s.memo[r.key] = out
+	if s.memo != nil && r.by != byMemo {
+		if i, added := s.memo.put(r.sc.Faults, r.digest); added {
+			s.memoOut = append(s.memoOut, out)
+		} else {
+			s.memoOut[i] = out
+		}
 	}
 	s.sigs[out.Signature] = struct{}{}
 	s.c.Source.Observe(out)

@@ -3,6 +3,7 @@ package stressor
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,22 +30,6 @@ func appendDescKey(b []byte, d fault.Descriptor) []byte {
 	b = append(strconv.AppendUint(b, uint64(d.Duration), 10), '|')
 	b = append(strconv.AppendUint(b, uint64(d.Period), 10), '|')
 	return strconv.AppendFloat(b, d.Rate, 'g', -1, 64)
-}
-
-// keyScratch holds a single-fault key on the stack, so building one
-// allocates only the string it returns.
-type keyScratch [160]byte
-
-// scenarioContentKey serializes a scenario's fault content (descriptor
-// fields except names) — the key Dedup folds a list by and memoizes a
-// source's delivered outcomes under.
-func scenarioContentKey(sc fault.Scenario) string {
-	var scratch keyScratch
-	b := scratch[:0]
-	for _, d := range sc.Faults {
-		b = append(appendDescKey(b, d), ';')
-	}
-	return string(b)
 }
 
 // universePlan is what a list Execute derives from its universe before
@@ -95,13 +80,10 @@ func newUniversePlan(scenarios []fault.Scenario, dedup bool, fork func(fault.Sce
 	if dedup {
 		pos := make([]int, len(scenarios))
 		var uniq []int
-		seen := make(map[string]int, len(scenarios))
+		seen := newContentIndex(len(scenarios))
 		for i, sc := range scenarios {
-			key := scenarioContentKey(sc)
-			u, ok := seen[key]
-			if !ok {
-				u = len(uniq)
-				seen[key] = u
+			u, added := seen.put(sc.Faults, contentDigest(sc.Faults))
+			if added {
 				uniq = append(uniq, i)
 			}
 			pos[i] = u
@@ -450,4 +432,117 @@ func contentOf(d *fault.Descriptor) content {
 	c := content{d: *d, param: math.Float64bits(d.Param), rate: math.Float64bits(d.Rate)}
 	c.d.Name, c.d.Start, c.d.Param, c.d.Rate = "", 0, 0, 0
 	return c
+}
+
+// contentIndex files scenarios by fault content — every descriptor
+// field except the name, fault by fault in order — the equality Dedup
+// folds a list by and a Dedup source's memo answers a proposal by. It
+// keys each content's Mix64 digest (contentDigest) to chained entry
+// positions and confirms a hit field by field (sameContent), so two
+// contents are one exactly when their appendDescKey spellings,
+// ';'-joined, are one string: -0 is not 0, every NaN is every other
+// NaN, and fault order counts. Entry i is the i-th content filed. Find
+// and put allocate nothing but the table's amortized growth.
+type contentIndex struct {
+	heads   []int32 // by digest's low bits, 1 + the bucket's newest entry; 0 for none
+	entries []contentEntry
+}
+
+type contentEntry struct {
+	digest uint64
+	faults []fault.Descriptor
+	next   int32 // 1 + the bucket's entry filed before this one; 0 for none
+}
+
+// newContentIndex is an index sized for n contents.
+func newContentIndex(n int) *contentIndex {
+	x := &contentIndex{entries: make([]contentEntry, 0, n)}
+	x.rehash(max(n, 8))
+	return x
+}
+
+// find is the position of the content of faults, whose digest is
+// digest; ok is false when none was filed, or x is nil.
+func (x *contentIndex) find(faults []fault.Descriptor, digest uint64) (i int, ok bool) {
+	if x == nil {
+		return 0, false
+	}
+	for e := x.heads[digest&uint64(len(x.heads)-1)]; e != 0; e = x.entries[e-1].next {
+		if en := &x.entries[e-1]; en.digest == digest && sameContent(en.faults, faults) {
+			return int(e - 1), true
+		}
+	}
+	return 0, false
+}
+
+// put is find, filing faults as the next entry when its content is new
+// (added). The index keeps faults, not a copy.
+func (x *contentIndex) put(faults []fault.Descriptor, digest uint64) (i int, added bool) {
+	if i, ok := x.find(faults, digest); ok {
+		return i, false
+	}
+	i = len(x.entries)
+	if i >= len(x.heads) {
+		x.rehash(2 * len(x.heads))
+	}
+	b := digest & uint64(len(x.heads)-1)
+	x.entries = append(x.entries, contentEntry{digest: digest, faults: faults, next: x.heads[b]})
+	x.heads[b] = int32(i + 1)
+	return i, true
+}
+
+// rehash refiles every entry in n buckets, n a power of two.
+func (x *contentIndex) rehash(n int) {
+	x.heads = make([]int32, 1<<bits.Len(uint(n-1)))
+	for i := range x.entries {
+		b := x.entries[i].digest & uint64(len(x.heads)-1)
+		x.entries[i].next, x.heads[b] = x.heads[b], int32(i+1)
+	}
+}
+
+// contentDigest is the Mix64 digest of the fault content of faults (see
+// contentIndex): every field but the name, a fault after another, a NaN
+// folded as every NaN.
+func contentDigest(faults []fault.Descriptor) uint64 {
+	h := sim.NewStateHash()
+	for i := range faults {
+		d := &faults[i]
+		h.U64(uint64(d.Model) | uint64(d.Class)<<8 | uint64(d.Domain)<<16)
+		h.Str(d.Target)
+		h.U64(uint64(d.Bit))
+		h.U64(d.Address)
+		h.U64(floatKey(d.Param))
+		h.Time(d.Start)
+		h.Time(d.Duration)
+		h.Time(d.Period)
+		h.U64(floatKey(d.Rate))
+	}
+	return h.Sum()
+}
+
+// floatKey is f's bits, every NaN's one NaN's: the float equality of
+// appendDescKey's spelling.
+func floatKey(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// sameContent reports whether a and b hold one fault content: the same
+// faults in the same order, every field but the name equal, the floats
+// as floatKey compares them.
+func sameContent(a, b []fault.Descriptor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Model != y.Model || x.Class != y.Class || x.Domain != y.Domain || x.Target != y.Target ||
+			x.Bit != y.Bit || x.Address != y.Address || x.Start != y.Start || x.Duration != y.Duration ||
+			x.Period != y.Period || floatKey(x.Param) != floatKey(y.Param) || floatKey(x.Rate) != floatKey(y.Rate) {
+			return false
+		}
+	}
+	return true
 }
